@@ -9,9 +9,9 @@ package tippers
 // k-anonymized occupancy aggregates and query rows — are checksummed
 // field by field; a single diverging count aborts the benchmark, so
 // the speedup column is only ever reported for provably identical
-// released output. The rollup world invalidates its answer cache
-// every iteration, so op=occupancy times the cold rollup read + per
-// subject decide batch, not a memo hit.
+// released output. The rollup world clears its answer cache
+// every iteration, so op=occupancy times the rollup read + per
+// subject decide batch (engine memo warm), not an answer-cache hit.
 //
 // BENCH_AGG_OBS (comma-separated observation counts) overrides the
 // dataset sizes; scripts/bench.sh runs 1M+10M for baselines and CI
@@ -212,11 +212,9 @@ func BenchmarkAggregateSegments(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if cs := dep.BMS.Columnar(); cs != nil {
-						// Bust the answer cache: measure the rollup
-						// read and decide batch, not a memo hit.
-						cs.Invalidate()
-					}
+					// Bust the answer cache: measure the rollup read
+					// and decide batch, not a memo hit.
+					dep.BMS.ClearOccupancyCache()
 					resp, err := dep.BMS.RequestOccupancy(req, 2)
 					if err != nil {
 						b.Fatal(err)

@@ -71,7 +71,7 @@ func benchEngines(b *testing.B, users int) (naive, compiled enforce.Engine, reqs
 	b.Helper()
 	cfg, prefs, bp, reqs := benchWorkload(b, users)
 	n := enforce.NewNaive(cfg)
-	x := enforce.NewIndexed(cfg)
+	x := enforce.NewCompiledMemo(cfg, -1)
 	loadBenchEngine(b, n, prefs, bp)
 	loadBenchEngine(b, x, prefs, bp)
 	return n, x, reqs
@@ -156,7 +156,7 @@ func benchCompiledDecideWorld(b *testing.B, prefCount int) *benchCompiledWorld {
 	cfg := enforce.Config{Spaces: building.Spaces, Services: services, DefaultAllow: true}
 	// Memo off: the sweep must measure the indexed decision path
 	// itself, not memo hits that would flatten any engine.
-	engine := enforce.NewIndexed(cfg)
+	engine := enforce.NewCompiledMemo(cfg, -1)
 
 	var rooms []string
 	for _, sp := range building.Spaces.All() {

@@ -80,9 +80,7 @@ func runE12() {
 	occAnswer := func(dep *tippers.Deployment) (string, time.Duration) {
 		// Bust the post-enforcement answer cache so the measurement is
 		// the rollup read + decide batch, not a memo hit.
-		if cs := dep.BMS.Columnar(); cs != nil {
-			cs.Invalidate()
-		}
+		dep.BMS.ClearOccupancyCache()
 		t0 := time.Now()
 		resp, err := dep.BMS.RequestOccupancy(occReq, 2)
 		if err != nil {

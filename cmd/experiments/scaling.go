@@ -30,7 +30,7 @@ func buildEngines(users int, seed int64) (naive, compiled enforce.Engine, memo *
 
 	cfg := enforce.Config{Spaces: building.Spaces, Services: services, DefaultAllow: true}
 	n := enforce.NewNaive(cfg)
-	x := enforce.NewIndexed(cfg)
+	x := enforce.NewCompiledMemo(cfg, -1)
 	m := enforce.NewCompiled(cfg)
 
 	prefs := sim.GeneratePreferences(building, dir, []string{"concierge", "smart-meeting"},

@@ -286,8 +286,8 @@ func main() {
 			break
 		}
 		st := dto.Stats
-		fmt.Printf("columnar tier: %d segment(s), %d row(s), %s, watermark seq %d, epoch %d\n",
-			st.Segments, st.Rows, fmtBytes(st.Bytes), st.Watermark, st.Epoch)
+		fmt.Printf("columnar tier: %d segment(s), %d row(s), %s, watermark seq %d\n",
+			st.Segments, st.Rows, fmtBytes(st.Bytes), st.Watermark)
 		fmt.Printf("compactions: %d; segments read %d, pruned %d (%.0f%% pruned)\n",
 			st.Compactions, st.SegmentsRead, st.SegmentsPruned, st.PruneRatio*100)
 		rollups := fmt.Sprintf("%d entries (version %d)", st.RollupEntries, st.RollupVersion)

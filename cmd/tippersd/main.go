@@ -7,7 +7,7 @@
 //
 //	tippersd [-addr :8080] [-irr-addr :8081] [-population 200]
 //	         [-small] [-paper-policies] [-simulate-days 1] [-seed 1]
-//	         [-enforce-engine compiled|compiled-nomemo|naive]
+//	         [-enforce-engine compiled|naive]
 //	         [-wal-dir DIR] [-wal-sync 10ms|always|none]
 //	         [-colstore-dir DIR] [-colstore-compact-interval 1m] [-no-colstore]
 //	         [-stream-buffer 256] [-stream-policy drop-oldest|block|disconnect]
@@ -46,7 +46,7 @@ func main() {
 		paperPolicies = flag.Bool("paper-policies", true, "register the paper's Policies 1-4")
 		simulateDays  = flag.Int("simulate-days", 1, "simulated days to ingest at startup")
 		seed          = flag.Int64("seed", 1, "simulation seed")
-		enforceEngine = flag.String("enforce-engine", "compiled", "enforcement engine flavor: compiled, compiled-nomemo, or naive (escape hatch)")
+		enforceEngine = flag.String("enforce-engine", "compiled", "enforcement engine flavor: compiled or naive (escape hatch)")
 		retention     = flag.Duration("retention-interval", time.Minute, "retention sweep interval")
 		snapshot      = flag.String("snapshot", "", "observation snapshot file: restored at boot, written on shutdown")
 		walDir        = flag.String("wal-dir", "", "durable store directory (write-ahead log + checkpoints); excludes -snapshot")

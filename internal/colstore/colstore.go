@@ -41,16 +41,15 @@ type Config struct {
 	// fully in memory (segments still immutable, nothing durable).
 	Dir string
 	// BucketDur is the time-partition width; one closed bucket becomes
-	// one segment per compaction. Default one minute.
+	// one segment per compaction. Default one minute — what tippersd
+	// runs, since core leaves it unset: roughly 900 segment files per
+	// simulated day.
 	BucketDur time.Duration
 	// Clock decides when a bucket has closed; nil means time.Now.
 	Clock func() time.Time
 	// RollupMaxEntries caps the rollup cubes; past it the cubes shut
 	// down and readers fall back to scans. Default 1<<20.
 	RollupMaxEntries int
-	// DisableRollups turns the cubes off entirely (benchmarking the
-	// pure segment path).
-	DisableRollups bool
 }
 
 // Store is the columnar tier: immutable segments plus rollup cubes,
@@ -90,10 +89,6 @@ type Store struct {
 	src  *obstore.Store
 	roll *rollups
 
-	// epoch counts policy/preference invalidations; any cached answer
-	// derived through enforcement must be keyed on it.
-	epoch atomic.Uint64
-
 	segScanned     atomic.Uint64
 	segPruned      atomic.Uint64
 	compactions    atomic.Uint64
@@ -131,7 +126,7 @@ func Open(cfg Config) (*Store, error) {
 		seqTomb:  make(map[uint64]struct{}),
 		userTomb: make(map[string]struct{}),
 	}
-	s.roll = newRollups(s, cfg.RollupMaxEntries, cfg.DisableRollups)
+	s.roll = newRollups(s, cfg.RollupMaxEntries)
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -195,14 +190,6 @@ func (s *Store) Watermark() uint64 {
 	defer s.mu.RUnlock()
 	return s.wm
 }
-
-// Epoch returns the enforcement-invalidation epoch. Cached answers
-// derived through policy decisions must revalidate when it moves.
-func (s *Store) Epoch() uint64 { return s.epoch.Load() }
-
-// Invalidate bumps the enforcement epoch. The stream hub calls it
-// whenever a policy or preference changes.
-func (s *Store) Invalidate() { s.epoch.Add(1) }
 
 // RollupVersion returns the rollup cubes' mutation counter.
 func (s *Store) RollupVersion() uint64 { return s.roll.version.Load() }
@@ -741,7 +728,6 @@ type TierStats struct {
 	RollupEntries  int     `json:"rollup_entries"`
 	RollupVersion  uint64  `json:"rollup_version"`
 	RollupDisabled bool    `json:"rollup_disabled"`
-	Epoch          uint64  `json:"epoch"`
 	RollupLagSec   float64 `json:"rollup_lag_seconds"`
 }
 
@@ -790,7 +776,6 @@ func (s *Store) Stats() TierStats {
 	ts.RollupEntries = s.roll.entryCount()
 	ts.RollupVersion = s.roll.version.Load()
 	ts.RollupDisabled = s.roll.isDisabled()
-	ts.Epoch = s.epoch.Load()
 	if end := s.lastBucketEnd.Load(); end > 0 {
 		if lag := s.cfg.Clock().Sub(time.Unix(0, end)); lag > 0 {
 			ts.RollupLagSec = lag.Seconds()
@@ -852,9 +837,5 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 				return 0
 			}
 			return lag
-		})
-	r.GaugeFunc("tippers_colstore_epoch",
-		"Enforcement invalidation epoch.", func() float64 {
-			return float64(s.epoch.Load())
 		})
 }

@@ -359,13 +359,3 @@ func TestRollupOverflowDisables(t *testing.T) {
 		t.Fatal("stats do not report rollups disabled")
 	}
 }
-
-func TestEpochInvalidation(t *testing.T) {
-	_, cs := newPair(t, "")
-	e0 := cs.Epoch()
-	cs.Invalidate()
-	cs.Invalidate()
-	if got := cs.Epoch(); got != e0+2 {
-		t.Fatalf("epoch = %d, want %d", got, e0+2)
-	}
-}

@@ -80,7 +80,6 @@ type rollups struct {
 
 	mu         sync.Mutex
 	disabled   bool
-	forcedOff  bool
 	maxEntries int
 	entries    int
 	occ        map[int64]map[occKey]*occEntry // minute start, unix nanos
@@ -91,11 +90,9 @@ type rollups struct {
 	version atomic.Uint64
 }
 
-func newRollups(store *Store, maxEntries int, forcedOff bool) *rollups {
+func newRollups(store *Store, maxEntries int) *rollups {
 	return &rollups{
 		store:      store,
-		forcedOff:  forcedOff,
-		disabled:   forcedOff,
 		maxEntries: maxEntries,
 		occ:        make(map[int64]map[occKey]*occEntry),
 		rd:         make(map[int64]map[rdKey]*rdEntry),
@@ -210,9 +207,6 @@ func (r *rollups) rebuildAll() {
 	rows := r.store.Query(obstore.Filter{})
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.forcedOff {
-		return
-	}
 	r.occ = make(map[int64]map[occKey]*occEntry)
 	r.rd = make(map[int64]map[rdKey]*rdEntry)
 	r.dirtyOcc = make(map[int64]struct{})
@@ -308,7 +302,8 @@ func (r *rollups) observeRdLocked(o sensor.Observation, hour int64) {
 // OccupancyRollup returns the minute cube's entries whose bucket
 // start lies in [from, to); zero times mean unbounded. ok=false means
 // the cubes are unavailable and the caller must fall back to a scan.
-// The returned version pairs with Epoch for answer-cache validation.
+// The returned version pairs with the enforcement engine's epoch for
+// answer-cache validation.
 func (s *Store) OccupancyRollup(from, to time.Time) (entries []OccEntry, version uint64, ok bool) {
 	r := s.roll
 	r.mu.Lock()

@@ -42,11 +42,14 @@ func (b *BMS) DeriveOccupancy(from, to time.Time, interval time.Duration) (int, 
 	}
 	stored := 0
 	for _, o := range derived {
-		if _, err := b.store.Append(o); err != nil {
+		// Publish what the store returned: its Seq is the stream resume
+		// cursor, which the un-stamped input does not carry.
+		appended, err := b.store.Append(o)
+		if err != nil {
 			return stored, err
 		}
 		stored++
-		b.bus.Publish(bus.TopicObservations, o)
+		b.bus.Publish(bus.TopicObservations, appended)
 	}
 	b.met.ingested.Add(uint64(stored))
 	return stored, nil

@@ -8,10 +8,10 @@ package core
 // enforced view — so every consumer here re-runs the requester's
 // decisions before release, exactly as the row paths do. Cached
 // *answers* (post-enforcement) are therefore only valid for one
-// enforcement epoch and one rollup version: a policy or preference
-// mutation bumps the epoch (via the stream hub's OnInvalidate fan-
-// out), and any ingest or deletion bumps the rollup version, so a
-// stale answer can never be served.
+// engine epoch and one rollup version: a policy or preference
+// mutation bumps enforce.Engine.Epoch inside the mutation itself, and
+// any ingest or deletion bumps the rollup version, so a stale answer
+// can never be served and nobody has to remember to flush.
 
 import (
 	"fmt"
@@ -129,7 +129,7 @@ func (b *BMS) queryRollup() func(query.RollupRequest) ([]query.RollupEntry, bool
 }
 
 // occAnswer is one cached post-enforcement occupancy answer, pinned
-// to the enforcement epoch and rollup version it was computed under.
+// to the engine epoch and rollup version it was computed under.
 type occAnswer struct {
 	epoch      uint64
 	rollVer    uint64
@@ -142,18 +142,17 @@ type occAnswer struct {
 
 // occupancyCache memoizes rollup-served occupancy answers. Keys fold
 // in the evaluation minute (decisions have minute resolution — window
-// rules), and entries validate against (enforcement epoch, rollup
-// version) on every hit — rule mutations bump the epoch, any ingest
-// or deletion bumps the rollup version — so a hit is provably the
-// answer a fresh evaluation would produce. Answers whose decisions
-// carried override notifications are never cached (replaying them
-// would swallow user notifications, the same constraint the stream
-// memo honors).
+// rules), and entries validate against (engine epoch, rollup version)
+// on every hit — rule mutations bump the epoch, any ingest or
+// deletion bumps the rollup version — so a hit is provably the answer
+// a fresh evaluation would produce. Answers whose decisions carried
+// override notifications are never cached (replaying them would
+// swallow user notifications, the same constraint the engine's memo
+// honors).
 type occupancyCache struct {
 	mu      sync.Mutex
 	entries map[string]occAnswer
 	hits    uint64
-	misses  uint64
 }
 
 const occCacheMax = 256
@@ -163,7 +162,6 @@ func (c *occupancyCache) get(key string, epoch, rollVer uint64) (occAnswer, bool
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
 	if !ok || a.epoch != epoch || a.rollVer != rollVer {
-		c.misses++
 		return occAnswer{}, false
 	}
 	c.hits++
@@ -182,7 +180,12 @@ func (c *occupancyCache) put(key string, a occAnswer) {
 	c.entries[key] = a
 }
 
-func (c *occupancyCache) clear() {
+// ClearOccupancyCache drops the cached occupancy answers and nothing
+// else. Correctness never needs it (hits are validated, not flushed);
+// benchmarks call it to time the rollup read plus a warm decide batch,
+// where mutating a rule would also empty the engine's memo.
+func (b *BMS) ClearOccupancyCache() {
+	c := &b.occCache
 	c.mu.Lock()
 	c.entries = nil
 	c.mu.Unlock()

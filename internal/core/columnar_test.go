@@ -80,11 +80,24 @@ func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 
 // TestOccupancyCacheInvalidation proves a memoized occupancy answer
 // can never go stale: a repeated request hits the cache, a
-// mid-session preference change (epoch bump via the stream hub's
-// invalidation fan-out) and a fresh ingest (rollup version bump) each
-// force re-evaluation.
+// mid-session preference change (engine epoch bump) and a fresh
+// ingest (rollup version bump) each force re-evaluation. The naive
+// engine runs the same script: the cache keys on Engine.Epoch, which
+// every engine must move with its rules.
 func TestOccupancyCacheInvalidation(t *testing.T) {
-	f := newFixture(t)
+	t.Run("compiled", func(t *testing.T) {
+		testOccupancyCacheInvalidation(t, newFixture(t))
+	})
+	t.Run("naive", func(t *testing.T) {
+		testOccupancyCacheInvalidation(t, newFixtureWith(t, func(c *Config) {
+			c.Engine = enforce.NewNaive(enforce.Config{
+				Spaces: c.Spaces, Services: c.Services, DefaultAllow: c.DefaultAllow,
+			})
+		}))
+	})
+}
+
+func testOccupancyCacheInvalidation(t *testing.T, f *fixture) {
 	occIngest(t, f)
 
 	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,

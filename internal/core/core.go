@@ -89,9 +89,6 @@ type Config struct {
 	// segments into; empty keeps the tier in memory (still compacted,
 	// still serving rollups, just not crash-durable).
 	ColumnarDir string
-	// ColumnarBucket is the columnar tier's segment bucket duration
-	// (default 1h; see colstore.Config.BucketDur).
-	ColumnarBucket time.Duration
 	// ColumnarRollupMax caps the rollup cubes' total entry count
 	// (default colstore's 1M); past it the cubes shut down and readers
 	// fall back to scans. Raise it for dense multi-month datasets.
@@ -213,7 +210,6 @@ func New(cfg Config) (*BMS, error) {
 		// behind the watermark, row shards ahead of it).
 		cs, err := colstore.Open(colstore.Config{
 			Dir:              cfg.ColumnarDir,
-			BucketDur:        cfg.ColumnarBucket,
 			Clock:            cfg.Clock,
 			RollupMaxEntries: cfg.ColumnarRollupMax,
 		})
@@ -225,7 +221,7 @@ func New(cfg Config) (*BMS, error) {
 		b.colstore = cs
 	}
 	// Collaborators expose their internals on the same registry; an
-	// engine that can report (Compiled, Instrumented) joins in.
+	// engine that can report (Compiled) joins in.
 	b.store.RegisterMetrics(reg)
 	// The store forwards the tracer to its WAL so group-commit fsync
 	// batches show up as spans.
@@ -238,17 +234,16 @@ func New(cfg Config) (*BMS, error) {
 	}); ok {
 		mr.RegisterMetrics(reg)
 	}
-	// The stream hub taps the bus and re-runs the full decision
-	// pipeline per subscriber per event, memoizing decisions across
-	// subscribers. Rule mutations invalidate the memo (see
-	// RegisterPolicy, SetPreference, RemovePreference).
+	reg.GaugeFunc("tippers_enforce_epoch",
+		"Rule mutations the enforcement engine has applied; every decision-derived cache validates against it.",
+		func() float64 { return float64(engine.Epoch()) })
+	// The stream hub taps the bus and decides per subscriber per event
+	// through b.decide like every other path; it keeps no decisions of
+	// its own, so rule mutations have nothing to flush here.
 	hub, err := stream.NewHub(stream.Config{
-		Store: b.store,
-		Bus:   b.bus,
-		Decide: func(req enforce.Request) enforce.Decision {
-			return b.engine.Decide(req, b.subjectGroups(req.SubjectID))
-		},
-		Record: b.recordDecision,
+		Store:  b.store,
+		Bus:    b.bus,
+		Decide: b.decide,
 		Apply: func(d enforce.Decision, obs []sensor.Observation) ([]sensor.Observation, error) {
 			return enforce.ApplyDecision(d, obs, b.transf)
 		},
@@ -258,20 +253,6 @@ func New(cfg Config) (*BMS, error) {
 		DefaultBuffer: cfg.StreamBuffer,
 		DefaultPolicy: cfg.StreamPolicy,
 		BusBuffer:     cfg.BusBuffer * 4,
-		// Rule mutations flush every decision-derived cache in one
-		// motion: the hub's own memo, the engine's decision memo, the
-		// columnar tier's enforcement epoch, and the occupancy answer
-		// cache. (Mutations through the engine already invalidate its
-		// memo atomically; this covers engines mutated out of band.)
-		OnInvalidate: func() {
-			if inv, ok := b.engine.(interface{ Invalidate() }); ok {
-				inv.Invalidate()
-			}
-			if b.colstore != nil {
-				b.colstore.Invalidate()
-			}
-			b.occCache.clear()
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -437,7 +418,6 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 			TTL:  p.Retention,
 		})
 	}
-	b.streams.Invalidate()
 	b.detectConflicts()
 	return nil
 }
@@ -483,7 +463,6 @@ func (b *BMS) SetPreference(p policy.Preference) error {
 	b.mu.Lock()
 	b.prefs[p.ID] = p
 	b.mu.Unlock()
-	b.streams.Invalidate()
 	b.detectConflicts()
 	return nil
 }
@@ -496,7 +475,6 @@ func (b *BMS) RemovePreference(id string) bool {
 	b.mu.Lock()
 	delete(b.prefs, id)
 	b.mu.Unlock()
-	b.streams.Invalidate()
 	b.detectConflicts()
 	return true
 }

@@ -16,6 +16,7 @@ type coreMetrics struct {
 	pseudonymized     *telemetry.Counter
 	requestsDecided   *telemetry.Counter
 	requestsDenied    *telemetry.Counter
+	defaultAllowed    *telemetry.Counter
 	notificationsSent *telemetry.Counter
 
 	ingestSeconds *telemetry.Histogram
@@ -39,6 +40,8 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 			"Query-time enforcement decisions made by the request manager."),
 		requestsDenied: r.Counter("tippers_core_requests_denied_total",
 			"Query-time enforcement decisions that denied the flow."),
+		defaultAllowed: r.Counter("tippers_enforce_default_allow_total",
+			"Decisions allowed with no matched preference, no group default and no override: released on the default alone."),
 		notificationsSent: r.Counter("tippers_core_notifications_sent_total",
 			"Override notifications delivered to user inboxes."),
 		ingestSeconds: r.Histogram("tippers_core_ingest_seconds",

@@ -107,13 +107,7 @@ func (b *BMS) queryEnv(ctx context.Context) query.Env {
 			}
 			return []string{spaceID}
 		},
-		Decide: func(req enforce.Request) enforce.Decision {
-			t0 := time.Now()
-			d := b.engine.Decide(req, b.subjectGroups(req.SubjectID))
-			b.met.decideSeconds.Observe(time.Since(t0).Seconds())
-			b.recordDecision(d)
-			return d
-		},
+		Decide: b.decide,
 		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
 			return enforce.ApplyDecisionOne(d, o, b.transf)
 		},

@@ -63,16 +63,12 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 	tr := b.newTrace("user", req)
 	tr.joinSpanContext(ctx)
 
-	groups := b.subjectGroups(req.SubjectID)
 	_, dSpan := b.tracer.StartSpan(ctx, "enforce.decide")
 	t0 := time.Now()
-	d := b.engine.Decide(req, groups)
-	decideDur := time.Since(t0)
+	d := b.decide(req)
 	dSpan.SetAttr("allowed", strconv.FormatBool(d.Allowed))
 	dSpan.End()
-	b.met.decideSeconds.Observe(decideDur.Seconds())
-	tr.addStage("decide", decideDur)
-	b.recordDecision(d)
+	tr.addStage("decide", time.Since(t0))
 	tr.fromDecision(d)
 	if !d.Allowed {
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
@@ -131,18 +127,19 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	tr.joinSpanContext(ctx)
 
 	// Rollup-served answers are memoized post-enforcement, pinned to
-	// the (enforcement epoch, rollup version) they were computed under:
-	// a preference change or a new observation invalidates the hit, so
-	// a repeated dashboard poll costs a map lookup instead of a decide
-	// batch. The snapshot is taken before the fetch so a concurrent
-	// ingest can only cause a spurious miss, never a stale hit.
+	// the (engine epoch, rollup version) they were computed under: a
+	// preference change or a new observation invalidates the hit, so a
+	// repeated dashboard poll costs a map lookup instead of a decide
+	// batch. Both are read before the fetch and the decide batch, so a
+	// concurrent ingest or rule mutation can only cause a spurious
+	// miss, never a stale hit.
 	var (
 		cacheKey       string
 		epoch, rollVer uint64
 	)
 	if b.colstore != nil {
 		cacheKey = occCacheKey(req, minK, b.clock())
-		epoch, rollVer = b.colstore.Epoch(), b.colstore.RollupVersion()
+		epoch, rollVer = b.engine.Epoch(), b.colstore.RollupVersion()
 		if a, ok := b.occCache.get(cacheKey, epoch, rollVer); ok {
 			span.SetAttr("cache", "hit")
 			tr.addStage("cache", time.Since(started))
@@ -300,12 +297,29 @@ func (b *BMS) subjectGroups(userID string) []profile.Group {
 	return u.Groups()
 }
 
+// decide is the one single-decision path — RequestUser, each scanned
+// query row and each live-stream event all come through here — so a
+// decision is timed, counted, and its override notifications delivered
+// in one place. (RequestOccupancy batches, and records each likewise.)
+func (b *BMS) decide(req enforce.Request) enforce.Decision {
+	t0 := time.Now()
+	d := b.engine.Decide(req, b.subjectGroups(req.SubjectID))
+	b.met.decideSeconds.Observe(time.Since(t0).Seconds())
+	b.recordDecision(d)
+	return d
+}
+
 // recordDecision updates counters and delivers override
 // notifications.
 func (b *BMS) recordDecision(d enforce.Decision) {
 	b.met.requestsDecided.Inc()
-	if !d.Allowed {
+	switch {
+	case !d.Allowed:
 		b.met.requestsDenied.Inc()
+	case len(d.MatchedPreferences) == 0 && len(d.MatchedDefaults) == 0 && d.OverridePolicyID == "":
+		// Nothing the subject or the building configured spoke to this
+		// flow: it was released on Config.DefaultAllow alone.
+		b.met.defaultAllowed.Inc()
 	}
 	b.mu.Lock()
 	for _, n := range d.Notifications {

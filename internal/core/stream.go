@@ -16,10 +16,9 @@ import (
 // preference — so subscriptions go through the same decision pipeline
 // as queries: each event is decided for its subject and transformed
 // per the effective rule before delivery. The hub adds what the old
-// inline implementation lacked: decision memoization across
-// subscribers, selectable backpressure, and cursor-based resume
-// (reachable via BMS.Streams for callers that want events rather than
-// a channel).
+// inline implementation lacked: selectable backpressure and
+// cursor-based resume (reachable via BMS.Streams for callers that want
+// events rather than a channel).
 
 // Stream is one service's enforced live subscription.
 type Stream struct {

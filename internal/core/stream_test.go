@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -145,5 +146,103 @@ func TestSubscribeCancelIdempotentAndCloses(t *testing.T) {
 	stream.Cancel()
 	if _, ok := <-stream.C; ok {
 		t.Error("stream channel not closed after cancel")
+	}
+}
+
+// TestStreamFanoutSharesEngineMemo pins where fan-out amortization
+// lives now that the hub keeps no decisions: N subscribers × M
+// identical events cost one engine-memo miss, and a preference change
+// costs exactly one more — the next event is decided under the new
+// rules without anything having been flushed by hand.
+func TestStreamFanoutSharesEngineMemo(t *testing.T) {
+	f := newFixture(t)
+	engine := f.bms.Engine().(*enforce.Compiled)
+	const subs, events = 3, 4
+	var all []*Stream
+	for i := 0; i < subs; i++ {
+		s, _, err := f.bms.Subscribe(enforce.Request{
+			ServiceID: "concierge",
+			Purpose:   policy.PurposeProvidingService,
+			Kind:      sensor.ObsWiFiConnect,
+		}, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Cancel()
+		all = append(all, s)
+	}
+	deliver := func(n int) []sensor.Observation {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			// Same subject, space and minute every time.
+			if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var last []sensor.Observation
+		for _, s := range all {
+			if last = collectStream(t, s, n, 2*time.Second); len(last) != n {
+				t.Fatalf("subscriber got %d/%d events", len(last), n)
+			}
+		}
+		return last
+	}
+
+	hits0, misses0 := engine.Stats()
+	if got := deliver(events); got[0].SpaceID != "dbh/2/r0" {
+		t.Fatalf("event released at %q before any preference", got[0].SpaceID)
+	}
+	hits, misses := engine.Stats()
+	if misses-misses0 != 1 || hits-hits0 != subs*events-1 {
+		t.Errorf("%d deliveries cost %d engine misses and %d hits, want 1 and %d",
+			subs*events, misses-misses0, hits-hits0, subs*events-1)
+	}
+
+	if err := f.bms.SetPreference(policy.CoarseLocationPreference("mary", "concierge")); err != nil {
+		t.Fatal(err)
+	}
+	if got := deliver(1); got[0].SpaceID != "dbh" {
+		t.Errorf("event after SetPreference released at %q, want the coarsened dbh", got[0].SpaceID)
+	}
+	if _, after := engine.Stats(); after-misses != 1 {
+		t.Errorf("preference change cost %d engine misses, want 1", after-misses)
+	}
+}
+
+// TestDerivedOccupancyStreamsWithStoreSeq: a derived observation
+// reaches live subscribers carrying the sequence number the store
+// assigned it — the resume cursor — not the zero of the un-stored
+// value.
+func TestDerivedOccupancyStreamsWithStoreSeq(t *testing.T) {
+	f := newFixture(t)
+	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := f.bms.Subscribe(enforce.Request{
+		ServiceID: "smart-meeting",
+		Purpose:   policy.PurposeProvidingService,
+		Kind:      sensor.ObsOccupancy,
+	}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel()
+
+	n, err := f.bms.DeriveOccupancy(f.now.Add(-time.Hour), f.now.Add(time.Hour), 30*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := f.bms.Store().Query(obstore.Filter{Kind: sensor.ObsOccupancy})
+	if n == 0 || len(stored) != n {
+		t.Fatalf("derived %d, stored %d", n, len(stored))
+	}
+	got := collectStream(t, s, n, 2*time.Second)
+	if len(got) != n {
+		t.Fatalf("streamed %d derived observations, want %d", len(got), n)
+	}
+	for i, o := range got {
+		if o.Seq == 0 || o.Seq != stored[i].Seq {
+			t.Errorf("derived observation %d streamed with seq %d, store assigned %d", i, o.Seq, stored[i].Seq)
+		}
 	}
 }

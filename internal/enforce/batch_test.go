@@ -49,7 +49,7 @@ func batchItems(t *testing.T, eng Engine, n int) []BatchItem {
 // parallelism level.
 func TestDecideBatchMatchesSerial(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	eng := NewIndexed(cfg)
+	eng := NewCompiledMemo(cfg, -1)
 	items := batchItems(t, eng, 40)
 
 	want := make([]Decision, len(items))
@@ -83,7 +83,7 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 // tolerates concurrent invocation.
 func TestDecideBatchObserve(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	eng := NewIndexed(cfg)
+	eng := NewCompiledMemo(cfg, -1)
 	items := batchItems(t, eng, 25)
 
 	var calls atomic.Int64
@@ -115,7 +115,7 @@ func TestDecideBatchObserve(t *testing.T) {
 // (non-nil-safe) slice without touching the engine.
 func TestDecideBatchEmpty(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	if got := DecideBatch(NewIndexed(cfg), nil, BatchOptions{}); len(got) != 0 {
+	if got := DecideBatch(NewCompiledMemo(cfg, -1), nil, BatchOptions{}); len(got) != 0 {
 		t.Fatalf("empty batch returned %d decisions", len(got))
 	}
 }
@@ -127,7 +127,7 @@ func TestDecideBatchEmpty(t *testing.T) {
 // wider.
 func TestDecideBatchSharesCache(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	reference := NewIndexed(cfg)
+	reference := NewCompiledMemo(cfg, -1)
 	memoized := NewCompiled(cfg)
 	batchItems(t, reference, 1) // install the same rule fixture
 	items := batchItems(t, memoized, 60)

@@ -22,11 +22,11 @@ import (
 // registered preferences; BenchmarkCompiledDecide gates that flatness
 // in CI.
 //
-// A built-in decision memo subsumes the old Cached wrapper. Real
-// request streams are heavily repetitive (the same service polls the
-// same subjects), so even compiled matching re-evaluates identical
-// tuples; the memo collapses those to a map hit. Its correctness
-// constraints are load-bearing:
+// The engine carries a decision memo. Real request streams are
+// heavily repetitive (the same service polls the same subjects), so
+// even compiled matching re-evaluates identical tuples; the memo
+// collapses those to a map hit. Its correctness constraints are
+// load-bearing:
 //
 //   - Time-windowed rules make decisions time-dependent, so the memo
 //     key quantizes the request time to the minute (windows have
@@ -40,10 +40,10 @@ import (
 // Every mutation recompiles incrementally (only the touched rule) and
 // bumps the epoch, dropping the memo in the same critical section —
 // no window exists where a decision compiled against old rules can be
-// served after the mutation returns. Core's stream-hub OnInvalidate
-// fan-out additionally calls Invalidate so the engine memo, the hub's
-// shared stream memo, the columnar tier's rollup answers, and the
-// occupancy cache all flush on one path.
+// served after the mutation returns. This memo is the node's only
+// cross-request decision cache; anything else that holds
+// decision-derived state (core's occupancy answer cache) validates it
+// against Epoch.
 type Compiled struct {
 	eval evaluator
 
@@ -99,28 +99,17 @@ func NewCompiledMemo(cfg Config, maxEntries int) *Compiled {
 	return c
 }
 
-// NewIndexed returns the compiled engine without a decision memo.
-// The posting-list engine this package grew up with was called
-// Indexed; the constructor keeps the name so the E2 ablation arms
-// (and older call sites) still read naturally — "indexed" now means
-// "compiled matching, no memo".
-func NewIndexed(cfg Config) *Compiled { return NewCompiledMemo(cfg, -1) }
-
 // New constructs an engine by flavor name, the -enforce-engine escape
-// hatch: "compiled" (or "") is the default memoized compiled engine,
-// "compiled-nomemo" disables its memo, and "naive" is the scan-
-// everything reference engine. The historical flavor names "indexed"
-// and "cached" map to "compiled-nomemo" and "compiled".
+// hatch: "compiled" (or "") is the default memoized compiled engine
+// and "naive" is the scan-everything reference engine.
 func New(flavor string, cfg Config) (Engine, error) {
 	switch flavor {
-	case "", "compiled", "cached":
+	case "", "compiled":
 		return NewCompiled(cfg), nil
-	case "compiled-nomemo", "indexed":
-		return NewIndexed(cfg), nil
 	case "naive":
 		return NewNaive(cfg), nil
 	default:
-		return nil, fmt.Errorf("enforce: unknown engine flavor %q (want compiled, compiled-nomemo, or naive)", flavor)
+		return nil, fmt.Errorf("enforce: unknown engine flavor %q (want compiled or naive)", flavor)
 	}
 }
 
@@ -168,19 +157,16 @@ func (c *Compiled) Counts() (int, int) {
 	return c.ix.Counts()
 }
 
-// Invalidate drops every memoized decision. Mutations through the
-// engine already invalidate atomically; this is the hook core's
-// stream-hub OnInvalidate fan-out calls so every decision-derived
-// cache in the system flushes on one path.
-func (c *Compiled) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidateLocked()
+// Epoch implements Engine.
+func (c *Compiled) Epoch() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.epoch
 }
 
 func (c *Compiled) invalidateLocked() {
 	c.epoch++
-	if c.memo != nil && len(c.memo) > 0 {
+	if len(c.memo) > 0 {
 		c.memo = make(map[cacheKey]Decision)
 	}
 }
@@ -192,8 +178,8 @@ func (c *Compiled) Stats() (hits, misses uint64) {
 
 // RegisterMetrics exposes the memo's hit/miss counters and the
 // compiled state's sizes on a telemetry registry. The cache metric
-// names predate the compiled engine (the Cached wrapper exported
-// them) and are kept stable for dashboards.
+// names predate the compiled engine and are kept stable for
+// dashboards.
 func (c *Compiled) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("tippers_enforce_cache_hits_total",
 		"Decision-memo hits.", func() float64 { return float64(c.hits.Value()) })
@@ -247,10 +233,7 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 		// entries age out of validity with it.
 		t = time.Now()
 	}
-	var groupsKey string
-	for _, g := range subjectGroups {
-		groupsKey += string(g) + "|"
-	}
+	groupsKey := memoGroupsKey(subjectGroups)
 	c.mu.RLock()
 	key := cacheKey{
 		epoch:       c.epoch,
@@ -287,6 +270,20 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 	return d
 }
 
+// memoGroupsKey folds the subject's groups into the memo key. The
+// common one-group subject reuses the group's own string, so a memo
+// hit allocates nothing.
+func memoGroupsKey(groups []profile.Group) string {
+	if len(groups) == 1 {
+		return string(groups[0])
+	}
+	var key string
+	for _, g := range groups {
+		key += string(g) + "|"
+	}
+	return key
+}
+
 // matchScratch recycles the matched-preference buffer across decides.
 // Decides run concurrently under the read lock, so the scratch is
 // pooled rather than hung off the engine. The finish pipeline copies
@@ -317,6 +314,16 @@ func (c *Compiled) decideLocked(req Request, subjectGroups []profile.Group) Deci
 	buf.prefs = matched[:0]
 	matchScratch.Put(buf)
 	return d
+}
+
+// EngineName returns a short flavor name for an engine ("naive",
+// "compiled", "compiled-nomemo"), used as a metric label and in
+// decision traces.
+func EngineName(e Engine) string {
+	if s, ok := e.(fmt.Stringer); ok {
+		return s.String()
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 // String identifies the engine in experiment output.

@@ -123,7 +123,7 @@ func TestCompiledMatchesNaive(t *testing.T) {
 			cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: seed%2 == 0}
 			engines := map[string]Engine{
 				"naive":           NewNaive(cfg),
-				"compiled-nomemo": NewIndexed(cfg),
+				"compiled-nomemo": NewCompiledMemo(cfg, -1),
 				"compiled":        NewCompiledMemo(cfg, 512), // small cap: exercise resets
 			}
 			addPref := func(p policy.Preference) {
@@ -212,7 +212,7 @@ func TestCompiledMatchesNaive(t *testing.T) {
 func TestCompiledCandidateReduction(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	naive := NewNaive(cfg)
-	compiled := NewIndexed(cfg)
+	compiled := NewCompiledMemo(cfg, -1)
 	const subjects = 2000
 	for i := 0; i < subjects; i++ {
 		user := fmt.Sprintf("subj-%04d", i)
@@ -247,12 +247,9 @@ func TestCompiledCandidateReduction(t *testing.T) {
 func TestNewEngineFlavors(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	for flavor, want := range map[string]string{
-		"":                "compiled",
-		"compiled":        "compiled",
-		"cached":          "compiled",
-		"compiled-nomemo": "compiled-nomemo",
-		"indexed":         "compiled-nomemo",
-		"naive":           "naive",
+		"":         "compiled",
+		"compiled": "compiled",
+		"naive":    "naive",
 	} {
 		e, err := New(flavor, cfg)
 		if err != nil {
@@ -262,7 +259,23 @@ func TestNewEngineFlavors(t *testing.T) {
 			t.Errorf("New(%q) = %s, want %s", flavor, got, want)
 		}
 	}
-	if _, err := New("quantum", cfg); err == nil {
-		t.Error("unknown flavor accepted")
+	for _, gone := range []string{"quantum", "indexed", "cached", "compiled-nomemo"} {
+		if _, err := New(gone, cfg); err == nil {
+			t.Errorf("flavor %q accepted", gone)
+		}
+	}
+}
+
+func TestEngineName(t *testing.T) {
+	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
+	cases := map[Engine]string{
+		NewNaive(cfg):            "naive",
+		NewCompiledMemo(cfg, -1): "compiled-nomemo",
+		NewCompiled(cfg):         "compiled",
+	}
+	for e, want := range cases {
+		if got := EngineName(e); got != want {
+			t.Errorf("EngineName(%T) = %q, want %q", e, got, want)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func groupDefaultEngines(t testing.TB) map[string]Engine {
 	}
 	return map[string]Engine{
 		"naive":           NewNaive(cfg),
-		"compiled-nomemo": NewIndexed(cfg),
+		"compiled-nomemo": NewCompiledMemo(cfg, -1),
 		"compiled":        NewCompiled(cfg),
 	}
 }

@@ -135,6 +135,12 @@ type Engine interface {
 	Decide(req Request, subjectGroups []profile.Group) Decision
 	// Counts returns installed (policies, preferences).
 	Counts() (int, int)
+	// Epoch counts the rule mutations applied so far. It moves in the
+	// same critical section as the rule change, so an answer derived
+	// from decisions is current iff the epoch read before deciding
+	// still stands — the one invalidation signal every decision-derived
+	// cache keys on.
+	Epoch() uint64
 }
 
 // Config carries the collaborators both engines share.

@@ -43,7 +43,7 @@ func bothEngines(t testing.TB, cfg Config) map[string]Engine {
 	t.Helper()
 	return map[string]Engine{
 		"naive":   NewNaive(cfg),
-		"indexed": NewIndexed(cfg),
+		"indexed": NewCompiledMemo(cfg, -1),
 	}
 }
 
@@ -331,7 +331,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	svcs := testServices(t)
 	cfg := Config{Spaces: spaces, Services: svcs, DefaultAllow: true}
 	naive := NewNaive(cfg)
-	indexed := NewIndexed(cfg)
+	indexed := NewCompiledMemo(cfg, -1)
 
 	users := []string{"u0", "u1", "u2", "u3", "u4"}
 	kinds := []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting, sensor.ObsOccupancy, ""}

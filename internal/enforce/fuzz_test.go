@@ -55,7 +55,7 @@ func FuzzCompilePolicy(f *testing.F) {
 		b := &byteFeed{data: data}
 		cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: b.pick(2) == 0}
 		naive := NewNaive(cfg)
-		engines := []Engine{NewIndexed(cfg), NewCompiled(cfg)}
+		engines := []Engine{NewCompiledMemo(cfg, -1), NewCompiled(cfg)}
 
 		randScope := func() policy.Scope {
 			var s policy.Scope

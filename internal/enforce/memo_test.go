@@ -90,19 +90,6 @@ func TestMemoInvalidationOnRuleChange(t *testing.T) {
 	}
 }
 
-func TestMemoExternalInvalidate(t *testing.T) {
-	c := newMemoEngine(t)
-	req := baseRequest()
-	c.Decide(req, nil)
-	c.Invalidate() // the OnInvalidate fan-out path
-	if d := c.Decide(req, nil); d.FromCache {
-		t.Fatal("decision served from memo across Invalidate")
-	}
-	if hits, _ := c.Stats(); hits != 0 {
-		t.Errorf("memo hit across Invalidate: %d hits", hits)
-	}
-}
-
 func TestMemoNeverCachesNotifications(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	svcReg := cfg.Services
@@ -143,7 +130,7 @@ func TestMemoNeverCachesNotifications(t *testing.T) {
 func TestMemoEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	reference := NewIndexed(cfg)
+	reference := NewCompiledMemo(cfg, -1)
 	memoized := NewCompiledMemo(cfg, 128)
 
 	users := []string{"u0", "u1", "u2"}

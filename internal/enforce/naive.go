@@ -18,6 +18,7 @@ type Naive struct {
 	policies []policy.BuildingPolicy
 	prefs    []policy.Preference
 	prefIdx  map[string]int // preference ID -> slice position
+	epoch    uint64         // rule mutations applied (Engine.Epoch)
 }
 
 var _ Engine = (*Naive)(nil)
@@ -38,6 +39,7 @@ func (n *Naive) AddPolicy(p policy.BuildingPolicy) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.policies = append(n.policies, p)
+	n.epoch++
 	return nil
 }
 
@@ -48,6 +50,7 @@ func (n *Naive) AddPreference(p policy.Preference) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.epoch++
 	if i, ok := n.prefIdx[p.ID]; ok {
 		n.prefs[i] = p // replace in place
 		return nil
@@ -70,6 +73,7 @@ func (n *Naive) RemovePreference(id string) bool {
 	n.prefIdx[n.prefs[i].ID] = i
 	n.prefs = n.prefs[:last]
 	delete(n.prefIdx, id)
+	n.epoch++
 	return true
 }
 
@@ -85,4 +89,14 @@ func (n *Naive) Counts() (int, int) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return len(n.policies), len(n.prefs)
+}
+
+// String identifies the engine in experiment output.
+func (n *Naive) String() string { return "naive" }
+
+// Epoch implements Engine.
+func (n *Naive) Epoch() uint64 {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.epoch
 }

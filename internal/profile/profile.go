@@ -54,6 +54,11 @@ type User struct {
 	// mapping, which is exactly the linkage the paper's §II.A threat
 	// analysis describes.
 	DeviceMACs []string
+
+	// groups is Groups() computed once, set on the copy a Directory
+	// stores. Enforcement asks for a subject's groups on every
+	// decision; the directory is add-only, so the answer never changes.
+	groups []Group
 }
 
 // HasGroup reports whether any of the user's profiles belongs to g.
@@ -81,11 +86,22 @@ func (u *User) Offices() []string {
 	return out
 }
 
-// Groups returns the distinct groups across the user's profiles.
+// Groups returns the distinct groups across the user's profiles,
+// sorted. For a user obtained from a Directory the slice is shared:
+// callers must not modify it.
 func (u *User) Groups() []Group {
+	if u.groups != nil {
+		return u.groups
+	}
+	return distinctGroups(u.Profiles)
+}
+
+// distinctGroups never returns nil, so a stored user's cached groups
+// are distinguishable from "not computed".
+func distinctGroups(profiles []Profile) []Group {
 	seen := map[Group]bool{}
-	var out []Group
-	for _, p := range u.Profiles {
+	out := []Group{}
+	for _, p := range profiles {
 		if p.Group != "" && !seen[p.Group] {
 			seen[p.Group] = true
 			out = append(out, p.Group)
@@ -138,6 +154,7 @@ func (d *Directory) Add(u User) error {
 	stored := u
 	stored.Profiles = append([]Profile(nil), u.Profiles...)
 	stored.DeviceMACs = append([]string(nil), u.DeviceMACs...)
+	stored.groups = distinctGroups(stored.Profiles)
 	d.byID[stored.ID] = &stored
 	for _, mac := range stored.DeviceMACs {
 		d.byMAC[mac] = &stored

@@ -156,6 +156,29 @@ func TestAddCopiesSlices(t *testing.T) {
 	}
 }
 
+// TestDirectoryComputesGroupsOnce: a stored user's Groups() is the
+// slice Add computed (enforcement asks on every decision), and a
+// stored user copied, edited and added under a new ID gets its own.
+func TestDirectoryComputesGroupsOnce(t *testing.T) {
+	d := NewDirectory()
+	d.MustAdd(User{ID: "u", Profiles: []Profile{{Group: GroupStaff}, {Group: GroupFaculty}}})
+	u, _ := d.Lookup("u")
+	if n := testing.AllocsPerRun(10, func() { u.Groups() }); n != 0 {
+		t.Errorf("Groups() on a stored user allocates %v times, want 0", n)
+	}
+	v := *u
+	v.ID = "v"
+	v.Profiles = []Profile{{Group: GroupVisitor}}
+	d.MustAdd(v)
+	stored, _ := d.Lookup("v")
+	if got := stored.Groups(); len(got) != 1 || got[0] != GroupVisitor {
+		t.Errorf("edited copy's Groups() = %v, want [%s]", got, GroupVisitor)
+	}
+	if got := u.Groups(); len(got) != 2 || got[0] != GroupFaculty || got[1] != GroupStaff {
+		t.Errorf("original's Groups() = %v", got)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	d := NewDirectory()
 	var wg sync.WaitGroup

@@ -22,9 +22,12 @@ type enforcement struct {
 	table string
 	now   time.Time
 
-	// memo caches decisions per (subject, kind, space); a scan over a
-	// million rows usually needs a few dozen engine calls.
-	memo     map[string]enforce.Decision
+	// memo is the statement's decision snapshot per (subject, kind,
+	// space); a scan over a million rows usually needs a few dozen
+	// engine calls. It is not redundant with the engine's own memo,
+	// which never holds notification-bearing decisions: without this
+	// one an override would notify its subject once per scanned row.
+	memo     map[memoKey]enforce.Decision
 	subjects map[string]bool
 	// maxFloor is the largest MinAggregationK among subjects whose
 	// rows survive residual filtering and so contribute to the result
@@ -33,6 +36,12 @@ type enforcement struct {
 	// cannot raise the floor on unrelated output.
 	maxFloor int
 	stats    Stats
+}
+
+type memoKey struct {
+	user  string
+	kind  sensor.ObservationKind
+	space string
 }
 
 // rowMeta carries the enforcement-relevant ground truth for one
@@ -58,7 +67,7 @@ func newEnforcement(env Env, req Requester, table string) (*enforcement, error) 
 		req:      req,
 		table:    table,
 		now:      now,
-		memo:     make(map[string]enforce.Decision),
+		memo:     make(map[memoKey]enforce.Decision),
 		subjects: make(map[string]bool),
 	}, nil
 }
@@ -66,7 +75,7 @@ func newEnforcement(env Env, req Requester, table string) (*enforcement, error) 
 // decide returns the requester's decision for one row's (subject,
 // kind, space) combination, memoized for the query's lifetime.
 func (e *enforcement) decide(o sensor.Observation) enforce.Decision {
-	key := o.UserID + "\x00" + string(o.Kind) + "\x00" + o.SpaceID
+	key := memoKey{user: o.UserID, kind: o.Kind, space: o.SpaceID}
 	if d, ok := e.memo[key]; ok {
 		return d
 	}

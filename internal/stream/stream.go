@@ -9,10 +9,10 @@
 // The hub solves three problems a naive bus tap cannot:
 //
 //   - Per-subscriber enforcement at fan-out cost. Deciding N
-//     subscribers × M events re-runs the policy engine N×M times; the
-//     hub memoizes decisions by (requester, subject, kind, space,
-//     minute) so identical flows collapse to a map hit. The memo is
-//     invalidated whenever rules change (Invalidate).
+//     subscribers × M events calls Config.Decide N×M times; the hub
+//     holds no decisions of its own, so identical flows collapse to a
+//     hit in the enforcement engine's memo and a rule change governs
+//     the very next event with nothing here to flush.
 //   - Backpressure. Each subscription owns a bounded ring with a
 //     selectable policy: drop-oldest (a gap marker tells the consumer
 //     what range it lost), block-publisher-with-deadline, or
@@ -40,7 +40,6 @@ import (
 	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
-	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/reasoner"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/telemetry"
@@ -141,12 +140,11 @@ type Config struct {
 	// Bus is the live feed the hub taps.
 	Bus *bus.Bus
 	// Decide runs the full decision pipeline for one event-request
-	// (the hub fills SubjectID/Time/SpaceID/Kind from each event).
+	// (the hub fills SubjectID/Time/SpaceID/Kind from each event),
+	// counting the decision and delivering its override notifications
+	// exactly as the one-shot query path does. It is called once per
+	// subscriber per event and must be safe for concurrent use.
 	Decide func(req enforce.Request) enforce.Decision
-	// Record, if set, is invoked for every event decision — cache hits
-	// included — so pipeline counters and override notifications
-	// behave exactly as on the one-shot query path.
-	Record func(d enforce.Decision)
 	// Apply runs the data path (coarsen, noise) for an allowed
 	// decision.
 	Apply func(d enforce.Decision, obs []sensor.Observation) ([]sensor.Observation, error)
@@ -170,14 +168,6 @@ type Config struct {
 	// the headroom between the ingest pipeline and the hub's fan-out
 	// loop.
 	BusBuffer int
-	// CacheSize caps the decision memo (default 65536 entries).
-	CacheSize int
-	// OnInvalidate, if set, is called whenever the hub's decision memo
-	// is invalidated by a rule mutation — the hook other decision-
-	// derived caches (the compiled engine's decision memo, columnar
-	// rollup epochs, occupancy answer caches) hang off so one policy
-	// or preference change flushes every tier.
-	OnInvalidate func()
 }
 
 // Errors returned by Subscription.Next.
@@ -195,8 +185,7 @@ var (
 
 // Hub fans the live feed out to enforced subscriptions.
 type Hub struct {
-	cfg   Config
-	cache *decisionCache
+	cfg Config
 
 	mu      sync.RWMutex
 	subs    map[int]*Subscription
@@ -240,7 +229,6 @@ func NewHub(cfg Config) (*Hub, error) {
 	}
 	h := &Hub{
 		cfg:     cfg,
-		cache:   newDecisionCache(cfg.CacheSize),
 		subs:    make(map[int]*Subscription),
 		byTopic: make(map[string][]*Subscription),
 		tracer:  cfg.Tracer,
@@ -280,14 +268,6 @@ func (h *Hub) registerMetrics(r *telemetry.Registry) {
 			h.mu.RLock()
 			defer h.mu.RUnlock()
 			return float64(len(h.subs))
-		})
-	r.CounterFunc("tippers_stream_decision_cache_hits_total",
-		"Stream decisions served from the per-subscriber memo.", func() float64 {
-			return float64(h.cache.hits.Load())
-		})
-	r.CounterFunc("tippers_stream_decision_cache_misses_total",
-		"Stream decisions that ran the full policy engine.", func() float64 {
-			return float64(h.cache.misses.Load())
 		})
 	// SLO gauges: how far behind the slowest subscriber is, and how
 	// long the oldest undelivered loss marker has been pending. Both
@@ -531,23 +511,6 @@ func (h *Hub) dispatch(e bus.Event) {
 	}
 }
 
-// Invalidate flushes the decision memo and fans the invalidation out
-// to OnInvalidate. The owning BMS calls it on every policy or
-// preference mutation so streamed decisions — and every downstream
-// cache wired through the hook — track rule changes exactly as
-// queries do.
-func (h *Hub) Invalidate() {
-	h.cache.invalidate()
-	if h.cfg.OnInvalidate != nil {
-		h.cfg.OnInvalidate()
-	}
-}
-
-// CacheStats returns (hits, misses) of the decision memo.
-func (h *Hub) CacheStats() (hits, misses uint64) {
-	return h.cache.hits.Load(), h.cache.misses.Load()
-}
-
 // Close cancels every subscription, detaches from the bus, and waits
 // for the dispatch loops to exit.
 func (h *Hub) Close() {
@@ -572,87 +535,4 @@ func (h *Hub) Close() {
 		f.Cancel()
 	}
 	h.wg.Wait()
-}
-
-// decisionCache memoizes enforcement decisions per requester flow,
-// with the same correctness constraints as enforce.Cached: keys
-// quantize time to the minute (window rules have minute resolution),
-// and decisions carrying notifications are never cached (replaying
-// them would duplicate or swallow user notifications). Rule mutations
-// invalidate wholesale via an epoch bump.
-type decisionCache struct {
-	mu    sync.RWMutex
-	memo  map[decisionKey]enforce.Decision
-	epoch uint64
-	max   int
-
-	hits, misses atomic.Uint64
-}
-
-type decisionKey struct {
-	epoch       uint64
-	service     string
-	subject     string
-	space       string
-	kind        sensor.ObservationKind
-	purpose     policy.Purpose
-	granularity policy.Granularity
-	minute      int64
-}
-
-func newDecisionCache(max int) *decisionCache {
-	if max <= 0 {
-		max = 65536
-	}
-	return &decisionCache{memo: make(map[decisionKey]enforce.Decision), max: max}
-}
-
-func (c *decisionCache) invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epoch++
-	if len(c.memo) > 0 {
-		c.memo = make(map[decisionKey]enforce.Decision)
-	}
-}
-
-// decide returns the memoized decision for req, consulting decide on
-// a miss.
-func (c *decisionCache) decide(req enforce.Request, decide func(enforce.Request) enforce.Decision) enforce.Decision {
-	t := req.Time
-	if t.IsZero() {
-		t = time.Now()
-	}
-	c.mu.RLock()
-	key := decisionKey{
-		epoch:       c.epoch,
-		service:     req.ServiceID,
-		subject:     req.SubjectID,
-		space:       req.SpaceID,
-		kind:        req.Kind,
-		purpose:     req.Purpose,
-		granularity: req.Granularity,
-		minute:      t.Unix() / 60,
-	}
-	d, ok := c.memo[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		d.FromCache = true
-		return d
-	}
-	d = decide(req)
-	c.misses.Add(1)
-	if len(d.Notifications) > 0 {
-		return d
-	}
-	c.mu.Lock()
-	if key.epoch == c.epoch {
-		if len(c.memo) >= c.max {
-			c.memo = make(map[decisionKey]enforce.Decision)
-		}
-		c.memo[key] = d
-	}
-	c.mu.Unlock()
-	return d
 }

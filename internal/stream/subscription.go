@@ -196,10 +196,7 @@ func (s *Subscription) enforceObservation(o sensor.Observation) (Event, bool) {
 	if req.Kind == "" {
 		req.Kind = o.Kind
 	}
-	d := s.hub.cache.decide(req, s.hub.cfg.Decide)
-	if s.hub.cfg.Record != nil {
-		s.hub.cfg.Record(d)
-	}
+	d := s.hub.cfg.Decide(req)
 	if !d.Allowed {
 		s.stats.denied.Add(1)
 		s.hub.met.denied.Inc()

@@ -273,9 +273,9 @@ type DeploymentConfig struct {
 	GroupDefaults []GroupDefault
 	// EnforceEngine selects the enforcement engine flavor: ""
 	// or "compiled" (default; rules compiled into an indexed decision
-	// structure plus a decision memo), "compiled-nomemo" (no memo),
-	// or "naive" (scan-everything reference). This is the escape
-	// hatch tippersd exposes as -enforce-engine.
+	// structure plus the node's one decision memo) or "naive"
+	// (scan-everything reference). This is the escape hatch tippersd
+	// exposes as -enforce-engine.
 	EnforceEngine string
 	// Strategy picks conflict resolution; zero = most restrictive.
 	Strategy reasoner.Strategy

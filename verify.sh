@@ -28,8 +28,8 @@ go test -race ./...
 echo "== wal recovery incl. crash injection (repeated, race) =="
 go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 
-echo "== stream + bus + obstore shards (repeated, race) =="
-go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/...
+echo "== stream + bus + obstore shards + telemetry tracing (repeated, race) =="
+go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/... ./internal/telemetry/...
 
 echo "== colstore compaction crash injection (repeated, race) =="
 go test -race -count=2 -run TestCrashMidCompaction ./internal/colstore/...
@@ -39,7 +39,7 @@ go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatch
 
 echo "== compiled-engine equivalence + recompile-under-churn (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq' ./internal/core/...
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
 SLO_SMOKE_REPORT="${SLO_SMOKE_REPORT:-/tmp/slo-report.json}" ./scripts/slo_smoke.sh
