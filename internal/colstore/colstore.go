@@ -304,14 +304,7 @@ func (s *Store) CompactOnce() (int, error) {
 	wm := s.wm
 	nextID := s.nextID
 	oldSegs := append([]*segment(nil), s.segs...)
-	seqTombSnap := make(map[uint64]struct{}, len(s.seqTomb))
-	for seq := range s.seqTomb {
-		seqTombSnap[seq] = struct{}{}
-	}
-	userTombSnap := make(map[string]struct{}, len(s.userTomb))
-	for u := range s.userTomb {
-		userTombSnap[u] = struct{}{}
-	}
+	seqTombSnap, userTombSnap := copySet(s.seqTomb), copySet(s.userTomb)
 	// Widen the tombstone-recording window BEFORE snapshotting the
 	// store below: a deletion that fires between the snapshot and the
 	// commit would otherwise compare against the old watermark, record
@@ -521,123 +514,157 @@ func segmentTouched(sg *segment, seqTomb map[uint64]struct{}, userTomb map[strin
 	return false
 }
 
-// Query is the unified read path: zone-map-pruned segments serve seq
-// <= watermark, the row store serves the tail above it. The result is
-// row-for-row identical to querying the row store alone (tombstoned
-// rows are gone from both views), in ascending seq order.
-func (s *Store) Query(f obstore.Filter) []sensor.Observation {
-	s.mu.RLock()
-	src := s.src
-	wm := s.wm
-	segRows := s.collectSegmentsLocked(f, f.Limit)
-	s.mu.RUnlock()
-	if src == nil {
-		return segRows
-	}
-	tf := f
-	if wm > tf.AfterSeq {
-		tf.AfterSeq = wm
-	}
-	if tf.Limit > 0 {
-		tf.Limit -= len(segRows)
-		if tf.Limit <= 0 {
-			return segRows
-		}
+// Scan is the unified read path: it calls visit once per observation
+// matching f, in ascending seq order — zone-map-pruned segments serve
+// seq <= watermark, the row store serves the tail above it — and stops
+// early when visit returns false or f.Limit rows have been visited.
+// The visited set is row-for-row what querying the row store alone
+// returns (tombstoned rows are gone from both views).
+//
+// Visitor contract: the *Observation is one scratch value reused for
+// every segment row — it is valid only during the call, so a visitor
+// that keeps a row must copy it. No colstore lock is held while visit
+// runs: Scan snapshots the segment set, watermark and tombstones under
+// s.mu and walks outside it (segments are immutable and compaction
+// replaces s.segs wholesale), so a visitor may call back into the
+// store and a slow one never blocks ingest, erasure or compaction.
+func (s *Store) Scan(f obstore.Filter, visit func(*sensor.Observation) bool) {
+	src, tf, more := s.scanSegments(f, visit)
+	if src == nil || !more {
+		return
 	}
 	tail := src.Query(tf)
-	if len(segRows) == 0 {
-		return tail
+	for i := range tail {
+		if !visit(&tail[i]) {
+			return
+		}
 	}
-	return append(segRows, tail...)
 }
 
-// Count mirrors Query without materializing rows.
+// Query materializes Scan's visit sequence.
+func (s *Store) Query(f obstore.Filter) []sensor.Observation {
+	var out []sensor.Observation
+	s.Scan(f, func(o *sensor.Observation) bool {
+		out = append(out, *o)
+		return true
+	})
+	return out
+}
+
+// Count mirrors Query without materializing rows; like the row
+// store's Count it ignores f.Limit.
 func (s *Store) Count(f obstore.Filter) int {
-	s.mu.RLock()
-	src := s.src
-	wm := s.wm
-	n := s.countSegmentsLocked(f)
-	s.mu.RUnlock()
-	if src == nil {
-		return n
-	}
-	tf := f
-	if wm > tf.AfterSeq {
-		tf.AfterSeq = wm
-	}
-	return n + src.Count(tf)
-}
-
-// collectSegmentsLocked gathers matching segment rows in ascending
-// seq order, at most limit (0 = no cap). Caller holds s.mu.
-func (s *Store) collectSegmentsLocked(f obstore.Filter, limit int) []sensor.Observation {
-	if len(s.segs) == 0 || f.AfterSeq >= s.wm {
-		return nil
-	}
-	spaceSet := spaceSetFor(f)
-	var pages [][]sensor.Observation
-	for _, sg := range s.segs {
-		if sg.disjoint(f, spaceSet) {
-			s.segPruned.Add(1)
-			continue
-		}
-		s.segScanned.Add(1)
-		var page []sensor.Observation
-		for i := 0; i < sg.rows(); i++ {
-			if sg.seqs[i] <= f.AfterSeq {
-				continue
-			}
-			if _, dead := s.seqTomb[sg.seqs[i]]; dead {
-				continue
-			}
-			if len(s.userTomb) > 0 {
-				if _, dead := s.userTomb[sg.users.at(i)]; dead {
-					continue
-				}
-			}
-			o := sg.row(i)
-			if !rowMatches(o, f, spaceSet) {
-				continue
-			}
-			page = append(page, o)
-		}
-		if len(page) > 0 {
-			pages = append(pages, page)
-		}
-	}
-	return mergeSegPages(pages, limit)
-}
-
-func (s *Store) countSegmentsLocked(f obstore.Filter) int {
-	if len(s.segs) == 0 || f.AfterSeq >= s.wm {
-		return 0
-	}
-	spaceSet := spaceSetFor(f)
+	f.Limit = 0
 	n := 0
-	for _, sg := range s.segs {
-		if sg.disjoint(f, spaceSet) {
-			s.segPruned.Add(1)
-			continue
-		}
-		s.segScanned.Add(1)
-		for i := 0; i < sg.rows(); i++ {
-			if sg.seqs[i] <= f.AfterSeq {
-				continue
-			}
-			if _, dead := s.seqTomb[sg.seqs[i]]; dead {
-				continue
-			}
-			if len(s.userTomb) > 0 {
-				if _, dead := s.userTomb[sg.users.at(i)]; dead {
-					continue
-				}
-			}
-			if rowMatches(sg.row(i), f, spaceSet) {
-				n++
-			}
-		}
+	src, tf, _ := s.scanSegments(f, func(*sensor.Observation) bool {
+		n++
+		return true
+	})
+	if src != nil {
+		n += src.Count(tf)
 	}
 	return n
+}
+
+// scanSegments is the one segment walk: the sealed half of Scan. It
+// returns the attached row store and the filter for the tail above the
+// watermark (AfterSeq raised to it, Limit reduced by what was
+// visited); more=false means the visitor stopped or the limit is
+// spent and the tail must not be read.
+func (s *Store) scanSegments(f obstore.Filter, visit func(*sensor.Observation) bool) (src *obstore.Store, tail obstore.Filter, more bool) {
+	s.mu.RLock()
+	src = s.src
+	segs, wm := s.segs, s.wm
+	var seqTomb map[uint64]struct{}
+	var userTomb map[string]struct{}
+	if f.AfterSeq < wm {
+		// The tombstone maps are mutated in place; the walk runs
+		// outside the lock, so it reads private copies (empty but for
+		// the window between an erasure and the next compaction).
+		seqTomb, userTomb = copySet(s.seqTomb), copySet(s.userTomb)
+	}
+	s.mu.RUnlock()
+
+	tail = f
+	if wm > tail.AfterSeq {
+		tail.AfterSeq = wm
+	}
+	if f.AfterSeq >= wm {
+		return src, tail, true
+	}
+
+	spaceSet := spaceSetFor(f)
+	var cands []*segment // unpruned, ascending minSeq
+	for _, sg := range segs {
+		if sg.disjoint(f, spaceSet) {
+			s.segPruned.Add(1)
+			continue
+		}
+		s.segScanned.Add(1)
+		cands = append(cands, sg)
+	}
+
+	// Segments from one compaction pass can interleave in seq — bucket
+	// assignment follows observation time, not arrival — so ascending
+	// order needs a merge; but only over the segments whose seq ranges
+	// overlap the merge front. A cursor is opened when the front reaches
+	// its segment's minSeq and dropped when it runs dry, so the active
+	// set is usually one cursor, not one per segment.
+	var (
+		active  []segCursor
+		scratch sensor.Observation
+		visited int
+	)
+	for next := 0; ; {
+		best := -1
+		for i := range active {
+			if best < 0 || active[i].seq() < active[best].seq() {
+				best = i
+			}
+		}
+		for next < len(cands) && (best < 0 || cands[next].minSeq < active[best].seq()) {
+			c := openCursor(cands[next], f, spaceSet, seqTomb, userTomb)
+			next++
+			if c.advance() {
+				active = append(active, c)
+				if best < 0 || c.seq() < active[best].seq() {
+					best = len(active) - 1
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c := &active[best]
+		scratch = c.sg.row(c.i)
+		if !visit(&scratch) {
+			return src, tail, false
+		}
+		if visited++; f.Limit > 0 && visited >= f.Limit {
+			return src, tail, false
+		}
+		c.i++
+		if !c.advance() {
+			active = append(active[:best], active[best+1:]...)
+		}
+	}
+	if f.Limit > 0 {
+		tail.Limit = f.Limit - visited
+	}
+	return src, tail, true
+}
+
+// copySet snapshots a tombstone set (nil when empty) so it can be read
+// outside s.mu.
+func copySet[K comparable](m map[K]struct{}) map[K]struct{} {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[K]struct{}, len(m))
+	for k := range m {
+		out[k] = struct{}{}
+	}
+	return out
 }
 
 func spaceSetFor(f obstore.Filter) map[string]bool {
@@ -649,52 +676,6 @@ func spaceSetFor(f obstore.Filter) map[string]bool {
 		set[id] = true
 	}
 	return set
-}
-
-// mergeSegPages k-way-merges per-segment pages (each ascending in
-// seq). Segments from one compaction pass can interleave in seq —
-// bucket assignment follows observation time, not arrival — so a
-// plain concatenation is not ordered.
-func mergeSegPages(pages [][]sensor.Observation, limit int) []sensor.Observation {
-	if len(pages) == 0 {
-		return nil
-	}
-	if len(pages) == 1 {
-		if limit > 0 && len(pages[0]) > limit {
-			return pages[0][:limit]
-		}
-		return pages[0]
-	}
-	total := 0
-	for _, p := range pages {
-		total += len(p)
-	}
-	capHint := total
-	if limit > 0 && limit < capHint {
-		capHint = limit
-	}
-	out := make([]sensor.Observation, 0, capHint)
-	heads := make([]int, len(pages))
-	for {
-		best := -1
-		var bestSeq uint64
-		for i, p := range pages {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if sq := p[heads[i]].Seq; best < 0 || sq < bestSeq {
-				best, bestSeq = i, sq
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, pages[best][heads[best]])
-		heads[best]++
-		if limit > 0 && len(out) >= limit {
-			return out
-		}
-	}
 }
 
 // SegmentInfo is one segment's inspection view (iotactl segments,

@@ -299,83 +299,109 @@ func (r *rollups) observeRdLocked(o sensor.Observation, hour int64) {
 	e.sum += o.Value
 }
 
-// OccupancyRollup returns the minute cube's entries whose bucket
-// start lies in [from, to); zero times mean unbounded. ok=false means
-// the cubes are unavailable and the caller must fall back to a scan.
-// The returned version pairs with the enforcement engine's epoch for
-// answer-cache validation.
-func (s *Store) OccupancyRollup(from, to time.Time) (entries []OccEntry, version uint64, ok bool) {
+// lockCubes takes r.mu for a read and brings the cubes up to date.
+// false (lock released) means the cubes are unavailable and the caller
+// must fall back to a scan.
+func (s *Store) lockCubes() bool {
 	r := s.roll
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.disabled || s.srcAttached() == nil {
-		return nil, 0, false
-	}
-	r.repairLocked()
-	if r.disabled {
-		return nil, 0, false
-	}
-	var fromN, toN int64
-	if !from.IsZero() {
-		fromN = from.UnixNano()
-	}
-	if !to.IsZero() {
-		toN = to.UnixNano()
-	}
-	for minute, om := range r.occ {
-		if !from.IsZero() && minute < fromN {
-			continue
-		}
-		if !to.IsZero() && minute >= toN {
-			continue
-		}
-		mt := time.Unix(0, minute).UTC()
-		for k, e := range om {
-			entries = append(entries, OccEntry{
-				Minute: mt, SpaceID: k.space, Kind: k.kind, UserID: k.user,
-				Count: e.count, MinSeq: e.minSeq,
-			})
+	if !r.disabled && s.srcAttached() != nil {
+		r.repairLocked()
+		if !r.disabled {
+			return true
 		}
 	}
-	return entries, r.version.Load(), true
+	r.mu.Unlock()
+	return false
 }
 
-// ReadingsRollup returns the hour cube's entries whose bucket start
-// lies in [from, to); zero times mean unbounded.
-func (s *Store) ReadingsRollup(from, to time.Time) (entries []ReadingEntry, version uint64, ok bool) {
+// eachBucket calls fn for every bucket of cube whose start lies in
+// [from, to); zero times mean unbounded. A bounded, width-aligned
+// window narrower than the cube is stepped bucket by bucket instead
+// of ranging over every key the cube holds.
+func eachBucket[C any](cube map[int64]C, from, to time.Time, width time.Duration, fn func(start int64, cells C)) {
+	if !from.IsZero() && !to.IsZero() && from.Truncate(width).Equal(from) &&
+		to.Sub(from) < time.Duration(len(cube))*width {
+		for t := from; t.Before(to); t = t.Add(width) {
+			if cells, ok := cube[t.UnixNano()]; ok {
+				fn(t.UnixNano(), cells)
+			}
+		}
+		return
+	}
+	for start, cells := range cube {
+		if t := time.Unix(0, start); !from.IsZero() && t.Before(from) || !to.IsZero() && !t.Before(to) {
+			continue
+		}
+		fn(start, cells)
+	}
+}
+
+// VisitOccupancy calls visit for every minute-cube cell whose bucket
+// start lies in [f.From, f.To) and that matches f's Kind, UserID and
+// SpaceIDs (unset fields match everything). The cube has no other
+// dimension: a filter carrying SensorID, DeviceMAC, AfterSeq or Limit
+// cannot be answered from it and the caller must not ask. ok=false
+// means the cubes are unavailable and the caller falls back to a scan;
+// version pairs with the enforcement engine's epoch for answer-cache
+// validation.
+//
+// visit runs under the cube's lock, which ingest also takes for every
+// appended observation: it must do nothing but filter and append.
+func (s *Store) VisitOccupancy(f obstore.Filter, visit func(OccEntry)) (version uint64, ok bool) {
+	if !s.lockCubes() {
+		return 0, false
+	}
 	r := s.roll
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.disabled || s.srcAttached() == nil {
-		return nil, 0, false
-	}
-	r.repairLocked()
-	if r.disabled {
-		return nil, 0, false
-	}
-	var fromN, toN int64
-	if !from.IsZero() {
-		fromN = from.UnixNano()
-	}
-	if !to.IsZero() {
-		toN = to.UnixNano()
-	}
-	for hour, hm := range r.rd {
-		if !from.IsZero() && hour < fromN {
-			continue
+	spaces := spaceSetFor(f)
+	eachBucket(r.occ, f.From, f.To, time.Minute, func(start int64, cells map[occKey]*occEntry) {
+		minute := time.Unix(0, start).UTC()
+		for k, e := range cells {
+			if f.Kind != "" && k.kind != f.Kind || f.UserID != "" && k.user != f.UserID || spaces != nil && !spaces[k.space] {
+				continue
+			}
+			visit(OccEntry{Minute: minute, SpaceID: k.space, Kind: k.kind, UserID: k.user, Count: e.count, MinSeq: e.minSeq})
 		}
-		if !to.IsZero() && hour >= toN {
-			continue
-		}
-		ht := time.Unix(0, hour).UTC()
-		for k, e := range hm {
-			entries = append(entries, ReadingEntry{
-				Hour: ht, SensorID: k.sensor, Kind: k.kind, SpaceID: k.space, UserID: k.user,
-				Count: e.count, Sum: e.sum, Min: e.min, Max: e.max, MinSeq: e.minSeq,
-			})
-		}
+	})
+	return r.version.Load(), true
+}
+
+// VisitReadings is VisitOccupancy over the hour cube, which also keys
+// on the sensor: f.SensorID applies too.
+func (s *Store) VisitReadings(f obstore.Filter, visit func(ReadingEntry)) (version uint64, ok bool) {
+	if !s.lockCubes() {
+		return 0, false
 	}
-	return entries, r.version.Load(), true
+	r := s.roll
+	defer r.mu.Unlock()
+	spaces := spaceSetFor(f)
+	eachBucket(r.rd, f.From, f.To, time.Hour, func(start int64, cells map[rdKey]*rdEntry) {
+		hour := time.Unix(0, start).UTC()
+		for k, e := range cells {
+			if f.SensorID != "" && k.sensor != f.SensorID || f.Kind != "" && k.kind != f.Kind ||
+				f.UserID != "" && k.user != f.UserID || spaces != nil && !spaces[k.space] {
+				continue
+			}
+			visit(ReadingEntry{Hour: hour, SensorID: k.sensor, Kind: k.kind, SpaceID: k.space, UserID: k.user,
+				Count: e.count, Sum: e.sum, Min: e.min, Max: e.max, MinSeq: e.minSeq})
+		}
+	})
+	return r.version.Load(), true
+}
+
+// OccupancyRollup collects VisitOccupancy over the whole building for
+// [from, to).
+func (s *Store) OccupancyRollup(from, to time.Time) (entries []OccEntry, version uint64, ok bool) {
+	version, ok = s.VisitOccupancy(obstore.Filter{From: from, To: to}, func(e OccEntry) { entries = append(entries, e) })
+	return entries, version, ok
+}
+
+// ReadingsRollup collects VisitReadings over the whole building for
+// [from, to).
+func (s *Store) ReadingsRollup(from, to time.Time) (entries []ReadingEntry, version uint64, ok bool) {
+	version, ok = s.VisitReadings(obstore.Filter{From: from, To: to}, func(e ReadingEntry) { entries = append(entries, e) })
+	return entries, version, ok
 }
 
 func (s *Store) srcAttached() *obstore.Store {

@@ -31,17 +31,19 @@ type RollupCell struct {
 	MinSeq   uint64
 }
 
-// RollupFor answers a pushed-down filter from the rollup cubes when a
-// cube covers it exactly: the filter must not carry bounds the cubes
-// cannot evaluate (seq cursors, MAC or space predicates, limits), and
-// its time window must align to the chosen cube's bucket so no bucket
-// is partially inside the window. needSensor forces the hour cube
-// (the minute cube has no sensor dimension); needValue does too (only
-// the hour cube keeps value statistics). ok=false means the caller
-// must fall back to a row scan.
-func (s *Store) RollupFor(f obstore.Filter, needSensor, needValue bool) ([]RollupCell, bool) {
+// VisitRollup answers a pushed-down filter from the rollup cubes when
+// a cube covers it exactly, calling visit once per matching cell: the
+// filter must not carry bounds the cubes cannot evaluate (seq cursors,
+// MAC or space predicates, limits), and its time window must align to
+// the chosen cube's bucket so no bucket is partially inside the
+// window. needSensor forces the hour cube (the minute cube has no
+// sensor dimension); needValue does too (only the hour cube keeps
+// value statistics). ok=false means the caller must fall back to a
+// row scan. visit runs under the cube's lock (see VisitOccupancy): it
+// must do nothing but filter and append.
+func (s *Store) VisitRollup(f obstore.Filter, needSensor, needValue bool, visit func(RollupCell)) (ok bool) {
 	if f.AfterSeq != 0 || f.DeviceMAC != "" || len(f.SpaceIDs) > 0 || f.Limit != 0 {
-		return nil, false
+		return false
 	}
 	hourly := needSensor || needValue || f.SensorID != ""
 	dur := time.Minute
@@ -49,47 +51,32 @@ func (s *Store) RollupFor(f obstore.Filter, needSensor, needValue bool) ([]Rollu
 		dur = time.Hour
 	}
 	if !bucketAligned(f.From, dur) || !bucketAligned(f.To, dur) {
-		return nil, false
+		return false
 	}
-	var cells []RollupCell
 	if hourly {
-		entries, _, ok := s.ReadingsRollup(f.From, f.To)
-		if !ok {
-			return nil, false
-		}
-		for _, e := range entries {
-			if f.SensorID != "" && e.SensorID != f.SensorID {
-				continue
-			}
-			if f.Kind != "" && e.Kind != f.Kind {
-				continue
-			}
-			if f.UserID != "" && e.UserID != f.UserID {
-				continue
-			}
-			cells = append(cells, RollupCell{
+		_, ok = s.VisitReadings(f, func(e ReadingEntry) {
+			visit(RollupCell{
 				Bucket: e.Hour, SensorID: e.SensorID, Kind: e.Kind,
 				SpaceID: e.SpaceID, UserID: e.UserID,
 				Count: e.Count, Sum: e.Sum, Min: e.Min, Max: e.Max, MinSeq: e.MinSeq,
 			})
-		}
-	} else {
-		entries, _, ok := s.OccupancyRollup(f.From, f.To)
-		if !ok {
-			return nil, false
-		}
-		for _, e := range entries {
-			if f.Kind != "" && e.Kind != f.Kind {
-				continue
-			}
-			if f.UserID != "" && e.UserID != f.UserID {
-				continue
-			}
-			cells = append(cells, RollupCell{
-				Bucket: e.Minute, Kind: e.Kind, SpaceID: e.SpaceID, UserID: e.UserID,
-				Count: e.Count, MinSeq: e.MinSeq,
-			})
-		}
+		})
+		return ok
+	}
+	_, ok = s.VisitOccupancy(f, func(e OccEntry) {
+		visit(RollupCell{
+			Bucket: e.Minute, Kind: e.Kind, SpaceID: e.SpaceID, UserID: e.UserID,
+			Count: e.Count, MinSeq: e.MinSeq,
+		})
+	})
+	return ok
+}
+
+// RollupFor collects VisitRollup's cells.
+func (s *Store) RollupFor(f obstore.Filter, needSensor, needValue bool) ([]RollupCell, bool) {
+	var cells []RollupCell
+	if !s.VisitRollup(f, needSensor, needValue, func(c RollupCell) { cells = append(cells, c) }) {
+		return nil, false
 	}
 	return cells, true
 }

@@ -153,6 +153,19 @@ func (c *dictCol) has(s string) bool {
 	return ok
 }
 
+// want resolves a filter's string predicate to the dictionary
+// position a row's index must equal: -1 when the predicate is unset,
+// -2 (matching no row) when the value never occurs in this segment.
+func (c *dictCol) want(s string) int {
+	if s == "" {
+		return -1
+	}
+	if pos, ok := c.set[s]; ok {
+		return pos
+	}
+	return -2
+}
+
 // buildSegment lays out rows (ascending seq, all in one bucket) as a
 // segment. The caller owns ordering; buildSegment only asserts it.
 func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
@@ -438,33 +451,85 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 	return sg, nil
 }
 
-// rowMatches mirrors obstore's filter semantics exactly (From
-// inclusive, To exclusive) so a segment scan and a store scan agree
-// row for row.
-func rowMatches(o sensor.Observation, f obstore.Filter, spaceSet map[string]bool) bool {
-	if o.Seq <= f.AfterSeq {
-		return false
+// segCursor walks the rows of one segment that match a filter, in
+// ascending seq, testing the columns directly. The filter's string
+// predicates are resolved to dictionary positions once, when the
+// cursor opens, so the per-row test is integer compares and no row is
+// materialized until it has matched. Semantics mirror obstore's filter
+// exactly (From inclusive, To exclusive) so a segment scan and a store
+// scan agree row for row.
+type segCursor struct {
+	sg *segment
+	i  int // current row; a match once advance has returned true
+
+	from, to time.Time
+	// Dictionary position each column must equal: -1 leaves the column
+	// unconstrained, -2 (value absent from the segment) matches no row.
+	sensor, user, mac, kind int
+	spaceOK                 []bool // by spaces position; nil = unconstrained
+	userDead                []bool // by users position; nil = none erased
+	seqTomb                 map[uint64]struct{}
+}
+
+func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb map[uint64]struct{}, userTomb map[string]struct{}) segCursor {
+	c := segCursor{
+		sg:      sg,
+		i:       sort.Search(len(sg.seqs), func(i int) bool { return sg.seqs[i] > f.AfterSeq }),
+		from:    f.From,
+		to:      f.To,
+		sensor:  sg.sensors.want(f.SensorID),
+		user:    sg.users.want(f.UserID),
+		mac:     sg.macs.want(f.DeviceMAC),
+		kind:    sg.kinds.want(string(f.Kind)),
+		seqTomb: seqTomb,
 	}
-	if !f.From.IsZero() && o.Time.Before(f.From) {
-		return false
+	if spaceSet != nil {
+		c.spaceOK = make([]bool, len(sg.spaces.dict))
+		for pos, id := range sg.spaces.dict {
+			c.spaceOK[pos] = spaceSet[id]
+		}
 	}
-	if !f.To.IsZero() && !o.Time.Before(f.To) {
-		return false
+	for u := range userTomb {
+		if pos, ok := sg.users.set[u]; ok {
+			if c.userDead == nil {
+				c.userDead = make([]bool, len(sg.users.dict))
+			}
+			c.userDead[pos] = true
+		}
 	}
-	if f.SensorID != "" && o.SensorID != f.SensorID {
-		return false
+	return c
+}
+
+// seq is the current row's sequence number.
+func (c *segCursor) seq() uint64 { return c.sg.seqs[c.i] }
+
+// advance moves to the first matching row at or after i; false means
+// the segment is exhausted.
+func (c *segCursor) advance() bool {
+	sg := c.sg
+	for ; c.i < len(sg.seqs); c.i++ {
+		i := c.i
+		if c.sensor != -1 && int(sg.sensors.idx[i]) != c.sensor ||
+			c.user != -1 && int(sg.users.idx[i]) != c.user ||
+			c.mac != -1 && int(sg.macs.idx[i]) != c.mac ||
+			c.kind != -1 && int(sg.kinds.idx[i]) != c.kind {
+			continue
+		}
+		if c.spaceOK != nil && !c.spaceOK[sg.spaces.idx[i]] {
+			continue
+		}
+		if t := time.Unix(0, sg.times[i]); !c.from.IsZero() && t.Before(c.from) || !c.to.IsZero() && !t.Before(c.to) {
+			continue
+		}
+		if c.userDead != nil && c.userDead[sg.users.idx[i]] {
+			continue
+		}
+		if len(c.seqTomb) > 0 {
+			if _, dead := c.seqTomb[sg.seqs[i]]; dead {
+				continue
+			}
+		}
+		return true
 	}
-	if f.UserID != "" && o.UserID != f.UserID {
-		return false
-	}
-	if f.DeviceMAC != "" && o.DeviceMAC != f.DeviceMAC {
-		return false
-	}
-	if f.Kind != "" && o.Kind != f.Kind {
-		return false
-	}
-	if spaceSet != nil && !spaceSet[o.SpaceID] {
-		return false
-	}
-	return true
+	return false
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/privacy"
@@ -56,31 +57,11 @@ func (b *BMS) occupancyCells(f obstore.Filter) ([]sensor.Observation, bool) {
 	if !minuteAligned(f.From) || !minuteAligned(f.To) {
 		return nil, false
 	}
-	cells, _, ok := b.colstore.OccupancyRollup(f.From, f.To)
-	if !ok {
-		return nil, false
-	}
-	var spaceSet map[string]bool
-	if len(f.SpaceIDs) > 0 {
-		spaceSet = make(map[string]bool, len(f.SpaceIDs))
-		for _, id := range f.SpaceIDs {
-			spaceSet[id] = true
-		}
-	}
-	out := make([]sensor.Observation, 0, len(cells))
-	for _, c := range cells {
+	var out []sensor.Observation
+	_, ok := b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) {
 		if c.UserID == "" {
 			// Unattributed readings never contribute to occupancy.
-			continue
-		}
-		if f.Kind != "" && c.Kind != f.Kind {
-			continue
-		}
-		if f.UserID != "" && c.UserID != f.UserID {
-			continue
-		}
-		if spaceSet != nil && !spaceSet[c.SpaceID] {
-			continue
+			return
 		}
 		out = append(out, sensor.Observation{
 			Seq:     c.MinSeq,
@@ -89,8 +70,8 @@ func (b *BMS) occupancyCells(f obstore.Filter) ([]sensor.Observation, bool) {
 			SpaceID: c.SpaceID,
 			UserID:  c.UserID,
 		})
-	}
-	return out, true
+	})
+	return out, ok
 }
 
 func minuteAligned(t time.Time) bool {
@@ -105,26 +86,11 @@ func (b *BMS) queryRollup() func(query.RollupRequest) ([]query.RollupEntry, bool
 		return nil
 	}
 	return func(req query.RollupRequest) ([]query.RollupEntry, bool) {
-		cells, ok := b.colstore.RollupFor(req.Filter, req.NeedSensor, req.NeedValue)
-		if !ok {
-			return nil, false
-		}
-		out := make([]query.RollupEntry, len(cells))
-		for i, c := range cells {
-			out[i] = query.RollupEntry{
-				Bucket:   c.Bucket,
-				SensorID: c.SensorID,
-				Kind:     c.Kind,
-				SpaceID:  c.SpaceID,
-				UserID:   c.UserID,
-				Count:    c.Count,
-				Sum:      c.Sum,
-				Min:      c.Min,
-				Max:      c.Max,
-				MinSeq:   c.MinSeq,
-			}
-		}
-		return out, true
+		var out []query.RollupEntry
+		ok := b.colstore.VisitRollup(req.Filter, req.NeedSensor, req.NeedValue, func(c colstore.RollupCell) {
+			out = append(out, query.RollupEntry(c))
+		})
+		return out, ok
 	}
 }
 

@@ -19,6 +19,11 @@ type coreMetrics struct {
 	defaultAllowed    *telemetry.Counter
 	notificationsSent *telemetry.Counter
 
+	// Privacy outcomes of the SQL path, added once per statement from
+	// its Result.Stats.
+	queryScanned, queryDenied, queryExcluded, queryReleased *telemetry.Counter
+	queryGroupsSuppressed                                   *telemetry.Counter
+
 	ingestSeconds *telemetry.Histogram
 	decideSeconds *telemetry.Histogram
 	requestUser   *telemetry.Histogram
@@ -27,6 +32,10 @@ type coreMetrics struct {
 }
 
 func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
+	const queryRowsHelp = "Ground-truth rows the SQL path visited, by enforcement outcome: scanned (all), denied by the subject's decision, excluded by an aggregation floor a row release cannot meet, released."
+	queryRows := func(outcome string) *telemetry.Counter {
+		return r.CounterWith("tippers_query_rows_total", queryRowsHelp, telemetry.Labels{"outcome": outcome})
+	}
 	m := &coreMetrics{
 		ingested: r.Counter("tippers_core_ingested_total",
 			"Observations accepted by the capture pipeline."),
@@ -44,6 +53,12 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 			"Decisions allowed with no matched preference, no group default and no override: released on the default alone."),
 		notificationsSent: r.Counter("tippers_core_notifications_sent_total",
 			"Override notifications delivered to user inboxes."),
+		queryScanned:  queryRows("scanned"),
+		queryDenied:   queryRows("denied"),
+		queryExcluded: queryRows("excluded"),
+		queryReleased: queryRows("released"),
+		queryGroupsSuppressed: r.Counter("tippers_query_groups_suppressed_total",
+			"Groups the SQL path withheld for falling short of the effective k-anonymity floor."),
 		ingestSeconds: r.Histogram("tippers_core_ingest_seconds",
 			"Capture-pipeline latency per observation.", nil),
 		decideSeconds: r.HistogramWith("tippers_enforce_decide_seconds",

@@ -69,6 +69,11 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 		return QueryResponse{}, err
 	}
 	tr.addStage("execute", time.Since(t0))
+	b.met.queryScanned.Add(uint64(res.Stats.ScannedRows))
+	b.met.queryDenied.Add(uint64(res.Stats.DeniedRows))
+	b.met.queryExcluded.Add(uint64(res.Stats.ExcludedRows))
+	b.met.queryReleased.Add(uint64(res.Stats.ReleasedRows))
+	b.met.queryGroupsSuppressed.Add(uint64(res.Stats.SuppressedGroups))
 	tr.Allowed = true
 	tr.SubjectsConsidered = res.Stats.Subjects
 	tr.ObservationsReleased = res.Stats.ReleasedRows
@@ -84,22 +89,31 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 // retained decision traces.
 func (b *BMS) queryEnv(ctx context.Context) query.Env {
 	return query.Env{
-		Scan: func(f obstore.Filter) []sensor.Observation {
+		ScanEach: func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+			n := 0
+			counted := func(o *sensor.Observation) bool {
+				n++
+				return visit(o)
+			}
 			// The columnar tier serves the unified view — zone-map-pruned
 			// segments behind the watermark, row shards ahead of it; the
 			// plain store answers when the tier is disabled.
 			if b.colstore != nil {
 				_, qSpan := b.tracer.StartSpan(ctx, "colstore.query")
-				obs := b.colstore.Query(f)
-				qSpan.SetAttrInt("observations", int64(len(obs)))
-				qSpan.End()
-				return obs
+				defer qSpan.End()
+				b.colstore.Scan(f, counted)
+				qSpan.SetAttrInt("observations", int64(n))
+				return
 			}
 			_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
+			defer qSpan.End()
 			obs := b.store.Query(f)
-			qSpan.SetAttrInt("observations", int64(len(obs)))
-			qSpan.End()
-			return obs
+			for i := range obs {
+				if !counted(&obs[i]) {
+					break
+				}
+			}
+			qSpan.SetAttrInt("observations", int64(n))
 		},
 		Subtree: func(spaceID string) []string {
 			if ids, err := b.cfg.Spaces.Subtree(spaceID); err == nil {

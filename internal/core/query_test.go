@@ -9,6 +9,7 @@ import (
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/telemetry"
 )
 
 func conciergeRequester() query.Requester {
@@ -99,6 +100,23 @@ func TestQueryPreferenceShrinksResults(t *testing.T) {
 	}
 	if after.Result.Stats.DeniedRows != 2 {
 		t.Errorf("DeniedRows = %d, want 2", after.Result.Stats.DeniedRows)
+	}
+
+	// The privacy outcomes are on /metrics too, summed over statements:
+	// a third, grouped one whose only surviving group (mary alone)
+	// falls short of k=2.
+	k2 := conciergeRequester()
+	k2.MinK = 2
+	if _, err := f.bms.Query(context.Background(), k2, "SELECT space_id, COUNT(*) AS n FROM observations GROUP BY space_id"); err != nil {
+		t.Fatal(err)
+	}
+	for outcome, want := range map[string]float64{"scanned": 15, "denied": 4, "excluded": 0, "released": 11} {
+		if got, ok := f.bms.Metrics().LookupValue("tippers_query_rows_total", telemetry.Labels{"outcome": outcome}); !ok || got != want {
+			t.Errorf("tippers_query_rows_total{outcome=%q} = %v (registered %v), want %v", outcome, got, ok, want)
+		}
+	}
+	if got, _ := f.bms.Metrics().LookupValue("tippers_query_groups_suppressed_total", nil); got != 1 {
+		t.Errorf("tippers_query_groups_suppressed_total = %v, want 1", got)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 
 // enforcement binds a plan's scan to the requester's identity. It is
 // unexported and only Compile constructs it, so every row source in
-// this package runs behind a per-row decision: scanObservations is
-// the sole way plans read ground truth, and it consults the
-// enforcement engine (through a per-query memo) before a row may
-// continue into residual filtering, projection, or aggregation.
+// this package runs behind a per-row decision: scan is the sole way
+// plans read ground truth, and it consults the enforcement engine
+// (through a per-query memo) before a row may continue into residual
+// filtering, projection, or aggregation.
 type enforcement struct {
 	env   Env
 	req   Requester
@@ -30,10 +30,9 @@ type enforcement struct {
 	memo     map[memoKey]enforce.Decision
 	subjects map[string]bool
 	// maxFloor is the largest MinAggregationK among subjects whose
-	// rows survive residual filtering and so contribute to the result
-	// (raised via noteContributions, not during the scan); it raises
-	// the k floor for grouped output. A row a predicate discards
-	// cannot raise the floor on unrelated output.
+	// rows survive residual filtering and so contribute to the result;
+	// it raises the k floor for grouped output. A row a predicate
+	// discards cannot raise the floor on unrelated output.
 	maxFloor int
 	stats    Stats
 }
@@ -42,16 +41,6 @@ type memoKey struct {
 	user  string
 	kind  sensor.ObservationKind
 	space string
-}
-
-// rowMeta carries the enforcement-relevant ground truth for one
-// released row: who contributed it and their aggregation floor.
-// Suppression decisions key off this — not the released view — so a
-// transform that redacts user_id cannot exempt a group from its
-// subjects' k floors.
-type rowMeta struct {
-	subject string
-	floor   int
 }
 
 func newEnforcement(env Env, req Requester, table string) (*enforcement, error) {
@@ -74,7 +63,7 @@ func newEnforcement(env Env, req Requester, table string) (*enforcement, error) 
 
 // decide returns the requester's decision for one row's (subject,
 // kind, space) combination, memoized for the query's lifetime.
-func (e *enforcement) decide(o sensor.Observation) enforce.Decision {
+func (e *enforcement) decide(o *sensor.Observation) enforce.Decision {
 	key := memoKey{user: o.UserID, kind: o.Kind, space: o.SpaceID}
 	if d, ok := e.memo[key]; ok {
 		return d
@@ -96,60 +85,61 @@ func (e *enforcement) decide(o sensor.Observation) enforce.Decision {
 	return d
 }
 
-// scanObservations is the only ground-truth row source: it scans the
-// store with the pushed-down filter and gates every row through the
-// requester's decision. Denied rows are dropped; in row mode
-// (aggregate=false) allowed subjects whose effective rule carries an
-// aggregation floor > 1 are excluded too, because a row-level release
-// can never satisfy a k-of-many floor. Surviving rows pass through
-// the decision's data path (granularity clamp, noise) so downstream
-// stages only ever see the released view; the parallel rowMeta slice
-// keeps each row's ground-truth subject and floor for suppression.
-func (e *enforcement) scanObservations(f obstore.Filter, aggregate bool) ([]sensor.Observation, []rowMeta, error) {
-	rows := e.env.Scan(f)
-	e.stats.ScannedRows += len(rows)
-	out := make([]sensor.Observation, 0, len(rows))
-	meta := make([]rowMeta, 0, len(rows))
-	for _, o := range rows {
+// scan is the only ground-truth row source, and the whole executor in
+// one pass: every row the store's pushed-down scan visits is decided,
+// released and handed on before the next one is read, so no row set is
+// ever materialized between the store and the sink.
+//
+//	ScanEach ─▶ decide (statement memo) ─▶ min-k exclusion ─▶ Apply
+//	         ─▶ residual on the released row ─▶ sink (project | group | occupancy)
+//
+// Denied rows are dropped; in row mode (aggregate=false) allowed
+// subjects whose effective rule carries an aggregation floor > 1 are
+// excluded too, because a row-level release can never satisfy a
+// k-of-many floor. Surviving rows pass through the decision's data
+// path (granularity clamp, noise), so the residual predicate and the
+// sink only ever see the released view; the sink is also told the
+// ground-truth subject — suppression keys off that, not the released
+// view, so a transform that redacts user_id cannot exempt a group from
+// its subjects' k floors. The released row is one slot reused for
+// every row: a sink copies what it keeps. A sink returning false ends
+// the scan.
+func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, sink func(rel *sensor.Observation, subject string) bool) error {
+	var (
+		rel sensor.Observation
+		err error
+	)
+	get := func(col string) Value { return (*obsRow)(&rel).col(colIndex(obsColumns, col)) }
+	e.env.ScanEach(f, func(o *sensor.Observation) bool {
+		e.stats.ScannedRows++
 		d := e.decide(o)
 		if !d.Allowed {
 			e.stats.DeniedRows++
-			continue
+			return true
 		}
 		if !aggregate && d.Effective.MinAggregationK > 1 && o.UserID != "" {
 			e.stats.ExcludedRows++
-			continue
+			return true
 		}
-		rel, ok, err := e.env.Apply(d, o)
-		if err != nil {
-			return nil, nil, err
+		var ok bool
+		if rel, ok, err = e.env.Apply(d, *o); err != nil {
+			return false
 		}
 		if !ok {
 			e.stats.ExcludedRows++
-			continue
+			return true
 		}
-		out = append(out, rel)
-		m := rowMeta{subject: o.UserID}
-		if o.UserID != "" {
-			m.floor = d.Effective.MinAggregationK
-		}
-		meta = append(meta, m)
 		e.stats.ReleasedRows++
-	}
-	e.stats.Subjects = len(e.subjects)
-	return out, meta, nil
-}
-
-// noteContributions raises the grouped-output k floor from the rows
-// that actually contribute to the result — called after residual
-// filtering, so a subject whose every row a predicate discards does
-// not suppress output they take no part in.
-func (e *enforcement) noteContributions(meta []rowMeta) {
-	for _, m := range meta {
-		if m.floor > e.maxFloor {
-			e.maxFloor = m.floor
+		if residual != nil && !residual.eval(get) {
+			return true
 		}
-	}
+		if o.UserID != "" && d.Effective.MinAggregationK > e.maxFloor {
+			e.maxFloor = d.Effective.MinAggregationK
+		}
+		return sink(&rel, o.UserID)
+	})
+	e.stats.Subjects = len(e.subjects)
+	return err
 }
 
 // effectiveK is the k-anonymity floor for grouped output: the
@@ -189,88 +179,72 @@ func (p *Plan) Execute() (*Result, error) {
 	}
 }
 
-// rowSource is an indexed, column-addressable released row set. meta,
-// when set, exposes each row's ground-truth contribution record for
-// k-floor suppression (nil for tables without one, e.g. audit).
-type rowSource struct {
-	n    int
-	get  func(i int, col string) Value
-	meta func(i int) rowMeta
+// row is the released row in flight: a positional accessor over the
+// scanned table's schema (obsColumns, auditColumns). Output and
+// GROUP BY columns are resolved to positions at compile time.
+type row interface {
+	col(i int) Value
 }
 
-func obsValue(o *sensor.Observation, col string) Value {
-	switch col {
-	case "seq":
+// nullable maps the empty string to NULL.
+func nullable(s string) Value {
+	if s == "" {
+		return Value{}
+	}
+	return stringValue(s)
+}
+
+type obsRow sensor.Observation
+
+func (o *obsRow) col(i int) Value {
+	switch i {
+	case obsSeq:
 		return numberValue(float64(o.Seq))
-	case "sensor_id":
+	case obsSensorID:
 		return stringValue(o.SensorID)
-	case "kind":
+	case obsKind:
 		return stringValue(string(o.Kind))
-	case "time":
+	case obsTime:
 		return timeValue(o.Time)
-	case "space_id":
-		if o.SpaceID == "" {
-			return Value{}
-		}
-		return stringValue(o.SpaceID)
-	case "device_mac":
-		if o.DeviceMAC == "" {
-			return Value{}
-		}
-		return stringValue(o.DeviceMAC)
-	case "user_id":
-		if o.UserID == "" {
-			return Value{}
-		}
-		return stringValue(o.UserID)
-	case "value":
+	case obsSpaceID:
+		return nullable(o.SpaceID)
+	case obsDeviceMAC:
+		return nullable(o.DeviceMAC)
+	case obsUserID:
+		return nullable(o.UserID)
+	case obsValue:
 		return numberValue(o.Value)
 	default:
 		return Value{}
 	}
 }
 
-func auditValue(r *AuditRecord, col string) Value {
-	switch col {
-	case "id":
+type auditRow AuditRecord
+
+// col indexes auditColumns.
+func (r *auditRow) col(i int) Value {
+	switch i {
+	case 0: // id
 		return numberValue(float64(r.ID))
-	case "time":
+	case 1: // time
 		return timeValue(r.Time)
-	case "path":
+	case 2: // path
 		return stringValue(r.Path)
-	case "service_id":
-		if r.ServiceID == "" {
-			return Value{}
-		}
-		return stringValue(r.ServiceID)
-	case "subject_id":
-		if r.SubjectID == "" {
-			return Value{}
-		}
-		return stringValue(r.SubjectID)
-	case "kind":
-		if r.Kind == "" {
-			return Value{}
-		}
-		return stringValue(r.Kind)
-	case "purpose":
-		if r.Purpose == "" {
-			return Value{}
-		}
-		return stringValue(r.Purpose)
-	case "allowed":
+	case 3: // service_id
+		return nullable(r.ServiceID)
+	case 4: // subject_id
+		return nullable(r.SubjectID)
+	case 5: // kind
+		return nullable(r.Kind)
+	case 6: // purpose
+		return nullable(r.Purpose)
+	case 7: // allowed
 		return boolValue(r.Allowed)
-	case "deny_reason":
-		if r.DenyReason == "" {
-			return Value{}
-		}
-		return stringValue(r.DenyReason)
-	case "granularity":
-		if r.Granularity == "" {
-			return Value{}
-		}
-		return stringValue(r.Granularity)
-	case "cache_hit":
+	case 8: // deny_reason
+		return nullable(r.DenyReason)
+	case 9: // granularity
+		return nullable(r.Granularity)
+	case 10: // cache_hit
 		return boolValue(r.CacheHit)
 	default:
 		return Value{}
@@ -278,82 +252,79 @@ func auditValue(r *AuditRecord, col string) Value {
 }
 
 func (p *Plan) execObservations() (*Result, error) {
-	obs, meta, err := p.enf.scanObservations(p.filter, p.grouped)
+	if p.grouped {
+		g := newGrouper(p)
+		err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject string) bool {
+			g.add((*obsRow)(rel), subject, nil)
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+		return g.result(), nil
+	}
+	pr := projector{p: p}
+	err := p.enf.scan(p.filter, false, p.residual, func(rel *sensor.Observation, _ string) bool {
+		return pr.add((*obsRow)(rel))
+	})
 	if err != nil {
 		return nil, err
 	}
-	obs, meta = filterResidual(p.residual, obs, meta)
-	p.enf.noteContributions(meta)
-	src := rowSource{
-		n:    len(obs),
-		get:  func(i int, col string) Value { return obsValue(&obs[i], col) },
-		meta: func(i int) rowMeta { return meta[i] },
-	}
-	if p.grouped {
-		return p.execGrouped(src, true)
-	}
-	return p.execProject(src)
-}
-
-// filterResidual keeps the released rows (and their ground-truth
-// meta, in lockstep) that satisfy the residual predicate.
-func filterResidual(residual boolExpr, obs []sensor.Observation, meta []rowMeta) ([]sensor.Observation, []rowMeta) {
-	if residual == nil {
-		return obs, meta
-	}
-	keptObs, keptMeta := obs[:0], meta[:0]
-	for i := range obs {
-		o := &obs[i]
-		if residual.eval(func(col string) Value { return obsValue(o, col) }) {
-			keptObs = append(keptObs, obs[i])
-			keptMeta = append(keptMeta, meta[i])
-		}
-	}
-	return keptObs, keptMeta
+	p.enf.stats.EffectiveK = p.enf.effectiveK()
+	return p.finish(pr.rows), nil
 }
 
 func (p *Plan) execAudit() (*Result, error) {
 	recs := p.enf.env.AuditRecords(p.enf.req.UserID)
 	p.enf.stats.ScannedRows = len(recs)
-	if p.residual != nil {
-		kept := recs[:0]
-		for i := range recs {
-			r := &recs[i]
-			if p.residual.eval(func(col string) Value { return auditValue(r, col) }) {
-				kept = append(kept, recs[i])
-			}
-		}
-		recs = kept
-	}
-	p.enf.stats.ReleasedRows = len(recs)
 	p.enf.stats.EffectiveK = 1
-	src := rowSource{n: len(recs), get: func(i int, col string) Value { return auditValue(&recs[i], col) }}
+	var (
+		cur *auditRow
+		g   *grouper
+		pr  = projector{p: p}
+	)
 	if p.grouped {
-		return p.execGrouped(src, false)
+		g = newGrouper(p)
 	}
-	return p.execProject(src)
+	get := func(col string) Value { return cur.col(colIndex(auditColumns, col)) }
+	for i := range recs {
+		cur = (*auditRow)(&recs[i])
+		if p.residual != nil && !p.residual.eval(get) {
+			continue
+		}
+		p.enf.stats.ReleasedRows++
+		if g != nil {
+			g.add(cur, "", nil)
+		} else if !pr.add(cur) {
+			break
+		}
+	}
+	if g != nil {
+		return g.result(), nil
+	}
+	return p.finish(pr.rows), nil
 }
 
 func (p *Plan) execOccupancy() (*Result, error) {
-	obs, meta, err := p.enf.scanObservations(p.filter, true)
+	spaces := privacy.KCounter{}
+	err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ string) bool {
+		spaces.Add(rel.SpaceID, rel.UserID)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	obs, meta = filterResidual(p.residual, obs, meta)
-	p.enf.noteContributions(meta)
+	return p.occupancyResult(spaces), nil
+}
+
+// occupancyResult turns the released (space, subject) pairs into the
+// occupancy table: distinct subjects per space, spaces short of the
+// effective k floor withheld.
+func (p *Plan) occupancyResult(spaces privacy.KCounter) *Result {
 	k := p.enf.effectiveK()
 	p.enf.stats.EffectiveK = k
-	counts := privacy.KAnonymousCounts(obs, k,
-		func(o sensor.Observation) string { return o.SpaceID },
-		func(o sensor.Observation) string { return o.UserID },
-	)
-	populated := make(map[string]bool)
-	for i := range obs {
-		if obs[i].UserID != "" {
-			populated[obs[i].SpaceID] = true
-		}
-	}
-	p.enf.stats.SuppressedGroups = len(populated) - len(counts)
+	counts := spaces.Counts(k)
+	p.enf.stats.SuppressedGroups = len(spaces) - len(counts)
 
 	rows := make([][]Value, 0, len(counts))
 	for _, c := range counts {
@@ -372,23 +343,25 @@ func (p *Plan) execOccupancy() (*Result, error) {
 		}
 		rows = append(rows, row)
 	}
-	return p.finish(rows), nil
+	return p.finish(rows)
 }
 
-// execProject emits one output row per source row.
-func (p *Plan) execProject(src rowSource) (*Result, error) {
-	rows := make([][]Value, 0, src.n)
-	for i := 0; i < src.n; i++ {
-		row := make([]Value, len(p.cols))
-		for ci, oc := range p.cols {
-			row[ci] = src.get(i, oc.expr.Col)
-		}
-		rows = append(rows, row)
+// projector is the row-mode sink: one output row per released row.
+type projector struct {
+	p    *Plan
+	rows [][]Value
+}
+
+// add reports whether the scan should go on: with LIMIT n and no
+// ORDER BY the first n released rows are the answer.
+func (pr *projector) add(r row) bool {
+	p := pr.p
+	out := make([]Value, len(p.cols))
+	for ci := range p.cols {
+		out[ci] = r.col(p.cols[ci].src)
 	}
-	if p.table != TableAudit {
-		p.enf.stats.EffectiveK = p.enf.effectiveK()
-	}
-	return p.finish(rows), nil
+	pr.rows = append(pr.rows, out)
+	return p.limit < 0 || len(p.orderBy) > 0 || len(pr.rows) < p.limit
 }
 
 // aggState accumulates one aggregate select item within one group.
@@ -397,121 +370,161 @@ type aggState struct {
 	sum      float64
 	sumN     int
 	min, max Value
-	distinct map[string]bool
+	distinct map[string]struct{}
 }
 
 type group struct {
-	byVals   map[string]Value // GROUP BY column -> value
-	states   []aggState
-	subjects map[string]bool
+	vals   []Value // GROUP BY values, in Plan.groupCols order
+	states []aggState
+	// subjects are the ground-truth contributors the k floor counts.
+	subjects map[string]struct{}
 }
 
-// execGrouped evaluates GROUP BY / aggregate queries. When suppress
-// is set (observation scans), groups containing attributed rows whose
-// distinct subjects fall short of the effective k floor are withheld,
-// matching the occupancy path's k-anonymity discipline. A group with
-// no attributed contribution — purely environmental data — has no
-// subject to protect and is never suppressed.
-func (p *Plan) execGrouped(src rowSource, suppress bool) (*Result, error) {
-	groups := make(map[string]*group)
-	var order []string
-	keyBuf := make([]byte, 0, 64)
+// grouper is the GROUP BY / aggregate sink. Keys are built in one
+// reused buffer and probed with m[string(buf)], so a string is
+// allocated only for a new group or a new distinct value: allocations
+// scale with the groups, not the rows.
+type grouper struct {
+	p      *Plan
+	groups map[string]*group
+	order  []*group // first-seen
+	key    []byte
+}
 
-	for i := 0; i < src.n; i++ {
-		keyBuf = keyBuf[:0]
-		for _, gcol := range p.stmt.GroupBy {
-			keyBuf = src.get(i, gcol).groupKey(keyBuf)
+func newGrouper(p *Plan) *grouper {
+	return &grouper{p: p, groups: make(map[string]*group)}
+}
+
+func (g *grouper) newGroup() *group {
+	gr := &group{vals: make([]Value, len(g.p.groupCols)), states: make([]aggState, len(g.p.cols))}
+	g.order = append(g.order, gr)
+	return gr
+}
+
+// add folds one released row into its group. cell, when non-nil, makes
+// the row stand for a whole pre-aggregated rollup cell: counts weigh
+// cell.Count and value aggregates come from the cell's statistics (the
+// released value equals ground truth there, because a noisy value
+// aggregate never reaches the rollup path).
+func (g *grouper) add(r row, subject string, cell *RollupEntry) {
+	p := g.p
+	g.key = g.key[:0]
+	for _, c := range p.groupCols {
+		g.key = r.col(c).groupKey(g.key)
+	}
+	gr := g.groups[string(g.key)]
+	if gr == nil {
+		gr = g.newGroup()
+		for i, c := range p.groupCols {
+			gr.vals[i] = r.col(c)
 		}
-		key := string(keyBuf)
-		g := groups[key]
-		if g == nil {
-			g = &group{
-				byVals:   make(map[string]Value, len(p.stmt.GroupBy)),
-				states:   make([]aggState, len(p.cols)),
-				subjects: make(map[string]bool),
-			}
-			for _, gcol := range p.stmt.GroupBy {
-				g.byVals[gcol] = src.get(i, gcol)
-			}
-			groups[key] = g
-			order = append(order, key)
+		g.groups[string(g.key)] = gr
+	}
+	weight := 1
+	if cell != nil {
+		weight = cell.Count
+	}
+	for ci := range p.cols {
+		oc := &p.cols[ci]
+		if oc.expr.Agg == AggNone {
+			continue
 		}
-		for ci, oc := range p.cols {
-			if oc.expr.Agg == AggNone {
-				continue
-			}
-			st := &g.states[ci]
-			if oc.expr.Star {
-				st.count++
-				continue
-			}
-			v := src.get(i, oc.expr.Col)
-			if v.Kind == KindNull {
-				continue
-			}
+		st := &gr.states[ci]
+		if oc.expr.Star {
+			st.count += weight
+			continue
+		}
+		if cell != nil && oc.src == obsValue {
 			switch oc.expr.Agg {
 			case AggCount:
-				if oc.expr.Distinct {
-					if st.distinct == nil {
-						st.distinct = make(map[string]bool)
-					}
-					st.distinct[string(v.groupKey(nil))] = true
-				} else {
-					st.count++
-				}
+				st.count += cell.Count // value is never NULL
 			case AggSum, AggAvg:
-				st.sum += v.Num
-				st.sumN++
+				st.sum += cell.Sum
+				st.sumN += cell.Count
 			case AggMin:
-				if st.min.Kind == KindNull || v.compare(st.min) < 0 {
-					st.min = v
-				}
+				st.observeMin(numberValue(cell.Min))
 			case AggMax:
-				if st.max.Kind == KindNull || v.compare(st.max) > 0 {
-					st.max = v
-				}
+				st.observeMax(numberValue(cell.Max))
 			}
+			continue
 		}
-		if suppress && src.meta != nil {
-			if m := src.meta(i); m.subject != "" {
-				g.subjects[m.subject] = true
+		v := r.col(oc.src)
+		if v.Kind == KindNull {
+			continue
+		}
+		switch oc.expr.Agg {
+		case AggCount:
+			if !oc.expr.Distinct {
+				st.count += weight
+				continue
 			}
+			g.key = v.groupKey(g.key[:0])
+			if _, seen := st.distinct[string(g.key)]; !seen {
+				if st.distinct == nil {
+					st.distinct = make(map[string]struct{})
+				}
+				st.distinct[string(g.key)] = struct{}{}
+			}
+		case AggSum, AggAvg:
+			st.sum += v.Num
+			st.sumN++
+		case AggMin:
+			st.observeMin(v)
+		case AggMax:
+			st.observeMax(v)
 		}
 	}
+	if subject != "" {
+		if gr.subjects == nil {
+			gr.subjects = make(map[string]struct{})
+		}
+		gr.subjects[subject] = struct{}{}
+	}
+}
 
+func (st *aggState) observeMin(v Value) {
+	if st.min.Kind == KindNull || v.compare(st.min) < 0 {
+		st.min = v
+	}
+}
+
+func (st *aggState) observeMax(v Value) {
+	if st.max.Kind == KindNull || v.compare(st.max) > 0 {
+		st.max = v
+	}
+}
+
+// result finalizes the groups in first-seen order. Over observations,
+// groups containing attributed rows whose distinct subjects fall short
+// of the effective k floor are withheld, matching the occupancy path's
+// k-anonymity discipline; a group with no attributed contribution —
+// purely environmental data — has no subject to protect and is never
+// suppressed. Audit rows are the requester's own and carry no floor.
+func (g *grouper) result() *Result {
+	p := g.p
 	// A global aggregate (no GROUP BY) yields one row even over an
 	// empty scan: COUNT(*) of nothing is 0.
-	if len(p.stmt.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{
-			byVals:   map[string]Value{},
-			states:   make([]aggState, len(p.cols)),
-			subjects: map[string]bool{},
-		}
-		order = append(order, "")
+	if len(p.groupCols) == 0 && len(g.order) == 0 {
+		g.newGroup()
 	}
-
 	k := 1
-	if suppress {
+	if p.table != TableAudit {
 		k = p.enf.effectiveK()
 		p.enf.stats.EffectiveK = k
-	} else if p.table != TableAudit {
-		p.enf.stats.EffectiveK = p.enf.effectiveK()
 	}
-
-	rows := make([][]Value, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		if suppress && k > 1 && len(g.subjects) > 0 && len(g.subjects) < k {
+	rows := make([][]Value, 0, len(g.order))
+	for _, gr := range g.order {
+		if k > 1 && len(gr.subjects) > 0 && len(gr.subjects) < k {
 			p.enf.stats.SuppressedGroups++
 			continue
 		}
 		row := make([]Value, len(p.cols))
 		for ci, oc := range p.cols {
 			if oc.expr.Agg == AggNone {
-				row[ci] = g.byVals[oc.expr.Col]
+				row[ci] = gr.vals[oc.by]
 				continue
 			}
-			row[ci] = finalizeAgg(oc.expr, &g.states[ci])
+			row[ci] = finalizeAgg(oc.expr, &gr.states[ci])
 		}
 		if p.having != nil {
 			get := func(col string) Value {
@@ -528,7 +541,7 @@ func (p *Plan) execGrouped(src rowSource, suppress bool) (*Result, error) {
 		}
 		rows = append(rows, row)
 	}
-	return p.finish(rows), nil
+	return p.finish(rows)
 }
 
 func finalizeAgg(it SelectExpr, st *aggState) Value {

@@ -45,6 +45,29 @@ const (
 
 var obsColumns = []string{"seq", "sensor_id", "kind", "time", "space_id", "device_mac", "user_id", "value"}
 
+// Positions in obsColumns, which obsRow.col switches on.
+const (
+	obsSeq = iota
+	obsSensorID
+	obsKind
+	obsTime
+	obsSpaceID
+	obsDeviceMAC
+	obsUserID
+	obsValue
+)
+
+// colIndex is the position of name in a table's column list, -1 when
+// absent.
+func colIndex(cols []string, name string) int {
+	for i, c := range cols {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
 var obsColType = map[string]colType{
 	"seq":        colNumber,
 	"sensor_id":  colString,
@@ -165,6 +188,11 @@ type outCol struct {
 	name string // header, and the handle HAVING / ORDER BY use
 	expr SelectExpr
 	typ  colType
+	// src is expr.Col's position in the scanned table's column list
+	// (-1 for COUNT(*)); by is a grouped passthrough column's position
+	// in GROUP BY. Both are resolved at compile time so the executor
+	// never matches a column name per cell.
+	src, by int
 }
 
 // Plan is a compiled, executable statement. Every Plan carries an
@@ -191,9 +219,12 @@ type Plan struct {
 
 	grouped bool
 	cols    []outCol
-	having  boolExpr
-	orderBy []orderSpec
-	limit   int
+	// groupCols are the GROUP BY columns' positions in the scanned
+	// table's column list.
+	groupCols []int
+	having    boolExpr
+	orderBy   []orderSpec
+	limit     int
 
 	// rollup, when non-nil, marks the plan eligible to be answered
 	// from pre-aggregated rollup cells (see resolveRollup); the
@@ -241,8 +272,22 @@ func (c *compiler) compile() (*Plan, error) {
 		if c.req.ServiceID == "" {
 			return nil, &EnforceError{Msg: "a query against " + c.stmt.Table + " requires a service identity"}
 		}
-		if c.env.Scan == nil || c.env.Decide == nil || c.env.Apply == nil {
-			return nil, planErrf("environment is not wired for %s (need Scan, Decide, Apply)", c.stmt.Table)
+		if (c.env.ScanEach == nil && c.env.Scan == nil) || c.env.Decide == nil || c.env.Apply == nil {
+			return nil, planErrf("environment is not wired for %s (need ScanEach or Scan, Decide, Apply)", c.stmt.Table)
+		}
+		if c.env.ScanEach == nil {
+			// The one executor is push-based; a slice-returning Scan is
+			// adapted here and nothing below Compile knows which was
+			// supplied.
+			scan := c.env.Scan
+			c.env.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+				rows := scan(f)
+				for i := range rows {
+					if !visit(&rows[i]) {
+						return
+					}
+				}
+			}
 		}
 	case TableAudit:
 		if c.req.UserID == "" {
@@ -344,18 +389,19 @@ func (c *compiler) resolveColumns(p *Plan) error {
 		if grouped {
 			return planErrf("SELECT * cannot be combined with GROUP BY or aggregates")
 		}
-		for _, col := range cols {
-			p.cols = append(p.cols, outCol{name: col, expr: SelectExpr{Col: col}, typ: types[col]})
+		for i, col := range cols {
+			p.cols = append(p.cols, outCol{name: col, expr: SelectExpr{Col: col}, typ: types[col], src: i})
 		}
 		return nil
 	}
 
-	groupSet := make(map[string]bool, len(stmt.GroupBy))
-	for _, g := range stmt.GroupBy {
+	groupPos := make(map[string]int, len(stmt.GroupBy))
+	for i, g := range stmt.GroupBy {
 		if _, ok := types[g]; !ok {
 			return planErrf("unknown GROUP BY column %q in %s", g, stmt.Table)
 		}
-		groupSet[g] = true
+		groupPos[g] = i
+		p.groupCols = append(p.groupCols, colIndex(cols, g))
 	}
 
 	for _, it := range stmt.Columns {
@@ -365,10 +411,11 @@ func (c *compiler) resolveColumns(p *Plan) error {
 			if !ok {
 				return planErrf("unknown column %q in %s", it.Col, stmt.Table)
 			}
-			if grouped && !groupSet[it.Col] {
+			by, inGroup := groupPos[it.Col]
+			if grouped && !inGroup {
 				return planErrf("column %q must appear in GROUP BY or inside an aggregate", it.Col)
 			}
-			p.cols = append(p.cols, outCol{name: it.Name(), expr: it, typ: t})
+			p.cols = append(p.cols, outCol{name: it.Name(), expr: it, typ: t, src: colIndex(cols, it.Col), by: by})
 		default:
 			var t colType
 			if it.Star {
@@ -390,7 +437,7 @@ func (c *compiler) resolveColumns(p *Plan) error {
 					t = ct
 				}
 			}
-			p.cols = append(p.cols, outCol{name: it.Name(), expr: it, typ: t})
+			p.cols = append(p.cols, outCol{name: it.Name(), expr: it, typ: t, src: colIndex(cols, it.Col)})
 		}
 	}
 	if len(p.cols) == 0 {

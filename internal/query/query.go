@@ -72,7 +72,16 @@ type Requester struct {
 // Env supplies the collaborators a plan executes against. The BMS
 // core wires one; tests may stub individual hooks.
 type Env struct {
-	// Scan queries ground truth with the plan's pushed-down filter.
+	// ScanEach visits ground truth matching the plan's pushed-down
+	// filter, one row at a time in ascending seq, until visit returns
+	// false. The row pointer is valid only during the call (the backend
+	// may reuse one scratch row), and visit runs with no store lock
+	// held. This is what the executor runs on; see colstore.Store.Scan.
+	ScanEach func(f obstore.Filter, visit func(*sensor.Observation) bool)
+	// Scan is the slice-returning form of ScanEach for backends that
+	// already hold their rows (tests, examples, replays). One of the
+	// two is required; Compile adapts Scan into ScanEach, and ScanEach
+	// wins when both are set.
 	Scan func(f obstore.Filter) []sensor.Observation
 	// Subtree expands a space ID to its spatial subtree (the IDs a
 	// space predicate covers). nil restricts spatial predicates to

@@ -29,7 +29,7 @@ type relEntry struct {
 }
 
 // releaseEntries gates every rollup cell through the requester's
-// decision, mirroring scanObservations in aggregate mode: denied cells
+// decision, mirroring scan in aggregate mode: denied cells
 // drop (weighted into stats), allowed cells pass the data path so
 // downstream grouping only sees released dimensions, and contributing
 // subjects raise the k floor exactly as surviving rows do. ok=false
@@ -45,7 +45,7 @@ func (e *enforcement) releaseEntries(entries []RollupEntry, needValue bool) ([]r
 			Time: en.Bucket, SpaceID: en.SpaceID, UserID: en.UserID,
 		}
 		e.stats.ScannedRows += en.Count
-		d := e.decide(synth)
+		d := e.decide(&synth)
 		if !d.Allowed {
 			e.stats.DeniedRows += en.Count
 			continue
@@ -108,134 +108,11 @@ func (p *Plan) tryRollup() (*Result, bool, error) {
 		return nil, false, err
 	}
 
-	groups := make(map[string]*group)
-	var order []string
-	keyBuf := make([]byte, 0, 64)
+	g := newGrouper(p)
 	for i := range rel {
-		r := &rel[i]
-		o := &r.rel
-		keyBuf = keyBuf[:0]
-		for _, gcol := range p.stmt.GroupBy {
-			keyBuf = obsValue(o, gcol).groupKey(keyBuf)
-		}
-		key := string(keyBuf)
-		g := groups[key]
-		if g == nil {
-			g = &group{
-				byVals:   make(map[string]Value, len(p.stmt.GroupBy)),
-				states:   make([]aggState, len(p.cols)),
-				subjects: make(map[string]bool),
-			}
-			for _, gcol := range p.stmt.GroupBy {
-				g.byVals[gcol] = obsValue(o, gcol)
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		for ci, oc := range p.cols {
-			if oc.expr.Agg == AggNone {
-				continue
-			}
-			st := &g.states[ci]
-			if oc.expr.Star {
-				st.count += r.Count
-				continue
-			}
-			if oc.expr.Col == "value" {
-				// Weighted from the cell's statistics; the released
-				// value equals ground truth here because a noisy value
-				// aggregate never reaches this point.
-				switch oc.expr.Agg {
-				case AggCount:
-					st.count += r.Count // value is never NULL
-				case AggSum, AggAvg:
-					st.sum += r.Sum
-					st.sumN += r.Count
-				case AggMin:
-					if v := numberValue(r.Min); st.min.Kind == KindNull || v.compare(st.min) < 0 {
-						st.min = v
-					}
-				case AggMax:
-					if v := numberValue(r.Max); st.max.Kind == KindNull || v.compare(st.max) > 0 {
-						st.max = v
-					}
-				}
-				continue
-			}
-			v := obsValue(o, oc.expr.Col)
-			if v.Kind == KindNull {
-				continue
-			}
-			switch oc.expr.Agg {
-			case AggCount:
-				if oc.expr.Distinct {
-					if st.distinct == nil {
-						st.distinct = make(map[string]bool)
-					}
-					st.distinct[string(v.groupKey(nil))] = true
-				} else {
-					st.count += r.Count
-				}
-			case AggMin:
-				if st.min.Kind == KindNull || v.compare(st.min) < 0 {
-					st.min = v
-				}
-			case AggMax:
-				if st.max.Kind == KindNull || v.compare(st.max) > 0 {
-					st.max = v
-				}
-			}
-		}
-		if r.UserID != "" {
-			g.subjects[r.UserID] = true
-		}
+		g.add((*obsRow)(&rel[i].rel), rel[i].UserID, &rel[i].RollupEntry)
 	}
-
-	// A global aggregate (no GROUP BY) yields one row even over an
-	// empty cell set, matching the row path's empty-scan behavior.
-	if len(p.stmt.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{
-			byVals:   map[string]Value{},
-			states:   make([]aggState, len(p.cols)),
-			subjects: map[string]bool{},
-		}
-		order = append(order, "")
-	}
-
-	k := p.enf.effectiveK()
-	p.enf.stats.EffectiveK = k
-
-	rows := make([][]Value, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		if k > 1 && len(g.subjects) > 0 && len(g.subjects) < k {
-			p.enf.stats.SuppressedGroups++
-			continue
-		}
-		row := make([]Value, len(p.cols))
-		for ci, oc := range p.cols {
-			if oc.expr.Agg == AggNone {
-				row[ci] = g.byVals[oc.expr.Col]
-				continue
-			}
-			row[ci] = finalizeAgg(oc.expr, &g.states[ci])
-		}
-		if p.having != nil {
-			get := func(col string) Value {
-				for ci, oc := range p.cols {
-					if oc.name == col || oc.expr.canonical() == col {
-						return row[ci]
-					}
-				}
-				return Value{}
-			}
-			if !p.having.eval(get) {
-				continue
-			}
-		}
-		rows = append(rows, row)
-	}
-	return p.finish(rows), true, nil
+	return g.result(), true, nil
 }
 
 // tryOccupancyRollup answers the occupancy table from rollup cells:
@@ -252,40 +129,9 @@ func (p *Plan) tryOccupancyRollup() (*Result, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	k := p.enf.effectiveK()
-	p.enf.stats.EffectiveK = k
-	obs := make([]sensor.Observation, len(rel))
+	spaces := privacy.KCounter{}
 	for i := range rel {
-		obs[i] = rel[i].rel
+		spaces.Add(rel[i].rel.SpaceID, rel[i].rel.UserID)
 	}
-	counts := privacy.KAnonymousCounts(obs, k,
-		func(o sensor.Observation) string { return o.SpaceID },
-		func(o sensor.Observation) string { return o.UserID },
-	)
-	populated := make(map[string]bool)
-	for i := range obs {
-		if obs[i].UserID != "" {
-			populated[obs[i].SpaceID] = true
-		}
-	}
-	p.enf.stats.SuppressedGroups = len(populated) - len(counts)
-
-	rows := make([][]Value, 0, len(counts))
-	for _, c := range counts {
-		get := func(col string) Value {
-			if col == "count" {
-				return numberValue(float64(c.Count))
-			}
-			return stringValue(c.Key)
-		}
-		if p.countPred != nil && !p.countPred.eval(get) {
-			continue
-		}
-		row := make([]Value, len(p.cols))
-		for i, oc := range p.cols {
-			row[i] = get(oc.expr.Col)
-		}
-		rows = append(rows, row)
-	}
-	return p.finish(rows), true, nil
+	return p.occupancyResult(spaces), true, nil
 }

@@ -1,0 +1,181 @@
+package query
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/sensor"
+)
+
+// streamWorld is a random observation log plus a random policy world
+// (denials, k floors, coarsening, noise), for the executor tests that
+// do not need a columnar tier underneath.
+func streamWorld(seed int64, n int) (*testEnv, *segWorld, []string) {
+	rng := rand.New(rand.NewSource(seed))
+	users := []string{"u0", "u1", "u2", "u3", "u4", "u5"}
+	w := &segWorld{deny: map[string]bool{}, floors: map[string]int{}, coarse: map[string]bool{}, noisy: map[string]bool{}}
+	for _, u := range users {
+		w.deny[u] = rng.Intn(4) == 0
+		w.floors[u] = rng.Intn(4)
+		w.coarse[u] = rng.Intn(4) == 0
+		w.noisy[u] = rng.Intn(5) == 0
+	}
+	spaces := []string{"A/1", "A/2", "B/1", "B/2"}
+	te := &testEnv{}
+	for i := 0; i < n; i++ {
+		o := obsAt(uint64(i+1), fmt.Sprintf("ap-%d", rng.Intn(4)), spaces[rng.Intn(len(spaces))], users[rng.Intn(len(users))], rng.Intn(180), float64(rng.Intn(50)))
+		if rng.Intn(8) == 0 {
+			o.UserID = ""
+		}
+		if rng.Intn(4) == 0 {
+			o.Kind = sensor.ObsBLESighting
+		}
+		te.obs = append(te.obs, o)
+	}
+	return te, w, users
+}
+
+// TestEnvScanAdapterEquivalent: Env.Scan is not a second executor —
+// the same statements through an Env that supplies only Scan and one
+// that supplies only ScanEach give identical Results, Stats included.
+// The ScanEach side hands the executor one scratch row and poisons it
+// after every visit, so an executor that kept the pointer (a group's
+// first row, a projected cell) would release poison and fail here.
+func TestEnvScanAdapterEquivalent(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		te, w, users := streamWorld(seed, 400)
+		slice := te.env().Scan
+		scanOnly := w.envOver(slice, nil)
+		eachOnly := w.envOver(nil, nil)
+		eachOnly.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+			var scratch sensor.Observation
+			for _, o := range slice(f) {
+				scratch = o
+				ok := visit(&scratch)
+				scratch = sensor.Observation{Seq: ^uint64(0), SensorID: "POISON", SpaceID: "POISON", UserID: "POISON", Value: -1}
+				if !ok {
+					return
+				}
+			}
+		}
+		from := qtNow.Add(30 * time.Minute).Format(time.RFC3339)
+		for _, sql := range []string{
+			"SELECT * FROM observations",
+			"SELECT seq, user_id, space_id FROM observations LIMIT 7",
+			"SELECT seq, user_id, space_id FROM observations LIMIT 0",
+			"SELECT seq, value FROM observations WHERE value >= 25 LIMIT 5",
+			"SELECT seq, user_id FROM observations ORDER BY seq DESC LIMIT 5",
+			"SELECT seq, space_id FROM observations WHERE space_id = 'A' AND time >= '" + from + "'",
+			"SELECT COUNT(*) AS n, COUNT(DISTINCT user_id) AS u, MIN(value) AS lo, MAX(value) AS hi, AVG(value) AS a FROM observations",
+			"SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations GROUP BY space_id ORDER BY n DESC, space_id",
+			"SELECT kind, user_id, COUNT(*) AS n, SUM(value) AS s FROM observations GROUP BY kind, user_id HAVING n > 2",
+			"SELECT sensor_id, MIN(user_id) AS first, MAX(time) AS last FROM observations WHERE user_id = '" + users[seed%6] + "' GROUP BY sensor_id",
+			"SELECT space_id, COUNT(*) AS n FROM observations WHERE value < 10 GROUP BY space_id LIMIT 2",
+			"SELECT space_id, count FROM occupancy",
+			"SELECT * FROM occupancy WHERE count >= 2 AND kind = 'wifi_access_point'",
+		} {
+			r := reqr()
+			r.MinK = 1 + int(seed%3)
+			want, err := Run(scanOnly, r, sql)
+			if err != nil {
+				t.Fatalf("seed %d Scan env %q: %v", seed, sql, err)
+			}
+			got, err := Run(eachOnly, r, sql)
+			if err != nil {
+				t.Fatalf("seed %d ScanEach env %q: %v", seed, sql, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %q: results diverge\nScan:     %+v\nScanEach: %+v", seed, sql, want, got)
+			}
+		}
+	}
+	if _, err := Run(Env{Decide: func(enforce.Request) enforce.Decision { return enforce.Decision{} },
+		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) { return o, true, nil }},
+		reqr(), "SELECT * FROM observations"); err == nil {
+		t.Fatal("an Env with neither Scan nor ScanEach compiled")
+	}
+}
+
+// TestLimitStopsTheScan: a row-mode LIMIT without ORDER BY ends the
+// scan once n rows are released — the stats count what was visited,
+// and the rows are the first n by seq that a full scan would release.
+func TestLimitStopsTheScan(t *testing.T) {
+	te := &testEnv{deny: map[string]bool{"bob": true}, floors: map[string]int{"carol": 3}}
+	for i := 0; i < 300; i++ {
+		te.obs = append(te.obs, obsAt(uint64(i+1), "ap-1", "dbh/1", []string{"mary", "bob", "carol", "dave"}[i%4], i, float64(i)))
+	}
+	full := mustRun(t, te, reqr(), "SELECT seq, user_id FROM observations")
+	lim := mustRun(t, te, reqr(), "SELECT seq, user_id FROM observations LIMIT 10")
+	if !reflect.DeepEqual(lim.Rows, full.Rows[:10]) {
+		t.Fatalf("LIMIT 10 released %v, the full scan's first 10 are %v", lim.Rows, full.Rows[:10])
+	}
+	// mary and dave are released, bob denied, carol excluded: the 10th
+	// released row is the 20th scanned.
+	want := Stats{ScannedRows: 20, DeniedRows: 5, ExcludedRows: 5, ReleasedRows: 10, Subjects: 4, Decisions: 4, EffectiveK: 1}
+	if lim.Stats != want {
+		t.Fatalf("LIMIT 10 stats = %+v, want %+v", lim.Stats, want)
+	}
+	// ORDER BY needs every row before it can cut.
+	ordered := mustRun(t, te, reqr(), "SELECT seq, user_id FROM observations ORDER BY seq DESC LIMIT 10")
+	if ordered.Stats.ScannedRows != 300 || len(ordered.Rows) != 10 || ordered.Rows[0][0].Num != 300 {
+		t.Fatalf("ORDER BY ... LIMIT must scan everything: %+v, first row %v", ordered.Stats, ordered.Rows[0])
+	}
+}
+
+// TestGroupedScanAllocsFlat: a grouped statement's allocations scale
+// with its groups and distinct values, not with the rows scanned —
+// four times the rows over the same groups allocates the same.
+func TestGroupedScanAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		rng := rand.New(rand.NewSource(1))
+		obs := make([]sensor.Observation, n)
+		for i := range obs {
+			// 800 (space, user) pairs: 10k draws already cover them all,
+			// so both sizes see the same groups and distinct values.
+			obs[i] = obsAt(uint64(i+1), "ap-1", fmt.Sprintf("dbh/%d", rng.Intn(40)), fmt.Sprintf("u%02d", rng.Intn(20)), i%600, 1)
+		}
+		env := Env{
+			ScanEach: func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+				var scratch sensor.Observation
+				for i := range obs {
+					scratch = obs[i]
+					if !visit(&scratch) {
+						return
+					}
+				}
+			},
+			Decide: func(req enforce.Request) enforce.Decision {
+				return enforce.Decision{Allowed: true, Granularity: policy.GranExact}
+			},
+			Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) { return o, true, nil },
+			Now:   func() time.Time { return qtNow },
+		}
+		stmt, err := Parse("SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations GROUP BY space_id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			plan, err := Compile(stmt, env, reqr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := plan.Execute()
+			if err != nil || len(res.Rows) != 40 || res.Stats.ScannedRows != n {
+				t.Fatalf("n=%d: %d groups, stats %+v, err %v", n, len(res.Rows), res.Stats, err)
+			}
+		})
+	}
+	small, large := allocs(10000), allocs(40000)
+	if small < 40 {
+		t.Fatalf("10k rows allocated only %.0f objects: the statement did not run", small)
+	}
+	if diff := (large - small) / small; diff > 0.05 || diff < -0.05 {
+		t.Fatalf("allocations follow the rows: %.0f objects over 10k rows, %.0f over 40k (%.1f%%)", small, large, 100*diff)
+	}
+}

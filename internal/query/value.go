@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -121,22 +120,27 @@ func (v Value) compare(o Value) int {
 }
 
 // groupKey appends a canonical encoding of the value for group-by
-// hashing (length-prefixed so adjacent keys cannot collide).
+// hashing (length-prefixed so adjacent keys cannot collide). It
+// allocates nothing beyond growing b.
 func (v Value) groupKey(b []byte) []byte {
 	b = append(b, byte(v.Kind))
-	var s string
+	var tmp [32]byte
+	enc := tmp[:0]
 	switch v.Kind {
 	case KindString:
-		s = v.Str
+		b = strconv.AppendInt(b, int64(len(v.Str)), 10)
+		b = append(b, ':')
+		return append(b, v.Str...)
 	case KindNumber:
-		s = strconv.FormatFloat(v.Num, 'g', -1, 64)
+		enc = strconv.AppendFloat(enc, v.Num, 'g', -1, 64)
 	case KindBool:
-		s = strconv.FormatBool(v.Bool)
+		enc = strconv.AppendBool(enc, v.Bool)
 	case KindTime:
-		s = strconv.FormatInt(v.Time.UnixNano(), 10)
+		enc = strconv.AppendInt(enc, v.Time.UnixNano(), 10)
 	}
-	b = append(b, fmt.Sprintf("%d:", len(s))...)
-	return append(b, s...)
+	b = strconv.AppendInt(b, int64(len(enc)), 10)
+	b = append(b, ':')
+	return append(b, enc...)
 }
 
 // timeLayouts are the accepted time-literal forms, most specific

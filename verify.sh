@@ -31,11 +31,11 @@ go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 echo "== stream + bus + obstore shards + telemetry tracing (repeated, race) =="
 go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/... ./internal/telemetry/...
 
-echo "== colstore compaction crash injection (repeated, race) =="
-go test -race -count=2 -run TestCrashMidCompaction ./internal/colstore/...
+echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence (repeated, race) =="
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup' ./internal/colstore/...
 
-echo "== query leak + segment equivalence properties (repeated, race) =="
-go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan' ./internal/query/...
+echo "== query leak + segment equivalence + one-executor properties (repeated, race) =="
+go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat' ./internal/query/...
 
 echo "== compiled-engine equivalence + recompile-under-churn (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive' ./internal/enforce/...
