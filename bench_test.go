@@ -259,6 +259,41 @@ func BenchmarkReasonerConflicts(b *testing.B) {
 	}
 }
 
+// BenchmarkSetPreferenceAtScale is E3's other column: what one
+// preference write costs a node — engine update plus conflict
+// maintenance by delta — with 1 k, 16 k and 64 k preferences installed.
+// Each write replaces one occupant's rule, so the installed count
+// holds. Reported, not gated; internal/core's
+// TestSetPreferenceAllocsFlat pins the flatness as an allocation count.
+func BenchmarkSetPreferenceAtScale(b *testing.B) {
+	for _, installed := range []int{1_000, 16_000, 64_000} {
+		b.Run(fmt.Sprintf("installed=%d", installed), func(b *testing.B) {
+			dep, err := NewDeployment(DeploymentConfig{
+				Spec: SmallDBH(), Population: installed, Seed: 1, RegisterPaperPolicies: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer dep.Close()
+			w := sim.DefaultPreferenceWorkload(7)
+			w.PerUser = 1
+			prefs := sim.GeneratePreferences(dep.Building, dep.Users, []string{"concierge"}, w)
+			for _, p := range prefs {
+				if err := dep.BMS.SetPreference(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := dep.BMS.SetPreference(prefs[i%len(prefs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNotificationSelection is experiment E4's hot path: a fresh
 // assistant digesting a 50-resource document.
 func BenchmarkNotificationSelection(b *testing.B) {

@@ -182,8 +182,12 @@ type DisclosureDecision struct {
 // last known location (within staleness) must be contained in the
 // policy's proximity space.
 func (b *BMS) RequestDisclosure(policyID, userID string, now time.Time, staleness time.Duration) (DisclosureDecision, error) {
+	var p policy.BuildingPolicy
 	b.mu.RLock()
-	p, ok := b.policies[policyID]
+	at, ok := b.policyIndex(policyID)
+	if ok {
+		p = b.policies[at]
+	}
 	b.mu.RUnlock()
 	if !ok {
 		return DisclosureDecision{}, fmt.Errorf("core: unknown policy %q", policyID)

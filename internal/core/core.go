@@ -7,11 +7,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -127,10 +128,14 @@ type BMS struct {
 	traces  *traceRing
 	streams *stream.Hub
 
+	// Rule state, written only inside mutateRules. Policies and each
+	// owner's preferences are kept sorted by ID; conflicts always equals
+	// a full reasoner.Detect over the two, maintained by delta.
 	mu        sync.RWMutex
-	policies  map[string]policy.BuildingPolicy
-	prefs     map[string]policy.Preference
-	conflicts []reasoner.Conflict
+	policies  []policy.BuildingPolicy
+	prefs     map[string][]policy.Preference // owner → their preferences
+	prefOwner map[string]string              // preference ID → owner
+	conflicts map[conflictKey]reasoner.Conflict
 	inbox     map[string][]enforce.Notification
 
 	retainStop chan struct{}
@@ -186,22 +191,23 @@ func New(cfg Config) (*BMS, error) {
 		store = obstore.New()
 	}
 	b := &BMS{
-		cfg:      cfg,
-		store:    store,
-		bus:      bus.New(cfg.BusBuffer),
-		engine:   engine,
-		services: cfg.Services,
-		reason:   reasoner.New(cfg.Spaces, cfg.Strategy),
-		transf:   privacy.NewTransformer(cfg.Spaces, cfg.NoiseSeed, key),
-		pseud:    privacy.NewPseudonymizer(key),
-		clock:    cfg.Clock,
-		metrics:  reg,
-		tracer:   cfg.Tracer,
-		met:      newCoreMetrics(reg, enforce.EngineName(engine)),
-		traces:   newTraceRing(cfg.TraceBuffer),
-		policies: make(map[string]policy.BuildingPolicy),
-		prefs:    make(map[string]policy.Preference),
-		inbox:    make(map[string][]enforce.Notification),
+		cfg:       cfg,
+		store:     store,
+		bus:       bus.New(cfg.BusBuffer),
+		engine:    engine,
+		services:  cfg.Services,
+		reason:    reasoner.New(cfg.Spaces, cfg.Strategy),
+		transf:    privacy.NewTransformer(cfg.Spaces, cfg.NoiseSeed, key),
+		pseud:     privacy.NewPseudonymizer(key),
+		clock:     cfg.Clock,
+		metrics:   reg,
+		tracer:    cfg.Tracer,
+		met:       newCoreMetrics(reg, enforce.EngineName(engine)),
+		traces:    newTraceRing(cfg.TraceBuffer),
+		prefs:     make(map[string][]policy.Preference),
+		prefOwner: make(map[string]string),
+		conflicts: make(map[conflictKey]reasoner.Conflict),
+		inbox:     make(map[string][]enforce.Notification),
 	}
 	if !cfg.DisableColumnar {
 		// The columnar tier rides the row store as a listener: closed
@@ -396,14 +402,23 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 	if err := p.Check(); err != nil {
 		return err
 	}
-	b.mu.Lock()
-	if _, dup := b.policies[p.ID]; dup {
-		b.mu.Unlock()
+	dup := false
+	b.mutateRules(func() []reasoner.Conflict {
+		var at int
+		if at, dup = b.policyIndex(p.ID); dup {
+			return nil
+		}
+		b.policies = slices.Insert(b.policies, at, p)
+		// No key can name a policy that was not installed: all fresh.
+		delta := b.reason.DetectPolicy(p, b.prefs)
+		for _, c := range delta {
+			b.conflicts[keyOf(c)] = c
+		}
+		return delta
+	})
+	if dup {
 		return fmt.Errorf("core: duplicate policy %q", p.ID)
 	}
-	b.policies[p.ID] = p
-	b.mu.Unlock()
-
 	if err := b.engine.AddPolicy(p); err != nil {
 		return err
 	}
@@ -418,7 +433,6 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 			TTL:  p.Retention,
 		})
 	}
-	b.detectConflicts()
 	return nil
 }
 
@@ -460,10 +474,7 @@ func (b *BMS) SetPreference(p policy.Preference) error {
 	if err := b.engine.AddPreference(p); err != nil {
 		return err
 	}
-	b.mu.Lock()
-	b.prefs[p.ID] = p
-	b.mu.Unlock()
-	b.detectConflicts()
+	b.mutateRules(func() []reasoner.Conflict { return b.replacePreference(p.ID, &p) })
 	return nil
 }
 
@@ -472,42 +483,21 @@ func (b *BMS) RemovePreference(id string) bool {
 	if !b.engine.RemovePreference(id) {
 		return false
 	}
-	b.mu.Lock()
-	delete(b.prefs, id)
-	b.mu.Unlock()
-	b.detectConflicts()
+	b.mutateRules(func() []reasoner.Conflict { return b.replacePreference(id, nil) })
 	return true
 }
 
-// detectConflicts re-runs the reasoner over the current rule sets and
-// publishes newly resolved conflicts (override notifications reach
-// the affected users).
-func (b *BMS) detectConflicts() {
-	b.mu.RLock()
-	pols := make([]policy.BuildingPolicy, 0, len(b.policies))
-	for _, p := range b.policies {
-		pols = append(pols, p)
-	}
-	prefs := make([]policy.Preference, 0, len(b.prefs))
-	for _, p := range b.prefs {
-		prefs = append(prefs, p)
-	}
-	b.mu.RUnlock()
-
-	conflicts := b.reason.Detect(pols, prefs)
-
+// mutateRules is the one seam a rule mutation passes through: apply
+// edits the rule state and b.conflicts under b.mu and returns the
+// conflicts that are new, whose override notifications reach the
+// affected users' inboxes in the same critical section. Because the
+// delta lands under the lock that orders the rule writes, the conflict
+// set follows the mutation that happened last, not the pass that
+// finished last.
+func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict)) {
+	t0 := time.Now()
 	b.mu.Lock()
-	previous := make(map[string]bool, len(b.conflicts))
-	for _, c := range b.conflicts {
-		previous[conflictKey(c)] = true
-	}
-	b.conflicts = conflicts
-	var fresh []reasoner.Conflict
-	for _, c := range conflicts {
-		if !previous[conflictKey(c)] {
-			fresh = append(fresh, c)
-		}
-	}
+	fresh := apply()
 	for _, c := range fresh {
 		if c.Resolution.NotifyUserID != "" {
 			n := enforce.Notification{
@@ -521,22 +511,92 @@ func (b *BMS) detectConflicts() {
 		}
 	}
 	b.mu.Unlock()
-
+	b.met.detectSeconds.ObserveSince(t0)
 	for _, c := range fresh {
 		b.bus.Publish(bus.TopicConflicts, c)
 	}
 }
 
-func conflictKey(c reasoner.Conflict) string {
-	return fmt.Sprintf("%d|%s|%s|%s", c.Kind, c.PolicyID, c.PreferenceID, c.OtherPreferenceID)
+// replacePreference swaps the installed version of preference id, if
+// any, for p (nil uninstalls) and brings b.conflicts up to date by
+// delta: only the policies and the owners' other preferences are
+// consulted. It returns the conflicts whose key was absent before the
+// mutation. The caller holds b.mu.
+func (b *BMS) replacePreference(id string, p *policy.Preference) (fresh []reasoner.Conflict) {
+	oldOwner, had := b.prefOwner[id]
+	if had {
+		owned := b.prefs[oldOwner]
+		at, _ := slices.BinarySearchFunc(owned, id, preferenceIDCmp)
+		b.prefs[oldOwner] = slices.Delete(owned, at, at+1)
+	}
+	var delta []reasoner.Conflict
+	if p != nil {
+		owned := b.prefs[p.UserID]
+		at, _ := slices.BinarySearchFunc(owned, id, preferenceIDCmp)
+		owned = slices.Insert(owned, at, *p)
+		b.prefs[p.UserID], b.prefOwner[id] = owned, p.UserID
+		delta = b.reason.DetectPreference(*p, b.policies, owned)
+		// Judged before the old version's keys go: a replacement that
+		// still conflicts with the same rule is not news.
+		for _, c := range delta {
+			if _, known := b.conflicts[keyOf(c)]; !known {
+				fresh = append(fresh, c)
+			}
+		}
+	} else {
+		delete(b.prefOwner, id)
+	}
+	if had {
+		// Every key the old version could have produced.
+		for _, bp := range b.policies {
+			delete(b.conflicts, conflictKey{Kind: reasoner.PolicyVsPreference, PolicyID: bp.ID, PreferenceID: id})
+		}
+		for _, o := range b.prefs[oldOwner] {
+			if o.ID != id {
+				lo, hi := min(id, o.ID), max(id, o.ID)
+				delete(b.conflicts, conflictKey{Kind: reasoner.PreferenceVsPreference, PreferenceID: lo, OtherPreferenceID: hi})
+			}
+		}
+		if len(b.prefs[oldOwner]) == 0 {
+			delete(b.prefs, oldOwner)
+		}
+	}
+	for _, c := range delta {
+		b.conflicts[keyOf(c)] = c
+	}
+	return fresh
 }
 
-// Conflicts returns the current resolved conflicts.
+// conflictKey identifies a conflict by the rules involved, whatever
+// its resolution. Preference pairs name the lower ID first.
+type conflictKey struct {
+	Kind                                      reasoner.ConflictKind
+	PolicyID, PreferenceID, OtherPreferenceID string
+}
+
+func keyOf(c reasoner.Conflict) conflictKey {
+	return conflictKey{c.Kind, c.PolicyID, c.PreferenceID, c.OtherPreferenceID}
+}
+
+func preferenceIDCmp(p policy.Preference, id string) int { return cmp.Compare(p.ID, id) }
+
+// policyIndex finds a policy's position in b.policies, or where it
+// would be inserted. The caller holds b.mu.
+func (b *BMS) policyIndex(id string) (int, bool) {
+	return slices.BinarySearchFunc(b.policies, id,
+		func(p policy.BuildingPolicy, id string) int { return cmp.Compare(p.ID, id) })
+}
+
+// Conflicts returns the current resolved conflicts in the order a full
+// reasoner.Detect reports them (policy, preference, other preference).
 func (b *BMS) Conflicts() []reasoner.Conflict {
 	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]reasoner.Conflict, len(b.conflicts))
-	copy(out, b.conflicts)
+	out := make([]reasoner.Conflict, 0, len(b.conflicts))
+	for _, c := range b.conflicts {
+		out = append(out, c)
+	}
+	b.mu.RUnlock()
+	reasoner.SortConflicts(out)
 	return out
 }
 
@@ -544,26 +604,14 @@ func (b *BMS) Conflicts() []reasoner.Conflict {
 func (b *BMS) Policies() []policy.BuildingPolicy {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make([]policy.BuildingPolicy, 0, len(b.policies))
-	for _, p := range b.policies {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return slices.Clone(b.policies)
 }
 
 // Preferences returns a user's installed preferences sorted by ID.
 func (b *BMS) Preferences(userID string) []policy.Preference {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []policy.Preference
-	for _, p := range b.prefs {
-		if p.UserID == userID {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return slices.Clone(b.prefs[userID])
 }
 
 // ForgetUser erases a user's footprint: every observation attributed

@@ -25,6 +25,7 @@ type coreMetrics struct {
 	queryGroupsSuppressed                                   *telemetry.Counter
 
 	ingestSeconds *telemetry.Histogram
+	detectSeconds *telemetry.Histogram
 	decideSeconds *telemetry.Histogram
 	requestUser   *telemetry.Histogram
 	requestOccup  *telemetry.Histogram
@@ -61,6 +62,8 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 			"Groups the SQL path withheld for falling short of the effective k-anonymity floor."),
 		ingestSeconds: r.Histogram("tippers_core_ingest_seconds",
 			"Capture-pipeline latency per observation.", nil),
+		detectSeconds: r.Histogram("tippers_reasoner_detect_seconds",
+			"Conflict-maintenance latency per rule mutation: the changed rule against its candidates (the policies and the owner's other preferences), applied under the rule lock.", nil),
 		decideSeconds: r.HistogramWith("tippers_enforce_decide_seconds",
 			"Query-time enforcement decision latency.",
 			telemetry.Labels{"engine": engineName}, nil),

@@ -171,6 +171,39 @@ func TestConflictAndNotificationOverHTTP(t *testing.T) {
 	}
 }
 
+// TestConflictsOrderOverHTTP pins /v1/conflicts' order — policy, then
+// preference, then other preference — whatever order the rules arrived
+// in: the BMS keeps conflicts in a map and sorts on the read side.
+func TestConflictsOrderOverHTTP(t *testing.T) {
+	bms, client := newServer(t)
+	for _, p := range []policy.Preference{
+		{ID: "z", UserID: "mary", Rule: policy.Rule{Action: policy.ActionDeny}},
+		{ID: "m", UserID: "bob", Rule: policy.Rule{Action: policy.ActionDeny}},
+		{ID: "a", UserID: "mary", Rule: policy.Rule{Action: policy.ActionLimit, MinAggregationK: 3}},
+	} {
+		if err := client.SetPreference(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"pol-b", "pol-a"} {
+		if err := bms.RegisterPolicy(policy.BuildingPolicy{ID: id, Kind: policy.KindCollection}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conflicts, err := client.Conflicts(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range conflicts {
+		got = append(got, c.PolicyID+"|"+c.PreferenceID+"|"+c.OtherPreferenceID)
+	}
+	want := "|a|z pol-a|a| pol-a|m| pol-a|z| pol-b|a| pol-b|m| pol-b|z|"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("/v1/conflicts order\n got  %s\n want %s", strings.Join(got, " "), want)
+	}
+}
+
 func TestOccupancyOverHTTP(t *testing.T) {
 	_, client := newServer(t)
 	ctx := context.Background()

@@ -14,9 +14,10 @@
 package reasoner
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/spatial"
@@ -126,11 +127,9 @@ type Reasoner struct {
 	spaces   *spatial.Model
 	strategy Strategy
 
-	// Detection counters by conflict kind plus pass timing, exposed
-	// via RegisterMetrics.
-	policyVsPref  *telemetry.Counter
-	prefVsPref    *telemetry.Counter
-	detectSeconds *telemetry.Histogram
+	// Detection counters by conflict kind, exposed via RegisterMetrics.
+	policyVsPref *telemetry.Counter
+	prefVsPref   *telemetry.Counter
 }
 
 // New returns a reasoner resolving under the given strategy over the
@@ -141,17 +140,16 @@ func New(spaces *spatial.Model, strategy Strategy) *Reasoner {
 		strategy = MostRestrictive
 	}
 	return &Reasoner{
-		spaces:        spaces,
-		strategy:      strategy,
-		policyVsPref:  telemetry.NewCounter(),
-		prefVsPref:    telemetry.NewCounter(),
-		detectSeconds: telemetry.NewHistogram(nil),
+		spaces:       spaces,
+		strategy:     strategy,
+		policyVsPref: telemetry.NewCounter(),
+		prefVsPref:   telemetry.NewCounter(),
 	}
 }
 
 // RegisterMetrics exposes conflict-detection counters (by conflict
-// kind) and detection-pass latency on a telemetry registry — the E3
-// experiment's cost metric, live.
+// kind) on a telemetry registry. Each counts conflicts as they are
+// derived, by Detect and by the delta entry points alike.
 func (r *Reasoner) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFuncWith("tippers_reasoner_conflicts_total",
 		"Conflicts detected, by kind.",
@@ -161,8 +159,6 @@ func (r *Reasoner) RegisterMetrics(reg *telemetry.Registry) {
 		"Conflicts detected, by kind.",
 		telemetry.Labels{"kind": PreferenceVsPreference.String()},
 		func() float64 { return float64(r.prefVsPref.Value()) })
-	reg.RegisterHistogram("tippers_reasoner_detect_seconds",
-		"Full conflict-detection pass latency.", nil, r.detectSeconds)
 }
 
 // Strategy returns the reasoner's resolution strategy.
@@ -170,23 +166,14 @@ func (r *Reasoner) Strategy() Strategy { return r.strategy }
 
 // Detect finds every conflict between the building's policies and the
 // installed preferences, plus intra-user preference contradictions,
-// resolving each. Results are sorted for deterministic output.
+// resolving each. Results are sorted for deterministic output. It is
+// the full pass over every rule — the reference the delta entry points
+// (DetectPreference, DetectPolicy) are tested against; a running node
+// maintains its conflicts through those.
 func (r *Reasoner) Detect(policies []policy.BuildingPolicy, prefs []policy.Preference) []Conflict {
-	t0 := time.Now()
-	defer r.detectSeconds.ObserveSince(t0)
 	var out []Conflict
 	for _, bp := range policies {
-		if bp.Kind != policy.KindCollection && bp.Kind != policy.KindDisclosure {
-			// Automation and access-control policies do not release
-			// user data flows that preferences govern.
-			continue
-		}
-		for _, pref := range prefs {
-			if c, ok := r.policyPreferenceConflict(bp, pref); ok {
-				r.policyVsPref.Inc()
-				out = append(out, c)
-			}
-		}
+		out = r.appendPolicyConflicts(out, bp, prefs)
 	}
 	byUser := make(map[string][]policy.Preference)
 	for _, p := range prefs {
@@ -201,23 +188,87 @@ func (r *Reasoner) Detect(policies []policy.BuildingPolicy, prefs []policy.Prefe
 		list := byUser[u]
 		for i := 0; i < len(list); i++ {
 			for j := i + 1; j < len(list); j++ {
-				if c, ok := r.preferencePairConflict(list[i], list[j]); ok {
-					r.prefVsPref.Inc()
-					out = append(out, c)
-				}
+				out = r.appendPairConflict(out, list[i], list[j])
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.PolicyID != b.PolicyID {
-			return a.PolicyID < b.PolicyID
+	SortConflicts(out)
+	return out
+}
+
+// DetectPreference is the delta entry point for one installed or
+// replaced preference: its conflicts with the policies and with owned,
+// the same user's installed preferences (an entry carrying pref's own
+// ID is skipped, so the list may already hold it). A pair conflict
+// names the lower preference ID first, as Detect does over ID-sorted
+// input. Results are in Detect's order.
+func (r *Reasoner) DetectPreference(pref policy.Preference, policies []policy.BuildingPolicy, owned []policy.Preference) []Conflict {
+	var out []Conflict
+	one := []policy.Preference{pref}
+	for _, bp := range policies {
+		out = r.appendPolicyConflicts(out, bp, one)
+	}
+	for _, o := range owned {
+		switch {
+		case o.ID < pref.ID:
+			out = r.appendPairConflict(out, o, pref)
+		case o.ID > pref.ID:
+			out = r.appendPairConflict(out, pref, o)
 		}
-		if a.PreferenceID != b.PreferenceID {
-			return a.PreferenceID < b.PreferenceID
-		}
-		return a.OtherPreferenceID < b.OtherPreferenceID
+	}
+	SortConflicts(out)
+	return out
+}
+
+// DetectPolicy is the delta entry point for one newly registered
+// policy: its conflicts with every installed preference, given grouped
+// by owner. Results are in Detect's order.
+func (r *Reasoner) DetectPolicy(bp policy.BuildingPolicy, byUser map[string][]policy.Preference) []Conflict {
+	var out []Conflict
+	for _, prefs := range byUser {
+		out = r.appendPolicyConflicts(out, bp, prefs)
+	}
+	SortConflicts(out)
+	return out
+}
+
+// SortConflicts orders conflicts as Detect returns them: by PolicyID,
+// then PreferenceID, then OtherPreferenceID (so preference pairs, whose
+// PolicyID is empty, come first).
+func SortConflicts(cs []Conflict) {
+	slices.SortFunc(cs, func(a, b Conflict) int {
+		return cmp.Or(
+			cmp.Compare(a.PolicyID, b.PolicyID),
+			cmp.Compare(a.PreferenceID, b.PreferenceID),
+			cmp.Compare(a.OtherPreferenceID, b.OtherPreferenceID),
+		)
 	})
+}
+
+// appendPolicyConflicts appends bp's conflicts with prefs, counting
+// each.
+func (r *Reasoner) appendPolicyConflicts(out []Conflict, bp policy.BuildingPolicy, prefs []policy.Preference) []Conflict {
+	if bp.Kind != policy.KindCollection && bp.Kind != policy.KindDisclosure {
+		// Automation and access-control policies do not release
+		// user data flows that preferences govern.
+		return out
+	}
+	for _, pref := range prefs {
+		if c, ok := r.policyPreferenceConflict(bp, pref); ok {
+			r.policyVsPref.Inc()
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// appendPairConflict appends the conflict between two preferences of
+// one user, if any, counting it.
+func (r *Reasoner) appendPairConflict(out []Conflict, a, b policy.Preference) []Conflict {
+	if c, ok := r.preferencePairConflict(a, b); ok {
+		r.prefVsPref.Inc()
+		out = append(out, c)
+	}
 	return out
 }
 

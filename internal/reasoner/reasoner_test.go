@@ -1,6 +1,9 @@
 package reasoner
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/tippers/tippers/internal/policy"
@@ -293,6 +296,71 @@ func TestDetectDeterministicOrder(t *testing.T) {
 			t.Fatalf("nondeterministic order at %d", i)
 		}
 	}
+}
+
+// TestDeltaEntryPointsCoverDetect: installing the paper's preferences
+// one at a time through DetectPreference, or the policies one at a time
+// through DetectPolicy over the installed preferences, derives exactly
+// the conflicts a full Detect reports.
+func TestDeltaEntryPointsCoverDetect(t *testing.T) {
+	r := New(testModel(t), MostRestrictive)
+	pols := []policy.BuildingPolicy{
+		policy.Policy1Comfort("dbh", 70), // automation: never conflicts
+		policy.Policy2EmergencyLocation("dbh"),
+		{ID: "occupancy-analytics", Kind: policy.KindCollection, Scope: policy.Scope{SpaceID: "dbh/2"}},
+	}
+	var prefs []policy.Preference
+	for _, u := range []string{"mary", "alice"} {
+		prefs = append(prefs, policy.Preference2NoLocation(u)...)
+		prefs = append(prefs, policy.Preference1OfficeOccupancy(u, "dbh/2/2065"),
+			policy.CoarseLocationPreference(u, "concierge"),
+			policy.Preference3ConciergeFineLocation(u, "concierge")) // an allow rule: pairs only
+	}
+	// Over ID-sorted input Detect names the lower ID first in a pair, as
+	// the delta always does.
+	sort.Slice(prefs, func(i, j int) bool { return prefs[i].ID < prefs[j].ID })
+	want := r.Detect(pols, prefs)
+	if len(want) < 10 {
+		t.Fatalf("fixture yields only %d conflicts", len(want))
+	}
+
+	byUser := make(map[string][]policy.Preference)
+	var byPreference, byPolicy []Conflict
+	// Installed in reverse, so each preference meets both lower and
+	// higher IDs among its owner's rules.
+	for i := len(prefs) - 1; i >= 0; i-- {
+		p := prefs[i]
+		byUser[p.UserID] = append(byUser[p.UserID], p)
+		byPreference = append(byPreference, r.DetectPreference(p, pols, byUser[p.UserID])...)
+	}
+	SortConflicts(byPreference)
+	if !reflect.DeepEqual(byPreference, want) {
+		t.Errorf("DetectPreference per install: %d conflicts, Detect has %d; first difference %s",
+			len(byPreference), len(want), firstDifference(byPreference, want))
+	}
+	for _, bp := range pols {
+		byPolicy = append(byPolicy, r.DetectPolicy(bp, byUser)...)
+	}
+	var policySide []Conflict
+	for _, c := range want {
+		if c.Kind == PolicyVsPreference {
+			policySide = append(policySide, c)
+		}
+	}
+	SortConflicts(byPolicy)
+	if !reflect.DeepEqual(byPolicy, policySide) {
+		t.Errorf("DetectPolicy per policy: %d conflicts, Detect has %d; first difference %s",
+			len(byPolicy), len(policySide), firstDifference(byPolicy, policySide))
+	}
+}
+
+func firstDifference(got, want []Conflict) string {
+	for i := range got {
+		if i >= len(want) || !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Sprintf("at %d: got %+v", i, got[i])
+		}
+	}
+	return fmt.Sprintf("at %d: missing %+v", len(got), want[len(got)])
 }
 
 func TestKindAndStrategyStrings(t *testing.T) {

@@ -37,9 +37,9 @@ go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOcc
 echo "== query leak + segment equivalence + one-executor properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat' ./internal/query/...
 
-echo "== compiled-engine equivalence + recompile-under-churn (repeated, race) =="
+echo "== compiled-engine equivalence + recompile-under-churn + incremental-conflict equivalence (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat' ./internal/core/...
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
 SLO_SMOKE_REPORT="${SLO_SMOKE_REPORT:-/tmp/slo-report.json}" ./scripts/slo_smoke.sh
