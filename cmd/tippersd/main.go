@@ -7,20 +7,19 @@
 //
 //	tippersd [-addr :8080] [-irr-addr :8081] [-population 200]
 //	         [-small] [-paper-policies] [-simulate-days 1] [-seed 1]
-//	         [-enforce-engine compiled|naive]
 //	         [-wal-dir DIR] [-wal-sync 10ms|always|none]
-//	         [-colstore-dir DIR] [-colstore-compact-interval 1m] [-no-colstore]
+//	         [-colstore-dir DIR] [-colstore-compact-interval 1m]
 //	         [-stream-buffer 256] [-stream-policy drop-oldest|block|disconnect]
 //	         [-trace-sample 128] [-trace-slow 250ms]
 //	         [-slo-interval 10s] [-slo-window 1h]
 //	         [-pprof] [-v] [-log-format text|json]
 //
-// With -wal-dir the node runs durably: every ingested observation is
-// written ahead to a CRC-checked segmented log before it is indexed,
-// and on boot the node recovers the checkpoint plus committed log
+// With -wal-dir the node runs durably — the one persistence mode:
+// every ingested observation is written ahead to a CRC-checked
+// segmented log before it is indexed, and on boot the node recovers
+// the checkpoint (a file of the same frames) plus committed log
 // records (truncating any torn tail from a crash). A checkpoint is
-// written on clean shutdown. The older -snapshot flag persists only on
-// clean shutdown and is mutually exclusive with -wal-dir.
+// written on clean shutdown. Without it the node keeps nothing.
 package main
 
 import (
@@ -46,14 +45,11 @@ func main() {
 		paperPolicies = flag.Bool("paper-policies", true, "register the paper's Policies 1-4")
 		simulateDays  = flag.Int("simulate-days", 1, "simulated days to ingest at startup")
 		seed          = flag.Int64("seed", 1, "simulation seed")
-		enforceEngine = flag.String("enforce-engine", "compiled", "enforcement engine flavor: compiled or naive (escape hatch)")
 		retention     = flag.Duration("retention-interval", time.Minute, "retention sweep interval")
-		snapshot      = flag.String("snapshot", "", "observation snapshot file: restored at boot, written on shutdown")
-		walDir        = flag.String("wal-dir", "", "durable store directory (write-ahead log + checkpoints); excludes -snapshot")
+		walDir        = flag.String("wal-dir", "", "durable store directory (write-ahead log + checkpoints)")
 		walSync       = flag.String("wal-sync", "10ms", "WAL commit policy: a group-commit interval, \"always\", or \"none\"")
 		colDir        = flag.String("colstore-dir", "", "columnar tier segment directory (empty keeps sealed segments in memory)")
 		compactIvl    = flag.Duration("colstore-compact-interval", time.Minute, "background compaction interval (0 disables the compactor)")
-		noColstore    = flag.Bool("no-colstore", false, "disable the columnar storage tier and rollups entirely")
 		pprofFlag     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the API address")
 		streamBuffer  = flag.Int("stream-buffer", 256, "default per-subscription live-stream ring capacity")
 		streamPolicy  = flag.String("stream-policy", "drop-oldest", "default live-stream backpressure policy: drop-oldest, block, or disconnect")
@@ -95,10 +91,6 @@ func main() {
 
 	var store *tippers.ObservationStore
 	if *walDir != "" {
-		if *snapshot != "" {
-			logger.Error("-wal-dir and -snapshot are mutually exclusive; the WAL checkpoints for itself")
-			os.Exit(1)
-		}
 		cfg := tippers.DurableStoreConfig{Dir: *walDir, Logger: logger}
 		switch *walSync {
 		case "always":
@@ -135,7 +127,6 @@ func main() {
 		Population:            *population,
 		Seed:                  *seed,
 		RegisterPaperPolicies: *paperPolicies,
-		EnforceEngine:         *enforceEngine,
 		Metrics:               metrics,
 		Store:                 store,
 		StreamBuffer:          *streamBuffer,
@@ -144,7 +135,6 @@ func main() {
 		TraceSlow:             *traceSlow,
 		ColumnarDir:           *colDir,
 		CompactInterval:       *compactIvl,
-		DisableColumnar:       *noColstore,
 		SLOInterval:           *sloInterval,
 		SLOWindow:             *sloWindow,
 	})
@@ -163,21 +153,6 @@ func main() {
 		// top of it.
 		total = store.Len()
 		*simulateDays = 0
-	}
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			if err := dep.BMS.Store().ReadSnapshot(f); err != nil {
-				logger.Error("restoring snapshot", "path", *snapshot, "error", err)
-				os.Exit(1)
-			}
-			f.Close()
-			total = dep.BMS.Store().Len()
-			logger.Info("snapshot restored", "path", *snapshot, "observations", total)
-			*simulateDays = 0
-		} else if !os.IsNotExist(err) {
-			logger.Error("opening snapshot", "path", *snapshot, "error", err)
-			os.Exit(1)
-		}
 	}
 	day := time.Now().UTC().Truncate(24*time.Hour).AddDate(0, 0, -*simulateDays)
 	for d := 0; d < *simulateDays; d++ {
@@ -270,15 +245,6 @@ func main() {
 		if err := s.Shutdown(shutdownCtx); err != nil {
 			logger.Warn("server shutdown", "addr", s.Addr, "error", err)
 		}
-	}
-	if *snapshot != "" {
-		// Written via a temp file + rename so a crash mid-write can
-		// never leave a truncated snapshot where a good one stood.
-		if err := dep.BMS.Store().WriteSnapshotFile(*snapshot); err != nil {
-			logger.Error("writing snapshot", "path", *snapshot, "error", err)
-			os.Exit(1)
-		}
-		logger.Info("snapshot written", "path", *snapshot, "observations", dep.BMS.Store().Len())
 	}
 	if store != nil {
 		// A clean shutdown checkpoints: boot then replays nothing and

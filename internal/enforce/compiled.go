@@ -99,9 +99,9 @@ func NewCompiledMemo(cfg Config, maxEntries int) *Compiled {
 	return c
 }
 
-// New constructs an engine by flavor name, the -enforce-engine escape
-// hatch: "compiled" (or "") is the default memoized compiled engine
-// and "naive" is the scan-everything reference engine.
+// New constructs an engine by flavor name: "compiled" (or "") is the
+// default memoized compiled engine and "naive" is the scan-everything
+// reference engine tests and bench/ compare it against.
 func New(flavor string, cfg Config) (Engine, error) {
 	switch flavor {
 	case "", "compiled":

@@ -243,7 +243,7 @@ func TestCompiledCandidateReduction(t *testing.T) {
 	}
 }
 
-// TestNewEngineFlavors covers the -enforce-engine escape hatch.
+// TestNewEngineFlavors covers engine selection by flavor name.
 func TestNewEngineFlavors(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	for flavor, want := range map[string]string{

@@ -4,38 +4,52 @@ package obstore
 // in-memory indexes. Append frames the observation into the WAL
 // *before* touching the indexes (write-ahead), so a crash can lose at
 // most the records inside one group-commit window and can never
-// expose a half-indexed observation. Recovery is snapshot + replay:
-// OpenDurable restores the last checkpoint (the existing JSON-lines
-// snapshot, written atomically) and replays every WAL record past the
-// checkpoint's high-water mark.
+// expose a half-indexed observation. Recovery is checkpoint + replay:
+// OpenDurable restores the last checkpoint and replays every WAL
+// record past its high-water mark. Both are the one durable row
+// format: the checkpoint is a file of WAL frames (see internal/wal) —
+// a header record at seq 0, then one frame per live observation in
+// ascending seq, payloads encoded by the log's appendObservation.
 //
 // Retention is enforced on disk too: after a sweep or erasure, whole
 // sealed segments whose records are all dead are deleted — the
 // paper's retention element ("P6M") means expired observations leave
-// the disk, not just memory. Records in the active segment or below
-// the checkpoint high-water mark leave disk at the next Checkpoint.
+// the disk, not just memory. What that cannot reach (the active
+// segment, the checkpoint file) leaves disk at the next Checkpoint,
+// which seals the one and rewrites the other.
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/wal"
 )
 
-// checkpointFile is the snapshot inside a durable store's directory.
-const checkpointFile = "checkpoint.snap"
+const (
+	// checkpointFile is the checkpoint inside a durable store's
+	// directory; a write in progress is checkpointFile + ".tmp-*".
+	checkpointFile = "checkpoint.snap"
+	// checkpointVersion is the header record's format version (1 was
+	// the retired JSON-lines snapshot).
+	checkpointVersion = 2
+)
 
 // DurableConfig configures OpenDurable. Only Dir is required.
 type DurableConfig struct {
-	// Dir holds the checkpoint snapshot and the wal/ segment
-	// directory; created if absent.
+	// Dir holds the checkpoint file and the wal/ segment directory;
+	// created if absent.
 	Dir string
 	// Shards is the store's lock-stripe count; 0 selects GOMAXPROCS
 	// (see NewSharded). Sharding is an in-memory layout choice — the
@@ -63,7 +77,10 @@ type DurableConfig struct {
 // OpenDurable opens (or creates) a durable store in cfg.Dir: the last
 // checkpoint is restored, the WAL is recovered (torn tail truncated)
 // and replayed from the checkpoint's high-water mark, and every
-// subsequent Append is logged before it is indexed.
+// subsequent Append is logged before it is indexed. The checkpoint is
+// written atomically, so a damaged one means tampering or a disk
+// fault, not a crash: OpenDurable refuses to open rather than serve a
+// partial history.
 func OpenDurable(cfg DurableConfig) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("obstore: DurableConfig.Dir is required")
@@ -74,17 +91,30 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obstore: creating durable dir: %w", err)
 	}
+	// A crash mid-checkpoint leaves its temp file behind, holding
+	// observation bytes no later sweep, erasure or checkpoint touches.
+	entries, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("obstore: reading durable dir: %w", err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), checkpointFile+".tmp-") {
+			continue
+		}
+		if err := os.Remove(filepath.Join(cfg.Dir, e.Name())); err != nil {
+			return nil, fmt.Errorf("obstore: removing stale checkpoint temp file: %w", err)
+		}
+		cfg.Logger.Warn("obstore: removed stale checkpoint temp file", "file", e.Name())
+	}
 	s := NewSharded(cfg.Shards)
 	s.logger = cfg.Logger
 
 	ckpt := filepath.Join(cfg.Dir, checkpointFile)
 	if f, err := os.Open(ckpt); err == nil {
-		// The checkpoint is written atomically, so a partial file
-		// means tampering or disk fault, not a crash — fail loudly.
-		rerr := s.ReadSnapshot(f)
+		rerr := s.readCheckpoint(f)
 		f.Close()
 		if rerr != nil {
-			return nil, fmt.Errorf("obstore: restoring checkpoint: %w", rerr)
+			return nil, fmt.Errorf("obstore: restoring %s: %w", ckpt, rerr)
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("obstore: opening checkpoint: %w", err)
@@ -105,13 +135,8 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 	}
 	replayed := 0
 	if err := l.Replay(hwm, func(seq uint64, payload []byte) error {
-		o, derr := decodeObservation(seq, payload)
-		if derr != nil {
-			return derr
-		}
-		s.insertRecovered(o) // recovery is single-threaded; no appends yet
 		replayed++
-		return nil
+		return s.insertRecovered(seq, payload)
 	}); err != nil {
 		l.Close()
 		return nil, fmt.Errorf("obstore: replaying wal: %w", err)
@@ -144,40 +169,45 @@ func (s *Store) WAL() *wal.Log {
 	return s.wal
 }
 
-// insertRecovered installs a fully formed observation (seq already
-// assigned) into its shard. Used by snapshot restore and WAL replay,
-// both of which run single-threaded before the store is shared; the
-// caller resets the publication gate when done.
-func (s *Store) insertRecovered(o sensor.Observation) {
+// insertRecovered decodes one recovered record and installs it in its
+// shard. Checkpoint restore and WAL replay use it, single-threaded
+// inside OpenDurable, which sets the seq counters and the publication
+// gate when both are done. It must only run before a Listener
+// attaches: it notifies nobody, so derived state (the columnar tier's
+// rollup cubes) would silently miss the rows.
+func (s *Store) insertRecovered(seq uint64, payload []byte) error {
+	o, err := decodeObservation(seq, payload)
+	if err != nil {
+		return err
+	}
 	sh := s.shardFor(o.SensorID)
 	sh.mu.Lock()
 	sh.insert(o)
 	sh.mu.Unlock()
-	if o.Seq > s.nextSeq.Load() {
-		s.nextSeq.Store(o.Seq)
-	}
+	return nil
 }
 
-// Checkpoint writes an atomic snapshot of the live observations into
-// the durable directory and truncates every sealed WAL segment the
-// snapshot now covers. After a checkpoint, recovery replays only
-// records appended since — and observations deleted for privacy
-// (retention, erasure) that were still sitting in covered segments
-// are gone from disk.
+// Checkpoint atomically rewrites the checkpoint file from the live
+// observations and deletes every WAL segment it now covers. After a
+// checkpoint, recovery replays only records appended since — and
+// observations deleted for privacy (retention, erasure) that were
+// still sitting in the log or the previous checkpoint are gone from
+// disk.
 func (s *Store) Checkpoint() error {
-	s.walMu.Lock()
-	l := s.wal
-	s.walMu.Unlock()
+	l := s.WAL()
 	if l == nil {
 		return fmt.Errorf("obstore: Checkpoint on a non-durable store")
 	}
-	// Commit the WAL first: the snapshot must never be ahead of the
-	// durable log, or a crash between the two would lose the gap.
-	if err := l.Sync(); err != nil {
+	// Seal the active segment: truncation deletes only sealed segments,
+	// and the active one may hold records of a forgotten subject.
+	// Sealing also commits the log, so the checkpoint is never ahead of
+	// it. A sealed segment with an append still in flight above the
+	// high-water mark survives the truncation below.
+	if err := l.Rotate(); err != nil {
 		return err
 	}
 	path := filepath.Join(s.walDir, checkpointFile)
-	hwm, err := s.writeSnapshotFile(path)
+	hwm, err := s.writeCheckpointFile(path)
 	if err != nil {
 		return err
 	}
@@ -190,44 +220,151 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// WriteSnapshotFile atomically writes a snapshot to path: the data is
-// written to a temp file in the same directory, fsynced, and renamed
-// over the target, so a crash mid-write can never destroy the
-// previous snapshot.
-func (s *Store) WriteSnapshotFile(path string) error {
-	_, err := s.writeSnapshotFile(path)
-	return err
-}
-
-// writeSnapshotFile is WriteSnapshotFile returning the snapshot's
-// high-water mark (its header NextSeq) for checkpoint truncation.
-func (s *Store) writeSnapshotFile(path string) (uint64, error) {
+// writeCheckpointFile writes the checkpoint to a temp file in the same
+// directory, fsyncs it, and renames it over path, so a crash mid-write
+// can never destroy the previous checkpoint. It returns the high-water
+// mark for truncation.
+func (s *Store) writeCheckpointFile(path string) (uint64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return 0, fmt.Errorf("obstore: snapshot temp file: %w", err)
+		return 0, fmt.Errorf("obstore: checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	hwm, err := s.writeSnapshot(tmp)
+	hwm, err := s.writeCheckpoint(tmp)
 	if err != nil {
 		tmp.Close()
 		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return 0, fmt.Errorf("obstore: snapshot fsync: %w", err)
+		return 0, fmt.Errorf("obstore: checkpoint fsync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("obstore: snapshot close: %w", err)
+		return 0, fmt.Errorf("obstore: checkpoint close: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("obstore: snapshot rename: %w", err)
+		return 0, fmt.Errorf("obstore: checkpoint rename: %w", err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
 	return hwm, nil
+}
+
+// writeCheckpoint frames the checkpoint onto w and returns its
+// high-water mark: every WAL record at or below it is covered. The cut
+// point is the publication watermark — every observation at or below
+// it is collected (briefly locking one shard at a time, merged back
+// into global seq order, so the bytes are the same at every stripe
+// count) and appends still in flight above it stay in the WAL for
+// replay.
+func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
+	vis := s.gate.visible.Load()
+	obs := s.collectOrdered(vis)
+
+	bw := bufio.NewWriterSize(w, 256<<10)
+	buf := binary.AppendUvarint(nil, checkpointVersion)
+	buf = binary.AppendUvarint(buf, vis)
+	buf = binary.AppendUvarint(buf, s.totalIngests.Load())
+	buf = binary.AppendUvarint(buf, s.totalSwept.Load())
+	buf = binary.AppendUvarint(buf, uint64(len(obs)))
+	if _, err := wal.WriteFrame(bw, 0, buf); err != nil {
+		return 0, fmt.Errorf("obstore: checkpoint header: %w", err)
+	}
+	for _, o := range obs {
+		buf = appendObservation(buf[:0], o)
+		if _, err := wal.WriteFrame(bw, o.Seq, buf); err != nil {
+			return 0, fmt.Errorf("obstore: checkpoint observation %d: %w", o.Seq, err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, fmt.Errorf("obstore: checkpoint write: %w", err)
+	}
+	return vis, nil
+}
+
+// collectOrdered copies every live observation with seq <= vis out of
+// the shards, merged into ascending seq order.
+func (s *Store) collectOrdered(vis uint64) []sensor.Observation {
+	pages := make([][]sensor.Observation, len(s.shards))
+	s.forEachShard(func(i int, sh *shard) {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		out := make([]sensor.Observation, 0, len(sh.bySeq))
+		for _, seq := range sh.order {
+			if seq > vis {
+				break
+			}
+			if o, ok := sh.bySeq[seq]; ok {
+				out = append(out, o)
+			}
+		}
+		pages[i] = out
+	})
+	return mergeBySeq(pages, 0)
+}
+
+// readCheckpoint restores a freshly constructed store from a
+// checkpoint stream, failing on the first thing writeCheckpoint would
+// not have written: a bad CRC or length, a seq that does not ascend or
+// exceeds the high-water mark, fewer or more records than the header
+// declares, trailing bytes. Errors name the 0-based frame ordinal
+// (frame 0 is the header) and byte offset. The caller discards the
+// store on error, so nothing is rolled back.
+func (s *Store) readCheckpoint(r io.Reader) error {
+	br := bufio.NewReaderSize(r, 256<<10)
+	if b, _ := br.Peek(1); len(b) == 1 && b[0] == '{' {
+		// A frame file cannot start with '{': the header frame's length
+		// byte is far below 0x7b.
+		return errors.New("file is in the retired JSON-lines snapshot format; " +
+			"checkpoints are WAL frames now and there is no converter — " +
+			"remove the data directory and re-ingest")
+	}
+	var (
+		hwm, ingested, swept, count uint64
+		frames, last                uint64 // frames seen (header included), last record seq
+	)
+	size, err := wal.ScanFrames(br, func(seq uint64, payload []byte) error {
+		frames++
+		if frames == 1 {
+			d := &obsDecoder{data: payload}
+			version := d.uvarint()
+			hwm, ingested, swept, count = d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+			switch {
+			case seq != 0:
+				return fmt.Errorf("header frame has seq %d, want 0", seq)
+			case d.err != nil:
+				return fmt.Errorf("header: %w", d.err)
+			case version != checkpointVersion:
+				return fmt.Errorf("unsupported checkpoint version %d", version)
+			}
+			return nil
+		}
+		switch {
+		case frames-1 > count:
+			return fmt.Errorf("trailing frame beyond the %d records the header declares", count)
+		case seq <= last:
+			return fmt.Errorf("seq %d does not ascend past %d", seq, last)
+		case seq > hwm:
+			return fmt.Errorf("seq %d is above the high-water mark %d", seq, hwm)
+		}
+		last = seq
+		return s.insertRecovered(seq, payload)
+	})
+	switch {
+	case err != nil:
+		return err
+	case frames == 0:
+		return errors.New("empty file: no header frame")
+	case frames-1 != count:
+		return fmt.Errorf("file ends at byte %d after frame %d: %d of %d records", size, frames-1, frames-1, count)
+	}
+	s.nextSeq.Store(hwm)
+	s.totalIngests.Store(ingested)
+	s.totalSwept.Store(swept)
+	return nil
 }
 
 // Close commits and closes the WAL, if any. The store itself needs no
@@ -250,9 +387,7 @@ func (s *Store) Close() error {
 // the active (never sealed-and-empty) segment, so it is safe without
 // a global pause.
 func (s *Store) pruneWAL() {
-	s.walMu.Lock()
-	l := s.wal
-	s.walMu.Unlock()
+	l := s.WAL()
 	if l == nil {
 		return
 	}
@@ -292,10 +427,10 @@ func (s *Store) pruneWAL() {
 
 // --- binary observation codec ---------------------------------------
 //
-// WAL payloads use a compact length-prefixed binary encoding instead
-// of JSON: the ingest hot path pays for this on every observation,
-// and the acceptance bar is staying within 3x of the in-memory
-// append. The observation's Seq travels in the WAL frame, not the
+// WAL and checkpoint payloads use a compact length-prefixed binary
+// encoding instead of JSON: the ingest hot path pays for this on every
+// observation, and the acceptance bar is staying within 3x of the
+// in-memory append. The observation's Seq travels in the WAL frame, not the
 // payload. Times are stored as Unix nanoseconds (UTC on decode).
 
 const obsCodecVersion = 1
@@ -311,9 +446,16 @@ func appendObservation(buf []byte, o sensor.Observation) []byte {
 	buf = appendString(buf, o.UserID)
 	buf = binary.AppendUvarint(buf, math.Float64bits(o.Value))
 	buf = binary.AppendUvarint(buf, uint64(len(o.Payload)))
-	for k, v := range o.Payload {
+	// Sorted keys make the encoding a function of the observation, not
+	// of map iteration order: equal stores write equal bytes.
+	keys := make([]string, 0, 8) // stays on the stack for typical payloads
+	for k := range o.Payload {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		buf = appendString(buf, k)
-		buf = appendString(buf, v)
+		buf = appendString(buf, o.Payload[k])
 	}
 	return buf
 }
@@ -328,7 +470,7 @@ func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
 	d := &obsDecoder{data: data}
 	var o sensor.Observation
 	if v := d.uvarint(); v != obsCodecVersion {
-		return o, fmt.Errorf("obstore: wal record %d: unsupported codec version %d", seq, v)
+		return o, fmt.Errorf("obstore: record %d: unsupported codec version %d", seq, v)
 	}
 	o.Seq = seq
 	o.SensorID = d.str()
@@ -342,7 +484,7 @@ func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
 		// Each entry needs at least two length prefixes; reject counts
 		// the remaining bytes cannot possibly hold.
 		if rem := uint64(len(d.data) - d.off); n > rem/2+1 {
-			return o, fmt.Errorf("obstore: wal record %d: payload count %d exceeds data", seq, n)
+			return o, fmt.Errorf("obstore: record %d: payload count %d exceeds data", seq, n)
 		}
 		o.Payload = make(map[string]string, n)
 		for i := uint64(0); i < n; i++ {
@@ -351,7 +493,7 @@ func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
 		}
 	}
 	if d.err != nil {
-		return sensor.Observation{}, fmt.Errorf("obstore: wal record %d: %w", seq, d.err)
+		return sensor.Observation{}, fmt.Errorf("obstore: record %d: %w", seq, d.err)
 	}
 	return o, nil
 }

@@ -2,8 +2,10 @@ package obstore
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +30,27 @@ func durableObs(i int, userID string) sensor.Observation {
 		Time:     t0.Add(time.Duration(i) * time.Second),
 		Value:    float64(i),
 		Payload:  map[string]string{"rssi": "-60"},
+	}
+}
+
+// assertNotOnDisk greps every file under dir for marker.
+func assertNotOnDisk(t *testing.T, dir, marker string) {
+	t.Helper()
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		raw, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return rerr
+		}
+		if bytes.Contains(raw, []byte(marker)) {
+			t.Errorf("%q still on disk in %s", marker, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -195,22 +218,7 @@ func TestDurableRetentionErasesSegments(t *testing.T) {
 	if segs := s.WAL().SealedSegments(); len(segs) != 0 {
 		t.Fatalf("%d sealed segments survived retention GC", len(segs))
 	}
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		if bytes.Contains(raw, []byte(marker)) {
-			t.Errorf("expired data still on disk in %s", path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertNotOnDisk(t, dir, marker)
 	// The keeper survived in memory and on disk.
 	if s.Count(Filter{UserID: "keeper"}) != 1 {
 		t.Fatal("live observation lost by retention GC")
@@ -364,12 +372,122 @@ func TestObservationCodecRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecodeObservation feeds the codec that parses bytes off disk
+// (WAL payloads and checkpoint frames alike). It must never panic, and
+// whatever it accepts must survive a re-encode: the CRC only proves
+// the bytes are the ones written, not that they decode.
+func FuzzDecodeObservation(f *testing.F) {
+	f.Add(appendObservation(nil, durableObs(1, "mary")))
+	f.Add(appendObservation(nil, sensor.Observation{SensorID: "c", Kind: "k", Time: t0.Add(time.Nanosecond),
+		DeviceMAC: "aa:bb:cc:dd:ee:ff", Value: -273.15, Payload: map[string]string{"a": "1", "b": "", "": "c"}}))
+	f.Add([]byte{obsCodecVersion})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := decodeObservation(7, data)
+		if err != nil {
+			return
+		}
+		again, err := decodeObservation(7, appendObservation(nil, o))
+		if err != nil {
+			t.Fatalf("re-encoded observation rejected: %v", err)
+		}
+		// NaN values never compare equal; their bits do.
+		if math.Float64bits(o.Value) != math.Float64bits(again.Value) {
+			t.Fatalf("value bits changed: %x vs %x", math.Float64bits(o.Value), math.Float64bits(again.Value))
+		}
+		o.Value, again.Value = 0, 0
+		if !reflect.DeepEqual(o, again) {
+			t.Fatalf("re-encode changed the observation:\n was %+v\n now %+v", o, again)
+		}
+	})
+}
+
 func TestOpenDurableRejectsCorruptCheckpoint(t *testing.T) {
+	for name, tc := range map[string]struct{ raw, want string }{
+		"garbage":      {"not json\n", "frame 0 at byte 0"},
+		"legacy JSONL": {`{"version":1,"next_seq":0,"ingested":0,"swept":0,"count":0}` + "\n", "retired JSON-lines snapshot format"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpointFile), []byte(tc.raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenDurable(durableDirCfg(dir))
+		if err == nil {
+			t.Fatalf("%s: corrupt checkpoint accepted", name)
+		}
+		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), checkpointFile) {
+			t.Errorf("%s: error %q does not name the file and %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckpointErasesActiveSegment is erasure reaching disk at the
+// checkpoint: the forgotten subject's records sit in the active
+// segment, which no sweep may delete — the checkpoint must seal it,
+// truncate it, and rewrite the checkpoint file without them.
+func TestCheckpointErasesActiveSegment(t *testing.T) {
+	const marker = "privacy-victim"
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, checkpointFile), []byte("not json\n"), 0o644); err != nil {
+	s, err := OpenDurable(DurableConfig{Dir: dir, SyncInterval: time.Hour})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(durableDirCfg(dir)); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	for i := 0; i < 50; i++ {
+		if _, err := s.Append(durableObs(i, marker)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Append(durableObs(999, "keeper")); err != nil {
+		t.Fatal(err)
+	}
+	// A first checkpoint puts the subject in checkpoint.snap as well.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 50; i < 100; i++ {
+		if _, err := s.Append(durableObs(i, marker)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.DeleteUser(marker); n != 100 {
+		t.Fatalf("deleted %d, want 100", n)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertNotOnDisk(t, dir, marker)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenDurable(DurableConfig{Dir: dir, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Count(Filter{UserID: "keeper"}) != 1 || s2.Count(Filter{UserID: marker}) != 0 {
+		t.Fatalf("restart after erasure: keeper=%d victim=%d, want 1/0",
+			s2.Count(Filter{UserID: "keeper"}), s2.Count(Filter{UserID: marker}))
+	}
+	if o, err := s2.Append(durableObs(1000, "bob")); err != nil || o.Seq != 102 {
+		t.Fatalf("post-recovery append: seq %d, err %v; want seq 102", o.Seq, err)
+	}
+}
+
+// TestOpenDurableRemovesStaleCheckpointTemp: a crash mid-checkpoint
+// skips the deferred remove, and nothing else ever touches the file.
+func TestOpenDurableRemovesStaleCheckpointTemp(t *testing.T) {
+	const marker = "privacy-victim"
+	dir := t.TempDir()
+	stale := filepath.Join(dir, checkpointFile+".tmp-123456")
+	if err := os.WriteFile(stale, []byte("half a checkpoint about "+marker), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDurable(durableDirCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	assertNotOnDisk(t, dir, marker)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived open: %v", err)
 	}
 }

@@ -327,9 +327,9 @@ func (g *seqGate) publish(seq uint64) {
 	g.mu.Unlock()
 }
 
-// reset installs a new watermark. Only for single-threaded phases
-// (recovery, snapshot restore) where seqs may legitimately have holes
-// left by retention.
+// reset installs a new watermark. Only for the single-threaded
+// recovery phase (checkpoint restore, WAL replay), where seqs may
+// legitimately have holes left by retention.
 func (g *seqGate) reset(seq uint64) {
 	g.mu.Lock()
 	g.visible.Store(seq)

@@ -280,35 +280,35 @@ func TestShardedDurableSweepPrunesWAL(t *testing.T) {
 }
 
 // TestShardedSnapshotByteCompat pins the checkpoint format: the same
-// ingest produces byte-identical snapshots at every stripe count, and
-// a snapshot written at one count restores at any other.
+// ingest produces byte-identical checkpoints at every stripe count
+// (multi-key Payload maps included — the codec sorts their keys), and
+// a checkpoint written at one count restores at any other.
 func TestShardedSnapshotByteCompat(t *testing.T) {
 	data := shardedDataset(500)
-	var want bytes.Buffer
+	for i := range data {
+		if i%3 == 0 {
+			data[i].Payload = map[string]string{"rssi": "-60", "event": "assoc", "ch": "11", "band": "5"}
+		}
+	}
 	base := NewSharded(1)
 	if err := base.AppendAll(data); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.WriteSnapshot(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := checkpointBytes(t, base)
 	for _, shards := range []int{2, 8} {
 		s := NewSharded(shards)
 		if err := s.AppendAll(data); err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		if err := s.WriteSnapshot(&got); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(checkpointBytes(t, s), want) {
+			t.Fatalf("checkpoint at %d shards not byte-identical to the single-lock checkpoint", shards)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("snapshot at %d shards not byte-identical to single-lock snapshot", shards)
-		}
-		// Cross-count restore: 1-shard snapshot into a striped store.
+		// Cross-count restore: 1-shard checkpoint into a striped store.
 		restored := NewSharded(shards + 3)
-		if err := restored.ReadSnapshot(bytes.NewReader(want.Bytes())); err != nil {
+		if err := restored.readCheckpoint(bytes.NewReader(want)); err != nil {
 			t.Fatal(err)
 		}
+		restored.gate.reset(restored.nextSeq.Load())
 		if !reflect.DeepEqual(restored.Query(Filter{}), base.Query(Filter{})) {
 			t.Fatalf("restore into %d shards diverges from source", shards+3)
 		}

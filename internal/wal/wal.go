@@ -4,7 +4,7 @@
 //
 // The paper's TIPPERS "captures sensor data and stores it" (Figure 1
 // step 3); the in-memory store alone loses every observation since
-// the last snapshot on a crash — including the evidence that
+// the last checkpoint on a crash — including the evidence that
 // retention obligations (Figure 2's "P6M") were ever enforced. The
 // WAL closes that gap: every record is framed, checksummed, and
 // appended to a segment file before the store indexes it, so a
@@ -21,6 +21,9 @@
 // number. Framing (little-endian):
 //
 //	[4B length of seq+payload][4B CRC32-C of seq+payload][8B seq][payload]
+//
+// WriteFrame and ScanFrames are that framing on its own, so a file
+// that is not a segment (the store's checkpoint) is the same bytes.
 //
 // Segments are named wal-<firstSeq>.seg and rotate by size. Recovery
 // scans every segment, truncates at the first bad frame (a torn tail
@@ -304,8 +307,7 @@ func (l *Log) recover() error {
 
 // scanSegment frame-walks one segment file, verifying CRCs, filling
 // in the segment's metadata, and truncating it at the first bad
-// frame. A bad frame whose length field is still plausible lets the
-// scan keep walking to count the records being discarded.
+// frame.
 func (l *Log) scanSegment(s *segment) error {
 	f, err := os.Open(s.path)
 	if err != nil {
@@ -316,83 +318,46 @@ func (l *Log) scanSegment(s *segment) error {
 	if err != nil {
 		return fmt.Errorf("wal: stat segment: %w", err)
 	}
-	fileSize := fi.Size()
-
-	r := bufio.NewReaderSize(f, 256<<10)
-	var (
-		off     int64
-		header  [headerSize]byte
-		buf     []byte
-		corrupt bool
-		dropped int
-	)
-	for off < fileSize {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			// Partial header: torn tail.
-			corrupt = true
-			dropped++
-			break
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		want := binary.LittleEndian.Uint32(header[4:8])
-		if length < seqSize || int64(length) > MaxRecordBytes || off+headerSize+int64(length) > fileSize {
-			corrupt = true
-			dropped++
-			break
-		}
-		if int(length) > cap(buf) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			corrupt = true
-			dropped++
-			break
-		}
-		if crc32.Checksum(buf, castagnoli) != want {
-			// CRC failure with an intact frame: count this record and
-			// keep frame-walking to count the rest being discarded.
-			corrupt = true
-			dropped += 1 + l.countFrames(r, fileSize-off-headerSize-int64(length))
-			break
-		}
-		seq := binary.LittleEndian.Uint64(buf[:seqSize])
-		if s.records == 0 {
-			if seq != s.base {
-				l.log.Warn("wal: segment first seq disagrees with filename",
-					"file", filepath.Base(s.path), "name_base", s.base, "first_seq", seq)
-				s.base = seq
-			}
+	s.size, err = ScanFrames(f, func(seq uint64, _ []byte) error {
+		if s.records == 0 && seq != s.base {
+			l.log.Warn("wal: segment first seq disagrees with filename",
+				"file", filepath.Base(s.path), "name_base", s.base, "first_seq", seq)
+			s.base = seq
 		}
 		s.last = seq
 		s.records++
-		off += headerSize + int64(length)
+		return nil
+	})
+	if err == nil {
+		return nil
 	}
-	s.size = off
-	if corrupt || off < fileSize {
-		droppedBytes := fileSize - off
-		l.recovery.TruncatedSegments++
-		l.recovery.DroppedBytes += droppedBytes
-		l.recovery.DroppedRecords += dropped
-		l.droppedBytes.Add(uint64(droppedBytes))
-		l.droppedRecords.Add(uint64(dropped))
-		l.log.Warn("wal: truncating segment at first bad frame",
-			"file", filepath.Base(s.path), "valid_bytes", off,
-			"dropped_bytes", droppedBytes, "dropped_records", dropped)
-		if err := os.Truncate(s.path, off); err != nil {
-			return fmt.Errorf("wal: truncating segment: %w", err)
-		}
+	// Count what is being discarded: the bad frame (a torn tail whose
+	// length field is itself garbage counts as one record) plus every
+	// frame behind it whose length still walks.
+	droppedBytes := fi.Size() - s.size
+	dropped := max(1, countFrames(io.NewSectionReader(f, s.size, droppedBytes), droppedBytes))
+	l.recovery.TruncatedSegments++
+	l.recovery.DroppedBytes += droppedBytes
+	l.recovery.DroppedRecords += dropped
+	l.droppedBytes.Add(uint64(droppedBytes))
+	l.droppedRecords.Add(uint64(dropped))
+	l.log.Warn("wal: truncating segment at first bad frame",
+		"file", filepath.Base(s.path), "valid_bytes", s.size,
+		"dropped_bytes", droppedBytes, "dropped_records", dropped, "cause", err)
+	if err := os.Truncate(s.path, s.size); err != nil {
+		return fmt.Errorf("wal: truncating segment: %w", err)
 	}
 	return nil
 }
 
-// countFrames walks plausible frames after a corruption point, for
-// the dropped-record count only; nothing it sees is replayed.
-func (l *Log) countFrames(r *bufio.Reader, remaining int64) int {
+// countFrames walks plausible frames from a corruption point, for the
+// dropped-record count only; nothing it sees is replayed.
+func countFrames(r io.Reader, remaining int64) int {
+	br := bufio.NewReader(r)
 	var header [headerSize]byte
 	n := 0
 	for remaining >= headerSize {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
+		if _, err := io.ReadFull(br, header[:]); err != nil {
 			break
 		}
 		remaining -= headerSize
@@ -400,7 +365,7 @@ func (l *Log) countFrames(r *bufio.Reader, remaining int64) int {
 		if length < seqSize || length > MaxRecordBytes || length > remaining {
 			break
 		}
-		if _, err := io.CopyN(io.Discard, r, length); err != nil {
+		if _, err := io.CopyN(io.Discard, br, length); err != nil {
 			break
 		}
 		remaining -= length
@@ -436,10 +401,6 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 	if seq <= l.lastSeq {
 		return fmt.Errorf("wal: non-monotonic seq %d (last %d)", seq, l.lastSeq)
 	}
-	recLen := seqSize + len(payload)
-	if int64(recLen) > MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit", recLen)
-	}
 	if l.active != nil && l.active.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -450,20 +411,10 @@ func (l *Log) Append(seq uint64, payload []byte) error {
 			return err
 		}
 	}
-
-	var header [headerSize + seqSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(recLen))
-	binary.LittleEndian.PutUint64(header[8:16], seq)
-	crc := crc32.Checksum(header[8:16], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(header[4:8], crc)
-	if _, err := l.w.Write(header[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+	total, err := WriteFrame(l.w, seq, payload)
+	if err != nil {
+		return fmt.Errorf("wal: append %d: %w", seq, err)
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	total := int64(headerSize + recLen)
 	l.active.size += total
 	l.active.last = seq
 	l.active.records++
@@ -658,7 +609,7 @@ func (l *Log) DeleteSealed(base uint64, reason string) error {
 }
 
 // TruncateBefore deletes every sealed segment whose records are all
-// at or below hwm — the checkpoint truncation path: once a snapshot
+// at or below hwm — the checkpoint truncation path: once a checkpoint
 // covers a prefix of the log, replaying it is redundant. Returns how
 // many segments were deleted.
 func (l *Log) TruncateBefore(hwm uint64) (int, error) {
@@ -705,12 +656,15 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 	}
 	l.mu.Unlock()
 
-	var buf []byte
+	visit := func(seq uint64, payload []byte) error {
+		if seq <= from {
+			return nil
+		}
+		l.replayedRecords.Inc()
+		return fn(seq, payload)
+	}
 	for i, path := range paths {
-		if err := replayFile(path, sizes[i], from, &buf, func(seq uint64, payload []byte) error {
-			l.replayedRecords.Inc()
-			return fn(seq, payload)
-		}); err != nil {
+		if err := replayFile(path, sizes[i], visit); err != nil {
 			return err
 		}
 	}
@@ -718,43 +672,89 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 }
 
 // replayFile frame-walks one already-recovered segment file up to
-// size (the valid prefix established by Open's scan).
-func replayFile(path string, size int64, from uint64, buf *[]byte, fn func(uint64, []byte) error) error {
+// size (the valid prefix established by Open's scan); a bad frame now
+// means the file changed underneath us.
+func replayFile(path string, size int64, fn func(uint64, []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: replay open: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(io.LimitReader(f, size), 256<<10)
-	var header [headerSize]byte
-	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
+	if _, err := ScanFrames(io.LimitReader(f, size), fn); err != nil {
+		return fmt.Errorf("wal: replay %s: %w", filepath.Base(path), err)
+	}
+	return nil
+}
+
+// WriteFrame frames one record onto w — the single encoder behind
+// Log.Append and every standalone frame file (the store's checkpoint)
+// — and returns the framed size. It takes the concrete writer so the
+// header stays on the caller's stack: this is the ingest hot path.
+func WriteFrame(w *bufio.Writer, seq uint64, payload []byte) (int64, error) {
+	if n := seqSize + len(payload); n > MaxRecordBytes {
+		return 0, fmt.Errorf("record of %d bytes exceeds the limit a reader accepts", n)
+	}
+	var header [headerSize + seqSize]byte
+	binary.LittleEndian.PutUint32(header[0:4], uint32(seqSize+len(payload)))
+	binary.LittleEndian.PutUint64(header[8:16], seq)
+	crc := crc32.Checksum(header[8:16], castagnoli)
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(header[4:8], crc)
+	if _, err := w.Write(header[:]); err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return 0, err
+	}
+	return int64(len(header) + len(payload)), nil
+}
+
+// ScanFrames walks the frames in r in file order, verifying each
+// length and CRC, and calls fn with every record; the payload slice is
+// reused between calls. It returns the bytes walked and nil at a clean
+// end of input exactly on a frame boundary. Any bad frame — or an
+// error from fn — stops the walk and is reported with the frame's
+// 0-based ordinal and byte offset, so a damaged file can be inspected
+// by hand. Unlike Open's recovery scan nothing is repaired: a
+// standalone frame file is written atomically, so damage is a fault,
+// not a torn tail.
+func ScanFrames(r io.Reader, fn func(seq uint64, payload []byte) error) (int64, error) {
+	br := bufio.NewReaderSize(r, 256<<10)
+	var (
+		header [headerSize]byte
+		buf    []byte
+		n      int
+		off    int64
+	)
+	fail := func(err error) (int64, error) {
+		return off, fmt.Errorf("frame %d at byte %d: %w", n, off, err)
+	}
+	for ; ; n++ {
+		if _, err := io.ReadFull(br, header[:]); err != nil {
 			if err == io.EOF {
-				return nil
+				return off, nil
 			}
-			return fmt.Errorf("wal: replay %s: %w", filepath.Base(path), err)
+			return fail(fmt.Errorf("short frame header: %w", err))
 		}
 		length := binary.LittleEndian.Uint32(header[0:4])
 		want := binary.LittleEndian.Uint32(header[4:8])
-		if int(length) > cap(*buf) {
-			*buf = make([]byte, length)
+		if length < seqSize || length > MaxRecordBytes {
+			return fail(fmt.Errorf("implausible frame length %d", length))
 		}
-		b := (*buf)[:length]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", filepath.Base(path), err)
+		if int(length) > cap(buf) {
+			buf = make([]byte, length)
 		}
-		if crc32.Checksum(b, castagnoli) != want {
-			// Open verified this prefix; a mismatch now means the file
-			// changed underneath us.
-			return fmt.Errorf("wal: replay %s: CRC mismatch mid-file", filepath.Base(path))
+		buf = buf[:length]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return fail(fmt.Errorf("short frame body (want %d bytes): %w", length, err))
 		}
-		seq := binary.LittleEndian.Uint64(b[:seqSize])
-		if seq <= from {
-			continue
+		if crc32.Checksum(buf, castagnoli) != want {
+			return fail(errors.New("CRC mismatch"))
 		}
-		if err := fn(seq, b[seqSize:]); err != nil {
-			return err
+		if err := fn(binary.LittleEndian.Uint64(buf[:seqSize]), buf[seqSize:]); err != nil {
+			return fail(err)
 		}
+		off += headerSize + int64(length)
 	}
 }
 

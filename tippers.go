@@ -181,12 +181,14 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 func NewTracer(opts TracerOptions) *Tracer { return telemetry.NewTracer(opts) }
 
 // OpenDurableStore opens (or recovers) a write-ahead-logged
-// observation store rooted at cfg.Dir: a checkpoint snapshot is
-// restored, committed WAL records are replayed on top of it, and a
-// torn tail from a crash is truncated. Pass the result as
-// DeploymentConfig.Store; the deployment closes it on Close. Call its
-// Checkpoint method periodically (or at shutdown) to bound replay
-// time and let retention reclaim segments.
+// observation store rooted at cfg.Dir: the checkpoint (a file of WAL
+// frames, refused outright if damaged) is restored, committed WAL
+// records are replayed on top of it, and a torn tail from a crash is
+// truncated. Pass the result as DeploymentConfig.Store; the
+// deployment closes it on Close. Call its Checkpoint method
+// periodically (or at shutdown) to bound replay time and to rewrite
+// the log and checkpoint without whatever retention or erasure
+// deleted since the last one.
 func OpenDurableStore(cfg DurableStoreConfig) (*ObservationStore, error) {
 	return obstore.OpenDurable(cfg)
 }
@@ -274,8 +276,8 @@ type DeploymentConfig struct {
 	// EnforceEngine selects the enforcement engine flavor: ""
 	// or "compiled" (default; rules compiled into an indexed decision
 	// structure plus the node's one decision memo) or "naive"
-	// (scan-everything reference). This is the escape hatch tippersd
-	// exposes as -enforce-engine.
+	// (scan-everything reference, which tests and bench/ compare
+	// against).
 	EnforceEngine string
 	// Strategy picks conflict resolution; zero = most restrictive.
 	Strategy reasoner.Strategy

@@ -4,6 +4,9 @@
 # smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
+# Only CI's four 30s fuzz smoke runs (SQL parser, segment codec, scope
+# compiler, observation codec) are left out; run one by hand with
+#   go test -run '^$' -fuzz FuzzDecodeObservation -fuzztime 30s ./internal/obstore/
 set -eu
 
 cd "$(dirname "$0")"
