@@ -288,6 +288,8 @@ func main() {
 		st := dto.Stats
 		fmt.Printf("columnar tier: %d segment(s), %d row(s), %s, watermark seq %d\n",
 			st.Segments, st.Rows, fmtBytes(st.Bytes), st.Watermark)
+		fmt.Printf("observations: %d cold (live, in segments only), %d hot (above the watermark, resident in the row store)\n",
+			st.ColdRows, st.HotRows)
 		fmt.Printf("compactions: %d; segments read %d, pruned %d (%.0f%% pruned)\n",
 			st.Compactions, st.SegmentsRead, st.SegmentsPruned, st.PruneRatio*100)
 		rollups := fmt.Sprintf("%d entries (version %d)", st.RollupEntries, st.RollupVersion)

@@ -112,14 +112,6 @@ func main() {
 			logger.Error("opening durable store", "dir", *walDir, "error", err)
 			os.Exit(1)
 		}
-		rec := store.WAL().Recovery()
-		logger.Info("durable store opened",
-			"dir", *walDir,
-			"sync", *walSync,
-			"observations", store.Len(),
-			"wal_records", rec.Records,
-			"wal_records_dropped", rec.DroppedRecords,
-			"wal_segments", rec.Segments)
 	}
 
 	dep, err := tippers.NewDeployment(tippers.DeploymentConfig{
@@ -146,6 +138,21 @@ func main() {
 		os.Exit(1)
 	}
 	defer dep.Close()
+	if store != nil {
+		// Logged once the columnar tier has attached: recovery re-installs
+		// rows a crash left in the log after the tier had sealed them, and
+		// the attach drops those again.
+		rec := store.WAL().Recovery()
+		logger.Info("durable store opened",
+			"dir", *walDir,
+			"sync", *walSync,
+			"observations", store.Len(),
+			"resident", store.Resident(),
+			"dropped_as_sealed", store.Evicted(),
+			"wal_records", rec.Records,
+			"wal_records_dropped", rec.DroppedRecords,
+			"wal_segments", rec.Segments)
+	}
 
 	total := 0
 	if store != nil && store.Len() > 0 {

@@ -1,14 +1,14 @@
-// Package colstore is the columnar time-partitioned storage tier: a
-// second physical representation of the observation log, built for
+// Package colstore is the columnar time-partitioned storage tier: the
+// home of every observation behind the compaction watermark, built for
 // the aggregate-heavy transparency workloads the paper's occupant
 // interfaces generate. Closed time buckets are compacted out of the
 // row-oriented sharded store into immutable column-per-field segments
 // (segment.go) guarded by zone maps, and incremental rollup cubes
 // (rollup.go) keep per-minute occupancy and per-hour reading
-// aggregates hot. Both representations store ground truth keyed by
-// the true subject — enforcement (release granularity, k-floors,
-// noise) is re-applied per requester at read time, exactly as on the
-// row path, never baked into what is stored.
+// aggregates hot. Segments store ground truth keyed by the true
+// subject — enforcement (release granularity, k-floors, noise) is
+// re-applied per requester at read time, exactly as on the row path,
+// never baked into what is stored.
 //
 // The handoff between the write-ahead log and the segment files is a
 // sequence watermark: CompactOnce takes the store's rows with seq >
@@ -18,13 +18,22 @@
 // split exactly: segments serve seq <= watermark, the row store
 // serves seq > watermark — no overlap, no gap, at every instant
 // including across a SIGKILL anywhere inside compaction.
+//
+// Once the manifest names a row it is the segments' alone: the tier
+// attaches to the row store as its obstore.ColdTier, the row store
+// evicts everything at or below the watermark, and retention and
+// erasure reach sealed rows through the tier's scan and its
+// tombstones. The segment directory and the row store's WAL directory
+// are together the database.
 package colstore
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +67,16 @@ type Store struct {
 	cfg Config
 
 	mu   sync.RWMutex
-	segs []*segment // ascending minSeq
+	segs []*segment // ascending minSeq; replaced wholesale, never edited
+	// byTime is segs in ascending minTime and span the widest
+	// maxTime-minTime among them: a time-bounded scan binary-searches
+	// its candidates instead of testing every zone map.
+	byTime []*segment
+	span   int64
+	// live counts the segments' rows no tombstone condemns; it is kept
+	// current at commit and tombstone time so the row store's Len never
+	// walks the segments.
+	live int
 	// wm is the compaction watermark: every observation with seq <= wm
 	// lives in segments; everything above is the row store's tail.
 	wm     uint64
@@ -86,8 +104,12 @@ type Store struct {
 	// erased rows from segments.
 	tombDirty atomic.Bool
 
-	src  *obstore.Store
-	roll *rollups
+	// src is the attached row store. tiered records that it evicts what
+	// the segments hold (AttachStore), so src alone answers for the
+	// union; otherwise it keeps every row and reads merge the two here.
+	src    *obstore.Store
+	tiered bool
+	roll   *rollups
 
 	segScanned     atomic.Uint64
 	segPruned      atomic.Uint64
@@ -102,6 +124,12 @@ type Store struct {
 // files are durably written but before the manifest commit — the
 // widest crash window. The SIGKILL crash test parks the process here.
 var testHookMidCompact func()
+
+// testHookAfterCommit, when non-nil, runs after the commit (in memory
+// and, with a directory, in the manifest) and before the row store
+// evicts what it covers: sealed rows are still resident, logged and
+// checkpointed. The crash test kills the process here.
+var testHookAfterCommit func()
 
 // testHookAfterSnapshot, when non-nil, runs right after CompactOnce
 // snapshots the row store's tail — the window where a racing deletion
@@ -144,6 +172,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := sweepOrphans(cfg.Dir, live); err != nil {
 		return nil, err
 	}
+	segs := make([]*segment, 0, len(st.Segments))
 	for _, ms := range st.Segments {
 		data, err := os.ReadFile(filepath.Join(cfg.Dir, ms.File))
 		if err != nil {
@@ -153,9 +182,15 @@ func Open(cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("colstore: segment %s: %w", ms.File, err)
 		}
-		s.segs = append(s.segs, sg)
+		segs = append(segs, sg)
+		// Segments are ordered by seq and bucket assignment follows
+		// observation time, so the newest bucket is the maximum, not the
+		// last.
+		if end := sg.bucket.Add(cfg.BucketDur).UnixNano(); end > s.lastBucketEnd.Load() {
+			s.lastBucketEnd.Store(end)
+		}
 	}
-	sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].minSeq < s.segs[j].minSeq })
+	sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq < segs[j].minSeq })
 	s.wm = st.Watermark
 	s.nextID = st.NextID
 	for _, seq := range st.SeqTombstones {
@@ -164,23 +199,106 @@ func Open(cfg Config) (*Store, error) {
 	for _, u := range st.UserTombstones {
 		s.userTomb[u] = struct{}{}
 	}
-	if n := len(s.segs); n > 0 {
-		last := s.segs[n-1]
-		s.lastBucketEnd.Store(last.bucket.Add(cfg.BucketDur).UnixNano())
-	}
+	s.installSegsLocked(segs)
 	return s, nil
 }
 
-// AttachStore binds the columnar tier to its ground-truth row store:
-// it becomes the store's listener (rollups follow every append and
-// deletion synchronously) and rebuilds the rollup cubes from the
-// current unified contents.
+// installSegsLocked swaps in a new segment set (ascending minSeq) and
+// derives the time-ordered view and the live-row count from it and the
+// current tombstones. Caller holds s.mu, or owns s exclusively.
+func (s *Store) installSegsLocked(segs []*segment) {
+	s.segs = segs
+	s.byTime = slices.Clone(segs)
+	slices.SortFunc(s.byTime, func(a, b *segment) int { return cmp.Compare(a.minTime, b.minTime) })
+	s.span, s.live = 0, 0
+	for _, sg := range segs {
+		s.span = max(s.span, sg.maxTime-sg.minTime)
+		s.live += sg.rows()
+	}
+	// Every condemned row has a seq tombstone (a user tombstone only ever
+	// arrives with one per row), so those are what the count subtracts.
+	// Tombstones outlive a commit only when a deletion raced it.
+	for seq := range s.seqTomb {
+		if sealedIn(segs, seq) {
+			s.live--
+		}
+	}
+}
+
+// sealedLocked reports whether a segment holds the deleted row, looking
+// only at the segments that can hold its observation time. Caller
+// holds s.mu.
+func (s *Store) sealedLocked(d obstore.Deletion) bool {
+	if d.Seq > s.wm {
+		return false
+	}
+	if d.Time.IsZero() {
+		return sealedIn(s.segs, d.Seq)
+	}
+	return sealedIn(timeRange(s.byTime, s.span, d.Time, d.Time.Add(1)), d.Seq)
+}
+
+func sealedIn(segs []*segment, seq uint64) bool {
+	for _, sg := range segs {
+		if sg.holds(seq) {
+			return true
+		}
+	}
+	return false
+}
+
+// timeRange returns the slice of byTime that can hold a row observed in
+// [from, to): zero bounds are open. A segment's rows all lie within
+// span of its minTime, so both ends are binary searches.
+func timeRange(byTime []*segment, span int64, from, to time.Time) []*segment {
+	lo, hi := 0, len(byTime)
+	if !to.IsZero() {
+		end := to.UnixNano()
+		hi = sort.Search(len(byTime), func(i int) bool { return byTime[i].minTime >= end })
+	}
+	if !from.IsZero() {
+		start := from.UnixNano() - span
+		lo = sort.Search(hi, func(i int) bool { return byTime[i].minTime >= start })
+	}
+	return byTime[lo:hi]
+}
+
+// AttachStore binds the columnar tier to the row store that feeds it.
+// The tier becomes the store's listener (rollups follow every append
+// and deletion synchronously) and, when it is at least as durable as
+// the store, its cold tier: the store then drops what the segments
+// already hold and answers every read for the union. A memory-only
+// tier over a durable store stays a listener only — the store's
+// checkpoint must keep writing the sealed rows, or a restart would
+// lose them. Finally the rollup cubes are rebuilt from the unified
+// contents.
 func (s *Store) AttachStore(src *obstore.Store) {
+	tiered := s.cfg.Dir != "" || src.WAL() == nil
 	s.mu.Lock()
-	s.src = src
+	s.src, s.tiered = src, tiered
 	s.mu.Unlock()
-	src.SetListener(s)
+	if tiered {
+		src.AttachTier(s)
+	} else {
+		src.SetListener(s)
+	}
 	s.roll.rebuildAll()
+}
+
+// source returns the attached row store and whether it answers for the
+// union on its own (see AttachStore).
+func (s *Store) source() (src *obstore.Store, tiered bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.src, s.tiered
+}
+
+// ColdRows implements obstore.ColdTier: the live rows at or below the
+// watermark, and the watermark.
+func (s *Store) ColdRows() (rows int, watermark uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.live, s.wm
 }
 
 // Watermark returns the compaction watermark: the highest seq served
@@ -215,6 +333,9 @@ func (s *Store) ObservationsDeleted(dels []obstore.Deletion) {
 			if _, ok := s.seqTomb[d.Seq]; !ok {
 				s.seqTomb[d.Seq] = struct{}{}
 				changed = true
+				if s.sealedLocked(d) {
+					s.live--
+				}
 			}
 		}
 		if d.Erased && d.UserID != "" {
@@ -290,9 +411,7 @@ func (s *Store) manifestSnapshotLocked() manifestState {
 // tombstone touches, and commit the whole transition through the
 // manifest. Returns the number of newly sealed rows.
 func (s *Store) CompactOnce() (int, error) {
-	s.mu.RLock()
-	src := s.src
-	s.mu.RUnlock()
+	src, _ := s.source()
 	if src == nil {
 		return 0, nil
 	}
@@ -364,6 +483,7 @@ func (s *Store) CompactOnce() (int, error) {
 	// Partition the sealed prefix by time bucket, preserving seq order
 	// within each bucket, and build fresh segments.
 	var fresh []*segment
+	var builder segBuilder
 	byBucket := make(map[int64][]sensor.Observation)
 	var starts []int64
 	for _, o := range rows {
@@ -375,7 +495,7 @@ func (s *Store) CompactOnce() (int, error) {
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	for _, b := range starts {
-		sg, err := buildSegment(nextID, time.Unix(0, b).UTC(), byBucket[b])
+		sg, err := builder.build(nextID, time.Unix(0, b).UTC(), byBucket[b])
 		if err != nil {
 			s.clearCompacting()
 			return 0, err
@@ -408,7 +528,7 @@ func (s *Store) CompactOnce() (int, error) {
 		if len(surviving) == 0 {
 			continue
 		}
-		nsg, err := buildSegment(nextID, sg.bucket, surviving)
+		nsg, err := builder.build(nextID, sg.bucket, surviving)
 		if err != nil {
 			s.clearCompacting()
 			return 0, err
@@ -449,7 +569,6 @@ func (s *Store) CompactOnce() (int, error) {
 	// new watermark either got rewritten out or named a row that was
 	// deleted before it was ever sealed).
 	s.mu.Lock()
-	s.segs = newSegs
 	s.wm = newWM
 	s.nextID = nextID
 	for seq := range seqTombSnap {
@@ -460,6 +579,7 @@ func (s *Store) CompactOnce() (int, error) {
 	for u := range userTombSnap {
 		delete(s.userTomb, u)
 	}
+	s.installSegsLocked(newSegs)
 	s.compactingUpTo = 0
 	st := s.manifestSnapshotLocked()
 	s.mu.Unlock()
@@ -475,12 +595,22 @@ func (s *Store) CompactOnce() (int, error) {
 			os.Remove(filepath.Join(s.cfg.Dir, segFileName(sg.id)))
 		}
 	}
+	if testHookAfterCommit != nil {
+		testHookAfterCommit()
+	}
+	// The sealed rows are the segments' now (fsynced files named by a
+	// committed manifest, when there is a directory): the row store may
+	// let go of its copies. A store this tier is only a listener of
+	// ignores the call.
+	src.EvictThrough(newWM)
 
 	s.compactions.Add(1)
 	s.rowsCompacted.Add(uint64(len(rows)))
 	if len(starts) > 0 {
-		end := time.Unix(0, starts[len(starts)-1]).Add(s.cfg.BucketDur)
-		s.lastBucketEnd.Store(end.UnixNano())
+		end := time.Unix(0, starts[len(starts)-1]).Add(s.cfg.BucketDur).UnixNano()
+		if end > s.lastBucketEnd.Load() {
+			s.lastBucketEnd.Store(end)
+		}
 	}
 	return len(rows), nil
 }
@@ -518,26 +648,25 @@ func segmentTouched(sg *segment, seqTomb map[uint64]struct{}, userTomb map[strin
 // matching f, in ascending seq order — zone-map-pruned segments serve
 // seq <= watermark, the row store serves the tail above it — and stops
 // early when visit returns false or f.Limit rows have been visited.
-// The visited set is row-for-row what querying the row store alone
-// returns (tombstoned rows are gone from both views).
+// The visited set is row-for-row what a row store that never evicted
+// would return (tombstoned rows are gone from both views).
 //
 // Visitor contract: the *Observation is one scratch value reused for
 // every segment row — it is valid only during the call, so a visitor
 // that keeps a row must copy it. No colstore lock is held while visit
-// runs: Scan snapshots the segment set, watermark and tombstones under
-// s.mu and walks outside it (segments are immutable and compaction
-// replaces s.segs wholesale), so a visitor may call back into the
-// store and a slow one never blocks ingest, erasure or compaction.
+// runs: ScanCold snapshots the segment set, watermark and tombstones
+// under s.mu and walks outside it (segments are immutable and
+// compaction replaces s.segs wholesale), so a visitor may call back
+// into the store and a slow one never blocks ingest, erasure or
+// compaction.
 func (s *Store) Scan(f obstore.Filter, visit func(*sensor.Observation) bool) {
-	src, tf, more := s.scanSegments(f, visit)
-	if src == nil || !more {
+	src, tiered := s.source()
+	if tiered {
+		src.Scan(f, visit) // comes back through ScanCold
 		return
 	}
-	tail := src.Query(tf)
-	for i := range tail {
-		if !visit(&tail[i]) {
-			return
-		}
+	if tail, more := s.ScanCold(f, visit); more && src != nil {
+		src.Scan(tail, visit)
 	}
 }
 
@@ -554,27 +683,31 @@ func (s *Store) Query(f obstore.Filter) []sensor.Observation {
 // Count mirrors Query without materializing rows; like the row
 // store's Count it ignores f.Limit.
 func (s *Store) Count(f obstore.Filter) int {
+	src, tiered := s.source()
+	if tiered {
+		return src.Count(f)
+	}
 	f.Limit = 0
 	n := 0
-	src, tf, _ := s.scanSegments(f, func(*sensor.Observation) bool {
+	tail, _ := s.ScanCold(f, func(*sensor.Observation) bool {
 		n++
 		return true
 	})
 	if src != nil {
-		n += src.Count(tf)
+		n += src.Count(tail)
 	}
 	return n
 }
 
-// scanSegments is the one segment walk: the sealed half of Scan. It
-// returns the attached row store and the filter for the tail above the
+// ScanCold implements obstore.ColdTier and is the one segment walk:
+// the sealed half of Scan. It visits the live rows at or below the
+// watermark that match f and returns the filter for the tail above the
 // watermark (AfterSeq raised to it, Limit reduced by what was
 // visited); more=false means the visitor stopped or the limit is
 // spent and the tail must not be read.
-func (s *Store) scanSegments(f obstore.Filter, visit func(*sensor.Observation) bool) (src *obstore.Store, tail obstore.Filter, more bool) {
+func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool) (tail obstore.Filter, more bool) {
 	s.mu.RLock()
-	src = s.src
-	segs, wm := s.segs, s.wm
+	segs, byTime, span, wm := s.segs, s.byTime, s.span, s.wm
 	var seqTomb map[uint64]struct{}
 	var userTomb map[string]struct{}
 	if f.AfterSeq < wm {
@@ -590,18 +723,31 @@ func (s *Store) scanSegments(f obstore.Filter, visit func(*sensor.Observation) b
 		tail.AfterSeq = wm
 	}
 	if f.AfterSeq >= wm {
-		return src, tail, true
+		return tail, true
 	}
 
+	// A time-bounded filter finds its candidates by binary search over
+	// the time-ordered view; what that skips is pruned by zone map like
+	// any other segment, and counted so.
+	in := segs
+	bounded := !f.From.IsZero() || !f.To.IsZero()
+	if bounded {
+		in = timeRange(byTime, span, f.From, f.To)
+	}
 	spaceSet := spaceSetFor(f)
-	var cands []*segment // unpruned, ascending minSeq
-	for _, sg := range segs {
-		if sg.disjoint(f, spaceSet) {
-			s.segPruned.Add(1)
-			continue
+	// A point read keeps a handful of candidates and one open cursor:
+	// both lists start on the stack.
+	var candBuf [8]*segment
+	cands := candBuf[:0] // unpruned, ascending minSeq
+	for _, sg := range in {
+		if !sg.disjoint(f, spaceSet) {
+			cands = append(cands, sg)
 		}
-		s.segScanned.Add(1)
-		cands = append(cands, sg)
+	}
+	s.segScanned.Add(uint64(len(cands)))
+	s.segPruned.Add(uint64(len(segs) - len(cands)))
+	if bounded {
+		slices.SortFunc(cands, func(a, b *segment) int { return cmp.Compare(a.minSeq, b.minSeq) })
 	}
 
 	// Segments from one compaction pass can interleave in seq — bucket
@@ -611,9 +757,10 @@ func (s *Store) scanSegments(f obstore.Filter, visit func(*sensor.Observation) b
 	// its segment's minSeq and dropped when it runs dry, so the active
 	// set is usually one cursor, not one per segment.
 	var (
-		active  []segCursor
-		scratch sensor.Observation
-		visited int
+		activeBuf [2]segCursor
+		active    = activeBuf[:0]
+		scratch   sensor.Observation
+		visited   int
 	)
 	for next := 0; ; {
 		best := -1
@@ -638,10 +785,10 @@ func (s *Store) scanSegments(f obstore.Filter, visit func(*sensor.Observation) b
 		c := &active[best]
 		scratch = c.sg.row(c.i)
 		if !visit(&scratch) {
-			return src, tail, false
+			return tail, false
 		}
 		if visited++; f.Limit > 0 && visited >= f.Limit {
-			return src, tail, false
+			return tail, false
 		}
 		c.i++
 		if !c.advance() {
@@ -651,7 +798,7 @@ func (s *Store) scanSegments(f obstore.Filter, visit func(*sensor.Observation) b
 	if f.Limit > 0 {
 		tail.Limit = f.Limit - visited
 	}
-	return src, tail, true
+	return tail, true
 }
 
 // copySet snapshots a tombstone set (nil when empty) so it can be read
@@ -696,8 +843,13 @@ type SegmentInfo struct {
 
 // TierStats summarizes the columnar tier for inspection endpoints.
 type TierStats struct {
-	Segments       int     `json:"segments"`
+	Segments int `json:"segments"`
+	// Rows counts every row the segments hold; ColdRows those no
+	// tombstone condemns; HotRows the live observations above the
+	// watermark, which is what the row store keeps resident.
 	Rows           int     `json:"rows"`
+	ColdRows       int     `json:"cold_rows"`
+	HotRows        int     `json:"hot_rows"`
 	Bytes          int64   `json:"bytes"`
 	Watermark      uint64  `json:"watermark"`
 	Compactions    uint64  `json:"compactions"`
@@ -739,6 +891,7 @@ func (s *Store) Stats() TierStats {
 	s.mu.RLock()
 	ts := TierStats{
 		Segments:       len(s.segs),
+		ColdRows:       s.live,
 		Watermark:      s.wm,
 		SeqTombstones:  len(s.seqTomb),
 		UserTombstones: len(s.userTomb),
@@ -747,7 +900,13 @@ func (s *Store) Stats() TierStats {
 		ts.Rows += sg.rows()
 		ts.Bytes += sg.bytes
 	}
+	src := s.src
 	s.mu.RUnlock()
+	if src != nil {
+		// Len counts every live observation whether or not the store
+		// still holds the sealed ones itself.
+		ts.HotRows = max(src.Len()-ts.ColdRows, 0)
+	}
 	ts.Compactions = s.compactions.Load()
 	ts.SegmentsPruned = s.segPruned.Load()
 	ts.SegmentsRead = s.segScanned.Load()

@@ -102,10 +102,11 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 
 // TestUnifiedQueryMatchesStore is the core read-equivalence check:
 // through ingest, compaction, retention sweeps, and erasure, the
-// unified segments+tail view answers every filter exactly as the row
-// store alone does.
+// unified segments+tail view — asked through the tier and through the
+// row store that evicts behind it — answers every filter exactly as a
+// plain row store that kept every row does.
 func TestUnifiedQueryMatchesStore(t *testing.T) {
-	src, cs := newPair(t, "")
+	m, cs := newMirroredPair(t, "")
 	rng := rand.New(rand.NewSource(7))
 	users := []string{"", "u0", "u1", "u2"}
 	for i := 0; i < 600; i++ {
@@ -114,11 +115,8 @@ func TestUnifiedQueryMatchesStore(t *testing.T) {
 		if i%5 == 0 {
 			kind = sensor.ObsPowerReading
 		}
-		o := obsAt(fmt.Sprintf("ap-%d", rng.Intn(4)), fmt.Sprintf("s%d", rng.Intn(3)),
-			users[rng.Intn(len(users))], kind, at, float64(rng.Intn(100)))
-		if _, err := src.Append(o); err != nil {
-			t.Fatal(err)
-		}
+		m.append(obsAt(fmt.Sprintf("ap-%d", rng.Intn(4)), fmt.Sprintf("s%d", rng.Intn(3)),
+			users[rng.Intn(len(users))], kind, at, float64(rng.Intn(100))))
 	}
 
 	check := func(stage string) {
@@ -136,16 +134,24 @@ func TestUnifiedQueryMatchesStore(t *testing.T) {
 			{SensorID: "ap-2", Kind: sensor.ObsWiFiConnect, From: csNow.Add(-25 * time.Minute)},
 		}
 		for fi, f := range filters {
-			want := src.Query(f)
-			got := cs.Query(f)
-			if !reflect.DeepEqual(normTimes(got), normTimes(want)) {
+			want := normTimes(m.twin.Query(f))
+			if got := cs.Query(f); !reflect.DeepEqual(normTimes(got), want) {
 				t.Fatalf("%s: filter %d: unified query diverged (%d rows vs %d)", stage, fi, len(got), len(want))
+			}
+			if got := m.src.Query(f); !reflect.DeepEqual(normTimes(got), want) {
+				t.Fatalf("%s: filter %d: the evicting store's query diverged (%d rows vs %d)", stage, fi, len(got), len(want))
 			}
 			fc := f
 			fc.Limit = 0
-			if gn, wn := cs.Count(fc), src.Count(fc); gn != wn {
-				t.Fatalf("%s: filter %d: Count = %d, store says %d", stage, fi, gn, wn)
+			if gn, sn, wn := cs.Count(fc), m.src.Count(fc), m.twin.Count(fc); gn != wn || sn != wn {
+				t.Fatalf("%s: filter %d: Count = %d (tier) / %d (store), the twin says %d", stage, fi, gn, sn, wn)
 			}
+		}
+		if got, want := m.src.Len(), m.twin.Len(); got != want {
+			t.Fatalf("%s: Len = %d, the twin holds %d", stage, got, want)
+		}
+		if got, want := m.src.Users(), m.twin.Users(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Users = %v, the twin lists %v", stage, got, want)
 		}
 	}
 
@@ -160,15 +166,15 @@ func TestUnifiedQueryMatchesStore(t *testing.T) {
 	if cs.Watermark() == 0 {
 		t.Fatal("watermark did not advance")
 	}
+	if resident := m.src.Resident(); resident != 0 {
+		t.Fatalf("%d rows still resident after every bucket was sealed", resident)
+	}
 	check("after compaction")
 
 	// More ingest above the watermark, then another pass.
 	for i := 0; i < 100; i++ {
-		o := obsAt("ap-9", "s1", "u0", sensor.ObsWiFiConnect,
-			csNow.Add(-time.Duration(1+rng.Intn(4))*time.Minute), float64(i))
-		if _, err := src.Append(o); err != nil {
-			t.Fatal(err)
-		}
+		m.append(obsAt("ap-9", "s1", "u0", sensor.ObsWiFiConnect,
+			csNow.Add(-time.Duration(1+rng.Intn(4))*time.Minute), float64(i)))
 	}
 	check("after more ingest")
 	if _, err := cs.CompactOnce(); err != nil {
@@ -178,7 +184,7 @@ func TestUnifiedQueryMatchesStore(t *testing.T) {
 
 	// Erasure: sealed rows become tombstones and both views agree
 	// immediately, before any rewrite happens.
-	if n := src.DeleteUser("u1"); n == 0 {
+	if n := m.deleteUser("u1"); n == 0 {
 		t.Fatal("DeleteUser removed nothing")
 	}
 	check("after erasure")
@@ -191,8 +197,8 @@ func TestUnifiedQueryMatchesStore(t *testing.T) {
 	}
 
 	// Retention sweep path too.
-	src.SetDefaultRetention(isodur.MustParse("PT10M"))
-	if n := src.Sweep(csNow); n == 0 {
+	m.retain(obstore.RetentionRule{TTL: isodur.MustParse("PT10M")})
+	if n := m.sweep(csNow); n == 0 {
 		t.Fatal("sweep removed nothing")
 	}
 	check("after sweep")
@@ -214,16 +220,14 @@ func normTimes(rows []sensor.Observation) []sensor.Observation {
 }
 
 func TestOpenBucketFencesWatermark(t *testing.T) {
-	src, cs := newPair(t, "")
+	m, cs := newMirroredPair(t, "")
 	// Two rows in a closed bucket, one in the currently open bucket,
 	// then another closed-bucket row *after* it in seq order: the open
 	// bucket must fence the watermark below all of them.
 	closedAt := csNow.Add(-5 * time.Minute)
 	openAt := csNow // csNow's own minute: bucket ends after now, still open
 	for _, at := range []time.Time{closedAt, closedAt.Add(time.Second), openAt, closedAt.Add(2 * time.Second)} {
-		if _, err := src.Append(obsAt("ap-1", "s1", "u1", sensor.ObsWiFiConnect, at, 1)); err != nil {
-			t.Fatal(err)
-		}
+		m.append(obsAt("ap-1", "s1", "u1", sensor.ObsWiFiConnect, at, 1))
 	}
 	if _, err := cs.CompactOnce(); err != nil {
 		t.Fatal(err)
@@ -231,7 +235,10 @@ func TestOpenBucketFencesWatermark(t *testing.T) {
 	if wm := cs.Watermark(); wm != 2 {
 		t.Fatalf("watermark = %d, want 2 (open bucket at seq 3 fences seq 4)", wm)
 	}
-	if got, want := cs.Query(obstore.Filter{}), src.Query(obstore.Filter{}); !reflect.DeepEqual(normTimes(got), normTimes(want)) {
+	if n := m.src.Resident(); n != 2 {
+		t.Fatalf("%d rows resident, want the 2 above the watermark", n)
+	}
+	if got, want := cs.Query(obstore.Filter{}), m.twin.Query(obstore.Filter{}); !reflect.DeepEqual(normTimes(got), normTimes(want)) {
 		t.Fatalf("unified view diverged: %d rows vs %d", len(got), len(want))
 	}
 }

@@ -6,8 +6,8 @@ package colstore
 // and compacts continuously; the parent SIGKILLs it — either parked
 // deterministically in the widest window (segment files written,
 // manifest not yet committed) or at a random instant — then recovers
-// both stores and asserts the unified view still equals the row store
-// exactly: no bucket double-counted, none lost.
+// both stores and asserts the unified view still equals what the log
+// recovered exactly: no bucket double-counted, none lost.
 
 import (
 	"bufio"
@@ -97,31 +97,44 @@ func TestCrashMidCompaction(t *testing.T) {
 			}()
 
 			// Recover both stores. The manifest must never be torn, and
-			// the unified segments+tail view must equal the recovered
-			// row store row for row: a lost bucket would leave a seq
-			// gap, a double-counted one a duplicate.
+			// the unified segments+tail view must equal what the log
+			// recovered, row for row: a lost bucket would leave a seq
+			// gap, a double-counted one a duplicate. The child never
+			// checkpoints, so before the tier attaches — and the store
+			// evicts what the segments hold — the replayed log is the
+			// whole history.
 			src, err := obstore.OpenDurable(obstore.DurableConfig{Dir: filepath.Join(dir, "store")})
 			if err != nil {
 				t.Fatalf("row store recovery: %v", err)
 			}
+			want := normTimes(src.Query(obstore.Filter{}))
 			cs, err := Open(Config{Dir: filepath.Join(dir, "col"), BucketDur: 50 * time.Millisecond})
 			if err != nil {
 				t.Fatalf("columnar recovery: %v", err)
 			}
 			cs.AttachStore(src)
+			if wm := cs.Watermark(); wm > 0 && src.Evicted() == 0 {
+				t.Fatalf("the attach evicted nothing with the watermark at %d", wm)
+			}
 
-			want := src.Query(obstore.Filter{})
-			got := cs.Query(obstore.Filter{})
-			if !reflect.DeepEqual(normTimes(got), normTimes(want)) {
-				t.Fatalf("after crash recovery, unified view diverged: %d rows vs %d", len(got), len(want))
-			}
-			seen := map[uint64]bool{}
-			for _, o := range got {
-				if seen[o.Seq] {
-					t.Fatalf("seq %d served twice after recovery (double-counted bucket)", o.Seq)
+			agree := func(stage string) {
+				t.Helper()
+				got := cs.Query(obstore.Filter{})
+				if !reflect.DeepEqual(normTimes(got), want) {
+					t.Fatalf("%s: unified view diverged: %d rows vs %d recovered", stage, len(got), len(want))
 				}
-				seen[o.Seq] = true
+				if got := src.Query(obstore.Filter{}); !reflect.DeepEqual(normTimes(got), want) || src.Len() != len(want) {
+					t.Fatalf("%s: the row store answers %d rows (Len %d), the log recovered %d", stage, len(got), src.Len(), len(want))
+				}
+				seen := map[uint64]bool{}
+				for _, o := range got {
+					if seen[o.Seq] {
+						t.Fatalf("%s: seq %d served twice (double-counted bucket)", stage, o.Seq)
+					}
+					seen[o.Seq] = true
+				}
 			}
+			agree("after crash recovery")
 			if wm := cs.Watermark(); wm > 0 {
 				for _, info := range cs.Segments() {
 					if info.MaxSeq > wm {
@@ -135,11 +148,7 @@ func TestCrashMidCompaction(t *testing.T) {
 			if _, err := cs.CompactOnce(); err != nil {
 				t.Fatalf("post-recovery compaction: %v", err)
 			}
-			got = cs.Query(obstore.Filter{})
-			want = src.Query(obstore.Filter{})
-			if !reflect.DeepEqual(normTimes(got), normTimes(want)) {
-				t.Fatalf("post-recovery compaction diverged: %d rows vs %d", len(got), len(want))
-			}
+			agree("post-recovery compaction")
 			t.Logf("mode=%s: recovered %d rows, watermark=%d, %d segments",
 				mode, len(want), cs.Watermark(), len(cs.Segments()))
 		})

@@ -75,75 +75,127 @@ func TestSweepRacingCompactionBecomesTombstone(t *testing.T) {
 	}
 }
 
+// TestErasureLeavesDisk: a subject whose rows are all sealed into
+// segments and evicted from the row store — nothing of them is resident
+// as a row any more — is forgotten, and, separately, expires. Either
+// way the deletion is found through the tier, reads stop releasing the
+// subject at once, the tombstones survive a reopen, and after the next
+// compaction plus checkpoint no file under either directory (the
+// store's WAL and checkpoint, the tier's segments and manifest) holds
+// the subject's bytes.
 func TestErasureLeavesDisk(t *testing.T) {
 	const marker = "ERASURE-MARKER-SUBJECT-7f3a"
-	dir := t.TempDir()
-	src, cs := newPair(t, dir)
-
-	// Sealed rows for the marker subject interleaved with others.
-	for i := 0; i < 120; i++ {
-		user := marker
-		if i%3 != 0 {
-			user = fmt.Sprintf("u%d", i%4)
-		}
-		at := csNow.Add(-time.Duration(2+i%8) * time.Minute)
-		if _, err := src.Append(obsAt(fmt.Sprintf("ap-%d", i%3), "s1", user, sensor.ObsWiFiConnect, at, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := cs.CompactOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if !dirContains(t, dir, marker) {
-		t.Fatal("precondition: sealed segments should contain the subject's bytes")
-	}
-
-	if n := src.DeleteUser(marker); n == 0 {
-		t.Fatal("DeleteUser removed nothing")
-	}
-
-	// Reads stop serving the subject immediately, before any rewrite.
-	if rows := cs.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
-		t.Fatalf("tombstoned subject still readable: %d rows", len(rows))
-	}
-	if entries, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{}); ok {
-		for _, e := range entries {
-			if e.UserID == marker {
-				t.Fatal("rollup cube still carries the erased subject")
+	for _, tc := range []struct {
+		name   string
+		remove func(src *obstore.Store) int
+	}{
+		{"forgotten", func(src *obstore.Store) int { return src.DeleteUser(marker) }},
+		{"expired", func(src *obstore.Store) int {
+			// The marker's readings are the only rows on this rule.
+			src.AddRetentionRule(obstore.RetentionRule{Kind: sensor.ObsPowerReading, TTL: isodur.MustParse("PT1M")})
+			return src.Sweep(csNow)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			colDir := filepath.Join(dir, "col")
+			src, err := obstore.OpenDurable(obstore.DurableConfig{Dir: filepath.Join(dir, "store"), SegmentBytes: 2 << 10})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	} else {
-		t.Fatal("rollups unavailable")
-	}
+			defer src.Close()
+			cs, err := Open(Config{Dir: colDir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs.AttachStore(src)
 
-	// The tombstones themselves are durable (manifest) so a crash
-	// between erasure and rewrite cannot resurrect the subject...
-	if !dirContains(t, dir, marker) {
-		t.Fatal("precondition: segments not yet rewritten")
-	}
-	reopened, err := Open(Config{Dir: dir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := reopened.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
-		t.Fatalf("after reopen, tombstoned subject readable again: %d rows", len(rows))
-	}
+			// Sealed rows for the marker subject interleaved with others.
+			const markerRows = 40
+			for i := 0; i < 120; i++ {
+				user, kind := fmt.Sprintf("u%d", i%4), sensor.ObsWiFiConnect
+				if i%3 == 0 {
+					user, kind = marker, sensor.ObsPowerReading
+				}
+				at := csNow.Add(-time.Duration(2+i%8) * time.Minute)
+				if _, err := src.Append(obsAt(fmt.Sprintf("ap-%d", i%3), "s1", user, kind, at, float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := cs.CompactOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if n := src.Resident(); n != 0 {
+				t.Fatalf("precondition: %d rows still resident; the subject must live in segments only", n)
+			}
+			if !dirContains(t, colDir, marker) {
+				t.Fatal("precondition: sealed segments should contain the subject's bytes")
+			}
 
-	// ...and the rewrite at the next compaction removes the bytes.
-	if _, err := cs.CompactOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if dirContains(t, dir, marker) {
-		t.Fatal("erased subject's bytes still on disk after rewrite")
-	}
-	if rows := cs.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
-		t.Fatalf("erased subject readable after rewrite: %d rows", len(rows))
-	}
-	// Everyone else survived intact.
-	want := src.Query(obstore.Filter{})
-	got := cs.Query(obstore.Filter{})
-	if len(got) != len(want) {
-		t.Fatalf("rewrite lost bystander rows: %d vs %d", len(got), len(want))
+			if n := tc.remove(src); n != markerRows {
+				t.Fatalf("removed %d rows, want the subject's %d", n, markerRows)
+			}
+
+			// Reads stop serving the subject immediately, before any rewrite.
+			if rows := cs.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
+				t.Fatalf("tombstoned subject still readable: %d rows", len(rows))
+			}
+			if n := src.Count(obstore.Filter{UserID: marker}); n != 0 {
+				t.Fatalf("the row store still counts %d of the subject's rows", n)
+			}
+			if got := src.Len(); got != 120-markerRows {
+				t.Fatalf("Len = %d, want %d", got, 120-markerRows)
+			}
+			for _, u := range src.Users() {
+				if u == marker {
+					t.Fatal("Users still lists the subject")
+				}
+			}
+			if entries, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{}); ok {
+				for _, e := range entries {
+					if e.UserID == marker {
+						t.Fatal("rollup cube still carries the erased subject")
+					}
+				}
+			} else {
+				t.Fatal("rollups unavailable")
+			}
+
+			// The tombstones themselves are durable (manifest) so a crash
+			// between erasure and rewrite cannot resurrect the subject...
+			if !dirContains(t, colDir, marker) {
+				t.Fatal("precondition: segments not yet rewritten")
+			}
+			reopened, err := Open(Config{Dir: colDir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows := reopened.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
+				t.Fatalf("after reopen, tombstoned subject readable again: %d rows", len(rows))
+			}
+			if live, _ := reopened.ColdRows(); live != 120-markerRows {
+				t.Fatalf("after reopen the tier counts %d live rows, want %d", live, 120-markerRows)
+			}
+
+			// ...and the rewrite at the next compaction removes the bytes
+			// from the segments, the checkpoint those the log still held.
+			if _, err := cs.CompactOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if dirContains(t, dir, marker) {
+				t.Fatal("erased subject's bytes still on disk after rewrite and checkpoint")
+			}
+			if rows := cs.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
+				t.Fatalf("erased subject readable after rewrite: %d rows", len(rows))
+			}
+			// Everyone else survived intact.
+			if got := len(cs.Query(obstore.Filter{})); got != 120-markerRows || src.Len() != got {
+				t.Fatalf("rewrite lost bystander rows: %d read, Len %d, want %d", got, src.Len(), 120-markerRows)
+			}
+		})
 	}
 }
 

@@ -201,10 +201,10 @@ func (r *rollups) deleted(dels []obstore.Deletion) {
 	r.version.Add(1)
 }
 
-// rebuildAll recomputes both cubes from the unified scan. Used when
-// the tier first attaches to a store that already holds data.
+// rebuildAll recomputes both cubes from the unified scan, folding each
+// row as it is visited. Used when the tier first attaches to a store
+// that already holds data.
 func (r *rollups) rebuildAll() {
-	rows := r.store.Query(obstore.Filter{})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.occ = make(map[int64]map[occKey]*occEntry)
@@ -213,16 +213,17 @@ func (r *rollups) rebuildAll() {
 	r.dirtyRd = make(map[int64]struct{})
 	r.entries = 0
 	r.disabled = false
-	for _, o := range rows {
-		r.observeLocked(o)
-	}
+	r.store.Scan(obstore.Filter{}, func(o *sensor.Observation) bool {
+		r.observeLocked(*o)
+		return true
+	})
 	r.version.Add(1)
 	r.checkCapLocked()
 }
 
 // repairLocked rebuilds every dirty bucket from the unified scan.
-// Caller holds r.mu; the store query takes only store locks, so the
-// ordering rollups.mu -> store.mu is safe (the reverse never occurs).
+// Caller holds r.mu; the scan takes only store locks, so the ordering
+// rollups.mu -> store.mu is safe (the reverse never occurs).
 func (r *rollups) repairLocked() {
 	if len(r.dirtyOcc) == 0 && len(r.dirtyRd) == 0 {
 		// No repair, no version bump: reads must leave the version
@@ -231,22 +232,22 @@ func (r *rollups) repairLocked() {
 	}
 	for minute := range r.dirtyOcc {
 		start := time.Unix(0, minute)
-		rows := r.store.Query(obstore.Filter{From: start, To: start.Add(time.Minute)})
 		r.entries -= len(r.occ[minute])
 		delete(r.occ, minute)
-		for _, o := range rows {
-			r.observeOccLocked(o, minute)
-		}
+		r.store.Scan(obstore.Filter{From: start, To: start.Add(time.Minute)}, func(o *sensor.Observation) bool {
+			r.observeOccLocked(*o, minute)
+			return true
+		})
 		delete(r.dirtyOcc, minute)
 	}
 	for hour := range r.dirtyRd {
 		start := time.Unix(0, hour)
-		rows := r.store.Query(obstore.Filter{From: start, To: start.Add(time.Hour)})
 		r.entries -= len(r.rd[hour])
 		delete(r.rd, hour)
-		for _, o := range rows {
-			r.observeRdLocked(o, hour)
-		}
+		r.store.Scan(obstore.Filter{From: start, To: start.Add(time.Hour)}, func(o *sensor.Observation) bool {
+			r.observeRdLocked(*o, hour)
+			return true
+		})
 		delete(r.dirtyRd, hour)
 	}
 	r.version.Add(1)
@@ -305,7 +306,7 @@ func (r *rollups) observeRdLocked(o sensor.Observation, hour int64) {
 func (s *Store) lockCubes() bool {
 	r := s.roll
 	r.mu.Lock()
-	if !r.disabled && s.srcAttached() != nil {
+	if src, _ := s.source(); !r.disabled && src != nil {
 		r.repairLocked()
 		if !r.disabled {
 			return true
@@ -402,10 +403,4 @@ func (s *Store) OccupancyRollup(from, to time.Time) (entries []OccEntry, version
 func (s *Store) ReadingsRollup(from, to time.Time) (entries []ReadingEntry, version uint64, ok bool) {
 	version, ok = s.VisitReadings(obstore.Filter{From: from, To: to}, func(e ReadingEntry) { entries = append(entries, e) })
 	return entries, version, ok
-}
-
-func (s *Store) srcAttached() *obstore.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.src
 }

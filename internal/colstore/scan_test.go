@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -121,10 +122,14 @@ func scanAll(cs *Store, f obstore.Filter) []sensor.Observation {
 // scanWorld ingests rows whose observation times jump between buckets
 // in arrival order, so every compaction pass seals several segments
 // with interleaved seq ranges, then leaves seq tombstones (retention),
-// a user tombstone (erasure) and an uncompacted tail in place.
-func scanWorld(t *testing.T, rng *rand.Rand) (*obstore.Store, *Store) {
+// a user tombstone (erasure) and an uncompacted tail in place. Every
+// mutation is mirrored into a twin store that never evicts.
+func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 	t.Helper()
-	src, cs := newPair(t, "")
+	m, cs := newMirroredPair(t, "")
+	// One sensor's rows expire on a rule of their own: sweeping them
+	// scatters seq tombstones over the sealed segments.
+	m.retain(obstore.RetentionRule{SensorID: "ap-exp", TTL: isodur.MustParse("PT1M")})
 	add := func(n int) {
 		for i := 0; i < n; i++ {
 			at := csNow.Add(-time.Duration(2+rng.Intn(12)) * time.Minute).Add(time.Duration(rng.Intn(60000)) * time.Millisecond)
@@ -137,9 +142,10 @@ func scanWorld(t *testing.T, rng *rand.Rand) (*obstore.Store, *Store) {
 			if rng.Intn(6) == 0 {
 				o.DeviceMAC = fmt.Sprintf("aa:%02d", rng.Intn(3))
 			}
-			if _, err := src.Append(o); err != nil {
-				t.Fatal(err)
+			if rng.Intn(15) == 0 {
+				o.SensorID = "ap-exp"
 			}
+			m.append(o)
 		}
 	}
 	for pass := 0; pass < 3; pass++ {
@@ -157,22 +163,18 @@ func scanWorld(t *testing.T, rng *rand.Rand) (*obstore.Store, *Store) {
 	if overlaps == 0 {
 		t.Fatal("precondition: no two segments interleave in seq")
 	}
-	// Seq tombstones: delete a scattering of sealed rows one by one.
-	var dels []obstore.Deletion
-	for _, o := range src.Query(obstore.Filter{}) {
-		if rng.Intn(15) == 0 {
-			dels = append(dels, obstore.Deletion{Seq: o.Seq, Time: o.Time, SensorID: o.SensorID, SpaceID: o.SpaceID, UserID: o.UserID, Kind: o.Kind})
-		}
+	// Seq tombstones: retention deletes a scattering of sealed rows.
+	if n := m.sweep(csNow); n == 0 {
+		t.Fatal("Sweep removed nothing")
 	}
-	cs.ObservationsDeleted(dels)
-	if n := src.DeleteUser("u3"); n == 0 {
+	if n := m.deleteUser("u3"); n == 0 {
 		t.Fatal("DeleteUser removed nothing")
 	}
 	if st := cs.Stats(); st.SeqTombstones == 0 || st.UserTombstones == 0 {
 		t.Fatalf("precondition: want both tombstone kinds, have %+v", st)
 	}
 	add(60) // the tail above the watermark
-	return src, cs
+	return m, cs
 }
 
 func randomFilter(rng *rand.Rand, maxSeq uint64) obstore.Filter {
@@ -212,18 +214,22 @@ func randomFilter(rng *rand.Rand, maxSeq uint64) obstore.Filter {
 }
 
 // TestScanMatchesQuery: Scan visits exactly what the old
-// collect-and-merge Query returned, in the same order, across random
-// filters × AfterSeq/Limit × both tombstone kinds × segments whose seq
-// ranges interleave — with every visited row poisoned on return, so
-// Scan's own wrappers are checked for retaining the scratch pointer.
+// collect-and-merge Query returned — which is what a twin store that
+// never evicted returns — in the same order, across random filters ×
+// AfterSeq/Limit × both tombstone kinds × segments whose seq ranges
+// interleave — with every visited row poisoned on return, so Scan's own
+// wrappers are checked for retaining the scratch pointer.
 func TestScanMatchesQuery(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		src, cs := scanWorld(t, rng)
-		maxSeq := uint64(src.Len())
+		m, cs := scanWorld(t, rng)
+		maxSeq := uint64(m.twin.Len())
 		for trial := 0; trial < 300; trial++ {
 			f := randomFilter(rng, maxSeq)
 			want := oracleQuery(cs, f)
+			if twin := normTimes(m.twin.Query(f)); len(want)+len(twin) > 0 && !reflect.DeepEqual(want, twin) {
+				t.Fatalf("seed %d filter %+v: the segment oracle has %d rows, the never-evicted twin %d", seed, f, len(want), len(twin))
+			}
 			if got := scanAll(cs, f); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d filter %+v: Scan visited %d rows, oracle has %d", seed, f, len(got), len(want))
 			}

@@ -9,6 +9,10 @@ package colstore
 // uvarint-packed IEEE-754 bits, and the rare payload maps inline. The
 // dictionaries double as the segment's zone-map sets: membership
 // checks let a reader skip a segment without touching a single row.
+// A sealed segment is columnar in memory too: every column is a slice
+// at its final length and a dictionary is searched, not hashed — the
+// position map exists only in the segBuilder while a segment is laid
+// out.
 // A CRC-32 trailer makes torn or bit-rotted files detectable, and the
 // decoder is fully bounds-checked — arbitrary bytes must produce an
 // error, never a panic (see FuzzSegmentDecode).
@@ -18,7 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,11 +67,29 @@ type segment struct {
 	kinds   dictCol
 	macs    dictCol
 
-	values   []float64
-	payloads []map[string]string // nil when the row had none
+	values []float64
+	// payloads holds one entry per row (nil when the row had none), or
+	// is nil altogether when no row of the segment carries a payload.
+	payloads []map[string]string
 }
 
 func (sg *segment) rows() int { return len(sg.seqs) }
+
+func (sg *segment) payload(i int) map[string]string {
+	if sg.payloads == nil {
+		return nil
+	}
+	return sg.payloads[i]
+}
+
+// holds reports whether one of the segment's rows has this seq.
+func (sg *segment) holds(seq uint64) bool {
+	if seq < sg.minSeq || seq > sg.maxSeq {
+		return false
+	}
+	_, ok := slices.BinarySearch(sg.seqs, seq)
+	return ok
+}
 
 // row materializes row i back into the store's observation shape.
 // Times come back UTC-normalized, exactly as the WAL recovery path
@@ -80,7 +104,7 @@ func (sg *segment) row(i int) sensor.Observation {
 		DeviceMAC: sg.macs.at(i),
 		UserID:    sg.users.at(i),
 		Value:     sg.values[i],
-		Payload:   sg.payloads[i],
+		Payload:   sg.payload(i),
 	}
 }
 
@@ -126,32 +150,49 @@ func (sg *segment) disjoint(f obstore.Filter, spaceSet map[string]bool) bool {
 }
 
 // dictCol is one dictionary-coded string column: the distinct values
-// in first-appearance order plus a per-row index stream.
+// in first-appearance order plus a per-row index stream. A bucket sees
+// tens of distinct values per column, so lookups search dict linearly;
+// a hash map per column per segment cost more memory than the column.
+// Most lookups are zone-map probes for a value the segment does not
+// hold, and sig answers those without the search: one bit per value,
+// set at the value's hash, so a clear bit proves absence. With more
+// values than bits it fills up and every probe falls through to the
+// search — slower, never wrong.
 type dictCol struct {
 	dict []string
-	set  map[string]int // value -> dict position
 	idx  []uint32
+	sig  [4]uint64
 }
 
-func (c *dictCol) add(s string) {
-	if c.set == nil {
-		c.set = make(map[string]int)
+// sigBit maps a value to its bit of the signature (FNV-1a).
+func sigBit(s string) (word int, mask uint64) {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
 	}
-	pos, ok := c.set[s]
-	if !ok {
-		pos = len(c.dict)
-		c.dict = append(c.dict, s)
-		c.set[s] = pos
+	return int(h>>6) & 3, 1 << (h & 63)
+}
+
+// sign computes the signature once dict is final.
+func (c *dictCol) sign() {
+	for _, s := range c.dict {
+		w, m := sigBit(s)
+		c.sig[w] |= m
 	}
-	c.idx = append(c.idx, uint32(pos))
 }
 
 func (c *dictCol) at(i int) string { return c.dict[c.idx[i]] }
 
-func (c *dictCol) has(s string) bool {
-	_, ok := c.set[s]
-	return ok
+// find returns s's dictionary position, or -1 when the value never
+// occurs in this segment.
+func (c *dictCol) find(s string) int {
+	if w, m := sigBit(s); c.sig[w]&m == 0 {
+		return -1
+	}
+	return slices.Index(c.dict, s)
 }
+
+func (c *dictCol) has(s string) bool { return c.find(s) >= 0 }
 
 // want resolves a filter's string predicate to the dictionary
 // position a row's index must equal: -1 when the predicate is unset,
@@ -160,15 +201,53 @@ func (c *dictCol) want(s string) int {
 	if s == "" {
 		return -1
 	}
-	if pos, ok := c.set[s]; ok {
+	if pos := c.find(s); pos >= 0 {
 		return pos
 	}
 	return -2
 }
 
-// buildSegment lays out rows (ascending seq, all in one bucket) as a
-// segment. The caller owns ordering; buildSegment only asserts it.
+// segBuilder lays rows out as segments. Its dictionary scratch — the
+// value -> position map and the value list — is reused for every column
+// of every segment a compaction pass builds.
+type segBuilder struct {
+	pos  map[string]uint32
+	dict []string
+}
+
+// column dictionary-codes one field of rows.
+func (b *segBuilder) column(rows []sensor.Observation, field func(*sensor.Observation) string) dictCol {
+	if b.pos == nil {
+		b.pos = make(map[string]uint32)
+	}
+	clear(b.pos)
+	b.dict = b.dict[:0]
+	idx := make([]uint32, len(rows))
+	for i := range rows {
+		v := field(&rows[i])
+		p, ok := b.pos[v]
+		if !ok {
+			p = uint32(len(b.dict))
+			b.dict = append(b.dict, v)
+			b.pos[v] = p
+		}
+		idx[i] = p
+	}
+	c := dictCol{dict: make([]string, len(b.dict)), idx: idx}
+	copy(c.dict, b.dict)
+	c.sign()
+	return c
+}
+
+// buildSegment lays out rows with a builder of its own.
 func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
+	return new(segBuilder).build(id, bucket, rows)
+}
+
+// build lays out rows (ascending seq, all in one bucket) as a segment,
+// every column allocated at its final length. The caller owns ordering;
+// build only asserts it.
+func (b *segBuilder) build(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("colstore: empty segment")
 	}
@@ -177,37 +256,33 @@ func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segm
 		bucket:  bucket.UTC(),
 		minTime: math.MaxInt64,
 		maxTime: math.MinInt64,
+		seqs:    make([]uint64, len(rows)),
+		times:   make([]int64, len(rows)),
+		values:  make([]float64, len(rows)),
 	}
-	var prevSeq uint64
-	for i, o := range rows {
-		if i > 0 && o.Seq <= prevSeq {
-			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", o.Seq, prevSeq)
+	for i := range rows {
+		o := &rows[i]
+		if i > 0 && o.Seq <= rows[i-1].Seq {
+			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", o.Seq, rows[i-1].Seq)
 		}
-		prevSeq = o.Seq
-		sg.seqs = append(sg.seqs, o.Seq)
+		sg.seqs[i] = o.Seq
 		ns := o.Time.UnixNano()
-		sg.times = append(sg.times, ns)
-		if ns < sg.minTime {
-			sg.minTime = ns
-		}
-		if ns > sg.maxTime {
-			sg.maxTime = ns
-		}
-		sg.sensors.add(o.SensorID)
-		sg.spaces.add(o.SpaceID)
-		sg.users.add(o.UserID)
-		sg.kinds.add(string(o.Kind))
-		sg.macs.add(o.DeviceMAC)
-		sg.values = append(sg.values, o.Value)
-		var p map[string]string
+		sg.times[i] = ns
+		sg.minTime = min(sg.minTime, ns)
+		sg.maxTime = max(sg.maxTime, ns)
+		sg.values[i] = o.Value
 		if len(o.Payload) > 0 {
-			p = make(map[string]string, len(o.Payload))
-			for k, v := range o.Payload {
-				p[k] = v
+			if sg.payloads == nil {
+				sg.payloads = make([]map[string]string, len(rows))
 			}
+			sg.payloads[i] = maps.Clone(o.Payload)
 		}
-		sg.payloads = append(sg.payloads, p)
 	}
+	sg.sensors = b.column(rows, func(o *sensor.Observation) string { return o.SensorID })
+	sg.spaces = b.column(rows, func(o *sensor.Observation) string { return o.SpaceID })
+	sg.users = b.column(rows, func(o *sensor.Observation) string { return o.UserID })
+	sg.kinds = b.column(rows, func(o *sensor.Observation) string { return string(o.Kind) })
+	sg.macs = b.column(rows, func(o *sensor.Observation) string { return o.DeviceMAC })
 	sg.minSeq = sg.seqs[0]
 	sg.maxSeq = sg.seqs[len(sg.seqs)-1]
 	return sg, nil
@@ -250,7 +325,8 @@ func (sg *segment) encode() []byte {
 	for _, v := range sg.values {
 		buf = binary.AppendUvarint(buf, math.Float64bits(v))
 	}
-	for _, p := range sg.payloads {
+	for i := range sg.seqs {
+		p := sg.payload(i)
 		buf = binary.AppendUvarint(buf, uint64(len(p)))
 		if len(p) == 0 {
 			continue
@@ -389,11 +465,10 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 			return nil, r.err
 		}
 		col.dict = make([]string, int(dn))
-		col.set = make(map[string]int, int(dn))
 		for i := range col.dict {
 			col.dict[i] = r.str()
-			col.set[col.dict[i]] = i
 		}
+		col.sign()
 		col.idx = make([]uint32, rows)
 		for i := 0; i < rows; i++ {
 			ix := r.uvarint()
@@ -411,7 +486,6 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 	for i := 0; i < rows; i++ {
 		sg.values[i] = math.Float64frombits(r.uvarint())
 	}
-	sg.payloads = make([]map[string]string, rows)
 	for i := 0; i < rows; i++ {
 		pn := r.uvarint()
 		if r.err != nil || pn > maxPayloadPairs {
@@ -420,6 +494,9 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 		}
 		if pn == 0 {
 			continue
+		}
+		if sg.payloads == nil {
+			sg.payloads = make([]map[string]string, rows)
 		}
 		p := make(map[string]string, int(pn))
 		for j := uint64(0); j < pn; j++ {
@@ -490,7 +567,7 @@ func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb
 		}
 	}
 	for u := range userTomb {
-		if pos, ok := sg.users.set[u]; ok {
+		if pos := sg.users.find(u); pos >= 0 {
 			if c.userDead == nil {
 				c.userDead = make([]bool, len(sg.users.dict))
 			}

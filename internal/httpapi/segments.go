@@ -8,8 +8,9 @@ import (
 )
 
 // SegmentsDTO is the wire form of GET /v1/segments: the columnar
-// tier's health (watermark, prune ratios, rollup state, enforcement
-// epoch) plus every sealed segment's zone-map summary.
+// tier's health (watermark, the cold/hot split of the live
+// observations, prune ratios, rollup state) plus every sealed
+// segment's zone-map summary.
 type SegmentsDTO struct {
 	// Enabled is false when the node runs without a columnar tier;
 	// the remaining fields are then zero.

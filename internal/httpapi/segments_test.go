@@ -28,6 +28,9 @@ func TestSegmentsEndpoint(t *testing.T) {
 	if dto.Stats.Segments != 0 || len(dto.Segments) != 0 {
 		t.Fatalf("segments before compaction = %+v", dto.Segments)
 	}
+	if dto.Stats.HotRows != 2 || dto.Stats.ColdRows != 0 {
+		t.Errorf("before compaction: %d hot / %d cold rows, want 2 / 0", dto.Stats.HotRows, dto.Stats.ColdRows)
+	}
 
 	if _, err := bms.Columnar().CompactOnce(); err != nil {
 		t.Fatal(err)
@@ -41,6 +44,11 @@ func TestSegmentsEndpoint(t *testing.T) {
 	}
 	if dto.Stats.Watermark == 0 || dto.Stats.Rows != 2 {
 		t.Errorf("stats = %+v", dto.Stats)
+	}
+	// The split an operator sees: sealed rows are the segments' alone.
+	if dto.Stats.HotRows != 0 || dto.Stats.ColdRows != 2 || bms.Store().Resident() != 0 {
+		t.Errorf("after compaction: %d hot / %d cold rows, %d resident; want 0 / 2 / 0",
+			dto.Stats.HotRows, dto.Stats.ColdRows, bms.Store().Resident())
 	}
 	// Zone-map metadata only: the DTO must not carry observation
 	// contents.

@@ -17,6 +17,13 @@ package obstore
 // the disk, not just memory. What that cannot reach (the active
 // segment, the checkpoint file) leaves disk at the next Checkpoint,
 // which seals the one and rewrites the other.
+//
+// With a cold tier attached (tier.go) this directory holds the hot
+// window only: the checkpoint is the rows the shards hold, which is
+// what the tier's segments do not, and a WAL segment whose records
+// have all been sealed into the tier is as dead as one whose records
+// expired. The WAL directory and the tier's segment directory are then
+// together the database — neither recovers it alone.
 
 import (
 	"bufio"
@@ -152,9 +159,11 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 	s.wal = l
 	s.walDir = cfg.Dir
 	s.durable.Store(true)
-	if replayed > 0 || s.Len() > 0 {
+	// Rows the cold tier had sealed before a crash are among these; its
+	// AttachTier drops them again and logs how many.
+	if n := s.Resident(); replayed > 0 || n > 0 {
 		cfg.Logger.Info("obstore: durable store recovered",
-			"dir", cfg.Dir, "checkpoint_records", s.Len()-replayed,
+			"dir", cfg.Dir, "checkpoint_records", n-replayed,
 			"replayed_records", replayed, "next_seq", s.nextSeq.Load())
 	}
 	return s, nil
@@ -187,12 +196,13 @@ func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 	return nil
 }
 
-// Checkpoint atomically rewrites the checkpoint file from the live
-// observations and deletes every WAL segment it now covers. After a
-// checkpoint, recovery replays only records appended since — and
-// observations deleted for privacy (retention, erasure) that were
-// still sitting in the log or the previous checkpoint are gone from
-// disk.
+// Checkpoint atomically rewrites the checkpoint file from the
+// observations the shards hold — every live one, or with a cold tier
+// attached the hot window its segments do not cover — and deletes
+// every WAL segment it now covers. After a checkpoint, recovery
+// replays only records appended since — and observations deleted for
+// privacy (retention, erasure) that were still sitting in the log or
+// the previous checkpoint are gone from disk.
 func (s *Store) Checkpoint() error {
 	l := s.WAL()
 	if l == nil {
@@ -383,9 +393,11 @@ func (s *Store) Close() error {
 
 // pruneWAL deletes sealed WAL segments in which no live observation
 // remains — the storage half of retention enforcement. Liveness is
-// gathered shard by shard; a record appended while this runs sits in
-// the active (never sealed-and-empty) segment, so it is safe without
-// a global pause.
+// what the shards hold, gathered shard by shard: a row evicted to the
+// cold tier is durable there, so a segment holding only such rows
+// goes too. A record appended while this runs sits in the active
+// (never sealed-and-empty) segment, so it is safe without a global
+// pause.
 func (s *Store) pruneWAL() {
 	l := s.WAL()
 	if l == nil {

@@ -2,6 +2,7 @@ package obstore
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -178,60 +179,72 @@ func TestDurableCheckpointTruncatesAndRestores(t *testing.T) {
 
 // TestDurableRetentionErasesSegments is the retention × durability
 // guarantee: after GC, expired observations are gone from the
-// in-memory indexes AND from the on-disk segments.
+// in-memory indexes AND from the on-disk segments — whether the store
+// still holds them as rows or a cold tier sealed them and the store
+// evicted its copies, leaving the log as the only place under this
+// directory that has them.
 func TestDurableRetentionErasesSegments(t *testing.T) {
 	const marker = "privacy-victim"
-	dir := t.TempDir()
-	s, err := OpenDurable(durableDirCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.SetDefaultRetention(isodur.MustParse("PT1H"))
+	for _, sealed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sealed=%t", sealed), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenDurable(durableDirCfg(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.SetDefaultRetention(isodur.MustParse("PT1H"))
 
-	// Several segments of soon-to-expire observations...
-	for i := 0; i < 200; i++ {
-		if _, err := s.Append(durableObs(i, marker)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ...sealed away from the fresh one that stays live.
-	if err := s.WAL().Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	keeper := durableObs(0, "keeper")
-	keeper.Time = t0.Add(24 * time.Hour)
-	if _, err := s.Append(keeper); err != nil {
-		t.Fatal(err)
-	}
+			// Several segments of soon-to-expire observations...
+			for i := 0; i < 200; i++ {
+				if _, err := s.Append(durableObs(i, marker)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// ...sealed away from the fresh one that stays live.
+			if err := s.WAL().Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			keeper := durableObs(0, "keeper")
+			keeper.Time = t0.Add(24 * time.Hour)
+			if _, err := s.Append(keeper); err != nil {
+				t.Fatal(err)
+			}
+			if sealed {
+				if n := attachSliceTier(s).seal(s, 200); n != 200 || s.Resident() != 1 {
+					t.Fatalf("evicted %d rows, %d resident; want 200 and the keeper", n, s.Resident())
+				}
+			}
 
-	removed := s.Sweep(t0.Add(2 * time.Hour)) // every marker record expired
-	if removed != 200 {
-		t.Fatalf("swept %d, want 200", removed)
-	}
-	// Memory: gone.
-	if got := s.Count(Filter{UserID: marker}); got != 0 {
-		t.Fatalf("%d expired observations still queryable", got)
-	}
-	// Disk: every sealed all-dead segment deleted; no file anywhere
-	// under the durable dir still contains the marker bytes.
-	if segs := s.WAL().SealedSegments(); len(segs) != 0 {
-		t.Fatalf("%d sealed segments survived retention GC", len(segs))
-	}
-	assertNotOnDisk(t, dir, marker)
-	// The keeper survived in memory and on disk.
-	if s.Count(Filter{UserID: "keeper"}) != 1 {
-		t.Fatal("live observation lost by retention GC")
-	}
-	s.WAL().Sync()
-	s2, err := OpenDurable(durableDirCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Count(Filter{UserID: "keeper"}) != 1 || s2.Count(Filter{UserID: marker}) != 0 {
-		t.Fatalf("restart after GC: keeper=%d victim=%d, want 1/0",
-			s2.Count(Filter{UserID: "keeper"}), s2.Count(Filter{UserID: marker}))
+			removed := s.Sweep(t0.Add(2 * time.Hour)) // every marker record expired
+			if removed != 200 {
+				t.Fatalf("swept %d, want 200", removed)
+			}
+			// Memory: gone.
+			if got := s.Count(Filter{UserID: marker}); got != 0 {
+				t.Fatalf("%d expired observations still queryable", got)
+			}
+			// Disk: every sealed all-dead segment deleted; no file anywhere
+			// under the durable dir still contains the marker bytes.
+			if segs := s.WAL().SealedSegments(); len(segs) != 0 {
+				t.Fatalf("%d sealed segments survived retention GC", len(segs))
+			}
+			assertNotOnDisk(t, dir, marker)
+			// The keeper survived in memory and on disk.
+			if s.Count(Filter{UserID: "keeper"}) != 1 || s.Len() != 1 {
+				t.Fatal("live observation lost by retention GC")
+			}
+			s.WAL().Sync()
+			s2, err := OpenDurable(durableDirCfg(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if s2.Count(Filter{UserID: "keeper"}) != 1 || s2.Count(Filter{UserID: marker}) != 0 {
+				t.Fatalf("restart after GC: keeper=%d victim=%d, want 1/0",
+					s2.Count(Filter{UserID: "keeper"}), s2.Count(Filter{UserID: marker}))
+			}
+		})
 	}
 }
 

@@ -16,6 +16,12 @@
 // Query-time enforcement (purpose checks, granularity degradation,
 // noise) happens above the store in internal/enforce; the store holds
 // ground truth.
+//
+// An observation is resident once. With a cold tier attached (tier.go;
+// internal/colstore's sealed segments) the shards hold only the hot
+// window above the tier's compaction watermark and everything behind
+// it lives in the tier alone; Query, Count, Len, Users, Sweep and
+// DeleteUser answer for the union, so callers never see the split.
 package obstore
 
 import (
@@ -77,8 +83,9 @@ type Deletion struct {
 // (internal/colstore) attaches one so its rollup cubes track every
 // append path — including erasure re-inserts that bypass the capture
 // pipeline — and so erasure reaches the segment files. At most one
-// listener is supported; callbacks run synchronously on the mutating
-// goroutine and must be cheap and concurrency-safe.
+// listener is supported (AttachTier installs the tier as it);
+// callbacks run synchronously on the mutating goroutine and must be
+// cheap and concurrency-safe.
 type Listener interface {
 	ObservationAppended(o sensor.Observation)
 	ObservationsDeleted(dels []Deletion)
@@ -128,7 +135,10 @@ type RetentionRule struct {
 
 // Store is an indexed, concurrency-safe observation log, lock-striped
 // across shards (see shard.go for the invariants that keep the
-// sharding externally invisible).
+// sharding externally invisible). The shards hold every live
+// observation, or — with a cold tier attached (tier.go) — the hot
+// window above the tier's watermark; the methods answer for all of it
+// either way.
 type Store struct {
 	shards []*shard
 	gate   *seqGate
@@ -153,6 +163,13 @@ type Store struct {
 
 	// listener observes appends and deletions (see SetListener).
 	listener atomic.Pointer[Listener]
+	// tier owns every observation at or below its watermark (tier.go);
+	// nil means the shards hold everything. evictedThrough is the
+	// highest watermark eviction has started on, evicted the rows it has
+	// released.
+	tier           atomic.Pointer[ColdTier]
+	evictedThrough atomic.Uint64
+	evicted        atomic.Uint64
 	// stripesPruned counts shards skipped wholesale by the per-shard
 	// time zone map before any index was consulted.
 	stripesPruned atomic.Uint64
@@ -231,8 +248,16 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 			return float64(s.compactions.Load())
 		})
 	r.GaugeFunc("tippers_obstore_live_observations",
-		"Observations currently stored.", func() float64 {
+		"Observations currently stored, in the shards or behind the compaction watermark.", func() float64 {
 			return float64(s.Len())
+		})
+	r.GaugeFunc("tippers_obstore_resident_observations",
+		"Observations held in the row shards: the hot window when a cold tier is attached.", func() float64 {
+			return float64(s.Resident())
+		})
+	r.CounterFunc("tippers_obstore_evicted_total",
+		"Rows released from the row shards once the cold tier had sealed them.", func() float64 {
+			return float64(s.evicted.Load())
 		})
 	r.GaugeFunc("tippers_obstore_tombstones",
 		"Deleted sequence numbers awaiting compaction.", func() float64 {
@@ -348,11 +373,29 @@ func (s *Store) AppendAll(obs []sensor.Observation) error {
 	return nil
 }
 
-// Query returns the observations matching f in seq (insertion) order.
-// Shards are scanned on a bounded worker pool and merged by seq; a
-// sensor-scoped filter touches exactly the one shard that sensor
-// hashes to.
+// Query returns the observations matching f in seq (insertion) order:
+// the cold tier's matches behind its watermark, when one is attached,
+// then the shards'.
 func (s *Store) Query(f Filter) []sensor.Observation {
+	t := s.coldTier()
+	if t == nil {
+		return s.queryShards(f)
+	}
+	var out []sensor.Observation
+	hot, _ := union(s, t, f, func(o *sensor.Observation) bool {
+		out = append(out, *o)
+		return true
+	}, s.queryShards)
+	if out == nil {
+		return hot
+	}
+	return append(out, hot...)
+}
+
+// queryShards is Query over the shards alone. Shards are scanned on a
+// bounded worker pool and merged by seq; a sensor-scoped filter touches
+// exactly the one shard that sensor hashes to.
+func (s *Store) queryShards(f Filter) []sensor.Observation {
 	vis := s.gate.visible.Load()
 	if vis == 0 || (f.AfterSeq > 0 && f.AfterSeq >= vis) {
 		return nil
@@ -368,6 +411,9 @@ func (s *Store) Query(f Filter) []sensor.Observation {
 	}
 	if len(s.shards) == 1 {
 		return s.shards[0].collect(f, vis, spaceSet, f.Limit)
+	}
+	if s.allDisjoint(f) {
+		return nil
 	}
 	pages := make([][]sensor.Observation, len(s.shards))
 	s.forEachShard(func(i int, sh *shard) {
@@ -386,6 +432,21 @@ func (s *Store) Query(f Filter) []sensor.Observation {
 // Count returns the number of observations matching f, ignoring
 // f.Limit.
 func (s *Store) Count(f Filter) int {
+	t := s.coldTier()
+	if t == nil {
+		return s.countShards(f)
+	}
+	f.Limit = 0
+	cold := 0
+	hot, _ := union(s, t, f, func(*sensor.Observation) bool {
+		cold++
+		return true
+	}, s.countShards)
+	return cold + hot
+}
+
+// countShards is Count over the shards alone.
+func (s *Store) countShards(f Filter) int {
 	vis := s.gate.visible.Load()
 	if vis == 0 || (f.AfterSeq > 0 && f.AfterSeq >= vis) {
 		return 0
@@ -398,6 +459,9 @@ func (s *Store) Count(f Filter) int {
 			return 0
 		}
 		return sh.countMatches(f, vis, spaceSet)
+	}
+	if s.allDisjoint(f) {
+		return 0
 	}
 	counts := make([]int, len(s.shards))
 	s.forEachShard(func(i int, sh *shard) {
@@ -412,6 +476,19 @@ func (s *Store) Count(f Filter) int {
 		total += n
 	}
 	return total
+}
+
+// allDisjoint reports whether every shard's zone map rules f out — the
+// usual case for a read of sealed history once the shards hold only the
+// hot window — so the read skips the worker pool altogether.
+func (s *Store) allDisjoint(f Filter) bool {
+	for _, sh := range s.shards {
+		if !sh.timeDisjoint(f) {
+			return false
+		}
+	}
+	s.stripesPruned.Add(uint64(len(s.shards)))
+	return true
 }
 
 func spaceSetFor(f Filter) map[string]bool {
@@ -450,15 +527,27 @@ func matches(o sensor.Observation, f Filter, spaceSet map[string]bool) bool {
 	return true
 }
 
-// Len returns the number of live observations.
+// Len returns the number of live observations, in the shards or
+// behind the cold tier's watermark. The tier keeps its count current,
+// so this stays a handful of lock acquisitions however long the
+// history is.
 func (s *Store) Len() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		total += len(sh.bySeq)
-		sh.mu.RUnlock()
+	t := s.coldTier()
+	if t == nil {
+		return s.Resident()
 	}
-	return total
+	for {
+		cold, split := t.ColdRows()
+		hot := 0
+		for _, sh := range s.shards {
+			hot += sh.liveAbove(split)
+		}
+		// Same validation as union: an eviction past the split may have
+		// emptied a shard of rows the cold count does not include.
+		if s.evictedThrough.Load() <= split {
+			return cold + hot
+		}
+	}
 }
 
 // Stats reports cumulative ingest and sweep counters plus the live
@@ -544,60 +633,98 @@ func (s *Store) expiry(o sensor.Observation) (time.Time, bool) {
 	return time.Time{}, false
 }
 
+// shortestTTL returns the shortest installed time-to-live (by Approx),
+// and whether any rule or default applies at all.
+func (s *Store) shortestTTL() (isodur.Duration, bool) {
+	s.retMu.RLock()
+	defer s.retMu.RUnlock()
+	best, ok := s.defaultTTL, s.hasDefault
+	for _, r := range s.rules {
+		if !ok || r.TTL.Cmp(best) < 0 {
+			best, ok = r.TTL, true
+		}
+	}
+	return best, ok
+}
+
+// calendarSlack bounds how much longer isodur's Approx can be than the
+// same duration applied to a real date (a 28-day February against the
+// 30-day month, a 23-hour day): under three days in every case.
+const calendarSlack = 4 * 24 * time.Hour
+
 // Sweep deletes every observation whose retention expired at or
 // before now, returning the number deleted. It is the storage-time
 // enforcement pass; the BMS core runs it periodically. Shards sweep
-// in parallel on the worker pool.
+// in parallel on the worker pool; rows behind the cold tier's
+// watermark are condemned through a scan of the tier.
 func (s *Store) Sweep(now time.Time) int {
 	t0 := time.Now()
 	defer s.sweepSeconds.ObserveSince(t0)
-	removed := make([]int, len(s.shards))
+	ttl, ok := s.shortestTTL()
+	if !ok {
+		return 0
+	}
+	expired := func(o sensor.Observation) bool {
+		exp, ok := s.expiry(o)
+		return ok && !exp.After(now)
+	}
+	expiredCold := func(o *sensor.Observation) bool { return expired(*o) }
+	// No rule is shorter than ttl, so nothing observed after now-ttl can
+	// have expired: the tier skips those segments by their zone maps.
+	cold := Filter{To: now.Add(calendarSlack - ttl.Approx())}
 	collect := s.hasListener()
-	dels := make([][]Deletion, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		n := 0
-		for seq, o := range sh.bySeq {
-			exp, ok := s.expiry(o)
-			if !ok {
-				continue
-			}
-			if !exp.After(now) {
-				if collect {
-					dels[i] = append(dels[i], deletionOf(o))
+	total := s.deleteUnion(cold, false, expiredCold, func(split uint64) (int, []Deletion) {
+		removed := make([]int, len(s.shards))
+		dels := make([][]Deletion, len(s.shards))
+		s.forEachShard(func(i int, sh *shard) {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			n := 0
+			for seq, o := range sh.bySeq {
+				if !expired(o) {
+					continue
 				}
 				delete(sh.bySeq, seq)
 				n++
+				// A row at or below the split is the tier's to report; its
+				// resident copy (not evicted yet) just goes.
+				if seq > split {
+					removed[i]++
+					if collect {
+						dels[i] = append(dels[i], deletionOf(o))
+					}
+				}
 			}
-		}
-		sh.dead += n
-		// Compact index slices once tombstones dominate, keeping
-		// query scans proportional to live data.
-		if sh.dead > len(sh.bySeq) && sh.dead > s.compactMin {
-			sh.compactLocked()
-			s.compactions.Add(1)
-		}
-		removed[i] = n
+			sh.dead += n
+			// Compact index slices once tombstones dominate, keeping
+			// query scans proportional to live data.
+			if sh.dead > len(sh.bySeq) && sh.dead > s.compactMin {
+				sh.compactLocked()
+				s.compactions.Add(1)
+			}
+		})
+		return flatten(removed, dels)
 	})
-	total := 0
-	for _, n := range removed {
-		total += n
-	}
 	s.totalSwept.Add(uint64(total))
 	// Durable mode: retention must reach the disk too. Sealed WAL
 	// segments holding only dead records are deleted outright.
 	if total > 0 && s.durable.Load() {
 		s.pruneWAL()
 	}
-	if collect && total > 0 {
-		flat := make([]Deletion, 0, total)
-		for _, d := range dels {
-			flat = append(flat, d...)
-		}
-		s.notifyDeleted(flat)
-	}
 	return total
+}
+
+// flatten sums per-shard counts and concatenates per-shard deletions.
+func flatten(removed []int, dels [][]Deletion) (int, []Deletion) {
+	total := 0
+	for _, n := range removed {
+		total += n
+	}
+	var flat []Deletion
+	for _, d := range dels {
+		flat = append(flat, d...)
+	}
+	return total, flat
 }
 
 func deletionOf(o sensor.Observation) Deletion {
@@ -612,47 +739,45 @@ func deletionOf(o sensor.Observation) Deletion {
 }
 
 // DeleteUser removes every observation attributed to userID — from
-// every shard — supporting right-to-erasure style requests. It
-// returns the number deleted.
+// every shard and from behind the cold tier's watermark — supporting
+// right-to-erasure style requests. It returns the number deleted.
 func (s *Store) DeleteUser(userID string) int {
-	removed := make([]int, len(s.shards))
 	collect := s.hasListener()
-	dels := make([][]Deletion, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		n := 0
-		for _, seq := range sh.byUser[userID] {
-			if o, ok := sh.bySeq[seq]; ok {
-				if collect {
-					d := deletionOf(o)
-					d.Erased = true
-					dels[i] = append(dels[i], d)
+	all := func(*sensor.Observation) bool { return true }
+	total := s.deleteUnion(Filter{UserID: userID}, true, all, func(split uint64) (int, []Deletion) {
+		removed := make([]int, len(s.shards))
+		dels := make([][]Deletion, len(s.shards))
+		s.forEachShard(func(i int, sh *shard) {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			n := 0
+			for _, seq := range sh.byUser[userID] {
+				o, ok := sh.bySeq[seq]
+				if !ok {
+					continue
 				}
 				delete(sh.bySeq, seq)
 				n++
+				if seq > split { // at or below it the tier reports the row
+					removed[i]++
+					if collect {
+						d := deletionOf(o)
+						d.Erased = true
+						dels[i] = append(dels[i], d)
+					}
+				}
 			}
-		}
-		delete(sh.byUser, userID)
-		sh.dead += n
-		removed[i] = n
+			delete(sh.byUser, userID)
+			sh.dead += n
+		})
+		return flatten(removed, dels)
 	})
-	total := 0
-	for _, n := range removed {
-		total += n
-	}
 	s.totalSwept.Add(uint64(total))
 	// Erasure reaches disk like retention does; copies in the active
-	// segment or the checkpoint leave at the next Checkpoint.
+	// segment or the checkpoint leave at the next Checkpoint, copies in
+	// the tier's segment files at its next compaction.
 	if total > 0 && s.durable.Load() {
 		s.pruneWAL()
-	}
-	if collect && total > 0 {
-		flat := make([]Deletion, 0, total)
-		for _, d := range dels {
-			flat = append(flat, d...)
-		}
-		s.notifyDeleted(flat)
 	}
 	return total
 }
@@ -679,31 +804,49 @@ func (s *Store) SyncWAL() error {
 // Users returns the distinct attributed user IDs present in the
 // store, sorted. Inference experiments use it to enumerate subjects.
 func (s *Store) Users() []string {
+	seen := make(map[string]bool)
+	note := func(o *sensor.Observation) bool {
+		if o.UserID != "" {
+			seen[o.UserID] = true
+		}
+		return true
+	}
+	if t := s.coldTier(); t != nil {
+		// The tier's users come from a scan of its live rows, the shards'
+		// from their index; a repeated round only re-adds names.
+		union(s, t, Filter{}, note, func(tail Filter) struct{} {
+			s.shardUsers(tail.AfterSeq, seen)
+			return struct{}{}
+		})
+	} else {
+		s.shardUsers(0, seen)
+	}
+	var out []string
+	for u := range seen {
+		out = append(out, u)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// shardUsers adds every user with a live row above split in any shard.
+func (s *Store) shardUsers(split uint64, seen map[string]bool) {
 	perShard := make([][]string, len(s.shards))
 	s.forEachShard(func(i int, sh *shard) {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		var users []string
 		for u, seqs := range sh.byUser {
-			for _, seq := range seqs {
-				if _, ok := sh.bySeq[seq]; ok {
-					users = append(users, u)
+			for j := len(seqs) - 1; j >= 0 && seqs[j] > split; j-- {
+				if _, ok := sh.bySeq[seqs[j]]; ok {
+					perShard[i] = append(perShard[i], u)
 					break
 				}
 			}
 		}
-		perShard[i] = users
 	})
-	seen := make(map[string]bool)
-	var out []string
 	for _, users := range perShard {
 		for _, u := range users {
-			if !seen[u] {
-				seen[u] = true
-				out = append(out, u)
-			}
+			seen[u] = true
 		}
 	}
-	sort.Strings(out)
-	return out
 }

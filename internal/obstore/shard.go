@@ -66,12 +66,12 @@ func newShard() *shard {
 // conservative: false negatives are impossible, false positives only
 // cost a normal scan.
 func (sh *shard) timeDisjoint(f Filter) bool {
-	if f.From.IsZero() && f.To.IsZero() {
-		return false
-	}
 	lo, hi := sh.minTimeNano.Load(), sh.maxTimeNano.Load()
 	if lo > hi {
-		return true // never held a row
+		return true // holds no row: never did, or eviction took them all
+	}
+	if f.From.IsZero() && f.To.IsZero() {
+		return false
 	}
 	if !f.From.IsZero() && f.From.UnixNano() > hi {
 		return true

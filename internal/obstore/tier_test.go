@@ -1,0 +1,252 @@
+package obstore
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/tippers/tippers/internal/isodur"
+	"github.com/tippers/tippers/internal/sensor"
+)
+
+// sliceTier is the smallest ColdTier: sealed rows in a slice, deleted
+// ones in a set. It stands in for internal/colstore (which imports this
+// package) so the seam — union reads, deletes over both tiers, Len,
+// eviction, WAL pruning — is tested where it lives.
+type sliceTier struct {
+	mu   sync.Mutex
+	rows []sensor.Observation // ascending seq, all <= wm
+	wm   uint64
+	dead map[uint64]bool
+}
+
+func (t *sliceTier) ObservationAppended(sensor.Observation) {}
+
+func (t *sliceTier) ObservationsDeleted(dels []Deletion) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, d := range dels {
+		if d.Seq <= t.wm {
+			t.dead[d.Seq] = true
+		}
+	}
+}
+
+func (t *sliceTier) ScanCold(f Filter, visit func(*sensor.Observation) bool) (Filter, bool) {
+	t.mu.Lock()
+	var match []sensor.Observation
+	spaceSet := spaceSetFor(f)
+	for _, o := range t.rows {
+		if o.Seq > f.AfterSeq && !t.dead[o.Seq] && matches(o, f, spaceSet) {
+			match = append(match, o)
+		}
+	}
+	tail := f
+	tail.AfterSeq = max(f.AfterSeq, t.wm)
+	t.mu.Unlock()
+	for i := range match {
+		if !visit(&match[i]) {
+			return tail, false
+		}
+		if f.Limit > 0 && i+1 >= f.Limit {
+			return tail, false
+		}
+	}
+	if f.Limit > 0 {
+		tail.Limit = f.Limit - len(match)
+	}
+	return tail, true
+}
+
+func (t *sliceTier) ColdRows() (int, uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.rows) - len(t.dead), t.wm
+}
+
+// seal takes over every row of s up to wm, as a compaction commit
+// would, and lets s evict them.
+func (t *sliceTier) seal(s *Store, wm uint64) int {
+	t.mu.Lock()
+	for _, o := range s.queryShards(Filter{AfterSeq: t.wm}) {
+		if o.Seq <= wm {
+			t.rows = append(t.rows, o)
+		}
+	}
+	t.wm = wm
+	t.mu.Unlock()
+	return s.EvictThrough(wm)
+}
+
+func attachSliceTier(s *Store) *sliceTier {
+	t := &sliceTier{dead: make(map[uint64]bool)}
+	s.AttachTier(t)
+	return t
+}
+
+// TestTierUnionMatchesPlainStore: with most of its history sealed into
+// a cold tier and evicted, the store answers Query, Count, Len and
+// Users, pages on a cursor, and deletes by retention and erasure with
+// the same results and counts as a store that kept every row.
+func TestTierUnionMatchesPlainStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s, twin := NewSharded(3), NewSharded(1)
+	tier := attachSliceTier(s)
+	for _, st := range []*Store{s, twin} {
+		st.SetDefaultRetention(isodur.MustParse("PT40M"))
+		st.AddRetentionRule(RetentionRule{Kind: sensor.ObsPowerReading, TTL: isodur.MustParse("PT10M")})
+	}
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			o := sensor.Observation{
+				SensorID: fmt.Sprintf("ap-%d", rng.Intn(5)),
+				UserID:   []string{"", "u0", "u1", "u2", "u3"}[rng.Intn(5)],
+				Kind:     []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsPowerReading}[rng.Intn(2)],
+				SpaceID:  fmt.Sprintf("s%d", rng.Intn(3)),
+				Time:     t0.Add(time.Duration(rng.Intn(3600)) * time.Second),
+				Value:    float64(i),
+			}
+			a, err := s.Append(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, _ := twin.Append(o); a.Seq != b.Seq {
+				t.Fatalf("seq %d vs the twin's %d", a.Seq, b.Seq)
+			}
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		if got, want := s.Len(), twin.Len(); got != want {
+			t.Fatalf("%s: Len = %d, the twin holds %d", stage, got, want)
+		}
+		if got, want := s.Users(), twin.Users(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Users = %v, the twin lists %v", stage, got, want)
+		}
+		for trial := 0; trial < 40; trial++ {
+			var f Filter
+			if rng.Intn(2) == 0 {
+				f.UserID = fmt.Sprintf("u%d", rng.Intn(5))
+			}
+			if rng.Intn(3) == 0 {
+				f.SensorID = fmt.Sprintf("ap-%d", rng.Intn(5))
+			}
+			if rng.Intn(3) == 0 {
+				f.From = t0.Add(time.Duration(rng.Intn(3000)) * time.Second)
+				f.To = f.From.Add(10 * time.Minute)
+			}
+			if rng.Intn(3) == 0 {
+				f.SpaceIDs = []string{"s0", "s2"}
+			}
+			if rng.Intn(2) == 0 {
+				f.AfterSeq = uint64(rng.Intn(700))
+			}
+			if rng.Intn(2) == 0 {
+				f.Limit = 1 + rng.Intn(60)
+			}
+			if got, want := s.Query(f), twin.Query(f); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %+v: %d rows, the twin has %d", stage, f, len(got), len(want))
+			}
+			var scanned []sensor.Observation
+			s.Scan(f, func(o *sensor.Observation) bool {
+				scanned = append(scanned, *o)
+				return true
+			})
+			if want := twin.Query(f); len(scanned)+len(want) > 0 && !reflect.DeepEqual(scanned, want) {
+				t.Fatalf("%s: %+v: Scan visited %d rows, the twin has %d", stage, f, len(scanned), len(want))
+			}
+			if got, want := s.Count(f), twin.Count(f); got != want {
+				t.Fatalf("%s: %+v: Count = %d, the twin says %d", stage, f, got, want)
+			}
+		}
+	}
+	add(400)
+	check("all hot")
+	if n := tier.seal(s, 300); n != 300 || s.Resident() != 100 || s.Evicted() != 300 {
+		t.Fatalf("sealing 300 rows evicted %d, left %d resident", n, s.Resident())
+	}
+	check("300 cold")
+	add(200)
+	check("more hot")
+	if got, want := s.DeleteUser("u1"), twin.DeleteUser("u1"); got != want || got == 0 {
+		t.Fatalf("DeleteUser removed %d rows, the twin %d", got, want)
+	}
+	check("after erasure")
+	tier.seal(s, 520)
+	check("520 cold")
+	now := t0.Add(75 * time.Minute) // everything on the short rule, and the oldest third of the rest
+	if got, want := s.Sweep(now), twin.Sweep(now); got != want || got == 0 {
+		t.Fatalf("Sweep removed %d rows, the twin %d", got, want)
+	}
+	check("after sweep")
+	if got, want := s.Stats().Swept, twin.Stats().Swept; got != want {
+		t.Fatalf("swept counter %d, the twin's %d", got, want)
+	}
+}
+
+// TestEvictionShrinksShards: eviction rebuilds a shard from its
+// survivors instead of deleting its way down — a Go map never gives its
+// buckets back — and narrows the shard's zone map to them.
+func TestEvictionShrinksShards(t *testing.T) {
+	s := NewSharded(2)
+	tier := attachSliceTier(s)
+	for i := 0; i < 5000; i++ {
+		if _, err := s.Append(sensor.Observation{
+			SensorID: fmt.Sprintf("ap-%d", i%9), UserID: fmt.Sprintf("u%d", i%50), Kind: sensor.ObsWiFiConnect,
+			SpaceID: "s1", Time: t0.Add(time.Duration(i) * time.Second),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tier.seal(s, 4990)
+	for _, sh := range s.shards {
+		if n := len(sh.order); n > 10 || len(sh.byUser) > 10 || sh.dead != 0 {
+			t.Fatalf("shard keeps %d index entries, %d users, %d tombstones for at most 10 rows", n, len(sh.byUser), sh.dead)
+		}
+		if lo := time.Unix(0, sh.minTimeNano.Load()); lo.Before(t0.Add(4990 * time.Second)) {
+			t.Fatalf("zone map still reaches back to %v", lo)
+		}
+	}
+	// A window that only sealed rows fall in touches no shard.
+	before := s.stripesPruned.Load()
+	f := Filter{From: t0.Add(100 * time.Second), To: t0.Add(200 * time.Second)}
+	if got := s.Count(f); got != 100 {
+		t.Fatalf("Count over a sealed window = %d, want 100", got)
+	}
+	if s.stripesPruned.Load()-before != uint64(len(s.shards)) {
+		t.Fatal("a read of sealed history still visited the shards")
+	}
+}
+
+// TestAttachTierAheadOfStore: a tier that already holds history (its
+// directory outlived the store's) must not have new observations
+// numbered on top of its rows, where no reader would look for them.
+func TestAttachTierAheadOfStore(t *testing.T) {
+	old := New()
+	tier := attachSliceTier(old)
+	for i := 0; i < 30; i++ {
+		if _, err := old.Append(durableObs(i, "u1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tier.seal(old, 30)
+
+	fresh := New()
+	fresh.AttachTier(tier)
+	o, err := fresh.Append(durableObs(3600, "u2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Seq != 31 {
+		t.Fatalf("first append on the new store got seq %d, want 31", o.Seq)
+	}
+	if got := fresh.Len(); got != 31 {
+		t.Fatalf("Len = %d, want the tier's 30 rows and the new one", got)
+	}
+	if rows := fresh.Query(Filter{AfterSeq: 29}); len(rows) != 2 || rows[1].UserID != "u2" {
+		t.Fatalf("rows after seq 29: %+v", rows)
+	}
+}

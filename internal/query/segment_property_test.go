@@ -84,6 +84,8 @@ func (w *segWorld) envOver(scan func(obstore.Filter) []sensor.Observation, rollu
 // and noise-forced fallbacks. Worlds mix sealed segments, an
 // uncompacted tail, and GDPR-erasure tombstones, so both halves of the
 // watermark split and the rollup dirty-rebuild path are on the hook.
+// The row scan runs over a twin store no tier is attached to — it keeps
+// every row, where the tier's own store evicts what the segments hold.
 func TestSegmentQueryMatchesRowScan(t *testing.T) {
 	base := qtNow // 2017-06-07 14:00:00 UTC — minute- and hour-aligned
 	for seed := int64(0); seed < 30; seed++ {
@@ -107,7 +109,7 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 				w.noisy[users[i]] = rng.Intn(4) == 0
 			}
 
-			src := obstore.New()
+			src, twin := obstore.New(), obstore.New()
 			cs, err := colstore.Open(colstore.Config{
 				BucketDur: time.Minute,
 				Clock:     func() time.Time { return base },
@@ -136,8 +138,10 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						o.Kind = sensor.ObsBLESighting
 					}
-					if _, err := src.Append(o); err != nil {
-						t.Fatal(err)
+					for _, st := range []*obstore.Store{src, twin} {
+						if _, err := st.Append(o); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
@@ -148,7 +152,10 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 			}
 			appendRandom(nObs - nObs*3/5) // stays in the row-store tail
 			if rng.Intn(2) == 0 {
-				src.DeleteUser(users[0]) // erasure: tombstones + dirty rollup buckets
+				// Erasure: tombstones + dirty rollup buckets.
+				if got, want := src.DeleteUser(users[0]), twin.DeleteUser(users[0]); got != want {
+					t.Fatalf("DeleteUser removed %d rows across both tiers, the twin %d", got, want)
+				}
 			}
 			if rng.Intn(2) == 0 {
 				if _, err := cs.CompactOnce(); err != nil {
@@ -156,7 +163,7 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 				}
 			}
 
-			rowEnv := w.envOver(src.Query, nil)
+			rowEnv := w.envOver(twin.Query, nil)
 			colEnv := w.envOver(cs.Query, func(req RollupRequest) ([]RollupEntry, bool) {
 				cells, ok := cs.RollupFor(req.Filter, req.NeedSensor, req.NeedValue)
 				if !ok {
