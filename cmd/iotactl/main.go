@@ -292,9 +292,9 @@ func main() {
 			st.ColdRows, st.HotRows)
 		fmt.Printf("compactions: %d; segments read %d, pruned %d (%.0f%% pruned)\n",
 			st.Compactions, st.SegmentsRead, st.SegmentsPruned, st.PruneRatio*100)
-		rollups := fmt.Sprintf("%d entries (version %d)", st.RollupEntries, st.RollupVersion)
+		rollups := fmt.Sprintf("%d entries, %s resident (version %d)", st.RollupEntries, fmtBytes(st.RollupBytes), st.RollupVersion)
 		if st.RollupDisabled {
-			rollups = "disabled"
+			rollups = "disabled (passed the entry cap; aggregates are served by scans)"
 		}
 		fmt.Printf("rollups: %s; tombstones: %d seq, %d user\n", rollups, st.SeqTombstones, st.UserTombstones)
 		if len(dto.Segments) > 0 {

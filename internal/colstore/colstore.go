@@ -56,8 +56,8 @@ type Config struct {
 	BucketDur time.Duration
 	// Clock decides when a bucket has closed; nil means time.Now.
 	Clock func() time.Time
-	// RollupMaxEntries caps the rollup cubes; past it the cubes shut
-	// down and readers fall back to scans. Default 1<<20.
+	// RollupMaxEntries caps the rollup cubes' cells; past it they shut down
+	// and readers fall back to scans. Default 1<<20: ≈ 36 MB at ≈ 34 B a cell.
 	RollupMaxEntries int
 }
 
@@ -283,6 +283,7 @@ func (s *Store) AttachStore(src *obstore.Store) {
 		src.SetListener(s)
 	}
 	s.roll.rebuildAll()
+	s.roll.seal()
 }
 
 // source returns the attached row store and whether it answers for the
@@ -417,6 +418,7 @@ func (s *Store) CompactOnce() (int, error) {
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
+	defer s.roll.seal() // the cubes stop indexing what this pass closes
 
 	now := s.cfg.Clock()
 	s.mu.Lock()
@@ -859,6 +861,8 @@ type TierStats struct {
 	SeqTombstones  int     `json:"seq_tombstones"`
 	UserTombstones int     `json:"user_tombstones"`
 	RollupEntries  int     `json:"rollup_entries"`
+	// RollupBytes estimates the cubes' resident cells, indexes and names.
+	RollupBytes    int64   `json:"rollup_bytes"`
 	RollupVersion  uint64  `json:"rollup_version"`
 	RollupDisabled bool    `json:"rollup_disabled"`
 	RollupLagSec   float64 `json:"rollup_lag_seconds"`
@@ -913,9 +917,8 @@ func (s *Store) Stats() TierStats {
 	if total := ts.SegmentsPruned + ts.SegmentsRead; total > 0 {
 		ts.PruneRatio = float64(ts.SegmentsPruned) / float64(total)
 	}
-	ts.RollupEntries = s.roll.entryCount()
+	ts.RollupDisabled, ts.RollupEntries, ts.RollupBytes = s.roll.stats()
 	ts.RollupVersion = s.roll.version.Load()
-	ts.RollupDisabled = s.roll.isDisabled()
 	if end := s.lastBucketEnd.Load(); end > 0 {
 		if lag := s.cfg.Clock().Sub(time.Unix(0, end)); lag > 0 {
 			ts.RollupLagSec = lag.Seconds()
@@ -963,8 +966,21 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 			return float64(s.segScanned.Load())
 		})
 	r.GaugeFunc("tippers_colstore_rollup_entries",
-		"Entries across the rollup cubes.", func() float64 {
-			return float64(s.roll.entryCount())
+		"Entries across the rollup cubes (0 when they are disabled).", func() float64 {
+			_, entries, _ := s.roll.stats()
+			return float64(entries)
+		})
+	r.GaugeFunc("tippers_colstore_rollup_bytes",
+		"Estimated resident bytes of the rollup cubes: cells, open-bucket indexes, intern tables.", func() float64 {
+			_, _, bytes := s.roll.stats()
+			return float64(bytes)
+		})
+	r.GaugeFunc("tippers_colstore_rollup_disabled",
+		"1 once the rollup cubes passed their entry cap and shut down, else 0.", func() float64 {
+			if disabled, _, _ := s.roll.stats(); disabled {
+				return 1
+			}
+			return 0
 		})
 	r.GaugeFunc("tippers_colstore_rollup_lag_seconds",
 		"Age of the newest compacted bucket (segment lag behind now).", func() float64 {

@@ -42,6 +42,8 @@ type evictionWorld struct {
 	// checkpoint would come back at a restart (on any store, evicting or
 	// not). The world checkpoints before it restarts in that state.
 	unlogged bool
+	// rollupMax is the tier's RollupMaxEntries; zero is the default.
+	rollupMax int
 }
 
 var evictionRetention = []obstore.RetentionRule{
@@ -59,7 +61,7 @@ func (w *evictionWorld) open() {
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	cs, err := Open(Config{Dir: filepath.Join(w.dir, "col"), BucketDur: time.Minute, Clock: func() time.Time { return w.now }})
+	cs, err := Open(Config{Dir: filepath.Join(w.dir, "col"), BucketDur: time.Minute, Clock: func() time.Time { return w.now }, RollupMaxEntries: w.rollupMax})
 	if err != nil {
 		w.t.Fatal(err)
 	}

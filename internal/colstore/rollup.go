@@ -10,43 +10,152 @@ package colstore
 // minimum contributing seq, which lets the query layer reproduce the
 // row executor's first-seen group order exactly.
 //
+// A cell is a fixed-width struct without pointers (24 B occupancy, 56 B
+// readings) over uint32 ids from the cubes' intern tables, and a time
+// bucket is one flat slice of cells: the collector never scans a cell
+// and a read compares integers. The key → position index a write needs
+// exists only while a bucket is open: every compaction pass, and
+// attach, seal the buckets ending at or before the newest compacted one
+// (drop the index, copy the cells to exact length), and a late row
+// re-opens its bucket by rebuilding the index from the cells.
+//
 // The cubes are fed synchronously from the row store's listener (so
 // they can never lag ingest) and repair themselves after deletions by
 // marking the touched time buckets dirty and rebuilding them from the
-// unified tombstone-filtered scan on next read.
+// unified tombstone-filtered scan on next read. An erasure also scrubs
+// the subject from the intern table; every bucket holding a cell of
+// theirs is dirty, so no cell with the blanked id is ever visited.
 
 import (
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-type occKey struct {
-	space string
-	kind  sensor.ObservationKind
-	user  string
+// interner gives every distinct string a dense id. Ids are never
+// reused: an erased string's slot is blanked for good.
+type interner struct {
+	ids   map[string]uint32
+	strs  []string
+	bytes int // estimate: each string, its slot in strs, its entry in ids
 }
 
-type occEntry struct {
-	count  int
+func (t *interner) id(s string) uint32 {
+	id, ok := t.ids[s]
+	if !ok {
+		id = uint32(len(t.strs))
+		t.ids[s], t.strs = id, append(t.strs, s)
+		t.bytes += len(s) + 56
+	}
+	return id
+}
+
+// A filter field resolves to anyID when unset and to noID, which no
+// cell carries, when its value was never interned.
+const anyID, noID = ^uint32(0), ^uint32(0) - 1
+
+func (t *interner) want(s string) uint32 {
+	if s == "" {
+		return anyID
+	}
+	if id, ok := t.ids[s]; ok {
+		return id
+	}
+	return noID
+}
+
+type occKey struct{ space, user, kind uint32 }
+
+type occCell struct {
+	occKey
+	count  uint32
 	minSeq uint64
 }
 
-type rdKey struct {
-	sensor string
-	kind   sensor.ObservationKind
-	space  string
-	user   string
+type rdKey struct{ sensor, space, user, kind uint32 }
+
+type rdCell struct {
+	rdKey
+	count         uint32
+	sum, min, max float64
+	minSeq        uint64
 }
 
-type rdEntry struct {
-	count    int
-	sum      float64
-	min, max float64
-	minSeq   uint64
+func (c occCell) key() occKey { return c.occKey }
+func (c rdCell) key() rdKey   { return c.rdKey }
+
+// bucket is one time bucket's cells; index (a cell's position by key)
+// is nil while the bucket is sealed.
+type bucket[K comparable, C any] struct {
+	cells []C
+	index map[K]int32
+}
+
+type cube[K comparable, C interface{ key() K }] struct {
+	width   time.Duration
+	n       int                     // cells across all buckets
+	buckets map[int64]*bucket[K, C] // by bucket start, unix nanos
+	open    map[int64]struct{}      // the buckets that hold an index
+	dirty   map[int64]struct{}
+}
+
+func newCube[K comparable, C interface{ key() K }](width time.Duration) cube[K, C] {
+	return cube[K, C]{width: width, buckets: make(map[int64]*bucket[K, C]),
+		open: make(map[int64]struct{}), dirty: make(map[int64]struct{})}
+}
+
+func (c *cube[K, C]) start(t time.Time) int64 { return t.Truncate(c.width).UnixNano() }
+
+// cell finds the cell with fresh's key in the bucket holding t, opening
+// a sealed bucket and appending fresh when the key is new there. The
+// pointer is good until the next call.
+func (c *cube[K, C]) cell(t time.Time, fresh C) *C {
+	start, k := c.start(t), fresh.key()
+	b := c.buckets[start]
+	if b == nil {
+		b = &bucket[K, C]{}
+		c.buckets[start] = b
+	}
+	if b.index == nil {
+		b.index = make(map[K]int32, len(b.cells))
+		for i := range b.cells {
+			b.index[b.cells[i].key()] = int32(i)
+		}
+		c.open[start] = struct{}{}
+	}
+	i, ok := b.index[k]
+	if !ok {
+		i = int32(len(b.cells))
+		b.index[k] = i
+		b.cells = append(b.cells, fresh)
+		c.n++
+	}
+	return &b.cells[i]
+}
+
+// seal closes every open bucket that ends at or before end.
+func (c *cube[K, C]) seal(end int64) {
+	for start := range c.open {
+		if b := c.buckets[start]; start+int64(c.width) <= end {
+			b.cells, b.index = append(make([]C, 0, len(b.cells)), b.cells...), nil
+			delete(c.open, start)
+		}
+	}
+}
+
+// bytes estimates what the cube keeps resident: cells at their width,
+// and per open index entry a key and a position at the map's load.
+func (c *cube[K, C]) bytes() int {
+	n := c.n * int(unsafe.Sizeof(*new(C)))
+	for start := range c.open {
+		n += len(c.buckets[start].index) * 2 * (int(unsafe.Sizeof(*new(K))) + 4)
+	}
+	return n
 }
 
 // OccEntry is one released-to-the-reader occupancy cube cell: a
@@ -81,36 +190,31 @@ type rollups struct {
 	mu         sync.Mutex
 	disabled   bool
 	maxEntries int
-	entries    int
-	occ        map[int64]map[occKey]*occEntry // minute start, unix nanos
-	rd         map[int64]map[rdKey]*rdEntry   // hour start, unix nanos
-	dirtyOcc   map[int64]struct{}
-	dirtyRd    map[int64]struct{}
+	// users is its own table so that forgetting a subject cannot blank
+	// a sensor, space or kind of the same name.
+	users, names interner
+	occ          cube[occKey, occCell]
+	rd           cube[rdKey, rdCell]
 
 	version atomic.Uint64
 }
 
 func newRollups(store *Store, maxEntries int) *rollups {
-	return &rollups{
-		store:      store,
-		maxEntries: maxEntries,
-		occ:        make(map[int64]map[occKey]*occEntry),
-		rd:         make(map[int64]map[rdKey]*rdEntry),
-		dirtyOcc:   make(map[int64]struct{}),
-		dirtyRd:    make(map[int64]struct{}),
-	}
+	r := &rollups{store: store, maxEntries: maxEntries}
+	r.resetLocked()
+	return r
 }
 
-func (r *rollups) isDisabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.disabled
+func (r *rollups) resetLocked() {
+	r.users, r.names = interner{ids: map[string]uint32{}}, interner{ids: map[string]uint32{}}
+	r.occ, r.rd = newCube[occKey, occCell](time.Minute), newCube[rdKey, rdCell](time.Hour)
 }
 
-func (r *rollups) entryCount() int {
+// stats: whether the cubes are off, their cells, their estimated bytes.
+func (r *rollups) stats() (disabled bool, entries int, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.entries
+	return r.disabled, r.occ.n + r.rd.n, int64(r.occ.bytes() + r.rd.bytes() + r.users.bytes + r.names.bytes)
 }
 
 // observe folds one appended observation into both cubes.
@@ -120,74 +224,50 @@ func (r *rollups) observe(o sensor.Observation) {
 	if r.disabled {
 		return
 	}
-	r.observeLocked(o)
+	r.observeLocked(&o, true, true)
 	r.version.Add(1)
 	r.checkCapLocked()
 }
 
-func (r *rollups) observeLocked(o sensor.Observation) {
-	minute := o.Time.Truncate(time.Minute).UnixNano()
-	om := r.occ[minute]
-	if om == nil {
-		om = make(map[occKey]*occEntry)
-		r.occ[minute] = om
+func (r *rollups) observeLocked(o *sensor.Observation, occ, rd bool) {
+	space, user, kind := r.names.id(o.SpaceID), r.users.id(o.UserID), r.names.id(string(o.Kind))
+	if occ {
+		c := r.occ.cell(o.Time, occCell{occKey: occKey{space, user, kind}, minSeq: o.Seq})
+		c.count++
+		c.minSeq = min(c.minSeq, o.Seq)
 	}
-	ok := occKey{space: o.SpaceID, kind: o.Kind, user: o.UserID}
-	oe := om[ok]
-	if oe == nil {
-		oe = &occEntry{minSeq: o.Seq}
-		om[ok] = oe
-		r.entries++
-	}
-	oe.count++
-	if o.Seq < oe.minSeq {
-		oe.minSeq = o.Seq
-	}
-
-	hour := o.Time.Truncate(time.Hour).UnixNano()
-	hm := r.rd[hour]
-	if hm == nil {
-		hm = make(map[rdKey]*rdEntry)
-		r.rd[hour] = hm
-	}
-	rk := rdKey{sensor: o.SensorID, kind: o.Kind, space: o.SpaceID, user: o.UserID}
-	re := hm[rk]
-	if re == nil {
-		re = &rdEntry{min: o.Value, max: o.Value, minSeq: o.Seq}
-		hm[rk] = re
-		r.entries++
-	} else {
-		if o.Value < re.min {
-			re.min = o.Value
+	if rd {
+		k := rdKey{r.names.id(o.SensorID), space, user, kind}
+		c := r.rd.cell(o.Time, rdCell{rdKey: k, min: o.Value, max: o.Value, minSeq: o.Seq})
+		if o.Value < c.min {
+			c.min = o.Value
 		}
-		if o.Value > re.max {
-			re.max = o.Value
+		if o.Value > c.max {
+			c.max = o.Value
 		}
-		if o.Seq < re.minSeq {
-			re.minSeq = o.Seq
-		}
+		c.count++
+		c.sum += o.Value
+		c.minSeq = min(c.minSeq, o.Seq)
 	}
-	re.count++
-	re.sum += o.Value
 }
 
 func (r *rollups) checkCapLocked() {
-	if r.entries > r.maxEntries {
+	if entries := r.occ.n + r.rd.n; entries > r.maxEntries {
 		// The cube outgrew its budget: shut it down and let readers
 		// fall back to scans rather than serve partial aggregates.
+		slog.Warn("colstore: rollup cubes passed their entry cap and are off until the tier re-attaches; aggregates fall back to scans",
+			"entries", entries, "cap", r.maxEntries)
 		r.disabled = true
-		r.occ = map[int64]map[occKey]*occEntry{}
-		r.rd = map[int64]map[rdKey]*rdEntry{}
-		r.dirtyOcc = map[int64]struct{}{}
-		r.dirtyRd = map[int64]struct{}{}
-		r.entries = 0
+		r.resetLocked()
 		r.version.Add(1)
 	}
 }
 
 // deleted marks every time bucket a deletion touched as dirty; the
 // next read rebuilds those buckets from the unified scan, which no
-// longer contains the rows.
+// longer contains the rows. An erased subject leaves the intern table
+// now: all their cells are in the buckets just marked, and if they
+// return they are a new id.
 func (r *rollups) deleted(dels []obstore.Deletion) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -195,10 +275,24 @@ func (r *rollups) deleted(dels []obstore.Deletion) {
 		return
 	}
 	for _, d := range dels {
-		r.dirtyOcc[d.Time.Truncate(time.Minute).UnixNano()] = struct{}{}
-		r.dirtyRd[d.Time.Truncate(time.Hour).UnixNano()] = struct{}{}
+		r.occ.dirty[r.occ.start(d.Time)] = struct{}{}
+		r.rd.dirty[r.rd.start(d.Time)] = struct{}{}
+		if id, ok := r.users.ids[d.UserID]; ok && d.Erased && d.UserID != "" {
+			delete(r.users.ids, d.UserID)
+			r.users.strs[id] = ""
+		}
 	}
 	r.version.Add(1)
+}
+
+// seal closes the buckets compaction has passed: the ones ending at or
+// before the newest compacted bucket's end.
+func (r *rollups) seal() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	end := r.store.lastBucketEnd.Load()
+	r.occ.seal(end)
+	r.rd.seal(end)
 }
 
 // rebuildAll recomputes both cubes from the unified scan, folding each
@@ -207,14 +301,10 @@ func (r *rollups) deleted(dels []obstore.Deletion) {
 func (r *rollups) rebuildAll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.occ = make(map[int64]map[occKey]*occEntry)
-	r.rd = make(map[int64]map[rdKey]*rdEntry)
-	r.dirtyOcc = make(map[int64]struct{})
-	r.dirtyRd = make(map[int64]struct{})
-	r.entries = 0
+	r.resetLocked()
 	r.disabled = false
 	r.store.Scan(obstore.Filter{}, func(o *sensor.Observation) bool {
-		r.observeLocked(*o)
+		r.observeLocked(o, true, true)
 		return true
 	})
 	r.version.Add(1)
@@ -225,79 +315,31 @@ func (r *rollups) rebuildAll() {
 // Caller holds r.mu; the scan takes only store locks, so the ordering
 // rollups.mu -> store.mu is safe (the reverse never occurs).
 func (r *rollups) repairLocked() {
-	if len(r.dirtyOcc) == 0 && len(r.dirtyRd) == 0 {
+	if len(r.occ.dirty) == 0 && len(r.rd.dirty) == 0 {
 		// No repair, no version bump: reads must leave the version
 		// untouched or downstream answer caches could never validate.
 		return
 	}
-	for minute := range r.dirtyOcc {
-		start := time.Unix(0, minute)
-		r.entries -= len(r.occ[minute])
-		delete(r.occ, minute)
-		r.store.Scan(obstore.Filter{From: start, To: start.Add(time.Minute)}, func(o *sensor.Observation) bool {
-			r.observeOccLocked(*o, minute)
-			return true
-		})
-		delete(r.dirtyOcc, minute)
-	}
-	for hour := range r.dirtyRd {
-		start := time.Unix(0, hour)
-		r.entries -= len(r.rd[hour])
-		delete(r.rd, hour)
-		r.store.Scan(obstore.Filter{From: start, To: start.Add(time.Hour)}, func(o *sensor.Observation) bool {
-			r.observeRdLocked(*o, hour)
-			return true
-		})
-		delete(r.dirtyRd, hour)
-	}
+	repairCube(r, &r.occ, true)
+	repairCube(r, &r.rd, false)
 	r.version.Add(1)
 	r.checkCapLocked()
 }
 
-func (r *rollups) observeOccLocked(o sensor.Observation, minute int64) {
-	om := r.occ[minute]
-	if om == nil {
-		om = make(map[occKey]*occEntry)
-		r.occ[minute] = om
-	}
-	k := occKey{space: o.SpaceID, kind: o.Kind, user: o.UserID}
-	e := om[k]
-	if e == nil {
-		e = &occEntry{minSeq: o.Seq}
-		om[k] = e
-		r.entries++
-	}
-	e.count++
-	if o.Seq < e.minSeq {
-		e.minSeq = o.Seq
-	}
-}
-
-func (r *rollups) observeRdLocked(o sensor.Observation, hour int64) {
-	hm := r.rd[hour]
-	if hm == nil {
-		hm = make(map[rdKey]*rdEntry)
-		r.rd[hour] = hm
-	}
-	k := rdKey{sensor: o.SensorID, kind: o.Kind, space: o.SpaceID, user: o.UserID}
-	e := hm[k]
-	if e == nil {
-		e = &rdEntry{min: o.Value, max: o.Value, minSeq: o.Seq}
-		hm[k] = e
-		r.entries++
-	} else {
-		if o.Value < e.min {
-			e.min = o.Value
+func repairCube[K comparable, C interface{ key() K }](r *rollups, c *cube[K, C], occ bool) {
+	for start := range c.dirty {
+		if b := c.buckets[start]; b != nil {
+			c.n -= len(b.cells)
+			delete(c.buckets, start)
+			delete(c.open, start)
 		}
-		if o.Value > e.max {
-			e.max = o.Value
-		}
-		if o.Seq < e.minSeq {
-			e.minSeq = o.Seq
-		}
+		from := time.Unix(0, start)
+		r.store.Scan(obstore.Filter{From: from, To: from.Add(c.width)}, func(o *sensor.Observation) bool {
+			r.observeLocked(o, occ, !occ)
+			return true
+		})
+		delete(c.dirty, start)
 	}
-	e.count++
-	e.sum += o.Value
 }
 
 // lockCubes takes r.mu for a read and brings the cubes up to date.
@@ -338,6 +380,20 @@ func eachBucket[C any](cube map[int64]C, from, to time.Time, width time.Duration
 	}
 }
 
+// spaceOK marks, by id, the spaces f asks for; nil asks for all.
+func (r *rollups) spaceOK(f obstore.Filter) []bool {
+	if len(f.SpaceIDs) == 0 {
+		return nil
+	}
+	set := make([]bool, len(r.names.strs))
+	for _, s := range f.SpaceIDs {
+		if id, ok := r.names.ids[s]; ok {
+			set[id] = true
+		}
+	}
+	return set
+}
+
 // VisitOccupancy calls visit for every minute-cube cell whose bucket
 // start lies in [f.From, f.To) and that matches f's Kind, UserID and
 // SpaceIDs (unset fields match everything). The cube has no other
@@ -355,14 +411,16 @@ func (s *Store) VisitOccupancy(f obstore.Filter, visit func(OccEntry)) (version 
 	}
 	r := s.roll
 	defer r.mu.Unlock()
-	spaces := spaceSetFor(f)
-	eachBucket(r.occ, f.From, f.To, time.Minute, func(start int64, cells map[occKey]*occEntry) {
+	names, users := r.names.strs, r.users.strs
+	kind, user, spaces := r.names.want(string(f.Kind)), r.users.want(f.UserID), r.spaceOK(f)
+	eachBucket(r.occ.buckets, f.From, f.To, time.Minute, func(start int64, b *bucket[occKey, occCell]) {
 		minute := time.Unix(0, start).UTC()
-		for k, e := range cells {
-			if f.Kind != "" && k.kind != f.Kind || f.UserID != "" && k.user != f.UserID || spaces != nil && !spaces[k.space] {
+		for _, c := range b.cells {
+			if kind != anyID && c.kind != kind || user != anyID && c.user != user || spaces != nil && !spaces[c.space] {
 				continue
 			}
-			visit(OccEntry{Minute: minute, SpaceID: k.space, Kind: k.kind, UserID: k.user, Count: e.count, MinSeq: e.minSeq})
+			visit(OccEntry{Minute: minute, SpaceID: names[c.space], Kind: sensor.ObservationKind(names[c.kind]),
+				UserID: users[c.user], Count: int(c.count), MinSeq: c.minSeq})
 		}
 	})
 	return r.version.Load(), true
@@ -376,16 +434,18 @@ func (s *Store) VisitReadings(f obstore.Filter, visit func(ReadingEntry)) (versi
 	}
 	r := s.roll
 	defer r.mu.Unlock()
-	spaces := spaceSetFor(f)
-	eachBucket(r.rd, f.From, f.To, time.Hour, func(start int64, cells map[rdKey]*rdEntry) {
+	names, users := r.names.strs, r.users.strs
+	sensorID, kind, user, spaces := r.names.want(f.SensorID), r.names.want(string(f.Kind)), r.users.want(f.UserID), r.spaceOK(f)
+	eachBucket(r.rd.buckets, f.From, f.To, time.Hour, func(start int64, b *bucket[rdKey, rdCell]) {
 		hour := time.Unix(0, start).UTC()
-		for k, e := range cells {
-			if f.SensorID != "" && k.sensor != f.SensorID || f.Kind != "" && k.kind != f.Kind ||
-				f.UserID != "" && k.user != f.UserID || spaces != nil && !spaces[k.space] {
+		for _, c := range b.cells {
+			if sensorID != anyID && c.sensor != sensorID || kind != anyID && c.kind != kind ||
+				user != anyID && c.user != user || spaces != nil && !spaces[c.space] {
 				continue
 			}
-			visit(ReadingEntry{Hour: hour, SensorID: k.sensor, Kind: k.kind, SpaceID: k.space, UserID: k.user,
-				Count: e.count, Sum: e.sum, Min: e.min, Max: e.max, MinSeq: e.minSeq})
+			visit(ReadingEntry{Hour: hour, SensorID: names[c.sensor], Kind: sensor.ObservationKind(names[c.kind]),
+				SpaceID: names[c.space], UserID: users[c.user],
+				Count: int(c.count), Sum: c.sum, Min: c.min, Max: c.max, MinSeq: c.minSeq})
 		}
 	})
 	return r.version.Load(), true

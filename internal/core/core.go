@@ -91,8 +91,10 @@ type Config struct {
 	// still serving rollups, just not crash-durable).
 	ColumnarDir string
 	// ColumnarRollupMax caps the rollup cubes' total entry count
-	// (default colstore's 1M); past it the cubes shut down and readers
-	// fall back to scans. Raise it for dense multi-month datasets.
+	// (default colstore's 1M: ≈ 36 MB resident at ≈ 34 B a cell, about
+	// two weeks of the simulated DBH); past it the cubes shut down, say
+	// so once in the log and on tippers_colstore_rollup_disabled, and
+	// readers fall back to scans. Raise it for dense multi-month datasets.
 	ColumnarRollupMax int
 	// DisableColumnar turns the columnar tier off entirely: queries
 	// scan the row store directly and no rollups are maintained.

@@ -313,7 +313,8 @@ type DeploymentConfig struct {
 	// (zero leaves compaction to explicit CompactOnce calls).
 	CompactInterval time.Duration
 	// ColumnarRollupMax caps the rollup cubes' entry count (default
-	// 1M); past it the cubes shut down and readers fall back to scans.
+	// 1M, ≈ 36 MB resident); past it the cubes shut down and readers
+	// fall back to scans.
 	ColumnarRollupMax int
 	// DisableColumnar turns the columnar tier off entirely.
 	DisableColumnar bool

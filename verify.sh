@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
-# equivalence and eviction-is-invisible properties repeated), and the
+# equivalence, eviction-is-invisible and flat-cube properties repeated), and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
@@ -35,8 +35,8 @@ go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 echo "== stream + bus + obstore shards + telemetry tracing (repeated, race) =="
 go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/... ./internal/telemetry/...
 
-echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure (repeated, race) =="
-go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestMemoryTierOverDurableStoreKeepsRows' ./internal/colstore/...
+echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint (repeated, race) =="
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestMemoryTierOverDurableStoreKeepsRows|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable' ./internal/colstore/...
 
 echo "== query leak + segment equivalence + one-executor properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat' ./internal/query/...
