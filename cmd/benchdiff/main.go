@@ -1,46 +1,20 @@
-// Command benchdiff turns `go test -bench` output into a committed
-// JSON baseline and gates CI on regressions against it.
+// Command benchdiff keeps the micro-benchmark ledger, BENCH.json, and
+// gates a fresh run against it by one rule: gate what repeats — counts
+// — and print what does not — timings.
 //
-//	benchdiff parse bench.txt > BENCH_pr9.json
-//	benchdiff compare -tolerance 15 baseline.json [more.json ...] new.json
-//	benchdiff flat -max 2 new.json baseBench scaledBench [more ...]
-//	benchdiff slo -tolerance 25 base-report.json new-report.json
+// parse keeps, per benchmark (keyed by its full name, -N suffix and
+// all), every `value unit` pair of every sample, and the run parameters
+// from the `key: value` lines the testing package and scripts/bench.sh print.
 //
-// parse reads the standard benchmark output format and emits one JSON
-// entry per benchmark with every ns/op sample (run bench with
-// -count=N so compare has medians to work with), plus B/op and
-// allocs/op when -benchmem was on. Benchmarks are keyed by their FULL
-// name, including the trailing `-N` GOMAXPROCS/-cpu suffix: a run
-// with -cpu=1,8 produces two distinct entries, and stripping the
-// suffix would silently pool (or cross-compare) the two variants.
+// compare refuses (exit 3) when either file has no parameters or one
+// that a count depends on differs. Otherwise it fails (exit 1) only
+// when the median of a gated count exceeds the ledger's or is missing
+// from the fresh run. Every other unit, ns/op included, is printed with
+// its delta and never judged: one host's timing says nothing of another's.
 //
-// compare takes one or more baseline files followed by the fresh run.
-// Baselines are merged with later files superseding earlier ones on
-// name collisions, so a newer baseline (BENCH_pr8.json) refreshes the
-// medians of an older one (BENCH_pr4.json) without rewriting it. The
-// first file is the required gate set: a benchmark listed there but
-// missing from the fresh run fails the gate, while benchmarks only in
-// later baselines are supplemental — skipped with a note when the run
-// didn't include them (full-scale datasets recorded locally that quick
-// CI runs shrink past). compare exits nonzero when any benchmark's
-// median ns/op or allocs/op exceeds the (merged) baseline median by
-// more than the tolerance percentage, or when a required benchmark is
-// missing.
-//
-// Because baselines recorded on one machine gate runs on another, a
-// baseline name with suffix `-8` may have no exact match in a fresh
-// run recorded at `-4`. Resolution is exact-match first; failing
-// that, the baseline name maps to the fresh benchmark whose
-// suffix-stripped name matches — but only when that mapping is
-// unambiguous. If the fresh run holds several -cpu variants of the
-// same benchmark, an inexact baseline name refuses to pick one and
-// fails the gate instead of silently comparing mismatched variants.
-//
-// flat is a scale-sweep gate: it asserts each scaled benchmark's
-// median ns/op stays within -max times the base benchmark's median in
-// the SAME run (no baseline file involved), so super-linear cost
-// growth fails the build even when every point individually drifted
-// under the compare tolerance.
+// flat is the one timing verdict, a ratio inside one run, not against a
+// committed number: each scaled benchmark's median ns/op must stay
+// within -max times the base's, and no gated count may exceed the base's.
 package main
 
 import (
@@ -50,8 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -59,97 +32,52 @@ import (
 	"github.com/tippers/tippers/internal/loadgen"
 )
 
-// Result holds one benchmark's samples across -count repetitions.
-type Result struct {
-	NsOp     []float64 `json:"ns_op"`
-	BOp      []float64 `json:"b_op,omitempty"`
-	AllocsOp []float64 `json:"allocs_op,omitempty"`
-}
+// Result holds one benchmark's samples across -count repetitions, by unit.
+type Result map[string][]float64
 
-// File is the JSON baseline layout.
+// File is the layout of BENCH.json and of a fresh run.
 type File struct {
-	Benchmarks map[string]*Result `json:"benchmarks"`
+	Params     map[string]string `json:"params"`
+	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-// benchLine matches e.g.
-//
-//	BenchmarkX/store=sharded-8   120  9876543 ns/op  1234 B/op  56 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// paramNames are the header keys parse keeps. Two runs are comparable
+// only when the first five agree: each changes an allocation count or
+// the iterations a per-event metric is averaged over.
+var paramNames = []string{"go_version", "goos", "goarch", "gomaxprocs", "benchtime", "count", "cpu", "commit"}
 
-// gomaxprocsSuffix is the trailing -N the testing package appends to
-// benchmark names (GOMAXPROCS, or the -cpu value for that variant).
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
-
-// normalize strips the -N suffix. Used only to RESOLVE a baseline
-// name against a fresh run from different hardware — never as the
-// storage key, which keeps distinct -cpu variants distinct.
-func normalize(name string) string {
-	return gomaxprocsSuffix.ReplaceAllString(name, "")
-}
-
-// resolve maps one benchmark name onto the names of another file.
-// Exact match wins. Otherwise the name resolves to the single entry
-// with the same normalized form; zero candidates return ok=false, and
-// several candidates (a genuine multi-cpu run) return an error rather
-// than guessing which variant to compare.
-func resolve(name string, in *File) (string, bool, error) {
-	if _, ok := in.Benchmarks[name]; ok {
-		return name, true, nil
-	}
-	var matches []string
-	want := normalize(name)
-	for cand := range in.Benchmarks {
-		if normalize(cand) == want {
-			matches = append(matches, cand)
-		}
-	}
-	switch len(matches) {
-	case 0:
-		return "", false, nil
-	case 1:
-		return matches[0], true, nil
-	default:
-		sort.Strings(matches)
-		return "", false, fmt.Errorf("benchdiff: %q is ambiguous: matches -cpu variants %s", name, strings.Join(matches, ", "))
-	}
-}
+// gatedUnits are the counts that repeat from run to run and host to host.
+var gatedUnits = []string{"allocs/op", "consulted/op", "decides/event"}
 
 func parse(r io.Reader) (*File, error) {
-	out := &File{Benchmarks: map[string]*Result{}}
+	out := &File{Params: map[string]string{}, Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
+		line := sc.Text()
+		if key, val, ok := strings.Cut(line, ": "); ok && slices.Contains(paramNames, key) {
+			out.Params[key] = strings.TrimSpace(val)
 			continue
 		}
-		name := m[1]
-		res := out.Benchmarks[name]
+		// BenchmarkX/sub-8   120   9876 ns/op   0.5 decides/event   12 B/op   1 allocs/op
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
+			continue
+		}
+		res := out.Benchmarks[f[0]]
 		if res == nil {
-			res = &Result{}
-			out.Benchmarks[name] = res
+			res = Result{}
+			out.Benchmarks[f[0]] = res
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchdiff: bad ns/op in %q: %v", sc.Text(), err)
-		}
-		res.NsOp = append(res.NsOp, ns)
-		if m[3] != "" {
-			if v, err := strconv.ParseFloat(m[3], 64); err == nil {
-				res.BOp = append(res.BOp, v)
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchdiff: bad %s value in %q: %v", f[i+1], line, err)
 			}
-		}
-		if m[4] != "" {
-			if v, err := strconv.ParseFloat(m[4], 64); err == nil {
-				res.AllocsOp = append(res.AllocsOp, v)
-			}
+			res[f[i+1]] = append(res[f[i+1]], v)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchdiff: no benchmark lines found")
+	if err := sc.Err(); err != nil || len(out.Benchmarks) == 0 {
+		return nil, fmt.Errorf("benchdiff: no benchmark lines read (%v)", err)
 	}
 	return out, nil
 }
@@ -158,277 +86,142 @@ func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }
 
-func load(path string) (*File, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+func load(path string) *File {
 	var f File
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("benchdiff: %s: %v", path, err)
+	if err := json.Unmarshal(must(os.ReadFile(path)), &f); err != nil || len(f.Benchmarks) == 0 {
+		fatal(fmt.Errorf("benchdiff: %s holds no benchmarks (%v)", path, err))
 	}
-	if len(f.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchdiff: %s holds no benchmarks", path)
-	}
-	return &f, nil
+	return &f
 }
 
-// mergeBaselines unions the given baselines, later files superseding
-// earlier ones when their names resolve to the same benchmark (exact
-// or same normalized form recorded at a different GOMAXPROCS), and
-// returns the merged file plus the required set — the names of the
-// first (primary) baseline, whose absence from a fresh run fails the
-// gate. Required names follow the superseding entry's spelling so
-// lookups against the merged map stay exact.
-func mergeBaselines(files []*File) (*File, map[string]bool, error) {
-	merged := &File{Benchmarks: map[string]*Result{}}
-	required := map[string]bool{}
-	for i, f := range files {
-		// Resolve against the state before this file lands, so two
-		// -cpu variants recorded in one file never supersede each
-		// other.
-		prior := &File{Benchmarks: map[string]*Result{}}
-		for name, res := range merged.Benchmarks {
-			prior.Benchmarks[name] = res
+// refusal says why base and cur may not be compared, or "" when they may.
+func refusal(base, cur *File) string {
+	if len(base.Params) == 0 || len(cur.Params) == 0 {
+		return "a file has no params block (the retired ledger format); record one with `scripts/bench.sh record`"
+	}
+	for _, name := range paramNames[:5] {
+		b, c := base.Params[name], cur.Params[name]
+		if b == "" || b != c {
+			return fmt.Sprintf("run parameters differ (%s: %q vs %q)", name, b, c)
 		}
-		for name, res := range f.Benchmarks {
-			old, ok, err := resolve(name, prior)
-			if err != nil {
-				return nil, nil, err
+	}
+	return ""
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// compare prints one row per ledger benchmark and unit, and reports
+// whether a gated count grew or went missing.
+func compare(base, cur *File, w io.Writer) (failed bool) {
+	const row = "%-52s %-14s %14v %14v %9s  %s\n"
+	fmt.Fprintf(w, row, "benchmark", "unit", "ledger", "fresh", "delta", "verdict")
+	for _, name := range sortedKeys(base.Benchmarks) {
+		b, c := base.Benchmarks[name], cur.Benchmarks[name]
+		if c == nil {
+			fmt.Fprintf(w, row, name, "", "", "", "", "MISSING from the fresh run")
+			failed = true
+			continue
+		}
+		for _, unit := range sortedKeys(b) {
+			bm, cm := median(b[unit]), median(c[unit])
+			delta, verdict := "=", ""
+			if cm != bm && bm != 0 {
+				delta = fmt.Sprintf("%+.1f%%", 100*(cm-bm)/bm)
+			} else if cm != bm {
+				delta = fmt.Sprintf("%+g", cm)
 			}
-			if ok && old != name {
-				if required[old] {
-					delete(required, old)
-					required[name] = true
+			if slices.Contains(gatedUnits, unit) {
+				verdict = "ok"
+				if len(c[unit]) == 0 || cm > bm {
+					verdict, failed = "COUNT GREW OR MISSING", true
 				}
-				delete(merged.Benchmarks, old)
 			}
-			merged.Benchmarks[name] = res
-			if i == 0 {
-				required[name] = true
-			}
+			fmt.Fprintf(w, row, name, unit, bm, cm, delta, verdict)
 		}
 	}
-	return merged, required, nil
+	for _, name := range sortedKeys(cur.Benchmarks) {
+		if base.Benchmarks[name] == nil {
+			fmt.Fprintf(w, row, name, "", "", "", "", "new (not in the ledger)")
+		}
+	}
+	return failed
 }
 
-// compare reports pass/fail per benchmark. Only regressions fail —
-// improvements and new benchmarks are reported but never block.
-// required limits which baseline benchmarks must appear in the fresh
-// run; nil means all of them (the single-baseline behavior). A
-// benchmark outside the required set that the fresh run skipped is
-// noted but never fails the gate. An ambiguous name resolution
-// (baseline name matching several -cpu variants in the fresh run)
-// always fails.
-func compare(base, cur *File, required map[string]bool, tolerancePct float64, w io.Writer) (failed bool) {
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	matched := map[string]bool{}
-	fmt.Fprintf(w, "%-70s %14s %14s %8s  %s\n", "benchmark", "base ns/op", "new ns/op", "delta", "status")
+// flat checks a scale sweep inside one run; names[0] is the base.
+func flat(f *File, names []string, maxRatio float64, w io.Writer) (failed bool) {
+	base := f.Benchmarks[names[0]]
 	for _, name := range names {
-		b := base.Benchmarks[name]
-		curName, ok, err := resolve(name, cur)
-		if err != nil {
-			fmt.Fprintf(w, "%-70s %14s %14s %8s  AMBIGUOUS (%v)\n", name, fmtNs(median(b.NsOp)), "-", "-", err)
-			failed = true
-			continue
+		res := f.Benchmarks[name]
+		ratio := median(res["ns/op"]) / median(base["ns/op"])
+		verdict := "ok"
+		if !(ratio > 0 && ratio <= maxRatio) { // NaN or 0: no samples
+			verdict = fmt.Sprintf("NOT FLAT (missing, or > %gx base)", maxRatio)
 		}
-		if !ok {
-			if required != nil && !required[name] {
-				fmt.Fprintf(w, "%-70s %14s %14s %8s  skipped (supplemental baseline, not in this run)\n", name, fmtNs(median(b.NsOp)), "-", "-")
-				continue
+		for _, unit := range gatedUnits {
+			if b, c := median(base[unit]), median(res[unit]); c > b {
+				verdict = fmt.Sprintf("NOT FLAT (%s %v -> %v)", unit, b, c)
 			}
-			fmt.Fprintf(w, "%-70s %14s %14s %8s  MISSING\n", name, fmtNs(median(b.NsOp)), "-", "-")
-			failed = true
-			continue
 		}
-		matched[curName] = true
-		c := cur.Benchmarks[curName]
-		bm, cm := median(b.NsOp), median(c.NsOp)
-		delta := 100 * (cm - bm) / bm
-		status := "ok"
-		if delta > tolerancePct {
-			status = fmt.Sprintf("REGRESSION (>%.0f%%)", tolerancePct)
-			failed = true
-		}
-		// allocs/op is hardware-independent, so it gets the same gate
-		// even when wall clock is noisy.
-		if ba, ca := median(b.AllocsOp), median(c.AllocsOp); ba > 0 && ca > ba*(1+tolerancePct/100) {
-			status = fmt.Sprintf("ALLOC REGRESSION (%.0f → %.0f allocs/op)", ba, ca)
-			failed = true
-		}
-		fmt.Fprintf(w, "%-70s %14s %14s %+7.1f%%  %s\n", name, fmtNs(bm), fmtNs(cm), delta, status)
-	}
-	newNames := make([]string, 0, len(cur.Benchmarks))
-	for name := range cur.Benchmarks {
-		if !matched[name] {
-			newNames = append(newNames, name)
-		}
-	}
-	sort.Strings(newNames)
-	for _, name := range newNames {
-		fmt.Fprintf(w, "%-70s %14s %14s %8s  new (no baseline)\n", name, "-", fmtNs(median(cur.Benchmarks[name].NsOp)), "-")
+		failed = failed || verdict != "ok"
+		fmt.Fprintf(w, "%-52s %12v ns/op %7.2fx  %s\n", name, median(res["ns/op"]), ratio, verdict)
 	}
 	return failed
-}
-
-// flatCheck is the scale-sweep gate: every scaled benchmark's median
-// ns/op must stay within maxRatio times the base benchmark's median,
-// all read from the same fresh run.
-func flatCheck(f *File, baseName string, scaledNames []string, maxRatio float64, w io.Writer) (failed bool) {
-	resolveOrDie := func(name string) (*Result, bool) {
-		got, ok, err := resolve(name, f)
-		if err != nil {
-			fmt.Fprintf(w, "%-70s %s\n", name, err)
-			return nil, false
-		}
-		if !ok {
-			fmt.Fprintf(w, "%-70s MISSING from run\n", name)
-			return nil, false
-		}
-		return f.Benchmarks[got], true
-	}
-	base, ok := resolveOrDie(baseName)
-	if !ok {
-		return true
-	}
-	bm := median(base.NsOp)
-	if bm <= 0 {
-		fmt.Fprintf(w, "%-70s has no ns/op samples\n", baseName)
-		return true
-	}
-	fmt.Fprintf(w, "%-70s %14s %8s  %s\n", "benchmark", "ns/op", "ratio", "status")
-	fmt.Fprintf(w, "%-70s %14s %8s  base\n", baseName, fmtNs(bm), "1.00x")
-	for _, name := range scaledNames {
-		res, ok := resolveOrDie(name)
-		if !ok {
-			failed = true
-			continue
-		}
-		cm := median(res.NsOp)
-		ratio := cm / bm
-		status := "ok"
-		if ratio > maxRatio {
-			status = fmt.Sprintf("NOT FLAT (>%.1fx base)", maxRatio)
-			failed = true
-		}
-		fmt.Fprintf(w, "%-70s %14s %7.2fx  %s\n", name, fmtNs(cm), ratio, status)
-	}
-	return failed
-}
-
-func fmtNs(ns float64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", ns/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", ns/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", ns/1e3)
-	default:
-		return fmt.Sprintf("%.0fns", ns)
-	}
 }
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	args := os.Args[2:]
 	switch os.Args[1] {
 	case "parse":
-		fs := flag.NewFlagSet("parse", flag.ExitOnError)
-		fs.Parse(os.Args[2:])
-		in := io.Reader(os.Stdin)
-		if fs.NArg() > 0 && fs.Arg(0) != "-" {
-			f, err := os.Open(fs.Arg(0))
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			in = f
-		}
-		parsed, err := parse(in)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(parsed); err != nil {
-			fatal(err)
-		}
+		out := must(json.MarshalIndent(must(parse(os.Stdin)), "", " "))
+		must(os.Stdout.Write(append(out, '\n')))
 	case "compare":
-		fs := flag.NewFlagSet("compare", flag.ExitOnError)
-		tolerance := fs.Float64("tolerance", 15, "max allowed median regression, percent")
-		fs.Parse(os.Args[2:])
-		if fs.NArg() < 2 {
+		if len(args) != 2 {
 			usage()
 		}
-		baselines := make([]*File, fs.NArg()-1)
-		for i := range baselines {
-			f, err := load(fs.Arg(i))
-			if err != nil {
-				fatal(err)
-			}
-			baselines[i] = f
+		base, cur := load(args[0]), load(args[1])
+		if why := refusal(base, cur); why != "" {
+			fmt.Fprintf(os.Stderr, "benchdiff: refusing to compare %s with %s: %s\n", args[0], args[1], why)
+			os.Exit(3)
 		}
-		cur, err := load(fs.Arg(fs.NArg() - 1))
-		if err != nil {
-			fatal(err)
-		}
-		base, required, err := mergeBaselines(baselines)
-		if err != nil {
-			fatal(err)
-		}
-		if compare(base, cur, required, *tolerance, os.Stdout) {
-			fmt.Fprintln(os.Stderr, "benchdiff: benchmark regression over tolerance")
-			os.Exit(1)
+		if compare(base, cur, os.Stdout) {
+			fatal(fmt.Errorf("benchdiff: a gated count grew or is missing"))
 		}
 	case "flat":
 		fs := flag.NewFlagSet("flat", flag.ExitOnError)
-		maxRatio := fs.Float64("max", 2, "max allowed median ns/op ratio of scaled vs base benchmark")
-		fs.Parse(os.Args[2:])
+		maxRatio := fs.Float64("max", 4, "max allowed median ns/op ratio of scaled vs base benchmark")
+		fs.Parse(args)
 		if fs.NArg() < 3 {
 			usage()
 		}
-		f, err := load(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		if flatCheck(f, fs.Arg(1), fs.Args()[2:], *maxRatio, os.Stdout) {
-			fmt.Fprintln(os.Stderr, "benchdiff: scale sweep is not flat")
-			os.Exit(1)
+		if flat(load(fs.Arg(0)), fs.Args()[1:], *maxRatio, os.Stdout) {
+			fatal(fmt.Errorf("benchdiff: scale sweep is not flat"))
 		}
 	case "slo":
 		fs := flag.NewFlagSet("slo", flag.ExitOnError)
 		tolerance := fs.Float64("tolerance", 25, "max allowed tail-latency regression, percent")
 		floor := fs.Duration("floor", 2*time.Millisecond, "ignore regressions smaller than this absolute delta")
-		fs.Parse(os.Args[2:])
+		fs.Parse(args)
 		if fs.NArg() != 2 {
 			usage()
 		}
-		base, err := loadgen.ReadReport(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		cur, err := loadgen.ReadReport(fs.Arg(1))
-		if err != nil {
-			fatal(err)
-		}
+		base, cur := must(loadgen.ReadReport(fs.Arg(0))), must(loadgen.ReadReport(fs.Arg(1)))
 		if sloCompare(base, cur, *tolerance, floor.Seconds(), os.Stdout) {
-			fmt.Fprintln(os.Stderr, "benchdiff: tail-latency regression over tolerance")
-			os.Exit(1)
+			fatal(fmt.Errorf("benchdiff: tail-latency regression over tolerance"))
 		}
 	default:
 		usage()
@@ -436,14 +229,19 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, strings.TrimSpace(`
-usage:
-  benchdiff parse [bench.txt]                      # bench output → JSON on stdout
-  benchdiff compare [-tolerance 15] base.json [more.json ...] new.json
-  benchdiff flat [-max 2] new.json baseBench scaledBench [more ...]
-  benchdiff slo [-tolerance 25] [-floor 2ms] base-report.json new-report.json
-`))
+	fmt.Fprintln(os.Stderr, `usage:
+  benchdiff parse <bench.txt >fresh.json           # go test -bench output → JSON
+  benchdiff compare BENCH.json fresh.json          # exit 1: a count grew; exit 3: not comparable
+  benchdiff flat [-max 4] fresh.json baseBench scaledBench [more ...]
+  benchdiff slo [-tolerance 25] [-floor 2ms] base-report.json new-report.json`)
 	os.Exit(2)
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal(err)
+	}
+	return v
 }
 
 func fatal(err error) {

@@ -5,15 +5,24 @@ import (
 	"testing"
 )
 
+// The StreamFanout and WALAppend lines are verbatim `go test` output:
+// a custom metric or MB/s sits between ns/op and the -benchmem columns.
 const sampleBench = `
+go_version: go1.24
+gomaxprocs: 2
+benchtime: 20000x
+count: 5
+commit: ac4fadb
 goos: linux
 goarch: amd64
 pkg: github.com/tippers/tippers
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkShardedQueryEnforce/store=single-lock-8      100   2329090 ns/op   636272 B/op   2233 allocs/op
-BenchmarkShardedQueryEnforce/store=single-lock-8      100   2400000 ns/op   636000 B/op   2233 allocs/op
-BenchmarkShardedQueryEnforce/store=sharded-8          200   1100000 ns/op   635576 B/op   2227 allocs/op
-BenchmarkWALAppend-8                                 5000     21000 ns/op
+BenchmarkObstoreIngestDurable-8      100   2329090 ns/op   636272 B/op   2233 allocs/op
+BenchmarkObstoreIngestDurable-8      100   2400000 ns/op   636000 B/op   2233 allocs/op
+BenchmarkPlain-8                                     5000     21000 ns/op
+BenchmarkStreamFanout/subs=1-2             	   58591	      2928 ns/op	         0.005 decides/event	    341529 deliveries/s	    1007 B/op	       4 allocs/op
+BenchmarkWALAppend/sync=interval-2         	  160290	      7441 ns/op	  19.35 MB/s	     346 B/op	       1 allocs/op
+BenchmarkLogged some b.Logf text, not a result line
 PASS
 ok    github.com/tippers/tippers  12.3s
 `
@@ -23,19 +32,43 @@ func TestParseKeepsSuffixAndCollectsSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, ok := f.Benchmarks["BenchmarkShardedQueryEnforce/store=single-lock-8"]
+	ingest, ok := f.Benchmarks["BenchmarkObstoreIngestDurable-8"]
 	if !ok {
-		t.Fatalf("full suffixed name must be the key: have %v", keys(f))
+		t.Fatalf("full suffixed name must be the key: have %v", sortedKeys(f.Benchmarks))
 	}
-	if len(single.NsOp) != 2 || single.NsOp[0] != 2329090 {
-		t.Fatalf("samples = %v", single.NsOp)
+	if got := ingest["ns/op"]; len(got) != 2 || got[0] != 2329090 {
+		t.Fatalf("samples = %v", got)
 	}
-	if len(single.AllocsOp) != 2 || single.AllocsOp[0] != 2233 {
-		t.Fatalf("allocs = %v", single.AllocsOp)
+	if got := ingest["allocs/op"]; len(got) != 2 || got[0] != 2233 {
+		t.Fatalf("allocs = %v", got)
 	}
-	wal := f.Benchmarks["BenchmarkWALAppend-8"]
-	if wal == nil || len(wal.NsOp) != 1 || len(wal.AllocsOp) != 0 {
-		t.Fatalf("WAL entry = %+v", wal)
+	if plain := f.Benchmarks["BenchmarkPlain-8"]; len(plain["ns/op"]) != 1 || len(plain["allocs/op"]) != 0 {
+		t.Fatalf("entry without -benchmem = %+v", plain)
+	}
+	fan := f.Benchmarks["BenchmarkStreamFanout/subs=1-2"]
+	for unit, want := range map[string]float64{"ns/op": 2928, "decides/event": 0.005, "deliveries/s": 341529, "B/op": 1007, "allocs/op": 4} {
+		if got := fan[unit]; len(got) != 1 || got[0] != want {
+			t.Errorf("StreamFanout %s = %v, want [%v]", unit, got, want)
+		}
+	}
+	wal := f.Benchmarks["BenchmarkWALAppend/sync=interval-2"]
+	for unit, want := range map[string]float64{"ns/op": 7441, "MB/s": 19.35, "B/op": 346, "allocs/op": 1} {
+		if got := wal[unit]; len(got) != 1 || got[0] != want {
+			t.Errorf("WALAppend %s = %v, want [%v]", unit, got, want)
+		}
+	}
+	if len(f.Benchmarks) != 4 {
+		t.Errorf("benchmarks = %v, want 4 (the log line is not a result)", sortedKeys(f.Benchmarks))
+	}
+	want := map[string]string{"go_version": "go1.24", "goos": "linux", "goarch": "amd64", "gomaxprocs": "2",
+		"benchtime": "20000x", "count": "5", "cpu": "Intel(R) Xeon(R) Processor @ 2.10GHz", "commit": "ac4fadb"}
+	for name, v := range want {
+		if f.Params[name] != v {
+			t.Errorf("params[%s] = %q, want %q", name, f.Params[name], v)
+		}
+	}
+	if len(f.Params) != len(want) {
+		t.Errorf("params = %v: pkg and the like are not run parameters", f.Params)
 	}
 }
 
@@ -51,9 +84,9 @@ BenchmarkDecide/prefs=10-8        	 1000000	      1200 ns/op
 	// A -cpu=1,8 run produces two variants; pooling them under one
 	// stripped key would mix medians across GOMAXPROCS settings.
 	if len(f.Benchmarks) != 2 {
-		t.Fatalf("benchmarks = %v, want 2 distinct -cpu variants", keys(f))
+		t.Fatalf("benchmarks = %v, want 2 distinct -cpu variants", sortedKeys(f.Benchmarks))
 	}
-	if got := f.Benchmarks["BenchmarkDecide/prefs=10-8"]; got == nil || len(got.NsOp) != 2 {
+	if got := f.Benchmarks["BenchmarkDecide/prefs=10-8"]; len(got["ns/op"]) != 2 {
 		t.Errorf("suffixed variant = %+v, want 2 samples", got)
 	}
 }
@@ -64,231 +97,116 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 	}
 }
 
-func mkFile(entries map[string]float64) *File {
-	f := &File{Benchmarks: map[string]*Result{}}
-	for name, ns := range entries {
-		f.Benchmarks[name] = &Result{NsOp: []float64{ns}}
-	}
-	return f
-}
-
-func TestResolve(t *testing.T) {
-	f := mkFile(map[string]float64{
-		"BenchmarkA-8":   1,
-		"BenchmarkB-1":   1,
-		"BenchmarkB-8":   1,
-		"BenchmarkC":     1,
-		"BenchmarkD/n=4": 1,
-	})
-	cases := []struct {
-		name    string
-		want    string
-		ok      bool
-		wantErr bool
-	}{
-		{name: "BenchmarkA-8", want: "BenchmarkA-8", ok: true},       // exact
-		{name: "BenchmarkA", want: "BenchmarkA-8", ok: true},         // unique normalized
-		{name: "BenchmarkA-4", want: "BenchmarkA-8", ok: true},       // other machine's suffix
-		{name: "BenchmarkB", wantErr: true},                          // two -cpu variants
-		{name: "BenchmarkB-4", wantErr: true},                        // still ambiguous
-		{name: "BenchmarkC-16", want: "BenchmarkC", ok: true},        // suffixed vs stored bare
-		{name: "BenchmarkD/n=4-2", want: "BenchmarkD/n=4", ok: true}, // subname ending in -N
-		{name: "BenchmarkZ", ok: false},                              // absent
-	}
-	for _, tc := range cases {
-		got, ok, err := resolve(tc.name, f)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("resolve(%q) = %q, want ambiguity error", tc.name, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("resolve(%q): %v", tc.name, err)
-			continue
-		}
-		if ok != tc.ok || got != tc.want {
-			t.Errorf("resolve(%q) = %q, %v; want %q, %v", tc.name, got, ok, tc.want, tc.ok)
-		}
-	}
+func testParams() map[string]string {
+	return map[string]string{"go_version": "go1.24", "goos": "linux", "goarch": "amd64", "gomaxprocs": "2",
+		"benchtime": "20000x", "count": "5", "cpu": "some cpu", "commit": "abc"}
 }
 
 func TestCompareGates(t *testing.T) {
-	base := &File{Benchmarks: map[string]*Result{
-		"BenchmarkA": {NsOp: []float64{100, 110, 105}, AllocsOp: []float64{10, 10, 10}},
-		"BenchmarkB": {NsOp: []float64{1000}},
+	base := &File{Params: testParams(), Benchmarks: map[string]Result{
+		"BenchmarkA-2": {"ns/op": {100, 110, 105}, "allocs/op": {10, 10, 10}, "B/op": {64, 64, 64}},
+		"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}},
 	}}
+	freshB := Result{"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}}
+	with := func(name, value string) map[string]string {
+		p := testParams()
+		p[name] = value
+		return p
+	}
 	cases := []struct {
-		name string
-		cur  *File
-		fail bool
+		name    string
+		cur     *File
+		refused string // substring of the refusal; "" means compared
+		fail    bool
+		prints  string
 	}{
-		{"identical", &File{Benchmarks: map[string]*Result{
-			"BenchmarkA": {NsOp: []float64{105}, AllocsOp: []float64{10}},
-			"BenchmarkB": {NsOp: []float64{1000}},
-		}}, false},
-		{"within tolerance", &File{Benchmarks: map[string]*Result{
-			"BenchmarkA": {NsOp: []float64{115}, AllocsOp: []float64{10}},
-			"BenchmarkB": {NsOp: []float64{1100}},
-		}}, false},
-		{"time regression", &File{Benchmarks: map[string]*Result{
-			"BenchmarkA": {NsOp: []float64{105}, AllocsOp: []float64{10}},
-			"BenchmarkB": {NsOp: []float64{1300}},
-		}}, true},
-		{"alloc regression despite faster time", &File{Benchmarks: map[string]*Result{
-			"BenchmarkA": {NsOp: []float64{50}, AllocsOp: []float64{20}},
-			"BenchmarkB": {NsOp: []float64{1000}},
-		}}, true},
-		{"missing benchmark", &File{Benchmarks: map[string]*Result{
-			"BenchmarkA": {NsOp: []float64{105}, AllocsOp: []float64{10}},
-		}}, true},
-		{"improvement and new benchmark", &File{Benchmarks: map[string]*Result{
-			"BenchmarkA": {NsOp: []float64{50}, AllocsOp: []float64{10}},
-			"BenchmarkB": {NsOp: []float64{500}},
-			"BenchmarkC": {NsOp: []float64{1}},
-		}}, false},
+		{name: "identical", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}}, "BenchmarkB-2": freshB,
+		}}},
+		{name: "ns/op +300% and B/op doubled with equal counts", prints: "+300.0%", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {420}, "allocs/op": {10}, "B/op": {128}}, "BenchmarkB-2": freshB,
+		}}},
+		{name: "fewer allocations", prints: "-50.0%", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {5}, "B/op": {64}}, "BenchmarkB-2": freshB,
+		}}},
+		{name: "allocs/op above the ledger despite a faster time", fail: true, prints: "COUNT GREW", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {50}, "allocs/op": {11}, "B/op": {64}}, "BenchmarkB-2": freshB,
+		}}},
+		{name: "custom count above the ledger", fail: true, cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}},
+			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {3}},
+		}}},
+		{name: "gated count no longer reported", fail: true, cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}},
+			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "consulted/op": {2}},
+		}}},
+		{name: "ledger entry absent from the fresh run", fail: true, prints: "MISSING", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkB-2": freshB,
+		}}},
+		{name: "entry only in the fresh run", prints: "new (not in the ledger)", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}}, "BenchmarkB-2": freshB,
+			"BenchmarkC-2": {"ns/op": {1}, "allocs/op": {99}},
+		}}},
+		{name: "another cpu model and commit", cur: &File{Params: with("cpu", "another cpu"), Benchmarks: base.Benchmarks}},
+		{name: "gomaxprocs differs", refused: "gomaxprocs", cur: &File{Params: with("gomaxprocs", "4"), Benchmarks: base.Benchmarks}},
+		{name: "Go minor version differs", refused: "go_version", cur: &File{Params: with("go_version", "go1.25"), Benchmarks: base.Benchmarks}},
+		{name: "benchtime differs", refused: "benchtime", cur: &File{Params: with("benchtime", "200ms"), Benchmarks: base.Benchmarks}},
+		{name: "parameter not recorded", refused: "goarch", cur: &File{Params: with("goarch", ""), Benchmarks: base.Benchmarks}},
+		{name: "retired format: no params block", refused: "no params block", cur: &File{Benchmarks: base.Benchmarks}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			why := refusal(base, tc.cur)
+			if tc.refused != "" {
+				if !strings.Contains(why, tc.refused) {
+					t.Fatalf("refusal = %q, want it to name %q", why, tc.refused)
+				}
+				if flipped := refusal(tc.cur, base); !strings.Contains(flipped, tc.refused) {
+					t.Fatalf("refusal with the files swapped = %q, want it to name %q", flipped, tc.refused)
+				}
+				return
+			}
+			if why != "" {
+				t.Fatalf("refused a comparable pair: %s", why)
+			}
 			var sb strings.Builder
-			if got := compare(base, tc.cur, nil, 15, &sb); got != tc.fail {
+			if got := compare(base, tc.cur, &sb); got != tc.fail {
 				t.Fatalf("failed = %v, want %v\n%s", got, tc.fail, sb.String())
+			}
+			if !strings.Contains(sb.String(), tc.prints) {
+				t.Fatalf("output lacks %q:\n%s", tc.prints, sb.String())
 			}
 		})
 	}
 }
 
-func TestCompareCrossSuffix(t *testing.T) {
-	// Baseline recorded bare (pre-suffix format), fresh run suffixed:
-	// the names must still pair up and gate on the median delta.
-	base := mkFile(map[string]float64{"BenchmarkX": 1000})
-	cur := mkFile(map[string]float64{"BenchmarkX-8": 1100})
+func TestFlat(t *testing.T) {
+	sweep := []string{"BenchmarkCompiledDecide/prefs=10-2", "BenchmarkCompiledDecide/prefs=10000-2", "BenchmarkCompiledDecide/prefs=1000000-2"}
+	mk := func(ns1M, consulted1M float64) *File {
+		return &File{Benchmarks: map[string]Result{
+			sweep[0]: {"ns/op": {1000}, "allocs/op": {0}, "consulted/op": {2}},
+			sweep[1]: {"ns/op": {1500}, "allocs/op": {0}, "consulted/op": {2}},
+			sweep[2]: {"ns/op": {ns1M}, "allocs/op": {0}, "consulted/op": {consulted1M}},
+		}}
+	}
 	var sb strings.Builder
-	if failed := compare(base, cur, nil, 15, &sb); failed {
-		t.Errorf("10%% delta under 15%% tolerance failed:\n%s", sb.String())
+	if flat(mk(3900, 2), sweep, 4, &sb) {
+		t.Errorf("3.9x sweep failed a 4x gate:\n%s", sb.String())
 	}
-	cur = mkFile(map[string]float64{"BenchmarkX-8": 1300})
 	sb.Reset()
-	if failed := compare(base, cur, nil, 15, &sb); !failed {
-		t.Errorf("30%% regression passed:\n%s", sb.String())
+	if !flat(mk(4100, 2), sweep, 4, &sb) || !strings.Contains(sb.String(), "NOT FLAT") {
+		t.Errorf("4.1x sweep passed a 4x gate:\n%s", sb.String())
 	}
-}
-
-func TestCompareAmbiguousVariantsFail(t *testing.T) {
-	// A bare baseline name facing two -cpu variants in the fresh run
-	// must fail rather than silently picking one.
-	base := mkFile(map[string]float64{"BenchmarkX": 1000})
-	cur := mkFile(map[string]float64{"BenchmarkX-1": 500, "BenchmarkX-8": 100})
-	var sb strings.Builder
-	if failed := compare(base, cur, nil, 15, &sb); !failed {
-		t.Errorf("ambiguous -cpu variants passed the gate:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "AMBIGUOUS") {
-		t.Errorf("output does not flag ambiguity:\n%s", sb.String())
-	}
-}
-
-func TestCompareMultipleBaselines(t *testing.T) {
-	old := &File{Benchmarks: map[string]*Result{
-		"BenchmarkA": {NsOp: []float64{100}},
-		"BenchmarkB": {NsOp: []float64{1000}},
-	}}
-	refreshed := &File{Benchmarks: map[string]*Result{
-		// Supersedes old's BenchmarkA median (recorded suffixed on a
-		// newer machine) and adds a supplemental full-scale benchmark
-		// quick runs may skip.
-		"BenchmarkA-8":    {NsOp: []float64{200}},
-		"BenchmarkBig10M": {NsOp: []float64{5000}},
-	}}
-	merged, required, err := mergeBaselines([]*File{old, refreshed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := merged.Benchmarks["BenchmarkA"]; ok {
-		t.Fatalf("superseded bare spelling still present: %v", keys(merged))
-	}
-	if m := median(merged.Benchmarks["BenchmarkA-8"].NsOp); m != 200 {
-		t.Fatalf("later baseline must supersede: BenchmarkA-8 median = %v", m)
-	}
-	if !required["BenchmarkA-8"] || !required["BenchmarkB"] || required["BenchmarkBig10M"] {
-		t.Fatalf("required set must be the first baseline's names (restyled to the superseding spelling): %v", required)
-	}
-
-	// A fresh run that skipped the supplemental benchmark passes…
-	cur := &File{Benchmarks: map[string]*Result{
-		"BenchmarkA-8": {NsOp: []float64{205}},
-		"BenchmarkB-8": {NsOp: []float64{1000}},
-	}}
-	var sb strings.Builder
-	if compare(merged, cur, required, 15, &sb) {
-		t.Fatalf("skipping a supplemental benchmark must not fail the gate:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "skipped (supplemental") {
-		t.Fatalf("want a skip note for the supplemental benchmark:\n%s", sb.String())
-	}
-
-	// …but dropping a required one still fails.
-	delete(cur.Benchmarks, "BenchmarkB-8")
 	sb.Reset()
-	if !compare(merged, cur, required, 15, &sb) {
-		t.Fatalf("missing required benchmark must fail the gate:\n%s", sb.String())
+	if !flat(mk(1000, 3), sweep, 4, &sb) || !strings.Contains(sb.String(), "consulted/op 2 -> 3") {
+		t.Errorf("a count that grew along the sweep passed:\n%s", sb.String())
 	}
-
-	// And a regression against the superseding median is caught.
-	cur = &File{Benchmarks: map[string]*Result{
-		"BenchmarkA-8":    {NsOp: []float64{300}},
-		"BenchmarkB-8":    {NsOp: []float64{1000}},
-		"BenchmarkBig10M": {NsOp: []float64{5100}},
-	}}
 	sb.Reset()
-	if !compare(merged, cur, required, 15, &sb) {
-		t.Fatalf("regression against a superseding baseline must fail:\n%s", sb.String())
-	}
-}
-
-func TestMergeBaselinesKeepsVariantsWithinOneFile(t *testing.T) {
-	// Two -cpu variants recorded in one file must both survive the
-	// merge instead of superseding each other.
-	multi := mkFile(map[string]float64{"BenchmarkX-1": 100, "BenchmarkX-8": 25})
-	merged, _, err := mergeBaselines([]*File{multi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Benchmarks) != 2 {
-		t.Errorf("merged = %v, want both -cpu variants", keys(merged))
-	}
-}
-
-func TestFlatCheck(t *testing.T) {
-	f := mkFile(map[string]float64{
-		"BenchmarkCompiledDecide/prefs=10-8":      1000,
-		"BenchmarkCompiledDecide/prefs=10000-8":   1500,
-		"BenchmarkCompiledDecide/prefs=1000000-8": 1900,
-	})
-	var sb strings.Builder
-	failed := flatCheck(f, "BenchmarkCompiledDecide/prefs=10",
-		[]string{"BenchmarkCompiledDecide/prefs=10000", "BenchmarkCompiledDecide/prefs=1000000"}, 2, &sb)
-	if failed {
-		t.Errorf("flat sweep failed:\n%s", sb.String())
-	}
-
-	f.Benchmarks["BenchmarkCompiledDecide/prefs=1000000-8"].NsOp = []float64{2100}
-	sb.Reset()
-	failed = flatCheck(f, "BenchmarkCompiledDecide/prefs=10",
-		[]string{"BenchmarkCompiledDecide/prefs=10000", "BenchmarkCompiledDecide/prefs=1000000"}, 2, &sb)
-	if !failed {
-		t.Errorf("2.1x sweep passed a 2x gate:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "NOT FLAT") {
-		t.Errorf("output does not flag the non-flat point:\n%s", sb.String())
-	}
-
-	sb.Reset()
-	if !flatCheck(f, "BenchmarkCompiledDecide/prefs=10", []string{"BenchmarkGhost"}, 2, &sb) {
+	if !flat(mk(1000, 2), []string{sweep[0], "BenchmarkGhost"}, 4, &sb) {
 		t.Error("missing scaled benchmark passed the flat gate")
 	}
 	sb.Reset()
-	if !flatCheck(f, "BenchmarkGhost", []string{"BenchmarkCompiledDecide/prefs=10000"}, 2, &sb) {
+	if !flat(mk(1000, 2), []string{"BenchmarkGhost", sweep[1]}, 4, &sb) {
 		t.Error("missing base benchmark passed the flat gate")
 	}
 }
@@ -303,12 +221,4 @@ func TestMedian(t *testing.T) {
 	if m := median(nil); m != 0 {
 		t.Fatalf("empty median = %v", m)
 	}
-}
-
-func keys(f *File) []string {
-	var out []string
-	for k := range f.Benchmarks {
-		out = append(out, k)
-	}
-	return out
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e1|e2|e3|e4|e5|e6|strategies|audit|e8|e11|e12|e13]
+//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e1|e2|e3|e4|e5|e6|strategies|audit|e8|e11|e12]
 package main
 
 import (
@@ -45,7 +45,6 @@ func main() {
 		{"e8", "E8 — longitudinal notification burden", runE8},
 		{"e11", "E11 — enforced SQL queries shrink on mid-session opt-out", runE11},
 		{"e12", "E12 — aggregate latency vs observation count, scan vs rollups", runE12},
-		{"e13", "E13 — open-loop tail latency: mixed vs churn-storm soak", runE13},
 	}
 
 	matched := false

@@ -1,9 +1,12 @@
 #!/bin/sh
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
-# equivalence, eviction-is-invisible and flat-cube properties repeated), and the
+# equivalence, eviction-is-invisible and flat-cube properties repeated), the
+# micro-benchmark count gate (scripts/bench.sh: three benchmarks against
+# the one ledger, BENCH.json, ≈ 1 min on 2 vCPUs; counts are gated and
+# timings only printed, so it reads the same here as in CI) and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
-# steps mirror the test + slo-smoke jobs in .github/workflows/ci.yml
+# steps mirror the test + bench + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
 # Only CI's four 30s fuzz smoke runs (SQL parser, segment codec, scope
 # compiler, observation codec) are left out; run one by hand with
@@ -44,6 +47,9 @@ go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatch
 echo "== compiled-engine equivalence + recompile-under-churn + incremental-conflict equivalence (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive' ./internal/enforce/...
 go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat' ./internal/core/...
+
+echo "== micro-benchmark count gate (three benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
+./scripts/bench.sh
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
 SLO_SMOKE_REPORT="${SLO_SMOKE_REPORT:-/tmp/slo-report.json}" ./scripts/slo_smoke.sh
