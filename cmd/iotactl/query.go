@@ -129,8 +129,12 @@ func renderResult(out io.Writer, res httpapi.QueryResultDTO) {
 		writeRow(r)
 	}
 	st := res.Stats
-	fmt.Fprintf(out, "(%d rows; scanned %d, denied %d, suppressed %d group(s), k=%d)\n",
-		len(res.Rows), st.ScannedRows, st.DeniedRows, st.SuppressedGroups, st.EffectiveK)
+	source := ""
+	if st.UsedRollup {
+		source = fmt.Sprintf("; rollup, %d cells", st.RollupCells)
+	}
+	fmt.Fprintf(out, "(%d rows; scanned %d, denied %d, suppressed %d group(s), k=%d%s)\n",
+		len(res.Rows), st.ScannedRows, st.DeniedRows, st.SuppressedGroups, st.EffectiveK, source)
 	if res.Trace != nil && res.Trace.TraceID != "" {
 		fmt.Fprintf(out, "trace: %s\n", res.Trace.TraceID)
 	}

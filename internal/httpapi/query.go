@@ -37,6 +37,10 @@ type QueryStatsDTO struct {
 	Decisions        int `json:"decisions"`
 	EffectiveK       int `json:"effective_k"`
 	SuppressedGroups int `json:"suppressed_groups"`
+	// UsedRollup and RollupCells say the answer came from the rollup
+	// cubes, and from how many cells.
+	UsedRollup  bool `json:"used_rollup,omitempty"`
+	RollupCells int  `json:"rollup_cells,omitempty"`
 }
 
 // QueryResultDTO is the wire form of an executed query. Row cells are
@@ -70,6 +74,8 @@ func queryStatsToDTO(s query.Stats) QueryStatsDTO {
 		Decisions:        s.Decisions,
 		EffectiveK:       s.EffectiveK,
 		SuppressedGroups: s.SuppressedGroups,
+		UsedRollup:       s.UsedRollup,
+		RollupCells:      s.RollupCells,
 	}
 }
 

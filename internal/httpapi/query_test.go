@@ -5,11 +5,56 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/query"
 )
+
+// TestQueryStatsReachTheWire sets every field of query.Stats — by
+// reflection, so a field added later is set too — and requires the DTO
+// to carry each one under the name query.Stats itself marshals it as.
+// used_rollup and rollup_cells were dropped here once, so an HTTP
+// client could not tell a cube-served answer from a scanned one.
+func TestQueryStatsReachTheWire(t *testing.T) {
+	var st query.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("query.Stats.%s is a %s: teach this test to set it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	wire := func(x any) map[string]any {
+		b, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want, got := wire(st), wire(queryStatsToDTO(st))
+	if len(want) != v.NumField() {
+		t.Fatalf("query.Stats marshals %d of its %d fields", len(want), v.NumField())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the DTO carries %v, query.Stats has %v", got, want)
+	}
+	// The rollup fields are additive: a scanned answer's stats keep
+	// their old shape.
+	if m := wire(queryStatsToDTO(query.Stats{ScannedRows: 1})); len(m) != 8 {
+		t.Fatalf("a row-scan answer's stats grew on the wire: %v", m)
+	}
+}
 
 func TestQueryOverHTTP(t *testing.T) {
 	bms, client := newServer(t)

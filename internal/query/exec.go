@@ -1,11 +1,13 @@
 package query
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -14,21 +16,33 @@ import (
 // unexported and only Compile constructs it, so every row source in
 // this package runs behind a per-row decision: scan is the sole way
 // plans read ground truth, and it consults the enforcement engine
-// (through a per-query memo) before a row may continue into residual
-// filtering, projection, or aggregation.
+// (through a per-statement memo) before a row may continue into
+// residual filtering, projection, or aggregation.
 type enforcement struct {
 	env   Env
 	req   Requester
 	table string
 	now   time.Time
 
+	// The statement's intern tables: each subject, space and kind a
+	// row names gets a dense id, and the memo's keys and the grouper's
+	// subject sets hang off those instead of off strings. users holds
+	// "" as id 0, so a subject id of 0 means unattributed.
+	users, spaces, kinds interner
+
 	// memo is the statement's decision snapshot per (subject, kind,
 	// space); a scan over a million rows usually needs a few dozen
 	// engine calls. It is not redundant with the engine's own memo,
 	// which never holds notification-bearing decisions: without this
 	// one an override would notify its subject once per scanned row.
-	memo     map[memoKey]enforce.Decision
-	subjects map[string]bool
+	// Env.Decide has delivered the notifications by the time it
+	// returns and the scan reads back only a verdict, so the memo holds
+	// an index into the statement's few distinct verdicts and the
+	// enforce.Decision is dropped.
+	memo      map[memoKey]uint32
+	verdicts  []verdict
+	verdictOf map[verdict]uint32
+
 	// maxFloor is the largest MinAggregationK among subjects whose
 	// rows survive residual filtering and so contribute to the result;
 	// it raises the k floor for grouped output. A row a predicate
@@ -37,13 +51,37 @@ type enforcement struct {
 	stats    Stats
 }
 
-type memoKey struct {
-	user  string
-	kind  sensor.ObservationKind
-	space string
+// interner gives a statement's strings dense ids in first-seen order;
+// memory runs out long before 2^32 distinct strings do.
+type interner map[string]uint32
+
+func (in interner) id(s string) uint32 {
+	id, ok := in[s]
+	if !ok {
+		id = uint32(len(in))
+		in[s] = id
+	}
+	return id
 }
 
-func newEnforcement(env Env, req Requester, table string) (*enforcement, error) {
+// memoKey is exactly (subject, kind, space), unpacked: a space-scoped
+// rule decides per space, and no field can spill into its neighbour.
+type memoKey struct{ user, kind, space uint32 }
+
+// verdict is what the scan reads back from a decision. Denials are
+// normalized to the zero verdict.
+type verdict struct {
+	allowed     bool
+	granularity policy.Granularity
+	effective   policy.Rule
+}
+
+// decision rebuilds the part of the engine's decision Env.Apply reads.
+func (v verdict) decision() enforce.Decision {
+	return enforce.Decision{Allowed: v.allowed, Granularity: v.granularity, Effective: v.effective}
+}
+
+func newEnforcement(env Env, req Requester, table string) *enforcement {
 	if req.MinK < 1 {
 		req.MinK = 1
 	}
@@ -52,21 +90,24 @@ func newEnforcement(env Env, req Requester, table string) (*enforcement, error) 
 		now = env.Now()
 	}
 	return &enforcement{
-		env:      env,
-		req:      req,
-		table:    table,
-		now:      now,
-		memo:     make(map[memoKey]enforce.Decision),
-		subjects: make(map[string]bool),
-	}, nil
+		env:       env,
+		req:       req,
+		table:     table,
+		now:       now,
+		users:     interner{"": 0},
+		spaces:    interner{},
+		kinds:     interner{},
+		memo:      make(map[memoKey]uint32),
+		verdictOf: make(map[verdict]uint32),
+	}
 }
 
-// decide returns the requester's decision for one row's (subject,
-// kind, space) combination, memoized for the query's lifetime.
-func (e *enforcement) decide(o *sensor.Observation) enforce.Decision {
-	key := memoKey{user: o.UserID, kind: o.Kind, space: o.SpaceID}
-	if d, ok := e.memo[key]; ok {
-		return d
+// decide returns the requester's verdict for one row's (subject, kind,
+// space), memoized for the statement's lifetime, and the subject's id.
+func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
+	key := memoKey{user: e.users.id(o.UserID), kind: e.kinds.id(string(o.Kind)), space: e.spaces.id(o.SpaceID)}
+	if h, ok := e.memo[key]; ok {
+		return e.verdicts[h], key.user
 	}
 	d := e.env.Decide(enforce.Request{
 		ServiceID:   e.req.ServiceID,
@@ -77,12 +118,19 @@ func (e *enforcement) decide(o *sensor.Observation) enforce.Decision {
 		Granularity: e.req.Granularity,
 		Time:        e.now,
 	})
-	e.memo[key] = d
 	e.stats.Decisions++
-	if o.UserID != "" {
-		e.subjects[o.UserID] = true
+	var v verdict
+	if d.Allowed {
+		v = verdict{allowed: true, granularity: d.Granularity, effective: d.Effective}
 	}
-	return d
+	h, ok := e.verdictOf[v]
+	if !ok {
+		h = uint32(len(e.verdicts))
+		e.verdicts = append(e.verdicts, v)
+		e.verdictOf[v] = h
+	}
+	e.memo[key] = h
+	return v, key.user
 }
 
 // scan is the only ground-truth row source, and the whole executor in
@@ -99,12 +147,12 @@ func (e *enforcement) decide(o *sensor.Observation) enforce.Decision {
 // k-of-many floor. Surviving rows pass through the decision's data
 // path (granularity clamp, noise), so the residual predicate and the
 // sink only ever see the released view; the sink is also told the
-// ground-truth subject — suppression keys off that, not the released
-// view, so a transform that redacts user_id cannot exempt a group from
-// its subjects' k floors. The released row is one slot reused for
-// every row: a sink copies what it keeps. A sink returning false ends
-// the scan.
-func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, sink func(rel *sensor.Observation, subject string) bool) error {
+// ground-truth subject, as its statement id (0: unattributed) —
+// suppression keys off that, not the released view, so a transform
+// that redacts user_id cannot exempt a group from its subjects' k
+// floors. The released row is one slot reused for every row: a sink
+// copies what it keeps. A sink returning false ends the scan.
+func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, sink func(rel *sensor.Observation, subject uint32) bool) error {
 	var (
 		rel sensor.Observation
 		err error
@@ -112,17 +160,17 @@ func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, 
 	get := func(col string) Value { return (*obsRow)(&rel).col(colIndex(obsColumns, col)) }
 	e.env.ScanEach(f, func(o *sensor.Observation) bool {
 		e.stats.ScannedRows++
-		d := e.decide(o)
-		if !d.Allowed {
+		v, subject := e.decide(o)
+		if !v.allowed {
 			e.stats.DeniedRows++
 			return true
 		}
-		if !aggregate && d.Effective.MinAggregationK > 1 && o.UserID != "" {
+		if !aggregate && v.effective.MinAggregationK > 1 && subject != 0 {
 			e.stats.ExcludedRows++
 			return true
 		}
 		var ok bool
-		if rel, ok, err = e.env.Apply(d, *o); err != nil {
+		if rel, ok, err = e.env.Apply(v.decision(), *o); err != nil {
 			return false
 		}
 		if !ok {
@@ -133,12 +181,11 @@ func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, 
 		if residual != nil && !residual.eval(get) {
 			return true
 		}
-		if o.UserID != "" && d.Effective.MinAggregationK > e.maxFloor {
-			e.maxFloor = d.Effective.MinAggregationK
+		if subject != 0 && v.effective.MinAggregationK > e.maxFloor {
+			e.maxFloor = v.effective.MinAggregationK
 		}
-		return sink(&rel, o.UserID)
+		return sink(&rel, subject)
 	})
-	e.stats.Subjects = len(e.subjects)
 	return err
 }
 
@@ -254,7 +301,7 @@ func (r *auditRow) col(i int) Value {
 func (p *Plan) execObservations() (*Result, error) {
 	if p.grouped {
 		g := newGrouper(p)
-		err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject string) bool {
+		err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject uint32) bool {
 			g.add((*obsRow)(rel), subject, nil)
 			return true
 		})
@@ -264,7 +311,7 @@ func (p *Plan) execObservations() (*Result, error) {
 		return g.result(), nil
 	}
 	pr := projector{p: p}
-	err := p.enf.scan(p.filter, false, p.residual, func(rel *sensor.Observation, _ string) bool {
+	err := p.enf.scan(p.filter, false, p.residual, func(rel *sensor.Observation, _ uint32) bool {
 		return pr.add((*obsRow)(rel))
 	})
 	if err != nil {
@@ -294,7 +341,7 @@ func (p *Plan) execAudit() (*Result, error) {
 		}
 		p.enf.stats.ReleasedRows++
 		if g != nil {
-			g.add(cur, "", nil)
+			g.add(cur, 0, nil)
 		} else if !pr.add(cur) {
 			break
 		}
@@ -307,7 +354,7 @@ func (p *Plan) execAudit() (*Result, error) {
 
 func (p *Plan) execOccupancy() (*Result, error) {
 	spaces := privacy.KCounter{}
-	err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ string) bool {
+	err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ uint32) bool {
 		spaces.Add(rel.SpaceID, rel.UserID)
 		return true
 	})
@@ -370,29 +417,64 @@ type aggState struct {
 	sum      float64
 	sumN     int
 	min, max Value
-	distinct map[string]struct{}
+	distinct idSet // of grouper.values ids
 }
 
 type group struct {
 	vals   []Value // GROUP BY values, in Plan.groupCols order
 	states []aggState
 	// subjects are the ground-truth contributors the k floor counts.
-	subjects map[string]struct{}
+	subjects idSet
+}
+
+// idSet is a set of a statement's dense ids: open addressing over
+// id+1 (0 marks a free slot) in one power-of-two array, so a member
+// costs four bytes and no object of its own.
+type idSet struct {
+	slots []uint32
+	n     int
+}
+
+func (s *idSet) add(id uint32) {
+	if 4*(s.n+1) > 3*len(s.slots) { // load stays under 3/4: a probe always ends
+		old := s.slots
+		s.slots, s.n = make([]uint32, max(8, 2*len(old))), 0
+		for _, v := range old {
+			if v != 0 {
+				s.add(v - 1)
+			}
+		}
+	}
+	mask := uint32(len(s.slots) - 1)
+	// Fibonacci hashing: the product's top bits spread dense ids and
+	// strided ones alike.
+	for i := (id + 1) * 0x9E3779B1 >> bits.LeadingZeros32(mask); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case id + 1:
+			return
+		case 0:
+			s.slots[i] = id + 1
+			s.n++
+			return
+		}
+	}
 }
 
 // grouper is the GROUP BY / aggregate sink. Keys are built in one
 // reused buffer and probed with m[string(buf)], so a string is
-// allocated only for a new group or a new distinct value: allocations
-// scale with the groups, not the rows.
+// allocated only for a new group or, once per statement, a new
+// COUNT(DISTINCT) operand: allocations scale with the groups plus the
+// distinct values, not with the rows or with groups × values.
 type grouper struct {
 	p      *Plan
 	groups map[string]*group
 	order  []*group // first-seen
 	key    []byte
+	values interner // COUNT(DISTINCT) operands by their groupKey encoding
 }
 
 func newGrouper(p *Plan) *grouper {
-	return &grouper{p: p, groups: make(map[string]*group)}
+	return &grouper{p: p, groups: make(map[string]*group), values: interner{}}
 }
 
 func (g *grouper) newGroup() *group {
@@ -406,7 +488,7 @@ func (g *grouper) newGroup() *group {
 // cell.Count and value aggregates come from the cell's statistics (the
 // released value equals ground truth there, because a noisy value
 // aggregate never reaches the rollup path).
-func (g *grouper) add(r row, subject string, cell *RollupEntry) {
+func (g *grouper) add(r row, subject uint32, cell *RollupEntry) {
 	p := g.p
 	g.key = g.key[:0]
 	for _, c := range p.groupCols {
@@ -459,12 +541,12 @@ func (g *grouper) add(r row, subject string, cell *RollupEntry) {
 				continue
 			}
 			g.key = v.groupKey(g.key[:0])
-			if _, seen := st.distinct[string(g.key)]; !seen {
-				if st.distinct == nil {
-					st.distinct = make(map[string]struct{})
-				}
-				st.distinct[string(g.key)] = struct{}{}
+			id, ok := g.values[string(g.key)]
+			if !ok {
+				id = uint32(len(g.values))
+				g.values[string(g.key)] = id
 			}
+			st.distinct.add(id)
 		case AggSum, AggAvg:
 			st.sum += v.Num
 			st.sumN++
@@ -474,11 +556,8 @@ func (g *grouper) add(r row, subject string, cell *RollupEntry) {
 			st.observeMax(v)
 		}
 	}
-	if subject != "" {
-		if gr.subjects == nil {
-			gr.subjects = make(map[string]struct{})
-		}
-		gr.subjects[subject] = struct{}{}
+	if subject != 0 {
+		gr.subjects.add(subject)
 	}
 }
 
@@ -514,7 +593,7 @@ func (g *grouper) result() *Result {
 	}
 	rows := make([][]Value, 0, len(g.order))
 	for _, gr := range g.order {
-		if k > 1 && len(gr.subjects) > 0 && len(gr.subjects) < k {
+		if k > 1 && gr.subjects.n > 0 && gr.subjects.n < k {
 			p.enf.stats.SuppressedGroups++
 			continue
 		}
@@ -548,7 +627,7 @@ func finalizeAgg(it SelectExpr, st *aggState) Value {
 	switch it.Agg {
 	case AggCount:
 		if it.Distinct {
-			return numberValue(float64(len(st.distinct)))
+			return numberValue(float64(st.distinct.n))
 		}
 		return numberValue(float64(st.count))
 	case AggSum:
@@ -594,5 +673,6 @@ func (p *Plan) finish(rows [][]Value) *Result {
 	for i, oc := range p.cols {
 		cols[i] = oc.name
 	}
+	p.enf.stats.Subjects = len(p.enf.users) - 1 // "" is interned from the start
 	return &Result{Columns: cols, Rows: rows, Stats: p.enf.stats}
 }

@@ -314,11 +314,7 @@ func (c *compiler) compile() (*Plan, error) {
 	}
 	c.resolveRollup(p)
 
-	enf, err := newEnforcement(c.env, c.req, c.stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	p.enf = enf
+	p.enf = newEnforcement(c.env, c.req, c.stmt.Table)
 	return p, nil
 }
 

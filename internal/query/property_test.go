@@ -3,8 +3,13 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
+	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
@@ -162,5 +167,280 @@ func TestQueryNeverLeaksDeniedRows(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// refKey is the string-keyed memo key the executor used before the
+// statement-scoped ids: exactly (subject, kind, space).
+type refKey struct {
+	user  string
+	kind  sensor.ObservationKind
+	space string
+}
+
+// refExecute is the reference the compact memo is checked against: the
+// executor's single pass written the plain way, with a
+// map[refKey]enforce.Decision memo holding the engine's whole decision
+// and map[string]struct{} sets. grouped=false is
+//
+//	SELECT seq, user_id, space_id, value FROM observations [WHERE value >= minValue]
+//
+// and grouped=true is
+//
+//	SELECT space_id, COUNT(*), COUNT(DISTINCT user_id), COUNT(DISTINCT sensor_id), SUM(value)
+//	FROM observations [WHERE value >= minValue] GROUP BY space_id
+func refExecute(env Env, r Requester, obs []sensor.Observation, grouped bool, minValue float64) ([][]Value, Stats) {
+	type refGroup struct {
+		space          Value
+		n              int
+		users, sensors map[string]struct{}
+		sum            float64
+		subjects       map[string]struct{}
+	}
+	var (
+		stats    Stats
+		memo     = map[refKey]enforce.Decision{}
+		subjects = map[string]bool{}
+		maxFloor int
+		rows     [][]Value
+		groups   = map[string]*refGroup{}
+		order    []*refGroup
+	)
+	for _, o := range obs {
+		stats.ScannedRows++
+		key := refKey{o.UserID, o.Kind, o.SpaceID}
+		d, ok := memo[key]
+		if !ok {
+			d = env.Decide(enforce.Request{ServiceID: r.ServiceID, Purpose: r.Purpose, Kind: o.Kind,
+				SubjectID: o.UserID, SpaceID: o.SpaceID, Granularity: r.Granularity, Time: env.Now()})
+			memo[key] = d
+			stats.Decisions++
+			if o.UserID != "" {
+				subjects[o.UserID] = true
+			}
+		}
+		if !d.Allowed {
+			stats.DeniedRows++
+			continue
+		}
+		if !grouped && d.Effective.MinAggregationK > 1 && o.UserID != "" {
+			stats.ExcludedRows++
+			continue
+		}
+		rel, ok, _ := env.Apply(d, o)
+		if !ok {
+			stats.ExcludedRows++
+			continue
+		}
+		stats.ReleasedRows++
+		if rel.Value < minValue {
+			continue
+		}
+		if o.UserID != "" && d.Effective.MinAggregationK > maxFloor {
+			maxFloor = d.Effective.MinAggregationK
+		}
+		if !grouped {
+			rows = append(rows, []Value{numberValue(float64(rel.Seq)), nullable(rel.UserID), nullable(rel.SpaceID), numberValue(rel.Value)})
+			continue
+		}
+		g := groups[rel.SpaceID]
+		if g == nil {
+			g = &refGroup{space: nullable(rel.SpaceID), users: map[string]struct{}{}, sensors: map[string]struct{}{}, subjects: map[string]struct{}{}}
+			groups[rel.SpaceID] = g
+			order = append(order, g)
+		}
+		g.n++
+		g.sum += rel.Value
+		g.sensors[rel.SensorID] = struct{}{}
+		if rel.UserID != "" {
+			g.users[rel.UserID] = struct{}{}
+		}
+		if o.UserID != "" {
+			g.subjects[o.UserID] = struct{}{}
+		}
+	}
+	stats.Subjects = len(subjects)
+	stats.EffectiveK = r.MinK
+	if stats.EffectiveK < 1 {
+		stats.EffectiveK = 1
+	}
+	if maxFloor > stats.EffectiveK {
+		stats.EffectiveK = maxFloor
+	}
+	for _, g := range order {
+		if k := stats.EffectiveK; k > 1 && len(g.subjects) > 0 && len(g.subjects) < k {
+			stats.SuppressedGroups++
+			continue
+		}
+		rows = append(rows, []Value{g.space, numberValue(float64(g.n)), numberValue(float64(len(g.users))),
+			numberValue(float64(len(g.sensors))), numberValue(g.sum)})
+	}
+	return rows, stats
+}
+
+// TestCompactMemoMatchesReference is the differential property for the
+// id-keyed verdict memo and the id sets: over random rows and random
+// per-(subject, kind, space) decisions — denies, floors, granularity
+// caps that regroup a row under its building, noise, redacted subjects
+// and override notifications — the statement's rows, its Stats and the
+// multiset of Env.Decide calls (each call is where an override's
+// notification is delivered) equal refExecute's.
+func TestCompactMemoMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			nUsers, nSpaces := 2+rng.Intn(12), 2+rng.Intn(10)
+			kinds := []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting, sensor.ObsPowerReading}
+			var obs []sensor.Observation
+			for i, n := 0, 50+rng.Intn(400); i < n; i++ {
+				o := obsAt(uint64(i+1), fmt.Sprintf("ap-%d", rng.Intn(5)),
+					fmt.Sprintf("b%d/%d", rng.Intn(2), rng.Intn(nSpaces)), fmt.Sprintf("u%d", rng.Intn(nUsers)), rng.Intn(120), float64(rng.Intn(100)))
+				if rng.Intn(8) == 0 {
+					o.UserID = ""
+				}
+				o.Kind = kinds[rng.Intn(len(kinds))]
+				obs = append(obs, o)
+			}
+
+			// One decision per key, drawn on first use from the key's own
+			// stream so both executors see the same world whatever order
+			// they ask in.
+			decisions := map[refKey]enforce.Decision{}
+			decisionFor := func(key refKey) enforce.Decision {
+				d, ok := decisions[key]
+				if ok {
+					return d
+				}
+				h := seed
+				for _, c := range key.user + "|" + string(key.kind) + "|" + key.space {
+					h = h*1000003 + int64(c)
+				}
+				krng := rand.New(rand.NewSource(h))
+				if krng.Intn(5) == 0 {
+					d = enforce.Decision{DenyReason: "denied", Granularity: policy.GranBuilding,
+						Effective: policy.Rule{Action: policy.ActionDeny, MinAggregationK: 9}}
+				} else {
+					d = enforce.Decision{Allowed: true, Granularity: policy.GranExact,
+						Effective: policy.Rule{MinAggregationK: krng.Intn(4)}}
+					if krng.Intn(4) == 0 {
+						d.Granularity = policy.GranBuilding
+					}
+					if krng.Intn(4) == 0 {
+						d.Effective.NoiseEpsilon = float64(1 + krng.Intn(3))
+					}
+					if krng.Intn(6) == 0 {
+						d.Granularity = policy.GranNone // Apply suppresses the row
+					}
+					if krng.Intn(5) == 0 {
+						d.Overridden = []string{"pref-" + key.user}
+						d.OverridePolicyID = "safety"
+						d.Notifications = []enforce.Notification{{UserID: key.user}}
+					}
+				}
+				decisions[key] = d
+				return d
+			}
+			env := func(calls map[refKey]int) Env {
+				return Env{
+					Scan: func(obstore.Filter) []sensor.Observation { return obs },
+					Decide: func(req enforce.Request) enforce.Decision {
+						key := refKey{req.SubjectID, req.Kind, req.SpaceID}
+						calls[key]++
+						return decisionFor(key)
+					},
+					Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+						switch d.Granularity {
+						case policy.GranNone:
+							return sensor.Observation{}, false, nil
+						case policy.GranBuilding:
+							o.SpaceID = buildingOf(o.SpaceID)
+							o.UserID = "" // coarse releases are anonymous
+						}
+						o.Value += 1000 * d.Effective.NoiseEpsilon
+						return o, true, nil
+					},
+					Now: func() time.Time { return qtNow },
+				}
+			}
+
+			r := reqr()
+			r.MinK = rng.Intn(4)
+			minValue := float64(rng.Intn(60))
+			where := fmt.Sprintf(" WHERE value >= %.0f", minValue)
+			if rng.Intn(3) == 0 {
+				minValue, where = -1, ""
+			}
+			for _, grouped := range []bool{false, true} {
+				sql := "SELECT seq, user_id, space_id, value FROM observations" + where
+				if grouped {
+					sql = "SELECT space_id, COUNT(*), COUNT(DISTINCT user_id), COUNT(DISTINCT sensor_id), SUM(value) FROM observations" + where + " GROUP BY space_id"
+				}
+				gotCalls, wantCalls := map[refKey]int{}, map[refKey]int{}
+				got, err := Run(env(gotCalls), r, sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRows, wantStats := refExecute(env(wantCalls), r, obs, grouped, minValue)
+				if len(got.Rows) != len(wantRows) || (len(wantRows) > 0 && !reflect.DeepEqual(got.Rows, wantRows)) {
+					t.Fatalf("%q\nreleased  %v\nreference %v", sql, got.Rows, wantRows)
+				}
+				if got.Stats != wantStats {
+					t.Fatalf("%q\nstats     %+v\nreference %+v", sql, got.Stats, wantStats)
+				}
+				if !reflect.DeepEqual(gotCalls, wantCalls) {
+					t.Fatalf("%q: Env.Decide calls differ\nexecutor  %v\nreference %v", sql, gotCalls, wantCalls)
+				}
+				for key, n := range gotCalls {
+					if n != 1 {
+						t.Fatalf("%q: %+v decided %d times in one statement", sql, key, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOverrideNotifiesOncePerKeyPerStatement: Env.Decide is where an
+// override's notification is delivered, so the statement memo must call
+// it once per (subject, kind, space) however many rows repeat the key —
+// and once per key, not once per subject.
+func TestOverrideNotifiesOncePerKeyPerStatement(t *testing.T) {
+	var obs []sensor.Observation
+	for i := 0; i < 1000; i++ {
+		obs = append(obs, obsAt(uint64(i+1), "ap-1", "dbh/1", "mary", i%60, 1))
+	}
+	obs = append(obs, obsAt(1001, "ap-1", "dbh/2", "mary", 0, 1))
+	delivered := map[string]int{}
+	env := Env{
+		Scan: func(obstore.Filter) []sensor.Observation { return obs },
+		Decide: func(req enforce.Request) enforce.Decision {
+			d := enforce.Decision{Allowed: true, Granularity: policy.GranExact, Overridden: []string{"pref-1"}, OverridePolicyID: "safety",
+				Notifications: []enforce.Notification{{UserID: req.SubjectID}}}
+			for _, n := range d.Notifications {
+				delivered[n.UserID+"@"+req.SpaceID]++
+			}
+			return d
+		},
+		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) { return o, true, nil },
+		Now:   func() time.Time { return qtNow },
+	}
+	for _, sql := range []string{
+		"SELECT seq FROM observations",
+		"SELECT space_id, COUNT(DISTINCT user_id) FROM observations GROUP BY space_id",
+	} {
+		for k := range delivered {
+			delete(delivered, k)
+		}
+		res, err := Run(env, reqr(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ScannedRows != 1001 || res.Stats.Decisions != 2 {
+			t.Fatalf("%q: stats %+v, want 1001 rows scanned under 2 decisions", sql, res.Stats)
+		}
+		if want := map[string]int{"mary@dbh/1": 1, "mary@dbh/2": 1}; !reflect.DeepEqual(delivered, want) {
+			t.Fatalf("%q: notifications delivered %v, want %v", sql, delivered, want)
+		}
 	}
 }

@@ -19,38 +19,42 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// relEntry pairs one ground-truth rollup cell with its released view.
-// The released observation carries post-enforcement dimensions (the
-// clamped space, the subject, kind, sensor); statistics stay on the
-// embedded ground-truth cell.
-type relEntry struct {
-	RollupEntry
-	rel sensor.Observation
-}
-
-// releaseEntries gates every rollup cell through the requester's
-// decision, mirroring scan in aggregate mode: denied cells
-// drop (weighted into stats), allowed cells pass the data path so
-// downstream grouping only sees released dimensions, and contributing
-// subjects raise the k floor exactly as surviving rows do. ok=false
-// aborts the rollup path (noise on a value aggregate) with stats
-// rolled back so the row-scan fallback double-counts nothing.
-func (e *enforcement) releaseEntries(entries []RollupEntry, needValue bool) ([]relEntry, bool, error) {
+// releaseRollup fetches the cells matching the pushed filter and gates
+// each through the requester's decision, mirroring scan in aggregate
+// mode: denied cells drop (weighted into stats), allowed cells pass the
+// data path so sink only sees released dimensions (the clamped space,
+// the subject, kind, sensor — statistics stay on the ground-truth
+// cell), and contributing subjects raise the k floor exactly as
+// surviving rows do. ok=false means the caller runs the ordinary row
+// path (the shared decision memo makes the retry cheap) and discards
+// what sink accumulated: the backend cannot serve the filter exactly,
+// or a value aggregate met noise — then stats are rolled back so the
+// row scan double-counts nothing.
+func (p *Plan) releaseRollup(sink func(rel *sensor.Observation, subject uint32, cell *RollupEntry)) (ok bool, err error) {
+	e := p.enf
+	entries, ok := e.env.Rollup(RollupRequest{Filter: p.filter, NeedSensor: p.rollup.needSensor, NeedValue: p.rollup.needValue})
+	if !ok {
+		return false, nil
+	}
 	saved := e.stats
-	out := make([]relEntry, 0, len(entries))
+	// Group order must match the row executor's first-seen-by-seq
+	// order: a group's first released row is the one with the minimum
+	// seq, and within a cell that is exactly MinSeq.
+	sort.Slice(entries, func(i, j int) bool { return entries[i].MinSeq < entries[j].MinSeq })
+	var rel sensor.Observation // one slot for every cell, as in scan
 	for i := range entries {
-		en := entries[i]
+		en := &entries[i]
 		synth := sensor.Observation{
 			Seq: en.MinSeq, SensorID: en.SensorID, Kind: en.Kind,
 			Time: en.Bucket, SpaceID: en.SpaceID, UserID: en.UserID,
 		}
 		e.stats.ScannedRows += en.Count
-		d := e.decide(&synth)
-		if !d.Allowed {
+		v, subject := e.decide(&synth)
+		if !v.allowed {
 			e.stats.DeniedRows += en.Count
 			continue
 		}
-		if needValue && d.Effective.NoiseEpsilon > 0 {
+		if p.rollup.needValue && v.effective.NoiseEpsilon > 0 {
 			// Noise is drawn per released row; a pre-summed cell cannot
 			// reproduce it. Bail before Apply so no randomness is
 			// consumed and the row scan starts from pristine state.
@@ -59,58 +63,34 @@ func (e *enforcement) releaseEntries(entries []RollupEntry, needValue bool) ([]r
 			decided := e.stats.Decisions
 			e.stats = saved
 			e.stats.Decisions = decided
-			return nil, false, nil
+			return false, nil
 		}
-		ro, ok, err := e.env.Apply(d, synth)
-		if err != nil {
-			return nil, false, err
+		if rel, ok, err = e.env.Apply(v.decision(), synth); err != nil {
+			return false, err
 		}
 		if !ok {
 			e.stats.ExcludedRows += en.Count
 			continue
 		}
-		if en.UserID != "" && d.Effective.MinAggregationK > e.maxFloor {
-			e.maxFloor = d.Effective.MinAggregationK
+		if subject != 0 && v.effective.MinAggregationK > e.maxFloor {
+			e.maxFloor = v.effective.MinAggregationK
 		}
 		e.stats.ReleasedRows += en.Count
-		out = append(out, relEntry{RollupEntry: en, rel: ro})
+		sink(&rel, subject, en)
 	}
-	e.stats.Subjects = len(e.subjects)
 	e.stats.UsedRollup = true
 	e.stats.RollupCells = len(entries)
-	// Group order must match the row executor's first-seen-by-seq
-	// order: a group's first released row is the one with the minimum
-	// seq, and within a cell that is exactly MinSeq.
-	sort.Slice(out, func(i, j int) bool { return out[i].MinSeq < out[j].MinSeq })
-	return out, true, nil
-}
-
-// fetchRollup asks the backend for cells matching the pushed filter.
-func (p *Plan) fetchRollup() ([]RollupEntry, bool) {
-	return p.enf.env.Rollup(RollupRequest{
-		Filter:     p.filter,
-		NeedSensor: p.rollup.needSensor,
-		NeedValue:  p.rollup.needValue,
-	})
+	return true, nil
 }
 
 // tryRollup answers a grouped observations plan from rollup cells.
-// ok=false means the backend cannot serve the filter exactly or a
-// noisy value aggregate forced a fallback; the caller then runs the
-// ordinary row path (the shared decision memo makes the retry cheap).
 func (p *Plan) tryRollup() (*Result, bool, error) {
-	entries, ok := p.fetchRollup()
-	if !ok {
-		return nil, false, nil
-	}
-	rel, ok, err := p.enf.releaseEntries(entries, p.rollup.needValue)
+	g := newGrouper(p)
+	ok, err := p.releaseRollup(func(rel *sensor.Observation, subject uint32, cell *RollupEntry) {
+		g.add((*obsRow)(rel), subject, cell)
+	})
 	if err != nil || !ok {
 		return nil, false, err
-	}
-
-	g := newGrouper(p)
-	for i := range rel {
-		g.add((*obsRow)(&rel[i].rel), rel[i].UserID, &rel[i].RollupEntry)
 	}
 	return g.result(), true, nil
 }
@@ -121,17 +101,12 @@ func (p *Plan) tryRollup() (*Result, bool, error) {
 // only on (released space, subject) pairs, which every row of a cell
 // shares, so the per-cell view loses nothing.
 func (p *Plan) tryOccupancyRollup() (*Result, bool, error) {
-	entries, ok := p.fetchRollup()
-	if !ok {
-		return nil, false, nil
-	}
-	rel, ok, err := p.enf.releaseEntries(entries, false)
+	spaces := privacy.KCounter{}
+	ok, err := p.releaseRollup(func(rel *sensor.Observation, _ uint32, _ *RollupEntry) {
+		spaces.Add(rel.SpaceID, rel.UserID)
+	})
 	if err != nil || !ok {
 		return nil, false, err
-	}
-	spaces := privacy.KCounter{}
-	for i := range rel {
-		spaces.Add(rel[i].rel.SpaceID, rel[i].rel.UserID)
 	}
 	return p.occupancyResult(spaces), true, nil
 }

@@ -129,16 +129,22 @@ func TestLimitStopsTheScan(t *testing.T) {
 }
 
 // TestGroupedScanAllocsFlat: a grouped statement's allocations scale
-// with its groups and distinct values, not with the rows scanned —
-// four times the rows over the same groups allocates the same.
+// with its groups and the statement's distinct subjects, spaces and
+// values, not with the rows scanned — four times the rows over the same
+// groups allocates the same — and not with their products either: the
+// memo holds a four-byte handle per (subject, space) and a group's sets
+// four bytes per member, so at 20 users × 40 spaces the objects are a
+// constant times (users + spaces + groups) — 538 — where one object per
+// memo entry plus one per (group, distinct value) made them 2 418.
 func TestGroupedScanAllocsFlat(t *testing.T) {
+	const users, spaces = 20, 40
 	allocs := func(n int) float64 {
 		rng := rand.New(rand.NewSource(1))
 		obs := make([]sensor.Observation, n)
 		for i := range obs {
 			// 800 (space, user) pairs: 10k draws already cover them all,
 			// so both sizes see the same groups and distinct values.
-			obs[i] = obsAt(uint64(i+1), "ap-1", fmt.Sprintf("dbh/%d", rng.Intn(40)), fmt.Sprintf("u%02d", rng.Intn(20)), i%600, 1)
+			obs[i] = obsAt(uint64(i+1), "ap-1", fmt.Sprintf("dbh/%d", rng.Intn(spaces)), fmt.Sprintf("u%02d", rng.Intn(users)), i%600, 1)
 		}
 		env := Env{
 			ScanEach: func(f obstore.Filter, visit func(*sensor.Observation) bool) {
@@ -166,7 +172,7 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := plan.Execute()
-			if err != nil || len(res.Rows) != 40 || res.Stats.ScannedRows != n {
+			if err != nil || len(res.Rows) != spaces || res.Stats.ScannedRows != n || res.Stats.Decisions != users*spaces {
 				t.Fatalf("n=%d: %d groups, stats %+v, err %v", n, len(res.Rows), res.Stats, err)
 			}
 		})
@@ -177,5 +183,70 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 	}
 	if diff := (large - small) / small; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("allocations follow the rows: %.0f objects over 10k rows, %.0f over 40k (%.1f%%)", small, large, 100*diff)
+	}
+	if bound := float64(8 * (users + spaces + spaces)); small > bound {
+		t.Fatalf("%.0f objects for %d users, %d spaces and %d groups (bound %.0f): something allocates per (user, space) pair again",
+			small, users, spaces, spaces, bound)
+	}
+}
+
+// TestMemoIdsNeverAlias: the memo's ids and verdict handles are wider
+// than any statement can fill, so nothing wraps where a sixteen-bit
+// handle or an eight-bit space id would: 75 000 subjects over 300
+// spaces, every (subject, space) key under its own verdict (a distinct
+// NoiseEpsilon, which the Apply stub writes into the released value),
+// each key scanned twice so the second row reads its verdict back
+// through the memo. De-duplicating 75 000 distinct verdicts must not be
+// quadratic either: the whole test takes about a second.
+func TestMemoIdsNeverAlias(t *testing.T) {
+	const keys, spaces = 75000, 300
+	epsilon := make(map[[2]string]float64, keys)
+	obs := make([]sensor.Observation, 0, 2*keys)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < keys; i++ {
+			o := obsAt(uint64(len(obs)+1), "ap-1", fmt.Sprintf("s%d", i%spaces), fmt.Sprintf("u%d", i), 0, 0)
+			epsilon[[2]string{o.UserID, o.SpaceID}] = float64(i + 1)
+			obs = append(obs, o)
+		}
+	}
+	decided := map[[2]string]int{}
+	env := Env{
+		Scan: func(obstore.Filter) []sensor.Observation { return obs },
+		Decide: func(req enforce.Request) enforce.Decision {
+			decided[[2]string{req.SubjectID, req.SpaceID}]++
+			return enforce.Decision{Allowed: true, Granularity: policy.GranExact,
+				Effective: policy.Rule{NoiseEpsilon: epsilon[[2]string{req.SubjectID, req.SpaceID}]}}
+		},
+		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+			o.Value = d.Effective.NoiseEpsilon
+			return o, true, nil
+		},
+		Now: func() time.Time { return qtNow },
+	}
+	res, err := Run(env, reqr(), "SELECT user_id, space_id, value FROM observations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Decisions != keys || len(decided) != keys || res.Stats.Subjects != keys || len(res.Rows) != 2*keys {
+		t.Fatalf("stats %+v, %d keys decided, %d rows; want %d decisions and subjects, %d rows", res.Stats, len(decided), len(res.Rows), keys, 2*keys)
+	}
+	for _, row := range res.Rows {
+		if want := epsilon[[2]string{row[0].Str, row[1].Str}]; row[2].Num != want {
+			t.Fatalf("row of %s in %s released under epsilon %v, its own verdict has %v", row[0].Str, row[1].Str, row[2].Num, want)
+		}
+	}
+	// The grouped sink's id sets at the same widths: every subject is
+	// counted, in the group it belongs to.
+	res, err = Run(env, reqr(), "SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations GROUP BY space_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != spaces {
+		t.Fatalf("%d groups, want %d", len(res.Rows), spaces)
+	}
+	for _, row := range res.Rows {
+		if row[1].Num != keys/spaces {
+			t.Fatalf("space %s counts %v distinct subjects, want %d", row[0].Str, row[1].Num, keys/spaces)
+		}
 	}
 }

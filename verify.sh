@@ -41,8 +41,8 @@ go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obsto
 echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint (repeated, race) =="
 go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestMemoryTierOverDurableStoreKeepsRows|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable' ./internal/colstore/...
 
-echo "== query leak + segment equivalence + one-executor properties (repeated, race) =="
-go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat' ./internal/query/...
+echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
+go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
 echo "== compiled-engine equivalence + recompile-under-churn + incremental-conflict equivalence (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive' ./internal/enforce/...
