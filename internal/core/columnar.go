@@ -14,9 +14,7 @@ package core
 // can never be served and nobody has to remember to flush.
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,50 +26,61 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// occupancyRows fetches the candidate observations for an occupancy
-// request. When the filter is cube-alignable it returns one synthetic
-// observation per rollup cell — the aggregate consumes only
-// (space, subject) pairs, which every row of a cell shares, so the
-// per-cell view releases exactly what the row scan would — otherwise
-// it falls back to the unified segment+tail scan (or the plain row
-// store when the tier is disabled). fromRollup reports which path
-// served.
-func (b *BMS) occupancyRows(f obstore.Filter) (obs []sensor.Observation, fromRollup bool) {
-	if b.colstore == nil {
-		return b.store.Query(f), false
-	}
-	if cells, ok := b.occupancyCells(f); ok {
-		return cells, true
-	}
-	return b.colstore.Query(f), false
+// occPair is one candidate of an occupancy request, a cube cell or a
+// row, reduced to the two strings the aggregate reads.
+type occPair struct{ user, space string }
+
+// occScratch is the working memory of one occupancy miss, pooled so a
+// miss allocates per subject decided, not per cell read.
+type occScratch struct {
+	pairs  []occPair
+	cells  map[occPair]int // distinct pair → cells (or rows) carrying it
+	items  []enforce.BatchItem
+	seen   []string       // one subject's distinct released spaces
+	counts map[string]int // released space → distinct subjects
 }
 
-// occupancyCells answers a filter from the minute occupancy cube.
-// ok=false means the filter cannot be served exactly (unaligned
-// window, seq cursor, pagination, sensor/MAC dimensions the cube does
-// not carry) or the cube is disabled; the caller then scans rows.
-func (b *BMS) occupancyCells(f obstore.Filter) ([]sensor.Observation, bool) {
-	if f.AfterSeq != 0 || f.Limit != 0 || f.DeviceMAC != "" || f.SensorID != "" {
-		return nil, false
-	}
-	if !minuteAligned(f.From) || !minuteAligned(f.To) {
-		return nil, false
-	}
-	var out []sensor.Observation
-	_, ok := b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) {
-		if c.UserID == "" {
-			// Unattributed readings never contribute to occupancy.
-			return
+var occScratchPool = sync.Pool{New: func() any {
+	return &occScratch{cells: make(map[occPair]int), counts: make(map[string]int)}
+}}
+
+func (s *occScratch) release() {
+	clear(s.pairs)
+	clear(s.cells)
+	clear(s.items)
+	clear(s.counts)
+	s.pairs, s.items = s.pairs[:0], s.items[:0]
+	occScratchPool.Put(s)
+}
+
+// occupancyPairs appends the candidates of an occupancy request to
+// sc.pairs. When the filter is cube-alignable (no seq cursor,
+// pagination or sensor/MAC dimension, which the cube does not carry,
+// and a minute-aligned window) that is one pair per rollup cell — the
+// aggregate consumes only (space, subject) pairs, which every row of a
+// cell shares, so the per-cell view releases exactly what the row scan
+// would — otherwise one per row of the unified segment+tail scan (or
+// of the plain row store when the tier is disabled). fromRollup
+// reports which path served.
+func (b *BMS) occupancyPairs(f obstore.Filter, sc *occScratch) (fromRollup bool) {
+	add := func(user, space string) {
+		if user != "" { // unattributed readings never contribute to occupancy
+			sc.pairs = append(sc.pairs, occPair{user, space})
 		}
-		out = append(out, sensor.Observation{
-			Seq:     c.MinSeq,
-			Kind:    c.Kind,
-			Time:    c.Minute,
-			SpaceID: c.SpaceID,
-			UserID:  c.UserID,
-		})
-	})
-	return out, ok
+	}
+	rows := func(o *sensor.Observation) bool { add(o.UserID, o.SpaceID); return true }
+	if b.colstore == nil {
+		b.store.Scan(f, rows)
+		return false
+	}
+	if f.AfterSeq == 0 && f.Limit == 0 && f.DeviceMAC == "" && f.SensorID == "" && minuteAligned(f.From) && minuteAligned(f.To) {
+		// The visitor runs under the cube lock: filter and append only.
+		if _, ok := b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) { add(c.UserID, c.SpaceID) }); ok {
+			return true
+		}
+	}
+	b.colstore.Scan(f, rows)
+	return false
 }
 
 func minuteAligned(t time.Time) bool {
@@ -160,28 +169,20 @@ func (b *BMS) ClearOccupancyCache() {
 // occCacheKey canonicalizes the decision-relevant dimensions of an
 // occupancy request, evaluated at now. Every field the engine or the
 // filter reads is in the key — including the evaluation minute, the
-// resolution at which window rules change — except SubjectID (the
-// aggregate path decides per candidate subject, not per
-// requester-named subject).
+// resolution at which window rules change — except SubjectID,
+// AfterSeq and Limit, which narrow the fetch: a request carrying one
+// bypasses the cache.
 func occCacheKey(req enforce.Request, minK int, now time.Time) string {
 	at := req.Time
 	if at.IsZero() {
 		at = now
 	}
-	var sb strings.Builder
-	sb.WriteString(req.ServiceID)
-	sb.WriteByte(0)
-	sb.WriteString(string(req.Purpose))
-	sb.WriteByte(0)
-	sb.WriteString(req.SpaceID)
-	sb.WriteByte(0)
-	sb.WriteString(string(req.Kind))
-	sb.WriteByte(0)
-	fmt.Fprintf(&sb, "%d\x00%d\x00", req.Granularity, at.Truncate(time.Minute).Unix())
-	sb.WriteString(strconv.FormatInt(req.From.UnixNano(), 10))
-	sb.WriteByte(0)
-	sb.WriteString(strconv.FormatInt(req.To.UnixNano(), 10))
-	sb.WriteByte(0)
-	sb.WriteString(strconv.Itoa(minK))
-	return sb.String()
+	buf := make([]byte, 0, 192) // stays on the stack for any usual key
+	for _, part := range [...]string{req.ServiceID, string(req.Purpose), req.SpaceID, string(req.Kind)} {
+		buf = append(append(buf, part...), 0)
+	}
+	for _, n := range [...]int64{int64(req.Granularity), at.Truncate(time.Minute).Unix(), req.From.UnixNano(), req.To.UnixNano()} {
+		buf = append(strconv.AppendInt(buf, n, 10), 0)
+	}
+	return string(strconv.AppendInt(buf, int64(minK), 10))
 }

@@ -23,6 +23,7 @@ type coreMetrics struct {
 	// its Result.Stats.
 	queryScanned, queryDenied, queryExcluded, queryReleased *telemetry.Counter
 	queryGroupsSuppressed                                   *telemetry.Counter
+	occSpacesSuppressed                                     *telemetry.Counter
 
 	ingestSeconds *telemetry.Histogram
 	detectSeconds *telemetry.Histogram
@@ -60,6 +61,8 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 		queryReleased: queryRows("released"),
 		queryGroupsSuppressed: r.Counter("tippers_query_groups_suppressed_total",
 			"Groups the SQL path withheld for falling short of the effective k-anonymity floor."),
+		occSpacesSuppressed: r.Counter("tippers_occupancy_spaces_suppressed_total",
+			"Spaces occupancy requests withheld for falling short of the effective k-anonymity floor; answers replayed from the cache add nothing."),
 		ingestSeconds: r.Histogram("tippers_core_ingest_seconds",
 			"Capture-pipeline latency per observation.", nil),
 		detectSeconds: r.Histogram("tippers_reasoner_detect_seconds",

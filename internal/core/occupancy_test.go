@@ -1,0 +1,470 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/tippers/tippers/internal/colstore"
+	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/privacy"
+	"github.com/tippers/tippers/internal/profile"
+	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/telemetry"
+)
+
+// referenceOccupancy is the oracle for RequestOccupancy's miss path:
+// the pipeline it ran before the pair pass, kept verbatim. It
+// materialises one observation per cube cell (or row), buckets them by
+// subject, decides each subject, copies every subject's observations
+// through enforce.ApplyDecision, concatenates the copies and counts
+// them with privacy.KAnonymousCounts. relObs is what the trace reports
+// as ObservationsReleased.
+func referenceOccupancy(b *BMS, req enforce.Request, minK int) (resp Response, relObs int, err error) {
+	if minK < 1 {
+		minK = 1
+	}
+	f := b.filterFor(req)
+	var obs []sensor.Observation
+	switch {
+	case b.colstore == nil:
+		obs = b.store.Query(f)
+	case cubeServable(f):
+		_, ok := b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) {
+			if c.UserID == "" {
+				return
+			}
+			obs = append(obs, sensor.Observation{Seq: c.MinSeq, Kind: c.Kind, Time: c.Minute, SpaceID: c.SpaceID, UserID: c.UserID})
+		})
+		if ok {
+			break
+		}
+		fallthrough
+	default:
+		obs = b.colstore.Query(f)
+	}
+	bySubject := make(map[string][]sensor.Observation)
+	for _, o := range obs {
+		if o.UserID == "" {
+			continue
+		}
+		bySubject[o.UserID] = append(bySubject[o.UserID], o)
+	}
+	resp = Response{SubjectsConsidered: len(bySubject)}
+	k := minK
+	var releasedObs []sensor.Observation
+	subjects := make([]string, 0, len(bySubject))
+	for subjectID := range bySubject {
+		subjects = append(subjects, subjectID)
+	}
+	sort.Strings(subjects)
+	items := make([]enforce.BatchItem, len(subjects))
+	for i, subjectID := range subjects {
+		subReq := req
+		subReq.SubjectID = subjectID
+		items[i] = enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(subjectID)}
+	}
+	for i, d := range enforce.DecideBatch(b.engine, items, enforce.BatchOptions{}) {
+		b.recordDecision(d)
+		if !d.Allowed {
+			continue
+		}
+		if d.Effective.MinAggregationK > k {
+			k = d.Effective.MinAggregationK
+		}
+		transformed, err := enforce.ApplyDecision(d, bySubject[subjects[i]], b.transf)
+		if err != nil {
+			return Response{}, 0, err
+		}
+		releasedObs = append(releasedObs, transformed...)
+		resp.SubjectsReleased++
+	}
+	resp.Aggregates = privacy.KAnonymousCounts(releasedObs, k,
+		func(o sensor.Observation) string { return o.SpaceID },
+		func(o sensor.Observation) string { return o.UserID },
+	)
+	resp.Decision = occDecision(resp.Aggregates, k)
+	return resp, len(releasedObs), nil
+}
+
+// cubeServable is the materialising pipeline's test for a filter the
+// minute occupancy cube answers exactly.
+func cubeServable(f obstore.Filter) bool {
+	return f.AfterSeq == 0 && f.Limit == 0 && f.DeviceMAC == "" && f.SensorID == "" &&
+		minuteAligned(f.From) && minuteAligned(f.To)
+}
+
+// decideLog wraps an engine and keeps the multiset of its Decide calls.
+type decideLog struct {
+	enforce.Engine
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (e *decideLog) Decide(req enforce.Request, groups []profile.Group) enforce.Decision {
+	e.mu.Lock()
+	e.calls[fmt.Sprintf("%+v %v", req, groups)]++
+	e.mu.Unlock()
+	return e.Engine.Decide(req, groups)
+}
+
+const occTestUsers = 14
+
+// occWorld builds one node of a seeded occupancy scenario; the same
+// seed builds the same node. Fourteen subjects over four known rooms
+// and one space the model has never heard of, a few unattributed
+// devices, and per subject one of: no preference, an opt-out, a
+// granularity cap (none, building, floor, room, exact), an aggregation
+// floor, or noise. Half the seeds also carry the emergency policy, so
+// the emergency requester's decisions override opt-outs and notify.
+func occWorld(t *testing.T, seed int64, adjust func(*Config)) (*fixture, *decideLog) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	user := func(i int) string { return fmt.Sprintf("s%02d", i) }
+	mac := func(i int) string { return fmt.Sprintf("dd:00:00:00:00:%02x", i) }
+	var dlog *decideLog
+	f := newFixtureWith(t, func(c *Config) {
+		for i := 0; i < occTestUsers; i++ {
+			c.Users.MustAdd(profile.User{ID: user(i), Profiles: []profile.Profile{{Group: profile.GroupGradStudent}},
+				DeviceMACs: []string{mac(i)}})
+		}
+		c.Sensors.MustAdd(sensor.MustNew("ap-3", sensor.TypeWiFiAP, "dbh/1/r1"))
+		c.Sensors.MustAdd(sensor.MustNew("ap-4", sensor.TypeWiFiAP, "dbh/2/r2"))
+		dlog = &decideLog{calls: make(map[string]int), Engine: enforce.NewCompiled(enforce.Config{
+			Spaces: c.Spaces, Services: c.Services, DefaultAllow: c.DefaultAllow})}
+		c.Engine = dlog
+		adjust(c)
+	})
+	if rng.Intn(2) == 0 {
+		if err := f.bms.RegisterPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < occTestUsers; i++ {
+		var rule policy.Rule
+		switch rng.Intn(8) {
+		case 0, 1:
+			continue
+		case 2, 3:
+			rule = policy.Rule{Action: policy.ActionDeny}
+		case 4, 5:
+			caps := []policy.Granularity{policy.GranNone, policy.GranBuilding, policy.GranFloor, policy.GranRoom, policy.GranExact}
+			rule = policy.Rule{Action: policy.ActionLimit, MaxGranularity: caps[rng.Intn(len(caps))]}
+		case 6:
+			rule = policy.Rule{Action: policy.ActionLimit, MinAggregationK: 1 + rng.Intn(4)}
+		case 7:
+			rule = policy.Rule{Action: policy.ActionLimit, NoiseEpsilon: 0.5, MaxGranularity: policy.GranFloor}
+		}
+		err := f.bms.SetPreference(policy.Preference{ID: "occ-" + user(i), UserID: user(i), Name: "occ " + user(i),
+			Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect}, Rule: rule, Source: "explicit"})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	aps := []string{"ap-1", "ap-2", "ap-3", "ap-4"}
+	for n := 0; n < 120; n++ {
+		// Index occTestUsers is a device nobody owns: an unattributed row.
+		o := f.wifiObs(mac(rng.Intn(occTestUsers+1)), aps[rng.Intn(len(aps))], -1-rng.Intn(50))
+		o.Time = o.Time.Add(time.Duration(rng.Intn(60)) * time.Second)
+		if rng.Intn(8) == 0 {
+			o.SpaceID = "annex/lab" // not in the spatial model
+		}
+		if err := f.bms.Ingest(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, dlog
+}
+
+// occRequests draws the requests of a seed: both requesters, every
+// requested granularity, scoped and unscoped, with no window (cube), a
+// minute-aligned window (cube) and an unaligned one (row fallback).
+func occRequests(seed int64) (reqs []enforce.Request, minKs []int) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	grans := []policy.Granularity{0, policy.GranNone, policy.GranBuilding, policy.GranFloor, policy.GranRoom, policy.GranExact}
+	scopes := []string{"", "", "dbh", "dbh/2"}
+	for i := 0; i < 6; i++ {
+		req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+			Kind: sensor.ObsWiFiConnect, Time: testNow,
+			SpaceID: scopes[rng.Intn(len(scopes))], Granularity: grans[rng.Intn(len(grans))]}
+		if rng.Intn(3) == 0 {
+			req.ServiceID, req.Purpose = "bms-emergency", policy.PurposeEmergencyResponse
+		}
+		switch i % 3 {
+		case 1:
+			req.From, req.To = testNow.Add(-time.Duration(10+rng.Intn(40))*time.Minute), testNow
+		case 2:
+			req.From, req.To = testNow.Add(-time.Duration(10+rng.Intn(40))*time.Minute-17*time.Second), testNow
+		}
+		reqs = append(reqs, req)
+		minKs = append(minKs, 1+rng.Intn(3))
+	}
+	return reqs, minKs
+}
+
+// TestOccupancyStreamMatchesReference: over seeded scenarios the pair
+// pass releases, counts, records, notifies and decides exactly as the
+// materialising pipeline did — on the cube path, on the row fallback
+// and on a node without the columnar tier.
+func TestOccupancyStreamMatchesReference(t *testing.T) {
+	var sawBlank, sawNone, sawFloorRaise, sawNotes, sawRows, sawCube bool
+	for seed := int64(1); seed <= 48; seed++ {
+		adjust := func(c *Config) { c.DisableColumnar = seed%6 == 0 }
+		got, gotLog := occWorld(t, seed, adjust)
+		want, wantLog := occWorld(t, seed, adjust)
+		reqs, minKs := occRequests(seed)
+		for i, req := range reqs {
+			name := fmt.Sprintf("seed %d req %d", seed, i)
+			got.bms.ClearOccupancyCache()
+			notes := got.bms.met.notificationsSent.Value()
+			g, err := got.bms.RequestOccupancy(req, minKs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, wRel, err := referenceOccupancy(want.bms, req, minKs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g.Aggregates, w.Aggregates) {
+				t.Fatalf("%s: aggregates %+v, reference %+v", name, g.Aggregates, w.Aggregates)
+			}
+			if !reflect.DeepEqual(g.Decision, w.Decision) {
+				t.Fatalf("%s: decision %+v, reference %+v", name, g.Decision, w.Decision)
+			}
+			if g.SubjectsConsidered != w.SubjectsConsidered || g.SubjectsReleased != w.SubjectsReleased {
+				t.Fatalf("%s: coverage %d/%d, reference %d/%d", name,
+					g.SubjectsReleased, g.SubjectsConsidered, w.SubjectsReleased, w.SubjectsConsidered)
+			}
+			if g.Trace.ObservationsReleased != wRel {
+				t.Fatalf("%s: trace counts %d released observations, reference %d", name, g.Trace.ObservationsReleased, wRel)
+			}
+			if !reflect.DeepEqual(got.bms.inbox, want.bms.inbox) {
+				t.Fatalf("%s: inboxes diverge:\n%v\nreference:\n%v", name, got.bms.inbox, want.bms.inbox)
+			}
+			if !reflect.DeepEqual(gotLog.calls, wantLog.calls) {
+				t.Fatalf("%s: Decide calls diverge:\n%v\nreference:\n%v", name, gotLog.calls, wantLog.calls)
+			}
+			for _, a := range g.Aggregates {
+				sawBlank = sawBlank || a.Key == ""
+			}
+			sawNone = sawNone || g.SubjectsReleased > 0 && wRel == 0
+			sawFloorRaise = sawFloorRaise || g.Decision.Effective.MinAggregationK > minKs[i]
+			sawNotes = sawNotes || got.bms.met.notificationsSent.Value() > notes
+			fromCube := got.bms.colstore != nil && cubeServable(got.bms.filterFor(req))
+			sawCube, sawRows = sawCube || fromCube, sawRows || !fromCube
+		}
+	}
+	for what, saw := range map[string]bool{
+		"an unknown space released under the blank key":     sawBlank,
+		"subjects released at granularity none":             sawNone,
+		"a subject's aggregation floor above the requested": sawFloorRaise,
+		"an override that notified":                         sawNotes,
+		"the row fallback":                                  sawRows,
+		"the cube path":                                     sawCube,
+	} {
+		if !saw {
+			t.Errorf("no scenario exercised %s", what)
+		}
+	}
+}
+
+// TestOccupancyMissAllocsFlat: what a cache miss allocates follows the
+// subjects it decides, not the cells it reads. Forty subjects seen
+// every minute for an hour: the sixty-minute window reads twelve times
+// the cells of the five-minute one and allocates the same.
+func TestOccupancyMissAllocsFlat(t *testing.T) {
+	const subjects = 40
+	f := newFixtureWith(t, func(c *Config) {
+		for i := 0; i < subjects; i++ {
+			c.Users.MustAdd(profile.User{ID: fmt.Sprintf("s%02d", i), Profiles: []profile.Profile{{Group: profile.GroupGradStudent}},
+				DeviceMACs: []string{fmt.Sprintf("dd:00:00:00:00:%02x", i)}})
+		}
+	})
+	for min := -60; min < 0; min++ {
+		for i := 0; i < subjects; i++ {
+			if err := f.bms.Ingest(f.wifiObs(fmt.Sprintf("dd:00:00:00:00:%02x", i), []string{"ap-1", "ap-2"}[(i+min+60)%2], min)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocs := func(minutes int) float64 {
+		req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+			Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow,
+			From: testNow.Add(-time.Duration(minutes) * time.Minute), To: testNow}
+		return testing.AllocsPerRun(20, func() {
+			f.bms.ClearOccupancyCache()
+			resp, err := f.bms.RequestOccupancy(req, 2)
+			if err != nil || resp.SubjectsReleased != subjects || resp.Trace.ObservationsReleased != subjects*minutes || len(resp.Aggregates) != 2 {
+				t.Fatalf("%d-minute window: %+v, err %v", minutes, resp, err)
+			}
+		})
+	}
+	short, long := allocs(5), allocs(60)
+	if short < 10 {
+		t.Fatalf("a miss allocated %.0f objects: it did not run", short)
+	}
+	// Equal without the race detector (20 and 20 objects); with it the
+	// pool drops one Put in four and the slack covers the dropped
+	// scratch growing back. The materialising pipeline differed by
+	// hundreds.
+	if long > short+24 {
+		t.Fatalf("a miss's allocations follow the window: %.0f objects over 5 minutes, %.0f over 60", short, long)
+	}
+	if bound := float64(6 * subjects); long > bound {
+		t.Fatalf("%.0f objects to decide %d subjects (bound %.0f): something allocates per cell again", long, subjects, bound)
+	}
+}
+
+// TestOccupancyNilTransformerEndsSpans: the one error RequestOccupancy
+// can return, a node without a transformer, leaves no span open. The
+// request is rejected before any stage span starts, so its trace holds
+// the request span, ended, and nothing else — the materialising
+// pipeline failed inside enforce.decide_batch and never ended it.
+func TestOccupancyNilTransformerEndsSpans(t *testing.T) {
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1})
+	f := newFixtureWith(t, func(c *Config) { c.Tracer = tracer })
+	occIngest(t, f)
+	f.bms.transf = nil
+	ctx, root := tracer.StartRoot(context.Background(), "test")
+	_, err := f.bms.RequestOccupancyCtx(ctx, enforce.Request{ServiceID: "concierge",
+		Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow}, 2)
+	if err == nil {
+		t.Fatal("a node without a transformer answered an occupancy request")
+	}
+	root.End()
+	var names []string
+	for _, s := range tracer.Trace(root.Context().TraceID) {
+		names = append(names, s.Name)
+	}
+	sort.Strings(names)
+	if want := []string{"bms.request_occupancy", "test"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("ended spans %v, want %v: a stage span started before the rejection", names, want)
+	}
+}
+
+// TestOccupancySpacesSuppressed: an evaluated request adds the spaces
+// it withheld to tippers_occupancy_spaces_suppressed_total and puts
+// the number on its privacy.aggregate span; a cache hit adds nothing.
+func TestOccupancySpacesSuppressed(t *testing.T) {
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1})
+	f := newFixtureWith(t, func(c *Config) { c.Tracer = tracer })
+	occIngest(t, f) // mary and bob in dbh/2/r0, carol alone in dbh/1/r0
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow}
+	for i, want := range []uint64{1, 1} {
+		ctx, root := tracer.StartRoot(context.Background(), "test")
+		if _, err := f.bms.RequestOccupancyCtx(ctx, req, 2); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		if got := f.bms.met.occSpacesSuppressed.Value(); got != want {
+			t.Fatalf("request %d: counter = %d, want %d", i, got, want)
+		}
+		attr := ""
+		for _, s := range tracer.Trace(root.Context().TraceID) {
+			for _, a := range s.Attrs {
+				if s.Name == "privacy.aggregate" && a.Key == "spaces_suppressed" {
+					attr = a.Value
+				}
+			}
+		}
+		if want := []string{"1", ""}[i]; attr != want {
+			t.Fatalf("request %d: spaces_suppressed attribute %q, want %q", i, attr, want)
+		}
+	}
+	var sb strings.Builder
+	f.bms.Metrics().WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "tippers_occupancy_spaces_suppressed_total 1") {
+		t.Error("tippers_occupancy_spaces_suppressed_total is not exported")
+	}
+}
+
+// TestOccupancyCacheSkipsNarrowedRequests: a subject, a seq cursor and
+// a page limit narrow the fetch and are not in the cache key, so a
+// request carrying one is neither served a stored answer nor stored
+// for the request without it.
+func TestOccupancyCacheSkipsNarrowedRequests(t *testing.T) {
+	f := newFixture(t)
+	occIngest(t, f) // mary and bob in dbh/2/r0, carol alone in dbh/1/r0
+	plain := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow}
+	subject, cursor, limit := plain, plain, plain
+	subject.SubjectID, cursor.AfterSeq, limit.Limit = "mary", 6, 3
+	want := []privacy.AggregateCount{{Key: "dbh/1/r0", Count: 1}, {Key: "dbh/2/r0", Count: 2}}
+	ask := func(name string, req enforce.Request, want []privacy.AggregateCount) {
+		t.Helper()
+		resp, err := f.bms.RequestOccupancy(req, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Aggregates, want) {
+			t.Fatalf("%s: aggregates %+v, want %+v", name, resp.Aggregates, want)
+		}
+	}
+	narrowed := []privacy.AggregateCount{{Key: "dbh/2/r0", Count: 1}}
+	ask("subject before any answer is stored", subject, narrowed)
+	ask("plain", plain, want)
+	ask("subject", subject, narrowed)
+	ask("plain again", plain, want)
+	for name, req := range map[string]enforce.Request{"cursor": cursor, "limit": limit} {
+		resp, err := f.bms.RequestOccupancy(req, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(resp.Aggregates, want) {
+			t.Fatalf("%s: served the unnarrowed answer %+v", name, resp.Aggregates)
+		}
+	}
+}
+
+// TestOccCacheKeyBytes: the allocation-lean key builder writes the
+// bytes the fmt-based one wrote, so no cached answer changes identity.
+func TestOccCacheKeyBytes(t *testing.T) {
+	old := func(req enforce.Request, minK int, now time.Time) string {
+		at := req.Time
+		if at.IsZero() {
+			at = now
+		}
+		var sb strings.Builder
+		sb.WriteString(req.ServiceID)
+		sb.WriteByte(0)
+		sb.WriteString(string(req.Purpose))
+		sb.WriteByte(0)
+		sb.WriteString(req.SpaceID)
+		sb.WriteByte(0)
+		sb.WriteString(string(req.Kind))
+		sb.WriteByte(0)
+		fmt.Fprintf(&sb, "%d\x00%d\x00", req.Granularity, at.Truncate(time.Minute).Unix())
+		sb.WriteString(strconv.FormatInt(req.From.UnixNano(), 10))
+		sb.WriteByte(0)
+		sb.WriteString(strconv.FormatInt(req.To.UnixNano(), 10))
+		sb.WriteByte(0)
+		sb.WriteString(strconv.Itoa(minK))
+		return sb.String()
+	}
+	base := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		SpaceID: "dbh/2", Kind: sensor.ObsWiFiConnect, SubjectID: "ignored"}
+	windowed := base
+	windowed.From, windowed.To = testNow.Add(-time.Hour), testNow.Add(17*time.Second)
+	for _, req := range []enforce.Request{{}, base, windowed} {
+		for _, at := range []time.Time{{}, testNow.Add(42 * time.Second), time.Unix(-90, 5)} {
+			for g := policy.Granularity(-1); g <= policy.GranExact+1; g++ {
+				for _, minK := range []int{-3, 0, 1, 12} {
+					req.Time, req.Granularity = at, g
+					if got, want := occCacheKey(req, minK, testNow), old(req, minK, testNow); got != want {
+						t.Fatalf("occCacheKey(%+v, %d) = %q, want %q", req, minK, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -123,6 +125,11 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	ctx, span := b.tracer.StartSpan(ctx, "bms.request_occupancy")
 	defer span.End()
 	span.SetAttr("service", req.ServiceID)
+	if b.transf == nil {
+		// Rejected here, not per released subject: no stage span below
+		// has an error exit between its start and its End.
+		return Response{}, errors.New("core: nil transformer")
+	}
 	tr := b.newTrace("occupancy", req)
 	tr.joinSpanContext(ctx)
 
@@ -132,12 +139,13 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	// repeated dashboard poll costs a map lookup instead of a decide
 	// batch. Both are read before the fetch and the decide batch, so a
 	// concurrent ingest or rule mutation can only cause a spurious
-	// miss, never a stale hit.
+	// miss, never a stale hit. A subject, seq cursor or page limit
+	// narrows the fetch without being in the key: no lookup, no store.
 	var (
 		cacheKey       string
 		epoch, rollVer uint64
 	)
-	if b.colstore != nil {
+	if b.colstore != nil && req.SubjectID == "" && req.AfterSeq == 0 && req.Limit == 0 {
 		cacheKey = occCacheKey(req, minK, b.clock())
 		epoch, rollVer = b.engine.Epoch(), b.colstore.RollupVersion()
 		if a, ok := b.occCache.get(cacheKey, epoch, rollVer); ok {
@@ -159,78 +167,88 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		}
 	}
 
+	sc := occScratchPool.Get().(*occScratch)
+	defer sc.release()
 	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 	t0 := time.Now()
-	obs, fromRollup := b.occupancyRows(b.filterFor(req))
-	qSpan.SetAttrInt("observations", int64(len(obs)))
+	fromRollup := b.occupancyPairs(b.filterFor(req), sc)
+	qSpan.SetAttrInt("observations", int64(len(sc.pairs)))
 	qSpan.SetAttr("rollup", strconv.FormatBool(fromRollup))
 	qSpan.End()
 	tr.addStage("fetch", time.Since(t0))
-	bySubject := make(map[string][]sensor.Observation)
-	for _, o := range obs {
-		if o.UserID == "" {
-			continue
-		}
-		bySubject[o.UserID] = append(bySubject[o.UserID], o)
-	}
 
-	resp := Response{SubjectsConsidered: len(bySubject)}
-	k := minK
-	var releasedObs []sensor.Observation
 	_, bSpan := b.tracer.StartSpan(ctx, "enforce.decide_batch")
 	t0 = time.Now()
+	// The cells collapse to distinct pairs, each with its cell count;
+	// sorted, a subject's pairs are one run, and the subjects come in
+	// an order that makes the decisions (and with them the trace and
+	// the inboxes) deterministic rather than map-ordered.
+	for _, p := range sc.pairs {
+		sc.cells[p]++
+	}
+	pairs := sc.pairs[:0]
+	for p := range sc.cells {
+		pairs = append(pairs, p)
+	}
+	slices.SortFunc(pairs, func(x, y occPair) int { return cmp.Compare(x.user, y.user) })
+	for i, p := range pairs {
+		if i == 0 || p.user != pairs[i-1].user {
+			subReq := req
+			subReq.SubjectID = p.user
+			sc.items = append(sc.items, enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(p.user)})
+		}
+	}
 	// Post-filter decisions run as a concurrent batch: every candidate
 	// subject of the query result is decided on a bounded worker pool
 	// sharing the engine's decision cache, instead of one at a time.
-	// Subjects are sorted so the released order (and with it the trace)
-	// is deterministic rather than map-ordered.
-	subjects := make([]string, 0, len(bySubject))
-	for subjectID := range bySubject {
-		subjects = append(subjects, subjectID)
-	}
-	sort.Strings(subjects)
-	items := make([]enforce.BatchItem, len(subjects))
-	for i, subjectID := range subjects {
-		subReq := req
-		subReq.SubjectID = subjectID
-		items[i] = enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(subjectID)}
-	}
-	decisions := enforce.DecideBatch(b.engine, items, enforce.BatchOptions{
+	decisions := enforce.DecideBatch(b.engine, sc.items, enforce.BatchOptions{
 		Observe: func(_ enforce.Decision, elapsed time.Duration) {
 			b.met.decideSeconds.Observe(elapsed.Seconds())
 		},
 	})
-	hasNotes := false
-	for i, d := range decisions {
-		b.recordDecision(d)
-		if len(d.Notifications) > 0 {
-			hasNotes = true
+	resp := Response{SubjectsConsidered: len(decisions)}
+	k, relObs, hasNotes := minK, 0, false
+	for _, d := range decisions {
+		n := 1
+		for n < len(pairs) && pairs[n].user == pairs[0].user {
+			n++
 		}
+		run := pairs[:n]
+		pairs = pairs[n:]
+		b.recordDecision(d)
+		hasNotes = hasNotes || len(d.Notifications) > 0
 		if !d.Allowed {
 			continue
 		}
-		if d.Effective.MinAggregationK > k {
-			k = d.Effective.MinAggregationK
-		}
-		transformed, err := enforce.ApplyDecision(d, bySubject[subjects[i]], b.transf)
-		if err != nil {
-			return Response{}, err
-		}
-		releasedObs = append(releasedObs, transformed...)
+		k = max(k, d.Effective.MinAggregationK)
 		resp.SubjectsReleased++
+		// Each distinct space the subject's pairs coarsen to gains one
+		// subject. No value leaves the node here, so no noise is drawn.
+		sc.seen = sc.seen[:0]
+		for _, p := range run {
+			space, ok := privacy.CoarsenSpace(p.space, d.Granularity, b.transf.Spaces)
+			if !ok {
+				break // granularity none: counted as released, releases nothing
+			}
+			relObs += sc.cells[p]
+			if !slices.Contains(sc.seen, space) {
+				sc.seen = append(sc.seen, space)
+				sc.counts[space]++
+			}
+		}
 	}
-	bSpan.SetAttrInt("subjects", int64(len(subjects)))
+	bSpan.SetAttrInt("subjects", int64(len(decisions)))
 	bSpan.SetAttrInt("released", int64(resp.SubjectsReleased))
 	bSpan.End()
 	tr.addStage("decide-subjects", time.Since(t0))
 	_, gSpan := b.tracer.StartSpan(ctx, "privacy.aggregate")
 	t0 = time.Now()
-	resp.Aggregates = privacy.KAnonymousCounts(releasedObs, k,
-		func(o sensor.Observation) string { return o.SpaceID },
-		func(o sensor.Observation) string { return o.UserID },
-	)
+	resp.Aggregates = privacy.SuppressBelowK(sc.counts, k)
+	suppressed := len(sc.counts) - len(resp.Aggregates)
+	b.met.occSpacesSuppressed.Add(uint64(suppressed))
 	gSpan.SetAttrInt("k", int64(k))
 	gSpan.SetAttrInt("spaces", int64(len(resp.Aggregates)))
+	gSpan.SetAttrInt("spaces_suppressed", int64(suppressed))
 	gSpan.End()
 	tr.addStage("aggregate", time.Since(t0))
 	resp.Decision = occDecision(resp.Aggregates, k)
@@ -238,7 +256,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	tr.DenyReason = resp.Decision.DenyReason
 	tr.SubjectsConsidered = resp.SubjectsConsidered
 	tr.SubjectsReleased = resp.SubjectsReleased
-	tr.ObservationsReleased = len(releasedObs)
+	tr.ObservationsReleased = relObs
 	if fromRollup && cacheKey != "" && !hasNotes {
 		// Decisions that delivered override notifications are not
 		// memoized: replaying the answer would swallow the repeat
@@ -250,7 +268,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 			k:          k,
 			considered: resp.SubjectsConsidered,
 			released:   resp.SubjectsReleased,
-			relObs:     len(releasedObs),
+			relObs:     relObs,
 		})
 	}
 	resp.Trace = b.finishTrace(&tr, started)

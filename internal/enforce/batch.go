@@ -7,7 +7,7 @@ package enforce
 // every candidate subject — so the aggregate path
 // (core.RequestOccupancy) batches those decisions across a bounded
 // worker pool. Engines already guarantee concurrent Decide safety
-// (see Engine), and the Cached wrapper's memo is shared by the pool,
+// (see Engine), and the engine's memo is shared by the pool,
 // so fanning out reuses the decision cache rather than defeating it.
 
 import (

@@ -9,13 +9,14 @@
 package privacy
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/tippers/tippers/internal/policy"
@@ -46,41 +47,46 @@ func KindForGranularity(g policy.Granularity) (spatial.Kind, bool) {
 // Coarsening is monotone: coarsening to g1 then to g2 equals
 // coarsening to min(g1, g2).
 func CoarsenLocation(o sensor.Observation, g policy.Granularity, spaces *spatial.Model) (sensor.Observation, bool) {
-	if g == policy.GranNone {
+	id, ok := CoarsenSpace(o.SpaceID, g, spaces)
+	if !ok {
 		return sensor.Observation{}, false
 	}
 	if g == policy.GranExact || !g.Valid() {
 		return o, true
 	}
 	out := o.Clone()
+	out.SpaceID = id
+	return out, true
+}
+
+// CoarsenSpace is CoarsenLocation's rule on the space ID alone, for
+// callers that release only (space, subject) pairs: it allocates
+// nothing. ok=false means g releases no location at all.
+func CoarsenSpace(spaceID string, g policy.Granularity, spaces *spatial.Model) (string, bool) {
+	if g == policy.GranNone {
+		return "", false
+	}
 	kind, ok := KindForGranularity(g)
-	if !ok {
-		return out, true
+	if !ok || spaceID == "" || spaces == nil {
+		// Exact or invalid granularity, or nothing to coarsen against.
+		return spaceID, true
 	}
-	if o.SpaceID == "" || spaces == nil {
-		return out, true
-	}
-	sp, found := spaces.Lookup(o.SpaceID)
+	sp, found := spaces.Lookup(spaceID)
 	if !found {
 		// Unknown location: releasing it as-is could leak more than g
 		// permits, so suppress the field.
-		out.SpaceID = ""
-		return out, true
+		return "", true
 	}
 	if anc := sp.AncestorOfKind(kind); anc != nil {
-		out.SpaceID = anc.ID
-	} else if sp.Kind > kind {
-		// Finer than requested but no ancestor of the exact kind
-		// (e.g. a zone directly under a building): fall back to the
-		// nearest coarser ancestor, or the root.
-		cur := sp
-		for cur.Parent() != nil && cur.Kind > kind {
-			cur = cur.Parent()
-		}
-		out.SpaceID = cur.ID
+		return anc.ID, true
 	}
-	// else: the location is already at or coarser than g; keep it.
-	return out, true
+	// No ancestor of the exact kind (e.g. a zone directly under a
+	// building): fall back to the nearest coarser ancestor, or the
+	// root. A location already at or coarser than g is kept.
+	for sp.Parent() != nil && sp.Kind > kind {
+		sp = sp.Parent()
+	}
+	return sp.ID, true
 }
 
 // Laplace draws one Laplace(0, scale) sample from rng.
@@ -211,16 +217,27 @@ func (c KCounter) Add(key, subject string) {
 // Counts returns the keys holding at least k distinct subjects (k < 1
 // means 1) with their subject counts, sorted by key.
 func (c KCounter) Counts(k int) []AggregateCount {
-	if k < 1 {
-		k = 1
-	}
 	out := make([]AggregateCount, 0, len(c))
 	for key, subjects := range c {
-		if len(subjects) >= k {
-			out = append(out, AggregateCount{Key: key, Count: len(subjects)})
-		}
+		out = append(out, AggregateCount{Key: key, Count: len(subjects)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return suppressBelowK(out, k)
+}
+
+// SuppressBelowK is KCounter.Counts for a caller that already holds
+// each key's distinct-subject count, having added every subject's
+// distinct keys once.
+func SuppressBelowK(counts map[string]int, k int) []AggregateCount {
+	out := make([]AggregateCount, 0, len(counts))
+	for key, n := range counts {
+		out = append(out, AggregateCount{Key: key, Count: n})
+	}
+	return suppressBelowK(out, k)
+}
+
+func suppressBelowK(all []AggregateCount, k int) []AggregateCount {
+	out := slices.DeleteFunc(all, func(c AggregateCount) bool { return c.Count < max(k, 1) })
+	slices.SortFunc(out, func(a, b AggregateCount) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 
