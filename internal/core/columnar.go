@@ -31,13 +31,15 @@ import (
 type occPair struct{ user, space string }
 
 // occScratch is the working memory of one occupancy miss, pooled so a
-// miss allocates per subject decided, not per cell read.
+// miss allocates for the decisions the engine had to compute, not per
+// cell read or per subject decided.
 type occScratch struct {
-	pairs  []occPair
-	cells  map[occPair]int // distinct pair → cells (or rows) carrying it
-	items  []enforce.BatchItem
-	seen   []string       // one subject's distinct released spaces
-	counts map[string]int // released space → distinct subjects
+	pairs     []occPair
+	cells     map[occPair]int // distinct pair → cells (or rows) carrying it
+	items     []enforce.BatchItem
+	decisions []enforce.Decision // one per item; nothing in a Response aliases it
+	seen      []string           // one subject's distinct released spaces
+	counts    map[string]int     // released space → distinct subjects
 }
 
 var occScratchPool = sync.Pool{New: func() any {
@@ -48,8 +50,9 @@ func (s *occScratch) release() {
 	clear(s.pairs)
 	clear(s.cells)
 	clear(s.items)
+	clear(s.decisions)
 	clear(s.counts)
-	s.pairs, s.items = s.pairs[:0], s.items[:0]
+	s.pairs, s.items, s.decisions = s.pairs[:0], s.items[:0], s.decisions[:0]
 	occScratchPool.Put(s)
 }
 
@@ -167,21 +170,17 @@ func (b *BMS) ClearOccupancyCache() {
 }
 
 // occCacheKey canonicalizes the decision-relevant dimensions of an
-// occupancy request, evaluated at now. Every field the engine or the
-// filter reads is in the key — including the evaluation minute, the
-// resolution at which window rules change — except SubjectID,
-// AfterSeq and Limit, which narrow the fetch: a request carrying one
-// bypasses the cache.
-func occCacheKey(req enforce.Request, minK int, now time.Time) string {
-	at := req.Time
-	if at.IsZero() {
-		at = now
-	}
+// occupancy request whose Time the request boundary has resolved.
+// Every field the engine or the filter reads is in the key — including
+// the evaluation minute, the resolution at which window rules change —
+// except SubjectID, AfterSeq and Limit, which narrow the fetch: a
+// request carrying one bypasses the cache.
+func occCacheKey(req enforce.Request, minK int) string {
 	buf := make([]byte, 0, 192) // stays on the stack for any usual key
 	for _, part := range [...]string{req.ServiceID, string(req.Purpose), req.SpaceID, string(req.Kind)} {
 		buf = append(append(buf, part...), 0)
 	}
-	for _, n := range [...]int64{int64(req.Granularity), at.Truncate(time.Minute).Unix(), req.From.UnixNano(), req.To.UnixNano()} {
+	for _, n := range [...]int64{int64(req.Granularity), req.Time.Truncate(time.Minute).Unix(), req.From.UnixNano(), req.To.UnixNano()} {
 		buf = append(strconv.AppendInt(buf, n, 10), 0)
 	}
 	return string(strconv.AppendInt(buf, int64(minK), 10))

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
@@ -277,10 +279,12 @@ func TestOccupancyStreamMatchesReference(t *testing.T) {
 	}
 }
 
-// TestOccupancyMissAllocsFlat: what a cache miss allocates follows the
-// subjects it decides, not the cells it reads. Forty subjects seen
-// every minute for an hour: the sixty-minute window reads twelve times
-// the cells of the five-minute one and allocates the same.
+// TestOccupancyMissAllocsFlat: what a cache miss allocates follows
+// neither the cells it reads nor the subjects it decides. Forty
+// subjects seen every minute for an hour: the sixty-minute window reads
+// twelve times the cells of the five-minute one and allocates the same,
+// and a repeated miss (the engine's memo warm) takes its []Decision
+// from the pooled scratch.
 func TestOccupancyMissAllocsFlat(t *testing.T) {
 	const subjects = 40
 	f := newFixtureWith(t, func(c *Config) {
@@ -319,8 +323,137 @@ func TestOccupancyMissAllocsFlat(t *testing.T) {
 	if long > short+24 {
 		t.Fatalf("a miss's allocations follow the window: %.0f objects over 5 minutes, %.0f over 60", short, long)
 	}
-	if bound := float64(6 * subjects); long > bound {
-		t.Fatalf("%.0f objects to decide %d subjects (bound %.0f): something allocates per cell again", long, subjects, bound)
+	if bound := float64(subjects); long > bound {
+		t.Fatalf("%.0f objects to decide %d subjects (bound %.0f): something allocates per cell or per subject again", long, subjects, bound)
+	}
+
+	// Bytes, because the decisions are one object however many there
+	// are. The cheapest of twenty misses is one whose scratch the pool
+	// handed back (under the race detector it drops one Put in four).
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow, From: testNow.Add(-5 * time.Minute), To: testNow}
+	cheapest := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ {
+		f.bms.ClearOccupancyCache()
+		runtime.ReadMemStats(&before)
+		if _, err := f.bms.RequestOccupancy(req, 2); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		cheapest = min(cheapest, after.TotalAlloc-before.TotalAlloc)
+	}
+	if storage := uint64(subjects) * uint64(unsafe.Sizeof(enforce.Decision{})); cheapest >= storage {
+		t.Fatalf("a repeated miss allocated %d bytes, a []Decision for its %d subjects takes %d: the decisions are not pooled", cheapest, subjects, storage)
+	}
+}
+
+// TestConcurrentOccupancyMissesKeepTheirDecisions: two requesters whose
+// misses run side by side over the same floor, taking their scratch
+// from the same pool, each get the answer they get alone — the
+// concierge's excludes the subjects who opted out of it, the emergency
+// service's does not — and the race detector sees no shared write.
+func TestConcurrentOccupancyMissesKeepTheirDecisions(t *testing.T) {
+	const subjects = 24
+	mac := func(i int) string { return fmt.Sprintf("dd:00:00:00:01:%02x", i) }
+	f := newFixtureWith(t, func(c *Config) {
+		for i := 0; i < subjects; i++ {
+			c.Users.MustAdd(profile.User{ID: fmt.Sprintf("p%02d", i), Profiles: []profile.Profile{{Group: profile.GroupGradStudent}},
+				DeviceMACs: []string{mac(i)}})
+		}
+	})
+	for i := 0; i < subjects; i++ {
+		if err := f.bms.Ingest(f.wifiObs(mac(i), []string{"ap-1", "ap-2"}[i%2], -10)); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := f.bms.SetPreference(policy.Preference{ID: fmt.Sprintf("no-concierge-%02d", i), UserID: fmt.Sprintf("p%02d", i),
+				Scope: policy.Scope{ServiceID: "concierge"}, Rule: policy.Rule{Action: policy.ActionDeny}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reqs := []enforce.Request{
+		{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow},
+		{ServiceID: "bms-emergency", Purpose: policy.PurposeEmergencyResponse, Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow},
+	}
+	alone := make([]Response, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if alone[i], err = f.bms.RequestOccupancy(req, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := alone[0].SubjectsReleased, alone[1].SubjectsReleased; a != subjects-subjects/3 || b != subjects {
+		t.Fatalf("released alone: concierge %d, emergency %d; the two requesters should differ", a, b)
+	}
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				f.bms.ClearOccupancyCache() // its own key is only ever stored by this goroutine: every request misses
+				got, err := f.bms.RequestOccupancy(req, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.SubjectsReleased != alone[i].SubjectsReleased || !reflect.DeepEqual(got.Aggregates, alone[i].Aggregates) {
+					t.Errorf("%s, concurrent miss %d: released %d %+v, alone %d %+v", req.ServiceID, n,
+						got.SubjectsReleased, got.Aggregates, alone[i].SubjectsReleased, alone[i].Aggregates)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestZeroTimeRequestsUseDeploymentClock: a request that leaves Time
+// unset is decided at the deployment's clock — the instant its answer
+// is cached and traced under — not at the wall clock. Mary denies
+// sensing after hours; with the clock at 22:00 her data is withheld
+// from both request paths, with it at 10:00 it is not.
+func TestZeroTimeRequestsUseDeploymentClock(t *testing.T) {
+	for _, tc := range []struct {
+		hour     int
+		withheld bool
+	}{{22, true}, {10, false}} {
+		at := time.Date(2017, time.June, 7, tc.hour, 0, 0, 0, time.UTC)
+		f := newFixtureWith(t, func(c *Config) { c.Clock = func() time.Time { return at } })
+		f.now = at
+		occIngest(t, f)
+		if err := f.bms.SetPreference(policy.Preference{ID: "mary-evenings", UserID: "mary",
+			Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect, Window: policy.AfterHours},
+			Rule:  policy.Rule{Action: policy.ActionDeny}}); err != nil {
+			t.Fatal(err)
+		}
+		req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect}
+		userReq := req
+		userReq.SubjectID = "mary"
+		user, err := f.bms.RequestUser(userReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if user.Decision.Allowed == tc.withheld {
+			t.Errorf("clock %02d:00, user request with no Time: allowed = %v", tc.hour, user.Decision.Allowed)
+		}
+		req.SpaceID = "dbh"
+		for _, path := range []string{"evaluated", "cached"} {
+			occ, err := f.bms.RequestOccupancy(req, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 3
+			if tc.withheld {
+				want = 2
+			}
+			if occ.SubjectsConsidered != 3 || occ.SubjectsReleased != want {
+				t.Errorf("clock %02d:00, occupancy request with no Time (%s): released %d of %d subjects, want %d of 3",
+					tc.hour, path, occ.SubjectsReleased, occ.SubjectsConsidered, want)
+			}
+		}
 	}
 }
 
@@ -429,11 +562,8 @@ func TestOccupancyCacheSkipsNarrowedRequests(t *testing.T) {
 // TestOccCacheKeyBytes: the allocation-lean key builder writes the
 // bytes the fmt-based one wrote, so no cached answer changes identity.
 func TestOccCacheKeyBytes(t *testing.T) {
-	old := func(req enforce.Request, minK int, now time.Time) string {
+	old := func(req enforce.Request, minK int) string {
 		at := req.Time
-		if at.IsZero() {
-			at = now
-		}
 		var sb strings.Builder
 		sb.WriteString(req.ServiceID)
 		sb.WriteByte(0)
@@ -456,11 +586,11 @@ func TestOccCacheKeyBytes(t *testing.T) {
 	windowed := base
 	windowed.From, windowed.To = testNow.Add(-time.Hour), testNow.Add(17*time.Second)
 	for _, req := range []enforce.Request{{}, base, windowed} {
-		for _, at := range []time.Time{{}, testNow.Add(42 * time.Second), time.Unix(-90, 5)} {
+		for _, at := range []time.Time{testNow, testNow.Add(42 * time.Second), time.Unix(-90, 5)} {
 			for g := policy.Granularity(-1); g <= policy.GranExact+1; g++ {
 				for _, minK := range []int{-3, 0, 1, 12} {
 					req.Time, req.Granularity = at, g
-					if got, want := occCacheKey(req, minK, testNow), old(req, minK, testNow); got != want {
+					if got, want := occCacheKey(req, minK), old(req, minK); got != want {
 						t.Fatalf("occCacheKey(%+v, %d) = %q, want %q", req, minK, got, want)
 					}
 				}

@@ -56,6 +56,12 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 	if req.SubjectID == "" {
 		return Response{}, fmt.Errorf("core: RequestUser needs a subject")
 	}
+	if req.Time.IsZero() {
+		// Unset means now on the deployment's clock, resolved once here
+		// so every stage reads the same instant; the engine's own
+		// fallback is the wall clock.
+		req.Time = b.clock()
+	}
 	started := time.Now()
 	defer b.met.requestUser.ObserveSince(started)
 	ctx, span := b.tracer.StartSpan(ctx, "bms.request_user")
@@ -120,6 +126,9 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	if minK < 1 {
 		minK = 1
 	}
+	if req.Time.IsZero() {
+		req.Time = b.clock() // as in RequestUserCtx; the cache key below reads it too
+	}
 	started := time.Now()
 	defer b.met.requestOccup.ObserveSince(started)
 	ctx, span := b.tracer.StartSpan(ctx, "bms.request_occupancy")
@@ -146,7 +155,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		epoch, rollVer uint64
 	)
 	if b.colstore != nil && req.SubjectID == "" && req.AfterSeq == 0 && req.Limit == 0 {
-		cacheKey = occCacheKey(req, minK, b.clock())
+		cacheKey = occCacheKey(req, minK)
 		epoch, rollVer = b.engine.Epoch(), b.colstore.RollupVersion()
 		if a, ok := b.occCache.get(cacheKey, epoch, rollVer); ok {
 			span.SetAttr("cache", "hit")
@@ -201,11 +210,12 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	// Post-filter decisions run as a concurrent batch: every candidate
 	// subject of the query result is decided on a bounded worker pool
 	// sharing the engine's decision cache, instead of one at a time.
-	decisions := enforce.DecideBatch(b.engine, sc.items, enforce.BatchOptions{
+	decisions := enforce.AppendDecideBatch(sc.decisions, b.engine, sc.items, enforce.BatchOptions{
 		Observe: func(_ enforce.Decision, elapsed time.Duration) {
 			b.met.decideSeconds.Observe(elapsed.Seconds())
 		},
 	})
+	sc.decisions = decisions
 	resp := Response{SubjectsConsidered: len(decisions)}
 	k, relObs, hasNotes := minK, 0, false
 	for _, d := range decisions {

@@ -12,6 +12,7 @@ package enforce
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +43,19 @@ type BatchOptions struct {
 // the equivalent Decide loop would produce — the pool only reorders
 // the evaluation, never the results.
 func DecideBatch(e Engine, items []BatchItem, opts BatchOptions) []Decision {
-	out := make([]Decision, len(items))
+	return AppendDecideBatch(nil, e, items, opts)
+}
+
+// AppendDecideBatch is DecideBatch appending the decisions to dst, so
+// a caller that batches repeatedly (the occupancy miss path) reuses
+// one buffer. Decisions reference rule-owned strings and slices: clear
+// the buffer before parking it.
+func AppendDecideBatch(dst []Decision, e Engine, items []BatchItem, opts BatchOptions) []Decision {
+	n := len(dst)
+	dst = slices.Grow(dst, len(items))[:n+len(items)]
+	out := dst[n:]
 	if len(items) == 0 {
-		return out
+		return dst
 	}
 	decideOne := func(i int) {
 		t0 := time.Now()
@@ -65,7 +76,7 @@ func DecideBatch(e Engine, items []BatchItem, opts BatchOptions) []Decision {
 		for i := range items {
 			decideOne(i)
 		}
-		return out
+		return dst
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -83,5 +94,5 @@ func DecideBatch(e Engine, items []BatchItem, opts BatchOptions) []Decision {
 		}()
 	}
 	wg.Wait()
-	return out
+	return dst
 }

@@ -46,7 +46,8 @@ func batchItems(t *testing.T, eng Engine, n int) []BatchItem {
 
 // TestDecideBatchMatchesSerial: the pool must produce exactly the
 // decisions a serial Decide loop would, in item order, at every
-// parallelism level.
+// parallelism level — into a fresh slice and into a caller's buffer,
+// whether that buffer is too small or holds another batch's decisions.
 func TestDecideBatchMatchesSerial(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	eng := NewCompiledMemo(cfg, -1)
@@ -60,6 +61,26 @@ func TestDecideBatchMatchesSerial(t *testing.T) {
 		got := DecideBatch(eng, items, BatchOptions{Parallelism: par})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism=%d: batch decisions diverge from serial loop", par)
+		}
+
+		stale := make([]Decision, len(items)+3)
+		for i := range stale {
+			stale[i] = Decision{Allowed: true, MatchedPreferences: []string{"left-over"}, DenyReason: "left-over"}
+		}
+		reused := AppendDecideBatch(stale[:0], eng, items, BatchOptions{Parallelism: par})
+		if !reflect.DeepEqual(reused, want) {
+			t.Errorf("parallelism=%d: decisions written over a stale buffer diverge from serial loop", par)
+		}
+		if &reused[0] != &stale[0] {
+			t.Errorf("parallelism=%d: a buffer with room for the batch was not reused", par)
+		}
+		if grown := AppendDecideBatch(make([]Decision, 0, 2), eng, items, BatchOptions{Parallelism: par}); !reflect.DeepEqual(grown, want) {
+			t.Errorf("parallelism=%d: decisions appended to a too-small buffer diverge from serial loop", par)
+		}
+		// It appends: what the buffer holds below its length stays.
+		kept := AppendDecideBatch(reused[:2], eng, items[:1], BatchOptions{Parallelism: par})
+		if len(kept) != 3 || !reflect.DeepEqual(kept[:2], want[:2]) || !reflect.DeepEqual(kept[2], want[0]) {
+			t.Errorf("parallelism=%d: appending one decision to two gave %d, or disturbed the two", par, len(kept))
 		}
 	}
 	// Sanity: the fixture actually exercises all three outcomes.
@@ -115,8 +136,13 @@ func TestDecideBatchObserve(t *testing.T) {
 // (non-nil-safe) slice without touching the engine.
 func TestDecideBatchEmpty(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	if got := DecideBatch(NewCompiledMemo(cfg, -1), nil, BatchOptions{}); len(got) != 0 {
+	eng := NewCompiledMemo(cfg, -1)
+	if got := DecideBatch(eng, nil, BatchOptions{}); len(got) != 0 {
 		t.Fatalf("empty batch returned %d decisions", len(got))
+	}
+	buf := make([]Decision, 4)
+	if got := AppendDecideBatch(buf[:0], eng, nil, BatchOptions{}); len(got) != 0 || cap(got) != cap(buf) {
+		t.Fatalf("empty batch over a buffer returned len %d cap %d", len(got), cap(got))
 	}
 }
 

@@ -28,22 +28,36 @@ import (
 // collapses those to a map hit. Its correctness constraints are
 // load-bearing:
 //
-//   - Time-windowed rules make decisions time-dependent, so the memo
-//     key quantizes the request time to the minute (windows have
-//     minute resolution). Two requests in the same minute are
-//     guaranteed identical decisions; across minutes they
-//     re-evaluate.
+//   - Time-windowed rules make decisions time-dependent at minute
+//     resolution, so the memo holds the decisions of one minute: the
+//     newest any stored decision was evaluated at. Two requests in
+//     that minute are guaranteed identical decisions. When a decide
+//     for a later minute is stored, every entry — all superseded, none
+//     can hit again for a caller asking about "now" — is dropped
+//     first. A decide for an earlier minute (a stream replay behind
+//     the live edge, or any caller after one request stamped ahead of
+//     the clock) is computed and not stored: it costs what the
+//     memo-free engine costs and leaves the live minute's entries
+//     alone.
 //   - Decisions that generated notifications are never memoized:
 //     replaying them would either duplicate user notifications or
 //     silently swallow them. Override paths always re-decide.
+//   - A decision computed under the read lock is stored only if the
+//     epoch read before deciding still stands.
 //
 // Every mutation recompiles incrementally (only the touched rule) and
-// bumps the epoch, dropping the memo in the same critical section —
-// no window exists where a decision compiled against old rules can be
-// served after the mutation returns. This memo is the node's only
-// cross-request decision cache; anything else that holds
-// decision-derived state (core's occupancy answer cache) validates it
-// against Epoch.
+// bumps the epoch, ageing the memo in the same critical section as
+// narrowly as the rule change reaches: a preference write ages its
+// owner's entries (both owners, when a preference ID is re-registered
+// under another user), a policy write ages everyone's. Ownership is
+// the whole dependency — Decide selects preference candidates from
+// the subject's own bucket, and the group defaults and the service
+// registry are fixed at construction — so no window exists where a
+// decision compiled against old rules can be served after the mutation
+// returns. This memo is the node's only cross-request decision cache;
+// anything else that holds decision-derived state (core's occupancy
+// answer cache) validates it against Epoch, which moves on every
+// mutation whatever its reach.
 type Compiled struct {
 	eval evaluator
 
@@ -51,23 +65,33 @@ type Compiled struct {
 	ix    *compiled.Index
 	epoch uint64
 	memo  map[cacheKey]Decision // nil when the memo is disabled
+	// minute is the evaluation minute every memo entry belongs to.
+	minute int64
+	// aged maps a subject to the epoch of the last preference write
+	// that owned it. The value is folded into the memo key, so entries
+	// stored before that write stop matching without the map being
+	// searched for them; they leave with the minute. It only has to
+	// tell apart entries that coexist, so it is cleared with the memo.
+	aged map[string]uint64
 
 	// maxEntries bounds memo memory; at the cap the memo is reset
 	// (simple and effective for cyclic workloads). 0 means disabled.
 	maxEntries int
 	hits       *telemetry.Counter
 	miss       *telemetry.Counter
+	// Memo invalidations by reach: one owner, everyone (a policy write
+	// or the entry cap), the superseded minute.
+	agedSubject, agedAll, agedMinute *telemetry.Counter
 }
 
 type cacheKey struct {
-	epoch       uint64
+	aged        uint64
 	subject     string
 	service     string
 	purpose     policy.Purpose
 	kind        string
 	space       string
 	granularity policy.Granularity
-	minute      int64
 	groupsKey   string
 }
 
@@ -88,6 +112,10 @@ func NewCompiledMemo(cfg Config, maxEntries int) *Compiled {
 		ix:   compiled.NewIndex(cfg.Spaces),
 		hits: telemetry.NewCounter(),
 		miss: telemetry.NewCounter(),
+
+		agedSubject: telemetry.NewCounter(),
+		agedAll:     telemetry.NewCounter(),
+		agedMinute:  telemetry.NewCounter(),
 	}
 	if maxEntries == 0 {
 		maxEntries = 65536
@@ -95,6 +123,7 @@ func NewCompiledMemo(cfg Config, maxEntries int) *Compiled {
 	if maxEntries > 0 {
 		c.maxEntries = maxEntries
 		c.memo = make(map[cacheKey]Decision)
+		c.aged = make(map[string]uint64)
 	}
 	return c
 }
@@ -113,8 +142,8 @@ func New(flavor string, cfg Config) (Engine, error) {
 	}
 }
 
-// AddPolicy implements Engine, compiling the policy and invalidating
-// the memo atomically.
+// AddPolicy implements Engine, compiling the policy and ageing every
+// subject's memo entries atomically.
 func (c *Compiled) AddPolicy(p policy.BuildingPolicy) error {
 	if err := p.Check(); err != nil {
 		return err
@@ -122,20 +151,26 @@ func (c *Compiled) AddPolicy(p policy.BuildingPolicy) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ix.AddPolicy(p)
-	c.invalidateLocked()
+	c.epoch++
+	c.dropMemoLocked(c.agedAll)
 	return nil
 }
 
 // AddPreference implements Engine, compiling the preference and
-// invalidating the memo atomically.
+// ageing its owner's memo entries atomically — and the previous
+// owner's, when the ID was registered to someone else.
 func (c *Compiled) AddPreference(p policy.Preference) error {
 	if err := p.Check(); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ix.AddPreference(p)
-	c.invalidateLocked()
+	replaced := c.ix.AddPreference(p)
+	c.epoch++
+	c.ageSubjectLocked(p.UserID)
+	if replaced != "" && replaced != p.UserID {
+		c.ageSubjectLocked(replaced)
+	}
 	return nil
 }
 
@@ -143,10 +178,12 @@ func (c *Compiled) AddPreference(p policy.Preference) error {
 func (c *Compiled) RemovePreference(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.ix.RemovePreference(id) {
+	owner, ok := c.ix.RemovePreference(id)
+	if !ok {
 		return false
 	}
-	c.invalidateLocked()
+	c.epoch++
+	c.ageSubjectLocked(owner)
 	return true
 }
 
@@ -164,11 +201,26 @@ func (c *Compiled) Epoch() uint64 {
 	return c.epoch
 }
 
-func (c *Compiled) invalidateLocked() {
-	c.epoch++
-	if len(c.memo) > 0 {
-		c.memo = make(map[cacheKey]Decision)
+// ageSubjectLocked makes owner's memo entries unreachable after the
+// epoch moved for a write to one of their preferences. With nothing
+// memoized there is nothing to tell apart.
+func (c *Compiled) ageSubjectLocked(owner string) {
+	if len(c.memo) == 0 {
+		return
 	}
+	c.aged[owner] = c.epoch
+	c.agedSubject.Inc()
+}
+
+// dropMemoLocked empties the memo, keeping its buckets for the next
+// minute's entries, and counts the invalidation under reason.
+func (c *Compiled) dropMemoLocked(reason *telemetry.Counter) {
+	if len(c.memo) == 0 {
+		return
+	}
+	clear(c.memo)
+	clear(c.aged)
+	reason.Inc()
 }
 
 // Stats returns memo (hits, misses) since construction.
@@ -176,15 +228,20 @@ func (c *Compiled) Stats() (hits, misses uint64) {
 	return c.hits.Value(), c.miss.Value()
 }
 
-// RegisterMetrics exposes the memo's hit/miss counters and the
-// compiled state's sizes on a telemetry registry. The cache metric
-// names predate the compiled engine and are kept stable for
-// dashboards.
+// RegisterMetrics exposes the memo's hit/miss and invalidation
+// counters and the compiled state's sizes on a telemetry registry. The
+// cache metric names predate the compiled engine and are kept stable
+// for dashboards.
 func (c *Compiled) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("tippers_enforce_cache_hits_total",
 		"Decision-memo hits.", func() float64 { return float64(c.hits.Value()) })
 	r.CounterFunc("tippers_enforce_cache_misses_total",
 		"Decision-memo misses (compiled matcher consulted).", func() float64 { return float64(c.miss.Value()) })
+	for scope, n := range map[string]*telemetry.Counter{"subject": c.agedSubject, "all": c.agedAll, "minute": c.agedMinute} {
+		r.CounterFuncWith("tippers_enforce_memo_invalidations_total",
+			"Decision-memo invalidations by reach: subject (a preference write aged its owner), all (a policy write or the entry cap dropped every entry), minute (a later evaluation minute superseded every entry).",
+			telemetry.Labels{"scope": scope}, func() float64 { return float64(n.Value()) })
+	}
 	r.GaugeFunc("tippers_enforce_cache_entries",
 		"Memoized decisions currently held.", func() float64 {
 			c.mu.RLock()
@@ -218,8 +275,7 @@ func (c *Compiled) RegisterMetrics(r *telemetry.Registry) {
 // pipeline (prepare/finish) with Naive.
 func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 	// maxEntries is immutable after construction, so it is the
-	// race-free memo-enabled discriminator (the memo map itself is
-	// replaced under the write lock).
+	// memo-enabled discriminator that needs no lock.
 	if c.maxEntries == 0 {
 		c.mu.RLock()
 		d := c.decideLocked(req, subjectGroups)
@@ -233,40 +289,49 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 		// entries age out of validity with it.
 		t = time.Now()
 	}
-	groupsKey := memoGroupsKey(subjectGroups)
-	c.mu.RLock()
+	minute := t.Unix() / 60
 	key := cacheKey{
-		epoch:       c.epoch,
 		subject:     req.SubjectID,
 		service:     req.ServiceID,
 		purpose:     req.Purpose,
 		kind:        string(req.Kind),
 		space:       req.SpaceID,
 		granularity: req.Granularity,
-		minute:      t.Unix() / 60,
-		groupsKey:   groupsKey,
+		groupsKey:   memoGroupsKey(subjectGroups),
 	}
-	if d, ok := c.memo[key]; ok {
-		c.mu.RUnlock()
-		c.hits.Inc()
-		d.FromCache = true
-		return d
+	c.mu.RLock()
+	epoch, behind := c.epoch, minute < c.minute
+	if minute == c.minute {
+		key.aged = c.aged[req.SubjectID]
+		if d, ok := c.memo[key]; ok {
+			c.mu.RUnlock()
+			c.hits.Inc()
+			d.FromCache = true
+			return d
+		}
 	}
 	d := c.decideLocked(req, subjectGroups)
 	c.mu.RUnlock()
 
 	c.miss.Inc()
-	// Only notification-free decisions are safe to replay.
-	if len(d.Notifications) == 0 {
-		c.mu.Lock()
-		if key.epoch == c.epoch {
-			if len(c.memo) >= c.maxEntries {
-				c.memo = make(map[cacheKey]Decision)
-			}
-			c.memo[key] = d
-		}
-		c.mu.Unlock()
+	// Only notification-free decisions are safe to replay, and only the
+	// newest minute's are worth keeping.
+	if behind || len(d.Notifications) > 0 {
+		return d
 	}
+	c.mu.Lock()
+	if epoch == c.epoch && minute >= c.minute {
+		if minute > c.minute {
+			c.dropMemoLocked(c.agedMinute)
+			c.minute = minute
+		} else if len(c.memo) >= c.maxEntries {
+			c.dropMemoLocked(c.agedAll)
+		}
+		// Read again: a minute advance since the lookup cleared it.
+		key.aged = c.aged[req.SubjectID]
+		c.memo[key] = d
+	}
+	c.mu.Unlock()
 	return d
 }
 

@@ -217,13 +217,15 @@ func TestIndexFreeListReuse(t *testing.T) {
 		ix.AddPreference(policy.Preference{ID: fmt.Sprintf("p%d", i), UserID: "u"})
 	}
 	for i := 0; i < 10; i++ {
-		if !ix.RemovePreference(fmt.Sprintf("p%d", i)) {
-			t.Fatal("remove failed")
+		if owner, ok := ix.RemovePreference(fmt.Sprintf("p%d", i)); !ok || owner != "u" {
+			t.Fatalf("remove = (%q, %v), want the owner back", owner, ok)
 		}
 	}
 	// Dense IDs must be recycled, not grown.
 	for i := 0; i < 10; i++ {
-		ix.AddPreference(policy.Preference{ID: fmt.Sprintf("q%d", i), UserID: "u"})
+		if replaced := ix.AddPreference(policy.Preference{ID: fmt.Sprintf("q%d", i), UserID: "u"}); replaced != "" {
+			t.Fatalf("a new ID replaced %q's rule", replaced)
+		}
 	}
 	if len(ix.prefs) != 10 {
 		t.Errorf("dense space grew to %d entries for 10 live rules", len(ix.prefs))
@@ -232,7 +234,9 @@ func TestIndexFreeListReuse(t *testing.T) {
 		t.Errorf("Counts = %d", prefs)
 	}
 	// Replacing under the same ID must not leak a dense slot either.
-	ix.AddPreference(policy.Preference{ID: "q0", UserID: "v"})
+	if replaced := ix.AddPreference(policy.Preference{ID: "q0", UserID: "v"}); replaced != "u" {
+		t.Errorf("replacing u's rule under v reported the previous owner as %q", replaced)
+	}
 	if len(ix.prefs) != 10 {
 		t.Errorf("replace leaked a dense slot: %d entries", len(ix.prefs))
 	}

@@ -163,10 +163,13 @@ func bucketRemove[K comparable](m map[K]*Set, key K, id uint32) {
 }
 
 // AddPreference compiles and installs p (already validated by
-// Preference.Check), replacing any previous rule with the same ID.
-func (ix *Index) AddPreference(p policy.Preference) {
+// Preference.Check), replacing any previous rule with the same ID. It
+// returns the owner of the rule it replaced — who may differ from
+// p.UserID, and whose decisions the replacement changes too — or ""
+// when the ID was new.
+func (ix *Index) AddPreference(p policy.Preference) (replacedOwner string) {
 	if old, ok := ix.denseID[p.ID]; ok {
-		ix.removeDense(old)
+		replacedOwner = ix.removeDense(old)
 	}
 	e := prefEntry{
 		m:    Matched{ID: p.ID, UserID: p.UserID, Name: p.Name, Rule: p.Rule},
@@ -185,21 +188,24 @@ func (ix *Index) AddPreference(p policy.Preference) {
 	ix.subjectAdd(p.UserID, id)
 	bucketAdd(ix.byKind, p.Scope.ObsKind, id)
 	bucketAdd(ix.byService, p.Scope.ServiceID, id)
+	return replacedOwner
 }
 
-// RemovePreference uninstalls by preference ID, reporting whether it
-// existed.
-func (ix *Index) RemovePreference(id string) bool {
+// RemovePreference uninstalls by preference ID, returning the rule's
+// owner and whether it existed.
+func (ix *Index) RemovePreference(id string) (owner string, ok bool) {
 	dense, ok := ix.denseID[id]
 	if !ok {
-		return false
+		return "", false
 	}
-	ix.removeDense(dense)
-	return true
+	return ix.removeDense(dense), true
 }
 
-func (ix *Index) removeDense(dense uint32) {
+// removeDense frees a dense slot and returns the owner of the rule
+// that held it.
+func (ix *Index) removeDense(dense uint32) (owner string) {
 	e := &ix.prefs[dense]
+	owner = e.m.UserID
 	delete(ix.denseID, e.m.ID)
 	ix.subjectRemove(e.m.UserID, dense)
 	// The program's inline fields are the bucket keys: an unset scope
@@ -209,6 +215,7 @@ func (ix *Index) removeDense(dense uint32) {
 	bucketRemove(ix.byService, e.prog.serviceID, dense)
 	ix.prefs[dense] = prefEntry{}
 	ix.free = append(ix.free, dense)
+	return owner
 }
 
 // AddPolicy installs a building policy (already validated by Check).

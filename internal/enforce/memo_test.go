@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,12 +13,15 @@ import (
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
+	"github.com/tippers/tippers/internal/telemetry"
 )
 
 // The decision memo built into Compiled carries the correctness
 // obligations the old Cached wrapper had: minute quantization,
-// epoch invalidation on every mutation, and the never-memoize rule
-// for notification-bearing decisions. These tests hold it to them.
+// invalidation by every mutation of whatever the mutation can reach
+// (the owner for a preference, everyone for a policy), and the
+// never-memoize rule for notification-bearing decisions. These tests
+// hold it to them.
 
 func newMemoEngine(t testing.TB) *Compiled {
 	t.Helper()
@@ -66,27 +71,423 @@ func TestMemoMinuteQuantization(t *testing.T) {
 	}
 }
 
+// TestMemoInvalidationOnRuleChange: a preference write is seen by the
+// owner's very next decision and costs nobody else their memo entries;
+// a policy write costs everyone theirs.
 func TestMemoInvalidationOnRuleChange(t *testing.T) {
 	c := newMemoEngine(t)
-	req := baseRequest()
+	req := baseRequest() // about mary
+	other := baseRequest()
+	other.SubjectID = "bob"
 	if d := c.Decide(req, nil); !d.Allowed {
 		t.Fatal("baseline should allow")
 	}
+	c.Decide(other, nil)
+	// hitsOn reports which of the two repeats the memo served.
+	hitsOn := func() (mary, bob bool) {
+		t.Helper()
+		return c.Decide(req, nil).FromCache, c.Decide(other, nil).FromCache
+	}
+	if mary, bob := hitsOn(); !mary || !bob {
+		t.Fatalf("warm repeats: mary hit %v, bob hit %v", mary, bob)
+	}
+
 	pref := policy.CoarseLocationPreference("mary", "concierge")
 	if err := c.AddPreference(pref); err != nil {
 		t.Fatal(err)
 	}
-	if d := c.Decide(req, nil); d.Granularity != policy.GranBuilding {
+	d := c.Decide(req, nil)
+	if d.FromCache || d.Granularity != policy.GranBuilding {
 		t.Fatalf("stale memo after AddPreference: %+v", d)
+	}
+	if !c.Decide(other, nil).FromCache {
+		t.Error("mary's preference write cost bob his memo entry")
 	}
 	if !c.RemovePreference(pref.ID) {
 		t.Fatal("remove failed")
 	}
-	if d := c.Decide(req, nil); d.Granularity != policy.GranExact {
+	d = c.Decide(req, nil)
+	if d.FromCache || d.Granularity != policy.GranExact {
 		t.Fatalf("stale memo after RemovePreference: %+v", d)
+	}
+	if !c.Decide(other, nil).FromCache {
+		t.Error("removing mary's preference cost bob his memo entry")
 	}
 	if c.RemovePreference("ghost") {
 		t.Error("ghost removal succeeded")
+	}
+	if mary, bob := hitsOn(); !mary || !bob {
+		t.Fatalf("a removal that found nothing aged the memo: mary hit %v, bob hit %v", mary, bob)
+	}
+
+	// Non-override policies never reach Decide, but the engine does not
+	// reason about that: a policy write ages everyone.
+	for _, bp := range []policy.BuildingPolicy{policy.Policy1Comfort("dbh", 70), policy.Policy2EmergencyLocation("dbh")} {
+		if err := c.AddPolicy(bp); err != nil {
+			t.Fatal(err)
+		}
+		if mary, bob := hitsOn(); mary || bob {
+			t.Fatalf("after AddPolicy(%s): mary hit %v, bob hit %v", bp.ID, mary, bob)
+		}
+	}
+	if got := [3]uint64{c.agedSubject.Value(), c.agedAll.Value(), c.agedMinute.Value()}; got != [3]uint64{2, 2, 0} {
+		t.Errorf("invalidations (subject, all, minute) = %v, want [2 2 0]", got)
+	}
+}
+
+// TestMemoOwnerMove: a preference ID re-registered under another user
+// changes both users' decisions — the old owner loses the rule, the new
+// one gains it — so both are aged, and a bystander is not.
+func TestMemoOwnerMove(t *testing.T) {
+	c := newMemoEngine(t)
+	reqFor := func(subject string) Request {
+		req := baseRequest()
+		req.SubjectID = subject
+		return req
+	}
+	deny := policy.Preference{ID: "roaming", UserID: "mary", Rule: policy.Rule{Action: policy.ActionDeny}}
+	if err := c.AddPreference(deny); err != nil {
+		t.Fatal(err)
+	}
+	for _, who := range []string{"mary", "bob", "carol"} {
+		if d := c.Decide(reqFor(who), nil); d.Allowed != (who != "mary") {
+			t.Fatalf("%s before the move: %+v", who, d)
+		}
+	}
+	deny.UserID = "bob"
+	if err := c.AddPreference(deny); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Decide(reqFor("mary"), nil); d.FromCache || !d.Allowed {
+		t.Errorf("mary still denied by the rule that moved to bob: %+v", d)
+	}
+	if d := c.Decide(reqFor("bob"), nil); d.FromCache || d.Allowed {
+		t.Errorf("bob not denied by the rule that moved to him: %+v", d)
+	}
+	if d := c.Decide(reqFor("carol"), nil); !d.FromCache {
+		t.Error("the move cost a bystander her memo entry")
+	}
+	if _, prefs := c.Counts(); prefs != 1 {
+		t.Errorf("Counts = %d preferences, want the one that moved", prefs)
+	}
+}
+
+// memoEntries reads the entries gauge the way an operator would.
+func memoEntries(t *testing.T, c *Compiled) int {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	c.RegisterMetrics(reg)
+	v, ok := reg.LookupValue("tippers_enforce_cache_entries", nil)
+	if !ok {
+		t.Fatal("tippers_enforce_cache_entries not registered")
+	}
+	return int(v)
+}
+
+// TestMemoHoldsLiveMinuteOnly: a repeating request set holds as many
+// entries after ten minutes as after one, a request behind the live
+// minute is decided correctly but neither stored nor evicting, and the
+// invalidation counters are on the registry under their scopes.
+func TestMemoHoldsLiveMinuteOnly(t *testing.T) {
+	c := newMemoEngine(t)
+	if err := c.AddPreference(policy.Preference{
+		ID: "evenings", UserID: "mary",
+		Scope: policy.Scope{Window: policy.AfterHours},
+		Rule:  policy.Rule{Action: policy.ActionDeny},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	subjects := []string{"mary", "bob", "carol", "dave"}
+	start := time.Date(2017, time.June, 7, 17, 55, 0, 0, time.UTC)
+	round := func(minute int) {
+		t.Helper()
+		at := start.Add(time.Duration(minute) * time.Minute)
+		for pass := 0; pass < 2; pass++ {
+			for _, who := range subjects {
+				req := baseRequest()
+				req.SubjectID, req.Time = who, at.Add(time.Duration(pass)*20*time.Second)
+				d := c.Decide(req, nil)
+				if want := who != "mary" || !policy.AfterHours.Contains(at); d.Allowed != want {
+					t.Fatalf("minute %d, %s: allowed = %v, want %v", minute, who, d.Allowed, want)
+				}
+				if d.FromCache != (pass == 1) {
+					t.Fatalf("minute %d, %s, pass %d: FromCache = %v", minute, who, pass, d.FromCache)
+				}
+			}
+		}
+	}
+	round(0)
+	after1 := memoEntries(t, c)
+	if after1 != len(subjects) {
+		t.Fatalf("entries after one minute = %d, want %d", after1, len(subjects))
+	}
+	for minute := 1; minute < 10; minute++ {
+		round(minute)
+	}
+	if got := memoEntries(t, c); got != after1 {
+		t.Fatalf("entries after ten minutes = %d, after one %d: superseded minutes are retained", got, after1)
+	}
+
+	// Behind the live edge (17:56, before mary's window opened at 18:00).
+	late := baseRequest()
+	late.Time = start.Add(time.Minute)
+	for i := 0; i < 2; i++ {
+		if d := c.Decide(late, nil); !d.Allowed || d.FromCache {
+			t.Fatalf("replayed 17:56 request, call %d: %+v", i, d)
+		}
+	}
+	if got := memoEntries(t, c); got != after1 {
+		t.Fatalf("entries after a behind-the-edge decide = %d, want %d", got, after1)
+	}
+	live := baseRequest()
+	live.Time = start.Add(9 * time.Minute)
+	if d := c.Decide(live, nil); !d.FromCache || d.Allowed {
+		t.Fatalf("the live minute's entry did not survive the replay: %+v", d)
+	}
+
+	reg := telemetry.NewRegistry()
+	c.RegisterMetrics(reg)
+	for scope, want := range map[string]float64{"subject": 0, "all": 0, "minute": 9} {
+		got, ok := reg.LookupValue("tippers_enforce_memo_invalidations_total", telemetry.Labels{"scope": scope})
+		if !ok || got != want {
+			t.Errorf("invalidations{scope=%q} = %v (registered %v), want %v", scope, got, ok, want)
+		}
+	}
+}
+
+// TestMemoHitAfterForeignWriteAllocsNothing: the memo hit stays
+// allocation-free when the subject map has been written to — the aged
+// lookup is a probe, not a key built per decide.
+func TestMemoHitAfterForeignWriteAllocsNothing(t *testing.T) {
+	c := newMemoEngine(t)
+	req := baseRequest()
+	req.SubjectID = "bob"
+	groups := []profile.Group{profile.GroupFaculty}
+	c.Decide(req, groups)
+	pref := policy.CoarseLocationPreference("mary", "concierge")
+	for i := 0; i < 3; i++ {
+		if err := c.AddPreference(pref); err != nil {
+			t.Fatal(err)
+		}
+		var d Decision
+		if allocs := testing.AllocsPerRun(50, func() { d = c.Decide(req, groups) }); allocs != 0 || !d.FromCache {
+			t.Fatalf("after write %d for mary, bob's repeat: %.0f allocs, FromCache %v", i, allocs, d.FromCache)
+		}
+	}
+}
+
+// TestMemoChurnAcrossMinutes races preference writes, decides and
+// minute advances on one engine. Each mutator owns a subject and
+// replaces that subject's preference with a growing version (carried in
+// NoiseEpsilon), publishing the version only after AddPreference
+// returns; deciders read the published version before deciding, at the
+// live minute or one behind it, so a decision carrying an older version
+// is a memo entry that outlived the write — through another owner's
+// write, a minute advance clearing the write epochs, or the insert of a
+// decision computed before the write. Under -race it also covers the
+// memo's own bookkeeping.
+func TestMemoChurnAcrossMinutes(t *testing.T) {
+	const owners, deciders, versions = 4, 4, 400
+	c := newMemoEngine(t)
+	owner := func(i int) string { return fmt.Sprintf("owner-%d", i) }
+	write := func(i int, v int64) {
+		if err := c.AddPreference(policy.Preference{ID: "pref-" + owner(i), UserID: owner(i),
+			Scope: policy.Scope{ServiceID: "concierge"},
+			Rule:  policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding, NoiseEpsilon: float64(v)}}); err != nil {
+			t.Error(err)
+		}
+	}
+	var committed [owners]atomic.Int64
+	for i := range committed {
+		write(i, 1)
+		committed[i].Store(1)
+	}
+	var minute atomic.Int64
+	start := baseRequest().Time
+	done := make(chan struct{})
+	var mutators, readers sync.WaitGroup
+	for i := 0; i < owners; i++ {
+		mutators.Add(1)
+		go func() {
+			defer mutators.Done()
+			for v := int64(2); v <= versions; v++ {
+				write(i, v)
+				committed[i].Store(v)
+				if i == 0 && v%40 == 0 {
+					minute.Add(1)
+				}
+			}
+		}()
+	}
+	for g := 0; g < deciders; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := (g + n) % owners
+				req := baseRequest()
+				req.SubjectID = owner(i)
+				req.Time = start.Add(time.Duration(minute.Load()-int64(n%5/4)) * time.Minute)
+				floor := committed[i].Load()
+				if d := c.Decide(req, nil); int64(d.Effective.NoiseEpsilon) < floor {
+					t.Errorf("%s served version %v after version %d was committed (from the memo: %v)",
+						owner(i), d.Effective.NoiseEpsilon, floor, d.FromCache)
+					return
+				}
+			}
+		}()
+	}
+	mutators.Wait()
+	close(done)
+	readers.Wait()
+	if hits, _ := c.Stats(); hits == 0 {
+		t.Error("no decide was served from the memo")
+	}
+}
+
+// TestScopedMemoMatchesReferences is the differential property behind
+// scoped invalidation: under a random interleaving of preference adds
+// (including an ID re-registered under another owner), removals,
+// policy writes (override and not) and decides — over two dozen
+// subjects, some in several groups, and a clock that mostly advances
+// and sometimes steps back across the minute the after-hours window
+// opens — the memoized engine decides exactly like the memo-free one
+// and like Naive fed the same mutations. The request vocabulary is
+// small so most decides could be memo hits: a stale one would show.
+func TestScopedMemoMatchesReferences(t *testing.T) {
+	subjects := make([]string, 24)
+	groupsOf := map[string][]profile.Group{}
+	for i := range subjects {
+		subjects[i] = fmt.Sprintf("s%02d", i)
+		switch i % 3 {
+		case 1:
+			groupsOf[subjects[i]] = []profile.Group{profile.GroupStudent}
+		case 2:
+			groupsOf[subjects[i]] = []profile.Group{profile.GroupFaculty, profile.GroupVisitor}
+		}
+	}
+	kinds := []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting}
+	spaces := []string{"dbh/2", "dbh/2/r1"}
+	services := []string{"concierge", "concierge", "concierge", ""}
+	purposes := []policy.Purpose{policy.PurposeProvidingService, policy.PurposeProvidingService,
+		policy.PurposeProvidingService, policy.PurposeEmergencyResponse}
+	windows := []policy.DailyWindow{{}, {}, policy.AfterHours, policy.BusinessHours}
+
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			r := rand.New(rand.NewSource(seed))
+			cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: seed%2 == 1,
+				GroupDefaults: []GroupDefault{{ID: "visitors-coarse", Groups: []profile.Group{profile.GroupVisitor},
+					Rule: policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding}}}}
+			naive := NewNaive(cfg)
+			memoized := NewCompiledMemo(cfg, 256) // below the live working set: the cap resets too
+			engines := map[string]Engine{"compiled-nomemo": NewCompiledMemo(cfg, -1), "compiled": memoized}
+
+			policies := 0
+			mutate := func() {
+				switch n := r.Intn(40); {
+				case n < 22:
+					// 40 IDs over 24 owners: most adds replace, many under
+					// another owner.
+					p := policy.Preference{
+						ID:     fmt.Sprintf("pref-%d", r.Intn(40)),
+						UserID: subjects[r.Intn(len(subjects))],
+						Scope: policy.Scope{
+							ObsKind:   append(kinds, "")[r.Intn(3)],
+							SpaceID:   append(spaces, "")[r.Intn(3)],
+							ServiceID: services[2+r.Intn(2)],
+							Window:    windows[r.Intn(len(windows))],
+						},
+						Rule: randDiffRule(r),
+					}
+					for name, e := range engines {
+						if err := e.AddPreference(p); err != nil {
+							t.Fatalf("%s: AddPreference: %v", name, err)
+						}
+					}
+					if err := naive.AddPreference(p); err != nil {
+						t.Fatal(err)
+					}
+				case n < 39:
+					id := fmt.Sprintf("pref-%d", r.Intn(40))
+					want := naive.RemovePreference(id)
+					for name, e := range engines {
+						if got := e.RemovePreference(id); got != want {
+							t.Fatalf("%s: RemovePreference(%s) = %v, naive %v", name, id, got, want)
+						}
+					}
+				default:
+					bp := randDiffOverride(r, policies)
+					bp.Override = r.Intn(2) == 0
+					policies++
+					for name, e := range engines {
+						if err := e.AddPolicy(bp); err != nil {
+							t.Fatalf("%s: AddPolicy: %v", name, err)
+						}
+					}
+					if err := naive.AddPolicy(bp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			minute, back, backFor := 0, 0, 0
+			start := time.Date(2017, time.June, 7, 17, 57, 0, 0, time.UTC)
+			for trial := 0; trial < 10000; trial++ {
+				if r.Intn(12) == 0 {
+					mutate()
+				}
+				switch r.Intn(1500) {
+				case 0, 1, 2:
+					minute++
+				case 3, 4:
+					back, backFor = 1+r.Intn(2), 30 // a replay behind the live edge
+				}
+				at := minute
+				if backFor > 0 {
+					at, backFor = max(0, minute-back), backFor-1
+				} else if r.Intn(20) == 0 {
+					at = max(0, minute-1) // a lone straggler
+				}
+				req := Request{
+					ServiceID:   services[r.Intn(4)],
+					Purpose:     purposes[r.Intn(4)],
+					Kind:        kinds[r.Intn(2)],
+					SubjectID:   subjects[r.Intn(len(subjects))],
+					SpaceID:     spaces[r.Intn(2)],
+					Granularity: policy.GranExact,
+					Time:        start.Add(time.Duration(at)*time.Minute + time.Duration(r.Intn(60))*time.Second),
+				}
+				groups := groupsOf[req.SubjectID]
+				want := normalizeDecision(naive.Decide(req, groups))
+				for name, e := range engines {
+					if got := normalizeDecision(e.Decide(req, groups)); !reflect.DeepEqual(want, got) {
+						t.Fatalf("trial %d: %s disagrees with naive\nreq: %+v\ngroups: %v\nnaive: %+v\n%s: %+v",
+							trial, name, req, groups, want, name, got)
+					}
+				}
+			}
+			if minute < 3 {
+				t.Fatalf("the clock only reached minute %d", minute)
+			}
+			hits, misses := memoized.Stats()
+			if hits < misses/4 {
+				t.Errorf("memo barely hit (%d hits, %d misses): the property did not exercise it", hits, misses)
+			}
+			for scope, n := range map[string]uint64{"subject": memoized.agedSubject.Value(),
+				"all": memoized.agedAll.Value(), "minute": memoized.agedMinute.Value()} {
+				if n == 0 {
+					t.Errorf("no %q invalidation in the run", scope)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
-# equivalence, eviction-is-invisible, flat-cube and occupancy pair-pass
-# properties repeated), the micro-benchmark count gate
+# equivalence, scoped-memo, eviction-is-invisible, flat-cube and
+# occupancy pair-pass properties repeated), the micro-benchmark count gate
 # (scripts/bench.sh: three benchmarks against the one ledger,
 # BENCH.json, ≈ 1 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
@@ -45,9 +45,9 @@ go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOcc
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
-echo "== compiled-engine equivalence + recompile-under-churn + incremental-conflict equivalence + occupancy pair-pass reference equivalence and flat allocations (repeated, race) =="
-go test -race -count=2 -run 'TestCompiledMatchesNaive' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat' ./internal/core/...
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation (repeated, race) =="
+go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions' ./internal/core/...
 
 echo "== micro-benchmark count gate (three benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
