@@ -14,6 +14,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -374,6 +376,46 @@ func BenchmarkObstoreIngestDurable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkObstoreIngestConcurrent is BenchmarkObstoreIngestDurable
+// with b.N appends shared among 1, 2 and 8 writers, on a store opened
+// as tippersd opens it. The store has one append point — seq, WAL
+// record and row under one lock — so this is what concurrent ingest
+// costs it.
+func BenchmarkObstoreIngestConcurrent(b *testing.B) {
+	for _, writers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			store, err := obstore.OpenDurable(obstore.DurableConfig{Dir: b.TempDir()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			store.SetDefaultRetention(isodur.SixMonths)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+						if _, err := store.Append(sensor.Observation{
+							SensorID: fmt.Sprintf("ap-%d", i%60),
+							UserID:   fmt.Sprintf("u%04d", i%200),
+							Kind:     sensor.ObsWiFiConnect,
+							SpaceID:  "dbh/1/100",
+							Time:     benchDay.Add(time.Duration(i) * time.Second),
+						}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -2,7 +2,7 @@
 // home of every observation behind the compaction watermark, built for
 // the aggregate-heavy transparency workloads the paper's occupant
 // interfaces generate. Closed time buckets are compacted out of the
-// row-oriented sharded store into immutable column-per-field segments
+// row store's hot log into immutable column-per-field segments
 // (segment.go) guarded by zone maps, and incremental rollup cubes
 // (rollup.go) keep per-minute occupancy and per-hour reading
 // aggregates hot. Segments store ground truth keyed by the true
@@ -438,28 +438,35 @@ func (s *Store) CompactOnce() (int, error) {
 	s.compactingUpTo = ^uint64(0)
 	s.mu.Unlock()
 
-	// Take the seq-ascending tail and cut at the first row whose
-	// bucket is still open: the watermark must advance as a contiguous
-	// seq prefix, so a row in an open bucket fences everything behind
-	// it until the bucket closes.
-	rows := src.Query(obstore.Filter{AfterSeq: wm})
+	// Walk the seq-ascending tail, partitioning it by time bucket (seq
+	// order kept within each), and stop at the first row whose bucket is
+	// still open: the watermark must advance as a contiguous seq prefix,
+	// so a row in an open bucket fences everything behind it until the
+	// bucket closes.
+	sealed, newWM := 0, wm
+	byBucket := make(map[int64][]sensor.Observation)
+	var starts []int64
+	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
+		b := o.Time.Truncate(s.cfg.BucketDur)
+		if b.Add(s.cfg.BucketDur).After(now) {
+			return false
+		}
+		if _, ok := byBucket[b.UnixNano()]; !ok {
+			starts = append(starts, b.UnixNano())
+		}
+		byBucket[b.UnixNano()] = append(byBucket[b.UnixNano()], *o)
+		sealed, newWM = sealed+1, o.Seq
+		return true
+	})
 	if testHookAfterSnapshot != nil {
 		testHookAfterSnapshot()
 	}
-	cut := len(rows)
-	for i, o := range rows {
-		if o.Time.Truncate(s.cfg.BucketDur).Add(s.cfg.BucketDur).After(now) {
-			cut = i
-			break
-		}
-	}
-	rows = rows[:cut]
 
 	// Everything about to be sealed must be durable in the WAL before
 	// a segment can hold it: the sync runs after the snapshot above,
 	// so it covers every snapshotted row, and a crash after this point
 	// can never leave a segment knowing rows WAL recovery does not.
-	if len(rows) > 0 {
+	if sealed > 0 {
 		if err := src.SyncWAL(); err != nil {
 			s.clearCompacting()
 			return 0, err
@@ -467,7 +474,7 @@ func (s *Store) CompactOnce() (int, error) {
 	}
 
 	tombWork := tombstonesTouch(oldSegs, seqTombSnap, userTombSnap)
-	if len(rows) == 0 && !tombWork {
+	if sealed == 0 && !tombWork {
 		s.clearCompacting()
 		// Idle passes double as the retry point for tombstones whose
 		// manifest write failed in ObservationsDeleted.
@@ -477,24 +484,9 @@ func (s *Store) CompactOnce() (int, error) {
 		return 0, nil
 	}
 
-	newWM := wm
-	if len(rows) > 0 {
-		newWM = rows[len(rows)-1].Seq
-	}
-
-	// Partition the sealed prefix by time bucket, preserving seq order
-	// within each bucket, and build fresh segments.
+	// Build fresh segments from the sealed prefix, one per bucket.
 	var fresh []*segment
 	var builder segBuilder
-	byBucket := make(map[int64][]sensor.Observation)
-	var starts []int64
-	for _, o := range rows {
-		b := o.Time.Truncate(s.cfg.BucketDur).UnixNano()
-		if _, ok := byBucket[b]; !ok {
-			starts = append(starts, b)
-		}
-		byBucket[b] = append(byBucket[b], o)
-	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	for _, b := range starts {
 		sg, err := builder.build(nextID, time.Unix(0, b).UTC(), byBucket[b])
@@ -607,14 +599,14 @@ func (s *Store) CompactOnce() (int, error) {
 	src.EvictThrough(newWM)
 
 	s.compactions.Add(1)
-	s.rowsCompacted.Add(uint64(len(rows)))
+	s.rowsCompacted.Add(uint64(sealed))
 	if len(starts) > 0 {
 		end := time.Unix(0, starts[len(starts)-1]).Add(s.cfg.BucketDur).UnixNano()
 		if end > s.lastBucketEnd.Load() {
 			s.lastBucketEnd.Store(end)
 		}
 	}
-	return len(rows), nil
+	return sealed, nil
 }
 
 func (s *Store) clearCompacting() {

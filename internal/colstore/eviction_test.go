@@ -55,7 +55,7 @@ var evictionRetention = []obstore.RetentionRule{
 func (w *evictionWorld) open() {
 	w.t.Helper()
 	src, err := obstore.OpenDurable(obstore.DurableConfig{
-		Dir: filepath.Join(w.dir, "store"), Shards: 3, SegmentBytes: 4 << 10,
+		Dir: filepath.Join(w.dir, "store"), SegmentBytes: 4 << 10,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func (w *evictionWorld) compact() {
 	if _, err := w.cs.CompactOnce(); err != nil {
 		w.t.Fatal(err)
 	}
-	// Everything at or below the watermark has left the shards.
+	// Everything at or below the watermark has left the hot log.
 	if got, want := w.src.Resident(), w.src.Count(obstore.Filter{AfterSeq: w.cs.Watermark()}); got != want {
 		w.t.Fatalf("%d rows resident after compaction, %d live above the watermark", got, want)
 	}
@@ -510,14 +510,14 @@ func TestOpenTakesLagFromNewestBucket(t *testing.T) {
 
 // TestEvictionRacingReaders reads the store while a compactor seals
 // and evicts underneath: a read takes its split point from the tier and
-// then visits the shards, and a commit plus eviction in between must
-// not open a gap (rows gone from the shards, not yet in the reader's
+// then visits the hot log, and a commit plus eviction in between must
+// not open a gap (rows gone from the log, not yet in the reader's
 // segment snapshot) or a double. Every row appended before a read
 // began is in its answer, once, in seq order.
 func TestEvictionRacingReaders(t *testing.T) {
 	var clock atomic.Int64
 	clock.Store(csNow.UnixNano())
-	src := obstore.NewSharded(4)
+	src := obstore.New()
 	cs, err := Open(Config{BucketDur: time.Minute, Clock: func() time.Time { return time.Unix(0, clock.Load()) }})
 	if err != nil {
 		t.Fatal(err)
@@ -531,6 +531,12 @@ func TestEvictionRacingReaders(t *testing.T) {
 	go func() { // writer: one row per simulated second, every one the same subject's
 		defer wg.Done()
 		for i := 0; i < total; i++ {
+			// An append is fast enough to outrun the compactor's first
+			// pass: half way, wait for an eviction, so the readers below
+			// race eviction however the goroutines are scheduled.
+			for i == total/2 && src.Evicted() == 0 && !t.Failed() {
+				runtime.Gosched()
+			}
 			now := csNow.Add(time.Duration(i) * time.Second)
 			clock.Store(now.UnixNano())
 			if _, err := src.Append(obsAt(fmt.Sprintf("ap-%d", i%7), "s1", "stable", sensor.ObsWiFiConnect, now.Add(-90*time.Second), float64(i))); err != nil {
@@ -577,7 +583,7 @@ func TestEvictionRacingReaders(t *testing.T) {
 }
 
 // TestDeleteBetweenCommitAndEviction: between a compaction's commit and
-// the eviction that follows it, the shards still hold rows the
+// the eviction that follows it, the hot log still holds rows the
 // watermark has already handed to the segments. Visibility goes by the
 // watermark: an erasure or a sweep landing in that window counts each
 // such row once — the tier reports it, the resident copy just goes —

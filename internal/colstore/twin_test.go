@@ -12,7 +12,7 @@ import (
 // columnar tier and therefore evicting what the tier seals, and twin, a
 // plain obstore.New() that no tier ever touches. The twin is the
 // whole-history oracle the equivalence tests compare against: whatever
-// src answers for the union of its shards and the segments, the twin
+// src answers for the union of its hot log and the segments, the twin
 // answers from rows it simply kept.
 type mirrored struct {
 	t         *testing.T

@@ -140,6 +140,9 @@ type BMS struct {
 	conflicts map[conflictKey]reasoner.Conflict
 	inbox     map[string][]enforce.Notification
 
+	// ingestMu makes each ingest's store append and bus publish one step.
+	ingestMu sync.Mutex
+
 	retainStop chan struct{}
 	retainDone chan struct{}
 
@@ -215,7 +218,7 @@ func New(cfg Config) (*BMS, error) {
 		// The columnar tier rides the row store as a listener: closed
 		// buckets compact into immutable segments, and the rollup cubes
 		// stay in lockstep with ingest. Queries read through it (segments
-		// behind the watermark, row shards ahead of it).
+		// behind the watermark, the hot log ahead of it).
 		cs, err := colstore.Open(colstore.Config{
 			Dir:              cfg.ColumnarDir,
 			Clock:            cfg.Clock,
@@ -382,7 +385,15 @@ func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 		}
 	}
 	_, apSpan := b.tracer.StartSpan(ctx, "obstore.append")
+	// Append and publish as one step, so live events reach the bus in
+	// seq order: the stream hub's replay/live splice delivers the live
+	// feed in the order it was published.
+	b.ingestMu.Lock()
 	stored, err := b.store.Append(o)
+	if err == nil {
+		b.bus.Publish(bus.TopicObservations, stored)
+	}
+	b.ingestMu.Unlock()
 	if err != nil {
 		apSpan.SetAttr("error", err.Error())
 		apSpan.End()
@@ -391,7 +402,6 @@ func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 	apSpan.SetAttrInt("seq", int64(stored.Seq))
 	apSpan.End()
 	b.met.ingested.Inc()
-	b.bus.Publish(bus.TopicObservations, stored)
 	return nil
 }
 

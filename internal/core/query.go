@@ -22,7 +22,7 @@ type QueryResponse struct {
 
 // Query parses, plans, and executes one SQL statement as requester
 // (Figure 1 steps 9–10, generalized to ad-hoc reads): the planner
-// pushes sargable predicates into the sharded store's filter and
+// pushes sargable predicates into the store's filter and
 // binds the scan to a per-row enforcement predicate, so policies and
 // preferences gate every row exactly as they gate the fixed request
 // paths. Parse and plan failures return typed errors
@@ -82,8 +82,8 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	return QueryResponse{Result: res, Trace: b.finishTrace(&tr, started)}, nil
 }
 
-// queryEnv wires the query planner/executor to this BMS: the sharded
-// store scan, the spatial subtree expansion, the enforcement engine
+// queryEnv wires the query planner/executor to this BMS: the store
+// scan, the spatial subtree expansion, the enforcement engine
 // (with notification delivery and metrics, exactly like the fixed
 // request paths), the per-row data path, and the audit view over
 // retained decision traces.
@@ -96,7 +96,7 @@ func (b *BMS) queryEnv(ctx context.Context) query.Env {
 				return visit(o)
 			}
 			// The columnar tier serves the unified view — zone-map-pruned
-			// segments behind the watermark, row shards ahead of it; the
+			// segments behind the watermark, the hot log ahead of it; the
 			// plain store answers when the tier is disabled.
 			if b.colstore != nil {
 				_, qSpan := b.tracer.StartSpan(ctx, "colstore.query")
@@ -107,12 +107,7 @@ func (b *BMS) queryEnv(ctx context.Context) query.Env {
 			}
 			_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 			defer qSpan.End()
-			obs := b.store.Query(f)
-			for i := range obs {
-				if !counted(&obs[i]) {
-					break
-				}
-			}
+			b.store.Scan(f, counted)
 			qSpan.SetAttrInt("observations", int64(n))
 		},
 		Subtree: func(spaceID string) []string {

@@ -124,7 +124,7 @@ func TestQueryPushdownUsesStoreFilter(t *testing.T) {
 	f := newFixture(t)
 	ingestQueryFixture(t, f)
 
-	// A sensor-scoped query must scan only that sensor's stripe: the
+	// A sensor-scoped query must scan only that sensor's rows: the
 	// stats' scanned count equals the sensor's rows, not the store's.
 	resp, err := f.bms.Query(context.Background(), conciergeRequester(),
 		"SELECT seq FROM observations WHERE sensor_id = 'ap-1'")

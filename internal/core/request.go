@@ -90,18 +90,31 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 		tr.DenyReason = d.DenyReason
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 	}
+	// The subject's rows stream from the store into the response, and
+	// the apply stage degrades them there, in place: each row is copied
+	// once.
 	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 	t0 = time.Now()
-	obs := b.store.Query(b.filterFor(req))
+	var obs []sensor.Observation
+	b.store.Scan(b.filterFor(req), func(o *sensor.Observation) bool {
+		obs = append(obs, *o)
+		return true
+	})
 	qSpan.SetAttrInt("observations", int64(len(obs)))
 	qSpan.End()
 	tr.addStage("fetch", time.Since(t0))
 	_, aSpan := b.tracer.StartSpan(ctx, "enforce.apply")
 	t0 = time.Now()
-	released, err := enforce.ApplyDecision(d, obs, b.transf)
-	if err != nil {
-		aSpan.End()
-		return Response{}, err
+	released := obs[:0]
+	for _, o := range obs {
+		o, ok, err := enforce.ApplyDecisionOne(d, o, b.transf)
+		if err != nil {
+			aSpan.End()
+			return Response{}, err
+		}
+		if ok {
+			released = append(released, o)
+		}
 	}
 	aSpan.SetAttrInt("released", int64(len(released)))
 	aSpan.End()

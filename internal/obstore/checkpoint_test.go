@@ -91,11 +91,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("sweep = %d", n)
 	}
 
-	dst := NewSharded(3)
+	dst := New()
 	if err := dst.readCheckpoint(bytes.NewReader(checkpointBytes(t, src))); err != nil {
 		t.Fatal(err)
 	}
-	dst.gate.reset(dst.nextSeq.Load()) // OpenDurable does this after replay
 	if got, want := dst.Query(Filter{}), src.Query(Filter{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored rows differ:\n got %+v\nwant %+v", got, want)
 	}

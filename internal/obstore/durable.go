@@ -19,7 +19,7 @@ package obstore
 // which seals the one and rewrites the other.
 //
 // With a cold tier attached (tier.go) this directory holds the hot
-// window only: the checkpoint is the rows the shards hold, which is
+// window only: the checkpoint is the rows the hot log holds, which is
 // what the tier's segments do not, and a WAL segment whose records
 // have all been sealed into the tier is as dead as one whose records
 // expired. The WAL directory and the tier's segment directory are then
@@ -36,7 +36,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -58,11 +57,6 @@ type DurableConfig struct {
 	// Dir holds the checkpoint file and the wal/ segment directory;
 	// created if absent.
 	Dir string
-	// Shards is the store's lock-stripe count; 0 selects GOMAXPROCS
-	// (see NewSharded). Sharding is an in-memory layout choice — the
-	// WAL and checkpoint formats are identical for every value, so a
-	// directory written at one count reopens at any other.
-	Shards int
 	// SegmentBytes rotates WAL segments; 0 selects the WAL default
 	// (8 MiB).
 	SegmentBytes int64
@@ -113,7 +107,7 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 		}
 		cfg.Logger.Warn("obstore: removed stale checkpoint temp file", "file", e.Name())
 	}
-	s := NewSharded(cfg.Shards)
+	s := New()
 	s.logger = cfg.Logger
 
 	ckpt := filepath.Join(cfg.Dir, checkpointFile)
@@ -153,12 +147,8 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 	if last := l.LastSeq(); last > s.nextSeq.Load() {
 		s.nextSeq.Store(last)
 	}
-	// Recovered seqs may have retention holes; open the publication
-	// gate at the high-water mark rather than replaying the chain.
-	s.gate.reset(s.nextSeq.Load())
 	s.wal = l
 	s.walDir = cfg.Dir
-	s.durable.Store(true)
 	// Rows the cold tier had sealed before a crash are among these; its
 	// AttachTier drops them again and logs how many.
 	if n := s.Resident(); replayed > 0 || n > 0 {
@@ -173,31 +163,31 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 // opened with OpenDurable). Operational tooling and tests use it to
 // inspect segments or force a rotation.
 func (s *Store) WAL() *wal.Log {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.wal
 }
 
-// insertRecovered decodes one recovered record and installs it in its
-// shard. Checkpoint restore and WAL replay use it, single-threaded
-// inside OpenDurable, which sets the seq counters and the publication
-// gate when both are done. It must only run before a Listener
-// attaches: it notifies nobody, so derived state (the columnar tier's
-// rollup cubes) would silently miss the rows.
+// insertRecovered decodes one recovered record and appends it to the
+// log. Checkpoint restore and WAL replay use it, single-threaded inside
+// OpenDurable, which sets the seq counter when both are done; both
+// deliver ascending seqs. It must only run before a Listener attaches:
+// it notifies nobody, so derived state (the columnar tier's rollup
+// cubes) would silently miss the rows.
 func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 	o, err := decodeObservation(seq, payload)
 	if err != nil {
 		return err
 	}
-	sh := s.shardFor(o.SensorID)
-	sh.mu.Lock()
-	sh.insert(o)
-	sh.mu.Unlock()
+	if l := s.hot; l.n > 0 && l.row(l.n-1).Seq >= seq {
+		return fmt.Errorf("obstore: recovered record %d does not ascend past %d", seq, l.row(l.n-1).Seq)
+	}
+	s.hot.append(o)
 	return nil
 }
 
 // Checkpoint atomically rewrites the checkpoint file from the
-// observations the shards hold — every live one, or with a cold tier
+// observations the log holds — every live one, or with a cold tier
 // attached the hot window its segments do not cover — and deletes
 // every WAL segment it now covers. After a checkpoint, recovery
 // replays only records appended since — and observations deleted for
@@ -256,35 +246,40 @@ func (s *Store) writeCheckpointFile(path string) (uint64, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("obstore: checkpoint rename: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	// The rename is durable only once the directory is: until then
+	// Checkpoint must fail and leave the WAL untruncated.
+	d, err := os.Open(dir)
+	if err != nil {
+		return 0, fmt.Errorf("obstore: checkpoint dir sync: %w", err)
+	}
+	err = d.Sync()
+	d.Close()
+	if err != nil {
+		return 0, fmt.Errorf("obstore: checkpoint dir sync: %w", err)
 	}
 	return hwm, nil
 }
 
 // writeCheckpoint frames the checkpoint onto w and returns its
 // high-water mark: every WAL record at or below it is covered. The cut
-// point is the publication watermark — every observation at or below
-// it is collected (briefly locking one shard at a time, merged back
-// into global seq order, so the bytes are the same at every stripe
-// count) and appends still in flight above it stay in the WAL for
-// replay.
+// point is one snapshot of the log, walked in place: every observation
+// it holds is written, in ascending seq, and appends landing after it
+// stay in the WAL for replay.
 func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
-	vis := s.gate.visible.Load()
-	obs := s.collectOrdered(vis)
+	v := s.view(Filter{})
 
 	bw := bufio.NewWriterSize(w, 256<<10)
 	buf := binary.AppendUvarint(nil, checkpointVersion)
-	buf = binary.AppendUvarint(buf, vis)
+	buf = binary.AppendUvarint(buf, v.hwm)
 	buf = binary.AppendUvarint(buf, s.totalIngests.Load())
 	buf = binary.AppendUvarint(buf, s.totalSwept.Load())
-	buf = binary.AppendUvarint(buf, uint64(len(obs)))
+	buf = binary.AppendUvarint(buf, uint64(v.n))
 	if _, err := wal.WriteFrame(bw, 0, buf); err != nil {
 		return 0, fmt.Errorf("obstore: checkpoint header: %w", err)
 	}
-	for _, o := range obs {
-		buf = appendObservation(buf[:0], o)
+	for i := 0; i < v.n; i++ {
+		o := v.at(i)
+		buf = appendObservation(buf[:0], *o)
 		if _, err := wal.WriteFrame(bw, o.Seq, buf); err != nil {
 			return 0, fmt.Errorf("obstore: checkpoint observation %d: %w", o.Seq, err)
 		}
@@ -292,28 +287,7 @@ func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
 	if err := bw.Flush(); err != nil {
 		return 0, fmt.Errorf("obstore: checkpoint write: %w", err)
 	}
-	return vis, nil
-}
-
-// collectOrdered copies every live observation with seq <= vis out of
-// the shards, merged into ascending seq order.
-func (s *Store) collectOrdered(vis uint64) []sensor.Observation {
-	pages := make([][]sensor.Observation, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		out := make([]sensor.Observation, 0, len(sh.bySeq))
-		for _, seq := range sh.order {
-			if seq > vis {
-				break
-			}
-			if o, ok := sh.bySeq[seq]; ok {
-				out = append(out, o)
-			}
-		}
-		pages[i] = out
-	})
-	return mergeBySeq(pages, 0)
+	return v.hwm, nil
 }
 
 // readCheckpoint restores a freshly constructed store from a
@@ -380,11 +354,10 @@ func (s *Store) readCheckpoint(r io.Reader) error {
 // Close commits and closes the WAL, if any. The store itself needs no
 // teardown; Close is idempotent and safe on non-durable stores.
 func (s *Store) Close() error {
-	s.walMu.Lock()
+	s.mu.Lock()
 	l := s.wal
 	s.wal = nil
-	s.durable.Store(false)
-	s.walMu.Unlock()
+	s.mu.Unlock()
 	if l == nil {
 		return nil
 	}
@@ -393,11 +366,10 @@ func (s *Store) Close() error {
 
 // pruneWAL deletes sealed WAL segments in which no live observation
 // remains — the storage half of retention enforcement. Liveness is
-// what the shards hold, gathered shard by shard: a row evicted to the
-// cold tier is durable there, so a segment holding only such rows
-// goes too. A record appended while this runs sits in the active
-// (never sealed-and-empty) segment, so it is safe without a global
-// pause.
+// what one snapshot of the log holds: a row evicted to the cold tier
+// is durable there, so a segment holding only such rows goes too. A
+// record appended while this runs sits in the active (never
+// sealed-and-empty) segment, so it is safe without a global pause.
 func (s *Store) pruneWAL() {
 	l := s.WAL()
 	if l == nil {
@@ -407,27 +379,17 @@ func (s *Store) pruneWAL() {
 	if len(segs) == 0 {
 		return
 	}
-	var live []uint64
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for seq := range sh.bySeq {
-			live = append(live, seq)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	vis := s.gate.visible.Load()
+	v := s.view(Filter{})
 	for _, seg := range segs {
-		// A seq above the publication watermark may be logged but not
-		// yet indexed (append in flight): its segment must not be
+		// A seq above the snapshot's high-water mark may be logged but
+		// not yet in the log (append in flight): its segment must not be
 		// judged dead on this pass.
-		if seg.Last > vis {
+		if seg.Last > v.hwm {
 			continue
 		}
 		// First live seq >= Base; if it's past Last, the segment holds
 		// only dead records.
-		i := sort.Search(len(live), func(i int) bool { return live[i] >= seg.Base })
-		if i < len(live) && live[i] <= seg.Last {
+		if i := v.search(seg.Base - 1); i < v.n && v.at(i).Seq <= seg.Last {
 			continue
 		}
 		if err := l.DeleteSealed(seg.Base, "retention"); err != nil {

@@ -2,32 +2,34 @@
 // "DB" box in the paper's Figure 1 (step 3: captured sensor data is
 // stored; step 9/10: services query it through the request manager).
 //
-// The store is an indexed in-memory time-series log, lock-striped
-// into N shards keyed by sensor ID (see shard.go) so dense
-// deployments — the paper's building runs >40 cameras, 60 WiFi APs,
-// 200 BLE beacons, and 100 power meters — ingest and serve queries in
-// parallel. Sequence numbers stay global (one atomic allocator plus a
-// publication gate), so cursors, stream resume, and WAL replay are
-// oblivious to the sharding. It implements the paper's storage-time
-// enforcement point: retention rules — the "retention" element of the
-// policy language (Figure 2's "P6M") — are applied by Sweep, which
-// deletes observations past their expiry.
+// The store is one append-only, seq-ordered log: rows in fixed-size
+// chunks, a position list per sensor, user and kind, and one time zone
+// map. Append allocates the seq, writes the WAL record (durable mode)
+// and appends the row in one critical section, so a row is visible
+// once Append returns and AfterSeq paging has no gaps, by construction.
+// Readers take a snapshot of the log under a brief lock and walk it
+// outside any lock; an appended row is never mutated, and Sweep,
+// DeleteUser and eviction publish a new log built from the survivors.
+// It implements the paper's storage-time enforcement point: retention
+// rules — the "retention" element of the policy language (Figure 2's
+// "P6M") — are applied by Sweep, which deletes observations past their
+// expiry.
 //
 // Query-time enforcement (purpose checks, granularity degradation,
 // noise) happens above the store in internal/enforce; the store holds
 // ground truth.
 //
 // An observation is resident once. With a cold tier attached (tier.go;
-// internal/colstore's sealed segments) the shards hold only the hot
+// internal/colstore's sealed segments) the log holds only the hot
 // window above the tier's compaction watermark and everything behind
-// it lives in the tier alone; Query, Count, Len, Users, Sweep and
+// it lives in the tier alone; Scan, Query, Count, Len, Users, Sweep and
 // DeleteUser answer for the union, so callers never see the split.
 package obstore
 
 import (
 	"errors"
 	"log/slog"
-	"runtime"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,24 +135,29 @@ type RetentionRule struct {
 	TTL isodur.Duration
 }
 
-// Store is an indexed, concurrency-safe observation log, lock-striped
-// across shards (see shard.go for the invariants that keep the
-// sharding externally invisible). The shards hold every live
-// observation, or — with a cold tier attached (tier.go) — the hot
-// window above the tier's watermark; the methods answer for all of it
-// either way.
+// Store is an indexed, concurrency-safe observation log. The log holds
+// every live observation, or — with a cold tier attached (tier.go) —
+// the hot window above the tier's watermark; the methods answer for
+// all of it either way.
 type Store struct {
-	shards []*shard
-	gate   *seqGate
-	// compactMin is the per-shard tombstone floor below which
-	// compaction is skipped; scaled by shard count so the aggregate
-	// trigger matches the old single-lock store.
-	compactMin int
+	// mu is the append lock: seq allocation, the WAL append and the log
+	// append share it, and a rebuild (Sweep, DeleteUser, EvictThrough)
+	// holds it from reading the old log to publishing the new one. It
+	// also guards wal, walDir and encBuf. wal.Append may fsync inline,
+	// so readers never take it.
+	mu sync.Mutex
+	// hotMu guards hot and the log's growth; readers hold it only to cut
+	// a snapshot.
+	hotMu sync.RWMutex
+	hot   *hotLog
 
+	// nextSeq is the last seq allocated. Append advances it under hotMu
+	// together with the log, so every seq at or below a snapshot's
+	// high-water mark is in the snapshot or was deleted.
 	nextSeq      atomic.Uint64
 	totalIngests atomic.Uint64
 	totalSwept   atomic.Uint64
-	compactions  atomic.Uint64
+	rebuilds     atomic.Uint64
 
 	retMu      sync.RWMutex
 	rules      []RetentionRule
@@ -164,76 +171,167 @@ type Store struct {
 	// listener observes appends and deletions (see SetListener).
 	listener atomic.Pointer[Listener]
 	// tier owns every observation at or below its watermark (tier.go);
-	// nil means the shards hold everything. evictedThrough is the
-	// highest watermark eviction has started on, evicted the rows it has
-	// released.
-	tier           atomic.Pointer[ColdTier]
-	evictedThrough atomic.Uint64
-	evicted        atomic.Uint64
-	// stripesPruned counts shards skipped wholesale by the per-shard
-	// time zone map before any index was consulted.
-	stripesPruned atomic.Uint64
+	// nil means the log holds everything. evicted counts the rows
+	// eviction has released.
+	tier    atomic.Pointer[ColdTier]
+	evicted atomic.Uint64
 
 	// Durable mode (see durable.go): when wal is non-nil every append
-	// is framed into the log before it is indexed, and sweeps prune
-	// fully dead sealed segments from disk. walMu serializes seq
-	// allocation with the WAL append so the log stays monotonic; it
-	// also guards wal, walDir, and encBuf.
-	durable atomic.Bool
-	walMu   sync.Mutex
-	wal     *wal.Log
-	walDir  string
-	logger  *slog.Logger
-	encBuf  []byte
+	// is framed into the log before the row is appended, and sweeps
+	// prune fully dead sealed segments from disk.
+	wal    *wal.Log
+	walDir string
+	logger *slog.Logger
+	encBuf []byte
 }
 
 // New returns an empty store with no retention rules (observations
-// are kept forever until rules are installed), sharded GOMAXPROCS
-// ways.
+// are kept forever until rules are installed).
 func New() *Store {
-	return NewSharded(0)
+	return &Store{hot: newHotLog(0), sweepSeconds: telemetry.NewHistogram(nil)}
 }
 
-// NewSharded returns an empty store striped across n shards; n <= 0
-// selects GOMAXPROCS. One shard reproduces the old single-lock store
-// exactly — benchmarks and equivalence tests use it as the baseline.
-func NewSharded(n int) *Store {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s := &Store{
-		shards:       make([]*shard, n),
-		gate:         newSeqGate(),
-		sweepSeconds: telemetry.NewHistogram(nil),
-	}
-	for i := range s.shards {
-		s.shards[i] = newShard()
-	}
-	s.compactMin = 1024 / n
-	if s.compactMin < 64 {
-		s.compactMin = 64
-	}
-	return s
+// chunkRows is the log's chunk size: 256 rows of 128 bytes, 32 KiB.
+const chunkRows = 256
+
+// hotLog holds rows in ascending seq, in fixed-size chunks so growth
+// never copies a row, with a position list per sensor, user and kind
+// (int32 positions: memory runs out long before 2^31 rows). Append
+// extends it beyond any length a reader has snapshotted; nothing else
+// ever writes to it.
+type hotLog struct {
+	chunks   []*[chunkRows]sensor.Observation
+	n        int
+	bySensor map[string][]int32
+	byUser   map[string][]int32
+	byKind   map[sensor.ObservationKind][]int32
+	// lo and hi are the time zone map: the range of observation times
+	// in the log (lo > hi while it is empty).
+	lo, hi int64
+	// floor is the eviction floor the log was cut at: every seq at or
+	// below it has left for the cold tier.
+	floor uint64
 }
 
-// Shards reports the store's stripe count.
-func (s *Store) Shards() int { return len(s.shards) }
+func newHotLog(floor uint64) *hotLog {
+	return &hotLog{
+		bySensor: make(map[string][]int32),
+		byUser:   make(map[string][]int32),
+		byKind:   make(map[sensor.ObservationKind][]int32),
+		lo:       math.MaxInt64,
+		hi:       math.MinInt64,
+		floor:    floor,
+	}
+}
 
-// shardFor maps a sensor ID to its shard (FNV-1a).
-func (s *Store) shardFor(sensorID string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
+func (l *hotLog) row(i int) *sensor.Observation { return &l.chunks[i/chunkRows][i%chunkRows] }
+
+// append adds o, whose seq is above every seq in the log. The caller
+// holds hotMu exclusively or owns a log no reader has seen.
+func (l *hotLog) append(o sensor.Observation) {
+	if l.n == len(l.chunks)*chunkRows {
+		l.chunks = append(l.chunks, new([chunkRows]sensor.Observation))
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(sensorID); i++ {
-		h = (h ^ uint32(sensorID[i])) * 16777619
+	*l.row(l.n) = o
+	p := int32(l.n)
+	l.n++
+	if o.SensorID != "" {
+		l.bySensor[o.SensorID] = append(l.bySensor[o.SensorID], p)
 	}
-	return s.shards[h%uint32(len(s.shards))]
+	if o.UserID != "" {
+		l.byUser[o.UserID] = append(l.byUser[o.UserID], p)
+	}
+	if o.Kind != "" {
+		l.byKind[o.Kind] = append(l.byKind[o.Kind], p)
+	}
+	ns := o.Time.UnixNano()
+	l.lo, l.hi = min(l.lo, ns), max(l.hi, ns)
+}
+
+// view is a reader's snapshot of the log: rows [0, n), or only the
+// positions in pos when an index narrowed the read. It shares the
+// log's chunks and position lists, which only grow past what it covers.
+type view struct {
+	chunks  []*[chunkRows]sensor.Observation
+	n       int
+	pos     []int32
+	indexed bool
+	floor   uint64
+	// hwm is the last seq allocated when the snapshot was cut: every
+	// seq at or below it is in the view or was deleted.
+	hwm uint64
+}
+
+// view snapshots the log for f: the narrowest of f's indexed keys, or
+// nothing at all when f's time window misses the zone map.
+func (s *Store) view(f Filter) view {
+	s.hotMu.RLock()
+	defer s.hotMu.RUnlock()
+	l := s.hot
+	v := view{chunks: l.chunks, n: l.n, floor: l.floor, hwm: s.nextSeq.Load()}
+	if (!f.From.IsZero() && f.From.UnixNano() > l.hi) || (!f.To.IsZero() && f.To.UnixNano() <= l.lo) {
+		v.n = 0
+		return v
+	}
+	narrow := func(list []int32) {
+		if len(list) < v.n && (!v.indexed || len(list) < len(v.pos)) {
+			v.pos, v.indexed = list, true
+		}
+	}
+	if f.SensorID != "" {
+		narrow(l.bySensor[f.SensorID])
+	}
+	if f.UserID != "" {
+		narrow(l.byUser[f.UserID])
+	}
+	if f.Kind != "" {
+		narrow(l.byKind[f.Kind])
+	}
+	return v
+}
+
+// len is the number of candidate rows; at(k) is the k-th.
+func (v *view) len() int {
+	if v.indexed {
+		return len(v.pos)
+	}
+	return v.n
+}
+
+func (v *view) at(k int) *sensor.Observation {
+	if v.indexed {
+		k = int(v.pos[k])
+	}
+	return &v.chunks[k/chunkRows][k%chunkRows]
+}
+
+// search returns the first candidate with seq > after.
+func (v *view) search(after uint64) int {
+	return sort.Search(v.len(), func(k int) bool { return v.at(k).Seq > after })
+}
+
+// each calls fn, in ascending seq, for every candidate matching f with
+// seq > f.AfterSeq, until fn returns false or f.Limit rows were
+// visited. The pointer is into the log: fn must not write through it
+// (Scan hands callers outside the package a copy).
+func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
+	spaceSet := spaceSetFor(f)
+	visited := 0
+	for k, end := v.search(f.AfterSeq), v.len(); k < end; k++ {
+		o := v.at(k)
+		if !matches(o, f, spaceSet) {
+			continue
+		}
+		visited++
+		if !fn(o) || visited == f.Limit {
+			return
+		}
+	}
 }
 
 // RegisterMetrics exposes the store's counters on a telemetry
-// registry: cumulative ingests and sweep deletions, live and
-// tombstoned observation counts, compactions, and sweep latency.
+// registry: cumulative ingests and sweep deletions, live and resident
+// observation counts, log rebuilds, and sweep latency.
 func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("tippers_obstore_ingested_total",
 		"Observations appended to the store.", func() float64 {
@@ -243,46 +341,25 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 		"Observations deleted by retention sweeps and erasure.", func() float64 {
 			return float64(s.totalSwept.Load())
 		})
-	r.CounterFunc("tippers_obstore_compactions_total",
-		"Index compaction passes (the store's GC).", func() float64 {
-			return float64(s.compactions.Load())
+	r.CounterFunc("tippers_obstore_log_rebuilds_total",
+		"Hot log rebuilds: sweeps, erasures and evictions that published a log without the rows they removed.", func() float64 {
+			return float64(s.rebuilds.Load())
 		})
 	r.GaugeFunc("tippers_obstore_live_observations",
-		"Observations currently stored, in the shards or behind the compaction watermark.", func() float64 {
+		"Observations currently stored, in the hot log or behind the compaction watermark.", func() float64 {
 			return float64(s.Len())
 		})
 	r.GaugeFunc("tippers_obstore_resident_observations",
-		"Observations held in the row shards: the hot window when a cold tier is attached.", func() float64 {
+		"Observations held in the hot log: the hot window when a cold tier is attached.", func() float64 {
 			return float64(s.Resident())
 		})
 	r.CounterFunc("tippers_obstore_evicted_total",
-		"Rows released from the row shards once the cold tier had sealed them.", func() float64 {
+		"Rows released from the hot log once the cold tier had sealed them.", func() float64 {
 			return float64(s.evicted.Load())
-		})
-	r.GaugeFunc("tippers_obstore_tombstones",
-		"Deleted sequence numbers awaiting compaction.", func() float64 {
-			total := 0
-			for _, sh := range s.shards {
-				sh.mu.RLock()
-				total += sh.dead
-				sh.mu.RUnlock()
-			}
-			return float64(total)
-		})
-	r.GaugeFunc("tippers_obstore_shards",
-		"Lock-striped store partitions.", func() float64 {
-			return float64(len(s.shards))
-		})
-	r.CounterFunc("tippers_obstore_stripes_pruned_total",
-		"Shards skipped wholesale by the per-shard time zone map.", func() float64 {
-			return float64(s.stripesPruned.Load())
 		})
 	r.RegisterHistogram("tippers_obstore_sweep_seconds",
 		"Retention sweep duration.", nil, s.sweepSeconds)
-	s.walMu.Lock()
-	l := s.wal
-	s.walMu.Unlock()
-	if l != nil {
+	if l := s.WAL(); l != nil {
 		l.RegisterMetrics(r)
 	}
 }
@@ -291,10 +368,7 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 // group-commit fsync batches are recorded as spans. No-op for the
 // in-memory store; nil-safe.
 func (s *Store) SetTracer(t *telemetry.Tracer) {
-	s.walMu.Lock()
-	l := s.wal
-	s.walMu.Unlock()
-	if l != nil {
+	if l := s.WAL(); l != nil {
 		l.SetTracer(t)
 	}
 }
@@ -303,16 +377,10 @@ func (s *Store) SetTracer(t *telemetry.Tracer) {
 // mode; in durable mode the WAL must still be open. This feeds the
 // /v1/readyz probe.
 func (s *Store) Ready() error {
-	if !s.durable.Load() {
-		return nil
+	if l := s.WAL(); l != nil {
+		return l.Ready()
 	}
-	s.walMu.Lock()
-	l := s.wal
-	s.walMu.Unlock()
-	if l == nil {
-		return errors.New("obstore: durable store has no WAL attached")
-	}
-	return l.Ready()
+	return nil
 }
 
 // ErrZeroTime reports an ingest with an unset timestamp; retention
@@ -326,38 +394,22 @@ func (s *Store) Append(o sensor.Observation) (sensor.Observation, error) {
 	if o.Time.IsZero() {
 		return sensor.Observation{}, ErrZeroTime
 	}
-	var seq uint64
-	if s.durable.Load() {
-		// Write-ahead: the record must be in the log before the
-		// indexes ever see it, and the WAL wants monotonic seqs, so
-		// allocation and the log append share one critical section.
-		// On failure the seq is returned to the pool (no later seq
-		// exists yet — allocation is serialized here) and the
-		// observation is not stored.
-		s.walMu.Lock()
-		if s.wal == nil { // closed under us; fall back to in-memory
-			s.walMu.Unlock()
-			seq = s.nextSeq.Add(1)
-		} else {
-			seq = s.nextSeq.Add(1)
-			o.Seq = seq
-			s.encBuf = appendObservation(s.encBuf[:0], o)
-			if err := s.wal.Append(seq, s.encBuf); err != nil {
-				s.nextSeq.Add(^uint64(0))
-				s.walMu.Unlock()
-				return sensor.Observation{}, err
-			}
-			s.walMu.Unlock()
+	s.mu.Lock()
+	o.Seq = s.nextSeq.Load() + 1
+	if s.wal != nil {
+		// Write-ahead: the record is in the WAL before any reader can see
+		// the row. On failure the seq is not taken and nothing is stored.
+		s.encBuf = appendObservation(s.encBuf[:0], o)
+		if err := s.wal.Append(o.Seq, s.encBuf); err != nil {
+			s.mu.Unlock()
+			return sensor.Observation{}, err
 		}
-	} else {
-		seq = s.nextSeq.Add(1)
 	}
-	o.Seq = seq
-	sh := s.shardFor(o.SensorID)
-	sh.mu.Lock()
-	sh.insert(o)
-	sh.mu.Unlock()
-	s.gate.publish(seq)
+	s.hotMu.Lock()
+	s.hot.append(o)
+	s.nextSeq.Store(o.Seq)
+	s.hotMu.Unlock()
+	s.mu.Unlock()
 	s.totalIngests.Add(1)
 	s.notifyAppend(o)
 	return o, nil
@@ -375,120 +427,26 @@ func (s *Store) AppendAll(obs []sensor.Observation) error {
 
 // Query returns the observations matching f in seq (insertion) order:
 // the cold tier's matches behind its watermark, when one is attached,
-// then the shards'.
+// then the log's.
 func (s *Store) Query(f Filter) []sensor.Observation {
-	t := s.coldTier()
-	if t == nil {
-		return s.queryShards(f)
-	}
 	var out []sensor.Observation
-	hot, _ := union(s, t, f, func(o *sensor.Observation) bool {
+	s.walk(f, func(o *sensor.Observation) bool {
 		out = append(out, *o)
 		return true
-	}, s.queryShards)
-	if out == nil {
-		return hot
-	}
-	return append(out, hot...)
-}
-
-// queryShards is Query over the shards alone. Shards are scanned on a
-// bounded worker pool and merged by seq; a sensor-scoped filter touches
-// exactly the one shard that sensor hashes to.
-func (s *Store) queryShards(f Filter) []sensor.Observation {
-	vis := s.gate.visible.Load()
-	if vis == 0 || (f.AfterSeq > 0 && f.AfterSeq >= vis) {
-		return nil
-	}
-	spaceSet := spaceSetFor(f)
-	if f.SensorID != "" {
-		sh := s.shardFor(f.SensorID)
-		if sh.timeDisjoint(f) {
-			s.stripesPruned.Add(1)
-			return nil
-		}
-		return sh.collect(f, vis, spaceSet, f.Limit)
-	}
-	if len(s.shards) == 1 {
-		return s.shards[0].collect(f, vis, spaceSet, f.Limit)
-	}
-	if s.allDisjoint(f) {
-		return nil
-	}
-	pages := make([][]sensor.Observation, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		// Zone-map prune: a shard whose observed time range is disjoint
-		// from the filter's window has no match; skip its lock and
-		// indexes entirely.
-		if sh.timeDisjoint(f) {
-			s.stripesPruned.Add(1)
-			return
-		}
-		pages[i] = sh.collect(f, vis, spaceSet, f.Limit)
 	})
-	return mergeBySeq(pages, f.Limit)
+	return out
 }
 
 // Count returns the number of observations matching f, ignoring
 // f.Limit.
 func (s *Store) Count(f Filter) int {
-	t := s.coldTier()
-	if t == nil {
-		return s.countShards(f)
-	}
 	f.Limit = 0
-	cold := 0
-	hot, _ := union(s, t, f, func(*sensor.Observation) bool {
-		cold++
+	n := 0
+	s.walk(f, func(*sensor.Observation) bool {
+		n++
 		return true
-	}, s.countShards)
-	return cold + hot
-}
-
-// countShards is Count over the shards alone.
-func (s *Store) countShards(f Filter) int {
-	vis := s.gate.visible.Load()
-	if vis == 0 || (f.AfterSeq > 0 && f.AfterSeq >= vis) {
-		return 0
-	}
-	spaceSet := spaceSetFor(f)
-	if f.SensorID != "" {
-		sh := s.shardFor(f.SensorID)
-		if sh.timeDisjoint(f) {
-			s.stripesPruned.Add(1)
-			return 0
-		}
-		return sh.countMatches(f, vis, spaceSet)
-	}
-	if s.allDisjoint(f) {
-		return 0
-	}
-	counts := make([]int, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		if sh.timeDisjoint(f) {
-			s.stripesPruned.Add(1)
-			return
-		}
-		counts[i] = sh.countMatches(f, vis, spaceSet)
 	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total
-}
-
-// allDisjoint reports whether every shard's zone map rules f out — the
-// usual case for a read of sealed history once the shards hold only the
-// hot window — so the read skips the worker pool altogether.
-func (s *Store) allDisjoint(f Filter) bool {
-	for _, sh := range s.shards {
-		if !sh.timeDisjoint(f) {
-			return false
-		}
-	}
-	s.stripesPruned.Add(uint64(len(s.shards)))
-	return true
+	return n
 }
 
 func spaceSetFor(f Filter) map[string]bool {
@@ -502,7 +460,7 @@ func spaceSetFor(f Filter) map[string]bool {
 	return set
 }
 
-func matches(o sensor.Observation, f Filter, spaceSet map[string]bool) bool {
+func matches(o *sensor.Observation, f Filter, spaceSet map[string]bool) bool {
 	if !f.From.IsZero() && o.Time.Before(f.From) {
 		return false
 	}
@@ -527,10 +485,9 @@ func matches(o sensor.Observation, f Filter, spaceSet map[string]bool) bool {
 	return true
 }
 
-// Len returns the number of live observations, in the shards or
-// behind the cold tier's watermark. The tier keeps its count current,
-// so this stays a handful of lock acquisitions however long the
-// history is.
+// Len returns the number of live observations, in the log or behind
+// the cold tier's watermark. The tier keeps its count current, so this
+// stays a snapshot and a binary search however long the history is.
 func (s *Store) Len() int {
 	t := s.coldTier()
 	if t == nil {
@@ -538,14 +495,10 @@ func (s *Store) Len() int {
 	}
 	for {
 		cold, split := t.ColdRows()
-		hot := 0
-		for _, sh := range s.shards {
-			hot += sh.liveAbove(split)
-		}
-		// Same validation as union: an eviction past the split may have
-		// emptied a shard of rows the cold count does not include.
-		if s.evictedThrough.Load() <= split {
-			return cold + hot
+		// Same validation as read: a log cut above the split lacks rows
+		// the cold count does not include.
+		if v := s.view(Filter{}); v.floor <= split {
+			return cold + v.n - v.search(split)
 		}
 	}
 }
@@ -599,7 +552,7 @@ func (s *Store) RetentionRules() []RetentionRule {
 }
 
 // expiry returns the expiry time for o, and whether any rule applies.
-func (s *Store) expiry(o sensor.Observation) (time.Time, bool) {
+func (s *Store) expiry(o *sensor.Observation) (time.Time, bool) {
 	s.retMu.RLock()
 	defer s.retMu.RUnlock()
 	var best *RetentionRule
@@ -654,9 +607,8 @@ const calendarSlack = 4 * 24 * time.Hour
 
 // Sweep deletes every observation whose retention expired at or
 // before now, returning the number deleted. It is the storage-time
-// enforcement pass; the BMS core runs it periodically. Shards sweep
-// in parallel on the worker pool; rows behind the cold tier's
-// watermark are condemned through a scan of the tier.
+// enforcement pass; the BMS core runs it periodically. Rows behind the
+// cold tier's watermark are condemned through a scan of the tier.
 func (s *Store) Sweep(now time.Time) int {
 	t0 := time.Now()
 	defer s.sweepSeconds.ObserveSince(t0)
@@ -664,70 +616,24 @@ func (s *Store) Sweep(now time.Time) int {
 	if !ok {
 		return 0
 	}
-	expired := func(o sensor.Observation) bool {
+	expired := func(o *sensor.Observation) bool {
 		exp, ok := s.expiry(o)
 		return ok && !exp.After(now)
 	}
-	expiredCold := func(o *sensor.Observation) bool { return expired(*o) }
 	// No rule is shorter than ttl, so nothing observed after now-ttl can
 	// have expired: the tier skips those segments by their zone maps.
 	cold := Filter{To: now.Add(calendarSlack - ttl.Approx())}
-	collect := s.hasListener()
-	total := s.deleteUnion(cold, false, expiredCold, func(split uint64) (int, []Deletion) {
-		removed := make([]int, len(s.shards))
-		dels := make([][]Deletion, len(s.shards))
-		s.forEachShard(func(i int, sh *shard) {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			n := 0
-			for seq, o := range sh.bySeq {
-				if !expired(o) {
-					continue
-				}
-				delete(sh.bySeq, seq)
-				n++
-				// A row at or below the split is the tier's to report; its
-				// resident copy (not evicted yet) just goes.
-				if seq > split {
-					removed[i]++
-					if collect {
-						dels[i] = append(dels[i], deletionOf(o))
-					}
-				}
-			}
-			sh.dead += n
-			// Compact index slices once tombstones dominate, keeping
-			// query scans proportional to live data.
-			if sh.dead > len(sh.bySeq) && sh.dead > s.compactMin {
-				sh.compactLocked()
-				s.compactions.Add(1)
-			}
-		})
-		return flatten(removed, dels)
-	})
+	total := s.deleteUnion(cold, false, expired)
 	s.totalSwept.Add(uint64(total))
 	// Durable mode: retention must reach the disk too. Sealed WAL
 	// segments holding only dead records are deleted outright.
-	if total > 0 && s.durable.Load() {
+	if total > 0 {
 		s.pruneWAL()
 	}
 	return total
 }
 
-// flatten sums per-shard counts and concatenates per-shard deletions.
-func flatten(removed []int, dels [][]Deletion) (int, []Deletion) {
-	total := 0
-	for _, n := range removed {
-		total += n
-	}
-	var flat []Deletion
-	for _, d := range dels {
-		flat = append(flat, d...)
-	}
-	return total, flat
-}
-
-func deletionOf(o sensor.Observation) Deletion {
+func deletionOf(o *sensor.Observation, erased bool) Deletion {
 	return Deletion{
 		Seq:      o.Seq,
 		Time:     o.Time,
@@ -735,48 +641,70 @@ func deletionOf(o sensor.Observation) Deletion {
 		SpaceID:  o.SpaceID,
 		UserID:   o.UserID,
 		Kind:     o.Kind,
+		Erased:   erased,
 	}
 }
 
+// rewrite publishes a log without the rows doomed condemns and returns
+// how many of them lay above split, their Deletions when a listener
+// wants them, and the floor of the log it rewrote. A row at or below
+// the split is the tier's to report; its resident copy just goes. A
+// log with no doomed row is left as it is.
+func (s *Store) rewrite(split uint64, erased bool, doomed func(*sensor.Observation) bool) (int, []Deletion, uint64) {
+	collect := s.hasListener()
+	s.mu.Lock() // no append lands between the walk and the publish
+	defer s.mu.Unlock()
+	old := s.hot
+	var fresh *hotLog
+	n := 0
+	var dels []Deletion
+	for i := 0; i < old.n; i++ {
+		o := old.row(i)
+		if !doomed(o) {
+			if fresh != nil {
+				fresh.append(*o)
+			}
+			continue
+		}
+		if fresh == nil {
+			fresh = newHotLog(old.floor)
+			for j := 0; j < i; j++ {
+				fresh.append(*old.row(j))
+			}
+		}
+		if o.Seq > split {
+			n++
+			if collect {
+				dels = append(dels, deletionOf(o, erased))
+			}
+		}
+	}
+	if fresh != nil {
+		s.publish(fresh)
+	}
+	return n, dels, old.floor
+}
+
+// publish installs l as the log. The caller holds s.mu.
+func (s *Store) publish(l *hotLog) {
+	s.hotMu.Lock()
+	s.hot = l
+	s.hotMu.Unlock()
+	s.rebuilds.Add(1)
+}
+
 // DeleteUser removes every observation attributed to userID — from
-// every shard and from behind the cold tier's watermark — supporting
+// the log and from behind the cold tier's watermark — supporting
 // right-to-erasure style requests. It returns the number deleted.
 func (s *Store) DeleteUser(userID string) int {
-	collect := s.hasListener()
-	all := func(*sensor.Observation) bool { return true }
-	total := s.deleteUnion(Filter{UserID: userID}, true, all, func(split uint64) (int, []Deletion) {
-		removed := make([]int, len(s.shards))
-		dels := make([][]Deletion, len(s.shards))
-		s.forEachShard(func(i int, sh *shard) {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			n := 0
-			for _, seq := range sh.byUser[userID] {
-				o, ok := sh.bySeq[seq]
-				if !ok {
-					continue
-				}
-				delete(sh.bySeq, seq)
-				n++
-				if seq > split { // at or below it the tier reports the row
-					removed[i]++
-					if collect {
-						d := deletionOf(o)
-						d.Erased = true
-						dels[i] = append(dels[i], d)
-					}
-				}
-			}
-			delete(sh.byUser, userID)
-			sh.dead += n
-		})
-		return flatten(removed, dels)
+	total := s.deleteUnion(Filter{UserID: userID}, true, func(o *sensor.Observation) bool {
+		return o.UserID == userID
 	})
 	s.totalSwept.Add(uint64(total))
 	// Erasure reaches disk like retention does; copies in the active
 	// segment or the checkpoint leave at the next Checkpoint, copies in
 	// the tier's segment files at its next compaction.
-	if total > 0 && s.durable.Load() {
+	if total > 0 {
 		s.pruneWAL()
 	}
 	return total
@@ -789,64 +717,26 @@ func (s *Store) DeleteUser(userID string) int {
 // manifest does, which is what keeps the WAL → segment handoff free
 // of lost or double-counted buckets.
 func (s *Store) SyncWAL() error {
-	if !s.durable.Load() {
-		return nil
+	if l := s.WAL(); l != nil {
+		return l.Sync()
 	}
-	s.walMu.Lock()
-	l := s.wal
-	s.walMu.Unlock()
-	if l == nil {
-		return nil
-	}
-	return l.Sync()
+	return nil
 }
 
 // Users returns the distinct attributed user IDs present in the
 // store, sorted. Inference experiments use it to enumerate subjects.
 func (s *Store) Users() []string {
 	seen := make(map[string]bool)
-	note := func(o *sensor.Observation) bool {
+	s.walk(Filter{}, func(o *sensor.Observation) bool {
 		if o.UserID != "" {
 			seen[o.UserID] = true
 		}
 		return true
-	}
-	if t := s.coldTier(); t != nil {
-		// The tier's users come from a scan of its live rows, the shards'
-		// from their index; a repeated round only re-adds names.
-		union(s, t, Filter{}, note, func(tail Filter) struct{} {
-			s.shardUsers(tail.AfterSeq, seen)
-			return struct{}{}
-		})
-	} else {
-		s.shardUsers(0, seen)
-	}
+	})
 	var out []string
 	for u := range seen {
 		out = append(out, u)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// shardUsers adds every user with a live row above split in any shard.
-func (s *Store) shardUsers(split uint64, seen map[string]bool) {
-	perShard := make([][]string, len(s.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		for u, seqs := range sh.byUser {
-			for j := len(seqs) - 1; j >= 0 && seqs[j] > split; j-- {
-				if _, ok := sh.bySeq[seqs[j]]; ok {
-					perShard[i] = append(perShard[i], u)
-					break
-				}
-			}
-		}
-	})
-	for _, users := range perShard {
-		for _, u := range users {
-			seen[u] = true
-		}
-	}
 }

@@ -39,9 +39,9 @@ func (t *sliceTier) ScanCold(f Filter, visit func(*sensor.Observation) bool) (Fi
 	t.mu.Lock()
 	var match []sensor.Observation
 	spaceSet := spaceSetFor(f)
-	for _, o := range t.rows {
-		if o.Seq > f.AfterSeq && !t.dead[o.Seq] && matches(o, f, spaceSet) {
-			match = append(match, o)
+	for i := range t.rows {
+		if o := &t.rows[i]; o.Seq > f.AfterSeq && !t.dead[o.Seq] && matches(o, f, spaceSet) {
+			match = append(match, *o)
 		}
 	}
 	tail := f
@@ -61,22 +61,34 @@ func (t *sliceTier) ScanCold(f Filter, visit func(*sensor.Observation) bool) (Fi
 	return tail, true
 }
 
+// ColdRows counts the rows that are not dead: a deletion racing a seal
+// can mark a seq the seal never took.
 func (t *sliceTier) ColdRows() (int, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.rows) - len(t.dead), t.wm
+	n := 0
+	for _, o := range t.rows {
+		if !t.dead[o.Seq] {
+			n++
+		}
+	}
+	return n, t.wm
 }
 
 // seal takes over every row of s up to wm, as a compaction commit
-// would, and lets s evict them.
+// would, and lets s evict them. It holds the tier's lock from reading
+// the log to raising the watermark, so a deletion of a row it takes is
+// recorded against the new watermark.
 func (t *sliceTier) seal(s *Store, wm uint64) int {
 	t.mu.Lock()
-	for _, o := range s.queryShards(Filter{AfterSeq: t.wm}) {
+	v := s.view(Filter{})
+	v.each(Filter{AfterSeq: t.wm}, func(o *sensor.Observation) bool {
 		if o.Seq <= wm {
-			t.rows = append(t.rows, o)
+			t.rows = append(t.rows, *o)
 		}
-	}
-	t.wm = wm
+		return o.Seq < wm
+	})
+	t.wm = max(t.wm, wm)
 	t.mu.Unlock()
 	return s.EvictThrough(wm)
 }
@@ -93,7 +105,7 @@ func attachSliceTier(s *Store) *sliceTier {
 // the same results and counts as a store that kept every row.
 func TestTierUnionMatchesPlainStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s, twin := NewSharded(3), NewSharded(1)
+	s, twin := New(), New()
 	tier := attachSliceTier(s)
 	for _, st := range []*Store{s, twin} {
 		st.SetDefaultRetention(isodur.MustParse("PT40M"))
@@ -184,40 +196,6 @@ func TestTierUnionMatchesPlainStore(t *testing.T) {
 	check("after sweep")
 	if got, want := s.Stats().Swept, twin.Stats().Swept; got != want {
 		t.Fatalf("swept counter %d, the twin's %d", got, want)
-	}
-}
-
-// TestEvictionShrinksShards: eviction rebuilds a shard from its
-// survivors instead of deleting its way down — a Go map never gives its
-// buckets back — and narrows the shard's zone map to them.
-func TestEvictionShrinksShards(t *testing.T) {
-	s := NewSharded(2)
-	tier := attachSliceTier(s)
-	for i := 0; i < 5000; i++ {
-		if _, err := s.Append(sensor.Observation{
-			SensorID: fmt.Sprintf("ap-%d", i%9), UserID: fmt.Sprintf("u%d", i%50), Kind: sensor.ObsWiFiConnect,
-			SpaceID: "s1", Time: t0.Add(time.Duration(i) * time.Second),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tier.seal(s, 4990)
-	for _, sh := range s.shards {
-		if n := len(sh.order); n > 10 || len(sh.byUser) > 10 || sh.dead != 0 {
-			t.Fatalf("shard keeps %d index entries, %d users, %d tombstones for at most 10 rows", n, len(sh.byUser), sh.dead)
-		}
-		if lo := time.Unix(0, sh.minTimeNano.Load()); lo.Before(t0.Add(4990 * time.Second)) {
-			t.Fatalf("zone map still reaches back to %v", lo)
-		}
-	}
-	// A window that only sealed rows fall in touches no shard.
-	before := s.stripesPruned.Load()
-	f := Filter{From: t0.Add(100 * time.Second), To: t0.Add(200 * time.Second)}
-	if got := s.Count(f); got != 100 {
-		t.Fatalf("Count over a sealed window = %d, want 100", got)
-	}
-	if s.stripesPruned.Load()-before != uint64(len(s.shards)) {
-		t.Fatal("a read of sealed history still visited the shards")
 	}
 }
 

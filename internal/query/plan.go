@@ -248,7 +248,7 @@ type orderSpec struct {
 }
 
 // PushedFilter exposes the store filter the executor will scan with;
-// tests assert stripe pruning against it.
+// tests assert pushdown pruning against it.
 func (p *Plan) PushedFilter() obstore.Filter { return p.filter }
 
 // Compile type-checks stmt against env and binds it to requester,
@@ -644,7 +644,7 @@ func coerceLiteral(lit Literal, t colType, col string) (Value, error) {
 // pushConjunct tries to fold one typed conjunct into the store
 // filter. Most pushed conjuncts are fully absorbed — the store's
 // filter semantics are exact, so re-evaluating them would be
-// redundant. space_id is the exception: its pushdown prunes stripes
+// redundant. space_id is the exception: its pushdown prunes rows
 // on *ground-truth* locations while enforcement may release a
 // coarsened one, so the conjunct comes back as a rewritten residual
 // (the subtree-expanded IN set) and is re-evaluated against the

@@ -29,7 +29,7 @@
 //
 // Sargable sensor/space/time predicates (sensor_id, user_id,
 // device_mac, kind, space_id, time, seq) are pushed down into an
-// obstore.Filter so the sharded store prunes stripes before scanning;
+// obstore.Filter so the store prunes by index before scanning;
 // spatial predicates expand to the space's subtree like every other
 // request path. Residual predicates evaluate against the *released*
 // view of each row — after granularity coarsening and noise — so a
@@ -159,7 +159,7 @@ type AuditRecord struct {
 // is answerable.
 type Stats struct {
 	// ScannedRows is how many rows the pushed-down store scan
-	// returned (after stripe pruning, before enforcement).
+	// returned (after pushdown pruning, before enforcement).
 	ScannedRows int `json:"scanned_rows"`
 	// DeniedRows were dropped because the subject's decision denied
 	// the flow.

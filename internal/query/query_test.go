@@ -258,7 +258,7 @@ func TestPushdownFilter(t *testing.T) {
 		t.Errorf("rows = %d, want 2", len(res.Rows))
 	}
 	if res.Stats.ScannedRows != 2 {
-		t.Errorf("ScannedRows = %d, want 2 (stripe pruning should pre-filter)", res.Stats.ScannedRows)
+		t.Errorf("ScannedRows = %d, want 2 (pushdown pruning should pre-filter)", res.Stats.ScannedRows)
 	}
 }
 
@@ -609,7 +609,7 @@ func TestPushedSpacePredicateSeesReleasedView(t *testing.T) {
 		t.Errorf("filters = %+v, want one scan pruned to the r0 subtree", te.filters)
 	}
 	if res.Stats.ScannedRows != 2 {
-		t.Errorf("ScannedRows = %d, want 2 (stripe pruning)", res.Stats.ScannedRows)
+		t.Errorf("ScannedRows = %d, want 2 (pushdown pruning)", res.Stats.ScannedRows)
 	}
 
 	// IN takes the same path.

@@ -178,7 +178,7 @@ var (
 	// consumer fell behind and must reconnect with its cursor.
 	ErrSlowConsumer = errors.New("stream: subscription disconnected: consumer too slow")
 	// ErrReplayOrder reports a store replay page that was not
-	// strictly ascending in seq — the cross-shard merge invariant the
+	// strictly ascending in seq — the store's ordering invariant the
 	// resume cursor depends on was violated.
 	ErrReplayOrder = errors.New("stream: replay page out of seq order")
 )

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,9 +18,10 @@ import (
 // pipeline: subject "blocked" is denied, everything else released
 // unchanged.
 type fixture struct {
-	store *obstore.Store
-	bus   *bus.Bus
-	hub   *Hub
+	store    *obstore.Store
+	bus      *bus.Bus
+	hub      *Hub
+	ingestMu sync.Mutex
 }
 
 var fixtureBase = time.Date(2017, 6, 7, 14, 0, 0, 0, time.UTC)
@@ -55,16 +57,24 @@ func newHubFixture(t *testing.T) *fixture {
 }
 
 // ingest mimics the core pipeline's ordering guarantee: append to the
-// durable store first, then publish on the bus.
+// durable store first, then publish on the bus, the two as one step so
+// concurrent ingests publish in seq order.
 func (f *fixture) ingest(t testing.TB, user string, minute int) sensor.Observation {
 	t.Helper()
+	return f.ingestSensor(t, "ap-1", user, minute)
+}
+
+func (f *fixture) ingestSensor(t testing.TB, sensorID, user string, minute int) sensor.Observation {
+	t.Helper()
 	o := sensor.Observation{
-		SensorID: "ap-1",
+		SensorID: sensorID,
 		Kind:     sensor.ObsWiFiConnect,
 		Time:     fixtureBase.Add(time.Duration(minute) * time.Minute),
 		SpaceID:  "dbh/1/r0",
 		UserID:   user,
 	}
+	f.ingestMu.Lock()
+	defer f.ingestMu.Unlock()
 	stored, err := f.store.Append(o)
 	if err != nil {
 		t.Fatal(err)

@@ -419,10 +419,10 @@ func (s *Subscription) nextReplay() (Event, bool) {
 		span.SetAttrInt("count", int64(len(page)))
 		span.End()
 		// Seq-ordering assertion: resume correctness hangs on the
-		// store's cross-shard merge handing back strictly ascending
-		// seqs past the cursor. A violation would corrupt the cursor
-		// and the dedupe watermark, so fail the subscription loudly
-		// instead of delivering out of order.
+		// store handing back strictly ascending seqs past the cursor.
+		// A violation would corrupt the cursor and the dedupe
+		// watermark, so fail the subscription loudly instead of
+		// delivering out of order.
 		last := s.cursor
 		for _, o := range page {
 			if o.Seq <= last {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
-# equivalence, scoped-memo, eviction-is-invisible, flat-cube and
+# equivalence, hot-log, scoped-memo, eviction-is-invisible, flat-cube and
 # occupancy pair-pass properties repeated), the micro-benchmark count gate
-# (scripts/bench.sh: three benchmarks against the one ledger,
+# (scripts/bench.sh: four benchmarks against the one ledger,
 # BENCH.json, ≈ 1 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
@@ -36,7 +36,7 @@ go test -race ./...
 echo "== wal recovery incl. crash injection (repeated, race) =="
 go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 
-echo "== stream + bus + obstore shards + telemetry tracing (repeated, race) =="
+echo "== stream + bus + obstore hot log + telemetry tracing (repeated, race) =="
 go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/... ./internal/telemetry/...
 
 echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint (repeated, race) =="
@@ -45,11 +45,11 @@ go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOcc
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery' ./internal/core/...
 
-echo "== micro-benchmark count gate (three benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
+echo "== micro-benchmark count gate (four benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
