@@ -281,10 +281,6 @@ func main() {
 		if err != nil {
 			fatal("segments", "error", err)
 		}
-		if !dto.Enabled {
-			fmt.Println("columnar tier disabled on this node")
-			break
-		}
 		st := dto.Stats
 		fmt.Printf("columnar tier: %d segment(s), %d row(s), %s, watermark seq %d\n",
 			st.Segments, st.Rows, fmtBytes(st.Bytes), st.Watermark)

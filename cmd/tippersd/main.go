@@ -19,7 +19,9 @@
 // segmented log before it is indexed, and on boot the node recovers
 // the checkpoint (a file of the same frames) plus committed log
 // records (truncating any torn tail from a crash). A checkpoint is
-// written on clean shutdown. Without it the node keeps nothing.
+// written on clean shutdown. Sealed rows move to the columnar tier's
+// segments (<wal-dir>/colstore unless -colstore-dir is set). Without
+// -wal-dir the node keeps nothing.
 package main
 
 import (
@@ -48,7 +50,7 @@ func main() {
 		retention     = flag.Duration("retention-interval", time.Minute, "retention sweep interval")
 		walDir        = flag.String("wal-dir", "", "durable store directory (write-ahead log + checkpoints)")
 		walSync       = flag.String("wal-sync", "10ms", "WAL commit policy: a group-commit interval, \"always\", or \"none\"")
-		colDir        = flag.String("colstore-dir", "", "columnar tier segment directory (empty keeps sealed segments in memory)")
+		colDir        = flag.String("colstore-dir", "", "columnar tier segment directory (default <wal-dir>/colstore with -wal-dir, memory otherwise)")
 		compactIvl    = flag.Duration("colstore-compact-interval", time.Minute, "background compaction interval (0 disables the compactor)")
 		pprofFlag     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the API address")
 		streamBuffer  = flag.Int("stream-buffer", 256, "default per-subscription live-stream ring capacity")

@@ -47,7 +47,8 @@ import (
 // Config sizes and places the columnar tier.
 type Config struct {
 	// Dir holds segment files and the manifest; empty runs the tier
-	// fully in memory (segments still immutable, nothing durable).
+	// fully in memory (segments still immutable, nothing durable), which
+	// only an in-memory row store may attach (AttachStore).
 	Dir string
 	// BucketDur is the time-partition width; one closed bucket becomes
 	// one segment per compaction. Default one minute — what tippersd
@@ -104,12 +105,10 @@ type Store struct {
 	// erased rows from segments.
 	tombDirty atomic.Bool
 
-	// src is the attached row store. tiered records that it evicts what
-	// the segments hold (AttachStore), so src alone answers for the
-	// union; otherwise it keeps every row and reads merge the two here.
-	src    *obstore.Store
-	tiered bool
-	roll   *rollups
+	// src is the attached row store (AttachStore): it evicts what the
+	// segments hold and answers every read for the union.
+	src  *obstore.Store
+	roll *rollups
 
 	segScanned     atomic.Uint64
 	segPruned      atomic.Uint64
@@ -263,35 +262,32 @@ func timeRange(byTime []*segment, span int64, from, to time.Time) []*segment {
 	return byTime[lo:hi]
 }
 
-// AttachStore binds the columnar tier to the row store that feeds it.
-// The tier becomes the store's listener (rollups follow every append
-// and deletion synchronously) and, when it is at least as durable as
-// the store, its cold tier: the store then drops what the segments
-// already hold and answers every read for the union. A memory-only
-// tier over a durable store stays a listener only — the store's
-// checkpoint must keep writing the sealed rows, or a restart would
-// lose them. Finally the rollup cubes are rebuilt from the unified
-// contents.
-func (s *Store) AttachStore(src *obstore.Store) {
-	tiered := s.cfg.Dir != "" || src.WAL() == nil
-	s.mu.Lock()
-	s.src, s.tiered = src, tiered
-	s.mu.Unlock()
-	if tiered {
-		src.AttachTier(s)
-	} else {
-		src.SetListener(s)
+// AttachStore installs the columnar tier as the cold tier of the row
+// store that feeds it: the tier becomes the store's listener (rollups
+// follow every append and deletion synchronously), the store drops what
+// the segments already hold and answers every read for the union, and
+// the rollup cubes are rebuilt from the unified contents. A memory-only
+// tier cannot hold a durable store's sealed rows — the store's
+// checkpoint stops writing them, so a restart would lose them — and is
+// refused.
+func (s *Store) AttachStore(src *obstore.Store) error {
+	if s.cfg.Dir == "" && src.Dir() != "" {
+		return fmt.Errorf("colstore: a memory-only tier cannot hold the sealed rows of the durable store in %s", src.Dir())
 	}
-	s.roll.rebuildAll()
+	s.mu.Lock()
+	s.src = src
+	s.mu.Unlock()
+	src.AttachTier(s)
+	s.roll.rebuildAll(src)
 	s.roll.seal()
+	return nil
 }
 
-// source returns the attached row store and whether it answers for the
-// union on its own (see AttachStore).
-func (s *Store) source() (src *obstore.Store, tiered bool) {
+// source returns the attached row store, nil before AttachStore.
+func (s *Store) source() *obstore.Store {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.src, s.tiered
+	return s.src
 }
 
 // ColdRows implements obstore.ColdTier: the live rows at or below the
@@ -412,7 +408,7 @@ func (s *Store) manifestSnapshotLocked() manifestState {
 // tombstone touches, and commit the whole transition through the
 // manifest. Returns the number of newly sealed rows.
 func (s *Store) CompactOnce() (int, error) {
-	src, _ := s.source()
+	src := s.source()
 	if src == nil {
 		return 0, nil
 	}
@@ -594,8 +590,7 @@ func (s *Store) CompactOnce() (int, error) {
 	}
 	// The sealed rows are the segments' now (fsynced files named by a
 	// committed manifest, when there is a directory): the row store may
-	// let go of its copies. A store this tier is only a listener of
-	// ignores the call.
+	// let go of its copies.
 	src.EvictThrough(newWM)
 
 	s.compactions.Add(1)
@@ -638,67 +633,25 @@ func segmentTouched(sg *segment, seqTomb map[uint64]struct{}, userTomb map[strin
 	return false
 }
 
-// Scan is the unified read path: it calls visit once per observation
-// matching f, in ascending seq order — zone-map-pruned segments serve
-// seq <= watermark, the row store serves the tail above it — and stops
-// early when visit returns false or f.Limit rows have been visited.
-// The visited set is row-for-row what a row store that never evicted
-// would return (tombstoned rows are gone from both views).
+// Query is the attached row store's Query, which reads the segments
+// through ScanCold. It is kept for bench/replay.go; the node reads
+// through the row store.
+func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source().Query(f) }
+
+// ScanCold implements obstore.ColdTier and is the one segment walk:
+// the sealed half of the row store's Scan. It visits the live rows at
+// or below the watermark that match f, in ascending seq, and returns
+// the filter for the tail above the watermark (AfterSeq raised to it,
+// Limit reduced by what was visited); more=false means the visitor
+// stopped or the limit is spent and the tail must not be read.
 //
 // Visitor contract: the *Observation is one scratch value reused for
 // every segment row — it is valid only during the call, so a visitor
 // that keeps a row must copy it. No colstore lock is held while visit
-// runs: ScanCold snapshots the segment set, watermark and tombstones
-// under s.mu and walks outside it (segments are immutable and
-// compaction replaces s.segs wholesale), so a visitor may call back
-// into the store and a slow one never blocks ingest, erasure or
-// compaction.
-func (s *Store) Scan(f obstore.Filter, visit func(*sensor.Observation) bool) {
-	src, tiered := s.source()
-	if tiered {
-		src.Scan(f, visit) // comes back through ScanCold
-		return
-	}
-	if tail, more := s.ScanCold(f, visit); more && src != nil {
-		src.Scan(tail, visit)
-	}
-}
-
-// Query materializes Scan's visit sequence.
-func (s *Store) Query(f obstore.Filter) []sensor.Observation {
-	var out []sensor.Observation
-	s.Scan(f, func(o *sensor.Observation) bool {
-		out = append(out, *o)
-		return true
-	})
-	return out
-}
-
-// Count mirrors Query without materializing rows; like the row
-// store's Count it ignores f.Limit.
-func (s *Store) Count(f obstore.Filter) int {
-	src, tiered := s.source()
-	if tiered {
-		return src.Count(f)
-	}
-	f.Limit = 0
-	n := 0
-	tail, _ := s.ScanCold(f, func(*sensor.Observation) bool {
-		n++
-		return true
-	})
-	if src != nil {
-		n += src.Count(tail)
-	}
-	return n
-}
-
-// ScanCold implements obstore.ColdTier and is the one segment walk:
-// the sealed half of Scan. It visits the live rows at or below the
-// watermark that match f and returns the filter for the tail above the
-// watermark (AfterSeq raised to it, Limit reduced by what was
-// visited); more=false means the visitor stopped or the limit is
-// spent and the tail must not be read.
+// runs: the segment set, watermark and tombstones are snapshotted under
+// s.mu and walked outside it (segments are immutable and compaction
+// replaces s.segs wholesale), so a visitor may call back into the store
+// and a slow one never blocks ingest, erasure or compaction.
 func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool) (tail obstore.Filter, more bool) {
 	s.mu.RLock()
 	segs, byTime, span, wm := s.segs, s.byTime, s.span, s.wm

@@ -112,7 +112,9 @@ func TestCrashMidCompaction(t *testing.T) {
 			if err != nil {
 				t.Fatalf("columnar recovery: %v", err)
 			}
-			cs.AttachStore(src)
+			if err := cs.AttachStore(src); err != nil {
+				t.Fatal(err)
+			}
 			if wm := cs.Watermark(); wm > 0 && src.Evicted() == 0 {
 				t.Fatalf("the attach evicted nothing with the watermark at %d", wm)
 			}
@@ -173,7 +175,9 @@ func TestColstoreCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.AttachStore(src)
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
 	// In "mid" mode, arm the hook only after a few clean compactions
 	// so the kill lands on a tier that already has live segments to
 	// preserve; then park inside the durable window until SIGKILLed.

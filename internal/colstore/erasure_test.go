@@ -58,7 +58,7 @@ func TestSweepRacingCompactionBecomesTombstone(t *testing.T) {
 	if rows := cs.Query(obstore.Filter{UserID: "victim"}); len(rows) != 0 {
 		t.Fatalf("retention-expired row resurrected from segments: %d rows", len(rows))
 	}
-	if got, want := cs.Count(obstore.Filter{}), 8; got != want {
+	if got, want := src.Count(obstore.Filter{}), 8; got != want {
 		t.Fatalf("unified count %d, want %d", got, want)
 	}
 
@@ -108,7 +108,9 @@ func TestErasureLeavesDisk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs.AttachStore(src)
+			if err := cs.AttachStore(src); err != nil {
+				t.Fatal(err)
+			}
 
 			// Sealed rows for the marker subject interleaved with others.
 			const markerRows = 40
@@ -168,6 +170,9 @@ func TestErasureLeavesDisk(t *testing.T) {
 			}
 			reopened, err := Open(Config{Dir: colDir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reopened.AttachStore(obstore.New()); err != nil {
 				t.Fatal(err)
 			}
 			if rows := reopened.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {

@@ -65,7 +65,9 @@ func (w *evictionWorld) open() {
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	cs.AttachStore(src)
+	if err := cs.AttachStore(src); err != nil {
+		w.t.Fatal(err)
+	}
 	w.src, w.cs = src, cs
 	// Retention rules are configuration, not data: reinstall them.
 	retainOn(src, evictionRetention...)
@@ -150,8 +152,8 @@ func (w *evictionWorld) check(rng *rand.Rand, step string) {
 		if got := normTimes(w.src.Query(f)); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			w.t.Fatalf("%s: filter %+v: Query returned %d rows, the twin %d", step, f, len(got), len(want))
 		}
-		if got := scanAll(w.cs, f); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-			w.t.Fatalf("%s: filter %+v: the tier's Scan visited %d rows, the twin has %d", step, f, len(got), len(want))
+		if got := scanAll(w.src, f); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			w.t.Fatalf("%s: filter %+v: Scan visited %d rows, the twin has %d", step, f, len(got), len(want))
 		}
 		fc := f
 		fc.Limit = 0
@@ -329,7 +331,9 @@ wait:
 	if err != nil {
 		t.Fatalf("columnar recovery: %v", err)
 	}
-	cs.AttachStore(src)
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
 	if cs.Watermark() == 0 {
 		t.Fatal("the commit the child announced is not in the manifest")
 	}
@@ -378,7 +382,9 @@ wait:
 	if cs, err = Open(Config{Dir: filepath.Join(dir, "col"), BucketDur: time.Minute, Clock: func() time.Time { return clock }}); err != nil {
 		t.Fatal(err)
 	}
-	cs.AttachStore(src)
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
 	verify("after a clean restart")
 }
 
@@ -400,7 +406,9 @@ func TestEvictionCrashHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.AttachStore(src)
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
 	round := 0
 	testHookAfterCommit = func() {
 		if round >= 4 {
@@ -428,21 +436,16 @@ func TestEvictionCrashHelper(t *testing.T) {
 	}
 }
 
-// TestMemoryTierOverDurableStoreKeepsRows: a tier with no directory
-// cannot be what a durable store's sealed rows rest on — the store's
-// checkpoint must keep writing them — so it attaches as a listener only
-// and nothing is evicted; a restart still holds every row.
-func TestMemoryTierOverDurableStoreKeepsRows(t *testing.T) {
-	dir := t.TempDir()
-	src, err := obstore.OpenDurable(obstore.DurableConfig{Dir: dir})
+// TestAttachStoreRefusesMemoryTierOverDurableStore: a tier with no
+// directory cannot hold a durable store's sealed rows — the store's
+// checkpoint stops writing what the tier takes over, so a restart would
+// lose them — so attaching one fails and leaves the store as it was.
+func TestAttachStoreRefusesMemoryTierOverDurableStore(t *testing.T) {
+	src, err := obstore.OpenDurable(obstore.DurableConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := Open(Config{BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.AttachStore(src)
+	defer src.Close()
 	const n = 90
 	for i := 0; i < n; i++ {
 		at := csNow.Add(-time.Duration(2+i%7) * time.Minute)
@@ -450,31 +453,18 @@ func TestMemoryTierOverDurableStoreKeepsRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sealed, err := cs.CompactOnce(); err != nil || sealed != n {
-		t.Fatalf("CompactOnce sealed %d rows (%v), want %d", sealed, err, n)
-	}
-	if src.Evicted() != 0 || src.Resident() != n {
-		t.Fatalf("a memory-only tier made a durable store evict: %d evicted, %d resident", src.Evicted(), src.Resident())
-	}
-	if got := len(cs.Query(obstore.Filter{})); got != n || src.Len() != n || cs.Count(obstore.Filter{UserID: "u1"}) != src.Count(obstore.Filter{UserID: "u1"}) {
-		t.Fatalf("unified view holds %d rows, store %d, want %d", got, src.Len(), n)
-	}
-	if st := cs.Stats(); st.ColdRows != n || st.HotRows != 0 {
-		t.Fatalf("stats report %d cold / %d hot rows, want %d / 0", st.ColdRows, st.HotRows, n)
-	}
-	if err := src.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := obstore.OpenDurable(obstore.DurableConfig{Dir: dir})
+	cs, err := Open(Config{BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reopened.Close()
-	if got := reopened.Len(); got != n {
-		t.Fatalf("after a restart the store holds %d rows, want %d: the tier's memory was all that had the rest", got, n)
+	if err := cs.AttachStore(src); err == nil {
+		t.Fatal("a memory-only tier attached to a durable store")
+	}
+	if sealed, err := cs.CompactOnce(); err != nil || sealed != 0 {
+		t.Fatalf("the refused tier sealed %d rows (%v)", sealed, err)
+	}
+	if src.Evicted() != 0 || src.Resident() != n || src.Len() != n {
+		t.Fatalf("after the refusal: %d evicted, %d resident, %d live; want 0, %d, %d", src.Evicted(), src.Resident(), src.Len(), n, n)
 	}
 }
 
@@ -522,7 +512,9 @@ func TestEvictionRacingReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.AttachStore(src)
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
 
 	const total = 6000
 	var appended atomic.Int64

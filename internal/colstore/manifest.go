@@ -18,6 +18,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/tippers/tippers/internal/wal"
 )
 
 const manifestName = "MANIFEST.json"
@@ -77,7 +79,7 @@ func writeManifest(dir string, st manifestState) error {
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return wal.SyncDir(dir)
 }
 
 // readManifest loads the manifest, returning the zero state when none
@@ -138,17 +140,5 @@ func sweepOrphans(dir string, live map[string]bool) error {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
-	return syncDir(dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return wal.SyncDir(dir)
 }

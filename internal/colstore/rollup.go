@@ -295,15 +295,15 @@ func (r *rollups) seal() {
 	r.rd.seal(end)
 }
 
-// rebuildAll recomputes both cubes from the unified scan, folding each
-// row as it is visited. Used when the tier first attaches to a store
-// that already holds data.
-func (r *rollups) rebuildAll() {
+// rebuildAll recomputes both cubes from the row store's unified scan,
+// folding each row as it is visited. Used when the tier first attaches
+// to a store that already holds data.
+func (r *rollups) rebuildAll(src *obstore.Store) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.resetLocked()
 	r.disabled = false
-	r.store.Scan(obstore.Filter{}, func(o *sensor.Observation) bool {
+	src.Scan(obstore.Filter{}, func(o *sensor.Observation) bool {
 		r.observeLocked(o, true, true)
 		return true
 	})
@@ -311,22 +311,22 @@ func (r *rollups) rebuildAll() {
 	r.checkCapLocked()
 }
 
-// repairLocked rebuilds every dirty bucket from the unified scan.
-// Caller holds r.mu; the scan takes only store locks, so the ordering
-// rollups.mu -> store.mu is safe (the reverse never occurs).
-func (r *rollups) repairLocked() {
+// repairLocked rebuilds every dirty bucket from the row store's unified
+// scan. Caller holds r.mu; the scan takes only store locks, so the
+// ordering rollups.mu -> store.mu is safe (the reverse never occurs).
+func (r *rollups) repairLocked(src *obstore.Store) {
 	if len(r.occ.dirty) == 0 && len(r.rd.dirty) == 0 {
 		// No repair, no version bump: reads must leave the version
 		// untouched or downstream answer caches could never validate.
 		return
 	}
-	repairCube(r, &r.occ, true)
-	repairCube(r, &r.rd, false)
+	repairCube(r, src, &r.occ, true)
+	repairCube(r, src, &r.rd, false)
 	r.version.Add(1)
 	r.checkCapLocked()
 }
 
-func repairCube[K comparable, C interface{ key() K }](r *rollups, c *cube[K, C], occ bool) {
+func repairCube[K comparable, C interface{ key() K }](r *rollups, src *obstore.Store, c *cube[K, C], occ bool) {
 	for start := range c.dirty {
 		if b := c.buckets[start]; b != nil {
 			c.n -= len(b.cells)
@@ -334,7 +334,7 @@ func repairCube[K comparable, C interface{ key() K }](r *rollups, c *cube[K, C],
 			delete(c.open, start)
 		}
 		from := time.Unix(0, start)
-		r.store.Scan(obstore.Filter{From: from, To: from.Add(c.width)}, func(o *sensor.Observation) bool {
+		src.Scan(obstore.Filter{From: from, To: from.Add(c.width)}, func(o *sensor.Observation) bool {
 			r.observeLocked(o, occ, !occ)
 			return true
 		})
@@ -348,8 +348,8 @@ func repairCube[K comparable, C interface{ key() K }](r *rollups, c *cube[K, C],
 func (s *Store) lockCubes() bool {
 	r := s.roll
 	r.mu.Lock()
-	if src, _ := s.source(); !r.disabled && src != nil {
-		r.repairLocked()
+	if src := s.source(); !r.disabled && src != nil {
+		r.repairLocked(src)
 		if !r.disabled {
 			return true
 		}
@@ -452,15 +452,9 @@ func (s *Store) VisitReadings(f obstore.Filter, visit func(ReadingEntry)) (versi
 }
 
 // OccupancyRollup collects VisitOccupancy over the whole building for
-// [from, to).
+// [from, to). It is kept for bench/replay.go; the node reads cells
+// through VisitOccupancy.
 func (s *Store) OccupancyRollup(from, to time.Time) (entries []OccEntry, version uint64, ok bool) {
 	version, ok = s.VisitOccupancy(obstore.Filter{From: from, To: to}, func(e OccEntry) { entries = append(entries, e) })
-	return entries, version, ok
-}
-
-// ReadingsRollup collects VisitReadings over the whole building for
-// [from, to).
-func (s *Store) ReadingsRollup(from, to time.Time) (entries []ReadingEntry, version uint64, ok bool) {
-	version, ok = s.VisitReadings(obstore.Filter{From: from, To: to}, func(e ReadingEntry) { entries = append(entries, e) })
 	return entries, version, ok
 }

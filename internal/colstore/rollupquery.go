@@ -72,7 +72,8 @@ func (s *Store) VisitRollup(f obstore.Filter, needSensor, needValue bool, visit 
 	return ok
 }
 
-// RollupFor collects VisitRollup's cells.
+// RollupFor collects VisitRollup's cells. It is kept for
+// bench/replay.go; the node reads cells through VisitRollup.
 func (s *Store) RollupFor(f obstore.Filter, needSensor, needValue bool) ([]RollupCell, bool) {
 	var cells []RollupCell
 	if !s.VisitRollup(f, needSensor, needValue, func(c RollupCell) { cells = append(cells, c) }) {

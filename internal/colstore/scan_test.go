@@ -110,9 +110,9 @@ func poisoning(visit func(*sensor.Observation) bool) func(*sensor.Observation) b
 	}
 }
 
-func scanAll(cs *Store, f obstore.Filter) []sensor.Observation {
+func scanAll(src *obstore.Store, f obstore.Filter) []sensor.Observation {
 	var out []sensor.Observation
-	cs.Scan(f, poisoning(func(o *sensor.Observation) bool {
+	src.Scan(f, poisoning(func(o *sensor.Observation) bool {
 		out = append(out, *o)
 		return true
 	}))
@@ -230,7 +230,7 @@ func TestScanMatchesQuery(t *testing.T) {
 			if twin := normTimes(m.twin.Query(f)); len(want)+len(twin) > 0 && !reflect.DeepEqual(want, twin) {
 				t.Fatalf("seed %d filter %+v: the segment oracle has %d rows, the never-evicted twin %d", seed, f, len(want), len(twin))
 			}
-			if got := scanAll(cs, f); !reflect.DeepEqual(got, want) {
+			if got := scanAll(m.src, f); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d filter %+v: Scan visited %d rows, oracle has %d", seed, f, len(got), len(want))
 			}
 			if got := cs.Query(f); !reflect.DeepEqual(got, want) {
@@ -238,14 +238,14 @@ func TestScanMatchesQuery(t *testing.T) {
 			}
 			fc := f
 			fc.Limit = 0
-			if got, want := cs.Count(fc), len(oracleQuery(cs, fc)); got != want {
+			if got, want := m.src.Count(fc), len(oracleQuery(cs, fc)); got != want {
 				t.Fatalf("seed %d filter %+v: Count = %d, oracle has %d", seed, fc, got, want)
 			}
 			// Early stop: a visitor that gives up after n rows saw the
 			// oracle's first n and was not called again.
 			if stop := rng.Intn(20); stop < len(want) {
 				var got []sensor.Observation
-				cs.Scan(f, func(o *sensor.Observation) bool {
+				m.src.Scan(f, func(o *sensor.Observation) bool {
 					got = append(got, *o)
 					return len(got) <= stop
 				})
@@ -262,9 +262,9 @@ func TestScanMatchesQuery(t *testing.T) {
 // keeps it is caught — under the poisoning wrapper every retained
 // pointer reads poison, never a believable row.
 func TestScanRetainedPointerIsPoisoned(t *testing.T) {
-	_, cs := scanWorld(t, rand.New(rand.NewSource(42)))
+	m, _ := scanWorld(t, rand.New(rand.NewSource(42)))
 	var kept []*sensor.Observation
-	cs.Scan(obstore.Filter{}, poisoning(func(o *sensor.Observation) bool {
+	m.src.Scan(obstore.Filter{}, poisoning(func(o *sensor.Observation) bool {
 		kept = append(kept, o)
 		return true
 	}))
@@ -338,7 +338,7 @@ func TestScanMatchesQueryConcurrent(t *testing.T) {
 	}()
 	for round := 0; round < 40; round++ {
 		var got []sensor.Observation
-		cs.Scan(obstore.Filter{UserID: "stable"}, poisoning(func(o *sensor.Observation) bool {
+		src.Scan(obstore.Filter{UserID: "stable"}, poisoning(func(o *sensor.Observation) bool {
 			got = append(got, *o)
 			_ = cs.Watermark() // re-enters s.mu: legal only because Scan holds no lock here
 			return true
@@ -373,8 +373,8 @@ func TestOccupancyVisitorMatchesRollup(t *testing.T) {
 	if !ok || len(allOcc) == 0 {
 		t.Fatal("occupancy cube unavailable")
 	}
-	allRd, _, ok := cs.ReadingsRollup(time.Time{}, time.Time{})
-	if !ok || len(allRd) == 0 {
+	var allRd []ReadingEntry
+	if _, ok := cs.VisitReadings(obstore.Filter{}, func(e ReadingEntry) { allRd = append(allRd, e) }); !ok || len(allRd) == 0 {
 		t.Fatal("readings cube unavailable")
 	}
 	inWindow := func(b time.Time, f obstore.Filter) bool {

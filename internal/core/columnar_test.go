@@ -2,26 +2,21 @@ package core
 
 import (
 	"context"
+	"io"
+	"io/fs"
+	"log/slog"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 )
-
-// twinFixtures builds two identically-populated nodes, one with the
-// columnar tier (the default) and one without, so tests can assert
-// the tier changes nothing about what is released.
-func twinFixtures(t *testing.T, ingest func(*fixture)) (withCol, rowOnly *fixture) {
-	t.Helper()
-	withCol = newFixture(t)
-	rowOnly = newFixtureWith(t, func(c *Config) { c.DisableColumnar = true })
-	ingest(withCol)
-	ingest(rowOnly)
-	return withCol, rowOnly
-}
 
 func occIngest(t *testing.T, f *fixture) {
 	t.Helper()
@@ -41,8 +36,12 @@ func occIngest(t *testing.T, f *fixture) {
 	}
 }
 
+// TestOccupancyRollupMatchesRowScan: what the node releases — from the
+// cubes where the window allows, from rows where it does not — is what
+// the materialising reference releases from a row scan of the same node.
 func TestOccupancyRollupMatchesRowScan(t *testing.T) {
-	withCol, rowOnly := twinFixtures(t, func(f *fixture) { occIngest(t, f) })
+	f := newFixture(t)
+	occIngest(t, f)
 
 	reqs := []enforce.Request{
 		{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
@@ -59,11 +58,11 @@ func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 	}
 	for i, req := range reqs {
 		for _, k := range []int{1, 2} {
-			got, err := withCol.bms.RequestOccupancy(req, k)
+			got, err := f.bms.RequestOccupancy(req, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := rowOnly.bms.RequestOccupancy(req, k)
+			want, _, err := referenceOccupancy(f.bms, req, k, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,28 +154,39 @@ func testOccupancyCacheInvalidation(t *testing.T, f *fixture) {
 }
 
 // TestQueryUsesRollups checks the ad-hoc query layer rides the same
-// cubes end to end through the BMS wiring, and that disabling the
-// tier changes results not at all.
+// cubes end to end through the BMS wiring, and that the same statement
+// compiled without the cubes scans rows to the same answer.
 func TestQueryUsesRollups(t *testing.T) {
-	withCol, rowOnly := twinFixtures(t, func(f *fixture) { occIngest(t, f) })
+	f := newFixture(t)
+	occIngest(t, f)
 
 	const sql = "SELECT space_id, COUNT(*) AS n, COUNT(DISTINCT user_id) AS u FROM observations GROUP BY space_id ORDER BY space_id"
-	got, err := withCol.bms.Query(context.Background(), conciergeRequester(), sql)
+	got, err := f.bms.Query(context.Background(), conciergeRequester(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Result.Stats.UsedRollup {
 		t.Error("columnar node answered from a row scan, want rollups")
 	}
-	want, err := rowOnly.bms.Query(context.Background(), conciergeRequester(), sql)
+	env := f.bms.queryEnv(context.Background())
+	env.Rollup = nil
+	stmt, err := query.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Result.Stats.UsedRollup {
-		t.Error("row-only node claims rollups")
+	plan, err := query.Compile(stmt, env, conciergeRequester())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Result.Rows, want.Result.Rows) {
-		t.Errorf("released rows diverge:\ncolumnar: %v\nrow-only: %v", got.Result.Rows, want.Result.Rows)
+	want, err := plan.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.UsedRollup {
+		t.Error("the statement compiled without Env.Rollup claims rollups")
+	}
+	if !reflect.DeepEqual(got.Result.Rows, want.Rows) {
+		t.Errorf("released rows diverge:\ncolumnar: %v\nrow scan: %v", got.Result.Rows, want.Rows)
 	}
 }
 
@@ -211,5 +221,96 @@ func TestCompactionDaemon(t *testing.T) {
 	}
 	if len(resp.Aggregates) != 1 || resp.Aggregates[0].Key != "dbh/2/r0" || resp.Aggregates[0].Count != 2 {
 		t.Fatalf("aggregates after compaction = %+v", resp.Aggregates)
+	}
+}
+
+// TestDurableStoreWithoutColumnarDir: a node over a durable store and
+// no ColumnarDir keeps its segments in <store dir>/colstore, so its
+// sealed rows live there alone — a compaction leaves the hot window
+// resident, the checkpoint holds the hot window only, and a restart
+// serves the same rows with nothing to compact again. A directory an
+// older node wrote with a WAL and no segments opens the same way and
+// serves its rows before and after its first compaction.
+func TestDurableStoreWithoutColumnarDir(t *testing.T) {
+	openStore := func(dir string) *obstore.Store {
+		t.Helper()
+		s, err := obstore.OpenDurable(obstore.DurableConfig{Dir: dir, SyncInterval: time.Hour,
+			Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	open := func(dir string) *fixture {
+		t.Helper()
+		return newFixtureWith(t, func(c *Config) { c.Store = openStore(dir) })
+	}
+	compact := func(f *fixture, want int) {
+		t.Helper()
+		if n, err := f.bms.Columnar().CompactOnce(); err != nil || n != want {
+			t.Fatalf("CompactOnce sealed %d rows (%v), want %d", n, err, want)
+		}
+	}
+
+	dir := t.TempDir()
+	f := open(dir)
+	occIngest(t, f) // nine rows in closed buckets
+	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil {
+		t.Fatal(err) // one in the open bucket: the hot window
+	}
+	want := f.bms.Store().Query(obstore.Filter{})
+	compact(f, 9)
+	if n := f.bms.Store().Resident(); n != 1 {
+		t.Fatalf("%d rows resident after the compaction, want the 1 in the open bucket", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "colstore", "MANIFEST.json")); err != nil {
+		t.Fatalf("no manifest under the store directory: %v", err)
+	}
+	if err := f.bms.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	f.bms.Close()
+	// The row store's directory alone recovers the hot window only.
+	alone := openStore(dir)
+	if got := alone.Query(obstore.Filter{}); !reflect.DeepEqual(got, want[len(want)-1:]) {
+		t.Fatalf("the checkpoint and WAL hold %d rows, want the hot window's 1", len(got))
+	}
+	alone.Close()
+	f = open(dir)
+	if got := f.bms.Store().Query(obstore.Filter{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a restart the node serves %d rows, want %d", len(got), len(want))
+	}
+	compact(f, 0)
+	if n := f.bms.Store().Resident(); n != 1 {
+		t.Fatalf("%d rows resident after the restart, want 1", n)
+	}
+
+	// A WAL-only directory: 128 live rows and no colstore/ beside them.
+	old := t.TempDir()
+	src := filepath.Join("..", "obstore", "testdata", "parent-dir")
+	if err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(old, path[len(src):])
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, raw, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f = open(old)
+	rows := f.bms.Store().Query(obstore.Filter{})
+	if len(rows) != 128 {
+		t.Fatalf("the WAL-only directory serves %d rows, want 128", len(rows))
+	}
+	compact(f, 128)
+	if got := f.bms.Store().Query(obstore.Filter{}); f.bms.Store().Resident() != 0 || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("after its first compaction: %d rows served, %d resident; want 128, 0", len(got), f.bms.Store().Resident())
 	}
 }

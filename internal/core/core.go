@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -86,9 +87,11 @@ type Config struct {
 	// StreamPolicy is the default backpressure policy for live
 	// streams (default stream.DropOldest).
 	StreamPolicy stream.Backpressure
-	// ColumnarDir is the directory the columnar tier persists sealed
-	// segments into; empty keeps the tier in memory (still compacted,
-	// still serving rollups, just not crash-durable).
+	// ColumnarDir is the directory the columnar tier — the store's cold
+	// tier: sealed segments behind the compaction watermark plus the
+	// rollup cubes — persists into. Empty means <store dir>/colstore for
+	// a durable Store and memory for an in-memory one, so the tier is
+	// always at least as durable as the rows it takes over.
 	ColumnarDir string
 	// ColumnarRollupMax caps the rollup cubes' total entry count
 	// (default colstore's 1M: ≈ 36 MB resident at ≈ 34 B a cell, about
@@ -96,9 +99,6 @@ type Config struct {
 	// so once in the log and on tippers_colstore_rollup_disabled, and
 	// readers fall back to scans. Raise it for dense multi-month datasets.
 	ColumnarRollupMax int
-	// DisableColumnar turns the columnar tier off entirely: queries
-	// scan the row store directly and no rollups are maintained.
-	DisableColumnar bool
 }
 
 // Stats counts pipeline outcomes for the experiments.
@@ -147,7 +147,7 @@ type BMS struct {
 	retainDone chan struct{}
 
 	// colstore is the columnar tier: sealed segments behind the row
-	// store's watermark plus the rollup cubes. nil when disabled.
+	// store's watermark plus the rollup cubes.
 	colstore *colstore.Store
 	occCache occupancyCache
 
@@ -214,23 +214,27 @@ func New(cfg Config) (*BMS, error) {
 		conflicts: make(map[conflictKey]reasoner.Conflict),
 		inbox:     make(map[string][]enforce.Notification),
 	}
-	if !cfg.DisableColumnar {
-		// The columnar tier rides the row store as a listener: closed
-		// buckets compact into immutable segments, and the rollup cubes
-		// stay in lockstep with ingest. Queries read through it (segments
-		// behind the watermark, the hot log ahead of it).
-		cs, err := colstore.Open(colstore.Config{
-			Dir:              cfg.ColumnarDir,
-			Clock:            cfg.Clock,
-			RollupMaxEntries: cfg.ColumnarRollupMax,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: opening columnar tier: %w", err)
-		}
-		cs.AttachStore(store)
-		cs.RegisterMetrics(reg)
-		b.colstore = cs
+	// The columnar tier is the row store's cold tier: closed buckets
+	// compact into immutable segments the store then evicts, and the
+	// rollup cubes stay in lockstep with ingest. Every read of the store
+	// covers both (segments behind the watermark, the hot log ahead).
+	colDir := cfg.ColumnarDir
+	if colDir == "" && store.Dir() != "" {
+		colDir = filepath.Join(store.Dir(), "colstore")
 	}
+	cs, err := colstore.Open(colstore.Config{
+		Dir:              colDir,
+		Clock:            cfg.Clock,
+		RollupMaxEntries: cfg.ColumnarRollupMax,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: opening columnar tier: %w", err)
+	}
+	if err := cs.AttachStore(store); err != nil {
+		return nil, fmt.Errorf("core: attaching columnar tier: %w", err)
+	}
+	cs.RegisterMetrics(reg)
+	b.colstore = cs
 	// Collaborators expose their internals on the same registry; an
 	// engine that can report (Compiled) joins in.
 	b.store.RegisterMetrics(reg)
@@ -298,8 +302,7 @@ func (b *BMS) Engine() enforce.Engine { return b.engine }
 // queries with resume cursors (see internal/stream).
 func (b *BMS) Streams() *stream.Hub { return b.streams }
 
-// Columnar returns the columnar storage tier, or nil when disabled
-// (Config.DisableColumnar).
+// Columnar returns the columnar storage tier.
 func (b *BMS) Columnar() *colstore.Store { return b.colstore }
 
 // Tracer returns the pipeline tracer (nil when tracing is disabled).
@@ -736,12 +739,8 @@ func (b *BMS) StopRetention() {
 
 // StartCompaction launches the columnar tier's background compactor:
 // every interval, closed time buckets behind the row store's head are
-// sealed into immutable segments. A no-op when the tier is disabled.
-// Stop with StopCompaction.
+// sealed into immutable segments. Stop with StopCompaction.
 func (b *BMS) StartCompaction(interval time.Duration) {
-	if b.colstore == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.compactStop != nil {

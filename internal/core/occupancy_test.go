@@ -30,29 +30,25 @@ import (
 // subject, decides each subject, copies every subject's observations
 // through enforce.ApplyDecision, concatenates the copies and counts
 // them with privacy.KAnonymousCounts. relObs is what the trace reports
-// as ObservationsReleased.
-func referenceOccupancy(b *BMS, req enforce.Request, minK int) (resp Response, relObs int, err error) {
+// as ObservationsReleased. cube=false reads rows even where the cube
+// could serve the filter.
+func referenceOccupancy(b *BMS, req enforce.Request, minK int, cube bool) (resp Response, relObs int, err error) {
 	if minK < 1 {
 		minK = 1
 	}
 	f := b.filterFor(req)
 	var obs []sensor.Observation
-	switch {
-	case b.colstore == nil:
-		obs = b.store.Query(f)
-	case cubeServable(f):
-		_, ok := b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) {
+	fromCube := false
+	if cube && cubeServable(f) {
+		_, fromCube = b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) {
 			if c.UserID == "" {
 				return
 			}
 			obs = append(obs, sensor.Observation{Seq: c.MinSeq, Kind: c.Kind, Time: c.Minute, SpaceID: c.SpaceID, UserID: c.UserID})
 		})
-		if ok {
-			break
-		}
-		fallthrough
-	default:
-		obs = b.colstore.Query(f)
+	}
+	if !fromCube {
+		obs = b.store.Query(f)
 	}
 	bySubject := make(map[string][]sensor.Observation)
 	for _, o := range obs {
@@ -128,7 +124,7 @@ const occTestUsers = 14
 // granularity cap (none, building, floor, room, exact), an aggregation
 // floor, or noise. Half the seeds also carry the emergency policy, so
 // the emergency requester's decisions override opt-outs and notify.
-func occWorld(t *testing.T, seed int64, adjust func(*Config)) (*fixture, *decideLog) {
+func occWorld(t *testing.T, seed int64) (*fixture, *decideLog) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	user := func(i int) string { return fmt.Sprintf("s%02d", i) }
@@ -144,7 +140,6 @@ func occWorld(t *testing.T, seed int64, adjust func(*Config)) (*fixture, *decide
 		dlog = &decideLog{calls: make(map[string]int), Engine: enforce.NewCompiled(enforce.Config{
 			Spaces: c.Spaces, Services: c.Services, DefaultAllow: c.DefaultAllow})}
 		c.Engine = dlog
-		adjust(c)
 	})
 	if rng.Intn(2) == 0 {
 		if err := f.bms.RegisterPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
@@ -215,14 +210,12 @@ func occRequests(seed int64) (reqs []enforce.Request, minKs []int) {
 
 // TestOccupancyStreamMatchesReference: over seeded scenarios the pair
 // pass releases, counts, records, notifies and decides exactly as the
-// materialising pipeline did — on the cube path, on the row fallback
-// and on a node without the columnar tier.
+// materialising pipeline did — on the cube path and on the row fallback.
 func TestOccupancyStreamMatchesReference(t *testing.T) {
 	var sawBlank, sawNone, sawFloorRaise, sawNotes, sawRows, sawCube bool
 	for seed := int64(1); seed <= 48; seed++ {
-		adjust := func(c *Config) { c.DisableColumnar = seed%6 == 0 }
-		got, gotLog := occWorld(t, seed, adjust)
-		want, wantLog := occWorld(t, seed, adjust)
+		got, gotLog := occWorld(t, seed)
+		want, wantLog := occWorld(t, seed)
 		reqs, minKs := occRequests(seed)
 		for i, req := range reqs {
 			name := fmt.Sprintf("seed %d req %d", seed, i)
@@ -232,7 +225,7 @@ func TestOccupancyStreamMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, wRel, err := referenceOccupancy(want.bms, req, minKs[i])
+			w, wRel, err := referenceOccupancy(want.bms, req, minKs[i], true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +254,7 @@ func TestOccupancyStreamMatchesReference(t *testing.T) {
 			sawNone = sawNone || g.SubjectsReleased > 0 && wRel == 0
 			sawFloorRaise = sawFloorRaise || g.Decision.Effective.MinAggregationK > minKs[i]
 			sawNotes = sawNotes || got.bms.met.notificationsSent.Value() > notes
-			fromCube := got.bms.colstore != nil && cubeServable(got.bms.filterFor(req))
+			fromCube := cubeServable(got.bms.filterFor(req))
 			sawCube, sawRows = sawCube || fromCube, sawRows || !fromCube
 		}
 	}

@@ -89,25 +89,16 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 // retained decision traces.
 func (b *BMS) queryEnv(ctx context.Context) query.Env {
 	return query.Env{
+		// The store's scan is the unified view: zone-map-pruned segments
+		// behind the watermark, the hot log ahead of it.
 		ScanEach: func(f obstore.Filter, visit func(*sensor.Observation) bool) {
-			n := 0
-			counted := func(o *sensor.Observation) bool {
-				n++
-				return visit(o)
-			}
-			// The columnar tier serves the unified view — zone-map-pruned
-			// segments behind the watermark, the hot log ahead of it; the
-			// plain store answers when the tier is disabled.
-			if b.colstore != nil {
-				_, qSpan := b.tracer.StartSpan(ctx, "colstore.query")
-				defer qSpan.End()
-				b.colstore.Scan(f, counted)
-				qSpan.SetAttrInt("observations", int64(n))
-				return
-			}
 			_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 			defer qSpan.End()
-			b.store.Scan(f, counted)
+			n := 0
+			b.store.Scan(f, func(o *sensor.Observation) bool {
+				n++
+				return visit(o)
+			})
 			qSpan.SetAttrInt("observations", int64(n))
 		},
 		Subtree: func(spaceID string) []string {
@@ -122,7 +113,7 @@ func (b *BMS) queryEnv(ctx context.Context) query.Env {
 		},
 		AuditRecords: b.auditRecords,
 		Now:          b.clock,
-		Rollup:       b.queryRollup(),
+		Rollup:       b.queryRollup,
 	}
 }
 

@@ -167,7 +167,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		cacheKey       string
 		epoch, rollVer uint64
 	)
-	if b.colstore != nil && req.SubjectID == "" && req.AfterSeq == 0 && req.Limit == 0 {
+	if req.SubjectID == "" && req.AfterSeq == 0 && req.Limit == 0 {
 		cacheKey = occCacheKey(req, minK)
 		epoch, rollVer = b.engine.Epoch(), b.colstore.RollupVersion()
 		if a, ok := b.occCache.get(cacheKey, epoch, rollVer); ok {

@@ -12,8 +12,9 @@ import (
 // observations, prune ratios, rollup state) plus every sealed
 // segment's zone-map summary.
 type SegmentsDTO struct {
-	// Enabled is false when the node runs without a columnar tier;
-	// the remaining fields are then zero.
+	// Enabled is always true: every node runs the columnar tier. The
+	// field stays on the wire for clients that read it. Segments is
+	// never null.
 	Enabled  bool                   `json:"enabled"`
 	Stats    colstore.TierStats     `json:"stats"`
 	Segments []colstore.SegmentInfo `json:"segments"`
@@ -26,15 +27,7 @@ type SegmentsDTO struct {
 // enforcement would gate.
 func (s *Server) handleSegments(w http.ResponseWriter, req *http.Request) {
 	cs := s.bms.Columnar()
-	if cs == nil {
-		writeJSON(w, http.StatusOK, SegmentsDTO{Enabled: false, Segments: []colstore.SegmentInfo{}})
-		return
-	}
-	segs := cs.Segments()
-	if segs == nil {
-		segs = []colstore.SegmentInfo{}
-	}
-	writeJSON(w, http.StatusOK, SegmentsDTO{Enabled: true, Stats: cs.Stats(), Segments: segs})
+	writeJSON(w, http.StatusOK, SegmentsDTO{Enabled: true, Stats: cs.Stats(), Segments: cs.Segments()})
 }
 
 // Segments fetches the columnar tier's segment inventory and stats.

@@ -168,6 +168,10 @@ func (s *Store) WAL() *wal.Log {
 	return s.wal
 }
 
+// Dir returns the directory the store was opened in with OpenDurable,
+// or "" for an in-memory store. It is fixed before the store is shared.
+func (s *Store) Dir() string { return s.walDir }
+
 // insertRecovered decodes one recovered record and appends it to the
 // log. Checkpoint restore and WAL replay use it, single-threaded inside
 // OpenDurable, which sets the seq counter when both are done; both
@@ -248,13 +252,7 @@ func (s *Store) writeCheckpointFile(path string) (uint64, error) {
 	}
 	// The rename is durable only once the directory is: until then
 	// Checkpoint must fail and leave the WAL untruncated.
-	d, err := os.Open(dir)
-	if err != nil {
-		return 0, fmt.Errorf("obstore: checkpoint dir sync: %w", err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
+	if err := wal.SyncDir(dir); err != nil {
 		return 0, fmt.Errorf("obstore: checkpoint dir sync: %w", err)
 	}
 	return hwm, nil

@@ -143,7 +143,7 @@ type Store struct {
 	// mu is the append lock: seq allocation, the WAL append and the log
 	// append share it, and a rebuild (Sweep, DeleteUser, EvictThrough)
 	// holds it from reading the old log to publishing the new one. It
-	// also guards wal, walDir and encBuf. wal.Append may fsync inline,
+	// also guards wal and encBuf. wal.Append may fsync inline,
 	// so readers never take it.
 	mu sync.Mutex
 	// hotMu guards hot and the log's growth; readers hold it only to cut

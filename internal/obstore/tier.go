@@ -4,9 +4,8 @@ package obstore
 // the log is the hot window only: the tier owns every observation at
 // or below its watermark, the log answers for what is above it, and
 // every reader of the Store — Scan, Query, Count, Len, Users, Sweep,
-// DeleteUser — gets the union. Without one (tests, the columnar tier
-// disabled, a memory-only tier over a durable store) the log keeps
-// everything.
+// DeleteUser — gets the union. Without one (a bare store, as in tests)
+// the log keeps everything.
 //
 // Visibility is decided by the watermark, never by whether a row has
 // been physically evicted yet: a read takes its split point from the
@@ -45,7 +44,8 @@ type ColdTier interface {
 // the tier had already sealed. Attach before concurrent traffic, and
 // only a tier at least as durable as the store — Checkpoint writes
 // what the log holds, so rows evicted on behalf of a memory-only tier
-// would be lost at the next restart.
+// would be lost at the next restart (colstore.AttachStore refuses that
+// pairing).
 func (s *Store) AttachTier(t ColdTier) {
 	s.SetListener(t)
 	s.tier.Store(&t)

@@ -117,7 +117,9 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs.AttachStore(src)
+			if err := cs.AttachStore(src); err != nil {
+				t.Fatal(err)
+			}
 
 			spaces := []string{"A/1", "A/2", "B/1", "B/2"}
 			appendRandom := func(n int) {

@@ -301,6 +301,14 @@ func TestDisconnectPolicyThenResume(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.ingest(t, "mary", i)
 	}
+	// The hub disconnects the subscription when it offers the third
+	// event to the full ring. A read before that would free ring space
+	// and race the offer, so wait for the disconnect first.
+	select {
+	case <-sub.done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the hub never disconnected the slow subscription")
+	}
 
 	// The buffered prefix stays readable; then the subscription
 	// reports why it died.

@@ -553,9 +553,9 @@ func (l *Log) openSegmentLocked(base uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	if err := syncDir(l.opts.Dir); err != nil {
+	if err := SyncDir(l.opts.Dir); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("wal: dir sync: %w", err)
 	}
 	l.active = &segment{base: base, path: path}
 	l.f = f
@@ -592,8 +592,8 @@ func (l *Log) DeleteSealed(base uint64, reason string) error {
 		if err := os.Remove(s.path); err != nil {
 			return fmt.Errorf("wal: deleting segment: %w", err)
 		}
-		if err := syncDir(l.opts.Dir); err != nil {
-			return err
+		if err := SyncDir(l.opts.Dir); err != nil {
+			return fmt.Errorf("wal: dir sync: %w", err)
 		}
 		l.sealed = append(l.sealed[:i], l.sealed[i+1:]...)
 		if c, ok := l.segmentsDeleted[reason]; ok {
@@ -838,16 +838,18 @@ func (l *Log) RegisterMetrics(r *telemetry.Registry) {
 	})
 }
 
-// syncDir fsyncs a directory so segment create/delete survives a
-// crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a file created, renamed or removed in
+// it survives a crash. It is the one directory fsync of the WAL, the
+// store's checkpoint and the columnar tier's manifest; each caller wraps
+// the error with its own context.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("wal: opening dir for sync: %w", err)
+		return err
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: dir sync: %w", err)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }

@@ -306,8 +306,8 @@ type DeploymentConfig struct {
 	// its trace ID as an exemplar; zero disables the slow-request
 	// log.
 	TraceSlow time.Duration
-	// ColumnarDir is the columnar tier's segment directory; empty
-	// keeps sealed segments in memory only.
+	// ColumnarDir is the columnar tier's segment directory. Empty means
+	// <store dir>/colstore for a durable Store and memory otherwise.
 	ColumnarDir string
 	// CompactInterval starts the background compactor at this period
 	// (zero leaves compaction to explicit CompactOnce calls).
@@ -316,8 +316,6 @@ type DeploymentConfig struct {
 	// 1M, ≈ 36 MB resident); past it the cubes shut down and readers
 	// fall back to scans.
 	ColumnarRollupMax int
-	// DisableColumnar turns the columnar tier off entirely.
-	DisableColumnar bool
 	// SLOInterval starts a continuous SLO evaluator at this period
 	// over the BMS metrics registry (zero disables it). The evaluator
 	// serves GET /v1/slo on APIHandler.
@@ -412,7 +410,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 
 		ColumnarDir:       cfg.ColumnarDir,
 		ColumnarRollupMax: cfg.ColumnarRollupMax,
-		DisableColumnar:   cfg.DisableColumnar,
 	})
 	if err != nil {
 		return nil, err

@@ -39,15 +39,18 @@ go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 echo "== stream + bus + obstore hot log + telemetry tracing (repeated, race) =="
 go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/... ./internal/telemetry/...
 
+echo "== stream disconnect-then-resume + sharded resume splice under concurrent ingest (200x, race) =="
+go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestShardedResumeSpliceUnderConcurrentIngest$' ./internal/stream/
+
 echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint (repeated, race) =="
-go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestMemoryTierOverDurableStoreKeepsRows|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable' ./internal/colstore/...
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable' ./internal/colstore/...
 
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request + durable store with the default columnar directory (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir' ./internal/core/...
 
 echo "== micro-benchmark count gate (four benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
