@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e1|e2|e3|e4|e5|e6|strategies|audit|e8|e11|e12]
+//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e4|e5|e6|strategies|audit|e8|e11|e12]
 package main
 
 import (
@@ -34,9 +34,6 @@ func main() {
 		{"fig4", "Figure 4 — privacy settings JSON", runFig4},
 		{"policies", "Policies 1-4 as enforceable rules", runPolicies},
 		{"preferences", "Preferences 1-4 enforcement outcomes", runPreferences},
-		{"e1", "E1 — enforcement latency vs scale", runE1},
-		{"e2", "E2 — naive vs indexed ablation", runE2},
-		{"e3", "E3 — conflict detection cost", runE3},
 		{"e4", "E4 — IoTA notification & learning", runE4},
 		{"e5", "E5 — inference attacks vs enforcement", runE5},
 		{"e6", "E6 — storage growth under retention", runE6},

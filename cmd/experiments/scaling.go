@@ -5,152 +5,12 @@ import (
 	"log"
 	"time"
 
-	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/iota"
 	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
-	"github.com/tippers/tippers/internal/reasoner"
-	"github.com/tippers/tippers/internal/service"
 	"github.com/tippers/tippers/internal/sim"
 )
-
-// buildEngines creates a matched engine set — naive scan, compiled
-// without its memo, and compiled with the memo — loaded with the
-// synthetic workload for `users` occupants.
-func buildEngines(users int, seed int64) (naive, compiled enforce.Engine, memo *enforce.Compiled, reqs []enforce.Request, prefCount int) {
-	building, err := sim.SmallDBH().Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	dir := sim.GeneratePopulation(building, users, sim.CampusMix(), seed)
-	services := service.NewRegistry()
-	services.MustRegister(service.Concierge())
-	services.MustRegister(service.SmartMeeting())
-
-	cfg := enforce.Config{Spaces: building.Spaces, Services: services, DefaultAllow: true}
-	n := enforce.NewNaive(cfg)
-	x := enforce.NewCompiledMemo(cfg, -1)
-	m := enforce.NewCompiled(cfg)
-
-	prefs := sim.GeneratePreferences(building, dir, []string{"concierge", "smart-meeting"},
-		sim.DefaultPreferenceWorkload(seed))
-	for _, p := range prefs {
-		for _, e := range []enforce.Engine{n, x, m} {
-			if err := e.AddPreference(p); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	bp := policy.Policy2EmergencyLocation(building.Spec.ID)
-	for _, e := range []enforce.Engine{n, x, m} {
-		if err := e.AddPolicy(bp); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	reqs = sim.GenerateRequests(building, dir, []string{"concierge", "smart-meeting"}, simDay,
-		sim.RequestWorkload{N: 2000, Seed: seed + 1, EmergencyFraction: 0.05})
-	return n, x, m, reqs, len(prefs)
-}
-
-func timeDecides(e enforce.Engine, reqs []enforce.Request) (perOp time.Duration, consulted float64) {
-	start := time.Now()
-	var totalConsulted int
-	for _, r := range reqs {
-		d := e.Decide(r, nil)
-		totalConsulted += d.PreferencesConsulted
-	}
-	elapsed := time.Since(start)
-	return elapsed / time.Duration(len(reqs)), float64(totalConsulted) / float64(len(reqs))
-}
-
-// runE1: enforcement latency as users (and thus total preferences)
-// grow, on the optimized engine.
-func runE1() {
-	fmt.Println("query-time enforcement latency (compiled engine, memo off), 2000-request workload")
-	fmt.Printf("%8s %12s %14s %18s\n", "users", "prefs", "ns/decide", "prefs consulted/op")
-	for _, users := range []int{10, 100, 1000, 5000} {
-		_, compiled, _, reqs, prefCount := buildEngines(users, 2017)
-		perOp, consulted := timeDecides(compiled, reqs)
-		fmt.Printf("%8d %12d %14d %18.1f\n", users, prefCount, perOp.Nanoseconds(), consulted)
-	}
-	fmt.Println("\nshape: per-request cost stays flat as the building's total rule count")
-	fmt.Println("grows, because the index touches only the subject's own rules (§V.C).")
-}
-
-// runE2: the ablation — naive linear scan vs compiled matching vs
-// compiled matching + decision memo.
-func runE2() {
-	fmt.Println("naive vs compiled vs compiled+memo enforcement, 2000-request workload")
-	fmt.Printf("%8s %8s | %12s %10s | %12s %10s | %12s %10s %8s\n",
-		"users", "prefs", "naive ns/op", "consulted", "compiled ns/op", "consulted", "memo ns/op", "hit rate", "speedup")
-	for _, users := range []int{10, 100, 1000, 5000} {
-		// The memo arm is its own freshly loaded engine; the workload
-		// repeats each request several times (a polling service), where
-		// memoization earns its keep.
-		naive, compiled, memo, reqs, prefCount := buildEngines(users, 2017)
-		var repeated []enforce.Request
-		for _, r := range reqs[:400] {
-			for k := 0; k < 5; k++ {
-				repeated = append(repeated, r)
-			}
-		}
-
-		nOp, nCons := timeDecides(naive, repeated)
-		xOp, xCons := timeDecides(compiled, repeated)
-		cOp, _ := timeDecides(memo, repeated)
-		hits, misses := memo.Stats()
-		hitRate := float64(hits) / float64(hits+misses)
-		fmt.Printf("%8d %8d | %12d %10.1f | %12d %10.1f | %12d %9.0f%% %7.1fx\n",
-			users, prefCount, nOp.Nanoseconds(), nCons, xOp.Nanoseconds(), xCons,
-			cOp.Nanoseconds(), hitRate*100, float64(nOp)/float64(cOp))
-	}
-	fmt.Println("\nshape: naive cost grows linearly with total preferences; compiled stays")
-	fmt.Println("near-constant; the decision memo removes even the residual matching")
-	fmt.Println("cost on repetitive (polling) workloads.")
-}
-
-// runE3: conflict-detection cost and yield as rule sets grow.
-func runE3() {
-	building, err := sim.SmallDBH().Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	r := reasoner.New(building.Spaces, reasoner.MostRestrictive)
-	pols := []policy.BuildingPolicy{
-		policy.Policy2EmergencyLocation(building.Spec.ID),
-		policy.Policy1Comfort(building.Spec.ID, 70),
-	}
-	fmt.Println("conflict detection over growing preference sets")
-	fmt.Printf("%8s %12s %12s %14s %18s\n", "users", "prefs", "conflicts", "ms/detect", "µs/install (delta)")
-	for _, users := range []int{10, 100, 500, 1000} {
-		dir := sim.GeneratePopulation(building, users, sim.CampusMix(), 3)
-		prefs := sim.GeneratePreferences(building, dir, []string{"concierge"}, sim.DefaultPreferenceWorkload(5))
-		start := time.Now()
-		conflicts := r.Detect(pols, prefs)
-		elapsed := time.Since(start)
-		// What a running node pays instead: each install checked against
-		// the policies and its owner's rules so far. The deltas add up to
-		// the same conflicts.
-		owned := make(map[string][]policy.Preference, users)
-		derived := 0
-		start = time.Now()
-		for _, p := range prefs {
-			owned[p.UserID] = append(owned[p.UserID], p)
-			derived += len(r.DetectPreference(p, pols, owned[p.UserID]))
-		}
-		perInstall := time.Since(start) / time.Duration(len(prefs))
-		if derived != len(conflicts) {
-			log.Fatalf("e3: %d conflicts by delta, %d by full pass", derived, len(conflicts))
-		}
-		fmt.Printf("%8d %12d %12d %14.2f %18.2f\n", users, len(prefs), len(conflicts),
-			float64(elapsed.Microseconds())/1000, float64(perInstall.Nanoseconds())/1000)
-	}
-	fmt.Println("\nshape: a full pass is dominated by same-user preference pairs (quadratic")
-	fmt.Println("per user, linear across users) plus policy×preference checks (linear); one")
-	fmt.Println("install by delta costs its owner's rules and the policies, flat in users.")
-}
 
 // runE4: notification fatigue control and the preference model's
 // learning curve.

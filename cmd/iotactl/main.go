@@ -292,7 +292,7 @@ func main() {
 		if st.RollupDisabled {
 			rollups = "disabled (passed the entry cap; aggregates are served by scans)"
 		}
-		fmt.Printf("rollups: %s; tombstones: %d seq, %d user\n", rollups, st.SeqTombstones, st.UserTombstones)
+		fmt.Printf("rollups: %s; tombstones: %d\n", rollups, st.SeqTombstones)
 		if len(dto.Segments) > 0 {
 			fmt.Printf("%-6s %-20s %8s %10s %14s %-8s %-8s %-8s\n",
 				"id", "bucket", "rows", "bytes", "seqs", "sensors", "spaces", "users")

@@ -83,14 +83,17 @@ func (c *Controller) Occupied(roomID string, now time.Time) bool {
 	for _, kind := range []sensor.ObservationKind{
 		sensor.ObsMotionEvent, sensor.ObsWiFiConnect, sensor.ObsBLESighting,
 	} {
-		obs := c.Store.Query(obstore.Filter{
+		found := false
+		c.Store.Scan(obstore.Filter{
 			Kind:     kind,
 			SpaceIDs: []string{roomID},
 			From:     from,
 			To:       now.Add(time.Nanosecond),
-			Limit:    1,
+		}, func(*sensor.Observation) bool {
+			found = true
+			return false
 		})
-		if len(obs) > 0 {
+		if found {
 			return true
 		}
 	}
@@ -99,17 +102,17 @@ func (c *Controller) Occupied(roomID string, now time.Time) bool {
 
 // RoomTemperature returns the latest temperature reading in the room
 // within the last hour (step ii). ok is false when no reading exists.
-func (c *Controller) RoomTemperature(roomID string, now time.Time) (float64, bool) {
-	obs := c.Store.Query(obstore.Filter{
+func (c *Controller) RoomTemperature(roomID string, now time.Time) (temp float64, ok bool) {
+	c.Store.Scan(obstore.Filter{
 		Kind:     sensor.ObsTempReading,
 		SpaceIDs: []string{roomID},
 		From:     now.Add(-time.Hour),
 		To:       now.Add(time.Nanosecond),
+	}, func(o *sensor.Observation) bool {
+		temp, ok = o.Value, true
+		return true
 	})
-	if len(obs) == 0 {
-		return 0, false
-	}
-	return obs[len(obs)-1].Value, true
+	return temp, ok
 }
 
 // Execute runs one automation policy (step iii): every HVAC unit in

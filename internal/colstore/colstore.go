@@ -82,12 +82,11 @@ type Store struct {
 	// lives in segments; everything above is the row store's tail.
 	wm     uint64
 	nextID uint64
-	// seqTomb / userTomb are erasure tombstones: rows already sealed
-	// into segments that retention or GDPR erasure has since deleted.
-	// Reads filter them immediately; the next compaction rewrites the
-	// affected segments so the bytes leave disk too.
-	seqTomb  map[uint64]struct{}
-	userTomb map[string]struct{}
+	// seqTomb holds the tombstones: rows already sealed into segments
+	// that retention or erasure has since deleted, one seq each. Reads
+	// filter them immediately; the next compaction rewrites the affected
+	// segments so the bytes leave disk too.
+	seqTomb map[uint64]struct{}
 	// compactingUpTo widens the tombstone-recording window while a
 	// compaction is in flight: it is set to ^uint64(0) before the
 	// compactor snapshots the row store and cleared on every exit, so
@@ -148,11 +147,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.RollupMaxEntries <= 0 {
 		cfg.RollupMaxEntries = 1 << 20
 	}
-	s := &Store{
-		cfg:      cfg,
-		seqTomb:  make(map[uint64]struct{}),
-		userTomb: make(map[string]struct{}),
-	}
+	s := &Store{cfg: cfg, seqTomb: make(map[uint64]struct{})}
 	s.roll = newRollups(s, cfg.RollupMaxEntries)
 	if cfg.Dir == "" {
 		return s, nil
@@ -192,11 +187,11 @@ func Open(cfg Config) (*Store, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq < segs[j].minSeq })
 	s.wm = st.Watermark
 	s.nextID = st.NextID
+	// A manifest may still list user tombstones, from a build that kept
+	// them beside the seq tombstones; every row they condemned has a seq
+	// tombstone too, so they are ignored.
 	for _, seq := range st.SeqTombstones {
 		s.seqTomb[seq] = struct{}{}
-	}
-	for _, u := range st.UserTombstones {
-		s.userTomb[u] = struct{}{}
 	}
 	s.installSegsLocked(segs)
 	return s, nil
@@ -214,8 +209,6 @@ func (s *Store) installSegsLocked(segs []*segment) {
 		s.span = max(s.span, sg.maxTime-sg.minTime)
 		s.live += sg.rows()
 	}
-	// Every condemned row has a seq tombstone (a user tombstone only ever
-	// arrives with one per row), so those are what the count subtracts.
 	// Tombstones outlive a commit only when a deletion raced it.
 	for seq := range s.seqTomb {
 		if sealedIn(segs, seq) {
@@ -335,12 +328,6 @@ func (s *Store) ObservationsDeleted(dels []obstore.Deletion) {
 				}
 			}
 		}
-		if d.Erased && d.UserID != "" {
-			if _, ok := s.userTomb[d.UserID]; !ok {
-				s.userTomb[d.UserID] = struct{}{}
-				changed = true
-			}
-		}
 	}
 	durable := changed && s.cfg.Dir != ""
 	s.mu.Unlock()
@@ -396,10 +383,6 @@ func (s *Store) manifestSnapshotLocked() manifestState {
 		st.SeqTombstones = append(st.SeqTombstones, seq)
 	}
 	sort.Slice(st.SeqTombstones, func(i, j int) bool { return st.SeqTombstones[i] < st.SeqTombstones[j] })
-	for u := range s.userTomb {
-		st.UserTombstones = append(st.UserTombstones, u)
-	}
-	sort.Strings(st.UserTombstones)
 	return st
 }
 
@@ -421,7 +404,7 @@ func (s *Store) CompactOnce() (int, error) {
 	wm := s.wm
 	nextID := s.nextID
 	oldSegs := append([]*segment(nil), s.segs...)
-	seqTombSnap, userTombSnap := copySet(s.seqTomb), copySet(s.userTomb)
+	seqTombSnap := copySet(s.seqTomb)
 	// Widen the tombstone-recording window BEFORE snapshotting the
 	// store below: a deletion that fires between the snapshot and the
 	// commit would otherwise compare against the old watermark, record
@@ -469,8 +452,7 @@ func (s *Store) CompactOnce() (int, error) {
 		}
 	}
 
-	tombWork := tombstonesTouch(oldSegs, seqTombSnap, userTombSnap)
-	if sealed == 0 && !tombWork {
+	if sealed == 0 && !tombstonesTouch(oldSegs, seqTombSnap) {
 		s.clearCompacting()
 		// Idle passes double as the retry point for tombstones whose
 		// manifest write failed in ObservationsDeleted.
@@ -500,19 +482,15 @@ func (s *Store) CompactOnce() (int, error) {
 	var keep, rewritten []*segment
 	var dropped []*segment
 	for _, sg := range oldSegs {
-		if !segmentTouched(sg, seqTombSnap, userTombSnap) {
+		if !segmentTouched(sg, seqTombSnap) {
 			keep = append(keep, sg)
 			continue
 		}
 		var surviving []sensor.Observation
 		for i := 0; i < sg.rows(); i++ {
-			if _, dead := seqTombSnap[sg.seqs[i]]; dead {
-				continue
+			if _, dead := seqTombSnap[sg.seqs[i]]; !dead {
+				surviving = append(surviving, sg.row(i))
 			}
-			if _, dead := userTombSnap[sg.users.at(i)]; dead {
-				continue
-			}
-			surviving = append(surviving, sg.row(i))
 		}
 		dropped = append(dropped, sg)
 		if len(surviving) == 0 {
@@ -566,9 +544,6 @@ func (s *Store) CompactOnce() (int, error) {
 			delete(s.seqTomb, seq)
 		}
 	}
-	for u := range userTombSnap {
-		delete(s.userTomb, u)
-	}
 	s.installSegsLocked(newSegs)
 	s.compactingUpTo = 0
 	st := s.manifestSnapshotLocked()
@@ -610,21 +585,11 @@ func (s *Store) clearCompacting() {
 	s.mu.Unlock()
 }
 
-func tombstonesTouch(segs []*segment, seqTomb map[uint64]struct{}, userTomb map[string]struct{}) bool {
-	for _, sg := range segs {
-		if segmentTouched(sg, seqTomb, userTomb) {
-			return true
-		}
-	}
-	return false
+func tombstonesTouch(segs []*segment, seqTomb map[uint64]struct{}) bool {
+	return slices.ContainsFunc(segs, func(sg *segment) bool { return segmentTouched(sg, seqTomb) })
 }
 
-func segmentTouched(sg *segment, seqTomb map[uint64]struct{}, userTomb map[string]struct{}) bool {
-	for u := range userTomb {
-		if sg.users.has(u) {
-			return true
-		}
-	}
+func segmentTouched(sg *segment, seqTomb map[uint64]struct{}) bool {
 	for seq := range seqTomb {
 		if seq >= sg.minSeq && seq <= sg.maxSeq {
 			return true
@@ -634,8 +599,8 @@ func segmentTouched(sg *segment, seqTomb map[uint64]struct{}, userTomb map[strin
 }
 
 // Query is the attached row store's Query, which reads the segments
-// through ScanCold. It is kept for bench/replay.go; the node reads
-// through the row store.
+// through ScanCold. It is kept for bench/replay.go and tests only; the
+// node reads through the row store's Scan.
 func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source().Query(f) }
 
 // ScanCold implements obstore.ColdTier and is the one segment walk:
@@ -656,12 +621,11 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 	s.mu.RLock()
 	segs, byTime, span, wm := s.segs, s.byTime, s.span, s.wm
 	var seqTomb map[uint64]struct{}
-	var userTomb map[string]struct{}
 	if f.AfterSeq < wm {
-		// The tombstone maps are mutated in place; the walk runs
-		// outside the lock, so it reads private copies (empty but for
-		// the window between an erasure and the next compaction).
-		seqTomb, userTomb = copySet(s.seqTomb), copySet(s.userTomb)
+		// The tombstone map is mutated in place; the walk runs outside
+		// the lock, so it reads a private copy (empty but for the window
+		// between a deletion and the next compaction).
+		seqTomb = copySet(s.seqTomb)
 	}
 	s.mu.RUnlock()
 
@@ -717,7 +681,7 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 			}
 		}
 		for next < len(cands) && (best < 0 || cands[next].minSeq < active[best].seq()) {
-			c := openCursor(cands[next], f, spaceSet, seqTomb, userTomb)
+			c := openCursor(cands[next], f, spaceSet, seqTomb)
 			next++
 			if c.advance() {
 				active = append(active, c)
@@ -804,7 +768,6 @@ type TierStats struct {
 	SegmentsRead   uint64  `json:"segments_read"`
 	PruneRatio     float64 `json:"prune_ratio"`
 	SeqTombstones  int     `json:"seq_tombstones"`
-	UserTombstones int     `json:"user_tombstones"`
 	RollupEntries  int     `json:"rollup_entries"`
 	// RollupBytes estimates the cubes' resident cells, indexes and names.
 	RollupBytes    int64   `json:"rollup_bytes"`
@@ -839,11 +802,10 @@ func (s *Store) Segments() []SegmentInfo {
 func (s *Store) Stats() TierStats {
 	s.mu.RLock()
 	ts := TierStats{
-		Segments:       len(s.segs),
-		ColdRows:       s.live,
-		Watermark:      s.wm,
-		SeqTombstones:  len(s.seqTomb),
-		UserTombstones: len(s.userTomb),
+		Segments:      len(s.segs),
+		ColdRows:      s.live,
+		Watermark:     s.wm,
+		SeqTombstones: len(s.seqTomb),
 	}
 	for _, sg := range s.segs {
 		ts.Rows += sg.rows()

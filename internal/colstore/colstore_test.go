@@ -194,7 +194,7 @@ func TestUnifiedQueryMatchesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after tombstone rewrite")
-	if st := cs.Stats(); st.SeqTombstones != 0 || st.UserTombstones != 0 {
+	if st := cs.Stats(); st.SeqTombstones != 0 {
 		t.Fatalf("tombstones not retired by rewrite: %+v", st)
 	}
 
@@ -323,7 +323,7 @@ func TestRollupsMatchGroundTruth(t *testing.T) {
 	verify("after compaction")
 
 	// Deletion dirties buckets; the next read self-repairs.
-	src.DeleteUser("u2")
+	src.DeleteUser("u2", nil)
 	for k := range want {
 		if k.user == "u2" {
 			delete(want, k)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,9 +23,8 @@ import (
 
 // Regression for the Sweep ↔ CompactOnce race: a retention deletion
 // that fires after the compactor snapshots the row store but before
-// it commits carries Erased=false (so no user tombstone applies), and
-// its seq is above the old watermark — it must still land as a seq
-// tombstone, or the expired row is sealed into a segment while its
+// it commits has a seq above the old watermark — it must still land as
+// a seq tombstone, or the expired row is sealed into a segment while its
 // row store copy is already gone and gets served forever.
 func TestSweepRacingCompactionBecomesTombstone(t *testing.T) {
 	src, cs := newPair(t, "")
@@ -89,7 +89,7 @@ func TestErasureLeavesDisk(t *testing.T) {
 		name   string
 		remove func(src *obstore.Store) int
 	}{
-		{"forgotten", func(src *obstore.Store) int { return src.DeleteUser(marker) }},
+		{"forgotten", func(src *obstore.Store) int { return src.DeleteUser(marker, nil) }},
 		{"expired", func(src *obstore.Store) int {
 			// The marker's readings are the only rows on this rule.
 			src.AddRetentionRule(obstore.RetentionRule{Kind: sensor.ObsPowerReading, TTL: isodur.MustParse("PT1M")})
@@ -201,6 +201,77 @@ func TestErasureLeavesDisk(t *testing.T) {
 				t.Fatalf("rewrite lost bystander rows: %d read, Len %d, want %d", got, src.Len(), 120-markerRows)
 			}
 		})
+	}
+}
+
+// parentTierRow is the i-th row of testdata/parent-tier, written by a
+// build that kept a user tombstone beside the seq tombstones: rows
+// 0..59 sealed by one compaction, then DeleteUser("erased") left 15 seq
+// tombstones and one user tombstone in the manifest, not yet rewritten.
+func parentTierRow(i int) sensor.Observation {
+	o := obsAt(fmt.Sprintf("ap-%d", i%3), fmt.Sprintf("s%d", i%4),
+		[]string{"", "mary", "bob", "erased"}[i%4], sensor.ObsWiFiConnect,
+		csNow.Add(-time.Duration(2+i%5)*time.Minute).Add(time.Duration(i)*time.Second), float64(i))
+	if i%2 == 1 {
+		o.Kind = sensor.ObsBLESighting
+	}
+	o.Seq = uint64(i + 1)
+	return o
+}
+
+// TestOpenParentWrittenTier: a manifest that still lists a user
+// tombstone opens. Its seq tombstones alone hide the same rows, the
+// tier counts the same live rows, and the next compaction rewrites the
+// subject off disk.
+func TestOpenParentWrittenTier(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent-tier")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !dirContains(t, dir, `"user_tombstones"`) {
+		t.Fatal("precondition: the parent manifest lists no user tombstone")
+	}
+	cs, err := Open(Config{Dir: dir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := obstore.New()
+	if err := cs.AttachStore(store); err != nil {
+		t.Fatal(err)
+	}
+	var want []sensor.Observation
+	for i := 0; i < 60; i++ {
+		if o := parentTierRow(i); o.UserID != "erased" {
+			want = append(want, o)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		if live, wm := cs.ColdRows(); live != len(want) || wm != 60 {
+			t.Fatalf("%s: ColdRows = (%d, %d), want (%d, 60)", stage, live, wm, len(want))
+		}
+		if got := normTimes(store.Query(obstore.Filter{})); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read %d rows\n got %+v\nwant %+v", stage, len(got), got, want)
+		}
+	}
+	check("reopened")
+	if _, err := cs.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	check("rewritten")
+	if dirContains(t, dir, "erased") {
+		t.Fatal("the erased subject's bytes are still on disk after the rewrite")
 	}
 }
 

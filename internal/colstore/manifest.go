@@ -43,12 +43,10 @@ type manifestState struct {
 	Watermark uint64            `json:"watermark"`
 	NextID    uint64            `json:"next_id"`
 	Segments  []manifestSegment `json:"segments"`
-	// SeqTombstones are individual rows erased after compaction;
-	// UserTombstones are erased subjects. Both are applied as read
-	// filters immediately and rewritten out of segment files by the
-	// next compaction.
-	SeqTombstones  []uint64 `json:"seq_tombstones,omitempty"`
-	UserTombstones []string `json:"user_tombstones,omitempty"`
+	// SeqTombstones are sealed rows deleted since, by retention or
+	// erasure. They are applied as read filters immediately and
+	// rewritten out of segment files by the next compaction.
+	SeqTombstones []uint64 `json:"seq_tombstones,omitempty"`
 }
 
 func segFileName(id uint64) string { return fmt.Sprintf("seg-%08d.col", id) }

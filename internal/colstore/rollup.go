@@ -22,9 +22,11 @@ package colstore
 // The cubes are fed synchronously from the row store's listener (so
 // they can never lag ingest) and repair themselves after deletions by
 // marking the touched time buckets dirty and rebuilding them from the
-// unified tombstone-filtered scan on next read. An erasure also scrubs
-// the subject from the intern table; every bucket holding a cell of
-// theirs is dirty, so no cell with the blanked id is ever visited.
+// unified tombstone-filtered scan on next read. An erasure that leaves
+// the subject no row also scrubs them from the intern table; every
+// bucket holding a cell of theirs is dirty, so no cell with the blanked
+// id is ever visited. A partial erasure keeps the id: the rows it
+// retained stay attributed.
 
 import (
 	"log/slog"
@@ -265,9 +267,9 @@ func (r *rollups) checkCapLocked() {
 
 // deleted marks every time bucket a deletion touched as dirty; the
 // next read rebuilds those buckets from the unified scan, which no
-// longer contains the rows. An erased subject leaves the intern table
-// now: all their cells are in the buckets just marked, and if they
-// return they are a new id.
+// longer contains the rows. A subject erased with no row left
+// (Deletion.Erased) leaves the intern table now: all their cells are in
+// the buckets just marked, and if they return they are a new id.
 func (r *rollups) deleted(dels []obstore.Deletion) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -562,7 +562,8 @@ func TestLateRowReopensSealedBucket(t *testing.T) {
 
 // TestErasureReachesInternTable: once a subject is erased and the cubes
 // have been read, nothing the cubes hold names them — no cell, no
-// intern entry — and if they come back they are a new id.
+// intern entry — and if they come back they are a new id. An erasure
+// that keeps some rows leaves those attributed instead.
 func TestErasureReachesInternTable(t *testing.T) {
 	src, cs := newPair(t, "")
 	for i := 0; i < 300; i++ {
@@ -582,7 +583,7 @@ func TestErasureReachesInternTable(t *testing.T) {
 		t.Fatal("u2 was never interned: the test exercises nothing")
 	}
 
-	if src.DeleteUser("u2") == 0 {
+	if src.DeleteUser("u2", nil) == 0 {
 		t.Fatal("DeleteUser removed nothing")
 	}
 	entries, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{})
@@ -632,6 +633,49 @@ func TestErasureReachesInternTable(t *testing.T) {
 	cs.VisitOccupancy(obstore.Filter{UserID: "u2"}, tally(got))
 	if len(got) != 1 {
 		t.Fatalf("the returning subject has %d cells, want the one new row's", len(got))
+	}
+
+	// An erasure that keeps some of the subject's rows (in s1) leaves
+	// them attributed: the subject keeps their id and every kept row
+	// still counts under them.
+	kept := src.Count(obstore.Filter{UserID: "u3", SpaceIDs: []string{"s1"}})
+	if kept == 0 {
+		t.Fatal("precondition: u3 has no row in s1")
+	}
+	r.mu.Lock()
+	u3 := r.users.ids["u3"]
+	r.mu.Unlock()
+	if src.DeleteUser("u3", func(o *sensor.Observation) bool { return o.SpaceID == "s1" }) == 0 {
+		t.Fatal("the partial erasure removed nothing")
+	}
+	counted := 0
+	cs.VisitOccupancy(obstore.Filter{}, func(e OccEntry) {
+		if e.UserID == "" {
+			t.Errorf("a cell lost its subject: %+v", e)
+		}
+		if e.UserID == "u3" {
+			counted += e.Count
+		}
+	})
+	if counted != kept {
+		t.Fatalf("the cubes count %d of u3's rows, want the %d kept", counted, kept)
+	}
+	r.mu.Lock()
+	if id, ok := r.users.ids["u3"]; !ok || id != u3 {
+		t.Errorf("a partial erasure re-interned u3: id %d → %d (%v)", u3, id, ok)
+	}
+	r.mu.Unlock()
+
+	// An erasure whose keep holds nothing back drops the subject from
+	// the intern table, as an unconditional one does.
+	if src.DeleteUser("u4", func(*sensor.Observation) bool { return false }) == 0 {
+		t.Fatal("the erasure of u4 removed nothing")
+	}
+	cs.VisitOccupancy(obstore.Filter{}, func(OccEntry) {})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, still := r.users.ids["u4"]; still {
+		t.Fatal("an erasure that kept nothing left the subject in the intern table")
 	}
 }
 

@@ -34,9 +34,6 @@ func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
 				if _, dead := s.seqTomb[sg.seqs[i]]; dead {
 					continue
 				}
-				if _, dead := s.userTomb[sg.users.at(i)]; dead {
-					continue
-				}
 				if o := sg.row(i); oracleRowMatches(o, f, spaceSet) {
 					page = append(page, o)
 				}
@@ -121,8 +118,8 @@ func scanAll(src *obstore.Store, f obstore.Filter) []sensor.Observation {
 
 // scanWorld ingests rows whose observation times jump between buckets
 // in arrival order, so every compaction pass seals several segments
-// with interleaved seq ranges, then leaves seq tombstones (retention),
-// a user tombstone (erasure) and an uncompacted tail in place. Every
+// with interleaved seq ranges, then leaves seq tombstones from retention
+// and from an erasure, and an uncompacted tail, in place. Every
 // mutation is mirrored into a twin store that never evicts.
 func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 	t.Helper()
@@ -167,11 +164,12 @@ func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 	if n := m.sweep(csNow); n == 0 {
 		t.Fatal("Sweep removed nothing")
 	}
+	swept := cs.Stats().SeqTombstones
 	if n := m.deleteUser("u3"); n == 0 {
 		t.Fatal("DeleteUser removed nothing")
 	}
-	if st := cs.Stats(); st.SeqTombstones == 0 || st.UserTombstones == 0 {
-		t.Fatalf("precondition: want both tombstone kinds, have %+v", st)
+	if st := cs.Stats(); swept == 0 || st.SeqTombstones <= swept {
+		t.Fatalf("precondition: want seq tombstones from both retention (%d) and erasure, have %+v", swept, st)
 	}
 	add(60) // the tail above the watermark
 	return m, cs
@@ -216,7 +214,7 @@ func randomFilter(rng *rand.Rand, maxSeq uint64) obstore.Filter {
 // TestScanMatchesQuery: Scan visits exactly what the old
 // collect-and-merge Query returned — which is what a twin store that
 // never evicted returns — in the same order, across random filters ×
-// AfterSeq/Limit × both tombstone kinds × segments whose seq ranges
+// AfterSeq/Limit × retention and erasure tombstones × segments whose seq ranges
 // interleave — with every visited row poisoned on return, so Scan's own
 // wrappers are checked for retaining the scratch pointer.
 func TestScanMatchesQuery(t *testing.T) {
@@ -332,7 +330,7 @@ func TestScanMatchesQueryConcurrent(t *testing.T) {
 	go func() { // eraser: user and seq tombstones, through the listener
 		defer wg.Done()
 		for v := 0; v < 6; v++ {
-			src.DeleteUser(fmt.Sprintf("victim%d", v))
+			src.DeleteUser(fmt.Sprintf("victim%d", v), nil)
 			cs.ObservationsDeleted([]obstore.Deletion{{Seq: uint64(1000000 + v), Time: csNow}})
 		}
 	}()

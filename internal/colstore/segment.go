@@ -544,11 +544,10 @@ type segCursor struct {
 	// unconstrained, -2 (value absent from the segment) matches no row.
 	sensor, user, mac, kind int
 	spaceOK                 []bool // by spaces position; nil = unconstrained
-	userDead                []bool // by users position; nil = none erased
 	seqTomb                 map[uint64]struct{}
 }
 
-func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb map[uint64]struct{}, userTomb map[string]struct{}) segCursor {
+func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb map[uint64]struct{}) segCursor {
 	c := segCursor{
 		sg:      sg,
 		i:       sort.Search(len(sg.seqs), func(i int) bool { return sg.seqs[i] > f.AfterSeq }),
@@ -564,14 +563,6 @@ func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb
 		c.spaceOK = make([]bool, len(sg.spaces.dict))
 		for pos, id := range sg.spaces.dict {
 			c.spaceOK[pos] = spaceSet[id]
-		}
-	}
-	for u := range userTomb {
-		if pos := sg.users.find(u); pos >= 0 {
-			if c.userDead == nil {
-				c.userDead = make([]bool, len(sg.users.dict))
-			}
-			c.userDead[pos] = true
 		}
 	}
 	return c
@@ -596,9 +587,6 @@ func (c *segCursor) advance() bool {
 			continue
 		}
 		if t := time.Unix(0, sg.times[i]); !c.from.IsZero() && t.Before(c.from) || !c.to.IsZero() && !t.Before(c.to) {
-			continue
-		}
-		if c.userDead != nil && c.userDead[sg.users.idx[i]] {
 			continue
 		}
 		if len(c.seqTomb) > 0 {

@@ -37,7 +37,7 @@ func (m mirrored) append(o sensor.Observation) sensor.Observation {
 
 func (m mirrored) deleteUser(user string) int {
 	m.t.Helper()
-	got, want := m.src.DeleteUser(user), m.twin.DeleteUser(user)
+	got, want := m.src.DeleteUser(user, nil), m.twin.DeleteUser(user, nil)
 	if got != want {
 		m.t.Fatalf("DeleteUser(%q) removed %d rows, the twin %d", user, got, want)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/tippers/tippers/internal/automation"
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/semantics"
@@ -40,19 +39,12 @@ func (b *BMS) DeriveOccupancy(from, to time.Time, interval time.Duration) (int, 
 	if err != nil {
 		return 0, err
 	}
-	stored := 0
-	for _, o := range derived {
-		// Publish what the store returned: its Seq is the stream resume
-		// cursor, which the un-stamped input does not carry.
-		appended, err := b.store.Append(o)
-		if err != nil {
-			return stored, err
+	for i, o := range derived {
+		if _, err := b.appendAndPublish(o); err != nil {
+			return i, err
 		}
-		stored++
-		b.bus.Publish(bus.TopicObservations, appended)
 	}
-	b.met.ingested.Add(uint64(stored))
-	return stored, nil
+	return len(derived), nil
 }
 
 // RunAutomation executes every registered automation policy once
@@ -133,7 +125,8 @@ func (b *BMS) CheckAccess(userID, spaceID, method string, now time.Time) (Access
 	}
 
 	// Log the attempt through the capture pipeline when a reader is
-	// deployed at the space; otherwise record directly.
+	// deployed at the space; otherwise store it directly, still through
+	// the one append step.
 	result := "denied"
 	if allowed {
 		result = "granted"
@@ -152,17 +145,14 @@ func (b *BMS) CheckAccess(userID, spaceID, method string, now time.Time) (Access
 			break
 		}
 	}
+	var err error
 	if obs.SensorID != "" {
-		if err := b.Ingest(obs); err != nil {
-			return d, err
-		}
+		err = b.Ingest(obs)
 	} else {
 		obs.SensorID = "bms-access-log"
-		if _, err := b.store.Append(obs); err == nil {
-			b.met.ingested.Inc()
-		}
+		_, err = b.appendAndPublish(obs)
 	}
-	return d, nil
+	return d, err
 }
 
 // DisclosureDecision is the outcome of a proximity-gated disclosure
@@ -236,20 +226,16 @@ func (b *BMS) RequestDisclosure(policyID, userID string, now time.Time, stalenes
 
 // lastLocation returns the space of the user's most recent
 // location-bearing observation within the staleness window.
-func (b *BMS) lastLocation(userID string, now time.Time, staleness time.Duration) (string, bool) {
-	obs := b.store.Query(obstore.Filter{
+func (b *BMS) lastLocation(userID string, now time.Time, staleness time.Duration) (loc string, found bool) {
+	b.store.Scan(obstore.Filter{
 		UserID: userID,
 		From:   now.Add(-staleness),
 		To:     now.Add(time.Nanosecond),
+	}, func(o *sensor.Observation) bool {
+		if o.SpaceID != "" && (o.Kind == sensor.ObsWiFiConnect || o.Kind == sensor.ObsBLESighting) {
+			loc, found = o.SpaceID, true
+		}
+		return true
 	})
-	for i := len(obs) - 1; i >= 0; i-- {
-		o := obs[i]
-		if o.SpaceID == "" {
-			continue
-		}
-		if o.Kind == sensor.ObsWiFiConnect || o.Kind == sensor.ObsBLESighting {
-			return o.SpaceID, true
-		}
-	}
-	return "", false
+	return loc, found
 }

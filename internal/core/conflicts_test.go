@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -306,7 +307,8 @@ func churnUsers(n int) func(*Config) {
 // registers policies and a reader polls Conflicts(). Whatever the
 // interleaving, the conflict set at the end is the full pass over the
 // rules at the end — the mutation that happened last decides, not the
-// detection pass that finished last.
+// detection pass that finished last. Then writers race on one ID, and
+// after every round the engine must enforce what Preferences lists.
 func TestConcurrentRuleMutationsConverge(t *testing.T) {
 	const (
 		mutators   = 8
@@ -374,6 +376,50 @@ func TestConcurrentRuleMutationsConverge(t *testing.T) {
 	}
 	if len(want) == 0 {
 		t.Fatal("the run ended with no conflicts: nothing was compared")
+	}
+
+	// Same-ID writers: PUT deny, PUT allow and DELETE race on one
+	// preference ID. Whichever lands last, the engine enforces exactly
+	// what Preferences lists.
+	g := newFixture(t)
+	const id = "same-id"
+	pref := func(a policy.Action) policy.Preference {
+		return policy.Preference{ID: id, UserID: "mary", Scope: policy.Scope{ServiceID: "concierge"}, Rule: policy.Rule{Action: a}}
+	}
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect,
+		SubjectID: "mary", SpaceID: "dbh/2/r0", Granularity: policy.GranExact, Time: testNow}
+	for round := 0; round < 20000; round++ {
+		var wg sync.WaitGroup
+		wg.Add(3)
+		for _, a := range []policy.Action{policy.ActionDeny, policy.ActionAllow} {
+			go func() {
+				defer wg.Done()
+				if err := g.bms.SetPreference(pref(a)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		go func() {
+			defer wg.Done()
+			g.bms.RemovePreference(id)
+		}()
+		wg.Wait()
+		listed := g.bms.Preferences("mary")
+		d := g.bms.Engine().Decide(req, nil)
+		matched := slices.Contains(d.MatchedPreferences, id)
+		var agree bool
+		switch {
+		case len(listed) == 0:
+			agree = !matched
+		case listed[0].Rule.Action == policy.ActionDeny:
+			agree = matched && !d.Allowed
+		default:
+			agree = matched && d.Allowed
+		}
+		if !agree {
+			t.Fatalf("round %d: Preferences lists %+v, the engine decided allowed=%v matching %v",
+				round, listed, d.Allowed, d.MatchedPreferences)
+		}
 	}
 }
 

@@ -130,9 +130,10 @@ type BMS struct {
 	traces  *traceRing
 	streams *stream.Hub
 
-	// Rule state, written only inside mutateRules. Policies and each
-	// owner's preferences are kept sorted by ID; conflicts always equals
-	// a full reasoner.Detect over the two, maintained by delta.
+	// Rule state, written only inside mutateRules, together with the
+	// engine. Policies and each owner's preferences are kept sorted by
+	// ID; conflicts always equals a full reasoner.Detect over the two,
+	// maintained by delta.
 	mu        sync.RWMutex
 	policies  []policy.BuildingPolicy
 	prefs     map[string][]policy.Preference // owner → their preferences
@@ -140,7 +141,8 @@ type BMS struct {
 	conflicts map[conflictKey]reasoner.Conflict
 	inbox     map[string][]enforce.Notification
 
-	// ingestMu makes each ingest's store append and bus publish one step.
+	// ingestMu makes each store append and its bus publish one step
+	// (appendAndPublish).
 	ingestMu sync.Mutex
 
 	retainStop chan struct{}
@@ -388,9 +390,22 @@ func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 		}
 	}
 	_, apSpan := b.tracer.StartSpan(ctx, "obstore.append")
-	// Append and publish as one step, so live events reach the bus in
-	// seq order: the stream hub's replay/live splice delivers the live
-	// feed in the order it was published.
+	defer apSpan.End()
+	seq, err := b.appendAndPublish(o)
+	if err != nil {
+		apSpan.SetAttr("error", err.Error())
+		return err
+	}
+	apSpan.SetAttrInt("seq", int64(seq))
+	return nil
+}
+
+// appendAndPublish is the one way an observation enters the store. The
+// append and the publish are one step under ingestMu, so live events
+// reach the bus in seq order: the stream hub's replay/live splice
+// delivers the live feed in the order it was published. The bus carries
+// what the store returned, whose Seq is the stream resume cursor.
+func (b *BMS) appendAndPublish(o sensor.Observation) (seq uint64, err error) {
 	b.ingestMu.Lock()
 	stored, err := b.store.Append(o)
 	if err == nil {
@@ -398,14 +413,10 @@ func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 	}
 	b.ingestMu.Unlock()
 	if err != nil {
-		apSpan.SetAttr("error", err.Error())
-		apSpan.End()
-		return err
+		return 0, err
 	}
-	apSpan.SetAttrInt("seq", int64(stored.Seq))
-	apSpan.End()
 	b.met.ingested.Inc()
-	return nil
+	return stored.Seq, nil
 }
 
 // RegisterPolicy installs a building policy (Figure 1 step 1): the
@@ -417,11 +428,13 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 	if err := p.Check(); err != nil {
 		return err
 	}
-	dup := false
-	b.mutateRules(func() []reasoner.Conflict {
-		var at int
-		if at, dup = b.policyIndex(p.ID); dup {
-			return nil
+	err := b.mutateRules(func() ([]reasoner.Conflict, error) {
+		at, dup := b.policyIndex(p.ID)
+		if dup {
+			return nil, fmt.Errorf("core: duplicate policy %q", p.ID)
+		}
+		if err := b.engine.AddPolicy(p); err != nil {
+			return nil, err
 		}
 		b.policies = slices.Insert(b.policies, at, p)
 		// No key can name a policy that was not installed: all fresh.
@@ -429,14 +442,13 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 		for _, c := range delta {
 			b.conflicts[keyOf(c)] = c
 		}
-		return delta
+		return delta, nil
 	})
-	if dup {
-		return fmt.Errorf("core: duplicate policy %q", p.ID)
-	}
-	if err := b.engine.AddPolicy(p); err != nil {
+	if err != nil {
 		return err
 	}
+	// Actuation publishes on the bus, so it and the retention rule stay
+	// outside the rule lock.
 	if len(p.Settings) > 0 {
 		if err := b.actuateScope(p.Scope, p.Settings); err != nil {
 			return fmt.Errorf("core: actuating policy %s: %w", p.ID, err)
@@ -486,33 +498,39 @@ func (b *BMS) SetPreference(p policy.Preference) error {
 	if _, ok := b.cfg.Users.Lookup(p.UserID); !ok {
 		return fmt.Errorf("core: preference for unknown user %q", p.UserID)
 	}
-	if err := b.engine.AddPreference(p); err != nil {
-		return err
-	}
-	b.mutateRules(func() []reasoner.Conflict { return b.replacePreference(p.ID, &p) })
-	return nil
+	return b.mutateRules(func() ([]reasoner.Conflict, error) {
+		if err := b.engine.AddPreference(p); err != nil {
+			return nil, err
+		}
+		return b.replacePreference(p.ID, &p), nil
+	})
 }
 
 // RemovePreference uninstalls a preference by ID.
 func (b *BMS) RemovePreference(id string) bool {
-	if !b.engine.RemovePreference(id) {
-		return false
-	}
-	b.mutateRules(func() []reasoner.Conflict { return b.replacePreference(id, nil) })
-	return true
+	removed := false
+	_ = b.mutateRules(func() ([]reasoner.Conflict, error) { // apply never fails
+		if removed = b.engine.RemovePreference(id); !removed {
+			return nil, nil
+		}
+		return b.replacePreference(id, nil), nil
+	})
+	return removed
 }
 
 // mutateRules is the one seam a rule mutation passes through: apply
-// edits the rule state and b.conflicts under b.mu and returns the
-// conflicts that are new, whose override notifications reach the
-// affected users' inboxes in the same critical section. Because the
-// delta lands under the lock that orders the rule writes, the conflict
-// set follows the mutation that happened last, not the pass that
-// finished last.
-func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict)) {
+// updates the enforcement engine, the rule state and b.conflicts under
+// b.mu and returns the conflicts that are new, whose override
+// notifications reach the affected users' inboxes in the same critical
+// section. Because the engine and the listed rules change under the
+// lock that orders the rule writes, the engine enforces what
+// Preferences lists, and the conflict set follows the mutation that
+// happened last, not the pass that finished last. An error from apply
+// must leave both unchanged.
+func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict, err error)) error {
 	t0 := time.Now()
 	b.mu.Lock()
-	fresh := apply()
+	fresh, err := apply()
 	for _, c := range fresh {
 		if c.Resolution.NotifyUserID != "" {
 			n := enforce.Notification{
@@ -530,6 +548,7 @@ func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict)) {
 	for _, c := range fresh {
 		b.bus.Publish(bus.TopicConflicts, c)
 	}
+	return err
 }
 
 // replacePreference swaps the installed version of preference id, if
@@ -635,22 +654,25 @@ func (b *BMS) Preferences(userID string) []policy.Preference {
 // (emergency response, security) is exempt — the building's
 // non-negotiable retention obligations survive erasure requests, and
 // the exemption is reported so the user can be told exactly what
-// remains. Returns (deleted, retained) observation counts.
+// remains. The exempt rows stay in place under their seqs, so stream
+// cursors and rollup cells that name them stay valid. Returns
+// (deleted, retained) observation counts.
 func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 	if _, ok := b.cfg.Users.Lookup(userID); !ok {
 		return 0, 0, fmt.Errorf("core: unknown user %q", userID)
 	}
-	// Partition the user's observations: those covered by an override
-	// collection policy stay.
+	// Observations an override collection policy covers stay. The
+	// purpose dimension is the policy's own; a collection scope matches
+	// its stored data regardless of who asks.
 	var overrideScopes []policy.Scope
 	for _, p := range b.Policies() {
 		if p.Override && p.Kind == policy.KindCollection {
-			overrideScopes = append(overrideScopes, p.Scope)
+			sc := p.Scope
+			sc.Purposes = nil
+			overrideScopes = append(overrideScopes, sc)
 		}
 	}
-	obs := b.store.Query(obstore.Filter{UserID: userID})
-	var keep []sensor.Observation
-	for _, o := range obs {
+	keep := func(o *sensor.Observation) bool {
 		ctx := policy.Context{
 			SubjectID:  userID,
 			SpaceID:    o.SpaceID,
@@ -659,26 +681,14 @@ func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 			Time:       o.Time,
 		}
 		for _, sc := range overrideScopes {
-			// The purpose dimension is the policy's own; a collection
-			// scope matches its stored data regardless of who asks.
-			probe := sc
-			probe.Purposes = nil
-			if probe.Matches(ctx, b.cfg.Spaces) {
-				keep = append(keep, o)
-				break
+			if sc.Matches(ctx, b.cfg.Spaces) {
+				return true
 			}
 		}
+		return false
 	}
-	removed := b.store.DeleteUser(userID)
-	// Reinsert the exempt observations.
-	for _, o := range keep {
-		o.Seq = 0
-		if _, err := b.store.Append(o); err != nil {
-			return removed - len(keep), len(keep), err
-		}
-	}
-	deleted = removed - len(keep)
-	retained = len(keep)
+	deleted = b.store.DeleteUser(userID, keep)
+	retained = b.store.Count(obstore.Filter{UserID: userID})
 
 	for _, p := range b.Preferences(userID) {
 		b.RemovePreference(p.ID)

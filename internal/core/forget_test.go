@@ -1,11 +1,17 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
+	"time"
 
+	"github.com/tippers/tippers/internal/colstore"
+	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/stream"
 )
 
 func TestForgetUserErasesEverythingWithoutOverrides(t *testing.T) {
@@ -62,6 +68,35 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	wifi := obstore.Filter{UserID: "mary", Kind: sensor.ObsWiFiConnect}
+	before := f.bms.Store().Query(wifi)
+	ingested := f.bms.Store().Stats().Ingested
+
+	// A subscription replaying mary's wifi history one row per page is
+	// one row in when the erasure lands.
+	sub, err := f.bms.Streams().Subscribe(stream.Options{
+		Request: enforce.Request{ServiceID: "bms-emergency", Purpose: policy.PurposeEmergencyResponse,
+			Kind: sensor.ObsWiFiConnect, SubjectID: "mary"},
+		Replay: true, ReplayChunk: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	seen := map[uint64]int{}
+	next := func(wait time.Duration) bool {
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		defer cancel()
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			return false
+		}
+		seen[ev.Seq]++
+		return true
+	}
+	if !next(5 * time.Second) {
+		t.Fatal("the replay delivered nothing")
+	}
 
 	deleted, retained, err := f.bms.ForgetUser("mary")
 	if err != nil {
@@ -70,10 +105,39 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 	if deleted != 1 || retained != 3 {
 		t.Errorf("ForgetUser = (%d, %d), want (1, 3)", deleted, retained)
 	}
-	if got := f.bms.Store().Count(obstore.Filter{UserID: "mary", Kind: sensor.ObsWiFiConnect}); got != 3 {
-		t.Errorf("override-protected wifi logs = %d, want 3", got)
+	after := f.bms.Store().Query(wifi)
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("override-protected wifi logs changed under erasure\n got  %+v\n want %+v", after, before)
 	}
 	if got := f.bms.Store().Count(obstore.Filter{UserID: "mary", Kind: sensor.ObsBLESighting}); got != 0 {
 		t.Errorf("erasable BLE sighting survived: %d", got)
+	}
+	if got := f.bms.Store().Stats().Ingested; got != ingested {
+		t.Errorf("tippers_obstore_ingested_total moved %d → %d: the erasure re-appended rows", ingested, got)
+	}
+
+	for next(200 * time.Millisecond) {
+	}
+	for _, o := range before {
+		if seen[o.Seq] != 1 {
+			t.Errorf("the replaying subscription saw retained row %d %d times, want once", o.Seq, seen[o.Seq])
+		}
+	}
+	if len(seen) != len(before) {
+		t.Errorf("the replaying subscription saw seqs %v, want only the retained rows' %d", seen, len(before))
+	}
+
+	// The cubes still count the retained rows, under their subject.
+	counted := 0
+	f.bms.Columnar().VisitOccupancy(obstore.Filter{}, func(e colstore.OccEntry) {
+		if e.UserID == "" {
+			t.Errorf("a cube cell lost its subject: %+v", e)
+		}
+		if e.UserID == "mary" {
+			counted += e.Count
+		}
+	})
+	if counted != len(before) {
+		t.Errorf("the cubes count %d of mary's rows, want the %d retained", counted, len(before))
 	}
 }

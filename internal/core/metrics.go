@@ -66,7 +66,7 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 		ingestSeconds: r.Histogram("tippers_core_ingest_seconds",
 			"Capture-pipeline latency per observation.", nil),
 		detectSeconds: r.Histogram("tippers_reasoner_detect_seconds",
-			"Conflict-maintenance latency per rule mutation: the changed rule against its candidates (the policies and the owner's other preferences), applied under the rule lock.", nil),
+			"Rule-mutation latency under the rule lock: the enforcement engine's update plus conflict maintenance (the changed rule against the policies and the owner's other preferences).", nil),
 		decideSeconds: r.HistogramWith("tippers_enforce_decide_seconds",
 			"Query-time enforcement decision latency.",
 			telemetry.Labels{"engine": engineName}, nil),

@@ -362,6 +362,11 @@ func (b *BMS) recordDecision(d enforce.Decision) {
 		// flow: it was released on Config.DefaultAllow alone.
 		b.met.defaultAllowed.Inc()
 	}
+	if len(d.Notifications) == 0 {
+		// The common case takes no lock: rule writes hold b.mu across
+		// the engine update, and a decision must not queue behind them.
+		return
+	}
 	b.mu.Lock()
 	for _, n := range d.Notifications {
 		b.inbox[n.UserID] = append(b.inbox[n.UserID], n)

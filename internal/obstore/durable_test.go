@@ -266,7 +266,7 @@ func TestDurableDeleteUserPrunesSegments(t *testing.T) {
 	if _, err := s.Append(durableObs(999, "other")); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.DeleteUser("erase-me"); n != 150 {
+	if n := s.DeleteUser("erase-me", nil); n != 150 {
 		t.Fatalf("deleted %d, want 150", n)
 	}
 	if segs := s.WAL().SealedSegments(); len(segs) != 0 {
@@ -461,7 +461,7 @@ func TestCheckpointErasesActiveSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.DeleteUser(marker); n != 100 {
+	if n := s.DeleteUser(marker, nil); n != 100 {
 		t.Fatalf("deleted %d, want 100", n)
 	}
 	if err := s.Checkpoint(); err != nil {

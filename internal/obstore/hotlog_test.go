@@ -137,7 +137,7 @@ func TestShardedDeleteUserAllShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if removed := s.DeleteUser("erase-me"); removed != 80 {
+	if removed := s.DeleteUser("erase-me", nil); removed != 80 {
 		t.Fatalf("DeleteUser removed %d, want 80", removed)
 	}
 	if n := s.Count(Filter{UserID: "erase-me"}); n != 0 {
@@ -350,7 +350,7 @@ func TestHotLogReadersUnderChurn(t *testing.T) {
 		defer churner.Done()
 		for round := 0; !stop.Load() || round < 4; round++ {
 			s.Sweep(now)
-			s.DeleteUser(fmt.Sprintf("victim%d", round%4))
+			s.DeleteUser(fmt.Sprintf("victim%d", round%4), nil)
 			if hwm := s.view(Filter{}).hwm; hwm > 60 {
 				tier.seal(s, hwm-60)
 			}

@@ -75,17 +75,17 @@ type Deletion struct {
 	SpaceID  string
 	UserID   string
 	Kind     sensor.ObservationKind
-	// Erased marks a GDPR-style subject erasure (DeleteUser) rather
-	// than a retention expiry; derived stores use it to tombstone the
-	// subject's dictionary entries, not just the individual rows.
+	// Erased marks a GDPR-style subject erasure (DeleteUser) that left
+	// the subject no row; the rollup cubes then drop the subject from
+	// their intern table, not just the individual rows. A partial
+	// erasure leaves it unset, so the rows it kept stay attributed.
 	Erased bool
 }
 
 // Listener observes the store's mutations. The columnar tier
 // (internal/colstore) attaches one so its rollup cubes track every
-// append path — including erasure re-inserts that bypass the capture
-// pipeline — and so erasure reaches the segment files. At most one
-// listener is supported (AttachTier installs the tier as it);
+// append, and so retention and erasure reach the segment files. At
+// most one listener is supported (AttachTier installs the tier as it);
 // callbacks run synchronously on the mutating goroutine and must be
 // cheap and concurrency-safe.
 type Listener interface {
@@ -427,7 +427,8 @@ func (s *Store) AppendAll(obs []sensor.Observation) error {
 
 // Query returns the observations matching f in seq (insertion) order:
 // the cold tier's matches behind its watermark, when one is attached,
-// then the log's.
+// then the log's. It collects Scan into a slice and is kept for tests
+// and bench/replay.go; node code reads through Scan.
 func (s *Store) Query(f Filter) []sensor.Observation {
 	var out []sensor.Observation
 	s.walk(f, func(o *sensor.Observation) bool {
@@ -693,12 +694,24 @@ func (s *Store) publish(l *hotLog) {
 	s.rebuilds.Add(1)
 }
 
-// DeleteUser removes every observation attributed to userID — from
-// the log and from behind the cold tier's watermark — supporting
-// right-to-erasure style requests. It returns the number deleted.
-func (s *Store) DeleteUser(userID string) int {
-	total := s.deleteUnion(Filter{UserID: userID}, true, func(o *sensor.Observation) bool {
-		return o.UserID == userID
+// DeleteUser removes every observation attributed to userID that keep
+// does not hold back — from the log and from behind the cold tier's
+// watermark — supporting right-to-erasure style requests; a nil keep
+// holds back nothing. Kept rows stay where they are, under their seqs.
+// It returns the number deleted.
+func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) int {
+	f := Filter{UserID: userID}
+	// The Deletions carry Erased only when the subject keeps no row, so
+	// derived stores drop the subject, not just the rows, exactly then.
+	erased := true
+	if keep != nil {
+		s.walk(f, func(o *sensor.Observation) bool {
+			erased = !keep(o)
+			return erased
+		})
+	}
+	total := s.deleteUnion(f, erased, func(o *sensor.Observation) bool {
+		return o.UserID == userID && (keep == nil || !keep(o))
 	})
 	s.totalSwept.Add(uint64(total))
 	// Erasure reaches disk like retention does; copies in the active

@@ -205,7 +205,7 @@ func TestSweepIdempotent(t *testing.T) {
 
 func TestDeleteUser(t *testing.T) {
 	s := newPopulatedStore(t)
-	if n := s.DeleteUser("mary"); n != 3 {
+	if n := s.DeleteUser("mary", nil); n != 3 {
 		t.Fatalf("DeleteUser removed %d, want 3", n)
 	}
 	if got := s.Query(Filter{UserID: "mary"}); len(got) != 0 {
@@ -214,7 +214,7 @@ func TestDeleteUser(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
 	}
-	if n := s.DeleteUser("mary"); n != 0 {
+	if n := s.DeleteUser("mary", nil); n != 0 {
 		t.Errorf("second DeleteUser removed %d", n)
 	}
 	users := s.Users()

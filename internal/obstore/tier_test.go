@@ -183,7 +183,7 @@ func TestTierUnionMatchesPlainStore(t *testing.T) {
 	check("300 cold")
 	add(200)
 	check("more hot")
-	if got, want := s.DeleteUser("u1"), twin.DeleteUser("u1"); got != want || got == 0 {
+	if got, want := s.DeleteUser("u1", nil), twin.DeleteUser("u1", nil); got != want || got == 0 {
 		t.Fatalf("DeleteUser removed %d rows, the twin %d", got, want)
 	}
 	check("after erasure")

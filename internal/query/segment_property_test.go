@@ -155,7 +155,7 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 			appendRandom(nObs - nObs*3/5) // stays in the row-store tail
 			if rng.Intn(2) == 0 {
 				// Erasure: tombstones + dirty rollup buckets.
-				if got, want := src.DeleteUser(users[0]), twin.DeleteUser(users[0]); got != want {
+				if got, want := src.DeleteUser(users[0], nil), twin.DeleteUser(users[0], nil); got != want {
 					t.Fatalf("DeleteUser removed %d rows across both tiers, the twin %d", got, want)
 				}
 			}

@@ -73,12 +73,12 @@ func (d *OccupancyDeriver) Derive(rooms []string, from, to time.Time) ([]sensor.
 		}
 		buckets := map[int64]*bucket{}
 		for _, kind := range presenceKinds {
-			for _, o := range d.Store.Query(obstore.Filter{
+			d.Store.Scan(obstore.Filter{
 				Kind:     kind,
 				SpaceIDs: []string{room},
 				From:     from,
 				To:       to,
-			}) {
+			}, func(o *sensor.Observation) bool {
 				idx := o.Time.Sub(from) / iv
 				b := buckets[int64(idx)]
 				if b == nil {
@@ -93,7 +93,8 @@ func (d *OccupancyDeriver) Derive(rooms []string, from, to time.Time) ([]sensor.
 				default:
 					b.subjects["anon"] = true
 				}
-			}
+				return true
+			})
 		}
 		var owner string
 		if d.OwnerOf != nil {

@@ -415,34 +415,35 @@ func (s *Subscription) nextReplay() (Event, bool) {
 			_, span = s.hub.tracer.StartSpan(rctx, "stream.replay_page")
 			span.SetAttrInt("after", int64(s.cursor))
 		}
-		page := s.hub.cfg.Store.Query(f)
-		span.SetAttrInt("count", int64(len(page)))
+		// The page is enforced as the store walks it. Seq-ordering
+		// assertion: resume correctness hangs on the store handing back
+		// strictly ascending seqs past the cursor. A violation would
+		// corrupt the cursor and the dedupe watermark, so fail the
+		// subscription loudly instead of delivering out of order.
+		n, ordered := 0, true
+		s.hub.cfg.Store.Scan(f, func(o *sensor.Observation) bool {
+			if o.Seq <= s.cursor {
+				ordered = false
+				return false
+			}
+			s.cursor = o.Seq
+			n++
+			if ev, ok := s.enforceObservation(*o); ok {
+				s.replayBuf = append(s.replayBuf, ev)
+				s.stats.replayed.Add(1)
+				s.hub.met.replayed.Inc()
+			}
+			return true
+		})
+		span.SetAttrInt("count", int64(n))
 		span.End()
-		// Seq-ordering assertion: resume correctness hangs on the
-		// store handing back strictly ascending seqs past the cursor.
-		// A violation would corrupt the cursor and the dedupe
-		// watermark, so fail the subscription loudly instead of
-		// delivering out of order.
-		last := s.cursor
-		for _, o := range page {
-			if o.Seq <= last {
-				s.close(ErrReplayOrder)
-				s.fetchDone, s.replayDone = true, true
-				return Event{}, false
-			}
-			last = o.Seq
+		if !ordered {
+			s.replayBuf = nil
+			s.close(ErrReplayOrder)
+			s.fetchDone, s.replayDone = true, true
+			return Event{}, false
 		}
-		if len(page) > 0 {
-			s.cursor = page[len(page)-1].Seq
-			for _, o := range page {
-				if ev, ok := s.enforceObservation(o); ok {
-					s.replayBuf = append(s.replayBuf, ev)
-					s.stats.replayed.Add(1)
-					s.hub.met.replayed.Inc()
-				}
-			}
-		}
-		if len(page) < s.opts.ReplayChunk {
+		if n < s.opts.ReplayChunk {
 			// A short page means the store had nothing newer when we
 			// read it; everything after s.cursor reaches us live.
 			s.fetchDone = true
