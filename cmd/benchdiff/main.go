@@ -47,7 +47,7 @@ type File struct {
 var paramNames = []string{"go_version", "goos", "goarch", "gomaxprocs", "benchtime", "count", "cpu", "commit"}
 
 // gatedUnits are the counts that repeat from run to run and host to host.
-var gatedUnits = []string{"allocs/op", "consulted/op", "decides/event"}
+var gatedUnits = []string{"allocs/op", "consulted/op", "decides/event", "segs/op"}
 
 func parse(r io.Reader) (*File, error) {
 	out := &File{Params: map[string]string{}, Benchmarks: map[string]Result{}}

@@ -105,9 +105,9 @@ func testParams() map[string]string {
 func TestCompareGates(t *testing.T) {
 	base := &File{Params: testParams(), Benchmarks: map[string]Result{
 		"BenchmarkA-2": {"ns/op": {100, 110, 105}, "allocs/op": {10, 10, 10}, "B/op": {64, 64, 64}},
-		"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}},
+		"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}, "segs/op": {1}},
 	}}
-	freshB := Result{"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}}
+	freshB := Result{"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}, "segs/op": {1}}
 	with := func(name, value string) map[string]string {
 		p := testParams()
 		p[name] = value
@@ -134,11 +134,15 @@ func TestCompareGates(t *testing.T) {
 		}}},
 		{name: "custom count above the ledger", fail: true, cur: &File{Params: testParams(), Benchmarks: map[string]Result{
 			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}},
-			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {3}},
+			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {3}, "segs/op": {1}},
+		}}},
+		{name: "more segments read than the ledger", fail: true, cur: &File{Params: testParams(), Benchmarks: map[string]Result{
+			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}},
+			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "decides/event": {0.0001}, "consulted/op": {2}, "segs/op": {1.5}},
 		}}},
 		{name: "gated count no longer reported", fail: true, cur: &File{Params: testParams(), Benchmarks: map[string]Result{
 			"BenchmarkA-2": {"ns/op": {105}, "allocs/op": {10}, "B/op": {64}},
-			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "consulted/op": {2}},
+			"BenchmarkB-2": {"ns/op": {1000}, "allocs/op": {3}, "consulted/op": {2}, "segs/op": {1}},
 		}}},
 		{name: "ledger entry absent from the fresh run", fail: true, prints: "MISSING", cur: &File{Params: testParams(), Benchmarks: map[string]Result{
 			"BenchmarkB-2": freshB,

@@ -51,9 +51,10 @@ type Config struct {
 	// only an in-memory row store may attach (AttachStore).
 	Dir string
 	// BucketDur is the time-partition width; one closed bucket becomes
-	// one segment per compaction. Default one minute — what tippersd
-	// runs, since core leaves it unset: roughly 900 segment files per
-	// simulated day.
+	// one segment per compaction. Default one hour — what tippersd
+	// runs, since core leaves it unset: about 24 segment files per
+	// simulated day. Segments a tier sealed at another width keep it:
+	// reads go by watermark and zone maps, so widths can coexist.
 	BucketDur time.Duration
 	// Clock decides when a bucket has closed; nil means time.Now.
 	Clock func() time.Time
@@ -139,7 +140,7 @@ var testHookAfterSnapshot func()
 // behind, and decodes every live segment.
 func Open(cfg Config) (*Store, error) {
 	if cfg.BucketDur <= 0 {
-		cfg.BucketDur = time.Minute
+		cfg.BucketDur = time.Hour
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -179,9 +180,18 @@ func Open(cfg Config) (*Store, error) {
 		segs = append(segs, sg)
 		// Segments are ordered by seq and bucket assignment follows
 		// observation time, so the newest bucket is the maximum, not the
-		// last.
-		if end := sg.bucket.Add(cfg.BucketDur).UnixNano(); end > s.lastBucketEnd.Load() {
-			s.lastBucketEnd.Store(end)
+		// last. A segment does not record its width, and a tier may hold
+		// segments sealed at a finer one (earlier builds sealed minutes):
+		// one whose bucket is off the width's grid, or whose rows all lie
+		// in its first minute, ends a minute after it starts, so a minute
+		// segment never claims the rest of its hour as closed.
+		end := sg.bucket.Add(cfg.BucketDur)
+		if minute := sg.bucket.Add(time.Minute); minute.Before(end) &&
+			(!sg.bucket.Truncate(cfg.BucketDur).Equal(sg.bucket) || sg.maxTime < minute.UnixNano()) {
+			end = minute
+		}
+		if end.UnixNano() > s.lastBucketEnd.Load() {
+			s.lastBucketEnd.Store(end.UnixNano())
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq < segs[j].minSeq })
@@ -701,7 +711,6 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 		if visited++; f.Limit > 0 && visited >= f.Limit {
 			return tail, false
 		}
-		c.i++
 		if !c.advance() {
 			active = append(active[:best], active[best+1:]...)
 		}

@@ -219,10 +219,16 @@ func parentTierRow(i int) sensor.Observation {
 	return o
 }
 
-// TestOpenParentWrittenTier: a manifest that still lists a user
-// tombstone opens. Its seq tombstones alone hide the same rows, the
-// tier counts the same live rows, and the next compaction rewrites the
-// subject off disk.
+// TestOpenParentWrittenTier: a tier of minute segments whose manifest
+// still lists a user tombstone opens under the hour-wide default. Its
+// seq tombstones alone hide the same rows, the tier counts the same
+// live rows, and the next compaction rewrites the subject off disk —
+// each minute segment stays a minute segment, never re-bucketed. Rows
+// then ingested into the hour of the newest minute segment seal beside
+// it as hour segments: every row is served exactly once, the cold rows
+// are every row, and a minute segment no tombstone touches is not
+// rewritten. Reopened, each tier is sealed through the end of its
+// newest bucket at that bucket's own width.
 func TestOpenParentWrittenTier(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "parent-tier")
@@ -242,7 +248,8 @@ func TestOpenParentWrittenTier(t *testing.T) {
 	if !dirContains(t, dir, `"user_tombstones"`) {
 		t.Fatal("precondition: the parent manifest lists no user tombstone")
 	}
-	cs, err := Open(Config{Dir: dir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
+	now := csNow
+	cs, err := Open(Config{Dir: dir, Clock: func() time.Time { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,22 +263,119 @@ func TestOpenParentWrittenTier(t *testing.T) {
 			want = append(want, o)
 		}
 	}
-	check := func(stage string) {
+	// check reads every row once; all but the hot ones are cold.
+	check := func(stage string, wantWM uint64, hot int) {
 		t.Helper()
-		if live, wm := cs.ColdRows(); live != len(want) || wm != 60 {
-			t.Fatalf("%s: ColdRows = (%d, %d), want (%d, 60)", stage, live, wm, len(want))
+		if live, wm := cs.ColdRows(); live != len(want)-hot || store.Len() != len(want) || wm != wantWM {
+			t.Fatalf("%s: ColdRows = (%d, %d), Len %d, want (%d, %d), Len %d", stage, live, wm, store.Len(), len(want)-hot, wantWM, len(want))
 		}
 		if got := normTimes(store.Query(obstore.Filter{})); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: read %d rows\n got %+v\nwant %+v", stage, len(got), got, want)
 		}
 	}
-	check("reopened")
+	// minuteFiles reads the segments whose bucket is not hour-aligned:
+	// the minute segments, by file name.
+	minuteFiles := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		for _, sg := range cs.Segments() {
+			if !sg.Bucket.Equal(sg.Bucket.Truncate(time.Hour)) {
+				raw, err := os.ReadFile(filepath.Join(dir, segFileName(sg.ID)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[segFileName(sg.ID)] = string(raw)
+			}
+		}
+		return out
+	}
+	parentFiles := minuteFiles()
+	if len(parentFiles) != 5 {
+		t.Fatalf("precondition: %d minute segments in the parent tier, want 5", len(parentFiles))
+	}
+	check("reopened", 60, 0)
+	// The tier has sealed through the end of its newest minute bucket,
+	// not through the end of that bucket's hour.
+	var newestBucket time.Time
+	for _, sg := range cs.Segments() {
+		if sg.Bucket.After(newestBucket) {
+			newestBucket = sg.Bucket
+		}
+	}
+	if end := time.Unix(0, cs.lastBucketEnd.Load()).UTC(); !end.Equal(newestBucket.Add(time.Minute)) {
+		t.Fatalf("reopened tier sealed through %v, want %v", end, newestBucket.Add(time.Minute))
+	}
+	if lag := cs.Stats().RollupLagSec; lag != now.Sub(newestBucket.Add(time.Minute)).Seconds() {
+		t.Fatalf("RollupLagSec = %v, want %v", lag, now.Sub(newestBucket.Add(time.Minute)).Seconds())
+	}
+
+	// Rows in the newest minute segment's hour, one in that very minute,
+	// and one in the hour still open: the compaction seals the first
+	// three as one hour segment, fenced by the fourth, and rewrites every
+	// tombstoned minute segment as a minute segment.
+	newest := cs.Segments()[len(cs.Segments())-1].Bucket
+	ingest := func(at ...time.Time) {
+		t.Helper()
+		for i, ts := range at {
+			o, err := store.Append(obsAt("ap-9", "s9", "late", sensor.ObsWiFiConnect, ts, float64(100+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Time = o.Time.UTC()
+			want = append(want, o)
+		}
+	}
+	hour := newest.Truncate(time.Hour)
+	ingest(hour.Add(5*time.Minute), newest.Add(30*time.Second), hour.Add(59*time.Minute), now.Add(10*time.Minute))
 	if _, err := cs.CompactOnce(); err != nil {
 		t.Fatal(err)
 	}
-	check("rewritten")
+	check("rewritten", 63, 1)
 	if dirContains(t, dir, "erased") {
 		t.Fatal("the erased subject's bytes are still on disk after the rewrite")
+	}
+	rewritten := minuteFiles()
+	if len(rewritten) != 5 {
+		t.Fatalf("%d minute segments after the rewrite, want 5: a minute segment was re-bucketed", len(rewritten))
+	}
+	for name := range rewritten {
+		if _, ok := parentFiles[name]; ok {
+			t.Fatalf("%s holds a tombstoned row and was not rewritten", name)
+		}
+	}
+
+	// Past the open hour: more rows into the minute segments' hour and
+	// the next, and no tombstone — the minute segments stay as they are.
+	ingest(newest.Add(10*time.Second), hour.Add(time.Hour+30*time.Minute))
+	now = now.Add(2 * time.Hour)
+	if _, err := cs.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted past the hour", want[len(want)-1].Seq, 0)
+	if store.Resident() != 0 {
+		t.Fatalf("%d rows still resident after every bucket closed", store.Resident())
+	}
+	if !reflect.DeepEqual(minuteFiles(), rewritten) {
+		t.Fatal("a minute segment no tombstone touches was rewritten")
+	}
+	hours := 0
+	for _, sg := range cs.Segments() {
+		if sg.Bucket.Equal(sg.Bucket.Truncate(time.Hour)) {
+			hours++
+		}
+	}
+	if hours != 3 { // 11:00 twice (one per pass), 12:00 once
+		t.Fatalf("%d hour segments, want 3", hours)
+	}
+	// Reopened, the tier is sealed through the same point as live: the
+	// 12:00 segment's last row is at 12:30, and it still ends at 13:00.
+	live := cs.Stats().RollupLagSec
+	reopened, err := Open(Config{Dir: dir, Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.Stats().RollupLagSec; got != live {
+		t.Fatalf("lag after reopen = %vs, live it was %vs", got, live)
 	}
 }
 

@@ -6,18 +6,22 @@ package colstore
 // monotone, so deltas are tiny), the five identifier fields
 // (sensor/space/user/kind/device-MAC) dictionary-coded (a bucket sees
 // few distinct IDs, so each row is one small index), values as
-// uvarint-packed IEEE-754 bits, and the rare payload maps inline. The
+// uvarint-packed IEEE-754 bits, and the payload maps inline. The
 // dictionaries double as the segment's zone-map sets: membership
 // checks let a reader skip a segment without touching a single row.
 // A sealed segment is columnar in memory too: every column is a slice
-// at its final length and a dictionary is searched, not hashed — the
-// position map exists only in the segBuilder while a segment is laid
-// out.
+// at its final length, a dictionary is sorted and binary-searched, not
+// hashed — the position map exists only in the segBuilder while a
+// segment is laid out — and rows with equal payloads share one map.
+// Beside its columns a segment keeps per-subject row postings, derived
+// from them and never stored, so an hour-wide segment is not walked row
+// by row for one subject.
 // A CRC-32 trailer makes torn or bit-rotted files detectable, and the
 // decoder is fully bounds-checked — arbitrary bytes must produce an
 // error, never a panic (see FuzzSegmentDecode).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,6 +30,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/tippers/tippers/internal/obstore"
@@ -70,7 +75,13 @@ type segment struct {
 	values []float64
 	// payloads holds one entry per row (nil when the row had none), or
 	// is nil altogether when no row of the segment carries a payload.
+	// Rows whose payloads are equal share one map, which nobody mutates.
 	payloads []map[string]string
+
+	// Subject postings, derived from the columns (index) and never
+	// stored: userRows[userOff[u]:userOff[u+1]] are the rows of
+	// users.dict[u], ascending; the empty subject's rows are not listed.
+	userOff, userRows []uint32
 }
 
 func (sg *segment) rows() int { return len(sg.seqs) }
@@ -106,6 +117,39 @@ func (sg *segment) row(i int) sensor.Observation {
 		Value:     sg.values[i],
 		Payload:   sg.payload(i),
 	}
+}
+
+// index derives the zone maps and the subject postings from the final
+// columns. build and decode both end with it.
+func (sg *segment) index() {
+	sg.minSeq, sg.maxSeq = sg.seqs[0], sg.seqs[len(sg.seqs)-1]
+	sg.minTime, sg.maxTime = slices.Min(sg.times), slices.Max(sg.times)
+
+	// A counting sort of the rows by subject position, skipping the
+	// empty subject (sorted first, so at position 0 when present).
+	u := &sg.users
+	skip := uint32(len(u.dict))
+	if u.dict[0] == "" {
+		skip = 0
+	}
+	off := make([]uint32, len(u.dict)+1)
+	for _, p := range u.idx {
+		if p != skip {
+			off[p+1]++
+		}
+	}
+	for p := 1; p < len(off); p++ {
+		off[p] += off[p-1]
+	}
+	next := slices.Clone(off[:len(u.dict)])
+	sg.userRows = make([]uint32, off[len(u.dict)])
+	for i, p := range u.idx {
+		if p != skip {
+			sg.userRows[next[p]] = uint32(i)
+			next[p]++
+		}
+	}
+	sg.userOff = off
 }
 
 // disjoint reports whether the filter cannot match any row of this
@@ -150,35 +194,12 @@ func (sg *segment) disjoint(f obstore.Filter, spaceSet map[string]bool) bool {
 }
 
 // dictCol is one dictionary-coded string column: the distinct values
-// in first-appearance order plus a per-row index stream. A bucket sees
-// tens of distinct values per column, so lookups search dict linearly;
-// a hash map per column per segment cost more memory than the column.
-// Most lookups are zone-map probes for a value the segment does not
-// hold, and sig answers those without the search: one bit per value,
-// set at the value's hash, so a clear bit proves absence. With more
-// values than bits it fills up and every probe falls through to the
-// search — slower, never wrong.
+// in ascending order plus a per-row index stream. A hash map per column
+// per segment would cost more memory than the column, so lookups
+// binary-search dict.
 type dictCol struct {
 	dict []string
 	idx  []uint32
-	sig  [4]uint64
-}
-
-// sigBit maps a value to its bit of the signature (FNV-1a).
-func sigBit(s string) (word int, mask uint64) {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return int(h>>6) & 3, 1 << (h & 63)
-}
-
-// sign computes the signature once dict is final.
-func (c *dictCol) sign() {
-	for _, s := range c.dict {
-		w, m := sigBit(s)
-		c.sig[w] |= m
-	}
 }
 
 func (c *dictCol) at(i int) string { return c.dict[c.idx[i]] }
@@ -186,10 +207,10 @@ func (c *dictCol) at(i int) string { return c.dict[c.idx[i]] }
 // find returns s's dictionary position, or -1 when the value never
 // occurs in this segment.
 func (c *dictCol) find(s string) int {
-	if w, m := sigBit(s); c.sig[w]&m == 0 {
-		return -1
+	if pos, ok := slices.BinarySearch(c.dict, s); ok {
+		return pos
 	}
-	return slices.Index(c.dict, s)
+	return -1
 }
 
 func (c *dictCol) has(s string) bool { return c.find(s) >= 0 }
@@ -207,12 +228,54 @@ func (c *dictCol) want(s string) int {
 	return -2
 }
 
-// segBuilder lays rows out as segments. Its dictionary scratch — the
-// value -> position map and the value list — is reused for every column
-// of every segment a compaction pass builds.
+// sortDict puts a dictionary in first-appearance order — how the
+// builder collects it, and how earlier builds wrote it to disk — into
+// ascending order and remaps the index stream. It reports false when a
+// value repeats.
+func (c *dictCol) sortDict() bool {
+	if ascending(c.dict) {
+		return true
+	}
+	order := make([]uint32, len(c.dict))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(c.dict[a], c.dict[b]) })
+	dict := make([]string, len(c.dict))
+	remap := make([]uint32, len(c.dict))
+	for pos, old := range order {
+		if pos > 0 && c.dict[old] == dict[pos-1] {
+			return false
+		}
+		dict[pos], remap[old] = c.dict[old], uint32(pos)
+	}
+	for i, p := range c.idx {
+		c.idx[i] = remap[p]
+	}
+	c.dict = dict
+	return true
+}
+
+// ascending reports whether dict is strictly ascending: sorted, with no
+// value repeated.
+func ascending(dict []string) bool {
+	for i := 1; i < len(dict); i++ {
+		if dict[i-1] >= dict[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// segBuilder lays rows out as segments. Its scratch — the dictionary's
+// value -> position map and value list, and the payload table — is
+// reused for every segment a compaction pass builds.
 type segBuilder struct {
 	pos  map[string]uint32
 	dict []string
+	// shared maps a payload's encoding to the segment's one copy of it.
+	shared map[string]map[string]string
+	enc    []byte
 }
 
 // column dictionary-codes one field of rows.
@@ -233,10 +296,21 @@ func (b *segBuilder) column(rows []sensor.Observation, field func(*sensor.Observ
 		}
 		idx[i] = p
 	}
-	c := dictCol{dict: make([]string, len(b.dict)), idx: idx}
-	copy(c.dict, b.dict)
-	c.sign()
+	c := dictCol{dict: slices.Clone(b.dict), idx: idx}
+	c.sortDict() // the values are distinct: they are b.pos's keys
 	return c
+}
+
+// payload returns the segment's copy of p, made on first sight of its
+// encoding.
+func (b *segBuilder) payload(p map[string]string) map[string]string {
+	b.enc = appendPayload(b.enc[:0], p)
+	if m, ok := b.shared[string(b.enc)]; ok {
+		return m
+	}
+	m := maps.Clone(p)
+	b.shared[string(b.enc)] = m
+	return m
 }
 
 // buildSegment lays out rows with a builder of its own.
@@ -251,14 +325,16 @@ func (b *segBuilder) build(id uint64, bucket time.Time, rows []sensor.Observatio
 	if len(rows) == 0 {
 		return nil, errors.New("colstore: empty segment")
 	}
+	if b.shared == nil {
+		b.shared = make(map[string]map[string]string)
+	}
+	clear(b.shared) // sharing never crosses segments
 	sg := &segment{
-		id:      id,
-		bucket:  bucket.UTC(),
-		minTime: math.MaxInt64,
-		maxTime: math.MinInt64,
-		seqs:    make([]uint64, len(rows)),
-		times:   make([]int64, len(rows)),
-		values:  make([]float64, len(rows)),
+		id:     id,
+		bucket: bucket.UTC(),
+		seqs:   make([]uint64, len(rows)),
+		times:  make([]int64, len(rows)),
+		values: make([]float64, len(rows)),
 	}
 	for i := range rows {
 		o := &rows[i]
@@ -266,16 +342,13 @@ func (b *segBuilder) build(id uint64, bucket time.Time, rows []sensor.Observatio
 			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", o.Seq, rows[i-1].Seq)
 		}
 		sg.seqs[i] = o.Seq
-		ns := o.Time.UnixNano()
-		sg.times[i] = ns
-		sg.minTime = min(sg.minTime, ns)
-		sg.maxTime = max(sg.maxTime, ns)
+		sg.times[i] = o.Time.UnixNano()
 		sg.values[i] = o.Value
 		if len(o.Payload) > 0 {
 			if sg.payloads == nil {
 				sg.payloads = make([]map[string]string, len(rows))
 			}
-			sg.payloads[i] = maps.Clone(o.Payload)
+			sg.payloads[i] = b.payload(o.Payload)
 		}
 	}
 	sg.sensors = b.column(rows, func(o *sensor.Observation) string { return o.SensorID })
@@ -283,9 +356,31 @@ func (b *segBuilder) build(id uint64, bucket time.Time, rows []sensor.Observatio
 	sg.users = b.column(rows, func(o *sensor.Observation) string { return o.UserID })
 	sg.kinds = b.column(rows, func(o *sensor.Observation) string { return string(o.Kind) })
 	sg.macs = b.column(rows, func(o *sensor.Observation) string { return o.DeviceMAC })
-	sg.minSeq = sg.seqs[0]
-	sg.maxSeq = sg.seqs[len(sg.seqs)-1]
+	sg.index()
 	return sg, nil
+}
+
+// appendPayload appends one row's payload encoding: the pair count,
+// then each key and value length-prefixed, keys ascending. It is what
+// encode writes and the key under which a segment shares equal
+// payloads.
+func appendPayload(buf []byte, p map[string]string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(p)))
+	keys := make([]string, 0, 8) // stays on the stack for typical payloads
+	for k := range p {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		buf = appendString(buf, k)
+		buf = appendString(buf, p[k])
+	}
+	return buf
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // encode serializes the segment. Layout (all integers varint/uvarint):
@@ -297,6 +392,9 @@ func (b *segBuilder) build(id uint64, bucket time.Time, rows []sensor.Observatio
 //	value column: rowCount uvarint(Float64bits)
 //	payload column: per row pairCount + key/value strings
 //	crc32-IEEE of everything above, 4 bytes little-endian
+//
+// This build writes dictionaries sorted; earlier builds wrote them in
+// first-appearance order, and decodeSegment reads both.
 func (sg *segment) encode() []byte {
 	buf := make([]byte, 0, 64+len(sg.seqs)*8)
 	buf = append(buf, segMagic...)
@@ -315,8 +413,7 @@ func (sg *segment) encode() []byte {
 	for _, col := range []*dictCol{&sg.sensors, &sg.spaces, &sg.users, &sg.kinds, &sg.macs} {
 		buf = binary.AppendUvarint(buf, uint64(len(col.dict)))
 		for _, s := range col.dict {
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
+			buf = appendString(buf, s)
 		}
 		for _, ix := range col.idx {
 			buf = binary.AppendUvarint(buf, uint64(ix))
@@ -326,22 +423,7 @@ func (sg *segment) encode() []byte {
 		buf = binary.AppendUvarint(buf, math.Float64bits(v))
 	}
 	for i := range sg.seqs {
-		p := sg.payload(i)
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
-		if len(p) == 0 {
-			continue
-		}
-		keys := make([]string, 0, len(p))
-		for k := range p {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			buf = binary.AppendUvarint(buf, uint64(len(k)))
-			buf = append(buf, k...)
-			buf = binary.AppendUvarint(buf, uint64(len(p[k])))
-			buf = append(buf, p[k]...)
-		}
+		buf = appendPayload(buf, sg.payload(i))
 	}
 	sum := crc32.ChecksumIEEE(buf)
 	var tail [4]byte
@@ -390,18 +472,35 @@ func (r *segReader) varint() int64 {
 	return v
 }
 
-func (r *segReader) str() string {
+// raw returns the next length-prefixed string's bytes without copying.
+func (r *segReader) raw() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxStringLen || r.off+int(n) > len(r.b) {
 		r.fail()
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	s := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
 	return s
+}
+
+func (r *segReader) str() string { return string(r.raw()) }
+
+// firstAppearance reports whether idx names dictionary positions 0..n-1
+// each for the first time in that order, as earlier builds wrote them.
+func firstAppearance(idx []uint32, n int) bool {
+	next := uint32(0)
+	for _, p := range idx {
+		if p == next {
+			next++
+		} else if p > next {
+			return false
+		}
+	}
+	return int(next) == n
 }
 
 // decodeSegment parses one encoded segment. It must be total: any
@@ -430,12 +529,7 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 		return nil, r.err
 	}
 	rows := int(n)
-	sg := &segment{
-		id:      id,
-		bytes:   int64(len(data)),
-		minTime: math.MaxInt64,
-		maxTime: math.MinInt64,
-	}
+	sg := &segment{id: id, bytes: int64(len(data))}
 	sg.bucket = time.Unix(0, r.varint()).UTC()
 
 	sg.seqs = make([]uint64, rows)
@@ -468,7 +562,6 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 		for i := range col.dict {
 			col.dict[i] = r.str()
 		}
-		col.sign()
 		col.idx = make([]uint32, rows)
 		for i := 0; i < rows; i++ {
 			ix := r.uvarint()
@@ -481,12 +574,22 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		// Sorted, or first-appearance order as earlier builds wrote it,
+		// which is sorted here; nothing else is a segment.
+		if !ascending(col.dict) && (!firstAppearance(col.idx, len(col.dict)) || !col.sortDict()) {
+			return nil, errCorrupt
+		}
 	}
 	sg.values = make([]float64, rows)
 	for i := 0; i < rows; i++ {
 		sg.values[i] = math.Float64frombits(r.uvarint())
 	}
+	// Equal payloads share one map, keyed by their encoding — the same
+	// bytes the builder keys them by, so a reopened tier holds what the
+	// compacting one did. The lookup comes before any allocation.
+	var shared map[string]map[string]string
 	for i := 0; i < rows; i++ {
+		start := r.off
 		pn := r.uvarint()
 		if r.err != nil || pn > maxPayloadPairs {
 			r.fail()
@@ -495,17 +598,33 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 		if pn == 0 {
 			continue
 		}
-		if sg.payloads == nil {
-			sg.payloads = make([]map[string]string, rows)
-		}
-		p := make(map[string]string, int(pn))
+		var prev []byte
 		for j := uint64(0); j < pn; j++ {
-			k := r.str()
-			v := r.str()
+			k := r.raw()
+			r.raw()
+			if j > 0 && bytes.Compare(prev, k) >= 0 { // keys strictly ascending
+				r.fail()
+			}
 			if r.err != nil {
 				return nil, r.err
 			}
-			p[k] = v
+			prev = k
+		}
+		enc := body[start:r.off]
+		p, ok := shared[string(enc)]
+		if !ok {
+			pr := &segReader{b: enc}
+			pr.uvarint()
+			p = make(map[string]string, int(pn))
+			for j := uint64(0); j < pn; j++ {
+				k := pr.str()
+				p[k] = pr.str()
+			}
+			if shared == nil {
+				shared = make(map[string]map[string]string)
+				sg.payloads = make([]map[string]string, rows)
+			}
+			shared[string(enc)] = p
 		}
 		sg.payloads[i] = p
 	}
@@ -515,16 +634,7 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 	if r.off != len(body) {
 		return nil, errCorrupt
 	}
-	sg.minSeq = sg.seqs[0]
-	sg.maxSeq = sg.seqs[rows-1]
-	for _, ns := range sg.times {
-		if ns < sg.minTime {
-			sg.minTime = ns
-		}
-		if ns > sg.maxTime {
-			sg.maxTime = ns
-		}
-	}
+	sg.index()
 	return sg, nil
 }
 
@@ -532,32 +642,54 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 // ascending seq, testing the columns directly. The filter's string
 // predicates are resolved to dictionary positions once, when the
 // cursor opens, so the per-row test is integer compares and no row is
-// materialized until it has matched. Semantics mirror obstore's filter
-// exactly (From inclusive, To exclusive) so a segment scan and a store
-// scan agree row for row.
+// materialized until it has matched. A subject filter walks that
+// subject's postings only. Semantics mirror obstore's
+// filter exactly (From inclusive, To exclusive) so a segment scan and a
+// store scan agree row for row.
 type segCursor struct {
 	sg *segment
 	i  int // current row; a match once advance has returned true
 
-	from, to time.Time
+	// The rows still to examine: post[pos:] when byUser, else the
+	// segment's rows pos onward.
+	byUser bool
+	post   []uint32
+	pos    int
+
+	// from and last bound a matching row's time, both inclusive (unix
+	// nanos).
+	from, last int64
 	// Dictionary position each column must equal: -1 leaves the column
 	// unconstrained, -2 (value absent from the segment) matches no row.
-	sensor, user, mac, kind int
-	spaceOK                 []bool // by spaces position; nil = unconstrained
-	seqTomb                 map[uint64]struct{}
+	sensor, mac, kind int
+	spaceOK           []bool // by spaces position; nil = unconstrained
+	seqTomb           map[uint64]struct{}
 }
 
 func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb map[uint64]struct{}) segCursor {
 	c := segCursor{
 		sg:      sg,
-		i:       sort.Search(len(sg.seqs), func(i int) bool { return sg.seqs[i] > f.AfterSeq }),
-		from:    f.From,
-		to:      f.To,
+		from:    math.MinInt64,
+		last:    math.MaxInt64,
 		sensor:  sg.sensors.want(f.SensorID),
-		user:    sg.users.want(f.UserID),
 		mac:     sg.macs.want(f.DeviceMAC),
 		kind:    sg.kinds.want(string(f.Kind)),
 		seqTomb: seqTomb,
+	}
+	if !f.From.IsZero() {
+		c.from = f.From.UnixNano()
+	}
+	if !f.To.IsZero() {
+		c.last = f.To.UnixNano() - 1
+	}
+	if f.UserID != "" {
+		c.byUser = true
+		if u := sg.users.find(f.UserID); u >= 0 {
+			c.post = sg.userRows[sg.userOff[u]:sg.userOff[u+1]]
+			c.pos = sort.Search(len(c.post), func(k int) bool { return sg.seqs[c.post[k]] > f.AfterSeq })
+		}
+	} else {
+		c.pos = sort.Search(len(sg.seqs), func(i int) bool { return sg.seqs[i] > f.AfterSeq })
 	}
 	if spaceSet != nil {
 		c.spaceOK = make([]bool, len(sg.spaces.dict))
@@ -571,14 +703,25 @@ func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb
 // seq is the current row's sequence number.
 func (c *segCursor) seq() uint64 { return c.sg.seqs[c.i] }
 
-// advance moves to the first matching row at or after i; false means
-// the segment is exhausted.
+// advance moves to the next matching row; false means the segment is
+// exhausted.
 func (c *segCursor) advance() bool {
 	sg := c.sg
-	for ; c.i < len(sg.seqs); c.i++ {
-		i := c.i
+	for {
+		var i int
+		if c.byUser {
+			if c.pos >= len(c.post) {
+				return false
+			}
+			i = int(c.post[c.pos])
+		} else {
+			if c.pos >= len(sg.seqs) {
+				return false
+			}
+			i = c.pos
+		}
+		c.pos++
 		if c.sensor != -1 && int(sg.sensors.idx[i]) != c.sensor ||
-			c.user != -1 && int(sg.users.idx[i]) != c.user ||
 			c.mac != -1 && int(sg.macs.idx[i]) != c.mac ||
 			c.kind != -1 && int(sg.kinds.idx[i]) != c.kind {
 			continue
@@ -586,7 +729,7 @@ func (c *segCursor) advance() bool {
 		if c.spaceOK != nil && !c.spaceOK[sg.spaces.idx[i]] {
 			continue
 		}
-		if t := time.Unix(0, sg.times[i]); !c.from.IsZero() && t.Before(c.from) || !c.to.IsZero() && !t.Before(c.to) {
+		if ns := sg.times[i]; ns < c.from || ns > c.last {
 			continue
 		}
 		if len(c.seqTomb) > 0 {
@@ -594,7 +737,7 @@ func (c *segCursor) advance() bool {
 				continue
 			}
 		}
+		c.i = i
 		return true
 	}
-	return false
 }

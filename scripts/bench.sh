@@ -2,7 +2,8 @@
 # bench.sh — the micro-benchmark gate. It runs the benchmarks whose
 # question bench/ cannot answer and holds them to the one ledger,
 # BENCH.json, by bench/'s rule: gate what repeats — allocation and
-# decision counts, and their equality along a sweep — and print timings.
+# decision and segment counts, and their equality along a sweep — and
+# print timings.
 #
 #   scripts/bench.sh          # run, then gate against BENCH.json
 #   scripts/bench.sh record   # run, pass the flat gate, rewrite BENCH.json
@@ -31,7 +32,7 @@ go build -o "$OUT/benchdiff" ./cmd/benchdiff
 	echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)"
 	# One process per package, packages in turn; -timeout covers
 	# registering a million preferences once.
-	go test -run '^$' -bench 'BenchmarkCompiledDecide|BenchmarkObstoreIngestDurable|BenchmarkObstoreIngestConcurrent|BenchmarkStreamFanout' \
+	go test -run '^$' -bench 'BenchmarkCompiledDecide|BenchmarkObstoreIngestDurable|BenchmarkObstoreIngestConcurrent|BenchmarkStreamFanout|BenchmarkColdPointRead|BenchmarkColdHistoryRead' \
 		-benchmem -cpu "$CPU" -benchtime "$BENCHTIME" -count "$COUNT" -timeout 30m . ./internal/core
 } | tee "$OUT/raw.txt"
 "$OUT/benchdiff" parse <"$OUT/raw.txt" >"$FRESH"
