@@ -1,0 +1,230 @@
+package colstore
+
+// The streaming segment builder against the layout it replaced: the
+// slice-based builder, kept here verbatim as the oracle, laid a bucket's
+// rows out column by column from a []sensor.Observation that compaction
+// first copied them into. Every segment compaction now seals, fresh or
+// rewritten, must encode to the bytes that builder lays out for the same
+// rows.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/sensor"
+)
+
+// buildSegment lays out rows (ascending seq, all in one bucket) through
+// the streaming builder.
+func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
+	b := newSegBuilder(bucket)
+	for i := range rows {
+		b.add(&rows[i])
+	}
+	return b.seal(id)
+}
+
+// parentBuilder is the slice-based builder compaction used before it
+// streamed rows into columns.
+type parentBuilder struct {
+	pos    map[string]uint32
+	dict   []string
+	shared map[string]map[string]string
+	enc    []byte
+}
+
+func (b *parentBuilder) column(rows []sensor.Observation, field func(*sensor.Observation) string) dictCol {
+	if b.pos == nil {
+		b.pos = make(map[string]uint32)
+	}
+	clear(b.pos)
+	b.dict = b.dict[:0]
+	idx := make([]uint32, len(rows))
+	for i := range rows {
+		v := field(&rows[i])
+		p, ok := b.pos[v]
+		if !ok {
+			p = uint32(len(b.dict))
+			b.dict = append(b.dict, v)
+			b.pos[v] = p
+		}
+		idx[i] = p
+	}
+	c := dictCol{dict: slices.Clone(b.dict), idx: idx}
+	c.sortDict()
+	return c
+}
+
+func (b *parentBuilder) payload(p map[string]string) map[string]string {
+	b.enc = appendPayload(b.enc[:0], p)
+	if m, ok := b.shared[string(b.enc)]; ok {
+		return m
+	}
+	m := maps.Clone(p)
+	b.shared[string(b.enc)] = m
+	return m
+}
+
+func (b *parentBuilder) build(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
+	if len(rows) == 0 {
+		return nil, errors.New("colstore: empty segment")
+	}
+	if b.shared == nil {
+		b.shared = make(map[string]map[string]string)
+	}
+	clear(b.shared)
+	sg := &segment{
+		id:     id,
+		bucket: bucket.UTC(),
+		seqs:   make([]uint64, len(rows)),
+		times:  make([]int64, len(rows)),
+		values: make([]float64, len(rows)),
+	}
+	for i := range rows {
+		o := &rows[i]
+		if i > 0 && o.Seq <= rows[i-1].Seq {
+			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", o.Seq, rows[i-1].Seq)
+		}
+		sg.seqs[i] = o.Seq
+		sg.times[i] = o.Time.UnixNano()
+		sg.values[i] = o.Value
+		if len(o.Payload) > 0 {
+			if sg.payloads == nil {
+				sg.payloads = make([]map[string]string, len(rows))
+			}
+			sg.payloads[i] = b.payload(o.Payload)
+		}
+	}
+	sg.sensors = b.column(rows, func(o *sensor.Observation) string { return o.SensorID })
+	sg.spaces = b.column(rows, func(o *sensor.Observation) string { return o.SpaceID })
+	sg.users = b.column(rows, func(o *sensor.Observation) string { return o.UserID })
+	sg.kinds = b.column(rows, func(o *sensor.Observation) string { return string(o.Kind) })
+	sg.macs = b.column(rows, func(o *sensor.Observation) string { return o.DeviceMAC })
+	sg.index()
+	return sg, nil
+}
+
+// TestStreamingBuilderMatchesParentLayout: rows spread over four closed
+// hours out of time order — repeated and distinct payloads, rows with
+// no subject and no MAC — and a few in the open hour, which fence the
+// watermark, are compacted; then subjects sealed in segments are erased,
+// the clock moves on, and the next pass both rewrites the touched
+// segments and seals the fenced rows. After each pass every segment
+// holds exactly the live sealed rows of its bucket, encodes to the very
+// bytes the parent's builder lays out for them, and decodes back to
+// them.
+func TestStreamingBuilderMatchesParentLayout(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := csNow
+		src := obstore.New()
+		cs, err := Open(Config{Clock: func() time.Time { return now }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.AttachStore(src); err != nil {
+			t.Fatal(err)
+		}
+		live := map[uint64]sensor.Observation{}
+		for i, o := range layoutRows(rng, csNow.Add(-4*time.Hour), 4000) {
+			o.Time = o.Time.Add(time.Duration(rng.Intn(4)) * time.Hour)
+			if i > 3500 && rng.Intn(50) == 0 {
+				o.Time = csNow.Add(time.Duration(rng.Int63n(int64(time.Hour))))
+			}
+			got, err := src.Append(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[got.Seq] = got
+		}
+
+		check := func(stage string) []*segment {
+			t.Helper()
+			cs.mu.RLock()
+			segs, wm := cs.segs, cs.wm
+			cs.mu.RUnlock()
+			seen := map[uint64]bool{}
+			for _, sg := range segs {
+				rows := make([]sensor.Observation, sg.rows())
+				for i, seq := range sg.seqs {
+					o, ok := live[seq]
+					if !ok || seen[seq] || !o.Time.Truncate(time.Hour).Equal(sg.bucket) {
+						t.Fatalf("seed %d, %s: segment %d holds seq %d (live %v, seen %v)", seed, stage, sg.id, seq, ok, seen[seq])
+					}
+					seen[seq] = true
+					o.Time = o.Time.UTC()
+					rows[i] = o
+				}
+				want, err := new(parentBuilder).build(sg.id, sg.bucket, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data := sg.encode()
+				if !bytes.Equal(data, want.encode()) {
+					t.Fatalf("seed %d, %s: segment %d (%d rows) encodes differently from the parent's layout", seed, stage, sg.id, sg.rows())
+				}
+				dec, err := decodeSegment(sg.id, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range rows {
+					if got := dec.row(i); !reflect.DeepEqual(got, rows[i]) {
+						t.Fatalf("seed %d, %s: segment %d row %d decodes to %+v, want %+v", seed, stage, sg.id, i, got, rows[i])
+					}
+				}
+			}
+			for seq := range live {
+				if seq <= wm && !seen[seq] {
+					t.Fatalf("seed %d, %s: live row %d at or below the watermark %d is in no segment", seed, stage, seq, wm)
+				}
+			}
+			return segs
+		}
+
+		if _, err := cs.CompactOnce(); err != nil {
+			t.Fatal(err)
+		}
+		first := check("first pass")
+		if wm := cs.Watermark(); wm == 0 || src.Resident() == 0 {
+			t.Fatalf("seed %d: the open-hour rows fenced nothing (watermark %d, resident %d)", seed, wm, src.Resident())
+		}
+
+		for range 3 {
+			victim := fmt.Sprintf("u%03d", rng.Intn(300))
+			src.DeleteUser(victim, nil)
+			for seq, o := range live {
+				if o.UserID == victim {
+					delete(live, seq)
+				}
+			}
+		}
+		if cs.Stats().SeqTombstones == 0 {
+			t.Fatalf("seed %d: the erasures left no tombstone to rewrite", seed)
+		}
+		now = now.Add(2 * time.Hour)
+		if _, err := cs.CompactOnce(); err != nil {
+			t.Fatal(err)
+		}
+		second := check("second pass")
+		if src.Resident() != 0 {
+			t.Fatalf("seed %d: resident %d after the clock passed every row", seed, src.Resident())
+		}
+		rewritten := 0
+		for _, sg := range first {
+			if !slices.Contains(second, sg) {
+				rewritten++
+			}
+		}
+		if rewritten == 0 {
+			t.Fatalf("seed %d: no segment was rewritten", seed)
+		}
+	}
+}

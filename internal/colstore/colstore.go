@@ -427,23 +427,26 @@ func (s *Store) CompactOnce() (int, error) {
 	s.compactingUpTo = ^uint64(0)
 	s.mu.Unlock()
 
-	// Walk the seq-ascending tail, partitioning it by time bucket (seq
-	// order kept within each), and stop at the first row whose bucket is
-	// still open: the watermark must advance as a contiguous seq prefix,
-	// so a row in an open bucket fences everything behind it until the
-	// bucket closes.
+	// Walk the seq-ascending tail, streaming each row into its time
+	// bucket's segment builder (seq order kept within each), and stop at
+	// the first row whose bucket is still open: the watermark must
+	// advance as a contiguous seq prefix, so a row in an open bucket
+	// fences everything behind it until the bucket closes.
 	sealed, newWM := 0, wm
-	byBucket := make(map[int64][]sensor.Observation)
+	builders := make(map[int64]*segBuilder)
 	var starts []int64
 	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
 		b := o.Time.Truncate(s.cfg.BucketDur)
 		if b.Add(s.cfg.BucketDur).After(now) {
 			return false
 		}
-		if _, ok := byBucket[b.UnixNano()]; !ok {
+		sb, ok := builders[b.UnixNano()]
+		if !ok {
+			sb = newSegBuilder(b)
+			builders[b.UnixNano()] = sb
 			starts = append(starts, b.UnixNano())
 		}
-		byBucket[b.UnixNano()] = append(byBucket[b.UnixNano()], *o)
+		sb.add(o)
 		sealed, newWM = sealed+1, o.Seq
 		return true
 	})
@@ -472,12 +475,11 @@ func (s *Store) CompactOnce() (int, error) {
 		return 0, nil
 	}
 
-	// Build fresh segments from the sealed prefix, one per bucket.
+	// Seal fresh segments from the sealed prefix, one per bucket.
 	var fresh []*segment
-	var builder segBuilder
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	for _, b := range starts {
-		sg, err := builder.build(nextID, time.Unix(0, b).UTC(), byBucket[b])
+		sg, err := builders[b].seal(nextID)
 		if err != nil {
 			s.clearCompacting()
 			return 0, err
@@ -496,17 +498,18 @@ func (s *Store) CompactOnce() (int, error) {
 			keep = append(keep, sg)
 			continue
 		}
-		var surviving []sensor.Observation
+		surviving := newSegBuilder(sg.bucket)
 		for i := 0; i < sg.rows(); i++ {
 			if _, dead := seqTombSnap[sg.seqs[i]]; !dead {
-				surviving = append(surviving, sg.row(i))
+				o := sg.row(i)
+				surviving.add(&o)
 			}
 		}
 		dropped = append(dropped, sg)
-		if len(surviving) == 0 {
+		if surviving.sg.rows() == 0 {
 			continue
 		}
-		nsg, err := builder.build(nextID, sg.bucket, surviving)
+		nsg, err := surviving.seal(nextID)
 		if err != nil {
 			s.clearCompacting()
 			return 0, err

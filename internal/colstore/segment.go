@@ -86,6 +86,11 @@ type segment struct {
 
 func (sg *segment) rows() int { return len(sg.seqs) }
 
+// cols lists the dictionary columns in the order encode writes them.
+func (sg *segment) cols() [5]*dictCol {
+	return [5]*dictCol{&sg.sensors, &sg.spaces, &sg.users, &sg.kinds, &sg.macs}
+}
+
 func (sg *segment) payload(i int) map[string]string {
 	if sg.payloads == nil {
 		return nil
@@ -267,38 +272,53 @@ func ascending(dict []string) bool {
 	return true
 }
 
-// segBuilder lays rows out as segments. Its scratch — the dictionary's
-// value -> position map and value list, and the payload table — is
-// reused for every segment a compaction pass builds.
+// segBuilder lays out one segment a row at a time, so compaction
+// streams the row store's tail into columns instead of first copying it
+// into rows: add appends each field of a row to its column of a segment
+// that grows in place, and seal copies every column out at its length —
+// a sealed segment stays on the heap, so append's growth slack would
+// stay with it.
 type segBuilder struct {
-	pos  map[string]uint32
-	dict []string
+	sg segment
+	// pos maps a value to its dictionary position, per column of cols.
+	pos        [5]map[string]uint32
+	hasPayload bool
 	// shared maps a payload's encoding to the segment's one copy of it.
 	shared map[string]map[string]string
 	enc    []byte
 }
 
-// column dictionary-codes one field of rows.
-func (b *segBuilder) column(rows []sensor.Observation, field func(*sensor.Observation) string) dictCol {
-	if b.pos == nil {
-		b.pos = make(map[string]uint32)
+func newSegBuilder(bucket time.Time) *segBuilder {
+	b := &segBuilder{sg: segment{bucket: bucket.UTC()}, shared: make(map[string]map[string]string)}
+	for i := range b.pos {
+		b.pos[i] = make(map[string]uint32)
 	}
-	clear(b.pos)
-	b.dict = b.dict[:0]
-	idx := make([]uint32, len(rows))
-	for i := range rows {
-		v := field(&rows[i])
-		p, ok := b.pos[v]
+	return b
+}
+
+// add appends one row, which is not retained: its strings are immutable
+// and its payload is copied. The caller owns ordering (ascending seq,
+// all in the builder's bucket); seal asserts it.
+func (b *segBuilder) add(o *sensor.Observation) {
+	sg := &b.sg
+	sg.seqs = append(sg.seqs, o.Seq)
+	sg.times = append(sg.times, o.Time.UnixNano())
+	sg.values = append(sg.values, o.Value)
+	cols := sg.cols()
+	for i, v := range [...]string{o.SensorID, o.SpaceID, o.UserID, string(o.Kind), o.DeviceMAC} {
+		p, ok := b.pos[i][v]
 		if !ok {
-			p = uint32(len(b.dict))
-			b.dict = append(b.dict, v)
-			b.pos[v] = p
+			p = uint32(len(cols[i].dict))
+			cols[i].dict = append(cols[i].dict, v)
+			b.pos[i][v] = p
 		}
-		idx[i] = p
+		cols[i].idx = append(cols[i].idx, p)
 	}
-	c := dictCol{dict: slices.Clone(b.dict), idx: idx}
-	c.sortDict() // the values are distinct: they are b.pos's keys
-	return c
+	var p map[string]string
+	if len(o.Payload) > 0 {
+		p, b.hasPayload = b.payload(o.Payload), true
+	}
+	sg.payloads = append(sg.payloads, p)
 }
 
 // payload returns the segment's copy of p, made on first sight of its
@@ -313,49 +333,26 @@ func (b *segBuilder) payload(p map[string]string) map[string]string {
 	return m
 }
 
-// buildSegment lays out rows with a builder of its own.
-func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
-	return new(segBuilder).build(id, bucket, rows)
-}
-
-// build lays out rows (ascending seq, all in one bucket) as a segment,
-// every column allocated at its final length. The caller owns ordering;
-// build only asserts it.
-func (b *segBuilder) build(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
-	if len(rows) == 0 {
+// seal returns the rows added so far as a segment. slices.Clone
+// allocates a column at its length, the size class make would take.
+func (b *segBuilder) seal(id uint64) (*segment, error) {
+	in := &b.sg
+	if in.rows() == 0 {
 		return nil, errors.New("colstore: empty segment")
 	}
-	if b.shared == nil {
-		b.shared = make(map[string]map[string]string)
-	}
-	clear(b.shared) // sharing never crosses segments
-	sg := &segment{
-		id:     id,
-		bucket: bucket.UTC(),
-		seqs:   make([]uint64, len(rows)),
-		times:  make([]int64, len(rows)),
-		values: make([]float64, len(rows)),
-	}
-	for i := range rows {
-		o := &rows[i]
-		if i > 0 && o.Seq <= rows[i-1].Seq {
-			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", o.Seq, rows[i-1].Seq)
-		}
-		sg.seqs[i] = o.Seq
-		sg.times[i] = o.Time.UnixNano()
-		sg.values[i] = o.Value
-		if len(o.Payload) > 0 {
-			if sg.payloads == nil {
-				sg.payloads = make([]map[string]string, len(rows))
-			}
-			sg.payloads[i] = b.payload(o.Payload)
+	for i := 1; i < in.rows(); i++ {
+		if in.seqs[i] <= in.seqs[i-1] {
+			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", in.seqs[i], in.seqs[i-1])
 		}
 	}
-	sg.sensors = b.column(rows, func(o *sensor.Observation) string { return o.SensorID })
-	sg.spaces = b.column(rows, func(o *sensor.Observation) string { return o.SpaceID })
-	sg.users = b.column(rows, func(o *sensor.Observation) string { return o.UserID })
-	sg.kinds = b.column(rows, func(o *sensor.Observation) string { return string(o.Kind) })
-	sg.macs = b.column(rows, func(o *sensor.Observation) string { return o.DeviceMAC })
+	sg := &segment{id: id, bucket: in.bucket, seqs: slices.Clone(in.seqs), times: slices.Clone(in.times), values: slices.Clone(in.values)}
+	if b.hasPayload {
+		sg.payloads = slices.Clone(in.payloads)
+	}
+	for i, col := range sg.cols() {
+		*col = dictCol{dict: slices.Clone(in.cols()[i].dict), idx: slices.Clone(in.cols()[i].idx)}
+		col.sortDict() // the values are distinct: they are b.pos's keys
+	}
 	sg.index()
 	return sg, nil
 }
@@ -410,7 +407,7 @@ func (sg *segment) encode() []byte {
 	for i := 1; i < len(sg.times); i++ {
 		buf = binary.AppendVarint(buf, sg.times[i]-sg.times[i-1])
 	}
-	for _, col := range []*dictCol{&sg.sensors, &sg.spaces, &sg.users, &sg.kinds, &sg.macs} {
+	for _, col := range sg.cols() {
 		buf = binary.AppendUvarint(buf, uint64(len(col.dict)))
 		for _, s := range col.dict {
 			buf = appendString(buf, s)
@@ -552,7 +549,7 @@ func decodeSegment(id uint64, data []byte) (*segment, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	for _, col := range []*dictCol{&sg.sensors, &sg.spaces, &sg.users, &sg.kinds, &sg.macs} {
+	for _, col := range sg.cols() {
 		dn := r.uvarint()
 		if r.err != nil || dn == 0 || dn > maxDictEntries {
 			r.fail()

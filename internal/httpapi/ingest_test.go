@@ -1,0 +1,218 @@
+package httpapi
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/tippers/tippers/internal/core"
+	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/profile"
+	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/service"
+	"github.com/tippers/tippers/internal/spatial"
+)
+
+// newIngestBMS is a node that stores exactly what it is sent: its one
+// sensor is mobile (no space is filled in) and no device MAC it is sent
+// belongs to an occupant (no subject is filled in).
+func newIngestBMS(t *testing.T) *core.BMS {
+	t.Helper()
+	spaces := spatial.NewModel()
+	spaces.MustAdd("", spatial.Space{ID: "dbh", Kind: spatial.KindBuilding})
+	sensors := sensor.NewRegistry()
+	ap := sensor.MustNew("ap-1", sensor.TypeWiFiAP, "dbh")
+	ap.Mobile = true
+	sensors.MustAdd(ap)
+	bms, err := core.New(core.Config{
+		Spaces: spaces, Users: profile.NewDirectory(), Sensors: sensors, Services: service.NewRegistry(),
+		DefaultAllow: true,
+		Clock:        func() time.Time { return testNow },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bms.Close)
+	return bms
+}
+
+func post(h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// ingestPair draws two batches. Every element of the first sets every
+// optional field; in the second, elements omit fields the first set at
+// the same index, carry payloads with other keys, or run past the first
+// batch's length. Each element's time is unique: at is bumped per
+// element and is the row's key.
+func ingestPair(rng *rand.Rand, at *time.Time) (first, second []ObservationDTO) {
+	next := func() time.Time { *at = at.Add(time.Millisecond); return *at }
+	for i := 0; i < 1+rng.Intn(12); i++ {
+		first = append(first, ObservationDTO{
+			SensorID: "ap-1", Kind: string(sensor.ObsWiFiConnect), Time: next(),
+			SpaceID: "dbh", DeviceMAC: fmt.Sprintf("bb:%02x", rng.Intn(256)), UserID: fmt.Sprintf("u%d", rng.Intn(50)),
+			Value: float64(1 + rng.Intn(100)), Payload: map[string]string{"event": "assoc", "rssi": fmt.Sprint(-rng.Intn(90))},
+		})
+	}
+	for i := 0; i < 1+rng.Intn(16); i++ {
+		o := ObservationDTO{SensorID: "ap-1", Kind: string(sensor.ObsBLESighting), Time: next()}
+		if rng.Intn(2) == 0 {
+			o.UserID = fmt.Sprintf("v%d", rng.Intn(50))
+		}
+		if rng.Intn(2) == 0 {
+			o.DeviceMAC = fmt.Sprintf("cc:%02x", rng.Intn(256))
+		}
+		if rng.Intn(2) == 0 {
+			o.SpaceID = "dbh"
+		}
+		if rng.Intn(2) == 0 {
+			o.Value = -float64(rng.Intn(10))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			o.Payload = map[string]string{"beacon": fmt.Sprint(rng.Intn(9))}
+		case 1:
+			o.Payload = map[string]string{"event": "disassoc"}
+		}
+		second = append(second, o)
+	}
+	return first, second
+}
+
+// plantDirtyBatch offers the pool a slice whose every element is set,
+// as a slice handed back without being cleared would be; an element
+// still holding the plant's values was never decoded into.
+func plantDirtyBatch() {
+	dirty := make([]ObservationDTO, 32)
+	for i := range dirty {
+		dirty[i] = ObservationDTO{
+			Seq: 7, SensorID: "planted", Kind: "planted", Time: testNow, SpaceID: "planted",
+			DeviceMAC: "planted", UserID: "planted", Value: 7, Payload: map[string]string{"planted": "x"},
+		}
+	}
+	dirty = dirty[:0]
+	batchPool.Put(&dirty)
+}
+
+// TestPooledDecodeLeaksNothing: eight concurrent posters send batch
+// pairs whose second batch omits fields or changes payload keys the
+// first set, with slices planted in the pool that look like ones handed
+// back dirty. Every stored row equals ObservationFromDTO of its element
+// decoded afresh, so no request sees a field or a payload key of
+// another; a malformed batch stores nothing; and every slice the
+// handler handed back to the pool is zero over its capacity.
+func TestPooledDecodeLeaksNothing(t *testing.T) {
+	bms := newIngestBMS(t)
+	h := NewServer(bms).Handler()
+
+	var (
+		mu   sync.Mutex
+		want = map[int64]sensor.Observation{}
+		wg   sync.WaitGroup
+	)
+	for p := 0; p < 8; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			at := testNow.Add(time.Duration(p) * time.Hour)
+			for range 40 {
+				plantDirtyBatch()
+				first, second := ingestPair(rng, &at)
+				for _, batch := range [][]ObservationDTO{first, second} {
+					body, err := json.Marshal(batch)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if rec := post(h, http.MethodPost, "/v1/observations", body); rec.Code != http.StatusOK {
+						t.Errorf("ingest: %d %s", rec.Code, rec.Body)
+						return
+					}
+					var fresh []ObservationDTO
+					if err := json.Unmarshal(body, &fresh); err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					for _, d := range fresh {
+						want[d.Time.UnixNano()] = ObservationFromDTO(d)
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	rows := bms.Store().Query(obstore.Filter{})
+	if len(rows) != len(want) {
+		t.Fatalf("stored %d rows, posted %d", len(rows), len(want))
+	}
+	for _, got := range rows {
+		w, ok := want[got.Time.UnixNano()]
+		if w.Seq = got.Seq; !ok || !reflect.DeepEqual(got, w) {
+			t.Fatalf("stored row\n %+v\nfresh decode of its element\n %+v", got, w)
+		}
+	}
+
+	for _, body := range []string{
+		`[{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:00Z"},{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:01Z","value":"high"}]`,
+		`[{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:00Z"},{"sensor_id":`,
+	} {
+		plantDirtyBatch()
+		if rec := post(h, http.MethodPost, "/v1/observations", []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("malformed batch: %d %s", rec.Code, rec.Body)
+		}
+		if n := bms.Store().Len(); n != len(rows) {
+			t.Fatalf("a malformed batch stored %d rows", n-len(rows))
+		}
+	}
+
+	for range 64 {
+		p := batchPool.Get().(*[]ObservationDTO)
+		s := (*p)[:cap(*p)]
+		if len(s) > 0 && s[0].SensorID == "planted" {
+			continue // a plant no request took
+		}
+		for i := range s {
+			if !reflect.DeepEqual(s[i], ObservationDTO{}) {
+				t.Fatalf("a pooled batch slice still holds element %d: %+v", i, s[i])
+			}
+		}
+	}
+}
+
+// TestOversizedBodyIs413: a body one byte over the limit is refused
+// with 413 naming the limit — on ingest and on a preference write alike
+// — and nothing is stored.
+func TestOversizedBodyIs413(t *testing.T) {
+	bms := newIngestBMS(t)
+	h := NewServer(bms).Handler()
+	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/observations"},
+		{http.MethodPut, "/v1/preferences"},
+	} {
+		rec := post(h, r.method, r.path, body)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), fmt.Sprint(maxBodyBytes)) {
+			t.Fatalf("%s %s with %d bytes: %d %s", r.method, r.path, len(body), rec.Code, rec.Body)
+		}
+	}
+	if n := bms.Store().Len(); n != 0 {
+		t.Fatalf("stored %d rows", n)
+	}
+}

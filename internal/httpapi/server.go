@@ -1,14 +1,16 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/tippers/tippers/internal/core"
 	"github.com/tippers/tippers/internal/telemetry"
@@ -232,13 +234,43 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// Request bodies and ingest batches are read and decoded into pooled
+// buffers: regrowing them per request was most of what the ingest path
+// allocated. A buffer that grew past maxPooledBytes is dropped, not
+// kept alive by the pool.
+const (
+	maxPooledBytes = 1 << 20
+	maxPooledBatch = maxPooledBytes / int(unsafe.Sizeof(ObservationDTO{}))
+)
+
+var (
+	bodyPool  = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	batchPool = sync.Pool{New: func() any { return new([]ObservationDTO) }}
+)
+
+// readJSON decodes the whole body into v before the handler acts on any
+// of it, so a malformed body changes nothing. A body over maxBodyBytes
+// is refused with 413.
 func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBytes {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := req.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, maxBodyBytes)); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the limit of %d bytes", tooLarge.Limit))
+			return false
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return false
 	}
@@ -345,13 +377,27 @@ type ingestResult struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
-	var batch []ObservationDTO
+	// encoding/json decodes into the elements a reused slice already
+	// holds: it zeroes no field the JSON omits, and it merges into an
+	// existing map instead of replacing it — a map some stored row owns.
+	// So the pooled batch is zeroed over its whole capacity before the
+	// decode, and again after, so the pool pins no row's strings or maps.
+	bp := batchPool.Get().(*[]ObservationDTO)
+	batch := *bp
+	clear(batch[:cap(batch)])
+	batch = batch[:0]
+	defer func() {
+		clear(batch[:cap(batch)])
+		if *bp = batch[:0]; cap(batch) <= maxPooledBatch {
+			batchPool.Put(bp)
+		}
+	}()
 	if !readJSON(w, req, &batch) {
 		return
 	}
 	accepted := 0
-	for _, dto := range batch {
-		if err := s.bms.IngestCtx(req.Context(), ObservationFromDTO(dto)); err != nil {
+	for i := range batch {
+		if err := s.bms.IngestCtx(req.Context(), ObservationFromDTO(batch[i])); err != nil {
 			writeJSON(w, http.StatusUnprocessableEntity, ingestResult{Accepted: accepted, Error: err.Error()})
 			return
 		}

@@ -688,19 +688,26 @@ func replayFile(path string, size int64, fn func(uint64, []byte) error) error {
 
 // WriteFrame frames one record onto w — the single encoder behind
 // Log.Append and every standalone frame file (the store's checkpoint)
-// — and returns the framed size. It takes the concrete writer so the
-// header stays on the caller's stack: this is the ingest hot path.
+// — and returns the framed size. This is the ingest hot path, so the
+// header is laid out in the writer's own free space (AvailableBuffer),
+// flushing first when less than a header is free: a local array would
+// escape through Write's io.Writer and cost an allocation per record.
 func WriteFrame(w *bufio.Writer, seq uint64, payload []byte) (int64, error) {
 	if n := seqSize + len(payload); n > MaxRecordBytes {
 		return 0, fmt.Errorf("record of %d bytes exceeds the limit a reader accepts", n)
 	}
-	var header [headerSize + seqSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(seqSize+len(payload)))
-	binary.LittleEndian.PutUint64(header[8:16], seq)
+	if w.Available() < headerSize+seqSize {
+		if err := w.Flush(); err != nil {
+			return 0, err
+		}
+	}
+	header := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(seqSize+len(payload)))
+	header = binary.LittleEndian.AppendUint32(header, 0) // the CRC, filled in below
+	header = binary.LittleEndian.AppendUint64(header, seq)
 	crc := crc32.Checksum(header[8:16], castagnoli)
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(header[4:8], crc)
-	if _, err := w.Write(header[:]); err != nil {
+	if _, err := w.Write(header); err != nil {
 		return 0, err
 	}
 	if _, err := w.Write(payload); err != nil {

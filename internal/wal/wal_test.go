@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -310,5 +312,44 @@ func TestEmptySegmentRemovedOnOpen(t *testing.T) {
 	appendN(t, l, 1, 5)
 	if got := collect(t, l, 0); len(got) != 5 {
 		t.Fatalf("replayed %d, want 5", len(got))
+	}
+}
+
+// TestWriteFrameAllocs: framing a record that fits the writer's buffer
+// allocates nothing, and frames whose header meets a nearly full buffer
+// still scan back intact.
+func TestWriteFrameAllocs(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xab}, 100)
+	w := bufio.NewWriterSize(io.Discard, 4096)
+	seq := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		seq++
+		if _, err := WriteFrame(w, seq, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WriteFrame allocates %.1f times per record", n)
+	}
+
+	// A 64-byte buffer puts a header across almost every flush boundary.
+	var file bytes.Buffer
+	w = bufio.NewWriterSize(&file, 64)
+	for seq := uint64(1); seq <= 50; seq++ {
+		if _, err := WriteFrame(w, seq, payload[:seq%40]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(1)
+	if _, err := ScanFrames(&file, func(seq uint64, p []byte) error {
+		if seq != want || !bytes.Equal(p, payload[:seq%40]) {
+			return fmt.Errorf("frame %d: seq %d, %d payload bytes", want, seq, len(p))
+		}
+		want++
+		return nil
+	}); err != nil || want != 51 {
+		t.Fatalf("scanned %d frames: %v", want-1, err)
 	}
 }
