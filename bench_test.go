@@ -613,6 +613,66 @@ func BenchmarkIngestBatchHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkRequestUserHTTP is the service-reads hot path: one POST
+// /v1/requests/user releasing 20 of a subject's sealed BLE sightings
+// through APIHandler().ServeHTTP, with the request and the response
+// writer reused. B/op and allocs/op are what decoding the request,
+// deciding (a memo hit after the first), streaming the rows out of the
+// scan and appending the response body cost together.
+func BenchmarkRequestUserHTTP(b *testing.B) {
+	dep, err := NewDeployment(DeploymentConfig{Spec: SmallDBH(), Population: 100, Seed: 1,
+		Clock: func() time.Time { return benchDay.Add(24 * time.Hour) }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dep.Close()
+	if _, err := dep.SimulateDay(benchDay, 1); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dep.BMS.Columnar().CompactOnce(); err != nil {
+		b.Fatal(err)
+	}
+	h := dep.APIHandler()
+	var (
+		raw  []byte
+		resp httpapi.ResponseDTO
+	)
+	for _, u := range dep.Users.All() {
+		raw, err = json.Marshal(httpapi.RequestDTO{ServiceID: "concierge", Purpose: string(PurposeProvidingService),
+			Kind: string(sensor.ObsBLESighting), SubjectID: u.ID, Limit: 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/requests/user", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if resp = (httpapi.ResponseDTO{}); json.Unmarshal(rec.Body.Bytes(), &resp) == nil && len(resp.Observations) == 20 {
+			break
+		}
+	}
+	if len(resp.Observations) != 20 {
+		b.Fatal("no subject has 20 releasable BLE sightings")
+	}
+	var (
+		body benchBody
+		req  = httptest.NewRequest(http.MethodPost, "/v1/requests/user", nil)
+		rw   = benchResponse{header: http.Header{}}
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(raw)
+		req.Body, req.ContentLength = &body, int64(len(raw))
+		rw.code = 0
+		h.ServeHTTP(&rw, req)
+		if rw.code != http.StatusOK {
+			b.Fatalf("request %d: status %d", i, rw.code)
+		}
+	}
+}
+
 // BenchmarkHTTPRoundtrip is experiment E7: full request latency over
 // the REST API (network + JSON + enforcement + data path).
 func BenchmarkHTTPRoundtrip(b *testing.B) {

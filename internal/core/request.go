@@ -49,10 +49,32 @@ func (b *BMS) RequestUser(req enforce.Request) (Response, error) {
 }
 
 // RequestUserCtx is RequestUser continuing the trace carried by ctx:
-// the enforcement stages (decide, fetch, apply) become spans, and the
-// decision trace is stamped with the trace ID so `iotactl trace` can
-// join the two views of the same request.
+// RequestUserEach with the released rows collected into
+// Response.Observations.
 func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response, error) {
+	var obs []sensor.Observation
+	resp, err := b.RequestUserEach(ctx, req, func(o *sensor.Observation) { obs = append(obs, *o) })
+	if err != nil {
+		return Response{}, err
+	}
+	resp.Observations = obs
+	return resp, nil
+}
+
+// RequestUserEach is the single-subject path streamed: it decides once,
+// then runs one store scan whose visitor degrades each row per the
+// decision and hands it to emit as the scan reaches it, so no row is
+// collected on the way. Response.Observations stays nil. The row emit
+// receives is reused for the next one: emit copies what it keeps. On an
+// error, rows already emitted must be discarded.
+//
+// The request's enforcement stages become spans under the trace carried
+// by ctx (enforce.decide, then obstore.query over the streamed scan),
+// and the decision trace is stamped with the trace ID so `iotactl
+// trace` can join the two views of the same request. The trace's stages
+// stay decide, fetch, apply: apply is summed over the rows, and fetch is
+// the scan's time less apply (emit's time included).
+func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit func(*sensor.Observation)) (Response, error) {
 	if req.SubjectID == "" {
 		return Response{}, fmt.Errorf("core: RequestUser needs a subject")
 	}
@@ -90,37 +112,51 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 		tr.DenyReason = d.DenyReason
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 	}
-	// The subject's rows stream from the store into the response, and
-	// the apply stage degrades them there, in place: each row is copied
-	// once.
 	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
+	s := &userScan{d: d, transf: b.transf, emit: emit}
 	t0 = time.Now()
-	var obs []sensor.Observation
-	b.store.Scan(b.filterFor(req), func(o *sensor.Observation) bool {
-		obs = append(obs, *o)
-		return true
-	})
-	qSpan.SetAttrInt("observations", int64(len(obs)))
+	b.store.Scan(b.filterFor(req), s.visit)
+	fetch := time.Since(t0)
+	qSpan.SetAttrInt("observations", int64(s.scanned))
+	qSpan.SetAttrInt("released", int64(s.released))
 	qSpan.End()
-	tr.addStage("fetch", time.Since(t0))
-	_, aSpan := b.tracer.StartSpan(ctx, "enforce.apply")
-	t0 = time.Now()
-	released := obs[:0]
-	for _, o := range obs {
-		o, ok, err := enforce.ApplyDecisionOne(d, o, b.transf)
-		if err != nil {
-			aSpan.End()
-			return Response{}, err
-		}
-		if ok {
-			released = append(released, o)
-		}
+	if s.err != nil {
+		return Response{}, s.err
 	}
-	aSpan.SetAttrInt("released", int64(len(released)))
-	aSpan.End()
-	tr.addStage("apply", time.Since(t0))
-	tr.ObservationsReleased = len(released)
-	return Response{Decision: d, Observations: released, Trace: b.finishTrace(&tr, started)}, nil
+	tr.addStage("fetch", fetch-s.apply)
+	tr.addStage("apply", s.apply)
+	tr.ObservationsReleased = s.released
+	return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
+}
+
+// userScan is RequestUserEach's scan visitor. Its state is one struct
+// rather than locals a closure captures, each of which would escape to
+// the heap on its own.
+type userScan struct {
+	d                 enforce.Decision
+	transf            *privacy.Transformer
+	emit              func(*sensor.Observation)
+	row               sensor.Observation // the degraded row emit sees, reused
+	apply             time.Duration
+	scanned, released int
+	err               error
+}
+
+func (s *userScan) visit(o *sensor.Observation) bool {
+	s.scanned++
+	t0 := time.Now()
+	row, ok, err := enforce.ApplyDecisionOne(s.d, *o, s.transf)
+	s.apply += time.Since(t0)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	if ok {
+		s.row = row
+		s.released++
+		s.emit(&s.row)
+	}
+	return true
 }
 
 // RequestOccupancy is the aggregate path: a service asks how many

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,10 +20,13 @@ import (
 // granularity (none included), with and without noise. Noise is drawn
 // per released row from the transformer's seeded stream, so the
 // reference runs on a twin BMS built with the same noise seed and fed
-// the same rows.
+// the same rows. A third twin asks RequestUserEach: the rows it emits,
+// copied as they arrive through its one reused row, must be the same,
+// with no Response.Observations beside them.
 func TestRequestUserStreamMatchesQuery(t *testing.T) {
 	seeded := func(c *Config) { c.NoiseSeed = 7 }
-	streamed, ref := newFixtureWith(t, seeded), newFixtureWith(t, seeded)
+	streamed, ref, each := newFixtureWith(t, seeded), newFixtureWith(t, seeded), newFixtureWith(t, seeded)
+	twins := []*fixture{streamed, ref, each}
 	rng := rand.New(rand.NewSource(11))
 	rooms := []string{"dbh/1/r0", "dbh/1/r1", "dbh/1/r2", "dbh/2/r0", "dbh/2/r1", "dbh/2/r2"}
 	users := []string{"mary", "bob", "carol"}
@@ -34,7 +38,7 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 				UserID: users[rng.Intn(len(users))], Value: rng.Float64() * 100,
 				Time: testNow.Add(-time.Duration(rng.Int63n(int64(maxAge)))),
 			}
-			for _, f := range []*fixture{streamed, ref} {
+			for _, f := range twins {
 				if _, err := f.bms.Store().Append(o); err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +48,7 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 	// Most of the history sealed into the columnar tier and evicted, the
 	// rest hot: requests read across the split.
 	ingest(500, 2*time.Hour)
-	for _, f := range []*fixture{streamed, ref} {
+	for _, f := range twins {
 		if n, err := f.bms.Columnar().CompactOnce(); err != nil || n == 0 {
 			t.Fatalf("compaction sealed %d rows (%v)", n, err)
 		}
@@ -66,7 +70,7 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 		user := users[rng.Intn(len(users))]
 		p := policy.Preference{ID: "pref-" + user, UserID: user, Source: "explicit",
 			Scope: policy.Scope{ServiceID: "concierge"}, Rule: rules[trial%len(rules)]}
-		for _, f := range []*fixture{streamed, ref} {
+		for _, f := range twins {
 			if err := f.bms.SetPreference(p); err != nil {
 				t.Fatal(err)
 			}
@@ -108,9 +112,29 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 		if got.Trace.ObservationsReleased != len(want) {
 			t.Fatalf("trial %d: trace counts %d released rows, want %d", trial, got.Trace.ObservationsReleased, len(want))
 		}
+		var emitted []sensor.Observation
+		eachResp, err := each.bms.RequestUserEach(context.Background(), req, func(o *sensor.Observation) { emitted = append(emitted, *o) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eachResp.Observations != nil || len(emitted)+len(want) > 0 && !reflect.DeepEqual(emitted, want) {
+			t.Fatalf("trial %d: RequestUserEach emitted %d rows (and returned %d), want %d", trial, len(emitted), len(eachResp.Observations), len(want))
+		}
 		released += len(want)
 	}
 	if released == 0 {
 		t.Fatal("no trial released a row")
+	}
+
+	// An apply error ends the scan and the request; nothing is emitted.
+	each.bms.transf = nil
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SubjectID: "mary", Time: testNow}
+	if err := each.bms.SetPreference(policy.Preference{ID: "pref-mary", UserID: "mary", Source: "explicit",
+		Scope: policy.Scope{ServiceID: "concierge"}, Rule: policy.Rule{Action: policy.ActionAllow}}); err != nil {
+		t.Fatal(err)
+	}
+	emitted := 0
+	if _, err := each.bms.RequestUserEach(context.Background(), req, func(*sensor.Observation) { emitted++ }); err == nil || emitted != 0 {
+		t.Fatalf("with no transformer: err %v after %d emitted rows, want an error and none", err, emitted)
 	}
 }

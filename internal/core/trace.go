@@ -162,9 +162,11 @@ func (r *traceRing) recent(n int, match func(DecisionTrace) bool) []DecisionTrac
 	return out
 }
 
-// newTrace starts a trace for a request.
+// newTrace starts a trace for a request, with room for the three stages
+// every path records.
 func (b *BMS) newTrace(path string, req enforce.Request) DecisionTrace {
 	return DecisionTrace{
+		Stages:    make([]TraceStage, 0, 3),
 		Time:      b.clock(),
 		Path:      path,
 		ServiceID: req.ServiceID,

@@ -11,7 +11,6 @@ import (
 	"github.com/tippers/tippers/internal/core"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
-	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
@@ -154,7 +153,8 @@ type AggregateDTO struct {
 	Count int    `json:"count"`
 }
 
-// ResponseDTO is the wire form of core.Response.
+// ResponseDTO is the wire form of core.Response. The server appends it
+// directly (append.go); clients decode it.
 type ResponseDTO struct {
 	Decision           DecisionDTO       `json:"decision"`
 	Observations       []ObservationDTO  `json:"observations,omitempty"`
@@ -356,25 +356,6 @@ func notificationToDTO(n enforce.Notification) NotificationDTO {
 	return NotificationDTO{UserID: n.UserID, PolicyID: n.PolicyID, PreferenceID: n.PreferenceID, Message: n.Message}
 }
 
-func decisionToDTO(d enforce.Decision) DecisionDTO {
-	out := DecisionDTO{
-		Allowed:            d.Allowed,
-		DenyReason:         d.DenyReason,
-		MatchedPreferences: d.MatchedPreferences,
-		MatchedDefaults:    d.MatchedDefaults,
-		MatchedPolicy:      d.OverridePolicyID,
-		Overridden:         d.Overridden,
-		CacheHit:           d.FromCache,
-	}
-	if d.Granularity.Valid() {
-		out.Granularity = d.Granularity.String()
-	}
-	for _, n := range d.Notifications {
-		out.Notifications = append(out.Notifications, notificationToDTO(n))
-	}
-	return out
-}
-
 func observationToDTO(o sensor.Observation) ObservationDTO {
 	return ObservationDTO{
 		Seq:       o.Seq,
@@ -402,25 +383,6 @@ func ObservationFromDTO(d ObservationDTO) sensor.Observation {
 		Value:     d.Value,
 		Payload:   d.Payload,
 	}
-}
-
-func responseToDTO(r core.Response) ResponseDTO {
-	out := ResponseDTO{
-		Decision:           decisionToDTO(r.Decision),
-		SubjectsConsidered: r.SubjectsConsidered,
-		SubjectsReleased:   r.SubjectsReleased,
-	}
-	for _, o := range r.Observations {
-		out.Observations = append(out.Observations, observationToDTO(o))
-	}
-	for _, a := range r.Aggregates {
-		out.Aggregates = append(out.Aggregates, aggregateToDTO(a))
-	}
-	if r.Trace != nil {
-		t := traceToDTO(*r.Trace)
-		out.Trace = &t
-	}
-	return out
 }
 
 func traceToDTO(t core.DecisionTrace) DecisionTraceDTO {
@@ -452,10 +414,6 @@ func traceToDTO(t core.DecisionTrace) DecisionTraceDTO {
 		out.Stages = append(out.Stages, TraceStageDTO{Name: s.Name, DurationMicros: s.DurationMicros})
 	}
 	return out
-}
-
-func aggregateToDTO(a privacy.AggregateCount) AggregateDTO {
-	return AggregateDTO{Key: a.Key, Count: a.Count}
 }
 
 func statsToDTO(s core.Stats) StatsDTO {

@@ -45,6 +45,7 @@ type QueryStatsDTO struct {
 
 // QueryResultDTO is the wire form of an executed query. Row cells are
 // JSON scalars (string, number, bool, RFC 3339 time string, or null).
+// The server appends it directly (append.go); clients decode it.
 type QueryResultDTO struct {
 	Columns []string          `json:"columns"`
 	Rows    [][]any           `json:"rows"`
@@ -62,21 +63,6 @@ type QueryErrorDTO struct {
 	Kind  string `json:"kind"`
 	Line  int    `json:"line,omitempty"`
 	Col   int    `json:"col,omitempty"`
-}
-
-func queryStatsToDTO(s query.Stats) QueryStatsDTO {
-	return QueryStatsDTO{
-		ScannedRows:      s.ScannedRows,
-		DeniedRows:       s.DeniedRows,
-		ExcludedRows:     s.ExcludedRows,
-		ReleasedRows:     s.ReleasedRows,
-		Subjects:         s.Subjects,
-		Decisions:        s.Decisions,
-		EffectiveK:       s.EffectiveK,
-		SuppressedGroups: s.SuppressedGroups,
-		UsedRollup:       s.UsedRollup,
-		RollupCells:      s.RollupCells,
-	}
 }
 
 // requesterFromDTO builds the enforcement identity a query runs as.
@@ -116,23 +102,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeQueryErr(w, err)
 		return
 	}
-	out := QueryResultDTO{
-		Columns: resp.Result.Columns,
-		Rows:    make([][]any, 0, len(resp.Result.Rows)),
-		Stats:   queryStatsToDTO(resp.Result.Stats),
-	}
-	for _, row := range resp.Result.Rows {
-		cells := make([]any, len(row))
-		for i, v := range row {
-			cells[i] = v.JSON()
-		}
-		out.Rows = append(out.Rows, cells)
-	}
-	if resp.Trace != nil {
-		t := traceToDTO(*resp.Trace)
-		out.Trace = &t
-	}
-	writeJSON(w, http.StatusOK, out)
+	a := getAppender()
+	defer a.release()
+	a.queryResult(resp.Result, resp.Trace)
+	a.respond(w)
 }
 
 // writeQueryErr maps the query layer's typed errors onto the wire:

@@ -49,6 +49,11 @@ func TestQueryStatsReachTheWire(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("the DTO carries %v, query.Stats has %v", got, want)
 	}
+	var a appender
+	a.queryStats(&st)
+	if got := wire(json.RawMessage(a.b)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the appender writes %v, query.Stats has %v", got, want)
+	}
 	// The rollup fields are additive: a scanned answer's stats keep
 	// their old shape.
 	if m := wire(queryStatsToDTO(query.Stats{ScannedRows: 1})); len(m) != 8 {

@@ -224,10 +224,24 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before it writes the status: a value JSON cannot
+// encode, such as a non-finite number, answers 500 naming the problem
+// rather than the status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBytes {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -235,9 +249,9 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // Request bodies and ingest batches are read and decoded into pooled
-// buffers: regrowing them per request was most of what the ingest path
-// allocated. A buffer that grew past maxPooledBytes is dropped, not
-// kept alive by the pool.
+// buffers, and encoded responses written from them: regrowing them per
+// request was most of what the ingest path allocated. A buffer that grew
+// past maxPooledBytes is dropped, not kept alive by the pool.
 const (
 	maxPooledBytes = 1 << 20
 	maxPooledBatch = maxPooledBytes / int(unsafe.Sizeof(ObservationDTO{}))
@@ -416,12 +430,26 @@ func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.bms.RequestUserCtx(req.Context(), r)
+	rows := getAppender()
+	defer rows.release()
+	resp, err := s.bms.RequestUserEach(req.Context(), r, rows.row)
+	writeResponse(w, resp, rows, err)
+}
+
+// writeResponse answers a data request: 400 with only the error when it
+// failed — rows a subject read had already streamed are dropped, since
+// nothing reaches w before the whole body is built — else resp as its
+// ResponseDTO, with the rows appended by rows.row (nil for none) as its
+// observations.
+func writeResponse(w http.ResponseWriter, resp core.Response, rows *appender, err error) {
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, responseToDTO(resp))
+	a := getAppender()
+	defer a.release()
+	a.response(&resp, rows)
+	a.respond(w)
 }
 
 func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request) {
@@ -443,11 +471,7 @@ func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request
 		}
 	}
 	resp, err := s.bms.RequestOccupancyCtx(req.Context(), r, k)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, responseToDTO(resp))
+	writeResponse(w, resp, nil, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -78,6 +79,7 @@ func InstrumentHandler(r *Registry, prefix, route string, h http.Handler) http.H
 	hist := r.HistogramWith(prefix+"_request_seconds",
 		"HTTP request latency by route.", Labels{"route": route}, nil)
 	inFlight := r.Gauge(prefix+"_in_flight", "HTTP requests currently being served.")
+	requests := &codeCounters{r: r, name: prefix + "_requests_total", route: route, byCode: make(map[int]*Counter)}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		t0 := time.Now()
 		inFlight.Add(1)
@@ -88,8 +90,29 @@ func InstrumentHandler(r *Registry, prefix, route string, h http.Handler) http.H
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		r.CounterWith(prefix+"_requests_total",
-			"HTTP requests served by route and status code.",
-			Labels{"route": route, "code": strconv.Itoa(rec.status)}).Inc()
+		requests.of(rec.status).Inc()
 	})
+}
+
+// codeCounters resolves one route's {route, code} request counter once
+// per status code, when that code is first served — so /metrics lists
+// the codes a route has answered, as when each request registered its
+// own — instead of rendering the labels on every request.
+type codeCounters struct {
+	r           *Registry
+	name, route string
+	mu          sync.Mutex
+	byCode      map[int]*Counter
+}
+
+func (c *codeCounters) of(code int) *Counter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ctr, ok := c.byCode[code]
+	if !ok {
+		ctr = c.r.CounterWith(c.name, "HTTP requests served by route and status code.",
+			Labels{"route": c.route, "code": strconv.Itoa(code)})
+		c.byCode[code] = ctr
+	}
+	return ctr
 }

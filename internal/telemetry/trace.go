@@ -498,14 +498,21 @@ func TraceHandler(t *Tracer, route string, slow time.Duration, logger *slog.Logg
 	if t == nil {
 		return next
 	}
+	name := "http " + route
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		ctx := req.Context()
 		var span *Span
-		if sc, err := ParseTraceparent(req.Header.Get("traceparent")); err == nil {
-			ctx = ContextWithSpanContext(ctx, sc)
-			ctx, span = t.StartSpan(ctx, "http "+route)
-		} else {
-			ctx, span = t.StartRoot(ctx, "http "+route)
+		// Only a header that is present is parsed: a parse failure builds
+		// an error, and most requests carry no traceparent at all.
+		continued := false
+		if h := req.Header.Get("traceparent"); h != "" {
+			if sc, err := ParseTraceparent(h); err == nil {
+				ctx, span = t.StartSpan(ContextWithSpanContext(ctx, sc), name)
+				continued = true
+			}
+		}
+		if !continued {
+			ctx, span = t.StartRoot(ctx, name)
 		}
 		cur, _ := SpanContextFrom(ctx)
 		if cur.Valid() {

@@ -235,6 +235,17 @@ func TestTraceHandler(t *testing.T) {
 	if fresh.TraceID == echo.TraceID {
 		t.Fatal("malformed header reused the old trace id")
 	}
+
+	// No header: a new root as well.
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/ping", nil))
+	root, err := ParseTraceparent(rr.Header().Get("traceparent"))
+	if err != nil {
+		t.Fatalf("root traceparent: %v", err)
+	}
+	if root.TraceID == echo.TraceID || root.TraceID == fresh.TraceID {
+		t.Fatal("a request without traceparent joined an earlier trace")
+	}
 }
 
 // TestQuantileTailFewSamples pins the p99/p99.9 estimator edges when

@@ -2,16 +2,17 @@
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
 # equivalence, hot-log, scoped-memo, eviction-is-invisible, flat-cube,
-# occupancy pair-pass, streaming-builder and pooled-decode properties
-# repeated), the micro-benchmark count gate
-# (scripts/bench.sh: seven benchmarks against the one ledger,
+# occupancy pair-pass, streaming-builder, pooled-decode and
+# appended-response properties repeated), the micro-benchmark count gate
+# (scripts/bench.sh: eight benchmarks against the one ledger,
 # BENCH.json, ≈ 4.5 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + bench + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
-# Only CI's four 30s fuzz smoke runs (SQL parser, segment codec, scope
-# compiler, observation codec) are left out; run one by hand with
+# Only CI's five 30s fuzz smoke runs (SQL parser, segment codec, scope
+# compiler, observation codec, response appenders) are left out; run one
+# by hand with
 #   go test -run '^$' -fuzz FuzzDecodeObservation -fuzztime 30s ./internal/obstore/
 set -eu
 
@@ -46,8 +47,8 @@ go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestShardedResume
 echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier and the streaming builder against the parent's layout (repeated, race) =="
 go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout' ./internal/colstore/...
 
-echo "== pooled ingest decode leaks nothing across requests + oversized bodies refused with 413 (repeated, race) =="
-go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413' ./internal/httpapi/...
+echo "== pooled ingest decode leaks nothing across requests + oversized bodies refused with 413 + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
+go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
 
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
@@ -56,7 +57,7 @@ echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner 
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
 go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestEveryStoredRowReachesTheBus|TestDeriveRacingIngestPublishesInSeqOrder' ./internal/core/...
 
-echo "== micro-benchmark count gate (seven benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
+echo "== micro-benchmark count gate (eight benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
