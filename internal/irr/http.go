@@ -42,7 +42,7 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("GET /resources", func(w http.ResponseWriter, req *http.Request) {
 		doc := r.Document(req.URL.Query().Get("space"))
 		if len(doc.Resources) == 0 {
-			// The schema requires >= 1 resource; an empty answer is a 404.
+			// A valid document has >= 1 resource; an empty answer is a 404.
 			http.Error(w, "no resources for this location", http.StatusNotFound)
 			return
 		}
@@ -88,7 +88,7 @@ func (c *Client) WellKnown(ctx context.Context) (WellKnown, error) {
 }
 
 // Resources fetches the resource document for a location. The
-// document is schema-validated before being returned; a registry
+// document is validated before being returned; a registry
 // serving malformed policies is treated as failed, not trusted.
 func (c *Client) Resources(ctx context.Context, spaceID string) (policy.ResourceDocument, error) {
 	path := "/resources"

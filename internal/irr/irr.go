@@ -6,8 +6,8 @@
 // fetch the policies of nearby resources (Figure 1 steps 4–5).
 //
 // Registries can be populated manually or auto-generated from a
-// building's sensor registry and policy set — the automation the
-// paper envisions via Manufacturer Usage Descriptions (§V.B).
+// building's policy set and, through package mud, from the
+// Manufacturer Usage Descriptions of its sensors (§V.B).
 package irr
 
 import (
@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"github.com/tippers/tippers/internal/policy"
-	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/spatial"
 )
 
@@ -157,13 +156,11 @@ type AutoGenerateConfig struct {
 }
 
 // AutoGenerate populates the registry from a building's enforceable
-// policies and deployed sensors: each collection/disclosure policy
-// becomes a Figure-2-shape advertisement, and each sensor type with
-// deployed units gets an inventory advertisement so users can
-// discover technologies that no explicit policy mentions. This is the
-// paper's §V.B automation ("we envision that the setup of IRRs can be
-// automated").
-func AutoGenerate(r *Registry, policies []policy.BuildingPolicy, sensors *sensor.Registry, cfg AutoGenerateConfig) error {
+// policies: each collection/disclosure policy becomes a Figure-2-shape
+// advertisement. This is half of the paper's §V.B automation ("we
+// envision that the setup of IRRs can be automated"); the other half,
+// one advertisement per deployed sensor type, is mud.PopulateRegistry.
+func AutoGenerate(r *Registry, policies []policy.BuildingPolicy, cfg AutoGenerateConfig) error {
 	kind := "Building"
 	if r.spaces != nil {
 		if sp, ok := r.spaces.Lookup(cfg.BuildingID); ok {
@@ -181,35 +178,6 @@ func AutoGenerate(r *Registry, policies []policy.BuildingPolicy, sensors *sensor
 		}
 		if err := r.Publish(space, res); err != nil {
 			return err
-		}
-	}
-	if sensors != nil {
-		counts := sensors.CountByType()
-		types := make([]sensor.Type, 0, len(counts))
-		for t := range counts {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			obsKind := sensor.KindForType(t)
-			res := policy.Resource{
-				Info: policy.Info{
-					Name:        fmt.Sprintf("%s inventory in %s", t, cfg.BuildingName),
-					Description: fmt.Sprintf("%d deployed units of type %s", counts[t], t),
-				},
-				Context: &policy.ResourceContext{
-					Location: &policy.LocationBlock{
-						Spatial: policy.SpatialRef{Name: cfg.BuildingName, Type: kind, ID: cfg.BuildingID},
-					},
-					Sensor: &policy.SensorBlock{Type: t.String()},
-				},
-			}
-			if obsKind != "" {
-				res.Observations = []policy.ObservationDesc{{Name: string(obsKind)}}
-			}
-			if err := r.Publish(cfg.BuildingID, res); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -4,11 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"github.com/tippers/tippers/internal/policy"
-	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
 	"github.com/tippers/tippers/internal/spatial"
 )
@@ -101,17 +99,12 @@ func TestServiceDocsSorted(t *testing.T) {
 
 func TestAutoGenerate(t *testing.T) {
 	m := testModel(t)
-	sensors := sensor.NewRegistry()
-	sensors.MustAdd(sensor.MustNew("ap-1", sensor.TypeWiFiAP, "dbh/2"))
-	sensors.MustAdd(sensor.MustNew("ap-2", sensor.TypeWiFiAP, "dbh/2"))
-	sensors.MustAdd(sensor.MustNew("cam-1", sensor.TypeCamera, "dbh/2"))
-
 	pols := []policy.BuildingPolicy{
 		policy.Policy2EmergencyLocation("dbh"),
 		policy.Policy1Comfort("dbh", 70), // automation: not advertised
 	}
 	r := NewRegistry("dbh-irr", m)
-	err := AutoGenerate(r, pols, sensors, AutoGenerateConfig{
+	err := AutoGenerate(r, pols, AutoGenerateConfig{
 		BuildingID:   "dbh",
 		BuildingName: "Donald Bren Hall",
 		OwnerName:    "UCI",
@@ -120,23 +113,15 @@ func TestAutoGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 policy ad + 2 sensor-type inventory ads.
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	// The automation policy is not advertised.
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", r.Len())
 	}
 	doc := r.Document("dbh")
-	var names []string
-	for _, res := range doc.Resources {
-		names = append(names, res.Info.Name)
+	if name := doc.Resources[0].Info.Name; name != "Location tracking in DBH" {
+		t.Errorf("policy ad = %q", name)
 	}
-	joined := strings.Join(names, "|")
-	if !strings.Contains(joined, "Location tracking in DBH") {
-		t.Errorf("policy ad missing: %v", names)
-	}
-	if !strings.Contains(joined, "WiFi Access Point inventory") || !strings.Contains(joined, "Camera inventory") {
-		t.Errorf("inventory ads missing: %v", names)
-	}
-	// Every generated resource passes the schema (Publish validated).
+	// Publish validated every generated resource.
 	if err := doc.Validate(); err != nil {
 		t.Errorf("generated document invalid: %v", err)
 	}

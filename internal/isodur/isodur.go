@@ -17,6 +17,7 @@ package isodur
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -52,6 +53,10 @@ var (
 
 // ErrSyntax reports a malformed ISO-8601 duration string.
 var ErrSyntax = errors.New("isodur: invalid ISO-8601 duration")
+
+// maxComponent bounds each component Parse accepts, so a number never
+// wraps and every parsed duration formats to a string Parse accepts.
+const maxComponent = 1_000_000_000
 
 // Parse parses an ISO-8601 duration such as "P6M", "P1Y2M10DT2H30M",
 // "PT0.5S", "P4W", or "-P1D".
@@ -127,6 +132,9 @@ func Parse(s string) (Duration, error) {
 			d.Minutes = value
 		case inTime && (unit == 'S' || unit == 's'):
 			d.Seconds = float64(value) + frac
+			if d.Seconds > maxComponent {
+				return Duration{}, fmt.Errorf("%w: %q has seconds above %d", ErrSyntax, orig, maxComponent)
+			}
 		default:
 			return Duration{}, fmt.Errorf("%w: %q has unit %q in wrong section", ErrSyntax, orig, string(unit))
 		}
@@ -154,6 +162,9 @@ func scanNumber(s string) (value int, frac float64, rest string, err error) {
 	i := 0
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		value = value*10 + int(s[i]-'0')
+		if value > maxComponent {
+			return 0, 0, "", fmt.Errorf("number above %d at %q", maxComponent, s)
+		}
 		i++
 	}
 	if i == 0 {
@@ -214,14 +225,8 @@ func (d Duration) String() string {
 }
 
 func writeSeconds(b *strings.Builder, secs float64) {
-	whole := int(secs)
-	frac := secs - float64(whole)
-	if frac == 0 {
-		fmt.Fprintf(b, "%dS", whole)
-		return
-	}
-	s := fmt.Sprintf("%g", secs)
-	b.WriteString(s)
+	// 'f' never writes an exponent, which Parse would reject.
+	b.WriteString(strconv.FormatFloat(secs, 'f', -1, 64))
 	b.WriteByte('S')
 }
 

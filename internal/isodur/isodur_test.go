@@ -58,14 +58,18 @@ func TestParseInvalid(t *testing.T) {
 		"P1M1M",
 		"P1MT",
 		"PT1MT1S",
-		"P1H",     // hours require T section
-		"PT1D",    // days forbidden in T section
-		"PT1W",    // weeks forbidden in T section
-		"P0.5Y",   // fraction on non-second unit
-		"PT0.5M",  // fraction only allowed on seconds
-		"P1Y2M3X", // unknown unit
-		"P.5D",    // no leading digit
-		"P6M ",    // trailing garbage
+		"P1H",                      // hours require T section
+		"PT1D",                     // days forbidden in T section
+		"PT1W",                     // weeks forbidden in T section
+		"P0.5Y",                    // fraction on non-second unit
+		"PT0.5M",                   // fraction only allowed on seconds
+		"P1Y2M3X",                  // unknown unit
+		"P.5D",                     // no leading digit
+		"P6M ",                     // trailing garbage
+		"P99999999999999999999Y",   // would wrap around int
+		"P1000000001D",             // above maxComponent
+		"PT1000000000.5S",          // seconds above maxComponent
+		"PT9999999999999999999.5S", // would wrap, then format as "-8…S"
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -87,10 +91,27 @@ func TestStringCanonical(t *testing.T) {
 		{Duration{Seconds: 0.5}, "PT0.5S"},
 		{Duration{Weeks: 3}, "P3W"},
 		{Duration{Minutes: 90}, "PT90M"},
+		{Duration{Seconds: 1e-7}, "PT0.0000001S"},
+		{Duration{Seconds: 12345678.25}, "PT12345678.25S"},
 	}
 	for _, tt := range tests {
 		if got := tt.d.String(); got != tt.want {
 			t.Errorf("(%+v).String() = %q, want %q", tt.d, got, tt.want)
+		}
+	}
+}
+
+// TestParsedDurationsFormatParseable: whatever Parse accepts, String
+// renders as something Parse accepts, even where a fraction of a second
+// does not survive bit for bit.
+func TestParsedDurationsFormatParseable(t *testing.T) {
+	for _, s := range []string{"PT0.0000001S", "PT999999999.9999999999S", "PT1000000000S", "P1000000000Y", "PT0,5S"} {
+		d, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", s, err)
+		}
+		if _, err := Parse(d.String()); err != nil {
+			t.Errorf("Parse(%q) = %+v, whose String %q does not parse: %v", s, d, d.String(), err)
 		}
 	}
 }

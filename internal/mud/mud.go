@@ -1,108 +1,57 @@
-// Package mud implements a privacy-extended Manufacturer Usage
-// Description format for building sensors. The paper envisions
-// automating IRR setup "e.g. by leveraging Manufacturer Usage
-// Descriptions" (§V.B, citing the IETF MUD draft that became
-// RFC 8520): a device's manufacturer ships a machine-readable
-// description of what the device does, and the building turns the
-// descriptions of its deployed devices into policy advertisements
+// Package mud derives policy advertisements from Manufacturer Usage
+// Descriptions for building sensors. The paper envisions automating IRR
+// setup "e.g. by leveraging Manufacturer Usage Descriptions" (§V.B,
+// citing the IETF MUD draft that became RFC 8520): a device's
+// manufacturer describes what the device does, and the building turns
+// the descriptions of its deployed devices into policy advertisements
 // without an admin writing them by hand.
 //
-// This implementation keeps RFC 8520's envelope fields (mud-version,
-// mud-url, last-update, systeminfo) and adds the privacy extension
-// the paper's language needs: what the device collects, for which
-// purposes, at what granularity, the default retention, and which
-// settings users can influence.
+// A Description keeps RFC 8520's envelope fields (mud-version,
+// mud-url, last-update, systeminfo) and adds the privacy extension the
+// paper's language needs: what the device collects, for which purposes,
+// at what granularity, the default retention, and which settings users
+// can influence. The descriptions are built in (ForType); fetching and
+// reading a vendor's MUD JSON from its mud-url is not implemented.
 package mud
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
 	"github.com/tippers/tippers/internal/isodur"
-	"github.com/tippers/tippers/internal/jsonschema"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
 // Description is one device model's usage description.
 type Description struct {
-	MUDVersion   int    `json:"mud-version"`
-	MUDURL       string `json:"mud-url"`
-	LastUpdate   string `json:"last-update,omitempty"`
-	SystemInfo   string `json:"systeminfo"`
-	Manufacturer string `json:"manufacturer"`
-	ModelName    string `json:"model-name"`
+	MUDVersion   int
+	MUDURL       string
+	LastUpdate   string
+	SystemInfo   string
+	Manufacturer string
+	ModelName    string
 
 	// Privacy extension.
-	Privacy PrivacyExtension `json:"privacy"`
+	Privacy PrivacyExtension
 }
 
 // PrivacyExtension carries the paper's policy-language elements.
 type PrivacyExtension struct {
 	// Collects lists the observation kinds the device produces.
-	Collects []string `json:"collects"`
+	Collects []string
 	// Purposes lists the purposes the manufacturer declares.
-	Purposes []policy.Purpose `json:"purposes"`
+	Purposes []policy.Purpose
 	// Granularity is the finest location precision the data carries.
-	Granularity string `json:"granularity,omitempty"`
+	Granularity string
 	// DefaultRetention is the manufacturer-recommended retention.
-	DefaultRetention isodur.Duration `json:"default-retention,omitempty"`
+	DefaultRetention isodur.Duration
 	// ConfigurableSettings names the parameters deployments may let
 	// users influence (e.g. "hash_mac", "resolution").
-	ConfigurableSettings []string `json:"configurable-settings,omitempty"`
+	ConfigurableSettings []string
 	// Identifying reports whether the raw data contains stable
 	// personal identifiers (MAC addresses, faces).
-	Identifying bool `json:"identifying,omitempty"`
-}
-
-var descriptionSchema = jsonschema.MustCompile(`{
-	"type": "object",
-	"required": ["mud-version", "mud-url", "systeminfo", "manufacturer", "model-name", "privacy"],
-	"properties": {
-		"mud-version": {"type": "integer", "minimum": 1},
-		"mud-url": {"type": "string", "format": "uri"},
-		"last-update": {"type": "string"},
-		"systeminfo": {"type": "string", "minLength": 1},
-		"manufacturer": {"type": "string", "minLength": 1},
-		"model-name": {"type": "string", "minLength": 1},
-		"privacy": {
-			"type": "object",
-			"required": ["collects", "purposes"],
-			"properties": {
-				"collects": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-				"purposes": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-				"granularity": {"enum": ["none", "building", "floor", "room", "exact"]},
-				"default-retention": {"type": "string"},
-				"configurable-settings": {"type": "array", "items": {"type": "string"}},
-				"identifying": {"type": "boolean"}
-			}
-		}
-	}
-}`)
-
-// Parse validates and decodes a MUD document. Invalid documents are
-// rejected — a building must not build advertisements from
-// descriptions that do not say what the device collects or why.
-func Parse(raw []byte) (Description, error) {
-	if err := descriptionSchema.ValidateJSON(raw); err != nil {
-		return Description{}, fmt.Errorf("mud: rejected description: %w", err)
-	}
-	var d Description
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return Description{}, fmt.Errorf("mud: parse: %w", err)
-	}
-	return d, nil
-}
-
-// Marshal renders the description as indented JSON.
-func (d Description) Marshal() ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
-}
-
-// Validate checks the description against the schema.
-func (d Description) Validate() error {
-	return descriptionSchema.ValidateValue(d)
+	Identifying bool
 }
 
 // ForType returns the built-in manufacturer description for a sensor

@@ -2,6 +2,7 @@ package mud
 
 import (
 	"fmt"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func TestForTypeCoverage(t *testing.T) {
+	granularities := map[string]bool{"none": true, "building": true, "floor": true, "room": true, "exact": true}
 	for _, typ := range sensor.AllTypes() {
 		d, ok := ForType(typ)
 		if typ == sensor.TypeHVAC {
@@ -24,46 +26,14 @@ func TestForTypeCoverage(t *testing.T) {
 			t.Errorf("no MUD for %v", typ)
 			continue
 		}
-		if err := d.Validate(); err != nil {
-			t.Errorf("%v description invalid: %v", typ, err)
+		if u, err := url.Parse(d.MUDURL); d.MUDVersion < 1 || err != nil || u.Scheme == "" {
+			t.Errorf("%v envelope: version %d, mud-url %q", typ, d.MUDVersion, d.MUDURL)
 		}
-		if len(d.Privacy.Collects) == 0 || len(d.Privacy.Purposes) == 0 {
+		if d.SystemInfo == "" || d.Manufacturer == "" || d.ModelName == "" {
+			t.Errorf("%v description unnamed: %+v", typ, d)
+		}
+		if len(d.Privacy.Collects) == 0 || len(d.Privacy.Purposes) == 0 || !granularities[d.Privacy.Granularity] {
 			t.Errorf("%v privacy extension incomplete: %+v", typ, d.Privacy)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	d, _ := ForType(sensor.TypeWiFiAP)
-	raw, err := d.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ModelName != d.ModelName || got.Privacy.DefaultRetention != d.Privacy.DefaultRetention {
-		t.Errorf("round trip = %+v", got)
-	}
-	if !got.Privacy.Identifying {
-		t.Error("identifying flag lost")
-	}
-}
-
-func TestParseRejectsInvalid(t *testing.T) {
-	bad := []string{
-		`{}`,
-		`not json`,
-		`{"mud-version":0,"mud-url":"https://x","systeminfo":"s","manufacturer":"m","model-name":"n","privacy":{"collects":["x"],"purposes":["p"]}}`,
-		`{"mud-version":1,"mud-url":"nope","systeminfo":"s","manufacturer":"m","model-name":"n","privacy":{"collects":["x"],"purposes":["p"]}}`,
-		`{"mud-version":1,"mud-url":"https://x","systeminfo":"s","manufacturer":"m","model-name":"n","privacy":{"collects":[],"purposes":["p"]}}`,
-		`{"mud-version":1,"mud-url":"https://x","systeminfo":"s","manufacturer":"m","model-name":"n","privacy":{"collects":["x"],"purposes":["p"],"granularity":"street"}}`,
-		`{"mud-version":1,"mud-url":"https://x","systeminfo":"s","manufacturer":"m","model-name":"n","privacy":{"collects":["x"],"purposes":["p"],"default-retention":"six months"}}`,
-	}
-	for _, raw := range bad {
-		if _, err := Parse([]byte(raw)); err == nil {
-			t.Errorf("Parse(%s) succeeded", raw)
 		}
 	}
 }

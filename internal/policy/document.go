@@ -2,20 +2,26 @@ package policy
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 
 	"github.com/tippers/tippers/internal/isodur"
-	"github.com/tippers/tippers/internal/jsonschema"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
 // This file implements the wire form of the policy language: the JSON
 // documents IRRs broadcast and IoTAs consume, shaped exactly like the
 // paper's Figures 2 (building data-collection policy), 3 (service
-// policy), and 4 (available privacy settings). Documents are
-// validated against JSON-Schema v4 (§IV.C) before use.
+// policy), and 4 (available privacy settings). The paper writes the
+// language as a JSON-Schema v4 schema (§IV.C); here the Go types are
+// the schema: their json tags name the keys and mark the required ones
+// (those without omitempty), and Validate checks the rest. Parsers
+// check a document on the value it decodes to (parseDocument).
 
 // ResourceDocument is the top-level advertisement an IRR serves: a
 // list of resources, each describing one data-collection practice
@@ -206,128 +212,32 @@ type SettingOption struct {
 	Granularity string `json:"granularity,omitempty"`
 }
 
-// Document schemas, compiled once at init. A resource document must
-// carry at least a named info block per resource; the remaining
-// elements are optional but typed.
-var resourceDocumentSchema = jsonschema.MustCompile(`{
-	"type": "object",
-	"required": ["resources"],
-	"properties": {
-		"resources": {
-			"type": "array",
-			"minItems": 1,
-			"items": {"$ref": "#/definitions/resource"}
+// spaceTypes are the spatial types a resource's location may name.
+var spaceTypes = map[string]bool{
+	"Campus": true, "Building": true, "Floor": true, "Room": true, "Corridor": true, "Zone": true,
+}
+
+// Validate checks what the types alone do not: the document advertises
+// at least one resource, every resource is named, a location names one
+// of spaceTypes, and every settings group offers at least one option.
+func (d ResourceDocument) Validate() error {
+	if len(d.Resources) == 0 {
+		return errors.New("no resources")
+	}
+	for i, r := range d.Resources {
+		switch {
+		case r.Info.Name == "":
+			return fmt.Errorf("resource %d has no name", i)
+		case r.Context != nil && r.Context.Location != nil && !spaceTypes[r.Context.Location.Spatial.Type]:
+			return fmt.Errorf("resource %d: unknown space type %q", i, r.Context.Location.Spatial.Type)
 		}
-	},
-	"definitions": {
-		"resource": {
-			"type": "object",
-			"required": ["info"],
-			"properties": {
-				"info": {
-					"type": "object",
-					"required": ["name"],
-					"properties": {
-						"name": {"type": "string", "minLength": 1},
-						"description": {"type": "string"}
-					}
-				},
-				"context": {
-					"type": "object",
-					"properties": {
-						"location": {
-							"type": "object",
-							"required": ["spatial"],
-							"properties": {
-								"spatial": {
-									"type": "object",
-									"required": ["name", "type"],
-									"properties": {
-										"name": {"type": "string"},
-										"type": {"enum": ["Campus", "Building", "Floor", "Room", "Corridor", "Zone"]},
-										"id": {"type": "string"}
-									}
-								},
-								"location_owner": {
-									"type": "object",
-									"required": ["name"],
-									"properties": {
-										"name": {"type": "string"},
-										"human_description": {"type": "object", "additionalProperties": {"type": "string"}}
-									}
-								}
-							}
-						},
-						"sensor": {
-							"type": "object",
-							"required": ["type"],
-							"properties": {
-								"type": {"type": "string"},
-								"description": {"type": "string"}
-							}
-						}
-					}
-				},
-				"purpose": {
-					"type": "object",
-					"properties": {"service_id": {"type": "string"}},
-					"additionalProperties": {
-						"type": "object",
-						"required": ["description"],
-						"properties": {"description": {"type": "string"}}
-					}
-				},
-				"observations": {
-					"type": "array",
-					"items": {
-						"type": "object",
-						"required": ["name"],
-						"properties": {
-							"name": {"type": "string"},
-							"description": {"type": "string"},
-							"granularity": {"type": "string"},
-							"inferred": {"type": "array", "items": {"type": "string"}}
-						}
-					}
-				},
-				"retention": {
-					"type": "object",
-					"required": ["duration"],
-					"properties": {
-						"duration": {"type": "string", "pattern": "^[-+]?[Pp]([0-9]+([.,][0-9]+)?[YyMmWwDd])*([Tt]([0-9]+([.,][0-9]+)?[HhMmSs])+)?$"}
-					}
-				},
-				"settings": {
-					"type": "array",
-					"items": {
-						"type": "object",
-						"required": ["select"],
-						"properties": {
-							"select": {
-								"type": "array",
-								"minItems": 1,
-								"items": {
-									"type": "object",
-									"required": ["description", "on"],
-									"properties": {
-										"description": {"type": "string"},
-										"on": {"type": "string"},
-										"granularity": {"type": "string"}
-									}
-								}
-							}
-						}
-					}
-				},
-				"policy_id": {"type": "string"}
+		for j, g := range r.Settings {
+			if len(g.Select) == 0 {
+				return fmt.Errorf("resource %d: settings group %d offers no option", i, j)
 			}
 		}
 	}
-}`)
-
-// Validate checks the document against the language schema.
-func (d ResourceDocument) Validate() error {
-	return resourceDocumentSchema.ValidateValue(d)
+	return nil
 }
 
 // MarshalIndent renders the document as indented JSON.
@@ -335,19 +245,10 @@ func (d ResourceDocument) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")
 }
 
-// ParseResourceDocument parses and schema-validates an IRR
-// advertisement. IoTAs must not act on documents that fail
-// validation.
+// ParseResourceDocument parses and validates an IRR advertisement.
+// IoTAs must not act on documents that fail validation.
 func ParseResourceDocument(raw []byte) (ResourceDocument, error) {
-	if err := resourceDocumentSchema.ValidateJSON(raw); err != nil {
-		return ResourceDocument{}, fmt.Errorf("policy: resource document rejected: %w", err)
-	}
-	var d ResourceDocument
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return ResourceDocument{}, fmt.Errorf("policy: resource document parse: %w", err)
-	}
-	// Retention durations are re-validated by isodur during Unmarshal.
-	return d, nil
+	return parseDocument[ResourceDocument](raw, "resource document")
 }
 
 // ServicePolicyDoc is the Figure 3 shape: what a service observes and
@@ -357,52 +258,137 @@ type ServicePolicyDoc struct {
 	Purpose      PurposeBlock      `json:"purpose"`
 }
 
-var servicePolicySchema = jsonschema.MustCompile(`{
-	"type": "object",
-	"required": ["observations", "purpose"],
-	"properties": {
-		"observations": {
-			"type": "array",
-			"minItems": 1,
-			"items": {
-				"type": "object",
-				"required": ["name"],
-				"properties": {
-					"name": {"type": "string"},
-					"description": {"type": "string"},
-					"granularity": {"type": "string"},
-					"inferred": {"type": "array", "items": {"type": "string"}}
-				}
-			}
-		},
-		"purpose": {
-			"type": "object",
-			"properties": {"service_id": {"type": "string"}},
-			"additionalProperties": {
-				"type": "object",
-				"required": ["description"],
-				"properties": {"description": {"type": "string"}}
-			}
-		}
-	}
-}`)
-
-// Validate checks the service policy against the language schema.
+// Validate checks that the service policy lists at least one
+// observation.
 func (d ServicePolicyDoc) Validate() error {
-	return servicePolicySchema.ValidateValue(d)
+	if len(d.Observations) == 0 {
+		return errors.New("no observations")
+	}
+	return nil
 }
 
 // ParseServicePolicyDoc parses and validates a Figure-3-shape
 // document.
 func ParseServicePolicyDoc(raw []byte) (ServicePolicyDoc, error) {
-	if err := servicePolicySchema.ValidateJSON(raw); err != nil {
-		return ServicePolicyDoc{}, fmt.Errorf("policy: service policy rejected: %w", err)
-	}
-	var d ServicePolicyDoc
+	return parseDocument[ServicePolicyDoc](raw, "service policy")
+}
+
+// parseDocument decodes raw into a T and accepts it only if
+//   - every key of T's types is spelled exactly where it is required
+//     and is never null (exactKeys), which decoding alone forgives;
+//   - the value T decodes to is valid;
+//   - so is the value the exact-case keys alone decode to.
+//
+// encoding/json also matches keys that differ in case and keeps the
+// last value, so the two values differ when a document spells a key
+// twice; checking both means neither spelling can hide an invalid one.
+func parseDocument[T interface{ Validate() error }](raw []byte, what string) (T, error) {
+	var d, exact, zero T
 	if err := json.Unmarshal(raw, &d); err != nil {
-		return ServicePolicyDoc{}, fmt.Errorf("policy: service policy parse: %w", err)
+		return zero, fmt.Errorf("policy: %s parse: %w", what, err)
+	}
+	// Known keys hold no numbers, so decoding them as float64 loses
+	// nothing the view keeps.
+	var tree any
+	err := json.Unmarshal(raw, &tree)
+	if err == nil {
+		tree, err = exactKeys(tree, reflect.TypeOf(d))
+	}
+	var view []byte
+	if err == nil {
+		view, err = json.Marshal(tree)
+	}
+	if err == nil {
+		err = json.Unmarshal(view, &exact)
+	}
+	if err == nil {
+		err = exact.Validate()
+	}
+	if err == nil {
+		err = d.Validate()
+	}
+	if err != nil {
+		return zero, fmt.Errorf("policy: %s rejected: %w", what, err)
 	}
 	return d, nil
+}
+
+var (
+	purposeBlockType  = reflect.TypeOf(PurposeBlock{})
+	purposeDetailType = reflect.TypeOf(PurposeDetail{})
+	textUnmarshaler   = reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem()
+)
+
+// exactKeys checks v, a JSON value decoded into any whose text has
+// already decoded into a value of type t, and returns it cut down to
+// the keys t names, spelled exactly. A struct's keys are its json tags,
+// and those without omitempty are required. No such key, and no element
+// of an array or map under one, may be null. Keys t does not name stay
+// allowed. Types that decode themselves from text (isodur.Duration) are
+// leaves, and a PurposeBlock maps purpose names to PurposeDetails
+// beside an optional "service_id".
+func exactKeys(v any, t reflect.Type) (any, error) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	switch {
+	case reflect.PointerTo(t).Implements(textUnmarshaler):
+		return v, nil
+	case t.Kind() == reflect.Slice:
+		elems, _ := v.([]any)
+		out := make([]any, len(elems))
+		for i, e := range elems {
+			var err error
+			if out[i], err = exactElem(e, t.Elem()); err != nil {
+				return nil, fmt.Errorf("[%d]: %w", i, err)
+			}
+		}
+		return out, nil
+	case t.Kind() == reflect.Map || t == purposeBlockType:
+		elems, _ := v.(map[string]any)
+		out := make(map[string]any, len(elems))
+		for k, e := range elems {
+			et := purposeDetailType
+			if t.Kind() == reflect.Map {
+				et = t.Elem()
+			} else if k == "service_id" {
+				et = reflect.TypeOf(k)
+			}
+			var err error
+			if out[k], err = exactElem(e, et); err != nil {
+				return nil, fmt.Errorf("%s: %w", k, err)
+			}
+		}
+		return out, nil
+	case t.Kind() != reflect.Struct:
+		return v, nil
+	}
+	in, _ := v.(map[string]any)
+	out := make(map[string]any, len(in))
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		e, ok := in[name]
+		if !ok {
+			if opts != "omitempty" {
+				return nil, fmt.Errorf("missing %q", name)
+			}
+			continue
+		}
+		var err error
+		if out[name], err = exactElem(e, f.Type); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	return out, nil
+}
+
+// exactElem is exactKeys for a value that may not be null.
+func exactElem(v any, t reflect.Type) (any, error) {
+	if v == nil {
+		return nil, errors.New("is null")
+	}
+	return exactKeys(v, t)
 }
 
 // AdvertisementFor renders an enforceable building policy as a

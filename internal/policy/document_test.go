@@ -11,7 +11,7 @@ import (
 func TestFigure2DocumentValidatesAndMatchesPaper(t *testing.T) {
 	doc := Figure2Document()
 	if err := doc.Validate(); err != nil {
-		t.Fatalf("Figure 2 document fails its own schema: %v", err)
+		t.Fatalf("Figure 2 document fails validation: %v", err)
 	}
 	raw, err := doc.MarshalIndent()
 	if err != nil {
@@ -58,7 +58,7 @@ func TestFigure2DocumentValidatesAndMatchesPaper(t *testing.T) {
 func TestFigure3DocumentValidatesAndMatchesPaper(t *testing.T) {
 	doc := Figure3Document()
 	if err := doc.Validate(); err != nil {
-		t.Fatalf("Figure 3 document fails its own schema: %v", err)
+		t.Fatalf("Figure 3 document fails validation: %v", err)
 	}
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -175,6 +175,12 @@ func TestParseResourceDocumentRejectsInvalid(t *testing.T) {
 		`{"resources":[{"info":{"name":"x"},"context":{"location":{"spatial":{"name":"DBH","type":"Spaceship"}}}}]}`,
 		`{"resources":[{"info":{"name":"x"},"settings":[{"select":[]}]}]}`,
 		`not json`,
+		// A key spelled in another case decodes over the exact one, so
+		// each of these decodes to an invalid value.
+		`{"resources":[{"info":{"name":"x"}}],"Resources":[]}`,
+		`{"resources":[{"info":{"name":"x"},"Info":{"name":""}}]}`,
+		`{"resources":[{"info":{"name":"x"},"context":{"location":{"spatial":{"name":"D","type":"Building"},"Spatial":{"name":"D","type":"Spaceship"}}}}]}`,
+		`{"resources":[{"info":{"name":"x"},"settings":[{"select":[{"description":"d","on":"o"}]}],"Settings":[{"select":[]}]}]}`,
 	}
 	for _, doc := range bad {
 		if _, err := ParseResourceDocument([]byte(doc)); err == nil {
@@ -189,6 +195,7 @@ func TestParseServicePolicyDocRejectsInvalid(t *testing.T) {
 		`{"observations":[],"purpose":{}}`,
 		`{"observations":[{"description":"no name"}],"purpose":{}}`,
 		`{"observations":[{"name":"x"}],"purpose":{"p":{"no_description":true}}}`,
+		`{"observations":[{"name":"x"}],"purpose":{},"Observations":[]}`,
 	}
 	for _, doc := range bad {
 		if _, err := ParseServicePolicyDoc([]byte(doc)); err == nil {

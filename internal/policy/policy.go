@@ -10,8 +10,8 @@
 //     scopes. The enforcement engine and the conflict reasoner
 //     operate on these.
 //   - Paper-shape JSON documents (document.go) matching the paper's
-//     Figures 2–4, validated against JSON-Schema v4 via
-//     internal/jsonschema. IRRs broadcast these; IoTAs parse them.
+//     Figures 2–4, checked in Go on the values they decode to. IRRs
+//     broadcast these; IoTAs parse them.
 package policy
 
 import (

@@ -439,7 +439,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	// its manufacturer usage description (the §V.B MUD automation).
 	registry := irr.NewRegistry(spec.ID+"-irr", building.Spaces)
 	settingsBase := "https://tippers." + spec.ID + ".example/settings"
-	if err := irr.AutoGenerate(registry, bms.Policies(), nil, irr.AutoGenerateConfig{
+	if err := irr.AutoGenerate(registry, bms.Policies(), irr.AutoGenerateConfig{
 		BuildingID:   spec.ID,
 		BuildingName: spec.Name,
 		OwnerName:    "UCI",

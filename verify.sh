@@ -10,10 +10,11 @@
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + bench + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
-# Only CI's five 30s fuzz smoke runs (SQL parser, segment codec, scope
-# compiler, observation codec, response appenders) are left out; run one
-# by hand with
+# Only CI's six 30s fuzz smoke runs (SQL parser, segment codec, scope
+# compiler, observation codec, response appenders, resource-document
+# parser) are left out; run one by hand with
 #   go test -run '^$' -fuzz FuzzDecodeObservation -fuzztime 30s ./internal/obstore/
+#   go test -run '^$' -fuzz FuzzParseResourceDocument -fuzztime 30s ./internal/policy/
 set -eu
 
 cd "$(dirname "$0")"
