@@ -494,7 +494,7 @@ func parseResourceDoc(raw []byte) (ResourceDocument, error) {
 }
 
 // BenchmarkIngestPipeline measures the BMS capture path (attribution,
-// capture-time enforcement, store append, bus publish).
+// capture-time enforcement, store append, stream-hub wake).
 func BenchmarkIngestPipeline(b *testing.B) {
 	dep, err := NewDeployment(DeploymentConfig{Spec: SmallDBH(), Population: 100, Seed: 1})
 	if err != nil {

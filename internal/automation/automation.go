@@ -11,7 +11,7 @@
 // associations and BLE sightings — when no motion sensors are
 // deployed), temperature from the latest reading in the room, and
 // actuation goes through the sensor registry so capture-time privacy
-// settings and the settings bus see every change.
+// settings see every change.
 package automation
 
 import (

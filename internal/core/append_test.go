@@ -6,30 +6,32 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
+	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/service"
+	"github.com/tippers/tippers/internal/stream"
 )
 
-// busSeqs drains what a buffered bus subscription holds and returns the
-// observations' seqs in delivery order.
-func busSeqs(t *testing.T, sub *bus.Subscription) []uint64 {
+// liveTap subscribes a building service that declares every kind these
+// tests store, so enforcement releases each row the hub offers it.
+func liveTap(t *testing.T, f *fixture, buffer int) *stream.Subscription {
 	t.Helper()
-	if n := sub.Dropped(); n != 0 {
-		t.Fatalf("the subscription dropped %d events", n)
+	tap := service.Service{ID: "stream-tap", Name: "Stream tap", Developer: service.DeveloperBuilding}
+	for _, kind := range []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsOccupancy, sensor.ObsCardSwipe} {
+		tap.Declares = append(tap.Declares, service.DataRequest{
+			ObsKind: kind, Purpose: policy.PurposeProvidingService, Granularity: policy.GranExact,
+		})
 	}
-	var seqs []uint64
-	for len(sub.C) > 0 {
-		seqs = append(seqs, (<-sub.C).Payload.(sensor.Observation).Seq)
-	}
-	return seqs
+	f.bms.Services().MustRegister(tap)
+	return subscribe(t, f, enforce.Request{ServiceID: tap.ID, Purpose: policy.PurposeProvidingService}, buffer)
 }
 
-// TestEveryStoredRowReachesTheBus: rows that enter the store outside
-// the capture pipeline — a derived occupancy row, and the access log of
-// a governed space with no reader — are published and counted like an
-// ingested one.
-func TestEveryStoredRowReachesTheBus(t *testing.T) {
+// TestEveryStoredRowReachesLiveStreams: rows that enter the store
+// outside the capture pipeline — a derived occupancy row, and the
+// access log of a governed space with no reader — are streamed and
+// counted like an ingested one.
+func TestEveryStoredRowReachesLiveStreams(t *testing.T) {
 	f := newFixture(t)
 	// dbh/2/r1 has an access policy and no reader.
 	for _, p := range policy.Policy3MeetingRoomAccess("dbh/2/r1") {
@@ -40,8 +42,7 @@ func TestEveryStoredRowReachesTheBus(t *testing.T) {
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil {
 		t.Fatal(err)
 	}
-	sub := f.bms.Bus().SubscribeBuffered(bus.TopicObservations, 16)
-	defer sub.Cancel()
+	sub := liveTap(t, f, 16)
 	ingested := f.bms.Stats().Ingested
 
 	if n, err := f.bms.DeriveOccupancy(f.now, f.now.Add(time.Hour), 15*time.Minute); err != nil || n != 1 {
@@ -52,25 +53,27 @@ func TestEveryStoredRowReachesTheBus(t *testing.T) {
 	}
 
 	var kinds []sensor.ObservationKind
-	for len(sub.C) > 0 {
-		o := (<-sub.C).Payload.(sensor.Observation)
+	for _, o := range collectStream(t, sub, 3, 200*time.Millisecond) {
 		if o.Seq == 0 {
-			t.Errorf("published without the store's seq: %+v", o)
+			t.Errorf("streamed without the store's seq: %+v", o)
 		}
 		kinds = append(kinds, o.Kind)
 	}
 	if len(kinds) != 2 || kinds[0] != sensor.ObsOccupancy || kinds[1] != sensor.ObsCardSwipe {
-		t.Fatalf("the bus carried %v, want the derived occupancy row then the card swipe", kinds)
+		t.Fatalf("the stream carried %v, want the derived occupancy row then the card swipe", kinds)
+	}
+	if st := sub.Stats(); st.Denied != 0 || st.Dropped != 0 {
+		t.Fatalf("the tap lost rows: %+v", st)
 	}
 	if got := f.bms.Stats().Ingested - ingested; got != 2 {
 		t.Fatalf("ingested moved by %d, want 2", got)
 	}
 }
 
-// TestDeriveRacingIngestPublishesInSeqOrder: derived rows and captured
-// rows share the append step, so the bus carries them in seq order
-// however the two writers interleave.
-func TestDeriveRacingIngestPublishesInSeqOrder(t *testing.T) {
+// TestDeriveRacingIngestStreamsInSeqOrder: derived rows and captured
+// rows share the store's append step, so live streams carry them in seq
+// order however the two writers interleave.
+func TestDeriveRacingIngestStreamsInSeqOrder(t *testing.T) {
 	f := newFixture(t)
 	const minutes = 1000
 	for i := 0; i < minutes; i++ {
@@ -80,8 +83,7 @@ func TestDeriveRacingIngestPublishesInSeqOrder(t *testing.T) {
 			}
 		}
 	}
-	sub := f.bms.Bus().SubscribeBuffered(bus.TopicObservations, 1<<16)
-	defer sub.Cancel()
+	sub := liveTap(t, f, 1<<16)
 
 	// The ingester runs until the deriver has stored its last row.
 	var (
@@ -108,13 +110,17 @@ func TestDeriveRacingIngestPublishesInSeqOrder(t *testing.T) {
 	}()
 	wg.Wait()
 
-	seqs := busSeqs(t, sub)
-	if len(seqs) != 2*minutes+ingested {
-		t.Fatalf("the bus carried %d rows, want %d", len(seqs), 2*minutes+ingested)
+	want := 2*minutes + ingested
+	got := collectStream(t, sub, want, 10*time.Second)
+	if len(got) != want {
+		t.Fatalf("the stream carried %d rows, want %d (%+v)", len(got), want, sub.Stats())
 	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] <= seqs[i-1] {
-			t.Fatalf("bus position %d carries seq %d after seq %d", i, seqs[i], seqs[i-1])
+	for i := 1; i < len(got); i++ {
+		if got[i].Seq <= got[i-1].Seq {
+			t.Fatalf("stream position %d carries seq %d after seq %d", i, got[i].Seq, got[i-1].Seq)
 		}
+	}
+	if st := sub.Stats(); st.Denied != 0 || st.Dropped != 0 {
+		t.Fatalf("the tap lost rows: %+v", st)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/stream"
 )
 
 // TestEngineRecompileUnderChurn hammers the compiled engine through
@@ -190,20 +192,23 @@ func TestEngineRecompileUnderChurn(t *testing.T) {
 	// Stream subscriber + ingester: live events are decided against
 	// the engine while it recompiles; the subscriber just has to keep
 	// draining without deadlock or race.
-	stream, _, err := f.bms.Subscribe(enforce.Request{
+	sub := subscribe(t, f, enforce.Request{
 		ServiceID: "concierge",
 		Purpose:   policy.PurposeProvidingService,
 		Kind:      sensor.ObsWiFiConnect,
 	}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var drained atomic.Int64
 	drainDone := make(chan struct{})
 	go func() {
 		defer close(drainDone)
-		for range stream.C {
-			drained.Add(1)
+		for {
+			ev, err := sub.Next(context.Background())
+			if err != nil {
+				return
+			}
+			if ev.Type == stream.EventObservation {
+				drained.Add(1)
+			}
 		}
 	}()
 	wg.Add(1)
@@ -220,14 +225,14 @@ func TestEngineRecompileUnderChurn(t *testing.T) {
 	}()
 
 	wg.Wait()
-	// Ingest enqueues into the subscription ring; delivery to C is the
-	// hub pump's job and may lag the last Ingest return. Give it time
-	// to surface at least one event before tearing the stream down.
+	// Ingest only wakes the hub, whose scan may lag the last Ingest
+	// return. Give it time to surface at least one event before tearing
+	// the stream down.
 	deadline := time.Now().Add(10 * time.Second)
 	for drained.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	stream.Cancel()
+	sub.Cancel()
 	<-drainDone
 	if drained.Load() == 0 {
 		t.Error("stream subscriber saw no events during churn")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,13 +9,14 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/reasoner"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/stream"
 )
 
 // fullPassOracle is what the BMS did before conflicts were maintained
@@ -171,8 +173,35 @@ func runIncrementalVsFull(t *testing.T, strategy reasoner.Strategy, spatial bool
 		inbox:  make(map[string][]enforce.Notification),
 	}
 	// Buffered for every publication of the run: nothing may drop.
-	sub := f.bms.Bus().SubscribeBuffered(bus.TopicConflicts, 4096)
+	sub, err := f.bms.Streams().Subscribe(stream.Options{Topic: stream.TopicConflicts, Buffer: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sub.Cancel()
+	// Conflicts are pushed before the mutation returns, so a step's
+	// publications are what the stream holds ahead of a marker pushed
+	// after it.
+	const marker = "end-of-step"
+	drain := func() []reasoner.Conflict {
+		t.Helper()
+		f.bms.Streams().PublishConflict(reasoner.Conflict{PolicyID: marker})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		var out []reasoner.Conflict
+		for {
+			ev, err := sub.Next(ctx)
+			if err != nil {
+				t.Fatalf("conflict stream: %v", err)
+			}
+			if ev.Type != stream.EventConflict {
+				t.Fatalf("conflict stream delivered %+v", ev)
+			}
+			if ev.Conflict.PolicyID == marker {
+				return out
+			}
+			out = append(out, *ev.Conflict)
+		}
+	}
 
 	g := &ruleGen{rng: rand.New(rand.NewSource(seed)), users: []string{"mary", "bob", "carol"}}
 	prefIDs := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
@@ -271,22 +300,14 @@ func runIncrementalVsFull(t *testing.T, strategy reasoner.Strategy, spatial bool
 				t.Fatalf("step %d (%s): Preferences(%s)\n got  %+v\n want %+v", step, what, u, prefs, want)
 			}
 		}
-		var published []reasoner.Conflict
-		for drained := false; !drained; {
-			select {
-			case e := <-sub.C:
-				published = append(published, e.Payload.(reasoner.Conflict))
-			default:
-				drained = true
-			}
-		}
+		published := drain()
 		if !sameElements(published, oracle.published) {
 			t.Fatalf("step %d (%s): TopicConflicts\n got  %+v\n want %+v", step, what, published, oracle.published)
 		}
 		oracle.published = nil
 	}
-	if sub.Dropped() != 0 {
-		t.Fatalf("%d conflict publications dropped", sub.Dropped())
+	if n := sub.Stats().Dropped; n != 0 {
+		t.Fatalf("%d conflict publications dropped", n)
 	}
 }
 

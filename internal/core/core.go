@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
@@ -67,8 +66,6 @@ type Config struct {
 	PseudonymKey []byte
 	// NoiseSeed seeds the Laplace noiser for reproducible runs.
 	NoiseSeed int64
-	// BusBuffer is the per-subscriber event buffer (default 256).
-	BusBuffer int
 	// Clock overrides time.Now for tests and simulation.
 	Clock func() time.Time
 	// Metrics is the telemetry registry pipeline counters, latency
@@ -116,7 +113,6 @@ type Stats struct {
 type BMS struct {
 	cfg      Config
 	store    *obstore.Store
-	bus      *bus.Bus
 	engine   enforce.Engine
 	services *service.Registry
 	reason   *reasoner.Reasoner
@@ -141,10 +137,6 @@ type BMS struct {
 	conflicts map[conflictKey]reasoner.Conflict
 	inbox     map[string][]enforce.Notification
 
-	// ingestMu makes each store append and its bus publish one step
-	// (appendAndPublish).
-	ingestMu sync.Mutex
-
 	retainStop chan struct{}
 	retainDone chan struct{}
 
@@ -167,9 +159,6 @@ func New(cfg Config) (*BMS, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.BusBuffer == 0 {
-		cfg.BusBuffer = 256
 	}
 	key := cfg.PseudonymKey
 	if key == nil {
@@ -200,7 +189,6 @@ func New(cfg Config) (*BMS, error) {
 	b := &BMS{
 		cfg:       cfg,
 		store:     store,
-		bus:       bus.New(cfg.BusBuffer),
 		engine:    engine,
 		services:  cfg.Services,
 		reason:    reasoner.New(cfg.Spaces, cfg.Strategy),
@@ -244,7 +232,6 @@ func New(cfg Config) (*BMS, error) {
 	// batches show up as spans.
 	b.store.SetTracer(cfg.Tracer)
 	cfg.Tracer.RegisterMetrics(reg)
-	b.bus.RegisterMetrics(reg)
 	b.reason.RegisterMetrics(reg)
 	if mr, ok := engine.(interface {
 		RegisterMetrics(*telemetry.Registry)
@@ -254,22 +241,21 @@ func New(cfg Config) (*BMS, error) {
 	reg.GaugeFunc("tippers_enforce_epoch",
 		"Rule mutations the enforcement engine has applied; every decision-derived cache validates against it.",
 		func() float64 { return float64(engine.Epoch()) })
-	// The stream hub taps the bus and decides per subscriber per event
-	// through b.decide like every other path; it keeps no decisions of
-	// its own, so rule mutations have nothing to flush here.
+	// The stream hub reads new rows from the store and decides per
+	// subscriber per event through b.decide like every other path; it
+	// keeps no decisions of its own, so rule mutations have nothing to
+	// flush here.
 	hub, err := stream.NewHub(stream.Config{
 		Store:  b.store,
-		Bus:    b.bus,
 		Decide: b.decide,
-		Apply: func(d enforce.Decision, obs []sensor.Observation) ([]sensor.Observation, error) {
-			return enforce.ApplyDecision(d, obs, b.transf)
+		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+			return enforce.ApplyDecisionOne(d, o, b.transf)
 		},
 		Filter:        b.filterFor,
 		Metrics:       reg,
 		Tracer:        cfg.Tracer,
 		DefaultBuffer: cfg.StreamBuffer,
 		DefaultPolicy: cfg.StreamPolicy,
-		BusBuffer:     cfg.BusBuffer * 4,
 	})
 	if err != nil {
 		return nil, err
@@ -281,9 +267,6 @@ func New(cfg Config) (*BMS, error) {
 // Store exposes the observation store (read-mostly; examples and
 // experiments inspect it).
 func (b *BMS) Store() *obstore.Store { return b.store }
-
-// Bus exposes the event bus for subscribers (services, IoTAs).
-func (b *BMS) Bus() *bus.Bus { return b.bus }
 
 // Spaces returns the spatial model.
 func (b *BMS) Spaces() *spatial.Model { return b.cfg.Spaces }
@@ -301,7 +284,8 @@ func (b *BMS) Services() *service.Registry { return b.services }
 func (b *BMS) Engine() enforce.Engine { return b.engine }
 
 // Streams returns the live-stream hub: policy-enforced continuous
-// queries with resume cursors (see internal/stream).
+// queries with resume cursors (see internal/stream), the one way a
+// service subscribes.
 func (b *BMS) Streams() *stream.Hub { return b.streams }
 
 // Columnar returns the columnar storage tier.
@@ -341,7 +325,7 @@ func (b *BMS) Stats() Stats {
 // Ingest is the capture pipeline (Figure 1 steps 2–3): a sensor
 // reading enters, capture-time enforcement applies the sensor's
 // current privacy settings, the reading is attributed to a user via
-// device MAC, stored, and published on the bus. It is IngestCtx
+// device MAC, and stored, which wakes the live streams. It is IngestCtx
 // without a caller context (no trace to continue).
 func (b *BMS) Ingest(o sensor.Observation) error {
 	return b.IngestCtx(context.Background(), o)
@@ -400,21 +384,16 @@ func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 	return nil
 }
 
-// appendAndPublish is the one way an observation enters the store. The
-// append and the publish are one step under ingestMu, so live events
-// reach the bus in seq order: the stream hub's replay/live splice
-// delivers the live feed in the order it was published. The bus carries
-// what the store returned, whose Seq is the stream resume cursor.
+// appendAndPublish is the one way an observation enters the store.
+// After the append it wakes the stream hub, which reads the new row
+// back from the store in seq order; the store's append lock is what
+// orders concurrent writers.
 func (b *BMS) appendAndPublish(o sensor.Observation) (seq uint64, err error) {
-	b.ingestMu.Lock()
 	stored, err := b.store.Append(o)
-	if err == nil {
-		b.bus.Publish(bus.TopicObservations, stored)
-	}
-	b.ingestMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
+	b.streams.Wake()
 	b.met.ingested.Inc()
 	return stored.Seq, nil
 }
@@ -447,8 +426,7 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 	if err != nil {
 		return err
 	}
-	// Actuation publishes on the bus, so it and the retention rule stay
-	// outside the rule lock.
+	// Actuation and the retention rule stay outside the rule lock.
 	if len(p.Settings) > 0 {
 		if err := b.actuateScope(p.Scope, p.Settings); err != nil {
 			return fmt.Errorf("core: actuating policy %s: %w", p.ID, err)
@@ -482,7 +460,6 @@ func (b *BMS) actuateScope(sc policy.Scope, settings map[string]string) error {
 		if err := b.cfg.Sensors.Actuate(s.ID, settings); err != nil {
 			return err
 		}
-		b.bus.Publish(bus.TopicSettings, bus.SettingsChange{SensorID: s.ID, Changes: settings})
 	}
 	return nil
 }
@@ -490,7 +467,7 @@ func (b *BMS) actuateScope(sc policy.Scope, settings map[string]string) error {
 // SetPreference installs (or replaces) a user preference (Figure 1
 // step 8: the IoTA communicates the user's settings). Conflicts with
 // building policies are detected; override resolutions generate
-// notifications delivered to the user's inbox and the bus.
+// notifications delivered to the user's inbox and the live streams.
 func (b *BMS) SetPreference(p policy.Preference) error {
 	if err := p.Check(); err != nil {
 		return err
@@ -546,7 +523,7 @@ func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict, err error)) e
 	b.mu.Unlock()
 	b.met.detectSeconds.ObserveSince(t0)
 	for _, c := range fresh {
-		b.bus.Publish(bus.TopicConflicts, c)
+		b.streams.PublishConflict(c)
 	}
 	return err
 }
@@ -792,12 +769,11 @@ func (b *BMS) StopCompaction() {
 }
 
 // Close shuts down the BMS: retention and compaction daemons stopped,
-// stream hub drained, bus closed.
+// stream hub drained.
 func (b *BMS) Close() {
 	b.StopRetention()
 	b.StopCompaction()
 	b.streams.Close()
-	b.bus.Close()
 	if err := b.store.Close(); err != nil {
 		// Nothing to do but say so: durable stores flush their WAL here.
 		fmt.Fprintf(os.Stderr, "core: closing observation store: %v\n", err)

@@ -141,3 +141,49 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 		t.Errorf("the cubes count %d of mary's rows, want the %d retained", counted, len(before))
 	}
 }
+
+// TestForgetUserStreamsNoErasedRow: rows ForgetUser erases while the
+// stream hub is stalled behind them are gone from the store when its
+// scan reaches them, so no subscriber receives them.
+func TestForgetUserStreamsNoErasedRow(t *testing.T) {
+	f := newFixture(t)
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect}
+	// Attached first, sub is offered each row before the stalled
+	// subscription is.
+	sub := subscribe(t, f, req, 8192)
+	stalled, err := f.bms.Streams().Subscribe(stream.Options{
+		Request: req, Buffer: 1, Policy: stream.Block, BlockTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Cancel()
+
+	const bob, mary = "aa:00:00:00:00:02", "aa:00:00:00:00:01"
+	ingest := func(mac string, minute int) {
+		t.Helper()
+		if err := f.bms.Ingest(f.wifiObs(mac, "ap-1", minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// bob's first row fills the stalled ring; once sub has his second,
+	// the hub is parked on it.
+	ingest(bob, 0)
+	ingest(bob, 1)
+	if got := collectStream(t, sub, 2, 2*time.Second); len(got) != 2 {
+		t.Fatalf("streamed %d of bob's first two rows", len(got))
+	}
+	for i := 0; i < 20; i++ {
+		ingest(mary, 2+i)
+	}
+	if deleted, _, err := f.bms.ForgetUser("mary"); err != nil || deleted != 20 {
+		t.Fatalf("ForgetUser = %d, %v; want 20 rows erased", deleted, err)
+	}
+	ingest(bob, 22)
+	stalled.Cancel()
+
+	got := collectStream(t, sub, 1, 2*time.Second)
+	if len(got) != 1 || got[0].UserID != "bob" {
+		t.Fatalf("after the erasure the stream carried %+v, want only bob's last row", got)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
@@ -410,6 +409,6 @@ func (b *BMS) recordDecision(d enforce.Decision) {
 	}
 	b.mu.Unlock()
 	for _, n := range d.Notifications {
-		b.bus.Publish(bus.TopicNotifications, n)
+		b.streams.PublishNotification(n)
 	}
 }

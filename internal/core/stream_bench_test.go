@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/stream"
 )
 
 // BenchmarkStreamFanout measures the per-event cost of fanning one
@@ -34,31 +36,28 @@ func BenchmarkStreamFanout(b *testing.B) {
 				Purpose:   policy.PurposeProvidingService,
 				Kind:      sensor.ObsWiFiConnect,
 			}
-			stats := make([]func() StreamStats, nSubs)
-			for i := 0; i < nSubs; i++ {
-				st, statsFn, err := f.bms.Subscribe(req, 4096)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer st.Cancel()
-				stats[i] = statsFn
-				go func() {
-					for range st.C {
+			subs := make([]*stream.Subscription, nSubs)
+			for i := range subs {
+				subs[i] = subscribe(b, f, req, 4096)
+				go func(sub *stream.Subscription) {
+					for {
+						if _, err := sub.Next(context.Background()); err != nil {
+							return
+						}
 					}
-				}()
+				}(subs[i])
 			}
 			obs := f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)
 
-			// Pace the publisher so neither the hub's bus tap nor the
-			// subscription rings overflow: the benchmark measures
-			// enforcement fan-out, not loss.
+			// Pace the publisher so no subscription ring overflows: the
+			// benchmark measures enforcement fan-out, not loss.
 			const window = 256
 			waitUntil := func(target uint64) {
 				deadline := time.Now().Add(30 * time.Second)
 				for {
 					lagging := false
-					for _, statsFn := range stats {
-						if statsFn().Delivered < target {
+					for _, sub := range subs {
+						if sub.Stats().Delivered < target {
 							lagging = true
 							break
 						}

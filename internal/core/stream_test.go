@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -8,21 +10,35 @@ import (
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/stream"
 )
 
-func collectStream(t *testing.T, s *Stream, want int, timeout time.Duration) []sensor.Observation {
+// subscribe attaches a live observation stream for req, cancelled when
+// the test ends.
+func subscribe(t testing.TB, f *fixture, req enforce.Request, buffer int) *stream.Subscription {
 	t.Helper()
+	sub, err := f.bms.Streams().Subscribe(stream.Options{Request: req, Buffer: buffer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Cancel)
+	return sub
+}
+
+// collectStream returns the released observations sub delivers, up to
+// want of them, stopping early when timeout passes or sub ends.
+func collectStream(t *testing.T, sub *stream.Subscription, want int, timeout time.Duration) []sensor.Observation {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	var out []sensor.Observation
-	deadline := time.After(timeout)
 	for len(out) < want {
-		select {
-		case o, ok := <-s.C:
-			if !ok {
-				return out
-			}
-			out = append(out, o)
-		case <-deadline:
+		ev, err := sub.Next(ctx)
+		if err != nil {
 			return out
+		}
+		if ev.Type == stream.EventObservation {
+			out = append(out, *ev.Observation)
 		}
 	}
 	return out
@@ -34,15 +50,11 @@ func TestSubscribeEnforcesPerEvent(t *testing.T) {
 	if err := f.bms.SetPreference(policy.CoarseLocationPreference("mary", "concierge")); err != nil {
 		t.Fatal(err)
 	}
-	stream, stats, err := f.bms.Subscribe(enforce.Request{
+	sub := subscribe(t, f, enforce.Request{
 		ServiceID: "concierge",
 		Purpose:   policy.PurposeProvidingService,
 		Kind:      sensor.ObsWiFiConnect,
 	}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Cancel()
 
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil { // mary
 		t.Fatal(err)
@@ -51,7 +63,7 @@ func TestSubscribeEnforcesPerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := collectStream(t, stream, 2, 2*time.Second)
+	got := collectStream(t, sub, 2, 2*time.Second)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d events, want 2", len(got))
 	}
@@ -65,7 +77,7 @@ func TestSubscribeEnforcesPerEvent(t *testing.T) {
 	if o := bySubject["bob"]; o.SpaceID != "dbh/1/r0" {
 		t.Errorf("bob's event degraded: %+v", o)
 	}
-	if s := stats(); s.Delivered != 2 || s.Denied != 0 {
+	if s := sub.Stats(); s.Delivered != 2 || s.Denied != 0 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -77,15 +89,11 @@ func TestSubscribeDeniesOptedOutSubjects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stream, stats, err := f.bms.Subscribe(enforce.Request{
+	sub := subscribe(t, f, enforce.Request{
 		ServiceID: "concierge",
 		Purpose:   policy.PurposeProvidingService,
 		Kind:      sensor.ObsWiFiConnect,
 	}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Cancel()
 
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil { // mary: denied
 		t.Fatal(err)
@@ -93,16 +101,16 @@ func TestSubscribeDeniesOptedOutSubjects(t *testing.T) {
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:02", "ap-1", 1)); err != nil { // bob: delivered
 		t.Fatal(err)
 	}
-	got := collectStream(t, stream, 1, 2*time.Second)
+	got := collectStream(t, sub, 1, 2*time.Second)
 	if len(got) != 1 || got[0].UserID != "bob" {
 		t.Fatalf("delivered = %+v, want only bob", got)
 	}
 	// Allow the denial to be counted before asserting.
 	deadline := time.After(time.Second)
-	for stats().Denied == 0 {
+	for sub.Stats().Denied == 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("stats = %+v, want a denial", stats())
+			t.Fatalf("stats = %+v, want a denial", sub.Stats())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -110,42 +118,43 @@ func TestSubscribeDeniesOptedOutSubjects(t *testing.T) {
 
 func TestSubscribeFiltersKind(t *testing.T) {
 	f := newFixture(t)
-	stream, _, err := f.bms.Subscribe(enforce.Request{
+	sub := subscribe(t, f, enforce.Request{
 		ServiceID: "concierge",
 		Purpose:   policy.PurposeProvidingService,
 		Kind:      sensor.ObsBLESighting,
 	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Cancel()
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := collectStream(t, stream, 1, 200*time.Millisecond); len(got) != 0 {
+	if got := collectStream(t, sub, 1, 200*time.Millisecond); len(got) != 0 {
 		t.Errorf("wifi event leaked into a BLE stream: %+v", got)
 	}
 }
 
+// TestSubscribeValidation: the node streams observations, notifications
+// and conflicts, and only observations have a log to resume from.
 func TestSubscribeValidation(t *testing.T) {
 	f := newFixture(t)
-	if _, _, err := f.bms.Subscribe(enforce.Request{}, 4); err == nil {
-		t.Error("kindless subscription accepted")
+	if _, err := f.bms.Streams().Subscribe(stream.Options{Topic: "settings"}); err == nil {
+		t.Error("subscription to a topic the node does not stream accepted")
+	}
+	if _, err := f.bms.Streams().Subscribe(stream.Options{Topic: stream.TopicConflicts, Replay: true}); err == nil {
+		t.Error("resume accepted on a live-only topic")
 	}
 }
 
 func TestSubscribeCancelIdempotentAndCloses(t *testing.T) {
 	f := newFixture(t)
-	stream, _, err := f.bms.Subscribe(enforce.Request{
+	sub := subscribe(t, f, enforce.Request{
 		ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
 		Kind: sensor.ObsWiFiConnect,
 	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream.Cancel()
-	if _, ok := <-stream.C; ok {
-		t.Error("stream channel not closed after cancel")
+	sub.Cancel()
+	sub.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := sub.Next(ctx); !errors.Is(err, stream.ErrClosed) {
+		t.Errorf("Next after cancel = %v, want ErrClosed", err)
 	}
 }
 
@@ -158,18 +167,13 @@ func TestStreamFanoutSharesEngineMemo(t *testing.T) {
 	f := newFixture(t)
 	engine := f.bms.Engine().(*enforce.Compiled)
 	const subs, events = 3, 4
-	var all []*Stream
+	var all []*stream.Subscription
 	for i := 0; i < subs; i++ {
-		s, _, err := f.bms.Subscribe(enforce.Request{
+		all = append(all, subscribe(t, f, enforce.Request{
 			ServiceID: "concierge",
 			Purpose:   policy.PurposeProvidingService,
 			Kind:      sensor.ObsWiFiConnect,
-		}, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Cancel()
-		all = append(all, s)
+		}, 16))
 	}
 	deliver := func(n int) []sensor.Observation {
 		t.Helper()
@@ -218,15 +222,11 @@ func TestDerivedOccupancyStreamsWithStoreSeq(t *testing.T) {
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", 0)); err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := f.bms.Subscribe(enforce.Request{
+	s := subscribe(t, f, enforce.Request{
 		ServiceID: "smart-meeting",
 		Purpose:   policy.PurposeProvidingService,
 		Kind:      sensor.ObsOccupancy,
 	}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Cancel()
 
 	n, err := f.bms.DeriveOccupancy(f.now.Add(-time.Hour), f.now.Add(time.Hour), 30*time.Minute)
 	if err != nil {

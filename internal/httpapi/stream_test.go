@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
@@ -144,8 +143,8 @@ func TestStreamNotificationsTopic(t *testing.T) {
 		// Give the subscription a moment to attach; notifications have
 		// no durable log to replay from.
 		time.Sleep(50 * time.Millisecond)
-		bms.Bus().Publish(bus.TopicNotifications, enforce.Notification{UserID: "bob", Message: "not mary's"})
-		bms.Bus().Publish(bus.TopicNotifications, enforce.Notification{UserID: "mary", PolicyID: "pol-1", Message: "override applied"})
+		bms.Streams().PublishNotification(enforce.Notification{UserID: "bob", Message: "not mary's"})
+		bms.Streams().PublishNotification(enforce.Notification{UserID: "mary", PolicyID: "pol-1", Message: "override applied"})
 	}()
 
 	var got []StreamEventDTO

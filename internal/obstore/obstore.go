@@ -425,6 +425,10 @@ func (s *Store) AppendAll(obs []sensor.Observation) error {
 	return nil
 }
 
+// LastSeq returns the last seq allocated: every row appended so far
+// has a seq at or below it.
+func (s *Store) LastSeq() uint64 { return s.nextSeq.Load() }
+
 // Query returns the observations matching f in seq (insertion) order:
 // the cold tier's matches behind its watermark, when one is attached,
 // then the log's. It collects Scan into a slice and is kept for tests

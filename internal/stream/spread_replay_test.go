@@ -13,34 +13,29 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// newSpreadHubFixture is newHubFixture with every subject allowed and a
-// deeper bus, for histories spread over many sensors.
+// newSpreadHubFixture is newHubFixture with every subject allowed, for
+// histories spread over many sensors.
 func newSpreadHubFixture(t *testing.T) *fixture {
 	t.Helper()
-	f := &fixture{store: obstore.New(), bus: bus.New(256)}
+	f := &fixture{store: obstore.New()}
 	hub, err := NewHub(Config{
 		Store: f.store,
-		Bus:   f.bus,
 		Decide: func(req enforce.Request) enforce.Decision {
 			return enforce.Decision{Allowed: true}
 		},
-		Apply: func(d enforce.Decision, obs []sensor.Observation) ([]sensor.Observation, error) {
-			return obs, nil
+		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+			return o, true, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		hub.Close()
-		f.bus.Close()
-	})
+	t.Cleanup(hub.Close)
 	f.hub = hub
 	return f
 }

@@ -6,7 +6,14 @@
 // for *that* requester — deny, coarsen, noise, pseudonymize — exactly
 // as the one-shot query path would have released it.
 //
-// The hub solves three problems a naive bus tap cannot:
+// The hub reads its live rows from the observation store, the same
+// log the one-shot query path reads: one goroutine keeps a cursor and,
+// each time the ingest pipeline says rows were appended (Wake), scans
+// the store past it and offers every row to the observation
+// subscriptions. A row erased before the scan reaches it is never
+// streamed, and a hub that falls behind catches up from the store,
+// sealed segments included, without losing a row. On top of that it
+// solves three problems:
 //
 //   - Per-subscriber enforcement at fan-out cost. Deciding N
 //     subscribers × M events calls Config.Decide N×M times; the hub
@@ -23,21 +30,23 @@
 //     duplicates or holes. See Subscription.Next for the splice
 //     invariant.
 //
-// Notifications and conflicts are streamable too; their cursors are
-// hub-local (there is no durable log behind them), so those topics are
-// live-only.
+// Notifications and conflicts are streamable too. Their producers
+// push them directly (PublishNotification, PublishConflict); their
+// cursors are hub-local (there is no durable log behind them), so those
+// topics are live-only.
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/reasoner"
@@ -45,11 +54,11 @@ import (
 	"github.com/tippers/tippers/internal/telemetry"
 )
 
-// Streamable topics (the bus topics the hub taps).
+// Streamable topics.
 const (
-	TopicObservations  = bus.TopicObservations
-	TopicNotifications = bus.TopicNotifications
-	TopicConflicts     = bus.TopicConflicts
+	TopicObservations  = "observations"
+	TopicNotifications = "notifications"
+	TopicConflicts     = "conflicts"
 )
 
 // Backpressure selects what happens when a subscription's ring is
@@ -63,7 +72,7 @@ const (
 	// DropOldest evicts the oldest buffered event and records a gap
 	// marker so the consumer knows which cursor range it lost.
 	DropOldest
-	// Block makes the publisher wait for ring space up to the
+	// Block makes the hub wait for ring space up to the
 	// subscription's BlockTimeout, then falls back to DropOldest.
 	Block
 	// Disconnect closes the subscription (Next returns
@@ -132,22 +141,21 @@ type Event struct {
 	GapFrom, GapTo uint64
 }
 
-// Config wires a Hub to its collaborators. Store, Bus, Decide, and
-// Apply are required.
+// Config wires a Hub to its collaborators. Store, Decide, and Apply
+// are required.
 type Config struct {
-	// Store is the durable observation log replayed on resume.
+	// Store is the observation log: the hub's live feed, and what
+	// resume replays.
 	Store *obstore.Store
-	// Bus is the live feed the hub taps.
-	Bus *bus.Bus
 	// Decide runs the full decision pipeline for one event-request
 	// (the hub fills SubjectID/Time/SpaceID/Kind from each event),
 	// counting the decision and delivering its override notifications
 	// exactly as the one-shot query path does. It is called once per
 	// subscriber per event and must be safe for concurrent use.
 	Decide func(req enforce.Request) enforce.Decision
-	// Apply runs the data path (coarsen, noise) for an allowed
-	// decision.
-	Apply func(d enforce.Decision, obs []sensor.Observation) ([]sensor.Observation, error)
+	// Apply runs the data path (coarsen, noise) for one observation
+	// under an allowed decision; ok=false suppresses it.
+	Apply func(d enforce.Decision, o sensor.Observation) (released sensor.Observation, ok bool, err error)
 	// Filter translates a request template into a store filter
 	// (spatial subtree expansion); nil uses a field-for-field mapping
 	// with exact-space matching.
@@ -164,10 +172,6 @@ type Config struct {
 	// DefaultPolicy is the backpressure policy for subscriptions that
 	// don't set one (default DropOldest).
 	DefaultPolicy Backpressure
-	// BusBuffer sizes the hub's own bus subscriptions (default 1024):
-	// the headroom between the ingest pipeline and the hub's fan-out
-	// loop.
-	BusBuffer int
 }
 
 // Errors returned by Subscription.Next.
@@ -183,20 +187,26 @@ var (
 	ErrReplayOrder = errors.New("stream: replay page out of seq order")
 )
 
-// Hub fans the live feed out to enforced subscriptions.
+// Hub fans the store's new rows, and the notifications and conflicts
+// pushed to it, out to enforced subscriptions. Its invariant: a
+// subscription receives every row appended after Subscribe returns
+// that is still in the store when the hub's scan reaches it.
 type Hub struct {
 	cfg Config
 
 	mu      sync.RWMutex
 	subs    map[int]*Subscription
-	byTopic map[string][]*Subscription // immutable snapshots, rebuilt on change
+	byTopic map[string][]*Subscription // immutable snapshots in subscription order, rebuilt on change
 	nextID  int
 	closed  bool
 
-	feeds    []*bus.Subscription
-	wg       sync.WaitGroup
-	localSeq atomic.Uint64 // cursor space for non-durable topics
-	headSeq  atomic.Uint64 // last observation seq the hub dispatched
+	wake    chan struct{} // one slot: rows were appended since the last scan
+	quit    chan struct{} // closed by Close
+	done    chan struct{} // closed when the dispatch goroutine exits
+	headSeq atomic.Uint64 // last observation seq the hub dispatched
+
+	localMu  sync.Mutex // orders hub-local seqs with their pushes
+	localSeq uint64     // cursor space for non-durable topics
 
 	tracer *telemetry.Tracer
 	met    hubMetrics
@@ -211,18 +221,15 @@ type hubMetrics struct {
 	disconnects *telemetry.Counter
 }
 
-// NewHub starts a hub over the given collaborators: it subscribes to
-// the observation, notification, and conflict topics and begins
-// dispatching. Close releases the taps.
+// NewHub starts a hub over the given collaborators. Rows already in
+// the store are history (Options.Replay serves them); the live feed
+// starts at the store's head. Close stops the dispatch goroutine.
 func NewHub(cfg Config) (*Hub, error) {
-	if cfg.Store == nil || cfg.Bus == nil || cfg.Decide == nil || cfg.Apply == nil {
-		return nil, errors.New("stream: Config needs Store, Bus, Decide, and Apply")
+	if cfg.Store == nil || cfg.Decide == nil || cfg.Apply == nil {
+		return nil, errors.New("stream: Config needs Store, Decide, and Apply")
 	}
 	if cfg.DefaultBuffer <= 0 {
 		cfg.DefaultBuffer = 256
-	}
-	if cfg.BusBuffer <= 0 {
-		cfg.BusBuffer = 1024
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
@@ -231,21 +238,97 @@ func NewHub(cfg Config) (*Hub, error) {
 		cfg:     cfg,
 		subs:    make(map[int]*Subscription),
 		byTopic: make(map[string][]*Subscription),
+		wake:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 		tracer:  cfg.Tracer,
 	}
 	h.registerMetrics(cfg.Metrics)
-	for _, topic := range []string{TopicObservations, TopicNotifications, TopicConflicts} {
-		feed := cfg.Bus.SubscribeBuffered(topic, cfg.BusBuffer)
-		h.feeds = append(h.feeds, feed)
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			for e := range feed.C {
-				h.dispatch(e)
-			}
-		}()
-	}
+	head := cfg.Store.LastSeq()
+	h.headSeq.Store(head)
+	go h.run(head)
 	return h, nil
+}
+
+// Wake tells the hub rows were appended to the store. It never blocks:
+// a wake that arrives while one is pending folds into it.
+func (h *Hub) Wake() { signal(h.wake) }
+
+// run is the hub's one goroutine: each wake scans the store past the
+// cursor, the last seq it dispatched.
+func (h *Hub) run(cursor uint64) {
+	defer close(h.done)
+	for {
+		select {
+		case <-h.quit:
+			return
+		case <-h.wake:
+			cursor = h.dispatchObservations(cursor)
+		}
+	}
+}
+
+// dispatchObservations offers the rows in (cursor, head] to the
+// observation subscriptions and returns head. The head is read before
+// the subscriptions are: a row at or below it was appended before any
+// subscription missing from the snapshot had been attached, and a row
+// above it is left to the wake its append sends.
+func (h *Hub) dispatchObservations(cursor uint64) uint64 {
+	head := h.cfg.Store.LastSeq()
+	if subs := h.topicSubs(TopicObservations); len(subs) > 0 {
+		h.cfg.Store.Scan(obstore.Filter{AfterSeq: cursor}, func(o *sensor.Observation) bool {
+			if o.Seq > head {
+				return false
+			}
+			select {
+			case <-h.quit:
+				return false
+			default:
+			}
+			h.headSeq.Store(o.Seq)
+			for _, s := range subs {
+				s.offerObservation(*o)
+			}
+			return true
+		})
+	}
+	h.headSeq.Store(head)
+	return head
+}
+
+// PublishNotification streams an override notification to the
+// notification subscriptions. The push runs in the caller's goroutine
+// and never waits (see Options.Policy).
+func (h *Hub) PublishNotification(n enforce.Notification) {
+	if subs := h.topicSubs(TopicNotifications); len(subs) > 0 {
+		// Copied here, so a call with no subscriber allocates nothing.
+		held := n
+		h.publishLocal(subs, held.UserID, Event{Type: EventNotification, Notification: &held})
+	}
+}
+
+// PublishConflict streams a freshly detected conflict to the conflict
+// subscriptions, like PublishNotification.
+func (h *Hub) PublishConflict(c reasoner.Conflict) {
+	if subs := h.topicSubs(TopicConflicts); len(subs) > 0 {
+		held := c
+		h.publishLocal(subs, held.UserID, Event{Type: EventConflict, Conflict: &held})
+	}
+}
+
+// publishLocal gives ev the next hub-local seq and pushes it to the
+// subscriptions that want userID's events, under one lock so every
+// ring holds its events in seq order.
+func (h *Hub) publishLocal(subs []*Subscription, userID string, ev Event) {
+	h.localMu.Lock()
+	defer h.localMu.Unlock()
+	h.localSeq++
+	ev.Seq = h.localSeq
+	for _, s := range subs {
+		if s.opts.UserID == "" || s.opts.UserID == userID {
+			s.push(ev)
+		}
+	}
 }
 
 func (h *Hub) registerMetrics(r *telemetry.Registry) {
@@ -341,7 +424,10 @@ type Options struct {
 	// Buffer is the ring capacity; 0 uses the hub default.
 	Buffer int
 	// Policy is the backpressure policy; PolicyDefault uses the hub
-	// default.
+	// default. On observation streams Block stalls only the hub's
+	// dispatch goroutine, and the rows wait in the store. Notifications
+	// and conflicts are pushed from their producer's goroutine, which
+	// must never wait, so Block becomes DropOldest on those topics.
 	Policy Backpressure
 	// BlockTimeout bounds a Block-policy publisher wait (default 1s).
 	BlockTimeout time.Duration
@@ -373,7 +459,7 @@ func (h *Hub) Subscribe(opts Options) (*Subscription, error) {
 	if opts.Policy == PolicyDefault {
 		opts.Policy = h.cfg.DefaultPolicy
 	}
-	if opts.Policy == PolicyDefault {
+	if opts.Policy == PolicyDefault || (opts.Policy == Block && opts.Topic != TopicObservations) {
 		opts.Policy = DropOldest
 	}
 	if opts.BlockTimeout <= 0 {
@@ -405,6 +491,7 @@ func (h *Hub) Subscribe(opts Options) (*Subscription, error) {
 		// The replay pager owns the cursor fields.
 		f.AfterSeq, f.Limit = 0, 0
 		s.filter = f
+		s.liveFrom = h.cfg.Store.LastSeq()
 		if len(f.SpaceIDs) > 0 {
 			s.spaceSet = make(map[string]bool, len(f.SpaceIDs))
 			for _, id := range f.SpaceIDs {
@@ -415,11 +502,11 @@ func (h *Hub) Subscribe(opts Options) (*Subscription, error) {
 	s.fetchDone = !opts.Replay || opts.Topic != TopicObservations
 	s.replayDone = s.fetchDone
 	// Seed the lag watermark: a resuming subscriber is behind by its
-	// cursor distance; a fresh one starts even with the head.
+	// cursor distance; a fresh one starts even with the store's head.
 	if opts.Replay {
 		s.lastDelivered.Store(opts.AfterSeq)
 	} else {
-		s.lastDelivered.Store(h.headSeq.Load())
+		s.lastDelivered.Store(s.liveFrom)
 	}
 
 	h.mu.Lock()
@@ -445,12 +532,15 @@ func (h *Hub) Subscribe(opts Options) (*Subscription, error) {
 	return s, nil
 }
 
-// rebuildTopicsLocked refreshes the per-topic dispatch snapshots.
-// Caller holds h.mu.
+// rebuildTopicsLocked refreshes the per-topic dispatch snapshots,
+// each in subscription order. Caller holds h.mu.
 func (h *Hub) rebuildTopicsLocked() {
 	byTopic := make(map[string][]*Subscription, 3)
 	for _, s := range h.subs {
 		byTopic[s.opts.Topic] = append(byTopic[s.opts.Topic], s)
+	}
+	for _, subs := range byTopic {
+		slices.SortFunc(subs, func(a, b *Subscription) int { return cmp.Compare(a.id, b.id) })
 	}
 	h.byTopic = byTopic
 }
@@ -474,45 +564,8 @@ func (h *Hub) topicSubs(topic string) []*Subscription {
 	return h.byTopic[topic]
 }
 
-// dispatch routes one bus event to the matching subscriptions.
-func (h *Hub) dispatch(e bus.Event) {
-	switch p := e.Payload.(type) {
-	case sensor.Observation:
-		h.headSeq.Store(p.Seq)
-		for _, s := range h.topicSubs(TopicObservations) {
-			s.offerObservation(p)
-		}
-	case enforce.Notification:
-		subs := h.topicSubs(TopicNotifications)
-		if len(subs) == 0 {
-			return
-		}
-		n := p
-		ev := Event{Type: EventNotification, Seq: h.localSeq.Add(1), Notification: &n}
-		for _, s := range subs {
-			if s.opts.UserID != "" && n.UserID != s.opts.UserID {
-				continue
-			}
-			s.push(ev)
-		}
-	case reasoner.Conflict:
-		subs := h.topicSubs(TopicConflicts)
-		if len(subs) == 0 {
-			return
-		}
-		c := p
-		ev := Event{Type: EventConflict, Seq: h.localSeq.Add(1), Conflict: &c}
-		for _, s := range subs {
-			if s.opts.UserID != "" && c.UserID != s.opts.UserID {
-				continue
-			}
-			s.push(ev)
-		}
-	}
-}
-
-// Close cancels every subscription, detaches from the bus, and waits
-// for the dispatch loops to exit.
+// Close cancels every subscription and waits for the dispatch
+// goroutine to exit.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -531,8 +584,6 @@ func (h *Hub) Close() {
 	for _, s := range subs {
 		s.close(ErrClosed)
 	}
-	for _, f := range h.feeds {
-		f.Cancel()
-	}
-	h.wg.Wait()
+	close(h.quit)
+	<-h.done
 }

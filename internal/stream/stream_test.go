@@ -7,58 +7,46 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tippers/tippers/internal/bus"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/reasoner"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// fixture wires a hub over a real store and bus with a stub decision
-// pipeline: subject "blocked" is denied, everything else released
-// unchanged.
+// fixture wires a hub over a real store with a stub decision pipeline:
+// subject "blocked" is denied, everything else released unchanged.
 type fixture struct {
-	store    *obstore.Store
-	bus      *bus.Bus
-	hub      *Hub
-	ingestMu sync.Mutex
+	store *obstore.Store
+	hub   *Hub
 }
 
 var fixtureBase = time.Date(2017, 6, 7, 14, 0, 0, 0, time.UTC)
 
 func newHubFixture(t *testing.T) *fixture {
 	t.Helper()
-	f := &fixture{store: obstore.New(), bus: bus.New(64)}
+	f := &fixture{store: obstore.New()}
 	hub, err := NewHub(Config{
 		Store: f.store,
-		Bus:   f.bus,
 		Decide: func(req enforce.Request) enforce.Decision {
 			if req.SubjectID == "blocked" {
 				return enforce.Decision{DenyReason: "blocked subject"}
 			}
 			return enforce.Decision{Allowed: true}
 		},
-		Apply: func(d enforce.Decision, obs []sensor.Observation) ([]sensor.Observation, error) {
-			if !d.Allowed {
-				return nil, nil
-			}
-			return obs, nil
+		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+			return o, d.Allowed, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		hub.Close()
-		f.bus.Close()
-	})
+	t.Cleanup(hub.Close)
 	f.hub = hub
 	return f
 }
 
-// ingest mimics the core pipeline's ordering guarantee: append to the
-// durable store first, then publish on the bus, the two as one step so
-// concurrent ingests publish in seq order.
+// ingest mimics the core pipeline: append to the store, then wake the
+// hub, which reads the row back from the store.
 func (f *fixture) ingest(t testing.TB, user string, minute int) sensor.Observation {
 	t.Helper()
 	return f.ingestSensor(t, "ap-1", user, minute)
@@ -73,13 +61,11 @@ func (f *fixture) ingestSensor(t testing.TB, sensorID, user string, minute int) 
 		SpaceID:  "dbh/1/r0",
 		UserID:   user,
 	}
-	f.ingestMu.Lock()
-	defer f.ingestMu.Unlock()
 	stored, err := f.store.Append(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.bus.Publish(bus.TopicObservations, stored)
+	f.hub.Wake()
 	return stored
 }
 
@@ -338,6 +324,100 @@ func TestDisconnectPolicyThenResume(t *testing.T) {
 	}
 }
 
+// TestStalledSubscriberCostsOthersNothing: a Block subscriber that
+// never drains stalls the hub's scan, not the store, so once it is
+// cancelled a second subscriber receives every row, in order and with
+// no gap, however far the hub fell behind.
+func TestStalledSubscriberCostsOthersNothing(t *testing.T) {
+	f := newHubFixture(t)
+	req := enforce.Request{ServiceID: "svc", Kind: sensor.ObsWiFiConnect}
+	stalled, err := f.hub.Subscribe(Options{Request: req, Buffer: 1, Policy: Block, BlockTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Cancel()
+	sub, err := f.hub.Subscribe(Options{Request: req, Buffer: 8192, Policy: DropOldest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+
+	const rows = 3000
+	for i := 0; i < rows; i++ {
+		f.ingest(t, "mary", i)
+	}
+	stalled.Cancel()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for want := uint64(1); want <= rows; want++ {
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next after %d/%d rows: %v", want-1, rows, err)
+		}
+		if ev.Type != EventObservation || ev.Seq != want {
+			t.Fatalf("event %d = %+v, want the row with seq %d", want, ev, want)
+		}
+	}
+	if st := sub.Stats(); st.Dropped != 0 || st.Gaps != 0 {
+		t.Errorf("the draining subscriber lost rows to the stalled one: %+v", st)
+	}
+}
+
+// TestErasedRowIsNeverStreamed: rows erased while the hub is stalled
+// behind them are gone from the store when its scan reaches them, so
+// no subscriber receives them.
+func TestErasedRowIsNeverStreamed(t *testing.T) {
+	f := newHubFixture(t)
+	req := enforce.Request{ServiceID: "svc", Kind: sensor.ObsWiFiConnect}
+	stalled, err := f.hub.Subscribe(Options{Request: req, Buffer: 1, Policy: Block, BlockTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Cancel()
+	sub, err := f.hub.Subscribe(Options{Request: req, Buffer: 8192, Policy: DropOldest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+
+	// bob's first row fills the stalled ring; the hub parks on his
+	// second before anything else is appended.
+	f.ingest(t, "bob", 0)
+	f.ingest(t, "bob", 1)
+	waitFor(t, func() bool { return f.hub.headSeq.Load() == 2 })
+	for i := 0; i < 20; i++ {
+		f.ingest(t, "mary", 2+i)
+	}
+	if n := f.store.DeleteUser("mary", nil); n != 20 {
+		t.Fatalf("DeleteUser erased %d rows, want 20", n)
+	}
+	last := f.ingest(t, "bob", 22)
+	stalled.Cancel()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var bob int
+	for {
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next after %d of bob's rows: %v", bob, err)
+		}
+		if ev.Type != EventObservation {
+			t.Fatalf("unexpected event %+v", ev)
+		}
+		if u := ev.Observation.UserID; u != "bob" {
+			t.Fatalf("streamed %s's erased row %d", u, ev.Seq)
+		}
+		if bob++; ev.Seq == last.Seq {
+			break
+		}
+	}
+	if bob != 3 {
+		t.Errorf("streamed %d of bob's rows, want 3", bob)
+	}
+}
+
 func TestNotificationAndConflictTopics(t *testing.T) {
 	f := newHubFixture(t)
 	nsub, err := f.hub.Subscribe(Options{Topic: TopicNotifications, UserID: "mary"})
@@ -351,9 +431,9 @@ func TestNotificationAndConflictTopics(t *testing.T) {
 	}
 	defer csub.Cancel()
 
-	f.bus.Publish(bus.TopicNotifications, enforce.Notification{UserID: "bob", Message: "not for mary"})
-	f.bus.Publish(bus.TopicNotifications, enforce.Notification{UserID: "mary", Message: "override"})
-	f.bus.Publish(bus.TopicConflicts, reasoner.Conflict{PolicyID: "pol-1", PreferenceID: "pref-1", UserID: "mary"})
+	f.hub.PublishNotification(enforce.Notification{UserID: "bob", Message: "not for mary"})
+	f.hub.PublishNotification(enforce.Notification{UserID: "mary", Message: "override"})
+	f.hub.PublishConflict(reasoner.Conflict{PolicyID: "pol-1", PreferenceID: "pref-1", UserID: "mary"})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -373,6 +453,54 @@ func TestNotificationAndConflictTopics(t *testing.T) {
 	}
 	if ev.Type != EventConflict || ev.Conflict.PolicyID != "pol-1" {
 		t.Fatalf("conflict stream delivered %+v", ev)
+	}
+}
+
+// TestLiveOnlyTopicsNeverWait: notifications are pushed from their
+// producers' goroutines, so a Block subscription drops its oldest
+// instead of stalling them, and concurrent producers still fill every
+// ring in seq order.
+func TestLiveOnlyTopicsNeverWait(t *testing.T) {
+	f := newHubFixture(t)
+	blocked, err := f.hub.Subscribe(Options{Topic: TopicNotifications, Buffer: 4, Policy: Block, BlockTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blocked.Cancel()
+	sub, err := f.hub.Subscribe(Options{Topic: TopicNotifications, Buffer: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+
+	const producers, each = 4, 100
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				f.hub.PublishNotification(enforce.Notification{UserID: "mary"})
+			}
+		}()
+	}
+	wg.Wait()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var last uint64
+	for i := 0; i < producers*each; i++ {
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next after %d notifications: %v", i, err)
+		}
+		if ev.Type != EventNotification || ev.Seq <= last {
+			t.Fatalf("event %d = %+v after seq %d", i, ev, last)
+		}
+		last = ev.Seq
+	}
+	if st := blocked.Stats(); st.Dropped != producers*each-4 {
+		t.Errorf("the Block subscription dropped %d, want %d", st.Dropped, producers*each-4)
 	}
 }
 

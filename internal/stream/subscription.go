@@ -25,6 +25,11 @@ type Subscription struct {
 	// scope.
 	filter   obstore.Filter
 	spaceSet map[string]bool
+	// liveFrom is the store's head when the subscription was made: the
+	// hub's scan may still be behind it, but rows at or below it
+	// predate the subscription (replay serves them), so the live feed
+	// skips them.
+	liveFrom uint64
 
 	mu       sync.Mutex
 	ring     []Event
@@ -42,11 +47,11 @@ type Subscription struct {
 	// Replay state, touched only by Next (the single consumer).
 	// Invariant after fetchDone: an observation was replayed iff its
 	// Seq <= maxReplaySeq, so live ring events at or below that cursor
-	// are duplicates and are skipped. Correctness relies on the ingest
-	// pipeline appending to the store before publishing on the bus:
-	// the subscription is attached to the live feed before the first
-	// store page is read, so any event the ring misses is already
-	// durable.
+	// are duplicates and are skipped. Correctness relies on the hub
+	// reading its live rows from the same store: the subscription is
+	// attached to the hub before the first store page is read, and the
+	// hub's scan reaches every row appended after that, so a row the
+	// ring misses was already in the store when replay read past it.
 	fetchDone    bool
 	replayDone   bool
 	cursor       uint64
@@ -145,7 +150,7 @@ func signal(ch chan struct{}) {
 // subscription's filter and the enforcement pipeline, then pushes the
 // released event. Called from the hub's dispatch loop.
 func (s *Subscription) offerObservation(o sensor.Observation) {
-	if !s.matchesLive(o) {
+	if o.Seq <= s.liveFrom || !s.matchesLive(o) {
 		return
 	}
 	ev, ok := s.enforceObservation(o)
@@ -202,13 +207,12 @@ func (s *Subscription) enforceObservation(o sensor.Observation) (Event, bool) {
 		s.hub.met.denied.Inc()
 		return Event{}, false
 	}
-	released, err := s.hub.cfg.Apply(d, []sensor.Observation{o})
-	if err != nil || len(released) == 0 {
+	rel, ok, err := s.hub.cfg.Apply(d, o)
+	if err != nil || !ok {
 		s.stats.denied.Add(1)
 		s.hub.met.denied.Inc()
 		return Event{}, false
 	}
-	rel := released[0]
 	rel.Seq = o.Seq // the cursor must survive the transform
 	return Event{Type: EventObservation, Seq: o.Seq, Observation: &rel}, true
 }

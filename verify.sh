@@ -39,8 +39,8 @@ go test -race ./...
 echo "== wal recovery incl. crash injection (repeated, race) =="
 go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 
-echo "== stream + bus + obstore hot log + telemetry tracing (repeated, race) =="
-go test -race -count=2 ./internal/stream/... ./internal/bus/... ./internal/obstore/... ./internal/telemetry/...
+echo "== stream + obstore hot log + telemetry tracing (repeated, race) =="
+go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/telemetry/...
 
 echo "== stream disconnect-then-resume + sharded resume splice under concurrent ingest (200x, race) =="
 go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestShardedResumeSpliceUnderConcurrentIngest$' ./internal/stream/
@@ -54,9 +54,9 @@ go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure + one append step + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request + durable store with the default columnar directory (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request + durable store with the default columnar directory (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestEveryStoredRowReachesTheBus|TestDeriveRacingIngestPublishesInSeqOrder' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
 
 echo "== micro-benchmark count gate (eight benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
