@@ -1,0 +1,381 @@
+package httpapi
+
+import (
+	"strconv"
+	"sync"
+	"time"
+	"unicode/utf8"
+)
+
+// The two hottest request bodies — an ingest batch and a data request —
+// are decoded by a scanner that fills []ObservationDTO and RequestDTO
+// directly instead of having encoding/json walk them by reflection.
+// It accepts only a strict subset of JSON: exact-case known keys, each
+// at most once; strings with no escapes and no control bytes that are
+// valid UTF-8; numbers in the JSON grammar that parse without overflow;
+// times through time.Time.UnmarshalJSON; a payload of string values;
+// and no null. It declines anything else, and readJSON hands every
+// declined body to json.Unmarshal, so an unusual input decodes, or
+// fails with the same error, as it always has. The decode tests hold
+// the pair to encoding/json alone on every input.
+//
+// Strings naming infrastructure — sensor, kind, space, payload key,
+// service, purpose, granularity — repeat from body to body and are
+// interned in a small table per decoder. Subject identifiers — device
+// MAC, user and subject IDs — and payload values are copied fresh: the
+// table outlives the request, and a raw MAC a hash_mac sensor exists to
+// hide, or the ID of a subject since forgotten, must not.
+
+const (
+	// internCap bounds a decoder's table; a full table is cleared. It
+	// holds a building's sensors (400 in the DBH model) with room for
+	// the kinds, keys, spaces, services and purposes beside them.
+	internCap = 1024
+	// internMaxLen: a longer string is copied, never interned.
+	internMaxLen = 64
+)
+
+// decoder scans one body held in data.
+type decoder struct {
+	data  []byte
+	pos   int
+	table map[string]string
+}
+
+var decoderPool = sync.Pool{New: func() any { return &decoder{table: make(map[string]string)} }}
+
+// decodeFast decodes data into v when v is a batch or a data request
+// and data lies in the scanner's subset, and reports whether it did. On
+// a decline a batch is left empty and zero over its capacity: the
+// scanner may have filled elements before it declined, and
+// json.Unmarshal merges into the elements it finds.
+func decodeFast(data []byte, v any) bool {
+	var ok bool
+	switch v := v.(type) {
+	case *[]ObservationDTO:
+		d := getDecoder(data)
+		if ok = d.batch(v); !ok {
+			clear((*v)[:cap(*v)])
+			*v = (*v)[:0]
+		}
+		d.release()
+	case *RequestDTO:
+		d := getDecoder(data)
+		ok = d.request(v)
+		d.release()
+	}
+	return ok
+}
+
+func getDecoder(data []byte) *decoder {
+	d := decoderPool.Get().(*decoder)
+	d.data, d.pos = data, 0
+	return d
+}
+
+func (d *decoder) release() {
+	d.data = nil // the body buffer goes back to its own pool
+	decoderPool.Put(d)
+}
+
+// batch scans a JSON array of observations into *out, reusing its
+// capacity, whose elements must be zero.
+func (d *decoder) batch(out *[]ObservationDTO) bool {
+	b := (*out)[:0]
+	if b == nil {
+		b = []ObservationDTO{} // json.Unmarshal answers [] with an empty slice, not nil
+	}
+	ok := d.consume('[')
+	if ok && !d.consume(']') {
+		for {
+			b = append(b, ObservationDTO{})
+			if ok = d.observation(&b[len(b)-1]); !ok || !d.consume(',') {
+				ok = ok && d.consume(']')
+				break
+			}
+		}
+	}
+	*out = b
+	return ok && d.end()
+}
+
+// request scans a JSON object into *out. Like json.Unmarshal it keeps
+// the fields the body does not name; unlike it, it changes nothing when
+// it declines.
+func (d *decoder) request(out *RequestDTO) bool {
+	r := *out
+	var seen fields
+	ok := d.members(func(key []byte) bool {
+		switch string(key) {
+		case "service_id":
+			return seen.first(0) && d.interned(&r.ServiceID)
+		case "purpose":
+			return seen.first(1) && d.interned(&r.Purpose)
+		case "kind":
+			return seen.first(2) && d.interned(&r.Kind)
+		case "subject_id":
+			return seen.first(3) && d.fresh(&r.SubjectID)
+		case "space_id":
+			return seen.first(4) && d.interned(&r.SpaceID)
+		case "granularity":
+			return seen.first(5) && d.interned(&r.Granularity)
+		case "time":
+			return seen.first(6) && d.time(&r.Time)
+		case "from":
+			return seen.first(7) && d.time(&r.From)
+		case "to":
+			return seen.first(8) && d.time(&r.To)
+		case "after_seq":
+			return seen.first(9) && d.uint(&r.AfterSeq)
+		case "limit":
+			return seen.first(10) && d.int(&r.Limit)
+		}
+		return false
+	}) && d.end()
+	if ok {
+		*out = r
+	}
+	return ok
+}
+
+// observation scans one batch element into the zero o.
+func (d *decoder) observation(o *ObservationDTO) bool {
+	var seen fields
+	return d.members(func(key []byte) bool {
+		switch string(key) {
+		case "seq":
+			return seen.first(0) && d.uint(&o.Seq)
+		case "sensor_id":
+			return seen.first(1) && d.interned(&o.SensorID)
+		case "kind":
+			return seen.first(2) && d.interned(&o.Kind)
+		case "time":
+			return seen.first(3) && d.time(&o.Time)
+		case "space_id":
+			return seen.first(4) && d.interned(&o.SpaceID)
+		case "device_mac":
+			return seen.first(5) && d.fresh(&o.DeviceMAC)
+		case "user_id":
+			return seen.first(6) && d.fresh(&o.UserID)
+		case "value":
+			return seen.first(7) && d.float(&o.Value)
+		case "payload":
+			return seen.first(8) && d.payload(&o.Payload)
+		}
+		return false
+	})
+}
+
+// payload scans a flat object of strings into a new map. A repeated key
+// keeps its last value, as json.Unmarshal does.
+func (d *decoder) payload(out *map[string]string) bool {
+	m := make(map[string]string)
+	*out = m
+	return d.members(func(key []byte) bool {
+		v, ok := d.str()
+		if ok {
+			m[d.intern(key)] = string(v)
+		}
+		return ok
+	})
+}
+
+// fields records which of an object's keys were seen: a repeated key
+// is declined, since json.Unmarshal merges a repeated object.
+type fields uint16
+
+func (f *fields) first(i uint) bool {
+	if *f&(1<<i) != 0 {
+		return false
+	}
+	*f |= 1 << i
+	return true
+}
+
+// members scans an object, calling member with each key to scan the
+// value after it.
+func (d *decoder) members(member func(key []byte) bool) bool {
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	for {
+		key, ok := d.str()
+		if !ok || !d.consume(':') || !member(key) {
+			return false
+		}
+		if !d.consume(',') {
+			return d.consume('}')
+		}
+	}
+}
+
+func (d *decoder) fresh(p *string) bool {
+	s, ok := d.str()
+	if ok {
+		*p = string(s)
+	}
+	return ok
+}
+
+func (d *decoder) interned(p *string) bool {
+	s, ok := d.str()
+	if ok {
+		*p = d.intern(s)
+	}
+	return ok
+}
+
+func (d *decoder) intern(b []byte) string {
+	if len(b) > internMaxLen {
+		return string(b)
+	}
+	if s, ok := d.table[string(b)]; ok {
+		return s
+	}
+	if len(d.table) >= internCap {
+		clear(d.table)
+	}
+	s := string(b)
+	d.table[s] = s
+	return s
+}
+
+func (d *decoder) time(t *time.Time) bool {
+	d.ws()
+	start := d.pos
+	_, ok := d.str()
+	return ok && t.UnmarshalJSON(d.data[start:d.pos]) == nil
+}
+
+func (d *decoder) uint(p *uint64) bool {
+	n, ok := d.num()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseUint(string(n), 10, 64)
+	*p = v
+	return err == nil
+}
+
+func (d *decoder) int(p *int) bool {
+	n, ok := d.num()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseInt(string(n), 10, strconv.IntSize)
+	*p = int(v)
+	return err == nil
+}
+
+func (d *decoder) float(p *float64) bool {
+	n, ok := d.num()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseFloat(string(n), 64)
+	*p = v
+	return err == nil
+}
+
+// str scans a string and returns the bytes between its quotes.
+func (d *decoder) str() ([]byte, bool) {
+	d.ws()
+	if d.pos >= len(d.data) || d.data[d.pos] != '"' {
+		return nil, false
+	}
+	start, ascii := d.pos+1, true
+	for i := start; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			s := d.data[start:i]
+			if !ascii && !utf8.Valid(s) {
+				return nil, false
+			}
+			d.pos = i + 1
+			return s, true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+// num scans a number by the JSON grammar: an optional minus, 0 or a
+// digit run not starting with 0, then an optional fraction and
+// exponent, each with at least one digit. What follows is left to the
+// caller, which accepts only a delimiter.
+func (d *decoder) num() ([]byte, bool) {
+	d.ws()
+	b, i := d.data, d.pos
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		return nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = digits(b, i+1); b[i-1] == '.' {
+			return nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return nil, false
+		}
+		i = j
+	}
+	n := b[d.pos:i]
+	d.pos = i
+	return n, true
+}
+
+// digits returns the index of the first non-digit at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// ws skips the whitespace JSON allows between tokens.
+func (d *decoder) ws() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and reports whether c came next, scanning it.
+func (d *decoder) consume(c byte) bool {
+	d.ws()
+	if d.pos < len(d.data) && d.data[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (d *decoder) end() bool {
+	d.ws()
+	return d.pos == len(d.data)
+}

@@ -1,0 +1,544 @@
+package httpapi
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/sim"
+)
+
+// decodeOutcome is readJSON's answer on body: 200 and no error body
+// when it decoded into v, else the status and body it wrote.
+func decodeOutcome(body []byte, v any) (int, string) {
+	rec := httptest.NewRecorder()
+	if readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), v) {
+		return http.StatusOK, ""
+	}
+	return rec.Code, rec.Body.String()
+}
+
+// referenceOutcome is readJSON's answer as it was with json.Unmarshal
+// alone.
+func referenceOutcome(body []byte, v any) (int, string) {
+	if err := json.Unmarshal(body, v); err != nil {
+		rec := httptest.NewRecorder()
+		writeErr(rec, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
+		return rec.Code, rec.Body.String()
+	}
+	return http.StatusOK, ""
+}
+
+// dirtyRequest is a data request a reused target already holds.
+var dirtyRequest = RequestDTO{ServiceID: "old", Purpose: "old", SubjectID: "old", Time: testNow, AfterSeq: 3, Limit: 9}
+
+// checkDecode holds readJSON on body to json.Unmarshal alone, as a
+// batch and as a data request: the same status and error body, and on
+// success the same value — decoded into a fresh target, and into a
+// reused one (a batch with spare zero capacity, as handleIngest hands
+// it over, and a request that already holds values). It also holds the
+// scanner to its decline contract: a declined batch is empty and zero
+// over its capacity, a declined request unchanged. It reports whether
+// the scanner itself decoded body as each.
+func checkDecode(t testing.TB, body []byte) (batch, request bool) {
+	t.Helper()
+	same := func(what string, got, want any, fresh func() any) {
+		t.Helper()
+		gotV, wantV := fresh(), fresh()
+		reflect.ValueOf(gotV).Elem().Set(reflect.ValueOf(got))
+		reflect.ValueOf(wantV).Elem().Set(reflect.ValueOf(want))
+		code, errBody := decodeOutcome(body, gotV)
+		wantCode, wantErrBody := referenceOutcome(body, wantV)
+		if code != wantCode || errBody != wantErrBody {
+			t.Fatalf("%s, body %q:\n got  %d %s\n want %d %s", what, body, code, errBody, wantCode, wantErrBody)
+		}
+		if code == http.StatusOK && !reflect.DeepEqual(gotV, wantV) {
+			t.Fatalf("%s, body %q:\n got  %+v\n want %+v", what, body, reflect.ValueOf(gotV).Elem(), reflect.ValueOf(wantV).Elem())
+		}
+	}
+	newBatch := func() any { return new([]ObservationDTO) }
+	newRequest := func() any { return new(RequestDTO) }
+	same("fresh batch", []ObservationDTO(nil), []ObservationDTO(nil), newBatch)
+	same("reused batch", make([]ObservationDTO, 0, 3), make([]ObservationDTO, 0, 3), newBatch)
+	same("fresh request", RequestDTO{}, RequestDTO{}, newRequest)
+	same("reused request", dirtyRequest, dirtyRequest, newRequest)
+
+	probe := make([]ObservationDTO, 0, 3)
+	if batch = decodeFast(body, &probe); !batch {
+		if len(probe) != 0 {
+			t.Fatalf("body %q: a declined batch kept %d elements", body, len(probe))
+		}
+		for i, o := range probe[:cap(probe)] {
+			if !reflect.DeepEqual(o, ObservationDTO{}) {
+				t.Fatalf("body %q: a declined batch still holds element %d: %+v", body, i, o)
+			}
+		}
+	}
+	r := dirtyRequest
+	if request = decodeFast(body, &r); !request && !reflect.DeepEqual(r, dirtyRequest) {
+		t.Fatalf("body %q: a declined request changed its target to %+v", body, r)
+	}
+	return batch, request
+}
+
+// decodeStrings are string literals as they appear in a body. outside
+// marks those the scanner must decline: escapes, control bytes and
+// invalid UTF-8 (a raw DEL, U+2028 and the replacement character are
+// valid).
+var decodeStrings = []struct {
+	lit     string
+	outside bool
+}{
+	{`""`, false}, {`"ap-1"`, false}, {`"aa:bb:cc:dd:ee:ff"`, false}, {`"café"`, false}, {`"🙂"`, false},
+	{"\"line\u2028sep\"", false}, {`"<&>"`, false}, {"\"del\x7f\"", false}, {"\"\uFFFD\"", false},
+	{`"a\"b"`, true}, {`"a\\b"`, true}, {`"\/"`, true}, {`"\u0041"`, true}, {`"\ud83d\ude42"`, true},
+	{`"\ud800"`, true}, {`"\udc00x"`, true}, {`"\n"`, true}, {`"\x"`, true},
+	{"\"\xff\"", true}, {"\"trunc\xc3\"", true}, {"\"a\xed\xa0\x80b\"", true}, {"\"\xf4\x90\x80\x80\"", true},
+	{"\"tab\tx\"", true}, {"\"nul\x00\"", true}, {"\"\x1f\"", true},
+}
+
+// decodeNumbers cover the JSON number grammar's edges, what strconv
+// takes that JSON does not (a sign, hex floats, underscores, ".5",
+// "1.", NaN), and overflow of uint64, int and float64.
+var decodeNumbers = []string{
+	"0", "-0", "7", "-1", "1.5", "-2.25e3", "1e2", "1E-2", "1e+2", "0.000001",
+	"18446744073709551615", "18446744073709551616", "9223372036854775807", "9223372036854775808",
+	"-9223372036854775808", "-9223372036854775809", "1e400", "-1e400", "1e-400",
+	"01", "-01", "1.", ".5", "+1", "0x10", "0x1p4", "1_0", "-", "1e", "1e+", "--1", "NaN", "Infinity", "1.0", "00",
+}
+
+// decodeTimes cover RFC 3339 with offsets and fractions, the edges
+// time.Time.UnmarshalJSON refuses, and non-strings.
+var decodeTimes = []struct {
+	lit     string
+	outside bool
+}{
+	{`"2017-06-07T14:00:00Z"`, false}, {`"2017-06-07T14:00:00.123456789Z"`, false}, {`"2017-06-07T14:00:00+05:30"`, false},
+	{`"2017-06-07T14:00:00.5-07:00"`, false}, {`"0001-01-01T00:00:00Z"`, false}, {`"9999-12-31T23:59:59.999999999Z"`, false},
+	{`"2017-06-07T14:00:00+00:00"`, false}, {`"2017-06-07T14:00:00z"`, true}, {`"2017-13-07T14:00:00Z"`, true},
+	{`"2017-06-07 14:00:00Z"`, true}, {`"2017-06-07T14:00:00"`, true}, {`""`, true}, {`"2017-06-07T14:00:00+24:00"`, false},
+	{`"2017-06-07T14:00:00,5Z"`, false}, {`"2017-06-07T14:00:00.Z"`, true}, {`"2017-06-07T14:00:00\u005a"`, true},
+	{`1496844000`, true}, {`"10000-01-01T00:00:00Z"`, true},
+}
+
+var (
+	observationKeys = []string{"seq", "sensor_id", "kind", "time", "space_id", "device_mac", "user_id", "value", "payload"}
+	requestKeys     = []string{"service_id", "purpose", "kind", "subject_id", "space_id", "granularity", "time", "from", "to", "after_seq", "limit"}
+)
+
+// bodyGen writes one random body near the scanner's subset. outside
+// records that it wrote something the scanner must decline: an escape,
+// a control byte, invalid UTF-8, null, an unknown, case-respelled or
+// repeated key, a non-string payload value, a malformed time, other
+// whitespace, trailing data or a cut.
+type bodyGen struct {
+	rng     *rand.Rand
+	b       strings.Builder
+	outside bool
+}
+
+func (g *bodyGen) ws() {
+	if g.rng.Intn(5) == 0 {
+		g.b.WriteString([]string{" ", "\n\t", "\r\n  ", "\t"}[g.rng.Intn(4)])
+	}
+}
+
+func (g *bodyGen) tok(s string) { g.ws(); g.b.WriteString(s) }
+
+func (g *bodyGen) str() {
+	if g.rng.Intn(8) > 0 {
+		const plain = "abcxyz0123456789:-/ .ABC"
+		var s strings.Builder
+		for n := g.rng.Intn(12); n > 0; n-- {
+			s.WriteByte(plain[g.rng.Intn(len(plain))])
+		}
+		g.tok(`"` + s.String() + `"`)
+		return
+	}
+	s := decodeStrings[g.rng.Intn(len(decodeStrings))]
+	g.outside = g.outside || s.outside
+	g.tok(s.lit)
+}
+
+func (g *bodyGen) number(integer bool) {
+	switch {
+	case g.rng.Intn(4) == 0:
+		g.tok(decodeNumbers[g.rng.Intn(len(decodeNumbers))])
+	case integer:
+		g.tok(strconv.FormatUint(g.rng.Uint64()>>g.rng.Intn(64), 10))
+	default:
+		g.tok(strconv.FormatFloat(g.rng.NormFloat64()*float64(g.rng.Intn(1e6)), 'g', -1, 64))
+	}
+}
+
+func (g *bodyGen) time() {
+	if g.rng.Intn(4) > 0 {
+		t := time.Date(2017, time.June, 7, g.rng.Intn(24), g.rng.Intn(60), g.rng.Intn(60), 0, time.UTC)
+		if g.rng.Intn(2) == 0 {
+			t = t.Add(time.Duration(g.rng.Intn(1e9)))
+		}
+		g.tok(`"` + t.In(trickyZones[g.rng.Intn(4)]).Format(time.RFC3339Nano) + `"`)
+		return
+	}
+	lit := decodeTimes[g.rng.Intn(len(decodeTimes))]
+	g.outside = g.outside || lit.outside
+	g.tok(lit.lit)
+}
+
+func (g *bodyGen) payload() {
+	switch g.rng.Intn(20) {
+	case 0:
+		g.tok(`{"a":{"b":"c"}}`)
+	case 1:
+		g.tok(`{"a":1}`)
+	case 2:
+		g.tok(`{"a":null}`)
+	case 3:
+		g.tok(`["a"]`)
+	default:
+		g.tok("{")
+		for i := range g.rng.Intn(4) {
+			if i > 0 {
+				g.tok(",")
+			}
+			g.str()
+			g.tok(":")
+			g.str()
+		}
+		g.tok("}")
+		return
+	}
+	g.outside = true
+}
+
+func (g *bodyGen) value(key string) {
+	if g.rng.Intn(40) == 0 {
+		g.tok("null")
+		g.outside = true
+		return
+	}
+	switch key {
+	case "seq", "after_seq", "limit":
+		g.number(true)
+	case "value":
+		g.number(false)
+	case "time", "from", "to":
+		g.time()
+	case "payload":
+		g.payload()
+	default:
+		g.str()
+	}
+}
+
+// object writes some of keys in a random order; now and then one is
+// respelled in another case (ſ folds to s for encoding/json), unknown
+// or a repeat.
+func (g *bodyGen) object(keys []string) {
+	g.tok("{")
+	var used []string
+	for i, k := range g.rng.Perm(len(keys))[:g.rng.Intn(len(keys)+1)] {
+		if i > 0 {
+			g.tok(",")
+		}
+		key, name := keys[k], keys[k]
+		switch g.rng.Intn(80) {
+		case 0:
+			j := g.rng.Intn(len(name))
+			name = name[:j] + strings.ToUpper(name[j:j+1]) + name[j+1:]
+			if name == key {
+				name = strings.ToUpper(key)
+			}
+		case 1:
+			name = strings.Replace(key, "s", "ſ", 1)
+			if name == key {
+				name = "KIND"
+			}
+		case 2:
+			name = "extra"
+		case 3:
+			if len(used) > 0 {
+				key = used[g.rng.Intn(len(used))]
+				name = key
+			}
+		}
+		g.outside = g.outside || name != key || (len(used) > 0 && slices.Contains(used, key))
+		used = append(used, key)
+		g.tok(strconv.Quote(name))
+		g.tok(":")
+		g.value(key)
+	}
+	g.tok("}")
+}
+
+// finish pads the body with whitespace, and now and then appends
+// trailing data or other whitespace, or cuts it short.
+func (g *bodyGen) finish() []byte {
+	g.ws()
+	body := g.b.String()
+	switch g.rng.Intn(30) {
+	case 0:
+		body += []string{"x", ",", "]", "{}", "\u00a0", "\v", "null"}[g.rng.Intn(7)]
+		g.outside = true
+	case 1:
+		cut := body[:g.rng.Intn(len(body))]
+		g.outside = g.outside || strings.TrimRight(cut, " \t\r\n") != strings.TrimRight(body, " \t\r\n")
+		body = cut
+	}
+	return []byte(body)
+}
+
+func genBatch(rng *rand.Rand) (body []byte, outside bool) {
+	g := &bodyGen{rng: rng}
+	switch rng.Intn(16) {
+	case 0:
+		g.tok("null")
+		g.outside = true
+	case 1:
+		g.tok("{}")
+		g.outside = true
+	case 2:
+		g.tok("[null]")
+		g.outside = true
+	default:
+		g.tok("[")
+		for i := range rng.Intn(5) {
+			if i > 0 {
+				g.tok(",")
+			}
+			g.object(observationKeys)
+		}
+		g.tok("]")
+	}
+	body = g.finish()
+	return body, g.outside
+}
+
+func genRequest(rng *rand.Rand) (body []byte, outside bool) {
+	g := &bodyGen{rng: rng}
+	switch rng.Intn(16) {
+	case 0:
+		g.tok("null")
+		g.outside = true
+	case 1:
+		g.tok("[]")
+		g.outside = true
+	default:
+		g.object(requestKeys)
+	}
+	body = g.finish()
+	return body, g.outside
+}
+
+// TestDecodeMatchesEncodingJSON: over random batches and data requests
+// near the scanner's subset, readJSON answers and decodes exactly as
+// json.Unmarshal alone did, the scanner declines every body that
+// leaves its subset, and it serves a good share of the rest.
+func TestDecodeMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const rounds = 3000
+	var servedBatch, servedRequest int
+	for range rounds {
+		body, outside := genBatch(rng)
+		if served, _ := checkDecode(t, body); served {
+			if outside {
+				t.Fatalf("the scanner decoded a batch outside its subset: %q", body)
+			}
+			servedBatch++
+		}
+		body, outside = genRequest(rng)
+		if _, served := checkDecode(t, body); served {
+			if outside {
+				t.Fatalf("the scanner decoded a request outside its subset: %q", body)
+			}
+			servedRequest++
+		}
+	}
+	t.Logf("the scanner served %d batches and %d requests of %d each", servedBatch, servedRequest, rounds)
+	if servedBatch < rounds/4 || servedRequest < rounds/4 {
+		t.Fatalf("the scanner served %d batches and %d requests of %d each; the property hardly reaches it", servedBatch, servedRequest, rounds)
+	}
+}
+
+// FuzzDecodeMatchesEncodingJSON holds readJSON to json.Unmarshal alone
+// on arbitrary bodies, as a batch and as a data request.
+func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
+	const obs = `{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:00Z","device_mac":"aa:bb","user_id":"mary","value":1.5,"payload":{"event":"assoc"}}`
+	const req = `{"service_id":"concierge","purpose":"providing_service","kind":"ble_beacon","subject_id":"mary","time":"2017-06-07T14:00:00Z","after_seq":3,"limit":20}`
+	for _, s := range []string{
+		"[" + obs + "]", "[" + obs + "," + obs + "]", req, "[]", "{}", "[{}]", "null", "[null]", "", " ", "[" + obs + "]x", req + " ",
+		" \t\r\n[ " + obs + " ]\n", "[\v]", "\u00a0{}",
+		// case-respelled, repeated, unknown keys and null fields
+		`[{"SENSOR_ID":"a","Payload":{"k":"v"},"user_ID":"u"}]`, `{"Subject_Id":"mary","LIMIT":2}`, `{"ſubject_id":"mary"}`,
+		`[{"sensor_id":"a","sensor_id":"b"}]`, `[{"payload":{"a":"1"},"payload":{"b":"2"}}]`, `{"limit":1,"limit":2}`,
+		`[{"extra":1,"sensor_id":"a"}]`, `{"extra":{"x":[1,2]},"purpose":"p"}`,
+		`[{"seq":null,"sensor_id":null,"time":null,"value":null,"payload":null}]`, `{"service_id":null,"time":null,"after_seq":null,"limit":null}`,
+		// escapes, surrogates, invalid and truncated UTF-8, control bytes
+		`[{"user_id":"a\"b","payload":{"\u0041":"\ud83d\ude42"}}]`, `{"subject_id":"\ud800"}`, `{"subject_id":"\udc00\ud800"}`,
+		"[{\"user_id\":\"\xff\"}]", "{\"subject_id\":\"trunc\xc3\"}", "{\"subject_id\":\"a\xed\xa0\x80b\"}", "[{\"user_id\":\"nul\x00\"}]",
+		"{\"subject_id\":\"tab\tx\"}", "[{\"payload\":{\"k\":\"del\x7f\"}}]", "{\"subject_id\":\"line\u2028sep\"}",
+		// numbers
+		`[{"value":-0}]`, `[{"value":01}]`, `[{"value":1.}]`, `[{"value":.5}]`, `[{"value":1e400}]`, `[{"value":+1}]`,
+		`[{"value":0x10}]`, `[{"value":1_0}]`, `[{"seq":18446744073709551616}]`, `[{"seq":18446744073709551615}]`,
+		`{"after_seq":-1}`, `{"after_seq":-0}`, `{"limit":9223372036854775808}`, `{"limit":1.5}`, `{"limit":1e2}`,
+		// times
+		`{"time":"2017-06-07T14:00:00+05:30"}`, `{"from":"2017-06-07T14:00:00.123456789-07:00"}`, `{"to":"2017-06-07T14:00:00+24:00"}`,
+		`{"time":"2017-13-07T14:00:00Z"}`, `[{"time":"2017-06-07 14:00:00Z"}]`, `[{"time":1496844000}]`, `[{"time":"2017-06-07T14:00:00\u005a"}]`,
+		// payload shapes, empty containers
+		`[{"payload":{}}]`, `[{"payload":{"a":{"b":"c"}}}]`, `[{"payload":{"a":1}}]`, `[{"payload":{"a":null}}]`, `[{"payload":[]}]`,
+		`[{"payload":{"":""}}]`, `[{"payload":{"a":"1","a":"2"}}]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
+}
+
+// TestDecodeBatchAllocs: a 100-row batch shaped like the benchmark's
+// ingest — a simulated day's readings — decodes through the scanner
+// with one string per subject identifier and payload value, one map
+// (its header and its slots) per payload, and a few more.
+func TestDecodeBatchAllocs(t *testing.T) {
+	b, err := sim.SmallDBH().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := sim.SimulateDay(b, sim.GeneratePopulation(b, 50, sim.CampusMix(), 1), sim.DayConfig{Date: testNow, Seed: 1}).Observations
+	batch := make([]ObservationDTO, 100)
+	fresh, payloads := 0, 0
+	for i := range batch {
+		o := day[i*len(day)/len(batch)]
+		batch[i] = observationToDTO(o)
+		for _, s := range []string{o.DeviceMAC, o.UserID} {
+			if s != "" {
+				fresh++
+			}
+		}
+		if o.Payload != nil {
+			fresh += len(o.Payload)
+			payloads++
+		}
+	}
+	raw, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payloads == 0 || fresh == 0 {
+		t.Fatalf("the batch carries %d payloads and %d subject strings; the bound tests nothing", payloads, fresh)
+	}
+	// One decoder, not the pool's: under the race detector sync.Pool
+	// drops what it is handed at random.
+	d := &decoder{table: map[string]string{}}
+	pooled := make([]ObservationDTO, 0, len(batch))
+	decode := func() {
+		clear(pooled[:cap(pooled)])
+		pooled = pooled[:0]
+		if d.data, d.pos = raw, 0; !d.batch(&pooled) {
+			t.Fatal("the scanner declined the batch")
+		}
+	}
+	decode()
+	if !reflect.DeepEqual(pooled, batch) {
+		t.Fatal("the scanned batch differs from the one marshalled")
+	}
+	const extra = 4
+	n, limit := testing.AllocsPerRun(20, decode), fresh+2*payloads+extra
+	t.Logf("a 100-row batch: %v allocs (%d subject strings, %d payloads)", n, fresh, payloads)
+	if n > float64(limit) {
+		t.Fatalf("a 100-row batch: %v allocs, want <= %d", n, limit)
+	}
+}
+
+// TestDecoderTableHoldsNoSubjectIdentifier: decoding batches and data
+// requests interns their sensors, kinds, spaces, payload keys,
+// services, purposes and granularities, and none of their device MACs,
+// user and subject IDs or payload values; and the raw MACs a node whose
+// sensor pseudonymises them at capture ingested are in no pooled
+// decoder's table.
+func TestDecoderTableHoldsNoSubjectIdentifier(t *testing.T) {
+	d := &decoder{table: map[string]string{}}
+	var batch []ObservationDTO
+	for i := range 5 {
+		batch = append(batch, ObservationDTO{
+			SensorID: "ap-1", Kind: "wifi_access_point", SpaceID: "dbh", Time: testNow,
+			DeviceMAC: fmt.Sprintf("subject-mac-%d", i), UserID: fmt.Sprintf("subject-user-%d", i),
+			Payload: map[string]string{"event": fmt.Sprintf("subject-value-%d", i)},
+		})
+	}
+	raw, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ObservationDTO
+	if d.data, d.pos = raw, 0; !d.batch(&out) {
+		t.Fatalf("the scanner declined %s", raw)
+	}
+	var req RequestDTO
+	raw = []byte(`{"service_id":"concierge","purpose":"providing_service","kind":"ble_beacon","subject_id":"subject-id","space_id":"dbh/1","granularity":"room"}`)
+	if d.data, d.pos = raw, 0; !d.request(&req) {
+		t.Fatalf("the scanner declined %s", raw)
+	}
+	for _, s := range []string{"ap-1", "wifi_access_point", "dbh", "event", "concierge", "providing_service", "ble_beacon", "dbh/1", "room"} {
+		if _, ok := d.table[s]; !ok {
+			t.Errorf("%q is not interned", s)
+		}
+	}
+	for k := range d.table {
+		if strings.HasPrefix(k, "subject-") {
+			t.Errorf("the table holds the subject identifier %q", k)
+		}
+	}
+
+	bms := newIngestBMS(t)
+	if err := bms.Sensors().Actuate("ap-1", map[string]string{"hash_mac": "true"}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(bms).Handler()
+	macs := map[string]bool{}
+	interned := false
+	for round := 0; round < 10 && !interned; round++ {
+		batch = batch[:0]
+		for i := range 20 {
+			mac := fmt.Sprintf("aa:bb:cc:00:%02x:%02x", round, i)
+			macs[mac] = true
+			batch = append(batch, ObservationDTO{SensorID: "ap-1", Kind: "wifi_access_point", Time: testNow.Add(time.Duration(round*20+i) * time.Second), DeviceMAC: mac})
+		}
+		if raw, err = json.Marshal(batch); err != nil {
+			t.Fatal(err)
+		}
+		if rec := post(h, http.MethodPost, "/v1/observations", raw); rec.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+		}
+		// Take every pooled decoder; one fresh from New ends the drain.
+		for {
+			d := decoderPool.Get().(*decoder)
+			if len(d.table) == 0 {
+				break
+			}
+			_, ok := d.table["ap-1"]
+			interned = interned || ok
+			for k := range d.table {
+				if macs[k] {
+					t.Fatalf("a pooled decoder's table holds the raw MAC %q", k)
+				}
+			}
+		}
+	}
+	if !interned {
+		t.Fatal("no pooled decoder interned the sensor; the check saw no table the ingest used")
+	}
+	for _, o := range bms.Store().Query(obstore.Filter{}) {
+		if macs[o.DeviceMAC] {
+			t.Fatalf("the hash_mac sensor stored the raw MAC %q", o.DeviceMAC)
+		}
+	}
+}

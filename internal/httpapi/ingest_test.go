@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/tippers/tippers/internal/core"
 	"github.com/tippers/tippers/internal/obstore"
@@ -104,13 +105,23 @@ func plantDirtyBatch() {
 	batchPool.Put(&dirty)
 }
 
+// respell writes a marshalled batch's keys in another case, which
+// encoding/json accepts and the scanner declines.
+var respell = strings.NewReplacer(`"sensor_id":`, `"Sensor_ID":`, `"device_mac":`, `"Device_Mac":`,
+	`"user_id":`, `"USER_ID":`, `"payload":`, `"Payload":`)
+
 // TestPooledDecodeLeaksNothing: eight concurrent posters send batch
 // pairs whose second batch omits fields or changes payload keys the
 // first set, with slices planted in the pool that look like ones handed
-// back dirty. Every stored row equals ObservationFromDTO of its element
-// decoded afresh, so no request sees a field or a payload key of
-// another; a malformed batch stores nothing; and every slice the
-// handler handed back to the pool is zero over its capacity.
+// back dirty. One batch of each pair has its keys respelled, so the
+// scanner declines it and json.Unmarshal decodes it into the same
+// pooled slices: the first of a pair, with its payloads and user IDs,
+// in one round and the second in the next, so each decoder follows the
+// other. Every stored row equals ObservationFromDTO of its element
+// decoded afresh, and no two rows share a payload map or a subject
+// string, so no request sees a field, a map or a string of another; a
+// malformed batch stores nothing; and every slice the handler handed
+// back to the pool is zero over its capacity.
 func TestPooledDecodeLeaksNothing(t *testing.T) {
 	bms := newIngestBMS(t)
 	h := NewServer(bms).Handler()
@@ -126,13 +137,21 @@ func TestPooledDecodeLeaksNothing(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(p)))
 			at := testNow.Add(time.Duration(p) * time.Hour)
-			for range 40 {
+			for round := range 40 {
 				plantDirtyBatch()
 				first, second := ingestPair(rng, &at)
-				for _, batch := range [][]ObservationDTO{first, second} {
+				for i, batch := range [][]ObservationDTO{first, second} {
 					body, err := json.Marshal(batch)
 					if err != nil {
 						t.Error(err)
+						return
+					}
+					scanned := i != round%2
+					if !scanned {
+						body = []byte(respell.Replace(string(body)))
+					}
+					if probe := []ObservationDTO(nil); decodeFast(body, &probe) != scanned {
+						t.Errorf("the scanner decoded %v, want %v: %s", !scanned, scanned, body)
 						return
 					}
 					if rec := post(h, http.MethodPost, "/v1/observations", body); rec.Code != http.StatusOK {
@@ -162,10 +181,32 @@ func TestPooledDecodeLeaksNothing(t *testing.T) {
 	if len(rows) != len(want) {
 		t.Fatalf("stored %d rows, posted %d", len(rows), len(want))
 	}
+	maps, strs := map[uintptr]bool{}, map[*byte]bool{}
 	for _, got := range rows {
 		w, ok := want[got.Time.UnixNano()]
 		if w.Seq = got.Seq; !ok || !reflect.DeepEqual(got, w) {
 			t.Fatalf("stored row\n %+v\nfresh decode of its element\n %+v", got, w)
+		}
+		if got.Payload != nil {
+			p := reflect.ValueOf(got.Payload).Pointer()
+			if maps[p] {
+				t.Fatalf("row %+v shares its payload map with another row", got)
+			}
+			maps[p] = true
+		}
+		subject := []string{got.DeviceMAC, got.UserID}
+		for _, v := range got.Payload {
+			subject = append(subject, v)
+		}
+		for _, v := range subject {
+			if len(v) < 2 {
+				continue // one-byte strings are the runtime's shared static ones
+			}
+			if p := unsafe.StringData(v); strs[p] {
+				t.Fatalf("row %+v shares the bytes of %q with another row", got, v)
+			} else {
+				strs[p] = true
+			}
 		}
 	}
 

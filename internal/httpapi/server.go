@@ -264,7 +264,9 @@ var (
 
 // readJSON decodes the whole body into v before the handler acts on any
 // of it, so a malformed body changes nothing. A body over maxBodyBytes
-// is refused with 413.
+// is refused with 413. An ingest batch or a data request goes through
+// the scanner (decode.go) first, and whatever it declines, like every
+// other body, through json.Unmarshal.
 func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -283,6 +285,9 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return false
+	}
+	if decodeFast(buf.Bytes(), v) {
+		return true
 	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
@@ -394,8 +399,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	// encoding/json decodes into the elements a reused slice already
 	// holds: it zeroes no field the JSON omits, and it merges into an
 	// existing map instead of replacing it — a map some stored row owns.
-	// So the pooled batch is zeroed over its whole capacity before the
-	// decode, and again after, so the pool pins no row's strings or maps.
+	// The scanner assumes zero elements too, and json.Unmarshal still
+	// decodes every batch the scanner declines. So the pooled batch is
+	// zeroed over its whole capacity before the decode, and again after,
+	// so the pool pins no row's strings or maps.
 	bp := batchPool.Get().(*[]ObservationDTO)
 	batch := *bp
 	clear(batch[:cap(batch)])

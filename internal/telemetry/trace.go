@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -86,8 +87,9 @@ var ErrTraceparent = errors.New("telemetry: malformed traceparent")
 //	   2hex      32hex        16hex         2hex
 //
 // Unknown versions other than ff are accepted (forward compatibility);
-// malformed values — wrong length, bad separators, non-hex, all-zero
-// IDs, version ff — are rejected.
+// malformed values — wrong length, bad separators, anything but
+// lowercase hex (the spec's HEXDIGLC), all-zero IDs, version ff — are
+// rejected, and the caller starts a new trace.
 func ParseTraceparent(h string) (SpanContext, error) {
 	var sc SpanContext
 	if len(h) < 55 {
@@ -96,8 +98,8 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	if h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return sc, fmt.Errorf("%w: bad separators", ErrTraceparent)
 	}
-	version, err := hex.DecodeString(h[0:2])
-	if err != nil {
+	var version, flags [1]byte
+	if !decodeHexLC(version[:], h[0:2]) {
 		return sc, fmt.Errorf("%w: version", ErrTraceparent)
 	}
 	if version[0] == 0xff {
@@ -111,21 +113,34 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	if len(h) > 55 && h[55] != '-' {
 		return sc, fmt.Errorf("%w: trailing data", ErrTraceparent)
 	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(h[3:35])); err != nil {
+	if !decodeHexLC(sc.TraceID[:], h[3:35]) {
 		return SpanContext{}, fmt.Errorf("%w: trace id", ErrTraceparent)
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(h[36:52])); err != nil {
+	if !decodeHexLC(sc.SpanID[:], h[36:52]) {
 		return SpanContext{}, fmt.Errorf("%w: span id", ErrTraceparent)
 	}
 	if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
 		return SpanContext{}, fmt.Errorf("%w: all-zero id", ErrTraceparent)
 	}
-	flags, err := hex.DecodeString(h[53:55])
-	if err != nil {
+	if !decodeHexLC(flags[:], h[53:55]) {
 		return SpanContext{}, fmt.Errorf("%w: flags", ErrTraceparent)
 	}
 	sc.Sampled = flags[0]&0x01 != 0
 	return sc, nil
+}
+
+// decodeHexLC decodes the 2*len(dst) lowercase hex digits of s into
+// dst, reporting false on any other byte, uppercase hex included.
+func decodeHexLC(dst []byte, s string) bool {
+	const digits = "0123456789abcdef"
+	for i := range dst {
+		hi, lo := strings.IndexByte(digits, s[2*i]), strings.IndexByte(digits, s[2*i+1])
+		if hi < 0 || lo < 0 {
+			return false
+		}
+		dst[i] = byte(hi<<4 | lo)
+	}
+	return true
 }
 
 type spanCtxKey struct{}
@@ -483,7 +498,7 @@ func (t *Tracer) RegisterMetrics(r *Registry) {
 // tippersd↔irrd boundary.
 func InjectTraceparent(ctx context.Context, req *http.Request) {
 	if sc, ok := SpanContextFrom(ctx); ok && sc.Valid() {
-		req.Header.Set("traceparent", sc.Traceparent())
+		req.Header.Set("Traceparent", sc.Traceparent())
 	}
 }
 
@@ -503,9 +518,11 @@ func TraceHandler(t *Tracer, route string, slow time.Duration, logger *slog.Logg
 		ctx := req.Context()
 		var span *Span
 		// Only a header that is present is parsed: a parse failure builds
-		// an error, and most requests carry no traceparent at all.
+		// an error, and most requests carry no traceparent at all. The
+		// key is spelled canonically: net/http would otherwise allocate
+		// its canonical form on every request.
 		continued := false
-		if h := req.Header.Get("traceparent"); h != "" {
+		if h := req.Header.Get("Traceparent"); h != "" {
 			if sc, err := ParseTraceparent(h); err == nil {
 				ctx, span = t.StartSpan(ContextWithSpanContext(ctx, sc), name)
 				continued = true
@@ -516,7 +533,7 @@ func TraceHandler(t *Tracer, route string, slow time.Duration, logger *slog.Logg
 		}
 		cur, _ := SpanContextFrom(ctx)
 		if cur.Valid() {
-			w.Header().Set("traceparent", cur.Traceparent())
+			w.Header().Set("Traceparent", cur.Traceparent())
 		}
 		span.SetAttr("http.method", req.Method)
 		span.SetAttr("http.path", req.URL.Path)

@@ -64,6 +64,11 @@ func TestTraceparentMalformed(t *testing.T) {
 		"non-hex flags":     valid[:53] + "zz",
 		"v00 trailing data": valid + "-extra",
 		"future no dash":    "cc" + valid[2:] + "x",
+		"uppercase all":     strings.ToUpper(valid),
+		"uppercase version": "0A" + valid[2:],
+		"uppercase trace":   "00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",
+		"uppercase span":    "00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",
+		"uppercase flags":   valid[:53] + "0F",
 	}
 	for name, h := range cases {
 		if _, err := ParseTraceparent(h); err == nil {
@@ -245,6 +250,33 @@ func TestTraceHandler(t *testing.T) {
 	}
 	if root.TraceID == echo.TraceID || root.TraceID == fresh.TraceID {
 		t.Fatal("a request without traceparent joined an earlier trace")
+	}
+}
+
+// discardWriter is a ResponseWriter that allocates nothing.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
+
+// TestUnsampledTraceHandlerAllocs: an unsampled request without a
+// traceparent costs the handler two allocations, the status recorder
+// and the request carrying the context; looking the header up by a
+// non-canonical key cost a third.
+func TestUnsampledTraceHandlerAllocs(t *testing.T) {
+	tr := NewTracer(TracerOptions{SampleOneIn: 1 << 30})
+	h := TraceHandler(tr, "GET /ping", 0, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	req := httptest.NewRequest("GET", "/ping", nil)
+	h.ServeHTTP(discardWriter{h: http.Header{}}, req) // the tracer's first root is sampled
+	w := discardWriter{h: http.Header{}}
+	if n := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) }); n > 2 {
+		t.Fatalf("unsampled request: %v allocs, want <= 2", n)
+	}
+	if len(w.h) != 0 {
+		t.Fatalf("unsampled request set response headers %v", w.h)
 	}
 }
 

@@ -2,18 +2,19 @@
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
 # equivalence, hot-log, scoped-memo, eviction-is-invisible, flat-cube,
-# occupancy pair-pass, streaming-builder, pooled-decode and
-# appended-response properties repeated), the micro-benchmark count gate
+# occupancy pair-pass, streaming-builder, pooled-decode, request-scanner
+# and appended-response properties repeated), the micro-benchmark count gate
 # (scripts/bench.sh: eight benchmarks against the one ledger,
 # BENCH.json, ≈ 4.5 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + bench + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
-# Only CI's six 30s fuzz smoke runs (SQL parser, segment codec, scope
-# compiler, observation codec, response appenders, resource-document
-# parser) are left out; run one by hand with
+# Only CI's seven 30s fuzz smoke runs (SQL parser, segment codec, scope
+# compiler, observation codec, request scanner, response appenders,
+# resource-document parser) are left out; run one by hand with
 #   go test -run '^$' -fuzz FuzzDecodeObservation -fuzztime 30s ./internal/obstore/
+#   go test -run '^$' -fuzz FuzzDecodeMatchesEncodingJSON -fuzztime 30s ./internal/httpapi/
 #   go test -run '^$' -fuzz FuzzParseResourceDocument -fuzztime 30s ./internal/policy/
 set -eu
 
@@ -48,8 +49,8 @@ go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestShardedResume
 echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier and the streaming builder against the parent's layout (repeated, race) =="
 go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout' ./internal/colstore/...
 
-echo "== pooled ingest decode leaks nothing across requests + oversized bodies refused with 413 + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
-go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
+echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations and its intern table + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
+go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestDecoderTableHoldsNoSubjectIdentifier|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
 
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
