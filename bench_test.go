@@ -549,9 +549,10 @@ func (r *benchResponse) Write(p []byte) (int, error) {
 // perNode batches, with the timer stopped, so a 100000x run holds at
 // most 150 000 rows, not ten million. A node's first batches allocate
 // more than its later ones, so perNode also sets the mean: 1500 puts it
-// mid-way between two integers (≈ 539.5 on 2 vCPUs), where the
-// truncated allocs/op the ledger gates reads the same from run to run;
-// at 1000 it sat within 0.05 of 540 and read 539 or 540 by GC timing.
+// near mid-way between two integers (≈ 69.6 on 2 vCPUs), where the
+// truncated allocs/op the ledger gates reads the same from run to run
+// (69 in each of thirteen runs); at 1000 an earlier mean sat within 0.05
+// of an integer and read either side of it by GC timing.
 func BenchmarkIngestBatchHTTP(b *testing.B) {
 	const perNode = 1500
 	dir := b.TempDir()

@@ -626,14 +626,14 @@ func (b *BMS) Preferences(userID string) []policy.Preference {
 }
 
 // ForgetUser erases a user's footprint: every observation attributed
-// to them is deleted from the store, and their preferences are
-// uninstalled. Data collected under safety-critical override policies
-// (emergency response, security) is exempt — the building's
-// non-negotiable retention obligations survive erasure requests, and
-// the exemption is reported so the user can be told exactly what
-// remains. The exempt rows stay in place under their seqs, so stream
-// cursors and rollup cells that name them stay valid. Returns
-// (deleted, retained) observation counts.
+// to them is deleted from the store, their preferences are
+// uninstalled, and their notification inbox is dropped. Data collected
+// under safety-critical override policies (emergency response,
+// security) is exempt — the building's non-negotiable retention
+// obligations survive erasure requests, and the exemption is reported
+// so the user can be told exactly what remains. The exempt rows stay in
+// place under their seqs, so stream cursors and rollup cells that name
+// them stay valid. Returns (deleted, retained) observation counts.
 func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 	if _, ok := b.cfg.Users.Lookup(userID); !ok {
 		return 0, 0, fmt.Errorf("core: unknown user %q", userID)
@@ -670,6 +670,9 @@ func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 	for _, p := range b.Preferences(userID) {
 		b.RemovePreference(p.ID)
 	}
+	b.mu.Lock()
+	delete(b.inbox, userID)
+	b.mu.Unlock()
 	return deleted, retained, nil
 }
 

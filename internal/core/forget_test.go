@@ -142,6 +142,31 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 	}
 }
 
+// TestForgetUserDropsInbox: override notifications about a subject do
+// not outlive ForgetUser, and another subject's stay.
+func TestForgetUserDropsInbox(t *testing.T) {
+	f := newFixture(t)
+	if err := f.bms.RegisterPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"mary", "bob"} {
+		for _, p := range policy.Preference2NoLocation(user) {
+			if err := f.bms.SetPreference(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, _, err := f.bms.ForgetUser("mary"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.bms.FetchNotifications("mary"); len(got) != 0 {
+		t.Errorf("mary's inbox survived ForgetUser: %+v", got)
+	}
+	if got := f.bms.FetchNotifications("bob"); len(got) == 0 {
+		t.Error("forgetting mary emptied bob's inbox")
+	}
+}
+
 // TestForgetUserStreamsNoErasedRow: rows ForgetUser erases while the
 // stream hub is stalled behind them are gone from the store when its
 // scan reaches them, so no subscriber receives them.

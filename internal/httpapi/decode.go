@@ -5,6 +5,8 @@ import (
 	"sync"
 	"time"
 	"unicode/utf8"
+
+	"github.com/tippers/tippers/internal/profile"
 )
 
 // The two hottest request bodies — an ingest batch and a data request —
@@ -22,9 +24,11 @@ import (
 // Strings naming infrastructure — sensor, kind, space, payload key,
 // service, purpose, granularity — repeat from body to body and are
 // interned in a small table per decoder. Subject identifiers — device
-// MAC, user and subject IDs — and payload values are copied fresh: the
-// table outlives the request, and a raw MAC a hash_mac sensor exists to
-// hide, or the ID of a subject since forgotten, must not.
+// MAC, user and subject IDs — are resolved to the directory's string
+// when registered, otherwise copied; never interned: the table outlives
+// the request, and a raw MAC a hash_mac sensor exists to hide, or the
+// ID of a subject since forgotten, must not. The directory holds its
+// strings for the node's life anyway. Payload values are copied.
 
 const (
 	// internCap bounds a decoder's table; a full table is cleared. It
@@ -35,11 +39,12 @@ const (
 	internMaxLen = 64
 )
 
-// decoder scans one body held in data.
+// decoder scans one body held in data, resolving subjects via users.
 type decoder struct {
 	data  []byte
 	pos   int
 	table map[string]string
+	users *profile.Directory
 }
 
 var decoderPool = sync.Pool{New: func() any { return &decoder{table: make(map[string]string)} }}
@@ -49,32 +54,34 @@ var decoderPool = sync.Pool{New: func() any { return &decoder{table: make(map[st
 // a decline a batch is left empty and zero over its capacity: the
 // scanner may have filled elements before it declined, and
 // json.Unmarshal merges into the elements it finds.
-func decodeFast(data []byte, v any) bool {
+func decodeFast(data []byte, v any, users *profile.Directory) bool {
 	var ok bool
 	switch v := v.(type) {
 	case *[]ObservationDTO:
-		d := getDecoder(data)
+		d := getDecoder(data, users)
 		if ok = d.batch(v); !ok {
 			clear((*v)[:cap(*v)])
 			*v = (*v)[:0]
 		}
 		d.release()
 	case *RequestDTO:
-		d := getDecoder(data)
+		d := getDecoder(data, users)
 		ok = d.request(v)
 		d.release()
 	}
 	return ok
 }
 
-func getDecoder(data []byte) *decoder {
+func getDecoder(data []byte, users *profile.Directory) *decoder {
 	d := decoderPool.Get().(*decoder)
-	d.data, d.pos = data, 0
+	d.data, d.pos, d.users = data, 0, users
 	return d
 }
 
+// release drops the body buffer, which goes back to its own pool, and
+// the directory, which may be another node's next time.
 func (d *decoder) release() {
-	d.data = nil // the body buffer goes back to its own pool
+	d.data, d.users = nil, nil
 	decoderPool.Put(d)
 }
 
@@ -114,7 +121,7 @@ func (d *decoder) request(out *RequestDTO) bool {
 		case "kind":
 			return seen.first(2) && d.interned(&r.Kind)
 		case "subject_id":
-			return seen.first(3) && d.fresh(&r.SubjectID)
+			return seen.first(3) && d.subject(&r.SubjectID)
 		case "space_id":
 			return seen.first(4) && d.interned(&r.SpaceID)
 		case "granularity":
@@ -154,9 +161,9 @@ func (d *decoder) observation(o *ObservationDTO) bool {
 		case "space_id":
 			return seen.first(4) && d.interned(&o.SpaceID)
 		case "device_mac":
-			return seen.first(5) && d.fresh(&o.DeviceMAC)
+			return seen.first(5) && d.subject(&o.DeviceMAC)
 		case "user_id":
-			return seen.first(6) && d.fresh(&o.UserID)
+			return seen.first(6) && d.subject(&o.UserID)
 		case "value":
 			return seen.first(7) && d.float(&o.Value)
 		case "payload":
@@ -212,8 +219,16 @@ func (d *decoder) members(member func(key []byte) bool) bool {
 	}
 }
 
-func (d *decoder) fresh(p *string) bool {
+// subject scans a subject identifier: the directory's string when it
+// is registered, a copy otherwise.
+func (d *decoder) subject(p *string) bool {
 	s, ok := d.str()
+	if ok && d.users != nil {
+		if c, found := d.users.Canonical(s); found {
+			*p = c
+			return true
+		}
+	}
 	if ok {
 		*p = string(s)
 	}

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -13,16 +14,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sim"
 )
 
-// decodeOutcome is readJSON's answer on body: 200 and no error body
-// when it decoded into v, else the status and body it wrote.
-func decodeOutcome(body []byte, v any) (int, string) {
+// decodeOutcome is readJSON's answer on body, resolving subjects
+// through users: 200 and no error body when it decoded into v, else the
+// status and body it wrote.
+func decodeOutcome(body []byte, v any, users *profile.Directory) (int, string) {
 	rec := httptest.NewRecorder()
-	if readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), v) {
+	if readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), v, users) {
 		return http.StatusOK, ""
 	}
 	return rec.Code, rec.Body.String()
@@ -48,16 +52,17 @@ var dirtyRequest = RequestDTO{ServiceID: "old", Purpose: "old", SubjectID: "old"
 // reused one (a batch with spare zero capacity, as handleIngest hands
 // it over, and a request that already holds values). It also holds the
 // scanner to its decline contract: a declined batch is empty and zero
-// over its capacity, a declined request unchanged. It reports whether
-// the scanner itself decoded body as each.
-func checkDecode(t testing.TB, body []byte) (batch, request bool) {
+// over its capacity, a declined request unchanged. users, which may be
+// nil, resolves subject identifiers. It reports whether the scanner
+// itself decoded body as each.
+func checkDecode(t testing.TB, body []byte, users *profile.Directory) (batch, request bool) {
 	t.Helper()
 	same := func(what string, got, want any, fresh func() any) {
 		t.Helper()
 		gotV, wantV := fresh(), fresh()
 		reflect.ValueOf(gotV).Elem().Set(reflect.ValueOf(got))
 		reflect.ValueOf(wantV).Elem().Set(reflect.ValueOf(want))
-		code, errBody := decodeOutcome(body, gotV)
+		code, errBody := decodeOutcome(body, gotV, users)
 		wantCode, wantErrBody := referenceOutcome(body, wantV)
 		if code != wantCode || errBody != wantErrBody {
 			t.Fatalf("%s, body %q:\n got  %d %s\n want %d %s", what, body, code, errBody, wantCode, wantErrBody)
@@ -74,7 +79,7 @@ func checkDecode(t testing.TB, body []byte) (batch, request bool) {
 	same("reused request", dirtyRequest, dirtyRequest, newRequest)
 
 	probe := make([]ObservationDTO, 0, 3)
-	if batch = decodeFast(body, &probe); !batch {
+	if batch = decodeFast(body, &probe, users); !batch {
 		if len(probe) != 0 {
 			t.Fatalf("body %q: a declined batch kept %d elements", body, len(probe))
 		}
@@ -85,7 +90,7 @@ func checkDecode(t testing.TB, body []byte) (batch, request bool) {
 		}
 	}
 	r := dirtyRequest
-	if request = decodeFast(body, &r); !request && !reflect.DeepEqual(r, dirtyRequest) {
+	if request = decodeFast(body, &r, users); !request && !reflect.DeepEqual(r, dirtyRequest) {
 		t.Fatalf("body %q: a declined request changed its target to %+v", body, r)
 	}
 	return batch, request
@@ -350,14 +355,14 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 	var servedBatch, servedRequest int
 	for range rounds {
 		body, outside := genBatch(rng)
-		if served, _ := checkDecode(t, body); served {
+		if served, _ := checkDecode(t, body, nil); served {
 			if outside {
 				t.Fatalf("the scanner decoded a batch outside its subset: %q", body)
 			}
 			servedBatch++
 		}
 		body, outside = genRequest(rng)
-		if _, served := checkDecode(t, body); served {
+		if _, served := checkDecode(t, body, nil); served {
 			if outside {
 				t.Fatalf("the scanner decoded a request outside its subset: %q", body)
 			}
@@ -400,31 +405,48 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
+	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body, nil) })
 }
 
-// TestDecodeBatchAllocs: a 100-row batch shaped like the benchmark's
-// ingest — a simulated day's readings — decodes through the scanner
-// with one string per subject identifier and payload value, one map
-// (its header and its slots) per payload, and a few more.
-func TestDecodeBatchAllocs(t *testing.T) {
+// simulatedBatch is 100 of a simulated day's readings, sampled across
+// it as the benchmark's ingest batch is, and the directory of the
+// population that produced them.
+func simulatedBatch(t *testing.T) ([]ObservationDTO, *profile.Directory) {
+	t.Helper()
 	b, err := sim.SmallDBH().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	day := sim.SimulateDay(b, sim.GeneratePopulation(b, 50, sim.CampusMix(), 1), sim.DayConfig{Date: testNow, Seed: 1}).Observations
+	users := sim.GeneratePopulation(b, 50, sim.CampusMix(), 1)
+	day := sim.SimulateDay(b, users, sim.DayConfig{Date: testNow, Seed: 1}).Observations
 	batch := make([]ObservationDTO, 100)
-	fresh, payloads := 0, 0
 	for i := range batch {
-		o := day[i*len(day)/len(batch)]
-		batch[i] = observationToDTO(o)
+		batch[i] = observationToDTO(day[i*len(day)/len(batch)])
+	}
+	return batch, users
+}
+
+// TestDecodeBatchAllocs: a 100-row batch shaped like the benchmark's
+// ingest — a simulated day's readings — decodes through the scanner
+// with one string per payload value, one map (its header and its slots)
+// per payload, and a few more. Its device MACs and user IDs are the
+// population's, so with the directory they cost nothing; without it,
+// one string each.
+func TestDecodeBatchAllocs(t *testing.T) {
+	batch, users := simulatedBatch(t)
+	subjects, values, payloads := 0, 0, 0
+	for _, o := range batch {
 		for _, s := range []string{o.DeviceMAC, o.UserID} {
-			if s != "" {
-				fresh++
+			if s == "" {
+				continue
 			}
+			if _, ok := users.Canonical([]byte(s)); !ok {
+				t.Fatalf("%q is no occupant's; the directory bound would not hold", s)
+			}
+			subjects++
 		}
 		if o.Payload != nil {
-			fresh += len(o.Payload)
+			values += len(o.Payload)
 			payloads++
 		}
 	}
@@ -432,29 +454,120 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payloads == 0 || fresh == 0 {
-		t.Fatalf("the batch carries %d payloads and %d subject strings; the bound tests nothing", payloads, fresh)
-	}
-	// One decoder, not the pool's: under the race detector sync.Pool
-	// drops what it is handed at random.
-	d := &decoder{table: map[string]string{}}
-	pooled := make([]ObservationDTO, 0, len(batch))
-	decode := func() {
-		clear(pooled[:cap(pooled)])
-		pooled = pooled[:0]
-		if d.data, d.pos = raw, 0; !d.batch(&pooled) {
-			t.Fatal("the scanner declined the batch")
-		}
-	}
-	decode()
-	if !reflect.DeepEqual(pooled, batch) {
-		t.Fatal("the scanned batch differs from the one marshalled")
+	if payloads == 0 || subjects == 0 {
+		t.Fatalf("the batch carries %d payloads and %d subject strings; the bound tests nothing", payloads, subjects)
 	}
 	const extra = 4
-	n, limit := testing.AllocsPerRun(20, decode), fresh+2*payloads+extra
-	t.Logf("a 100-row batch: %v allocs (%d subject strings, %d payloads)", n, fresh, payloads)
-	if n > float64(limit) {
-		t.Fatalf("a 100-row batch: %v allocs, want <= %d", n, limit)
+	for _, c := range []struct {
+		name  string
+		users *profile.Directory
+		limit int
+	}{
+		{"no directory", nil, subjects + values + 2*payloads + extra},
+		{"directory", users, values + 2*payloads + extra},
+	} {
+		// One decoder, not the pool's: under the race detector
+		// sync.Pool drops what it is handed at random.
+		d := &decoder{table: map[string]string{}, users: c.users}
+		pooled := make([]ObservationDTO, 0, len(batch))
+		decode := func() {
+			clear(pooled[:cap(pooled)])
+			pooled = pooled[:0]
+			if d.data, d.pos = raw, 0; !d.batch(&pooled) {
+				t.Fatal("the scanner declined the batch")
+			}
+		}
+		decode()
+		if !reflect.DeepEqual(pooled, batch) {
+			t.Fatalf("%s: the scanned batch differs from the one marshalled", c.name)
+		}
+		n := testing.AllocsPerRun(20, decode)
+		t.Logf("%s: a 100-row batch: %v allocs (%d subject strings, %d payload values, %d payloads)", c.name, n, subjects, values, payloads)
+		if n > float64(c.limit) {
+			t.Fatalf("%s: a 100-row batch: %v allocs, want <= %d", c.name, n, c.limit)
+		}
+	}
+}
+
+// TestDecodeResolvesSubjectsToDirectory: a registered device MAC, user
+// ID and subject ID decode to the directory's own strings; an
+// unregistered one is a copy that overwriting the body leaves alone;
+// with a populated directory the scanner still decodes exactly as
+// encoding/json does, over a simulated day's batch too; a node's
+// handler stores its directory's MAC; and no pooled decoder keeps the
+// directory after its decode.
+func TestDecodeResolvesSubjectsToDirectory(t *testing.T) {
+	users := profile.NewDirectory()
+	users.MustAdd(profile.User{ID: "mary", DeviceMACs: []string{"aa:00:00:00:00:01", "aa:00:00:00:00:02"}})
+	mary, _ := users.Lookup("mary")
+	const (
+		batchBody   = `[{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:00Z","device_mac":"aa:00:00:00:00:02","user_id":"mary"},{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:01Z","device_mac":"ff:00:00:00:00:09","user_id":"ghost"}]`
+		requestBody = `{"service_id":"concierge","purpose":"providing_service","kind":"ble_beacon","subject_id":"%s"}`
+	)
+	same := func(what, got, want string) {
+		t.Helper()
+		if unsafe.StringData(got) != unsafe.StringData(want) {
+			t.Errorf("%s %q is not the directory's string", what, got)
+		}
+	}
+	body := []byte(batchBody)
+	var batch []ObservationDTO
+	if !decodeFast(body, &batch, users) || len(batch) != 2 {
+		t.Fatalf("the scanner declined %s", body)
+	}
+	same("device MAC", batch[0].DeviceMAC, mary.DeviceMACs[1])
+	same("user ID", batch[0].UserID, mary.ID)
+	var registered, unregistered RequestDTO
+	if !decodeFast([]byte(fmt.Sprintf(requestBody, "mary")), &registered, users) {
+		t.Fatal("the scanner declined the request")
+	}
+	same("subject ID", registered.SubjectID, mary.ID)
+	request := []byte(fmt.Sprintf(requestBody, "ghost"))
+	if !decodeFast(request, &unregistered, users) {
+		t.Fatal("the scanner declined the request")
+	}
+	for _, b := range [][]byte{body, request} {
+		for i := range b {
+			b[i] = 'x'
+		}
+	}
+	if batch[1].DeviceMAC != "ff:00:00:00:00:09" || batch[1].UserID != "ghost" || unregistered.SubjectID != "ghost" {
+		t.Fatalf("unregistered subjects changed with the body: %q %q %q", batch[1].DeviceMAC, batch[1].UserID, unregistered.SubjectID)
+	}
+
+	for _, b := range []string{batchBody, fmt.Sprintf(requestBody, "mary"), fmt.Sprintf(requestBody, "ghost")} {
+		checkDecode(t, []byte(b), users)
+	}
+	dtos, population := simulatedBatch(t)
+	raw, err := json.Marshal(dtos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch, _ := checkDecode(t, raw, population); !batch {
+		t.Fatal("the scanner declined the simulated batch")
+	}
+
+	// A node's handler resolves through the node's own directory.
+	bms, client := newServer(t)
+	if _, err := client.Ingest(context.Background(), []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := bms.Users().Lookup("mary")
+	rows := bms.Store().Query(obstore.Filter{})
+	if len(rows) != 1 {
+		t.Fatalf("stored %d rows, want 1", len(rows))
+	}
+	same("stored device MAC", rows[0].DeviceMAC, owner.DeviceMACs[0])
+
+	// Take every pooled decoder; one fresh from New ends the drain.
+	for {
+		d := decoderPool.Get().(*decoder)
+		if d.users != nil {
+			t.Fatal("a pooled decoder still holds a directory")
+		}
+		if len(d.table) == 0 {
+			break
+		}
 	}
 }
 

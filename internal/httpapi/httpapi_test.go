@@ -359,6 +359,28 @@ func TestForgetUserOverHTTP(t *testing.T) {
 	}
 }
 
+// TestForgetUserDropsInboxOverHTTP: after DELETE /v1/users/{id}/data
+// the override notification the subject was owed is gone from GET
+// /v1/notifications.
+func TestForgetUserDropsInboxOverHTTP(t *testing.T) {
+	bms, client := newServer(t)
+	ctx := context.Background()
+	if err := bms.RegisterPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range policy.Preference2NoLocation("mary") {
+		if err := client.SetPreference(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := client.ForgetUser(ctx, "mary"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := client.Notifications(ctx, "mary"); err != nil || len(got) != 0 {
+		t.Fatalf("notifications after ForgetUser = %+v, %v; want none", got, err)
+	}
+}
+
 func TestDTORoundTrips(t *testing.T) {
 	pref := policy.Preference{
 		ID: "p1", UserID: "mary", Name: "n",

@@ -150,7 +150,7 @@ func TestPooledDecodeLeaksNothing(t *testing.T) {
 					if !scanned {
 						body = []byte(respell.Replace(string(body)))
 					}
-					if probe := []ObservationDTO(nil); decodeFast(body, &probe) != scanned {
+					if probe := []ObservationDTO(nil); decodeFast(body, &probe, nil) != scanned {
 						t.Errorf("the scanner decoded %v, want %v: %s", !scanned, scanned, body)
 						return
 					}

@@ -89,7 +89,7 @@ func requesterFromDTO(d QueryRequestDTO) (query.Requester, error) {
 // refusals are 403.
 func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	var dto QueryRequestDTO
-	if !readJSON(w, req, &dto) {
+	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	r, err := requesterFromDTO(dto)

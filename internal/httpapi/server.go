@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"github.com/tippers/tippers/internal/core"
+	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/telemetry"
 )
 
@@ -265,9 +266,9 @@ var (
 // readJSON decodes the whole body into v before the handler acts on any
 // of it, so a malformed body changes nothing. A body over maxBodyBytes
 // is refused with 413. An ingest batch or a data request goes through
-// the scanner (decode.go) first, and whatever it declines, like every
-// other body, through json.Unmarshal.
-func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
+// the scanner (decode.go) first, resolving subjects through users, and
+// whatever it declines, like every other body, through json.Unmarshal.
+func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Directory) bool {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBytes {
@@ -286,7 +287,7 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any) bool {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return false
 	}
-	if decodeFast(buf.Bytes(), v) {
+	if decodeFast(buf.Bytes(), v, users) {
 		return true
 	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
@@ -321,7 +322,7 @@ func (s *Server) handleListPreferences(w http.ResponseWriter, req *http.Request)
 
 func (s *Server) handleSetPreference(w http.ResponseWriter, req *http.Request) {
 	var dto PreferenceDTO
-	if !readJSON(w, req, &dto) {
+	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	pref, err := PreferenceFromDTO(dto)
@@ -413,7 +414,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 			batchPool.Put(bp)
 		}
 	}()
-	if !readJSON(w, req, &batch) {
+	if !readJSON(w, req, &batch, s.bms.Users()) {
 		return
 	}
 	accepted := 0
@@ -429,7 +430,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
 	var dto RequestDTO
-	if !readJSON(w, req, &dto) {
+	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	r, err := RequestFromDTO(dto)
@@ -461,7 +462,7 @@ func writeResponse(w http.ResponseWriter, resp core.Response, rows *appender, er
 
 func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request) {
 	var dto RequestDTO
-	if !readJSON(w, req, &dto) {
+	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	r, err := RequestFromDTO(dto)

@@ -186,6 +186,25 @@ func (d *Directory) LookupMAC(mac string) (*User, bool) {
 	return u, ok
 }
 
+// Canonical returns the directory's own string equal to b when b is a
+// registered device MAC or user ID. The directory never drops a
+// registration, so the caller may keep it instead of copying b.
+func (d *Directory) Canonical(b []byte) (string, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if u, ok := d.byMAC[string(b)]; ok {
+		for _, mac := range u.DeviceMACs {
+			if mac == string(b) {
+				return mac, true
+			}
+		}
+	}
+	if u, ok := d.byID[string(b)]; ok {
+		return u.ID, true
+	}
+	return "", false
+}
+
 // Members returns the IDs of users having the given group, sorted.
 func (d *Directory) Members(g Group) []string {
 	d.mu.RLock()

@@ -67,10 +67,10 @@ func TestShardedReplayGloballyOrdered(t *testing.T) {
 	}
 }
 
-// TestShardedResumeSpliceUnderConcurrentIngest resumes mid-history
-// while writers keep appending: the subscriber must see every seq
-// after its cursor exactly once, in order.
-func TestShardedResumeSpliceUnderConcurrentIngest(t *testing.T) {
+// TestResumeSpliceUnderConcurrentIngest resumes mid-history while
+// writers keep appending: the subscriber must see every seq after its
+// cursor exactly once, in order.
+func TestResumeSpliceUnderConcurrentIngest(t *testing.T) {
 	f := newSpreadHubFixture(t)
 	const preexisting = 120
 	for i := 0; i < preexisting; i++ {

@@ -43,21 +43,21 @@ go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 echo "== stream + obstore hot log + telemetry tracing (repeated, race) =="
 go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/telemetry/...
 
-echo "== stream disconnect-then-resume + sharded resume splice under concurrent ingest (200x, race) =="
-go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestShardedResumeSpliceUnderConcurrentIngest$' ./internal/stream/
+echo "== stream disconnect-then-resume + resume splice under concurrent ingest (200x, race) =="
+go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestResumeSpliceUnderConcurrentIngest$' ./internal/stream/
 
 echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier and the streaming builder against the parent's layout (repeated, race) =="
 go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout' ./internal/colstore/...
 
-echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations and its intern table + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
-go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestDecoderTableHoldsNoSubjectIdentifier|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
+echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
+go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
 
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request + durable store with the default columnar directory (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request + durable store with the default columnar directory (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
 
 echo "== micro-benchmark count gate (eight benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
