@@ -256,8 +256,8 @@ func runIncrementalVsFull(t *testing.T, strategy reasoner.Strategy, spatial bool
 			id := g.pick(prefIDs...)
 			what = "remove " + id
 			_, was := oracle.prefs[id]
-			if got := f.bms.RemovePreference(id); got != was {
-				t.Fatalf("step %d: RemovePreference(%s) = %v, installed = %v", step, id, got, was)
+			if got, err := f.bms.RemovePreference(id); err != nil || got != was {
+				t.Fatalf("step %d: RemovePreference(%s) = %v, %v, installed = %v", step, id, got, err, was)
 			}
 			if was {
 				delete(oracle.prefs, id)
@@ -350,7 +350,9 @@ func TestConcurrentRuleMutationsConverge(t *testing.T) {
 			for n := 0; n < iterations; n++ {
 				id := fmt.Sprintf("%s-p%d", user, g.rng.Intn(3))
 				if g.rng.Intn(3) == 0 {
-					f.bms.RemovePreference(id)
+					if _, err := f.bms.RemovePreference(id); err != nil {
+						t.Errorf("RemovePreference: %v", err)
+					}
 				} else if err := f.bms.SetPreference(g.preference(id, user)); err != nil {
 					t.Errorf("SetPreference: %v", err)
 				}
@@ -422,7 +424,9 @@ func TestConcurrentRuleMutationsConverge(t *testing.T) {
 		}
 		go func() {
 			defer wg.Done()
-			g.bms.RemovePreference(id)
+			if _, err := g.bms.RemovePreference(id); err != nil {
+				t.Errorf("RemovePreference: %v", err)
+			}
 		}()
 		wg.Wait()
 		listed := g.bms.Preferences("mary")

@@ -127,15 +127,17 @@ type BMS struct {
 	streams *stream.Hub
 
 	// Rule state, written only inside mutateRules, together with the
-	// engine. Policies and each owner's preferences are kept sorted by
-	// ID; conflicts always equals a full reasoner.Detect over the two,
-	// maintained by delta.
+	// engine and, for preferences, the rule log (nil for an in-memory
+	// store; see rulelog.go). Policies and each owner's preferences are
+	// kept sorted by ID; conflicts always equals a full reasoner.Detect
+	// over the two, maintained by delta.
 	mu        sync.RWMutex
 	policies  []policy.BuildingPolicy
 	prefs     map[string][]policy.Preference // owner → their preferences
 	prefOwner map[string]string              // preference ID → owner
 	conflicts map[conflictKey]reasoner.Conflict
 	inbox     map[string][]enforce.Notification
+	rules     *ruleLog
 
 	retainStop chan struct{}
 	retainDone chan struct{}
@@ -204,6 +206,24 @@ func New(cfg Config) (*BMS, error) {
 		conflicts: make(map[conflictKey]reasoner.Conflict),
 		inbox:     make(map[string][]enforce.Notification),
 	}
+	// A durable store's directory holds the preferences too: replay them
+	// before anything can decide a request, and fold them whenever the
+	// store checkpoints.
+	if dir := store.Dir(); dir != "" {
+		rules, err := openRuleLog(dir, func(p policy.Preference) error {
+			_, err := b.installPreference(p)
+			return err
+		}, b.uninstallPreference)
+		if err != nil {
+			return nil, err
+		}
+		b.rules = rules
+		store.SetCheckpointHook(b.foldRules)
+	}
+	fail := func(err error) (*BMS, error) {
+		b.rules.close()
+		return nil, err
+	}
 	// The columnar tier is the row store's cold tier: closed buckets
 	// compact into immutable segments the store then evicts, and the
 	// rollup cubes stay in lockstep with ingest. Every read of the store
@@ -218,10 +238,10 @@ func New(cfg Config) (*BMS, error) {
 		RollupMaxEntries: cfg.ColumnarRollupMax,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: opening columnar tier: %w", err)
+		return fail(fmt.Errorf("core: opening columnar tier: %w", err))
 	}
 	if err := cs.AttachStore(store); err != nil {
-		return nil, fmt.Errorf("core: attaching columnar tier: %w", err)
+		return fail(fmt.Errorf("core: attaching columnar tier: %w", err))
 	}
 	cs.RegisterMetrics(reg)
 	b.colstore = cs
@@ -258,7 +278,7 @@ func New(cfg Config) (*BMS, error) {
 		DefaultPolicy: cfg.StreamPolicy,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	b.streams = hub
 	return b, nil
@@ -468,6 +488,9 @@ func (b *BMS) actuateScope(sc policy.Scope, settings map[string]string) error {
 // step 8: the IoTA communicates the user's settings). Conflicts with
 // building policies are detected; override resolutions generate
 // notifications delivered to the user's inbox and the live streams.
+// On a durable store the preference is in the rule log before it is
+// enforced; an error wrapping ErrRuleLog means it could not be logged,
+// and nothing changed.
 func (b *BMS) SetPreference(p policy.Preference) error {
 	if err := p.Check(); err != nil {
 		return err
@@ -476,23 +499,64 @@ func (b *BMS) SetPreference(p policy.Preference) error {
 		return fmt.Errorf("core: preference for unknown user %q", p.UserID)
 	}
 	return b.mutateRules(func() ([]reasoner.Conflict, error) {
-		if err := b.engine.AddPreference(p); err != nil {
+		if err := b.rules.set(&p); err != nil {
 			return nil, err
 		}
-		return b.replacePreference(p.ID, &p), nil
+		// An engine refuses only what p.Check refuses, so what the log
+		// now holds is installed.
+		return b.installPreference(p)
 	})
 }
 
-// RemovePreference uninstalls a preference by ID.
-func (b *BMS) RemovePreference(id string) bool {
+// RemovePreference uninstalls a preference by ID and reports whether
+// it was installed. On a durable store the removal is in the rule log
+// before it is enforced; an error wrapping ErrRuleLog means it could
+// not be logged, and the preference is still installed.
+func (b *BMS) RemovePreference(id string) (bool, error) {
 	removed := false
-	_ = b.mutateRules(func() ([]reasoner.Conflict, error) { // apply never fails
-		if removed = b.engine.RemovePreference(id); !removed {
+	err := b.mutateRules(func() ([]reasoner.Conflict, error) {
+		if _, ok := b.prefOwner[id]; !ok {
 			return nil, nil
 		}
-		return b.replacePreference(id, nil), nil
+		if err := b.rules.remove(id); err != nil {
+			return nil, err
+		}
+		removed = true
+		b.uninstallPreference(id)
+		return nil, nil
 	})
-	return removed
+	return removed, err
+}
+
+// installPreference puts p in the engine and the rule state and returns
+// the conflicts that are new. The caller holds b.mu, or is New
+// replaying the rule log.
+func (b *BMS) installPreference(p policy.Preference) ([]reasoner.Conflict, error) {
+	if err := b.engine.AddPreference(p); err != nil {
+		return nil, err
+	}
+	return b.replacePreference(p.ID, &p), nil
+}
+
+// uninstallPreference takes preference id out of the engine and the
+// rule state. A removal frees no conflict, so it returns nothing. The
+// caller holds b.mu, or is New replaying the rule log.
+func (b *BMS) uninstallPreference(id string) {
+	if b.engine.RemovePreference(id) {
+		b.replacePreference(id, nil)
+	}
+}
+
+// foldRules folds the rule log into one snapshot of the live
+// preferences, unless nothing was logged since the last fold. It is the
+// store's checkpoint hook and ForgetUser's last step.
+func (b *BMS) foldRules() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.rules == nil || b.rules.tail == 0 {
+		return nil
+	}
+	return b.rules.fold(b.prefs)
 }
 
 // mutateRules is the one seam a rule mutation passes through: apply
@@ -501,13 +565,22 @@ func (b *BMS) RemovePreference(id string) bool {
 // notifications reach the affected users' inboxes in the same critical
 // section. Because the engine and the listed rules change under the
 // lock that orders the rule writes, the engine enforces what
-// Preferences lists, and the conflict set follows the mutation that
-// happened last, not the pass that finished last. An error from apply
-// must leave both unchanged.
+// Preferences lists, the rule log holds the mutations in the order they
+// were applied, and the conflict set follows the mutation that happened
+// last, not the pass that finished last. An error from apply must leave
+// all of them unchanged. Once the log's tail outgrows its snapshot, the
+// mutation that made it so folds it, still under the lock.
 func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict, err error)) error {
 	t0 := time.Now()
 	b.mu.Lock()
 	fresh, err := apply()
+	if err == nil && b.rules.due() {
+		// The mutation is durable already; a fold that fails is tried
+		// again by the next one.
+		if ferr := b.rules.fold(b.prefs); ferr != nil {
+			fmt.Fprintf(os.Stderr, "core: %v\n", ferr)
+		}
+	}
 	for _, c := range fresh {
 		if c.Resolution.NotifyUserID != "" {
 			n := enforce.Notification{
@@ -626,12 +699,13 @@ func (b *BMS) Preferences(userID string) []policy.Preference {
 }
 
 // ForgetUser erases a user's footprint: every observation attributed
-// to them is deleted from the store, their preferences are
-// uninstalled, and their notification inbox is dropped. Data collected
-// under safety-critical override policies (emergency response,
-// security) is exempt — the building's non-negotiable retention
-// obligations survive erasure requests, and the exemption is reported
-// so the user can be told exactly what remains. The exempt rows stay in
+// to them is deleted from the store, their preferences are uninstalled
+// (and, on a durable store, folded out of the rule log on disk), and
+// their notification inbox is dropped. Data collected under
+// safety-critical override policies (emergency response, security) is
+// exempt — the building's non-negotiable retention obligations survive
+// erasure requests, and the exemption is reported so the user can be
+// told exactly what remains. The exempt rows stay in
 // place under their seqs, so stream cursors and rollup cells that name
 // them stay valid. Returns (deleted, retained) observation counts.
 func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
@@ -668,11 +742,19 @@ func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 	retained = b.store.Count(obstore.Filter{UserID: userID})
 
 	for _, p := range b.Preferences(userID) {
-		b.RemovePreference(p.ID)
+		if _, err := b.RemovePreference(p.ID); err != nil {
+			return deleted, retained, err
+		}
 	}
 	b.mu.Lock()
 	delete(b.inbox, userID)
 	b.mu.Unlock()
+	// The rule log still holds the records that installed and removed
+	// the preferences; the fold takes them off disk now, not at the next
+	// checkpoint.
+	if err := b.foldRules(); err != nil {
+		return deleted, retained, err
+	}
 	return deleted, retained, nil
 }
 
@@ -772,7 +854,8 @@ func (b *BMS) StopCompaction() {
 }
 
 // Close shuts down the BMS: retention and compaction daemons stopped,
-// stream hub drained.
+// stream hub drained, store and rule log closed. Every logged rule
+// mutation was fsynced when it was made, so closing flushes nothing.
 func (b *BMS) Close() {
 	b.StopRetention()
 	b.StopCompaction()
@@ -780,5 +863,10 @@ func (b *BMS) Close() {
 	if err := b.store.Close(); err != nil {
 		// Nothing to do but say so: durable stores flush their WAL here.
 		fmt.Fprintf(os.Stderr, "core: closing observation store: %v\n", err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.rules.close(); err != nil {
+		fmt.Fprintf(os.Stderr, "core: closing rule log: %v\n", err)
 	}
 }

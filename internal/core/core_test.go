@@ -31,6 +31,16 @@ func newFixture(t testing.TB) *fixture {
 // adjust its Config (e.g. swap in a durable store).
 func newFixtureWith(t testing.TB, adjust func(*Config)) *fixture {
 	t.Helper()
+	bms, err := New(fixtureConfig(adjust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bms.Close)
+	return &fixture{bms: bms, now: testNow}
+}
+
+// fixtureConfig is the standard test BMS's Config, adjusted.
+func fixtureConfig(adjust func(*Config)) Config {
 	spaces := spatial.NewModel()
 	spaces.MustAdd("", spatial.Space{ID: "dbh", Name: "Donald Bren Hall", Kind: spatial.KindBuilding})
 	for f := 1; f <= 2; f++ {
@@ -86,12 +96,7 @@ func newFixtureWith(t testing.TB, adjust func(*Config)) *fixture {
 		Clock:        func() time.Time { return testNow },
 	}
 	adjust(&cfg)
-	bms, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bms.Close)
-	return &fixture{bms: bms, now: testNow}
+	return cfg
 }
 
 func (f *fixture) wifiObs(mac, apID string, minute int) sensor.Observation {
@@ -274,11 +279,11 @@ func TestSetPreferenceAndConflictNotification(t *testing.T) {
 	if got := f.bms.Preferences("mary"); len(got) != 2 {
 		t.Errorf("Preferences(mary) = %d", len(got))
 	}
-	if !f.bms.RemovePreference("pref-1-office-occupancy-bob") {
-		t.Error("RemovePreference failed")
+	if removed, err := f.bms.RemovePreference("pref-1-office-occupancy-bob"); !removed || err != nil {
+		t.Errorf("RemovePreference = %v, %v", removed, err)
 	}
-	if f.bms.RemovePreference("pref-1-office-occupancy-bob") {
-		t.Error("double remove succeeded")
+	if removed, err := f.bms.RemovePreference("pref-1-office-occupancy-bob"); removed || err != nil {
+		t.Errorf("double remove = %v, %v", removed, err)
 	}
 }
 

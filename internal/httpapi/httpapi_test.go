@@ -3,6 +3,8 @@ package httpapi
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/tippers/tippers/internal/core"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/iota"
+	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sensor"
@@ -20,7 +23,9 @@ import (
 
 var testNow = time.Date(2017, time.June, 7, 14, 0, 0, 0, time.UTC)
 
-func newServer(t testing.TB) (*core.BMS, *Client) {
+// newServer serves the standard test BMS; adjust can change its
+// Config (a durable store).
+func newServer(t testing.TB, adjust ...func(*core.Config)) (*core.BMS, *Client) {
 	t.Helper()
 	spaces := spatial.NewModel()
 	spaces.MustAdd("", spatial.Space{ID: "dbh", Kind: spatial.KindBuilding})
@@ -43,11 +48,15 @@ func newServer(t testing.TB) (*core.BMS, *Client) {
 	services := service.NewRegistry()
 	services.MustRegister(service.Concierge())
 
-	bms, err := core.New(core.Config{
+	cfg := core.Config{
 		Spaces: spaces, Users: users, Sensors: sensors, Services: services,
 		DefaultAllow: true,
 		Clock:        func() time.Time { return testNow },
-	})
+	}
+	for _, a := range adjust {
+		a(&cfg)
+	}
+	bms, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,5 +433,40 @@ func TestDTORoundTrips(t *testing.T) {
 	}
 	if _, err := PreferenceFromDTO(PreferenceDTO{Rule: RuleDTO{Action: "allow", MaxGranularity: "street"}}); err == nil {
 		t.Error("bad rule granularity accepted")
+	}
+}
+
+// TestRuleLogFailureIs500: on a durable node whose rule log can no
+// longer be written (here: the node was closed), PUT and DELETE
+// /v1/preferences and DELETE /v1/users/{id}/data answer 500 — the
+// request was fine, the node's disk was not — and the preferences the
+// node lists do not change.
+func TestRuleLogFailureIs500(t *testing.T) {
+	store, err := obstore.OpenDurable(obstore.DurableConfig{Dir: t.TempDir(),
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bms, client := newServer(t, func(c *core.Config) { c.Store = store })
+	ctx := context.Background()
+	kept := policy.Preference2NoLocation("bob")[0]
+	if err := client.SetPreference(kept); err != nil {
+		t.Fatal(err)
+	}
+	bms.Close()
+	is500 := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "500") {
+			t.Errorf("%s with the rule log closed: %v, want a 500", what, err)
+		}
+	}
+	is500("PUT", client.SetPreference(policy.Preference2NoLocation("mary")[0]))
+	is500("DELETE", client.RemovePreference(ctx, kept.ID))
+	_, _, err = client.ForgetUser(ctx, "bob")
+	is500("forget", err)
+	for user, want := range map[string]int{"mary": 0, "bob": 1} {
+		if got, err := client.Preferences(ctx, user); err != nil || len(got) != want {
+			t.Errorf("%s's preferences after refused writes: %d (%v), want %d", user, len(got), err, want)
+		}
 	}
 }

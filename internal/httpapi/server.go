@@ -331,7 +331,7 @@ func (s *Server) handleSetPreference(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := s.bms.SetPreference(pref); err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		writeErr(w, ruleErrStatus(err, http.StatusUnprocessableEntity), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, dto)
@@ -339,11 +339,25 @@ func (s *Server) handleSetPreference(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleDeletePreference(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	if !s.bms.RemovePreference(id) {
+	removed, err := s.bms.RemovePreference(id)
+	switch {
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, err) // only the rule log fails a removal
+	case !removed:
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no preference %q", id))
-		return
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
+}
+
+// ruleErrStatus is the status of a refused rule mutation: 500 when the
+// node could not log it (the request was fine; the node's disk was
+// not), otherwise the handler's status for a bad request.
+func ruleErrStatus(err error, refused int) int {
+	if errors.Is(err, core.ErrRuleLog) {
+		return http.StatusInternalServerError
+	}
+	return refused
 }
 
 func (s *Server) handleNotifications(w http.ResponseWriter, req *http.Request) {
@@ -496,7 +510,7 @@ func (s *Server) handleForget(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	deleted, retained, err := s.bms.ForgetUser(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, ruleErrStatus(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, forgetResult{Deleted: deleted, Retained: retained})

@@ -172,6 +172,12 @@ func (s *Store) WAL() *wal.Log {
 // or "" for an in-memory store. It is fixed before the store is shared.
 func (s *Store) Dir() string { return s.walDir }
 
+// SetCheckpointHook makes every later Checkpoint call fn once the rows
+// are checkpointed, and fail with fn's error. The owner of other state
+// kept in Dir (core's rule log) folds it there, so one call at shutdown
+// checkpoints the whole directory. Set it before the store is shared.
+func (s *Store) SetCheckpointHook(fn func() error) { s.onCheckpoint = fn }
+
 // insertRecovered decodes one recovered record and appends it to the
 // log. Checkpoint restore and WAL replay use it, single-threaded inside
 // OpenDurable, which sets the seq counter when both are done; both
@@ -192,8 +198,9 @@ func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 
 // Checkpoint atomically rewrites the checkpoint file from the
 // observations the log holds — every live one, or with a cold tier
-// attached the hot window its segments do not cover — and deletes
-// every WAL segment it now covers. After a checkpoint, recovery
+// attached the hot window its segments do not cover — deletes every WAL
+// segment it now covers, and then runs the checkpoint hook, if one is
+// set (SetCheckpointHook). After a checkpoint, recovery
 // replays only records appended since — and observations deleted for
 // privacy (retention, erasure) that were still sitting in the log or
 // the previous checkpoint are gone from disk.
@@ -221,6 +228,9 @@ func (s *Store) Checkpoint() error {
 	}
 	s.logger.Info("obstore: checkpoint written",
 		"path", path, "high_water_mark", hwm, "segments_truncated", deleted)
+	if s.onCheckpoint != nil {
+		return s.onCheckpoint()
+	}
 	return nil
 }
 
@@ -311,14 +321,14 @@ func (s *Store) readCheckpoint(r io.Reader) error {
 	size, err := wal.ScanFrames(br, func(seq uint64, payload []byte) error {
 		frames++
 		if frames == 1 {
-			d := &obsDecoder{data: payload}
-			version := d.uvarint()
-			hwm, ingested, swept, count = d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+			d := &wal.Decoder{Data: payload}
+			version := d.Uvarint()
+			hwm, ingested, swept, count = d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
 			switch {
 			case seq != 0:
 				return fmt.Errorf("header frame has seq %d, want 0", seq)
-			case d.err != nil:
-				return fmt.Errorf("header: %w", d.err)
+			case d.Err != nil:
+				return fmt.Errorf("header: %w", d.Err)
 			case version != checkpointVersion:
 				return fmt.Errorf("unsupported checkpoint version %d", version)
 			}
@@ -410,12 +420,12 @@ const obsCodecVersion = 1
 // appendObservation serializes o (sans Seq) onto buf.
 func appendObservation(buf []byte, o sensor.Observation) []byte {
 	buf = binary.AppendUvarint(buf, obsCodecVersion)
-	buf = appendString(buf, o.SensorID)
-	buf = appendString(buf, string(o.Kind))
+	buf = wal.AppendString(buf, o.SensorID)
+	buf = wal.AppendString(buf, string(o.Kind))
 	buf = binary.AppendVarint(buf, o.Time.UnixNano())
-	buf = appendString(buf, o.SpaceID)
-	buf = appendString(buf, o.DeviceMAC)
-	buf = appendString(buf, o.UserID)
+	buf = wal.AppendString(buf, o.SpaceID)
+	buf = wal.AppendString(buf, o.DeviceMAC)
+	buf = wal.AppendString(buf, o.UserID)
 	buf = binary.AppendUvarint(buf, math.Float64bits(o.Value))
 	buf = binary.AppendUvarint(buf, uint64(len(o.Payload)))
 	// Sorted keys make the encoding a function of the observation, not
@@ -426,93 +436,41 @@ func appendObservation(buf []byte, o sensor.Observation) []byte {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = appendString(buf, o.Payload[k])
+		buf = wal.AppendString(buf, k)
+		buf = wal.AppendString(buf, o.Payload[k])
 	}
 	return buf
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // decodeObservation is the inverse of appendObservation.
 func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
-	d := &obsDecoder{data: data}
+	d := &wal.Decoder{Data: data}
 	var o sensor.Observation
-	if v := d.uvarint(); v != obsCodecVersion {
+	if v := d.Uvarint(); v != obsCodecVersion {
 		return o, fmt.Errorf("obstore: record %d: unsupported codec version %d", seq, v)
 	}
 	o.Seq = seq
-	o.SensorID = d.str()
-	o.Kind = sensor.ObservationKind(d.str())
-	o.Time = time.Unix(0, d.varint()).UTC()
-	o.SpaceID = d.str()
-	o.DeviceMAC = d.str()
-	o.UserID = d.str()
-	o.Value = math.Float64frombits(d.uvarint())
-	if n := d.uvarint(); n > 0 {
+	o.SensorID = d.Str()
+	o.Kind = sensor.ObservationKind(d.Str())
+	o.Time = time.Unix(0, d.Varint()).UTC()
+	o.SpaceID = d.Str()
+	o.DeviceMAC = d.Str()
+	o.UserID = d.Str()
+	o.Value = math.Float64frombits(d.Uvarint())
+	if n := d.Uvarint(); n > 0 {
 		// Each entry needs at least two length prefixes; reject counts
 		// the remaining bytes cannot possibly hold.
-		if rem := uint64(len(d.data) - d.off); n > rem/2+1 {
+		if rem := uint64(len(d.Data) - d.Off); n > rem/2+1 {
 			return o, fmt.Errorf("obstore: record %d: payload count %d exceeds data", seq, n)
 		}
 		o.Payload = make(map[string]string, n)
 		for i := uint64(0); i < n; i++ {
-			k := d.str()
-			o.Payload[k] = d.str()
+			k := d.Str()
+			o.Payload[k] = d.Str()
 		}
 	}
-	if d.err != nil {
-		return sensor.Observation{}, fmt.Errorf("obstore: record %d: %w", seq, d.err)
+	if d.Err != nil {
+		return sensor.Observation{}, fmt.Errorf("obstore: record %d: %w", seq, d.Err)
 	}
 	return o, nil
-}
-
-// obsDecoder reads the codec's primitives, latching the first error.
-type obsDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *obsDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("truncated uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *obsDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("truncated varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *obsDecoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.data)-d.off) {
-		d.err = fmt.Errorf("string of %d bytes exceeds data at offset %d", n, d.off)
-		return ""
-	}
-	s := string(d.data[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
 }

@@ -183,6 +183,9 @@ type Store struct {
 	walDir string
 	logger *slog.Logger
 	encBuf []byte
+	// onCheckpoint is the directory's other durable state, checkpointed
+	// with the rows (see SetCheckpointHook).
+	onCheckpoint func() error
 }
 
 // New returns an empty store with no retention rules (observations

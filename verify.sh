@@ -3,8 +3,9 @@
 # build, the full test suite under the race detector (with the crash,
 # equivalence, hot-log, scoped-memo, eviction-is-invisible, flat-cube,
 # occupancy pair-pass, streaming-builder, pooled-decode, request-scanner
-# and appended-response properties repeated), the micro-benchmark count gate
-# (scripts/bench.sh: eight benchmarks against the one ledger,
+# and appended-response properties and the rule log's restart, crash,
+# erasure and failure tests repeated), the micro-benchmark count gate
+# (scripts/bench.sh: nine benchmarks against the one ledger,
 # BENCH.json, ≈ 4.5 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
@@ -59,7 +60,12 @@ echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner 
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
 go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
 
-echo "== micro-benchmark count gate (eight benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
+echo "== rule log — restart keeps preferences over HTTP and in process and across racing checkpoints, SIGKILL right after an acknowledged PUT, torn final frame dropped, damaged middle frame refused, erasure folds the log, a self-folding log stays bounded, a failed append changes nothing and answers 500, its allocations (repeated, race) =="
+go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcurrentWritersAndCheckpoints|TestRuleLogTornFinalFrameDropped|TestRuleLogCorruptMiddleFrameRefusesOpen|TestForgetUserFoldsRuleLog|TestRuleLogStaysBounded|TestRuleLogWriteFailure|TestSetPreferenceDurableAllocs|TestPreferenceCodecRoundTrip' ./internal/core/...
+go test -race -count=2 -run 'TestDeploymentDurableRestartKeepsPreferences|TestDeploymentPreferenceSurvivesSIGKILL' .
+go test -race -count=2 -run 'TestRuleLogFailureIs500' ./internal/httpapi/...
+
+echo "== micro-benchmark count gate (nine benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
