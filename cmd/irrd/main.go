@@ -98,11 +98,8 @@ func main() {
 		})
 
 	mux := http.NewServeMux()
-	var handler http.Handler = registry.Handler()
-	if tracer != nil {
-		handler = telemetry.TraceHandler(tracer, "irr", *traceSlow, logger, handler)
-	}
-	mux.Handle("/", telemetry.InstrumentHandler(metrics, "tippers_http", "irr", handler))
+	o := telemetry.HTTPOptions{Metrics: metrics, Tracer: tracer, Slow: *traceSlow, Logger: logger}
+	mux.Handle("/", telemetry.InstrumentHandler(o, "irr", registry.Handler()))
 	telemetry.MountHealth(mux, func() error {
 		if registry.Len() == 0 {
 			return errors.New("irrd: no resources published")

@@ -701,7 +701,8 @@ func (b *BMS) Preferences(userID string) []policy.Preference {
 // ForgetUser erases a user's footprint: every observation attributed
 // to them is deleted from the store, their preferences are uninstalled
 // (and, on a durable store, folded out of the rule log on disk), and
-// their notification inbox is dropped. Data collected under
+// their notification inbox and the decision traces naming them are
+// dropped. Data collected under
 // safety-critical override policies (emergency response, security) is
 // exempt — the building's non-negotiable retention obligations survive
 // erasure requests, and the exemption is reported so the user can be
@@ -749,6 +750,7 @@ func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 	b.mu.Lock()
 	delete(b.inbox, userID)
 	b.mu.Unlock()
+	b.traces.forget(userID)
 	// The rule log still holds the records that installed and removed
 	// the preferences; the fold takes them off disk now, not at the next
 	// checkpoint.

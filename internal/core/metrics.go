@@ -31,6 +31,10 @@ type coreMetrics struct {
 	requestUser   *telemetry.Histogram
 	requestOccup  *telemetry.Histogram
 	requestQuery  *telemetry.Histogram
+
+	// stages holds each request path's stage-clock histograms, indexed
+	// by Stage; only the stages pathStages lists for the path are set.
+	stages map[string]*[NumStages]*telemetry.Histogram
 }
 
 func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
@@ -79,6 +83,14 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 		requestQuery: r.HistogramWith("tippers_core_request_seconds",
 			"End-to-end request-manager latency.",
 			telemetry.Labels{"path": "query"}, nil),
+		stages: make(map[string]*[NumStages]*telemetry.Histogram, len(pathStages)),
+	}
+	for path, stages := range pathStages {
+		hists := new([NumStages]*telemetry.Histogram)
+		for _, s := range stages {
+			hists[s] = r.StageHistogram(path, s.String())
+		}
+		m.stages[path] = hists
 	}
 	return m
 }

@@ -17,7 +17,7 @@ type QueryResponse struct {
 	// Trace is the span-like record of the query's enforcement run
 	// (parse/plan/execute stage timings, released-row counts); also
 	// retained in the BMS trace ring.
-	Trace *DecisionTrace
+	Trace DecisionTrace
 }
 
 // Query parses, plans, and executes one SQL statement as requester
@@ -46,7 +46,7 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	tr.addStage("parse", time.Since(t0))
+	tr.Stages.add(StageParse, time.Since(t0))
 
 	t0 = time.Now()
 	plan, err := query.Compile(stmt, b.queryEnv(ctx), requester)
@@ -60,7 +60,7 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 		}
 		return QueryResponse{}, err
 	}
-	tr.addStage("plan", time.Since(t0))
+	tr.Stages.add(StagePlan, time.Since(t0))
 	span.SetAttr("table", stmt.Table)
 
 	t0 = time.Now()
@@ -68,7 +68,7 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	tr.addStage("execute", time.Since(t0))
+	tr.Stages.add(StageExecute, time.Since(t0))
 	b.met.queryScanned.Add(uint64(res.Stats.ScannedRows))
 	b.met.queryDenied.Add(uint64(res.Stats.DeniedRows))
 	b.met.queryExcluded.Add(uint64(res.Stats.ExcludedRows))

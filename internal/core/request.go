@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
@@ -34,8 +35,8 @@ type Response struct {
 	SubjectsReleased   int
 	// Trace is the span-like record of this request's enforcement
 	// decision (matched rules, stage timings); also retained in the
-	// BMS trace ring.
-	Trace *DecisionTrace
+	// BMS trace ring. Its ID is 0 when the request recorded none.
+	Trace DecisionTrace
 }
 
 // RequestUser is the request manager's single-subject path (Figure 1
@@ -97,7 +98,7 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 	d := b.decide(req)
 	dSpan.SetAttr("allowed", strconv.FormatBool(d.Allowed))
 	dSpan.End()
-	tr.addStage("decide", time.Since(t0))
+	tr.Stages.add(StageDecide, time.Since(t0))
 	tr.fromDecision(d)
 	if !d.Allowed {
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
@@ -112,9 +113,11 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 	}
 	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
-	s := &userScan{d: d, transf: b.transf, emit: emit}
+	s := userScanPool.Get().(*userScan)
+	defer s.release()
+	s.d, s.transf, s.emit = d, b.transf, emit
 	t0 = time.Now()
-	b.store.Scan(b.filterFor(req), s.visit)
+	b.store.Scan(b.filterFor(req), s.visitFn)
 	fetch := time.Since(t0)
 	qSpan.SetAttrInt("observations", int64(s.scanned))
 	qSpan.SetAttrInt("released", int64(s.released))
@@ -122,15 +125,15 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 	if s.err != nil {
 		return Response{}, s.err
 	}
-	tr.addStage("fetch", fetch-s.apply)
-	tr.addStage("apply", s.apply)
+	tr.Stages.add(StageFetch, fetch-s.apply)
+	tr.Stages.add(StageApply, s.apply)
 	tr.ObservationsReleased = s.released
 	return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 }
 
-// userScan is RequestUserEach's scan visitor. Its state is one struct
-// rather than locals a closure captures, each of which would escape to
-// the heap on its own.
+// userScan is RequestUserEach's scan visitor. Its state is one pooled
+// struct, its visit method bound once, rather than locals a closure
+// captures, each of which would escape to the heap on its own.
 type userScan struct {
 	d                 enforce.Decision
 	transf            *privacy.Transformer
@@ -139,6 +142,19 @@ type userScan struct {
 	apply             time.Duration
 	scanned, released int
 	err               error
+	visitFn           func(*sensor.Observation) bool // visit, bound to this scan
+}
+
+var userScanPool = sync.Pool{New: func() any {
+	s := new(userScan)
+	s.visitFn = s.visit
+	return s
+}}
+
+// release returns the scan to the pool holding nothing of the request.
+func (s *userScan) release() {
+	*s = userScan{visitFn: s.visitFn}
+	userScanPool.Put(s)
 }
 
 func (s *userScan) visit(o *sensor.Observation) bool {
@@ -207,7 +223,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		epoch, rollVer = b.engine.Epoch(), b.colstore.RollupVersion()
 		if a, ok := b.occCache.get(cacheKey, epoch, rollVer); ok {
 			span.SetAttr("cache", "hit")
-			tr.addStage("cache", time.Since(started))
+			tr.Stages.add(StageCache, time.Since(started))
 			resp := Response{
 				SubjectsConsidered: a.considered,
 				SubjectsReleased:   a.released,
@@ -232,7 +248,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	qSpan.SetAttrInt("observations", int64(len(sc.pairs)))
 	qSpan.SetAttr("rollup", strconv.FormatBool(fromRollup))
 	qSpan.End()
-	tr.addStage("fetch", time.Since(t0))
+	tr.Stages.add(StageFetch, time.Since(t0))
 
 	_, bSpan := b.tracer.StartSpan(ctx, "enforce.decide_batch")
 	t0 = time.Now()
@@ -298,7 +314,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	bSpan.SetAttrInt("subjects", int64(len(decisions)))
 	bSpan.SetAttrInt("released", int64(resp.SubjectsReleased))
 	bSpan.End()
-	tr.addStage("decide-subjects", time.Since(t0))
+	tr.Stages.add(StageDecideSubjects, time.Since(t0))
 	_, gSpan := b.tracer.StartSpan(ctx, "privacy.aggregate")
 	t0 = time.Now()
 	resp.Aggregates = privacy.SuppressBelowK(sc.counts, k)
@@ -308,7 +324,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	gSpan.SetAttrInt("spaces", int64(len(resp.Aggregates)))
 	gSpan.SetAttrInt("spaces_suppressed", int64(suppressed))
 	gSpan.End()
-	tr.addStage("aggregate", time.Since(t0))
+	tr.Stages.add(StageAggregate, time.Since(t0))
 	resp.Decision = occDecision(resp.Aggregates, k)
 	tr.Allowed = resp.Decision.Allowed
 	tr.DenyReason = resp.Decision.DenyReason

@@ -18,12 +18,55 @@ import (
 // implies. Traces are kept in a bounded ring buffer and surfaced
 // through Response, the audit report, and the HTTP API.
 
-// TraceStage is one timed phase of handling a request (decide,
-// fetch, apply, aggregate).
-type TraceStage struct {
-	Name string `json:"name"`
-	// DurationMicros is the stage latency in microseconds.
-	DurationMicros int64 `json:"duration_us"`
+// Stage is one timed phase of handling a request. The constants run in
+// the order a request runs its stages, so walking a StageClock lists
+// them in request order.
+type Stage uint8
+
+const (
+	StageParse Stage = iota
+	StagePlan
+	StageExecute
+	StageCache
+	StageDecide
+	StageFetch
+	StageDecideSubjects
+	StageApply
+	StageAggregate
+	NumStages
+)
+
+var stageNames = [NumStages]string{"parse", "plan", "execute", "cache", "decide", "fetch", "decide-subjects", "apply", "aggregate"}
+
+// String is the stage's name on the wire and in metric labels.
+func (s Stage) String() string { return stageNames[s] }
+
+// StageTime is one stage's share of a request: the time it took, summed
+// over the times it ran.
+type StageTime struct {
+	Nanos int64
+	Calls int32
+}
+
+// Duration is the stage's accumulated time.
+func (s StageTime) Duration() time.Duration { return time.Duration(s.Nanos) }
+
+// StageClock is a request's per-stage time, indexed by Stage. It is an
+// array rather than a list so timing a request allocates nothing; a
+// stage with no calls did not run.
+type StageClock [NumStages]StageTime
+
+func (c *StageClock) add(s Stage, d time.Duration) {
+	c[s].Nanos += int64(d)
+	c[s].Calls++
+}
+
+// pathStages lists the stages each request path can run. Each pair has
+// its tippers_request_stage_seconds histogram, resolved at construction.
+var pathStages = map[string][]Stage{
+	"user":      {StageDecide, StageFetch, StageApply},
+	"occupancy": {StageCache, StageFetch, StageDecideSubjects, StageAggregate},
+	"query":     {StageParse, StagePlan, StageExecute},
 }
 
 // DecisionTrace is the span-like record of one enforcement decision.
@@ -71,15 +114,10 @@ type DecisionTrace struct {
 	// ObservationsReleased counts records that left the store after
 	// degradation.
 	ObservationsReleased int `json:"observations_released,omitempty"`
-	// Stages are the per-phase timings, in request order.
-	Stages []TraceStage `json:"stages"`
+	// Stages are the per-phase timings.
+	Stages StageClock `json:"stages"`
 	// TotalMicros is the end-to-end request latency in microseconds.
 	TotalMicros int64 `json:"total_us"`
-}
-
-// addStage appends one timed phase.
-func (t *DecisionTrace) addStage(name string, d time.Duration) {
-	t.Stages = append(t.Stages, TraceStage{Name: name, DurationMicros: d.Microseconds()})
 }
 
 // joinSpanContext stamps the pipeline trace ID onto the decision
@@ -139,6 +177,26 @@ func (r *traceRing) record(t *DecisionTrace) {
 	}
 }
 
+// forget drops every retained trace naming subjectID, keeping the rest
+// in order.
+func (r *traceRing) forget(subjectID string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	size := r.next
+	if r.full {
+		size = len(r.buf)
+	}
+	kept := make([]DecisionTrace, len(r.buf))
+	n := 0
+	for i := size; i >= 1; i-- {
+		if t := &r.buf[(r.next-i+len(r.buf))%len(r.buf)]; t.SubjectID != subjectID {
+			kept[n] = *t
+			n++
+		}
+	}
+	r.buf, r.next, r.full = kept, n%len(kept), n == len(kept)
+}
+
 // recent returns up to n traces, newest first. n <= 0 means all
 // retained traces.
 func (r *traceRing) recent(n int, match func(DecisionTrace) bool) []DecisionTrace {
@@ -162,11 +220,9 @@ func (r *traceRing) recent(n int, match func(DecisionTrace) bool) []DecisionTrac
 	return out
 }
 
-// newTrace starts a trace for a request, with room for the three stages
-// every path records.
+// newTrace starts a trace for a request on path, a key of pathStages.
 func (b *BMS) newTrace(path string, req enforce.Request) DecisionTrace {
 	return DecisionTrace{
-		Stages:    make([]TraceStage, 0, 3),
 		Time:      b.clock(),
 		Path:      path,
 		ServiceID: req.ServiceID,
@@ -178,13 +234,18 @@ func (b *BMS) newTrace(path string, req enforce.Request) DecisionTrace {
 	}
 }
 
-// finishTrace stamps the total latency, records the trace in the
-// ring, and returns a stable pointer for the response.
-func (b *BMS) finishTrace(t *DecisionTrace, started time.Time) *DecisionTrace {
+// finishTrace stamps the total latency, observes each stage that ran
+// on its histogram, records the trace in the ring, and returns it.
+func (b *BMS) finishTrace(t *DecisionTrace, started time.Time) DecisionTrace {
 	t.TotalMicros = time.Since(started).Microseconds()
+	hists := b.met.stages[t.Path]
+	for s := range t.Stages {
+		if st := &t.Stages[s]; st.Calls > 0 {
+			hists[s].Observe(st.Duration().Seconds())
+		}
+	}
 	b.traces.record(t)
-	out := *t
-	return &out
+	return *t
 }
 
 // RecentTraces returns up to n decision traces, newest first (n <= 0

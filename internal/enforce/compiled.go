@@ -64,7 +64,7 @@ type Compiled struct {
 	mu    sync.RWMutex
 	ix    *compiled.Index
 	epoch uint64
-	memo  map[cacheKey]Decision // nil when the memo is disabled
+	memo  decisionMemo // empty when the memo is disabled
 	// minute is the evaluation minute every memo entry belongs to.
 	minute int64
 	// aged maps a subject to the epoch of the last preference write
@@ -82,6 +82,52 @@ type Compiled struct {
 	// Memo invalidations by reach: one owner, everyone (a policy write
 	// or the entry cap), the superseded minute.
 	agedSubject, agedAll, agedMinute *telemetry.Counter
+}
+
+// decisionMemo maps a memo key to its decision. The decisions live in
+// chunks of memoChunk rather than in the map: a Decision is larger than
+// a map slot holds inline, so a map of them allocated every entry on
+// its own.
+type decisionMemo struct {
+	index  map[cacheKey]int32
+	chunks []*[memoChunk]Decision
+	// used counts the slots handed out, including any a racing re-insert
+	// of the same key orphaned.
+	used int32
+}
+
+const memoChunk = 64
+
+func (m *decisionMemo) get(key cacheKey) (Decision, bool) {
+	i, ok := m.index[key]
+	if !ok {
+		return Decision{}, false
+	}
+	return m.chunks[i/memoChunk][i%memoChunk], true
+}
+
+func (m *decisionMemo) put(key cacheKey, d Decision) {
+	i := m.used
+	if int(i/memoChunk) == len(m.chunks) {
+		m.chunks = append(m.chunks, new([memoChunk]Decision))
+	}
+	m.chunks[i/memoChunk][i%memoChunk] = d
+	m.index[key] = i
+	m.used++
+}
+
+// drop empties the memo. The index keeps its buckets for the next
+// minute's entries. Every chunk but the first is let go, so a memo that
+// emptied holds at most one chunk, and a minute of a few decisions —
+// common on a node that mostly ingests — allocates none.
+func (m *decisionMemo) drop() {
+	clear(m.index)
+	if len(m.chunks) > 0 {
+		clear(m.chunks[0][:min(m.used, memoChunk)])
+		clear(m.chunks[1:])
+		m.chunks = m.chunks[:1]
+	}
+	m.used = 0
 }
 
 type cacheKey struct {
@@ -122,7 +168,7 @@ func NewCompiledMemo(cfg Config, maxEntries int) *Compiled {
 	}
 	if maxEntries > 0 {
 		c.maxEntries = maxEntries
-		c.memo = make(map[cacheKey]Decision)
+		c.memo.index = make(map[cacheKey]int32)
 		c.aged = make(map[string]uint64)
 	}
 	return c
@@ -205,20 +251,20 @@ func (c *Compiled) Epoch() uint64 {
 // epoch moved for a write to one of their preferences. With nothing
 // memoized there is nothing to tell apart.
 func (c *Compiled) ageSubjectLocked(owner string) {
-	if len(c.memo) == 0 {
+	if len(c.memo.index) == 0 {
 		return
 	}
 	c.aged[owner] = c.epoch
 	c.agedSubject.Inc()
 }
 
-// dropMemoLocked empties the memo, keeping its buckets for the next
-// minute's entries, and counts the invalidation under reason.
+// dropMemoLocked empties the memo and counts the invalidation under
+// reason.
 func (c *Compiled) dropMemoLocked(reason *telemetry.Counter) {
-	if len(c.memo) == 0 {
+	if len(c.memo.index) == 0 {
 		return
 	}
-	clear(c.memo)
+	c.memo.drop()
 	clear(c.aged)
 	reason.Inc()
 }
@@ -246,7 +292,7 @@ func (c *Compiled) RegisterMetrics(r *telemetry.Registry) {
 		"Memoized decisions currently held.", func() float64 {
 			c.mu.RLock()
 			defer c.mu.RUnlock()
-			return float64(len(c.memo))
+			return float64(len(c.memo.index))
 		})
 	r.GaugeFunc("tippers_enforce_cache_hit_ratio",
 		"Fraction of decisions served from the memo.", func() float64 {
@@ -303,7 +349,7 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 	epoch, behind := c.epoch, minute < c.minute
 	if minute == c.minute {
 		key.aged = c.aged[req.SubjectID]
-		if d, ok := c.memo[key]; ok {
+		if d, ok := c.memo.get(key); ok {
 			c.mu.RUnlock()
 			c.hits.Inc()
 			d.FromCache = true
@@ -324,12 +370,12 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 		if minute > c.minute {
 			c.dropMemoLocked(c.agedMinute)
 			c.minute = minute
-		} else if len(c.memo) >= c.maxEntries {
+		} else if int(c.memo.used) >= c.maxEntries {
 			c.dropMemoLocked(c.agedAll)
 		}
 		// Read again: a minute advance since the lookup cleared it.
 		key.aged = c.aged[req.SubjectID]
-		c.memo[key] = d
+		c.memo.put(key, d)
 	}
 	c.mu.Unlock()
 	return d

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -599,5 +600,218 @@ func TestMemoGroupsInKey(t *testing.T) {
 	}
 	if d := c.Decide(req, []profile.Group{profile.GroupFaculty}); d.Allowed {
 		t.Fatalf("faculty decision served from student memo entry: %+v", d)
+	}
+}
+
+// TestMemoInsertAllocs: a minute's 1 000 distinct inserts into a memo
+// whose index has grown allocate at most one chunk per 64 decisions — a
+// map of Decisions allocated every entry on its own — and each decision
+// reads back from its own slot; a drop keeps only the first chunk,
+// emptied; a hit through Decide allocates nothing.
+func TestMemoInsertAllocs(t *testing.T) {
+	m := decisionMemo{index: make(map[cacheKey]int32)}
+	keys := make([]cacheKey, 1000)
+	for i := range keys {
+		keys[i] = cacheKey{subject: fmt.Sprintf("s%04d", i), service: "concierge"}
+	}
+	minute := func() {
+		m.drop() // what a later minute does
+		for i, k := range keys {
+			m.put(k, Decision{Allowed: true, PreferencesConsulted: i})
+		}
+	}
+	chunks := float64((len(keys) + memoChunk - 1) / memoChunk)
+	if n := testing.AllocsPerRun(10, minute); n > chunks {
+		t.Fatalf("1000 inserts: %.0f allocations, want at most %.0f", n, chunks)
+	}
+	for i, k := range keys {
+		if d, ok := m.get(k); !ok || d.PreferencesConsulted != i {
+			t.Fatalf("key %d reads back %+v, %v", i, d, ok)
+		}
+	}
+	m.drop()
+	kept := slices.IndexFunc(m.chunks[:cap(m.chunks)], func(c *[memoChunk]Decision) bool { return c == nil })
+	if len(m.chunks) != 1 || kept != 1 || !reflect.ValueOf(*m.chunks[0]).IsZero() {
+		t.Fatalf("a drop left %d chunks in the list, %d reachable from its backing array, the first emptied %v",
+			len(m.chunks), kept, reflect.ValueOf(*m.chunks[0]).IsZero())
+	}
+
+	c := newMemoEngine(t)
+	req := baseRequest()
+	c.Decide(req, nil)
+	var d Decision
+	if n := testing.AllocsPerRun(100, func() { d = c.Decide(req, nil) }); n != 0 || !d.FromCache {
+		t.Fatalf("memo hit: %.0f allocations, FromCache %v", n, d.FromCache)
+	}
+}
+
+// TestMemoMatchesMemoFreeUnderRace races decides against rule writes,
+// minute advances and cap overflows on a memo far below the working
+// set. Between rounds a random preference add or removal, or an
+// emergency override policy, goes to the memoized and the memo-free
+// engine alike; within a round, deciders compare the two on requests no
+// concurrent write reaches, while writers race them on the two domains
+// they check by floor: each owner's preference carries a version, and
+// each security override policy sorts before every earlier one, so it
+// wins. A lookup that served an aged subject's entry or a dropped
+// generation's would show below its floor.
+func TestMemoMatchesMemoFreeUnderRace(t *testing.T) {
+	const rounds, deciders, perRound = 25, 4, 300
+	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true,
+		GroupDefaults: []GroupDefault{{ID: "visitors-coarse", Groups: []profile.Group{profile.GroupVisitor},
+			Rule: policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding}}}}
+	memoized := NewCompiledMemo(cfg, 160) // below the working set: the cap drops too
+	engines := []*Compiled{memoized, NewCompiledMemo(cfg, -1)}
+	apply := func(f func(*Compiled) error) {
+		for _, e := range engines {
+			if err := f(e); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	// The static domain: subjects only the round boundaries mutate.
+	subjects := make([]string, 12)
+	groupsOf := map[string][]profile.Group{}
+	for i := range subjects {
+		subjects[i] = fmt.Sprintf("s%02d", i)
+		groupsOf[subjects[i]] = [][]profile.Group{nil, {profile.GroupStudent}, {profile.GroupVisitor}}[i%3]
+	}
+	kinds := []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting}
+	spaces := []string{"dbh/1/r0", "dbh/2", "dbh/2/r1"}
+	windows := []policy.DailyWindow{{}, {}, policy.AfterHours, policy.BusinessHours}
+	r := rand.New(rand.NewSource(1))
+	mutate := func(round int) {
+		switch n := r.Intn(10); {
+		case n < 6:
+			p := policy.Preference{ID: fmt.Sprintf("pref-%d", r.Intn(20)), UserID: subjects[r.Intn(len(subjects))],
+				Scope: policy.Scope{ObsKind: kinds[r.Intn(2)], SpaceID: append(spaces, "")[r.Intn(4)],
+					Window: windows[r.Intn(len(windows))]},
+				Rule: randDiffRule(r)}
+			apply(func(e *Compiled) error { return e.AddPreference(p) })
+		case n < 9:
+			id := fmt.Sprintf("pref-%d", r.Intn(20))
+			apply(func(e *Compiled) error { e.RemovePreference(id); return nil })
+		default:
+			bp := policy.Policy2EmergencyLocation(spaces[r.Intn(len(spaces))])
+			bp.ID = fmt.Sprintf("emergency-%02d", round)
+			bp.Scope.ObsKind = kinds[r.Intn(2)]
+			apply(func(e *Compiled) error { return e.AddPolicy(bp) })
+		}
+	}
+
+	// The floor-checked domains.
+	owners := []string{"o0", "o1", "o2"}
+	var versions [3]atomic.Int64
+	ownerPref := func(i int, v int64) policy.Preference {
+		return policy.Preference{ID: "pref-" + owners[i], UserID: owners[i], Scope: policy.Scope{ServiceID: "concierge"},
+			Rule: policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding, NoiseEpsilon: float64(v)}}
+	}
+	for i := range owners {
+		apply(func(e *Compiled) error { return e.AddPreference(ownerPref(i, 1)) })
+		versions[i].Store(1)
+	}
+	var generation atomic.Int64
+	securityPolicy := func(g int64) policy.BuildingPolicy {
+		bp := policy.Policy2EmergencyLocation("dbh")
+		bp.ID = fmt.Sprintf("security-%04d", 9999-g)
+		bp.Scope.Purposes = []policy.Purpose{policy.PurposeSecurity}
+		bp.Scope.SubjectGroups = []profile.Group{profile.GroupVisitor}
+		return bp
+	}
+
+	var minute atomic.Int64
+	start := time.Date(2017, time.June, 7, 17, 57, 0, 0, time.UTC)
+	for round := 0; round < rounds; round++ {
+		mutate(round)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 6; n++ {
+				i := n % len(owners)
+				v := versions[i].Load() + 1
+				apply(func(e *Compiled) error { return e.AddPreference(ownerPref(i, v)) })
+				versions[i].Store(v)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 1; n++ {
+				g := generation.Load() + 1
+				apply(func(e *Compiled) error { return e.AddPolicy(securityPolicy(g)) })
+				generation.Store(g)
+			}
+		}()
+		for g := 0; g < deciders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(round*deciders + g)))
+				for n := 0; n < perRound; n++ {
+					at := minute.Load()
+					switch r.Intn(2000) {
+					case 0, 1, 2:
+						minute.Add(1)
+					case 3:
+						at++ // a request stamped ahead of the clock
+					case 4, 5, 6, 7, 8, 9, 10, 11, 12, 13:
+						at-- // a replay behind the live edge
+					}
+					req := Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: kinds[r.Intn(2)],
+						SpaceID: spaces[r.Intn(len(spaces))], Granularity: policy.GranExact,
+						Time: start.Add(time.Duration(at)*time.Minute + time.Duration(r.Intn(60))*time.Second)}
+					switch r.Intn(4) {
+					case 0:
+						i := r.Intn(len(owners))
+						req.SubjectID = owners[i]
+						floor := versions[i].Load()
+						if d := memoized.Decide(req, nil); int64(d.Effective.NoiseEpsilon) < floor {
+							t.Errorf("%s served version %v after version %d was committed (from the memo: %v)",
+								owners[i], d.Effective.NoiseEpsilon, floor, d.FromCache)
+							return
+						}
+					case 1:
+						req.ServiceID, req.Purpose, req.Kind = "", policy.PurposeSecurity, sensor.ObsWiFiConnect
+						req.SubjectID = fmt.Sprintf("v%d", r.Intn(4))
+						g := generation.Load()
+						d := memoized.Decide(req, []profile.Group{profile.GroupVisitor})
+						if want := securityPolicy(g).ID; g > 0 && (d.OverridePolicyID == "" || d.OverridePolicyID > want) {
+							t.Errorf("%s decided by override %q after %q was committed (from the memo: %v)",
+								req.SubjectID, d.OverridePolicyID, want, d.FromCache)
+							return
+						}
+					default:
+						req.SubjectID = subjects[r.Intn(len(subjects))]
+						if r.Intn(4) == 0 {
+							req.ServiceID, req.Purpose = "", policy.PurposeEmergencyResponse
+						}
+						groups := groupsOf[req.SubjectID]
+						want := normalizeDecision(engines[1].Decide(req, groups))
+						if got := normalizeDecision(memoized.Decide(req, groups)); !reflect.DeepEqual(want, got) {
+							t.Errorf("round %d: memoized engine disagrees with the memo-free one\nreq: %+v\nwant: %+v\ngot:  %+v",
+								round, req, want, got)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+	hits, misses := memoized.Stats()
+	t.Logf("%d hits, %d misses; invalidations subject %d, all %d, minute %d", hits, misses,
+		memoized.agedSubject.Value(), memoized.agedAll.Value(), memoized.agedMinute.Value())
+	if hits < misses/4 {
+		t.Errorf("memo barely hit (%d hits, %d misses)", hits, misses)
+	}
+	for scope, n := range map[string]uint64{"subject": memoized.agedSubject.Value(),
+		"all": memoized.agedAll.Value(), "minute": memoized.agedMinute.Value()} {
+		if n == 0 {
+			t.Errorf("no %q invalidation in the run", scope)
+		}
 	}
 }

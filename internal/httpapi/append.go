@@ -34,11 +34,17 @@ import (
 type appender struct {
 	b   []byte
 	err error
+	// rowFn is row, bound once, for RequestUserEach's emit.
+	rowFn func(*sensor.Observation)
 }
 
 // appenderPool recycles appenders; like readJSON's buffers, one grown
 // past maxPooledBytes is not kept.
-var appenderPool = sync.Pool{New: func() any { return new(appender) }}
+var appenderPool = sync.Pool{New: func() any {
+	a := new(appender)
+	a.rowFn = a.row
+	return a
+}}
 
 func getAppender() *appender {
 	a := appenderPool.Get().(*appender)
@@ -60,7 +66,7 @@ func (a *appender) respond(w http.ResponseWriter) {
 		return
 	}
 	a.b = append(a.b, '\n') // json.Encoder ends every value with one
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(a.b)
 }
@@ -323,21 +329,28 @@ func (a *appender) trace(t *core.DecisionTrace) {
 	a.optInt("subjects_released", t.SubjectsReleased)
 	a.optInt("observations_released", t.ObservationsReleased)
 	a.key("stages", true)
-	if len(t.Stages) == 0 {
-		a.raw("null") // traceToDTO leaves the DTO's slice nil
-	} else {
-		a.b = append(a.b, '[')
-		for i, s := range t.Stages {
-			if i > 0 {
-				a.b = append(a.b, ',')
-			}
-			a.raw(`{"name":`)
-			a.str(s.Name)
-			a.raw(`,"duration_us":`)
-			a.int(s.DurationMicros)
-			a.b = append(a.b, '}')
+	open := false
+	for s := range t.Stages {
+		st := &t.Stages[s]
+		if st.Calls == 0 {
+			continue
 		}
+		if open {
+			a.b = append(a.b, ',')
+		} else {
+			a.b = append(a.b, '[')
+			open = true
+		}
+		a.raw(`{"name":`)
+		a.str(core.Stage(s).String())
+		a.raw(`,"duration_us":`)
+		a.int(st.Duration().Microseconds())
+		a.b = append(a.b, '}')
+	}
+	if open {
 		a.b = append(a.b, ']')
+	} else {
+		a.raw("null") // traceToDTO leaves the DTO's slice nil
 	}
 	a.key("total_us", true)
 	a.int(t.TotalMicros)
@@ -402,9 +415,9 @@ func (a *appender) response(r *core.Response, rows *appender) {
 	}
 	a.optInt("subjects_considered", r.SubjectsConsidered)
 	a.optInt("subjects_released", r.SubjectsReleased)
-	if r.Trace != nil {
+	if r.Trace.ID != 0 {
 		a.key("trace", true)
-		a.trace(r.Trace)
+		a.trace(&r.Trace)
 	}
 	a.b = append(a.b, '}')
 }

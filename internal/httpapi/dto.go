@@ -410,8 +410,10 @@ func traceToDTO(t core.DecisionTrace) DecisionTraceDTO {
 		ObservationsReleased: t.ObservationsReleased,
 		TotalMicros:          t.TotalMicros,
 	}
-	for _, s := range t.Stages {
-		out.Stages = append(out.Stages, TraceStageDTO{Name: s.Name, DurationMicros: s.DurationMicros})
+	for s, st := range t.Stages {
+		if st.Calls > 0 {
+			out.Stages = append(out.Stages, TraceStageDTO{Name: core.Stage(s).String(), DurationMicros: st.Duration().Microseconds()})
+		}
 	}
 	return out
 }

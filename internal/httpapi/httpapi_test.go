@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -387,6 +388,69 @@ func TestForgetUserDropsInboxOverHTTP(t *testing.T) {
 	}
 	if got, err := client.Notifications(ctx, "mary"); err != nil || len(got) != 0 {
 		t.Fatalf("notifications after ForgetUser = %+v, %v; want none", got, err)
+	}
+}
+
+// TestForgetUserDropsDecisionTraces: after ForgetUser, no surface over
+// the decision-trace ring names the subject — TracesForSubject,
+// /v1/decisions?user=, /v1/audit's recent traces and the SQL audit
+// table — while a bystander's traces stay.
+func TestForgetUserDropsDecisionTraces(t *testing.T) {
+	bms, client := newServer(t)
+	ctx := context.Background()
+	batch := []ObservationDTO{wifiObs("aa:00:00:00:00:02", 0)}
+	for i := 0; i < 3; i++ {
+		batch = append(batch, wifiObs("aa:00:00:00:00:01", i))
+	}
+	if _, err := client.Ingest(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"mary", "bob", "mary"} {
+		resp, err := client.RequestUser(ctx, enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+			Kind: sensor.ObsWiFiConnect, SubjectID: user, Time: testNow})
+		if err != nil || len(resp.Observations) == 0 {
+			t.Fatalf("%s read: %d rows, %v", user, len(resp.Observations), err)
+		}
+	}
+	surfaces := func(user string) map[string]int {
+		t.Helper()
+		var decisions []DecisionTraceDTO
+		if err := client.do(ctx, http.MethodGet, "/v1/decisions?user="+user, nil, &decisions); err != nil {
+			t.Fatal(err)
+		}
+		audit, err := client.Audit(ctx, user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.Query(ctx, QueryRequestDTO{SQL: "SELECT id, subject_id FROM audit",
+			ServiceID: "concierge", Purpose: string(policy.PurposeProvidingService), UserID: user})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]int{
+			"TracesForSubject": len(bms.TracesForSubject(user, 0)),
+			"/v1/decisions":    len(decisions),
+			"/v1/audit":        len(audit.RecentTraces),
+			"SQL audit":        len(res.Rows),
+		}
+	}
+	for surface, n := range surfaces("mary") {
+		if n < 2 {
+			t.Fatalf("before ForgetUser, %s lists %d of mary's traces, want 2 or more", surface, n)
+		}
+	}
+	if _, _, err := client.ForgetUser(ctx, "mary"); err != nil {
+		t.Fatal(err)
+	}
+	for surface, n := range surfaces("mary") {
+		if n != 0 {
+			t.Errorf("after ForgetUser, %s still lists %d of mary's traces", surface, n)
+		}
+	}
+	for surface, n := range surfaces("bob") {
+		if n == 0 {
+			t.Errorf("ForgetUser(mary) dropped bob's traces from %s", surface)
+		}
 	}
 }
 

@@ -58,8 +58,8 @@ func responseToDTO(r core.Response) ResponseDTO {
 	for _, a := range r.Aggregates {
 		out.Aggregates = append(out.Aggregates, aggregateToDTO(a))
 	}
-	if r.Trace != nil {
-		t := traceToDTO(*r.Trace)
+	if r.Trace.ID != 0 {
+		t := traceToDTO(r.Trace)
 		out.Trace = &t
 	}
 	return out
@@ -303,7 +303,7 @@ func TestResponsesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(q.SQL, got, encodeOracle(t, queryResultToDTO(resp.Result, resp.Trace)))
+		check(q.SQL, got, encodeOracle(t, queryResultToDTO(resp.Result, &resp.Trace)))
 	}
 
 	// The cases above must have produced what they are there for.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"time"
 
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/query"
@@ -88,6 +89,7 @@ func requesterFromDTO(d QueryRequestDTO) (query.Requester, error) {
 // plan failures are 400 with a typed QueryErrorDTO; enforcement
 // refusals are 403.
 func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
+	t0 := time.Now()
 	var dto QueryRequestDTO
 	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
@@ -97,15 +99,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	decoded := time.Now()
 	resp, err := s.bms.Query(req.Context(), r, dto.SQL)
 	if err != nil {
 		writeQueryErr(w, err)
 		return
 	}
+	encode := time.Now()
 	a := getAppender()
 	defer a.release()
-	a.queryResult(resp.Result, resp.Trace)
+	a.queryResult(resp.Result, &resp.Trace)
 	a.respond(w)
+	s.queryStages.observe(req, &resp.Trace, decoded.Sub(t0), time.Since(encode))
 }
 
 // writeQueryErr maps the query layer's typed errors onto the wire:

@@ -50,6 +50,9 @@ type Server struct {
 	logger  *slog.Logger
 	slo     http.Handler
 	node    *HealthzDTO
+
+	// The data endpoints' own stages, resolved by WithMetrics.
+	userStages, occStages, queryStages codecStages
 }
 
 // NewServer wraps a BMS.
@@ -62,6 +65,9 @@ func NewServer(bms *core.BMS) *Server {
 // chaining.
 func (s *Server) WithMetrics(r *telemetry.Registry) *Server {
 	s.metrics = r
+	s.userStages = newCodecStages(r, "user")
+	s.occStages = newCodecStages(r, "occupancy")
+	s.queryStages = newCodecStages(r, "query")
 	return s
 }
 
@@ -99,15 +105,9 @@ func (s *Server) WithNodeInfo(info HealthzDTO) *Server {
 // Handler returns the API mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	o := telemetry.HTTPOptions{Metrics: s.metrics, Tracer: s.tracer, Slow: s.slow, Logger: s.logger}
 	handle := func(pattern string, hf http.HandlerFunc) {
-		var h http.Handler = hf
-		if s.tracer != nil {
-			h = telemetry.TraceHandler(s.tracer, pattern, s.slow, s.logger, h)
-		}
-		if s.metrics != nil {
-			h = telemetry.InstrumentHandler(s.metrics, "tippers_http", pattern, h)
-		}
-		mux.Handle(pattern, h)
+		mux.Handle(pattern, telemetry.InstrumentHandler(o, pattern, hf))
 	}
 	handle("GET /v1/policies", s.handlePolicies)
 	handle("GET /v1/preferences", s.handleListPreferences)
@@ -240,10 +240,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }
+
+// jsonContentType is every JSON response's Content-Type, stored as the
+// header's value rather than through Header.Set, which allocates a
+// fresh one per response. Nothing writes into it.
+var jsonContentType = []string{"application/json"}
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
@@ -443,6 +448,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
+	t0 := time.Now()
 	var dto RequestDTO
 	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
@@ -452,10 +458,11 @@ func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	decoded := time.Now()
 	rows := getAppender()
 	defer rows.release()
-	resp, err := s.bms.RequestUserEach(req.Context(), r, rows.row)
-	writeResponse(w, resp, rows, err)
+	resp, err := s.bms.RequestUserEach(req.Context(), r, rows.rowFn)
+	s.userStages.respond(w, req, t0, decoded, resp, rows, err)
 }
 
 // writeResponse answers a data request: 400 with only the error when it
@@ -474,7 +481,52 @@ func writeResponse(w http.ResponseWriter, resp core.Response, rows *appender, er
 	a.respond(w)
 }
 
+// codecStages are a data endpoint's own stages around the request
+// manager's: decoding the request and encoding the answer, observed on
+// tippers_request_stage_seconds under the core path's name. The zero
+// value, a server without metrics, observes nothing.
+type codecStages struct{ decode, encode *telemetry.Histogram }
+
+func newCodecStages(r *telemetry.Registry, path string) codecStages {
+	if r == nil {
+		return codecStages{}
+	}
+	return codecStages{decode: r.StageHistogram(path, "decode"), encode: r.StageHistogram(path, "encode")}
+}
+
+// respond answers a data request decoded from t0 to decoded
+// (writeResponse) and, when it succeeded, observes its stages.
+func (c *codecStages) respond(w http.ResponseWriter, req *http.Request, t0, decoded time.Time, resp core.Response, rows *appender, err error) {
+	encode := time.Now()
+	writeResponse(w, resp, rows, err)
+	if err == nil {
+		c.observe(req, &resp.Trace, decoded.Sub(t0), time.Since(encode))
+	}
+}
+
+// observe records a served request's decode and encode times and, when
+// the request is sampled, stamps every stage it ran, tr's included, on
+// its server span as "stage.<name>_us" attributes.
+func (c *codecStages) observe(req *http.Request, tr *core.DecisionTrace, decode, encode time.Duration) {
+	if c.decode != nil {
+		c.decode.Observe(decode.Seconds())
+		c.encode.Observe(encode.Seconds())
+	}
+	span := telemetry.ServerSpan(req.Context())
+	if span == nil {
+		return
+	}
+	span.SetAttrInt("stage.decode_us", decode.Microseconds())
+	for s, st := range tr.Stages {
+		if st.Calls > 0 {
+			span.SetAttrInt("stage."+core.Stage(s).String()+"_us", st.Duration().Microseconds())
+		}
+	}
+	span.SetAttrInt("stage.encode_us", encode.Microseconds())
+}
+
 func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request) {
+	t0 := time.Now()
 	var dto RequestDTO
 	if !readJSON(w, req, &dto, s.bms.Users()) {
 		return
@@ -492,8 +544,9 @@ func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request
 			return
 		}
 	}
+	decoded := time.Now()
 	resp, err := s.bms.RequestOccupancyCtx(req.Context(), r, k)
-	writeResponse(w, resp, nil, err)
+	s.occStages.respond(w, req, t0, decoded, resp, nil, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, req *http.Request) {

@@ -237,3 +237,81 @@ func TestDecisionTraceOverHTTP(t *testing.T) {
 		t.Errorf("/v1/decisions = %+v", traces)
 	}
 }
+
+// TestRequestStagesOverHTTP: each data request adds one observation to
+// its path's decode and encode histograms, and a sampled request's
+// server span carries the µs of every stage it ran, the decision
+// trace's in its order between decode and encode.
+func TestRequestStagesOverHTTP(t *testing.T) {
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1})
+	bms, _ := newServer(t, func(c *core.Config) { c.Tracer = tracer })
+	srv := httptest.NewServer(NewServer(bms).WithMetrics(bms.Metrics()).WithTracing(tracer, 0, nil).Handler())
+	t.Cleanup(srv.Close)
+	client := NewClient(srv.URL, nil)
+	ctx := context.Background()
+	if _, err := client.Ingest(ctx, []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0), wifiObs("aa:00:00:00:00:02", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, Time: testNow}
+	check := func(path, route string, serve func() *DecisionTraceDTO) {
+		t.Helper()
+		tr := serve()
+		if tr == nil || tr.TraceID == "" {
+			t.Fatalf("%s: no decision trace joined to a sampled trace: %+v", path, tr)
+		}
+		for _, stage := range []string{"decode", "encode"} {
+			h, ok := bms.Metrics().LookupHistogram("tippers_request_stage_seconds", telemetry.Labels{"path": path, "stage": stage})
+			if !ok || h.Snapshot().Count != 1 {
+				t.Errorf("%s: %s histogram registered %v, want one observation", path, stage, ok)
+			}
+		}
+		want := []string{"stage.decode_us"}
+		for _, s := range tr.Stages {
+			want = append(want, "stage."+s.Name+"_us")
+		}
+		want = append(want, "stage.encode_us")
+		id, err := telemetry.ParseTraceID(tr.TraceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, s := range tracer.Trace(id) {
+			if s.Name != "http "+route {
+				continue
+			}
+			for _, a := range s.Attrs {
+				if strings.HasPrefix(a.Key, "stage.") {
+					got = append(got, a.Key)
+				}
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: server span stage attributes %v, want %v", path, got, want)
+		}
+	}
+	check("user", "POST /v1/requests/user", func() *DecisionTraceDTO {
+		r := req
+		r.SubjectID = "mary"
+		resp, err := client.RequestUser(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Trace
+	})
+	check("occupancy", "POST /v1/requests/occupancy", func() *DecisionTraceDTO {
+		resp, err := client.RequestOccupancy(ctx, req, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Trace
+	})
+	check("query", "POST /v1/query", func() *DecisionTraceDTO {
+		res, err := client.Query(ctx, QueryRequestDTO{SQL: "SELECT user_id FROM observations",
+			ServiceID: "concierge", Purpose: string(policy.PurposeProvidingService)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Trace
+	})
+}

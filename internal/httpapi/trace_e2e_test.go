@@ -76,7 +76,7 @@ func TestSingleTraceIDAcrossPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	irrSrv := httptest.NewServer(telemetry.TraceHandler(tracer, "irr", 0, nil, registry.Handler()))
+	irrSrv := httptest.NewServer(telemetry.InstrumentHandler(telemetry.HTTPOptions{Tracer: tracer}, "irr", registry.Handler()))
 	t.Cleanup(irrSrv.Close)
 
 	// One root span stands in for the IoT Assistant driving the whole

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -69,29 +71,91 @@ func (s *statusRecorder) Unwrap() http.ResponseWriter {
 	return s.ResponseWriter
 }
 
-// InstrumentHandler wraps h with per-route request count, latency, and
-// status-class metrics:
-//
-//	<prefix>_requests_total{route,code}
-//	<prefix>_request_seconds{route}
-//	<prefix>_in_flight
-func InstrumentHandler(r *Registry, prefix, route string, h http.Handler) http.Handler {
-	hist := r.HistogramWith(prefix+"_request_seconds",
+// HTTPOptions selects what InstrumentHandler does around each request.
+type HTTPOptions struct {
+	// Metrics, when set, receives tippers_http_requests_total{route,code},
+	// tippers_http_request_seconds{route} and tippers_http_in_flight.
+	Metrics *Registry
+	// Tracer, when set, continues the trace of an incoming W3C
+	// traceparent (honoring its sampled flag) or starts a new root under
+	// the head sampling decision, echoes the traceparent on the response,
+	// and opens the request's server span (ServerSpan).
+	Tracer *Tracer
+	// Slow, when above zero, has Logger log every request that takes at
+	// least Slow, with its trace ID as the exemplar that links logs to
+	// the span tree.
+	Slow   time.Duration
+	Logger *slog.Logger
+}
+
+// InstrumentHandler wraps h, served as route, in the metrics, tracing
+// and slow-request log o selects: one status recorder and one clock
+// read on either side of h. The request reaches h with a new context
+// only when tracing changed it, which an unsampled root does not.
+func InstrumentHandler(o HTTPOptions, route string, h http.Handler) http.Handler {
+	if o.Metrics == nil && o.Tracer == nil && (o.Slow <= 0 || o.Logger == nil) {
+		return h
+	}
+	r := o.Metrics
+	if r == nil {
+		r = NewRegistry() // counted where nobody reads: one path either way
+	}
+	hist := r.HistogramWith("tippers_http_request_seconds",
 		"HTTP request latency by route.", Labels{"route": route}, nil)
-	inFlight := r.Gauge(prefix+"_in_flight", "HTTP requests currently being served.")
-	requests := &codeCounters{r: r, name: prefix + "_requests_total", route: route, byCode: make(map[int]*Counter)}
+	inFlight := r.Gauge("tippers_http_in_flight", "HTTP requests currently being served.")
+	requests := &codeCounters{r: r, name: "tippers_http_requests_total", route: route, byCode: make(map[int]*Counter)}
+	name := "http " + route
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		t0 := time.Now()
 		inFlight.Add(1)
+		ctx, span := o.Tracer.startServer(req, name)
+		cur, _ := SpanContextFrom(ctx)
+		if cur.Valid() {
+			w.Header().Set("Traceparent", cur.Traceparent())
+		}
+		if span != nil {
+			span.SetAttr("http.method", req.Method)
+			span.SetAttr("http.path", req.URL.Path)
+			ctx = context.WithValue(ctx, serverSpanKey{}, span)
+		}
+		if ctx != req.Context() {
+			req = req.WithContext(ctx)
+		}
 		rec := &statusRecorder{ResponseWriter: w}
 		h.ServeHTTP(rec, req)
-		inFlight.Add(-1)
-		hist.ObserveSince(t0)
+		elapsed := time.Since(t0)
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
+		inFlight.Add(-1)
+		hist.Observe(elapsed.Seconds())
 		requests.of(rec.status).Inc()
+		span.SetAttrInt("http.status", int64(rec.status))
+		span.End()
+		if o.Slow > 0 && elapsed >= o.Slow && o.Logger != nil {
+			args := []any{
+				"route", route,
+				"status", rec.status,
+				"elapsed_ms", elapsed.Milliseconds(),
+				"sampled", cur.Sampled,
+			}
+			if cur.Valid() {
+				args = append(args, "trace_id", cur.TraceID.String())
+			}
+			o.Logger.Warn("slow request", args...)
+		}
 	})
+}
+
+type serverSpanKey struct{}
+
+// ServerSpan returns the span InstrumentHandler opened for the request
+// ctx belongs to: nil when the request is unsampled, and a nil span's
+// methods do nothing. A handler stamps attributes on it that describe
+// the whole request.
+func ServerSpan(ctx context.Context) *Span {
+	s, _ := ctx.Value(serverSpanKey{}).(*Span)
+	return s
 }
 
 // codeCounters resolves one route's {route, code} request counter once

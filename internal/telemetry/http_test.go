@@ -25,8 +25,8 @@ func TestInstrumentHandlerMetricsText(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 		}
 	})
-	a := InstrumentHandler(r, "tippers_http", "GET /a", respond)
-	b := InstrumentHandler(r, "tippers_http", "POST /b", respond)
+	a := InstrumentHandler(HTTPOptions{Metrics: r}, "GET /a", respond)
+	b := InstrumentHandler(HTTPOptions{Metrics: r}, "POST /b", respond)
 	for _, step := range []struct {
 		h   http.Handler
 		url string
@@ -68,7 +68,7 @@ tippers_http_requests_total{code="500",route="GET /a"} 1
 func TestInstrumentHandlerConcurrentCodes(t *testing.T) {
 	r := NewRegistry()
 	codes := []int{200, 201, 404, 500}
-	h := InstrumentHandler(r, "tippers_http", "GET /a", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := InstrumentHandler(HTTPOptions{Metrics: r}, "GET /a", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(codes[len(req.URL.RawQuery)%len(codes)])
 	}))
 	const workers, perWorker, want = 8, 200, 8 * 200 / 4
@@ -91,13 +91,35 @@ func TestInstrumentHandlerConcurrentCodes(t *testing.T) {
 	}
 }
 
-// TestInstrumentHandlerAllocs: a request through the middleware costs
-// the status recorder and nothing per label. Rendering {route, code}
-// on every request cost 7 more allocations (8 in all).
+// TestInstrumentHandlerAllocs: an unsampled request through metrics
+// and tracing costs the one status recorder and nothing per label.
+// Rendering {route, code} on every request cost 7 more allocations;
+// separate metrics and tracing wrappers cost a second recorder and a
+// request carrying an unchanged context (3 in all).
 func TestInstrumentHandlerAllocs(t *testing.T) {
-	h := InstrumentHandler(NewRegistry(), "tippers_http", "GET /a", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	o := HTTPOptions{Metrics: NewRegistry(), Tracer: NewTracer(TracerOptions{SampleOneIn: 1 << 30})}
+	h := InstrumentHandler(o, "GET /a", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	w, req := httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/a", nil)
+	h.ServeHTTP(w, req) // the tracer's first root is sampled
 	if n := testing.AllocsPerRun(1000, func() { h.ServeHTTP(w, req) }); n > 1 {
 		t.Fatalf("%.1f allocations per request, want at most 1", n)
+	}
+}
+
+// TestInstrumentHandlerFlushReachesWriter: a streaming handler's
+// http.ResponseController reaches the server's writer through the one
+// status recorder, as /v1/stream's SSE flushes must.
+func TestInstrumentHandlerFlushReachesWriter(t *testing.T) {
+	o := HTTPOptions{Metrics: NewRegistry(), Tracer: NewTracer(TracerOptions{SampleOneIn: 1})}
+	h := InstrumentHandler(o, "GET /stream", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		_, _ = w.Write([]byte("data: 1\n\n"))
+		if err := http.NewResponseController(w).Flush(); err != nil {
+			t.Errorf("flush through the middleware: %v", err)
+		}
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stream", nil))
+	if !rec.Flushed || rec.Body.String() != "data: 1\n\n" {
+		t.Fatalf("flushed %v, body %q", rec.Flushed, rec.Body)
 	}
 }

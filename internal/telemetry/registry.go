@@ -218,6 +218,16 @@ func (r *Registry) HistogramWith(name, help string, labels Labels, bounds []floa
 	return e.hist
 }
 
+// StageHistogram returns the tippers_request_stage_seconds{path,stage}
+// histogram: the time one stage of one request path took, once per
+// request that ran it. A node's core and its HTTP layer each time their
+// own stages into the one family.
+func (r *Registry) StageHistogram(path, stage string) *Histogram {
+	return r.HistogramWith("tippers_request_stage_seconds",
+		"Per-request time of one stage of a request path (decode, the request manager's stages, encode).",
+		Labels{"path": path, "stage": stage}, stageBuckets)
+}
+
 // RegisterHistogram attaches an externally owned histogram instance
 // (a component that created its own, e.g. the observation store's
 // sweep timer). First registration wins.

@@ -70,6 +70,10 @@ var DefBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// stageBuckets are the buckets of a request's stage histograms: 1µs to
+// 10s, since a stage can be a memo hit or a full-store query.
+var stageBuckets = append([]float64{0.000001, 0.0000025, 0.000005, 0.00001, 0.000025}, DefBuckets...)
+
 // Histogram is a fixed-bucket histogram with an implicit +Inf bucket.
 // Observations and snapshots are lock-free.
 type Histogram struct {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -502,61 +501,23 @@ func InjectTraceparent(ctx context.Context, req *http.Request) {
 	}
 }
 
-// TraceHandler wraps next with server-side tracing: it continues the
-// trace from an incoming W3C traceparent header (honoring its sampled
-// flag) or starts a new root with a head sampling decision, echoes
-// the current traceparent on the response, and — when the request
-// takes at least slow (>0) — logs a slow-request line carrying the
-// trace ID as the exemplar that links logs to the span tree. With a
-// nil tracer it returns next unchanged.
-func TraceHandler(t *Tracer, route string, slow time.Duration, logger *slog.Logger, next http.Handler) http.Handler {
+// startServer opens a request's server span: a child of the request's
+// traceparent header when it carries a valid one, else a new root under
+// the head sampling decision. Safe on a nil tracer (returns the
+// request's context, nil span).
+func (t *Tracer) startServer(req *http.Request, name string) (context.Context, *Span) {
+	ctx := req.Context()
 	if t == nil {
-		return next
+		return ctx, nil
 	}
-	name := "http " + route
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		ctx := req.Context()
-		var span *Span
-		// Only a header that is present is parsed: a parse failure builds
-		// an error, and most requests carry no traceparent at all. The
-		// key is spelled canonically: net/http would otherwise allocate
-		// its canonical form on every request.
-		continued := false
-		if h := req.Header.Get("Traceparent"); h != "" {
-			if sc, err := ParseTraceparent(h); err == nil {
-				ctx, span = t.StartSpan(ContextWithSpanContext(ctx, sc), name)
-				continued = true
-			}
+	// Only a header that is present is parsed: a parse failure builds an
+	// error, and most requests carry no traceparent at all. The key is
+	// spelled canonically: net/http would otherwise allocate its
+	// canonical form on every request.
+	if h := req.Header.Get("Traceparent"); h != "" {
+		if sc, err := ParseTraceparent(h); err == nil {
+			return t.StartSpan(ContextWithSpanContext(ctx, sc), name)
 		}
-		if !continued {
-			ctx, span = t.StartRoot(ctx, name)
-		}
-		cur, _ := SpanContextFrom(ctx)
-		if cur.Valid() {
-			w.Header().Set("Traceparent", cur.Traceparent())
-		}
-		span.SetAttr("http.method", req.Method)
-		span.SetAttr("http.path", req.URL.Path)
-		rec := &statusRecorder{ResponseWriter: w}
-		t0 := time.Now()
-		next.ServeHTTP(rec, req.WithContext(ctx))
-		elapsed := time.Since(t0)
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		span.SetAttrInt("http.status", int64(rec.status))
-		span.End()
-		if slow > 0 && elapsed >= slow && logger != nil {
-			args := []any{
-				"route", route,
-				"status", rec.status,
-				"elapsed_ms", elapsed.Milliseconds(),
-				"sampled", cur.Sampled,
-			}
-			if cur.Valid() {
-				args = append(args, "trace_id", cur.TraceID.String())
-			}
-			logger.Warn("slow request", args...)
-		}
-	})
+	}
+	return t.StartRoot(ctx, name)
 }

@@ -4,7 +4,8 @@
 # equivalence, hot-log, scoped-memo, eviction-is-invisible, flat-cube,
 # occupancy pair-pass, streaming-builder, pooled-decode, request-scanner
 # and appended-response properties and the rule log's restart, crash,
-# erasure and failure tests repeated), the micro-benchmark count gate
+# erasure and failure tests, the stage clock, the decision ring's
+# erasure and the chunked memo repeated), the micro-benchmark count gate
 # (scripts/bench.sh: nine benchmarks against the one ledger,
 # BENCH.json, ≈ 4.5 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
@@ -64,6 +65,11 @@ echo "== rule log — restart keeps preferences over HTTP and in process and acr
 go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcurrentWritersAndCheckpoints|TestRuleLogTornFinalFrameDropped|TestRuleLogCorruptMiddleFrameRefusesOpen|TestForgetUserFoldsRuleLog|TestRuleLogStaysBounded|TestRuleLogWriteFailure|TestSetPreferenceDurableAllocs|TestPreferenceCodecRoundTrip' ./internal/core/...
 go test -race -count=2 -run 'TestDeploymentDurableRestartKeepsPreferences|TestDeploymentPreferenceSurvivesSIGKILL' .
 go test -race -count=2 -run 'TestRuleLogFailureIs500' ./internal/httpapi/...
+
+echo "== stage clock, one observation per stage per path and the stage attributes on a sampled server span + ForgetUser drops the subject's decision traces + chunked decision memo, its allocations and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
+go test -race -count=2 -run 'TestStageClockObservesEachStageOnce' ./internal/core/...
+go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestForgetUserDropsDecisionTraces' ./internal/httpapi/...
+go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace' ./internal/enforce/...
 
 echo "== micro-benchmark count gate (nine benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
