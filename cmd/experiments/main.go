@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e4|e5|e6|strategies|audit|e8|e11|e12]
+//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e4|e5|e6|strategies|audit|e8|e11]
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 		{"audit", "A2 — per-user privacy audit", runAudit},
 		{"e8", "E8 — longitudinal notification burden", runE8},
 		{"e11", "E11 — enforced SQL queries shrink on mid-session opt-out", runE11},
-		{"e12", "E12 — aggregate latency vs observation count, scan vs rollups", runE12},
 	}
 
 	matched := false

@@ -30,7 +30,7 @@
 //
 // segments prints the columnar storage tier's state: sealed segments
 // with their zone-map summaries, compaction and prune counters, and
-// rollup-cube health.
+// tombstones.
 //
 // trace prints the recorded span tree for one end-to-end request
 // trace (IDs come from slow-request log lines, traceparent response
@@ -288,11 +288,7 @@ func main() {
 			st.ColdRows, st.HotRows)
 		fmt.Printf("compactions: %d; segments read %d, pruned %d (%.0f%% pruned)\n",
 			st.Compactions, st.SegmentsRead, st.SegmentsPruned, st.PruneRatio*100)
-		rollups := fmt.Sprintf("%d entries, %s resident (version %d)", st.RollupEntries, fmtBytes(st.RollupBytes), st.RollupVersion)
-		if st.RollupDisabled {
-			rollups = "disabled (passed the entry cap; aggregates are served by scans)"
-		}
-		fmt.Printf("rollups: %s; tombstones: %d\n", rollups, st.SeqTombstones)
+		fmt.Printf("tombstones: %d\n", st.SeqTombstones)
 		if len(dto.Segments) > 0 {
 			fmt.Printf("%-6s %-20s %8s %10s %14s %-8s %-8s %-8s\n",
 				"id", "bucket", "rows", "bytes", "seqs", "sensors", "spaces", "users")

@@ -3,12 +3,10 @@
 // the aggregate-heavy transparency workloads the paper's occupant
 // interfaces generate. Closed time buckets are compacted out of the
 // row store's hot log into immutable column-per-field segments
-// (segment.go) guarded by zone maps, and incremental rollup cubes
-// (rollup.go) keep per-minute occupancy and per-hour reading
-// aggregates hot. Segments store ground truth keyed by the true
-// subject — enforcement (release granularity, k-floors, noise) is
-// re-applied per requester at read time, exactly as on the row path,
-// never baked into what is stored.
+// (segment.go) guarded by zone maps. Segments store ground truth keyed
+// by the true subject — enforcement (release granularity, k-floors,
+// noise) is re-applied per requester at read time, exactly as on the
+// row path, never baked into what is stored.
 //
 // The handoff between the write-ahead log and the segment files is a
 // sequence watermark: CompactOnce takes the store's rows with seq >
@@ -58,13 +56,10 @@ type Config struct {
 	BucketDur time.Duration
 	// Clock decides when a bucket has closed; nil means time.Now.
 	Clock func() time.Time
-	// RollupMaxEntries caps the rollup cubes' cells; past it they shut down
-	// and readers fall back to scans. Default 1<<20: ≈ 36 MB at ≈ 34 B a cell.
-	RollupMaxEntries int
 }
 
-// Store is the columnar tier: immutable segments plus rollup cubes,
-// layered over (and fed by) the row-oriented obstore.
+// Store is the columnar tier: immutable segments layered over (and fed
+// by) the row-oriented obstore.
 type Store struct {
 	cfg Config
 
@@ -107,8 +102,7 @@ type Store struct {
 
 	// src is the attached row store (AttachStore): it evicts what the
 	// segments hold and answers every read for the union.
-	src  *obstore.Store
-	roll *rollups
+	src *obstore.Store
 
 	segScanned     atomic.Uint64
 	segPruned      atomic.Uint64
@@ -145,11 +139,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.RollupMaxEntries <= 0 {
-		cfg.RollupMaxEntries = 1 << 20
-	}
 	s := &Store{cfg: cfg, seqTomb: make(map[uint64]struct{})}
-	s.roll = newRollups(s, cfg.RollupMaxEntries)
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -266,13 +256,11 @@ func timeRange(byTime []*segment, span int64, from, to time.Time) []*segment {
 }
 
 // AttachStore installs the columnar tier as the cold tier of the row
-// store that feeds it: the tier becomes the store's listener (rollups
-// follow every append and deletion synchronously), the store drops what
-// the segments already hold and answers every read for the union, and
-// the rollup cubes are rebuilt from the unified contents. A memory-only
-// tier cannot hold a durable store's sealed rows — the store's
-// checkpoint stops writing them, so a restart would lose them — and is
-// refused.
+// store that feeds it: the store drops what the segments already hold,
+// tells the tier of every deletion, and answers every read for the
+// union. A memory-only tier cannot hold a durable store's sealed rows —
+// the store's checkpoint stops writing them, so a restart would lose
+// them — and is refused.
 func (s *Store) AttachStore(src *obstore.Store) error {
 	if s.cfg.Dir == "" && src.Dir() != "" {
 		return fmt.Errorf("colstore: a memory-only tier cannot hold the sealed rows of the durable store in %s", src.Dir())
@@ -281,8 +269,6 @@ func (s *Store) AttachStore(src *obstore.Store) error {
 	s.src = src
 	s.mu.Unlock()
 	src.AttachTier(s)
-	s.roll.rebuildAll(src)
-	s.roll.seal()
 	return nil
 }
 
@@ -309,18 +295,10 @@ func (s *Store) Watermark() uint64 {
 	return s.wm
 }
 
-// RollupVersion returns the rollup cubes' mutation counter.
-func (s *Store) RollupVersion() uint64 { return s.roll.version.Load() }
-
-// ObservationAppended implements obstore.Listener: every append feeds
-// the rollup cubes in the ingest path itself, so cubes never lag the
-// ground truth.
-func (s *Store) ObservationAppended(o sensor.Observation) { s.roll.observe(o) }
-
-// ObservationsDeleted implements obstore.Listener. Rows the store
-// deleted that are already sealed into segments become tombstones —
-// persisted to the manifest immediately so erasure survives a crash —
-// and the affected rollup buckets are marked dirty for rebuild.
+// ObservationsDeleted implements obstore.ColdTier. Rows the store
+// deleted that are already sealed into segments, or that a compaction
+// in flight may seal, become tombstones — persisted to the manifest
+// immediately so erasure survives a crash.
 func (s *Store) ObservationsDeleted(dels []obstore.Deletion) {
 	s.mu.Lock()
 	limit := s.wm
@@ -346,12 +324,11 @@ func (s *Store) ObservationsDeleted(dels []obstore.Deletion) {
 		s.syncTombstonesLocked()
 		s.ioMu.Unlock()
 	}
-	s.roll.deleted(dels)
 }
 
 // syncTombstonesLocked persists in-memory state — notably fresh
 // erasure tombstones — to the manifest. A failure cannot be returned
-// to the deleting caller (the listener interface is fire-and-forget),
+// to the deleting caller (ObservationsDeleted is fire-and-forget),
 // so it is logged and flagged for retry at the next manifest write;
 // until that succeeds, a crash would resurrect the tombstoned rows
 // from segments on reopen. Caller holds ioMu.
@@ -407,7 +384,6 @@ func (s *Store) CompactOnce() (int, error) {
 	}
 	s.ioMu.Lock()
 	defer s.ioMu.Unlock()
-	defer s.roll.seal() // the cubes stop indexing what this pass closes
 
 	now := s.cfg.Clock()
 	s.mu.Lock()
@@ -658,13 +634,12 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 	if bounded {
 		in = timeRange(byTime, span, f.From, f.To)
 	}
-	spaceSet := spaceSetFor(f)
 	// A point read keeps a handful of candidates and one open cursor:
 	// both lists start on the stack.
 	var candBuf [8]*segment
 	cands := candBuf[:0] // unpruned, ascending minSeq
 	for _, sg := range in {
-		if !sg.disjoint(f, spaceSet) {
+		if !sg.disjoint(&f) {
 			cands = append(cands, sg)
 		}
 	}
@@ -694,7 +669,7 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 			}
 		}
 		for next < len(cands) && (best < 0 || cands[next].minSeq < active[best].seq()) {
-			c := openCursor(cands[next], f, spaceSet, seqTomb)
+			c := openCursor(cands[next], &f, seqTomb)
 			next++
 			if c.advance() {
 				active = append(active, c)
@@ -737,17 +712,6 @@ func copySet[K comparable](m map[K]struct{}) map[K]struct{} {
 	return out
 }
 
-func spaceSetFor(f obstore.Filter) map[string]bool {
-	if len(f.SpaceIDs) == 0 {
-		return nil
-	}
-	set := make(map[string]bool, len(f.SpaceIDs))
-	for _, id := range f.SpaceIDs {
-		set[id] = true
-	}
-	return set
-}
-
 // SegmentInfo is one segment's inspection view (iotactl segments,
 // GET /v1/segments).
 type SegmentInfo struct {
@@ -780,12 +744,9 @@ type TierStats struct {
 	SegmentsRead   uint64  `json:"segments_read"`
 	PruneRatio     float64 `json:"prune_ratio"`
 	SeqTombstones  int     `json:"seq_tombstones"`
-	RollupEntries  int     `json:"rollup_entries"`
-	// RollupBytes estimates the cubes' resident cells, indexes and names.
-	RollupBytes    int64   `json:"rollup_bytes"`
-	RollupVersion  uint64  `json:"rollup_version"`
-	RollupDisabled bool    `json:"rollup_disabled"`
-	RollupLagSec   float64 `json:"rollup_lag_seconds"`
+	// SegmentLagSec is the age of the newest compacted bucket's end:
+	// how far the segments trail the clock.
+	SegmentLagSec float64 `json:"segment_lag_seconds"`
 }
 
 // Segments lists live segments, ascending by bucket then id.
@@ -836,14 +797,18 @@ func (s *Store) Stats() TierStats {
 	if total := ts.SegmentsPruned + ts.SegmentsRead; total > 0 {
 		ts.PruneRatio = float64(ts.SegmentsPruned) / float64(total)
 	}
-	ts.RollupDisabled, ts.RollupEntries, ts.RollupBytes = s.roll.stats()
-	ts.RollupVersion = s.roll.version.Load()
-	if end := s.lastBucketEnd.Load(); end > 0 {
-		if lag := s.cfg.Clock().Sub(time.Unix(0, end)); lag > 0 {
-			ts.RollupLagSec = lag.Seconds()
-		}
-	}
+	ts.SegmentLagSec = s.segmentLag()
 	return ts
+}
+
+// segmentLag is the age of the newest compacted bucket's end in
+// seconds, 0 before the first compaction.
+func (s *Store) segmentLag() float64 {
+	end := s.lastBucketEnd.Load()
+	if end == 0 {
+		return 0
+	}
+	return max(s.cfg.Clock().Sub(time.Unix(0, end)).Seconds(), 0)
 }
 
 // RegisterMetrics exposes the tier on the telemetry registry.
@@ -884,33 +849,6 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 		"Segments actually scanned.", func() float64 {
 			return float64(s.segScanned.Load())
 		})
-	r.GaugeFunc("tippers_colstore_rollup_entries",
-		"Entries across the rollup cubes (0 when they are disabled).", func() float64 {
-			_, entries, _ := s.roll.stats()
-			return float64(entries)
-		})
-	r.GaugeFunc("tippers_colstore_rollup_bytes",
-		"Estimated resident bytes of the rollup cubes: cells, open-bucket indexes, intern tables.", func() float64 {
-			_, _, bytes := s.roll.stats()
-			return float64(bytes)
-		})
-	r.GaugeFunc("tippers_colstore_rollup_disabled",
-		"1 once the rollup cubes passed their entry cap and shut down, else 0.", func() float64 {
-			if disabled, _, _ := s.roll.stats(); disabled {
-				return 1
-			}
-			return 0
-		})
-	r.GaugeFunc("tippers_colstore_rollup_lag_seconds",
-		"Age of the newest compacted bucket (segment lag behind now).", func() float64 {
-			end := s.lastBucketEnd.Load()
-			if end == 0 {
-				return 0
-			}
-			lag := s.cfg.Clock().Sub(time.Unix(0, end)).Seconds()
-			if lag < 0 {
-				return 0
-			}
-			return lag
-		})
+	r.GaugeFunc("tippers_colstore_segment_lag_seconds",
+		"Age of the newest compacted bucket (segment lag behind now).", s.segmentLag)
 }

@@ -280,6 +280,11 @@ func TestDurableReopen(t *testing.T) {
 	}
 }
 
+// TestRollupsMatchGroundTruth: the per-minute occupancy roll-up a
+// reader computes from the unified scan — the one data path occupancy
+// has — equals the ground truth while the rows are hot, once they are
+// sealed, and after an erasure has tombstoned some of them, with and
+// without a space predicate.
 func TestRollupsMatchGroundTruth(t *testing.T) {
 	src, cs := newPair(t, "")
 	rng := rand.New(rand.NewSource(11))
@@ -294,35 +299,39 @@ func TestRollupsMatchGroundTruth(t *testing.T) {
 		at := csNow.Add(-time.Duration(1+rng.Intn(10)) * time.Minute).Add(time.Duration(rng.Intn(60)) * time.Second)
 		o := obsAt(fmt.Sprintf("ap-%d", rng.Intn(3)), fmt.Sprintf("s%d", rng.Intn(3)),
 			fmt.Sprintf("u%d", rng.Intn(4)), sensor.ObsWiFiConnect, at, float64(rng.Intn(50)))
-		stored, err := src.Append(o)
-		if err != nil {
+		if _, err := src.Append(o); err != nil {
 			t.Fatal(err)
 		}
 		want[key{at.Truncate(time.Minute).UnixNano(), o.SpaceID, o.Kind, o.UserID}]++
-		_ = stored
 	}
 	verify := func(stage string) {
 		t.Helper()
-		entries, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{})
-		if !ok {
-			t.Fatalf("%s: rollups unavailable", stage)
-		}
-		got := map[key]int{}
-		for _, e := range entries {
-			got[key{e.Minute.UnixNano(), e.SpaceID, e.Kind, e.UserID}] = e.Count
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: occupancy cube diverged from ground truth (%d vs %d cells)", stage, len(got), len(want))
+		for _, spaces := range [][]string{nil, {"s1", "nowhere"}} {
+			got, wantIn := map[key]int{}, map[key]int{}
+			src.Scan(obstore.Filter{SpaceIDs: spaces}, func(o *sensor.Observation) bool {
+				got[key{o.Time.Truncate(time.Minute).UnixNano(), o.SpaceID, o.Kind, o.UserID}]++
+				return true
+			})
+			for k, n := range want {
+				if spaces == nil || k.space == "s1" {
+					wantIn[k] = n
+				}
+			}
+			if !reflect.DeepEqual(got, wantIn) {
+				t.Fatalf("%s, spaces %v: the scan's roll-up diverged from ground truth (%d vs %d cells)", stage, spaces, len(got), len(wantIn))
+			}
 		}
 	}
-	verify("live-fed")
+	verify("hot")
 
 	if _, err := cs.CompactOnce(); err != nil {
 		t.Fatal(err)
 	}
+	if cs.Stats().ColdRows != 400 {
+		t.Fatalf("compaction sealed %d rows, want 400", cs.Stats().ColdRows)
+	}
 	verify("after compaction")
 
-	// Deletion dirties buckets; the next read self-repairs.
 	src.DeleteUser("u2", nil)
 	for k := range want {
 		if k.user == "u2" {
@@ -330,46 +339,4 @@ func TestRollupsMatchGroundTruth(t *testing.T) {
 		}
 	}
 	verify("after erasure")
-
-	// Readings cube: spot-check sums against a scan.
-	var rdEntries []ReadingEntry
-	if _, ok := cs.VisitReadings(obstore.Filter{}, func(e ReadingEntry) { rdEntries = append(rdEntries, e) }); !ok {
-		t.Fatal("readings rollup unavailable")
-	}
-	var cubeSum, scanSum float64
-	var cubeN, scanN int
-	for _, e := range rdEntries {
-		cubeSum += e.Sum
-		cubeN += e.Count
-	}
-	for _, o := range src.Query(obstore.Filter{}) {
-		scanSum += o.Value
-		scanN++
-	}
-	if cubeN != scanN || cubeSum != scanSum {
-		t.Fatalf("readings cube count/sum = %d/%.1f, scan says %d/%.1f", cubeN, cubeSum, scanN, scanSum)
-	}
-}
-
-func TestRollupOverflowDisables(t *testing.T) {
-	src := obstore.New()
-	cs, err := Open(Config{BucketDur: time.Minute, Clock: func() time.Time { return csNow }, RollupMaxEntries: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.AttachStore(src); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		at := csNow.Add(-time.Duration(1+i) * time.Minute)
-		if _, err := src.Append(obsAt(fmt.Sprintf("ap-%d", i), fmt.Sprintf("s%d", i), fmt.Sprintf("u%d", i), sensor.ObsWiFiConnect, at, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{}); ok {
-		t.Fatal("overflowed cube still serving answers")
-	}
-	if !cs.Stats().RollupDisabled {
-		t.Fatal("stats do not report rollups disabled")
-	}
 }

@@ -153,15 +153,6 @@ func TestErasureLeavesDisk(t *testing.T) {
 					t.Fatal("Users still lists the subject")
 				}
 			}
-			if entries, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{}); ok {
-				for _, e := range entries {
-					if e.UserID == marker {
-						t.Fatal("rollup cube still carries the erased subject")
-					}
-				}
-			} else {
-				t.Fatal("rollups unavailable")
-			}
 
 			// The tombstones themselves are durable (manifest) so a crash
 			// between erasure and rewrite cannot resurrect the subject...
@@ -305,8 +296,8 @@ func TestOpenParentWrittenTier(t *testing.T) {
 	if end := time.Unix(0, cs.lastBucketEnd.Load()).UTC(); !end.Equal(newestBucket.Add(time.Minute)) {
 		t.Fatalf("reopened tier sealed through %v, want %v", end, newestBucket.Add(time.Minute))
 	}
-	if lag := cs.Stats().RollupLagSec; lag != now.Sub(newestBucket.Add(time.Minute)).Seconds() {
-		t.Fatalf("RollupLagSec = %v, want %v", lag, now.Sub(newestBucket.Add(time.Minute)).Seconds())
+	if lag := cs.Stats().SegmentLagSec; lag != now.Sub(newestBucket.Add(time.Minute)).Seconds() {
+		t.Fatalf("SegmentLagSec = %v, want %v", lag, now.Sub(newestBucket.Add(time.Minute)).Seconds())
 	}
 
 	// Rows in the newest minute segment's hour, one in that very minute,
@@ -369,12 +360,12 @@ func TestOpenParentWrittenTier(t *testing.T) {
 	}
 	// Reopened, the tier is sealed through the same point as live: the
 	// 12:00 segment's last row is at 12:30, and it still ends at 13:00.
-	live := cs.Stats().RollupLagSec
+	live := cs.Stats().SegmentLagSec
 	reopened, err := Open(Config{Dir: dir, Clock: func() time.Time { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reopened.Stats().RollupLagSec; got != live {
+	if got := reopened.Stats().SegmentLagSec; got != live {
 		t.Fatalf("lag after reopen = %vs, live it was %vs", got, live)
 	}
 }

@@ -42,8 +42,6 @@ type evictionWorld struct {
 	// checkpoint would come back at a restart (on any store, evicting or
 	// not). The world checkpoints before it restarts in that state.
 	unlogged bool
-	// rollupMax is the tier's RollupMaxEntries; zero is the default.
-	rollupMax int
 }
 
 var evictionRetention = []obstore.RetentionRule{
@@ -61,7 +59,7 @@ func (w *evictionWorld) open() {
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	cs, err := Open(Config{Dir: filepath.Join(w.dir, "col"), BucketDur: time.Minute, Clock: func() time.Time { return w.now }, RollupMaxEntries: w.rollupMax})
+	cs, err := Open(Config{Dir: filepath.Join(w.dir, "col"), BucketDur: time.Minute, Clock: func() time.Time { return w.now }})
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -469,7 +467,7 @@ func TestAttachStoreRefusesMemoryTierOverDurableStore(t *testing.T) {
 }
 
 // TestOpenTakesLagFromNewestBucket: segments are ordered by seq, and a
-// late-arriving row puts an older bucket last. The rollup-lag gauge
+// late-arriving row puts an older bucket last. The segment-lag gauge
 // must read from the newest bucket after a reopen, as it does live.
 func TestOpenTakesLagFromNewestBucket(t *testing.T) {
 	dir := t.TempDir()
@@ -485,7 +483,7 @@ func TestOpenTakesLagFromNewestBucket(t *testing.T) {
 	if segs := cs.Segments(); len(segs) != 2 {
 		t.Fatalf("want two segments, have %d", len(segs))
 	}
-	live := cs.Stats().RollupLagSec
+	live := cs.Stats().SegmentLagSec
 	if want := (2 * time.Minute).Seconds(); live != want {
 		t.Fatalf("live lag = %vs, want %vs (the bucket that closed two minutes ago)", live, want)
 	}
@@ -493,7 +491,7 @@ func TestOpenTakesLagFromNewestBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reopened.Stats().RollupLagSec; got != live {
+	if got := reopened.Stats().SegmentLagSec; got != live {
 		t.Fatalf("lag after reopen = %vs, live it was %vs", got, live)
 	}
 }

@@ -26,7 +26,7 @@ func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
 		spaceSet := spaceSetFor(f)
 		var pages [][]sensor.Observation
 		for _, sg := range s.segs {
-			if sg.disjoint(f, spaceSet) {
+			if sg.disjoint(&f) {
 				continue
 			}
 			var page []sensor.Observation
@@ -59,6 +59,19 @@ func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
 		}
 	}
 	return append(segRows, src.Query(tf)...)
+}
+
+// spaceSetFor is the oracle's space predicate: a set of f.SpaceIDs, nil
+// when f names no space.
+func spaceSetFor(f obstore.Filter) map[string]bool {
+	if len(f.SpaceIDs) == 0 {
+		return nil
+	}
+	set := make(map[string]bool, len(f.SpaceIDs))
+	for _, id := range f.SpaceIDs {
+		set[id] = true
+	}
+	return set
 }
 
 func oracleRowMatches(o sensor.Observation, f obstore.Filter, spaceSet map[string]bool) bool {
@@ -343,95 +356,6 @@ func TestScanMatchesQueryConcurrent(t *testing.T) {
 		}))
 		if !reflect.DeepEqual(normTimes(got), stable) {
 			t.Fatalf("round %d: scan under compaction+erasure visited %d rows, want %d", round, len(got), len(stable))
-		}
-	}
-}
-
-// TestOccupancyVisitorMatchesRollup: a cube visitor handed a window
-// and a kind/user/space(/sensor) predicate calls back with exactly the
-// cells that survive applying the same filter by hand to the whole
-// unfiltered cube — for unbounded windows (ranged), bounded aligned
-// ones (stepped bucket by bucket), windows wider than the cube, and
-// an unaligned start (which must not be stepped).
-func TestOccupancyVisitorMatchesRollup(t *testing.T) {
-	src, cs := newPair(t, "")
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1500; i++ {
-		at := csNow.Add(-time.Duration(1+rng.Intn(240)) * time.Minute).Add(time.Duration(rng.Intn(60)) * time.Second)
-		kind := sensor.ObsWiFiConnect
-		if rng.Intn(3) == 0 {
-			kind = sensor.ObsPowerReading
-		}
-		if _, err := src.Append(obsAt(fmt.Sprintf("ap-%d", rng.Intn(3)), fmt.Sprintf("s%d", rng.Intn(4)),
-			[]string{"", "u0", "u1", "u2"}[rng.Intn(4)], kind, at, float64(rng.Intn(50)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allOcc, _, ok := cs.OccupancyRollup(time.Time{}, time.Time{})
-	if !ok || len(allOcc) == 0 {
-		t.Fatal("occupancy cube unavailable")
-	}
-	var allRd []ReadingEntry
-	if _, ok := cs.VisitReadings(obstore.Filter{}, func(e ReadingEntry) { allRd = append(allRd, e) }); !ok || len(allRd) == 0 {
-		t.Fatal("readings cube unavailable")
-	}
-	inWindow := func(b time.Time, f obstore.Filter) bool {
-		return (f.From.IsZero() || !b.Before(f.From)) && (f.To.IsZero() || b.Before(f.To))
-	}
-	hour := csNow.Truncate(time.Hour)
-	windows := [][2]time.Time{
-		{},
-		{hour.Add(-2 * time.Hour), hour.Add(-time.Hour)},
-		{hour.Add(-3 * time.Hour), time.Time{}},
-		{time.Time{}, hour.Add(-time.Hour)},
-		{hour.Add(-1000 * time.Hour), hour.Add(1000 * time.Hour)},
-		{hour.Add(-90*time.Minute + 7*time.Second), hour.Add(-30 * time.Minute)},
-	}
-	for wi, w := range windows {
-		for trial := 0; trial < 40; trial++ {
-			f := obstore.Filter{From: w[0], To: w[1]}
-			if rng.Intn(2) == 0 {
-				f.Kind = []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsPowerReading}[rng.Intn(2)]
-			}
-			if rng.Intn(2) == 0 {
-				f.UserID = fmt.Sprintf("u%d", rng.Intn(4))
-			}
-			if rng.Intn(2) == 0 {
-				f.SpaceIDs = []string{fmt.Sprintf("s%d", rng.Intn(4)), "nowhere"}
-			}
-			spaces := spaceSetFor(f)
-
-			wantOcc := map[OccEntry]bool{}
-			for _, e := range allOcc {
-				if inWindow(e.Minute, f) && (f.Kind == "" || e.Kind == f.Kind) && (f.UserID == "" || e.UserID == f.UserID) && (spaces == nil || spaces[e.SpaceID]) {
-					wantOcc[e] = true
-				}
-			}
-			gotOcc := map[OccEntry]bool{}
-			if _, ok := cs.VisitOccupancy(f, func(e OccEntry) { gotOcc[e] = true }); !ok {
-				t.Fatal("VisitOccupancy unavailable")
-			}
-			if !reflect.DeepEqual(gotOcc, wantOcc) {
-				t.Fatalf("window %d filter %+v: VisitOccupancy gave %d cells, filtering the full cube gives %d", wi, f, len(gotOcc), len(wantOcc))
-			}
-
-			if rng.Intn(2) == 0 {
-				f.SensorID = fmt.Sprintf("ap-%d", rng.Intn(3))
-			}
-			wantRd := map[ReadingEntry]bool{}
-			for _, e := range allRd {
-				if inWindow(e.Hour, f) && (f.SensorID == "" || e.SensorID == f.SensorID) && (f.Kind == "" || e.Kind == f.Kind) &&
-					(f.UserID == "" || e.UserID == f.UserID) && (spaces == nil || spaces[e.SpaceID]) {
-					wantRd[e] = true
-				}
-			}
-			gotRd := map[ReadingEntry]bool{}
-			if _, ok := cs.VisitReadings(f, func(e ReadingEntry) { gotRd[e] = true }); !ok {
-				t.Fatal("VisitReadings unavailable")
-			}
-			if !reflect.DeepEqual(gotRd, wantRd) {
-				t.Fatalf("window %d filter %+v: VisitReadings gave %d cells, filtering the full cube gives %d", wi, f, len(gotRd), len(wantRd))
-			}
 		}
 	}
 }

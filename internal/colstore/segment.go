@@ -161,7 +161,7 @@ func (sg *segment) index() {
 // segment, judged purely from zone maps (seq/time ranges plus
 // dictionary membership). Conservative: false means "must scan", and
 // scanning is always correct.
-func (sg *segment) disjoint(f obstore.Filter, spaceSet map[string]bool) bool {
+func (sg *segment) disjoint(f *obstore.Filter) bool {
 	if f.AfterSeq >= sg.maxSeq {
 		return true
 	}
@@ -183,19 +183,12 @@ func (sg *segment) disjoint(f obstore.Filter, spaceSet map[string]bool) bool {
 	if f.Kind != "" && !sg.kinds.has(string(f.Kind)) {
 		return true
 	}
-	if spaceSet != nil {
-		hit := false
-		for _, s := range sg.spaces.dict {
-			if spaceSet[s] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return true
+	for _, id := range f.SpaceIDs {
+		if sg.spaces.has(id) {
+			return false
 		}
 	}
-	return false
+	return len(f.SpaceIDs) > 0
 }
 
 // dictCol is one dictionary-coded string column: the distinct values
@@ -663,7 +656,7 @@ type segCursor struct {
 	seqTomb           map[uint64]struct{}
 }
 
-func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb map[uint64]struct{}) segCursor {
+func openCursor(sg *segment, f *obstore.Filter, seqTomb map[uint64]struct{}) segCursor {
 	c := segCursor{
 		sg:      sg,
 		from:    math.MinInt64,
@@ -688,10 +681,12 @@ func openCursor(sg *segment, f obstore.Filter, spaceSet map[string]bool, seqTomb
 	} else {
 		c.pos = sort.Search(len(sg.seqs), func(i int) bool { return sg.seqs[i] > f.AfterSeq })
 	}
-	if spaceSet != nil {
+	if len(f.SpaceIDs) > 0 {
 		c.spaceOK = make([]bool, len(sg.spaces.dict))
-		for pos, id := range sg.spaces.dict {
-			c.spaceOK[pos] = spaceSet[id]
+		for _, id := range f.SpaceIDs {
+			if pos := sg.spaces.find(id); pos >= 0 {
+				c.spaceOK[pos] = true
+			}
 		}
 	}
 	return c

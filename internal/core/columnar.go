@@ -1,49 +1,47 @@
 package core
 
-// Columnar-tier glue: routing the request manager's occupancy path
-// and the query layer onto the colstore rollup cubes, plus the
-// occupancy answer cache those paths share.
+// The occupancy answer cache, and the pooled working memory of the
+// occupancy scan it saves.
 //
-// The cubes store ground truth keyed by the real subject — never an
-// enforced view — so every consumer here re-runs the requester's
-// decisions before release, exactly as the row paths do. Cached
-// *answers* (post-enforcement) are therefore only valid for one
-// engine epoch and one rollup version: a policy or preference
-// mutation bumps enforce.Engine.Epoch inside the mutation itself, and
-// any ingest or deletion bumps the rollup version, so a stale answer
-// can never be served and nobody has to remember to flush.
+// Cached answers are post-enforcement, so each is valid for one engine
+// epoch and one state of the store: a policy or preference mutation
+// bumps enforce.Engine.Epoch inside the mutation itself, an append
+// moves the store's head (obstore.Store.LastSeq), and a deletion that
+// removed a row moves its deletion count (obstore.Store.Deletions). A
+// hit is checked against all three, so a stale answer can never be
+// served and nobody has to remember to flush.
 
 import (
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
-	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/privacy"
-	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// occPair is one candidate of an occupancy request, a cube cell or a
-// row, reduced to the two strings the aggregate reads.
+// occPair is one row of an occupancy scan reduced to the two strings
+// the aggregate reads.
 type occPair struct{ user, space string }
 
 // occScratch is the working memory of one occupancy miss, pooled so a
 // miss allocates for the decisions the engine had to compute, not per
-// cell read or per subject decided.
+// row read or per subject decided.
 type occScratch struct {
 	pairs     []occPair
-	cells     map[occPair]int // distinct pair → cells (or rows) carrying it
+	cells     map[occPair]int // distinct pair → rows carrying it
 	items     []enforce.BatchItem
-	decisions []enforce.Decision // one per item; nothing in a Response aliases it
-	seen      []string           // one subject's distinct released spaces
-	counts    map[string]int     // released space → distinct subjects
+	decisions []enforce.Decision             // one per item; nothing in a Response aliases it
+	seen      []string                       // one subject's distinct released spaces
+	counts    map[string]int                 // released space → distinct subjects
+	visitFn   func(*sensor.Observation) bool // visit, bound to this scratch
 }
 
 var occScratchPool = sync.Pool{New: func() any {
-	return &occScratch{cells: make(map[occPair]int), counts: make(map[string]int)}
+	s := &occScratch{cells: make(map[occPair]int), counts: make(map[string]int)}
+	s.visitFn = s.visit
+	return s
 }}
 
 func (s *occScratch) release() {
@@ -56,50 +54,30 @@ func (s *occScratch) release() {
 	occScratchPool.Put(s)
 }
 
-// occupancyPairs appends the candidates of an occupancy request to
-// sc.pairs. When the filter is cube-alignable (no seq cursor,
-// pagination or sensor/MAC dimension, which the cube does not carry,
-// and a minute-aligned window) that is one pair per rollup cell — the
-// aggregate consumes only (space, subject) pairs, which every row of a
-// cell shares, so the per-cell view releases exactly what the row scan
-// would — otherwise one per row of the store's unified segment+tail
-// scan. fromRollup reports which path served.
-func (b *BMS) occupancyPairs(f obstore.Filter, sc *occScratch) (fromRollup bool) {
-	add := func(user, space string) {
-		if user != "" { // unattributed readings never contribute to occupancy
-			sc.pairs = append(sc.pairs, occPair{user, space})
-		}
+// visit is the occupancy scan's visitor: it keeps the row's (subject,
+// space) pair.
+func (s *occScratch) visit(o *sensor.Observation) bool {
+	if o.UserID != "" { // unattributed readings never contribute to occupancy
+		s.pairs = append(s.pairs, occPair{o.UserID, o.SpaceID})
 	}
-	if f.AfterSeq == 0 && f.Limit == 0 && f.DeviceMAC == "" && f.SensorID == "" && minuteAligned(f.From) && minuteAligned(f.To) {
-		// The visitor runs under the cube lock: filter and append only.
-		if _, ok := b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) { add(c.UserID, c.SpaceID) }); ok {
-			return true
-		}
-	}
-	b.store.Scan(f, func(o *sensor.Observation) bool { add(o.UserID, o.SpaceID); return true })
-	return false
+	return true
 }
 
-func minuteAligned(t time.Time) bool {
-	return t.IsZero() || t.Truncate(time.Minute).Equal(t)
+// occVersion is what an occupancy answer depends on besides its
+// request: the rules and the store's contents.
+type occVersion struct{ epoch, lastSeq, deletions uint64 }
+
+// occVersion is read before the scan and the decide batch it
+// validates, so a concurrent ingest, deletion or rule mutation can only
+// cause a spurious miss, never a stale hit.
+func (b *BMS) occVersion() occVersion {
+	return occVersion{b.engine.Epoch(), b.store.LastSeq(), b.store.Deletions()}
 }
 
-// queryRollup is the query layer's Env.Rollup hook: pre-aggregated
-// ground-truth cells for eligible aggregate plans, served from the
-// colstore cubes.
-func (b *BMS) queryRollup(req query.RollupRequest) ([]query.RollupEntry, bool) {
-	var out []query.RollupEntry
-	ok := b.colstore.VisitRollup(req.Filter, req.NeedSensor, req.NeedValue, func(c colstore.RollupCell) {
-		out = append(out, query.RollupEntry(c))
-	})
-	return out, ok
-}
-
-// occAnswer is one cached post-enforcement occupancy answer, pinned
-// to the engine epoch and rollup version it was computed under.
+// occAnswer is one cached post-enforcement occupancy answer, pinned to
+// the version it was computed under.
 type occAnswer struct {
-	epoch      uint64
-	rollVer    uint64
+	version    occVersion
 	aggregates []privacy.AggregateCount
 	k          int
 	considered int
@@ -107,15 +85,13 @@ type occAnswer struct {
 	relObs     int
 }
 
-// occupancyCache memoizes rollup-served occupancy answers. Keys fold
-// in the evaluation minute (decisions have minute resolution — window
-// rules), and entries validate against (engine epoch, rollup version)
-// on every hit — rule mutations bump the epoch, any ingest or
-// deletion bumps the rollup version — so a hit is provably the answer
-// a fresh evaluation would produce. Answers whose decisions carried
-// override notifications are never cached (replaying them would
-// swallow user notifications, the same constraint the engine's memo
-// honors).
+// occupancyCache memoizes occupancy answers. Keys fold in the
+// evaluation minute (decisions have minute resolution — window rules),
+// and entries validate against their occVersion on every hit, so a hit
+// is provably the answer a fresh evaluation would produce. Answers
+// whose decisions carried override notifications are never cached
+// (replaying them would swallow user notifications, the same
+// constraint the engine's memo honors).
 //
 // What keeps it: removing it on bench/'s service-reads workload (10
 // alternating pairs, seeds 701–710, 2-vCPU Xeon, go1.24) moves the
@@ -130,11 +106,11 @@ type occupancyCache struct {
 
 const occCacheMax = 256
 
-func (c *occupancyCache) get(key string, epoch, rollVer uint64) (occAnswer, bool) {
+func (c *occupancyCache) get(key string, v occVersion) (occAnswer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	a, ok := c.entries[key]
-	if !ok || a.epoch != epoch || a.rollVer != rollVer {
+	if !ok || a.version != v {
 		return occAnswer{}, false
 	}
 	c.hits++
@@ -155,8 +131,8 @@ func (c *occupancyCache) put(key string, a occAnswer) {
 
 // ClearOccupancyCache drops the cached occupancy answers and nothing
 // else. Correctness never needs it (hits are validated, not flushed);
-// benchmarks call it to time the rollup read plus a warm decide batch,
-// where mutating a rule would also empty the engine's memo.
+// benchmarks call it to time the scan plus a warm decide batch, where
+// mutating a rule would also empty the engine's memo.
 func (b *BMS) ClearOccupancyCache() {
 	c := &b.occCache
 	c.mu.Lock()

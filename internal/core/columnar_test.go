@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"io"
 	"io/fs"
 	"log/slog"
@@ -12,9 +11,9 @@ import (
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
-	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
@@ -36,9 +35,9 @@ func occIngest(t *testing.T, f *fixture) {
 	}
 }
 
-// TestOccupancyRollupMatchesRowScan: what the node releases — from the
-// cubes where the window allows, from rows where it does not — is what
-// the materialising reference releases from a row scan of the same node.
+// TestOccupancyRollupMatchesRowScan: the per-space occupancy roll-up
+// the node releases, over any window, is what the materialising
+// reference releases from a row scan of the same node.
 func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 	f := newFixture(t)
 	occIngest(t, f)
@@ -46,12 +45,9 @@ func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 	reqs := []enforce.Request{
 		{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
 			Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow},
-		// Minute-aligned window: still cube-served.
 		{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
 			Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow,
 			From: testNow.Add(-40 * time.Minute), To: testNow},
-		// Unaligned window: the cube cannot serve it; the unified scan
-		// must still agree.
 		{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
 			Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow,
 			From: testNow.Add(-40*time.Minute - 30*time.Second), To: testNow},
@@ -62,7 +58,7 @@ func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := referenceOccupancy(f.bms, req, k, false)
+			want, _, err := referenceOccupancy(f.bms, req, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,9 +74,10 @@ func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 }
 
 // TestOccupancyCacheInvalidation proves a memoized occupancy answer
-// can never go stale: a repeated request hits the cache, a
-// mid-session preference change (engine epoch bump) and a fresh
-// ingest (rollup version bump) each force re-evaluation. The naive
+// can never go stale: a repeated request hits the cache, and a
+// mid-session preference change (engine epoch bump), a fresh ingest
+// (the store's head moves), a retention sweep and an erasure (the
+// store's deletion count moves) each force re-evaluation. The naive
 // engine runs the same script: the cache keys on Engine.Epoch, which
 // every engine must move with its rules.
 func TestOccupancyCacheInvalidation(t *testing.T) {
@@ -116,10 +113,7 @@ func testOccupancyCacheInvalidation(t *testing.T, f *fixture) {
 	if !reflect.DeepEqual(again.Aggregates, first.Aggregates) {
 		t.Fatalf("cached answer diverges: %+v", again.Aggregates)
 	}
-	f.bms.occCache.mu.Lock()
-	hits := f.bms.occCache.hits
-	f.bms.occCache.mu.Unlock()
-	if hits != 1 {
+	if hits := occCacheHits(f); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 
@@ -139,7 +133,7 @@ func testOccupancyCacheInvalidation(t *testing.T, f *fixture) {
 		t.Fatalf("aggregates after opt-out = %+v (stale cache?)", after.Aggregates)
 	}
 
-	// A new observation bumps the rollup version: the next request
+	// A new observation moves the store's head: the next request
 	// recomputes rather than replaying the pre-ingest answer.
 	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:03", "ap-2", -30)); err != nil {
 		t.Fatal(err)
@@ -151,42 +145,81 @@ func testOccupancyCacheInvalidation(t *testing.T, f *fixture) {
 	if len(final.Aggregates) != 1 || final.Aggregates[0].Count != 2 {
 		t.Fatalf("aggregates after ingest = %+v", final.Aggregates)
 	}
+
+	// Each deletion removes counted rows between a cached read and the
+	// next one, which must miss and count what is left. Every subject
+	// has rows at minutes -45, -30 and -5, carol one more at -30: the
+	// sweep takes the three at -45, the erasure the rest of carol's.
+	deletions := []struct {
+		name     string
+		remove   func()
+		released int // observations the answer counts afterwards
+		spaces   int // spaces at or above k afterwards
+	}{
+		{"a retention sweep", func() {
+			f.bms.Store().AddRetentionRule(obstore.RetentionRule{Kind: sensor.ObsWiFiConnect, TTL: isodur.MustParse("PT40M")})
+			if n := f.bms.Store().Sweep(testNow); n != 3 {
+				t.Fatalf("the sweep removed %d rows, want the three at minute -45", n)
+			}
+		}, final.Trace.ObservationsReleased - 2, 1},
+		{"an erasure", func() {
+			if _, _, err := f.bms.ForgetUser("carol"); err != nil {
+				t.Fatal(err)
+			}
+		}, 2, 0}, // mary's two rows, alone in their room and so below k
+	}
+	for _, del := range deletions {
+		cached, err := f.bms.RequestOccupancy(req, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := occCacheHits(f)
+		if cached.Trace.ObservationsReleased <= del.released {
+			t.Fatalf("before %s: %d observations released, want more than %d", del.name, cached.Trace.ObservationsReleased, del.released)
+		}
+		del.remove()
+		fresh, err := f.bms.RequestOccupancy(req, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if occCacheHits(f) != hits {
+			t.Fatalf("after %s: the read was served from the cache", del.name)
+		}
+		if fresh.Trace.ObservationsReleased != del.released || len(fresh.Aggregates) != del.spaces {
+			t.Fatalf("after %s: %d observations in %+v, want %d in %d spaces", del.name,
+				fresh.Trace.ObservationsReleased, fresh.Aggregates, del.released, del.spaces)
+		}
+	}
 }
 
-// TestQueryUsesRollups checks the ad-hoc query layer rides the same
-// cubes end to end through the BMS wiring, and that the same statement
-// compiled without the cubes scans rows to the same answer.
-func TestQueryUsesRollups(t *testing.T) {
+func occCacheHits(f *fixture) uint64 {
+	f.bms.occCache.mu.Lock()
+	defer f.bms.occCache.mu.Unlock()
+	return f.bms.occCache.hits
+}
+
+// TestUnalignedOccupancyReadIsCached: an occupancy read whose window
+// does not start on a minute is answered from the cache when repeated,
+// as an aligned one is.
+func TestUnalignedOccupancyReadIsCached(t *testing.T) {
 	f := newFixture(t)
 	occIngest(t, f)
-
-	const sql = "SELECT space_id, COUNT(*) AS n, COUNT(DISTINCT user_id) AS u FROM observations GROUP BY space_id ORDER BY space_id"
-	got, err := f.bms.Query(context.Background(), conciergeRequester(), sql)
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow,
+		From: testNow.Add(-40*time.Minute - 30*time.Second), To: testNow}
+	first, err := f.bms.RequestOccupancy(req, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Result.Stats.UsedRollup {
-		t.Error("columnar node answered from a row scan, want rollups")
-	}
-	env := f.bms.queryEnv(context.Background())
-	env.Rollup = nil
-	stmt, err := query.Parse(sql)
+	again, err := f.bms.RequestOccupancy(req, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := query.Compile(stmt, env, conciergeRequester())
-	if err != nil {
-		t.Fatal(err)
+	if hits := occCacheHits(f); hits != 1 {
+		t.Fatalf("cache hits = %d after a repeated unaligned read, want 1", hits)
 	}
-	want, err := plan.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Stats.UsedRollup {
-		t.Error("the statement compiled without Env.Rollup claims rollups")
-	}
-	if !reflect.DeepEqual(got.Result.Rows, want.Rows) {
-		t.Errorf("released rows diverge:\ncolumnar: %v\nrow scan: %v", got.Result.Rows, want.Rows)
+	if !reflect.DeepEqual(again.Aggregates, first.Aggregates) || again.Trace.Stages[StageFetch].Calls != 0 {
+		t.Fatalf("the repeat answered %+v after a fetch, want the cached %+v", again.Aggregates, first.Aggregates)
 	}
 }
 

@@ -85,17 +85,11 @@ type Config struct {
 	// streams (default stream.DropOldest).
 	StreamPolicy stream.Backpressure
 	// ColumnarDir is the directory the columnar tier — the store's cold
-	// tier: sealed segments behind the compaction watermark plus the
-	// rollup cubes — persists into. Empty means <store dir>/colstore for
+	// tier: sealed segments behind the compaction watermark — persists
+	// into. Empty means <store dir>/colstore for
 	// a durable Store and memory for an in-memory one, so the tier is
 	// always at least as durable as the rows it takes over.
 	ColumnarDir string
-	// ColumnarRollupMax caps the rollup cubes' total entry count
-	// (default colstore's 1M: ≈ 36 MB resident at ≈ 34 B a cell, about
-	// two weeks of the simulated DBH); past it the cubes shut down, say
-	// so once in the log and on tippers_colstore_rollup_disabled, and
-	// readers fall back to scans. Raise it for dense multi-month datasets.
-	ColumnarRollupMax int
 }
 
 // Stats counts pipeline outcomes for the experiments.
@@ -143,7 +137,7 @@ type BMS struct {
 	retainDone chan struct{}
 
 	// colstore is the columnar tier: sealed segments behind the row
-	// store's watermark plus the rollup cubes.
+	// store's watermark.
 	colstore *colstore.Store
 	occCache occupancyCache
 
@@ -225,18 +219,14 @@ func New(cfg Config) (*BMS, error) {
 		return nil, err
 	}
 	// The columnar tier is the row store's cold tier: closed buckets
-	// compact into immutable segments the store then evicts, and the
-	// rollup cubes stay in lockstep with ingest. Every read of the store
-	// covers both (segments behind the watermark, the hot log ahead).
+	// compact into immutable segments the store then evicts. Every read
+	// of the store covers both (segments behind the watermark, the hot
+	// log ahead).
 	colDir := cfg.ColumnarDir
 	if colDir == "" && store.Dir() != "" {
 		colDir = filepath.Join(store.Dir(), "colstore")
 	}
-	cs, err := colstore.Open(colstore.Config{
-		Dir:              colDir,
-		Clock:            cfg.Clock,
-		RollupMaxEntries: cfg.ColumnarRollupMax,
-	})
+	cs, err := colstore.Open(colstore.Config{Dir: colDir, Clock: cfg.Clock})
 	if err != nil {
 		return fail(fmt.Errorf("core: opening columnar tier: %w", err))
 	}
@@ -707,8 +697,7 @@ func (b *BMS) Preferences(userID string) []policy.Preference {
 // exempt — the building's non-negotiable retention obligations survive
 // erasure requests, and the exemption is reported so the user can be
 // told exactly what remains. The exempt rows stay in
-// place under their seqs, so stream cursors and rollup cells that name
-// them stay valid. Returns (deleted, retained) observation counts.
+// place under their seqs, so stream cursors that name them stay valid. Returns (deleted, retained) observation counts.
 func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 	if _, ok := b.cfg.Users.Lookup(userID); !ok {
 		return 0, 0, fmt.Errorf("core: unknown user %q", userID)

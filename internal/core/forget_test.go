@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
@@ -127,18 +126,16 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 		t.Errorf("the replaying subscription saw seqs %v, want only the retained rows' %d", seen, len(before))
 	}
 
-	// The cubes still count the retained rows, under their subject.
+	// The store still counts the retained rows, under their subject.
 	counted := 0
-	f.bms.Columnar().VisitOccupancy(obstore.Filter{}, func(e colstore.OccEntry) {
-		if e.UserID == "" {
-			t.Errorf("a cube cell lost its subject: %+v", e)
+	f.bms.Store().Scan(obstore.Filter{}, func(o *sensor.Observation) bool {
+		if o.UserID == "mary" {
+			counted++
 		}
-		if e.UserID == "mary" {
-			counted += e.Count
-		}
+		return true
 	})
 	if counted != len(before) {
-		t.Errorf("the cubes count %d of mary's rows, want the %d retained", counted, len(before))
+		t.Errorf("the store counts %d of mary's rows, want the %d retained", counted, len(before))
 	}
 }
 

@@ -14,42 +14,26 @@ import (
 	"time"
 	"unsafe"
 
-	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
-	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/spatial"
 	"github.com/tippers/tippers/internal/telemetry"
 )
 
 // referenceOccupancy is the oracle for RequestOccupancy's miss path:
-// the pipeline it ran before the pair pass, kept verbatim. It
-// materialises one observation per cube cell (or row), buckets them by
-// subject, decides each subject, copies every subject's observations
-// through enforce.ApplyDecision, concatenates the copies and counts
-// them with privacy.KAnonymousCounts. relObs is what the trace reports
-// as ObservationsReleased. cube=false reads rows even where the cube
-// could serve the filter.
-func referenceOccupancy(b *BMS, req enforce.Request, minK int, cube bool) (resp Response, relObs int, err error) {
+// the pipeline it ran before the pair pass. It materialises the rows,
+// buckets them by subject, decides each subject, copies every subject's
+// observations through enforce.ApplyDecision, concatenates the copies
+// and counts them with privacy.KAnonymousCounts. relObs is what the
+// trace reports as ObservationsReleased.
+func referenceOccupancy(b *BMS, req enforce.Request, minK int) (resp Response, relObs int, err error) {
 	if minK < 1 {
 		minK = 1
 	}
-	f := b.filterFor(req)
-	var obs []sensor.Observation
-	fromCube := false
-	if cube && cubeServable(f) {
-		_, fromCube = b.colstore.VisitOccupancy(f, func(c colstore.OccEntry) {
-			if c.UserID == "" {
-				return
-			}
-			obs = append(obs, sensor.Observation{Seq: c.MinSeq, Kind: c.Kind, Time: c.Minute, SpaceID: c.SpaceID, UserID: c.UserID})
-		})
-	}
-	if !fromCube {
-		obs = b.store.Query(f)
-	}
+	obs := b.store.Query(b.filterFor(req))
 	bySubject := make(map[string][]sensor.Observation)
 	for _, o := range obs {
 		if o.UserID == "" {
@@ -92,13 +76,6 @@ func referenceOccupancy(b *BMS, req enforce.Request, minK int, cube bool) (resp 
 	)
 	resp.Decision = occDecision(resp.Aggregates, k)
 	return resp, len(releasedObs), nil
-}
-
-// cubeServable is the materialising pipeline's test for a filter the
-// minute occupancy cube answers exactly.
-func cubeServable(f obstore.Filter) bool {
-	return f.AfterSeq == 0 && f.Limit == 0 && f.DeviceMAC == "" && f.SensorID == "" &&
-		minuteAligned(f.From) && minuteAligned(f.To)
 }
 
 // decideLog wraps an engine and keeps the multiset of its Decide calls.
@@ -183,8 +160,8 @@ func occWorld(t *testing.T, seed int64) (*fixture, *decideLog) {
 }
 
 // occRequests draws the requests of a seed: both requesters, every
-// requested granularity, scoped and unscoped, with no window (cube), a
-// minute-aligned window (cube) and an unaligned one (row fallback).
+// requested granularity, scoped and unscoped, with no window, a
+// minute-aligned window and an unaligned one.
 func occRequests(seed int64) (reqs []enforce.Request, minKs []int) {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	grans := []policy.Granularity{0, policy.GranNone, policy.GranBuilding, policy.GranFloor, policy.GranRoom, policy.GranExact}
@@ -210,9 +187,9 @@ func occRequests(seed int64) (reqs []enforce.Request, minKs []int) {
 
 // TestOccupancyStreamMatchesReference: over seeded scenarios the pair
 // pass releases, counts, records, notifies and decides exactly as the
-// materialising pipeline did — on the cube path and on the row fallback.
+// materialising pipeline did.
 func TestOccupancyStreamMatchesReference(t *testing.T) {
-	var sawBlank, sawNone, sawFloorRaise, sawNotes, sawRows, sawCube bool
+	var sawBlank, sawNone, sawFloorRaise, sawNotes bool
 	for seed := int64(1); seed <= 48; seed++ {
 		got, gotLog := occWorld(t, seed)
 		want, wantLog := occWorld(t, seed)
@@ -225,7 +202,7 @@ func TestOccupancyStreamMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, wRel, err := referenceOccupancy(want.bms, req, minKs[i], true)
+			w, wRel, err := referenceOccupancy(want.bms, req, minKs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,8 +231,6 @@ func TestOccupancyStreamMatchesReference(t *testing.T) {
 			sawNone = sawNone || g.SubjectsReleased > 0 && wRel == 0
 			sawFloorRaise = sawFloorRaise || g.Decision.Effective.MinAggregationK > minKs[i]
 			sawNotes = sawNotes || got.bms.met.notificationsSent.Value() > notes
-			fromCube := cubeServable(got.bms.filterFor(req))
-			sawCube, sawRows = sawCube || fromCube, sawRows || !fromCube
 		}
 	}
 	for what, saw := range map[string]bool{
@@ -263,8 +238,6 @@ func TestOccupancyStreamMatchesReference(t *testing.T) {
 		"subjects released at granularity none":             sawNone,
 		"a subject's aggregation floor above the requested": sawFloorRaise,
 		"an override that notified":                         sawNotes,
-		"the row fallback":                                  sawRows,
-		"the cube path":                                     sawCube,
 	} {
 		if !saw {
 			t.Errorf("no scenario exercised %s", what)
@@ -284,6 +257,11 @@ func TestOccupancyMissAllocsFlat(t *testing.T) {
 		for i := 0; i < subjects; i++ {
 			c.Users.MustAdd(profile.User{ID: fmt.Sprintf("s%02d", i), Profiles: []profile.Profile{{Group: profile.GroupGradStudent}},
 				DeviceMACs: []string{fmt.Sprintf("dd:00:00:00:00:%02x", i)}})
+		}
+		// Floor 1 gets two dozen rooms, as a real floor has: a set of its
+		// spaces is too large for the compiler to keep on the stack.
+		for r := 3; r < 24; r++ {
+			c.Spaces.MustAdd("dbh/1", spatial.Space{ID: fmt.Sprintf("dbh/1/r%d", r), Kind: spatial.KindRoom, Floor: 1})
 		}
 	})
 	for min := -60; min < 0; min++ {
@@ -338,6 +316,38 @@ func TestOccupancyMissAllocsFlat(t *testing.T) {
 	}
 	if storage := uint64(subjects) * uint64(unsafe.Sizeof(enforce.Decision{})); cheapest >= storage {
 		t.Fatalf("a repeated miss allocated %d bytes, a []Decision for its %d subjects takes %d: the decisions are not pooled", cheapest, subjects, storage)
+	}
+
+	// A floor over a window that does not start on a minute, read from
+	// the hot window and again once compaction has sealed the hour: the
+	// sealed read may pay for its cursor's space mask and its scratch
+	// row, and for nothing else — the space predicate resolves through
+	// each segment's dictionary, not through a set built per scan.
+	floor := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SpaceID: "dbh/1", Time: testNow,
+		From: testNow.Add(-30*time.Minute - 30*time.Second), To: testNow}
+	// The cheapest of twenty misses, as above: the race detector's pool
+	// drops would otherwise swamp a difference of a few objects.
+	floorAllocs := func(where string) uint64 {
+		cheapest := ^uint64(0)
+		for i := 0; i < 20; i++ {
+			f.bms.ClearOccupancyCache()
+			runtime.ReadMemStats(&before)
+			resp, err := f.bms.RequestOccupancy(floor, 2)
+			runtime.ReadMemStats(&after)
+			if err != nil || resp.SubjectsReleased != subjects || resp.Trace.ObservationsReleased != subjects*30/2 {
+				t.Fatalf("floor read %s: %+v, err %v", where, resp, err)
+			}
+			cheapest = min(cheapest, after.Mallocs-before.Mallocs)
+		}
+		return cheapest
+	}
+	hot := floorAllocs("from the hot window")
+	if n, err := f.bms.Columnar().CompactOnce(); err != nil || n != subjects*60 {
+		t.Fatalf("CompactOnce sealed %d rows (%v), want %d", n, err, subjects*60)
+	}
+	if sealed := floorAllocs("from the segments"); sealed > hot+2 {
+		t.Fatalf("a floor miss allocates %d objects over sealed segments, %d over the hot window: the segment scan allocates per scan again", sealed, hot)
 	}
 }
 

@@ -113,7 +113,6 @@ func (b *BMS) queryEnv(ctx context.Context) query.Env {
 		},
 		AuditRecords: b.auditRecords,
 		Now:          b.clock,
-		Rollup:       b.queryRollup,
 	}
 }
 

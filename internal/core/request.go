@@ -88,7 +88,6 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 	defer b.met.requestUser.ObserveSince(started)
 	ctx, span := b.tracer.StartSpan(ctx, "bms.request_user")
 	defer span.End()
-	span.SetAttr("subject", req.SubjectID)
 	span.SetAttr("service", req.ServiceID)
 	tr := b.newTrace("user", req)
 	tr.joinSpanContext(ctx)
@@ -206,22 +205,20 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	tr := b.newTrace("occupancy", req)
 	tr.joinSpanContext(ctx)
 
-	// Rollup-served answers are memoized post-enforcement, pinned to
-	// the (engine epoch, rollup version) they were computed under: a
-	// preference change or a new observation invalidates the hit, so a
-	// repeated dashboard poll costs a map lookup instead of a decide
-	// batch. Both are read before the fetch and the decide batch, so a
-	// concurrent ingest or rule mutation can only cause a spurious
-	// miss, never a stale hit. A subject, seq cursor or page limit
-	// narrows the fetch without being in the key: no lookup, no store.
+	// Answers are memoized post-enforcement, pinned to the occVersion
+	// they were computed under: a rule change, a new observation or a
+	// deletion invalidates the hit, so a repeated dashboard poll costs a
+	// map lookup instead of a scan and a decide batch. A subject, seq
+	// cursor or page limit narrows the fetch without being in the key:
+	// no lookup, no store.
 	var (
-		cacheKey       string
-		epoch, rollVer uint64
+		cacheKey string
+		version  occVersion
 	)
 	if req.SubjectID == "" && req.AfterSeq == 0 && req.Limit == 0 {
 		cacheKey = occCacheKey(req, minK)
-		epoch, rollVer = b.engine.Epoch(), b.colstore.RollupVersion()
-		if a, ok := b.occCache.get(cacheKey, epoch, rollVer); ok {
+		version = b.occVersion()
+		if a, ok := b.occCache.get(cacheKey, version); ok {
 			span.SetAttr("cache", "hit")
 			tr.Stages.add(StageCache, time.Since(started))
 			resp := Response{
@@ -244,15 +241,14 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	defer sc.release()
 	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 	t0 := time.Now()
-	fromRollup := b.occupancyPairs(b.filterFor(req), sc)
+	b.store.Scan(b.filterFor(req), sc.visitFn)
 	qSpan.SetAttrInt("observations", int64(len(sc.pairs)))
-	qSpan.SetAttr("rollup", strconv.FormatBool(fromRollup))
 	qSpan.End()
 	tr.Stages.add(StageFetch, time.Since(t0))
 
 	_, bSpan := b.tracer.StartSpan(ctx, "enforce.decide_batch")
 	t0 = time.Now()
-	// The cells collapse to distinct pairs, each with its cell count;
+	// The rows collapse to distinct pairs, each with its row count;
 	// sorted, a subject's pairs are one run, and the subjects come in
 	// an order that makes the decisions (and with them the trace and
 	// the inboxes) deterministic rather than map-ordered.
@@ -331,13 +327,12 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	tr.SubjectsConsidered = resp.SubjectsConsidered
 	tr.SubjectsReleased = resp.SubjectsReleased
 	tr.ObservationsReleased = relObs
-	if fromRollup && cacheKey != "" && !hasNotes {
+	if cacheKey != "" && !hasNotes {
 		// Decisions that delivered override notifications are not
 		// memoized: replaying the answer would swallow the repeat
 		// notification the fresh decide batch produces.
 		b.occCache.put(cacheKey, occAnswer{
-			epoch:      epoch,
-			rollVer:    rollVer,
+			version:    version,
 			aggregates: resp.Aggregates,
 			k:          k,
 			considered: resp.SubjectsConsidered,

@@ -490,9 +490,5 @@ func (a *appender) queryStats(s *query.Stats) {
 	a.int(int64(s.EffectiveK))
 	a.raw(`,"suppressed_groups":`)
 	a.int(int64(s.SuppressedGroups))
-	if s.UsedRollup {
-		a.raw(`,"used_rollup":true`)
-	}
-	a.optInt("rollup_cells", s.RollupCells)
 	a.b = append(a.b, '}')
 }

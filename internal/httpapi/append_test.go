@@ -247,7 +247,6 @@ func TestAppendersMatchEncodingJSON(t *testing.T) {
 		res := query.Result{Stats: query.Stats{
 			ScannedRows: rng.Intn(9), DeniedRows: rng.Intn(9), ExcludedRows: rng.Intn(9), ReleasedRows: rng.Intn(9),
 			Subjects: rng.Intn(9), Decisions: rng.Intn(9), EffectiveK: rng.Intn(9), SuppressedGroups: rng.Intn(9),
-			UsedRollup: rng.Intn(2) == 0, RollupCells: rng.Intn(3),
 		}}
 		if rng.Intn(4) > 0 {
 			res.Columns = randStrings(rng)

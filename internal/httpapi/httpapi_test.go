@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -20,6 +21,7 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
 	"github.com/tippers/tippers/internal/spatial"
+	"github.com/tippers/tippers/internal/telemetry"
 )
 
 var testNow = time.Date(2017, time.June, 7, 14, 0, 0, 0, time.UTC)
@@ -451,6 +453,49 @@ func TestForgetUserDropsDecisionTraces(t *testing.T) {
 		if n == 0 {
 			t.Errorf("ForgetUser(mary) dropped bob's traces from %s", surface)
 		}
+	}
+}
+
+// TestForgetUserLeavesNoSubjectInTraces: with every request sampled, a
+// read of mary's rows followed by ForgetUser("mary") leaves neither her
+// ID nor her device MAC in any span /v1/traces serves.
+func TestForgetUserLeavesNoSubjectInTraces(t *testing.T) {
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1})
+	bms, _ := newServer(t, func(c *core.Config) { c.Tracer = tracer })
+	srv := httptest.NewServer(NewServer(bms).WithTracing(tracer, 0, nil).Handler())
+	t.Cleanup(srv.Close)
+	client := NewClient(srv.URL, nil)
+	ctx := context.Background()
+	if _, err := client.Ingest(ctx, []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.RequestUser(ctx, enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SubjectID: "mary", Time: testNow})
+	if err != nil || len(resp.Observations) != 1 {
+		t.Fatalf("mary's read: %d rows, %v", len(resp.Observations), err)
+	}
+	if _, _, err := bms.ForgetUser("mary"); err != nil {
+		t.Fatal(err)
+	}
+	var sums []telemetry.TraceSummary
+	if err := client.do(ctx, http.MethodGet, "/v1/traces?n=1000", nil, &sums); err != nil {
+		t.Fatal(err)
+	}
+	read := false
+	for _, sum := range sums {
+		var spans json.RawMessage
+		if err := client.do(ctx, http.MethodGet, "/v1/traces/"+sum.TraceID, nil, &spans); err != nil {
+			t.Fatal(err)
+		}
+		read = read || strings.Contains(string(spans), `"name":"bms.request_user"`)
+		for _, id := range []string{"mary", "aa:00:00:00:00:01"} {
+			if strings.Contains(string(spans), id) {
+				t.Errorf("trace %s (%s) still names %s: %s", sum.TraceID, sum.Root, id, spans)
+			}
+		}
+	}
+	if !read {
+		t.Fatalf("no bms.request_user span among the traces %+v: the read was not sampled", sums)
 	}
 }
 

@@ -79,8 +79,6 @@ func queryStatsToDTO(s query.Stats) QueryStatsDTO {
 		Decisions:        s.Decisions,
 		EffectiveK:       s.EffectiveK,
 		SuppressedGroups: s.SuppressedGroups,
-		UsedRollup:       s.UsedRollup,
-		RollupCells:      s.RollupCells,
 	}
 }
 
@@ -207,8 +205,8 @@ func TestResponsesMatchOracle(t *testing.T) {
 		if err := b.Ingest(odd); err != nil {
 			t.Fatal(err)
 		}
-		// Seal the closed hours, so grouped queries are served from the
-		// rollup cubes.
+		// Seal the closed hours, so queries read segments as well as the
+		// hot window.
 		if _, err := b.Columnar().CompactOnce(); err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +310,7 @@ func TestResponsesMatchOracle(t *testing.T) {
 		`"granularity":"building"`, `"granularity":"floor"`, `"deny_reason":"subject requires aggregation`,
 		`"deny_reason":"no space reached the k=1000`, `"aggregates":[{`, `"payload":{"a":"plain"`,
 		`"bad":"\ufffd\u0001","note":"line\u2028break","ssid":"\u003ccafé \u0026 \"bar\"\u003e"}`,
-		`"cache_hit":true`, `"used_rollup":true`, `"rows":[]`,
+		`"cache_hit":true`, `"rows":[]`,
 		`"value":`, `"time":"2017-06-07T12:00:00.123456789-07:00"`,
 	} {
 		if !bytes.Contains(all.Bytes(), []byte(want)) {

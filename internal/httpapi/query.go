@@ -38,10 +38,6 @@ type QueryStatsDTO struct {
 	Decisions        int `json:"decisions"`
 	EffectiveK       int `json:"effective_k"`
 	SuppressedGroups int `json:"suppressed_groups"`
-	// UsedRollup and RollupCells say the answer came from the rollup
-	// cubes, and from how many cells.
-	UsedRollup  bool `json:"used_rollup,omitempty"`
-	RollupCells int  `json:"rollup_cells,omitempty"`
 }
 
 // QueryResultDTO is the wire form of an executed query. Row cells are

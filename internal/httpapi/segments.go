@@ -9,7 +9,7 @@ import (
 
 // SegmentsDTO is the wire form of GET /v1/segments: the columnar
 // tier's health (watermark, the cold/hot split of the live
-// observations, prune ratios, rollup state) plus every sealed
+// observations, prune ratios, tombstones, segment lag) plus every sealed
 // segment's zone-map summary.
 type SegmentsDTO struct {
 	// Enabled is always true: every node runs the columnar tier. The

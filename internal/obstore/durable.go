@@ -181,9 +181,7 @@ func (s *Store) SetCheckpointHook(fn func() error) { s.onCheckpoint = fn }
 // insertRecovered decodes one recovered record and appends it to the
 // log. Checkpoint restore and WAL replay use it, single-threaded inside
 // OpenDurable, which sets the seq counter when both are done; both
-// deliver ascending seqs. It must only run before a Listener attaches:
-// it notifies nobody, so derived state (the columnar tier's rollup
-// cubes) would silently miss the rows.
+// deliver ascending seqs.
 func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 	o, err := decodeObservation(seq, payload)
 	if err != nil {

@@ -411,9 +411,8 @@ func TestHotLogReadersUnderChurn(t *testing.T) {
 	sort.Slice(ref, func(i, j int) bool { return ref[i].Seq < ref[j].Seq })
 	for _, f := range filters {
 		var want []sensor.Observation
-		spaces := spaceSetFor(f)
 		for i := range ref {
-			if o := &ref[i]; o.Seq > f.AfterSeq && matches(o, f, spaces) && (f.Limit == 0 || len(want) < f.Limit) {
+			if o := &ref[i]; o.Seq > f.AfterSeq && matches(o, &f) && (f.Limit == 0 || len(want) < f.Limit) {
 				want = append(want, *o)
 			}
 		}

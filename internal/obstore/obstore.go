@@ -30,6 +30,7 @@ import (
 	"errors"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,65 +65,13 @@ type Filter struct {
 	Limit int
 }
 
-// Deletion summarizes one observation removed from the store by
-// retention or erasure. Listeners use it to keep derived
-// representations (columnar segments, rollup cubes) in step with the
-// ground truth without re-scanning the log.
+// Deletion names one observation removed from the store by retention
+// or erasure: the cold tier tombstones it when it lies behind the
+// watermark.
 type Deletion struct {
-	Seq      uint64
-	Time     time.Time
-	SensorID string
-	SpaceID  string
-	UserID   string
-	Kind     sensor.ObservationKind
-	// Erased marks a GDPR-style subject erasure (DeleteUser) that left
-	// the subject no row; the rollup cubes then drop the subject from
-	// their intern table, not just the individual rows. A partial
-	// erasure leaves it unset, so the rows it kept stay attributed.
-	Erased bool
+	Seq  uint64
+	Time time.Time
 }
-
-// Listener observes the store's mutations. The columnar tier
-// (internal/colstore) attaches one so its rollup cubes track every
-// append, and so retention and erasure reach the segment files. At
-// most one listener is supported (AttachTier installs the tier as it);
-// callbacks run synchronously on the mutating goroutine and must be
-// cheap and concurrency-safe.
-type Listener interface {
-	ObservationAppended(o sensor.Observation)
-	ObservationsDeleted(dels []Deletion)
-}
-
-// SetListener attaches (or, with nil, detaches) the store's mutation
-// listener. Attach before concurrent traffic, or rebuild the derived
-// state from a scan afterwards — appends racing the attach are not
-// replayed.
-func (s *Store) SetListener(l Listener) {
-	if l == nil {
-		s.listener.Store(nil)
-		return
-	}
-	s.listener.Store(&l)
-}
-
-func (s *Store) notifyAppend(o sensor.Observation) {
-	if lp := s.listener.Load(); lp != nil {
-		(*lp).ObservationAppended(o)
-	}
-}
-
-func (s *Store) notifyDeleted(dels []Deletion) {
-	if len(dels) == 0 {
-		return
-	}
-	if lp := s.listener.Load(); lp != nil {
-		(*lp).ObservationsDeleted(dels)
-	}
-}
-
-// hasListener reports whether deletion collection is needed; Sweep and
-// DeleteUser skip building Deletion slices when nobody is watching.
-func (s *Store) hasListener() bool { return s.listener.Load() != nil }
 
 // RetentionRule binds a time-to-live to a scope. Scope precedence at
 // sweep time: SensorID match beats Kind match beats the default.
@@ -158,6 +107,7 @@ type Store struct {
 	totalIngests atomic.Uint64
 	totalSwept   atomic.Uint64
 	rebuilds     atomic.Uint64
+	deletions    atomic.Uint64 // see Deletions
 
 	retMu      sync.RWMutex
 	rules      []RetentionRule
@@ -168,8 +118,6 @@ type Store struct {
 	// cost); it works standalone and is exposed via RegisterMetrics.
 	sweepSeconds *telemetry.Histogram
 
-	// listener observes appends and deletions (see SetListener).
-	listener atomic.Pointer[Listener]
 	// tier owns every observation at or below its watermark (tier.go);
 	// nil means the log holds everything. evicted counts the rows
 	// eviction has released.
@@ -318,11 +266,10 @@ func (v *view) search(after uint64) int {
 // visited. The pointer is into the log: fn must not write through it
 // (Scan hands callers outside the package a copy).
 func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
-	spaceSet := spaceSetFor(f)
 	visited := 0
 	for k, end := v.search(f.AfterSeq), v.len(); k < end; k++ {
 		o := v.at(k)
-		if !matches(o, f, spaceSet) {
+		if !matches(o, &f) {
 			continue
 		}
 		visited++
@@ -414,7 +361,6 @@ func (s *Store) Append(o sensor.Observation) (sensor.Observation, error) {
 	s.hotMu.Unlock()
 	s.mu.Unlock()
 	s.totalIngests.Add(1)
-	s.notifyAppend(o)
 	return o, nil
 }
 
@@ -431,6 +377,11 @@ func (s *Store) AppendAll(obs []sensor.Observation) error {
 // LastSeq returns the last seq allocated: every row appended so far
 // has a seq at or below it.
 func (s *Store) LastSeq() uint64 { return s.nextSeq.Load() }
+
+// Deletions counts the Sweep and DeleteUser calls that removed a row.
+// Each advances it once its rows are gone from every Scan (deleteUnion),
+// so with LastSeq it versions what a scan can see.
+func (s *Store) Deletions() uint64 { return s.deletions.Load() }
 
 // Query returns the observations matching f in seq (insertion) order:
 // the cold tier's matches behind its watermark, when one is attached,
@@ -457,18 +408,7 @@ func (s *Store) Count(f Filter) int {
 	return n
 }
 
-func spaceSetFor(f Filter) map[string]bool {
-	if len(f.SpaceIDs) == 0 {
-		return nil
-	}
-	set := make(map[string]bool, len(f.SpaceIDs))
-	for _, id := range f.SpaceIDs {
-		set[id] = true
-	}
-	return set
-}
-
-func matches(o *sensor.Observation, f Filter, spaceSet map[string]bool) bool {
+func matches(o *sensor.Observation, f *Filter) bool {
 	if !f.From.IsZero() && o.Time.Before(f.From) {
 		return false
 	}
@@ -487,10 +427,7 @@ func matches(o *sensor.Observation, f Filter, spaceSet map[string]bool) bool {
 	if f.Kind != "" && o.Kind != f.Kind {
 		return false
 	}
-	if spaceSet != nil && !spaceSet[o.SpaceID] {
-		return false
-	}
-	return true
+	return len(f.SpaceIDs) == 0 || slices.Contains(f.SpaceIDs, o.SpaceID)
 }
 
 // Len returns the number of live observations, in the log or behind
@@ -631,7 +568,7 @@ func (s *Store) Sweep(now time.Time) int {
 	// No rule is shorter than ttl, so nothing observed after now-ttl can
 	// have expired: the tier skips those segments by their zone maps.
 	cold := Filter{To: now.Add(calendarSlack - ttl.Approx())}
-	total := s.deleteUnion(cold, false, expired)
+	total := s.deleteUnion(cold, expired)
 	s.totalSwept.Add(uint64(total))
 	// Durable mode: retention must reach the disk too. Sealed WAL
 	// segments holding only dead records are deleted outright.
@@ -641,25 +578,13 @@ func (s *Store) Sweep(now time.Time) int {
 	return total
 }
 
-func deletionOf(o *sensor.Observation, erased bool) Deletion {
-	return Deletion{
-		Seq:      o.Seq,
-		Time:     o.Time,
-		SensorID: o.SensorID,
-		SpaceID:  o.SpaceID,
-		UserID:   o.UserID,
-		Kind:     o.Kind,
-		Erased:   erased,
-	}
-}
-
 // rewrite publishes a log without the rows doomed condemns and returns
-// how many of them lay above split, their Deletions when a listener
+// how many of them lay above split, their Deletions when a cold tier
 // wants them, and the floor of the log it rewrote. A row at or below
 // the split is the tier's to report; its resident copy just goes. A
 // log with no doomed row is left as it is.
-func (s *Store) rewrite(split uint64, erased bool, doomed func(*sensor.Observation) bool) (int, []Deletion, uint64) {
-	collect := s.hasListener()
+func (s *Store) rewrite(split uint64, doomed func(*sensor.Observation) bool) (int, []Deletion, uint64) {
+	collect := s.coldTier() != nil
 	s.mu.Lock() // no append lands between the walk and the publish
 	defer s.mu.Unlock()
 	old := s.hot
@@ -683,7 +608,7 @@ func (s *Store) rewrite(split uint64, erased bool, doomed func(*sensor.Observati
 		if o.Seq > split {
 			n++
 			if collect {
-				dels = append(dels, deletionOf(o, erased))
+				dels = append(dels, Deletion{Seq: o.Seq, Time: o.Time})
 			}
 		}
 	}
@@ -707,17 +632,7 @@ func (s *Store) publish(l *hotLog) {
 // holds back nothing. Kept rows stay where they are, under their seqs.
 // It returns the number deleted.
 func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) int {
-	f := Filter{UserID: userID}
-	// The Deletions carry Erased only when the subject keeps no row, so
-	// derived stores drop the subject, not just the rows, exactly then.
-	erased := true
-	if keep != nil {
-		s.walk(f, func(o *sensor.Observation) bool {
-			erased = !keep(o)
-			return erased
-		})
-	}
-	total := s.deleteUnion(f, erased, func(o *sensor.Observation) bool {
+	total := s.deleteUnion(Filter{UserID: userID}, func(o *sensor.Observation) bool {
 		return o.UserID == userID && (keep == nil || !keep(o))
 	})
 	s.totalSwept.Add(uint64(total))

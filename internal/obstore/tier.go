@@ -19,11 +19,13 @@ import (
 )
 
 // ColdTier is the storage tier that owns every observation with
-// seq <= its watermark (internal/colstore's sealed segments). It is the
-// store's Listener too: deletions of cold rows reach it as the same
-// Deletion records retention and erasure always sent.
+// seq <= its watermark (internal/colstore's sealed segments).
 type ColdTier interface {
-	Listener
+	// ObservationsDeleted tells the tier which rows retention or erasure
+	// removed: those it holds, and the hot ones a compaction in flight
+	// may have snapshotted. It runs synchronously on the deleting
+	// goroutine, before the deletion returns.
+	ObservationsDeleted(dels []Deletion)
 	// ScanCold calls visit, in ascending seq, for every live
 	// observation at or below the watermark that matches f, stopping
 	// when visit returns false or f.Limit rows were visited. The pointer
@@ -39,15 +41,13 @@ type ColdTier interface {
 }
 
 // AttachTier installs t as the owner of everything at or below its
-// watermark and as the store's listener, and evicts what the log
-// holds below that watermark: after a crash, recovery re-installs rows
+// watermark, and evicts what the log holds below that watermark: after a crash, recovery re-installs rows
 // the tier had already sealed. Attach before concurrent traffic, and
 // only a tier at least as durable as the store — Checkpoint writes
 // what the log holds, so rows evicted on behalf of a memory-only tier
 // would be lost at the next restart (colstore.AttachStore refuses that
 // pairing).
 func (s *Store) AttachTier(t ColdTier) {
-	s.SetListener(t)
 	s.tier.Store(&t)
 	_, wm := t.ColdRows()
 	if s.nextSeq.Load() < wm {
@@ -173,34 +173,42 @@ func (s *Store) Scan(f Filter, visit func(*sensor.Observation) bool) {
 // DeleteUser. Cold rows matching the filter that doomed condemns become
 // Deletions (the tier tombstones them and rewrites their segments at
 // its next compaction); the log is rewritten without its doomed rows,
-// those above the split reported. Both sets reach the listener before
-// the split is validated against the floor of the log the rewrite
-// read, so a repeat — an eviction had overtaken the split, see read —
-// finds the first round's rows already tombstoned and rescans only the
-// gap.
-func (s *Store) deleteUnion(cold Filter, erased bool, doomed func(*sensor.Observation) bool) int {
-	t := s.coldTier()
-	if t == nil {
-		n, dels, _ := s.rewrite(0, erased, doomed)
-		s.notifyDeleted(dels)
-		return n
-	}
+// those above the split reported. Both sets reach the tier before the
+// split is validated against the floor of the log the rewrite read, so
+// a repeat — an eviction had overtaken the split, see read — finds the
+// first round's rows already tombstoned and rescans only the gap.
+//
+// The deletion counter advances last, once every removed row is gone
+// from Scan (the log republished, the tombstones recorded), and only
+// when a row was removed. Advancing it any earlier would let a reader
+// that scans mid-deletion pair the new count with rows still present,
+// and cache that answer as current.
+func (s *Store) deleteUnion(cold Filter, doomed func(*sensor.Observation) bool) int {
 	total := 0
-	for {
-		var dels []Deletion
-		tail, _ := t.ScanCold(cold, func(o *sensor.Observation) bool {
-			if doomed(o) {
-				dels = append(dels, deletionOf(o, erased))
+	if t := s.coldTier(); t == nil {
+		total, _, _ = s.rewrite(0, doomed)
+	} else {
+		for {
+			var dels []Deletion
+			tail, _ := t.ScanCold(cold, func(o *sensor.Observation) bool {
+				if doomed(o) {
+					dels = append(dels, Deletion{Seq: o.Seq, Time: o.Time})
+				}
+				return true
+			})
+			n, hot, floor := s.rewrite(tail.AfterSeq, doomed)
+			total += len(dels) + n
+			if dels = append(dels, hot...); len(dels) > 0 {
+				t.ObservationsDeleted(dels)
 			}
-			return true
-		})
-		total += len(dels)
-		n, hot, floor := s.rewrite(tail.AfterSeq, erased, doomed)
-		total += n
-		s.notifyDeleted(append(dels, hot...))
-		if floor <= tail.AfterSeq {
-			return total
+			if floor <= tail.AfterSeq {
+				break
+			}
+			cold.AfterSeq = tail.AfterSeq
 		}
-		cold.AfterSeq = tail.AfterSeq
 	}
+	if total > 0 {
+		s.deletions.Add(1)
+	}
+	return total
 }

@@ -23,8 +23,6 @@ type sliceTier struct {
 	dead map[uint64]bool
 }
 
-func (t *sliceTier) ObservationAppended(sensor.Observation) {}
-
 func (t *sliceTier) ObservationsDeleted(dels []Deletion) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -38,9 +36,8 @@ func (t *sliceTier) ObservationsDeleted(dels []Deletion) {
 func (t *sliceTier) ScanCold(f Filter, visit func(*sensor.Observation) bool) (Filter, bool) {
 	t.mu.Lock()
 	var match []sensor.Observation
-	spaceSet := spaceSetFor(f)
 	for i := range t.rows {
-		if o := &t.rows[i]; o.Seq > f.AfterSeq && !t.dead[o.Seq] && matches(o, f, spaceSet) {
+		if o := &t.rows[i]; o.Seq > f.AfterSeq && !t.dead[o.Seq] && matches(o, &f) {
 			match = append(match, *o)
 		}
 	}
@@ -226,5 +223,71 @@ func TestAttachTierAheadOfStore(t *testing.T) {
 	}
 	if rows := fresh.Query(Filter{AfterSeq: 29}); len(rows) != 2 || rows[1].UserID != "u2" {
 		t.Fatalf("rows after seq 29: %+v", rows)
+	}
+}
+
+// deletionWatch is a sliceTier that records the store's deletion count
+// each time it is told of deleted rows.
+type deletionWatch struct {
+	*sliceTier
+	s    *Store
+	seen []uint64
+}
+
+func (w *deletionWatch) ObservationsDeleted(dels []Deletion) {
+	w.seen = append(w.seen, w.s.Deletions())
+	w.sliceTier.ObservationsDeleted(dels)
+}
+
+// TestDeletionsCountsCallsThatRemoved: the deletion count moves once
+// for each Sweep or DeleteUser that removed a row, hot or cold, and not
+// for one that removed nothing; and it moves only after the tier holds
+// the deletion's tombstones, so a reader that sees the new count never
+// scans a row the deletion removed.
+func TestDeletionsCountsCallsThatRemoved(t *testing.T) {
+	s := New()
+	w := &deletionWatch{sliceTier: &sliceTier{dead: make(map[uint64]bool)}, s: s}
+	s.AttachTier(w)
+	for i := 0; i < 6; i++ {
+		o := sensor.Observation{SensorID: "ap-1", Kind: sensor.ObsWiFiConnect, UserID: fmt.Sprintf("u%d", i%3),
+			Time: t0.Add(time.Duration(i) * time.Minute)}
+		if _, err := s.Append(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.seal(s, 3) // u0, u1, u2 once each in the tier, once each in the log
+	steps := []struct {
+		name    string
+		remove  func() int
+		removed int
+	}{
+		{"an erasure of a subject with no row", func() int { return s.DeleteUser("nobody", nil) }, 0},
+		{"an erasure across both tiers", func() int { return s.DeleteUser("u0", nil) }, 2},
+		{"a sweep that expires nothing", func() int { return s.Sweep(t0) }, 0},
+		{"a sweep across both tiers", func() int {
+			s.SetDefaultRetention(isodur.MustParse("PT1M"))
+			return s.Sweep(t0.Add(5 * time.Minute))
+		}, 3},
+	}
+	for _, st := range steps {
+		before, told := s.Deletions(), len(w.seen)
+		if n := st.remove(); n != st.removed {
+			t.Fatalf("%s removed %d rows, want %d", st.name, n, st.removed)
+		}
+		want := before
+		if st.removed > 0 {
+			want++
+		}
+		if got := s.Deletions(); got != want {
+			t.Fatalf("after %s the count is %d, want %d", st.name, got, want)
+		}
+		for _, c := range w.seen[told:] {
+			if c != before {
+				t.Fatalf("%s: the tier was told of its rows with the count already at %d, want %d", st.name, c, before)
+			}
+		}
+	}
+	if n := s.Count(Filter{}); n != 1 {
+		t.Fatalf("%d rows left, want u2's newest", n)
 	}
 }

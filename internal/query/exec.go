@@ -210,18 +210,8 @@ func (p *Plan) Execute() (*Result, error) {
 	case TableAudit:
 		return p.execAudit()
 	case TableOccupancy:
-		if p.rollup != nil {
-			if res, ok, err := p.tryOccupancyRollup(); err != nil || ok {
-				return res, err
-			}
-		}
 		return p.execOccupancy()
 	default:
-		if p.rollup != nil {
-			if res, ok, err := p.tryRollup(); err != nil || ok {
-				return res, err
-			}
-		}
 		return p.execObservations()
 	}
 }
@@ -302,7 +292,7 @@ func (p *Plan) execObservations() (*Result, error) {
 	if p.grouped {
 		g := newGrouper(p)
 		err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject uint32) bool {
-			g.add((*obsRow)(rel), subject, nil)
+			g.add((*obsRow)(rel), subject)
 			return true
 		})
 		if err != nil {
@@ -341,7 +331,7 @@ func (p *Plan) execAudit() (*Result, error) {
 		}
 		p.enf.stats.ReleasedRows++
 		if g != nil {
-			g.add(cur, 0, nil)
+			g.add(cur, 0)
 		} else if !pr.add(cur) {
 			break
 		}
@@ -483,12 +473,8 @@ func (g *grouper) newGroup() *group {
 	return gr
 }
 
-// add folds one released row into its group. cell, when non-nil, makes
-// the row stand for a whole pre-aggregated rollup cell: counts weigh
-// cell.Count and value aggregates come from the cell's statistics (the
-// released value equals ground truth there, because a noisy value
-// aggregate never reaches the rollup path).
-func (g *grouper) add(r row, subject uint32, cell *RollupEntry) {
+// add folds one released row into its group.
+func (g *grouper) add(r row, subject uint32) {
 	p := g.p
 	g.key = g.key[:0]
 	for _, c := range p.groupCols {
@@ -502,10 +488,6 @@ func (g *grouper) add(r row, subject uint32, cell *RollupEntry) {
 		}
 		g.groups[string(g.key)] = gr
 	}
-	weight := 1
-	if cell != nil {
-		weight = cell.Count
-	}
 	for ci := range p.cols {
 		oc := &p.cols[ci]
 		if oc.expr.Agg == AggNone {
@@ -513,21 +495,7 @@ func (g *grouper) add(r row, subject uint32, cell *RollupEntry) {
 		}
 		st := &gr.states[ci]
 		if oc.expr.Star {
-			st.count += weight
-			continue
-		}
-		if cell != nil && oc.src == obsValue {
-			switch oc.expr.Agg {
-			case AggCount:
-				st.count += cell.Count // value is never NULL
-			case AggSum, AggAvg:
-				st.sum += cell.Sum
-				st.sumN += cell.Count
-			case AggMin:
-				st.observeMin(numberValue(cell.Min))
-			case AggMax:
-				st.observeMax(numberValue(cell.Max))
-			}
+			st.count++
 			continue
 		}
 		v := r.col(oc.src)
@@ -537,7 +505,7 @@ func (g *grouper) add(r row, subject uint32, cell *RollupEntry) {
 		switch oc.expr.Agg {
 		case AggCount:
 			if !oc.expr.Distinct {
-				st.count += weight
+				st.count++
 				continue
 			}
 			g.key = v.groupKey(g.key[:0])

@@ -226,20 +226,7 @@ type Plan struct {
 	orderBy   []orderSpec
 	limit     int
 
-	// rollup, when non-nil, marks the plan eligible to be answered
-	// from pre-aggregated rollup cells (see resolveRollup); the
-	// executor still falls back to the row scan when the backend
-	// cannot serve the filter exactly or noise is in play.
-	rollup *rollupPlan
-
 	enf *enforcement
-}
-
-// rollupPlan records what an eligible plan needs from the rollup
-// backend.
-type rollupPlan struct {
-	needSensor bool // sensor_id is grouped, aggregated, or filtered
-	needValue  bool // value statistics (SUM/AVG/MIN/MAX of value)
 }
 
 type orderSpec struct {
@@ -312,7 +299,6 @@ func (c *compiler) compile() (*Plan, error) {
 	if err := c.resolveOrderBy(p); err != nil {
 		return nil, err
 	}
-	c.resolveRollup(p)
 
 	p.enf = newEnforcement(c.env, c.req, c.stmt.Table)
 	return p, nil
@@ -805,78 +791,6 @@ func (c *compiler) resolveHaving(p *Plan) error {
 	}
 	p.having = typed
 	return nil
-}
-
-// rollupDims are the observation columns the rollup cubes key on; a
-// plan may only group by, aggregate over, or filter on these (plus
-// time bounds and COUNT(*) / value aggregates) to stay eligible.
-var rollupDims = map[string]bool{
-	"space_id":  true,
-	"kind":      true,
-	"user_id":   true,
-	"sensor_id": true,
-}
-
-// resolveRollup decides at compile time whether the plan's shape can
-// be answered from pre-aggregated rollup cells. The test is
-// structural: every predicate must be fully absorbed by the pushed
-// filter (a residual — including the one a space_id pushdown always
-// leaves behind — forces the row scan, because it evaluates per
-// released row), the filter must not use bounds a cube cannot
-// evaluate (seq cursors, MACs), and every grouping key and aggregate
-// must be computable from cube dimensions and per-cell statistics.
-// Whether the backend can actually serve the filter (bucket-aligned
-// window, cube enabled) is decided at execution time; the row scan
-// remains the fallback either way.
-func (c *compiler) resolveRollup(p *Plan) {
-	if c.env.Rollup == nil {
-		return
-	}
-	if p.residual != nil || p.filter.AfterSeq != 0 || p.filter.DeviceMAC != "" || len(p.filter.SpaceIDs) > 0 {
-		return
-	}
-	switch p.table {
-	case TableOccupancy:
-		// The occupancy table is distinct-subject counts per space —
-		// exactly the minute cube's shape. countPred runs
-		// post-aggregation on either path.
-		p.rollup = &rollupPlan{needSensor: p.filter.SensorID != ""}
-	case TableObservations:
-		if !p.grouped {
-			return
-		}
-		rp := &rollupPlan{needSensor: p.filter.SensorID != ""}
-		for _, g := range p.stmt.GroupBy {
-			if !rollupDims[g] {
-				return
-			}
-			if g == "sensor_id" {
-				rp.needSensor = true
-			}
-		}
-		for _, oc := range p.cols {
-			e := oc.expr
-			if e.Agg == AggNone || e.Star {
-				continue // group-by passthrough or COUNT(*)
-			}
-			switch {
-			case e.Col == "value":
-				if e.Distinct {
-					return // per-row values are gone from the cube
-				}
-				if e.Agg != AggCount {
-					rp.needValue = true // value is never NULL, so COUNT(value) is COUNT(*)
-				}
-			case rollupDims[e.Col]:
-				if e.Col == "sensor_id" {
-					rp.needSensor = true
-				}
-			default:
-				return // seq/time/device_mac aggregates need rows
-			}
-		}
-		p.rollup = rp
-	}
 }
 
 func (c *compiler) resolveOrderBy(p *Plan) error {

@@ -99,42 +99,9 @@ type Env struct {
 	// Now is the evaluation clock for time-windowed rules; nil means
 	// time.Now.
 	Now func() time.Time
-	// Rollup, when set, serves pre-aggregated ground-truth cells for
-	// eligible aggregate plans (see plan.go's resolveRollup). The
-	// backend must answer the filter *exactly* or return ok=false, in
-	// which case the executor falls back to the enforced row scan.
-	// Cells carry raw per-subject statistics — never an enforced view —
-	// and the executor re-applies the requester's decisions to every
-	// cell before release.
+	// Rollup is a shim for bench/replay.go (see shim.go): nothing in
+	// this package calls it.
 	Rollup func(req RollupRequest) (cells []RollupEntry, ok bool)
-}
-
-// RollupRequest asks the rollup backend for pre-aggregated cells
-// matching a plan's pushed-down filter. NeedSensor means the plan
-// references sensor_id (the backend must use a cube with a sensor
-// dimension); NeedValue means value aggregates are selected (the cube
-// must carry value statistics).
-type RollupRequest struct {
-	Filter     obstore.Filter
-	NeedSensor bool
-	NeedValue  bool
-}
-
-// RollupEntry is one pre-aggregated ground-truth cell: one time
-// bucket's statistics for one (sensor, kind, space, subject)
-// combination. MinSeq is the smallest contributing observation seq;
-// the executor orders groups by it to reproduce the row scan's
-// first-seen group order exactly.
-type RollupEntry struct {
-	Bucket   time.Time
-	SensorID string
-	Kind     sensor.ObservationKind
-	SpaceID  string
-	UserID   string
-	Count    int
-	Sum      float64
-	Min, Max float64
-	MinSeq   uint64
 }
 
 // AuditRecord is one audit-table row: a retained enforcement
@@ -184,13 +151,9 @@ type Stats struct {
 	// EffectiveK distinct subjects. Groups with no attributed rows are
 	// never suppressed.
 	SuppressedGroups int `json:"suppressed_groups"`
-	// UsedRollup reports the result was served from pre-aggregated
-	// rollup cells instead of a row scan. Enforcement still ran per
-	// cell; the row counts above are then cell-weighted equivalents.
-	UsedRollup bool `json:"used_rollup,omitempty"`
-	// RollupCells is how many pre-aggregated cells the rollup backend
-	// supplied when UsedRollup is set.
-	RollupCells int `json:"rollup_cells,omitempty"`
+	// UsedRollup is a shim for bench/replay.go (see shim.go): it is
+	// never set.
+	UsedRollup bool `json:"-"`
 }
 
 // Result is an executed query: column names and typed rows.

@@ -18,9 +18,7 @@ import (
 // segWorld is one randomized policy world for the columnar-equivalence
 // property: per-subject deny bits, k floors, granularity coarsening
 // (released location collapses to the building), and noise (a
-// deterministic value offset standing in for per-row randomness — the
-// rollup path must refuse to serve value aggregates under it and fall
-// back, which is exactly what keeps the two paths byte-identical).
+// deterministic value offset standing in for per-row randomness).
 type segWorld struct {
 	deny   map[string]bool
 	floors map[string]int
@@ -35,10 +33,10 @@ func buildingOf(space string) string {
 	return space
 }
 
-// envOver wires a query Env for this world over the given row source
-// and optional rollup backend. Decide and Apply are shared stubs, so
-// any divergence between two envs is the row source's fault.
-func (w *segWorld) envOver(scan func(obstore.Filter) []sensor.Observation, rollup func(RollupRequest) ([]RollupEntry, bool)) Env {
+// envOver wires a query Env for this world over the given row source.
+// Decide and Apply are shared stubs, so any divergence between two envs
+// is the row source's fault.
+func (w *segWorld) envOver(scan func(obstore.Filter) []sensor.Observation) Env {
 	return Env{
 		Scan: scan,
 		Subtree: func(spaceID string) []string {
@@ -71,19 +69,19 @@ func (w *segWorld) envOver(scan func(obstore.Filter) []sensor.Observation, rollu
 			}
 			return out, true, nil
 		},
-		Now:    func() time.Time { return qtNow },
-		Rollup: rollup,
+		Now: func() time.Time { return qtNow },
 	}
 }
 
 // TestSegmentQueryMatchesRowScan is the columnar tier's equivalence
-// property, checked over randomized worlds and policies: every query —
-// rollup-served, segment-served, or fallen back — must release exactly
-// what the plain row scan releases: same columns, same rows, same
-// order, including k-floor suppression, coarsened-space regrouping,
-// and noise-forced fallbacks. Worlds mix sealed segments, an
-// uncompacted tail, and GDPR-erasure tombstones, so both halves of the
-// watermark split and the rollup dirty-rebuild path are on the hook.
+// property, checked over randomized worlds and policies: every query
+// over the segments and the hot tail must release exactly what the
+// plain row scan releases: same columns, same rows, same order,
+// including k-floor suppression, coarsened-space regrouping and noise.
+// Worlds mix sealed segments, an uncompacted tail, and GDPR-erasure
+// tombstones, so both halves of the watermark split are on the hook.
+// The executor never calls the Env.Rollup shim, however the statement
+// is shaped.
 // The row scan runs over a twin store no tier is attached to — it keeps
 // every row, where the tier's own store evicts what the segments hold.
 func TestSegmentQueryMatchesRowScan(t *testing.T) {
@@ -154,7 +152,7 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 			}
 			appendRandom(nObs - nObs*3/5) // stays in the row-store tail
 			if rng.Intn(2) == 0 {
-				// Erasure: tombstones + dirty rollup buckets.
+				// Erasure: tombstones over sealed rows.
 				if got, want := src.DeleteUser(users[0], nil), twin.DeleteUser(users[0], nil); got != want {
 					t.Fatalf("DeleteUser removed %d rows across both tiers, the twin %d", got, want)
 				}
@@ -165,22 +163,12 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 				}
 			}
 
-			rowEnv := w.envOver(twin.Query, nil)
-			colEnv := w.envOver(cs.Query, func(req RollupRequest) ([]RollupEntry, bool) {
-				cells, ok := cs.RollupFor(req.Filter, req.NeedSensor, req.NeedValue)
-				if !ok {
-					return nil, false
-				}
-				out := make([]RollupEntry, len(cells))
-				for i, c := range cells {
-					out[i] = RollupEntry{
-						Bucket: c.Bucket, SensorID: c.SensorID, Kind: c.Kind,
-						SpaceID: c.SpaceID, UserID: c.UserID,
-						Count: c.Count, Sum: c.Sum, Min: c.Min, Max: c.Max, MinSeq: c.MinSeq,
-					}
-				}
-				return out, true
-			})
+			rowEnv := w.envOver(twin.Query)
+			colEnv := w.envOver(cs.Query)
+			colEnv.Rollup = func(RollupRequest) ([]RollupEntry, bool) {
+				t.Error("the executor called Env.Rollup")
+				return nil, false
+			}
 
 			r := reqr()
 			r.MinK = 1 + rng.Intn(3)
@@ -191,60 +179,43 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 			unaligned := base.Add(-90*time.Minute - 30*time.Second).Format(time.RFC3339)
 			userPick := users[rng.Intn(nUsers)]
 
-			// rollup: 1 = the columnar env must serve it from rollups,
-			// -1 = it must fall back, 0 = either (noise decides).
-			queries := []struct {
-				sql    string
-				rollup int
-			}{
-				{"SELECT COUNT(*) FROM observations", 1},
-				{"SELECT COUNT(*) AS n, COUNT(DISTINCT user_id) AS u FROM observations", 1},
-				{"SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations GROUP BY space_id ORDER BY n DESC, space_id", 1},
-				{"SELECT kind, user_id, COUNT(*) AS n FROM observations GROUP BY kind, user_id HAVING n > 2 ORDER BY n DESC LIMIT 4", 1},
-				{fmt.Sprintf("SELECT user_id, COUNT(*) AS n FROM observations WHERE user_id = '%s' GROUP BY user_id", userPick), 1},
-				{fmt.Sprintf("SELECT space_id, COUNT(*) AS n FROM observations WHERE kind = 'wifi_access_point' AND time >= '%s' GROUP BY space_id ORDER BY space_id", m1), 1},
-				{fmt.Sprintf("SELECT sensor_id, COUNT(*) AS n, SUM(value) AS s, AVG(value) AS a, MIN(value) AS lo, MAX(value) AS hi FROM observations WHERE time >= '%s' AND time < '%s' GROUP BY sensor_id ORDER BY sensor_id", h1, h2), 0},
-				{"SELECT sensor_id, MIN(user_id) AS first, MAX(space_id) AS last FROM observations GROUP BY sensor_id ORDER BY sensor_id", 1},
-				// Fallback shapes: unaligned window, residual predicate,
-				// spatial predicate (always leaves a residual).
-				{fmt.Sprintf("SELECT space_id, COUNT(*) AS n FROM observations WHERE time >= '%s' GROUP BY space_id ORDER BY space_id", unaligned), -1},
-				{"SELECT space_id, COUNT(*) AS n FROM observations WHERE value >= 10 GROUP BY space_id ORDER BY space_id", -1},
-				{"SELECT space_id, COUNT(*) AS n FROM observations WHERE space_id = 'A' GROUP BY space_id", -1},
+			queries := []string{
+				"SELECT COUNT(*) FROM observations",
+				"SELECT COUNT(*) AS n, COUNT(DISTINCT user_id) AS u FROM observations",
+				"SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations GROUP BY space_id ORDER BY n DESC, space_id",
+				"SELECT kind, user_id, COUNT(*) AS n FROM observations GROUP BY kind, user_id HAVING n > 2 ORDER BY n DESC LIMIT 4",
+				fmt.Sprintf("SELECT user_id, COUNT(*) AS n FROM observations WHERE user_id = '%s' GROUP BY user_id", userPick),
+				fmt.Sprintf("SELECT space_id, COUNT(*) AS n FROM observations WHERE kind = 'wifi_access_point' AND time >= '%s' GROUP BY space_id ORDER BY space_id", m1),
+				fmt.Sprintf("SELECT sensor_id, COUNT(*) AS n, SUM(value) AS s, AVG(value) AS a, MIN(value) AS lo, MAX(value) AS hi FROM observations WHERE time >= '%s' AND time < '%s' GROUP BY sensor_id ORDER BY sensor_id", h1, h2),
+				"SELECT sensor_id, MIN(user_id) AS first, MAX(space_id) AS last FROM observations GROUP BY sensor_id ORDER BY sensor_id",
+				// Unaligned window, residual predicate, spatial predicate.
+				fmt.Sprintf("SELECT space_id, COUNT(*) AS n FROM observations WHERE time >= '%s' GROUP BY space_id ORDER BY space_id", unaligned),
+				"SELECT space_id, COUNT(*) AS n FROM observations WHERE value >= 10 GROUP BY space_id ORDER BY space_id",
+				"SELECT space_id, COUNT(*) AS n FROM observations WHERE space_id = 'A' GROUP BY space_id",
 				// Occupancy, with and without predicates.
-				{"SELECT space_id, count FROM occupancy", 1},
-				{"SELECT * FROM occupancy WHERE count >= 2 AND kind = 'wifi_access_point'", 1},
+				"SELECT space_id, count FROM occupancy",
+				"SELECT * FROM occupancy WHERE count >= 2 AND kind = 'wifi_access_point'",
 				// Row mode exercises the unified segments+tail scan.
-				{"SELECT seq, sensor_id, space_id, user_id, value FROM observations ORDER BY seq", -1},
+				"SELECT seq, sensor_id, space_id, user_id, value FROM observations ORDER BY seq",
 			}
 
 			for _, q := range queries {
-				want, err := Run(rowEnv, r, q.sql)
+				want, err := Run(rowEnv, r, q)
 				if err != nil {
-					t.Fatalf("row scan %q: %v", q.sql, err)
+					t.Fatalf("row scan %q: %v", q, err)
 				}
-				got, err := Run(colEnv, r, q.sql)
+				got, err := Run(colEnv, r, q)
 				if err != nil {
-					t.Fatalf("columnar %q: %v", q.sql, err)
+					t.Fatalf("columnar %q: %v", q, err)
 				}
 				if !reflect.DeepEqual(want.Columns, got.Columns) {
-					t.Fatalf("%q: columns diverge: %v vs %v", q.sql, want.Columns, got.Columns)
+					t.Fatalf("%q: columns diverge: %v vs %v", q, want.Columns, got.Columns)
 				}
 				if !reflect.DeepEqual(want.Rows, got.Rows) {
-					t.Fatalf("%q: released rows diverge\nrow scan: %v\ncolumnar: %v\n(rollup=%v, cells=%d)",
-						q.sql, want.Rows, got.Rows, got.Stats.UsedRollup, got.Stats.RollupCells)
+					t.Fatalf("%q: released rows diverge\nrow scan: %v\ncolumnar: %v", q, want.Rows, got.Rows)
 				}
-				switch q.rollup {
-				case 1:
-					if !got.Stats.UsedRollup {
-						t.Errorf("%q: expected the rollup path, got a scan", q.sql)
-					}
-				case -1:
-					if got.Stats.UsedRollup {
-						t.Errorf("%q: served from rollups but must fall back", q.sql)
-					}
-				}
-				if want.Stats.UsedRollup {
-					t.Errorf("%q: row-scan env claims rollups", q.sql)
+				if got.Stats.UsedRollup {
+					t.Errorf("%q: Stats.UsedRollup is set", q)
 				}
 			}
 		})

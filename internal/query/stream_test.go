@@ -51,8 +51,8 @@ func TestEnvScanAdapterEquivalent(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		te, w, users := streamWorld(seed, 400)
 		slice := te.env().Scan
-		scanOnly := w.envOver(slice, nil)
-		eachOnly := w.envOver(nil, nil)
+		scanOnly := w.envOver(slice)
+		eachOnly := w.envOver(nil)
 		eachOnly.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation) bool) {
 			var scratch sensor.Observation
 			for _, o := range slice(f) {

@@ -312,10 +312,6 @@ type DeploymentConfig struct {
 	// CompactInterval starts the background compactor at this period
 	// (zero leaves compaction to explicit CompactOnce calls).
 	CompactInterval time.Duration
-	// ColumnarRollupMax caps the rollup cubes' entry count (default
-	// 1M, ≈ 36 MB resident); past it the cubes shut down and readers
-	// fall back to scans.
-	ColumnarRollupMax int
 	// SLOInterval starts a continuous SLO evaluator at this period
 	// over the BMS metrics registry (zero disables it). The evaluator
 	// serves GET /v1/slo on APIHandler.
@@ -408,8 +404,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		StreamPolicy:  cfg.StreamPolicy,
 		Tracer:        cfg.Tracer,
 
-		ColumnarDir:       cfg.ColumnarDir,
-		ColumnarRollupMax: cfg.ColumnarRollupMax,
+		ColumnarDir: cfg.ColumnarDir,
 	})
 	if err != nil {
 		return nil, err

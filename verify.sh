@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the repo's one-command health check: formatting, vet,
 # build, the full test suite under the race detector (with the crash,
-# equivalence, hot-log, scoped-memo, eviction-is-invisible, flat-cube,
-# occupancy pair-pass, streaming-builder, pooled-decode, request-scanner
+# equivalence, hot-log, scoped-memo, eviction-is-invisible, occupancy
+# pair-pass and answer-cache, streaming-builder, pooled-decode, request-scanner
 # and appended-response properties and the rule log's restart, crash,
 # erasure and failure tests, the stage clock, the decision ring's
 # erasure and the chunked memo repeated), the micro-benchmark count gate
@@ -48,8 +48,8 @@ go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/t
 echo "== stream disconnect-then-resume + resume splice under concurrent ingest (200x, race) =="
 go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestResumeSpliceUnderConcurrentIngest$' ./internal/stream/
 
-echo "== colstore compaction crash injection + streamed-scan and cube-visitor equivalence + eviction-is-invisible property and cold erasure + flat-cube reference equivalence, re-open and footprint + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier and the streaming builder against the parent's layout (repeated, race) =="
-go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestOccupancyVisitorMatchesRollup|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestCubeMatchesReferenceUnderChurn|TestLateRowReopensSealedBucket|TestCubeCellFootprint|TestErasureReachesInternTable|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout' ./internal/colstore/...
+echo "== colstore compaction crash injection + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier and the streaming builder against the parent's layout (repeated, race) =="
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout' ./internal/colstore/...
 
 echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
 go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
@@ -57,18 +57,18 @@ go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations and pooled-decision isolation + streamed user request + durable store with the default columnar directory (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations over the hot window and sealed segments and pooled-decision isolation + the occupancy answer cache against ingest, rule changes, sweeps and erasures and for unaligned windows + streamed user request + durable store with the default columnar directory (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestOccupancyCacheInvalidation|TestUnalignedOccupancyReadIsCached|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
 
 echo "== rule log — restart keeps preferences over HTTP and in process and across racing checkpoints, SIGKILL right after an acknowledged PUT, torn final frame dropped, damaged middle frame refused, erasure folds the log, a self-folding log stays bounded, a failed append changes nothing and answers 500, its allocations (repeated, race) =="
 go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcurrentWritersAndCheckpoints|TestRuleLogTornFinalFrameDropped|TestRuleLogCorruptMiddleFrameRefusesOpen|TestForgetUserFoldsRuleLog|TestRuleLogStaysBounded|TestRuleLogWriteFailure|TestSetPreferenceDurableAllocs|TestPreferenceCodecRoundTrip' ./internal/core/...
 go test -race -count=2 -run 'TestDeploymentDurableRestartKeepsPreferences|TestDeploymentPreferenceSurvivesSIGKILL' .
 go test -race -count=2 -run 'TestRuleLogFailureIs500' ./internal/httpapi/...
 
-echo "== stage clock, one observation per stage per path and the stage attributes on a sampled server span + ForgetUser drops the subject's decision traces + chunked decision memo, its allocations and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
+echo "== stage clock, one observation per stage per path and the stage attributes on a sampled server span + ForgetUser drops the subject's decision traces and leaves the subject in no sampled span + chunked decision memo, its allocations and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
 go test -race -count=2 -run 'TestStageClockObservesEachStageOnce' ./internal/core/...
-go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestForgetUserDropsDecisionTraces' ./internal/httpapi/...
+go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestForgetUserDropsDecisionTraces|TestForgetUserLeavesNoSubjectInTraces' ./internal/httpapi/...
 go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace' ./internal/enforce/...
 
 echo "== micro-benchmark count gate (nine benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
