@@ -547,14 +547,15 @@ func (r *benchResponse) Write(p []byte) (int, error) {
 // decoding the batch costs next to ingesting and logging its rows. A
 // fresh node on an emptied directory replaces the filling one every
 // perNode batches, with the timer stopped, so a 100000x run holds at
-// most 150 000 rows, not ten million. A node's first batches allocate
-// more than its later ones, so perNode also sets the mean: 1500 puts it
-// near mid-way between two integers (≈ 69.6 on 2 vCPUs), where the
-// truncated allocs/op the ledger gates reads the same from run to run
-// (69 in each of thirteen runs); at 1000 an earlier mean sat within 0.05
-// of an integer and read either side of it by GC timing.
+// most 75 000 rows, not ten million. A node's first batches allocate
+// more than its later ones, so perNode also sets the mean, which must
+// sit well inside two integers for the truncated allocs/op the ledger
+// gates to read the same from run to run. The mean moves with perNode
+// as ≈ 7.54 + 705/perNode (2 vCPUs; 8.24 at 1000, 8.02 at 1500 — where
+// the truncated count read 7 or 8 by GC timing — and 7.77 at 3000).
+// 750 puts it at 8.43 (8.429–8.437 in five runs), which reads 8.
 func BenchmarkIngestBatchHTTP(b *testing.B) {
-	const perNode = 1500
+	const perNode = 750
 	dir := b.TempDir()
 	var dep *Deployment
 	open := func() {

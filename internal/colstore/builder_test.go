@@ -25,7 +25,7 @@ import (
 // buildSegment lays out rows (ascending seq, all in one bucket) through
 // the streaming builder.
 func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
-	b := newSegBuilder(bucket)
+	b := newSegBuilder(bucket, len(rows))
 	for i := range rows {
 		b.add(&rows[i])
 	}
@@ -227,4 +227,87 @@ func TestStreamingBuilderMatchesParentLayout(t *testing.T) {
 			t.Fatalf("seed %d: no segment was rewritten", seed)
 		}
 	}
+}
+
+// TestSealedColumnsHaveNoSlack: compaction counts each bucket's rows
+// before it builds the bucket's segment, and every column of every
+// segment it seals — fresh or rewritten — has no capacity past its
+// length: when the counts are exact, when a row is deleted between the
+// count and the build, and when a late row lands in a closed bucket
+// between them.
+func TestSealedColumnsHaveNoSlack(t *testing.T) {
+	src, cs := newPair(t, "")
+	add := func(minute, n int, user string) {
+		t.Helper()
+		for i := range n {
+			o := obsAt("ap-1", "s1", fmt.Sprintf("%s%d", user, i%3), sensor.ObsWiFiConnect,
+				csNow.Add(time.Duration(minute)*time.Minute+time.Duration(i)*time.Second), float64(i))
+			if i%4 == 0 {
+				o.Payload = map[string]string{"event": "assoc"}
+			}
+			if _, err := src.Append(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(stage string, rows map[int64]int) {
+		t.Helper()
+		cs.mu.RLock()
+		segs := cs.segs
+		cs.mu.RUnlock()
+		for _, sg := range segs {
+			if want, ok := rows[sg.bucket.UnixNano()]; ok && sg.rows() != want {
+				t.Fatalf("%s: the segment of %v holds %d rows, want %d", stage, sg.bucket, sg.rows(), want)
+			}
+			slack := map[string][2]int{
+				"seqs": {len(sg.seqs), cap(sg.seqs)}, "times": {len(sg.times), cap(sg.times)},
+				"values": {len(sg.values), cap(sg.values)}, "payloads": {len(sg.payloads), cap(sg.payloads)},
+				"userOff": {len(sg.userOff), cap(sg.userOff)}, "userRows": {len(sg.userRows), cap(sg.userRows)},
+			}
+			for i, col := range sg.cols() {
+				slack[fmt.Sprintf("dict %d", i)] = [2]int{len(col.dict), cap(col.dict)}
+				slack[fmt.Sprintf("idx %d", i)] = [2]int{len(col.idx), cap(col.idx)}
+			}
+			for name, lc := range slack {
+				if lc[0] != lc[1] {
+					t.Errorf("%s: segment %d's %s column has length %d, capacity %d", stage, sg.id, name, lc[0], lc[1])
+				}
+			}
+		}
+		if len(segs) == 0 {
+			t.Fatalf("%s: nothing sealed", stage)
+		}
+	}
+	compact := func(stage string, between func()) {
+		t.Helper()
+		testHookBetweenPasses = between
+		defer func() { testHookBetweenPasses = nil }()
+		if _, err := cs.CompactOnce(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	bucket := func(minute int) int64 { return csNow.Add(time.Duration(minute) * time.Minute).UnixNano() }
+
+	add(-30, 21, "a")
+	add(-29, 5, "b")
+	compact("exact counts", nil)
+	check("exact counts", map[int64]int{bucket(-30): 21, bucket(-29): 5})
+
+	add(-20, 13, "c")
+	add(-19, 9, "d")
+	compact("a row deleted between the passes", func() {
+		if n := src.DeleteUser("c1", nil); n != 4 {
+			t.Fatalf("deleted %d rows of c1, want 4", n)
+		}
+	})
+	check("a row deleted between the passes", map[int64]int{bucket(-20): 9, bucket(-19): 9})
+
+	add(-10, 7, "e")
+	compact("a late row between the passes", func() { add(-10, 1, "late") })
+	check("a late row between the passes", map[int64]int{bucket(-10): 8})
+
+	// Erasing a sealed subject rewrites the segments it touches.
+	src.DeleteUser("a2", nil)
+	compact("rewritten", nil)
+	check("rewritten", map[int64]int{bucket(-30): 14})
 }

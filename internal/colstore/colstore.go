@@ -129,6 +129,11 @@ var testHookAfterCommit func()
 // must land as a tombstone rather than leak into a fresh segment.
 var testHookAfterSnapshot func()
 
+// testHookBetweenPasses, when non-nil, runs between CompactOnce's
+// counting walk of the row store's tail and the walk that fills the
+// builders, where a racing deletion or a late row leaves a count stale.
+var testHookBetweenPasses func()
+
 // Open loads (or initializes) a columnar store. With a directory it
 // replays the manifest, drops orphan segment files a crash left
 // behind, and decodes every live segment.
@@ -403,22 +408,41 @@ func (s *Store) CompactOnce() (int, error) {
 	s.compactingUpTo = ^uint64(0)
 	s.mu.Unlock()
 
-	// Walk the seq-ascending tail, streaming each row into its time
-	// bucket's segment builder (seq order kept within each), and stop at
-	// the first row whose bucket is still open: the watermark must
-	// advance as a contiguous seq prefix, so a row in an open bucket
-	// fences everything behind it until the bucket closes.
+	// Walk the seq-ascending tail twice, stopping at the first row whose
+	// bucket is still open: the watermark must advance as a contiguous
+	// seq prefix, so a row in an open bucket fences everything behind it
+	// until the bucket closes. The first walk counts each bucket's rows,
+	// so its builder makes its columns once, at their final length; the
+	// second streams each row into its bucket's builder (seq order kept
+	// within each) and is the snapshot compaction seals. A row deleted
+	// or appended between the walks only leaves a count stale, and seal
+	// copies a column whose count was.
+	closed := func(o *sensor.Observation) (time.Time, bool) {
+		b := o.Time.Truncate(s.cfg.BucketDur)
+		return b, !b.Add(s.cfg.BucketDur).After(now)
+	}
+	counts := make(map[int64]int)
+	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
+		b, ok := closed(o)
+		if ok {
+			counts[b.UnixNano()]++
+		}
+		return ok
+	})
+	if testHookBetweenPasses != nil {
+		testHookBetweenPasses()
+	}
 	sealed, newWM := 0, wm
-	builders := make(map[int64]*segBuilder)
+	builders := make(map[int64]*segBuilder, len(counts))
 	var starts []int64
 	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
-		b := o.Time.Truncate(s.cfg.BucketDur)
-		if b.Add(s.cfg.BucketDur).After(now) {
+		b, ok := closed(o)
+		if !ok {
 			return false
 		}
 		sb, ok := builders[b.UnixNano()]
 		if !ok {
-			sb = newSegBuilder(b)
+			sb = newSegBuilder(b, counts[b.UnixNano()])
 			builders[b.UnixNano()] = sb
 			starts = append(starts, b.UnixNano())
 		}
@@ -474,7 +498,7 @@ func (s *Store) CompactOnce() (int, error) {
 			keep = append(keep, sg)
 			continue
 		}
-		surviving := newSegBuilder(sg.bucket)
+		surviving := newSegBuilder(sg.bucket, sg.rows()) // seal trims what the tombstones took
 		for i := 0; i < sg.rows(); i++ {
 			if _, dead := seqTombSnap[sg.seqs[i]]; !dead {
 				o := sg.row(i)

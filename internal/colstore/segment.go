@@ -268,9 +268,11 @@ func ascending(dict []string) bool {
 // segBuilder lays out one segment a row at a time, so compaction
 // streams the row store's tail into columns instead of first copying it
 // into rows: add appends each field of a row to its column of a segment
-// that grows in place, and seal copies every column out at its length —
-// a sealed segment stays on the heap, so append's growth slack would
-// stay with it.
+// that grows in place. Compaction counts a bucket's rows before it
+// builds it, so the columns start at their final length and seal hands
+// them over as they are; a column that outgrew or fell short of its
+// count is copied out at its length — a sealed segment stays on the
+// heap, so append's growth slack would stay with it.
 type segBuilder struct {
 	sg segment
 	// pos maps a value to its dictionary position, per column of cols.
@@ -281,9 +283,16 @@ type segBuilder struct {
 	enc    []byte
 }
 
-func newSegBuilder(bucket time.Time) *segBuilder {
+// newSegBuilder returns a builder whose columns have room for rows
+// rows; more or fewer may be added.
+func newSegBuilder(bucket time.Time, rows int) *segBuilder {
 	b := &segBuilder{sg: segment{bucket: bucket.UTC()}, shared: make(map[string]map[string]string)}
-	for i := range b.pos {
+	b.sg.seqs = make([]uint64, 0, rows)
+	b.sg.times = make([]int64, 0, rows)
+	b.sg.values = make([]float64, 0, rows)
+	b.sg.payloads = make([]map[string]string, 0, rows)
+	for i, col := range b.sg.cols() {
+		col.idx = make([]uint32, 0, rows)
 		b.pos[i] = make(map[string]uint32)
 	}
 	return b
@@ -326,8 +335,8 @@ func (b *segBuilder) payload(p map[string]string) map[string]string {
 	return m
 }
 
-// seal returns the rows added so far as a segment. slices.Clone
-// allocates a column at its length, the size class make would take.
+// seal returns the rows added so far as a segment, which takes over the
+// builder's columns: the builder is not used again.
 func (b *segBuilder) seal(id uint64) (*segment, error) {
 	in := &b.sg
 	if in.rows() == 0 {
@@ -338,16 +347,27 @@ func (b *segBuilder) seal(id uint64) (*segment, error) {
 			return nil, fmt.Errorf("colstore: segment rows out of seq order (%d after %d)", in.seqs[i], in.seqs[i-1])
 		}
 	}
-	sg := &segment{id: id, bucket: in.bucket, seqs: slices.Clone(in.seqs), times: slices.Clone(in.times), values: slices.Clone(in.values)}
+	sg := &segment{id: id, bucket: in.bucket, seqs: exact(in.seqs), times: exact(in.times), values: exact(in.values)}
 	if b.hasPayload {
-		sg.payloads = slices.Clone(in.payloads)
+		sg.payloads = exact(in.payloads)
 	}
 	for i, col := range sg.cols() {
-		*col = dictCol{dict: slices.Clone(in.cols()[i].dict), idx: slices.Clone(in.cols()[i].idx)}
+		*col = dictCol{dict: exact(in.cols()[i].dict), idx: exact(in.cols()[i].idx)}
 		col.sortDict() // the values are distinct: they are b.pos's keys
 	}
 	sg.index()
 	return sg, nil
+}
+
+// exact returns s when it has no spare capacity, else a copy at its
+// length. (slices.Clone would round the copy up to a size class.)
+func exact[S ~[]E, E any](s S) S {
+	if len(s) == cap(s) {
+		return s
+	}
+	c := make(S, len(s))
+	copy(c, s)
+	return c
 }
 
 // appendPayload appends one row's payload encoding: the pair count,

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"strconv"
 	"sync"
 	"time"
@@ -28,7 +29,17 @@ import (
 // when registered, otherwise copied; never interned: the table outlives
 // the request, and a raw MAC a hash_mac sensor exists to hide, or the
 // ID of a subject since forgotten, must not. The directory holds its
-// strings for the node's life anyway. Payload values are copied.
+// strings for the node's life anyway.
+//
+// Payloads are decoded once per body: equal payload bytes in one body
+// decode to one map, which every row carrying them shares (an ingest
+// batch repeats a handful of payloads row after row). The decoder keeps
+// the body's payloads in a small fixed table, each beside the bytes it
+// was decoded from; a payload whose bytes equal an earlier one's takes
+// its map, any other is decoded afresh. Nothing writes to a stored
+// row's payload, so sharing it is safe, and release clears the table:
+// no map or value outlives the request that decoded it, and no body
+// ever sees another's.
 
 const (
 	// internCap bounds a decoder's table; a full table is cleared. It
@@ -37,6 +48,10 @@ const (
 	internCap = 1024
 	// internMaxLen: a longer string is copied, never interned.
 	internMaxLen = 64
+	// payloadSlots bounds a body's payload table. A batch of simulated
+	// readings carries one payload; a body with more distinct ones
+	// decodes those past the table afresh.
+	payloadSlots = 8
 )
 
 // decoder scans one body held in data, resolving subjects via users.
@@ -45,6 +60,15 @@ type decoder struct {
 	pos   int
 	table map[string]string
 	users *profile.Directory
+	// payloads[:npayloads] are the body's payloads decoded so far:
+	// each one's bytes in data and its map.
+	payloads  [payloadSlots]bodyPayload
+	npayloads int
+}
+
+type bodyPayload struct {
+	raw []byte
+	m   map[string]string
 }
 
 var decoderPool = sync.Pool{New: func() any { return &decoder{table: make(map[string]string)} }}
@@ -78,11 +102,17 @@ func getDecoder(data []byte, users *profile.Directory) *decoder {
 	return d
 }
 
-// release drops the body buffer, which goes back to its own pool, and
-// the directory, which may be another node's next time.
+// release drops the body buffer, which goes back to its own pool, the
+// body's payload maps, which are the request's alone, and the
+// directory, which may be another node's next time.
 func (d *decoder) release() {
 	d.data, d.users = nil, nil
+	d.dropPayloads()
 	decoderPool.Put(d)
+}
+
+func (d *decoder) dropPayloads() {
+	d.payloads, d.npayloads = [payloadSlots]bodyPayload{}, 0
 }
 
 // batch scans a JSON array of observations into *out, reusing its
@@ -173,18 +203,35 @@ func (d *decoder) observation(o *ObservationDTO) bool {
 	})
 }
 
-// payload scans a flat object of strings into a new map. A repeated key
-// keeps its last value, as json.Unmarshal does.
+// payload scans a flat object of strings into a map: the map of an
+// earlier payload of the body with the same bytes, which scan to the
+// same value and end at the same offset, or else a new one. A repeated
+// key keeps its last value, as json.Unmarshal does.
 func (d *decoder) payload(out *map[string]string) bool {
+	d.ws()
+	rest := d.data[d.pos:]
+	for _, p := range d.payloads[:d.npayloads] {
+		if len(rest) >= len(p.raw) && bytes.Equal(rest[:len(p.raw)], p.raw) {
+			*out = p.m
+			d.pos += len(p.raw)
+			return true
+		}
+	}
+	start := d.pos
 	m := make(map[string]string)
 	*out = m
-	return d.members(func(key []byte) bool {
+	ok := d.members(func(key []byte) bool {
 		v, ok := d.str()
 		if ok {
 			m[d.intern(key)] = string(v)
 		}
 		return ok
 	})
+	if ok && d.npayloads < payloadSlots {
+		d.payloads[d.npayloads] = bodyPayload{raw: d.data[start:d.pos], m: m}
+		d.npayloads++
+	}
+	return ok
 }
 
 // fields records which of an object's keys were seen: a repeated key

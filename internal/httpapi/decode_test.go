@@ -428,13 +428,14 @@ func simulatedBatch(t *testing.T) ([]ObservationDTO, *profile.Directory) {
 
 // TestDecodeBatchAllocs: a 100-row batch shaped like the benchmark's
 // ingest — a simulated day's readings — decodes through the scanner
-// with one string per payload value, one map (its header and its slots)
-// per payload, and a few more. Its device MACs and user IDs are the
-// population's, so with the directory they cost nothing; without it,
-// one string each.
+// with one map (its header and its slots) and one string per value for
+// each distinct payload encoding, not each payload, and a few more. Its
+// device MACs and user IDs are the population's, so with the directory
+// they cost nothing; without it, one string each.
 func TestDecodeBatchAllocs(t *testing.T) {
 	batch, users := simulatedBatch(t)
-	subjects, values, payloads := 0, 0, 0
+	subjects, payloads := 0, 0
+	distinct := map[string]int{} // a payload's encoding: its value count
 	for _, o := range batch {
 		for _, s := range []string{o.DeviceMAC, o.UserID} {
 			if s == "" {
@@ -446,16 +447,27 @@ func TestDecodeBatchAllocs(t *testing.T) {
 			subjects++
 		}
 		if o.Payload != nil {
-			values += len(o.Payload)
+			enc, err := json.Marshal(o.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct[string(enc)] = len(o.Payload)
 			payloads++
 		}
+	}
+	if len(distinct) > payloadSlots {
+		t.Fatalf("the batch carries %d distinct payloads, more than the decoder's table holds", len(distinct))
+	}
+	perPayloads := 0
+	for _, values := range distinct {
+		perPayloads += values + 2
 	}
 	raw, err := json.Marshal(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payloads == 0 || subjects == 0 {
-		t.Fatalf("the batch carries %d payloads and %d subject strings; the bound tests nothing", payloads, subjects)
+	if payloads <= len(distinct) || subjects == 0 {
+		t.Fatalf("the batch carries %d payloads, %d distinct, and %d subject strings; the bound tests nothing", payloads, len(distinct), subjects)
 	}
 	const extra = 4
 	for _, c := range []struct {
@@ -463,8 +475,8 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		users *profile.Directory
 		limit int
 	}{
-		{"no directory", nil, subjects + values + 2*payloads + extra},
-		{"directory", users, values + 2*payloads + extra},
+		{"no directory", nil, subjects + perPayloads + extra},
+		{"directory", users, perPayloads + extra},
 	} {
 		// One decoder, not the pool's: under the race detector
 		// sync.Pool drops what it is handed at random.
@@ -473,6 +485,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		decode := func() {
 			clear(pooled[:cap(pooled)])
 			pooled = pooled[:0]
+			d.dropPayloads() // as release would
 			if d.data, d.pos = raw, 0; !d.batch(&pooled) {
 				t.Fatal("the scanner declined the batch")
 			}
@@ -482,9 +495,100 @@ func TestDecodeBatchAllocs(t *testing.T) {
 			t.Fatalf("%s: the scanned batch differs from the one marshalled", c.name)
 		}
 		n := testing.AllocsPerRun(20, decode)
-		t.Logf("%s: a 100-row batch: %v allocs (%d subject strings, %d payload values, %d payloads)", c.name, n, subjects, values, payloads)
+		t.Logf("%s: a 100-row batch: %v allocs (%d subject strings, %d payloads, %d distinct)", c.name, n, subjects, payloads, len(distinct))
 		if n > float64(c.limit) {
 			t.Fatalf("%s: a 100-row batch: %v allocs, want <= %d", c.name, n, c.limit)
+		}
+	}
+}
+
+// TestBodyPayloadsShareOneMap: within one body, equal payload bytes
+// decode to one map and different bytes to different maps; a
+// whitespace variant and a repeated key decode to json.Unmarshal's
+// values; a payload past the decoder's table still decodes, to a map of
+// its own; a body the scanner declines gets json.Unmarshal's maps, one
+// per payload; and release leaves the decoder's table holding no map.
+func TestBodyPayloadsShareOneMap(t *testing.T) {
+	const at = `"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:00Z"`
+	body := func(payloads ...string) []byte {
+		var b strings.Builder
+		b.WriteByte('[')
+		for i, p := range payloads {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{%s,"payload":%s}`, at, p)
+		}
+		b.WriteByte(']')
+		return []byte(b.String())
+	}
+	same := func(a, b map[string]string) bool {
+		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+	}
+	decode := func(raw []byte) []ObservationDTO {
+		t.Helper()
+		var got, want []ObservationDTO
+		if code, errBody := decodeOutcome(raw, &got, nil); code != http.StatusOK {
+			t.Fatalf("body %s: %d %s", raw, code, errBody)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %s:\n got  %+v\n want %+v", raw, got, want)
+		}
+		return got
+	}
+
+	assoc, disassoc := `{"event":"assoc"}`, `{"event":"disassoc"}`
+	spaced, repeated := `{ "event" : "assoc" }`, `{"event":"disassoc","event":"assoc"}`
+	got := decode(body(assoc, disassoc, assoc, spaced, repeated, assoc, spaced, repeated))
+	for _, pair := range [][2]int{{0, 2}, {0, 5}, {3, 6}, {4, 7}} {
+		if !same(got[pair[0]].Payload, got[pair[1]].Payload) {
+			t.Errorf("payloads %d and %d have equal bytes but two maps", pair[0], pair[1])
+		}
+	}
+	for _, pair := range [][2]int{{0, 1}, {0, 3}, {0, 4}, {1, 4}, {3, 4}} {
+		if same(got[pair[0]].Payload, got[pair[1]].Payload) {
+			t.Errorf("payloads %d and %d have different bytes but one map", pair[0], pair[1])
+		}
+	}
+
+	var distinct []string
+	for i := range payloadSlots + 1 {
+		distinct = append(distinct, fmt.Sprintf(`{"beacon":"%d"}`, i))
+	}
+	ninth := distinct[payloadSlots]
+	got = decode(body(append(distinct, ninth)...))
+	if last := got[payloadSlots:]; same(last[0].Payload, last[1].Payload) {
+		t.Error("the payloads past the table share a map")
+	}
+	for i := range payloadSlots {
+		if same(got[i].Payload, got[payloadSlots].Payload) {
+			t.Errorf("the payload past the table shares payload %d's map", i)
+		}
+	}
+
+	declined := bytes.Replace(body(assoc, assoc), []byte(`"kind"`), []byte(`"Kind"`), 1)
+	if probe := []ObservationDTO(nil); decodeFast(declined, &probe, nil) {
+		t.Fatalf("the scanner decoded %s", declined)
+	}
+	if got = decode(declined); same(got[0].Payload, got[1].Payload) {
+		t.Error("json.Unmarshal's payloads share a map")
+	}
+
+	d := getDecoder(body(assoc, assoc, disassoc), nil)
+	var batch []ObservationDTO
+	if !d.batch(&batch) || d.npayloads != 2 {
+		t.Fatalf("the scanner declined the batch or tabled %d payloads, want 2", d.npayloads)
+	}
+	d.release()
+	if d.npayloads != 0 {
+		t.Fatalf("a released decoder counts %d payloads", d.npayloads)
+	}
+	for i, p := range d.payloads {
+		if p.raw != nil || p.m != nil {
+			t.Fatalf("a released decoder's table still holds payload %d: %s %v", i, p.raw, p.m)
 		}
 	}
 }

@@ -118,17 +118,25 @@ var respell = strings.NewReplacer(`"sensor_id":`, `"Sensor_ID":`, `"device_mac":
 // pooled slices: the first of a pair, with its payloads and user IDs,
 // in one round and the second in the next, so each decoder follows the
 // other. Every stored row equals ObservationFromDTO of its element
-// decoded afresh, and no two rows share a payload map or a subject
-// string, so no request sees a field, a map or a string of another; a
-// malformed batch stores nothing; and every slice the handler handed
-// back to the pool is zero over its capacity.
+// decoded afresh. Two rows share a payload map only when they came from
+// one body with equal payloads, a payload value's bytes belong to one
+// map, and no two rows share a device MAC's or user ID's bytes, so no
+// request sees a field, a map or a string of another; a malformed batch
+// stores nothing; and every slice the handler handed back to the pool
+// is zero over its capacity.
 func TestPooledDecodeLeaksNothing(t *testing.T) {
 	bms := newIngestBMS(t)
 	h := NewServer(bms).Handler()
 
+	// posted is a row as its element decodes afresh, and the body it
+	// came in.
+	type posted struct {
+		obs  sensor.Observation
+		body int
+	}
 	var (
 		mu   sync.Mutex
-		want = map[int64]sensor.Observation{}
+		want = map[int64]posted{}
 		wg   sync.WaitGroup
 	)
 	for p := 0; p < 8; p++ {
@@ -165,7 +173,7 @@ func TestPooledDecodeLeaksNothing(t *testing.T) {
 					}
 					mu.Lock()
 					for _, d := range fresh {
-						want[d.Time.UnixNano()] = ObservationFromDTO(d)
+						want[d.Time.UnixNano()] = posted{ObservationFromDTO(d), (p*40+round)*2 + i}
 					}
 					mu.Unlock()
 				}
@@ -181,32 +189,40 @@ func TestPooledDecodeLeaksNothing(t *testing.T) {
 	if len(rows) != len(want) {
 		t.Fatalf("stored %d rows, posted %d", len(rows), len(want))
 	}
-	maps, strs := map[uintptr]bool{}, map[*byte]bool{}
+	// maps records each payload map's first row; strs, which map holds
+	// a string's bytes (0 for a device MAC or user ID, which no other
+	// row may hold).
+	maps, strs := map[uintptr]posted{}, map[*byte]uintptr{}
 	for _, got := range rows {
 		w, ok := want[got.Time.UnixNano()]
-		if w.Seq = got.Seq; !ok || !reflect.DeepEqual(got, w) {
-			t.Fatalf("stored row\n %+v\nfresh decode of its element\n %+v", got, w)
+		if w.obs.Seq = got.Seq; !ok || !reflect.DeepEqual(got, w.obs) {
+			t.Fatalf("stored row\n %+v\nfresh decode of its element\n %+v", got, w.obs)
 		}
+		var owner uintptr
 		if got.Payload != nil {
-			p := reflect.ValueOf(got.Payload).Pointer()
-			if maps[p] {
-				t.Fatalf("row %+v shares its payload map with another row", got)
+			owner = reflect.ValueOf(got.Payload).Pointer()
+			if first, seen := maps[owner]; !seen {
+				maps[owner] = w
+			} else if first.body != w.body {
+				t.Fatalf("row %+v shares its payload map with a row of another body, %+v", got, first.obs)
+			} else if !reflect.DeepEqual(first.obs.Payload, w.obs.Payload) {
+				t.Fatalf("row %+v shares its payload map with a row whose payload differs, %+v", got, first.obs)
 			}
-			maps[p] = true
 		}
-		subject := []string{got.DeviceMAC, got.UserID}
-		for _, v := range got.Payload {
-			subject = append(subject, v)
-		}
-		for _, v := range subject {
+		share := func(v string, owner uintptr) {
 			if len(v) < 2 {
-				continue // one-byte strings are the runtime's shared static ones
+				return // one-byte strings are the runtime's shared static ones
 			}
-			if p := unsafe.StringData(v); strs[p] {
+			p := unsafe.StringData(v)
+			if held, seen := strs[p]; seen && (held != owner || owner == 0) {
 				t.Fatalf("row %+v shares the bytes of %q with another row", got, v)
-			} else {
-				strs[p] = true
 			}
+			strs[p] = owner
+		}
+		share(got.DeviceMAC, 0)
+		share(got.UserID, 0)
+		for _, v := range got.Payload {
+			share(v, owner)
 		}
 	}
 

@@ -109,6 +109,10 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 	}
 	s := New()
 	s.logger = cfg.Logger
+	// Recovered rows with equal payloads share one map, as the rows of
+	// one decoded segment do; the table lives for this replay only.
+	s.replayed = make(payloadTable)
+	defer func() { s.replayed = nil }()
 
 	ckpt := filepath.Join(cfg.Dir, checkpointFile)
 	if f, err := os.Open(ckpt); err == nil {
@@ -183,7 +187,7 @@ func (s *Store) SetCheckpointHook(fn func() error) { s.onCheckpoint = fn }
 // OpenDurable, which sets the seq counter when both are done; both
 // deliver ascending seqs.
 func (s *Store) insertRecovered(seq uint64, payload []byte) error {
-	o, err := decodeObservation(seq, payload)
+	o, err := s.replayed.decode(seq, payload)
 	if err != nil {
 		return err
 	}
@@ -442,6 +446,20 @@ func appendObservation(buf []byte, o sensor.Observation) []byte {
 
 // decodeObservation is the inverse of appendObservation.
 func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
+	return payloadTable(nil).decode(seq, data)
+}
+
+// replayTableCap bounds a payloadTable: a replay whose payloads are
+// all distinct clears it when full rather than keep one key per row.
+const replayTableCap = 1024
+
+// payloadTable maps a record's payload section — the bytes from its
+// pair count to the end, which the payload is a function of — to the
+// one map decoded from them. A nil table shares nothing.
+type payloadTable map[string]map[string]string
+
+// decode is decodeObservation, taking an equal payload's map from t.
+func (t payloadTable) decode(seq uint64, data []byte) (sensor.Observation, error) {
 	d := &wal.Decoder{Data: data}
 	var o sensor.Observation
 	if v := d.Uvarint(); v != obsCodecVersion {
@@ -455,7 +473,12 @@ func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
 	o.DeviceMAC = d.Str()
 	o.UserID = d.Str()
 	o.Value = math.Float64frombits(d.Uvarint())
+	section := d.Off
 	if n := d.Uvarint(); n > 0 {
+		if m, ok := t[string(data[section:])]; ok {
+			o.Payload = m
+			return o, nil
+		}
 		// Each entry needs at least two length prefixes; reject counts
 		// the remaining bytes cannot possibly hold.
 		if rem := uint64(len(d.Data) - d.Off); n > rem/2+1 {
@@ -465,6 +488,12 @@ func decodeObservation(seq uint64, data []byte) (sensor.Observation, error) {
 		for i := uint64(0); i < n; i++ {
 			k := d.Str()
 			o.Payload[k] = d.Str()
+		}
+		if t != nil && d.Err == nil {
+			if len(t) >= replayTableCap {
+				clear(t)
+			}
+			t[string(data[section:])] = o.Payload
 		}
 	}
 	if d.Err != nil {

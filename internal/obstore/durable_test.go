@@ -177,6 +177,66 @@ func TestDurableCheckpointTruncatesAndRestores(t *testing.T) {
 	}
 }
 
+// TestRecoveredRowsShareEqualPayloads: rows restored from the
+// checkpoint and replayed from the WAL in one open hold one map per
+// distinct payload, as the rows of one decoded segment do, and equal
+// the rows the store held before the restart; rows without a payload
+// still have none.
+func TestRecoveredRowsShareEqualPayloads(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDurable(durableDirCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := []map[string]string{nil, {"event": "assoc"}, {"event": "disassoc"}, {"event": "assoc", "rssi": "-60"}}
+	appendRows := func(from, to int) {
+		for i := from; i < to; i++ {
+			o := durableObs(i, fmt.Sprintf("u%d", i%7))
+			o.Payload = payloads[i%len(payloads)]
+			if _, err := s.Append(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRows(0, 120)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	appendRows(120, 200)
+	before := s.Query(Filter{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenDurable(durableDirCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	after := s2.Query(Filter{})
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovered rows differ from the rows before the restart")
+	}
+	byContent := map[string]uintptr{}
+	for _, o := range after {
+		if o.Payload == nil {
+			continue
+		}
+		key, m := fmt.Sprint(o.Payload), reflect.ValueOf(o.Payload).Pointer()
+		if first, seen := byContent[key]; !seen {
+			byContent[key] = m
+		} else if first != m {
+			t.Fatalf("row %d's payload %v is a second map", o.Seq, o.Payload)
+		}
+	}
+	if len(byContent) != len(payloads)-1 {
+		t.Fatalf("%d distinct payloads recovered, want %d", len(byContent), len(payloads)-1)
+	}
+	if s2.replayed != nil {
+		t.Fatal("the replay's payload table outlived the open")
+	}
+}
+
 // TestDurableRetentionErasesSegments is the retention × durability
 // guarantee: after GC, expired observations are gone from the
 // in-memory indexes AND from the on-disk segments — whether the store

@@ -134,6 +134,9 @@ type Store struct {
 	// onCheckpoint is the directory's other durable state, checkpointed
 	// with the rows (see SetCheckpointHook).
 	onCheckpoint func() error
+	// replayed shares equal payloads among recovered rows; it is set
+	// only while OpenDurable restores the store (see durable.go).
+	replayed payloadTable
 }
 
 // New returns an empty store with no retention rules (observations
@@ -187,16 +190,29 @@ func (l *hotLog) append(o sensor.Observation) {
 	p := int32(l.n)
 	l.n++
 	if o.SensorID != "" {
-		l.bySensor[o.SensorID] = append(l.bySensor[o.SensorID], p)
+		l.bySensor[o.SensorID] = post(l.bySensor[o.SensorID], p)
 	}
 	if o.UserID != "" {
-		l.byUser[o.UserID] = append(l.byUser[o.UserID], p)
+		l.byUser[o.UserID] = post(l.byUser[o.UserID], p)
 	}
 	if o.Kind != "" {
-		l.byKind[o.Kind] = append(l.byKind[o.Kind], p)
+		l.byKind[o.Kind] = post(l.byKind[o.Kind], p)
 	}
 	ns := o.Time.UnixNano()
 	l.lo, l.hi = min(l.lo, ns), max(l.hi, ns)
+}
+
+// postingBlock is a position list's first capacity. Grown from empty, a
+// list would take five allocations (1, 2, 4, 8, 16) before its
+// sixteenth position; one block of 64 bytes takes their place.
+const postingBlock = 16
+
+// post appends p to a position list, starting a new one at one block.
+func post(list []int32, p int32) []int32 {
+	if list == nil {
+		list = make([]int32, 0, postingBlock)
+	}
+	return append(list, p)
 }
 
 // view is a reader's snapshot of the log: rows [0, n), or only the
