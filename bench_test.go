@@ -551,9 +551,9 @@ func (r *benchResponse) Write(p []byte) (int, error) {
 // more than its later ones, so perNode also sets the mean, which must
 // sit well inside two integers for the truncated allocs/op the ledger
 // gates to read the same from run to run. The mean moves with perNode
-// as ≈ 7.54 + 705/perNode (2 vCPUs; 8.24 at 1000, 8.02 at 1500 — where
-// the truncated count read 7 or 8 by GC timing — and 7.77 at 3000).
-// 750 puts it at 8.43 (8.429–8.437 in five runs), which reads 8.
+// as ≈ 5.55 + 660/perNode (2 vCPUs; 6.24 at 1000, 6.02 at 1500 — which
+// the truncated count could read as 5 or 6 by GC timing — and 5.77 at
+// 3000). 750 puts it at 6.43, which reads 6.
 func BenchmarkIngestBatchHTTP(b *testing.B) {
 	const perNode = 750
 	dir := b.TempDir()

@@ -40,7 +40,7 @@ func (b *BMS) DeriveOccupancy(from, to time.Time, interval time.Duration) (int, 
 		return 0, err
 	}
 	for i, o := range derived {
-		if _, err := b.appendAndPublish(o); err != nil {
+		if err := b.appendAndPublish(o); err != nil {
 			return i, err
 		}
 	}
@@ -150,7 +150,7 @@ func (b *BMS) CheckAccess(userID, spaceID, method string, now time.Time) (Access
 		err = b.Ingest(obs)
 	} else {
 		obs.SensorID = "bms-access-log"
-		_, err = b.appendAndPublish(obs)
+		err = b.appendAndPublish(obs)
 	}
 	return d, err
 }

@@ -8,7 +8,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -335,21 +334,10 @@ func (b *BMS) Stats() Stats {
 // Ingest is the capture pipeline (Figure 1 steps 2–3): a sensor
 // reading enters, capture-time enforcement applies the sensor's
 // current privacy settings, the reading is attributed to a user via
-// device MAC, and stored, which wakes the live streams. It is IngestCtx
-// without a caller context (no trace to continue).
+// device MAC, and stored, which wakes the live streams.
 func (b *BMS) Ingest(o sensor.Observation) error {
-	return b.IngestCtx(context.Background(), o)
-}
-
-// IngestCtx is Ingest continuing the trace carried by ctx: when the
-// trace is sampled, the capture pipeline and the store append are
-// recorded as spans.
-func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 	t0 := time.Now()
 	defer b.met.ingestSeconds.ObserveSince(t0)
-	ctx, span := b.tracer.StartSpan(ctx, "bms.ingest")
-	defer span.End()
-	span.SetAttr("sensor", o.SensorID)
 	s, ok := b.cfg.Sensors.Get(o.SensorID)
 	if !ok {
 		return fmt.Errorf("core: observation from unregistered sensor %q", o.SensorID)
@@ -383,29 +371,20 @@ func (b *BMS) IngestCtx(ctx context.Context, o sensor.Observation) error {
 			}
 		}
 	}
-	_, apSpan := b.tracer.StartSpan(ctx, "obstore.append")
-	defer apSpan.End()
-	seq, err := b.appendAndPublish(o)
-	if err != nil {
-		apSpan.SetAttr("error", err.Error())
-		return err
-	}
-	apSpan.SetAttrInt("seq", int64(seq))
-	return nil
+	return b.appendAndPublish(o)
 }
 
 // appendAndPublish is the one way an observation enters the store.
 // After the append it wakes the stream hub, which reads the new row
 // back from the store in seq order; the store's append lock is what
 // orders concurrent writers.
-func (b *BMS) appendAndPublish(o sensor.Observation) (seq uint64, err error) {
-	stored, err := b.store.Append(o)
-	if err != nil {
-		return 0, err
+func (b *BMS) appendAndPublish(o sensor.Observation) error {
+	if _, err := b.store.Append(o); err != nil {
+		return err
 	}
 	b.streams.Wake()
 	b.met.ingested.Inc()
-	return stored.Seq, nil
+	return nil
 }
 
 // RegisterPolicy installs a building policy (Figure 1 step 1): the

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
-	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -30,10 +29,6 @@ type QueryResponse struct {
 func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) (QueryResponse, error) {
 	started := time.Now()
 	defer b.met.requestQuery.ObserveSince(started)
-	ctx, span := b.tracer.StartSpan(ctx, "bms.query")
-	defer span.End()
-	span.SetAttr("service", requester.ServiceID)
-
 	tr := b.newTrace("query", enforce.Request{
 		ServiceID:   requester.ServiceID,
 		Purpose:     requester.Purpose,
@@ -49,7 +44,7 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	tr.Stages.add(StageParse, time.Since(t0))
 
 	t0 = time.Now()
-	plan, err := query.Compile(stmt, b.queryEnv(ctx), requester)
+	plan, err := query.Compile(stmt, b.queryEnv(), requester)
 	if err != nil {
 		if ee, ok := err.(*query.EnforceError); ok {
 			// A query the enforcement layer rejects outright is itself
@@ -61,7 +56,7 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 		return QueryResponse{}, err
 	}
 	tr.Stages.add(StagePlan, time.Since(t0))
-	span.SetAttr("table", stmt.Table)
+	tr.Table = stmt.Table
 
 	t0 = time.Now()
 	res, err := plan.Execute()
@@ -76,9 +71,8 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	b.met.queryGroupsSuppressed.Add(uint64(res.Stats.SuppressedGroups))
 	tr.Allowed = true
 	tr.SubjectsConsidered = res.Stats.Subjects
+	tr.ObservationsScanned = res.Stats.ScannedRows
 	tr.ObservationsReleased = res.Stats.ReleasedRows
-	span.SetAttrInt("scanned", int64(res.Stats.ScannedRows))
-	span.SetAttrInt("released", int64(res.Stats.ReleasedRows))
 	return QueryResponse{Result: res, Trace: b.finishTrace(&tr, started)}, nil
 }
 
@@ -87,20 +81,11 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 // (with notification delivery and metrics, exactly like the fixed
 // request paths), the per-row data path, and the audit view over
 // retained decision traces.
-func (b *BMS) queryEnv(ctx context.Context) query.Env {
+func (b *BMS) queryEnv() query.Env {
 	return query.Env{
 		// The store's scan is the unified view: zone-map-pruned segments
 		// behind the watermark, the hot log ahead of it.
-		ScanEach: func(f obstore.Filter, visit func(*sensor.Observation) bool) {
-			_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
-			defer qSpan.End()
-			n := 0
-			b.store.Scan(f, func(o *sensor.Observation) bool {
-				n++
-				return visit(o)
-			})
-			qSpan.SetAttrInt("observations", int64(n))
-		},
+		ScanEach: b.store.Scan,
 		Subtree: func(spaceID string) []string {
 			if ids, err := b.cfg.Spaces.Subtree(spaceID); err == nil {
 				return ids

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -68,11 +67,9 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 // receives is reused for the next one: emit copies what it keeps. On an
 // error, rows already emitted must be discarded.
 //
-// The request's enforcement stages become spans under the trace carried
-// by ctx (enforce.decide, then obstore.query over the streamed scan),
-// and the decision trace is stamped with the trace ID so `iotactl
-// trace` can join the two views of the same request. The trace's stages
-// stay decide, fetch, apply: apply is summed over the rows, and fetch is
+// The decision trace is stamped with the trace ID ctx carries, so
+// `iotactl trace` can join it to the request's server span. Its stages
+// are decide, fetch, apply: apply is summed over the rows, and fetch is
 // the scan's time less apply (emit's time included).
 func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit func(*sensor.Observation)) (Response, error) {
 	if req.SubjectID == "" {
@@ -86,17 +83,11 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 	}
 	started := time.Now()
 	defer b.met.requestUser.ObserveSince(started)
-	ctx, span := b.tracer.StartSpan(ctx, "bms.request_user")
-	defer span.End()
-	span.SetAttr("service", req.ServiceID)
 	tr := b.newTrace("user", req)
 	tr.joinSpanContext(ctx)
 
-	_, dSpan := b.tracer.StartSpan(ctx, "enforce.decide")
 	t0 := time.Now()
 	d := b.decide(req)
-	dSpan.SetAttr("allowed", strconv.FormatBool(d.Allowed))
-	dSpan.End()
 	tr.Stages.add(StageDecide, time.Since(t0))
 	tr.fromDecision(d)
 	if !d.Allowed {
@@ -111,21 +102,18 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 		tr.DenyReason = d.DenyReason
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 	}
-	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 	s := userScanPool.Get().(*userScan)
 	defer s.release()
 	s.d, s.transf, s.emit = d, b.transf, emit
 	t0 = time.Now()
 	b.store.Scan(b.filterFor(req), s.visitFn)
 	fetch := time.Since(t0)
-	qSpan.SetAttrInt("observations", int64(s.scanned))
-	qSpan.SetAttrInt("released", int64(s.released))
-	qSpan.End()
 	if s.err != nil {
 		return Response{}, s.err
 	}
 	tr.Stages.add(StageFetch, fetch-s.apply)
 	tr.Stages.add(StageApply, s.apply)
+	tr.ObservationsScanned = s.scanned
 	tr.ObservationsReleased = s.released
 	return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 }
@@ -182,9 +170,8 @@ func (b *BMS) RequestOccupancy(req enforce.Request, minK int) (Response, error) 
 	return b.RequestOccupancyCtx(context.Background(), req, minK)
 }
 
-// RequestOccupancyCtx is RequestOccupancy continuing the trace carried
-// by ctx: the fetch, the batched per-subject decisions, and the
-// k-anonymous aggregation each become spans.
+// RequestOccupancyCtx is RequestOccupancy joined to the trace carried by
+// ctx.
 func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK int) (Response, error) {
 	if minK < 1 {
 		minK = 1
@@ -194,12 +181,8 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	}
 	started := time.Now()
 	defer b.met.requestOccup.ObserveSince(started)
-	ctx, span := b.tracer.StartSpan(ctx, "bms.request_occupancy")
-	defer span.End()
-	span.SetAttr("service", req.ServiceID)
 	if b.transf == nil {
-		// Rejected here, not per released subject: no stage span below
-		// has an error exit between its start and its End.
+		// Rejected here, before any stage runs, not per released subject.
 		return Response{}, errors.New("core: nil transformer")
 	}
 	tr := b.newTrace("occupancy", req)
@@ -219,7 +202,6 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		cacheKey = occCacheKey(req, minK)
 		version = b.occVersion()
 		if a, ok := b.occCache.get(cacheKey, version); ok {
-			span.SetAttr("cache", "hit")
 			tr.Stages.add(StageCache, time.Since(started))
 			resp := Response{
 				SubjectsConsidered: a.considered,
@@ -232,6 +214,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 			tr.SubjectsConsidered = a.considered
 			tr.SubjectsReleased = a.released
 			tr.ObservationsReleased = a.relObs
+			tr.K, tr.Spaces = a.k, len(a.aggregates)
 			resp.Trace = b.finishTrace(&tr, started)
 			return resp, nil
 		}
@@ -239,14 +222,11 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 
 	sc := occScratchPool.Get().(*occScratch)
 	defer sc.release()
-	_, qSpan := b.tracer.StartSpan(ctx, "obstore.query")
 	t0 := time.Now()
 	b.store.Scan(b.filterFor(req), sc.visitFn)
-	qSpan.SetAttrInt("observations", int64(len(sc.pairs)))
-	qSpan.End()
 	tr.Stages.add(StageFetch, time.Since(t0))
+	tr.ObservationsScanned = len(sc.pairs)
 
-	_, bSpan := b.tracer.StartSpan(ctx, "enforce.decide_batch")
 	t0 = time.Now()
 	// The rows collapse to distinct pairs, each with its row count;
 	// sorted, a subject's pairs are one run, and the subjects come in
@@ -307,19 +287,11 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 			}
 		}
 	}
-	bSpan.SetAttrInt("subjects", int64(len(decisions)))
-	bSpan.SetAttrInt("released", int64(resp.SubjectsReleased))
-	bSpan.End()
 	tr.Stages.add(StageDecideSubjects, time.Since(t0))
-	_, gSpan := b.tracer.StartSpan(ctx, "privacy.aggregate")
 	t0 = time.Now()
 	resp.Aggregates = privacy.SuppressBelowK(sc.counts, k)
-	suppressed := len(sc.counts) - len(resp.Aggregates)
-	b.met.occSpacesSuppressed.Add(uint64(suppressed))
-	gSpan.SetAttrInt("k", int64(k))
-	gSpan.SetAttrInt("spaces", int64(len(resp.Aggregates)))
-	gSpan.SetAttrInt("spaces_suppressed", int64(suppressed))
-	gSpan.End()
+	tr.K, tr.Spaces, tr.SpacesSuppressed = k, len(resp.Aggregates), len(sc.counts)-len(resp.Aggregates)
+	b.met.occSpacesSuppressed.Add(uint64(tr.SpacesSuppressed))
 	tr.Stages.add(StageAggregate, time.Since(t0))
 	resp.Decision = occDecision(resp.Aggregates, k)
 	tr.Allowed = resp.Decision.Allowed

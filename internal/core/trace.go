@@ -114,6 +114,16 @@ type DecisionTrace struct {
 	// ObservationsReleased counts records that left the store after
 	// degradation.
 	ObservationsReleased int `json:"observations_released,omitempty"`
+	// ObservationsScanned counts the rows the request's store scan
+	// visited. K is the aggregation floor an occupancy answer applied,
+	// Spaces the spaces it released and SpacesSuppressed those it
+	// withheld below K (zero on a cache hit, which withheld none anew).
+	// Table is the relation a SQL query read.
+	ObservationsScanned int    `json:"observations_scanned,omitempty"`
+	K                   int    `json:"k,omitempty"`
+	Spaces              int    `json:"spaces,omitempty"`
+	SpacesSuppressed    int    `json:"spaces_suppressed,omitempty"`
+	Table               string `json:"table,omitempty"`
 	// Stages are the per-phase timings.
 	Stages StageClock `json:"stages"`
 	// TotalMicros is the end-to-end request latency in microseconds.

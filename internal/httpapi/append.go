@@ -297,6 +297,13 @@ func (a *appender) notification(n *enforce.Notification) {
 	a.b = append(a.b, '}')
 }
 
+// ingested appends a successful ingest's answer, ingestResult{Accepted: n}.
+func (a *appender) ingested(n int) {
+	a.raw(`{"accepted":`)
+	a.int(int64(n))
+	a.b = append(a.b, '}')
+}
+
 // trace appends t as its DecisionTraceDTO.
 func (a *appender) trace(t *core.DecisionTrace) {
 	a.b = append(a.b, '{')

@@ -264,6 +264,26 @@ func TestAppendersMatchEncodingJSON(t *testing.T) {
 		}
 		checkAppend(t, "query result", func(a *appender) { a.queryResult(&res, qt) }, queryResultToDTO(&res, qt))
 	}
+	// An ingest's success answer, as the handler writes it: the bytes and
+	// Content-Type writeJSON gives ingestResult.
+	for _, n := range []int{0, 1, 100, math.MaxInt} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(ingestResult{Accepted: n}); err != nil {
+			t.Fatal(err)
+		}
+		viaJSON := httptest.NewRecorder()
+		writeJSON(viaJSON, http.StatusOK, ingestResult{Accepted: n})
+		got := httptest.NewRecorder()
+		a := getAppender()
+		a.ingested(n)
+		a.respond(got)
+		a.release()
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Bytes()) ||
+			got.Header().Get("Content-Type") != viaJSON.Header().Get("Content-Type") {
+			t.Fatalf("ingest answer for %d: %d %q %q, want 200 %q %q", n, got.Code, got.Header().Get("Content-Type"),
+				got.Body, viaJSON.Header().Get("Content-Type"), want.Bytes())
+		}
+	}
 }
 
 // FuzzAppendersMatchEncodingJSON holds the observation and SQL-cell
@@ -296,7 +316,8 @@ func TestWriteResponseDropsStreamedRowsOnError(t *testing.T) {
 	var rows appender
 	rows.row(&sensor.Observation{SensorID: "ap-1", Kind: sensor.ObsWiFiConnect, UserID: "mary", Time: testNow})
 	rec := httptest.NewRecorder()
-	writeResponse(rec, core.Response{}, &rows, errors.New("boom"))
+	var c codecStages
+	c.respond(rec, httptest.NewRequest(http.MethodPost, "/v1/requests/user", nil), testNow, testNow, core.Response{}, &rows, errors.New("boom"))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", rec.Code)
 	}

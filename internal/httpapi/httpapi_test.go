@@ -487,7 +487,7 @@ func TestForgetUserLeavesNoSubjectInTraces(t *testing.T) {
 		if err := client.do(ctx, http.MethodGet, "/v1/traces/"+sum.TraceID, nil, &spans); err != nil {
 			t.Fatal(err)
 		}
-		read = read || strings.Contains(string(spans), `"name":"bms.request_user"`)
+		read = read || strings.Contains(string(spans), `"name":"http POST /v1/requests/user"`)
 		for _, id := range []string{"mary", "aa:00:00:00:00:01"} {
 			if strings.Contains(string(spans), id) {
 				t.Errorf("trace %s (%s) still names %s: %s", sum.TraceID, sum.Root, id, spans)
@@ -495,7 +495,7 @@ func TestForgetUserLeavesNoSubjectInTraces(t *testing.T) {
 		}
 	}
 	if !read {
-		t.Fatalf("no bms.request_user span among the traces %+v: the read was not sampled", sums)
+		t.Fatalf("no request span of the read among the traces %+v: the read was not sampled", sums)
 	}
 }
 

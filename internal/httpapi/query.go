@@ -105,8 +105,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	a := getAppender()
 	defer a.release()
 	a.queryResult(resp.Result, &resp.Trace)
+	s.queryStages.observe(w, req, &resp.Trace, decoded.Sub(t0), time.Since(encode))
 	a.respond(w)
-	s.queryStages.observe(req, &resp.Trace, decoded.Sub(t0), time.Since(encode))
 }
 
 // writeQueryErr maps the query layer's typed errors onto the wire:

@@ -53,6 +53,7 @@ type Server struct {
 
 	// The data endpoints' own stages, resolved by WithMetrics.
 	userStages, occStages, queryStages codecStages
+	ingestStages                       ingestStages
 }
 
 // NewServer wraps a BMS.
@@ -68,6 +69,7 @@ func (s *Server) WithMetrics(r *telemetry.Registry) *Server {
 	s.userStages = newCodecStages(r, "user")
 	s.occStages = newCodecStages(r, "occupancy")
 	s.queryStages = newCodecStages(r, "query")
+	s.ingestStages = ingestStages{codecStages: newCodecStages(r, "ingest"), append: r.StageHistogram("ingest", "append")}
 	return s
 }
 
@@ -268,6 +270,28 @@ var (
 	batchPool = sync.Pool{New: func() any { return new([]ObservationDTO) }}
 )
 
+// getBatch takes an ingest batch from the pool, zeroed over its whole
+// capacity. encoding/json decodes into the elements a reused slice
+// already holds: it zeroes no field the JSON omits, and it merges into
+// an existing map instead of replacing it — a map some stored row owns.
+// The scanner assumes zero elements too, and json.Unmarshal still
+// decodes every batch the scanner declines.
+func getBatch() *[]ObservationDTO {
+	bp := batchPool.Get().(*[]ObservationDTO)
+	clear((*bp)[:cap(*bp)])
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// putBatch zeroes bp over its capacity, so the pool pins no row's
+// strings or maps, and pools it unless it grew past maxPooledBatch.
+func putBatch(bp *[]ObservationDTO) {
+	clear((*bp)[:cap(*bp)])
+	if *bp = (*bp)[:0]; cap(*bp) <= maxPooledBatch {
+		batchPool.Put(bp)
+	}
+}
+
 // readJSON decodes the whole body into v before the handler acts on any
 // of it, so a malformed body changes nothing. A body over maxBodyBytes
 // is refused with 413. An ingest batch or a data request goes through
@@ -415,36 +439,36 @@ type ingestResult struct {
 	Error    string `json:"error,omitempty"`
 }
 
+// handleIngest stores a batch in order, stopping at the first
+// observation the node refuses: 422 with the count stored before it.
+// The success answer is appended (appender.ingested), so a request
+// allocates nothing of its own beyond what its rows need.
 func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
-	// encoding/json decodes into the elements a reused slice already
-	// holds: it zeroes no field the JSON omits, and it merges into an
-	// existing map instead of replacing it — a map some stored row owns.
-	// The scanner assumes zero elements too, and json.Unmarshal still
-	// decodes every batch the scanner declines. So the pooled batch is
-	// zeroed over its whole capacity before the decode, and again after,
-	// so the pool pins no row's strings or maps.
-	bp := batchPool.Get().(*[]ObservationDTO)
-	batch := *bp
-	clear(batch[:cap(batch)])
-	batch = batch[:0]
-	defer func() {
-		clear(batch[:cap(batch)])
-		if *bp = batch[:0]; cap(batch) <= maxPooledBatch {
-			batchPool.Put(bp)
-		}
-	}()
-	if !readJSON(w, req, &batch, s.bms.Users()) {
+	t0 := time.Now()
+	bp := getBatch()
+	defer putBatch(bp)
+	if !readJSON(w, req, bp, s.bms.Users()) {
 		return
 	}
-	accepted := 0
+	decoded := time.Now()
+	batch := *bp
 	for i := range batch {
-		if err := s.bms.IngestCtx(req.Context(), ObservationFromDTO(batch[i])); err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, ingestResult{Accepted: accepted, Error: err.Error()})
+		if err := s.bms.Ingest(ObservationFromDTO(batch[i])); err != nil {
+			msg := err.Error()
+			span := telemetry.ServerSpan(req.Context())
+			span.SetAttrInt("observations", int64(len(batch)))
+			span.SetAttrInt("accepted", int64(i))
+			span.SetAttr("error", msg)
+			writeJSON(w, http.StatusUnprocessableEntity, ingestResult{Accepted: i, Error: msg})
 			return
 		}
-		accepted++
 	}
-	writeJSON(w, http.StatusOK, ingestResult{Accepted: accepted})
+	appended := time.Now()
+	a := getAppender()
+	defer a.release()
+	a.ingested(len(batch))
+	s.ingestStages.observe(w, req, decoded.Sub(t0), appended.Sub(decoded), time.Since(appended), len(batch))
+	a.respond(w)
 }
 
 func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
@@ -465,26 +489,19 @@ func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
 	s.userStages.respond(w, req, t0, decoded, resp, rows, err)
 }
 
-// writeResponse answers a data request: 400 with only the error when it
-// failed — rows a subject read had already streamed are dropped, since
-// nothing reaches w before the whole body is built — else resp as its
-// ResponseDTO, with the rows appended by rows.row (nil for none) as its
-// observations.
-func writeResponse(w http.ResponseWriter, resp core.Response, rows *appender, err error) {
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	a := getAppender()
-	defer a.release()
-	a.response(&resp, rows)
-	a.respond(w)
-}
+// The stage clock (core.StageClock) is a request's one timing source.
+// Each data endpoint adds its own stages around the request manager's —
+// decoding the request, encoding the answer and, for ingest, appending
+// the batch — and observes every stage that ran on
+// tippers_request_stage_seconds{path,stage}. A sampled request also
+// carries them on its server span, as "stage.<name>_us" attributes
+// beside the facts of its decision trace, and in a Server-Timing header;
+// an unsampled one allocates for neither. Encoding is building the body:
+// the header has to be set before any of it is written.
 
-// codecStages are a data endpoint's own stages around the request
-// manager's: decoding the request and encoding the answer, observed on
-// tippers_request_stage_seconds under the core path's name. The zero
-// value, a server without metrics, observes nothing.
+// codecStages are a data endpoint's decode and encode stages, observed
+// under the core path's name. The zero value, a server without
+// metrics, observes nothing.
 type codecStages struct{ decode, encode *telemetry.Histogram }
 
 func newCodecStages(r *telemetry.Registry, path string) codecStages {
@@ -494,20 +511,27 @@ func newCodecStages(r *telemetry.Registry, path string) codecStages {
 	return codecStages{decode: r.StageHistogram(path, "decode"), encode: r.StageHistogram(path, "encode")}
 }
 
-// respond answers a data request decoded from t0 to decoded
-// (writeResponse) and, when it succeeded, observes its stages.
+// respond answers a data request decoded from t0 to decoded: 400 with
+// only the error when it failed — rows a subject read had already
+// streamed are dropped, since nothing reaches w before the whole body is
+// built — else resp as its ResponseDTO, with the rows appended by
+// rows.row (nil for none) as its observations, and its stages observed.
 func (c *codecStages) respond(w http.ResponseWriter, req *http.Request, t0, decoded time.Time, resp core.Response, rows *appender, err error) {
-	encode := time.Now()
-	writeResponse(w, resp, rows, err)
-	if err == nil {
-		c.observe(req, &resp.Trace, decoded.Sub(t0), time.Since(encode))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	encode := time.Now()
+	a := getAppender()
+	defer a.release()
+	a.response(&resp, rows)
+	c.observe(w, req, &resp.Trace, decoded.Sub(t0), time.Since(encode))
+	a.respond(w)
 }
 
-// observe records a served request's decode and encode times and, when
-// the request is sampled, stamps every stage it ran, tr's included, on
-// its server span as "stage.<name>_us" attributes.
-func (c *codecStages) observe(req *http.Request, tr *core.DecisionTrace, decode, encode time.Duration) {
+// observe records a served request's stages, tr's between decode and
+// encode, and stamps a sampled one's on its server span and header.
+func (c *codecStages) observe(w http.ResponseWriter, req *http.Request, tr *core.DecisionTrace, decode, encode time.Duration) {
 	if c.decode != nil {
 		c.decode.Observe(decode.Seconds())
 		c.encode.Observe(encode.Seconds())
@@ -516,13 +540,87 @@ func (c *codecStages) observe(req *http.Request, tr *core.DecisionTrace, decode,
 	if span == nil {
 		return
 	}
-	span.SetAttrInt("stage.decode_us", decode.Microseconds())
+	t := serverTiming{span: span}
+	t.stage("decode", decode)
 	for s, st := range tr.Stages {
 		if st.Calls > 0 {
-			span.SetAttrInt("stage."+core.Stage(s).String()+"_us", st.Duration().Microseconds())
+			t.stage(core.Stage(s).String(), st.Duration())
 		}
 	}
-	span.SetAttrInt("stage.encode_us", encode.Microseconds())
+	t.stage("encode", encode)
+	t.send(w)
+	traceAttrs(span, tr)
+}
+
+// ingestStages are the ingest path's stages: codecStages' two and the
+// batch's appends, timed once for the batch.
+type ingestStages struct {
+	codecStages
+	append *telemetry.Histogram
+}
+
+// observe is codecStages.observe for a batch of n observations, all
+// accepted.
+func (c *ingestStages) observe(w http.ResponseWriter, req *http.Request, decode, appended, encode time.Duration, n int) {
+	if c.decode != nil {
+		c.decode.Observe(decode.Seconds())
+		c.append.Observe(appended.Seconds())
+		c.encode.Observe(encode.Seconds())
+	}
+	span := telemetry.ServerSpan(req.Context())
+	if span == nil {
+		return
+	}
+	t := serverTiming{span: span}
+	t.stage("decode", decode)
+	t.stage("append", appended)
+	t.stage("encode", encode)
+	t.send(w)
+	span.SetAttrInt("observations", int64(n))
+	span.SetAttrInt("accepted", int64(n))
+}
+
+// serverTiming stamps a sampled request's stages on its server span and
+// collects them for its Server-Timing header, in milliseconds to the
+// microsecond the span holds.
+type serverTiming struct {
+	span *telemetry.Span
+	hdr  []byte
+}
+
+func (t *serverTiming) stage(name string, d time.Duration) {
+	us := d.Microseconds()
+	t.span.SetAttrInt("stage."+name+"_us", us)
+	if len(t.hdr) > 0 {
+		t.hdr = append(t.hdr, ", "...)
+	}
+	t.hdr = append(t.hdr, name...)
+	t.hdr = append(t.hdr, ";dur="...)
+	t.hdr = strconv.AppendFloat(t.hdr, float64(us)/1000, 'f', 3, 64)
+}
+
+func (t *serverTiming) send(w http.ResponseWriter) {
+	w.Header()["Server-Timing"] = []string{string(t.hdr)}
+}
+
+// traceAttrs stamps on a sampled server span the facts of its decision
+// trace that describe the whole request, never the subject's identity.
+func traceAttrs(span *telemetry.Span, tr *core.DecisionTrace) {
+	span.SetAttr("service", tr.ServiceID)
+	span.SetAttr("allowed", strconv.FormatBool(tr.Allowed))
+	span.SetAttrInt("observations", int64(tr.ObservationsScanned))
+	span.SetAttrInt("released", int64(tr.ObservationsReleased))
+	switch tr.Path {
+	case "occupancy":
+		span.SetAttrInt("subjects", int64(tr.SubjectsConsidered))
+		span.SetAttrInt("subjects_released", int64(tr.SubjectsReleased))
+		span.SetAttrInt("k", int64(tr.K))
+		span.SetAttrInt("spaces", int64(tr.Spaces))
+		span.SetAttrInt("spaces_suppressed", int64(tr.SpacesSuppressed))
+	case "query":
+		span.SetAttr("table", tr.Table)
+		span.SetAttrInt("subjects", int64(tr.SubjectsConsidered))
+	}
 }
 
 func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request) {

@@ -1,11 +1,15 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,7 +245,9 @@ func TestDecisionTraceOverHTTP(t *testing.T) {
 // TestRequestStagesOverHTTP: each data request adds one observation to
 // its path's decode and encode histograms, and a sampled request's
 // server span carries the µs of every stage it ran, the decision
-// trace's in its order between decode and encode.
+// trace's in its order between decode and encode. An ingest is one
+// batch: one decode, one append and one encode, however many rows, and
+// its span counts the rows it was sent and accepted.
 func TestRequestStagesOverHTTP(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1})
 	bms, _ := newServer(t, func(c *core.Config) { c.Tracer = tracer })
@@ -249,8 +255,31 @@ func TestRequestStagesOverHTTP(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, nil)
 	ctx := context.Background()
-	if _, err := client.Ingest(ctx, []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0), wifiObs("aa:00:00:00:00:02", 1)}); err != nil {
+	ingestCtx, root := tracer.StartRoot(ctx, "test")
+	if _, err := client.Ingest(ingestCtx, []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0), wifiObs("aa:00:00:00:00:02", 1)}); err != nil {
 		t.Fatal(err)
+	}
+	root.End()
+	for _, stage := range []string{"decode", "append", "encode"} {
+		h, ok := bms.Metrics().LookupHistogram("tippers_request_stage_seconds", telemetry.Labels{"path": "ingest", "stage": stage})
+		if !ok || h.Snapshot().Count != 1 {
+			t.Errorf("ingest: %s histogram registered %v, want one observation", stage, ok)
+		}
+	}
+	var ingestAttrs []string
+	for _, s := range tracer.Trace(root.Context().TraceID) {
+		if s.Name == "http POST /v1/observations" {
+			for _, a := range s.Attrs {
+				if strings.HasPrefix(a.Key, "stage.") {
+					ingestAttrs = append(ingestAttrs, a.Key)
+				} else if a.Key == "observations" || a.Key == "accepted" {
+					ingestAttrs = append(ingestAttrs, a.Key+"="+a.Value)
+				}
+			}
+		}
+	}
+	if got, want := strings.Join(ingestAttrs, " "), "stage.decode_us stage.append_us stage.encode_us observations=2 accepted=2"; got != want {
+		t.Errorf("ingest: server span attributes %q, want %q", got, want)
 	}
 	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
 		Kind: sensor.ObsWiFiConnect, Time: testNow}
@@ -314,4 +343,101 @@ func TestRequestStagesOverHTTP(t *testing.T) {
 		}
 		return res.Trace
 	})
+
+	// Unsampled, observing a request's stages allocates nothing: no
+	// attribute, no header.
+	reg := telemetry.NewRegistry()
+	ingest := ingestStages{codecStages: newCodecStages(reg, "ingest"), append: reg.StageHistogram("ingest", "append")}
+	user := newCodecStages(reg, "user")
+	unsampled := httptest.NewRequest(http.MethodPost, "/v1/observations", nil)
+	rec := httptest.NewRecorder()
+	var tr core.DecisionTrace
+	tr.Stages[core.StageDecide] = core.StageTime{Nanos: 1000, Calls: 1}
+	if a := testing.AllocsPerRun(100, func() {
+		ingest.observe(rec, unsampled, time.Microsecond, time.Millisecond, time.Microsecond, 100)
+		user.observe(rec, unsampled, &tr, time.Microsecond, time.Microsecond)
+	}); a != 0 || len(rec.Header()) != 0 {
+		t.Errorf("unsampled stages: %v allocations, headers %v; want none", a, rec.Header())
+	}
+}
+
+// TestServerTimingMatchesSpan: a sampled response to each data route
+// carries a Server-Timing header whose stages are its server span's, in
+// order and to the microsecond; an unsampled response carries none.
+func TestServerTimingMatchesSpan(t *testing.T) {
+	// Only a sampled traceparent samples a request.
+	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1 << 40})
+	bms, _ := newServer(t, func(c *core.Config) { c.Tracer = tracer })
+	srv := httptest.NewServer(NewServer(bms).WithMetrics(bms.Metrics()).WithTracing(tracer, 0, nil).Handler())
+	t.Cleanup(srv.Close)
+	ask := RequestDTO{ServiceID: "concierge", Purpose: string(policy.PurposeProvidingService),
+		Kind: string(sensor.ObsWiFiConnect), Time: testNow}
+	user := ask
+	user.SubjectID = "mary"
+	routes := []struct {
+		path string
+		body any
+	}{
+		{"/v1/observations", []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0), wifiObs("aa:00:00:00:00:02", 1)}},
+		{"/v1/requests/user", user},
+		{"/v1/requests/occupancy", ask},
+		{"/v1/query", QueryRequestDTO{SQL: "SELECT user_id FROM observations",
+			ServiceID: "concierge", Purpose: string(policy.PurposeProvidingService)}},
+	}
+	for i, r := range routes {
+		body, err := json.Marshal(r.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := func(flags string) (*http.Response, string) {
+			t.Helper()
+			traceID := fmt.Sprintf("%032x", i+1)
+			req, err := http.NewRequest(http.MethodPost, srv.URL+r.path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Traceparent", "00-"+traceID+"-00f067aa0ba902b7-"+flags)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", r.path, resp.StatusCode)
+			}
+			return resp, traceID
+		}
+		if resp, _ := send("00"); resp.Header.Get("Server-Timing") != "" {
+			t.Errorf("%s: unsampled response has Server-Timing %q", r.path, resp.Header.Get("Server-Timing"))
+		}
+		resp, traceID := send("01")
+		var header []string
+		for _, entry := range strings.Split(resp.Header.Get("Server-Timing"), ", ") {
+			name, dur, ok := strings.Cut(entry, ";dur=")
+			ms, err := strconv.ParseFloat(dur, 64)
+			if !ok || err != nil {
+				t.Fatalf("%s: Server-Timing entry %q", r.path, entry)
+			}
+			header = append(header, fmt.Sprintf("stage.%s_us=%d", name, int64(math.Round(ms*1000))))
+		}
+		id, err := telemetry.ParseTraceID(traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var span []string
+		for _, s := range tracer.Trace(id) {
+			if s.Name != "http POST "+r.path {
+				continue
+			}
+			for _, a := range s.Attrs {
+				if strings.HasPrefix(a.Key, "stage.") {
+					span = append(span, a.Key+"="+a.Value)
+				}
+			}
+		}
+		if len(span) < 3 || strings.Join(header, " ") != strings.Join(span, " ") {
+			t.Errorf("%s: Server-Timing stages %v, server span's %v", r.path, header, span)
+		}
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -20,10 +22,12 @@ import (
 )
 
 // TestSingleTraceIDAcrossPipeline is the observability acceptance
-// test: one client-originated trace ID must link the HTTP requests,
-// enforcement spans, store spans, an IRR fetch across the
-// tippersd↔irrd boundary, and SSE stream delivery — everything a slow
-// aggregate request or laggy stream would need for diagnosis.
+// test: one client-originated trace ID must link the HTTP requests, an
+// IRR fetch across the tippersd↔irrd boundary, and SSE stream delivery
+// — everything a slow aggregate request or laggy stream would need for
+// diagnosis. The ingest and occupancy server spans carry each stage the
+// request ran (the stage clock is the node's one timing source: no
+// stage has a span of its own) and the counts that describe it.
 func TestSingleTraceIDAcrossPipeline(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{SampleOneIn: 1})
 
@@ -143,13 +147,7 @@ func TestSingleTraceIDAcrossPipeline(t *testing.T) {
 	// asynchronously after the client hangs up; poll briefly.
 	want := []string{
 		"http POST /v1/observations",
-		"bms.ingest",
-		"obstore.append",
 		"http POST /v1/requests/occupancy",
-		"bms.request_occupancy",
-		"obstore.query",
-		"enforce.decide_batch",
-		"privacy.aggregate",
 		"http irr",
 		"http GET /v1/stream",
 		"stream.subscribe",
@@ -188,6 +186,33 @@ func TestSingleTraceIDAcrossPipeline(t *testing.T) {
 	for _, s := range spans {
 		if s.ParentID != "" && !ids[s.ParentID] {
 			t.Errorf("span %s (%s) has unknown parent %s", s.Name, s.SpanID, s.ParentID)
+		}
+	}
+
+	// The server spans carry the stages and the counts the stage spans
+	// once did: every stage as µs (a want of ""), and what the request
+	// handled.
+	type attr struct{ key, value string }
+	wantAttrs := map[string][]attr{
+		"http POST /v1/observations": {{"stage.decode_us", ""}, {"stage.append_us", ""}, {"stage.encode_us", ""},
+			{"observations", "2"}, {"accepted", "2"}},
+		"http POST /v1/requests/occupancy": {{"stage.decode_us", ""}, {"stage.fetch_us", ""}, {"stage.decide-subjects_us", ""},
+			{"stage.aggregate_us", ""}, {"stage.encode_us", ""}, {"allowed", "true"}, {"observations", "2"},
+			{"subjects", "2"}, {"subjects_released", "2"}, {"k", "2"}, {"spaces", "1"}, {"spaces_suppressed", "0"}},
+	}
+	for _, s := range spans {
+		for _, want := range wantAttrs[s.Name] {
+			i := slices.IndexFunc(s.Attrs, func(a telemetry.Attr) bool { return a.Key == want.key })
+			switch {
+			case i < 0:
+				t.Errorf("%s span has no %s attribute: %v", s.Name, want.key, s.Attrs)
+			case want.value == "":
+				if _, err := strconv.ParseInt(s.Attrs[i].Value, 10, 64); err != nil {
+					t.Errorf("%s span's %s = %q, want a count of µs", s.Name, want.key, s.Attrs[i].Value)
+				}
+			case s.Attrs[i].Value != want.value:
+				t.Errorf("%s span's %s = %q, want %q", s.Name, want.key, s.Attrs[i].Value, want.value)
+			}
 		}
 	}
 

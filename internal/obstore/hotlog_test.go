@@ -608,3 +608,115 @@ func TestOpenParentWrittenDirectory(t *testing.T) {
 		t.Fatalf("first append got seq %d (%v), want 151", o.Seq, err)
 	}
 }
+
+// TestEvictedLogStartsAtPreviousLength: a log an eviction cuts starts
+// each position list at the length it had in the log it replaced, and
+// with room for its keys and chunks, so an epoch shaped like the last
+// allocates one list per distinct key and one chunk per chunkRows rows,
+// and regrows nothing; an index map too small to presize (Go allocates
+// a small map's slots at its first insert) may add one. Lists started
+// at one block would each regrow two to seven times here.
+func TestEvictedLogStartsAtPreviousLength(t *testing.T) {
+	const users, sensors, rows = 64, 16, 2048 // 32 rows per user, 128 per sensor
+	sensorIDs, userIDs := make([]string, sensors), make([]string, users)
+	for i := range sensorIDs {
+		sensorIDs[i] = fmt.Sprintf("ap-%d", i)
+	}
+	for i := range userIDs {
+		userIDs[i] = fmt.Sprintf("u%d", i)
+	}
+	at := t0
+	appendEpoch := func(s *Store) {
+		for i := range rows {
+			at = at.Add(time.Second)
+			if _, err := s.Append(sensor.Observation{SensorID: sensorIDs[i%sensors], UserID: userIDs[i%users],
+				Kind: sensor.ObsWiFiConnect, SpaceID: "s1", Time: at}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Each measured run appends the second epoch to its own store, cut
+	// beforehand from a first epoch of the same shape.
+	const runs = 3
+	stores := make([]*Store, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range stores {
+		s := New()
+		tier := attachSliceTier(s)
+		appendEpoch(s)
+		tier.wm = s.LastSeq() // the tier copies nothing: only the log is measured
+		if s.EvictThrough(tier.wm) != rows {
+			t.Fatal("the first epoch was not evicted")
+		}
+		stores[i] = s
+	}
+	next := 0
+	a := testing.AllocsPerRun(runs, func() {
+		appendEpoch(stores[next])
+		next++
+	})
+	keys := users + sensors + 1
+	if want := keys + rows/chunkRows + 3; a > float64(want) {
+		t.Fatalf("an evicted log's epoch allocates %v objects; want at most %d, one per key (%d), chunk and index map", a, want, keys)
+	}
+	for k, list := range stores[runs].hot.byUser {
+		if cap(list) != rows/users {
+			t.Fatalf("user %s's list holds %d positions in a capacity of %d", k, len(list), cap(list))
+		}
+	}
+}
+
+// TestForgetUserLeavesNoHotLogKey: after DeleteUser, and again after the
+// next eviction, no map of the log — position lists or hints — is keyed
+// by the erased subject's ID, whether the erasure rewrote the log (the
+// subject had rows in it) or left it as it was (every row already
+// sealed, the ID only a hint).
+func TestForgetUserLeavesNoHotLogKey(t *testing.T) {
+	for _, hotRows := range []bool{true, false} {
+		s := New()
+		tier := attachSliceTier(s)
+		at := t0
+		add := func(user string, n int) {
+			for i := range n {
+				at = at.Add(time.Second)
+				if _, err := s.Append(sensor.Observation{SensorID: fmt.Sprintf("ap-%d", i%3), UserID: user,
+					Kind: sensor.ObsWiFiConnect, SpaceID: "s1", Time: at}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		add("victim", 40)
+		add("keeper", 40)
+		tier.seal(s, s.LastSeq())
+		if s.hot.hint["victim"] != 40 {
+			t.Fatalf("the evicted log's hint for victim is %d, want 40", s.hot.hint["victim"])
+		}
+		want := 40
+		if hotRows {
+			add("victim", 5)
+			want += 5
+		}
+		add("keeper", 5)
+		if n := s.DeleteUser("victim", nil); n != want {
+			t.Fatalf("hot rows %v: DeleteUser removed %d rows, want %d", hotRows, n, want)
+		}
+		check := func(when string) {
+			t.Helper()
+			l := s.hot
+			_, inSensors := l.bySensor["victim"]
+			_, inUsers := l.byUser["victim"]
+			_, inKinds := l.byKind["victim"]
+			_, inHints := l.hint["victim"]
+			if inSensors || inUsers || inKinds || inHints {
+				t.Fatalf("hot rows %v, %s: the log is still keyed by victim (sensors %v, users %v, kinds %v, hints %v)",
+					hotRows, when, inSensors, inUsers, inKinds, inHints)
+			}
+		}
+		check("after DeleteUser")
+		add("keeper", 5)
+		tier.seal(s, s.LastSeq())
+		check("after the next eviction")
+		if s.hot.hint["keeper"] == 0 {
+			t.Fatalf("hot rows %v: the next eviction left keeper no hint", hotRows)
+		}
+	}
+}

@@ -142,7 +142,7 @@ type Store struct {
 // New returns an empty store with no retention rules (observations
 // are kept forever until rules are installed).
 func New() *Store {
-	return &Store{hot: newHotLog(0), sweepSeconds: telemetry.NewHistogram(nil)}
+	return &Store{hot: newHotLog(0, nil), sweepSeconds: telemetry.NewHistogram(nil)}
 }
 
 // chunkRows is the log's chunk size: 256 rows of 128 bytes, 32 KiB.
@@ -165,17 +165,30 @@ type hotLog struct {
 	// floor is the eviction floor the log was cut at: every seq at or
 	// below it has left for the cold tier.
 	floor uint64
+	// hint is, for a log an eviction cut, each key's position-list length
+	// in the log it replaced (see lengths); nil otherwise. A list the log
+	// starts for a key is made that long. Only the writer, under s.mu,
+	// reads or edits it.
+	hint map[string]int32
 }
 
-func newHotLog(floor uint64) *hotLog {
-	return &hotLog{
-		bySensor: make(map[string][]int32),
-		byUser:   make(map[string][]int32),
-		byKind:   make(map[sensor.ObservationKind][]int32),
-		lo:       math.MaxInt64,
-		hi:       math.MinInt64,
-		floor:    floor,
+// newHotLog returns an empty log cut at floor. prev, when not nil, is
+// the log an eviction replaces: the new one starts with room for as many
+// chunks and keys as prev held and with prev's list lengths as hints, so
+// an epoch shaped like the last allocates one list per key and one
+// chunk per chunkRows rows, and regrows nothing.
+func newHotLog(floor uint64, prev *hotLog) *hotLog {
+	l := &hotLog{lo: math.MaxInt64, hi: math.MinInt64, floor: floor}
+	if prev == nil {
+		prev = &hotLog{}
+	} else {
+		l.hint = prev.lengths()
 	}
+	l.chunks = make([]*[chunkRows]sensor.Observation, 0, len(prev.chunks))
+	l.bySensor = make(map[string][]int32, len(prev.bySensor))
+	l.byUser = make(map[string][]int32, len(prev.byUser))
+	l.byKind = make(map[sensor.ObservationKind][]int32, len(prev.byKind))
+	return l
 }
 
 func (l *hotLog) row(i int) *sensor.Observation { return &l.chunks[i/chunkRows][i%chunkRows] }
@@ -190,29 +203,50 @@ func (l *hotLog) append(o sensor.Observation) {
 	p := int32(l.n)
 	l.n++
 	if o.SensorID != "" {
-		l.bySensor[o.SensorID] = post(l.bySensor[o.SensorID], p)
+		l.bySensor[o.SensorID] = l.post(l.bySensor[o.SensorID], o.SensorID, p)
 	}
 	if o.UserID != "" {
-		l.byUser[o.UserID] = post(l.byUser[o.UserID], p)
+		l.byUser[o.UserID] = l.post(l.byUser[o.UserID], o.UserID, p)
 	}
 	if o.Kind != "" {
-		l.byKind[o.Kind] = post(l.byKind[o.Kind], p)
+		l.byKind[o.Kind] = l.post(l.byKind[o.Kind], string(o.Kind), p)
 	}
 	ns := o.Time.UnixNano()
 	l.lo, l.hi = min(l.lo, ns), max(l.hi, ns)
 }
 
-// postingBlock is a position list's first capacity. Grown from empty, a
-// list would take five allocations (1, 2, 4, 8, 16) before its
+// postingBlock is a position list's least first capacity. Grown from
+// empty, a list would take five allocations (1, 2, 4, 8, 16) before its
 // sixteenth position; one block of 64 bytes takes their place.
 const postingBlock = 16
 
-// post appends p to a position list, starting a new one at one block.
-func post(list []int32, p int32) []int32 {
+// post appends p to key's position list, starting a new one at one
+// block or at the key's hint, whichever is longer.
+func (l *hotLog) post(list []int32, key string, p int32) []int32 {
 	if list == nil {
-		list = make([]int32, 0, postingBlock)
+		list = make([]int32, 0, max(postingBlock, int(l.hint[key])))
 	}
 	return append(list, p)
+}
+
+// lengths maps every key of l's position lists to the list's length:
+// the hints of the log an eviction cuts from l. They come from the lists
+// alone, never from l's own hints, so a key absent for a whole epoch
+// has none, and no list starts longer than its key's in l. Sensor,
+// user and kind keys share the map: a sensor and a user with one ID only
+// mis-size a list.
+func (l *hotLog) lengths() map[string]int32 {
+	m := make(map[string]int32, len(l.bySensor)+len(l.byUser)+len(l.byKind))
+	for k, list := range l.bySensor {
+		m[k] = int32(len(list))
+	}
+	for k, list := range l.byUser {
+		m[k] = int32(len(list))
+	}
+	for k, list := range l.byKind {
+		m[string(k)] = int32(len(list))
+	}
+	return m
 }
 
 // view is a reader's snapshot of the log: rows [0, n), or only the
@@ -598,7 +632,8 @@ func (s *Store) Sweep(now time.Time) int {
 // how many of them lay above split, their Deletions when a cold tier
 // wants them, and the floor of the log it rewrote. A row at or below
 // the split is the tier's to report; its resident copy just goes. A
-// log with no doomed row is left as it is.
+// log with no doomed row is left as it is; a rewritten one has no
+// hints.
 func (s *Store) rewrite(split uint64, doomed func(*sensor.Observation) bool) (int, []Deletion, uint64) {
 	collect := s.coldTier() != nil
 	s.mu.Lock() // no append lands between the walk and the publish
@@ -616,7 +651,7 @@ func (s *Store) rewrite(split uint64, doomed func(*sensor.Observation) bool) (in
 			continue
 		}
 		if fresh == nil {
-			fresh = newHotLog(old.floor)
+			fresh = newHotLog(old.floor, nil)
 			for j := 0; j < i; j++ {
 				fresh.append(*old.row(j))
 			}
@@ -651,6 +686,11 @@ func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) i
 	total := s.deleteUnion(Filter{UserID: userID}, func(o *sensor.Observation) bool {
 		return o.UserID == userID && (keep == nil || !keep(o))
 	})
+	// A log the erasure left as it was may still size a list by the
+	// subject's ID; a rewritten one has no hints.
+	s.mu.Lock()
+	delete(s.hot.hint, userID)
+	s.mu.Unlock()
 	s.totalSwept.Add(uint64(total))
 	// Erasure reaches disk like retention does; copies in the active
 	// segment or the checkpoint leave at the next Checkpoint, copies in

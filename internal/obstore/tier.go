@@ -77,7 +77,7 @@ func (s *Store) coldTier() ColdTier {
 // how many that released. The tier calls it once the rows are durable
 // on its side (after the manifest commit); without an attached tier it
 // does nothing. The survivors — the hot tail — become a new log whose
-// floor is wm.
+// floor is wm, sized from the old one (newHotLog).
 func (s *Store) EvictThrough(wm uint64) int {
 	if s.coldTier() == nil {
 		return 0
@@ -89,7 +89,7 @@ func (s *Store) EvictThrough(wm uint64) int {
 	if cut == 0 {
 		return 0
 	}
-	fresh := newHotLog(wm)
+	fresh := newHotLog(wm, s.hot)
 	for i := cut; i < v.n; i++ {
 		fresh.append(*v.at(i))
 	}

@@ -42,7 +42,7 @@ go test -race ./...
 echo "== wal recovery incl. crash injection (repeated, race) =="
 go test -race -run 'TestWALRecovery|TestWALCrash' -count=2 ./internal/wal/...
 
-echo "== stream + obstore hot log + telemetry tracing (repeated, race) =="
+echo "== stream + obstore hot log, an evicted log's lists sized from the log it replaced and no hot-log key left for an erased subject + telemetry tracing (repeated, race) =="
 go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/telemetry/...
 
 echo "== stream disconnect-then-resume + resume splice under concurrent ingest (200x, race) =="
@@ -66,9 +66,9 @@ go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcu
 go test -race -count=2 -run 'TestDeploymentDurableRestartKeepsPreferences|TestDeploymentPreferenceSurvivesSIGKILL' .
 go test -race -count=2 -run 'TestRuleLogFailureIs500' ./internal/httpapi/...
 
-echo "== stage clock, one observation per stage per path and the stage attributes on a sampled server span + ForgetUser drops the subject's decision traces and leaves the subject in no sampled span + chunked decision memo, its allocations and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
+echo "== stage clock, one observation per stage per path (ingest's decode, append and encode included) and the stage attributes on a sampled server span, the Server-Timing header's stages equal to the span's + ForgetUser drops the subject's decision traces and leaves the subject in no sampled span + chunked decision memo, its allocations and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
 go test -race -count=2 -run 'TestStageClockObservesEachStageOnce' ./internal/core/...
-go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestForgetUserDropsDecisionTraces|TestForgetUserLeavesNoSubjectInTraces' ./internal/httpapi/...
+go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestServerTimingMatchesSpan|TestForgetUserDropsDecisionTraces|TestForgetUserLeavesNoSubjectInTraces' ./internal/httpapi/...
 go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace' ./internal/enforce/...
 
 echo "== micro-benchmark count gate (nine benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
