@@ -675,6 +675,66 @@ func BenchmarkRequestUserHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupedQuery is the analytics-scan workload's enforced SQL
+// shape — distinct BLE subjects per space under a k floor of 2 —
+// through APIHandler().ServeHTTP over a simulated day sealed into
+// segments, with the request and the response writer reused. The
+// statement's window is a quarter hour of the morning, so a 100000x run
+// stays short; groups/op is how many spaces it groups, released or
+// suppressed. B/op and allocs/op are the statement's bookkeeping next
+// to decoding, scanning, deciding and encoding: what grows with the
+// groups shows here.
+func BenchmarkGroupedQuery(b *testing.B) {
+	dep, err := NewDeployment(DeploymentConfig{Population: 100, Seed: 1,
+		Clock: func() time.Time { return benchDay.Add(24 * time.Hour) }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dep.Close()
+	if _, err := dep.SimulateDay(benchDay, 1); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dep.BMS.Columnar().CompactOnce(); err != nil {
+		b.Fatal(err)
+	}
+	from, to := benchDay.Add(9*time.Hour+30*time.Second), benchDay.Add(9*time.Hour+15*time.Minute)
+	raw, err := json.Marshal(httpapi.QueryRequestDTO{
+		SQL: fmt.Sprintf("SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations WHERE kind = 'bluetooth_beacon' AND time >= '%s' AND time < '%s' GROUP BY space_id ORDER BY n DESC, space_id",
+			from.Format(time.RFC3339), to.Format(time.RFC3339)),
+		ServiceID: "concierge", Purpose: string(PurposeProvidingService), K: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := dep.APIHandler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(raw)))
+	var res httpapi.QueryResultDTO
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &res) != nil {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	groups := len(res.Rows) + res.Stats.SuppressedGroups
+	if len(res.Rows) == 0 || res.Stats.SuppressedGroups == 0 {
+		b.Fatalf("%d spaces released, %d suppressed: the statement exercises neither the groups nor the k floor", len(res.Rows), res.Stats.SuppressedGroups)
+	}
+	var (
+		body benchBody
+		req  = httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+		rw   = benchResponse{header: http.Header{}}
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(raw)
+		req.Body, req.ContentLength = &body, int64(len(raw))
+		rw.code = 0
+		h.ServeHTTP(&rw, req)
+		if rw.code != http.StatusOK {
+			b.Fatalf("query %d: status %d", i, rw.code)
+		}
+	}
+	b.ReportMetric(float64(groups), "groups/op")
+}
+
 // BenchmarkHTTPRoundtrip is experiment E7: full request latency over
 // the REST API (network + JSON + enforcement + data path).
 func BenchmarkHTTPRoundtrip(b *testing.B) {

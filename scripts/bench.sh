@@ -32,7 +32,7 @@ go build -o "$OUT/benchdiff" ./cmd/benchdiff
 	echo "commit: $(git describe --always --dirty 2>/dev/null || echo unknown)"
 	# One process per package, packages in turn; -timeout covers
 	# registering a million preferences once.
-	go test -run '^$' -bench 'BenchmarkCompiledDecide|BenchmarkObstoreIngestDurable|BenchmarkObstoreIngestConcurrent|BenchmarkStreamFanout|BenchmarkColdPointRead|BenchmarkColdHistoryRead|BenchmarkIngestBatchHTTP|BenchmarkRequestUserHTTP|BenchmarkSetPreferenceDurable' \
+	go test -run '^$' -bench 'BenchmarkCompiledDecide|BenchmarkObstoreIngestDurable|BenchmarkObstoreIngestConcurrent|BenchmarkStreamFanout|BenchmarkColdPointRead|BenchmarkColdHistoryRead|BenchmarkIngestBatchHTTP|BenchmarkRequestUserHTTP|BenchmarkSetPreferenceDurable|BenchmarkGroupedQuery' \
 		-benchmem -cpu "$CPU" -benchtime "$BENCHTIME" -count "$COUNT" -timeout 30m . ./internal/core
 } | tee "$OUT/raw.txt"
 "$OUT/benchdiff" parse <"$OUT/raw.txt" >"$FRESH"
