@@ -190,43 +190,28 @@ type AggregateCount struct {
 // MAC). It implements "only aggregated or anonymized" release from
 // the paper's Peppet-derived requirements (§IV.B).
 func KAnonymousCounts(obs []sensor.Observation, k int, keyOf, subjectOf func(sensor.Observation) string) []AggregateCount {
-	groups := KCounter{}
+	groups := map[string]map[string]bool{}
 	for _, o := range obs {
-		groups.Add(keyOf(o), subjectOf(o))
+		subject := subjectOf(o)
+		if subject == "" { // an unattributed row
+			continue
+		}
+		key := keyOf(o)
+		if groups[key] == nil {
+			groups[key] = make(map[string]bool)
+		}
+		groups[key][subject] = true
 	}
-	return groups.Counts(k)
-}
-
-// KCounter is KAnonymousCounts fed one (key, subject) pair at a time,
-// for callers that stream rows instead of holding them: the distinct
-// subjects seen under each key.
-type KCounter map[string]map[string]bool
-
-// Add records subject under key; an empty subject (an unattributed
-// row) is ignored.
-func (c KCounter) Add(key, subject string) {
-	if subject == "" {
-		return
-	}
-	if c[key] == nil {
-		c[key] = make(map[string]bool)
-	}
-	c[key][subject] = true
-}
-
-// Counts returns the keys holding at least k distinct subjects (k < 1
-// means 1) with their subject counts, sorted by key.
-func (c KCounter) Counts(k int) []AggregateCount {
-	out := make([]AggregateCount, 0, len(c))
-	for key, subjects := range c {
+	out := make([]AggregateCount, 0, len(groups))
+	for key, subjects := range groups {
 		out = append(out, AggregateCount{Key: key, Count: len(subjects)})
 	}
 	return suppressBelowK(out, k)
 }
 
-// SuppressBelowK is KCounter.Counts for a caller that already holds
-// each key's distinct-subject count, having added every subject's
-// distinct keys once.
+// SuppressBelowK returns the keys holding at least k distinct subjects
+// (k < 1 means 1) with their subject counts, sorted by key, for a
+// caller that already holds each key's distinct-subject count.
 func SuppressBelowK(counts map[string]int, k int) []AggregateCount {
 	out := make([]AggregateCount, 0, len(counts))
 	for key, n := range counts {

@@ -342,45 +342,61 @@ func (p *Plan) execAudit() (*Result, error) {
 	return p.finish(pr.rows), nil
 }
 
+// execOccupancy counts the distinct released subjects per released
+// space, exactly as privacy.KAnonymousCounts would over the released
+// rows: a row without a released user_id counts nowhere.
 func (p *Plan) execOccupancy() (*Result, error) {
-	spaces := privacy.KCounter{}
+	var (
+		spaces, users = interner{}, interner{}
+		sets          []idSet // by space id
+		slab          idSlab
+	)
 	err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ uint32) bool {
-		spaces.Add(rel.SpaceID, rel.UserID)
+		if rel.UserID == "" {
+			return true
+		}
+		i := spaces.id(rel.SpaceID)
+		if int(i) == len(sets) {
+			sets = append(sets, idSet{})
+		}
+		sets[i].add(users.id(rel.UserID), &slab)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return p.occupancyResult(spaces), nil
-}
-
-// occupancyResult turns the released (space, subject) pairs into the
-// occupancy table: distinct subjects per space, spaces short of the
-// effective k floor withheld.
-func (p *Plan) occupancyResult(spaces privacy.KCounter) *Result {
+	n := make(map[string]int, len(spaces))
+	for space, i := range spaces {
+		n[space] = sets[i].n
+	}
+	// Spaces short of the effective k floor are withheld.
 	k := p.enf.effectiveK()
 	p.enf.stats.EffectiveK = k
-	counts := spaces.Counts(k)
-	p.enf.stats.SuppressedGroups = len(spaces) - len(counts)
+	counts := privacy.SuppressBelowK(n, k)
+	p.enf.stats.SuppressedGroups = len(n) - len(counts)
 
+	w := len(p.cols)
+	cells := make([]Value, len(counts)*w)
 	rows := make([][]Value, 0, len(counts))
-	for _, c := range counts {
-		get := func(col string) Value {
-			if col == "count" {
-				return numberValue(float64(c.Count))
-			}
-			return stringValue(c.Key)
+	var c privacy.AggregateCount
+	get := func(col string) Value {
+		if col == "count" {
+			return numberValue(float64(c.Count))
 		}
+		return stringValue(c.Key)
+	}
+	for _, c = range counts {
 		if p.countPred != nil && !p.countPred.eval(get) {
 			continue
 		}
-		row := make([]Value, len(p.cols))
+		row := cells[:w:w]
 		for i, oc := range p.cols {
 			row[i] = get(oc.expr.Col)
 		}
 		rows = append(rows, row)
+		cells = cells[w:]
 	}
-	return p.finish(rows)
+	return p.finish(rows), nil
 }
 
 // projector is the row-mode sink: one output row per released row.
@@ -402,36 +418,38 @@ func (pr *projector) add(r row) bool {
 }
 
 // aggState accumulates one aggregate select item within one group.
+// An item is exactly one aggregate, so n counts COUNT's rows or SUM's
+// and AVG's operands, and ext is MIN's or MAX's running extreme.
 type aggState struct {
-	count    int
+	n        int
 	sum      float64
-	sumN     int
-	min, max Value
-	distinct idSet // of grouper.values ids
+	ext      Value
+	distinct idSet // of grouper.distinctID ids
 }
 
 type group struct {
-	vals   []Value // GROUP BY values, in Plan.groupCols order
-	states []aggState
+	vals   []Value    // GROUP BY values, in Plan.groupCols order
+	states []aggState // one per aggregate item, at its outCol.by
 	// subjects are the ground-truth contributors the k floor counts.
 	subjects idSet
 }
 
 // idSet is a set of a statement's dense ids: open addressing over
 // id+1 (0 marks a free slot) in one power-of-two array, so a member
-// costs four bytes and no object of its own.
+// costs four bytes and no object of its own. The arrays come from the
+// statement's idSlab.
 type idSet struct {
 	slots []uint32
 	n     int
 }
 
-func (s *idSet) add(id uint32) {
+func (s *idSet) add(id uint32, slab *idSlab) {
 	if 4*(s.n+1) > 3*len(s.slots) { // load stays under 3/4: a probe always ends
 		old := s.slots
-		s.slots, s.n = make([]uint32, max(8, 2*len(old))), 0
+		s.slots, s.n = slab.take(max(8, 2*len(old))), 0
 		for _, v := range old {
 			if v != 0 {
-				s.add(v - 1)
+				s.add(v-1, slab)
 			}
 		}
 	}
@@ -450,27 +468,110 @@ func (s *idSet) add(id uint32) {
 	}
 }
 
+// idSlab carves a statement's id-set arrays out of shared chunks, so a
+// set's growth costs no object of its own: chunks double from
+// slabDirect to slabMax slots, and a set of slabDirect slots or more —
+// which no chunk tail could hold without waste — gets its own array.
+// An outgrown array stays in its chunk until the statement ends.
+type idSlab struct {
+	free  []uint32 // the current chunk's untaken tail
+	chunk int      // the current chunk's size
+}
+
+const slabDirect, slabMax = 1 << 10, 1 << 14
+
+// take returns n zeroed slots.
+func (sl *idSlab) take(n int) []uint32 {
+	if n >= slabDirect {
+		return make([]uint32, n)
+	}
+	if len(sl.free) < n {
+		sl.chunk = min(max(2*sl.chunk, slabDirect), slabMax)
+		sl.free = make([]uint32, sl.chunk)
+	}
+	s := sl.free[:n:n]
+	sl.free = sl.free[n:]
+	return s
+}
+
+// Groups, with their values and states, come in chunks: the first
+// holds groupFirst groups and each next one as many as all before it,
+// up to groupMax. A statement of n groups pays for the next power of
+// two (at least groupFirst) and, past groupMax, for whole groupMax
+// chunks: never more than groupMax-sized chunks alone would hold.
+const groupFirst, groupMax = 4, 64
+
 // grouper is the GROUP BY / aggregate sink. Keys are built in one
-// reused buffer and probed with m[string(buf)], so a string is
-// allocated only for a new group or, once per statement, a new
-// COUNT(DISTINCT) operand: allocations scale with the groups plus the
-// distinct values, not with the rows or with groups × values.
+// reused buffer and probed with m[string(buf)], so a row allocates
+// nothing: a new group costs its key string, and groups, their values
+// and states and every id set come from per-statement chunks.
+// COUNT(DISTINCT) operands get statement ids — a string by the
+// released row's own Str, any other kind by its groupKey encoding, so
+// equality is groupKey's: -0 and 0 differ, every NaN is one value,
+// times compare by UnixNano.
 type grouper struct {
-	p      *Plan
-	groups map[string]*group
-	order  []*group // first-seen
+	p     *Plan
+	index map[string]*group
+	// chunks hold the groups in first-seen order; a chunk is filled to
+	// its capacity, never past it, so a group never moves.
+	chunks [][]group
+	n      int
+	// vals and states are the current chunk's untaken tails.
+	vals   []Value
+	states []aggState
+	aggs   int // aggregate items: a group's states
 	key    []byte
-	values interner // COUNT(DISTINCT) operands by their groupKey encoding
+	slab   idSlab
+	// strs and values intern COUNT(DISTINCT) operands into one id space.
+	strs, values interner
 }
 
 func newGrouper(p *Plan) *grouper {
-	return &grouper{p: p, groups: make(map[string]*group), values: interner{}}
+	g := &grouper{p: p, index: make(map[string]*group), strs: interner{}, values: interner{}}
+	for _, oc := range p.cols {
+		if oc.expr.Agg != AggNone {
+			g.aggs++
+		}
+	}
+	return g
 }
 
 func (g *grouper) newGroup() *group {
-	gr := &group{vals: make([]Value, len(g.p.groupCols)), states: make([]aggState, len(g.p.cols))}
-	g.order = append(g.order, gr)
+	w, s := len(g.p.groupCols), g.aggs
+	last := len(g.chunks) - 1
+	if last < 0 || len(g.chunks[last]) == cap(g.chunks[last]) {
+		// Every chunk is full, so n is what they hold.
+		size := min(max(g.n, groupFirst), groupMax)
+		g.chunks = append(g.chunks, make([]group, 0, size))
+		g.vals = make([]Value, size*w)
+		g.states = make([]aggState, size*s)
+		last++
+	}
+	c := &g.chunks[last]
+	*c = append(*c, group{})
+	gr := &(*c)[len(*c)-1]
+	g.n++
+	gr.vals, g.vals = g.vals[:w:w], g.vals[w:]
+	gr.states, g.states = g.states[:s:s], g.states[s:]
 	return gr
+}
+
+// distinctID is v's statement id as a COUNT(DISTINCT) operand.
+func (g *grouper) distinctID(v Value) uint32 {
+	in, s := g.strs, v.Str
+	if v.Kind != KindString {
+		g.key = v.groupKey(g.key[:0])
+		if id, ok := g.values[string(g.key)]; ok {
+			return id
+		}
+		in, s = g.values, string(g.key)
+	}
+	id, ok := in[s]
+	if !ok {
+		id = uint32(len(g.strs) + len(g.values))
+		in[s] = id
+	}
+	return id
 }
 
 // add folds one released row into its group.
@@ -480,22 +581,22 @@ func (g *grouper) add(r row, subject uint32) {
 	for _, c := range p.groupCols {
 		g.key = r.col(c).groupKey(g.key)
 	}
-	gr := g.groups[string(g.key)]
-	if gr == nil {
+	gr, ok := g.index[string(g.key)]
+	if !ok {
 		gr = g.newGroup()
+		g.index[string(g.key)] = gr
 		for i, c := range p.groupCols {
 			gr.vals[i] = r.col(c)
 		}
-		g.groups[string(g.key)] = gr
 	}
 	for ci := range p.cols {
 		oc := &p.cols[ci]
 		if oc.expr.Agg == AggNone {
 			continue
 		}
-		st := &gr.states[ci]
+		st := &gr.states[oc.by]
 		if oc.expr.Star {
-			st.count++
+			st.n++
 			continue
 		}
 		v := r.col(oc.src)
@@ -504,40 +605,26 @@ func (g *grouper) add(r row, subject uint32) {
 		}
 		switch oc.expr.Agg {
 		case AggCount:
-			if !oc.expr.Distinct {
-				st.count++
-				continue
+			if oc.expr.Distinct {
+				st.distinct.add(g.distinctID(v), &g.slab)
+			} else {
+				st.n++
 			}
-			g.key = v.groupKey(g.key[:0])
-			id, ok := g.values[string(g.key)]
-			if !ok {
-				id = uint32(len(g.values))
-				g.values[string(g.key)] = id
-			}
-			st.distinct.add(id)
 		case AggSum, AggAvg:
 			st.sum += v.Num
-			st.sumN++
+			st.n++
 		case AggMin:
-			st.observeMin(v)
+			if st.ext.Kind == KindNull || v.compare(st.ext) < 0 {
+				st.ext = v
+			}
 		case AggMax:
-			st.observeMax(v)
+			if st.ext.Kind == KindNull || v.compare(st.ext) > 0 {
+				st.ext = v
+			}
 		}
 	}
 	if subject != 0 {
-		gr.subjects.add(subject)
-	}
-}
-
-func (st *aggState) observeMin(v Value) {
-	if st.min.Kind == KindNull || v.compare(st.min) < 0 {
-		st.min = v
-	}
-}
-
-func (st *aggState) observeMax(v Value) {
-	if st.max.Kind == KindNull || v.compare(st.max) > 0 {
-		st.max = v
+		gr.subjects.add(subject, &g.slab)
 	}
 }
 
@@ -547,11 +634,13 @@ func (st *aggState) observeMax(v Value) {
 // k-anonymity discipline; a group with no attributed contribution —
 // purely environmental data — has no subject to protect and is never
 // suppressed. Audit rows are the requester's own and carry no floor.
+// The output cells are one array, and a row HAVING rejects leaves its
+// cells to the next.
 func (g *grouper) result() *Result {
 	p := g.p
 	// A global aggregate (no GROUP BY) yields one row even over an
 	// empty scan: COUNT(*) of nothing is 0.
-	if len(p.groupCols) == 0 && len(g.order) == 0 {
+	if len(p.groupCols) == 0 && g.n == 0 {
 		g.newGroup()
 	}
 	k := 1
@@ -559,34 +648,48 @@ func (g *grouper) result() *Result {
 		k = p.enf.effectiveK()
 		p.enf.stats.EffectiveK = k
 	}
-	rows := make([][]Value, 0, len(g.order))
-	for _, gr := range g.order {
-		if k > 1 && gr.subjects.n > 0 && gr.subjects.n < k {
-			p.enf.stats.SuppressedGroups++
-			continue
+	released := func(gr *group) bool { return k <= 1 || gr.subjects.n == 0 || gr.subjects.n >= k }
+	kept := 0
+	for _, c := range g.chunks {
+		for i := range c {
+			if released(&c[i]) {
+				kept++
+			}
 		}
-		row := make([]Value, len(p.cols))
+	}
+	p.enf.stats.SuppressedGroups += g.n - kept
+	w := len(p.cols)
+	cells := make([]Value, kept*w)
+	rows := make([][]Value, 0, kept)
+	var row []Value
+	get := func(col string) Value {
 		for ci, oc := range p.cols {
-			if oc.expr.Agg == AggNone {
-				row[ci] = gr.vals[oc.by]
+			if oc.name == col || oc.expr.canonical() == col {
+				return row[ci]
+			}
+		}
+		return Value{}
+	}
+	for _, c := range g.chunks {
+		for i := range c {
+			gr := &c[i]
+			if !released(gr) {
 				continue
 			}
-			row[ci] = finalizeAgg(oc.expr, &gr.states[ci])
-		}
-		if p.having != nil {
-			get := func(col string) Value {
-				for ci, oc := range p.cols {
-					if oc.name == col || oc.expr.canonical() == col {
-						return row[ci]
-					}
+			row = cells[:w:w]
+			for ci, oc := range p.cols {
+				if oc.expr.Agg == AggNone {
+					row[ci] = gr.vals[oc.by]
+					continue
 				}
-				return Value{}
+				row[ci] = finalizeAgg(oc.expr, &gr.states[oc.by])
 			}
-			if !p.having.eval(get) {
+			if p.having != nil && !p.having.eval(get) {
 				continue
 			}
+			rows = append(rows, row)
+			cells = cells[w:]
 		}
-		rows = append(rows, row)
 	}
 	return p.finish(rows)
 }
@@ -597,21 +700,19 @@ func finalizeAgg(it SelectExpr, st *aggState) Value {
 		if it.Distinct {
 			return numberValue(float64(st.distinct.n))
 		}
-		return numberValue(float64(st.count))
+		return numberValue(float64(st.n))
 	case AggSum:
-		if st.sumN == 0 {
+		if st.n == 0 {
 			return Value{}
 		}
 		return numberValue(st.sum)
 	case AggAvg:
-		if st.sumN == 0 {
+		if st.n == 0 {
 			return Value{}
 		}
-		return numberValue(st.sum / float64(st.sumN))
-	case AggMin:
-		return st.min
-	case AggMax:
-		return st.max
+		return numberValue(st.sum / float64(st.n))
+	case AggMin, AggMax:
+		return st.ext
 	default:
 		return Value{}
 	}

@@ -190,8 +190,9 @@ type outCol struct {
 	typ  colType
 	// src is expr.Col's position in the scanned table's column list
 	// (-1 for COUNT(*)); by is a grouped passthrough column's position
-	// in GROUP BY. Both are resolved at compile time so the executor
-	// never matches a column name per cell.
+	// in GROUP BY, or an aggregate's among the statement's aggregates
+	// (its state's index in a group). Both are resolved at compile time
+	// so the executor never matches a column name per cell.
 	src, by int
 }
 
@@ -386,6 +387,7 @@ func (c *compiler) resolveColumns(p *Plan) error {
 		p.groupCols = append(p.groupCols, colIndex(cols, g))
 	}
 
+	aggs := 0
 	for _, it := range stmt.Columns {
 		switch it.Agg {
 		case AggNone:
@@ -419,7 +421,8 @@ func (c *compiler) resolveColumns(p *Plan) error {
 					t = ct
 				}
 			}
-			p.cols = append(p.cols, outCol{name: it.Name(), expr: it, typ: t, src: colIndex(cols, it.Col)})
+			p.cols = append(p.cols, outCol{name: it.Name(), expr: it, typ: t, src: colIndex(cols, it.Col), by: aggs})
+			aggs++
 		}
 	}
 	if len(p.cols) == 0 {

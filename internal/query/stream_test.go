@@ -133,17 +133,22 @@ func TestLimitStopsTheScan(t *testing.T) {
 // values, not with the rows scanned — four times the rows over the same
 // groups allocates the same — and not with their products either: the
 // memo holds a four-byte handle per (subject, space) and a group's sets
-// four bytes per member, so at 20 users × 40 spaces the objects are a
-// constant times (users + spaces + groups) — 538 — where one object per
-// memo entry plus one per (group, distinct value) made them 2 418.
+// four bytes per member. Per group they are barely more than its key
+// string: groups, their values and states come in chunks of 4 to 64
+// groups, every id set is carved from the statement's slab, and a
+// COUNT(DISTINCT) string operand is keyed by the row's own string.
+// So at 20 users × 40 spaces a statement stays under 160 objects (an
+// object per id-set regrowth, three per group and one per distinct
+// operand made it 538), and ten times the groups costs at most two more
+// objects each (11.2 each before).
 func TestGroupedScanAllocsFlat(t *testing.T) {
-	const users, spaces = 20, 40
-	allocs := func(n int) float64 {
+	const users = 20
+	allocs := func(spaces, n int) float64 {
 		rng := rand.New(rand.NewSource(1))
 		obs := make([]sensor.Observation, n)
 		for i := range obs {
-			// 800 (space, user) pairs: 10k draws already cover them all,
-			// so both sizes see the same groups and distinct values.
+			// users × spaces (space, user) pairs, which n draws cover, so
+			// both sizes see the same groups and distinct values.
 			obs[i] = obsAt(uint64(i+1), "ap-1", fmt.Sprintf("dbh/%d", rng.Intn(spaces)), fmt.Sprintf("u%02d", rng.Intn(users)), i%600, 1)
 		}
 		env := Env{
@@ -177,16 +182,23 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	small, large := allocs(10000), allocs(40000)
+	small, large := allocs(40, 10000), allocs(40, 40000)
+	t.Logf("20 users × 40 spaces: %.0f objects over 10k rows, %.0f over 40k", small, large)
 	if small < 40 {
 		t.Fatalf("10k rows allocated only %.0f objects: the statement did not run", small)
 	}
 	if diff := (large - small) / small; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("allocations follow the rows: %.0f objects over 10k rows, %.0f over 40k (%.1f%%)", small, large, 100*diff)
 	}
-	if bound := float64(8 * (users + spaces + spaces)); small > bound {
-		t.Fatalf("%.0f objects for %d users, %d spaces and %d groups (bound %.0f): something allocates per (user, space) pair again",
-			small, users, spaces, spaces, bound)
+	if small > 160 {
+		t.Fatalf("%.0f objects for %d users and 40 spaces (bound 160): something allocates per group, per id-set growth or per (user, space) pair again",
+			small, users)
+	}
+	wide := allocs(400, 100000)
+	perGroup := (wide - small) / 360
+	t.Logf("20 users × 400 spaces: %.0f objects, %.2f per added group", wide, perGroup)
+	if perGroup > 2 {
+		t.Fatalf("%.0f objects at 40 groups, %.0f at 400: %.2f per added group, want at most 2", small, wide, perGroup)
 	}
 }
 
