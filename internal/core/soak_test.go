@@ -55,16 +55,18 @@ type soakSampler struct {
 }
 
 // TestSoakResourcesPlateau ages one durable node with the columnar tier
-// under a fake clock: 30 occupants, Policy 2 with a week's retention,
+// under a fake clock: 24 occupants, Policy 2 with a week's retention,
 // 36 simulated days with compaction and a retention sweep every hour,
 // and emergency reads, preference churn, inbox drains and an erasure a
 // day mixed in.
 // Once the retention window has filled, no resource may keep growing
 // with the node's age: each sample's maximum over the last week is
-// held within 10 % of its maximum over the second week.
+// held within 10 % of its maximum over the second week. The WAL is
+// also held to its bound: sampled right after a commit, it holds no
+// more than one simulated hour of appends.
 func TestSoakResourcesPlateau(t *testing.T) {
 	const (
-		population = 30
+		population = 24
 		days       = 36
 		reads      = 5 // emergency reads per simulated hour
 	)
@@ -110,8 +112,7 @@ func TestSoakResourcesPlateau(t *testing.T) {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		}},
-		{name: "wal_bytes", read: func() float64 { return float64(treeBytes(t, filepath.Join(dir, "wal"))) },
-			unasserted: "the WAL is truncated only at a Checkpoint (ROADMAP item 2)"},
+		{name: "wal_bytes", read: func() float64 { return float64(treeBytes(t, filepath.Join(dir, "wal"))) }},
 		{name: "segment_and_manifest_bytes", read: func() float64 {
 			return float64(treeBytes(t, filepath.Join(dir, "colstore")))
 		}},
@@ -221,6 +222,14 @@ func TestSoakResourcesPlateau(t *testing.T) {
 		fmt.Fprintf(&table, "%-28s week 2 max %12.0f, last week max %12.0f, by day %v\n", sm.name, second, last, samples[s])
 		if sm.unasserted != "" {
 			continue
+		}
+		if sm.name == "wal_bytes" {
+			const hourOfAppends = population * 3 * 128 // rows an hour, at most 128 B a frame
+			for d, b := range samples[s] {
+				if b > hourOfAppends {
+					t.Errorf("day %d: wal/ holds %.0f B after a commit, above one hour of appends (%d B)", d+1, b, hourOfAppends)
+				}
+			}
 		}
 		if last > second*1.1 || last < second*0.9 {
 			t.Errorf("%s does not plateau: last-week max %.0f against a second-week max of %.0f", sm.name, last, second)

@@ -11,19 +11,21 @@ package obstore
 // a header record at seq 0, then one frame per live observation in
 // ascending seq, payloads encoded by the log's appendObservation.
 //
-// Retention is enforced on disk too: after a sweep or erasure, whole
-// sealed segments whose records are all dead are deleted — the
-// paper's retention element ("P6M") means expired observations leave
-// the disk, not just memory. What that cannot reach (the active
-// segment, the checkpoint file) leaves disk at the next Checkpoint,
-// which seals the one and rewrites the other.
+// Retention and erasure reach the disk at the next Checkpoint. It
+// seals the active segment, rewrites the checkpoint from the rows the
+// log holds and deletes every WAL segment the checkpoint covers, so an
+// expired or erased row leaves the disk, not just memory: the paper's
+// retention element ("P6M") is a promise about data at rest.
 //
 // With a cold tier attached (tier.go) this directory holds the hot
-// window only: the checkpoint is the rows the hot log holds, which is
-// what the tier's segments do not, and a WAL segment whose records
-// have all been sealed into the tier is as dead as one whose records
-// expired. The WAL directory and the tier's segment directory are then
-// together the database — neither recovers it alone.
+// window only, and every commit of the tier checkpoints (EvictThrough).
+// The checkpoint is then the rows of the open bucket, which the tier's
+// segments do not hold, and the WAL holds only the records appended
+// since the last commit: the open bucket plus one compaction interval.
+// The WAL directory and the tier's segment directory are together the
+// database — neither recovers it alone. A store without a tier (tests,
+// bench's shadow store) checkpoints only when its owner calls
+// Checkpoint.
 
 import (
 	"bufio"
@@ -202,15 +204,19 @@ func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 // observations the log holds — every live one, or with a cold tier
 // attached the hot window its segments do not cover — deletes every WAL
 // segment it now covers, and then runs the checkpoint hook, if one is
-// set (SetCheckpointHook). After a checkpoint, recovery
-// replays only records appended since — and observations deleted for
-// privacy (retention, erasure) that were still sitting in the log or
-// the previous checkpoint are gone from disk.
+// set (SetCheckpointHook). After a checkpoint, recovery replays only
+// records appended since, and rows deleted for privacy (retention,
+// erasure) that were still sitting in the WAL or the previous
+// checkpoint are gone from disk. Calls are serialised: a checkpoint cut
+// at a lower high-water mark must not replace one that has already
+// truncated the WAL past it.
 func (s *Store) Checkpoint() error {
 	l := s.WAL()
 	if l == nil {
 		return fmt.Errorf("obstore: Checkpoint on a non-durable store")
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	// Seal the active segment: truncation deletes only sealed segments,
 	// and the active one may hold records of a forgotten subject.
 	// Sealing also commits the log, so the checkpoint is never ahead of
@@ -372,41 +378,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	return l.Close()
-}
-
-// pruneWAL deletes sealed WAL segments in which no live observation
-// remains — the storage half of retention enforcement. Liveness is
-// what one snapshot of the log holds: a row evicted to the cold tier
-// is durable there, so a segment holding only such rows goes too. A
-// record appended while this runs sits in the active (never
-// sealed-and-empty) segment, so it is safe without a global pause.
-func (s *Store) pruneWAL() {
-	l := s.WAL()
-	if l == nil {
-		return
-	}
-	segs := l.SealedSegments()
-	if len(segs) == 0 {
-		return
-	}
-	v := s.view(Filter{})
-	for _, seg := range segs {
-		// A seq above the snapshot's high-water mark may be logged but
-		// not yet in the log (append in flight): its segment must not be
-		// judged dead on this pass.
-		if seg.Last > v.hwm {
-			continue
-		}
-		// First live seq >= Base; if it's past Last, the segment holds
-		// only dead records.
-		if i := v.search(seg.Base - 1); i < v.n && v.at(i).Seq <= seg.Last {
-			continue
-		}
-		if err := l.DeleteSealed(seg.Base, "retention"); err != nil {
-			s.logger.Warn("obstore: retention segment delete failed",
-				"base", seg.Base, "error", err)
-		}
-	}
 }
 
 // --- binary observation codec ---------------------------------------

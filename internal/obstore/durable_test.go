@@ -240,9 +240,9 @@ func TestRecoveredRowsShareEqualPayloads(t *testing.T) {
 // TestDurableRetentionErasesSegments is the retention × durability
 // guarantee: after GC, expired observations are gone from the
 // in-memory indexes AND from the on-disk segments — whether the store
-// still holds them as rows or a cold tier sealed them and the store
-// evicted its copies, leaving the log as the only place under this
-// directory that has them.
+// still holds them as rows, and they leave the disk at its next
+// Checkpoint, or a cold tier sealed them, and the commit that evicted
+// the store's copies checkpointed them out of this directory.
 func TestDurableRetentionErasesSegments(t *testing.T) {
 	const marker = "privacy-victim"
 	for _, sealed := range []bool{false, true} {
@@ -274,6 +274,7 @@ func TestDurableRetentionErasesSegments(t *testing.T) {
 				if n := attachSliceTier(s).seal(s, 200); n != 200 || s.Resident() != 1 {
 					t.Fatalf("evicted %d rows, %d resident; want 200 and the keeper", n, s.Resident())
 				}
+				assertNotOnDisk(t, dir, marker)
 			}
 
 			removed := s.Sweep(t0.Add(2 * time.Hour)) // every marker record expired
@@ -283,6 +284,11 @@ func TestDurableRetentionErasesSegments(t *testing.T) {
 			// Memory: gone.
 			if got := s.Count(Filter{UserID: marker}); got != 0 {
 				t.Fatalf("%d expired observations still queryable", got)
+			}
+			if !sealed {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// Disk: every sealed all-dead segment deleted; no file anywhere
 			// under the durable dir still contains the marker bytes.
@@ -329,9 +335,13 @@ func TestDurableDeleteUserPrunesSegments(t *testing.T) {
 	if n := s.DeleteUser("erase-me", nil); n != 150 {
 		t.Fatalf("deleted %d, want 150", n)
 	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if segs := s.WAL().SealedSegments(); len(segs) != 0 {
 		t.Fatalf("%d sealed segments survived erasure", len(segs))
 	}
+	assertNotOnDisk(t, dir, "erase-me")
 }
 
 func TestDurableTornTailRecovery(t *testing.T) {

@@ -194,9 +194,11 @@ func TestShardedSweepAllShards(t *testing.T) {
 }
 
 // TestShardedDurableSweepPrunesWAL is the storage half: expired records
-// of many sensors must still let whole dead segments leave the disk.
+// of many sensors must still let whole dead segments leave the disk at
+// the next Checkpoint.
 func TestShardedDurableSweepPrunesWAL(t *testing.T) {
-	s, err := OpenDurable(durableDirCfg(t.TempDir()))
+	dir := t.TempDir()
+	s, err := OpenDurable(durableDirCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +222,13 @@ func TestShardedDurableSweepPrunesWAL(t *testing.T) {
 	if removed := s.Sweep(t0.Add(2 * time.Hour)); removed != 200 {
 		t.Fatalf("swept %d, want 200", removed)
 	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if segs := s.WAL().SealedSegments(); len(segs) != 0 {
 		t.Fatalf("%d sealed all-dead segments survived retention GC", len(segs))
 	}
+	assertNotOnDisk(t, dir, "victim")
 	if s.Count(Filter{UserID: "keeper"}) != 1 {
 		t.Fatal("live observation lost by retention GC")
 	}

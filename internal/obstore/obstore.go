@@ -125,14 +125,15 @@ type Store struct {
 	evicted atomic.Uint64
 
 	// Durable mode (see durable.go): when wal is non-nil every append
-	// is framed into the log before the row is appended, and sweeps
-	// prune fully dead sealed segments from disk.
+	// is framed into the log before the row is appended.
 	wal    *wal.Log
 	walDir string
 	logger *slog.Logger
 	encBuf []byte
-	// onCheckpoint is the directory's other durable state, checkpointed
-	// with the rows (see SetCheckpointHook).
+	// ckptMu serialises Checkpoint: the compactor's commits, shutdown
+	// and tests all call it. onCheckpoint is the directory's other
+	// durable state, checkpointed with the rows (see SetCheckpointHook).
+	ckptMu       sync.Mutex
 	onCheckpoint func() error
 	// replayed shares equal payloads among recovered rows; it is set
 	// only while OpenDurable restores the store (see durable.go).
@@ -603,7 +604,8 @@ const calendarSlack = 4 * 24 * time.Hour
 // Sweep deletes every observation whose retention expired at or
 // before now, returning the number deleted. It is the storage-time
 // enforcement pass; the BMS core runs it periodically. Rows behind the
-// cold tier's watermark are condemned through a scan of the tier.
+// cold tier's watermark are condemned through a scan of the tier. The
+// expired rows leave the disk as DeleteUser's do.
 func (s *Store) Sweep(now time.Time) int {
 	t0 := time.Now()
 	defer s.sweepSeconds.ObserveSince(t0)
@@ -620,11 +622,6 @@ func (s *Store) Sweep(now time.Time) int {
 	cold := Filter{To: now.Add(calendarSlack - ttl.Approx())}
 	total := s.deleteUnion(cold, expired)
 	s.totalSwept.Add(uint64(total))
-	// Durable mode: retention must reach the disk too. Sealed WAL
-	// segments holding only dead records are deleted outright.
-	if total > 0 {
-		s.pruneWAL()
-	}
 	return total
 }
 
@@ -681,7 +678,8 @@ func (s *Store) publish(l *hotLog) {
 // does not hold back — from the log and from behind the cold tier's
 // watermark — supporting right-to-erasure style requests; a nil keep
 // holds back nothing. Kept rows stay where they are, under their seqs.
-// It returns the number deleted.
+// It returns the number deleted. The deleted rows leave the disk at the
+// next Checkpoint and the tier's next compaction (see durable.go).
 func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) int {
 	total := s.deleteUnion(Filter{UserID: userID}, func(o *sensor.Observation) bool {
 		return o.UserID == userID && (keep == nil || !keep(o))
@@ -692,12 +690,6 @@ func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) i
 	delete(s.hot.hint, userID)
 	s.mu.Unlock()
 	s.totalSwept.Add(uint64(total))
-	// Erasure reaches disk like retention does; copies in the active
-	// segment or the checkpoint leave at the next Checkpoint, copies in
-	// the tier's segment files at its next compaction.
-	if total > 0 {
-		s.pruneWAL()
-	}
 	return total
 }
 

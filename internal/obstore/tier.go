@@ -77,24 +77,31 @@ func (s *Store) coldTier() ColdTier {
 // how many that released. The tier calls it once the rows are durable
 // on its side (after the manifest commit); without an attached tier it
 // does nothing. The survivors — the hot tail — become a new log whose
-// floor is wm, sized from the old one (newHotLog).
+// floor is wm, sized from the old one (newHotLog). A durable store then
+// checkpoints, so the WAL and the checkpoint shrink to the hot tail. A
+// checkpoint that fails is logged and tried again at the next commit:
+// the WAL keeps every row until one succeeds.
 func (s *Store) EvictThrough(wm uint64) int {
 	if s.coldTier() == nil {
 		return 0
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	v := s.view(Filter{})
 	cut := v.search(wm)
-	if cut == 0 {
-		return 0
+	if cut > 0 {
+		fresh := newHotLog(wm, s.hot)
+		for i := cut; i < v.n; i++ {
+			fresh.append(*v.at(i))
+		}
+		s.publish(fresh)
+		s.evicted.Add(uint64(cut))
 	}
-	fresh := newHotLog(wm, s.hot)
-	for i := cut; i < v.n; i++ {
-		fresh.append(*v.at(i))
+	s.mu.Unlock()
+	if cut > 0 && s.walDir != "" {
+		if err := s.Checkpoint(); err != nil {
+			s.logger.Warn("obstore: checkpoint after eviction failed; the WAL keeps its rows", "error", err)
+		}
 	}
-	s.publish(fresh)
-	s.evicted.Add(uint64(cut))
 	return cut
 }
 

@@ -28,10 +28,9 @@
 // Segments are named wal-<firstSeq>.seg and rotate by size. Recovery
 // scans every segment, truncates at the first bad frame (a torn tail
 // from a mid-batch crash, or a flipped bit), and reports what was
-// dropped. Whole sealed segments can be deleted once every record in
-// them is checkpointed or past retention — the privacy-relevant
-// half of retention enforcement: expired observations must leave
-// disk, not just memory.
+// dropped. Whole sealed segments are deleted once a checkpoint covers
+// every record in them, which is how expired and erased observations
+// leave the disk, not just memory.
 package wal
 
 import (
@@ -173,7 +172,7 @@ type Log struct {
 	droppedRecords  *telemetry.Counter
 	droppedBytes    *telemetry.Counter
 	segmentsCreated *telemetry.Counter
-	segmentsDeleted map[string]*telemetry.Counter // by reason
+	segmentsDeleted *telemetry.Counter
 }
 
 // batchBuckets sizes the group-commit histogram: records per fsync.
@@ -214,10 +213,7 @@ func Open(opts Options) (*Log, error) {
 		droppedRecords:  telemetry.NewCounter(),
 		droppedBytes:    telemetry.NewCounter(),
 		segmentsCreated: telemetry.NewCounter(),
-		segmentsDeleted: map[string]*telemetry.Counter{
-			"checkpoint": telemetry.NewCounter(),
-			"retention":  telemetry.NewCounter(),
-		},
+		segmentsDeleted: telemetry.NewCounter(),
 	}
 	if err := l.recover(); err != nil {
 		return nil, err
@@ -575,11 +571,8 @@ func (l *Log) SealedSegments() []SegmentInfo {
 	return out
 }
 
-// DeleteSealed removes one sealed segment from disk. The reason
-// ("checkpoint" or "retention") is recorded in the deletion metrics;
-// retention deletions are the privacy-relevant ones — expired
-// observations leaving disk.
-func (l *Log) DeleteSealed(base uint64, reason string) error {
+// DeleteSealed removes one sealed segment from disk.
+func (l *Log) DeleteSealed(base uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -596,13 +589,8 @@ func (l *Log) DeleteSealed(base uint64, reason string) error {
 			return fmt.Errorf("wal: dir sync: %w", err)
 		}
 		l.sealed = append(l.sealed[:i], l.sealed[i+1:]...)
-		if c, ok := l.segmentsDeleted[reason]; ok {
-			c.Inc()
-		} else {
-			l.segmentsDeleted["retention"].Inc()
-		}
-		l.log.Info("wal: segment deleted", "base", base, "records", s.records,
-			"bytes", s.size, "reason", reason)
+		l.segmentsDeleted.Inc()
+		l.log.Info("wal: segment deleted", "base", base, "records", s.records, "bytes", s.size)
 		return nil
 	}
 	return fmt.Errorf("wal: no sealed segment with base %d", base)
@@ -622,7 +610,7 @@ func (l *Log) TruncateBefore(hwm uint64) (int, error) {
 	}
 	l.mu.Unlock()
 	for _, b := range bases {
-		if err := l.DeleteSealed(b, "checkpoint"); err != nil {
+		if err := l.DeleteSealed(b); err != nil {
 			return 0, err
 		}
 	}
@@ -823,12 +811,9 @@ func (l *Log) RegisterMetrics(r *telemetry.Registry) {
 	reg("tippers_wal_dropped_records_total", "Records dropped by recovery truncation.", l.droppedRecords)
 	reg("tippers_wal_dropped_bytes_total", "Bytes dropped by recovery truncation.", l.droppedBytes)
 	reg("tippers_wal_segments_created_total", "Segment files created.", l.segmentsCreated)
-	for reason, c := range l.segmentsDeleted {
-		cc := c
-		r.CounterFuncWith("tippers_wal_segments_deleted_total",
-			"Segment files deleted, by reason (retention deletions are expired data leaving disk).",
-			telemetry.Labels{"reason": reason}, func() float64 { return float64(cc.Value()) })
-	}
+	reg("tippers_wal_segments_deleted_total",
+		"Segment files deleted once a checkpoint covered them (expired and erased rows leave disk this way).",
+		l.segmentsDeleted)
 	r.RegisterHistogram("tippers_wal_fsync_seconds", "fsync latency.", nil, l.fsyncSeconds)
 	r.RegisterHistogram("tippers_wal_batch_records", "Records per group commit.", nil, l.batchRecords)
 	r.GaugeFunc("tippers_wal_segments", "Segment files on disk (sealed + active).", func() float64 {
