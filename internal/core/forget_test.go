@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,5 +212,77 @@ func TestForgetUserStreamsNoErasedRow(t *testing.T) {
 	got := collectStream(t, sub, 1, 2*time.Second)
 	if len(got) != 1 || got[0].UserID != "bob" {
 		t.Fatalf("after the erasure the stream carried %+v, want only bob's last row", got)
+	}
+}
+
+// TestForgetUserLeavesNothingAtRest: a subject's hot rows, checkpointed
+// and then sealed by a commit, are gone from every file of the node's
+// directory — WAL, checkpoint.snap and colstore/ — once the commit after
+// ForgetUser has run, not at the next clean shutdown.
+func TestForgetUserLeavesNothingAtRest(t *testing.T) {
+	const mac = "aa:00:00:00:00:01" // mary's device
+	dir := t.TempDir()
+	var now atomic.Int64
+	f := durableFixture(t, dir, func(c *Config) {
+		c.Clock = func() time.Time { return time.Unix(0, now.Load()).UTC() }
+	})
+	ble := func(mac string, at time.Time) {
+		t.Helper()
+		now.Store(at.UnixNano())
+		if err := f.bms.Ingest(sensor.Observation{SensorID: "ble-1", Kind: sensor.ObsBLESighting,
+			DeviceMAC: mac, Time: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func() {
+		t.Helper()
+		if _, err := f.bms.Columnar().CompactOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holding := func() (files []string) {
+		t.Helper()
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if bytes.Contains(raw, []byte("mary")) || bytes.Contains(raw, []byte(mac)) {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+
+	for i := 0; i < 5; i++ {
+		ble(mac, testNow.Add(time.Duration(i)*time.Minute))
+	}
+	ble("aa:00:00:00:00:02", testNow.Add(10*time.Minute))
+	if err := f.bms.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(holding()) == 0 {
+		t.Fatal("precondition: the checkpoint should hold mary's hot rows")
+	}
+	// The hour closes: its commit seals mary's rows into a segment.
+	ble("aa:00:00:00:00:02", testNow.Add(time.Hour+time.Minute))
+	commit()
+	if n := f.bms.Store().Resident(); n != 1 {
+		t.Fatalf("precondition: %d rows resident after the commit, want the open hour's 1", n)
+	}
+	if deleted, retained, err := f.bms.ForgetUser("mary"); err != nil || deleted != 5 || retained != 0 {
+		t.Fatalf("ForgetUser = (%d, %d, %v), want (5, 0, nil)", deleted, retained, err)
+	}
+	ble("aa:00:00:00:00:02", testNow.Add(2*time.Hour+time.Minute))
+	commit()
+	if files := holding(); len(files) != 0 {
+		t.Fatalf("mary's ID or MAC is still at rest after the next commit in %v", files)
 	}
 }

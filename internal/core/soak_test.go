@@ -228,6 +228,7 @@ func TestSoakResourcesPlateau(t *testing.T) {
 			for d, b := range samples[s] {
 				if b > hourOfAppends {
 					t.Errorf("day %d: wal/ holds %.0f B after a commit, above one hour of appends (%d B)", d+1, b, hourOfAppends)
+					break
 				}
 			}
 		}
