@@ -256,9 +256,10 @@ func main() {
 		}
 	}
 	if store != nil {
-		// A clean shutdown checkpoints: boot then replays nothing and
-		// retention-expired segments are reclaimed. dep.Close flushes
-		// and closes the WAL itself.
+		// Every commit of the columnar tier checkpoints; a clean
+		// shutdown checkpoints the open bucket too, so boot replays
+		// nothing and rows expired or erased since the last commit
+		// leave disk. dep.Close flushes and closes the WAL itself.
 		if err := store.Checkpoint(); err != nil {
 			logger.Error("checkpointing durable store", "error", err)
 		} else {

@@ -58,11 +58,10 @@ type soakSampler struct {
 // under a fake clock: 24 occupants, Policy 2 with a week's retention,
 // 36 simulated days with compaction and a retention sweep every hour,
 // and emergency reads, preference churn, inbox drains and an erasure a
-// day mixed in.
-// Once the retention window has filled, no resource may keep growing
-// with the node's age: each sample's maximum over the last week is
-// held within 10 % of its maximum over the second week. The WAL is
-// also held to its bound: sampled right after a commit, it holds no
+// day mixed in. Once the retention window has filled, no resource may
+// keep growing with the node's age: each sample's maximum over the last
+// week is held within 10 % of its maximum over the second week. The WAL
+// is also held to its bound: sampled right after a commit, it holds no
 // more than one simulated hour of appends.
 func TestSoakResourcesPlateau(t *testing.T) {
 	const (

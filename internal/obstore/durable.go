@@ -180,8 +180,9 @@ func (s *Store) Dir() string { return s.walDir }
 
 // SetCheckpointHook makes every later Checkpoint call fn once the rows
 // are checkpointed, and fail with fn's error. The owner of other state
-// kept in Dir (core's rule log) folds it there, so one call at shutdown
-// checkpoints the whole directory. Set it before the store is shared.
+// kept in Dir (core's rule log) folds it there, so a checkpoint — at
+// every commit of the tier, and at shutdown — covers the whole
+// directory. Set it before the store is shared.
 func (s *Store) SetCheckpointHook(fn func() error) { s.onCheckpoint = fn }
 
 // insertRecovered decodes one recovered record and appends it to the
@@ -207,14 +208,25 @@ func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 // set (SetCheckpointHook). After a checkpoint, recovery replays only
 // records appended since, and rows deleted for privacy (retention,
 // erasure) that were still sitting in the WAL or the previous
-// checkpoint are gone from disk. Calls are serialised: a checkpoint cut
-// at a lower high-water mark must not replace one that has already
-// truncated the WAL past it.
+// checkpoint are gone from disk.
 func (s *Store) Checkpoint() error {
 	l := s.WAL()
 	if l == nil {
 		return fmt.Errorf("obstore: Checkpoint on a non-durable store")
 	}
+	if err := s.checkpointRows(l); err != nil {
+		return err
+	}
+	if s.onCheckpoint != nil {
+		return s.onCheckpoint()
+	}
+	return nil
+}
+
+// checkpointRows is Checkpoint's half for the rows. Calls are
+// serialised: a checkpoint cut at a lower high-water mark must not
+// replace one that has already truncated the WAL past it.
+func (s *Store) checkpointRows(l *wal.Log) error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	// Seal the active segment: truncation deletes only sealed segments,
@@ -236,9 +248,6 @@ func (s *Store) Checkpoint() error {
 	}
 	s.logger.Info("obstore: checkpoint written",
 		"path", path, "high_water_mark", hwm, "segments_truncated", deleted)
-	if s.onCheckpoint != nil {
-		return s.onCheckpoint()
-	}
 	return nil
 }
 

@@ -130,9 +130,10 @@ type Store struct {
 	walDir string
 	logger *slog.Logger
 	encBuf []byte
-	// ckptMu serialises Checkpoint: the compactor's commits, shutdown
-	// and tests all call it. onCheckpoint is the directory's other
-	// durable state, checkpointed with the rows (see SetCheckpointHook).
+	// ckptMu serialises checkpoints of the rows (checkpointRows): the
+	// tier's commits, shutdown and tests all call Checkpoint.
+	// onCheckpoint is the directory's other durable state, checkpointed
+	// with the rows (see SetCheckpointHook).
 	ckptMu       sync.Mutex
 	onCheckpoint func() error
 	// replayed shares equal payloads among recovered rows; it is set

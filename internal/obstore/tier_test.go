@@ -15,7 +15,7 @@ import (
 // sliceTier is the smallest ColdTier: sealed rows in a slice, deleted
 // ones in a set. It stands in for internal/colstore (which imports this
 // package) so the seam — union reads, deletes over both tiers, Len,
-// eviction, WAL pruning — is tested where it lives.
+// eviction and the checkpoint it runs — is tested where it lives.
 type sliceTier struct {
 	mu   sync.Mutex
 	rows []sensor.Observation // ascending seq, all <= wm

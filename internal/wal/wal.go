@@ -571,8 +571,8 @@ func (l *Log) SealedSegments() []SegmentInfo {
 	return out
 }
 
-// DeleteSealed removes one sealed segment from disk.
-func (l *Log) DeleteSealed(base uint64) error {
+// deleteSealed removes one sealed segment from disk.
+func (l *Log) deleteSealed(base uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -610,7 +610,7 @@ func (l *Log) TruncateBefore(hwm uint64) (int, error) {
 	}
 	l.mu.Unlock()
 	for _, b := range bases {
-		if err := l.DeleteSealed(b); err != nil {
+		if err := l.deleteSealed(b); err != nil {
 			return 0, err
 		}
 	}

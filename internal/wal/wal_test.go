@@ -168,10 +168,10 @@ func TestDeleteSealedAndTruncateBefore(t *testing.T) {
 	}
 	// Deleting the same base twice fails cleanly.
 	remaining := l.SealedSegments()
-	if err := l.DeleteSealed(remaining[0].Base); err != nil {
+	if err := l.deleteSealed(remaining[0].Base); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.DeleteSealed(remaining[0].Base); err == nil {
+	if err := l.deleteSealed(remaining[0].Base); err == nil {
 		t.Error("double delete accepted")
 	}
 }

@@ -185,10 +185,11 @@ func NewTracer(opts TracerOptions) *Tracer { return telemetry.NewTracer(opts) }
 // frames, refused outright if damaged) is restored, committed WAL
 // records are replayed on top of it, and a torn tail from a crash is
 // truncated. Pass the result as DeploymentConfig.Store; the
-// deployment closes it on Close. Call its Checkpoint method
-// periodically (or at shutdown) to bound replay time and to rewrite
-// the log and checkpoint without whatever retention or erasure
-// deleted since the last one.
+// deployment closes it on Close. The store checkpoints itself at every
+// commit of the deployment's columnar tier, which rewrites the
+// checkpoint and truncates the log without whatever retention or
+// erasure deleted since the last one; call its Checkpoint method at
+// shutdown to do the same for the rows of the open bucket.
 func OpenDurableStore(cfg DurableStoreConfig) (*ObservationStore, error) {
 	return obstore.OpenDurable(cfg)
 }
