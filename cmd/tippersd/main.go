@@ -47,7 +47,6 @@ func main() {
 		paperPolicies = flag.Bool("paper-policies", true, "register the paper's Policies 1-4")
 		simulateDays  = flag.Int("simulate-days", 1, "simulated days to ingest at startup")
 		seed          = flag.Int64("seed", 1, "simulation seed")
-		retention     = flag.Duration("retention-interval", time.Minute, "retention sweep interval")
 		walDir        = flag.String("wal-dir", "", "durable store directory (write-ahead log + checkpoints)")
 		walSync       = flag.String("wal-sync", "10ms", "WAL commit policy: a group-commit interval, \"always\", or \"none\"")
 		colDir        = flag.String("colstore-dir", "", "columnar tier segment directory (default <wal-dir>/colstore with -wal-dir, memory otherwise)")
@@ -178,8 +177,6 @@ func main() {
 		"sensors", dep.Building.Sensors.Len(),
 		"users", dep.Users.Len(),
 		"observations", total)
-
-	dep.BMS.StartRetention(*retention)
 
 	var api http.Handler = dep.APIHandler()
 	// TIPPERSD_DEBUG_STALL injects a fixed per-request delay — the

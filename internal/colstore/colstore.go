@@ -19,10 +19,13 @@
 //
 // Once the manifest names a row it is the segments' alone: the tier
 // attaches to the row store as its obstore.ColdTier, the row store
-// evicts everything at or below the watermark, and retention and
-// erasure reach sealed rows through the tier's scan and its
-// tombstones. The segment directory and the row store's WAL directory
-// are together the database.
+// evicts everything at or below the watermark, and erasure reaches
+// sealed rows through the tier's scan and its tombstones. Retention
+// needs neither: reads skip expired rows by the row store's cutoffs,
+// compaction never seals one, and it rewrites a sealed segment once a
+// kind it holds has expired through its newest row. The segment
+// directory and the row store's WAL directory are together the
+// database.
 package colstore
 
 import (
@@ -70,18 +73,18 @@ type Store struct {
 	// its candidates instead of testing every zone map.
 	byTime []*segment
 	span   int64
-	// live counts the segments' rows no tombstone condemns; it is kept
-	// current at commit and tombstone time so the row store's Len never
-	// walks the segments.
+	// live counts the segments' rows no tombstone condemns, expired or
+	// not; it is kept current at commit and tombstone time so the row
+	// store's Len never walks the segments.
 	live int
 	// wm is the compaction watermark: every observation with seq <= wm
 	// lives in segments; everything above is the row store's tail.
 	wm     uint64
 	nextID uint64
 	// seqTomb holds the tombstones: rows already sealed into segments
-	// that retention or erasure has since deleted, one seq each. Reads
-	// filter them immediately; the next compaction rewrites the affected
-	// segments so the bytes leave disk too.
+	// that erasure has since deleted, one seq each. Reads filter them
+	// immediately; the next compaction rewrites the affected segments so
+	// the bytes leave disk too.
 	seqTomb map[uint64]struct{}
 	// compactingUpTo widens the tombstone-recording window while a
 	// compaction is in flight: it is set to ^uint64(0) before the
@@ -104,13 +107,12 @@ type Store struct {
 	// segments hold and answers every read for the union.
 	src *obstore.Store
 
-	segScanned     atomic.Uint64
-	segPruned      atomic.Uint64
-	compactions    atomic.Uint64
-	rowsCompacted  atomic.Uint64
-	bytesWritten   atomic.Uint64
-	lastBucketEnd  atomic.Int64 // unix nanos; end of newest compacted bucket
-	manifestWrites atomic.Uint64
+	segScanned    atomic.Uint64
+	segPruned     atomic.Uint64
+	compactions   atomic.Uint64
+	rowsCompacted atomic.Uint64
+	bytesWritten  atomic.Uint64 // segment file bytes, fresh and rewritten
+	lastBucketEnd atomic.Int64  // unix nanos; end of newest compacted bucket
 }
 
 // testHookMidCompact, when non-nil, runs after a compaction's segment
@@ -353,11 +355,7 @@ func (s *Store) persistManifestLocked() error {
 	s.mu.RLock()
 	st := s.manifestSnapshotLocked()
 	s.mu.RUnlock()
-	if err := writeManifest(s.cfg.Dir, st); err != nil {
-		return err
-	}
-	s.manifestWrites.Add(1)
-	return nil
+	return writeManifest(s.cfg.Dir, st)
 }
 
 // manifestSnapshotLocked builds the manifest view of current state.
@@ -379,9 +377,12 @@ func (s *Store) manifestSnapshotLocked() manifestState {
 }
 
 // CompactOnce runs one compaction pass: seal every closed time bucket
-// above the watermark into segments, rewrite any segment an erasure
-// tombstone touches, and commit the whole transition through the
-// manifest. Returns the number of newly sealed rows.
+// above the watermark into segments, leaving out the rows retention has
+// expired; rewrite any segment an erasure tombstone touches or holding
+// a kind that has expired through its newest row, without the erased
+// and expired rows (a segment left with none goes unwritten); and
+// commit the whole transition through the manifest. Returns the number
+// of newly sealed rows.
 func (s *Store) CompactOnce() (int, error) {
 	src := s.source()
 	if src == nil {
@@ -391,6 +392,10 @@ func (s *Store) CompactOnce() (int, error) {
 	defer s.ioMu.Unlock()
 
 	now := s.cfg.Clock()
+	// Retention as the row store's reads apply it: its Scan below never
+	// visits an expired row, and the rewrite drops what these expire.
+	cut := src.Cutoffs()
+	head := src.LastSeq()
 	s.mu.Lock()
 	wm := s.wm
 	nextID := s.nextID
@@ -416,7 +421,10 @@ func (s *Store) CompactOnce() (int, error) {
 	// second streams each row into its bucket's builder (seq order kept
 	// within each) and is the snapshot compaction seals. A row deleted
 	// or appended between the walks only leaves a count stale, and seal
-	// copies a column whose count was.
+	// copies a column whose count was. The walks skip expired rows, and
+	// the watermark passes them: it rises to just below the fence, or to
+	// the head read before the walks when nothing fences, so the commit
+	// evicts expired hot rows it never sealed.
 	closed := func(o *sensor.Observation) (time.Time, bool) {
 		b := o.Time.Truncate(s.cfg.BucketDur)
 		return b, !b.Add(s.cfg.BucketDur).After(now)
@@ -432,12 +440,13 @@ func (s *Store) CompactOnce() (int, error) {
 	if testHookBetweenPasses != nil {
 		testHookBetweenPasses()
 	}
-	sealed, newWM := 0, wm
+	sealed, newWM := 0, max(wm, head)
 	builders := make(map[int64]*segBuilder, len(counts))
 	var starts []int64
 	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
 		b, ok := closed(o)
 		if !ok {
+			newWM = o.Seq - 1
 			return false
 		}
 		sb, ok := builders[b.UnixNano()]
@@ -447,7 +456,7 @@ func (s *Store) CompactOnce() (int, error) {
 			starts = append(starts, b.UnixNano())
 		}
 		sb.add(o)
-		sealed, newWM = sealed+1, o.Seq
+		sealed, newWM = sealed+1, max(newWM, o.Seq)
 		return true
 	})
 	if testHookAfterSnapshot != nil {
@@ -465,7 +474,8 @@ func (s *Store) CompactOnce() (int, error) {
 		}
 	}
 
-	if sealed == 0 && !tombstonesTouch(oldSegs, seqTombSnap) {
+	rewrite := func(sg *segment) bool { return segmentTouched(sg, seqTombSnap) || sg.kindExpired(cut) }
+	if sealed == 0 && newWM == wm && !slices.ContainsFunc(oldSegs, rewrite) {
 		s.clearCompacting()
 		// Idle passes double as the retry point for tombstones whose
 		// manifest write failed in ObservationsDeleted.
@@ -488,21 +498,22 @@ func (s *Store) CompactOnce() (int, error) {
 		fresh = append(fresh, sg)
 	}
 
-	// Rewrite segments the tombstones touch: drop condemned rows and
-	// re-encode, so the erased bytes (rows and dictionary entries)
-	// leave disk, not just the index.
+	// Rewrite segments the tombstones touch or retention has reached:
+	// drop erased and expired rows and re-encode, so their bytes (rows
+	// and dictionary entries) leave disk, not just the index.
 	var keep, rewritten []*segment
 	var dropped []*segment
 	for _, sg := range oldSegs {
-		if !segmentTouched(sg, seqTombSnap) {
+		if !rewrite(sg) {
 			keep = append(keep, sg)
 			continue
 		}
-		surviving := newSegBuilder(sg.bucket, sg.rows()) // seal trims what the tombstones took
+		surviving := newSegBuilder(sg.bucket, sg.rows()) // seal trims what was dropped
 		for i := 0; i < sg.rows(); i++ {
 			if _, dead := seqTombSnap[sg.seqs[i]]; !dead {
-				o := sg.row(i)
-				surviving.add(&o)
+				if o := sg.row(i); !cut.Expired(&o) {
+					surviving.add(&o)
+				}
 			}
 		}
 		dropped = append(dropped, sg)
@@ -567,7 +578,6 @@ func (s *Store) CompactOnce() (int, error) {
 			s.tombDirty.Store(true)
 			return 0, err
 		}
-		s.manifestWrites.Add(1)
 		s.tombDirty.Store(false)
 		for _, sg := range dropped {
 			os.Remove(filepath.Join(s.cfg.Dir, segFileName(sg.id)))
@@ -598,10 +608,6 @@ func (s *Store) clearCompacting() {
 	s.mu.Unlock()
 }
 
-func tombstonesTouch(segs []*segment, seqTomb map[uint64]struct{}) bool {
-	return slices.ContainsFunc(segs, func(sg *segment) bool { return segmentTouched(sg, seqTomb) })
-}
-
 func segmentTouched(sg *segment, seqTomb map[uint64]struct{}) bool {
 	for seq := range seqTomb {
 		if seq >= sg.minSeq && seq <= sg.maxSeq {
@@ -618,7 +624,8 @@ func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source()
 
 // ScanCold implements obstore.ColdTier and is the one segment walk:
 // the sealed half of the row store's Scan. It visits the live rows at
-// or below the watermark that match f, in ascending seq, and returns
+// or below the watermark that match f and that cut does not expire, in
+// ascending seq, and returns
 // the filter for the tail above the watermark (AfterSeq raised to it,
 // Limit reduced by what was visited); more=false means the visitor
 // stopped or the limit is spent and the tail must not be read.
@@ -630,7 +637,7 @@ func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source()
 // s.mu and walked outside it (segments are immutable and compaction
 // replaces s.segs wholesale), so a visitor may call back into the store
 // and a slow one never blocks ingest, erasure or compaction.
-func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool) (tail obstore.Filter, more bool) {
+func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sensor.Observation) bool) (tail obstore.Filter, more bool) {
 	s.mu.RLock()
 	segs, byTime, span, wm := s.segs, s.byTime, s.span, s.wm
 	var seqTomb map[uint64]struct{}
@@ -652,7 +659,8 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 
 	// A time-bounded filter finds its candidates by binary search over
 	// the time-ordered view; what that skips is pruned by zone map like
-	// any other segment, and counted so.
+	// any other segment, and counted so, as is a segment retention has
+	// wholly expired.
 	in := segs
 	bounded := !f.From.IsZero() || !f.To.IsZero()
 	if bounded {
@@ -663,7 +671,7 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 	var candBuf [8]*segment
 	cands := candBuf[:0] // unpruned, ascending minSeq
 	for _, sg := range in {
-		if !sg.disjoint(&f) {
+		if gone, _ := sg.retention(cut); !gone && !sg.disjoint(&f) {
 			cands = append(cands, sg)
 		}
 	}
@@ -693,7 +701,7 @@ func (s *Store) ScanCold(f obstore.Filter, visit func(*sensor.Observation) bool)
 			}
 		}
 		for next < len(cands) && (best < 0 || cands[next].minSeq < active[best].seq()) {
-			c := openCursor(cands[next], &f, seqTomb)
+			c := openCursor(cands[next], &f, seqTomb, cut)
 			next++
 			if c.advance() {
 				active = append(active, c)
@@ -864,6 +872,10 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("tippers_colstore_rows_compacted_total",
 		"Rows sealed into segments.", func() float64 {
 			return float64(s.rowsCompacted.Load())
+		})
+	r.CounterFunc("tippers_colstore_segment_bytes_written_total",
+		"Bytes of segment files written: freshly sealed buckets and segments rewritten for erasure or retention.", func() float64 {
+			return float64(s.bytesWritten.Load())
 		})
 	r.CounterFunc("tippers_colstore_segments_pruned_total",
 		"Segments skipped wholesale by zone maps.", func() float64 {

@@ -21,29 +21,39 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// Regression for the Sweep ↔ CompactOnce race: a retention deletion
-// that fires after the compactor snapshots the row store but before
-// it commits has a seq above the old watermark — it must still land as
-// a seq tombstone, or the expired row is sealed into a segment while its
-// row store copy is already gone and gets served forever.
-func TestSweepRacingCompactionBecomesTombstone(t *testing.T) {
+// TestSweepRacingCompactionSealsNoExpiredRow: a row expired when a
+// compaction starts is never sealed, even as a Sweep drops it from the
+// row store between the compactor's snapshot and its commit, and no
+// tombstone is recorded for it; a row that expires mid-compaction is
+// sealed but never read, and leaves the segment at the first
+// compaction after its cutoff passes the segment's newest row.
+func TestSweepRacingCompactionSealsNoExpiredRow(t *testing.T) {
 	src, cs := newPair(t, "")
+	now := csNow
+	src.SetClock(func() time.Time { return now })
 	src.SetDefaultRetention(isodur.MustParse("PT10M"))
 
-	// One row already past retention, the rest comfortably inside it;
-	// every bucket closed so the whole tail seals.
+	// One row already past retention, one five minutes inside it, the
+	// rest a minute old; every bucket closed so the whole tail seals.
 	if _, err := src.Append(obsAt("ap-1", "s1", "victim", sensor.ObsWiFiConnect, csNow.Add(-15*time.Minute), 1)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		at := csNow.Add(-5 * time.Minute).Add(time.Duration(i) * time.Second)
+		at := csNow.Add(-time.Minute).Add(time.Duration(i) * time.Second)
+		if i == 0 {
+			at = csNow.Add(-5 * time.Minute)
+		}
 		if _, err := src.Append(obsAt("ap-1", "s1", fmt.Sprintf("u%d", i), sensor.ObsWiFiConnect, at, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	swept := 0
-	testHookAfterSnapshot = func() { swept = src.Sweep(csNow) }
+	testHookAfterSnapshot = func() {
+		swept = src.Sweep(now)
+		// u0's row, five minutes old at the snapshot, expires now.
+		now = now.Add(6 * time.Minute)
+	}
 	defer func() { testHookAfterSnapshot = nil }()
 	if _, err := cs.CompactOnce(); err != nil {
 		t.Fatal(err)
@@ -52,49 +62,66 @@ func TestSweepRacingCompactionBecomesTombstone(t *testing.T) {
 	if swept != 1 {
 		t.Fatalf("sweep removed %d rows mid-compaction, want 1", swept)
 	}
-
-	// The expired row is unreadable immediately, and the unified view
-	// agrees with the row store (which no longer holds it).
-	if rows := cs.Query(obstore.Filter{UserID: "victim"}); len(rows) != 0 {
-		t.Fatalf("retention-expired row resurrected from segments: %d rows", len(rows))
+	sealed := 0
+	for _, sg := range cs.segs {
+		sealed += sg.rows()
+		for i := range sg.seqs {
+			if sg.users.at(i) == "victim" {
+				t.Fatal("the row expired at the compaction's start was sealed")
+			}
+		}
 	}
-	if got, want := src.Count(obstore.Filter{}), 8; got != want {
+	if sealed != 8 {
+		t.Fatalf("sealed %d rows, want the 8 unexpired at the start", sealed)
+	}
+	if st := cs.Stats(); st.SeqTombstones != 0 {
+		t.Fatalf("retention recorded tombstones: %+v", st)
+	}
+	// Both expired rows are unreadable, and the rest agree.
+	for _, u := range []string{"victim", "u0"} {
+		if rows := cs.Query(obstore.Filter{UserID: u}); len(rows) != 0 {
+			t.Fatalf("expired row of %s read: %d rows", u, len(rows))
+		}
+	}
+	if got, want := src.Count(obstore.Filter{}), 7; got != want {
 		t.Fatalf("unified count %d, want %d", got, want)
 	}
-
-	// The next compaction rewrites the touched segment and retires the
-	// tombstone; the row stays gone.
+	// Once the cutoff passes the newest row of a segment, the next
+	// compaction rewrites it without its expired rows.
+	now = now.Add(10 * time.Minute)
 	if _, err := cs.CompactOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if rows := cs.Query(obstore.Filter{UserID: "victim"}); len(rows) != 0 {
-		t.Fatalf("expired row back after rewrite: %d rows", len(rows))
-	}
-	if st := cs.Stats(); st.SeqTombstones != 0 {
-		t.Fatalf("seq tombstone not retired by rewrite: %+v", st)
+	if st := cs.Stats(); st.Segments != 0 || st.SeqTombstones != 0 {
+		t.Fatalf("expired segments not dropped: %+v", st)
 	}
 }
 
 // TestErasureLeavesDisk: a subject whose rows are all sealed into
 // segments and evicted from the row store — nothing of them is resident
 // as a row any more — is forgotten, and, separately, expires. Either
-// way the deletion is found through the tier, reads stop releasing the
-// subject at once, the tombstones survive a reopen, and after the next
-// compaction plus checkpoint no file under either directory (the
-// store's WAL and checkpoint, the tier's segments and manifest) holds
-// the subject's bytes.
+// way reads stop releasing the subject at once and still do after a
+// reopen (through the erasure's tombstones, or the retention rule every
+// store reading the tier carries), and after the next compaction plus
+// checkpoint no file under either directory (the store's WAL and
+// checkpoint, the tier's segments and manifest) holds the subject's
+// bytes. Until then Len counts an expired row, not an erased one.
 func TestErasureLeavesDisk(t *testing.T) {
 	const marker = "ERASURE-MARKER-SUBJECT-7f3a"
+	// The marker's readings are the only rows on this rule.
+	expire := obstore.RetentionRule{Kind: sensor.ObsPowerReading, TTL: isodur.MustParse("PT1M")}
 	for _, tc := range []struct {
 		name   string
+		rules  []obstore.RetentionRule
 		remove func(src *obstore.Store) int
+		stored int // rows Len counts once the subject is unreadable
 	}{
-		{"forgotten", func(src *obstore.Store) int { return src.DeleteUser(marker, nil) }},
-		{"expired", func(src *obstore.Store) int {
-			// The marker's readings are the only rows on this rule.
-			src.AddRetentionRule(obstore.RetentionRule{Kind: sensor.ObsPowerReading, TTL: isodur.MustParse("PT1M")})
-			return src.Sweep(csNow)
-		}},
+		{"forgotten", nil, func(src *obstore.Store) int { return src.DeleteUser(marker, nil) }, 80},
+		{"expired", []obstore.RetentionRule{expire}, func(src *obstore.Store) int {
+			before := src.Count(obstore.Filter{UserID: marker})
+			retainOn(src, expire)
+			return before - src.Count(obstore.Filter{UserID: marker})
+		}, 120},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -104,6 +131,7 @@ func TestErasureLeavesDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer src.Close()
+			src.SetClock(func() time.Time { return csNow })
 			cs, err := Open(Config{Dir: colDir, BucketDur: time.Minute, Clock: func() time.Time { return csNow }})
 			if err != nil {
 				t.Fatal(err)
@@ -145,8 +173,8 @@ func TestErasureLeavesDisk(t *testing.T) {
 			if n := src.Count(obstore.Filter{UserID: marker}); n != 0 {
 				t.Fatalf("the row store still counts %d of the subject's rows", n)
 			}
-			if got := src.Len(); got != 120-markerRows {
-				t.Fatalf("Len = %d, want %d", got, 120-markerRows)
+			if got := src.Len(); got != tc.stored {
+				t.Fatalf("Len = %d, want %d", got, tc.stored)
 			}
 			for _, u := range src.Users() {
 				if u == marker {
@@ -163,14 +191,17 @@ func TestErasureLeavesDisk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := reopened.AttachStore(obstore.New()); err != nil {
+			fresh := obstore.New()
+			fresh.SetClock(func() time.Time { return csNow })
+			retainOn(fresh, tc.rules...)
+			if err := reopened.AttachStore(fresh); err != nil {
 				t.Fatal(err)
 			}
 			if rows := reopened.Query(obstore.Filter{UserID: marker}); len(rows) != 0 {
-				t.Fatalf("after reopen, tombstoned subject readable again: %d rows", len(rows))
+				t.Fatalf("after reopen, removed subject readable again: %d rows", len(rows))
 			}
-			if live, _ := reopened.ColdRows(); live != 120-markerRows {
-				t.Fatalf("after reopen the tier counts %d live rows, want %d", live, 120-markerRows)
+			if live, _ := reopened.ColdRows(); live != tc.stored {
+				t.Fatalf("after reopen the tier counts %d stored rows, want %d", live, tc.stored)
 			}
 
 			// ...and the rewrite at the next compaction removes the bytes

@@ -170,7 +170,7 @@ func tierOver(segs []*segment, tomb map[uint64]struct{}) *Store {
 
 func visitCold(s *Store, f obstore.Filter) []sensor.Observation {
 	var out []sensor.Observation
-	s.ScanCold(f, func(o *sensor.Observation) bool {
+	s.ScanCold(f, nil, func(o *sensor.Observation) bool {
 		out = append(out, *o)
 		return true
 	})

@@ -14,7 +14,7 @@ import (
 )
 
 // oracleQuery is the read path Scan replaced, kept as the reference:
-// collect one page of matching rows per unpruned segment
+// collect one page of matching unexpired rows per unpruned segment
 // under s.mu, k-way merge the pages by seq, then append the row
 // store's tail above the watermark.
 func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
@@ -24,6 +24,10 @@ func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
 	var segRows []sensor.Observation
 	if len(s.segs) > 0 && f.AfterSeq < s.wm {
 		spaceSet := spaceSetFor(f)
+		var cut *obstore.Cutoffs
+		if src != nil {
+			cut = src.Cutoffs()
+		}
 		var pages [][]sensor.Observation
 		for _, sg := range s.segs {
 			if sg.disjoint(&f) {
@@ -34,7 +38,7 @@ func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
 				if _, dead := s.seqTomb[sg.seqs[i]]; dead {
 					continue
 				}
-				if o := sg.row(i); oracleRowMatches(o, f, spaceSet) {
+				if o := sg.row(i); oracleRowMatches(o, f, spaceSet) && !cut.Expired(&o) {
 					page = append(page, o)
 				}
 			}
@@ -131,15 +135,13 @@ func scanAll(src *obstore.Store, f obstore.Filter) []sensor.Observation {
 
 // scanWorld ingests rows whose observation times jump between buckets
 // in arrival order, so every compaction pass seals several segments
-// with interleaved seq ranges, then leaves seq tombstones from retention
-// and from an erasure, and an uncompacted tail, in place. Every
-// mutation is mirrored into a twin store that never evicts.
+// with interleaved seq ranges, then leaves seq tombstones from an
+// erasure, a retention cutoff inside a sealed segment, and an
+// uncompacted tail, in place. Every mutation is mirrored into a twin
+// store that never evicts.
 func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 	t.Helper()
 	m, cs := newMirroredPair(t, "")
-	// One sensor's rows expire on a rule of their own: sweeping them
-	// scatters seq tombstones over the sealed segments.
-	m.retain(obstore.RetentionRule{SensorID: "ap-exp", TTL: isodur.MustParse("PT1M")})
 	add := func(n int) {
 		for i := 0; i < n; i++ {
 			at := csNow.Add(-time.Duration(2+rng.Intn(12)) * time.Minute).Add(time.Duration(rng.Intn(60000)) * time.Millisecond)
@@ -153,7 +155,7 @@ func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 				o.DeviceMAC = fmt.Sprintf("aa:%02d", rng.Intn(3))
 			}
 			if rng.Intn(15) == 0 {
-				o.SensorID = "ap-exp"
+				o.Kind = sensor.ObsBLESighting
 			}
 			m.append(o)
 		}
@@ -173,16 +175,27 @@ func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 	if overlaps == 0 {
 		t.Fatal("precondition: no two segments interleave in seq")
 	}
-	// Seq tombstones: retention deletes a scattering of sealed rows.
+	// BLE sightings now expire on a rule of their own, whose cutoff
+	// falls mid-bucket: a sealed segment holding it is read row by row.
+	m.retain(obstore.RetentionRule{Kind: sensor.ObsBLESighting, TTL: isodur.MustParse("PT5M30S")})
+	straddled := 0
+	for _, sg := range cs.segs {
+		if gone, check := sg.retention(m.src.Cutoffs()); check && !gone {
+			straddled++
+		}
+	}
+	if straddled == 0 {
+		t.Fatal("precondition: no sealed segment straddles the retention cutoff")
+	}
+	// Retention records no tombstone; erasure does.
 	if n := m.sweep(csNow); n == 0 {
 		t.Fatal("Sweep removed nothing")
 	}
-	swept := cs.Stats().SeqTombstones
 	if n := m.deleteUser("u3"); n == 0 {
 		t.Fatal("DeleteUser removed nothing")
 	}
-	if st := cs.Stats(); swept == 0 || st.SeqTombstones <= swept {
-		t.Fatalf("precondition: want seq tombstones from both retention (%d) and erasure, have %+v", swept, st)
+	if st := cs.Stats(); st.SeqTombstones == 0 {
+		t.Fatalf("precondition: want erasure's seq tombstones, have %+v", st)
 	}
 	add(60) // the tail above the watermark
 	return m, cs
@@ -227,7 +240,7 @@ func randomFilter(rng *rand.Rand, maxSeq uint64) obstore.Filter {
 // TestScanMatchesQuery: Scan visits exactly what the old
 // collect-and-merge Query returned — which is what a twin store that
 // never evicted returns — in the same order, across random filters ×
-// AfterSeq/Limit × retention and erasure tombstones × segments whose seq ranges
+// AfterSeq/Limit × a retention cutoff inside segments × erasure tombstones × segments whose seq ranges
 // interleave — with every visited row poisoned on return, so Scan's own
 // wrappers are checked for retaining the scratch pointer.
 func TestScanMatchesQuery(t *testing.T) {

@@ -6,10 +6,12 @@ package core
 // Cached answers are post-enforcement, so each is valid for one engine
 // epoch and one state of the store: a policy or preference mutation
 // bumps enforce.Engine.Epoch inside the mutation itself, an append
-// moves the store's head (obstore.Store.LastSeq), and a deletion that
-// removed a row moves its deletion count (obstore.Store.Deletions). A
-// hit is checked against all three, so a stale answer can never be
-// served and nobody has to remember to flush.
+// moves the store's head (obstore.Store.LastSeq), a deletion that
+// removed a row moves its deletion count (obstore.Store.Deletions), and
+// the store's retention cutoffs (obstore.Store.Cutoffs) are new each
+// minute of the node's clock and with each rule. A hit is checked
+// against all four, so a stale answer can never be served and nobody
+// has to remember to flush.
 
 import (
 	"strconv"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -64,14 +67,19 @@ func (s *occScratch) visit(o *sensor.Observation) bool {
 }
 
 // occVersion is what an occupancy answer depends on besides its
-// request: the rules and the store's contents.
-type occVersion struct{ epoch, lastSeq, deletions uint64 }
+// request: the rules, the store's contents and the retention a read of
+// them applies. The request's own minute is in the cache key, but a
+// requester sets it: only the node's clock expires rows.
+type occVersion struct {
+	epoch, lastSeq, deletions uint64
+	retention                 *obstore.Cutoffs
+}
 
 // occVersion is read before the scan and the decide batch it
-// validates, so a concurrent ingest, deletion or rule mutation can only
-// cause a spurious miss, never a stale hit.
+// validates, so a concurrent ingest, deletion, rule mutation or turn of
+// the clock's minute can only cause a spurious miss, never a stale hit.
 func (b *BMS) occVersion() occVersion {
-	return occVersion{b.engine.Epoch(), b.store.LastSeq(), b.store.Deletions()}
+	return occVersion{b.engine.Epoch(), b.store.LastSeq(), b.store.Deletions(), b.store.Cutoffs()}
 }
 
 // occAnswer is one cached post-enforcement occupancy answer, pinned to

@@ -132,9 +132,6 @@ type BMS struct {
 	inbox     map[string][]enforce.Notification
 	rules     *ruleLog
 
-	retainStop chan struct{}
-	retainDone chan struct{}
-
 	// colstore is the columnar tier: sealed segments behind the row
 	// store's watermark.
 	colstore *colstore.Store
@@ -181,6 +178,8 @@ func New(cfg Config) (*BMS, error) {
 	if store == nil {
 		store = obstore.New()
 	}
+	// Retention is evaluated on the node's clock, never a requester's.
+	store.SetClock(cfg.Clock)
 	b := &BMS{
 		cfg:       cfg,
 		store:     store,
@@ -390,8 +389,10 @@ func (b *BMS) appendAndPublish(o sensor.Observation) error {
 // RegisterPolicy installs a building policy (Figure 1 step 1): the
 // rule enters the enforcement engine, its sensor settings are
 // actuated across the scoped sensors, its retention period is
-// installed in the store, and conflicts with existing preferences are
-// detected and resolved.
+// installed in the store — every read applies it from then on, and
+// compaction drops what it expires — and conflicts with existing
+// preferences are detected and resolved. A collection policy without
+// an observation kind sets the store's default retention.
 func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 	if err := p.Check(); err != nil {
 		return err
@@ -738,50 +739,10 @@ func (b *BMS) FetchNotifications(userID string) []enforce.Notification {
 	return out
 }
 
-// StartRetention launches the storage-time enforcement daemon,
-// sweeping expired observations every interval. Stop with
-// StopRetention.
-func (b *BMS) StartRetention(interval time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.retainStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	b.retainStop = stop
-	b.retainDone = done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				b.store.Sweep(b.clock())
-			}
-		}
-	}()
-}
-
-// StopRetention stops the retention daemon and waits for it to exit.
-func (b *BMS) StopRetention() {
-	b.mu.Lock()
-	stop, done := b.retainStop, b.retainDone
-	b.retainStop, b.retainDone = nil, nil
-	b.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
 // StartCompaction launches the columnar tier's background compactor:
 // every interval, closed time buckets behind the row store's head are
-// sealed into immutable segments. Stop with StopCompaction.
+// sealed into immutable segments, and rows retention has expired leave
+// memory, the WAL and the segment files. Stop with StopCompaction.
 func (b *BMS) StartCompaction(interval time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -823,11 +784,10 @@ func (b *BMS) StopCompaction() {
 	<-done
 }
 
-// Close shuts down the BMS: retention and compaction daemons stopped,
-// stream hub drained, store and rule log closed. Every logged rule
-// mutation was fsynced when it was made, so closing flushes nothing.
+// Close shuts down the BMS: the compaction daemon stopped, stream hub
+// drained, store and rule log closed. Every logged rule mutation was
+// fsynced when it was made, so closing flushes nothing.
 func (b *BMS) Close() {
-	b.StopRetention()
 	b.StopCompaction()
 	b.streams.Close()
 	if err := b.store.Close(); err != nil {

@@ -441,24 +441,32 @@ func TestRequestOccupancy(t *testing.T) {
 	}
 }
 
-func TestRetentionDaemon(t *testing.T) {
+// TestExpiredRowLeavesAtCompaction: with no retention daemon, an
+// expired row is unreadable at once, on the node's clock, and leaves
+// the store at the compaction that seals its bucket, which seals
+// nothing of it; an unexpired row of the same bucket is sealed.
+func TestExpiredRowLeavesAtCompaction(t *testing.T) {
 	f := newFixture(t)
-	f.bms.Store().SetDefaultRetention(isodur.MustParse("PT1M"))
-	if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", -10)); err != nil {
-		t.Fatal(err)
-	}
-	f.bms.StartRetention(5 * time.Millisecond)
-	f.bms.StartRetention(5 * time.Millisecond) // idempotent
-	deadline := time.After(2 * time.Second)
-	for f.bms.Store().Len() > 0 {
-		select {
-		case <-deadline:
-			t.Fatal("retention daemon never swept")
-		case <-time.After(5 * time.Millisecond):
+	f.bms.Store().SetDefaultRetention(isodur.MustParse("PT5M"))
+	for _, minute := range []int{-10, -2} {
+		if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", minute)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	f.bms.StopRetention()
-	f.bms.StopRetention() // idempotent
+	if got := f.bms.Store().Query(obstore.Filter{}); len(got) != 1 || !got[0].Time.Equal(testNow.Add(-2*time.Minute)) {
+		t.Fatalf("reads return %+v, want only the row two minutes old", got)
+	}
+	if n := f.bms.Store().Len(); n != 2 {
+		t.Fatalf("Len = %d before compaction, want both stored rows", n)
+	}
+	sealed, err := f.bms.Columnar().CompactOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed != 1 || f.bms.Store().Len() != 1 || f.bms.Store().Resident() != 0 {
+		t.Fatalf("compaction sealed %d rows, leaving %d stored and %d resident; want 1, 1, 0",
+			sealed, f.bms.Store().Len(), f.bms.Store().Resident())
+	}
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -2,14 +2,15 @@ package core
 
 // One reference for every read path. A node is driven through a seeded
 // interleaving of ingest, preference writes and removals, policy
-// registration, ForgetUser, Sweep and CompactOnce, and after every step
-// each read path — RequestUserEach, RequestOccupancy (a miss, then the
-// cache's hit), SQL over observations in row and grouped form, and a
-// replaying hub subscription — must release what the paper's semantics
-// release from the rows the reference holds: every ingested row minus
-// what was deleted, decided by a naive engine fed the same rules in the
-// same order. Noised values compare as decisions (the noise itself is
-// drawn per release).
+// registration, ForgetUser, Sweep, CompactOnce and advances of its
+// clock past retention TTLs, and after every step each read path —
+// RequestUserEach, RequestOccupancy (a miss, then the cache's hit), SQL
+// over observations in row and grouped form, and a replaying hub
+// subscription — must release what the paper's semantics release from
+// the rows the reference holds: every ingested row minus what was
+// deleted and what retention has expired on the node's clock, decided
+// by a naive engine fed the same rules in the same order. Noised values
+// compare as decisions (the noise itself is drawn per release).
 
 import (
 	"context"
@@ -184,12 +185,24 @@ func (w *refWorld) sweep() {
 	})
 }
 
-// visible returns the reference rows f matches, ascending seq.
+// expired reports whether retention hides o: its time is at or before
+// its kind's TTL subtracted from the end of the clock's minute.
+func (w *refWorld) expired(o *sensor.Observation) bool {
+	ttl, ok := w.ttl(o.Kind)
+	if !ok {
+		return false
+	}
+	ttl.Negative = true
+	return !o.Time.After(ttl.AddTo(w.now.Truncate(time.Minute).Add(time.Minute)))
+}
+
+// visible returns the unexpired reference rows f matches, ascending
+// seq.
 func (w *refWorld) visible(f obstore.Filter) []sensor.Observation {
 	var out []sensor.Observation
 	for i := range w.rows {
 		o := &w.rows[i]
-		if o.Seq <= f.AfterSeq ||
+		if o.Seq <= f.AfterSeq || w.expired(o) ||
 			!f.From.IsZero() && o.Time.Before(f.From) || !f.To.IsZero() && !o.Time.Before(f.To) ||
 			f.UserID != "" && o.UserID != f.UserID || f.Kind != "" && o.Kind != f.Kind ||
 			len(f.SpaceIDs) > 0 && !slices.Contains(f.SpaceIDs, o.SpaceID) {
@@ -536,7 +549,7 @@ func refRule(rng *rand.Rand) policy.Rule {
 // step applies one random mutation to the node and the reference and
 // names it.
 func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string {
-	switch op := rng.Intn(12); {
+	switch op := rng.Intn(14); {
 	case op < 4:
 		n := 1 + rng.Intn(6)
 		live := rng.Intn(2) == 0
@@ -589,6 +602,11 @@ func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string
 	case op < 10:
 		w.sweep()
 		return "sweep"
+	case op < 12:
+		// No sweep follows: reads alone must stop releasing what expired.
+		d := time.Duration(1+rng.Intn(150)) * time.Minute
+		w.now = w.now.Add(d)
+		return fmt.Sprintf("advance the clock %v", d)
 	default:
 		if _, err := w.bms().Columnar().CompactOnce(); err != nil {
 			w.t.Fatal(err)

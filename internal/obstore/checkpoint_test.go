@@ -86,7 +86,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	// Exercise the counters: sweep something first.
-	src.AddRetentionRule(RetentionRule{SensorID: "ap-1", TTL: isodur.MustParse("PT1M")})
+	src.SetClock(func() time.Time { return t0.Add(time.Hour) })
+	src.AddRetentionRule(RetentionRule{Kind: sensor.ObsPowerReading, TTL: isodur.MustParse("PT1M")})
+	src.AddRetentionRule(RetentionRule{Kind: sensor.ObsCameraFrame, TTL: isodur.MustParse("PT1M")})
 	if n := src.Sweep(t0.Add(time.Hour)); n != 2 {
 		t.Fatalf("sweep = %d", n)
 	}

@@ -238,11 +238,12 @@ func TestRecoveredRowsShareEqualPayloads(t *testing.T) {
 }
 
 // TestDurableRetentionErasesSegments is the retention × durability
-// guarantee: after GC, expired observations are gone from the
-// in-memory indexes AND from the on-disk segments — whether the store
-// still holds them as rows, and they leave the disk at its next
-// Checkpoint, or a cold tier sealed them, and the commit that evicted
-// the store's copies checkpointed them out of this directory.
+// guarantee: expired observations are unreadable at once, and gone from
+// the in-memory indexes AND from this directory's files — whether the
+// store still holds them as rows, and Sweep drops them and they leave
+// the disk at its next Checkpoint, or a cold tier sealed them, and the
+// commit that evicted the store's copies checkpointed them out of this
+// directory (the tier's own files are its compaction's to rewrite).
 func TestDurableRetentionErasesSegments(t *testing.T) {
 	const marker = "privacy-victim"
 	for _, sealed := range []bool{false, true} {
@@ -253,6 +254,7 @@ func TestDurableRetentionErasesSegments(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			s.SetClock(func() time.Time { return t0.Add(2 * time.Hour) })
 			s.SetDefaultRetention(isodur.MustParse("PT1H"))
 
 			// Several segments of soon-to-expire observations...
@@ -277,13 +279,17 @@ func TestDurableRetentionErasesSegments(t *testing.T) {
 				assertNotOnDisk(t, dir, marker)
 			}
 
-			removed := s.Sweep(t0.Add(2 * time.Hour)) // every marker record expired
-			if removed != 200 {
-				t.Fatalf("swept %d, want 200", removed)
-			}
-			// Memory: gone.
+			// Every marker record has expired: no read releases one, sealed
+			// or not, before any sweep.
 			if got := s.Count(Filter{UserID: marker}); got != 0 {
 				t.Fatalf("%d expired observations still queryable", got)
+			}
+			want := 200
+			if sealed {
+				want = 0 // the tier's rows, not the log's
+			}
+			if removed := s.Sweep(t0.Add(2 * time.Hour)); removed != want {
+				t.Fatalf("swept %d, want %d", removed, want)
 			}
 			if !sealed {
 				if err := s.Checkpoint(); err != nil {
@@ -296,8 +302,9 @@ func TestDurableRetentionErasesSegments(t *testing.T) {
 				t.Fatalf("%d sealed segments survived retention GC", len(segs))
 			}
 			assertNotOnDisk(t, dir, marker)
-			// The keeper survived in memory and on disk.
-			if s.Count(Filter{UserID: "keeper"}) != 1 || s.Len() != 1 {
+			// The keeper survived in memory and on disk, the only row the
+			// log holds.
+			if s.Count(Filter{UserID: "keeper"}) != 1 || s.Resident() != 1 {
 				t.Fatal("live observation lost by retention GC")
 			}
 			s.WAL().Sync()

@@ -160,6 +160,7 @@ func TestShardedDeleteUserAllShards(t *testing.T) {
 // observations of every sensor and leaves the survivors intact.
 func TestShardedSweepAllShards(t *testing.T) {
 	s := New()
+	s.SetClock(func() time.Time { return t0.Add(200*time.Minute + time.Hour) })
 	s.SetDefaultRetention(isodur.MustParse("PT1H"))
 	for i := 0; i < 300; i++ {
 		_, err := s.Append(sensor.Observation{
@@ -203,6 +204,7 @@ func TestShardedDurableSweepPrunesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.SetClock(func() time.Time { return t0.Add(2 * time.Hour) })
 	s.SetDefaultRetention(isodur.MustParse("PT1H"))
 	for i := 0; i < 200; i++ {
 		o := durableObs(i, "victim")
@@ -309,6 +311,9 @@ func TestHotLogReadersUnderChurn(t *testing.T) {
 	tier := attachSliceTier(s)
 	s.SetDefaultRetention(isodur.MustParse("PT1H"))
 	now := t0.Add(time.Hour + 300*time.Second) // expires preloaded rows 0..300
+	// Reads evaluate retention at the end of the clock's minute: the
+	// minute before now expires what Sweep(now) does.
+	s.SetClock(func() time.Time { return now.Add(-time.Minute) })
 
 	// Preloaded history: victims to erase, rows to expire, keepers.
 	var ref []sensor.Observation

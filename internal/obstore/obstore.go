@@ -10,14 +10,14 @@
 // Readers take a snapshot of the log under a brief lock and walk it
 // outside any lock; an appended row is never mutated, and Sweep,
 // DeleteUser and eviction publish a new log built from the survivors.
-// It implements the paper's storage-time enforcement point: retention
-// rules — the "retention" element of the policy language (Figure 2's
-// "P6M") — are applied by Sweep, which deletes observations past their
-// expiry.
 //
-// Query-time enforcement (purpose checks, granularity degradation,
-// noise) happens above the store in internal/enforce; the store holds
-// ground truth.
+// Retention — the "retention" element of the policy language (Figure
+// 2's "P6M") — is one predicate (retention.go), enforced at query time
+// by every read of the store, which skips expired rows, and at storage
+// time by the columnar tier's compaction and Sweep, which drop them.
+// The rest of query-time enforcement (purpose checks, granularity
+// degradation, noise) happens above the store in internal/enforce; the
+// store holds ground truth.
 //
 // An observation is resident once. With a cold tier attached (tier.go;
 // internal/colstore's sealed segments) the log holds only the hot
@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/telemetry"
 	"github.com/tippers/tippers/internal/wal"
@@ -65,23 +64,11 @@ type Filter struct {
 	Limit int
 }
 
-// Deletion names one observation removed from the store by retention
-// or erasure: the cold tier tombstones it when it lies behind the
-// watermark.
+// Deletion names one observation removed from the store by erasure:
+// the cold tier tombstones it when it lies behind the watermark.
 type Deletion struct {
 	Seq  uint64
 	Time time.Time
-}
-
-// RetentionRule binds a time-to-live to a scope. Scope precedence at
-// sweep time: SensorID match beats Kind match beats the default.
-type RetentionRule struct {
-	// SensorID scopes the rule to one sensor; empty means any.
-	SensorID string
-	// Kind scopes the rule to one observation kind; empty means any.
-	Kind sensor.ObservationKind
-	// TTL is how long matching observations live.
-	TTL isodur.Duration
 }
 
 // Store is an indexed, concurrency-safe observation log. The log holds
@@ -109,13 +96,15 @@ type Store struct {
 	rebuilds     atomic.Uint64
 	deletions    atomic.Uint64 // see Deletions
 
-	retMu      sync.RWMutex
-	rules      []RetentionRule
-	defaultTTL isodur.Duration
-	hasDefault bool
+	// ret is the retention table (retention.go), replaced under retMu;
+	// cuts caches its evaluation for the current minute; clock is what
+	// reads evaluate it by.
+	retMu sync.Mutex
+	ret   atomic.Pointer[retention]
+	cuts  atomic.Pointer[Cutoffs]
+	clock func() time.Time
 
-	// sweepSeconds times retention sweeps (storage-time enforcement
-	// cost); it works standalone and is exposed via RegisterMetrics.
+	// sweepSeconds times Sweep; it is exposed via RegisterMetrics.
 	sweepSeconds *telemetry.Histogram
 
 	// tier owns every observation at or below its watermark (tier.go);
@@ -142,9 +131,9 @@ type Store struct {
 }
 
 // New returns an empty store with no retention rules (observations
-// are kept forever until rules are installed).
+// are kept forever until rules are installed) on the wall clock.
 func New() *Store {
-	return &Store{hot: newHotLog(0, nil), sweepSeconds: telemetry.NewHistogram(nil)}
+	return &Store{hot: newHotLog(0, nil), sweepSeconds: telemetry.NewHistogram(nil), clock: time.Now}
 }
 
 // chunkRows is the log's chunk size: 256 rows of 128 bytes, 32 KiB.
@@ -263,6 +252,10 @@ type view struct {
 	// hwm is the last seq allocated when the snapshot was cut: every
 	// seq at or below it is in the view or was deleted.
 	hwm uint64
+	// lo bounds the rows' times from below; cut is the retention a read
+	// applies (nil: none).
+	lo  int64
+	cut *Cutoffs
 }
 
 // view snapshots the log for f: the narrowest of f's indexed keys, or
@@ -271,7 +264,7 @@ func (s *Store) view(f Filter) view {
 	s.hotMu.RLock()
 	defer s.hotMu.RUnlock()
 	l := s.hot
-	v := view{chunks: l.chunks, n: l.n, floor: l.floor, hwm: s.nextSeq.Load()}
+	v := view{chunks: l.chunks, n: l.n, floor: l.floor, hwm: s.nextSeq.Load(), lo: l.lo}
 	if (!f.From.IsZero() && f.From.UnixNano() > l.hi) || (!f.To.IsZero() && f.To.UnixNano() <= l.lo) {
 		v.n = 0
 		return v
@@ -314,14 +307,18 @@ func (v *view) search(after uint64) int {
 }
 
 // each calls fn, in ascending seq, for every candidate matching f with
-// seq > f.AfterSeq, until fn returns false or f.Limit rows were
-// visited. The pointer is into the log: fn must not write through it
-// (Scan hands callers outside the package a copy).
+// seq > f.AfterSeq that v.cut does not expire, until fn returns false
+// or f.Limit rows were visited. The pointer is into the log: fn must
+// not write through it (Scan hands callers outside the package a copy).
 func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
+	cut := v.cut
+	if v.lo > cut.Latest() {
+		cut = nil // no row of the log is old enough
+	}
 	visited := 0
 	for k, end := v.search(f.AfterSeq), v.len(); k < end; k++ {
 		o := v.at(k)
-		if !matches(o, &f) {
+		if !matches(o, &f) || cut.Expired(o) {
 			continue
 		}
 		visited++
@@ -332,7 +329,7 @@ func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
 }
 
 // RegisterMetrics exposes the store's counters on a telemetry
-// registry: cumulative ingests and sweep deletions, live and resident
+// registry: cumulative ingests and deletions, stored and resident
 // observation counts, log rebuilds, and sweep latency.
 func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("tippers_obstore_ingested_total",
@@ -340,7 +337,7 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 			return float64(s.totalIngests.Load())
 		})
 	r.CounterFunc("tippers_obstore_swept_total",
-		"Observations deleted by retention sweeps and erasure.", func() float64 {
+		"Observations removed by erasure (DeleteUser) and by Sweep's hot-log rewrite; rows compaction drops as expired are not counted.", func() float64 {
 			return float64(s.totalSwept.Load())
 		})
 	r.CounterFunc("tippers_obstore_log_rebuilds_total",
@@ -348,7 +345,7 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 			return float64(s.rebuilds.Load())
 		})
 	r.GaugeFunc("tippers_obstore_live_observations",
-		"Observations currently stored, in the hot log or behind the compaction watermark.", func() float64 {
+		"Observations currently stored, in the hot log or behind the compaction watermark, expired or not.", func() float64 {
 			return float64(s.Len())
 		})
 	r.GaugeFunc("tippers_obstore_resident_observations",
@@ -360,7 +357,7 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 			return float64(s.evicted.Load())
 		})
 	r.RegisterHistogram("tippers_obstore_sweep_seconds",
-		"Retention sweep duration.", nil, s.sweepSeconds)
+		"Sweep (hot-log retention rewrite) duration.", nil, s.sweepSeconds)
 	if l := s.WAL(); l != nil {
 		l.RegisterMetrics(r)
 	}
@@ -386,7 +383,7 @@ func (s *Store) Ready() error {
 }
 
 // ErrZeroTime reports an ingest with an unset timestamp; retention
-// cannot be computed for such observations.
+// cannot be evaluated for such observations.
 var ErrZeroTime = errors.New("obstore: observation has zero time")
 
 // Append ingests one observation, assigns it a sequence number, and
@@ -432,7 +429,7 @@ func (s *Store) LastSeq() uint64 { return s.nextSeq.Load() }
 
 // Deletions counts the Sweep and DeleteUser calls that removed a row.
 // Each advances it once its rows are gone from every Scan (deleteUnion),
-// so with LastSeq it versions what a scan can see.
+// so with LastSeq and Cutoffs it versions what a scan can see.
 func (s *Store) Deletions() uint64 { return s.deletions.Load() }
 
 // Query returns the observations matching f in seq (insertion) order:
@@ -448,8 +445,8 @@ func (s *Store) Query(f Filter) []sensor.Observation {
 	return out
 }
 
-// Count returns the number of observations matching f, ignoring
-// f.Limit.
+// Count returns the number of unexpired observations matching f,
+// ignoring f.Limit.
 func (s *Store) Count(f Filter) int {
 	f.Limit = 0
 	n := 0
@@ -482,9 +479,10 @@ func matches(o *sensor.Observation, f *Filter) bool {
 	return len(f.SpaceIDs) == 0 || slices.Contains(f.SpaceIDs, o.SpaceID)
 }
 
-// Len returns the number of live observations, in the log or behind
-// the cold tier's watermark. The tier keeps its count current, so this
-// stays a snapshot and a binary search however long the history is.
+// Len returns the number of stored observations, in the log or behind
+// the cold tier's watermark, expired rows not yet dropped included. The
+// tier keeps its count current, so this stays a snapshot and a binary
+// search however long the history is.
 func (s *Store) Len() int {
 	t := s.coldTier()
 	if t == nil {
@@ -511,119 +509,6 @@ type Stats struct {
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{Live: s.Len(), Ingested: s.totalIngests.Load(), Swept: s.totalSwept.Load()}
-}
-
-// SetDefaultRetention installs a default TTL applied to observations
-// no rule matches. A zero duration with ok=false (via
-// ClearDefaultRetention) restores keep-forever.
-func (s *Store) SetDefaultRetention(ttl isodur.Duration) {
-	s.retMu.Lock()
-	defer s.retMu.Unlock()
-	s.defaultTTL = ttl
-	s.hasDefault = true
-}
-
-// ClearDefaultRetention removes the default TTL.
-func (s *Store) ClearDefaultRetention() {
-	s.retMu.Lock()
-	defer s.retMu.Unlock()
-	s.hasDefault = false
-}
-
-// AddRetentionRule installs a scoped retention rule. Rules are
-// consulted in precedence order: sensor-specific, then kind-specific,
-// then catch-all rules, then the default TTL.
-func (s *Store) AddRetentionRule(r RetentionRule) {
-	s.retMu.Lock()
-	defer s.retMu.Unlock()
-	s.rules = append(s.rules, r)
-}
-
-// RetentionRules returns a copy of the installed rules.
-func (s *Store) RetentionRules() []RetentionRule {
-	s.retMu.RLock()
-	defer s.retMu.RUnlock()
-	out := make([]RetentionRule, len(s.rules))
-	copy(out, s.rules)
-	return out
-}
-
-// expiry returns the expiry time for o, and whether any rule applies.
-func (s *Store) expiry(o *sensor.Observation) (time.Time, bool) {
-	s.retMu.RLock()
-	defer s.retMu.RUnlock()
-	var best *RetentionRule
-	bestRank := -1
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.SensorID != "" && r.SensorID != o.SensorID {
-			continue
-		}
-		if r.Kind != "" && r.Kind != o.Kind {
-			continue
-		}
-		rank := 0
-		if r.Kind != "" {
-			rank = 1
-		}
-		if r.SensorID != "" {
-			rank = 2
-		}
-		if rank > bestRank {
-			bestRank = rank
-			best = r
-		}
-	}
-	if best != nil {
-		return best.TTL.AddTo(o.Time), true
-	}
-	if s.hasDefault {
-		return s.defaultTTL.AddTo(o.Time), true
-	}
-	return time.Time{}, false
-}
-
-// shortestTTL returns the shortest installed time-to-live (by Approx),
-// and whether any rule or default applies at all.
-func (s *Store) shortestTTL() (isodur.Duration, bool) {
-	s.retMu.RLock()
-	defer s.retMu.RUnlock()
-	best, ok := s.defaultTTL, s.hasDefault
-	for _, r := range s.rules {
-		if !ok || r.TTL.Cmp(best) < 0 {
-			best, ok = r.TTL, true
-		}
-	}
-	return best, ok
-}
-
-// calendarSlack bounds how much longer isodur's Approx can be than the
-// same duration applied to a real date (a 28-day February against the
-// 30-day month, a 23-hour day): under three days in every case.
-const calendarSlack = 4 * 24 * time.Hour
-
-// Sweep deletes every observation whose retention expired at or
-// before now, returning the number deleted. It is the storage-time
-// enforcement pass; the BMS core runs it periodically. Rows behind the
-// cold tier's watermark are condemned through a scan of the tier. The
-// expired rows leave the disk as DeleteUser's do.
-func (s *Store) Sweep(now time.Time) int {
-	t0 := time.Now()
-	defer s.sweepSeconds.ObserveSince(t0)
-	ttl, ok := s.shortestTTL()
-	if !ok {
-		return 0
-	}
-	expired := func(o *sensor.Observation) bool {
-		exp, ok := s.expiry(o)
-		return ok && !exp.After(now)
-	}
-	// No rule is shorter than ttl, so nothing observed after now-ttl can
-	// have expired: the tier skips those segments by their zone maps.
-	cold := Filter{To: now.Add(calendarSlack - ttl.Approx())}
-	total := s.deleteUnion(cold, expired)
-	s.totalSwept.Add(uint64(total))
-	return total
 }
 
 // rewrite publishes a log without the rows doomed condemns and returns

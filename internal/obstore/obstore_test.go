@@ -151,38 +151,52 @@ func TestRetentionDefault(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
 	}
-	s.ClearDefaultRetention()
-	if n := s.Sweep(t0.Add(1000 * time.Hour)); n != 0 {
-		t.Errorf("cleared default still sweeping: %d", n)
+	// Reads apply the default before any sweep, on the store's clock.
+	s.SetClock(func() time.Time { return t0.Add(40 * time.Minute) })
+	if got := s.Count(Filter{}); got != 0 {
+		t.Errorf("reads at t0+40m see %d rows past a ten-minute retention", got)
 	}
 }
 
+// TestRetentionPrecedence: the first rule installed on a kind wins, and
+// reads apply the table with no Sweep; Sweep then drops what reads
+// already skip.
 func TestRetentionPrecedence(t *testing.T) {
 	s := newPopulatedStore(t)
-	// Kind rule: WiFi logs live 6 months. Sensor rule: ap-1 lives 1 minute.
+	s.SetClock(func() time.Time { return t0.Add(30 * time.Minute) })
 	s.AddRetentionRule(RetentionRule{Kind: sensor.ObsWiFiConnect, TTL: isodur.SixMonths})
-	s.AddRetentionRule(RetentionRule{SensorID: "ap-1", TTL: isodur.MustParse("PT1M")})
-	n := s.Sweep(t0.Add(30 * time.Minute))
-	// Only ap-1's two observations expired: sensor rule beats kind rule.
-	if n != 2 {
-		t.Fatalf("sweep removed %d, want 2", n)
+	s.AddRetentionRule(RetentionRule{Kind: sensor.ObsWiFiConnect, TTL: isodur.MustParse("PT1M")}) // second on wifi: ignored
+	s.AddRetentionRule(RetentionRule{Kind: sensor.ObsBLESighting, TTL: isodur.MustParse("PT10M")})
+	// Reads at t0+30m evaluate at t0+31m: the BLE sighting at minute 15
+	// is past its ten minutes, the wifi rows are inside six months.
+	if got := s.Count(Filter{Kind: sensor.ObsWiFiConnect}); got != 3 {
+		t.Errorf("wifi observations = %d, want 3 (the first rule on a kind wins)", got)
 	}
-	if got := s.Query(Filter{SensorID: "ap-1"}); len(got) != 0 {
-		t.Errorf("ap-1 observations survived: %v", got)
+	if got := s.Query(Filter{Kind: sensor.ObsBLESighting}); len(got) != 0 {
+		t.Errorf("expired BLE sighting read before any sweep: %v", got)
 	}
-	if got := s.Query(Filter{SensorID: "ap-2"}); len(got) != 1 {
-		t.Errorf("ap-2 observation swept: %d", len(got))
+	if got := s.Len(); got != 6 {
+		t.Errorf("Len = %d, want 6: it counts stored rows", got)
+	}
+	if n := s.Sweep(t0.Add(30 * time.Minute)); n != 1 {
+		t.Fatalf("sweep removed %d, want the BLE sighting", n)
+	}
+	if got := s.Len(); got != 5 {
+		t.Errorf("Len after sweep = %d, want 5", got)
 	}
 }
 
+// TestRetentionKindBeatsCatchAll: a rule with no kind is the default
+// TTL, and a kind's own rule beats it.
 func TestRetentionKindBeatsCatchAll(t *testing.T) {
 	s := newPopulatedStore(t)
+	s.SetClock(func() time.Time { return t0.Add(time.Hour) })
 	s.AddRetentionRule(RetentionRule{TTL: isodur.MustParse("PT1M")})                 // catch-all: 1 minute
 	s.AddRetentionRule(RetentionRule{Kind: sensor.ObsWiFiConnect, TTL: isodur.Year}) // wifi: 1 year
-	s.Sweep(t0.Add(time.Hour))
-	if got := s.Count(Filter{Kind: sensor.ObsWiFiConnect}); got != 3 {
-		t.Errorf("wifi observations = %d, want 3 (kind rule beats catch-all)", got)
+	if got := s.Count(Filter{}); got != 3 {
+		t.Errorf("readable observations = %d, want the 3 wifi ones (kind rule beats catch-all)", got)
 	}
+	s.Sweep(t0.Add(time.Hour))
 	if got := s.Len(); got != 3 {
 		t.Errorf("Len = %d, want 3 (non-wifi swept)", got)
 	}
@@ -240,6 +254,7 @@ func TestCompaction(t *testing.T) {
 	s.SetDefaultRetention(isodur.MustParse("PT1M"))
 	base := t0
 	const n = 3000
+	s.SetClock(func() time.Time { return base.Add(n / 2 * time.Second) })
 	for i := 0; i < n; i++ {
 		_, err := s.Append(sensor.Observation{
 			SensorID: fmt.Sprintf("ap-%d", i%7),

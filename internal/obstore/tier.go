@@ -3,8 +3,8 @@ package obstore
 // This file is the store's cold-tier seam. With a ColdTier attached
 // the log is the hot window only: the tier owns every observation at
 // or below its watermark, the log answers for what is above it, and
-// every reader of the Store — Scan, Query, Count, Len, Users, Sweep,
-// DeleteUser — gets the union. Without one (a bare store, as in tests)
+// every reader of the Store — Scan, Query, Count, Len, Users,
+// DeleteUser — gets the union, read under one retention predicate. Without one (a bare store, as in tests)
 // the log keeps everything.
 //
 // Visibility is decided by the watermark, never by whether a row has
@@ -21,22 +21,24 @@ import (
 // ColdTier is the storage tier that owns every observation with
 // seq <= its watermark (internal/colstore's sealed segments).
 type ColdTier interface {
-	// ObservationsDeleted tells the tier which rows retention or erasure
-	// removed: those it holds, and the hot ones a compaction in flight
-	// may have snapshotted. It runs synchronously on the deleting
-	// goroutine, before the deletion returns.
+	// ObservationsDeleted tells the tier which rows erasure removed:
+	// those it holds, and the hot ones a compaction in flight may have
+	// snapshotted. It runs synchronously on the deleting goroutine,
+	// before the deletion returns.
 	ObservationsDeleted(dels []Deletion)
 	// ScanCold calls visit, in ascending seq, for every live
-	// observation at or below the watermark that matches f, stopping
-	// when visit returns false or f.Limit rows were visited. The pointer
-	// is valid only during the call. It returns the filter for the rows
-	// above the watermark — f with AfterSeq raised to the watermark and
-	// Limit reduced by the rows visited — and more=false when the
-	// visitor stopped or the limit is spent. Watermark, segment set and
+	// observation at or below the watermark that matches f and that cut
+	// does not expire (nil: none expire), stopping when visit returns
+	// false or f.Limit rows were visited. The pointer is valid only
+	// during the call. It returns the filter for the rows above the
+	// watermark — f with AfterSeq raised to the watermark and Limit
+	// reduced by the rows visited — and more=false when the visitor
+	// stopped or the limit is spent. Watermark, segment set and
 	// tombstones come from one snapshot.
-	ScanCold(f Filter, visit func(*sensor.Observation) bool) (tail Filter, more bool)
-	// ColdRows returns the number of live observations at or below the
-	// watermark, and that watermark, from one snapshot.
+	ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observation) bool) (tail Filter, more bool)
+	// ColdRows returns the number of stored observations at or below
+	// the watermark, expired or not, and that watermark, from one
+	// snapshot.
 	ColdRows() (rows int, watermark uint64)
 }
 
@@ -121,11 +123,12 @@ func (s *Store) Evicted() uint64 { return s.evicted.Load() }
 // and the log snapshot: the window an eviction may overtake the split.
 var testHookAfterCold func()
 
-// read is the one read over both tiers. It visits the tier's matches at
-// or below its watermark through cold, then returns a snapshot of the
-// log and the filter to walk it with: f itself without a tier, the tail
-// above the watermark with one. ok=false means the visitor stopped or
-// the limit was spent before the log's turn.
+// read is the one read over both tiers. It evaluates retention once
+// (Cutoffs), visits the tier's unexpired matches at or below its
+// watermark through cold, then returns a snapshot of the log carrying
+// the same cutoffs and the filter to walk it with: f itself without a
+// tier, the tail above the watermark with one. ok=false means the
+// visitor stopped or the limit was spent before the log's turn.
 //
 // The two halves are not atomic: a compaction may commit and evict
 // between them, taking rows above the split out of the log. Every
@@ -134,19 +137,23 @@ var testHookAfterCold func()
 // scanned again from the split before any row of the log is visited —
 // none is visited twice or dropped.
 func (s *Store) read(f Filter, cold func(*sensor.Observation) bool) (v view, tail Filter, ok bool) {
+	cut := s.Cutoffs()
 	t := s.coldTier()
 	if t == nil {
-		return s.view(f), f, true
+		v = s.view(f)
+		v.cut = cut
+		return v, f, true
 	}
-	tail, more := t.ScanCold(f, cold)
+	tail, more := t.ScanCold(f, cut, cold)
 	for more {
 		if testHookAfterCold != nil {
 			testHookAfterCold()
 		}
 		if v = s.view(tail); v.floor <= tail.AfterSeq {
+			v.cut = cut
 			return v, tail, true
 		}
-		tail, more = t.ScanCold(tail, cold)
+		tail, more = t.ScanCold(tail, cut, cold)
 	}
 	return view{}, tail, false
 }
@@ -176,8 +183,8 @@ func (s *Store) Scan(f Filter, visit func(*sensor.Observation) bool) {
 	})
 }
 
-// deleteUnion is the one delete over both tiers, shared by Sweep and
-// DeleteUser. Cold rows matching the filter that doomed condemns become
+// deleteUnion is DeleteUser's delete over both tiers: it reaches every
+// stored row, expired or not. Cold rows matching the filter that doomed condemns become
 // Deletions (the tier tombstones them and rewrites their segments at
 // its next compaction); the log is rewritten without its doomed rows,
 // those above the split reported. Both sets reach the tier before the
@@ -197,7 +204,7 @@ func (s *Store) deleteUnion(cold Filter, doomed func(*sensor.Observation) bool) 
 	} else {
 		for {
 			var dels []Deletion
-			tail, _ := t.ScanCold(cold, func(o *sensor.Observation) bool {
+			tail, _ := t.ScanCold(cold, nil, func(o *sensor.Observation) bool {
 				if doomed(o) {
 					dels = append(dels, Deletion{Seq: o.Seq, Time: o.Time})
 				}
