@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tippers/tippers/internal/colstore"
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/httpapi"
 	"github.com/tippers/tippers/internal/iota"
@@ -33,6 +35,7 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
 	"github.com/tippers/tippers/internal/sim"
+	"github.com/tippers/tippers/internal/telemetry"
 )
 
 var benchDay = time.Date(2017, time.June, 7, 0, 0, 0, 0, time.UTC)
@@ -472,6 +475,84 @@ func BenchmarkObstoreSweep(b *testing.B) {
 		b.StartTimer()
 		store.Sweep(benchDay.Add(15 * time.Hour))
 	}
+}
+
+// BenchmarkRetentionMinute is one minute of a node enforcing retention
+// at steady state: the minute's rows (the paper's mix, about 100 Wi-Fi,
+// 200 power and 750 BLE an hour), a Sweep, and a compaction of a
+// durable tier of hour buckets. Policy 2's Wi-Fi rule runs at PT3H and
+// a day's default covers the rest, so every sealed hour holds Wi-Fi rows
+// beside rows that outlive them, and the node's size does not follow
+// b.N. It reports the segment-file bytes written per expired row
+// (written-B/expired; a segment is rewritten once when the Wi-Fi cutoff
+// passes its newest row, and leaves unwritten when the default's does)
+// and the segments a sweep reads (segs/op; Sweep reads none: retention
+// needs no scan of the tier).
+func BenchmarkRetentionMinute(b *testing.B) {
+	start := benchDay.AddDate(0, 0, 1)
+	now := start
+	clock := func() time.Time { return now }
+	store := obstore.New()
+	store.SetClock(clock)
+	store.AddRetentionRule(obstore.RetentionRule{Kind: sensor.ObsWiFiConnect, TTL: isodur.MustParse("PT3H")})
+	store.SetDefaultRetention(isodur.Day)
+	cs, err := colstore.Open(colstore.Config{Dir: b.TempDir(), BucketDur: time.Hour, Clock: clock})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cs.AttachStore(store); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	appended := 0
+	last := benchDay
+	ingest := func() { // the rows observed from last to now
+		for ; last.Before(now); last = last.Add(time.Duration(rng.Int63n(int64(6860 * time.Millisecond)))) {
+			o := sensor.Observation{SensorID: "ble-1", Kind: sensor.ObsBLESighting, SpaceID: "dbh/1/100",
+				UserID: fmt.Sprintf("u%02d", rng.Intn(40)), Time: last}
+			switch n := rng.Intn(1050); {
+			case n < 100:
+				o.SensorID, o.Kind = "ap-1", sensor.ObsWiFiConnect
+			case n < 300:
+				o.SensorID, o.Kind, o.UserID = "pm-1", sensor.ObsPowerReading, ""
+			}
+			if _, err := store.Append(o); err != nil {
+				b.Fatal(err)
+			}
+			appended++
+		}
+	}
+	reg := telemetry.NewRegistry()
+	cs.RegisterMetrics(reg)
+	written := func() float64 {
+		v, _ := reg.LookupValue("tippers_colstore_segment_bytes_written_total", nil)
+		return v
+	}
+	ingest() // a day behind the start, sealed
+	if _, err := cs.CompactOnce(); err != nil {
+		b.Fatal(err)
+	}
+	expired0, written0 := appended-store.Count(obstore.Filter{}), written()
+	var sweepReads uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = start.Add(time.Duration(i+1) * time.Minute)
+		ingest()
+		read0 := cs.Stats().SegmentsRead
+		store.Sweep(now)
+		sweepReads += cs.Stats().SegmentsRead - read0
+		if _, err := cs.CompactOnce(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	expired := appended - store.Count(obstore.Filter{}) - expired0
+	if expired <= 0 {
+		b.Fatal("nothing expired")
+	}
+	b.ReportMetric((written()-written0)/float64(expired), "written-B/expired")
+	b.ReportMetric(float64(sweepReads)/float64(b.N), "segs/op")
 }
 
 // BenchmarkFigure2RoundTrip measures policy-language serialization:

@@ -20,10 +20,8 @@
 // Once the manifest names a row it is the segments' alone: the tier
 // attaches to the row store as its obstore.ColdTier, the row store
 // evicts everything at or below the watermark, and erasure reaches
-// sealed rows through the tier's scan and its tombstones. Retention
-// needs neither: reads skip expired rows by the row store's cutoffs,
-// compaction never seals one, and it rewrites a sealed segment once a
-// kind it holds has expired through its newest row. The segment
+// sealed rows through the tier's scan and its tombstones; retention
+// through the row store's cutoffs (ScanCold, CompactOnce). The segment
 // directory and the row store's WAL directory are together the
 // database.
 package colstore
@@ -377,12 +375,11 @@ func (s *Store) manifestSnapshotLocked() manifestState {
 }
 
 // CompactOnce runs one compaction pass: seal every closed time bucket
-// above the watermark into segments, leaving out the rows retention has
-// expired; rewrite any segment an erasure tombstone touches or holding
-// a kind that has expired through its newest row, without the erased
-// and expired rows (a segment left with none goes unwritten); and
-// commit the whole transition through the manifest. Returns the number
-// of newly sealed rows.
+// above the watermark into segments, expired rows left out; rewrite,
+// without its erased and expired rows, any segment an erasure tombstone
+// touches or a kind's cutoff has passed (one left with none goes
+// unwritten); and commit the whole transition through the manifest.
+// Returns the number of newly sealed rows.
 func (s *Store) CompactOnce() (int, error) {
 	src := s.source()
 	if src == nil {
@@ -392,9 +389,8 @@ func (s *Store) CompactOnce() (int, error) {
 	defer s.ioMu.Unlock()
 
 	now := s.cfg.Clock()
-	// Retention as the row store's reads apply it: its Scan below never
-	// visits an expired row, and the rewrite drops what these expire.
-	cut := src.Cutoffs()
+	cut := src.Cutoffs() // what the walks below skip
+
 	head := src.LastSeq()
 	s.mu.Lock()
 	wm := s.wm
@@ -421,10 +417,9 @@ func (s *Store) CompactOnce() (int, error) {
 	// second streams each row into its bucket's builder (seq order kept
 	// within each) and is the snapshot compaction seals. A row deleted
 	// or appended between the walks only leaves a count stale, and seal
-	// copies a column whose count was. The walks skip expired rows, and
-	// the watermark passes them: it rises to just below the fence, or to
-	// the head read before the walks when nothing fences, so the commit
-	// evicts expired hot rows it never sealed.
+	// copies a column whose count was. The watermark passes the expired
+	// rows the walks skip: it rises to just below the fence, or to the
+	// head read before the walks, so the commit evicts them unsealed.
 	closed := func(o *sensor.Observation) (time.Time, bool) {
 		b := o.Time.Truncate(s.cfg.BucketDur)
 		return b, !b.Add(s.cfg.BucketDur).After(now)
@@ -474,7 +469,7 @@ func (s *Store) CompactOnce() (int, error) {
 		}
 	}
 
-	rewrite := func(sg *segment) bool { return segmentTouched(sg, seqTombSnap) || sg.kindExpired(cut) }
+	rewrite := func(sg *segment) bool { _, _, r := sg.expiry(cut); return r || segmentTouched(sg, seqTombSnap) }
 	if sealed == 0 && newWM == wm && !slices.ContainsFunc(oldSegs, rewrite) {
 		s.clearCompacting()
 		// Idle passes double as the retry point for tombstones whose
@@ -498,9 +493,8 @@ func (s *Store) CompactOnce() (int, error) {
 		fresh = append(fresh, sg)
 	}
 
-	// Rewrite segments the tombstones touch or retention has reached:
-	// drop erased and expired rows and re-encode, so their bytes (rows
-	// and dictionary entries) leave disk, not just the index.
+	// Rewrite segments the tombstones touch or retention has reached, so
+	// the dropped rows' bytes (rows and dictionary entries) leave disk.
 	var keep, rewritten []*segment
 	var dropped []*segment
 	for _, sg := range oldSegs {
@@ -624,9 +618,8 @@ func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source()
 
 // ScanCold implements obstore.ColdTier and is the one segment walk:
 // the sealed half of the row store's Scan. It visits the live rows at
-// or below the watermark that match f and that cut does not expire, in
-// ascending seq, and returns
-// the filter for the tail above the watermark (AfterSeq raised to it,
+// or below the watermark that match f and cut leaves, in ascending
+// seq, and returns the filter for the tail above the watermark (AfterSeq raised to it,
 // Limit reduced by what was visited); more=false means the visitor
 // stopped or the limit is spent and the tail must not be read.
 //
@@ -659,8 +652,7 @@ func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sen
 
 	// A time-bounded filter finds its candidates by binary search over
 	// the time-ordered view; what that skips is pruned by zone map like
-	// any other segment, and counted so, as is a segment retention has
-	// wholly expired.
+	// any other segment, and counted so, as is one wholly expired.
 	in := segs
 	bounded := !f.From.IsZero() || !f.To.IsZero()
 	if bounded {
@@ -671,8 +663,10 @@ func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sen
 	var candBuf [8]*segment
 	cands := candBuf[:0] // unpruned, ascending minSeq
 	for _, sg := range in {
-		if gone, _ := sg.retention(cut); !gone && !sg.disjoint(&f) {
-			cands = append(cands, sg)
+		if !sg.disjoint(&f) {
+			if gone, _, _ := sg.expiry(cut); !gone {
+				cands = append(cands, sg)
+			}
 		}
 	}
 	s.segScanned.Add(uint64(len(cands)))

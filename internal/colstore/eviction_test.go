@@ -136,7 +136,7 @@ func (w *evictionWorld) check(rng *rand.Rand, step string) {
 	if got, want := w.src.Users(), w.twin.Users(); !reflect.DeepEqual(got, want) {
 		w.t.Fatalf("%s: Users = %v, the twin lists %v", step, got, want)
 	}
-	maxSeq := uint64(w.twin.Stats().Ingested)
+	maxSeq := w.twin.LastSeq()
 	for trial := 0; trial < 8; trial++ {
 		f := randomFilter(rng, maxSeq)
 		if trial == 0 {
@@ -233,7 +233,7 @@ func TestEvictionIsInvisible(t *testing.T) {
 			}
 			st := w.cs.Stats()
 			t.Logf("%d rows ingested, %d evicted, %d live (%d cold in %d segments, %d hot), %d compactions since the last restart",
-				w.twin.Stats().Ingested, evictedBefore+w.src.Evicted(), w.twin.Len(), st.ColdRows, st.Segments, st.HotRows, st.Compactions)
+				w.twin.LastSeq(), evictedBefore+w.src.Evicted(), w.twin.Len(), st.ColdRows, st.Segments, st.HotRows, st.Compactions)
 		})
 	}
 }

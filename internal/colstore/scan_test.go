@@ -180,7 +180,7 @@ func scanWorld(t *testing.T, rng *rand.Rand) (mirrored, *Store) {
 	m.retain(obstore.RetentionRule{Kind: sensor.ObsBLESighting, TTL: isodur.MustParse("PT5M30S")})
 	straddled := 0
 	for _, sg := range cs.segs {
-		if gone, check := sg.retention(m.src.Cutoffs()); check && !gone {
+		if gone, check, _ := sg.expiry(m.src.Cutoffs()); check && !gone {
 			straddled++
 		}
 	}

@@ -191,36 +191,19 @@ func (sg *segment) disjoint(f *obstore.Filter) bool {
 	return len(f.SpaceIDs) > 0
 }
 
-// retention judges the segment under cut by its zone map: gone when
-// every kind it holds has expired through its newest row, check when
-// some kind's cutoff reaches its oldest row. A segment that is neither
-// is read without a per-row test.
-func (sg *segment) retention(cut *obstore.Cutoffs) (gone, check bool) {
-	if sg.minTime > cut.Latest() {
-		return false, false
-	}
+// expiry judges the segment under cut by its zone map: gone when every
+// kind it holds has expired through its newest row, rewrite when some
+// kind has (compaction then takes its rows out: one rewrite per kind),
+// check when a cutoff reaches its oldest row (rows are tested one by one).
+func (sg *segment) expiry(cut *obstore.Cutoffs) (gone, check, rewrite bool) {
 	gone = true
 	for _, k := range sg.kinds.dict {
 		c := cut.Of(sensor.ObservationKind(k))
 		gone = gone && sg.maxTime <= c
 		check = check || sg.minTime <= c
+		rewrite = rewrite || sg.maxTime <= c
 	}
-	return gone, check
-}
-
-// kindExpired reports whether some kind the segment holds has expired
-// through its newest row: compaction rewrites the segment then, which
-// takes every row of that kind out, so each kind rewrites it once.
-func (sg *segment) kindExpired(cut *obstore.Cutoffs) bool {
-	if sg.maxTime > cut.Latest() {
-		return false
-	}
-	for _, k := range sg.kinds.dict {
-		if sg.maxTime <= cut.Of(sensor.ObservationKind(k)) {
-			return true
-		}
-	}
-	return false
+	return gone, check, rewrite
 }
 
 // dictCol is one dictionary-coded string column: the distinct values
@@ -707,13 +690,10 @@ type segCursor struct {
 	spaceOK           []bool // by spaces position; nil = unconstrained
 	seqTomb           map[uint64]struct{}
 
-	// expiring is set when retention must test rows one by one: a row is
-	// expired when its time is at or before the cutoff of its kinds
-	// position, held in cuts (or more, for a dictionary cuts cannot
-	// hold).
-	expiring bool
-	cuts     [8]int64
-	more     []int64
+	// cut is set when retention tests rows one by one, and cuts holds
+	// the cutoff of each kinds position it reaches.
+	cut  *obstore.Cutoffs
+	cuts [8]int64
 }
 
 func openCursor(sg *segment, f *obstore.Filter, seqTomb map[uint64]struct{}, cut *obstore.Cutoffs) segCursor {
@@ -749,14 +729,10 @@ func openCursor(sg *segment, f *obstore.Filter, seqTomb map[uint64]struct{}, cut
 			}
 		}
 	}
-	if _, c.expiring = sg.retention(cut); c.expiring {
-		cuts := c.cuts[:]
-		if len(sg.kinds.dict) > len(cuts) {
-			c.more = make([]int64, len(sg.kinds.dict))
-			cuts = c.more
-		}
-		for p, k := range sg.kinds.dict {
-			cuts[p] = cut.Of(sensor.ObservationKind(k))
+	if _, check, _ := sg.expiry(cut); check {
+		c.cut = cut
+		for p := range min(len(c.cuts), len(sg.kinds.dict)) {
+			c.cuts[p] = cut.Of(sensor.ObservationKind(sg.kinds.dict[p]))
 		}
 	}
 	return c
@@ -764,10 +740,10 @@ func openCursor(sg *segment, f *obstore.Filter, seqTomb map[uint64]struct{}, cut
 
 // cutoff is the retention cutoff of the kind at dictionary position p.
 func (c *segCursor) cutoff(p uint32) int64 {
-	if c.more != nil {
-		return c.more[p]
+	if int(p) < len(c.cuts) {
+		return c.cuts[p]
 	}
-	return c.cuts[p]
+	return c.cut.Of(sensor.ObservationKind(c.sg.kinds.dict[p]))
 }
 
 // seq is the current row's sequence number.
@@ -799,7 +775,7 @@ func (c *segCursor) advance() bool {
 		if c.spaceOK != nil && !c.spaceOK[sg.spaces.idx[i]] {
 			continue
 		}
-		if ns := sg.times[i]; ns < c.from || ns > c.last || c.expiring && ns <= c.cutoff(sg.kinds.idx[i]) {
+		if ns := sg.times[i]; ns < c.from || ns > c.last || c.cut != nil && ns <= c.cutoff(sg.kinds.idx[i]) {
 			continue
 		}
 		if len(c.seqTomb) > 0 {

@@ -6,12 +6,10 @@ package core
 // Cached answers are post-enforcement, so each is valid for one engine
 // epoch and one state of the store: a policy or preference mutation
 // bumps enforce.Engine.Epoch inside the mutation itself, an append
-// moves the store's head (obstore.Store.LastSeq), a deletion that
-// removed a row moves its deletion count (obstore.Store.Deletions), and
-// the store's retention cutoffs (obstore.Store.Cutoffs) are new each
-// minute of the node's clock and with each rule. A hit is checked
-// against all four, so a stale answer can never be served and nobody
-// has to remember to flush.
+// moves the store's head (obstore.Store.LastSeq), a deletion its
+// deletion count (obstore.Store.Deletions), and a rule or the node
+// clock's minute its retention cutoffs (obstore.Store.Cutoffs). A hit
+// is checked against all four, so a stale answer is never served.
 
 import (
 	"strconv"
@@ -67,12 +65,11 @@ func (s *occScratch) visit(o *sensor.Observation) bool {
 }
 
 // occVersion is what an occupancy answer depends on besides its
-// request: the rules, the store's contents and the retention a read of
-// them applies. The request's own minute is in the cache key, but a
-// requester sets it: only the node's clock expires rows.
+// request: the rules, the store's contents and the retention cutoffs
+// of the node clock's minute (the key's minute is the requester's).
 type occVersion struct {
 	epoch, lastSeq, deletions uint64
-	retention                 *obstore.Cutoffs
+	cut                       *obstore.Cutoffs
 }
 
 // occVersion is read before the scan and the decide batch it

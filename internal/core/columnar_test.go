@@ -76,8 +76,9 @@ func TestOccupancyRollupMatchesRowScan(t *testing.T) {
 // TestOccupancyCacheInvalidation proves a memoized occupancy answer
 // can never go stale: a repeated request hits the cache, and a
 // mid-session preference change (engine epoch bump), a fresh ingest
-// (the store's head moves), a retention sweep and an erasure (the
-// store's deletion count moves) each force re-evaluation. The naive
+// (the store's head moves), a retention rule (the store's cutoffs
+// change) and an erasure (the store's deletion count moves) each force
+// re-evaluation. The naive
 // engine runs the same script: the cache keys on Engine.Epoch, which
 // every engine must move with its rules.
 func TestOccupancyCacheInvalidation(t *testing.T) {

@@ -178,8 +178,7 @@ func New(cfg Config) (*BMS, error) {
 	if store == nil {
 		store = obstore.New()
 	}
-	// Retention is evaluated on the node's clock, never a requester's.
-	store.SetClock(cfg.Clock)
+	store.SetClock(cfg.Clock) // retention runs on the node's clock
 	b := &BMS{
 		cfg:       cfg,
 		store:     store,
@@ -389,10 +388,9 @@ func (b *BMS) appendAndPublish(o sensor.Observation) error {
 // RegisterPolicy installs a building policy (Figure 1 step 1): the
 // rule enters the enforcement engine, its sensor settings are
 // actuated across the scoped sensors, its retention period is
-// installed in the store — every read applies it from then on, and
-// compaction drops what it expires — and conflicts with existing
-// preferences are detected and resolved. A collection policy without
-// an observation kind sets the store's default retention.
+// installed in the store (a collection policy without an observation
+// kind sets its default), and conflicts with existing preferences are
+// detected and resolved.
 func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 	if err := p.Check(); err != nil {
 		return err

@@ -74,7 +74,7 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 	}
 	wifi := obstore.Filter{UserID: "mary", Kind: sensor.ObsWiFiConnect}
 	before := f.bms.Store().Query(wifi)
-	ingested := f.bms.Store().Stats().Ingested
+	ingested := f.bms.Store().LastSeq()
 
 	// A subscription replaying mary's wifi history one row per page is
 	// one row in when the erasure lands.
@@ -116,7 +116,7 @@ func TestForgetUserRetainsOverrideCollections(t *testing.T) {
 	if got := f.bms.Store().Count(obstore.Filter{UserID: "mary", Kind: sensor.ObsBLESighting}); got != 0 {
 		t.Errorf("erasable BLE sighting survived: %d", got)
 	}
-	if got := f.bms.Store().Stats().Ingested; got != ingested {
+	if got := f.bms.Store().LastSeq(); got != ingested {
 		t.Errorf("tippers_obstore_ingested_total moved %d → %d: the erasure re-appended rows", ingested, got)
 	}
 

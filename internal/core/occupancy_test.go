@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/profile"
@@ -264,6 +265,16 @@ func TestOccupancyMissAllocsFlat(t *testing.T) {
 			c.Spaces.MustAdd("dbh/1", spatial.Space{ID: fmt.Sprintf("dbh/1/r%d", r), Kind: spatial.KindRoom, Floor: 1})
 		}
 	})
+	// Policy 2's rule, at a TTL whose cutoff falls among the rows: an
+	// unowned device's row is past it, so the scan tests every row.
+	p2 := policy.Policy2EmergencyLocation("dbh")
+	p2.Retention = isodur.MustParse("PT65M")
+	if err := f.bms.RegisterPolicy(p2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.bms.Ingest(f.wifiObs("ee:00:00:00:00:01", "ap-1", -70)); err != nil {
+		t.Fatal(err)
+	}
 	for min := -60; min < 0; min++ {
 		for i := 0; i < subjects; i++ {
 			if err := f.bms.Ingest(f.wifiObs(fmt.Sprintf("dd:00:00:00:00:%02x", i), []string{"ap-1", "ap-2"}[(i+min+60)%2], min)); err != nil {

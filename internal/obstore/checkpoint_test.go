@@ -100,7 +100,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got, want := dst.Query(Filter{}), src.Query(Filter{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored rows differ:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := dst.Stats(), src.Stats(); got != want {
+	if got, want := dst.counters(), src.counters(); got != want {
 		t.Errorf("stats drifted: %+v vs %+v", got, want)
 	}
 	// New appends continue the sequence past the swept seqs too.

@@ -291,7 +291,7 @@ func (s *Store) writeCheckpointFile(path string) (uint64, error) {
 // it holds is written, in ascending seq, and appends landing after it
 // stay in the WAL for replay.
 func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
-	v := s.view(Filter{})
+	v := s.view(Filter{}, nil)
 
 	bw := bufio.NewWriterSize(w, 256<<10)
 	buf := binary.AppendUvarint(nil, checkpointVersion)

@@ -66,7 +66,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantStats := s.Stats()
+	wantStats := s.counters()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if s2.Len() != 300 {
 		t.Fatalf("recovered %d observations, want 300", s2.Len())
 	}
-	if got := s2.Stats(); got != wantStats {
+	if got := s2.counters(); got != wantStats {
 		t.Errorf("stats drifted across restart: %+v vs %+v", got, wantStats)
 	}
 	obs := s2.Query(Filter{UserID: "mary", Limit: 1})

@@ -188,9 +188,8 @@ func TestShardedSweepAllShards(t *testing.T) {
 			t.Fatalf("expired observation seq %d survived the sweep", o.Seq)
 		}
 	}
-	st := s.Stats()
-	if st.Ingested != 300 || st.Swept != 201 || st.Live != 99 {
-		t.Fatalf("Stats = %+v", st)
+	if st := s.counters(); st != (counters{99, 300, 201}) {
+		t.Fatalf("counters = %+v", st)
 	}
 }
 
@@ -249,9 +248,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 	a, b := New(), New()
 	for _, s := range []*Store{a, b} {
-		if err := s.AppendAll(data); err != nil {
-			t.Fatal(err)
-		}
+		appendAll(t, s, data)
 	}
 	want := checkpointBytes(t, a)
 	if !bytes.Equal(checkpointBytes(t, b), want) || !bytes.Equal(checkpointBytes(t, a), want) {
@@ -280,10 +277,21 @@ func TestHotScanAllocsFlat(t *testing.T) {
 	var allocs []float64
 	for _, n := range []int{1000, 20000} {
 		s := New()
+		// Policy 2's rule, on a clock that puts its cutoff among the rows:
+		// the scan tests every Wi-Fi row against it.
+		s.SetClock(func() time.Time { return isodur.SixMonths.AddTo(t0.Add(50 * time.Minute)) })
+		s.AddRetentionRule(RetentionRule{Kind: sensor.ObsWiFiConnect, TTL: isodur.SixMonths})
+		live := 0
 		for _, o := range spreadDataset(n) {
 			if _, err := s.Append(o); err != nil {
 				t.Fatal(err)
 			}
+			if !s.Cutoffs().Expired(&o) {
+				live++
+			}
+		}
+		if live == n || live < n/2 {
+			t.Fatalf("precondition: %d of %d rows unexpired; the cutoff must fall among the Wi-Fi rows", live, n)
 		}
 		visited := 0
 		visit := func(*sensor.Observation) bool {
@@ -291,8 +299,8 @@ func TestHotScanAllocsFlat(t *testing.T) {
 			return true
 		}
 		a := testing.AllocsPerRun(5, func() { s.Scan(Filter{}, visit) })
-		if visited != 6*n { // AllocsPerRun adds one warm-up run
-			t.Fatalf("%d rows: visited %d, want %d", n, visited, 6*n)
+		if visited != 6*live { // AllocsPerRun adds one warm-up run
+			t.Fatalf("%d rows: visited %d, want %d", n, visited, 6*live)
 		}
 		allocs = append(allocs, a)
 	}
@@ -362,7 +370,7 @@ func TestHotLogReadersUnderChurn(t *testing.T) {
 		for round := 0; !stop.Load() || round < 4; round++ {
 			s.Sweep(now)
 			s.DeleteUser(fmt.Sprintf("victim%d", round%4), nil)
-			if hwm := s.view(Filter{}).hwm; hwm > 60 {
+			if hwm := s.view(Filter{}, nil).hwm; hwm > 60 {
 				tier.seal(s, hwm-60)
 			}
 		}
@@ -544,7 +552,7 @@ func TestEvictionRebuildsLog(t *testing.T) {
 		t.Fatalf("zone map still reaches back to %v", lo)
 	}
 	f := Filter{From: t0.Add(100 * time.Second), To: t0.Add(200 * time.Second)}
-	if v := s.view(f); v.n != 0 {
+	if v := s.view(f, nil); v.n != 0 {
 		t.Fatalf("a window of sealed history snapshots %d rows of the log", v.n)
 	}
 	if got := s.Count(f); got != 100 {
@@ -612,8 +620,8 @@ func TestOpenParentWrittenDirectory(t *testing.T) {
 	if got := s.Query(Filter{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("opened %d rows, want %d", len(got), len(want))
 	}
-	if got := s.Stats(); got != (Stats{Live: 128, Ingested: 150, Swept: 22}) {
-		t.Fatalf("Stats = %+v", got)
+	if got := s.counters(); got != (counters{128, 150, 22}) {
+		t.Fatalf("counters = %+v", got)
 	}
 	if o, err := s.Append(parentRow(150)); err != nil || o.Seq != 151 {
 		t.Fatalf("first append got seq %d (%v), want 151", o.Seq, err)

@@ -11,13 +11,10 @@
 // outside any lock; an appended row is never mutated, and Sweep,
 // DeleteUser and eviction publish a new log built from the survivors.
 //
-// Retention — the "retention" element of the policy language (Figure
-// 2's "P6M") — is one predicate (retention.go), enforced at query time
-// by every read of the store, which skips expired rows, and at storage
-// time by the columnar tier's compaction and Sweep, which drop them.
-// The rest of query-time enforcement (purpose checks, granularity
-// degradation, noise) happens above the store in internal/enforce; the
-// store holds ground truth.
+// Retention (Figure 2's "P6M") is one predicate (retention.go): every
+// read skips expired rows, and compaction and Sweep drop them. The rest
+// of query-time enforcement happens above the store in internal/enforce;
+// the store holds ground truth.
 //
 // An observation is resident once. With a cold tier attached (tier.go;
 // internal/colstore's sealed segments) the log holds only the hot
@@ -96,16 +93,12 @@ type Store struct {
 	rebuilds     atomic.Uint64
 	deletions    atomic.Uint64 // see Deletions
 
-	// ret is the retention table (retention.go), replaced under retMu;
-	// cuts caches its evaluation for the current minute; clock is what
-	// reads evaluate it by.
+	// ret is the retention table, replaced under retMu; cuts caches its
+	// evaluation for reads of the current minute of clock.
 	retMu sync.Mutex
 	ret   atomic.Pointer[retention]
 	cuts  atomic.Pointer[Cutoffs]
 	clock func() time.Time
-
-	// sweepSeconds times Sweep; it is exposed via RegisterMetrics.
-	sweepSeconds *telemetry.Histogram
 
 	// tier owns every observation at or below its watermark (tier.go);
 	// nil means the log holds everything. evicted counts the rows
@@ -133,7 +126,7 @@ type Store struct {
 // New returns an empty store with no retention rules (observations
 // are kept forever until rules are installed) on the wall clock.
 func New() *Store {
-	return &Store{hot: newHotLog(0, nil), sweepSeconds: telemetry.NewHistogram(nil), clock: time.Now}
+	return &Store{hot: newHotLog(0, nil), clock: time.Now}
 }
 
 // chunkRows is the log's chunk size: 256 rows of 128 bytes, 32 KiB.
@@ -252,19 +245,18 @@ type view struct {
 	// hwm is the last seq allocated when the snapshot was cut: every
 	// seq at or below it is in the view or was deleted.
 	hwm uint64
-	// lo bounds the rows' times from below; cut is the retention a read
-	// applies (nil: none).
-	lo  int64
+	lo  int64 // bounds the rows' times from below
 	cut *Cutoffs
 }
 
-// view snapshots the log for f: the narrowest of f's indexed keys, or
-// nothing at all when f's time window misses the zone map.
-func (s *Store) view(f Filter) view {
+// view snapshots the log for f, to be read under cut: the narrowest of
+// f's indexed keys, or nothing at all when f's time window misses the
+// zone map.
+func (s *Store) view(f Filter, cut *Cutoffs) view {
 	s.hotMu.RLock()
 	defer s.hotMu.RUnlock()
 	l := s.hot
-	v := view{chunks: l.chunks, n: l.n, floor: l.floor, hwm: s.nextSeq.Load(), lo: l.lo}
+	v := view{chunks: l.chunks, n: l.n, floor: l.floor, hwm: s.nextSeq.Load(), lo: l.lo, cut: cut}
 	if (!f.From.IsZero() && f.From.UnixNano() > l.hi) || (!f.To.IsZero() && f.To.UnixNano() <= l.lo) {
 		v.n = 0
 		return v
@@ -312,7 +304,7 @@ func (v *view) search(after uint64) int {
 // not write through it (Scan hands callers outside the package a copy).
 func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
 	cut := v.cut
-	if v.lo > cut.Latest() {
+	if cut != nil && v.lo > cut.latest {
 		cut = nil // no row of the log is old enough
 	}
 	visited := 0
@@ -330,7 +322,7 @@ func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
 
 // RegisterMetrics exposes the store's counters on a telemetry
 // registry: cumulative ingests and deletions, stored and resident
-// observation counts, log rebuilds, and sweep latency.
+// observation counts, and log rebuilds.
 func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("tippers_obstore_ingested_total",
 		"Observations appended to the store.", func() float64 {
@@ -356,8 +348,6 @@ func (s *Store) RegisterMetrics(r *telemetry.Registry) {
 		"Rows released from the hot log once the cold tier had sealed them.", func() float64 {
 			return float64(s.evicted.Load())
 		})
-	r.RegisterHistogram("tippers_obstore_sweep_seconds",
-		"Sweep (hot-log retention rewrite) duration.", nil, s.sweepSeconds)
 	if l := s.WAL(); l != nil {
 		l.RegisterMetrics(r)
 	}
@@ -413,22 +403,12 @@ func (s *Store) Append(o sensor.Observation) (sensor.Observation, error) {
 	return o, nil
 }
 
-// AppendAll ingests a batch, stopping at the first error.
-func (s *Store) AppendAll(obs []sensor.Observation) error {
-	for _, o := range obs {
-		if _, err := s.Append(o); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LastSeq returns the last seq allocated: every row appended so far
 // has a seq at or below it.
 func (s *Store) LastSeq() uint64 { return s.nextSeq.Load() }
 
 // Deletions counts the Sweep and DeleteUser calls that removed a row.
-// Each advances it once its rows are gone from every Scan (deleteUnion),
+// Each advances it once its rows are gone from every Scan (DeleteUser),
 // so with LastSeq and Cutoffs it versions what a scan can see.
 func (s *Store) Deletions() uint64 { return s.deletions.Load() }
 
@@ -479,10 +459,9 @@ func matches(o *sensor.Observation, f *Filter) bool {
 	return len(f.SpaceIDs) == 0 || slices.Contains(f.SpaceIDs, o.SpaceID)
 }
 
-// Len returns the number of stored observations, in the log or behind
-// the cold tier's watermark, expired rows not yet dropped included. The
-// tier keeps its count current, so this stays a snapshot and a binary
-// search however long the history is.
+// Len returns the number of stored observations, expired ones not yet
+// dropped included, in the log or behind the cold tier's watermark. The
+// tier keeps its count current, so this is a snapshot and a search.
 func (s *Store) Len() int {
 	t := s.coldTier()
 	if t == nil {
@@ -492,23 +471,10 @@ func (s *Store) Len() int {
 		cold, split := t.ColdRows()
 		// Same validation as read: a log cut above the split lacks rows
 		// the cold count does not include.
-		if v := s.view(Filter{}); v.floor <= split {
+		if v := s.view(Filter{}, nil); v.floor <= split {
 			return cold + v.n - v.search(split)
 		}
 	}
-}
-
-// Stats reports cumulative ingest and sweep counters plus the live
-// count, for the retention experiment (E6).
-type Stats struct {
-	Live     int
-	Ingested uint64
-	Swept    uint64
-}
-
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
-	return Stats{Live: s.Len(), Ingested: s.totalIngests.Load(), Swept: s.totalSwept.Load()}
 }
 
 // rewrite publishes a log without the rows doomed condemns and returns
@@ -558,25 +524,6 @@ func (s *Store) publish(l *hotLog) {
 	s.hot = l
 	s.hotMu.Unlock()
 	s.rebuilds.Add(1)
-}
-
-// DeleteUser removes every observation attributed to userID that keep
-// does not hold back — from the log and from behind the cold tier's
-// watermark — supporting right-to-erasure style requests; a nil keep
-// holds back nothing. Kept rows stay where they are, under their seqs.
-// It returns the number deleted. The deleted rows leave the disk at the
-// next Checkpoint and the tier's next compaction (see durable.go).
-func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) int {
-	total := s.deleteUnion(Filter{UserID: userID}, func(o *sensor.Observation) bool {
-		return o.UserID == userID && (keep == nil || !keep(o))
-	})
-	// A log the erasure left as it was may still size a list by the
-	// subject's ID; a rewritten one has no hints.
-	s.mu.Lock()
-	delete(s.hot.hint, userID)
-	s.mu.Unlock()
-	s.totalSwept.Add(uint64(total))
-	return total
 }
 
 // SyncWAL forces the write-ahead log to disk (durable mode; no-op in

@@ -1,13 +1,7 @@
 package obstore
 
-// This file is retention: the "retention" element of the policy
-// language (Figure 2's "P6M") as one table, observation kind → TTL plus
-// a default, and one predicate over it. A read evaluates the table at
-// the end of the clock's current minute and skips every row whose time
-// is at or before its kind's cutoff, on both halves (read), so no read
-// path releases an expired row whether or not anything has removed it
-// yet. The columnar tier drops expired rows from disk with the same
-// predicate (Cutoffs), and Sweep drops them from the hot log.
+// Retention: one table, observation kind → TTL plus a default, and one
+// predicate over it that every read applies (see the package comment).
 
 import (
 	"math"
@@ -17,7 +11,7 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// RetentionRule binds a time-to-live to one observation kind. A rule
+// RetentionRule binds a time-to-live to one observation kind; a rule
 // with no kind sets the default TTL, which covers every kind no rule
 // names. Of two rules on one kind the first installed wins.
 type RetentionRule struct {
@@ -25,46 +19,42 @@ type RetentionRule struct {
 	TTL  isodur.Duration
 }
 
-// retention is the installed table. It is replaced, never edited, so a
+// retention is the installed table, replaced and never edited, so a
 // Cutoffs can name the table it was evaluated from.
 type retention struct {
-	rules  []RetentionRule // kind rules in installation order
-	def    isodur.Duration
-	hasDef bool
+	rules []RetentionRule // kind rules in installation order
+	def   *isodur.Duration
 }
 
-// Cutoffs is the retention table evaluated at one instant: a row is
-// expired iff its time is at or before its kind's cutoff. A nil
-// *Cutoffs (no rule installed) expires nothing.
+// Cutoffs is the table evaluated at one instant: a row is expired iff
+// its time is at or before its kind's cutoff. A nil *Cutoffs (no rule
+// installed) expires nothing.
 type Cutoffs struct {
 	tab   *retention
 	at    int64 // unix nanos
 	kinds []sensor.ObservationKind
 	cuts  []int64
-	// def is the cutoff of every kind no rule names, math.MinInt64
-	// without a default; latest is the latest cutoff of any kind.
+	// def is the cutoff of every kind no rule names (math.MinInt64
+	// without a default); latest is the latest cutoff of any kind.
 	def, latest int64
 }
 
-// evaluate computes each TTL's cutoff at: the TTL subtracted in
-// calendar arithmetic.
+// evaluate subtracts each TTL from at in calendar arithmetic.
 func (r *retention) evaluate(at time.Time) *Cutoffs {
 	c := &Cutoffs{tab: r, at: at.UnixNano(), def: math.MinInt64}
 	cutoff := func(ttl isodur.Duration) int64 {
 		ttl.Negative = !ttl.Negative
 		return ttl.AddTo(at).UnixNano()
 	}
-	if r.hasDef {
-		c.def = cutoff(r.def)
+	if r.def != nil {
+		c.def = cutoff(*r.def)
 	}
 	c.latest = c.def
 	for _, rule := range r.rules {
-		if c.index(rule.Kind) >= 0 {
-			continue
+		if c.index(rule.Kind) < 0 {
+			c.kinds, c.cuts = append(c.kinds, rule.Kind), append(c.cuts, cutoff(rule.TTL))
+			c.latest = max(c.latest, c.cuts[len(c.cuts)-1])
 		}
-		ns := cutoff(rule.TTL)
-		c.kinds, c.cuts = append(c.kinds, rule.Kind), append(c.cuts, ns)
-		c.latest = max(c.latest, ns)
 	}
 	return c
 }
@@ -90,35 +80,20 @@ func (c *Cutoffs) Of(kind sensor.ObservationKind) int64 {
 	return c.def
 }
 
-// Latest returns the latest cutoff of any kind: no row observed after
-// it is expired.
-func (c *Cutoffs) Latest() int64 {
-	if c == nil {
-		return math.MinInt64
-	}
-	return c.latest
-}
-
 // Expired reports whether retention has run out for o.
 func (c *Cutoffs) Expired(o *sensor.Observation) bool {
 	return c != nil && o.Time.UnixNano() <= c.Of(o.Kind)
 }
 
-// SetClock sets the clock reads evaluate retention by; nil (the
-// default) is time.Now. A node passes its own clock, never a
-// requester's time. Set it before the store serves reads.
-func (s *Store) SetClock(now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	s.clock = now
-}
+// SetClock sets the clock reads evaluate retention by (time.Now until
+// set). A node passes its own, never a requester's time. Set it before
+// the store serves reads.
+func (s *Store) SetClock(now func() time.Time) { s.clock = now }
 
 // Cutoffs returns the table as reads evaluate it now: at the end of the
 // clock's current minute, which expires a row up to a minute early,
-// never late. The result is shared by every read of that minute, so its
-// identity versions what retention hides. Nil means no rule is
-// installed.
+// never late. Every read of that minute shares the result, so its
+// identity versions what retention hides. Nil means no rule.
 func (s *Store) Cutoffs() *Cutoffs {
 	tab := s.ret.Load()
 	if tab == nil {
@@ -133,35 +108,26 @@ func (s *Store) Cutoffs() *Cutoffs {
 	return c
 }
 
-// install replaces the table with edit applied to a copy of it.
-func (s *Store) install(edit func(*retention)) {
+// AddRetentionRule installs r; reads apply it at once.
+func (s *Store) AddRetentionRule(r RetentionRule) {
 	s.retMu.Lock()
 	defer s.retMu.Unlock()
 	next := &retention{}
 	if cur := s.ret.Load(); cur != nil {
 		*next = *cur
-		next.rules = append([]RetentionRule(nil), cur.rules...)
 	}
-	edit(next)
+	if r.Kind == "" {
+		next.def = &r.TTL
+	} else {
+		next.rules = append(next.rules[:len(next.rules):len(next.rules)], r)
+	}
 	s.ret.Store(next)
 }
 
 // SetDefaultRetention installs the TTL of every kind no rule names.
-func (s *Store) SetDefaultRetention(ttl isodur.Duration) {
-	s.install(func(r *retention) { r.def, r.hasDef = ttl, true })
-}
+func (s *Store) SetDefaultRetention(ttl isodur.Duration) { s.AddRetentionRule(RetentionRule{TTL: ttl}) }
 
-// AddRetentionRule installs r; one with no kind sets the default TTL.
-// Reads apply it at once.
-func (s *Store) AddRetentionRule(r RetentionRule) {
-	if r.Kind == "" {
-		s.SetDefaultRetention(r.TTL)
-		return
-	}
-	s.install(func(t *retention) { t.rules = append(t.rules, r) })
-}
-
-// RetentionRules returns a copy of the installed kind rules.
+// RetentionRules returns the installed kind rules.
 func (s *Store) RetentionRules() []RetentionRule {
 	if r := s.ret.Load(); r != nil {
 		return append([]RetentionRule(nil), r.rules...)
@@ -170,14 +136,9 @@ func (s *Store) RetentionRules() []RetentionRule {
 }
 
 // Sweep drops from the hot log every row expired at now and returns how
-// many it dropped. Reads already skip them, so Sweep frees memory; on a
-// node the columnar tier's compaction drops expired rows instead, from
-// the hot log at the commit that seals their bucket and from segment
-// files at the first compaction after their kind's cutoff passes the
-// segment's newest row. Bare stores call it.
+// many it dropped, freeing memory in a bare store: reads already skip
+// them, and on a node compaction drops them (CompactOnce).
 func (s *Store) Sweep(now time.Time) int {
-	t0 := time.Now()
-	defer s.sweepSeconds.ObserveSince(t0)
 	tab := s.ret.Load()
 	if tab == nil {
 		return 0

@@ -4,7 +4,7 @@ package obstore
 // the log is the hot window only: the tier owns every observation at
 // or below its watermark, the log answers for what is above it, and
 // every reader of the Store — Scan, Query, Count, Len, Users,
-// DeleteUser — gets the union, read under one retention predicate. Without one (a bare store, as in tests)
+// DeleteUser — gets the union. Without one (a bare store, as in tests)
 // the log keeps everything.
 //
 // Visibility is decided by the watermark, never by whether a row has
@@ -26,19 +26,17 @@ type ColdTier interface {
 	// snapshotted. It runs synchronously on the deleting goroutine,
 	// before the deletion returns.
 	ObservationsDeleted(dels []Deletion)
-	// ScanCold calls visit, in ascending seq, for every live
-	// observation at or below the watermark that matches f and that cut
-	// does not expire (nil: none expire), stopping when visit returns
-	// false or f.Limit rows were visited. The pointer is valid only
-	// during the call. It returns the filter for the rows above the
-	// watermark — f with AfterSeq raised to the watermark and Limit
-	// reduced by the rows visited — and more=false when the visitor
+	// ScanCold calls visit, in ascending seq, for every live observation
+	// at or below the watermark that matches f and cut leaves, stopping
+	// when visit returns false or f.Limit rows were visited. The pointer
+	// is valid only during the call. It returns the filter for the rows
+	// above the watermark — f with AfterSeq raised to the watermark and
+	// Limit reduced by the rows visited — and more=false when the visitor
 	// stopped or the limit is spent. Watermark, segment set and
 	// tombstones come from one snapshot.
 	ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observation) bool) (tail Filter, more bool)
-	// ColdRows returns the number of stored observations at or below
-	// the watermark, expired or not, and that watermark, from one
-	// snapshot.
+	// ColdRows returns the number of stored observations at or below the
+	// watermark, and that watermark, from one snapshot.
 	ColdRows() (rows int, watermark uint64)
 }
 
@@ -88,7 +86,7 @@ func (s *Store) EvictThrough(wm uint64) int {
 		return 0
 	}
 	s.mu.Lock()
-	v := s.view(Filter{})
+	v := s.view(Filter{}, nil)
 	cut := v.search(wm)
 	if cut > 0 {
 		fresh := newHotLog(wm, s.hot)
@@ -123,12 +121,11 @@ func (s *Store) Evicted() uint64 { return s.evicted.Load() }
 // and the log snapshot: the window an eviction may overtake the split.
 var testHookAfterCold func()
 
-// read is the one read over both tiers. It evaluates retention once
-// (Cutoffs), visits the tier's unexpired matches at or below its
-// watermark through cold, then returns a snapshot of the log carrying
-// the same cutoffs and the filter to walk it with: f itself without a
-// tier, the tail above the watermark with one. ok=false means the
-// visitor stopped or the limit was spent before the log's turn.
+// read is the one read over both tiers, under one evaluation of
+// retention. It visits the tier's matches at or below its watermark
+// through cold, then returns a snapshot of the log and the filter to
+// walk it with: f itself without a tier, the tail above the watermark
+// with one. ok=false means the visitor stopped or the limit was spent.
 //
 // The two halves are not atomic: a compaction may commit and evict
 // between them, taking rows above the split out of the log. Every
@@ -140,17 +137,14 @@ func (s *Store) read(f Filter, cold func(*sensor.Observation) bool) (v view, tai
 	cut := s.Cutoffs()
 	t := s.coldTier()
 	if t == nil {
-		v = s.view(f)
-		v.cut = cut
-		return v, f, true
+		return s.view(f, cut), f, true
 	}
 	tail, more := t.ScanCold(f, cut, cold)
 	for more {
 		if testHookAfterCold != nil {
 			testHookAfterCold()
 		}
-		if v = s.view(tail); v.floor <= tail.AfterSeq {
-			v.cut = cut
+		if v = s.view(tail, cut); v.floor <= tail.AfterSeq {
 			return v, tail, true
 		}
 		tail, more = t.ScanCold(tail, cut, cold)
@@ -183,26 +177,31 @@ func (s *Store) Scan(f Filter, visit func(*sensor.Observation) bool) {
 	})
 }
 
-// deleteUnion is DeleteUser's delete over both tiers: it reaches every
-// stored row, expired or not. Cold rows matching the filter that doomed condemns become
-// Deletions (the tier tombstones them and rewrites their segments at
-// its next compaction); the log is rewritten without its doomed rows,
-// those above the split reported. Both sets reach the tier before the
-// split is validated against the floor of the log the rewrite read, so
-// a repeat — an eviction had overtaken the split, see read — finds the
-// first round's rows already tombstoned and rescans only the gap.
+// DeleteUser removes every stored observation attributed to userID that
+// keep does not hold back — expired or not, from the log and from behind
+// the cold tier's watermark — supporting right-to-erasure requests; a
+// nil keep holds back nothing. Kept rows stay where they are, under
+// their seqs. It returns the number deleted. The deleted rows leave the
+// disk at the next Checkpoint and the tier's next compaction (see
+// durable.go).
 //
-// The deletion counter advances last, once every removed row is gone
-// from Scan (the log republished, the tombstones recorded), and only
-// when a row was removed. Advancing it any earlier would let a reader
-// that scans mid-deletion pair the new count with rows still present,
-// and cache that answer as current.
-func (s *Store) deleteUnion(cold Filter, doomed func(*sensor.Observation) bool) int {
+// Sealed rows become Deletions (the tier tombstones them and rewrites
+// their segments at its next compaction); the log is rewritten without
+// its doomed rows, those above the split reported. Both sets reach the
+// tier before the split is validated against the floor of the log the
+// rewrite read, so a repeat — an eviction had overtaken the split, see
+// read — finds the first round's rows already tombstoned and rescans
+// only the gap. The deletion counter advances last, once every removed
+// row is gone from Scan, and only when a row was removed: advanced any
+// earlier, a reader that scans mid-deletion could pair the new count
+// with rows still present and cache that answer as current.
+func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) int {
+	doomed := func(o *sensor.Observation) bool { return o.UserID == userID && (keep == nil || !keep(o)) }
 	total := 0
 	if t := s.coldTier(); t == nil {
 		total, _, _ = s.rewrite(0, doomed)
 	} else {
-		for {
+		for cold := (Filter{UserID: userID}); ; {
 			var dels []Deletion
 			tail, _ := t.ScanCold(cold, nil, func(o *sensor.Observation) bool {
 				if doomed(o) {
@@ -221,8 +220,14 @@ func (s *Store) deleteUnion(cold Filter, doomed func(*sensor.Observation) bool) 
 			cold.AfterSeq = tail.AfterSeq
 		}
 	}
+	// A log the erasure left as it was may still size a list by the
+	// subject's ID; a rewritten one has no hints.
+	s.mu.Lock()
+	delete(s.hot.hint, userID)
+	s.mu.Unlock()
 	if total > 0 {
 		s.deletions.Add(1)
 	}
+	s.totalSwept.Add(uint64(total))
 	return total
 }

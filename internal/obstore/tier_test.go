@@ -78,7 +78,7 @@ func (t *sliceTier) ColdRows() (int, uint64) {
 // recorded against the new watermark.
 func (t *sliceTier) seal(s *Store, wm uint64) int {
 	t.mu.Lock()
-	v := s.view(Filter{})
+	v := s.view(Filter{}, nil)
 	v.each(Filter{AfterSeq: t.wm}, func(o *sensor.Observation) bool {
 		if o.Seq <= wm {
 			t.rows = append(t.rows, *o)

@@ -7,8 +7,8 @@
 # erasure and failure tests, the stage clock, the decision ring's
 # erasure and the chunked memo, concurrent checkpoints, the
 # 36-simulated-day soak and erasure at rest repeated), the micro-benchmark count gate
-# (scripts/bench.sh: ten benchmarks against the one ledger,
-# BENCH.json, ≈ 5.5 min on 2 vCPUs; counts are gated and timings only
+# (scripts/bench.sh: eleven benchmarks against the one ledger,
+# BENCH.json, ≈ 6 min on 2 vCPUs; counts are gated and timings only
 # printed, so it reads the same here as in CI) and the
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + bench + slo-smoke jobs in .github/workflows/ci.yml
@@ -49,8 +49,8 @@ go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/t
 echo "== stream disconnect-then-resume + resume splice under concurrent ingest (200x, race) =="
 go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestResumeSpliceUnderConcurrentIngest$' ./internal/stream/
 
-echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack + concurrent checkpoints keep every synced row once (repeated, race) =="
-go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestConcurrentCheckpointsKeepEverySyncedRow' ./internal/colstore/...
+echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack + concurrent checkpoints keep every synced row once + retention rewrites each segment once, records no tombstone and never seals an expired row (repeated, race) =="
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestConcurrentCheckpointsKeepEverySyncedRow|TestRetentionRewritesEachSegmentOnce|TestSweepRacingCompactionSealsNoExpiredRow' ./internal/colstore/...
 
 echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike, and equal payloads in one body share one map + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
 go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestBodyPayloadsShareOneMap|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
@@ -58,9 +58,9 @@ go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties + grouped and occupancy sinks against a map-of-maps reference (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias|TestGroupedSinksMatchReference' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations over the hot window and sealed segments and pooled-decision isolation + the occupancy answer cache against ingest, rule changes, sweeps and erasures and for unaligned windows + streamed user request + durable store with the default columnar directory (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + recompile-under-churn + incremental-conflict equivalence and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations over the hot window and sealed segments and pooled-decision isolation + the occupancy answer cache against ingest, rule changes, retention rules and erasures and for unaligned windows + streamed user request + durable store with the default columnar directory + every read path against one reference, the clock moving past retention TTLs (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestOccupancyCacheInvalidation|TestUnalignedOccupancyReadIsCached|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestOccupancyCacheInvalidation|TestUnalignedOccupancyReadIsCached|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder|TestReadPathsMatchReference' ./internal/core/...
 
 echo "== durable node at rest — a 36-simulated-day soak whose sampled resources plateau and whose WAL holds at most one hour of appends after every commit + a forgotten subject's bytes gone from every file after the next commit (repeated, race) =="
 go test -race -count=2 -run 'TestSoakResourcesPlateau|TestForgetUserLeavesNothingAtRest' ./internal/core/...
@@ -75,7 +75,7 @@ go test -race -count=2 -run 'TestStageClockObservesEachStageOnce' ./internal/cor
 go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestServerTimingMatchesSpan|TestForgetUserDropsDecisionTraces|TestForgetUserLeavesNoSubjectInTraces' ./internal/httpapi/...
 go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace' ./internal/enforce/...
 
-echo "== micro-benchmark count gate (ten benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
+echo "== micro-benchmark count gate (eleven benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
 
 echo "== SLO smoke gate (open-loop tail latency against a live tippersd) =="
