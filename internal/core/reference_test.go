@@ -342,11 +342,14 @@ func (w *refWorld) refOccupancy(req enforce.Request, minK int) []privacy.Aggrega
 func (w *refWorld) checkOccupancy(step string) {
 	w.t.Helper()
 	for _, rq := range refRequesters {
-		for _, space := range []string{"", "dbh/2"} {
+		for i, space := range []string{"", "dbh/2", ""} {
 			// A fixed request time: the cache key's minute stays put while
 			// the node's clock moves.
 			req := enforce.Request{ServiceID: rq.service, Purpose: rq.purpose, Kind: sensor.ObsWiFiConnect,
 				SpaceID: space, Time: testNow}
+			if i == 2 {
+				req.Kind = sensor.ObsBLESighting
+			}
 			want := w.refOccupancy(req, 2)
 			for _, ask := range []string{"miss", "hit"} {
 				resp, err := w.bms().RequestOccupancy(req, 2)
@@ -551,12 +554,12 @@ func refRule(rng *rand.Rand) policy.Rule {
 func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string {
 	switch op := rng.Intn(14); {
 	case op < 4:
-		n := 1 + rng.Intn(6)
+		n := 1 + rng.Intn(10)
 		live := rng.Intn(2) == 0
 		for i := 0; i < n; i++ {
 			o := sensor.Observation{Kind: sensor.ObsWiFiConnect, SensorID: []string{"ap-1", "ap-2"}[rng.Intn(2)],
 				DeviceMAC: w.mac(rng.Intn(len(refUsers)+1) - 1), Value: float64(rng.Intn(100))}
-			if rng.Intn(3) == 0 {
+			if rng.Intn(2) == 0 {
 				o.Kind, o.SensorID = sensor.ObsBLESighting, "ble-1"
 			}
 			age := time.Duration(rng.Intn(3600)) * time.Second
@@ -604,7 +607,7 @@ func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string
 		return "sweep"
 	case op < 12:
 		// No sweep follows: reads alone must stop releasing what expired.
-		d := time.Duration(1+rng.Intn(150)) * time.Minute
+		d := time.Duration(1+rng.Intn(90)) * time.Minute
 		w.now = w.now.Add(d)
 		return fmt.Sprintf("advance the clock %v", d)
 	default:
@@ -619,12 +622,12 @@ func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string
 // interleaving, every read path releases exactly what the reference
 // does.
 func TestReadPathsMatchReference(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			w := newRefWorld(t)
 			pending := refPolicies()
-			for i := 0; i < 40; i++ {
+			for i := 0; i < 50; i++ {
 				what := w.step(rng, &pending)
 				w.check(fmt.Sprintf("seed %d step %d (%s)", seed, i, what))
 			}
