@@ -421,10 +421,7 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 		}
 	}
 	if p.Kind == policy.KindCollection && !p.Retention.IsZero() {
-		b.store.AddRetentionRule(obstore.RetentionRule{
-			Kind: p.Scope.ObsKind,
-			TTL:  p.Retention,
-		})
+		b.store.AddRetentionRule(obstore.RetentionRule{Kind: p.Scope.ObsKind, TTL: p.Retention})
 	}
 	return nil
 }

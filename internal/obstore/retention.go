@@ -32,16 +32,20 @@ type retention struct {
 type Cutoffs struct {
 	tab   *retention
 	at    int64 // unix nanos
-	kinds []sensor.ObservationKind
-	cuts  []int64
+	kinds []kindCut
 	// def is the cutoff of every kind no rule names (math.MinInt64
 	// without a default); latest is the latest cutoff of any kind.
 	def, latest int64
 }
 
+type kindCut struct {
+	kind sensor.ObservationKind
+	cut  int64
+}
+
 // evaluate subtracts each TTL from at in calendar arithmetic.
 func (r *retention) evaluate(at time.Time) *Cutoffs {
-	c := &Cutoffs{tab: r, at: at.UnixNano(), def: math.MinInt64}
+	c := &Cutoffs{tab: r, at: at.UnixNano(), kinds: make([]kindCut, 0, len(r.rules)), def: math.MinInt64}
 	cutoff := func(ttl isodur.Duration) int64 {
 		ttl.Negative = !ttl.Negative
 		return ttl.AddTo(at).UnixNano()
@@ -52,16 +56,16 @@ func (r *retention) evaluate(at time.Time) *Cutoffs {
 	c.latest = c.def
 	for _, rule := range r.rules {
 		if c.index(rule.Kind) < 0 {
-			c.kinds, c.cuts = append(c.kinds, rule.Kind), append(c.cuts, cutoff(rule.TTL))
-			c.latest = max(c.latest, c.cuts[len(c.cuts)-1])
+			c.kinds = append(c.kinds, kindCut{rule.Kind, cutoff(rule.TTL)})
+			c.latest = max(c.latest, c.kinds[len(c.kinds)-1].cut)
 		}
 	}
 	return c
 }
 
 func (c *Cutoffs) index(kind sensor.ObservationKind) int {
-	for i, k := range c.kinds {
-		if k == kind {
+	for i := range c.kinds {
+		if c.kinds[i].kind == kind {
 			return i
 		}
 	}
@@ -75,7 +79,7 @@ func (c *Cutoffs) Of(kind sensor.ObservationKind) int64 {
 		return math.MinInt64
 	}
 	if i := c.index(kind); i >= 0 {
-		return c.cuts[i]
+		return c.kinds[i].cut
 	}
 	return c.def
 }
@@ -86,8 +90,7 @@ func (c *Cutoffs) Expired(o *sensor.Observation) bool {
 }
 
 // SetClock sets the clock reads evaluate retention by (time.Now until
-// set). A node passes its own, never a requester's time. Set it before
-// the store serves reads.
+// set): a node's own, never a requester's time. Set it before reads.
 func (s *Store) SetClock(now func() time.Time) { s.clock = now }
 
 // Cutoffs returns the table as reads evaluate it now: at the end of the
