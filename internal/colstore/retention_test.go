@@ -89,7 +89,8 @@ func (w *retentionWorld) step(k int) map[time.Time]int {
 	}
 	w.now = retentionStart.Add(time.Duration(k)*time.Minute + 30*time.Second)
 	w.ingest()
-	w.sweep(w.now)
+	w.src.Sweep(w.now)
+	w.twin.Sweep(w.now)
 	if st := w.cs.Stats(); st.SeqTombstones != 0 {
 		w.t.Fatalf("minute %d: retention recorded %d seq tombstones", k, st.SeqTombstones)
 	}
@@ -100,7 +101,10 @@ func (w *retentionWorld) step(k int) map[time.Time]int {
 			written[sg.Bucket]++
 		}
 	}
-	for _, f := range []obstore.Filter{{}, {Kind: sensor.ObsWiFiConnect}, {UserID: "u07"}, {From: retentionStart.Add(-4 * time.Hour), To: retentionStart.Add(-2 * time.Hour)}} {
+	if got, want := w.src.Count(obstore.Filter{}), w.twin.Count(obstore.Filter{}); got != want {
+		w.t.Fatalf("minute %d: %d rows readable, the untiered twin %d", k, got, want)
+	}
+	for _, f := range []obstore.Filter{{Kind: sensor.ObsWiFiConnect}, {UserID: "u07"}, {From: retentionStart.Add(-4 * time.Hour), To: retentionStart.Add(-2 * time.Hour)}} {
 		if got, want := normTimes(w.src.Query(f)), normTimes(w.twin.Query(f)); !reflect.DeepEqual(got, want) {
 			w.t.Fatalf("minute %d: filter %+v: %d rows, the untiered twin %d", k, f, len(got), len(want))
 		}
