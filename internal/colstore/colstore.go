@@ -284,8 +284,8 @@ func (s *Store) source() *obstore.Store {
 	return s.src
 }
 
-// ColdRows implements obstore.ColdTier: the live rows at or below the
-// watermark, and the watermark.
+// ColdRows implements obstore.ColdTier: the stored rows at or below the
+// watermark, expired ones a rewrite has not dropped included.
 func (s *Store) ColdRows() (rows int, watermark uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
