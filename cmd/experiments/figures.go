@@ -181,7 +181,7 @@ func runPreferences() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("; emergency override allowed=%v with %d notification(s)\n", em.Decision.Allowed, len(em.Decision.Notifications))
+	fmt.Printf("; emergency override allowed=%v with %d notification(s)\n", em.Decision.Allowed, len(em.Decision.Overridden))
 
 	// Preference 3.
 	if err := dep.BMS.SetPreference(tippers.Preference3ConciergeFineLocation(u3.ID, "concierge")); err != nil {

@@ -323,7 +323,7 @@ func main() {
 			fmt.Println("inbox empty")
 		}
 		for _, n := range notifs {
-			fmt.Printf("- %s\n", n.Message)
+			fmt.Printf("- %s (count %d, last %s)\n", n.Message, n.Count, n.Last.Format(time.RFC3339))
 		}
 	default:
 		fatal("unknown command", "command", cmd)

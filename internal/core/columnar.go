@@ -94,9 +94,8 @@ type occAnswer struct {
 // evaluation minute (decisions have minute resolution — window rules),
 // and entries validate against their occVersion on every hit, so a hit
 // is provably the answer a fresh evaluation would produce. Answers
-// whose decisions carried override notifications are never cached
-// (replaying them would swallow user notifications, the same
-// constraint the engine's memo honors).
+// with an override decision are never cached: a hit runs no decision,
+// so it would not count the subject's notification.
 //
 // What keeps it: removing it on bench/'s service-reads workload (10
 // alternating pairs, seeds 701–710, 2-vCPU Xeon, go1.24) moves the

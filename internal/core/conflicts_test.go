@@ -22,7 +22,10 @@ import (
 // fullPassOracle is what the BMS did before conflicts were maintained
 // by delta: after every mutation, a full reasoner.Detect over every
 // rule, with "fresh" meaning "this string key was not in the previous
-// pass". The incremental path must be indistinguishable from it.
+// pass". The incremental path must be indistinguishable from it. Its
+// inbox is the append-only list (one entry per fresh conflict that
+// notifies) folded by (policy, preference): a key's first entry keeps
+// its message and each later one counts.
 type fullPassOracle struct {
 	reason    *reasoner.Reasoner
 	policies  []policy.BuildingPolicy
@@ -53,12 +56,24 @@ func (o *fullPassOracle) pass() {
 		}
 		o.published = append(o.published, c)
 		if u := c.Resolution.NotifyUserID; u != "" {
-			o.inbox[u] = append(o.inbox[u], enforce.Notification{
+			o.notify(enforce.Notification{
 				UserID: u, PolicyID: c.PolicyID, PreferenceID: c.PreferenceID, Message: c.Resolution.Explanation,
 			})
 		}
 	}
 	o.previous = now
+}
+
+func (o *fullPassOracle) notify(n enforce.Notification) {
+	inbox := o.inbox[n.UserID]
+	for i := range inbox {
+		if inbox[i].PolicyID == n.PolicyID && inbox[i].PreferenceID == n.PreferenceID {
+			inbox[i].Count++
+			return
+		}
+	}
+	n.Count, n.First, n.Last = 1, testNow, testNow
+	o.inbox[n.UserID] = append(inbox, n)
 }
 
 func (o *fullPassOracle) preferencesOf(user string) []policy.Preference {

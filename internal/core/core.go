@@ -526,8 +526,8 @@ func (b *BMS) foldRules() error {
 
 // mutateRules is the one seam a rule mutation passes through: apply
 // updates the enforcement engine, the rule state and b.conflicts under
-// b.mu and returns the conflicts that are new, whose override
-// notifications reach the affected users' inboxes in the same critical
+// b.mu and returns the conflicts that are new, whose notifications are
+// folded into the affected users' inboxes in the same critical
 // section. Because the engine and the listed rules change under the
 // lock that orders the rule writes, the engine enforces what
 // Preferences lists, the rule log holds the mutations in the order they
@@ -546,22 +546,19 @@ func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict, err error)) e
 			fmt.Fprintf(os.Stderr, "core: %v\n", ferr)
 		}
 	}
+	var entered []enforce.Notification
 	for _, c := range fresh {
-		if c.Resolution.NotifyUserID != "" {
-			n := enforce.Notification{
-				UserID:       c.Resolution.NotifyUserID,
-				PolicyID:     c.PolicyID,
-				PreferenceID: c.PreferenceID,
-				Message:      c.Resolution.Explanation,
-			}
-			b.inbox[n.UserID] = append(b.inbox[n.UserID], n)
-			b.met.notificationsSent.Inc()
+		if user := c.Resolution.NotifyUserID; user != "" {
+			entered = b.notifyLocked(entered, user, c.PolicyID, c.PreferenceID, c.Resolution.Explanation)
 		}
 	}
 	b.mu.Unlock()
 	b.met.detectSeconds.ObserveSince(t0)
 	for _, c := range fresh {
 		b.streams.PublishConflict(c)
+	}
+	for _, n := range entered {
+		b.streams.PublishNotification(n)
 	}
 	return err
 }
@@ -732,6 +729,42 @@ func (b *BMS) FetchNotifications(userID string) []enforce.Notification {
 	out := b.inbox[userID]
 	delete(b.inbox, userID)
 	return out
+}
+
+// notifyLocked folds one notification into userID's inbox, which holds
+// one entry per (policy, preference) key: a key already there counts
+// the repeat, so the inbox is bounded by the rules that can override
+// the user, not by how often anyone reads. A key that enters gets msg,
+// or when msg is "" the override text built from the rules' names, and
+// is appended to entered for the caller to publish once b.mu is
+// released. The caller holds b.mu.
+func (b *BMS) notifyLocked(entered []enforce.Notification, userID, policyID, prefID, msg string) []enforce.Notification {
+	b.met.notificationsSent.Inc()
+	now := b.clock()
+	inbox := b.inbox[userID]
+	for i := range inbox {
+		if n := &inbox[i]; n.PolicyID == policyID && n.PreferenceID == prefID {
+			n.Count, n.Last = n.Count+1, now
+			return entered
+		}
+	}
+	if msg == "" {
+		// A rule removed since the decision is named by its ID.
+		policyName, prefName := policyID, prefID
+		if at, ok := b.policyIndex(policyID); ok {
+			policyName = b.policies[at].Name
+		}
+		owned := b.prefs[userID]
+		if at, ok := slices.BinarySearchFunc(owned, prefID, preferenceIDCmp); ok {
+			prefName = owned[at].Name
+		}
+		msg = fmt.Sprintf("Building policy %q (%s) overrode your preference %q for this request.",
+			policyName, policyID, prefName)
+	}
+	n := enforce.Notification{UserID: userID, PolicyID: policyID, PreferenceID: prefID,
+		Message: msg, Count: 1, First: now, Last: now}
+	b.inbox[userID] = append(inbox, n)
+	return append(entered, n)
 }
 
 // StartCompaction launches the columnar tier's background compactor:

@@ -58,7 +58,7 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 		defaultAllowed: r.Counter("tippers_enforce_default_allow_total",
 			"Decisions allowed with no matched preference, no group default and no override: released on the default alone."),
 		notificationsSent: r.Counter("tippers_core_notifications_sent_total",
-			"Override notifications delivered to user inboxes."),
+			"Notifications folded into user inboxes: a repeat of a (policy, preference) key already there counts here and in its entry's count."),
 		queryScanned:  queryRows("scanned"),
 		queryDenied:   queryRows("denied"),
 		queryExcluded: queryRows("excluded"),

@@ -57,7 +57,7 @@ func referenceOccupancy(b *BMS, req enforce.Request, minK int) (resp Response, r
 		items[i] = enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(subjectID)}
 	}
 	for i, d := range enforce.DecideBatch(b.engine, items, enforce.BatchOptions{}) {
-		b.recordDecision(d)
+		b.recordDecision(subjects[i], d)
 		if !d.Allowed {
 			continue
 		}

@@ -257,7 +257,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	})
 	sc.decisions = decisions
 	resp := Response{SubjectsConsidered: len(decisions)}
-	k, relObs, hasNotes := minK, 0, false
+	k, relObs, overridden := minK, 0, false
 	for _, d := range decisions {
 		n := 1
 		for n < len(pairs) && pairs[n].user == pairs[0].user {
@@ -265,8 +265,8 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		}
 		run := pairs[:n]
 		pairs = pairs[n:]
-		b.recordDecision(d)
-		hasNotes = hasNotes || len(d.Notifications) > 0
+		b.recordDecision(run[0].user, d)
+		overridden = overridden || len(d.Overridden) > 0
 		if !d.Allowed {
 			continue
 		}
@@ -299,10 +299,9 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	tr.SubjectsConsidered = resp.SubjectsConsidered
 	tr.SubjectsReleased = resp.SubjectsReleased
 	tr.ObservationsReleased = relObs
-	if cacheKey != "" && !hasNotes {
-		// Decisions that delivered override notifications are not
-		// memoized: replaying the answer would swallow the repeat
-		// notification the fresh decide batch produces.
+	if cacheKey != "" && !overridden {
+		// An answer with an override decision is not cached: a hit runs
+		// no decision, so it would not count the subject's notification.
 		b.occCache.put(cacheKey, occAnswer{
 			version:    version,
 			aggregates: resp.Aggregates,
@@ -358,19 +357,20 @@ func (b *BMS) subjectGroups(userID string) []profile.Group {
 
 // decide is the one single-decision path — RequestUser, each scanned
 // query row and each live-stream event all come through here — so a
-// decision is timed, counted, and its override notifications delivered
-// in one place. (RequestOccupancy batches, and records each likewise.)
+// decision is timed, counted, and its override folded into the
+// subject's inbox in one place. (RequestOccupancy batches, and records
+// each likewise.)
 func (b *BMS) decide(req enforce.Request) enforce.Decision {
 	t0 := time.Now()
 	d := b.engine.Decide(req, b.subjectGroups(req.SubjectID))
 	b.met.decideSeconds.Observe(time.Since(t0).Seconds())
-	b.recordDecision(d)
+	b.recordDecision(req.SubjectID, d)
 	return d
 }
 
-// recordDecision updates counters and delivers override
-// notifications.
-func (b *BMS) recordDecision(d enforce.Decision) {
+// recordDecision updates counters and folds an override's
+// notification into the subject's inbox.
+func (b *BMS) recordDecision(subject string, d enforce.Decision) {
 	b.met.requestsDecided.Inc()
 	switch {
 	case !d.Allowed:
@@ -380,18 +380,18 @@ func (b *BMS) recordDecision(d enforce.Decision) {
 		// flow: it was released on Config.DefaultAllow alone.
 		b.met.defaultAllowed.Inc()
 	}
-	if len(d.Notifications) == 0 {
+	if len(d.Overridden) == 0 {
 		// The common case takes no lock: rule writes hold b.mu across
 		// the engine update, and a decision must not queue behind them.
 		return
 	}
+	var entered []enforce.Notification
 	b.mu.Lock()
-	for _, n := range d.Notifications {
-		b.inbox[n.UserID] = append(b.inbox[n.UserID], n)
-		b.met.notificationsSent.Inc()
+	for _, id := range d.Overridden {
+		entered = b.notifyLocked(entered, subject, d.OverridePolicyID, id, "")
 	}
 	b.mu.Unlock()
-	for _, n := range d.Notifications {
+	for _, n := range entered {
 		b.streams.PublishNotification(n)
 	}
 }

@@ -83,7 +83,7 @@ func (f *fixture) ruleState(t *testing.T) ruleState {
 					ServiceID: svc, Purpose: policy.PurposeProvidingService, Kind: kind,
 					SubjectID: u.ID, SpaceID: "dbh/2/r0", Time: f.now,
 				}, u.Groups())
-				d.Notifications, d.FromCache = nil, false
+				d.FromCache = false
 				st.Decisions = append(st.Decisions, d)
 			}
 		}

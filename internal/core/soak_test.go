@@ -64,7 +64,8 @@ type soakSampler struct {
 // segment bytes written in a day among them, which retention's
 // rewrites would push up. The WAL is also held to its bound: sampled
 // right after a commit, it holds no more than one simulated hour of
-// appends.
+// appends. Every day, no inbox may hold a (policy, preference) key
+// twice.
 func TestSoakResourcesPlateau(t *testing.T) {
 	const (
 		population = 24
@@ -128,11 +129,20 @@ func TestSoakResourcesPlateau(t *testing.T) {
 			bms.mu.RLock()
 			defer bms.mu.RUnlock()
 			n := 0
-			for _, box := range bms.inbox {
+			for user, box := range bms.inbox {
+				held := make(map[[2]string]int, len(box))
+				for _, e := range box {
+					held[[2]string{e.PolicyID, e.PreferenceID}]++
+				}
+				for key, c := range held {
+					if c > 1 {
+						t.Errorf("%s's inbox holds (policy, preference) %v %d times", user, key, c)
+					}
+				}
 				n += len(box)
 			}
 			return float64(n)
-		}, unasserted: "one notification per overriding read (ROADMAP item 17)"},
+		}},
 		{name: "memo_entries", read: func() float64 {
 			v, _ := bms.Metrics().LookupValue("tippers_enforce_cache_entries", nil)
 			return v

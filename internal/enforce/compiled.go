@@ -25,8 +25,10 @@ import (
 // The engine carries a decision memo. Real request streams are
 // heavily repetitive (the same service polls the same subjects), so
 // even compiled matching re-evaluates identical tuples; the memo
-// collapses those to a map hit. Its correctness constraints are
-// load-bearing:
+// collapses those to a map hit. Override decisions are replayed like
+// any other: a decision has no side effect, and the node derives the
+// subject's notification from Overridden whether or not it was a hit.
+// Its correctness constraints are load-bearing:
 //
 //   - Time-windowed rules make decisions time-dependent at minute
 //     resolution, so the memo holds the decisions of one minute: the
@@ -39,9 +41,6 @@ import (
 //     the clock) is computed and not stored: it costs what the
 //     memo-free engine costs and leaves the live minute's entries
 //     alone.
-//   - Decisions that generated notifications are never memoized:
-//     replaying them would either duplicate user notifications or
-//     silently swallow them. Override paths always re-decide.
 //   - A decision computed under the read lock is stored only if the
 //     epoch read before deciding still stands.
 //
@@ -360,9 +359,8 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 	c.mu.RUnlock()
 
 	c.miss.Inc()
-	// Only notification-free decisions are safe to replay, and only the
-	// newest minute's are worth keeping.
-	if behind || len(d.Notifications) > 0 {
+	// Only the newest minute's decisions are worth keeping.
+	if behind {
 		return d
 	}
 	c.mu.Lock()

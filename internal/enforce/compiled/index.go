@@ -57,15 +57,14 @@ type Index struct {
 }
 
 // Matched is the slice of a preference the decision pipeline actually
-// reads: identity for MatchedPreferences/notifications plus the rule
-// to combine. The full ~300-byte Preference document stays with the
-// registration layer; keeping entries to two cache lines is what makes
-// the 1M-preference decide read as few cold lines as the 10-preference
-// one.
+// reads: its ID for MatchedPreferences and Overridden, its owner, and
+// the rule to combine. The full ~300-byte Preference document stays
+// with the registration layer; keeping entries to two cache lines is
+// what makes the 1M-preference decide read as few cold lines as the
+// 10-preference one.
 type Matched struct {
 	ID     string
 	UserID string
-	Name   string
 	Rule   policy.Rule
 }
 
@@ -172,7 +171,7 @@ func (ix *Index) AddPreference(p policy.Preference) (replacedOwner string) {
 		replacedOwner = ix.removeDense(old)
 	}
 	e := prefEntry{
-		m:    Matched{ID: p.ID, UserID: p.UserID, Name: p.Name, Rule: p.Rule},
+		m:    Matched{ID: p.ID, UserID: p.UserID, Rule: p.Rule},
 		prog: compileScope(p.Scope, ix.overlaps),
 	}
 	var id uint32

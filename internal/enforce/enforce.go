@@ -70,14 +70,19 @@ type Request struct {
 	Limit    int
 }
 
-// Notification informs a user (through their IoTA) that a
-// safety-critical building policy overrode one of their preferences,
-// per the paper's resolution of Policy 2 vs Preference 2.
+// Notification is one entry of a user's inbox, which their IoTA
+// drains: a building policy overrode, or conflicts with, one of their
+// preferences, per the paper's resolution of Policy 2 vs Preference 2.
+// The inbox keeps one entry per (PolicyID, PreferenceID): Count is how
+// often the key fired since the last drain, First and Last when (on
+// the node's clock), and Message is composed when the key entered.
 type Notification struct {
 	UserID       string
 	PolicyID     string
 	PreferenceID string
 	Message      string
+	Count        int
+	First, Last  time.Time
 }
 
 // Decision is the outcome of deciding one (request, subject) pair.
@@ -106,9 +111,6 @@ type Decision struct {
 	// FromCache reports that this decision was replayed from the
 	// engine's decision memo; the per-request trace exposes it.
 	FromCache bool
-	// Notifications carries the user notifications this decision
-	// generated.
-	Notifications []Notification
 	// DenyReason explains a denial.
 	DenyReason string
 	// PoliciesConsulted and PreferencesConsulted count rule
@@ -254,25 +256,17 @@ func (e *evaluator) finish(p prepared, d Decision, matched []compiled.Matched, o
 	}
 
 	// If the user restricts the flow, a matching safety-critical
-	// override policy forces release with notification.
+	// override policy forces release. The node notifies the subject of
+	// each preference named in Overridden.
 	if userRule.Action != policy.ActionAllow {
 		if winner := override(); winner != nil {
-			bp := *winner
-			// Override applies: release proceeds, users are notified.
-			d.OverridePolicyID = bp.ID
+			d.OverridePolicyID = winner.ID
 			d.Allowed = true
 			d.Effective = policy.Rule{Action: policy.ActionAllow}
 			d.Granularity = p.reqGran.Min(p.declaredGran)
 			for _, pref := range matched {
 				if pref.Rule.Action != policy.ActionAllow {
 					d.Overridden = append(d.Overridden, pref.ID)
-					d.Notifications = append(d.Notifications, Notification{
-						UserID:       pref.UserID,
-						PolicyID:     bp.ID,
-						PreferenceID: pref.ID,
-						Message: fmt.Sprintf("Building policy %q (%s) overrode your preference %q for this request.",
-							bp.Name, bp.ID, pref.Name),
-					})
 				}
 			}
 			return d
@@ -326,7 +320,7 @@ func (e *evaluator) decide(req Request, subjectGroups []profile.Group, candPolic
 		if !pref.Scope.MatchesRequest(p.ctx, e.cfg.Spaces) {
 			continue
 		}
-		matched = append(matched, compiled.Matched{ID: pref.ID, UserID: pref.UserID, Name: pref.Name, Rule: pref.Rule})
+		matched = append(matched, compiled.Matched{ID: pref.ID, UserID: pref.UserID, Rule: pref.Rule})
 	}
 	sort.Slice(matched, func(i, j int) bool { return matched[i].ID < matched[j].ID })
 

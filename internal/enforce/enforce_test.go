@@ -145,8 +145,8 @@ func TestLimitPreferenceClampsGranularity(t *testing.T) {
 
 // TestPolicy2OverridesPreference2 is the paper's central enforcement
 // scenario at the engine level: emergency requests are released
-// despite the opt-out, with a notification; non-emergency requests
-// stay denied.
+// despite the opt-out, naming the overridden preference;
+// non-emergency requests stay denied.
 func TestPolicy2OverridesPreference2(t *testing.T) {
 	svcReg := testServices(t)
 	svcReg.MustRegister(service.Service{
@@ -168,7 +168,7 @@ func TestPolicy2OverridesPreference2(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Emergency request: released with notification.
+		// Emergency request: released, the override named.
 		req := baseRequest()
 		req.ServiceID = "bms-emergency"
 		req.Purpose = policy.PurposeEmergencyResponse
@@ -176,11 +176,8 @@ func TestPolicy2OverridesPreference2(t *testing.T) {
 		if !d.Allowed {
 			t.Fatalf("%s: emergency request denied: %+v", name, d)
 		}
-		if len(d.Overridden) == 0 || len(d.Notifications) == 0 {
-			t.Errorf("%s: override without notification: %+v", name, d)
-		}
-		if d.Notifications[0].UserID != "mary" || d.Notifications[0].PolicyID != "policy-2-emergency-location" {
-			t.Errorf("%s: notification = %+v", name, d.Notifications[0])
+		if len(d.Overridden) == 0 || d.OverridePolicyID != "policy-2-emergency-location" {
+			t.Errorf("%s: override not named: %+v", name, d)
 		}
 		// Non-emergency request: still denied. Policy 2's scope names
 		// emergency_response, so it cannot be stretched to concierge.
@@ -316,9 +313,6 @@ func normalizeDecision(d Decision) Decision {
 	d.FromCache = false
 	sort.Strings(d.MatchedPreferences)
 	sort.Strings(d.Overridden)
-	sort.Slice(d.Notifications, func(i, j int) bool {
-		return d.Notifications[i].PreferenceID < d.Notifications[j].PreferenceID
-	})
 	return d
 }
 

@@ -20,9 +20,9 @@ import (
 // The decision memo built into Compiled carries the correctness
 // obligations the old Cached wrapper had: minute quantization,
 // invalidation by every mutation of whatever the mutation can reach
-// (the owner for a preference, everyone for a policy), and the
-// never-memoize rule for notification-bearing decisions. These tests
-// hold it to them.
+// (the owner for a preference, everyone for a policy), and replaying
+// override decisions, which carry no notification of their own, like
+// any other. These tests hold it to them.
 
 func newMemoEngine(t testing.TB) *Compiled {
 	t.Helper()
@@ -492,7 +492,10 @@ func TestScopedMemoMatchesReferences(t *testing.T) {
 	}
 }
 
-func TestMemoNeverCachesNotifications(t *testing.T) {
+// TestMemoReplaysOverrideDecisions: an override decision is a pure
+// function of the rules, so the memo serves its repeats, and every
+// replay still names the overridden preference the node notifies on.
+func TestMemoReplaysOverrideDecisions(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	svcReg := cfg.Services
 	svcReg.MustRegister(service.Service{
@@ -516,19 +519,18 @@ func TestMemoNeverCachesNotifications(t *testing.T) {
 	req.Purpose = policy.PurposeEmergencyResponse
 	for i := 0; i < 3; i++ {
 		d := c.Decide(req, nil)
-		if !d.Allowed || len(d.Notifications) == 0 {
-			t.Fatalf("call %d: override notification lost: %+v", i, d)
+		if !d.Allowed || len(d.Overridden) == 0 {
+			t.Fatalf("call %d: override lost: %+v", i, d)
 		}
 	}
-	if hits, _ := c.Stats(); hits != 0 {
-		t.Errorf("override decisions served from memo: %d hits", hits)
+	if hits, _ := c.Stats(); hits != 2 {
+		t.Errorf("override decisions: %d memo hits in 3 calls, want 2", hits)
 	}
 }
 
 // TestMemoEquivalenceProperty: the memoized engine must agree with the
-// memo-free engine on randomized workloads (notification decisions are
-// exempt from memoization by design, so they agree trivially too). A
-// small cap exercises whole-memo resets mid-run.
+// memo-free engine on randomized workloads. A small cap exercises
+// whole-memo resets mid-run.
 func TestMemoEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}

@@ -265,35 +265,6 @@ func (a *appender) decision(d *enforce.Decision) {
 		a.key("cache_hit", true)
 		a.bool(true)
 	}
-	if len(d.Notifications) > 0 {
-		a.key("notifications", true)
-		a.b = append(a.b, '[')
-		for i := range d.Notifications {
-			if i > 0 {
-				a.b = append(a.b, ',')
-			}
-			a.notification(&d.Notifications[i])
-		}
-		a.b = append(a.b, ']')
-	}
-	a.b = append(a.b, '}')
-}
-
-// notification appends n as its NotificationDTO.
-func (a *appender) notification(n *enforce.Notification) {
-	a.b = append(a.b, '{')
-	a.key("user_id", false)
-	a.str(n.UserID)
-	if n.PolicyID != "" {
-		a.key("policy_id", true)
-		a.str(n.PolicyID)
-	}
-	if n.PreferenceID != "" {
-		a.key("preference_id", true)
-		a.str(n.PreferenceID)
-	}
-	a.key("message", true)
-	a.str(n.Message)
 	a.b = append(a.b, '}')
 }
 

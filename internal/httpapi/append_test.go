@@ -157,16 +157,6 @@ func randDecision(rng *rand.Rand) enforce.Decision {
 	if rng.Intn(2) == 0 {
 		d.DenyReason, d.OverridePolicyID = randString(rng), randString(rng)
 	}
-	if rng.Intn(3) == 0 {
-		d.Notifications = []enforce.Notification{}
-	}
-	for n := rng.Intn(3); n > 0; n-- {
-		note := enforce.Notification{UserID: randString(rng), Message: randString(rng)}
-		if rng.Intn(2) == 0 {
-			note.PolicyID, note.PreferenceID = randString(rng), randString(rng)
-		}
-		d.Notifications = append(d.Notifications, note)
-	}
 	return d
 }
 

@@ -78,25 +78,29 @@ type RequestDTO struct {
 	Limit    int    `json:"limit,omitempty"`
 }
 
-// NotificationDTO is the wire form of enforce.Notification.
+// NotificationDTO is the wire form of enforce.Notification: one inbox
+// entry per (policy, preference), fired Count times between First and
+// Last since the user's last drain.
 type NotificationDTO struct {
-	UserID       string `json:"user_id"`
-	PolicyID     string `json:"policy_id,omitempty"`
-	PreferenceID string `json:"preference_id,omitempty"`
-	Message      string `json:"message"`
+	UserID       string    `json:"user_id"`
+	PolicyID     string    `json:"policy_id,omitempty"`
+	PreferenceID string    `json:"preference_id,omitempty"`
+	Message      string    `json:"message"`
+	Count        int       `json:"count"`
+	First        time.Time `json:"first"`
+	Last         time.Time `json:"last"`
 }
 
 // DecisionDTO is the wire form of enforce.Decision.
 type DecisionDTO struct {
-	Allowed            bool              `json:"allowed"`
-	Granularity        string            `json:"granularity,omitempty"`
-	DenyReason         string            `json:"deny_reason,omitempty"`
-	MatchedPreferences []string          `json:"matched_preferences,omitempty"`
-	MatchedDefaults    []string          `json:"matched_defaults,omitempty"`
-	MatchedPolicy      string            `json:"matched_policy,omitempty"`
-	Overridden         []string          `json:"overridden,omitempty"`
-	CacheHit           bool              `json:"cache_hit,omitempty"`
-	Notifications      []NotificationDTO `json:"notifications,omitempty"`
+	Allowed            bool     `json:"allowed"`
+	Granularity        string   `json:"granularity,omitempty"`
+	DenyReason         string   `json:"deny_reason,omitempty"`
+	MatchedPreferences []string `json:"matched_preferences,omitempty"`
+	MatchedDefaults    []string `json:"matched_defaults,omitempty"`
+	MatchedPolicy      string   `json:"matched_policy,omitempty"`
+	Overridden         []string `json:"overridden,omitempty"`
+	CacheHit           bool     `json:"cache_hit,omitempty"`
 }
 
 // TraceStageDTO is the wire form of one timed request phase.
@@ -353,7 +357,8 @@ func RequestToDTO(r enforce.Request) RequestDTO {
 }
 
 func notificationToDTO(n enforce.Notification) NotificationDTO {
-	return NotificationDTO{UserID: n.UserID, PolicyID: n.PolicyID, PreferenceID: n.PreferenceID, Message: n.Message}
+	return NotificationDTO{UserID: n.UserID, PolicyID: n.PolicyID, PreferenceID: n.PreferenceID,
+		Message: n.Message, Count: n.Count, First: n.First, Last: n.Last}
 }
 
 func observationToDTO(o sensor.Observation) ObservationDTO {

@@ -40,9 +40,6 @@ func decisionToDTO(d enforce.Decision) DecisionDTO {
 	if d.Granularity.Valid() {
 		out.Granularity = d.Granularity.String()
 	}
-	for _, n := range d.Notifications {
-		out.Notifications = append(out.Notifications, notificationToDTO(n))
-	}
 	return out
 }
 
@@ -173,9 +170,9 @@ func normalizeTimings(b []byte) []byte {
 // one through the handlers and one through the reference path, and
 // requires every /v1/requests/user, /v1/requests/occupancy and
 // /v1/query body to be byte-equal once stage timings are zeroed: denied,
-// overridden with notifications, coarsened, noised, k-floored and empty
-// answers, payloads that need escaping, and grouped, row-level, audit
-// and empty query results.
+// overridden, coarsened, noised, k-floored and empty answers, payloads
+// that need escaping, and grouped, row-level, audit and empty query
+// results.
 func TestResponsesMatchOracle(t *testing.T) {
 	served, building, users := newPaperNode(t)
 	ref, _, _ := newPaperNode(t)
@@ -306,7 +303,7 @@ func TestResponsesMatchOracle(t *testing.T) {
 
 	// The cases above must have produced what they are there for.
 	for _, want := range []string{
-		`"allowed":false`, `"notifications":[{`, `"matched_policy":"policy-2-emergency-location"`,
+		`"allowed":false`, `"overridden":[`, `"matched_policy":"policy-2-emergency-location"`,
 		`"granularity":"building"`, `"granularity":"floor"`, `"deny_reason":"subject requires aggregation`,
 		`"deny_reason":"no space reached the k=1000`, `"aggregates":[{`, `"payload":{"a":"plain"`,
 		`"bad":"\ufffd\u0001","note":"line\u2028break","ssid":"\u003ccafé \u0026 \"bar\"\u003e"}`,

@@ -32,13 +32,12 @@ type enforcement struct {
 
 	// memo is the statement's decision snapshot per (subject, kind,
 	// space); a scan over a million rows usually needs a few dozen
-	// engine calls. It is not redundant with the engine's own memo,
-	// which never holds notification-bearing decisions: without this
-	// one an override would notify its subject once per scanned row.
-	// Env.Decide has delivered the notifications by the time it
-	// returns and the scan reads back only a verdict, so the memo holds
-	// an index into the statement's few distinct verdicts and the
-	// enforce.Decision is dropped.
+	// engine calls, and a repeat costs a map hit on dense ids instead
+	// of one. Env.Decide also folds an override into its subject's
+	// inbox, so the entry counts once per statement, not per row. The
+	// scan reads back only a verdict, so the memo holds an index into
+	// the statement's few distinct verdicts and the enforce.Decision
+	// is dropped.
 	memo      map[memoKey]uint32
 	verdicts  []verdict
 	verdictOf map[verdict]uint32

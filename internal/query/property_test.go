@@ -335,7 +335,6 @@ func TestCompactMemoMatchesReference(t *testing.T) {
 					if krng.Intn(5) == 0 {
 						d.Overridden = []string{"pref-" + key.user}
 						d.OverridePolicyID = "safety"
-						d.Notifications = []enforce.Notification{{UserID: key.user}}
 					}
 				}
 				decisions[key] = d
@@ -415,10 +414,9 @@ func TestOverrideNotifiesOncePerKeyPerStatement(t *testing.T) {
 	env := Env{
 		Scan: func(obstore.Filter) []sensor.Observation { return obs },
 		Decide: func(req enforce.Request) enforce.Decision {
-			d := enforce.Decision{Allowed: true, Granularity: policy.GranExact, Overridden: []string{"pref-1"}, OverridePolicyID: "safety",
-				Notifications: []enforce.Notification{{UserID: req.SubjectID}}}
-			for _, n := range d.Notifications {
-				delivered[n.UserID+"@"+req.SpaceID]++
+			d := enforce.Decision{Allowed: true, Granularity: policy.GranExact, Overridden: []string{"pref-1"}, OverridePolicyID: "safety"}
+			for range d.Overridden {
+				delivered[req.SubjectID+"@"+req.SpaceID]++
 			}
 			return d
 		},

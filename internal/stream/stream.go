@@ -296,8 +296,8 @@ func (h *Hub) dispatchObservations(cursor uint64) uint64 {
 	return head
 }
 
-// PublishNotification streams an override notification to the
-// notification subscriptions. The push runs in the caller's goroutine
+// PublishNotification streams a user's inbox entry to the
+// notification subscriptions as its key enters the inbox. The push runs in the caller's goroutine
 // and never waits (see Options.Policy).
 func (h *Hub) PublishNotification(n enforce.Notification) {
 	if subs := h.topicSubs(TopicNotifications); len(subs) > 0 {
