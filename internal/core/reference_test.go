@@ -464,33 +464,32 @@ func (w *refWorld) checkSQL(step string) {
 }
 
 // checkReplay subscribes with replay from the start of history and
-// reads until the subscription has nothing more to say.
+// reads until the subscription has served every row the reference
+// releases, each read with a generous deadline: Next gives up on an
+// expired context before it serves anything, so a short one would let a
+// late goroutine cut the replay short. One short read must then find
+// nothing more.
 func (w *refWorld) checkReplay(step string) {
 	w.t.Helper()
+	next := func(sub *stream.Subscription, d time.Duration) (stream.Event, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return sub.Next(ctx)
+	}
 	for _, rq := range refRequesters {
 		req := enforce.Request{ServiceID: rq.service, Purpose: rq.purpose, Kind: sensor.ObsWiFiConnect}
 		sub, err := w.bms().Streams().Subscribe(stream.Options{Request: req, Replay: true, ReplayChunk: 7})
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		var got []sensor.Observation
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-			ev, err := sub.Next(ctx)
-			cancel()
-			if err != nil {
-				break
-			}
-			if ev.Type == stream.EventObservation {
-				got = append(got, *ev.Observation)
-			}
+		type released struct {
+			seq    uint64
+			noised bool
 		}
-		sub.Cancel()
-		bySeq := make(map[uint64]sensor.Observation, len(got))
-		for _, g := range got {
-			bySeq[g.Seq] = g
-		}
-		var gotKeys, want []string
+		var (
+			refs []released
+			want []string
+		)
 		for _, o := range w.visible(w.bms().filterFor(req)) {
 			r := req
 			r.SubjectID, r.Time, r.SpaceID = o.UserID, o.Time, o.SpaceID
@@ -500,8 +499,30 @@ func (w *refWorld) checkReplay(step string) {
 				continue
 			}
 			want = append(want, rowKey(rel))
-			if g, ok := bySeq[o.Seq]; ok {
-				if d.Effective.NoiseEpsilon > 0 {
+			refs = append(refs, released{o.Seq, d.Effective.NoiseEpsilon > 0})
+		}
+		var got []sensor.Observation
+		for len(got) < len(want) {
+			ev, err := next(sub, 10*time.Second)
+			if err != nil {
+				break
+			}
+			if ev.Type == stream.EventObservation {
+				got = append(got, *ev.Observation)
+			}
+		}
+		if ev, err := next(sub, 2*time.Millisecond); err == nil && ev.Type == stream.EventObservation {
+			got = append(got, *ev.Observation)
+		}
+		sub.Cancel()
+		bySeq := make(map[uint64]sensor.Observation, len(got))
+		for _, g := range got {
+			bySeq[g.Seq] = g
+		}
+		var gotKeys []string
+		for _, r := range refs {
+			if g, ok := bySeq[r.seq]; ok {
+				if r.noised {
 					g.Value = 0
 				}
 				gotKeys = append(gotKeys, rowKey(g))
