@@ -3,6 +3,7 @@ package query
 import (
 	"math/bits"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
@@ -12,35 +13,23 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// enforcement binds a plan's scan to the requester's identity. It is
-// unexported and only Compile constructs it, so every row source in
-// this package runs behind a per-row decision: scan is the sole way
-// plans read ground truth, and it consults the enforcement engine
-// (through a per-statement memo) before a row may continue into
-// residual filtering, projection, or aggregation.
+// binding ties a plan to its requester and the Env it reads through.
+// Only Compile constructs one, so every row source in this package
+// runs behind a per-row decision: scan is the sole way plans read
+// ground truth, and it consults the enforcement engine (through a
+// per-execution memo) before a row may continue into residual
+// filtering, projection, or aggregation.
+type binding struct {
+	env Env
+	req Requester
+}
+
+// enforcement is one execution of a plan, with its own clock, tables
+// and counts: Execute builds a fresh one every time.
 type enforcement struct {
-	env   Env
-	req   Requester
-	table string
-	now   time.Time
-
-	// The statement's intern tables: each subject, space and kind a
-	// row names gets a dense id, and the memo's keys and the grouper's
-	// subject sets hang off those instead of off strings. users holds
-	// "" as id 0, so a subject id of 0 means unattributed.
-	users, spaces, kinds interner
-
-	// memo is the statement's decision snapshot per (subject, kind,
-	// space); a scan over a million rows usually needs a few dozen
-	// engine calls, and a repeat costs a map hit on dense ids instead
-	// of one. Env.Decide also folds an override into its subject's
-	// inbox, so the entry counts once per statement, not per row. The
-	// scan reads back only a verdict, so the memo holds an index into
-	// the statement's few distinct verdicts and the enforce.Decision
-	// is dropped.
-	memo      map[memoKey]uint32
-	verdicts  []verdict
-	verdictOf map[verdict]uint32
+	*binding
+	*tables
+	now time.Time
 
 	// maxFloor is the largest MinAggregationK among subjects whose
 	// rows survive residual filtering and so contribute to the result;
@@ -48,6 +37,59 @@ type enforcement struct {
 	// discards cannot raise the floor on unrelated output.
 	maxFloor int
 	stats    Stats
+}
+
+// tables are an execution's intern and memo tables, taken from
+// tablesPool and emptied both when taken and when released: they keep
+// their buckets, but nothing one execution decided is visible to the
+// next (the engine memo stays the one cross-request decision cache),
+// and a pooled struct pins none of its last statement's strings.
+type tables struct {
+	// Each subject, space and kind a row names gets a dense id, and the
+	// memo's keys and the grouper's subject sets hang off those
+	// instead of off strings. users holds "" as id 0, so a subject id
+	// of 0 means unattributed.
+	users, spaces, kinds interner
+
+	// memo is the execution's decision snapshot per (subject, kind,
+	// space); a scan over a million rows usually needs a few dozen
+	// engine calls, and a repeat costs a map hit on dense ids instead
+	// of one. Env.Decide also folds an override into its subject's
+	// inbox, so the entry counts once per execution, not per row. The
+	// scan reads back only a verdict, so the memo holds an index into
+	// the execution's few distinct verdicts and the enforce.Decision
+	// is dropped.
+	memo      map[memoKey]uint32
+	verdicts  []verdict
+	verdictOf map[verdict]uint32
+
+	// groups is the grouper's key index. strs and values intern its
+	// COUNT(DISTINCT) operands into one id space, or execOccupancy's
+	// released spaces and subjects.
+	groups       map[string]*group
+	strs, values interner
+}
+
+var tablesPool = sync.Pool{New: func() any {
+	return &tables{users: interner{}, spaces: interner{}, kinds: interner{}, memo: map[memoKey]uint32{},
+		verdictOf: map[verdict]uint32{}, groups: map[string]*group{}, strs: interner{}, values: interner{}}
+}}
+
+func (t *tables) release() {
+	t.reset()
+	tablesPool.Put(t)
+}
+
+// reset empties every table; clearing an empty map costs nothing.
+func (t *tables) reset() {
+	for _, in := range []interner{t.users, t.spaces, t.kinds, t.strs, t.values} {
+		clear(in)
+	}
+	clear(t.memo)
+	clear(t.verdictOf)
+	clear(t.groups)
+	clear(t.verdicts)
+	t.verdicts = t.verdicts[:0]
 }
 
 // interner gives a statement's strings dense ids in first-seen order;
@@ -80,29 +122,8 @@ func (v verdict) decision() enforce.Decision {
 	return enforce.Decision{Allowed: v.allowed, Granularity: v.granularity, Effective: v.effective}
 }
 
-func newEnforcement(env Env, req Requester, table string) *enforcement {
-	if req.MinK < 1 {
-		req.MinK = 1
-	}
-	now := time.Now()
-	if env.Now != nil {
-		now = env.Now()
-	}
-	return &enforcement{
-		env:       env,
-		req:       req,
-		table:     table,
-		now:       now,
-		users:     interner{"": 0},
-		spaces:    interner{},
-		kinds:     interner{},
-		memo:      make(map[memoKey]uint32),
-		verdictOf: make(map[verdict]uint32),
-	}
-}
-
 // decide returns the requester's verdict for one row's (subject, kind,
-// space), memoized for the statement's lifetime, and the subject's id.
+// space), memoized for the execution's lifetime, and the subject's id.
 func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
 	key := memoKey{user: e.users.id(o.UserID), kind: e.kinds.id(string(o.Kind)), space: e.spaces.id(o.SpaceID)}
 	if h, ok := e.memo[key]; ok {
@@ -200,18 +221,33 @@ func (e *enforcement) effectiveK() int {
 
 // Execute runs the plan. It refuses to run a plan without an
 // enforcement binding — the zero Plan, or one assembled by hand, has
-// no path to data.
+// no path to data. Each run reads the clock and decides afresh, with
+// tables of its own.
 func (p *Plan) Execute() (*Result, error) {
-	if p == nil || p.enf == nil {
+	if p == nil || p.bind == nil {
 		return nil, &EnforceError{Msg: "plan has no enforcement binding; use Compile"}
 	}
+	t := tablesPool.Get().(*tables)
+	t.reset()
+	defer t.release()
+	return p.execute(t)
+}
+
+// execute runs the plan over empty tables t, which it leaves holding
+// what the run interned and decided.
+func (p *Plan) execute(t *tables) (*Result, error) {
+	e := &enforcement{binding: p.bind, tables: t, now: time.Now()}
+	if p.bind.env.Now != nil {
+		e.now = p.bind.env.Now()
+	}
+	t.users[""] = 0
 	switch p.table {
 	case TableAudit:
-		return p.execAudit()
+		return p.execAudit(e)
 	case TableOccupancy:
-		return p.execOccupancy()
+		return p.execOccupancy(e)
 	default:
-		return p.execObservations()
+		return p.execObservations(e)
 	}
 }
 
@@ -287,10 +323,10 @@ func (r *auditRow) col(i int) Value {
 	}
 }
 
-func (p *Plan) execObservations() (*Result, error) {
+func (p *Plan) execObservations(e *enforcement) (*Result, error) {
 	if p.grouped {
-		g := newGrouper(p)
-		err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject uint32) bool {
+		g := newGrouper(p, e)
+		err := e.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject uint32) bool {
 			g.add((*obsRow)(rel), subject)
 			return true
 		})
@@ -300,27 +336,27 @@ func (p *Plan) execObservations() (*Result, error) {
 		return g.result(), nil
 	}
 	pr := projector{p: p}
-	err := p.enf.scan(p.filter, false, p.residual, func(rel *sensor.Observation, _ uint32) bool {
+	err := e.scan(p.filter, false, p.residual, func(rel *sensor.Observation, _ uint32) bool {
 		return pr.add((*obsRow)(rel))
 	})
 	if err != nil {
 		return nil, err
 	}
-	p.enf.stats.EffectiveK = p.enf.effectiveK()
-	return p.finish(pr.rows), nil
+	e.stats.EffectiveK = e.effectiveK()
+	return p.finish(e, pr.rows), nil
 }
 
-func (p *Plan) execAudit() (*Result, error) {
-	recs := p.enf.env.AuditRecords(p.enf.req.UserID)
-	p.enf.stats.ScannedRows = len(recs)
-	p.enf.stats.EffectiveK = 1
+func (p *Plan) execAudit(e *enforcement) (*Result, error) {
+	recs := e.env.AuditRecords(e.req.UserID)
+	e.stats.ScannedRows = len(recs)
+	e.stats.EffectiveK = 1
 	var (
 		cur *auditRow
 		g   *grouper
 		pr  = projector{p: p}
 	)
 	if p.grouped {
-		g = newGrouper(p)
+		g = newGrouper(p, e)
 	}
 	get := func(col string) Value { return cur.col(colIndex(auditColumns, col)) }
 	for i := range recs {
@@ -328,7 +364,7 @@ func (p *Plan) execAudit() (*Result, error) {
 		if p.residual != nil && !p.residual.eval(get) {
 			continue
 		}
-		p.enf.stats.ReleasedRows++
+		e.stats.ReleasedRows++
 		if g != nil {
 			g.add(cur, 0)
 		} else if !pr.add(cur) {
@@ -338,19 +374,19 @@ func (p *Plan) execAudit() (*Result, error) {
 	if g != nil {
 		return g.result(), nil
 	}
-	return p.finish(pr.rows), nil
+	return p.finish(e, pr.rows), nil
 }
 
 // execOccupancy counts the distinct released subjects per released
 // space, exactly as privacy.KAnonymousCounts would over the released
 // rows: a row without a released user_id counts nowhere.
-func (p *Plan) execOccupancy() (*Result, error) {
+func (p *Plan) execOccupancy(e *enforcement) (*Result, error) {
 	var (
-		spaces, users = interner{}, interner{}
+		spaces, users = e.strs, e.values
 		sets          []idSet // by space id
 		slab          idSlab
 	)
-	err := p.enf.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ uint32) bool {
+	err := e.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ uint32) bool {
 		if rel.UserID == "" {
 			return true
 		}
@@ -369,10 +405,10 @@ func (p *Plan) execOccupancy() (*Result, error) {
 		n[space] = sets[i].n
 	}
 	// Spaces short of the effective k floor are withheld.
-	k := p.enf.effectiveK()
-	p.enf.stats.EffectiveK = k
+	k := e.effectiveK()
+	e.stats.EffectiveK = k
 	counts := privacy.SuppressBelowK(n, k)
-	p.enf.stats.SuppressedGroups = len(n) - len(counts)
+	e.stats.SuppressedGroups = len(n) - len(counts)
 
 	w := len(p.cols)
 	cells := make([]Value, len(counts)*w)
@@ -395,7 +431,7 @@ func (p *Plan) execOccupancy() (*Result, error) {
 		rows = append(rows, row)
 		cells = cells[w:]
 	}
-	return p.finish(rows), nil
+	return p.finish(e, rows), nil
 }
 
 // projector is the row-mode sink: one output row per released row.
@@ -509,8 +545,8 @@ const groupFirst, groupMax = 4, 64
 // equality is groupKey's: -0 and 0 differ, every NaN is one value,
 // times compare by UnixNano.
 type grouper struct {
-	p     *Plan
-	index map[string]*group
+	p *Plan
+	e *enforcement // its groups index the groups by key
 	// chunks hold the groups in first-seen order; a chunk is filled to
 	// its capacity, never past it, so a group never moves.
 	chunks [][]group
@@ -521,12 +557,10 @@ type grouper struct {
 	aggs   int // aggregate items: a group's states
 	key    []byte
 	slab   idSlab
-	// strs and values intern COUNT(DISTINCT) operands into one id space.
-	strs, values interner
 }
 
-func newGrouper(p *Plan) *grouper {
-	g := &grouper{p: p, index: make(map[string]*group), strs: interner{}, values: interner{}}
+func newGrouper(p *Plan, e *enforcement) *grouper {
+	g := &grouper{p: p, e: e}
 	for _, oc := range p.cols {
 		if oc.expr.Agg != AggNone {
 			g.aggs++
@@ -557,17 +591,17 @@ func (g *grouper) newGroup() *group {
 
 // distinctID is v's statement id as a COUNT(DISTINCT) operand.
 func (g *grouper) distinctID(v Value) uint32 {
-	in, s := g.strs, v.Str
+	in, s := g.e.strs, v.Str
 	if v.Kind != KindString {
 		g.key = v.groupKey(g.key[:0])
-		if id, ok := g.values[string(g.key)]; ok {
+		if id, ok := g.e.values[string(g.key)]; ok {
 			return id
 		}
-		in, s = g.values, string(g.key)
+		in, s = g.e.values, string(g.key)
 	}
 	id, ok := in[s]
 	if !ok {
-		id = uint32(len(g.strs) + len(g.values))
+		id = uint32(len(g.e.strs) + len(g.e.values))
 		in[s] = id
 	}
 	return id
@@ -580,10 +614,10 @@ func (g *grouper) add(r row, subject uint32) {
 	for _, c := range p.groupCols {
 		g.key = r.col(c).groupKey(g.key)
 	}
-	gr, ok := g.index[string(g.key)]
+	gr, ok := g.e.groups[string(g.key)]
 	if !ok {
 		gr = g.newGroup()
-		g.index[string(g.key)] = gr
+		g.e.groups[string(g.key)] = gr
 		for i, c := range p.groupCols {
 			gr.vals[i] = r.col(c)
 		}
@@ -644,8 +678,8 @@ func (g *grouper) result() *Result {
 	}
 	k := 1
 	if p.table != TableAudit {
-		k = p.enf.effectiveK()
-		p.enf.stats.EffectiveK = k
+		k = g.e.effectiveK()
+		g.e.stats.EffectiveK = k
 	}
 	released := func(gr *group) bool { return k <= 1 || gr.subjects.n == 0 || gr.subjects.n >= k }
 	kept := 0
@@ -656,7 +690,7 @@ func (g *grouper) result() *Result {
 			}
 		}
 	}
-	p.enf.stats.SuppressedGroups += g.n - kept
+	g.e.stats.SuppressedGroups += g.n - kept
 	w := len(p.cols)
 	cells := make([]Value, kept*w)
 	rows := make([][]Value, 0, kept)
@@ -690,7 +724,7 @@ func (g *grouper) result() *Result {
 			cells = cells[w:]
 		}
 	}
-	return p.finish(rows)
+	return p.finish(g.e, rows)
 }
 
 func finalizeAgg(it SelectExpr, st *aggState) Value {
@@ -718,7 +752,7 @@ func finalizeAgg(it SelectExpr, st *aggState) Value {
 }
 
 // finish applies ORDER BY and LIMIT and assembles the Result.
-func (p *Plan) finish(rows [][]Value) *Result {
+func (p *Plan) finish(e *enforcement, rows [][]Value) *Result {
 	if len(p.orderBy) > 0 {
 		sort.SliceStable(rows, func(a, b int) bool {
 			for _, spec := range p.orderBy {
@@ -741,6 +775,6 @@ func (p *Plan) finish(rows [][]Value) *Result {
 	for i, oc := range p.cols {
 		cols[i] = oc.name
 	}
-	p.enf.stats.Subjects = len(p.enf.users) - 1 // "" is interned from the start
-	return &Result{Columns: cols, Rows: rows, Stats: p.enf.stats}
+	e.stats.Subjects = len(e.users) - 1 // "" is interned from the start
+	return &Result{Columns: cols, Rows: rows, Stats: e.stats}
 }

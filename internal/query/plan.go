@@ -227,7 +227,7 @@ type Plan struct {
 	orderBy   []orderSpec
 	limit     int
 
-	enf *enforcement
+	bind *binding
 }
 
 type orderSpec struct {
@@ -301,7 +301,10 @@ func (c *compiler) compile() (*Plan, error) {
 		return nil, err
 	}
 
-	p.enf = newEnforcement(c.env, c.req, c.stmt.Table)
+	if c.req.MinK < 1 {
+		c.req.MinK = 1
+	}
+	p.bind = &binding{env: c.env, req: c.req}
 	return p, nil
 }
 

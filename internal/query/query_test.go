@@ -347,6 +347,58 @@ func TestExecuteRefusesWithoutEnforcement(t *testing.T) {
 	}
 }
 
+// TestExecuteTwiceDecidesAgain: a compiled plan decides afresh on every
+// Execute, on the clock at that moment. A verdict one run memoized must
+// not release rows a rule change has since denied, and each run's Stats
+// count that run alone.
+func TestExecuteTwiceDecidesAgain(t *testing.T) {
+	te := &testEnv{deny: map[string]bool{}, obs: []sensor.Observation{
+		obsAt(1, "ap-1", "dbh/1", "mary", 0, 1),
+		obsAt(2, "ap-1", "dbh/2", "mary", 1, 1),
+	}}
+	env := te.env()
+	clock := qtNow
+	env.Now = func() time.Time { return clock }
+	var decidedAt []time.Time
+	decide := env.Decide
+	env.Decide = func(req enforce.Request) enforce.Decision {
+		decidedAt = append(decidedAt, req.Time)
+		return decide(req)
+	}
+	stmt, err := Parse("SELECT seq FROM observations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(stmt, env, reqr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run, want := range []struct {
+		rows  int
+		stats Stats
+	}{
+		{2, Stats{ScannedRows: 2, ReleasedRows: 2, Subjects: 1, Decisions: 2, EffectiveK: 1}},
+		{0, Stats{ScannedRows: 2, DeniedRows: 2, Subjects: 1, Decisions: 2, EffectiveK: 1}},
+	} {
+		decidedAt = decidedAt[:0]
+		res, err := plan.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want.rows || res.Stats != want.stats {
+			t.Fatalf("run %d: %d rows, stats %+v; want %d rows, stats %+v", run+1, len(res.Rows), res.Stats, want.rows, want.stats)
+		}
+		for _, at := range decidedAt {
+			if !at.Equal(clock) {
+				t.Fatalf("run %d decided at %v, the clock read %v", run+1, at, clock)
+			}
+		}
+		// mary opts out, an hour later.
+		te.deny["mary"] = true
+		clock = clock.Add(time.Hour)
+	}
+}
+
 func TestDeniedRowsNeverReleased(t *testing.T) {
 	te := &testEnv{obs: defaultObs(), deny: map[string]bool{"bob": true}}
 	res := mustRun(t, te, reqr(), "SELECT seq, user_id FROM observations ORDER BY seq")
