@@ -7,9 +7,7 @@ import (
 
 	"github.com/tippers/tippers/internal/iota"
 	"github.com/tippers/tippers/internal/isodur"
-	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
-	"github.com/tippers/tippers/internal/sim"
 )
 
 // runE4: notification fatigue control and the preference model's
@@ -92,42 +90,4 @@ func syntheticResourceDoc(n int) policy.ResourceDocument {
 		})
 	}
 	return doc
-}
-
-// runE6: storage growth with and without retention enforcement.
-func runE6() {
-	building, err := sim.SmallDBH().Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	dir := sim.GeneratePopulation(building, 60, sim.CampusMix(), 7)
-
-	run := func(withRetention bool) []int {
-		store := obstore.New()
-		if withRetention {
-			store.SetDefaultRetention(isodur.MustParse("P3D"))
-		}
-		var sizes []int
-		for d := 0; d < 10; d++ {
-			date := simDay.AddDate(0, 0, d)
-			res := sim.SimulateDay(building, dir, sim.DayConfig{Date: date, Seed: int64(100 + d)})
-			for _, o := range res.Observations {
-				if _, err := store.Append(o); err != nil {
-					log.Fatal(err)
-				}
-			}
-			store.Sweep(date.Add(24 * time.Hour))
-			sizes = append(sizes, store.Len())
-		}
-		return sizes
-	}
-	without := run(false)
-	with := run(true)
-	fmt.Println("live observations in the store after each simulated day")
-	fmt.Printf("%6s %16s %18s\n", "day", "no retention", "P3D retention")
-	for d := range without {
-		fmt.Printf("%6d %16d %18d\n", d+1, without[d], with[d])
-	}
-	fmt.Println("\nshape: unbounded growth without retention; a plateau at ~3 days of")
-	fmt.Println("data once the Policy-2-style retention rule is enforced at storage time.")
 }
