@@ -31,6 +31,7 @@ import (
 	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/reasoner"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
@@ -271,9 +272,14 @@ func BenchmarkReasonerConflicts(b *testing.B) {
 		policy.Policy2EmergencyLocation(building.Spec.ID),
 		policy.Policy1Comfort(building.Spec.ID, 70),
 	}
-	r := reasoner.New(building.Spaces, reasoner.MostRestrictive)
 	for _, users := range []int{10, 100, 1000} {
 		dir := sim.GeneratePopulation(building, users, sim.CampusMix(), 5)
+		r := reasoner.NewWithGroups(building.Spaces, func(id string) []profile.Group {
+			if u, ok := dir.Lookup(id); ok {
+				return u.Groups()
+			}
+			return nil
+		})
 		prefs := sim.GeneratePreferences(building, dir, []string{"concierge"}, sim.DefaultPreferenceWorkload(7))
 		b.Run(fmt.Sprintf("prefs=%d", len(prefs)), func(b *testing.B) {
 			conflicts := 0

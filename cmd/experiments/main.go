@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e4|e5|strategies|audit|e8|e11]
+//	experiments [-run all|fig1|fig2|fig3|fig4|policies|preferences|e4|e5|audit|e8]
 package main
 
 import (
@@ -36,10 +36,8 @@ func main() {
 		{"preferences", "Preferences 1-4 enforcement outcomes", runPreferences},
 		{"e4", "E4 — IoTA notification & learning", runE4},
 		{"e5", "E5 — inference attacks vs enforcement", runE5},
-		{"strategies", "A1 — conflict-resolution strategy ablation", runStrategies},
 		{"audit", "A2 — per-user privacy audit", runAudit},
 		{"e8", "E8 — longitudinal notification burden", runE8},
-		{"e11", "E11 — enforced SQL queries shrink on mid-session opt-out", runE11},
 	}
 
 	matched := false

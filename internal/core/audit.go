@@ -42,7 +42,8 @@ type Audit struct {
 	// Preferences counts the user's installed rules.
 	Preferences int `json:"preferences"`
 	// OverridePolicies lists safety-critical policies that can
-	// override this user's choices.
+	// override this user's choices: the override policies that govern
+	// data flows.
 	OverridePolicies []string `json:"override_policies,omitempty"`
 	// RecentTraces are the latest retained decision traces naming
 	// this user as subject: the enforcement decisions that actually
@@ -70,7 +71,7 @@ func (b *BMS) AuditUser(userID string, now time.Time) (Audit, error) {
 		RecentTraces: b.TracesForSubject(userID, 20),
 	}
 	for _, p := range b.Policies() {
-		if p.Override {
+		if p.Override && p.GovernsDataFlows() {
 			report.OverridePolicies = append(report.OverridePolicies, p.ID)
 		}
 	}

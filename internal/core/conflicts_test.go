@@ -153,37 +153,31 @@ func (g *ruleGen) buildingPolicy() policy.BuildingPolicy {
 // sequences — install, replace under the same ID with another rule or
 // another owner, allow-rule no-ops, remove, RegisterPolicy mid-sequence,
 // ForgetUser — through the BMS and the full-pass oracle side by side,
-// for every strategy, with and without a spatial model. After every
-// step the conflict set, each user's drained inbox and the
-// TopicConflicts publications must be identical.
+// with and without a spatial model. After every step the conflict set,
+// each user's drained inbox and the TopicConflicts publications must
+// be identical.
 func TestIncrementalDetectMatchesFull(t *testing.T) {
-	strategies := []reasoner.Strategy{
-		reasoner.MostRestrictive, reasoner.BuildingWins, reasoner.UserWins, reasoner.NegotiateGranularity,
-	}
-	for _, strategy := range strategies {
-		for _, spatial := range []bool{true, false} {
-			for seed := int64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("%s/spatial=%v/seed=%d", strategy, spatial, seed)
-				t.Run(name, func(t *testing.T) {
-					runIncrementalVsFull(t, strategy, spatial, seed)
-				})
-			}
+	for _, spatial := range []bool{true, false} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("spatial=%v/seed=%d", spatial, seed), func(t *testing.T) {
+				runIncrementalVsFull(t, spatial, seed)
+			})
 		}
 	}
 }
 
-func runIncrementalVsFull(t *testing.T, strategy reasoner.Strategy, spatial bool, seed int64) {
+func runIncrementalVsFull(t *testing.T, spatial bool, seed int64) {
 	const steps = 150
-	f := newFixtureWith(t, func(cfg *Config) { cfg.Strategy = strategy })
+	f := newFixture(t)
 	spaces := f.bms.Spaces()
 	if !spatial {
 		// core.New insists on a model for everything else it does; the
 		// reasoner alone runs without one (exact-ID spatial overlap).
 		spaces = nil
-		f.bms.reason = reasoner.New(nil, strategy)
+		f.bms.reason = reasoner.NewWithGroups(nil, f.bms.subjectGroups)
 	}
 	oracle := &fullPassOracle{
-		reason: reasoner.New(spaces, strategy),
+		reason: reasoner.NewWithGroups(spaces, f.bms.subjectGroups),
 		prefs:  make(map[string]policy.Preference),
 		inbox:  make(map[string][]enforce.Notification),
 	}
@@ -406,7 +400,7 @@ func TestConcurrentRuleMutationsConverge(t *testing.T) {
 		prefs = append(prefs, f.bms.Preferences(fmt.Sprintf("churn-%d", i))...)
 	}
 	sort.Slice(prefs, func(i, j int) bool { return prefs[i].ID < prefs[j].ID })
-	want := reasoner.New(f.bms.Spaces(), 0).Detect(f.bms.Policies(), prefs)
+	want := reasoner.NewWithGroups(f.bms.Spaces(), f.bms.subjectGroups).Detect(f.bms.Policies(), prefs)
 	got := f.bms.Conflicts()
 	if !sameElements(got, want) {
 		t.Fatalf("after concurrent churn, Conflicts() is not the full pass over the final rules\n got  %d: %+v\n want %d: %+v",

@@ -50,9 +50,6 @@ type Config struct {
 	// Compiled (rules compiled to an indexed decision structure, plus
 	// a decision memo).
 	Engine enforce.Engine
-	// Strategy is the conflict-resolution strategy; zero selects
-	// MostRestrictive.
-	Strategy reasoner.Strategy
 	// DefaultAllow is the decision when no preference matches
 	// (see enforce.Config).
 	DefaultAllow bool
@@ -184,7 +181,6 @@ func New(cfg Config) (*BMS, error) {
 		store:     store,
 		engine:    engine,
 		services:  cfg.Services,
-		reason:    reasoner.New(cfg.Spaces, cfg.Strategy),
 		transf:    privacy.NewTransformer(cfg.Spaces, cfg.NoiseSeed, key),
 		pseud:     privacy.NewPseudonymizer(key),
 		clock:     cfg.Clock,
@@ -197,6 +193,7 @@ func New(cfg Config) (*BMS, error) {
 		conflicts: make(map[conflictKey]reasoner.Conflict),
 		inbox:     make(map[string][]enforce.Notification),
 	}
+	b.reason = reasoner.NewWithGroups(cfg.Spaces, b.subjectGroups)
 	// A durable store's directory holds the preferences too: replay them
 	// before anything can decide a request, and fold them whenever the
 	// store checkpoints.
@@ -685,13 +682,15 @@ func (b *BMS) ForgetUser(userID string) (deleted, retained int, err error) {
 			overrideScopes = append(overrideScopes, sc)
 		}
 	}
+	groups := b.subjectGroups(userID)
 	keep := func(o *sensor.Observation) bool {
 		ctx := policy.Context{
-			SubjectID:  userID,
-			SpaceID:    o.SpaceID,
-			SensorType: sensor.TypeForKind(o.Kind),
-			ObsKind:    o.Kind,
-			Time:       o.Time,
+			SubjectID:     userID,
+			SubjectGroups: groups,
+			SpaceID:       o.SpaceID,
+			SensorType:    sensor.TypeForKind(o.Kind),
+			ObsKind:       o.Kind,
+			Time:          o.Time,
 		}
 		for _, sc := range overrideScopes {
 			if sc.Matches(ctx, b.cfg.Spaces) {

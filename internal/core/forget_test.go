@@ -14,6 +14,7 @@ import (
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/stream"
 )
@@ -54,10 +55,25 @@ func TestForgetUserErasesEverythingWithoutOverrides(t *testing.T) {
 }
 
 func TestForgetUserRetainsOverrideCollections(t *testing.T) {
-	f := newFixture(t)
 	// Policy 2: wifi logs are an emergency-response collection with
-	// override; they survive erasure.
-	if err := f.bms.RegisterPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
+	// override; they survive erasure, also when the policy takes mary
+	// in by her group rather than building-wide.
+	grads := policy.Policy2EmergencyLocation("dbh")
+	grads.Scope.SubjectGroups = []profile.Group{profile.GroupGradStudent}
+	for _, tc := range []struct {
+		name string
+		p2   policy.BuildingPolicy
+	}{
+		{"building-wide", policy.Policy2EmergencyLocation("dbh")},
+		{"grad-students", grads},
+	} {
+		t.Run(tc.name, func(t *testing.T) { forgetRetainsOverrideCollection(t, tc.p2) })
+	}
+}
+
+func forgetRetainsOverrideCollection(t *testing.T, p2 policy.BuildingPolicy) {
+	f := newFixture(t)
+	if err := f.bms.RegisterPolicy(p2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

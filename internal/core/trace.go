@@ -86,10 +86,8 @@ type DecisionTrace struct {
 	Purpose   string `json:"purpose,omitempty"`
 	// Engine is the enforcement engine flavor that decided
 	// ("compiled", "compiled-nomemo", "naive", ...).
-	Engine string `json:"engine"`
-	// Strategy is the conflict-resolution strategy in force.
-	Strategy string `json:"strategy"`
-	Allowed  bool   `json:"allowed"`
+	Engine  string `json:"engine"`
+	Allowed bool   `json:"allowed"`
 	// DenyReason explains a denial (including post-decision denials
 	// such as an unmet aggregation floor).
 	DenyReason string `json:"deny_reason,omitempty"`
@@ -240,7 +238,6 @@ func (b *BMS) newTrace(path string, req enforce.Request) DecisionTrace {
 		ObsKind:   string(req.Kind),
 		Purpose:   string(req.Purpose),
 		Engine:    enforce.EngineName(b.engine),
-		Strategy:  b.reason.Strategy().String(),
 	}
 }
 

@@ -218,11 +218,11 @@ func (ix *Index) removeDense(dense uint32) (owner string) {
 }
 
 // AddPolicy installs a building policy (already validated by Check).
-// Only override policies are compiled; others are counted and
-// dropped, since Decide never consults them.
+// Only override policies that govern data flows are compiled; others
+// are counted and dropped, since Decide never consults them.
 func (ix *Index) AddPolicy(p policy.BuildingPolicy) {
 	ix.policyCount++
-	if !p.Override {
+	if !p.Override || !p.GovernsDataFlows() {
 		return
 	}
 	var id uint32

@@ -77,6 +77,10 @@ func randDiffOverride(r *rand.Rand, id int) policy.BuildingPolicy {
 	bp.ID = fmt.Sprintf("ovr-%02d", id)
 	bp.Scope.ObsKind = diffKinds[r.Intn(len(diffKinds))]
 	bp.Scope.SpaceID = diffSpaces[1+r.Intn(len(diffSpaces)-1)]
+	if r.Intn(4) == 0 {
+		// An override that governs no data flow overrides nothing.
+		bp.Kind = []policy.PolicyKind{policy.KindAutomation, policy.KindAccessControl}[r.Intn(2)]
+	}
 	if r.Intn(3) == 0 {
 		bp.Scope.SubjectGroups = []profile.Group{profile.GroupStudent}
 	}

@@ -330,7 +330,7 @@ func (e *evaluator) decide(req Request, subjectGroups []profile.Group, candPolic
 		var winner *policy.BuildingPolicy
 		for i := range candPolicies {
 			bp := &candPolicies[i]
-			if !bp.Override {
+			if !bp.Override || !bp.GovernsDataFlows() {
 				continue
 			}
 			if !bp.Scope.MatchesRequest(p.ctx, e.cfg.Spaces) {

@@ -188,6 +188,36 @@ func TestPolicy2OverridesPreference2(t *testing.T) {
 	}
 }
 
+// TestOnlyDataFlowPoliciesOverride: Policy 2 registered as an
+// access-control or automation policy governs no data flow, so it
+// overrides nothing: mary's opt-out holds for the emergency request.
+func TestOnlyDataFlowPoliciesOverride(t *testing.T) {
+	svcReg := testServices(t)
+	svcReg.MustRegister(service.Service{
+		ID: "bms-emergency", Name: "BMS Emergency Response", Developer: service.DeveloperBuilding,
+		Declares: []service.DataRequest{{ObsKind: sensor.ObsWiFiConnect, Purpose: policy.PurposeEmergencyResponse, Granularity: policy.GranExact}},
+	})
+	for _, kind := range []policy.PolicyKind{policy.KindAccessControl, policy.KindAutomation} {
+		for name, eng := range bothEngines(t, Config{Spaces: testModel(t), Services: svcReg, DefaultAllow: true}) {
+			p2 := policy.Policy2EmergencyLocation("dbh")
+			p2.Kind = kind
+			if err := eng.AddPolicy(p2); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range policy.Preference2NoLocation("mary") {
+				if err := eng.AddPreference(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req := baseRequest()
+			req.ServiceID, req.Purpose = "bms-emergency", policy.PurposeEmergencyResponse
+			if d := eng.Decide(req, nil); d.Allowed || len(d.Overridden) > 0 || d.OverridePolicyID != "" {
+				t.Errorf("%s: %v override policy decided %+v, want mary's deny", name, kind, d)
+			}
+		}
+	}
+}
+
 func TestWindowedPreference(t *testing.T) {
 	for name, eng := range bothEngines(t, Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}) {
 		smReq := Request{

@@ -291,8 +291,6 @@ func (a *appender) trace(t *core.DecisionTrace) {
 	a.optStr("purpose", t.Purpose)
 	a.key("engine", true)
 	a.str(t.Engine)
-	a.key("strategy", true)
-	a.str(t.Strategy)
 	a.key("allowed", true)
 	a.bool(t.Allowed)
 	a.optStr("deny_reason", t.DenyReason)

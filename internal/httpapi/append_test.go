@@ -165,7 +165,7 @@ func randTrace(rng *rand.Rand) core.DecisionTrace {
 	t := core.DecisionTrace{
 		ID: rng.Uint64() >> rng.Intn(64), Time: randTime(rng), TraceID: randString(rng), Path: randString(rng),
 		ServiceID: randString(rng), SubjectID: randString(rng), ObsKind: randString(rng), Purpose: randString(rng),
-		Engine: randString(rng), Strategy: randString(rng), Allowed: rng.Intn(2) == 0, DenyReason: randString(rng),
+		Engine: randString(rng), Allowed: rng.Intn(2) == 0, DenyReason: randString(rng),
 		Granularity: randString(rng), CacheHit: rng.Intn(2) == 0,
 		MatchedPolicies: randStrings(rng), MatchedPreferences: randStrings(rng), MatchedDefaults: randStrings(rng),
 		Overridden:         randStrings(rng),

@@ -122,7 +122,6 @@ type DecisionTraceDTO struct {
 	ObsKind              string          `json:"obs_kind,omitempty"`
 	Purpose              string          `json:"purpose,omitempty"`
 	Engine               string          `json:"engine"`
-	Strategy             string          `json:"strategy"`
 	Allowed              bool            `json:"allowed"`
 	DenyReason           string          `json:"deny_reason,omitempty"`
 	Granularity          string          `json:"granularity,omitempty"`
@@ -401,7 +400,6 @@ func traceToDTO(t core.DecisionTrace) DecisionTraceDTO {
 		ObsKind:              t.ObsKind,
 		Purpose:              t.Purpose,
 		Engine:               t.Engine,
-		Strategy:             t.Strategy,
 		Allowed:              t.Allowed,
 		DenyReason:           t.DenyReason,
 		Granularity:          t.Granularity,

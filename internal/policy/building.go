@@ -73,13 +73,23 @@ type BuildingPolicy struct {
 	// Override marks the policy as enforceable over conflicting user
 	// preferences. Only safety-critical purposes may carry it; Check
 	// rejects other overrides so a building cannot mark a marketing
-	// collection as non-negotiable.
+	// collection as non-negotiable. A policy that does not govern data
+	// flows (GovernsDataFlows) overrides nothing, whatever it says.
 	Override bool
 
 	// Disclosure parameters (KindDisclosure): release to members of
 	// AudienceGroups only when within ProximitySpaceID.
 	AudienceGroups   []profile.Group
 	ProximitySpaceID string
+}
+
+// GovernsDataFlows reports whether the policy releases the data flows
+// user preferences govern: collection and disclosure policies do,
+// automation and access-control policies drive actuators and doors.
+// Only a policy that governs data flows conflicts with a preference,
+// and only such a policy overrides one.
+func (p BuildingPolicy) GovernsDataFlows() bool {
+	return p.Kind == KindCollection || p.Kind == KindDisclosure
 }
 
 // Check validates internal consistency. It is called on registration

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -156,6 +157,59 @@ func TestDailyWindowWrapAttributesDays(t *testing.T) {
 	}
 }
 
+func TestDailyWindowIntersects(t *testing.T) {
+	saturday := DailyWindow{Start: 0, End: 0, Days: Saturday}
+	tests := []struct {
+		name string
+		a, b DailyWindow
+		want bool
+	}{
+		{"after hours vs business hours", AfterHours, BusinessHours, false},
+		// Sunday's after-hours window runs to Monday 08:00.
+		{"after hours vs Monday 07:00-09:00", AfterHours, DailyWindow{Start: 7 * 60, End: 9 * 60, Days: Monday}, true},
+		{"Saturday vs business hours", saturday, BusinessHours, false},
+		{"Saturday vs after hours", saturday, AfterHours, true},
+		{"Friday night vs Saturday", DailyWindow{Start: 22 * 60, End: 2 * 60, Days: Friday}, saturday, true},
+		{"Saturday night spills into Sunday", DailyWindow{Start: 22 * 60, End: 2 * 60, Days: Saturday},
+			DailyWindow{Start: 60, End: 3 * 60, Days: Sunday}, true},
+		{"touching ends", DailyWindow{Start: 8 * 60, End: 9 * 60}, DailyWindow{Start: 9 * 60, End: 10 * 60}, false},
+		{"unset covers the week", DailyWindow{}, DailyWindow{Start: 60, End: 61, Days: Wednesday}, true},
+	}
+	for _, tt := range tests {
+		if got := tt.a.Intersects(tt.b); got != tt.want {
+			t.Errorf("%s: Intersects = %v, want %v", tt.name, got, tt.want)
+		}
+		if got := tt.b.Intersects(tt.a); got != tt.want {
+			t.Errorf("%s: Intersects not symmetric", tt.name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { AfterHours.Intersects(BusinessHours) }); n != 0 {
+		t.Errorf("Intersects allocates %v times", n)
+	}
+}
+
+// TestDailyWindowIntersectsMatchesContains: over random windows whose
+// edges fall on the half hour, two windows intersect exactly when some
+// half hour of a week lies in both by Contains.
+func TestDailyWindowIntersectsMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	window := func() DailyWindow {
+		return DailyWindow{Start: 30 * rng.Intn(48), End: 30 * rng.Intn(48), Days: Weekdays(rng.Intn(128))}
+	}
+	sunday := time.Date(2017, time.June, 4, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 300; i++ {
+		a, b := window(), window()
+		want := false
+		for m := 0; m < 7*24*60 && !want; m += 30 {
+			at := sunday.Add(time.Duration(m) * time.Minute)
+			want = a.Contains(at) && b.Contains(at)
+		}
+		if got := a.Intersects(b); got != want {
+			t.Errorf("%+v.Intersects(%+v) = %v, Contains says %v", a, b, got, want)
+		}
+	}
+}
+
 func TestWeekdaysMask(t *testing.T) {
 	if !Weekdays5.Has(time.Monday) || Weekdays5.Has(time.Sunday) {
 		t.Error("Weekdays5 mask wrong")
@@ -256,6 +310,11 @@ func TestScopeOverlaps(t *testing.T) {
 		{"subjects disjoint", Scope{SubjectIDs: []string{"a"}}, Scope{SubjectIDs: []string{"b"}}, false},
 		{"subjects shared", Scope{SubjectIDs: []string{"a", "b"}}, Scope{SubjectIDs: []string{"b"}}, true},
 		{"services differ", Scope{ServiceID: "x"}, Scope{ServiceID: "y"}, false},
+		{"sensor type is the kind's", Scope{SensorType: sensor.TypeWiFiAP}, Scope{ObsKind: sensor.ObsWiFiConnect}, true},
+		{"sensor type is not the kind's", Scope{SensorType: sensor.TypeWiFiAP}, Scope{ObsKind: sensor.ObsBLESighting}, false},
+		{"windows disjoint", Scope{Window: AfterHours}, Scope{Window: BusinessHours}, false},
+		{"windows share Monday 07:00", Scope{Window: AfterHours}, Scope{Window: DailyWindow{Start: 7 * 60, End: 9 * 60, Days: Monday}}, true},
+		{"one window unset", Scope{}, Scope{Window: BusinessHours}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -283,10 +342,14 @@ func TestOverlapsSoundness(t *testing.T) {
 		{ServiceID: "concierge"},
 		{SubjectIDs: []string{"mary"}},
 		{SpaceID: "dbh", SensorType: sensor.TypeWiFiAP, Purposes: []Purpose{PurposeEmergencyResponse}},
+		{Window: AfterHours},
+		{Window: BusinessHours, ObsKind: sensor.ObsWiFiConnect},
 	}
 	ctxs := []Context{
-		{SpaceID: "dbh/2/2065", SensorType: sensor.TypeWiFiAP, ObsKind: sensor.ObsWiFiConnect, Purpose: PurposeEmergencyResponse, ServiceID: "concierge", SubjectID: "mary"},
-		{SpaceID: "dbh/2", SensorType: sensor.TypeCamera, Purpose: PurposeSecurity, SubjectID: "bob"},
+		{SpaceID: "dbh/2/2065", SensorType: sensor.TypeWiFiAP, ObsKind: sensor.ObsWiFiConnect, Purpose: PurposeEmergencyResponse, ServiceID: "concierge", SubjectID: "mary",
+			Time: time.Date(2017, time.June, 7, 20, 0, 0, 0, time.UTC)},
+		{SpaceID: "dbh/2", SensorType: sensor.TypeCamera, Purpose: PurposeSecurity, SubjectID: "bob",
+			Time: time.Date(2017, time.June, 5, 10, 0, 0, 0, time.UTC)},
 	}
 	for _, ctx := range ctxs {
 		for i, a := range scopes {

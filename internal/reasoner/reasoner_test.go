@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/spatial"
 )
@@ -25,7 +26,7 @@ func testModel(t testing.TB) *spatial.Model {
 // with Preference 2 (no location sharing). The building must win with
 // user notification.
 func TestPaperConflictPolicy2VsPreference2(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	p2 := policy.Policy2EmergencyLocation("dbh")
 	prefs := policy.Preference2NoLocation("mary")
 
@@ -55,7 +56,7 @@ func TestPaperConflictPolicy2VsPreference2(t *testing.T) {
 }
 
 func TestNonOverridePolicyLosesToPreference(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	bp := policy.Policy2EmergencyLocation("dbh")
 	bp.Override = false
 	bp.Scope.Purposes = []policy.Purpose{policy.PurposeAnalytics}
@@ -80,7 +81,7 @@ func TestNonOverridePolicyLosesToPreference(t *testing.T) {
 }
 
 func TestAllowPreferenceDoesNotConflict(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	bp := policy.Policy2EmergencyLocation("dbh")
 	pref := policy.Preference{
 		ID:     "pref-allow",
@@ -94,7 +95,7 @@ func TestAllowPreferenceDoesNotConflict(t *testing.T) {
 }
 
 func TestAutomationPoliciesSkipped(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	p1 := policy.Policy1Comfort("dbh", 70)
 	prefs := policy.Preference2NoLocation("mary")
 	for _, c := range r.Detect([]policy.BuildingPolicy{p1}, prefs) {
@@ -105,7 +106,7 @@ func TestAutomationPoliciesSkipped(t *testing.T) {
 }
 
 func TestDisjointScopesNoConflict(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	bp := policy.Policy2EmergencyLocation("dbh") // WiFi scope
 	pref := policy.Preference{
 		ID:     "pref-ble",
@@ -118,82 +119,110 @@ func TestDisjointScopesNoConflict(t *testing.T) {
 	}
 }
 
+// TestStrategies pins the one resolution, the engine's: an override
+// policy wins and notifies the preference's owner, and otherwise the
+// preference applies as it stands, a limit or a deny alike.
 func TestStrategies(t *testing.T) {
-	bp := policy.Policy2EmergencyLocation("dbh")
-	bp.Override = false
-	bp.Scope.Purposes = []policy.Purpose{policy.PurposeLogging}
-	pref := policy.Preference{
-		ID:     "pref-coarse",
-		UserID: "mary",
-		Scope:  policy.Scope{ObsKind: sensor.ObsWiFiConnect},
-		Rule:   policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranFloor},
-	}
-	run := func(s Strategy) Resolution {
-		r := New(testModel(t), s)
-		conflicts := r.Detect([]policy.BuildingPolicy{bp}, []policy.Preference{pref})
-		if len(conflicts) != 1 {
-			t.Fatalf("strategy %v: conflicts = %+v", s, conflicts)
+	for _, rule := range []policy.Rule{
+		{Action: policy.ActionLimit, MaxGranularity: policy.GranFloor},
+		{Action: policy.ActionDeny},
+	} {
+		pref := policy.Preference{
+			ID:     "pref-restrict",
+			UserID: "mary",
+			Scope:  policy.Scope{ObsKind: sensor.ObsWiFiConnect},
+			Rule:   rule,
 		}
-		return conflicts[0].Resolution
-	}
-	if res := run(BuildingWins); res.Winner != "building" || res.EffectiveRule.Action != policy.ActionAllow {
-		t.Errorf("BuildingWins = %+v", res)
-	}
-	if res := run(UserWins); res.Winner != "user" || res.EffectiveRule.MaxGranularity != policy.GranFloor {
-		t.Errorf("UserWins = %+v", res)
-	}
-	if res := run(MostRestrictive); res.Winner != "user" {
-		t.Errorf("MostRestrictive = %+v", res)
-	}
-	if res := run(NegotiateGranularity); res.Winner != "merged" ||
-		res.EffectiveRule.Action != policy.ActionLimit ||
-		res.EffectiveRule.MaxGranularity != policy.GranFloor {
-		t.Errorf("NegotiateGranularity = %+v", res)
+		override := policy.Policy2EmergencyLocation("dbh")
+		logging := override
+		logging.ID, logging.Override = "policy-logging", false
+		logging.Scope.Purposes = []policy.Purpose{policy.PurposeLogging}
+		conflicts := NewWithGroups(testModel(t), nil).Detect([]policy.BuildingPolicy{override, logging}, []policy.Preference{pref})
+		if len(conflicts) != 2 {
+			t.Fatalf("%v: conflicts = %+v", rule.Action, conflicts)
+		}
+		want := map[string]Resolution{
+			override.ID: {Winner: "building", EffectiveRule: policy.Rule{Action: policy.ActionAllow}, OverrideApplied: true, NotifyUserID: "mary"},
+			logging.ID:  {Winner: "user", EffectiveRule: rule},
+		}
+		for _, c := range conflicts {
+			got := c.Resolution
+			got.Explanation = ""
+			if got != want[c.PolicyID] {
+				t.Errorf("%v vs %s: resolution = %+v, want %+v", rule.Action, c.PolicyID, got, want[c.PolicyID])
+			}
+		}
 	}
 }
 
-func TestNegotiateWithDenyFallsBackToBuildingGranularity(t *testing.T) {
+// TestPolicySubjectScope: a policy conflicts only with the preferences
+// of subjects its SubjectIDs and SubjectGroups take in, and only where
+// the two windows share a minute.
+func TestPolicySubjectScope(t *testing.T) {
+	groups := map[string][]profile.Group{"mary": {profile.GroupGradStudent}, "bob": {profile.GroupFaculty}}
+	r := NewWithGroups(testModel(t), func(u string) []profile.Group { return groups[u] })
+	var prefs []policy.Preference
+	for _, u := range []string{"mary", "bob", "carol"} {
+		prefs = append(prefs, policy.Preference2NoLocation(u)...)
+	}
+	sort.Slice(prefs, func(i, j int) bool { return prefs[i].ID < prefs[j].ID })
+	notified := func(bp policy.BuildingPolicy) []string {
+		var out []string
+		for _, c := range r.Detect([]policy.BuildingPolicy{bp}, prefs) {
+			out = append(out, c.Resolution.NotifyUserID)
+		}
+		return out
+	}
+	tests := []struct {
+		name   string
+		adjust func(*policy.Scope)
+		want   []string
+	}{
+		{"unscoped", func(*policy.Scope) {}, []string{"bob", "carol", "mary"}},
+		{"subject bob", func(s *policy.Scope) { s.SubjectIDs = []string{"bob"} }, []string{"bob"}},
+		{"grad students", func(s *policy.Scope) { s.SubjectGroups = []profile.Group{profile.GroupGradStudent} }, []string{"mary"}},
+		{"bob among grad students", func(s *policy.Scope) {
+			s.SubjectIDs, s.SubjectGroups = []string{"bob"}, []profile.Group{profile.GroupGradStudent}
+		}, nil},
+		{"staff, a group nobody is in", func(s *policy.Scope) { s.SubjectGroups = []profile.Group{profile.GroupStaff} }, nil},
+	}
+	for _, tt := range tests {
+		bp := policy.Policy2EmergencyLocation("dbh")
+		tt.adjust(&bp.Scope)
+		if got := notified(bp); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s: notified %v, want %v", tt.name, got, tt.want)
+		}
+	}
+
+	// A business-hours policy never meets an after-hours preference.
 	bp := policy.Policy2EmergencyLocation("dbh")
-	bp.Override = false
-	bp.Scope.Purposes = []policy.Purpose{policy.PurposeLogging}
-	pref := policy.Preference{
-		ID:     "pref-deny",
-		UserID: "mary",
-		Scope:  policy.Scope{ObsKind: sensor.ObsWiFiConnect},
-		Rule:   policy.Rule{Action: policy.ActionDeny},
+	bp.Scope.Window = policy.BusinessHours
+	pref := policy.Preference2NoLocation("mary")[0]
+	pref.Scope.Window = policy.AfterHours
+	if got := r.Detect([]policy.BuildingPolicy{bp}, []policy.Preference{pref}); len(got) != 0 {
+		t.Errorf("disjoint windows conflict: %+v", got)
 	}
-	r := New(testModel(t), NegotiateGranularity)
-	conflicts := r.Detect([]policy.BuildingPolicy{bp}, []policy.Preference{pref})
-	if len(conflicts) != 1 {
-		t.Fatalf("conflicts = %+v", conflicts)
-	}
-	res := conflicts[0].Resolution
-	if res.EffectiveRule.Action != policy.ActionLimit || res.EffectiveRule.MaxGranularity != policy.GranBuilding {
-		t.Errorf("negotiated deny = %+v, want building-granularity release", res.EffectiveRule)
-	}
-	if res.NotifyUserID != "mary" {
-		t.Error("negotiation must notify the user")
+	pref.Scope.Window = policy.DailyWindow{Start: 7 * 60, End: 9 * 60, Days: policy.Monday}
+	if got := r.Detect([]policy.BuildingPolicy{bp}, []policy.Preference{pref}); len(got) != 1 {
+		t.Errorf("intersecting windows: conflicts = %+v", got)
 	}
 }
 
-func TestNegotiateKeepsSafetyOverride(t *testing.T) {
-	r := New(testModel(t), NegotiateGranularity)
-	p2 := policy.Policy2EmergencyLocation("dbh") // Override = true
-	prefs := policy.Preference2NoLocation("mary")
-	conflicts := r.Detect([]policy.BuildingPolicy{p2}, prefs)
-	found := false
-	for _, c := range conflicts {
-		if c.PolicyID == p2.ID && c.Resolution.OverrideApplied {
-			found = true
+// TestOnlyDataFlowPoliciesConflict: an override access-control or
+// automation policy overrides nothing, so it records no conflict.
+func TestOnlyDataFlowPoliciesConflict(t *testing.T) {
+	r := NewWithGroups(testModel(t), nil)
+	for _, kind := range []policy.PolicyKind{policy.KindAccessControl, policy.KindAutomation} {
+		bp := policy.Policy2EmergencyLocation("dbh")
+		bp.Kind = kind
+		if got := r.Detect([]policy.BuildingPolicy{bp}, policy.Preference2NoLocation("mary")); len(got) != 0 {
+			t.Errorf("%v override policy conflicts: %+v", kind, got)
 		}
-	}
-	if !found {
-		t.Errorf("safety override not applied under negotiation: %+v", conflicts)
 	}
 }
 
 func TestPreferencePairConflicts(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	allow := policy.Preference{
 		ID: "p-allow", UserID: "mary",
 		Scope: policy.Scope{ServiceID: "concierge"},
@@ -283,7 +312,7 @@ func TestCombineRulesProperties(t *testing.T) {
 }
 
 func TestDetectDeterministicOrder(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	p2 := policy.Policy2EmergencyLocation("dbh")
 	prefs := append(policy.Preference2NoLocation("mary"), policy.Preference2NoLocation("alice")...)
 	a := r.Detect([]policy.BuildingPolicy{p2}, prefs)
@@ -303,7 +332,7 @@ func TestDetectDeterministicOrder(t *testing.T) {
 // through DetectPolicy over the installed preferences, derives exactly
 // the conflicts a full Detect reports.
 func TestDeltaEntryPointsCoverDetect(t *testing.T) {
-	r := New(testModel(t), MostRestrictive)
+	r := NewWithGroups(testModel(t), nil)
 	pols := []policy.BuildingPolicy{
 		policy.Policy1Comfort("dbh", 70), // automation: never conflicts
 		policy.Policy2EmergencyLocation("dbh"),
@@ -368,15 +397,7 @@ func TestKindAndStrategyStrings(t *testing.T) {
 		PreferenceVsPreference.String() != "preference-vs-preference" {
 		t.Error("kind names wrong")
 	}
-	if ConflictKind(9).String() == "" || Strategy(9).String() == "" {
-		t.Error("fallback names empty")
-	}
-	for _, s := range []Strategy{MostRestrictive, BuildingWins, UserWins, NegotiateGranularity} {
-		if s.String() == "" {
-			t.Errorf("Strategy(%d) has no name", s)
-		}
-	}
-	if New(nil, 0).Strategy() != MostRestrictive {
-		t.Error("zero strategy does not default to MostRestrictive")
+	if ConflictKind(9).String() == "" {
+		t.Error("fallback name empty")
 	}
 }

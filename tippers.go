@@ -42,7 +42,6 @@ import (
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
-	"github.com/tippers/tippers/internal/reasoner"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
 	"github.com/tippers/tippers/internal/sim"
@@ -280,8 +279,6 @@ type DeploymentConfig struct {
 	// (scan-everything reference, which tests and bench/ compare
 	// against).
 	EnforceEngine string
-	// Strategy picks conflict resolution; zero = most restrictive.
-	Strategy reasoner.Strategy
 	// Clock overrides time.Now.
 	Clock func() time.Time
 	// Metrics is the telemetry registry the BMS and its HTTP API
@@ -394,7 +391,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		Sensors:       building.Sensors,
 		Services:      services,
 		Engine:        engine,
-		Strategy:      cfg.Strategy,
 		DefaultAllow:  !cfg.DefaultDeny,
 		GroupDefaults: cfg.GroupDefaults,
 		NoiseSeed:     cfg.Seed,
