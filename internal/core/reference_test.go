@@ -3,14 +3,17 @@ package core
 // One reference for every read path. A node is driven through a seeded
 // interleaving of ingest, preference writes and removals, policy
 // registration, ForgetUser, Sweep, CompactOnce and advances of its
-// clock past retention TTLs, and after every step each read path —
-// RequestUserEach, RequestOccupancy (a miss, then the cache's hit), SQL
-// over observations in row and grouped form, and a replaying hub
-// subscription — must release what the paper's semantics release from
-// the rows the reference holds: every ingested row minus what was
-// deleted and what retention has expired on the node's clock, decided
-// by a naive engine fed the same rules in the same order. Noised values
-// compare as decisions (the noise itself is drawn per release).
+// clock past retention TTLs and across window edges, and after every
+// step each read path — RequestUserEach, RequestOccupancy (a miss, then
+// the cache's hit), SQL over observations in row and grouped form and
+// over occupancy, a replaying hub subscription and a live one — must
+// release what the paper's semantics release from the rows the
+// reference holds: every ingested row minus what was deleted and what
+// retention has expired on the node's clock, each decided at its
+// capture time by a naive engine fed the same rules in the same order.
+// Preferences and override policies carry daily windows, and rows are
+// captured on both sides of their edges. Noised values compare as
+// decisions (the noise itself is drawn per release).
 
 import (
 	"context"
@@ -19,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,9 +40,12 @@ import (
 // refWorld is the reference: the rows a node must answer from and the
 // rules it must answer by.
 type refWorld struct {
-	t       *testing.T
-	f       *fixture
+	t *testing.T
+	f *fixture
+	// now is the node's clock, which only the test moves; clock holds
+	// it for the node's goroutines to read.
 	now     time.Time
+	clock   atomic.Int64
 	engine  *enforce.Naive
 	rows    []sensor.Observation // ascending seq
 	seq     uint64
@@ -47,6 +54,12 @@ type refWorld struct {
 	// retention is the kind → TTL table in installation order; the
 	// first rule on a kind wins.
 	retention []obstore.RetentionRule
+	// live holds one live (not replaying) subscription per requester,
+	// opened with the node; liveSeq is the seq up to which their events
+	// have been checked, and liveDenied each one's denied count then.
+	live       []*stream.Subscription
+	liveSeq    uint64
+	liveDenied []uint64
 }
 
 var refUsers = []string{"mary", "bob", "carol", "s00", "s01", "s02", "s03"}
@@ -63,10 +76,66 @@ func newRefWorld(t *testing.T) *refWorld {
 			c.Users.MustAdd(profile.User{ID: refUsers[i], Profiles: []profile.Profile{{Group: profile.GroupGradStudent}},
 				DeviceMACs: []string{refMAC(i)}})
 		}
-		c.Clock = func() time.Time { return w.now }
+		w.clock.Store(w.now.UnixNano())
+		c.Clock = func() time.Time { return time.Unix(0, w.clock.Load()).UTC() }
 		w.engine = enforce.NewNaive(enforce.Config{Spaces: c.Spaces, Services: c.Services, DefaultAllow: c.DefaultAllow})
 	})
+	for _, rq := range refRequesters {
+		sub, err := w.bms().Streams().Subscribe(stream.Options{Request: enforce.Request{ServiceID: rq.service, Purpose: rq.purpose}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sub.Cancel)
+		w.live = append(w.live, sub)
+		w.liveDenied = append(w.liveDenied, 0)
+	}
 	return w
+}
+
+// refWindows are the daily windows a rule may carry: none, the paper's
+// after-hours, business hours, and a Tuesday/Thursday night that
+// crosses midnight.
+var refWindows = []policy.DailyWindow{{}, policy.AfterHours, policy.BusinessHours,
+	{Start: 22 * 60, End: 2 * 60, Days: policy.Tuesday | policy.Thursday}}
+
+// refEdges are the minutes of the day at which a refWindows window
+// opens or closes.
+var refEdges = []time.Duration{2 * time.Hour, 8 * time.Hour, 18 * time.Hour, 22 * time.Hour}
+
+// lastEdge is the latest window edge at or before t, and nextEdge the
+// first after it.
+func lastEdge(t time.Time) time.Time {
+	var last time.Time
+	for day := t.Truncate(24 * time.Hour).Add(-24 * time.Hour); !day.After(t); day = day.Add(24 * time.Hour) {
+		for _, e := range refEdges {
+			if at := day.Add(e); !at.After(t) {
+				last = at
+			}
+		}
+	}
+	return last
+}
+
+func nextEdge(t time.Time) time.Time {
+	for day := t.Truncate(24 * time.Hour); ; day = day.Add(24 * time.Hour) {
+		for _, e := range refEdges {
+			if at := day.Add(e); at.After(t) {
+				return at
+			}
+		}
+	}
+}
+
+// nearEdge draws a capture time a few minutes either side of a window
+// edge of today or yesterday, not after now.
+func (w *refWorld) nearEdge(rng *rand.Rand) time.Time {
+	for {
+		at := w.now.Truncate(24 * time.Hour).Add(-24 * time.Duration(rng.Intn(2)) * time.Hour).
+			Add(refEdges[rng.Intn(len(refEdges))] + time.Duration(rng.Intn(11)-5)*time.Minute)
+		if !at.After(w.now) {
+			return at
+		}
+	}
 }
 
 func (w *refWorld) bms() *BMS { return w.f.bms }
@@ -260,39 +329,55 @@ func (w *refWorld) check(step string) {
 	w.checkOccupancy(step)
 	w.checkSQL(step)
 	w.checkReplay(step)
+	w.checkLive(step)
 }
 
 func (w *refWorld) checkUser(step string) {
 	w.t.Helper()
-	for _, rq := range refRequesters {
-		for _, subject := range refUsers {
-			for _, kind := range []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting} {
-				req := enforce.Request{ServiceID: rq.service, Purpose: rq.purpose, SubjectID: subject, Kind: kind}
-				var got []string
-				resp, err := w.bms().RequestUserEach(context.Background(), req, func(o *sensor.Observation) {
-					got = append(got, rowKey(*o))
-				})
-				if err != nil {
-					w.t.Fatal(err)
-				}
-				req.Time = w.now
-				d := w.decide(req)
-				var want []string
-				if d.Allowed && d.Effective.MinAggregationK <= 1 {
+	// A request at the node's clock, and one stamped either side of the
+	// last window edge: only the response's decision reads the instant.
+	edge := lastEdge(w.now)
+	for _, at := range []time.Time{{}, edge.Add(-time.Minute), edge.Add(time.Minute)} {
+		for _, rq := range refRequesters {
+			for _, subject := range refUsers {
+				for _, kind := range []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting} {
+					req := enforce.Request{ServiceID: rq.service, Purpose: rq.purpose, SubjectID: subject, Kind: kind, Time: at}
+					var got []sensor.Observation
+					resp, err := w.bms().RequestUserEach(context.Background(), req, func(o *sensor.Observation) {
+						got = append(got, *o)
+					})
+					if err != nil {
+						w.t.Fatal(err)
+					}
+					if at.IsZero() {
+						req.Time = w.now
+					}
+					d := w.decide(req)
+					var want []string
+					noised := make(map[uint64]bool)
 					for _, o := range w.visible(w.bms().filterFor(req)) {
-						if rel, ok := w.release(d, o); ok {
+						r := req
+						r.Time = o.Time
+						od := w.decide(r)
+						if od.Effective.MinAggregationK > 1 {
+							continue
+						}
+						if rel, ok := w.release(od, o); ok {
 							want = append(want, rowKey(rel))
+							noised[o.Seq] = od.Effective.NoiseEpsilon > 0
 						}
 					}
-				}
-				if d.Effective.NoiseEpsilon > 0 {
-					for i := range got {
-						got[i] = zeroValue(got[i])
+					var gotKeys []string
+					for _, g := range got {
+						if noised[g.Seq] {
+							g.Value = 0
+						}
+						gotKeys = append(gotKeys, rowKey(g))
 					}
-				}
-				if resp.Decision.Allowed != d.Allowed || !slices.Equal(got, want) {
-					w.t.Fatalf("%s: RequestUserEach %s/%s of %s (allowed %v, reference %v):\n got %q\nwant %q",
-						step, rq.service, kind, subject, resp.Decision.Allowed, d.Allowed, got, want)
+					if resp.Decision.Allowed != d.Allowed || !slices.Equal(gotKeys, want) {
+						w.t.Fatalf("%s: RequestUserEach %s/%s of %s at %v (allowed %v, reference %v):\n got %q\nwant %q",
+							step, rq.service, kind, subject, req.Time, resp.Decision.Allowed, d.Allowed, gotKeys, want)
+					}
 				}
 			}
 		}
@@ -305,8 +390,9 @@ func zeroValue(key string) string {
 }
 
 // refOccupancy is what an occupancy request releases: each attributed
-// subject decided once, their released rows' coarsened spaces counted by
-// distinct subject, and spaces short of the k floor withheld.
+// row decided at its capture time, the released rows' coarsened spaces
+// counted by distinct subject, and spaces short of the k floor
+// withheld.
 func (w *refWorld) refOccupancy(req enforce.Request, minK int) []privacy.AggregateCount {
 	bySubject := make(map[string][]sensor.Observation)
 	for _, o := range w.visible(w.bms().filterFor(req)) {
@@ -317,18 +403,18 @@ func (w *refWorld) refOccupancy(req enforce.Request, minK int) []privacy.Aggrega
 	k := minK
 	counts := make(map[string]int)
 	for subject, rows := range bySubject {
-		sub := req
-		sub.SubjectID = subject
-		d := w.decide(sub)
-		if !d.Allowed {
-			continue
-		}
-		k = max(k, d.Effective.MinAggregationK)
 		seen := make(map[string]bool)
 		for _, o := range rows {
+			sub := req
+			sub.SubjectID, sub.Time = subject, o.Time
+			d := w.decide(sub)
+			if !d.Allowed {
+				continue
+			}
+			k = max(k, d.Effective.MinAggregationK)
 			rel, ok := w.release(d, o)
 			if !ok {
-				break
+				continue
 			}
 			if !seen[rel.SpaceID] {
 				seen[rel.SpaceID] = true
@@ -377,10 +463,10 @@ func (w *refWorld) checkOccupancy(step string) {
 }
 
 // sqlRow is the reference's per-row SQL decision: the one the executor
-// makes from the row's own subject, kind and space.
+// makes from the row's own subject, kind, space and capture time.
 func (w *refWorld) sqlRow(rq query.Requester, o sensor.Observation) (enforce.Decision, sensor.Observation, bool) {
 	d := w.decide(enforce.Request{ServiceID: rq.ServiceID, Purpose: rq.Purpose, Kind: o.Kind,
-		SubjectID: o.UserID, SpaceID: o.SpaceID, Time: w.now})
+		SubjectID: o.UserID, SpaceID: o.SpaceID, Time: o.Time})
 	rel, ok := w.release(d, o)
 	return d, rel, ok
 }
@@ -460,6 +546,43 @@ func (w *refWorld) checkSQL(step string) {
 		if !slices.Equal(got, want) {
 			w.t.Fatalf("%s: grouped SQL for %s: %q, reference %q", step, r.service, got, want)
 		}
+
+		// The occupancy table: released rows' spaces by distinct
+		// subject, under the requester's floor raised by every
+		// contributing subject's.
+		rq.MinK = 2
+		resp, err = w.bms().Query(context.Background(), rq, "SELECT space_id, count FROM occupancy")
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		got = got[:0]
+		for _, row := range resp.Result.Rows {
+			got = append(got, fmt.Sprintf("%s=%g", row[0].Str, row[1].Num))
+		}
+		sort.Strings(got)
+		k = rq.MinK
+		subjects := make(map[string]map[string]bool)
+		for _, o := range w.visible(obstore.Filter{}) {
+			d, rel, ok := w.sqlRow(rq, o)
+			if !ok || o.UserID == "" {
+				continue
+			}
+			k = max(k, d.Effective.MinAggregationK)
+			if subjects[rel.SpaceID] == nil {
+				subjects[rel.SpaceID] = make(map[string]bool)
+			}
+			subjects[rel.SpaceID][o.UserID] = true
+		}
+		want = want[:0]
+		for space, set := range subjects {
+			if len(set) >= k {
+				want = append(want, fmt.Sprintf("%s=%d", space, len(set)))
+			}
+		}
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			w.t.Fatalf("%s: SQL occupancy for %s: %q, reference %q", step, r.service, got, want)
+		}
 	}
 }
 
@@ -538,19 +661,69 @@ func (w *refWorld) checkReplay(step string) {
 	}
 }
 
+// checkLive reads each live subscription's events for the rows
+// ingested since the last check. The hub counts every in-scope row it
+// offers as released or denied, so the read goes on until the two
+// account for every such row the store still shows; a row denied late,
+// under rules a later step wrote, cannot slip past the check.
+func (w *refWorld) checkLive(step string) {
+	w.t.Helper()
+	fresh := w.visible(obstore.Filter{AfterSeq: w.liveSeq})
+	for i, rq := range refRequesters {
+		sub, denied := w.live[i], w.liveDenied[i]
+		var want, got []string
+		noised := make(map[uint64]bool)
+		for _, o := range fresh {
+			d := w.decide(enforce.Request{ServiceID: rq.service, Purpose: rq.purpose, Kind: o.Kind,
+				SubjectID: o.UserID, SpaceID: o.SpaceID, Time: o.Time})
+			if rel, ok := w.release(d, o); ok {
+				want = append(want, rowKey(rel))
+				noised[o.Seq] = d.Effective.NoiseEpsilon > 0
+			}
+		}
+		offered := func() int { return len(got) + int(sub.Stats().Denied-denied) }
+		for deadline := time.Now().Add(10 * time.Second); offered() < len(fresh) && time.Now().Before(deadline); {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			ev, err := sub.Next(ctx)
+			cancel()
+			if err == nil && ev.Type == stream.EventObservation {
+				g := *ev.Observation
+				if noised[g.Seq] {
+					g.Value = 0
+				}
+				got = append(got, rowKey(g))
+			}
+		}
+		if offered() != len(fresh) || !slices.Equal(got, want) {
+			w.t.Fatalf("%s: live stream for %s (%d of %d rows offered):\n got %q\nwant %q",
+				step, rq.service, offered(), len(fresh), got, want)
+		}
+		w.liveDenied[i] = sub.Stats().Denied
+	}
+	w.liveSeq = w.seq
+}
+
 // refPolicies are the building policies a run may register, each once:
-// Policy 2 and two collection policies with short retention (the first
-// rule installed on a kind wins).
+// Policy 2, two collection policies with short retention (the first
+// rule installed on a kind wins) and two windowed overrides of Policy
+// 2's flow, which decide it on their own until Policy 2 is registered.
 func refPolicies() []policy.BuildingPolicy {
 	collect := func(id string, kind sensor.ObservationKind, ttl string) policy.BuildingPolicy {
 		return policy.BuildingPolicy{ID: id, Name: id, Owner: "building-admin", Kind: policy.KindCollection,
 			Scope:     policy.Scope{ObsKind: kind, Purposes: []policy.Purpose{policy.PurposeLogging}},
 			Retention: isodur.MustParse(ttl)}
 	}
+	override := func(id string, w policy.DailyWindow) policy.BuildingPolicy {
+		return policy.BuildingPolicy{ID: id, Name: id, Owner: "building-admin", Kind: policy.KindDisclosure, Override: true,
+			AudienceGroups: []profile.Group{profile.GroupStaff},
+			Scope:          policy.Scope{ObsKind: sensor.ObsWiFiConnect, Purposes: []policy.Purpose{policy.PurposeEmergencyResponse}, Window: w}}
+	}
 	return []policy.BuildingPolicy{
 		policy.Policy2EmergencyLocation("dbh"),
 		collect("retain-ble", sensor.ObsBLESighting, "PT2H"),
 		collect("retain-wifi", sensor.ObsWiFiConnect, "PT3H"),
+		override("override-wifi-business", policy.BusinessHours),
+		override("override-wifi-night", refWindows[3]),
 	}
 }
 
@@ -588,6 +761,9 @@ func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string
 				age += time.Duration(1+rng.Intn(5)) * time.Hour
 			}
 			o.Time = w.now.Add(-age)
+			if rng.Intn(3) == 0 {
+				o.Time = w.nearEdge(rng)
+			}
 			w.ingest(o)
 		}
 		return fmt.Sprintf("ingest %d (live %v)", n, live)
@@ -595,7 +771,7 @@ func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string
 		u := refUsers[rng.Intn(len(refUsers))]
 		kind := []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting}[rng.Intn(2)]
 		p := policy.Preference{ID: fmt.Sprintf("ref-%s-%d", u, rng.Intn(2)), UserID: u, Name: "ref",
-			Scope: policy.Scope{ObsKind: kind}, Rule: refRule(rng), Source: "explicit"}
+			Scope: policy.Scope{ObsKind: kind, Window: refWindows[rng.Intn(len(refWindows))]}, Rule: refRule(rng), Source: "explicit"}
 		w.setPreference(p)
 		return "set " + p.ID
 	case op < 7:
@@ -629,7 +805,15 @@ func (w *refWorld) step(rng *rand.Rand, pending *[]policy.BuildingPolicy) string
 	case op < 12:
 		// No sweep follows: reads alone must stop releasing what expired.
 		d := time.Duration(1+rng.Intn(90)) * time.Minute
+		if rng.Intn(2) == 0 {
+			// To a minute either side of the next window edge.
+			d = nextEdge(w.now).Add(time.Duration(rng.Intn(2)*2-1) * time.Minute).Sub(w.now)
+			if d <= 0 {
+				d += 2 * time.Minute
+			}
+		}
 		w.now = w.now.Add(d)
+		w.clock.Store(w.now.UnixNano())
 		return fmt.Sprintf("advance the clock %v", d)
 	default:
 		if _, err := w.bms().Columnar().CompactOnce(); err != nil {
