@@ -126,9 +126,9 @@ func BenchmarkEnforceCached(b *testing.B) {
 		cfg, prefs, bp, reqs := benchWorkload(b, users)
 		memo := enforce.NewCompiled(cfg)
 		loadBenchEngine(b, memo, prefs, bp)
-		// Polling workload: 64 distinct requests issued repeatedly in one
-		// minute. The memo holds one evaluation minute's decisions, so
-		// requests spread over the day would never hit it.
+		// Polling workload: 64 distinct requests issued repeatedly about
+		// one instant. The memo keys by window class, so the same
+		// requests spread over a day hit it nearly as often.
 		hot := reqs[:64]
 		for i := range hot {
 			hot[i].Time = benchDay.Add(14 * time.Hour)

@@ -229,23 +229,22 @@ func TestDeriveOccupancyPreference1EndToEnd(t *testing.T) {
 		SubjectID: "mary",
 		SpaceID:   "dbh/2/r0",
 	}
-	// Business hours: the morning occupancy is released.
-	req.Time = f.now
-	resp, err := f.bms.RequestUser(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Decision.Allowed || len(resp.Observations) != 2 {
-		t.Fatalf("business-hours response = %+v (%d obs)", resp.Decision, len(resp.Observations))
-	}
-	// After hours: denied outright.
-	req.Time = f.now.Add(8 * time.Hour) // 22:00
-	resp, err = f.bms.RequestUser(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Decision.Allowed {
-		t.Fatalf("after-hours office occupancy released: %+v", resp.Decision)
+	// Preference 1 governs the rows captured after hours: asked in
+	// business hours or after them, the node releases the morning's
+	// occupancy and never the evening's. The response's decision is the
+	// one at the request's instant.
+	for _, at := range []time.Time{f.now, f.now.Add(8 * time.Hour)} { // 14:00, 22:00
+		req.Time = at
+		resp, err := f.bms.RequestUser(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Decision.Allowed == policy.AfterHours.Contains(at) {
+			t.Errorf("asked at %v: decision %+v", at, resp.Decision)
+		}
+		if len(resp.Observations) != 1 || policy.AfterHours.Contains(resp.Observations[0].Time) {
+			t.Errorf("asked at %v: released %+v, want the morning's row alone", at, resp.Observations)
+		}
 	}
 }
 

@@ -22,17 +22,31 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// occPair is one row of an occupancy scan reduced to the two strings
-// the aggregate reads.
-type occPair struct{ user, space string }
+// occCell is what the occupancy aggregate reads of a row: its subject,
+// its space, and the window class of its capture time, as a per-miss id.
+type occCell struct {
+	user, space string
+	class       int32
+}
+
+// occClass is one subject's window class.
+type occClass struct {
+	user  string
+	class enforce.Class
+}
 
 // occScratch is the working memory of one occupancy miss, pooled so a
 // miss allocates for the decisions the engine had to compute, not per
 // row read or per subject decided.
 type occScratch struct {
-	pairs     []occPair
-	cells     map[occPair]int // distinct pair → rows carrying it
-	items     []enforce.BatchItem
+	engine    enforce.Engine
+	rows      int                            // attributed rows read
+	domains   map[string]enforce.Domain      // subject → class domain, read once per miss
+	classes   map[occClass]int32             // subject's class → id, in the order the scan met them
+	at        []time.Time                    // by class id: the capture time of its first row
+	cells     map[occCell]int                // distinct cell → rows carrying it
+	list      []occCell                      // the distinct cells, sorted
+	items     []enforce.BatchItem            // one per subject's class
 	decisions []enforce.Decision             // one per item; nothing in a Response aliases it
 	seen      []string                       // one subject's distinct released spaces
 	counts    map[string]int                 // released space → distinct subjects
@@ -40,33 +54,50 @@ type occScratch struct {
 }
 
 var occScratchPool = sync.Pool{New: func() any {
-	s := &occScratch{cells: make(map[occPair]int), counts: make(map[string]int)}
+	s := &occScratch{domains: make(map[string]enforce.Domain), classes: make(map[occClass]int32),
+		cells: make(map[occCell]int), counts: make(map[string]int)}
 	s.visitFn = s.visit
 	return s
 }}
 
 func (s *occScratch) release() {
-	clear(s.pairs)
+	clear(s.domains)
+	clear(s.classes)
 	clear(s.cells)
+	clear(s.list)
 	clear(s.items)
 	clear(s.decisions)
 	clear(s.counts)
-	s.pairs, s.items, s.decisions = s.pairs[:0], s.items[:0], s.decisions[:0]
+	s.engine, s.rows = nil, 0
+	s.at, s.list, s.items, s.decisions = s.at[:0], s.list[:0], s.items[:0], s.decisions[:0]
 	occScratchPool.Put(s)
 }
 
-// visit is the occupancy scan's visitor: it keeps the row's (subject,
-// space) pair.
+// visit is the occupancy scan's visitor: it counts the row's cell.
 func (s *occScratch) visit(o *sensor.Observation) bool {
-	if o.UserID != "" { // unattributed readings never contribute to occupancy
-		s.pairs = append(s.pairs, occPair{o.UserID, o.SpaceID})
+	if o.UserID == "" { // unattributed readings never contribute to occupancy
+		return true
 	}
+	s.rows++
+	domain, ok := s.domains[o.UserID]
+	if !ok {
+		domain = s.engine.Domain(o.UserID)
+		s.domains[o.UserID] = domain
+	}
+	k := occClass{o.UserID, domain.Class(o.Time)}
+	id, ok := s.classes[k]
+	if !ok {
+		id = int32(len(s.at))
+		s.classes[k] = id
+		s.at = append(s.at, o.Time)
+	}
+	s.cells[occCell{o.UserID, o.SpaceID, id}]++
 	return true
 }
 
 // occVersion is what an occupancy answer depends on besides its
 // request: the rules, the store's contents and the retention cutoffs
-// of the node clock's minute (the key's minute is the requester's).
+// of the node clock's minute.
 type occVersion struct {
 	epoch, lastSeq, deletions uint64
 	cut                       *obstore.Cutoffs
@@ -90,10 +121,10 @@ type occAnswer struct {
 	relObs     int
 }
 
-// occupancyCache memoizes occupancy answers. Keys fold in the
-// evaluation minute (decisions have minute resolution — window rules),
-// and entries validate against their occVersion on every hit, so a hit
-// is provably the answer a fresh evaluation would produce. Answers
+// occupancyCache memoizes occupancy answers. Rows are judged at their
+// capture times, so an answer does not depend on when it was asked;
+// entries validate against their occVersion on every hit, so a hit is
+// provably the answer a fresh evaluation would produce. Answers
 // with an override decision are never cached: a hit runs no decision,
 // so it would not count the subject's notification.
 //
@@ -145,17 +176,16 @@ func (b *BMS) ClearOccupancyCache() {
 }
 
 // occCacheKey canonicalizes the decision-relevant dimensions of an
-// occupancy request whose Time the request boundary has resolved.
-// Every field the engine or the filter reads is in the key — including
-// the evaluation minute, the resolution at which window rules change —
-// except SubjectID, AfterSeq and Limit, which narrow the fetch: a
-// request carrying one bypasses the cache.
+// occupancy request. Every field the engine or the filter reads is in
+// the key except Time, which no row's decision reads, and SubjectID,
+// AfterSeq and Limit, which narrow the fetch: a request carrying one
+// bypasses the cache.
 func occCacheKey(req enforce.Request, minK int) string {
 	buf := make([]byte, 0, 192) // stays on the stack for any usual key
 	for _, part := range [...]string{req.ServiceID, string(req.Purpose), req.SpaceID, string(req.Kind)} {
 		buf = append(append(buf, part...), 0)
 	}
-	for _, n := range [...]int64{int64(req.Granularity), req.Time.Truncate(time.Minute).Unix(), req.From.UnixNano(), req.To.UnixNano()} {
+	for _, n := range [...]int64{int64(req.Granularity), req.From.UnixNano(), req.To.UnixNano()} {
 		buf = append(strconv.AppendInt(buf, n, 10), 0)
 	}
 	return string(strconv.AppendInt(buf, int64(minK), 10))

@@ -199,7 +199,8 @@ func occCacheHits(f *fixture) uint64 {
 
 // TestUnalignedOccupancyReadIsCached: an occupancy read whose window
 // does not start on a minute is answered from the cache when repeated,
-// as an aligned one is.
+// as an aligned one is, and so is a repeat asked a minute later: rows
+// are judged at their capture times, not at the request's.
 func TestUnalignedOccupancyReadIsCached(t *testing.T) {
 	f := newFixture(t)
 	occIngest(t, f)
@@ -219,6 +220,14 @@ func TestUnalignedOccupancyReadIsCached(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again.Aggregates, first.Aggregates) || again.Trace.Stages[StageFetch].Calls != 0 {
 		t.Fatalf("the repeat answered %+v after a fetch, want the cached %+v", again.Aggregates, first.Aggregates)
+	}
+	req.Time = req.Time.Add(time.Minute)
+	later, err := f.bms.RequestOccupancy(req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := occCacheHits(f); hits != 2 || !reflect.DeepEqual(later.Aggregates, first.Aggregates) {
+		t.Fatalf("a repeat a minute later: cache hits = %d, answer %+v; want 2 and the cached %+v", hits, later.Aggregates, first.Aggregates)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/profile"
+	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/reasoner"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/service"
@@ -133,6 +134,7 @@ type BMS struct {
 	// store's watermark.
 	colstore *colstore.Store
 	occCache occupancyCache
+	qenv     query.Env
 
 	compactStop chan struct{}
 	compactDone chan struct{}
@@ -176,6 +178,9 @@ func New(cfg Config) (*BMS, error) {
 		store = obstore.New()
 	}
 	store.SetClock(cfg.Clock) // retention runs on the node's clock
+	if ec, ok := engine.(interface{ SetClock(func() time.Time) }); ok {
+		ec.SetClock(cfg.Clock) // so does the decision memo's lifetime
+	}
 	b := &BMS{
 		cfg:       cfg,
 		store:     store,
@@ -194,6 +199,7 @@ func New(cfg Config) (*BMS, error) {
 		inbox:     make(map[string][]enforce.Notification),
 	}
 	b.reason = reasoner.NewWithGroups(cfg.Spaces, b.subjectGroups)
+	b.qenv = b.queryEnv()
 	// A durable store's directory holds the preferences too: replay them
 	// before anything can decide a request, and fold them whenever the
 	// store checkpoints.

@@ -25,51 +25,65 @@ import (
 )
 
 // referenceOccupancy is the oracle for RequestOccupancy's miss path:
-// the pipeline it ran before the pair pass. It materialises the rows,
-// buckets them by subject, decides each subject, copies every subject's
-// observations through enforce.ApplyDecision, concatenates the copies
-// and counts them with privacy.KAnonymousCounts. relObs is what the
-// trace reports as ObservationsReleased.
+// the pipeline it ran before the pair pass, judging rows at their
+// capture times. It materialises the rows and buckets them by subject
+// and, in seq order, by window class; decides each class at the capture
+// time of its first row; copies every class's observations through
+// enforce.ApplyDecision, concatenates the copies and counts them with
+// privacy.KAnonymousCounts. relObs is what the trace reports as
+// ObservationsReleased.
 func referenceOccupancy(b *BMS, req enforce.Request, minK int) (resp Response, relObs int, err error) {
 	if minK < 1 {
 		minK = 1
 	}
 	obs := b.store.Query(b.filterFor(req))
-	bySubject := make(map[string][]sensor.Observation)
+	type class struct {
+		subject string
+		class   enforce.Class
+	}
+	var classes []class
+	rows := make(map[class][]sensor.Observation)
 	for _, o := range obs {
 		if o.UserID == "" {
 			continue
 		}
-		bySubject[o.UserID] = append(bySubject[o.UserID], o)
+		c := class{o.UserID, b.engine.Domain(o.UserID).Class(o.Time)}
+		if rows[c] == nil {
+			classes = append(classes, c)
+		}
+		rows[c] = append(rows[c], o)
 	}
-	resp = Response{SubjectsConsidered: len(bySubject)}
+	sort.SliceStable(classes, func(i, j int) bool { return classes[i].subject < classes[j].subject })
+	items := make([]enforce.BatchItem, len(classes))
+	for i, c := range classes {
+		subReq := req
+		subReq.SubjectID, subReq.Time = c.subject, rows[c][0].Time
+		items[i] = enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(c.subject)}
+	}
 	k := minK
 	var releasedObs []sensor.Observation
-	subjects := make([]string, 0, len(bySubject))
-	for subjectID := range bySubject {
-		subjects = append(subjects, subjectID)
-	}
-	sort.Strings(subjects)
-	items := make([]enforce.BatchItem, len(subjects))
-	for i, subjectID := range subjects {
-		subReq := req
-		subReq.SubjectID = subjectID
-		items[i] = enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(subjectID)}
-	}
+	released := make(map[string]bool)
 	for i, d := range enforce.DecideBatch(b.engine, items, enforce.BatchOptions{}) {
-		b.recordDecision(subjects[i], d)
+		c := classes[i]
+		released[c.subject] = released[c.subject] || d.Allowed
+		b.recordDecision(c.subject, d)
 		if !d.Allowed {
 			continue
 		}
 		if d.Effective.MinAggregationK > k {
 			k = d.Effective.MinAggregationK
 		}
-		transformed, err := enforce.ApplyDecision(d, bySubject[subjects[i]], b.transf)
+		transformed, err := enforce.ApplyDecision(d, rows[c], b.transf)
 		if err != nil {
 			return Response{}, 0, err
 		}
 		releasedObs = append(releasedObs, transformed...)
-		resp.SubjectsReleased++
+	}
+	resp = Response{SubjectsConsidered: len(released)}
+	for _, r := range released {
+		if r {
+			resp.SubjectsReleased++
+		}
 	}
 	resp.Aggregates = privacy.KAnonymousCounts(releasedObs, k,
 		func(o sensor.Observation) string { return o.SpaceID },
@@ -100,7 +114,7 @@ const occTestUsers = 14
 // and one space the model has never heard of, a few unattributed
 // devices, and per subject one of: no preference, an opt-out, a
 // granularity cap (none, building, floor, room, exact), an aggregation
-// floor, or noise. Half the seeds also carry the emergency policy, so
+// floor, or noise, a third of them only from 13:30. Half the seeds also carry the emergency policy, so
 // the emergency requester's decisions override opt-outs and notify.
 func occWorld(t *testing.T, seed int64) (*fixture, *decideLog) {
 	t.Helper()
@@ -139,8 +153,14 @@ func occWorld(t *testing.T, seed int64) (*fixture, *decideLog) {
 		case 7:
 			rule = policy.Rule{Action: policy.ActionLimit, NoiseEpsilon: 0.5, MaxGranularity: policy.GranFloor}
 		}
+		scope := policy.Scope{ObsKind: sensor.ObsWiFiConnect}
+		if rng.Intn(3) == 0 {
+			// Its edge falls among the rows: the subject's rows are two
+			// window classes.
+			scope.Window = policy.DailyWindow{Start: 13*60 + 30, End: 20 * 60}
+		}
 		err := f.bms.SetPreference(policy.Preference{ID: "occ-" + user(i), UserID: user(i), Name: "occ " + user(i),
-			Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect}, Rule: rule, Source: "explicit"})
+			Scope: scope, Rule: rule, Source: "explicit"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,10 +585,9 @@ func TestOccupancyCacheSkipsNarrowedRequests(t *testing.T) {
 }
 
 // TestOccCacheKeyBytes: the allocation-lean key builder writes the
-// bytes the fmt-based one wrote, so no cached answer changes identity.
+// bytes a fmt-based one writes, and no request instant moves them.
 func TestOccCacheKeyBytes(t *testing.T) {
 	old := func(req enforce.Request, minK int) string {
-		at := req.Time
 		var sb strings.Builder
 		sb.WriteString(req.ServiceID)
 		sb.WriteByte(0)
@@ -578,7 +597,7 @@ func TestOccCacheKeyBytes(t *testing.T) {
 		sb.WriteByte(0)
 		sb.WriteString(string(req.Kind))
 		sb.WriteByte(0)
-		fmt.Fprintf(&sb, "%d\x00%d\x00", req.Granularity, at.Truncate(time.Minute).Unix())
+		fmt.Fprintf(&sb, "%d\x00", req.Granularity)
 		sb.WriteString(strconv.FormatInt(req.From.UnixNano(), 10))
 		sb.WriteByte(0)
 		sb.WriteString(strconv.FormatInt(req.To.UnixNano(), 10))

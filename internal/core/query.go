@@ -44,7 +44,7 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	tr.Stages.add(StageParse, time.Since(t0))
 
 	t0 = time.Now()
-	plan, err := query.Compile(stmt, b.queryEnv(), requester)
+	plan, err := query.Compile(stmt, b.qenv, requester)
 	if err != nil {
 		if ee, ok := err.(*query.EnforceError); ok {
 			// A query the enforcement layer rejects outright is itself
@@ -79,8 +79,9 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 // queryEnv wires the query planner/executor to this BMS: the store
 // scan, the spatial subtree expansion, the enforcement engine
 // (with notification delivery and metrics, exactly like the fixed
-// request paths), the per-row data path, and the audit view over
-// retained decision traces.
+// request paths) and its class domains, the per-row data path, and
+// the audit view over retained decision traces. New builds it once,
+// so a statement allocates none of its hooks.
 func (b *BMS) queryEnv() query.Env {
 	return query.Env{
 		// The store's scan is the unified view: zone-map-pruned segments
@@ -93,11 +94,11 @@ func (b *BMS) queryEnv() query.Env {
 			return []string{spaceID}
 		},
 		Decide: b.decide,
+		Domain: b.engine.Domain,
 		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
 			return enforce.ApplyDecisionOne(d, o, b.transf)
 		},
 		AuditRecords: b.auditRecords,
-		Now:          b.clock,
 	}
 }
 

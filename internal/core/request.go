@@ -60,12 +60,15 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 	return resp, nil
 }
 
-// RequestUserEach is the single-subject path streamed: it decides once,
-// then runs one store scan whose visitor degrades each row per the
-// decision and hands it to emit as the scan reaches it, so no row is
-// collected on the way. Response.Observations stays nil. The row emit
-// receives is reused for the next one: emit copies what it keeps. On an
-// error, rows already emitted must be discarded.
+// RequestUserEach is the single-subject path streamed: one store scan
+// whose visitor judges each row at its capture time, degrades it per
+// that decision and hands it to emit as the scan reaches it, so no row
+// is collected on the way. Rows are decided once per window class of
+// their capture times (enforce.Domain), so a subject with no windowed
+// rule is decided once. Response.Decision is the decision at the
+// request's own instant, and Response.Observations stays nil. The row
+// emit receives is reused for the next one: emit copies what it keeps.
+// On an error, rows already emitted must be discarded.
 //
 // The decision trace is stamped with the trace ID ctx carries, so
 // `iotactl trace` can join it to the request's server span. Its stages
@@ -87,24 +90,31 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 	tr.joinSpanContext(ctx)
 
 	t0 := time.Now()
+	// The domain is read first: a decision made after it is under the
+	// rules it describes or newer ones.
+	domain := b.engine.Domain(req.SubjectID)
 	d := b.decide(req)
 	tr.Stages.add(StageDecide, time.Since(t0))
 	tr.fromDecision(d)
-	if !d.Allowed {
-		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
-	}
-	if d.Effective.MinAggregationK > 1 {
+	floor := d.Allowed && d.Effective.MinAggregationK > 1
+	if floor {
 		// A single-subject release can never satisfy a k>1 aggregation
 		// floor; the data path returns nothing rather than leaking an
 		// individual record.
 		d.DenyReason = fmt.Sprintf("subject requires aggregation over >= %d users", d.Effective.MinAggregationK)
 		tr.Allowed = false
 		tr.DenyReason = d.DenyReason
+	}
+	if domain.Empty() && (!d.Allowed || floor) {
+		// Every row would be judged by this decision.
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 	}
 	s := userScanPool.Get().(*userScan)
 	defer s.release()
-	s.d, s.transf, s.emit = d, b.transf, emit
+	s.b, s.req, s.domain, s.transf, s.emit = b, req, domain, b.transf, emit
+	s.class, s.d = domain.Class(req.Time), d
+	s.classes[s.class] = len(s.decisions)
+	s.decisions = append(s.decisions, d)
 	t0 = time.Now()
 	b.store.Scan(b.filterFor(req), s.visitFn)
 	fetch := time.Since(t0)
@@ -122,7 +132,15 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 // struct, its visit method bound once, rather than locals a closure
 // captures, each of which would escape to the heap on its own.
 type userScan struct {
+	b      *BMS
+	req    enforce.Request
+	domain enforce.Domain
+	// class is the window class of the row last judged and d its
+	// decision; classes indexes every decision the scan has made.
+	class             enforce.Class
 	d                 enforce.Decision
+	classes           map[enforce.Class]int
+	decisions         []enforce.Decision
 	transf            *privacy.Transformer
 	emit              func(*sensor.Observation)
 	row               sensor.Observation // the degraded row emit sees, reused
@@ -133,21 +151,45 @@ type userScan struct {
 }
 
 var userScanPool = sync.Pool{New: func() any {
-	s := new(userScan)
+	s := &userScan{classes: make(map[enforce.Class]int)}
 	s.visitFn = s.visit
 	return s
 }}
 
 // release returns the scan to the pool holding nothing of the request.
 func (s *userScan) release() {
-	*s = userScan{visitFn: s.visitFn}
+	clear(s.classes)
+	clear(s.decisions)
+	*s = userScan{classes: s.classes, decisions: s.decisions[:0], visitFn: s.visitFn}
 	userScanPool.Put(s)
+}
+
+// decisionAt returns the decision for a row captured at t.
+func (s *userScan) decisionAt(t time.Time) enforce.Decision {
+	c := s.domain.Class(t)
+	if c == s.class {
+		return s.d
+	}
+	i, ok := s.classes[c]
+	if !ok {
+		req := s.req
+		req.Time = t
+		i = len(s.decisions)
+		s.classes[c] = i
+		s.decisions = append(s.decisions, s.b.decide(req))
+	}
+	s.class, s.d = c, s.decisions[i]
+	return s.d
 }
 
 func (s *userScan) visit(o *sensor.Observation) bool {
 	s.scanned++
+	d := s.decisionAt(o.Time)
+	if !d.Allowed || d.Effective.MinAggregationK > 1 {
+		return true
+	}
 	t0 := time.Now()
-	row, ok, err := enforce.ApplyDecisionOne(s.d, *o, s.transf)
+	row, ok, err := enforce.ApplyDecisionOne(d, *o, s.transf)
 	s.apply += time.Since(t0)
 	if err != nil {
 		s.err = err
@@ -177,7 +219,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		minK = 1
 	}
 	if req.Time.IsZero() {
-		req.Time = b.clock() // as in RequestUserCtx; the cache key below reads it too
+		req.Time = b.clock() // as in RequestUserEach
 	}
 	started := time.Now()
 	defer b.met.requestOccup.ObserveSince(started)
@@ -222,29 +264,30 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 
 	sc := occScratchPool.Get().(*occScratch)
 	defer sc.release()
+	sc.engine = b.engine
 	t0 := time.Now()
 	b.store.Scan(b.filterFor(req), sc.visitFn)
 	tr.Stages.add(StageFetch, time.Since(t0))
-	tr.ObservationsScanned = len(sc.pairs)
+	tr.ObservationsScanned = sc.rows
 
 	t0 = time.Now()
-	// The rows collapse to distinct pairs, each with its row count;
-	// sorted, a subject's pairs are one run, and the subjects come in
-	// an order that makes the decisions (and with them the trace and
-	// the inboxes) deterministic rather than map-ordered.
-	for _, p := range sc.pairs {
-		sc.cells[p]++
+	// Each subject's rows are decided once per window class of their
+	// capture times, at the capture time of the class's first row.
+	// Sorted, a subject's cells are one run and a class's one run within
+	// it, in an order that makes the decisions (and with them the trace
+	// and the inboxes) deterministic rather than map-ordered.
+	for c := range sc.cells {
+		sc.list = append(sc.list, c)
 	}
-	pairs := sc.pairs[:0]
-	for p := range sc.cells {
-		pairs = append(pairs, p)
-	}
-	slices.SortFunc(pairs, func(x, y occPair) int { return cmp.Compare(x.user, y.user) })
-	for i, p := range pairs {
-		if i == 0 || p.user != pairs[i-1].user {
+	cells := sc.list
+	slices.SortFunc(cells, func(x, y occCell) int {
+		return cmp.Or(cmp.Compare(x.user, y.user), cmp.Compare(x.class, y.class))
+	})
+	for i, c := range cells {
+		if i == 0 || c.class != cells[i-1].class {
 			subReq := req
-			subReq.SubjectID = p.user
-			sc.items = append(sc.items, enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(p.user)})
+			subReq.SubjectID, subReq.Time = c.user, sc.at[c.class]
+			sc.items = append(sc.items, enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(c.user)})
 		}
 	}
 	// Post-filter decisions run as a concurrent batch: every candidate
@@ -256,35 +299,45 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		},
 	})
 	sc.decisions = decisions
-	resp := Response{SubjectsConsidered: len(decisions)}
-	k, relObs, overridden := minK, 0, false
-	for _, d := range decisions {
-		n := 1
-		for n < len(pairs) && pairs[n].user == pairs[0].user {
-			n++
+	var (
+		resp       Response
+		d          enforce.Decision
+		released   bool
+		overridden bool
+	)
+	k, relObs := minK, 0
+	for i, c := range cells {
+		if i == 0 || c.user != cells[i-1].user {
+			// A subject counts as released when any of their classes is.
+			resp.SubjectsConsidered++
+			released = false
+			sc.seen = sc.seen[:0]
 		}
-		run := pairs[:n]
-		pairs = pairs[n:]
-		b.recordDecision(run[0].user, d)
-		overridden = overridden || len(d.Overridden) > 0
+		if i == 0 || c.class != cells[i-1].class {
+			d, decisions = decisions[0], decisions[1:]
+			b.recordDecision(c.user, d)
+			overridden = overridden || len(d.Overridden) > 0
+			if d.Allowed {
+				k = max(k, d.Effective.MinAggregationK)
+				if !released {
+					resp.SubjectsReleased++
+					released = true
+				}
+			}
+		}
 		if !d.Allowed {
 			continue
 		}
-		k = max(k, d.Effective.MinAggregationK)
-		resp.SubjectsReleased++
-		// Each distinct space the subject's pairs coarsen to gains one
+		// Each distinct space the subject's cells coarsen to gains one
 		// subject. No value leaves the node here, so no noise is drawn.
-		sc.seen = sc.seen[:0]
-		for _, p := range run {
-			space, ok := privacy.CoarsenSpace(p.space, d.Granularity, b.transf.Spaces)
-			if !ok {
-				break // granularity none: counted as released, releases nothing
-			}
-			relObs += sc.cells[p]
-			if !slices.Contains(sc.seen, space) {
-				sc.seen = append(sc.seen, space)
-				sc.counts[space]++
-			}
+		space, ok := privacy.CoarsenSpace(c.space, d.Granularity, b.transf.Spaces)
+		if !ok {
+			continue // granularity none: counted as released, releases nothing
+		}
+		relObs += sc.cells[c]
+		if !slices.Contains(sc.seen, space) {
+			sc.seen = append(sc.seen, space)
+			sc.counts[space]++
 		}
 	}
 	tr.Stages.add(StageDecideSubjects, time.Since(t0))

@@ -10,6 +10,7 @@ import (
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
+	"github.com/tippers/tippers/internal/stream"
 )
 
 // TestRequestUserStreamMatchesQuery: RequestUser streams the subject's
@@ -137,4 +138,53 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 	if _, err := each.bms.RequestUserEach(context.Background(), req, func(*sensor.Observation) { emitted++ }); err == nil || emitted != 0 {
 		t.Fatalf("with no transformer: err %v after %d emitted rows, want an error and none", err, emitted)
 	}
+}
+
+// TestCaptureInstantReadsAsUTC: a row stamped 17:30-04:00 is 21:30 UTC,
+// outside an 08:00-18:00 rule, and is judged so whether the hot log
+// holds it with its ingest offset, a sealed segment holds it in UTC, or
+// a reopened node recovered it: RequestUser and a replaying stream
+// release it alike at each stage.
+func TestCaptureInstantReadsAsUTC(t *testing.T) {
+	dir := t.TempDir()
+	clock := func(c *Config) { c.Clock = func() time.Time { return testNow.Add(24 * time.Hour) } }
+	f := durableFixture(t, dir, clock)
+	if err := f.bms.SetPreference(policy.Preference{ID: "mary-day", UserID: "mary", Name: "day",
+		Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect, Window: policy.DailyWindow{Start: 8 * 60, End: 18 * 60}},
+		Rule:  policy.Rule{Action: policy.ActionDeny}, Source: "explicit"}); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2017, time.June, 7, 17, 30, 0, 0, time.FixedZone("", -4*3600))
+	if err := f.bms.Ingest(sensor.Observation{SensorID: "ap-2", Kind: sensor.ObsWiFiConnect, DeviceMAC: "aa:00:00:00:00:01", Time: at}); err != nil {
+		t.Fatal(err)
+	}
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SubjectID: "mary"}
+	released := func(stage string) {
+		t.Helper()
+		resp, err := f.bms.RequestUser(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Observations) != 1 || !resp.Observations[0].Time.Equal(at) {
+			t.Fatalf("%s: RequestUser released %+v, want the 21:30 UTC row", stage, resp.Observations)
+		}
+		sub, err := f.bms.Streams().Subscribe(stream.Options{Request: req, Replay: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Cancel()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if ev, err := sub.Next(ctx); err != nil || ev.Type != stream.EventObservation || !ev.Observation.Time.Equal(at) {
+			t.Fatalf("%s: replay served %+v, %v; want the 21:30 UTC row", stage, ev, err)
+		}
+	}
+	released("hot log")
+	if n, err := f.bms.Columnar().CompactOnce(); err != nil || n == 0 {
+		t.Fatalf("CompactOnce sealed %d rows, %v", n, err)
+	}
+	released("sealed")
+	f.bms.Close()
+	f = durableFixture(t, dir, clock)
+	released("reopened")
 }

@@ -213,6 +213,40 @@ func TestStreamFanoutSharesEngineMemo(t *testing.T) {
 	}
 }
 
+// TestStreamReplayHitsMemo: a replay of rows hours behind the node's
+// clock judges each at its capture time and decides once per window
+// class: the engine memo keys by class, so every later row of a class
+// is a hit.
+func TestStreamReplayHitsMemo(t *testing.T) {
+	f := newFixture(t)
+	engine := f.bms.Engine().(*enforce.Compiled)
+	if err := f.bms.SetPreference(policy.Preference{ID: "mary-nights", UserID: "mary", Name: "nights",
+		Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect, Window: policy.AfterHours},
+		Rule:  policy.Rule{Action: policy.ActionDeny}, Source: "explicit"}); err != nil {
+		t.Fatal(err)
+	}
+	for h := 12; h >= 1; h-- { // 02:00 to 13:00, six rows either side of 08:00
+		if err := f.bms.Ingest(f.wifiObs("aa:00:00:00:00:01", "ap-2", -60*h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits0, misses0 := engine.Stats()
+	sub, err := f.bms.Streams().Subscribe(stream.Options{Replay: true, ReplayChunk: 5, Request: enforce.Request{
+		ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Cancel)
+	got := collectStream(t, sub, 6, 2*time.Second)
+	if len(got) != 6 || got[0].Time.Hour() != 8 {
+		t.Fatalf("replay released %d rows from %v, want the six from 08:00", len(got), got)
+	}
+	hits, misses := engine.Stats()
+	if misses-misses0 != 2 || hits-hits0 != 10 {
+		t.Errorf("twelve replayed rows cost %d engine misses and %d hits, want 2 and 10", misses-misses0, hits-hits0)
+	}
+}
+
 // TestDerivedOccupancyStreamsWithStoreSeq: a derived observation
 // reaches live subscribers carrying the sequence number the store
 // assigned it — the resume cursor — not the zero of the un-stored

@@ -154,7 +154,7 @@ func TestDecideBatchEmpty(t *testing.T) {
 func TestDecideBatchSharesCache(t *testing.T) {
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	reference := NewCompiledMemo(cfg, -1)
-	memoized := NewCompiled(cfg)
+	memoized := stopped(NewCompiled(cfg))
 	batchItems(t, reference, 1) // install the same rule fixture
 	items := batchItems(t, memoized, 60)
 	for i := range items {

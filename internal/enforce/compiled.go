@@ -30,17 +30,16 @@ import (
 // subject's notification from Overridden whether or not it was a hit.
 // Its correctness constraints are load-bearing:
 //
-//   - Time-windowed rules make decisions time-dependent at minute
-//     resolution, so the memo holds the decisions of one minute: the
-//     newest any stored decision was evaluated at. Two requests in
-//     that minute are guaranteed identical decisions. When a decide
-//     for a later minute is stored, every entry — all superseded, none
-//     can hit again for a caller asking about "now" — is dropped
-//     first. A decide for an earlier minute (a stream replay behind
-//     the live edge, or any caller after one request stamped ahead of
-//     the clock) is computed and not stored: it costs what the
-//     memo-free engine costs and leaves the live minute's entries
-//     alone.
+//   - Time-windowed rules make decisions time-dependent, so the key
+//     carries the instant's window class in the subject's domain
+//     (Domain): an entry is valid for every instant of its class, so a
+//     stream replay or a scan of old rows hits as often as a read of
+//     the present. How long an entry lives is another matter: the memo
+//     holds what was stored during one minute of the node's clock
+//     (SetClock). The first store after that clock enters a new minute
+//     drops every entry, so memory follows the working set of a
+//     minute, and while the clock reads behind the minute the entries
+//     belong to, nothing is stored.
 //   - A decision computed under the read lock is stored only if the
 //     epoch read before deciding still stands.
 //
@@ -50,21 +49,28 @@ import (
 // owner's entries (both owners, when a preference ID is re-registered
 // under another user), a policy write ages everyone's. Ownership is
 // the whole dependency — Decide selects preference candidates from
-// the subject's own bucket, and the group defaults and the service
-// registry are fixed at construction — so no window exists where a
-// decision compiled against old rules can be served after the mutation
-// returns. This memo is the node's only cross-request decision cache;
-// anything else that holds decision-derived state (core's occupancy
-// answer cache) validates it against Epoch, which moves on every
-// mutation whatever its reach.
+// the subject's own bucket, the group defaults and the service
+// registry are fixed at construction, and a subject's domain moves
+// only with their own preferences and the policies — so no window
+// exists where a decision compiled against old rules can be served
+// after the mutation returns. This memo is the node's only
+// cross-request decision cache; anything else that holds
+// decision-derived state (core's occupancy answer cache) validates it
+// against Epoch, which moves on every mutation whatever its reach.
 type Compiled struct {
 	eval evaluator
 
 	mu    sync.RWMutex
 	ix    *compiled.Index
 	epoch uint64
-	memo  decisionMemo // empty when the memo is disabled
-	// minute is the evaluation minute every memo entry belongs to.
+	// shared is every subject's part of the class domain: the windows
+	// of the group defaults and the override policies. AddPolicy
+	// replaces it rather than writing to it.
+	shared []policy.DailyWindow
+	memo   decisionMemo // empty when the memo is disabled
+	// clock is the node's clock, and minute the minute of it during
+	// which every memo entry was stored.
+	clock  func() time.Time
 	minute int64
 	// aged maps a subject to the epoch of the last preference write
 	// that owned it. The value is folded into the memo key, so entries
@@ -79,7 +85,7 @@ type Compiled struct {
 	hits       *telemetry.Counter
 	miss       *telemetry.Counter
 	// Memo invalidations by reach: one owner, everyone (a policy write
-	// or the entry cap), the superseded minute.
+	// or the entry cap), the node clock's new minute.
 	agedSubject, agedAll, agedMinute *telemetry.Counter
 }
 
@@ -130,7 +136,11 @@ func (m *decisionMemo) drop() {
 }
 
 type cacheKey struct {
-	aged        uint64
+	aged uint64
+	// class indexes the subject's domain, which aged and the memo's drop
+	// on every policy write keep fixed for as long as an entry can be
+	// found.
+	class       Class
 	subject     string
 	service     string
 	purpose     policy.Purpose
@@ -153,15 +163,17 @@ func NewCompiled(cfg Config) *Compiled { return NewCompiledMemo(cfg, 0) }
 // equivalence properties measure this raw path).
 func NewCompiledMemo(cfg Config, maxEntries int) *Compiled {
 	c := &Compiled{
-		eval: evaluator{cfg: cfg},
-		ix:   compiled.NewIndex(cfg.Spaces),
-		hits: telemetry.NewCounter(),
-		miss: telemetry.NewCounter(),
+		eval:  evaluator{cfg: cfg},
+		ix:    compiled.NewIndex(cfg.Spaces),
+		clock: time.Now,
+		hits:  telemetry.NewCounter(),
+		miss:  telemetry.NewCounter(),
 
 		agedSubject: telemetry.NewCounter(),
 		agedAll:     telemetry.NewCounter(),
 		agedMinute:  telemetry.NewCounter(),
 	}
+	c.shared = c.eval.sharedWindows(nil)
 	if maxEntries == 0 {
 		maxEntries = 65536
 	}
@@ -196,6 +208,9 @@ func (c *Compiled) AddPolicy(p policy.BuildingPolicy) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ix.AddPolicy(p)
+	if p.Override && p.GovernsDataFlows() {
+		c.shared = addWindow(c.shared, p.Scope.Window)
+	}
 	c.epoch++
 	c.dropMemoLocked(c.agedAll)
 	return nil
@@ -284,7 +299,7 @@ func (c *Compiled) RegisterMetrics(r *telemetry.Registry) {
 		"Decision-memo misses (compiled matcher consulted).", func() float64 { return float64(c.miss.Value()) })
 	for scope, n := range map[string]*telemetry.Counter{"subject": c.agedSubject, "all": c.agedAll, "minute": c.agedMinute} {
 		r.CounterFuncWith("tippers_enforce_memo_invalidations_total",
-			"Decision-memo invalidations by reach: subject (a preference write aged its owner), all (a policy write or the entry cap dropped every entry), minute (a later evaluation minute superseded every entry).",
+			"Decision-memo invalidations by reach: subject (a preference write aged its owner), all (a policy write or the entry cap dropped every entry), minute (the node's clock entered a new minute).",
 			telemetry.Labels{"scope": scope}, func() float64 { return float64(n.Value()) })
 	}
 	r.GaugeFunc("tippers_enforce_cache_entries",
@@ -315,6 +330,21 @@ func (c *Compiled) RegisterMetrics(r *telemetry.Registry) {
 		})
 }
 
+// SetClock sets the node clock the memo's lifetime runs on (default
+// time.Now). Call it before the engine decides.
+func (c *Compiled) SetClock(clock func() time.Time) { c.clock = clock }
+
+// Domain implements Engine.
+func (c *Compiled) Domain(subjectID string) Domain {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.domainLocked(subjectID)
+}
+
+func (c *Compiled) domainLocked(subjectID string) Domain {
+	return Domain{own: c.ix.Windows(subjectID), shared: c.shared}
+}
+
 // Decide implements Engine: memo lookup, then candidate selection by
 // bitset intersection and program evaluation, sharing the decision
 // pipeline (prepare/finish) with Naive.
@@ -328,13 +358,7 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 		return d
 	}
 
-	t := req.Time
-	if t.IsZero() {
-		// An unset time means "now"; quantize the actual wall clock so
-		// entries age out of validity with it.
-		t = time.Now()
-	}
-	minute := t.Unix() / 60
+	req.Time = instant(req.Time)
 	key := cacheKey{
 		subject:     req.SubjectID,
 		service:     req.ServiceID,
@@ -345,24 +369,20 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 		groupsKey:   memoGroupsKey(subjectGroups),
 	}
 	c.mu.RLock()
-	epoch, behind := c.epoch, minute < c.minute
-	if minute == c.minute {
-		key.aged = c.aged[req.SubjectID]
-		if d, ok := c.memo.get(key); ok {
-			c.mu.RUnlock()
-			c.hits.Inc()
-			d.FromCache = true
-			return d
-		}
+	epoch := c.epoch
+	key.class = c.domainLocked(req.SubjectID).Class(req.Time)
+	key.aged = c.aged[req.SubjectID]
+	if d, ok := c.memo.get(key); ok {
+		c.mu.RUnlock()
+		c.hits.Inc()
+		d.FromCache = true
+		return d
 	}
 	d := c.decideLocked(req, subjectGroups)
 	c.mu.RUnlock()
 
 	c.miss.Inc()
-	// Only the newest minute's decisions are worth keeping.
-	if behind {
-		return d
-	}
+	minute := c.clock().Unix() / 60
 	c.mu.Lock()
 	if epoch == c.epoch && minute >= c.minute {
 		if minute > c.minute {
@@ -371,7 +391,7 @@ func (c *Compiled) Decide(req Request, subjectGroups []profile.Group) Decision {
 		} else if int(c.memo.used) >= c.maxEntries {
 			c.dropMemoLocked(c.agedAll)
 		}
-		// Read again: a minute advance since the lookup cleared it.
+		// Read again: a drop since the lookup cleared it.
 		key.aged = c.aged[req.SubjectID]
 		c.memo.put(key, d)
 	}

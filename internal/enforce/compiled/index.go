@@ -25,6 +25,7 @@
 package compiled
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/tippers/tippers/internal/policy"
@@ -42,6 +43,10 @@ type Index struct {
 	denseID map[string]uint32 // preference ID -> dense ID
 
 	bySubject map[string]subjectBucket
+	// windows holds the distinct windows of each subject's preferences,
+	// for the subjects that have one. A subject's slice is replaced,
+	// never written, when their preferences change.
+	windows   map[string][]policy.DailyWindow
 	byKind    map[sensor.ObservationKind]*Set // "" = kind-wildcard bucket
 	byService map[string]*Set                 // "" = service-wildcard bucket
 
@@ -116,12 +121,22 @@ func (ix *Index) subjectRemove(key string, id uint32) {
 	case 0:
 		delete(ix.bySubject, key)
 	case 1:
-		var only []uint32
-		for _, blk := range b.multi.blocks {
-			only = appendIDs(only, blk.key, blk.bits)
-		}
-		ix.bySubject[key] = subjectBucket{solo: only[0] + 1}
+		ix.bySubject[key] = subjectBucket{solo: b.appendIDs(nil)[0] + 1}
 	}
+}
+
+// appendIDs appends the bucket's dense IDs to dst.
+func (b subjectBucket) appendIDs(dst []uint32) []uint32 {
+	if b.multi == nil {
+		if b.solo != 0 {
+			dst = append(dst, b.solo-1)
+		}
+		return dst
+	}
+	for _, blk := range b.multi.blocks {
+		dst = appendIDs(dst, blk.key, blk.bits)
+	}
+	return dst
 }
 
 type polEntry struct {
@@ -136,6 +151,7 @@ func NewIndex(spaces *spatial.Model) *Index {
 		overlaps:  newOverlapSets(spaces),
 		denseID:   make(map[string]uint32),
 		bySubject: make(map[string]subjectBucket),
+		windows:   make(map[string][]policy.DailyWindow),
 		byKind:    make(map[sensor.ObservationKind]*Set),
 		byService: make(map[string]*Set),
 		polByKind: make(map[sensor.ObservationKind]*Set),
@@ -187,6 +203,10 @@ func (ix *Index) AddPreference(p policy.Preference) (replacedOwner string) {
 	ix.subjectAdd(p.UserID, id)
 	bucketAdd(ix.byKind, p.Scope.ObsKind, id)
 	bucketAdd(ix.byService, p.Scope.ServiceID, id)
+	ix.refreshWindows(p.UserID)
+	if replacedOwner != "" && replacedOwner != p.UserID {
+		ix.refreshWindows(replacedOwner)
+	}
 	return replacedOwner
 }
 
@@ -197,7 +217,32 @@ func (ix *Index) RemovePreference(id string) (owner string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	return ix.removeDense(dense), true
+	owner = ix.removeDense(dense)
+	ix.refreshWindows(owner)
+	return owner, true
+}
+
+// Windows returns the distinct windows of the subject's preferences,
+// nil when none has one. The caller must not write to the slice.
+func (ix *Index) Windows(subjectID string) []policy.DailyWindow { return ix.windows[subjectID] }
+
+// refreshWindows recomputes the subject's preference windows into a
+// new slice, so one handed out earlier stays as it was.
+func (ix *Index) refreshWindows(subjectID string) {
+	var (
+		buf [16]uint32
+		ws  []policy.DailyWindow
+	)
+	for _, id := range ix.bySubject[subjectID].appendIDs(buf[:0]) {
+		if w := ix.prefs[id].prog.window; !w.IsZero() && !slices.Contains(ws, w) {
+			ws = append(ws, w)
+		}
+	}
+	if ws == nil {
+		delete(ix.windows, subjectID)
+		return
+	}
+	ix.windows[subjectID] = ws
 }
 
 // removeDense frees a dense slot and returns the owner of the rule

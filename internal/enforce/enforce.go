@@ -56,8 +56,11 @@ type Request struct {
 	// Granularity is the precision the service asks for; zero means
 	// exact.
 	Granularity policy.Granularity
-	// Time is the evaluation instant for time-windowed rules; zero
-	// means time.Now().
+	// Time is the instant the decision is about, at which time-windowed
+	// rules are evaluated; zero means time.Now(). A read of stored rows
+	// judges each row at its capture time, deciding once per window
+	// class (Domain.Class) of those times; the decision at the
+	// request's own instant is the one its response reports.
 	Time time.Time
 	// From and To bound the observation window fetched by the data
 	// path. They do not affect the decision itself.
@@ -137,6 +140,9 @@ type Engine interface {
 	Decide(req Request, subjectGroups []profile.Group) Decision
 	// Counts returns installed (policies, preferences).
 	Counts() (int, int)
+	// Domain returns the subject's class domain under the current
+	// rules: the windows Decide can read about them.
+	Domain(subjectID string) Domain
 	// Epoch counts the rule mutations applied so far. It moves in the
 	// same critical section as the rule change, so an answer derived
 	// from decisions is current iff the epoch read before deciding
@@ -184,10 +190,6 @@ type prepared struct {
 // result means the request is denied outright; d carries the reason
 // (its consulted counts, set by the caller, survive either way).
 func (e *evaluator) prepare(req Request, subjectGroups []profile.Group, d *Decision) (prepared, bool) {
-	now := req.Time
-	if now.IsZero() {
-		now = time.Now()
-	}
 	p := prepared{reqGran: req.Granularity, declaredGran: policy.GranExact}
 	if !p.reqGran.Valid() {
 		p.reqGran = policy.GranExact
@@ -216,7 +218,7 @@ func (e *evaluator) prepare(req Request, subjectGroups []profile.Group, d *Decis
 		ObsKind:       req.Kind,
 		Purpose:       req.Purpose,
 		ServiceID:     req.ServiceID,
-		Time:          now,
+		Time:          instant(req.Time),
 	}
 	return p, true
 }

@@ -218,25 +218,44 @@ func TestOnlyDataFlowPoliciesOverride(t *testing.T) {
 	}
 }
 
+// TestWindowedPreference: Preference 1 governs the rows captured after
+// hours. At capture instants either side of every window edge the
+// memoized Compiled engine decides as Naive does, and the window class
+// tells two instants apart exactly when one of mary's windows does.
 func TestWindowedPreference(t *testing.T) {
-	for name, eng := range bothEngines(t, Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}) {
-		smReq := Request{
-			ServiceID: "smart-meeting",
-			Purpose:   policy.PurposeProvidingService,
-			Kind:      sensor.ObsOccupancy,
-			SubjectID: "mary",
-			SpaceID:   "dbh/2/r1",
+	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
+	naive, memoized := NewNaive(cfg), NewCompiled(cfg)
+	night := policy.DailyWindow{Start: 22 * 60, End: 2 * 60, Days: policy.Wednesday}
+	for _, p := range []policy.Preference{policy.Preference1OfficeOccupancy("mary", "dbh/2/r1"),
+		{ID: "night-coarse", UserID: "mary", Scope: policy.Scope{ObsKind: sensor.ObsOccupancy, Window: night},
+			Rule: policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding}}} {
+		for _, e := range []Engine{naive, memoized} {
+			if err := e.AddPreference(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := eng.AddPreference(policy.Preference1OfficeOccupancy("mary", "dbh/2/r1")); err != nil {
-			t.Fatal(err)
+	}
+	req := Request{ServiceID: "smart-meeting", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsOccupancy,
+		SubjectID: "mary", SpaceID: "dbh/2/r1"}
+	domain := memoized.Domain("mary")
+	wed := time.Date(2017, time.June, 7, 0, 0, 0, 0, time.UTC)
+	for _, edge := range []time.Duration{2 * time.Hour, 8 * time.Hour, 18 * time.Hour, 22 * time.Hour, 26 * time.Hour, 32 * time.Hour} {
+		for _, side := range []time.Duration{-time.Minute, -time.Second, 0, time.Minute} {
+			req.Time = wed.Add(edge + side)
+			want := normalizeDecision(naive.Decide(req, nil))
+			for pass := 0; pass < 2; pass++ {
+				if got := normalizeDecision(memoized.Decide(req, nil)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v, pass %d: compiled %+v, naive %+v", req.Time, pass, got, want)
+				}
+			}
+			if want.Allowed == policy.AfterHours.Contains(req.Time) {
+				t.Errorf("%v: allowed = %v, inside Preference 1's window %v", req.Time, want.Allowed, !want.Allowed)
+			}
 		}
-		smReq.Time = time.Date(2017, time.June, 7, 22, 0, 0, 0, time.UTC) // 10pm
-		if d := eng.Decide(smReq, nil); d.Allowed {
-			t.Errorf("%s: after-hours occupancy released: %+v", name, d)
-		}
-		smReq.Time = time.Date(2017, time.June, 7, 11, 0, 0, 0, time.UTC) // 11am
-		if d := eng.Decide(smReq, nil); !d.Allowed {
-			t.Errorf("%s: business-hours occupancy denied: %+v", name, d)
+		before, at := wed.Add(edge-time.Second), wed.Add(edge)
+		same := policy.AfterHours.Contains(before) == policy.AfterHours.Contains(at) && night.Contains(before) == night.Contains(at)
+		if got := domain.Class(before) == domain.Class(at); got != same {
+			t.Errorf("edge %v: one class either side = %v, want %v", at, got, same)
 		}
 	}
 }

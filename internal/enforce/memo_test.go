@@ -18,7 +18,8 @@ import (
 )
 
 // The decision memo built into Compiled carries the correctness
-// obligations the old Cached wrapper had: minute quantization,
+// obligations the old Cached wrapper had: a key that tells apart every
+// instant a time-windowed rule can tell apart (the window class),
 // invalidation by every mutation of whatever the mutation can reach
 // (the owner for a preference, everyone for a policy), and replaying
 // override decisions, which carry no notification of their own, like
@@ -27,7 +28,15 @@ import (
 func newMemoEngine(t testing.TB) *Compiled {
 	t.Helper()
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
-	return NewCompiled(cfg)
+	return stopped(NewCompiled(cfg))
+}
+
+// stopped gives c a node clock that never moves, so the wall clock
+// entering a new minute mid-test drops none of the entries a test
+// counts on.
+func stopped(c *Compiled) *Compiled {
+	c.SetClock(func() time.Time { return baseRequest().Time })
+	return c
 }
 
 func TestMemoHitsOnRepeats(t *testing.T) {
@@ -185,12 +194,20 @@ func memoEntries(t *testing.T, c *Compiled) int {
 	return int(v)
 }
 
-// TestMemoHoldsLiveMinuteOnly: a repeating request set holds as many
-// entries after ten minutes as after one, a request behind the live
-// minute is decided correctly but neither stored nor evicting, and the
-// invalidation counters are on the registry under their scopes.
+// TestMemoHoldsLiveMinuteOnly: an entry is valid for every instant of
+// its window class, and lives for one minute of the node's clock. Each
+// minute of that clock reads subjects nobody read before: the repeats
+// hit, and the minute's first store drops what the minute before
+// stored, so the memo holds one minute's entries after ten. A replay of
+// one subject's evening decides once per class and serves every other
+// row from the memo. While the clock reads behind the stored minute a
+// miss is decided but not stored. The invalidation counters are on the
+// registry under their scopes.
 func TestMemoHoldsLiveMinuteOnly(t *testing.T) {
 	c := newMemoEngine(t)
+	var minute atomic.Int64
+	start := time.Date(2017, time.June, 7, 17, 55, 0, 0, time.UTC)
+	c.SetClock(func() time.Time { return start.Add(time.Duration(minute.Load()) * time.Minute) })
 	if err := c.AddPreference(policy.Preference{
 		ID: "evenings", UserID: "mary",
 		Scope: policy.Scope{Window: policy.AfterHours},
@@ -198,52 +215,49 @@ func TestMemoHoldsLiveMinuteOnly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	subjects := []string{"mary", "bob", "carol", "dave"}
-	start := time.Date(2017, time.June, 7, 17, 55, 0, 0, time.UTC)
-	round := func(minute int) {
+	decide := func(who string, at time.Time) Decision {
 		t.Helper()
-		at := start.Add(time.Duration(minute) * time.Minute)
+		req := baseRequest()
+		req.SubjectID, req.Time = who, at
+		d := c.Decide(req, nil)
+		if want := who != "mary" || !policy.AfterHours.Contains(at); d.Allowed != want {
+			t.Fatalf("%s at %v: allowed = %v, want %v", who, at, d.Allowed, want)
+		}
+		return d
+	}
+	for m := 0; m < 10; m++ {
+		minute.Store(int64(m))
 		for pass := 0; pass < 2; pass++ {
-			for _, who := range subjects {
-				req := baseRequest()
-				req.SubjectID, req.Time = who, at.Add(time.Duration(pass)*20*time.Second)
-				d := c.Decide(req, nil)
-				if want := who != "mary" || !policy.AfterHours.Contains(at); d.Allowed != want {
-					t.Fatalf("minute %d, %s: allowed = %v, want %v", minute, who, d.Allowed, want)
-				}
-				if d.FromCache != (pass == 1) {
-					t.Fatalf("minute %d, %s, pass %d: FromCache = %v", minute, who, pass, d.FromCache)
+			for i := 0; i < 4; i++ {
+				if d := decide(fmt.Sprintf("s%d-%d", m, i), start); d.FromCache != (pass == 1) {
+					t.Fatalf("minute %d, subject %d, pass %d: FromCache = %v", m, i, pass, d.FromCache)
 				}
 			}
 		}
-	}
-	round(0)
-	after1 := memoEntries(t, c)
-	if after1 != len(subjects) {
-		t.Fatalf("entries after one minute = %d, want %d", after1, len(subjects))
-	}
-	for minute := 1; minute < 10; minute++ {
-		round(minute)
-	}
-	if got := memoEntries(t, c); got != after1 {
-		t.Fatalf("entries after ten minutes = %d, after one %d: superseded minutes are retained", got, after1)
-	}
-
-	// Behind the live edge (17:56, before mary's window opened at 18:00).
-	late := baseRequest()
-	late.Time = start.Add(time.Minute)
-	for i := 0; i < 2; i++ {
-		if d := c.Decide(late, nil); !d.Allowed || d.FromCache {
-			t.Fatalf("replayed 17:56 request, call %d: %+v", i, d)
+		if got := memoEntries(t, c); got != 4 {
+			t.Fatalf("minute %d: %d entries, want the minute's 4", m, got)
 		}
 	}
-	if got := memoEntries(t, c); got != after1 {
-		t.Fatalf("entries after a behind-the-edge decide = %d, want %d", got, after1)
+
+	// Mary's rows from 16:55 to 21:55: two classes, either side of 18:00.
+	for i, at := range []time.Time{start.Add(30 * time.Minute), start.Add(2 * time.Hour), start.Add(-time.Hour),
+		start.Add(-50 * time.Minute), start.Add(4 * time.Hour)} {
+		if d := decide("mary", at); d.FromCache != (i%2 == 1 || i == 4) {
+			t.Fatalf("replayed row %d at %v: FromCache = %v", i, at, d.FromCache)
+		}
 	}
-	live := baseRequest()
-	live.Time = start.Add(9 * time.Minute)
-	if d := c.Decide(live, nil); !d.FromCache || d.Allowed {
-		t.Fatalf("the live minute's entry did not survive the replay: %+v", d)
+
+	minute.Add(-1)
+	for i := 0; i < 2; i++ {
+		if d := decide("bob", start); d.FromCache {
+			t.Fatalf("call %d behind the stored minute was served from the memo", i)
+		}
+	}
+	minute.Add(1)
+	for i := 0; i < 2; i++ {
+		if d := decide("bob", start); d.FromCache != (i == 1) {
+			t.Fatalf("call %d back at the stored minute: FromCache = %v", i, d.FromCache)
+		}
 	}
 
 	reg := telemetry.NewRegistry()
@@ -278,15 +292,15 @@ func TestMemoHitAfterForeignWriteAllocsNothing(t *testing.T) {
 }
 
 // TestMemoChurnAcrossMinutes races preference writes, decides and
-// minute advances on one engine. Each mutator owns a subject and
-// replaces that subject's preference with a growing version (carried in
-// NoiseEpsilon), publishing the version only after AddPreference
-// returns; deciders read the published version before deciding, at the
-// live minute or one behind it, so a decision carrying an older version
-// is a memo entry that outlived the write — through another owner's
-// write, a minute advance clearing the write epochs, or the insert of a
-// decision computed before the write. Under -race it also covers the
-// memo's own bookkeeping.
+// advances of the node's clock on one engine. Each mutator owns a
+// subject and replaces that subject's preference with a growing version
+// (carried in NoiseEpsilon), publishing the version only after
+// AddPreference returns; deciders read the published version before
+// deciding, about the clock's minute or one behind it, so a decision
+// carrying an older version is a memo entry that outlived the write —
+// through another owner's write, a minute advance clearing the write
+// epochs, or the insert of a decision computed before the write. Under
+// -race it also covers the memo's own bookkeeping.
 func TestMemoChurnAcrossMinutes(t *testing.T) {
 	const owners, deciders, versions = 4, 4, 400
 	c := newMemoEngine(t)
@@ -305,6 +319,7 @@ func TestMemoChurnAcrossMinutes(t *testing.T) {
 	}
 	var minute atomic.Int64
 	start := baseRequest().Time
+	c.SetClock(func() time.Time { return start.Add(time.Duration(minute.Load()) * time.Minute) })
 	done := make(chan struct{})
 	var mutators, readers sync.WaitGroup
 	for i := 0; i < owners; i++ {
@@ -355,11 +370,12 @@ func TestMemoChurnAcrossMinutes(t *testing.T) {
 // scoped invalidation: under a random interleaving of preference adds
 // (including an ID re-registered under another owner), removals,
 // policy writes (override and not) and decides — over two dozen
-// subjects, some in several groups, and a clock that mostly advances
-// and sometimes steps back across the minute the after-hours window
-// opens — the memoized engine decides exactly like the memo-free one
-// and like Naive fed the same mutations. The request vocabulary is
-// small so most decides could be memo hits: a stale one would show.
+// subjects, some in several groups, about instants either side of the
+// minute the after-hours window opens, while the node's clock mostly
+// advances and sometimes steps back — the memoized engine decides
+// exactly like the memo-free one and like Naive fed the same mutations.
+// The request vocabulary is small so most decides could be memo hits:
+// a stale one would show.
 func TestScopedMemoMatchesReferences(t *testing.T) {
 	subjects := make([]string, 24)
 	groupsOf := map[string][]profile.Group{}
@@ -441,6 +457,8 @@ func TestScopedMemoMatchesReferences(t *testing.T) {
 
 			minute, back, backFor := 0, 0, 0
 			start := time.Date(2017, time.June, 7, 17, 57, 0, 0, time.UTC)
+			clock := 0 // the node's, in minutes after start
+			memoized.SetClock(func() time.Time { return start.Add(time.Duration(clock) * time.Minute) })
 			for trial := 0; trial < 10000; trial++ {
 				if r.Intn(12) == 0 {
 					mutate()
@@ -456,6 +474,10 @@ func TestScopedMemoMatchesReferences(t *testing.T) {
 					at, backFor = max(0, minute-back), backFor-1
 				} else if r.Intn(20) == 0 {
 					at = max(0, minute-1) // a lone straggler
+				}
+				clock = minute
+				if r.Intn(40) == 0 {
+					clock-- // the node's clock read behind its last minute
 				}
 				req := Request{
 					ServiceID:   services[r.Intn(4)],
@@ -505,7 +527,7 @@ func TestMemoReplaysOverrideDecisions(t *testing.T) {
 			Granularity: policy.GranExact,
 		}},
 	})
-	c := NewCompiled(cfg)
+	c := stopped(NewCompiled(cfg))
 	if err := c.AddPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +557,7 @@ func TestMemoEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cfg := Config{Spaces: testModel(t), Services: testServices(t), DefaultAllow: true}
 	reference := NewCompiledMemo(cfg, -1)
-	memoized := NewCompiledMemo(cfg, 128)
+	memoized := stopped(NewCompiledMemo(cfg, 128))
 
 	users := []string{"u0", "u1", "u2"}
 	kinds := []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting, ""}
@@ -648,8 +670,9 @@ func TestMemoInsertAllocs(t *testing.T) {
 }
 
 // TestMemoMatchesMemoFreeUnderRace races decides against rule writes,
-// minute advances and cap overflows on a memo far below the working
-// set. Between rounds a random preference add or removal, or an
+// advances of the node's clock and cap overflows on a memo far below
+// the working set. Requests are about instants at the clock's minute,
+// ahead of it and behind it. Between rounds a random preference add or removal, or an
 // emergency override policy, goes to the memoized and the memo-free
 // engine alike; within a round, deciders compare the two on requests no
 // concurrent write reaches, while writers race them on the two domains
@@ -724,6 +747,7 @@ func TestMemoMatchesMemoFreeUnderRace(t *testing.T) {
 
 	var minute atomic.Int64
 	start := time.Date(2017, time.June, 7, 17, 57, 0, 0, time.UTC)
+	memoized.SetClock(func() time.Time { return start.Add(time.Duration(minute.Load()) * time.Minute) })
 	for round := 0; round < rounds; round++ {
 		mutate(round)
 		var wg sync.WaitGroup

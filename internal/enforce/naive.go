@@ -84,6 +84,19 @@ func (n *Naive) Decide(req Request, subjectGroups []profile.Group) Decision {
 	return n.eval.decide(req, subjectGroups, n.policies, n.prefs)
 }
 
+// Domain implements Engine by scanning everything.
+func (n *Naive) Domain(subjectID string) Domain {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	d := Domain{shared: n.eval.sharedWindows(n.policies)}
+	for _, p := range n.prefs {
+		if p.UserID == subjectID {
+			d.own = addWindow(d.own, p.Scope.Window)
+		}
+	}
+	return d
+}
+
 // Counts implements Engine.
 func (n *Naive) Counts() (int, int) {
 	n.mu.RLock()

@@ -213,7 +213,7 @@ func (w Weekdays) Has(d time.Weekday) bool {
 }
 
 // DailyWindow is a recurring time-of-day interval. Start and End are
-// minutes since midnight; a window with End <= Start wraps past
+// minutes since midnight UTC; a window with End <= Start wraps past
 // midnight (after-hours: Start=18*60, End=8*60). Days of zero means
 // all days.
 type DailyWindow struct {
@@ -229,8 +229,12 @@ var AfterHours = DailyWindow{Start: 18 * 60, End: 8 * 60}
 // BusinessHours is 8am–6pm on weekdays.
 var BusinessHours = DailyWindow{Start: 8 * 60, End: 18 * 60, Days: Weekdays5}
 
-// Contains reports whether t falls inside the window.
+// Contains reports whether t falls inside the window. t is read as its
+// UTC instant, the zone every sealed row decodes in, so a row is
+// judged alike whichever offset it was ingested with and whether or
+// not it has been sealed.
 func (w DailyWindow) Contains(t time.Time) bool {
+	t = t.UTC()
 	days := w.Days
 	if days == 0 {
 		days = AllDays
@@ -245,8 +249,7 @@ func (w DailyWindow) Contains(t time.Time) bool {
 		return days.Has(t.Weekday())
 	}
 	if minute < w.End {
-		prev := t.Add(-24 * time.Hour)
-		return days.Has(prev.Weekday())
+		return days.Has((t.Weekday() + 6) % 7)
 	}
 	return false
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	_ "time/tzdata"
 
 	"github.com/tippers/tippers/internal/isodur"
 	"github.com/tippers/tippers/internal/profile"
@@ -154,6 +155,38 @@ func TestDailyWindowWrapAttributesDays(t *testing.T) {
 	}
 	if !w.Contains(friEvening) {
 		t.Error("Friday 8pm should be inside")
+	}
+}
+
+// TestDailyWindowContainsReadsUTC: window minutes are UTC, so an
+// instant carrying any offset is judged as its UTC instant. Around New
+// York's 23-hour day (2017-03-12) the local reading named the wrong
+// previous day: at 00:30 EDT on Monday, 24 hours back was Saturday.
+func TestDailyWindowContainsReadsUTC(t *testing.T) {
+	ny, err := time.LoadLocation("America/New_York")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sundayNight := DailyWindow{Start: 22 * 60, End: 2 * 60, Days: Sunday}
+	windows := []DailyWindow{AfterHours, BusinessHours, sundayNight, {Start: 8 * 60, End: 18 * 60}}
+	for at := time.Date(2017, time.March, 11, 0, 0, 0, 0, ny); at.Before(time.Date(2017, time.March, 15, 0, 0, 0, 0, ny)); at = at.Add(15 * time.Minute) {
+		for _, w := range windows {
+			if got, want := w.Contains(at), w.Contains(at.UTC()); got != want {
+				t.Errorf("%+v.Contains(%v) = %v, its UTC instant %v", w, at, got, want)
+			}
+		}
+	}
+	// 00:30 EDT Monday is 04:30 UTC Monday, after Sunday's window closed;
+	// 21:30 EDT Sunday is 01:30 UTC Monday, inside it.
+	if sundayNight.Contains(time.Date(2017, time.March, 13, 0, 30, 0, 0, ny)) {
+		t.Error("00:30 EDT Monday is inside a Sunday 22:00-02:00 UTC window")
+	}
+	if !sundayNight.Contains(time.Date(2017, time.March, 12, 21, 30, 0, 0, ny)) {
+		t.Error("21:30 EDT Sunday is outside a Sunday 22:00-02:00 UTC window")
+	}
+	// 17:30-04:00 is 21:30 UTC: outside 08:00-18:00.
+	if (DailyWindow{Start: 8 * 60, End: 18 * 60}).Contains(time.Date(2017, time.June, 7, 17, 30, 0, 0, time.FixedZone("", -4*3600))) {
+		t.Error("17:30-04:00 judged at its local clock")
 	}
 }
 

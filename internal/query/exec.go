@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
@@ -24,12 +23,11 @@ type binding struct {
 	req Requester
 }
 
-// enforcement is one execution of a plan, with its own clock, tables
-// and counts: Execute builds a fresh one every time.
+// enforcement is one execution of a plan, with its own tables and
+// counts: Execute builds a fresh one every time.
 type enforcement struct {
 	*binding
 	*tables
-	now time.Time
 
 	// maxFloor is the largest MinAggregationK among subjects whose
 	// rows survive residual filtering and so contribute to the result;
@@ -48,14 +46,17 @@ type tables struct {
 	// Each subject, space and kind a row names gets a dense id, and the
 	// memo's keys and the grouper's subject sets hang off those
 	// instead of off strings. users holds "" as id 0, so a subject id
-	// of 0 means unattributed.
+	// of 0 means unattributed. domains holds each subject's class
+	// domain, by subject id.
 	users, spaces, kinds interner
+	domains              []enforce.Domain
 
 	// memo is the execution's decision snapshot per (subject, kind,
-	// space); a scan over a million rows usually needs a few dozen
-	// engine calls, and a repeat costs a map hit on dense ids instead
-	// of one. Env.Decide also folds an override into its subject's
-	// inbox, so the entry counts once per execution, not per row. The
+	// space, window class of the capture time); a scan over a million
+	// rows usually needs a few dozen engine calls, and a repeat costs a
+	// map hit on dense ids instead of one. Env.Decide also folds an
+	// override into its subject's inbox, so the entry counts once per
+	// execution, not per row. The
 	// scan reads back only a verdict, so the memo holds an index into
 	// the execution's few distinct verdicts and the enforce.Decision
 	// is dropped.
@@ -89,7 +90,8 @@ func (t *tables) reset() {
 	clear(t.verdictOf)
 	clear(t.groups)
 	clear(t.verdicts)
-	t.verdicts = t.verdicts[:0]
+	clear(t.domains)
+	t.verdicts, t.domains = t.verdicts[:0], t.domains[:0]
 }
 
 // interner gives a statement's strings dense ids in first-seen order;
@@ -105,9 +107,13 @@ func (in interner) id(s string) uint32 {
 	return id
 }
 
-// memoKey is exactly (subject, kind, space), unpacked: a space-scoped
-// rule decides per space, and no field can spill into its neighbour.
-type memoKey struct{ user, kind, space uint32 }
+// memoKey is exactly (subject, kind, space, class), unpacked: a
+// space-scoped rule decides per space, a windowed one per class, and no
+// field can spill into its neighbour.
+type memoKey struct {
+	user, kind, space uint32
+	class             enforce.Class
+}
 
 // verdict is what the scan reads back from a decision. Denials are
 // normalized to the zero verdict.
@@ -122,10 +128,15 @@ func (v verdict) decision() enforce.Decision {
 	return enforce.Decision{Allowed: v.allowed, Granularity: v.granularity, Effective: v.effective}
 }
 
-// decide returns the requester's verdict for one row's (subject, kind,
-// space), memoized for the execution's lifetime, and the subject's id.
+// decide returns the requester's verdict for one row, judged at its
+// capture time, memoized by (subject, kind, space, class) for the
+// execution's lifetime, and the subject's id.
 func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
 	key := memoKey{user: e.users.id(o.UserID), kind: e.kinds.id(string(o.Kind)), space: e.spaces.id(o.SpaceID)}
+	if int(key.user) == len(e.domains) {
+		e.domains = append(e.domains, e.env.Domain(o.UserID))
+	}
+	key.class = e.domains[key.user].Class(o.Time)
 	if h, ok := e.memo[key]; ok {
 		return e.verdicts[h], key.user
 	}
@@ -136,7 +147,7 @@ func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
 		SubjectID:   o.UserID,
 		SpaceID:     o.SpaceID,
 		Granularity: e.req.Granularity,
-		Time:        e.now,
+		Time:        o.Time,
 	})
 	e.stats.Decisions++
 	var v verdict
@@ -178,6 +189,7 @@ func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, 
 		err error
 	)
 	get := func(col string) Value { return (*obsRow)(&rel).col(colIndex(obsColumns, col)) }
+	e.domains = append(e.domains, e.env.Domain("")) // for subject id 0
 	e.env.ScanEach(f, func(o *sensor.Observation) bool {
 		e.stats.ScannedRows++
 		v, subject := e.decide(o)
@@ -221,8 +233,7 @@ func (e *enforcement) effectiveK() int {
 
 // Execute runs the plan. It refuses to run a plan without an
 // enforcement binding — the zero Plan, or one assembled by hand, has
-// no path to data. Each run reads the clock and decides afresh, with
-// tables of its own.
+// no path to data. Each run decides afresh, with tables of its own.
 func (p *Plan) Execute() (*Result, error) {
 	if p == nil || p.bind == nil {
 		return nil, &EnforceError{Msg: "plan has no enforcement binding; use Compile"}
@@ -236,10 +247,7 @@ func (p *Plan) Execute() (*Result, error) {
 // execute runs the plan over empty tables t, which it leaves holding
 // what the run interned and decided.
 func (p *Plan) execute(t *tables) (*Result, error) {
-	e := &enforcement{binding: p.bind, tables: t, now: time.Now()}
-	if p.bind.env.Now != nil {
-		e.now = p.bind.env.Now()
-	}
+	e := &enforcement{binding: p.bind, tables: t}
 	t.users[""] = 0
 	switch p.table {
 	case TableAudit:

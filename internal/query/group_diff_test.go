@@ -104,7 +104,6 @@ func (w *diffWorld) env(obs []sensor.Observation) Env {
 		},
 		Apply:        w.apply,
 		AuditRecords: func(string) []AuditRecord { return w.audit },
-		Now:          func() time.Time { return qtNow },
 	}
 }
 

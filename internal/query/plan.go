@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -276,6 +277,9 @@ func (c *compiler) compile() (*Plan, error) {
 					}
 				}
 			}
+		}
+		if c.env.Domain == nil {
+			c.env.Domain = func(string) enforce.Domain { return enforce.Domain{} }
 		}
 	case TableAudit:
 		if c.req.UserID == "" {

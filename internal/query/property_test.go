@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/obstore"
@@ -213,7 +212,7 @@ func refExecute(env Env, r Requester, obs []sensor.Observation, grouped bool, mi
 		d, ok := memo[key]
 		if !ok {
 			d = env.Decide(enforce.Request{ServiceID: r.ServiceID, Purpose: r.Purpose, Kind: o.Kind,
-				SubjectID: o.UserID, SpaceID: o.SpaceID, Granularity: r.Granularity, Time: env.Now()})
+				SubjectID: o.UserID, SpaceID: o.SpaceID, Granularity: r.Granularity, Time: o.Time})
 			memo[key] = d
 			stats.Decisions++
 			if o.UserID != "" {
@@ -360,7 +359,6 @@ func TestCompactMemoMatchesReference(t *testing.T) {
 						o.Value += 1000 * d.Effective.NoiseEpsilon
 						return o, true, nil
 					},
-					Now: func() time.Time { return qtNow },
 				}
 			}
 
@@ -424,7 +422,6 @@ func TestOverrideNotifiesOncePerKeyPerStatement(t *testing.T) {
 			return d
 		},
 		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) { return o, true, nil },
-		Now:   func() time.Time { return qtNow },
 	}
 	for _, sql := range []string{
 		"SELECT seq FROM observations",
@@ -473,7 +470,6 @@ func TestRecycledTablesFailClosed(t *testing.T) {
 			return enforce.Decision{Allowed: true, Granularity: policy.GranExact, Effective: policy.Rule{MinAggregationK: 2}}
 		},
 		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) { return o, true, nil },
-		Now:   func() time.Time { return qtNow },
 	}
 	requesters := []Requester{{ServiceID: "svc-a", Purpose: "safety"}, {ServiceID: "svc-b", Purpose: "analytics"}}
 	sqls := []string{

@@ -88,16 +88,21 @@ type Env struct {
 	// exact IDs.
 	Subtree func(spaceID string) []string
 	// Decide runs query-time enforcement for one (requester, subject,
-	// kind, space) combination. Required.
+	// kind, space) combination at one instant. Required.
 	Decide func(req enforce.Request) enforce.Decision
+	// Domain returns a subject's class domain (enforce.Engine.Domain).
+	// Each row is judged at its capture time, and the execution decides
+	// once per window class of those times. nil means no rule has a
+	// window: one class per subject.
+	Domain func(subjectID string) enforce.Domain
 	// Apply runs an allow decision's data path (granularity clamp,
 	// noise) over one observation; ok=false suppresses the row.
 	Apply func(d enforce.Decision, o sensor.Observation) (out sensor.Observation, ok bool, err error)
 	// AuditRecords returns the retained decision traces naming
 	// subjectID, newest first, for the audit table.
 	AuditRecords func(subjectID string) []AuditRecord
-	// Now is the evaluation clock for time-windowed rules; nil means
-	// time.Now.
+	// Now is read by nothing: rows are judged at their capture times.
+	// bench/replay.go still sets it, and it goes when that file does.
 	Now func() time.Time
 	// Rollup is a shim for bench/replay.go (see shim.go): nothing in
 	// this package calls it.

@@ -99,7 +99,6 @@ func (te *testEnv) env() Env {
 			}
 			return out
 		},
-		Now: func() time.Time { return qtNow },
 	}
 }
 
@@ -348,17 +347,15 @@ func TestExecuteRefusesWithoutEnforcement(t *testing.T) {
 }
 
 // TestExecuteTwiceDecidesAgain: a compiled plan decides afresh on every
-// Execute, on the clock at that moment. A verdict one run memoized must
-// not release rows a rule change has since denied, and each run's Stats
-// count that run alone.
+// Execute, judging each row at its capture time. A verdict one run
+// memoized must not release rows a rule change has since denied, and
+// each run's Stats count that run alone.
 func TestExecuteTwiceDecidesAgain(t *testing.T) {
 	te := &testEnv{deny: map[string]bool{}, obs: []sensor.Observation{
 		obsAt(1, "ap-1", "dbh/1", "mary", 0, 1),
 		obsAt(2, "ap-1", "dbh/2", "mary", 1, 1),
 	}}
 	env := te.env()
-	clock := qtNow
-	env.Now = func() time.Time { return clock }
 	var decidedAt []time.Time
 	decide := env.Decide
 	env.Decide = func(req enforce.Request) enforce.Decision {
@@ -388,14 +385,15 @@ func TestExecuteTwiceDecidesAgain(t *testing.T) {
 		if len(res.Rows) != want.rows || res.Stats != want.stats {
 			t.Fatalf("run %d: %d rows, stats %+v; want %d rows, stats %+v", run+1, len(res.Rows), res.Stats, want.rows, want.stats)
 		}
-		for _, at := range decidedAt {
-			if !at.Equal(clock) {
-				t.Fatalf("run %d decided at %v, the clock read %v", run+1, at, clock)
+		if len(decidedAt) != len(te.obs) {
+			t.Fatalf("run %d made %d decisions, want one per row", run+1, len(decidedAt))
+		}
+		for i, at := range decidedAt {
+			if !at.Equal(te.obs[i].Time) {
+				t.Fatalf("run %d decided row %d at %v, captured at %v", run+1, i+1, at, te.obs[i].Time)
 			}
 		}
-		// mary opts out, an hour later.
-		te.deny["mary"] = true
-		clock = clock.Add(time.Hour)
+		te.deny["mary"] = true // mary opts out
 	}
 }
 

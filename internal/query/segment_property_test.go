@@ -69,7 +69,6 @@ func (w *segWorld) envOver(scan func(obstore.Filter) []sensor.Observation) Env {
 			}
 			return out, true, nil
 		},
-		Now: func() time.Time { return qtNow },
 	}
 }
 

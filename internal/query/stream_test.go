@@ -170,7 +170,6 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 				return enforce.Decision{Allowed: true, Granularity: policy.GranExact}
 			},
 			Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) { return o, true, nil },
-			Now:   func() time.Time { return qtNow },
 		}
 		stmt, err := Parse("SELECT space_id, COUNT(DISTINCT user_id) AS n FROM observations GROUP BY space_id")
 		if err != nil {
@@ -240,7 +239,6 @@ func TestMemoIdsNeverAlias(t *testing.T) {
 			o.Value = d.Effective.NoiseEpsilon
 			return o, true, nil
 		},
-		Now: func() time.Time { return qtNow },
 	}
 	res, err := Run(env, reqr(), "SELECT user_id, space_id, value FROM observations")
 	if err != nil {
