@@ -70,11 +70,11 @@ func TestMemoMinuteQuantization(t *testing.T) {
 	if d := c.Decide(req, nil); d.Allowed {
 		t.Fatal("business-hours deny missed")
 	}
-	// Same minute: memo hit, same outcome.
+	// Same instant: memo hit, same outcome.
 	if d := c.Decide(req, nil); d.Allowed {
 		t.Fatal("memoized decision flipped")
 	}
-	// Evening: different minute bucket, re-evaluated, now allowed.
+	// Evening: another window class, decided afresh, now allowed.
 	req.Time = time.Date(2017, time.June, 7, 20, 0, 0, 0, time.UTC)
 	if d := c.Decide(req, nil); !d.Allowed {
 		t.Fatal("evening request used stale business-hours decision")
