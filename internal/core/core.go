@@ -8,6 +8,7 @@ package core
 
 import (
 	"cmp"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"os"
@@ -58,11 +59,12 @@ type Config struct {
 	// subject has no personal preference (see enforce.GroupDefault).
 	// Ignored when a custom Engine is supplied.
 	GroupDefaults []enforce.GroupDefault
-	// PseudonymKey keys MAC pseudonymization; nil derives an insecure
-	// fixed key (fine for simulation; a deployment must set it).
+	// PseudonymKey keys MAC pseudonymization and Laplace noise, so a
+	// row is released with the same noise by every node that shares it,
+	// across restarts. nil pseudonymizes under an insecure fixed key
+	// (fine for simulation; a deployment must set it) and keys noise
+	// per process, with a random key.
 	PseudonymKey []byte
-	// NoiseSeed seeds the Laplace noiser for reproducible runs.
-	NoiseSeed int64
 	// Clock overrides time.Now for tests and simulation.
 	Clock func() time.Time
 	// Metrics is the telemetry registry pipeline counters, latency
@@ -155,6 +157,15 @@ func New(cfg Config) (*BMS, error) {
 	if key == nil {
 		key = []byte("tippers-simulation-key")
 	}
+	noiseKey := cfg.PseudonymKey
+	if noiseKey == nil {
+		// Never the public fallback: whoever reads it could recompute
+		// the noise and subtract it.
+		noiseKey = make([]byte, 32)
+		if _, err := rand.Read(noiseKey); err != nil {
+			return nil, fmt.Errorf("core: drawing a noise key: %w", err)
+		}
+	}
 	for _, d := range cfg.GroupDefaults {
 		if err := d.Check(); err != nil {
 			return nil, err
@@ -186,7 +197,7 @@ func New(cfg Config) (*BMS, error) {
 		store:     store,
 		engine:    engine,
 		services:  cfg.Services,
-		transf:    privacy.NewTransformer(cfg.Spaces, cfg.NoiseSeed, key),
+		transf:    privacy.NewTransformer(cfg.Spaces, 0, noiseKey),
 		pseud:     privacy.NewPseudonymizer(key),
 		clock:     cfg.Clock,
 		metrics:   reg,

@@ -12,8 +12,7 @@ package core
 // retention has expired on the node's clock, each decided at its
 // capture time by a naive engine fed the same rules in the same order.
 // Preferences and override policies carry daily windows, and rows are
-// captured on both sides of their edges. Noised values compare as
-// decisions (the noise itself is drawn per release).
+// captured on both sides of their edges.
 
 import (
 	"context"
@@ -21,7 +20,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,8 +289,8 @@ func (w *refWorld) decide(req enforce.Request) enforce.Decision {
 }
 
 // release is the data path the paper's semantics give one row under d:
-// the granularity clamp; false when nothing may be released. A noised
-// row's value is zeroed: values compare as decisions.
+// the granularity clamp, then the node's keyed noise; false when
+// nothing may be released.
 func (w *refWorld) release(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool) {
 	if !d.Allowed {
 		return sensor.Observation{}, false
@@ -302,8 +300,8 @@ func (w *refWorld) release(d enforce.Decision, o sensor.Observation) (sensor.Obs
 		g = policy.GranExact
 	}
 	rel, ok := privacy.CoarsenLocation(o, g, w.bms().Spaces())
-	if ok && d.Effective.NoiseEpsilon > 0 {
-		rel.Value = 0
+	if eps := d.Effective.NoiseEpsilon; ok && eps > 0 {
+		rel.Value = w.bms().transf.Noise(o, eps)
 	}
 	return rel, ok
 }
@@ -354,7 +352,6 @@ func (w *refWorld) checkUser(step string) {
 					}
 					d := w.decide(req)
 					var want []string
-					noised := make(map[uint64]bool)
 					for _, o := range w.visible(w.bms().filterFor(req)) {
 						r := req
 						r.Time = o.Time
@@ -364,14 +361,10 @@ func (w *refWorld) checkUser(step string) {
 						}
 						if rel, ok := w.release(od, o); ok {
 							want = append(want, rowKey(rel))
-							noised[o.Seq] = od.Effective.NoiseEpsilon > 0
 						}
 					}
 					var gotKeys []string
 					for _, g := range got {
-						if noised[g.Seq] {
-							g.Value = 0
-						}
 						gotKeys = append(gotKeys, rowKey(g))
 					}
 					if resp.Decision.Allowed != d.Allowed || !slices.Equal(gotKeys, want) {
@@ -382,11 +375,6 @@ func (w *refWorld) checkUser(step string) {
 			}
 		}
 	}
-}
-
-// zeroValue zeroes a row key's value field.
-func zeroValue(key string) string {
-	return key[:strings.LastIndexByte(key, '|')+1] + "0"
 }
 
 // refOccupancy is what an occupancy request releases: each attributed
@@ -481,21 +469,16 @@ func (w *refWorld) checkSQL(step string) {
 			w.t.Fatal(err)
 		}
 		var got, want []string
-		noised := make(map[uint64]bool)
 		for _, o := range w.visible(obstore.Filter{}) {
 			d, rel, ok := w.sqlRow(rq, o)
 			if !ok || d.Effective.MinAggregationK > 1 && o.UserID != "" {
 				continue
 			}
-			noised[o.Seq] = d.Effective.NoiseEpsilon > 0
 			want = append(want, rowKey(rel))
 		}
 		for _, row := range resp.Result.Rows {
 			o := sensor.Observation{Seq: uint64(row[0].Num), SensorID: row[1].Str, Kind: sensor.ObservationKind(row[2].Str),
 				SpaceID: row[3].Str, DeviceMAC: row[4].Str, UserID: row[5].Str, Time: row[6].Time, Value: row[7].Num}
-			if noised[o.Seq] {
-				o.Value = 0
-			}
 			got = append(got, rowKey(o))
 		}
 		if !slices.Equal(got, want) {
@@ -605,12 +588,8 @@ func (w *refWorld) checkReplay(step string) {
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		type released struct {
-			seq    uint64
-			noised bool
-		}
 		var (
-			refs []released
+			seqs []uint64
 			want []string
 		)
 		for _, o := range w.visible(w.bms().filterFor(req)) {
@@ -622,7 +601,7 @@ func (w *refWorld) checkReplay(step string) {
 				continue
 			}
 			want = append(want, rowKey(rel))
-			refs = append(refs, released{o.Seq, d.Effective.NoiseEpsilon > 0})
+			seqs = append(seqs, o.Seq)
 		}
 		var got []sensor.Observation
 		for len(got) < len(want) {
@@ -643,11 +622,8 @@ func (w *refWorld) checkReplay(step string) {
 			bySeq[g.Seq] = g
 		}
 		var gotKeys []string
-		for _, r := range refs {
-			if g, ok := bySeq[r.seq]; ok {
-				if r.noised {
-					g.Value = 0
-				}
+		for _, seq := range seqs {
+			if g, ok := bySeq[seq]; ok {
 				gotKeys = append(gotKeys, rowKey(g))
 			}
 		}
@@ -672,13 +648,11 @@ func (w *refWorld) checkLive(step string) {
 	for i, rq := range refRequesters {
 		sub, denied := w.live[i], w.liveDenied[i]
 		var want, got []string
-		noised := make(map[uint64]bool)
 		for _, o := range fresh {
 			d := w.decide(enforce.Request{ServiceID: rq.service, Purpose: rq.purpose, Kind: o.Kind,
 				SubjectID: o.UserID, SpaceID: o.SpaceID, Time: o.Time})
 			if rel, ok := w.release(d, o); ok {
 				want = append(want, rowKey(rel))
-				noised[o.Seq] = d.Effective.NoiseEpsilon > 0
 			}
 		}
 		offered := func() int { return len(got) + int(sub.Stats().Denied-denied) }
@@ -687,11 +661,7 @@ func (w *refWorld) checkLive(step string) {
 			ev, err := sub.Next(ctx)
 			cancel()
 			if err == nil && ev.Type == stream.EventObservation {
-				g := *ev.Observation
-				if noised[g.Seq] {
-					g.Value = 0
-				}
-				got = append(got, rowKey(g))
+				got = append(got, rowKey(*ev.Observation))
 			}
 		}
 		if offered() != len(fresh) || !slices.Equal(got, want) {

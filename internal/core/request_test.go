@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/stream"
 )
@@ -18,16 +22,13 @@ import (
 // result must be, row for row, what Query + ApplyDecision releases —
 // across random subject, kind, space-subtree, time, AfterSeq and Limit
 // requests over sealed and hot rows, under decisions at every
-// granularity (none included), with and without noise. Noise is drawn
-// per released row from the transformer's seeded stream, so the
-// reference runs on a twin BMS built with the same noise seed and fed
-// the same rows. A third twin asks RequestUserEach: the rows it emits,
-// copied as they arrive through its one reused row, must be the same,
-// with no Response.Observations beside them.
+// granularity (none included), with and without noise. Noise is keyed
+// per (row, ε), so all three reads ask one node. RequestUserEach is the
+// third: the rows it emits, copied as they arrive through its one
+// reused row, must be the same, with no Response.Observations beside
+// them.
 func TestRequestUserStreamMatchesQuery(t *testing.T) {
-	seeded := func(c *Config) { c.NoiseSeed = 7 }
-	streamed, ref, each := newFixtureWith(t, seeded), newFixtureWith(t, seeded), newFixtureWith(t, seeded)
-	twins := []*fixture{streamed, ref, each}
+	f := newFixture(t)
 	rng := rand.New(rand.NewSource(11))
 	rooms := []string{"dbh/1/r0", "dbh/1/r1", "dbh/1/r2", "dbh/2/r0", "dbh/2/r1", "dbh/2/r2"}
 	users := []string{"mary", "bob", "carol"}
@@ -39,20 +40,16 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 				UserID: users[rng.Intn(len(users))], Value: rng.Float64() * 100,
 				Time: testNow.Add(-time.Duration(rng.Int63n(int64(maxAge)))),
 			}
-			for _, f := range twins {
-				if _, err := f.bms.Store().Append(o); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := f.bms.Store().Append(o); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 	// Most of the history sealed into the columnar tier and evicted, the
 	// rest hot: requests read across the split.
 	ingest(500, 2*time.Hour)
-	for _, f := range twins {
-		if n, err := f.bms.Columnar().CompactOnce(); err != nil || n == 0 {
-			t.Fatalf("compaction sealed %d rows (%v)", n, err)
-		}
+	if n, err := f.bms.Columnar().CompactOnce(); err != nil || n == 0 {
+		t.Fatalf("compaction sealed %d rows (%v)", n, err)
 	}
 	ingest(200, 30*time.Second)
 
@@ -71,10 +68,8 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 		user := users[rng.Intn(len(users))]
 		p := policy.Preference{ID: "pref-" + user, UserID: user, Source: "explicit",
 			Scope: policy.Scope{ServiceID: "concierge"}, Rule: rules[trial%len(rules)]}
-		for _, f := range twins {
-			if err := f.bms.SetPreference(p); err != nil {
-				t.Fatal(err)
-			}
+		if err := f.bms.SetPreference(p); err != nil {
+			t.Fatal(err)
 		}
 		req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, SubjectID: user, Time: testNow}
 		if rng.Intn(2) == 0 {
@@ -94,12 +89,12 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 			req.Limit = 1 + rng.Intn(40)
 		}
 
-		got, err := streamed.bms.RequestUser(req)
+		got, err := f.bms.RequestUser(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := ref.bms.decide(req)
-		want, err := enforce.ApplyDecision(d, ref.bms.Store().Query(ref.bms.filterFor(req)), ref.bms.transf)
+		d := f.bms.decide(req)
+		want, err := enforce.ApplyDecision(d, f.bms.Store().Query(f.bms.filterFor(req)), f.bms.transf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +109,7 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 			t.Fatalf("trial %d: trace counts %d released rows, want %d", trial, got.Trace.ObservationsReleased, len(want))
 		}
 		var emitted []sensor.Observation
-		eachResp, err := each.bms.RequestUserEach(context.Background(), req, func(o *sensor.Observation) { emitted = append(emitted, *o) })
+		eachResp, err := f.bms.RequestUserEach(context.Background(), req, func(o *sensor.Observation) { emitted = append(emitted, *o) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +123,14 @@ func TestRequestUserStreamMatchesQuery(t *testing.T) {
 	}
 
 	// An apply error ends the scan and the request; nothing is emitted.
-	each.bms.transf = nil
+	f.bms.transf = nil
 	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SubjectID: "mary", Time: testNow}
-	if err := each.bms.SetPreference(policy.Preference{ID: "pref-mary", UserID: "mary", Source: "explicit",
+	if err := f.bms.SetPreference(policy.Preference{ID: "pref-mary", UserID: "mary", Source: "explicit",
 		Scope: policy.Scope{ServiceID: "concierge"}, Rule: policy.Rule{Action: policy.ActionAllow}}); err != nil {
 		t.Fatal(err)
 	}
 	emitted := 0
-	if _, err := each.bms.RequestUserEach(context.Background(), req, func(*sensor.Observation) { emitted++ }); err == nil || emitted != 0 {
+	if _, err := f.bms.RequestUserEach(context.Background(), req, func(*sensor.Observation) { emitted++ }); err == nil || emitted != 0 {
 		t.Fatalf("with no transformer: err %v after %d emitted rows, want an error and none", err, emitted)
 	}
 }
@@ -187,4 +182,137 @@ func TestCaptureInstantReadsAsUTC(t *testing.T) {
 	f.bms.Close()
 	f = durableFixture(t, dir, clock)
 	released("reopened")
+}
+
+// TestNoisedReleaseIsKeyed: under a noised preference each of the
+// subject's rows is released with one value, not the stored one: by
+// 1 000 RequestUser calls from four goroutines, by RequestUserEach, by
+// SQL over observations and by a replaying subscription, and again
+// after the node is closed and reopened, sealed and hot rows alike.
+// Averaging repeated asks then learns nothing.
+func TestNoisedReleaseIsKeyed(t *testing.T) {
+	dir := t.TempDir()
+	keyed := func(c *Config) { c.PseudonymKey = []byte("node-key") }
+	f := durableFixture(t, dir, keyed)
+	if err := f.bms.SetPreference(policy.Preference{ID: "mary-noise", UserID: "mary", Name: "noise",
+		Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect},
+		Rule:  policy.Rule{Action: policy.ActionLimit, NoiseEpsilon: 0.5}, Source: "explicit"}); err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[uint64]float64)
+	ingest := func(at time.Time, value float64) {
+		if err := f.bms.Ingest(sensor.Observation{SensorID: "ap-2", Kind: sensor.ObsWiFiConnect,
+			DeviceMAC: "aa:00:00:00:00:01", Time: at, Value: value}); err != nil {
+			t.Fatal(err)
+		}
+		stored[f.bms.Store().LastSeq()] = value
+	}
+	for i := 0; i < 10; i++ {
+		ingest(testNow.Add(-2*time.Hour+time.Duration(i)*time.Minute), float64(i))
+	}
+	if n, err := f.bms.Columnar().CompactOnce(); err != nil || n != 10 {
+		t.Fatalf("CompactOnce sealed %d rows, %v; want 10", n, err)
+	}
+	for i := 0; i < 10; i++ {
+		ingest(testNow.Add(-time.Duration(i)*time.Second), float64(100+i))
+	}
+
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SubjectID: "mary"}
+	bySeq := func(obs []sensor.Observation) map[uint64]float64 {
+		m := make(map[uint64]float64, len(obs))
+		for _, o := range obs {
+			m[o.Seq] = o.Value
+		}
+		return m
+	}
+	released := func(stage string) map[uint64]float64 {
+		t.Helper()
+		resp, err := f.bms.RequestUser(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bySeq(resp.Observations)
+		if len(want) != len(stored) {
+			t.Fatalf("%s: RequestUser released %d rows, want %d", stage, len(want), len(stored))
+		}
+		for seq, v := range want {
+			if v == stored[seq] {
+				t.Fatalf("%s: row %d released unnoised", stage, seq)
+			}
+		}
+
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 250; i++ {
+					resp, err := f.bms.RequestUser(req)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got := bySeq(resp.Observations); !maps.Equal(got, want) {
+						errs <- fmt.Errorf("repeat %d released %v, first %v", i, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("%s: concurrent RequestUser: %v", stage, err)
+		}
+
+		var each []sensor.Observation
+		if _, err := f.bms.RequestUserEach(context.Background(), req, func(o *sensor.Observation) { each = append(each, *o) }); err != nil {
+			t.Fatal(err)
+		}
+		if got := bySeq(each); !maps.Equal(got, want) {
+			t.Fatalf("%s: RequestUserEach released %v, RequestUser %v", stage, got, want)
+		}
+
+		q, err := f.bms.Query(context.Background(), query.Requester{ServiceID: req.ServiceID, Purpose: req.Purpose},
+			"SELECT seq, value FROM observations")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sql := make(map[uint64]float64)
+		for _, row := range q.Result.Rows {
+			sql[uint64(row[0].Num)] = row[1].Num
+		}
+		if !maps.Equal(sql, want) {
+			t.Fatalf("%s: SQL released %v, RequestUser %v", stage, sql, want)
+		}
+
+		sub, err := f.bms.Streams().Subscribe(stream.Options{Request: req, Replay: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Cancel()
+		replay := make(map[uint64]float64)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for len(replay) < len(want) {
+			ev, err := sub.Next(ctx)
+			if err != nil {
+				t.Fatalf("%s: replay after %d rows: %v", stage, len(replay), err)
+			}
+			if ev.Type == stream.EventObservation {
+				replay[ev.Observation.Seq] = ev.Observation.Value
+			}
+		}
+		if !maps.Equal(replay, want) {
+			t.Fatalf("%s: replay released %v, RequestUser %v", stage, replay, want)
+		}
+		return want
+	}
+	before := released("sealed and hot")
+	f.bms.Close()
+	f = durableFixture(t, dir, keyed)
+	if after := released("reopened"); !maps.Equal(after, before) {
+		t.Fatalf("reopened node released %v, before the restart %v", after, before)
+	}
 }

@@ -58,8 +58,8 @@ func ApplyDecisionOne(d Decision, o sensor.Observation, tr *privacy.Transformer)
 	if !ok {
 		return sensor.Observation{}, false, nil
 	}
-	if d.Effective.NoiseEpsilon > 0 {
-		coarse = tr.Noiser.NoiseObservation(coarse, d.Effective.NoiseEpsilon)
+	if eps := d.Effective.NoiseEpsilon; eps > 0 {
+		coarse.Value = tr.Noise(o, eps) // coarse is a copy: the stored row keeps its value
 	}
 	return coarse, true, nil
 }

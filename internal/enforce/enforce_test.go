@@ -487,6 +487,9 @@ func TestApplyDecision(t *testing.T) {
 	if got[0].Value == 1 && got[1].Value == 2 {
 		t.Error("noise not applied")
 	}
+	if obs[0].Value != 1 || obs[1].Value != 2 {
+		t.Error("noise mutated the stored rows")
+	}
 	if _, err := ApplyDecision(allowed, obs, nil); err == nil {
 		t.Error("nil transformer accepted")
 	}

@@ -129,7 +129,7 @@ func newPaperNode(t *testing.T) (*core.BMS, *sim.Building, []*profile.User) {
 	day := time.Date(2017, time.June, 7, 0, 0, 0, 0, time.UTC)
 	bms, err := core.New(core.Config{
 		Spaces: building.Spaces, Users: users, Sensors: building.Sensors, Services: services,
-		DefaultAllow: true, NoiseSeed: 5,
+		DefaultAllow: true, PseudonymKey: []byte("paper-node-key"),
 		Clock: func() time.Time { return day.Add(20 * time.Hour) },
 	})
 	if err != nil {

@@ -12,12 +12,10 @@ import (
 	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
-	"math/rand"
 	"slices"
-	"sync"
 
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/sensor"
@@ -87,57 +85,6 @@ func CoarsenSpace(spaceID string, g policy.Granularity, spaces *spatial.Model) (
 		sp = sp.Parent()
 	}
 	return sp.ID, true
-}
-
-// Laplace draws one Laplace(0, scale) sample from rng.
-func Laplace(rng *rand.Rand, scale float64) float64 {
-	// Inverse-CDF sampling: u uniform in (-0.5, 0.5).
-	u := rng.Float64() - 0.5
-	return -scale * sign(u) * math.Log(1-2*math.Abs(u))
-}
-
-func sign(f float64) float64 {
-	if f < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Noiser adds Laplace noise to numeric observation values under a
-// per-release epsilon (the standard Laplace mechanism with the given
-// query sensitivity). It is safe for concurrent use.
-type Noiser struct {
-	mu          sync.Mutex
-	rng         *rand.Rand
-	sensitivity float64
-}
-
-// NewNoiser returns a Noiser with the given query sensitivity. seed
-// fixes the random stream, keeping experiments reproducible.
-func NewNoiser(sensitivity float64, seed int64) *Noiser {
-	if sensitivity <= 0 {
-		sensitivity = 1
-	}
-	return &Noiser{rng: rand.New(rand.NewSource(seed)), sensitivity: sensitivity}
-}
-
-// Noise returns value + Laplace(sensitivity/epsilon) noise.
-// Non-positive epsilons release nothing useful: the method returns
-// pure noise around zero, which is the safe failure mode.
-func (n *Noiser) Noise(value, epsilon float64) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if epsilon <= 0 {
-		return Laplace(n.rng, n.sensitivity)
-	}
-	return value + Laplace(n.rng, n.sensitivity/epsilon)
-}
-
-// NoiseObservation returns a copy of o with its numeric value noised.
-func (n *Noiser) NoiseObservation(o sensor.Observation, epsilon float64) sensor.Observation {
-	out := o.Clone()
-	out.Value = n.Noise(o.Value, epsilon)
-	return out
 }
 
 // Pseudonymizer replaces device identifiers with stable keyed
@@ -226,48 +173,57 @@ func suppressBelowK(all []AggregateCount, k int) []AggregateCount {
 	return out
 }
 
-// Transformer bundles the mechanisms and applies a policy rule to an
-// observation, producing the released view.
+// Transformer bundles the data-path mechanisms: coarsening over the
+// spatial model and keyed Laplace noise.
 type Transformer struct {
-	Spaces *spatial.Model
-	Noiser *Noiser
-	Pseud  *Pseudonymizer
+	Spaces   *spatial.Model
+	noiseKey []byte
 }
 
-// NewTransformer wires a transformer over the given spatial model,
-// with a unit-sensitivity noiser and a keyed pseudonymizer.
-func NewTransformer(spaces *spatial.Model, noiseSeed int64, pseudKey []byte) *Transformer {
-	return &Transformer{
-		Spaces: spaces,
-		Noiser: NewNoiser(1, noiseSeed),
-		Pseud:  NewPseudonymizer(pseudKey),
-	}
+// NewTransformer wires a transformer over the given spatial model whose
+// noise is keyed by HMAC(key, "tippers/noise"). The seed is read by
+// nothing: noise is keyed. bench/replay.go still passes one, and the
+// parameter goes when that file does.
+func NewTransformer(spaces *spatial.Model, _ int64, key []byte) *Transformer {
+	mac := hmac.New(sha256.New, key)
+	mac.Write([]byte("tippers/noise"))
+	return &Transformer{Spaces: spaces, noiseKey: mac.Sum(nil)}
 }
 
-// Apply enforces rule on the observation: Allow passes it through,
-// Deny suppresses it, Limit degrades it (granularity clamp, then
-// noise). released reports whether anything may be returned to the
-// requester.
-func (t *Transformer) Apply(rule policy.Rule, o sensor.Observation) (out sensor.Observation, released bool, err error) {
-	switch rule.Action {
-	case policy.ActionAllow:
-		return o, true, nil
-	case policy.ActionDeny:
-		return sensor.Observation{}, false, nil
-	case policy.ActionLimit:
-		out = o
-		if rule.MaxGranularity.Valid() {
-			var ok bool
-			out, ok = CoarsenLocation(out, rule.MaxGranularity, t.Spaces)
-			if !ok {
-				return sensor.Observation{}, false, nil
-			}
-		}
-		if rule.NoiseEpsilon > 0 {
-			out = t.Noiser.NoiseObservation(out, rule.NoiseEpsilon)
-		}
-		return out, true, nil
-	default:
-		return sensor.Observation{}, false, fmt.Errorf("privacy: invalid action %d", int(rule.Action))
+// Noise returns o's value plus Laplace(1/epsilon) noise (the Laplace
+// mechanism at sensitivity 1). The sample is a pure function of the
+// transformer's key, the row (seq, sensor, capture instant) and
+// epsilon, so every read path, every repeat and every restart under
+// the same key releases one row at one epsilon alike: averaging
+// repeated asks learns nothing. Epsilon is in the key because two
+// releases of one draw at different epsilons would solve for the
+// value. A non-positive epsilon releases pure noise around zero, the
+// safe failure mode.
+func (t *Transformer) Noise(o sensor.Observation, epsilon float64) float64 {
+	var head [24]byte
+	binary.BigEndian.PutUint64(head[0:], o.Seq)
+	binary.BigEndian.PutUint64(head[8:], uint64(o.Time.UnixNano()))
+	binary.BigEndian.PutUint64(head[16:], math.Float64bits(epsilon))
+	mac := hmac.New(sha256.New, t.noiseKey)
+	mac.Write(head[:])
+	mac.Write([]byte(o.SensorID))
+	code := binary.BigEndian.Uint64(mac.Sum(nil))
+	if epsilon <= 0 {
+		return laplace(code, 1)
 	}
+	return o.Value + laplace(code, epsilon)
+}
+
+// laplace maps a uniform 64-bit code to a Laplace(0, 1/epsilon) sample:
+// the top bit is the sign, and the low 52 bits x give the magnitude by
+// the inverse CDF, -ln((x+0.5)/2^52)/epsilon. (x+0.5)/2^52 lies in
+// (0, 1) exactly at every code, so the sample is finite and at most
+// ln(2^53)/epsilon < 37/epsilon in magnitude.
+func laplace(code uint64, epsilon float64) float64 {
+	x := code & (1<<52 - 1)
+	mag := -math.Log((float64(x)+0.5)/(1<<52)) / epsilon
+	if code>>63 == 1 {
+		return -mag
+	}
+	return mag
 }

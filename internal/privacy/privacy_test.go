@@ -2,7 +2,7 @@ package privacy
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -128,63 +128,97 @@ func TestCoarsenMonotone(t *testing.T) {
 	}
 }
 
+// noised is the released value of row seq of sensor ble-1 under tr at
+// epsilon.
+func noised(tr *Transformer, seq uint64, value, epsilon float64) float64 {
+	o := roomObs()
+	o.Seq, o.Value = seq, value
+	return tr.Noise(o, epsilon)
+}
+
+// TestLaplaceStatistics: over seqs 1..10⁵ the keyed draws of one key
+// follow Laplace(1/ε) — a Kolmogorov–Smirnov distance under the fixed
+// threshold 1.95/√n (≈ the 0.1 % critical value) at each ε, so the
+// scale follows ε too.
 func TestLaplaceStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 200000
-	scale := 2.0
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		x := Laplace(rng, scale)
-		sum += x
-		sumAbs += math.Abs(x)
-	}
-	mean := sum / n
-	meanAbs := sumAbs / n
-	if math.Abs(mean) > 0.05 {
-		t.Errorf("Laplace mean = %v, want ~0", mean)
-	}
-	// E|X| = scale for Laplace.
-	if math.Abs(meanAbs-scale) > 0.05 {
-		t.Errorf("Laplace E|X| = %v, want ~%v", meanAbs, scale)
-	}
-}
-
-func TestNoiserEpsilonScaling(t *testing.T) {
-	// Smaller epsilon => more noise. Compare mean absolute deviation.
-	mad := func(eps float64) float64 {
-		n := NewNoiser(1, 42)
-		var sum float64
-		const trials = 20000
-		for i := 0; i < trials; i++ {
-			sum += math.Abs(n.Noise(100, eps) - 100)
+	tr := NewTransformer(nil, 0, []byte("key"))
+	const n = 100000
+	for _, eps := range []float64{0.1, 0.5, 2} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = noised(tr, uint64(i+1), 0, eps)
 		}
-		return sum / trials
-	}
-	loose := mad(1.0) // scale 1
-	tight := mad(0.1) // scale 10
-	if tight < 5*loose {
-		t.Errorf("epsilon scaling wrong: mad(0.1)=%v should be ~10x mad(1.0)=%v", tight, loose)
-	}
-}
-
-func TestNoiserZeroEpsilonReleasesNoSignal(t *testing.T) {
-	n := NewNoiser(1, 1)
-	// With epsilon <= 0 the output must not track the input.
-	var sum float64
-	const trials = 5000
-	for i := 0; i < trials; i++ {
-		sum += n.Noise(1e9, 0)
-	}
-	if math.Abs(sum/trials) > 1 {
-		t.Errorf("zero-epsilon noise leaks signal: mean=%v", sum/trials)
+		slices.Sort(xs)
+		var d float64
+		for i, x := range xs {
+			f := 1 - 0.5*math.Exp(-eps*x)
+			if x < 0 {
+				f = 0.5 * math.Exp(eps*x)
+			}
+			d = max(d, float64(i+1)/n-f, f-float64(i)/n)
+		}
+		if limit := 1.95 / math.Sqrt(n); d > limit {
+			t.Errorf("ε=%g: KS distance %.4f from Laplace(1/ε), want ≤ %.4f", eps, d, limit)
+		}
 	}
 }
 
-func TestNoiserDeterministicSeed(t *testing.T) {
-	a := NewNoiser(1, 99).Noise(5, 1)
-	b := NewNoiser(1, 99).Noise(5, 1)
-	if a != b {
-		t.Errorf("same seed, different noise: %v vs %v", a, b)
+// TestLaplaceFiniteAtEveryCode: the extreme codes of the MAC map to
+// finite samples within ln(2⁵³)/ε, so no row is released as ±Inf.
+func TestLaplaceFiniteAtEveryCode(t *testing.T) {
+	for _, code := range []uint64{0, 1<<52 - 1, 1 << 63, math.MaxUint64} {
+		for _, eps := range []float64{0.1, 1, 2} {
+			if x := laplace(code, eps); math.IsInf(x, 0) || math.IsNaN(x) || math.Abs(x) > 37/eps {
+				t.Errorf("code %#x at ε=%g: sample %v, want finite within %v", code, eps, x, 37/eps)
+			}
+		}
+	}
+}
+
+// TestNoiseIsKeyed: noise is a function of (key, row, ε): equal inputs
+// release equal values, another key other values, and one row at two
+// epsilons two independent draws — one draw scaled twice would let a
+// requester solve the two releases for the value.
+func TestNoiseIsKeyed(t *testing.T) {
+	a, b := NewTransformer(nil, 0, []byte("key-1")), NewTransformer(nil, 7, []byte("key-1"))
+	other := NewTransformer(nil, 0, []byte("key-2"))
+	for seq := uint64(1); seq <= 100; seq++ {
+		x := noised(a, seq, 5, 1)
+		if y := noised(b, seq, 5, 1); x != y {
+			t.Fatalf("seq %d: one key, two values %v and %v", seq, x, y)
+		}
+		if x == 5 {
+			t.Fatalf("seq %d: noise did not perturb the value", seq)
+		}
+		if y := noised(other, seq, 5, 1); x == y {
+			t.Fatalf("seq %d: two keys, one value %v", seq, x)
+		}
+		if l1, l2 := (noised(a, seq, 5, 0.5)-5)*0.5, (noised(a, seq, 5, 2)-5)*2; l1 == l2 {
+			t.Fatalf("seq %d: ε 0.5 and 2 scale one draw %v", seq, l1)
+		}
+	}
+	o := roomObs()
+	later, moved := o, o
+	later.Time = o.Time.Add(time.Nanosecond)
+	moved.SensorID = "ble-2"
+	if x := a.Noise(o, 1); a.Noise(later, 1) == x || a.Noise(moved, 1) == x {
+		t.Error("rows a nanosecond apart or of two sensors drew one value")
+	}
+}
+
+// TestNoiseZeroEpsilonReleasesNoSignal: a non-positive ε releases pure
+// noise around zero, whatever the value.
+func TestNoiseZeroEpsilonReleasesNoSignal(t *testing.T) {
+	tr := NewTransformer(nil, 0, []byte("key"))
+	for _, eps := range []float64{0, -1} {
+		var sum float64
+		const trials = 5000
+		for i := 0; i < trials; i++ {
+			sum += noised(tr, uint64(i+1), 1e9, eps)
+		}
+		if math.Abs(sum/trials) > 1 {
+			t.Errorf("ε=%g noise leaks signal: mean=%v", eps, sum/trials)
+		}
 	}
 }
 
@@ -251,46 +285,6 @@ func TestKAnonymousCounts(t *testing.T) {
 	}
 	if got := KAnonymousCounts(obs, 0, keyOf, subjOf); len(got) != 3 {
 		t.Errorf("k<1 clamps to 1: %v", got)
-	}
-}
-
-func TestTransformerApply(t *testing.T) {
-	tr := NewTransformer(testModel(t), 1, []byte("key"))
-	o := roomObs()
-
-	got, ok, err := tr.Apply(policy.Rule{Action: policy.ActionAllow}, o)
-	if err != nil || !ok || got.SpaceID != o.SpaceID {
-		t.Errorf("allow = %+v, %v, %v", got, ok, err)
-	}
-
-	_, ok, err = tr.Apply(policy.Rule{Action: policy.ActionDeny}, o)
-	if err != nil || ok {
-		t.Errorf("deny released data")
-	}
-
-	got, ok, err = tr.Apply(policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding}, o)
-	if err != nil || !ok || got.SpaceID != "dbh" {
-		t.Errorf("limit-building = %q, %v, %v", got.SpaceID, ok, err)
-	}
-
-	got, ok, err = tr.Apply(policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranNone}, o)
-	if err != nil || ok {
-		t.Error("limit-none released data")
-	}
-
-	got, ok, err = tr.Apply(policy.Rule{Action: policy.ActionLimit, NoiseEpsilon: 0.5}, o)
-	if err != nil || !ok {
-		t.Fatalf("limit-noise failed: %v", err)
-	}
-	if got.Value == o.Value {
-		t.Error("noise did not perturb value")
-	}
-	if got.SpaceID != o.SpaceID {
-		t.Error("noise-only rule changed location")
-	}
-
-	if _, _, err := tr.Apply(policy.Rule{}, o); err == nil {
-		t.Error("zero rule accepted")
 	}
 }
 

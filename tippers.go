@@ -393,7 +393,6 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		Engine:        engine,
 		DefaultAllow:  !cfg.DefaultDeny,
 		GroupDefaults: cfg.GroupDefaults,
-		NoiseSeed:     cfg.Seed,
 		Clock:         cfg.Clock,
 		Metrics:       cfg.Metrics,
 		Store:         cfg.Store,

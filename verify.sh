@@ -58,9 +58,9 @@ go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties + grouped and occupancy sinks against a map-of-maps reference + recycled statement tables fail closed across requesters and a plan decides afresh on every execution (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias|TestGroupedSinksMatchReference|TestRecycledTablesFailClosed|TestExecuteTwiceDecidesAgain' ./internal/query/...
 
-echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + window classes decide like the naive engine at capture instants, wide domains included, and the memo's one-minute lifetime + recompile-under-churn + incremental-conflict equivalence, conflicts and inboxes against decisions and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations over the hot window and sealed segments and pooled-decision isolation + the occupancy answer cache against ingest, rule changes, retention rules and erasures and for unaligned windows + streamed user request + durable store with the default columnar directory + every read path against one reference, rows judged at their capture times across window edges and the clock moving past retention TTLs + a stream replay served from the memo + capture instants read as UTC in the hot log, sealed and after reopen (repeated, race) =="
+echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + window classes decide like the naive engine at capture instants, wide domains included, and the memo's one-minute lifetime + recompile-under-churn + incremental-conflict equivalence, conflicts and inboxes against decisions and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy pair-pass reference equivalence, flat allocations over the hot window and sealed segments and pooled-decision isolation + the occupancy answer cache against ingest, rule changes, retention rules and erasures and for unaligned windows + streamed user request + durable store with the default columnar directory + every read path against one reference, rows judged at their capture times across window edges and the clock moving past retention TTLs + a stream replay served from the memo + capture instants read as UTC in the hot log, sealed and after reopen + a noised row released with one value by every read path, concurrently and after reopen (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes|TestClassesDecideLikeNaive|TestClassOfWideDomain|TestWindowedPreference|TestMemoHoldsLiveMinuteOnly' ./internal/enforce/...
-go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConflictsMatchDecisions|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestOccupancyCacheInvalidation|TestUnalignedOccupancyReadIsCached|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder|TestReadPathsMatchReference|TestOverrideReadsFoldIntoOneEntry|TestStreamReplayHitsMemo|TestCaptureInstantReadsAsUTC' ./internal/core/...
+go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutSharesEngineMemo|TestDerivedOccupancyStreamsWithStoreSeq|TestIncrementalDetectMatchesFull|TestConflictsMatchDecisions|TestConcurrentRuleMutationsConverge|TestSetPreferenceAllocsFlat|TestOccupancyStreamMatchesReference|TestOccupancyMissAllocsFlat|TestConcurrentOccupancyMissesKeepTheirDecisions|TestOccupancyCacheInvalidation|TestUnalignedOccupancyReadIsCached|TestRequestUserStreamMatchesQuery|TestDurableStoreWithoutColumnarDir|TestForgetUserRetainsOverrideCollections|TestForgetUserStreamsNoErasedRow|TestForgetUserDropsInbox|TestEveryStoredRowReachesLiveStreams|TestDeriveRacingIngestStreamsInSeqOrder|TestReadPathsMatchReference|TestOverrideReadsFoldIntoOneEntry|TestStreamReplayHitsMemo|TestCaptureInstantReadsAsUTC|TestNoisedReleaseIsKeyed' ./internal/core/...
 
 echo "== durable node at rest — a 36-simulated-day soak whose sampled resources plateau and whose WAL holds at most one hour of appends after every commit + a forgotten subject's bytes gone from every file after the next commit (repeated, race) =="
 go test -race -count=2 -run 'TestSoakResourcesPlateau|TestForgetUserLeavesNothingAtRest' ./internal/core/...
