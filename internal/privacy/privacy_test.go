@@ -163,6 +163,26 @@ func TestLaplaceStatistics(t *testing.T) {
 	}
 }
 
+// TestNoiserEpsilonScaling: smaller epsilon => more noise. The mean
+// absolute deviation of Laplace(1/ε) is 1/ε, so ε=0.1 spreads rows
+// about ten times wider than ε=1.
+func TestNoiserEpsilonScaling(t *testing.T) {
+	tr := NewTransformer(nil, 0, []byte("key"))
+	mad := func(eps float64) float64 {
+		var sum float64
+		const trials = 20000
+		for i := 0; i < trials; i++ {
+			sum += math.Abs(noised(tr, uint64(i+1), 100, eps) - 100)
+		}
+		return sum / trials
+	}
+	loose := mad(1.0) // scale 1
+	tight := mad(0.1) // scale 10
+	if tight < 5*loose {
+		t.Errorf("epsilon scaling wrong: mad(0.1)=%v should be ~10x mad(1.0)=%v", tight, loose)
+	}
+}
+
 // TestLaplaceFiniteAtEveryCode: the extreme codes of the MAC map to
 // finite samples within ln(2⁵³)/ε, so no row is released as ±Inf.
 func TestLaplaceFiniteAtEveryCode(t *testing.T) {
