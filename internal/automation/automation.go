@@ -89,7 +89,7 @@ func (c *Controller) Occupied(roomID string, now time.Time) bool {
 			SpaceIDs: []string{roomID},
 			From:     from,
 			To:       now.Add(time.Nanosecond),
-		}, func(*sensor.Observation) bool {
+		}, func(*sensor.Observation, obstore.Codes) bool {
 			found = true
 			return false
 		})
@@ -108,7 +108,7 @@ func (c *Controller) RoomTemperature(roomID string, now time.Time) (temp float64
 		SpaceIDs: []string{roomID},
 		From:     now.Add(-time.Hour),
 		To:       now.Add(time.Nanosecond),
-	}, func(o *sensor.Observation) bool {
+	}, func(o *sensor.Observation, _ obstore.Codes) bool {
 		temp, ok = o.Value, true
 		return true
 	})

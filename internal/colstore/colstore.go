@@ -425,7 +425,7 @@ func (s *Store) CompactOnce() (int, error) {
 		return b, !b.Add(s.cfg.BucketDur).After(now)
 	}
 	counts := make(map[int64]int)
-	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
+	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation, _ obstore.Codes) bool {
 		b, ok := closed(o)
 		if ok {
 			counts[b.UnixNano()]++
@@ -438,7 +438,7 @@ func (s *Store) CompactOnce() (int, error) {
 	sealed, newWM := 0, max(wm, head)
 	builders := make(map[int64]*segBuilder, len(counts))
 	var starts []int64
-	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation) bool {
+	src.Scan(obstore.Filter{AfterSeq: wm}, func(o *sensor.Observation, _ obstore.Codes) bool {
 		b, ok := closed(o)
 		if !ok {
 			newWM = o.Seq - 1
@@ -625,12 +625,14 @@ func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source()
 //
 // Visitor contract: the *Observation is one scratch value reused for
 // every segment row — it is valid only during the call, so a visitor
-// that keeps a row must copy it. No colstore lock is held while visit
-// runs: the segment set, watermark and tombstones are snapshotted under
-// s.mu and walked outside it (segments are immutable and compaction
-// replaces s.segs wholesale), so a visitor may call back into the store
-// and a slow one never blocks ingest, erasure or compaction.
-func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sensor.Observation) bool) (tail obstore.Filter, more bool) {
+// that keeps a row must copy it. Its Codes are the row's positions in
+// its segment's user, kind and space dictionaries, which one *Dicts
+// names per segment. No colstore lock is held while visit runs: the
+// segment set, watermark and tombstones are snapshotted under s.mu and
+// walked outside it (segments are immutable and compaction replaces
+// s.segs wholesale), so a visitor may call back into the store and a
+// slow one never blocks ingest, erasure or compaction.
+func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sensor.Observation, obstore.Codes) bool) (tail obstore.Filter, more bool) {
 	s.mu.RLock()
 	segs, byTime, span, wm := s.segs, s.byTime, s.span, s.wm
 	var seqTomb map[uint64]struct{}
@@ -708,8 +710,10 @@ func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sen
 			break
 		}
 		c := &active[best]
-		scratch = c.sg.row(c.i)
-		if !visit(&scratch) {
+		sg := c.sg
+		scratch = sg.row(c.i)
+		codes := obstore.Codes{Dicts: &sg.dicts, User: sg.users.idx[c.i], Kind: sg.kinds.idx[c.i], Space: sg.spaces.idx[c.i]}
+		if !visit(&scratch, codes) {
 			return tail, false
 		}
 		if visited++; f.Limit > 0 && visited >= f.Limit {

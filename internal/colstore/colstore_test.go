@@ -318,7 +318,7 @@ func TestRollupsMatchGroundTruth(t *testing.T) {
 		t.Helper()
 		for _, spaces := range [][]string{nil, {"s1", "nowhere"}} {
 			got, wantIn := map[key]int{}, map[key]int{}
-			src.Scan(obstore.Filter{SpaceIDs: spaces}, func(o *sensor.Observation) bool {
+			src.Scan(obstore.Filter{SpaceIDs: spaces}, func(o *sensor.Observation, _ obstore.Codes) bool {
 				got[key{o.Time.Truncate(time.Minute).UnixNano(), o.SpaceID, o.Kind, o.UserID}]++
 				return true
 			})

@@ -116,9 +116,9 @@ var poison = sensor.Observation{Seq: ^uint64(0), SensorID: "POISON", SpaceID: "P
 // poisoning wraps a visitor so the row it was handed is overwritten
 // the moment it returns: anything that kept the pointer instead of
 // copying reads poison, not a plausible stale row.
-func poisoning(visit func(*sensor.Observation) bool) func(*sensor.Observation) bool {
-	return func(o *sensor.Observation) bool {
-		ok := visit(o)
+func poisoning(visit func(*sensor.Observation, obstore.Codes) bool) func(*sensor.Observation, obstore.Codes) bool {
+	return func(o *sensor.Observation, c obstore.Codes) bool {
+		ok := visit(o, c)
 		*o = poison
 		return ok
 	}
@@ -126,7 +126,7 @@ func poisoning(visit func(*sensor.Observation) bool) func(*sensor.Observation) b
 
 func scanAll(src *obstore.Store, f obstore.Filter) []sensor.Observation {
 	var out []sensor.Observation
-	src.Scan(f, poisoning(func(o *sensor.Observation) bool {
+	src.Scan(f, poisoning(func(o *sensor.Observation, _ obstore.Codes) bool {
 		out = append(out, *o)
 		return true
 	}))
@@ -269,7 +269,7 @@ func TestScanMatchesQuery(t *testing.T) {
 			// oracle's first n and was not called again.
 			if stop := rng.Intn(20); stop < len(want) {
 				var got []sensor.Observation
-				m.src.Scan(f, func(o *sensor.Observation) bool {
+				m.src.Scan(f, func(o *sensor.Observation, _ obstore.Codes) bool {
 					got = append(got, *o)
 					return len(got) <= stop
 				})
@@ -288,7 +288,7 @@ func TestScanMatchesQuery(t *testing.T) {
 func TestScanRetainedPointerIsPoisoned(t *testing.T) {
 	m, _ := scanWorld(t, rand.New(rand.NewSource(42)))
 	var kept []*sensor.Observation
-	m.src.Scan(obstore.Filter{}, poisoning(func(o *sensor.Observation) bool {
+	m.src.Scan(obstore.Filter{}, poisoning(func(o *sensor.Observation, _ obstore.Codes) bool {
 		kept = append(kept, o)
 		return true
 	}))
@@ -362,7 +362,7 @@ func TestScanMatchesQueryConcurrent(t *testing.T) {
 	}()
 	for round := 0; round < 40; round++ {
 		var got []sensor.Observation
-		src.Scan(obstore.Filter{UserID: "stable"}, poisoning(func(o *sensor.Observation) bool {
+		src.Scan(obstore.Filter{UserID: "stable"}, poisoning(func(o *sensor.Observation, _ obstore.Codes) bool {
 			got = append(got, *o)
 			_ = cs.Watermark() // re-enters s.mu: legal only because Scan holds no lock here
 			return true

@@ -82,6 +82,10 @@ type segment struct {
 	// stored: userRows[userOff[u]:userOff[u+1]] are the rows of
 	// users.dict[u], ascending; the empty subject's rows are not listed.
 	userOff, userRows []uint32
+
+	// dicts are the users, kinds and spaces dictionaries as ScanCold
+	// hands them to a visitor, next to each row's positions in them.
+	dicts obstore.Dicts
 }
 
 func (sg *segment) rows() int { return len(sg.seqs) }
@@ -124,11 +128,12 @@ func (sg *segment) row(i int) sensor.Observation {
 	}
 }
 
-// index derives the zone maps and the subject postings from the final
-// columns. build and decode both end with it.
+// index derives the zone maps, the subject postings and dicts from the
+// final columns. build and decode both end with it.
 func (sg *segment) index() {
 	sg.minSeq, sg.maxSeq = sg.seqs[0], sg.seqs[len(sg.seqs)-1]
 	sg.minTime, sg.maxTime = slices.Min(sg.times), slices.Max(sg.times)
+	sg.dicts = obstore.Dicts{Users: sg.users.dict, Kinds: sg.kinds.dict, Spaces: sg.spaces.dict}
 
 	// A counting sort of the rows by subject position, skipping the
 	// empty subject (sorted first, so at position 0 when present).

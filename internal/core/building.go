@@ -231,7 +231,7 @@ func (b *BMS) lastLocation(userID string, now time.Time, staleness time.Duration
 		UserID: userID,
 		From:   now.Add(-staleness),
 		To:     now.Add(time.Nanosecond),
-	}, func(o *sensor.Observation) bool {
+	}, func(o *sensor.Observation, _ obstore.Codes) bool {
 		if o.SpaceID != "" && (o.Kind == sensor.ObsWiFiConnect || o.Kind == sensor.ObsBLESighting) {
 			loc, found = o.SpaceID, true
 		}

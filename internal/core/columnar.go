@@ -40,17 +40,17 @@ type occClass struct {
 // row read or per subject decided.
 type occScratch struct {
 	engine    enforce.Engine
-	rows      int                            // attributed rows read
-	domains   map[string]enforce.Domain      // subject → class domain, read once per miss
-	classes   map[occClass]int32             // subject's class → id, in the order the scan met them
-	at        []time.Time                    // by class id: the capture time of its first row
-	cells     map[occCell]int                // distinct cell → rows carrying it
-	list      []occCell                      // the distinct cells, sorted
-	items     []enforce.BatchItem            // one per subject's class
-	decisions []enforce.Decision             // one per item; nothing in a Response aliases it
-	seen      []string                       // one subject's distinct released spaces
-	counts    map[string]int                 // released space → distinct subjects
-	visitFn   func(*sensor.Observation) bool // visit, bound to this scratch
+	rows      int                                           // attributed rows read
+	domains   map[string]enforce.Domain                     // subject → class domain, read once per miss
+	classes   map[occClass]int32                            // subject's class → id, in the order the scan met them
+	at        []time.Time                                   // by class id: the capture time of its first row
+	cells     map[occCell]int                               // distinct cell → rows carrying it
+	list      []occCell                                     // the distinct cells, sorted
+	items     []enforce.BatchItem                           // one per subject's class
+	decisions []enforce.Decision                            // one per item; nothing in a Response aliases it
+	seen      []string                                      // one subject's distinct released spaces
+	counts    map[string]int                                // released space → distinct subjects
+	visitFn   func(*sensor.Observation, obstore.Codes) bool // visit, bound to this scratch
 }
 
 var occScratchPool = sync.Pool{New: func() any {
@@ -74,7 +74,7 @@ func (s *occScratch) release() {
 }
 
 // visit is the occupancy scan's visitor: it counts the row's cell.
-func (s *occScratch) visit(o *sensor.Observation) bool {
+func (s *occScratch) visit(o *sensor.Observation, _ obstore.Codes) bool {
 	if o.UserID == "" { // unattributed readings never contribute to occupancy
 		return true
 	}

@@ -30,6 +30,7 @@ import (
 	"github.com/tippers/tippers/internal/spatial"
 	"github.com/tippers/tippers/internal/stream"
 	"github.com/tippers/tippers/internal/telemetry"
+	"github.com/tippers/tippers/internal/wal"
 )
 
 // Config wires a BMS. Zero-value collaborators are constructed
@@ -61,9 +62,9 @@ type Config struct {
 	GroupDefaults []enforce.GroupDefault
 	// PseudonymKey keys MAC pseudonymization and Laplace noise, so a
 	// row is released with the same noise by every node that shares it,
-	// across restarts. nil pseudonymizes under an insecure fixed key
-	// (fine for simulation; a deployment must set it) and keys noise
-	// per process, with a random key.
+	// across restarts. nil means the node's own key: a durable Store's
+	// <dir>/node.key, made on the first open and read on every later
+	// one, or a random key per process for a store without a directory.
 	PseudonymKey []byte
 	// Clock overrides time.Now for tests and simulation.
 	Clock func() time.Time
@@ -153,19 +154,6 @@ func New(cfg Config) (*BMS, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	key := cfg.PseudonymKey
-	if key == nil {
-		key = []byte("tippers-simulation-key")
-	}
-	noiseKey := cfg.PseudonymKey
-	if noiseKey == nil {
-		// Never the public fallback: whoever reads it could recompute
-		// the noise and subtract it.
-		noiseKey = make([]byte, 32)
-		if _, err := rand.Read(noiseKey); err != nil {
-			return nil, fmt.Errorf("core: drawing a noise key: %w", err)
-		}
-	}
 	for _, d := range cfg.GroupDefaults {
 		if err := d.Check(); err != nil {
 			return nil, err
@@ -188,6 +176,13 @@ func New(cfg Config) (*BMS, error) {
 	if store == nil {
 		store = obstore.New()
 	}
+	key := cfg.PseudonymKey
+	if key == nil {
+		var err error
+		if key, err = nodeKey(store.Dir()); err != nil {
+			return nil, err
+		}
+	}
 	store.SetClock(cfg.Clock) // retention runs on the node's clock
 	if ec, ok := engine.(interface{ SetClock(func() time.Time) }); ok {
 		ec.SetClock(cfg.Clock) // so does the decision memo's lifetime
@@ -197,7 +192,7 @@ func New(cfg Config) (*BMS, error) {
 		store:     store,
 		engine:    engine,
 		services:  cfg.Services,
-		transf:    privacy.NewTransformer(cfg.Spaces, 0, noiseKey),
+		transf:    privacy.NewTransformer(cfg.Spaces, 0, key),
 		pseud:     privacy.NewPseudonymizer(key),
 		clock:     cfg.Clock,
 		metrics:   reg,
@@ -283,6 +278,64 @@ func New(cfg Config) (*BMS, error) {
 	}
 	b.streams = hub
 	return b, nil
+}
+
+// nodeKeyFile is a durable node's own key, in its store's directory.
+const nodeKeyFile = "node.key"
+
+// nodeKey returns the key of a node configured without one: random per
+// process without a directory, else dir/node.key, written on the first
+// open and read on every later one, so a restarted node pseudonymizes
+// and noises as before. A key file that is unreadable or not 32 bytes
+// refuses the open: a new key would change every pseudonym and noised
+// value the node releases. No key is public, since whoever held it
+// could link pseudonyms to MACs and subtract the noise.
+func nodeKey(dir string) ([]byte, error) {
+	key := make([]byte, 32)
+	if dir == "" {
+		rand.Read(key) // never fails
+		return key, nil
+	}
+	path := filepath.Join(dir, nodeKeyFile)
+	kept, err := os.ReadFile(path)
+	switch {
+	case err == nil && len(kept) == len(key):
+		return kept, nil
+	case err == nil:
+		return nil, fmt.Errorf("core: node key %s holds %d bytes, want %d; refusing to open under another key", path, len(kept), len(key))
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, fmt.Errorf("core: reading node key: %w; refusing to open under another key", err)
+	}
+	rand.Read(key)
+	if err := writeKeyFile(path, key); err != nil {
+		return nil, fmt.Errorf("core: writing node key: %w", err)
+	}
+	return key, nil
+}
+
+// writeKeyFile makes path hold key durably: a temp file (mode 0600) is
+// written, fsynced and renamed to path, and the directory fsynced.
+func writeKeyFile(path string, key []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, nodeKeyFile+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(key)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return wal.SyncDir(dir)
 }
 
 // Store exposes the observation store (read-mostly; examples and

@@ -149,7 +149,7 @@ func forgetRetainsOverrideCollection(t *testing.T, p2 policy.BuildingPolicy) {
 
 	// The store still counts the retained rows, under their subject.
 	counted := 0
-	f.bms.Store().Scan(obstore.Filter{}, func(o *sensor.Observation) bool {
+	f.bms.Store().Scan(obstore.Filter{}, func(o *sensor.Observation, _ obstore.Codes) bool {
 		if o.UserID == "mary" {
 			counted++
 		}

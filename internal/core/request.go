@@ -147,7 +147,7 @@ type userScan struct {
 	apply             time.Duration
 	scanned, released int
 	err               error
-	visitFn           func(*sensor.Observation) bool // visit, bound to this scan
+	visitFn           func(*sensor.Observation, obstore.Codes) bool // visit, bound to this scan
 }
 
 var userScanPool = sync.Pool{New: func() any {
@@ -182,7 +182,7 @@ func (s *userScan) decisionAt(t time.Time) enforce.Decision {
 	return s.d
 }
 
-func (s *userScan) visit(o *sensor.Observation) bool {
+func (s *userScan) visit(o *sensor.Observation, _ obstore.Codes) bool {
 	s.scanned++
 	d := s.decisionAt(o.Time)
 	if !d.Allowed || d.Effective.MinAggregationK > 1 {

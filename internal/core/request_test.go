@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
+	"github.com/tippers/tippers/internal/obstore"
 	"github.com/tippers/tippers/internal/policy"
+	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/stream"
@@ -314,5 +318,106 @@ func TestNoisedReleaseIsKeyed(t *testing.T) {
 	f = durableFixture(t, dir, keyed)
 	if after := released("reopened"); !maps.Equal(after, before) {
 		t.Fatalf("reopened node released %v, before the restart %v", after, before)
+	}
+}
+
+// TestDurableNodeKeepsItsKey: a durable node configured without a
+// PseudonymKey keys pseudonyms and noise with its own <dir>/node.key,
+// written on the first open (32 bytes, mode 0600) and read on every
+// later one. After Close and a reopen a hash_mac row's pseudonym and a
+// noised row's released value are what they were, and neither is what
+// the public simulation key gives. A key file that is short refuses
+// the open and is left as it is.
+func TestDurableNodeKeepsItsKey(t *testing.T) {
+	const mac = "aa:00:00:00:00:02"
+	dir := t.TempDir()
+	public := []byte("tippers-simulation-key")
+	req := enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService, Kind: sensor.ObsWiFiConnect, SubjectID: "mary"}
+	open := func() *fixture {
+		f := durableFixture(t, dir)
+		if err := f.bms.Sensors().Actuate("ap-2", map[string]string{"hash_mac": "true"}); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// pseudonym ingests one hash_mac reading of mac and returns the
+	// device ID the node stored it under.
+	pseudonym := func(f *fixture, at time.Time) string {
+		if err := f.bms.Ingest(sensor.Observation{SensorID: "ap-2", Kind: sensor.ObsWiFiConnect, DeviceMAC: mac, Time: at}); err != nil {
+			t.Fatal(err)
+		}
+		rows := f.bms.Store().Query(obstore.Filter{AfterSeq: f.bms.Store().LastSeq() - 1})
+		if len(rows) != 1 || rows[0].UserID != "" {
+			t.Fatalf("the hash_mac reading was stored as %+v", rows)
+		}
+		return rows[0].DeviceMAC
+	}
+	released := func(f *fixture) map[uint64]float64 {
+		resp, err := f.bms.RequestUser(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[uint64]float64, len(resp.Observations))
+		for _, o := range resp.Observations {
+			out[o.Seq] = o.Value
+		}
+		return out
+	}
+
+	f := open()
+	if err := f.bms.SetPreference(policy.Preference{ID: "mary-noise", UserID: "mary", Name: "noise",
+		Scope: policy.Scope{ObsKind: sensor.ObsWiFiConnect},
+		Rule:  policy.Rule{Action: policy.ActionLimit, NoiseEpsilon: 0.5}, Source: "explicit"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := f.bms.Ingest(sensor.Observation{SensorID: "ap-1", Kind: sensor.ObsWiFiConnect,
+			DeviceMAC: "aa:00:00:00:00:01", Time: testNow.Add(-time.Duration(i) * time.Minute), Value: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := pseudonym(f, testNow)
+	if first == privacy.NewPseudonymizer(public).Pseudonym(mac) {
+		t.Fatalf("pseudonym %s is the public key's", first)
+	}
+	before := released(f)
+	if len(before) != 5 {
+		t.Fatalf("released %d of mary's rows, want 5", len(before))
+	}
+	publicNoise := privacy.NewTransformer(nil, 0, public)
+	for _, o := range f.bms.Store().Query(obstore.Filter{UserID: "mary"}) {
+		if v := before[o.Seq]; v == o.Value || v == publicNoise.Noise(o, 0.5) {
+			t.Fatalf("row %d released as %v: stored %v, public key's noise %v", o.Seq, v, o.Value, publicNoise.Noise(o, 0.5))
+		}
+	}
+	path := filepath.Join(dir, "node.key")
+	fi, err := os.Stat(path)
+	if err != nil || fi.Size() != 32 || fi.Mode().Perm() != 0o600 {
+		t.Fatalf("node key %s: %v, %v", path, fi, err)
+	}
+
+	f.bms.Close()
+	f = open()
+	if after := released(f); !maps.Equal(after, before) {
+		t.Fatalf("reopened node released %v, before the restart %v", after, before)
+	}
+	if again := pseudonym(f, testNow.Add(time.Second)); again != first {
+		t.Fatalf("reopened node pseudonymizes %s as %s, before the restart %s", mac, again, first)
+	}
+	f.bms.Close()
+
+	key, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, key[:16], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := openDurableFixture(t, dir); err == nil {
+		f.bms.Close()
+		t.Fatal("a node opened over a short key file")
+	}
+	if short, err := os.ReadFile(path); err != nil || len(short) != 16 {
+		t.Fatalf("the short key file was replaced: %d bytes, %v", len(short), err)
 	}
 }

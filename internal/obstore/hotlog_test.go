@@ -294,7 +294,7 @@ func TestHotScanAllocsFlat(t *testing.T) {
 			t.Fatalf("precondition: %d of %d rows unexpired; the cutoff must fall among the Wi-Fi rows", live, n)
 		}
 		visited := 0
-		visit := func(*sensor.Observation) bool {
+		visit := func(*sensor.Observation, Codes) bool {
 			visited++
 			return true
 		}
@@ -398,7 +398,7 @@ func TestHotLogReadersUnderChurn(t *testing.T) {
 			for !stop.Load() {
 				for _, f := range filters {
 					seqs = seqs[:0]
-					s.Scan(f, func(o *sensor.Observation) bool {
+					s.Scan(f, func(o *sensor.Observation, _ Codes) bool {
 						seqs = append(seqs, o.Seq)
 						_ = s.Resident() // a visitor may call back into the store
 						return true
@@ -439,7 +439,7 @@ func TestHotLogReadersUnderChurn(t *testing.T) {
 			t.Errorf("%+v: Query returned %d rows, the reference %d", f, len(got), len(want))
 		}
 		var scanned []sensor.Observation
-		s.Scan(f, func(o *sensor.Observation) bool {
+		s.Scan(f, func(o *sensor.Observation, _ Codes) bool {
 			scanned = append(scanned, *o)
 			return true
 		})
@@ -499,7 +499,7 @@ func TestUnionRetryWhenEvictionOvertakesSplit(t *testing.T) {
 
 	fired := hooked()
 	var seqs []uint64
-	s.Scan(Filter{}, func(o *sensor.Observation) bool {
+	s.Scan(Filter{}, func(o *sensor.Observation, _ Codes) bool {
 		seqs = append(seqs, o.Seq)
 		return true
 	})

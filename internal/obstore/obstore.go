@@ -302,7 +302,7 @@ func (v *view) search(after uint64) int {
 // seq > f.AfterSeq that v.cut does not expire, until fn returns false
 // or f.Limit rows were visited. The pointer is into the log: fn must
 // not write through it (Scan hands callers outside the package a copy).
-func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
+func (v *view) each(f Filter, fn func(*sensor.Observation, Codes) bool) {
 	cut := v.cut
 	if cut != nil && v.lo > cut.latest {
 		cut = nil // no row of the log is old enough
@@ -314,7 +314,7 @@ func (v *view) each(f Filter, fn func(*sensor.Observation) bool) {
 			continue
 		}
 		visited++
-		if !fn(o) || visited == f.Limit {
+		if !fn(o, Codes{}) || visited == f.Limit {
 			return
 		}
 	}
@@ -418,7 +418,7 @@ func (s *Store) Deletions() uint64 { return s.deletions.Load() }
 // and bench/replay.go; node code reads through Scan.
 func (s *Store) Query(f Filter) []sensor.Observation {
 	var out []sensor.Observation
-	s.walk(f, func(o *sensor.Observation) bool {
+	s.walk(f, func(o *sensor.Observation, _ Codes) bool {
 		out = append(out, *o)
 		return true
 	})
@@ -430,7 +430,7 @@ func (s *Store) Query(f Filter) []sensor.Observation {
 func (s *Store) Count(f Filter) int {
 	f.Limit = 0
 	n := 0
-	s.walk(f, func(*sensor.Observation) bool {
+	s.walk(f, func(*sensor.Observation, Codes) bool {
 		n++
 		return true
 	})
@@ -543,7 +543,7 @@ func (s *Store) SyncWAL() error {
 // store, sorted. Inference experiments use it to enumerate subjects.
 func (s *Store) Users() []string {
 	seen := make(map[string]bool)
-	s.walk(Filter{}, func(o *sensor.Observation) bool {
+	s.walk(Filter{}, func(o *sensor.Observation, _ Codes) bool {
 		if o.UserID != "" {
 			seen[o.UserID] = true
 		}

@@ -27,17 +27,33 @@ type ColdTier interface {
 	// before the deletion returns.
 	ObservationsDeleted(dels []Deletion)
 	// ScanCold calls visit, in ascending seq, for every live observation
-	// at or below the watermark that matches f and cut leaves, stopping
-	// when visit returns false or f.Limit rows were visited. The pointer
-	// is valid only during the call. It returns the filter for the rows
-	// above the watermark — f with AfterSeq raised to the watermark and
-	// Limit reduced by the rows visited — and more=false when the visitor
-	// stopped or the limit is spent. Watermark, segment set and
-	// tombstones come from one snapshot.
-	ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observation) bool) (tail Filter, more bool)
+	// at or below the watermark that matches f and cut leaves, with the
+	// row's Codes, stopping when visit returns false or f.Limit rows were
+	// visited. The pointer is valid only during the call. It returns the
+	// filter for the rows above the watermark — f with AfterSeq raised to
+	// the watermark and Limit reduced by the rows visited — and
+	// more=false when the visitor stopped or the limit is spent.
+	// Watermark, segment set and tombstones come from one snapshot.
+	ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observation, Codes) bool) (tail Filter, more bool)
 	// ColdRows returns the number of stored observations at or below the
 	// watermark, and that watermark, from one snapshot.
 	ColdRows() (rows int, watermark uint64)
+}
+
+// Dicts are one sealed segment's user, kind and space dictionaries.
+// They never change, and holding the pointer keeps them alive, so a
+// reader may key per-segment state by it.
+type Dicts struct {
+	Users, Kinds, Spaces []string
+}
+
+// Codes locate a visited row's user, kind and space in its segment's
+// dictionaries: Dicts.Users[User] is its UserID, Dicts.Kinds[Kind] its
+// Kind and Dicts.Spaces[Space] its SpaceID. A row of the log has the
+// zero Codes (Dicts nil).
+type Codes struct {
+	Dicts             *Dicts
+	User, Kind, Space uint32
 }
 
 // AttachTier installs t as the owner of everything at or below its
@@ -133,7 +149,7 @@ var testHookAfterCold func()
 // the split lacks rows the tier's scan did not cover, so the tier is
 // scanned again from the split before any row of the log is visited —
 // none is visited twice or dropped.
-func (s *Store) read(f Filter, cold func(*sensor.Observation) bool) (v view, tail Filter, ok bool) {
+func (s *Store) read(f Filter, cold func(*sensor.Observation, Codes) bool) (v view, tail Filter, ok bool) {
 	cut := s.Cutoffs()
 	t := s.coldTier()
 	if t == nil {
@@ -154,26 +170,27 @@ func (s *Store) read(f Filter, cold func(*sensor.Observation) bool) (v view, tai
 
 // walk is Scan for the package's own readers: rows of the log are
 // visited in place, so fn must not write through the pointer or keep it.
-func (s *Store) walk(f Filter, fn func(*sensor.Observation) bool) {
+func (s *Store) walk(f Filter, fn func(*sensor.Observation, Codes) bool) {
 	if v, tail, ok := s.read(f, fn); ok {
 		v.each(tail, fn)
 	}
 }
 
 // Scan calls visit once per observation matching f, in ascending seq,
-// across both tiers, and stops when visit returns false or f.Limit
-// rows were visited. The pointer is valid only during the call: rows
-// of the log are visited through one scratch copy. No store lock is
-// held while visit runs.
-func (s *Store) Scan(f Filter, visit func(*sensor.Observation) bool) {
+// across both tiers, with the row's Codes (the zero Codes for a row of
+// the log), and stops when visit returns false or f.Limit rows were
+// visited. The pointer is valid only during the call: rows of the log
+// are visited through one scratch copy. No store lock is held while
+// visit runs.
+func (s *Store) Scan(f Filter, visit func(*sensor.Observation, Codes) bool) {
 	v, tail, ok := s.read(f, visit)
 	if !ok {
 		return
 	}
 	var row sensor.Observation
-	v.each(tail, func(o *sensor.Observation) bool {
+	v.each(tail, func(o *sensor.Observation, c Codes) bool {
 		row = *o
-		return visit(&row)
+		return visit(&row, c)
 	})
 }
 
@@ -203,7 +220,7 @@ func (s *Store) DeleteUser(userID string, keep func(*sensor.Observation) bool) i
 	} else {
 		for cold := (Filter{UserID: userID}); ; {
 			var dels []Deletion
-			tail, _ := t.ScanCold(cold, nil, func(o *sensor.Observation) bool {
+			tail, _ := t.ScanCold(cold, nil, func(o *sensor.Observation, _ Codes) bool {
 				if doomed(o) {
 					dels = append(dels, Deletion{Seq: o.Seq, Time: o.Time})
 				}

@@ -33,7 +33,7 @@ func (t *sliceTier) ObservationsDeleted(dels []Deletion) {
 	}
 }
 
-func (t *sliceTier) ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observation) bool) (Filter, bool) {
+func (t *sliceTier) ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observation, Codes) bool) (Filter, bool) {
 	t.mu.Lock()
 	var match []sensor.Observation
 	for i := range t.rows {
@@ -45,7 +45,7 @@ func (t *sliceTier) ScanCold(f Filter, cut *Cutoffs, visit func(*sensor.Observat
 	tail.AfterSeq = max(f.AfterSeq, t.wm)
 	t.mu.Unlock()
 	for i := range match {
-		if !visit(&match[i]) {
+		if !visit(&match[i], Codes{}) {
 			return tail, false
 		}
 		if f.Limit > 0 && i+1 >= f.Limit {
@@ -79,7 +79,7 @@ func (t *sliceTier) ColdRows() (int, uint64) {
 func (t *sliceTier) seal(s *Store, wm uint64) int {
 	t.mu.Lock()
 	v := s.view(Filter{}, nil)
-	v.each(Filter{AfterSeq: t.wm}, func(o *sensor.Observation) bool {
+	v.each(Filter{AfterSeq: t.wm}, func(o *sensor.Observation, _ Codes) bool {
 		if o.Seq <= wm {
 			t.rows = append(t.rows, *o)
 		}
@@ -165,7 +165,7 @@ func TestTierUnionMatchesPlainStore(t *testing.T) {
 				t.Fatalf("%s: %+v: %d rows, the twin has %d", stage, f, len(got), len(want))
 			}
 			var scanned []sensor.Observation
-			s.Scan(f, func(o *sensor.Observation) bool {
+			s.Scan(f, func(o *sensor.Observation, _ Codes) bool {
 				scanned = append(scanned, *o)
 				return true
 			})

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,43 +38,52 @@ type enforcement struct {
 	stats    Stats
 }
 
-// tables are an execution's intern and memo tables, taken from
-// tablesPool and emptied both when taken and when released: they keep
-// their buckets, but nothing one execution decided is visible to the
-// next (the engine memo stays the one cross-request decision cache),
-// and a pooled struct pins none of its last statement's strings.
+// tables are an execution's id and memo tables, taken from tablesPool
+// and emptied both when taken and when released: they keep their
+// buckets and arrays, but nothing one execution decided is visible to
+// the next (the engine memo stays the one cross-request decision
+// cache), and a pooled struct pins none of its last statement's strings
+// or segments.
 type tables struct {
-	// Each subject, space and kind a row names gets a dense id, and the
-	// memo's keys and the grouper's subject sets hang off those
+	// Each subject, space and kind a row names gets a dense statement id,
+	// and the memo's keys and the grouper's subject sets hang off those
 	// instead of off strings. users holds "" as id 0, so a subject id
 	// of 0 means unattributed. domains holds each subject's class
-	// domain, by subject id.
+	// domain, by subject id. A row of the hot log is interned by its
+	// strings; a segment's row by its dictionary codes, through segs.
 	users, spaces, kinds interner
 	domains              []enforce.Domain
+	segs                 [2]segIDs // the segments read last: one per cursor ScanCold keeps open
+	lastSeg              int
 
-	// memo is the execution's decision snapshot per (subject, kind,
-	// space, window class of the capture time); a scan over a million
-	// rows usually needs a few dozen engine calls, and a repeat costs a
-	// map hit on dense ids instead of one. Env.Decide also folds an
-	// override into its subject's inbox, so the entry counts once per
-	// execution, not per row. The
-	// scan reads back only a verdict, so the memo holds an index into
-	// the execution's few distinct verdicts and the enforce.Decision
-	// is dropped.
-	memo      map[memoKey]uint32
-	verdicts  []verdict
-	verdictOf map[verdict]uint32
+	// memo is the execution's decision snapshot: a scan over a million
+	// rows usually needs a few dozen engine calls. pairs folds a row's
+	// (kind, space) ids into one id and memo is keyed by (subject, pair):
+	// its value is a verdict handle or, for a subject whose class domain
+	// holds a window, the triple's id, which classes keys by the window
+	// class of the capture time. Env.Decide also folds an override into
+	// its subject's inbox, so the entry counts once per execution, not
+	// per row. A handle indexes the execution's few distinct verdicts:
+	// the scan reads back only a verdict, and the enforce.Decision is
+	// dropped.
+	pairs, memo, classes map[uint64]uint32
+	verdicts             []verdict
+	verdictOf            map[verdict]uint32
 
-	// groups is the grouper's key index. strs and values intern its
-	// COUNT(DISTINCT) operands into one id space, or execOccupancy's
-	// released spaces and subjects.
-	groups       map[string]*group
+	// groups is the grouper's key index: it folds a group's column ids,
+	// left to right, as (prefix id, column id) → prefix id, from the
+	// empty prefix 0, and groupAt holds the group a whole key reaches.
+	// strs and values intern the released values those column ids and
+	// the COUNT(DISTINCT) operands name, or execOccupancy's released
+	// spaces and subjects.
+	groups       map[uint64]uint32
+	groupAt      []*group
 	strs, values interner
 }
 
 var tablesPool = sync.Pool{New: func() any {
-	return &tables{users: interner{}, spaces: interner{}, kinds: interner{}, memo: map[memoKey]uint32{},
-		verdictOf: map[verdict]uint32{}, groups: map[string]*group{}, strs: interner{}, values: interner{}}
+	return &tables{users: interner{}, spaces: interner{}, kinds: interner{}, pairs: map[uint64]uint32{}, memo: map[uint64]uint32{},
+		classes: map[uint64]uint32{}, verdictOf: map[verdict]uint32{}, groups: map[uint64]uint32{}, strs: interner{}, values: interner{}}
 }}
 
 func (t *tables) release() {
@@ -86,12 +96,17 @@ func (t *tables) reset() {
 	for _, in := range []interner{t.users, t.spaces, t.kinds, t.strs, t.values} {
 		clear(in)
 	}
-	clear(t.memo)
+	for _, m := range []map[uint64]uint32{t.pairs, t.memo, t.classes, t.groups} {
+		clear(m)
+	}
 	clear(t.verdictOf)
-	clear(t.groups)
 	clear(t.verdicts)
 	clear(t.domains)
-	t.verdicts, t.domains = t.verdicts[:0], t.domains[:0]
+	clear(t.groupAt)
+	t.verdicts, t.domains, t.groupAt = t.verdicts[:0], t.domains[:0], t.groupAt[:0]
+	for i := range t.segs {
+		t.segs[i].dicts = nil
+	}
 }
 
 // interner gives a statement's strings dense ids in first-seen order;
@@ -107,12 +122,69 @@ func (in interner) id(s string) uint32 {
 	return id
 }
 
-// memoKey is exactly (subject, kind, space, class), unpacked: a
-// space-scoped rule decides per space, a windowed one per class, and no
-// field can spill into its neighbour.
-type memoKey struct {
-	user, kind, space uint32
-	class             enforce.Class
+// segIDs maps one segment's dictionary positions to statement ids.
+// Each entry is filled the first time a row names it and holds id+1
+// (0: not seen yet), so the statement interns only what it reads, as a
+// row scan would.
+type segIDs struct {
+	dicts                *obstore.Dicts
+	users, kinds, spaces []uint32
+}
+
+// zeroed returns s resized to n zeroed entries.
+func zeroed(s []uint32, n int) []uint32 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// idMap returns d's id map, taking over the slot read less recently
+// when d is new. A segment that comes back after its slot was taken
+// is mapped afresh, to the same ids.
+func (t *tables) idMap(d *obstore.Dicts) *segIDs {
+	if m := &t.segs[t.lastSeg]; m.dicts == d {
+		return m
+	}
+	t.lastSeg = 1 - t.lastSeg
+	m := &t.segs[t.lastSeg]
+	if m.dicts != d {
+		m.dicts = d
+		m.users, m.kinds, m.spaces = zeroed(m.users, len(d.Users)), zeroed(m.kinds, len(d.Kinds)), zeroed(m.spaces, len(d.Spaces))
+	}
+	return m
+}
+
+// userID interns a subject, reading its class domain the first time.
+func (e *enforcement) userID(s string) uint32 {
+	id := e.users.id(s)
+	if int(id) == len(e.domains) {
+		e.domains = append(e.domains, e.env.Domain(s))
+	}
+	return id
+}
+
+// ids returns a row's subject, kind and space statement ids: a
+// segment's row's through its segment's id map, a log row's by its
+// strings.
+func (e *enforcement) ids(o *sensor.Observation, c obstore.Codes) (user, kind, space uint32) {
+	if c.Dicts == nil {
+		return e.userID(o.UserID), e.kinds.id(string(o.Kind)), e.spaces.id(o.SpaceID)
+	}
+	m := e.idMap(c.Dicts)
+	u, k, s := m.users[c.User], m.kinds[c.Kind], m.spaces[c.Space]
+	if u == 0 {
+		u = e.userID(o.UserID) + 1
+		m.users[c.User] = u
+	}
+	if k == 0 {
+		k = e.kinds.id(string(o.Kind)) + 1
+		m.kinds[c.Kind] = k
+	}
+	if s == 0 {
+		s = e.spaces.id(o.SpaceID) + 1
+		m.spaces[c.Space] = s
+	}
+	return u - 1, k - 1, s - 1
 }
 
 // verdict is what the scan reads back from a decision. Denials are
@@ -129,16 +201,29 @@ func (v verdict) decision() enforce.Decision {
 }
 
 // decide returns the requester's verdict for one row, judged at its
-// capture time, memoized by (subject, kind, space, class) for the
-// execution's lifetime, and the subject's id.
-func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
-	key := memoKey{user: e.users.id(o.UserID), kind: e.kinds.id(string(o.Kind)), space: e.spaces.id(o.SpaceID)}
-	if int(key.user) == len(e.domains) {
-		e.domains = append(e.domains, e.env.Domain(o.UserID))
+// capture time and memoized by (subject, kind, space, window class) for
+// the execution's lifetime, and the subject's id.
+func (e *enforcement) decide(o *sensor.Observation, c obstore.Codes) (verdict, uint32) {
+	user, kind, space := e.ids(o, c)
+	pk := uint64(kind)<<32 | uint64(space)
+	pair, ok := e.pairs[pk]
+	if !ok {
+		pair = uint32(len(e.pairs))
+		e.pairs[pk] = pair
 	}
-	key.class = e.domains[key.user].Class(o.Time)
-	if h, ok := e.memo[key]; ok {
-		return e.verdicts[h], key.user
+	key := uint64(user)<<32 | uint64(pair)
+	h, ok := e.memo[key]
+	memo := e.memo
+	if d := &e.domains[user]; !d.Empty() {
+		if !ok {
+			h = uint32(len(e.memo)) // the triple's id: memo only grows
+			e.memo[key] = h
+		}
+		key, memo = uint64(h)<<32|uint64(d.Class(o.Time)), e.classes
+		h, ok = memo[key]
+	}
+	if ok {
+		return e.verdicts[h], user
 	}
 	d := e.env.Decide(enforce.Request{
 		ServiceID:   e.req.ServiceID,
@@ -154,14 +239,14 @@ func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
 	if d.Allowed {
 		v = verdict{allowed: true, granularity: d.Granularity, effective: d.Effective}
 	}
-	h, ok := e.verdictOf[v]
+	h, ok = e.verdictOf[v]
 	if !ok {
 		h = uint32(len(e.verdicts))
 		e.verdicts = append(e.verdicts, v)
 		e.verdictOf[v] = h
 	}
-	e.memo[key] = h
-	return v, key.user
+	memo[key] = h
+	return v, user
 }
 
 // scan is the only ground-truth row source, and the whole executor in
@@ -169,8 +254,9 @@ func (e *enforcement) decide(o *sensor.Observation) (verdict, uint32) {
 // released and handed on before the next one is read, so no row set is
 // ever materialized between the store and the sink.
 //
-//	ScanEach ─▶ decide (statement memo) ─▶ min-k exclusion ─▶ Apply
-//	         ─▶ residual on the released row ─▶ sink (project | group | occupancy)
+//	ScanEach ─▶ ids (segment id map | interners) ─▶ decide (statement memo)
+//	         ─▶ min-k exclusion ─▶ Apply ─▶ residual on the released row
+//	         ─▶ sink (project | group | occupancy)
 //
 // Denied rows are dropped; in row mode (aggregate=false) allowed
 // subjects whose effective rule carries an aggregation floor > 1 are
@@ -190,9 +276,9 @@ func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, 
 	)
 	get := func(col string) Value { return (*obsRow)(&rel).col(colIndex(obsColumns, col)) }
 	e.domains = append(e.domains, e.env.Domain("")) // for subject id 0
-	e.env.ScanEach(f, func(o *sensor.Observation) bool {
+	e.env.ScanEach(f, func(o *sensor.Observation, c obstore.Codes) bool {
 		e.stats.ScannedRows++
-		v, subject := e.decide(o)
+		v, subject := e.decide(o, c)
 		if !v.allowed {
 			e.stats.DeniedRows++
 			return true
@@ -467,7 +553,7 @@ type aggState struct {
 	n        int
 	sum      float64
 	ext      Value
-	distinct idSet // of grouper.distinctID ids
+	distinct idSet // of grouper.valueID ids
 }
 
 type group struct {
@@ -544,17 +630,19 @@ func (sl *idSlab) take(n int) []uint32 {
 // chunks: never more than groupMax-sized chunks alone would hold.
 const groupFirst, groupMax = 4, 64
 
-// grouper is the GROUP BY / aggregate sink. Keys are built in one
-// reused buffer and probed with m[string(buf)], so a row allocates
-// nothing: a new group costs its key string, and groups, their values
-// and states and every id set come from per-statement chunks.
-// COUNT(DISTINCT) operands get statement ids — a string by the
-// released row's own Str, any other kind by its groupKey encoding, so
-// equality is groupKey's: -0 and 0 differ, every NaN is one value,
-// times compare by UnixNano.
+// grouper is the GROUP BY / aggregate sink. A row finds its group by
+// folding its GROUP BY values' ids through tables.groups, so a row
+// allocates nothing and a group costs no key of its own; groups, their
+// values and states and every id set come from per-statement chunks.
+// A value's id is its statement id as a released value, never a
+// segment's code, so a coarsened space or a pseudonymized subject
+// lands in the group it is released under: a string by its own Str,
+// any other kind by its groupKey encoding, so equality is groupKey's:
+// -0 and 0 differ, every NaN is one value, times compare by UnixNano.
+// COUNT(DISTINCT) operands share the ids.
 type grouper struct {
 	p *Plan
-	e *enforcement // its groups index the groups by key
+	e *enforcement // its groups and groupAt index the groups
 	// chunks hold the groups in first-seen order; a chunk is filled to
 	// its capacity, never past it, so a group never moves.
 	chunks [][]group
@@ -562,13 +650,14 @@ type grouper struct {
 	// vals and states are the current chunk's untaken tails.
 	vals   []Value
 	states []aggState
-	aggs   int // aggregate items: a group's states
-	key    []byte
+	aggs   int    // aggregate items: a group's states
+	key    []byte // a non-string value's groupKey encoding
 	slab   idSlab
 }
 
 func newGrouper(p *Plan, e *enforcement) *grouper {
 	g := &grouper{p: p, e: e}
+	e.groupAt = append(e.groupAt[:0], nil) // the empty prefix
 	for _, oc := range p.cols {
 		if oc.expr.Agg != AggNone {
 			g.aggs++
@@ -597,8 +686,8 @@ func (g *grouper) newGroup() *group {
 	return gr
 }
 
-// distinctID is v's statement id as a COUNT(DISTINCT) operand.
-func (g *grouper) distinctID(v Value) uint32 {
+// valueID is v's statement id as a released value.
+func (g *grouper) valueID(v Value) uint32 {
 	in, s := g.e.strs, v.Str
 	if v.Kind != KindString {
 		g.key = v.groupKey(g.key[:0])
@@ -617,15 +706,22 @@ func (g *grouper) distinctID(v Value) uint32 {
 
 // add folds one released row into its group.
 func (g *grouper) add(r row, subject uint32) {
-	p := g.p
-	g.key = g.key[:0]
+	p, t := g.p, g.e.tables
+	var at uint32 // the empty prefix
 	for _, c := range p.groupCols {
-		g.key = r.col(c).groupKey(g.key)
+		k := uint64(at)<<32 | uint64(g.valueID(r.col(c)))
+		next, ok := t.groups[k]
+		if !ok {
+			next = uint32(len(t.groupAt))
+			t.groupAt = append(t.groupAt, nil)
+			t.groups[k] = next
+		}
+		at = next
 	}
-	gr, ok := g.e.groups[string(g.key)]
-	if !ok {
+	gr := t.groupAt[at]
+	if gr == nil {
 		gr = g.newGroup()
-		g.e.groups[string(g.key)] = gr
+		t.groupAt[at] = gr
 		for i, c := range p.groupCols {
 			gr.vals[i] = r.col(c)
 		}
@@ -647,7 +743,7 @@ func (g *grouper) add(r row, subject uint32) {
 		switch oc.expr.Agg {
 		case AggCount:
 			if oc.expr.Distinct {
-				st.distinct.add(g.distinctID(v), &g.slab)
+				st.distinct.add(g.valueID(v), &g.slab)
 			} else {
 				st.n++
 			}

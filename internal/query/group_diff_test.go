@@ -83,13 +83,13 @@ func newDiffWorld(seed int64, users, spaces, sensors, rows int) *diffWorld {
 
 func (w *diffWorld) env(obs []sensor.Observation) Env {
 	return Env{
-		ScanEach: func(_ obstore.Filter, visit func(*sensor.Observation) bool) {
+		ScanEach: func(_ obstore.Filter, visit func(*sensor.Observation, obstore.Codes) bool) {
 			// No statement below pushes a predicate down, so every row is
 			// visited; the scratch row is poisoned after each visit.
 			var scratch sensor.Observation
 			for i := range obs {
 				scratch = obs[i]
-				if !visit(&scratch) {
+				if !visit(&scratch, obstore.Codes{}) {
 					return
 				}
 				scratch = sensor.Observation{SensorID: "POISON", SpaceID: "POISON", UserID: "POISON", Value: -1}

@@ -269,10 +269,10 @@ func (c *compiler) compile() (*Plan, error) {
 			// adapted here and nothing below Compile knows which was
 			// supplied.
 			scan := c.env.Scan
-			c.env.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+			c.env.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation, obstore.Codes) bool) {
 				rows := scan(f)
 				for i := range rows {
-					if !visit(&rows[i]) {
+					if !visit(&rows[i], obstore.Codes{}) {
 						return
 					}
 				}

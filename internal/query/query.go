@@ -76,12 +76,14 @@ type Env struct {
 	// filter, one row at a time in ascending seq, until visit returns
 	// false. The row pointer is valid only during the call (the backend
 	// may reuse one scratch row), and visit runs with no store lock
-	// held. This is what the executor runs on; see colstore.Store.Scan.
-	ScanEach func(f obstore.Filter, visit func(*sensor.Observation) bool)
+	// held. A sealed row comes with its Codes, which the executor reads
+	// its statement ids through; any other row has the zero Codes. This
+	// is what the executor runs on; see obstore.Store.Scan.
+	ScanEach func(f obstore.Filter, visit func(*sensor.Observation, obstore.Codes) bool)
 	// Scan is the slice-returning form of ScanEach for backends that
 	// already hold their rows (tests, examples, replays). One of the
-	// two is required; Compile adapts Scan into ScanEach, and ScanEach
-	// wins when both are set.
+	// two is required; Compile adapts Scan into ScanEach, passing no
+	// Codes, and ScanEach wins when both are set.
 	Scan func(f obstore.Filter) []sensor.Observation
 	// Subtree expands a space ID to its spatial subtree (the IDs a
 	// space predicate covers). nil restricts spatial predicates to

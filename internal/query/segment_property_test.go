@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -218,5 +219,158 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSegmentIdsAreStatementIds: a segment's dictionary positions are
+// not statement ids. One statement reads two hour segments that hold
+// mary, bob, dbh/2 and wifi_access_point at different positions — the
+// later hour's dictionaries gain entries that sort first ("", aaron,
+// dbh/1 and bluetooth_beacon) — and hot-log rows of the same subjects.
+// Every statement releases what a plain row scan releases, Stats
+// included, and Env.Decide runs once per (subject, kind, space, window
+// class): mary's preference coarsens her rows from 22:30, so one of her
+// classes spans both segments and the other the later segment and the
+// hot log.
+func TestSegmentIdsAreStatementIds(t *testing.T) {
+	day := time.Date(2017, 6, 7, 0, 0, 0, 0, time.UTC)
+	at := func(h, m int) time.Time { return day.Add(time.Duration(h)*time.Hour + time.Duration(m)*time.Minute) }
+	src, twin := obstore.New(), obstore.New()
+	cs, err := colstore.Open(colstore.Config{BucketDur: time.Hour, Clock: func() time.Time { return at(23, 30) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
+	add := func(user, space string, kind sensor.ObservationKind, t0 time.Time, v float64) {
+		o := sensor.Observation{SensorID: "ap-" + space, Kind: kind, Time: t0, SpaceID: space, UserID: user, Value: v}
+		for _, st := range []*obstore.Store{src, twin} {
+			if _, err := st.Append(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for m := 0; m < 60; m += 10 {
+		add("mary", "dbh/2", sensor.ObsWiFiConnect, at(21, m), float64(m))
+		add("bob", "dbh/2", sensor.ObsWiFiConnect, at(21, m+5), float64(m%3))
+	}
+	for m := 0; m < 60; m += 5 {
+		add("mary", "dbh/2", sensor.ObsWiFiConnect, at(22, m), float64(m))
+		add("bob", "dbh/2", sensor.ObsWiFiConnect, at(22, m), 1)
+		add("aaron", "dbh/1", sensor.ObsBLESighting, at(22, m), 2)
+		add("", "dbh/1", sensor.ObsWiFiConnect, at(22, m), 3)
+		add("bob", "dbh/1", sensor.ObsBLESighting, at(22, m), 4)
+	}
+	if _, err := cs.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	add("mary", "dbh/2", sensor.ObsWiFiConnect, at(23, 10), 7) // in the open hour: the hot log's
+	add("bob", "dbh/1", sensor.ObsWiFiConnect, at(23, 12), 8)
+	if n := len(cs.Segments()); n != 2 {
+		t.Fatalf("%d segments, want the two closed hours", n)
+	}
+
+	eng := enforce.NewCompiled(enforce.Config{DefaultAllow: true})
+	for _, p := range []policy.Preference{
+		{ID: "mary-late", UserID: "mary", Scope: policy.Scope{Window: policy.DailyWindow{Start: 22*60 + 30, End: 23*60 + 50}},
+			Rule: policy.Rule{Action: policy.ActionLimit, MaxGranularity: policy.GranBuilding}},
+		{ID: "aaron-deny", UserID: "aaron", Rule: policy.Rule{Action: policy.ActionDeny}},
+	} {
+		if err := eng.AddPreference(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type decideKey struct {
+		user, space string
+		kind        sensor.ObservationKind
+		class       enforce.Class
+	}
+	keyOf := func(user, space string, kind sensor.ObservationKind, t0 time.Time) decideKey {
+		return decideKey{user, space, kind, eng.Domain(user).Class(t0)}
+	}
+	want := map[decideKey]int{}
+	for _, o := range twin.Query(obstore.Filter{}) {
+		want[keyOf(o.UserID, o.SpaceID, o.Kind, o.Time)] = 1
+	}
+	if len(want) != 7 { // mary twice, bob thrice, aaron and "" once
+		t.Fatalf("%d (subject, kind, space, class) keys, want 7: %v", len(want), want)
+	}
+	env := func(calls map[decideKey]int) Env {
+		return Env{
+			Decide: func(req enforce.Request) enforce.Decision {
+				calls[keyOf(req.SubjectID, req.SpaceID, req.Kind, req.Time)]++
+				return eng.Decide(req, nil)
+			},
+			Domain: eng.Domain,
+			Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+				if d.Granularity == policy.GranBuilding {
+					o.SpaceID = buildingOf(o.SpaceID)
+				}
+				return o, true, nil
+			},
+		}
+	}
+
+	// The column side reads the store's own Scan, codes and all; the
+	// precondition is that the codes differ where the strings agree.
+	dicts := map[*obstore.Dicts]bool{}
+	hot := 0
+	for _, sql := range []string{
+		"SELECT seq, user_id, space_id, kind, value FROM observations",
+		"SELECT space_id, kind, COUNT(*) AS n, COUNT(DISTINCT user_id) AS u, SUM(value) AS s FROM observations GROUP BY space_id, kind",
+		"SELECT user_id, COUNT(DISTINCT space_id) AS s, COUNT(DISTINCT kind) AS k, MAX(value) AS hi FROM observations GROUP BY user_id",
+		"SELECT COUNT(*) AS n, COUNT(DISTINCT user_id) AS u, COUNT(DISTINCT space_id) AS s FROM observations",
+		"SELECT space_id, count FROM occupancy",
+	} {
+		for _, k := range []int{1, 2} {
+			r := reqr()
+			r.MinK = k
+			rowCalls, colCalls := map[decideKey]int{}, map[decideKey]int{}
+			rowEnv, colEnv := env(rowCalls), env(colCalls)
+			rowEnv.Scan = twin.Query
+			colEnv.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation, obstore.Codes) bool) {
+				src.Scan(f, func(o *sensor.Observation, c obstore.Codes) bool {
+					if c.Dicts == nil {
+						hot++
+					} else {
+						dicts[c.Dicts] = true
+					}
+					return visit(o, c)
+				})
+			}
+			rowRes, err := Run(rowEnv, r, sql)
+			if err != nil {
+				t.Fatalf("row scan %q: %v", sql, err)
+			}
+			colRes, err := Run(colEnv, r, sql)
+			if err != nil {
+				t.Fatalf("segments %q: %v", sql, err)
+			}
+			if !reflect.DeepEqual(colRes, rowRes) {
+				t.Fatalf("%q k=%d:\nsegments %v %+v\nrow scan %v %+v", sql, k, colRes.Rows, colRes.Stats, rowRes.Rows, rowRes.Stats)
+			}
+			for side, calls := range map[string]map[decideKey]int{"row scan": rowCalls, "segments": colCalls} {
+				if !reflect.DeepEqual(calls, want) {
+					t.Fatalf("%q k=%d, %s: Env.Decide calls %v, want one per (subject, kind, space, class) %v", sql, k, side, calls, want)
+				}
+			}
+		}
+	}
+	if len(dicts) != 2 || hot == 0 {
+		t.Fatalf("the statements read %d segments' codes and %d hot rows, want 2 and some", len(dicts), hot)
+	}
+	positions := map[string][]int{}
+	for d := range dicts {
+		for _, s := range []string{"mary", "bob"} {
+			positions[s] = append(positions[s], slices.Index(d.Users, s))
+		}
+		positions["dbh/2"] = append(positions["dbh/2"], slices.Index(d.Spaces, "dbh/2"))
+		positions["wifi"] = append(positions["wifi"], slices.Index(d.Kinds, string(sensor.ObsWiFiConnect)))
+	}
+	for s, pos := range positions {
+		if pos[0] == pos[1] {
+			t.Errorf("%s sits at position %d in both segments: the test cannot tell positions from ids", s, pos[0])
+		}
 	}
 }

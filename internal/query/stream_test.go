@@ -53,11 +53,11 @@ func TestEnvScanAdapterEquivalent(t *testing.T) {
 		slice := te.env().Scan
 		scanOnly := w.envOver(slice)
 		eachOnly := w.envOver(nil)
-		eachOnly.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+		eachOnly.ScanEach = func(f obstore.Filter, visit func(*sensor.Observation, obstore.Codes) bool) {
 			var scratch sensor.Observation
 			for _, o := range slice(f) {
 				scratch = o
-				ok := visit(&scratch)
+				ok := visit(&scratch, obstore.Codes{})
 				scratch = sensor.Observation{Seq: ^uint64(0), SensorID: "POISON", SpaceID: "POISON", UserID: "POISON", Value: -1}
 				if !ok {
 					return
@@ -132,20 +132,23 @@ func TestLimitStopsTheScan(t *testing.T) {
 // with its groups and the statement's distinct subjects, spaces and
 // values, not with the rows scanned — four times the rows over the same
 // groups allocates the same — and not with their products either: the
-// memo holds a four-byte handle per (subject, space) and a group's sets
-// four bytes per member. Per group they are barely more than its key
-// string: groups, their values and states come in chunks of 4 to 64
-// groups, every id set is carved from the statement's slab, and a
-// COUNT(DISTINCT) string operand is keyed by the row's own string. The
-// intern, memo and group-index tables are recycled from one execution
-// to the next, so a warm statement does not regrow them. So at 20
-// users × 40 spaces a statement stays under 100 objects (137 while
+// memo holds a four-byte handle per (subject, kind, space) and a
+// group's sets four bytes per member. A group costs no key of its own:
+// its values' ids fold through the statement's pair index, groups, their
+// values and states come in chunks of 4 to 64 groups, every id set is
+// carved from the statement's slab, and a string value is interned by
+// the row's own string. The id, memo and group-index tables are
+// recycled from one execution to the next, so a warm statement does not
+// regrow them. So at 20 users × 40 spaces a statement stays under 50
+// objects (41 measured; 83 while each group had a key string, 137 while
 // every statement built its tables from empty, 538 with an object per
 // id-set regrowth, three per group and one per distinct operand), and
-// ten times the groups costs at most two more objects each (11.2 each
-// before). The runs recycle one tables struct the way Execute does:
-// under the race detector sync.Pool drops a quarter of its Puts at
-// random, which would make Execute's count a coin toss.
+// ten times the groups costs at most half an object more each (0.06
+// measured; 1.06 with a key string per group, 11.2 before that). The
+// Stats show that the statement ran. The runs recycle one tables struct
+// the way Execute does: under the race detector sync.Pool drops a
+// quarter of its Puts at random, which would make Execute's count a
+// coin toss.
 func TestGroupedScanAllocsFlat(t *testing.T) {
 	const users = 20
 	allocs := func(spaces, n int) float64 {
@@ -157,11 +160,11 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 			obs[i] = obsAt(uint64(i+1), "ap-1", fmt.Sprintf("dbh/%d", rng.Intn(spaces)), fmt.Sprintf("u%02d", rng.Intn(users)), i%600, 1)
 		}
 		env := Env{
-			ScanEach: func(f obstore.Filter, visit func(*sensor.Observation) bool) {
+			ScanEach: func(f obstore.Filter, visit func(*sensor.Observation, obstore.Codes) bool) {
 				var scratch sensor.Observation
 				for i := range obs {
 					scratch = obs[i]
-					if !visit(&scratch) {
+					if !visit(&scratch, obstore.Codes{}) {
 						return
 					}
 				}
@@ -190,21 +193,18 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 	}
 	small, large := allocs(40, 10000), allocs(40, 40000)
 	t.Logf("20 users × 40 spaces: %.0f objects over 10k rows, %.0f over 40k", small, large)
-	if small < 40 {
-		t.Fatalf("10k rows allocated only %.0f objects: the statement did not run", small)
-	}
 	if diff := (large - small) / small; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("allocations follow the rows: %.0f objects over 10k rows, %.0f over 40k (%.1f%%)", small, large, 100*diff)
 	}
-	if small > 100 {
-		t.Fatalf("%.0f objects for %d users and 40 spaces (bound 100): something allocates per group, per id-set growth or per (user, space) pair again, or the tables are not recycled",
+	if small > 50 {
+		t.Fatalf("%.0f objects for %d users and 40 spaces (bound 50): something allocates per group, per id-set growth or per (user, space) pair again, or the tables are not recycled",
 			small, users)
 	}
 	wide := allocs(400, 100000)
 	perGroup := (wide - small) / 360
 	t.Logf("20 users × 400 spaces: %.0f objects, %.2f per added group", wide, perGroup)
-	if perGroup > 2 {
-		t.Fatalf("%.0f objects at 40 groups, %.0f at 400: %.2f per added group, want at most 2", small, wide, perGroup)
+	if perGroup > 0.5 {
+		t.Fatalf("%.0f objects at 40 groups, %.0f at 400: %.2f per added group, want at most 0.5", small, wide, perGroup)
 	}
 }
 

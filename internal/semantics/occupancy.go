@@ -78,7 +78,7 @@ func (d *OccupancyDeriver) Derive(rooms []string, from, to time.Time) ([]sensor.
 				SpaceIDs: []string{room},
 				From:     from,
 				To:       to,
-			}, func(o *sensor.Observation) bool {
+			}, func(o *sensor.Observation, _ obstore.Codes) bool {
 				idx := o.Time.Sub(from) / iv
 				b := buckets[int64(idx)]
 				if b == nil {

@@ -276,7 +276,7 @@ func (h *Hub) run(cursor uint64) {
 func (h *Hub) dispatchObservations(cursor uint64) uint64 {
 	head := h.cfg.Store.LastSeq()
 	if subs := h.topicSubs(TopicObservations); len(subs) > 0 {
-		h.cfg.Store.Scan(obstore.Filter{AfterSeq: cursor}, func(o *sensor.Observation) bool {
+		h.cfg.Store.Scan(obstore.Filter{AfterSeq: cursor}, func(o *sensor.Observation, _ obstore.Codes) bool {
 			if o.Seq > head {
 				return false
 			}

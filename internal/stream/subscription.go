@@ -425,7 +425,7 @@ func (s *Subscription) nextReplay() (Event, bool) {
 		// corrupt the cursor and the dedupe watermark, so fail the
 		// subscription loudly instead of delivering out of order.
 		n, ordered := 0, true
-		s.hub.cfg.Store.Scan(f, func(o *sensor.Observation) bool {
+		s.hub.cfg.Store.Scan(f, func(o *sensor.Observation, _ obstore.Codes) bool {
 			if o.Seq <= s.cursor {
 				ordered = false
 				return false
