@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -150,9 +151,10 @@ func (g *ruleGen) buildingPolicy() policy.BuildingPolicy {
 }
 
 // TestIncrementalDetectMatchesFull drives seeded random mutation
-// sequences — install, replace under the same ID with another rule or
-// another owner, allow-rule no-ops, remove, RegisterPolicy mid-sequence,
-// ForgetUser — through the BMS and the full-pass oracle side by side,
+// sequences — install, replace under the same ID with another rule, a
+// write under another owner's ID (refused, changing nothing),
+// allow-rule no-ops, remove, RegisterPolicy mid-sequence, ForgetUser —
+// through the BMS and the full-pass oracle side by side,
 // with and without a spatial model. After every step the conflict set,
 // each user's drained inbox and the TopicConflicts publications must
 // be identical.
@@ -216,7 +218,15 @@ func runIncrementalVsFull(t *testing.T, spatial bool, seed int64) {
 	prefIDs := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
 	set := func(p policy.Preference) {
 		t.Helper()
-		if err := f.bms.SetPreference(p); err != nil {
+		err := f.bms.SetPreference(p)
+		if old, ok := oracle.prefs[p.ID]; ok && old.UserID != p.UserID {
+			// Another user's ID: refused, and nothing changes.
+			if !errors.Is(err, ErrPreferenceOwned) {
+				t.Fatalf("SetPreference(%+v) over %s's preference = %v, want ErrPreferenceOwned", p, old.UserID, err)
+			}
+			return
+		}
+		if err != nil {
 			t.Fatalf("SetPreference(%+v): %v", p, err)
 		}
 		oracle.prefs[p.ID] = p
@@ -245,7 +255,7 @@ func runIncrementalVsFull(t *testing.T, spatial bool, seed int64) {
 			p := g.preference(old.ID, old.UserID)
 			what = fmt.Sprintf("re-rule %s (%v → %v)", p.ID, old.Rule.Action, p.Rule.Action)
 			set(p)
-		case op < 13: // same ID, different owner
+		case op < 13: // same ID, different owner: refused
 			old, ok := installed()
 			if !ok {
 				continue

@@ -462,6 +462,9 @@ func (b *BMS) RegisterPolicy(p policy.BuildingPolicy) error {
 	if err := p.Check(); err != nil {
 		return err
 	}
+	if err := b.resolve(p.Scope); err != nil {
+		return fmt.Errorf("core: policy %s: %w", p.ID, err)
+	}
 	err := b.mutateRules(func() ([]reasoner.Conflict, error) {
 		at, dup := b.policyIndex(p.ID)
 		if dup {
@@ -516,9 +519,15 @@ func (b *BMS) actuateScope(sc policy.Scope, settings map[string]string) error {
 	return nil
 }
 
+// ErrPreferenceOwned refuses a preference write whose ID names another
+// user's installed preference.
+var ErrPreferenceOwned = errors.New("core: preference ID belongs to another user")
+
 // SetPreference installs (or replaces) a user preference (Figure 1
-// step 8: the IoTA communicates the user's settings). Conflicts with
-// building policies are detected; override resolutions generate
+// step 8: the IoTA communicates the user's settings). A preference that
+// does not resolve (see resolve) or whose ID another user's preference
+// holds (ErrPreferenceOwned) is refused, and nothing changes. Conflicts
+// with building policies are detected; override resolutions generate
 // notifications delivered to the user's inbox and the live streams.
 // On a durable store the preference is in the rule log before it is
 // enforced; an error wrapping ErrRuleLog means it could not be logged,
@@ -530,7 +539,13 @@ func (b *BMS) SetPreference(p policy.Preference) error {
 	if _, ok := b.cfg.Users.Lookup(p.UserID); !ok {
 		return fmt.Errorf("core: preference for unknown user %q", p.UserID)
 	}
+	if err := b.resolve(p.Scope); err != nil {
+		return fmt.Errorf("core: preference %s: %w", p.ID, err)
+	}
 	return b.mutateRules(func() ([]reasoner.Conflict, error) {
+		if owner, ok := b.prefOwner[p.ID]; ok && owner != p.UserID {
+			return nil, fmt.Errorf("%w: %q", ErrPreferenceOwned, p.ID)
+		}
 		if err := b.rules.set(&p); err != nil {
 			return nil, err
 		}
@@ -538,6 +553,39 @@ func (b *BMS) SetPreference(p policy.Preference) error {
 		// now holds is installed.
 		return b.installPreference(p)
 	})
+}
+
+// resolve refuses a scope the node cannot enforce as written, naming
+// the field: its space must be in the spatial model, its sensor type
+// defined, its kind one the sensor package declares (the inferred
+// occupancy included), each purpose in the taxonomy, its service
+// registered and its window well-formed. It is the write path's one
+// check for preferences and policies alike, and allocates nothing for
+// a scope that resolves. Replaying the rule log does not call it: a
+// rule once acknowledged is installed as logged.
+func (b *BMS) resolve(sc policy.Scope) error {
+	if sc.SpaceID != "" {
+		if _, ok := b.cfg.Spaces.Lookup(sc.SpaceID); !ok {
+			return fmt.Errorf("scope.space_id %q is not a space of this building", sc.SpaceID)
+		}
+	}
+	if sc.SensorType != 0 && !sc.SensorType.Valid() {
+		return fmt.Errorf("scope.sensor_type %d is not a sensor type", int(sc.SensorType))
+	}
+	if sc.ObsKind != "" && !sc.ObsKind.Declared() {
+		return fmt.Errorf("scope.obs_kind %q is not an observation kind", sc.ObsKind)
+	}
+	for _, p := range sc.Purposes {
+		if !p.Defined() {
+			return fmt.Errorf("scope.purposes: %q is not a purpose", p)
+		}
+	}
+	if sc.ServiceID != "" {
+		if _, ok := b.services.Get(sc.ServiceID); !ok {
+			return fmt.Errorf("scope.service_id %q is not a registered service", sc.ServiceID)
+		}
+	}
+	return sc.Window.Check()
 }
 
 // RemovePreference uninstalls a preference by ID and reports whether
@@ -633,7 +681,8 @@ func (b *BMS) mutateRules(apply func() (fresh []reasoner.Conflict, err error)) e
 // replacePreference swaps the installed version of preference id, if
 // any, for p (nil uninstalls) and brings b.conflicts up to date by
 // delta: only the policies and the owners' other preferences are
-// consulted. It returns the conflicts whose key was absent before the
+// consulted. p's owner differs from the old version's only when New
+// replays a log written before SetPreference refused such writes. It returns the conflicts whose key was absent before the
 // mutation. The caller holds b.mu.
 func (b *BMS) replacePreference(id string, p *policy.Preference) (fresh []reasoner.Conflict) {
 	oldOwner, had := b.prefOwner[id]

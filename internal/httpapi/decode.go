@@ -2,12 +2,18 @@ package httpapi
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unicode/utf16"
 	"unicode/utf8"
 
+	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
+	"github.com/tippers/tippers/internal/sensor"
 )
 
 // The two hottest request bodies — an ingest batch and a data request —
@@ -21,6 +27,17 @@ import (
 // declined body to json.Unmarshal, so an unusual input decodes, or
 // fails with the same error, as it always has. The decode tests hold
 // the pair to encoding/json alone on every input.
+//
+// A preference body (PUT /v1/preferences) is the one the scanner
+// refuses instead of declining: it is never handed to json.Unmarshal,
+// which drops unknown keys, folds case and keeps the last of a repeated
+// key, so a misspelt cap or scope key would install a rule that says
+// less than its author wrote. decodePreference reads PreferenceDTO's
+// keys straight into a policy.Preference, exact-case and each at most
+// once, with no null anywhere, decoding string escapes as encoding/json
+// does (Go's encoder writes "&" as \u0026); it answers any other body
+// with a preferenceError naming the key at fault. Whatever it accepts,
+// encoding/json decodes to the same preference (FuzzDecodePreference).
 //
 // Strings naming infrastructure — sensor, kind, space, payload key,
 // service, purpose, granularity — repeat from body to body and are
@@ -64,6 +81,11 @@ type decoder struct {
 	// each one's bytes in data and its map.
 	payloads  [payloadSlots]bodyPayload
 	npayloads int
+	// escaped holds the body's last string text decoded escapes from,
+	// which may be a subject's: release drops it. perr is a preference
+	// body's refusal.
+	escaped []byte
+	perr    *preferenceError
 }
 
 type bodyPayload struct {
@@ -103,10 +125,10 @@ func getDecoder(data []byte, users *profile.Directory) *decoder {
 }
 
 // release drops the body buffer, which goes back to its own pool, the
-// body's payload maps, which are the request's alone, and the
-// directory, which may be another node's next time.
+// body's payload maps and unescaped text, which are the request's
+// alone, and the directory, which may be another node's next time.
 func (d *decoder) release() {
-	d.data, d.users = nil, nil
+	d.data, d.users, d.perr, d.escaped = nil, nil, nil, nil
 	d.dropPayloads()
 	decoderPool.Put(d)
 }
@@ -203,6 +225,255 @@ func (d *decoder) observation(o *ObservationDTO) bool {
 	})
 }
 
+// preferenceError refuses a preference body, naming the key at fault:
+// status 400 for a body outside PreferenceDTO's schema, 422 for an
+// action, granularity or sensor type that names none.
+type preferenceError struct {
+	status   int
+	key, msg string
+}
+
+func (e *preferenceError) Error() string {
+	if e.key == "" {
+		return "preference body: " + e.msg
+	}
+	return "preference body: " + e.key + ": " + e.msg
+}
+
+// decodePreference decodes a PUT /v1/preferences body into *p, or
+// refuses it and leaves *p alone. Strings naming infrastructure are
+// interned; the ID, the name and the source are copied, and the user is
+// resolved as a subject is.
+func decodePreference(data []byte, p *policy.Preference, users *profile.Directory) *preferenceError {
+	d := getDecoder(data, users)
+	defer d.release()
+	var out policy.Preference
+	ok := d.preference(&out) && d.end()
+	switch {
+	case ok && d.perr == nil:
+		*p = out
+		return nil
+	case !ok && (d.perr == nil || d.perr.status != http.StatusBadRequest):
+		d.perr = &preferenceError{status: http.StatusBadRequest, msg: fmt.Sprintf("not a JSON object at byte %d", d.pos)}
+	}
+	return d.perr
+}
+
+// schemaKey is one key of a preference body's objects and what its
+// value must be.
+type schemaKey struct{ name, want string }
+
+var (
+	preferenceKeys = []schemaKey{{"id", "a string"}, {"user_id", "a string"}, {"name", "a string"},
+		{"scope", "an object"}, {"rule", "an object"}, {"source", "a string"}}
+	scopeKeys = []schemaKey{{"space_id", "a string"}, {"sensor_type", "a string"}, {"obs_kind", "a string"},
+		{"purposes", "an array of strings"}, {"service_id", "a string"}, {"window", "an object"}}
+	windowKeys = []schemaKey{{"start_minute", "an integer"}, {"end_minute", "an integer"}, {"days", "an integer in [0, 255]"}}
+	ruleKeys   = []schemaKey{{"action", "a string"}, {"max_granularity", "a string"}, {"noise_epsilon", "a number"},
+		{"min_aggregation_k", "an integer"}}
+)
+
+func (d *decoder) preference(p *policy.Preference) bool {
+	return d.object("", preferenceKeys, func(i int) bool {
+		switch i {
+		case 0:
+			return d.copied(&p.ID)
+		case 1:
+			s, ok := d.text()
+			p.UserID = d.canonical(s)
+			return ok
+		case 2:
+			return d.copied(&p.Name)
+		case 3:
+			return d.scope(&p.Scope)
+		case 4:
+			return d.rule(&p.Rule)
+		}
+		return d.copied(&p.Source)
+	})
+}
+
+func (d *decoder) scope(sc *policy.Scope) bool {
+	return d.object("scope", scopeKeys, func(i int) bool {
+		switch i {
+		case 0:
+			return d.internedText(&sc.SpaceID)
+		case 1:
+			return d.named("scope.sensor_type", func(s string) (err error) {
+				if s != "" {
+					sc.SensorType, err = sensor.ParseType(s)
+				}
+				return err
+			})
+		case 2:
+			s, ok := d.text()
+			sc.ObsKind = sensor.ObservationKind(d.intern(s))
+			return ok
+		case 3:
+			return d.purposes(&sc.Purposes)
+		case 4:
+			return d.internedText(&sc.ServiceID)
+		}
+		return d.window(&sc.Window)
+	})
+}
+
+func (d *decoder) purposes(out *[]policy.Purpose) bool {
+	if !d.consume('[') {
+		return false
+	}
+	if d.consume(']') {
+		return true
+	}
+	var ps []policy.Purpose
+	for {
+		if d.null() {
+			return d.fail(http.StatusBadRequest, "scope.purposes", "null element")
+		}
+		s, ok := d.text()
+		if !ok {
+			return false
+		}
+		if ps = append(ps, policy.Purpose(d.intern(s))); !d.consume(',') {
+			*out = ps
+			return d.consume(']')
+		}
+	}
+}
+
+func (d *decoder) window(w *policy.DailyWindow) bool {
+	return d.object("scope.window", windowKeys, func(i int) bool {
+		switch i {
+		case 0:
+			return d.int(&w.Start)
+		case 1:
+			return d.int(&w.End)
+		}
+		n, ok := d.num()
+		days, err := strconv.ParseUint(string(n), 10, 8)
+		w.Days = policy.Weekdays(days)
+		return ok && err == nil
+	})
+}
+
+func (d *decoder) rule(r *policy.Rule) bool {
+	return d.object("rule", ruleKeys, func(i int) bool {
+		switch i {
+		case 0:
+			return d.named("rule.action", func(s string) (err error) {
+				if s != "" {
+					r.Action, err = policy.ParseAction(s)
+				}
+				return err
+			})
+		case 1:
+			return d.named("rule.max_granularity", func(s string) (err error) {
+				if s != "" {
+					r.MaxGranularity, err = policy.ParseGranularity(s)
+				}
+				return err
+			})
+		case 2:
+			return d.float(&r.NoiseEpsilon)
+		}
+		return d.int(&r.MinAggregationK)
+	})
+}
+
+// object scans an object whose keys are among keys, each at most once
+// and none null, calling member with each key's index to scan its
+// value. path names the object in a refusal.
+func (d *decoder) object(path string, keys []schemaKey, member func(i int) bool) bool {
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	var seen fields
+	for {
+		key, ok := d.text()
+		if !ok || !d.consume(':') {
+			return false
+		}
+		i := 0
+		for i < len(keys) && keys[i].name != string(key) {
+			i++
+		}
+		switch {
+		case i == len(keys):
+			return d.unknownKey(path, key, keys)
+		case !seen.first(uint(i)):
+			return d.fail(http.StatusBadRequest, join(path, keys[i].name), "given twice")
+		case d.null():
+			return d.fail(http.StatusBadRequest, join(path, keys[i].name), "null")
+		case !member(i):
+			return d.fail(http.StatusBadRequest, join(path, keys[i].name), "not "+keys[i].want)
+		}
+		if !d.consume(',') {
+			return d.consume('}')
+		}
+	}
+}
+
+// unknownKey refuses a key the object's schema lacks, pointing at the
+// key it respells when it differs from one only in case.
+func (d *decoder) unknownKey(path string, key []byte, keys []schemaKey) bool {
+	for _, k := range keys {
+		if strings.EqualFold(k.name, string(key)) {
+			return d.fail(http.StatusBadRequest, join(path, string(key)), fmt.Sprintf("not a key; keys are case-sensitive, and the schema's is %q", k.name))
+		}
+	}
+	return d.fail(http.StatusBadRequest, join(path, string(key)), "not a key of a preference")
+}
+
+// named scans a string and hands it to parse. When parse fails it
+// records a 422 naming key and scans on: a body outside the schema
+// answers 400 wherever its fault lies.
+func (d *decoder) named(key string, parse func(string) error) bool {
+	s, ok := d.text()
+	if ok {
+		if err := parse(d.intern(s)); err != nil {
+			d.fail(http.StatusUnprocessableEntity, key, err.Error())
+		}
+	}
+	return ok
+}
+
+func (d *decoder) copied(p *string) bool {
+	s, ok := d.text()
+	*p = string(s)
+	return ok
+}
+
+func (d *decoder) internedText(p *string) bool {
+	s, ok := d.text()
+	*p = d.intern(s)
+	return ok
+}
+
+// null reports whether a null comes next.
+func (d *decoder) null() bool {
+	d.ws()
+	return bytes.HasPrefix(d.data[d.pos:], []byte("null"))
+}
+
+// fail records the body's first refusal, or its first 400 over a 422,
+// and returns false.
+func (d *decoder) fail(status int, key, msg string) bool {
+	if d.perr == nil || status == http.StatusBadRequest && d.perr.status != http.StatusBadRequest {
+		d.perr = &preferenceError{status: status, key: key, msg: msg}
+	}
+	return false
+}
+
+func join(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
+}
+
 // payload scans a flat object of strings into a map: the map of an
 // earlier payload of the body with the same bytes, which scan to the
 // same value and end at the same offset, or else a new one. A repeated
@@ -270,16 +541,19 @@ func (d *decoder) members(member func(key []byte) bool) bool {
 // is registered, a copy otherwise.
 func (d *decoder) subject(p *string) bool {
 	s, ok := d.str()
-	if ok && d.users != nil {
-		if c, found := d.users.Canonical(s); found {
-			*p = c
-			return true
-		}
-	}
 	if ok {
-		*p = string(s)
+		*p = d.canonical(s)
 	}
 	return ok
+}
+
+func (d *decoder) canonical(s []byte) string {
+	if d.users != nil {
+		if c, found := d.users.Canonical(s); found {
+			return c
+		}
+	}
+	return string(s)
 }
 
 func (d *decoder) interned(p *string) bool {
@@ -365,6 +639,61 @@ func (d *decoder) str() ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+// text scans a string as str does, but decodes its escapes as
+// encoding/json does, a lone surrogate to U+FFFD. The bytes of a string
+// with escapes are d.escaped's, valid until the next call.
+func (d *decoder) text() ([]byte, bool) {
+	if s, ok := d.str(); ok {
+		return s, true
+	}
+	if d.pos >= len(d.data) || d.data[d.pos] != '"' { // str skipped the whitespace
+		return nil, false
+	}
+	b, data := d.escaped[:0], d.data
+	for i := d.pos + 1; i < len(data); {
+		switch c := data[i]; {
+		case c == '"':
+			d.escaped, d.pos = b, i+1
+			return b, utf8.Valid(b)
+		case c < 0x20:
+			return nil, false
+		case c != '\\':
+			b = append(b, c)
+			i++
+			continue
+		}
+		if i+1 == len(data) {
+			return nil, false
+		}
+		if j := strings.IndexByte(`"\/bfnrt`, data[i+1]); j >= 0 {
+			b = append(b, "\"\\/\b\f\n\r\t"[j])
+			i += 2
+			continue
+		}
+		r, ok := hex4(data, i)
+		if !ok {
+			return nil, false
+		}
+		if i += 6; utf16.IsSurrogate(r) {
+			r2, _ := hex4(data, i)
+			if r = utf16.DecodeRune(r, r2); r != utf8.RuneError {
+				i += 6
+			}
+		}
+		b = utf8.AppendRune(b, r)
+	}
+	return nil, false
+}
+
+// hex4 reads the rune of the \u escape at data[i:], if one is there.
+func hex4(data []byte, i int) (rune, bool) {
+	if len(data) < i+6 || data[i] != '\\' || data[i+1] != 'u' {
+		return -1, false
+	}
+	n, err := strconv.ParseUint(string(data[i+2:i+6]), 16, 32)
+	return rune(n), err == nil
 }
 
 // num scans a number by the JSON grammar: an optional minus, 0 or a

@@ -17,6 +17,7 @@ import (
 	"unsafe"
 
 	"github.com/tippers/tippers/internal/obstore"
+	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/sim"
 )
@@ -139,6 +140,10 @@ var decodeTimes = []struct {
 var (
 	observationKeys = []string{"seq", "sensor_id", "kind", "time", "space_id", "device_mac", "user_id", "value", "payload"}
 	requestKeys     = []string{"service_id", "purpose", "kind", "subject_id", "space_id", "granularity", "time", "from", "to", "after_seq", "limit"}
+	prefKeys        = []string{"id", "user_id", "name", "scope", "rule", "source"}
+	prefScopeKeys   = []string{"space_id", "sensor_type", "obs_kind", "purposes", "service_id", "window"}
+	prefWindowKeys  = []string{"start_minute", "end_minute", "days"}
+	prefRuleKeys    = []string{"action", "max_granularity", "noise_epsilon", "min_aggregation_k"}
 )
 
 // bodyGen writes one random body near the scanner's subset. outside
@@ -173,6 +178,15 @@ func (g *bodyGen) str() {
 	s := decodeStrings[g.rng.Intn(len(decodeStrings))]
 	g.outside = g.outside || s.outside
 	g.tok(s.lit)
+}
+
+// name writes one of names most of the time, else a random string.
+func (g *bodyGen) name(names ...string) {
+	if g.rng.Intn(4) == 0 {
+		g.str()
+		return
+	}
+	g.tok(strconv.Quote(names[g.rng.Intn(len(names))]))
 }
 
 func (g *bodyGen) number(integer bool) {
@@ -233,6 +247,35 @@ func (g *bodyGen) value(key string) {
 		return
 	}
 	switch key {
+	case "scope":
+		g.object(prefScopeKeys)
+	case "window":
+		g.object(prefWindowKeys)
+	case "rule":
+		g.object(prefRuleKeys)
+	case "purposes":
+		g.tok("[")
+		for i := range g.rng.Intn(3) {
+			if i > 0 {
+				g.tok(",")
+			}
+			g.name("comfort", "security", "providing-service")
+		}
+		g.tok("]")
+	case "action":
+		g.name("allow", "deny", "limit", "Deny", "permit")
+	case "max_granularity":
+		g.name("", "building", "floor", "fine", "street")
+	case "sensor_type":
+		g.name("", "Camera", "WiFi Access Point", "wifi")
+	case "start_minute", "end_minute", "days", "min_aggregation_k":
+		if g.rng.Intn(2) == 0 {
+			g.tok(strconv.Itoa(g.rng.Intn(300)))
+		} else {
+			g.number(true)
+		}
+	case "noise_epsilon":
+		g.number(false)
 	case "seq", "after_seq", "limit":
 		g.number(true)
 	case "value":
@@ -675,10 +718,11 @@ func TestDecodeResolvesSubjectsToDirectory(t *testing.T) {
 	}
 }
 
-// TestDecoderTableHoldsNoSubjectIdentifier: decoding batches and data
-// requests interns their sensors, kinds, spaces, payload keys,
-// services, purposes and granularities, and none of their device MACs,
-// user and subject IDs or payload values; and the raw MACs a node whose
+// TestDecoderTableHoldsNoSubjectIdentifier: decoding batches, data
+// requests and preferences interns their sensors, kinds, spaces,
+// payload keys, services, purposes and granularities, and none of their
+// device MACs, user and subject IDs, payload values or a preference's
+// ID, name and source; and the raw MACs a node whose
 // sensor pseudonymises them at capture ingested are in no pooled
 // decoder's table.
 func TestDecoderTableHoldsNoSubjectIdentifier(t *testing.T) {
@@ -704,7 +748,14 @@ func TestDecoderTableHoldsNoSubjectIdentifier(t *testing.T) {
 	if d.data, d.pos = raw, 0; !d.request(&req) {
 		t.Fatalf("the scanner declined %s", raw)
 	}
-	for _, s := range []string{"ap-1", "wifi_access_point", "dbh", "event", "concierge", "providing_service", "ble_beacon", "dbh/1", "room"} {
+	var pref policy.Preference
+	raw = []byte(`{"id":"subject-pref-\u0026","user_id":"subject-owner","name":"subject-name","source":"subject-source",` +
+		`"scope":{"space_id":"dbh/2","obs_kind":"bluetooth_beacon","purposes":["comfort"]},"rule":{"action":"deny"}}`)
+	if d.data, d.pos = raw, 0; !d.preference(&pref) {
+		t.Fatalf("the decoder refused %s: %v", raw, d.perr)
+	}
+	for _, s := range []string{"ap-1", "wifi_access_point", "dbh", "event", "concierge", "providing_service", "ble_beacon", "dbh/1", "room",
+		"dbh/2", "bluetooth_beacon", "comfort"} {
 		if _, ok := d.table[s]; !ok {
 			t.Errorf("%q is not interned", s)
 		}

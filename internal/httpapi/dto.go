@@ -5,7 +5,7 @@
 package httpapi
 
 import (
-	"fmt"
+	"encoding/json"
 	"time"
 
 	"github.com/tippers/tippers/internal/core"
@@ -212,28 +212,6 @@ func scopeToDTO(s policy.Scope) ScopeDTO {
 	return out
 }
 
-func scopeFromDTO(d ScopeDTO) (policy.Scope, error) {
-	out := policy.Scope{
-		SpaceID:   d.SpaceID,
-		ObsKind:   sensor.ObservationKind(d.ObsKind),
-		ServiceID: d.ServiceID,
-	}
-	if d.SensorType != "" {
-		t, err := sensor.ParseType(d.SensorType)
-		if err != nil {
-			return policy.Scope{}, err
-		}
-		out.SensorType = t
-	}
-	for _, p := range d.Purposes {
-		out.Purposes = append(out.Purposes, policy.Purpose(p))
-	}
-	if d.Window != nil {
-		out.Window = policy.DailyWindow{Start: d.Window.StartMinute, End: d.Window.EndMinute, Days: policy.Weekdays(d.Window.Days)}
-	}
-	return out, nil
-}
-
 func ruleToDTO(r policy.Rule) RuleDTO {
 	out := RuleDTO{
 		Action:          r.Action.String(),
@@ -244,22 +222,6 @@ func ruleToDTO(r policy.Rule) RuleDTO {
 		out.MaxGranularity = r.MaxGranularity.String()
 	}
 	return out
-}
-
-func ruleFromDTO(d RuleDTO) (policy.Rule, error) {
-	a, err := policy.ParseAction(d.Action)
-	if err != nil {
-		return policy.Rule{}, err
-	}
-	out := policy.Rule{Action: a, NoiseEpsilon: d.NoiseEpsilon, MinAggregationK: d.MinAggregationK}
-	if d.MaxGranularity != "" {
-		g, err := policy.ParseGranularity(d.MaxGranularity)
-		if err != nil {
-			return policy.Rule{}, err
-		}
-		out.MaxGranularity = g
-	}
-	return out, nil
 }
 
 // PreferenceToDTO converts an internal preference to wire form.
@@ -274,24 +236,18 @@ func PreferenceToDTO(p policy.Preference) PreferenceDTO {
 	}
 }
 
-// PreferenceFromDTO converts wire form back, validating enums.
+// PreferenceFromDTO converts wire form back: the DTO encoded and read
+// by PUT /v1/preferences' decoder. bench/replay.go is its one caller.
 func PreferenceFromDTO(d PreferenceDTO) (policy.Preference, error) {
-	scope, err := scopeFromDTO(d.Scope)
+	body, err := json.Marshal(d)
 	if err != nil {
-		return policy.Preference{}, fmt.Errorf("httpapi: preference %s: %w", d.ID, err)
+		return policy.Preference{}, err
 	}
-	rule, err := ruleFromDTO(d.Rule)
-	if err != nil {
-		return policy.Preference{}, fmt.Errorf("httpapi: preference %s: %w", d.ID, err)
+	var p policy.Preference
+	if err := decodePreference(body, &p, nil); err != nil {
+		return policy.Preference{}, err
 	}
-	return policy.Preference{
-		ID:     d.ID,
-		UserID: d.UserID,
-		Name:   d.Name,
-		Scope:  scope,
-		Rule:   rule,
-		Source: d.Source,
-	}, nil
+	return p, nil
 }
 
 // PolicyToDTO converts a building policy to its listing form.

@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"github.com/tippers/tippers/internal/core"
+	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
 	"github.com/tippers/tippers/internal/telemetry"
 )
@@ -294,9 +295,11 @@ func putBatch(bp *[]ObservationDTO) {
 
 // readJSON decodes the whole body into v before the handler acts on any
 // of it, so a malformed body changes nothing. A body over maxBodyBytes
-// is refused with 413. An ingest batch or a data request goes through
-// the scanner (decode.go) first, resolving subjects through users, and
-// whatever it declines, like every other body, through json.Unmarshal.
+// is refused with 413. A preference goes through decodePreference alone,
+// which answers what it refuses with its own status. An ingest batch or
+// a data request goes through the scanner (decode.go) first, resolving
+// subjects through users, and whatever it declines, like every other
+// body, through json.Unmarshal.
 func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Directory) bool {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
@@ -315,6 +318,13 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Di
 		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return false
+	}
+	if p, ok := v.(*policy.Preference); ok {
+		if err := decodePreference(buf.Bytes(), p, users); err != nil {
+			writeErr(w, err.status, err)
+			return false
+		}
+		return true
 	}
 	if decodeFast(buf.Bytes(), v, users) {
 		return true
@@ -349,21 +359,19 @@ func (s *Server) handleListPreferences(w http.ResponseWriter, req *http.Request)
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleSetPreference installs the body's preference and echoes what
+// it installed: 400 for a body outside the schema, 422 for a rule the
+// node cannot enforce as written, 409 for another user's ID.
 func (s *Server) handleSetPreference(w http.ResponseWriter, req *http.Request) {
-	var dto PreferenceDTO
-	if !readJSON(w, req, &dto, s.bms.Users()) {
-		return
-	}
-	pref, err := PreferenceFromDTO(dto)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	var pref policy.Preference
+	if !readJSON(w, req, &pref, s.bms.Users()) {
 		return
 	}
 	if err := s.bms.SetPreference(pref); err != nil {
 		writeErr(w, ruleErrStatus(err, http.StatusUnprocessableEntity), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, dto)
+	writeJSON(w, http.StatusOK, PreferenceToDTO(pref))
 }
 
 func (s *Server) handleDeletePreference(w http.ResponseWriter, req *http.Request) {
@@ -381,10 +389,14 @@ func (s *Server) handleDeletePreference(w http.ResponseWriter, req *http.Request
 
 // ruleErrStatus is the status of a refused rule mutation: 500 when the
 // node could not log it (the request was fine; the node's disk was
-// not), otherwise the handler's status for a bad request.
+// not), 409 when it names another user's preference, otherwise the
+// handler's status for a bad request.
 func ruleErrStatus(err error, refused int) int {
-	if errors.Is(err, core.ErrRuleLog) {
+	switch {
+	case errors.Is(err, core.ErrRuleLog):
 		return http.StatusInternalServerError
+	case errors.Is(err, core.ErrPreferenceOwned):
+		return http.StatusConflict
 	}
 	return refused
 }

@@ -39,7 +39,7 @@ func (s *Server) handleSettings(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := s.bms.SetPreference(pref); err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		writeErr(w, ruleErrStatus(err, http.StatusUnprocessableEntity), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, settingsResult{Applied: PreferenceToDTO(pref), Equivalent: equivalent})

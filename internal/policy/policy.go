@@ -15,7 +15,9 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,13 +51,16 @@ const (
 // AllPurposes lists the taxonomy (excluding the wildcard), ordered
 // roughly from most to least safety-critical; the IoTA's relevance
 // scoring uses this ordering.
-func AllPurposes() []Purpose {
-	return []Purpose{
-		PurposeEmergencyResponse, PurposeSecurity, PurposeLawEnforcement,
-		PurposeProvidingService, PurposeComfort, PurposeEnergyManagement,
-		PurposeLogging, PurposeAnalytics, PurposeResearch, PurposeMarketing,
-	}
+func AllPurposes() []Purpose { return slices.Clone(allPurposes[:]) }
+
+var allPurposes = [...]Purpose{
+	PurposeEmergencyResponse, PurposeSecurity, PurposeLawEnforcement,
+	PurposeProvidingService, PurposeComfort, PurposeEnergyManagement,
+	PurposeLogging, PurposeAnalytics, PurposeResearch, PurposeMarketing,
 }
+
+// Defined reports whether p is in the taxonomy (the wildcard is not).
+func (p Purpose) Defined() bool { return slices.Contains(allPurposes[:], p) }
 
 // SafetyCritical reports whether the purpose belongs to the class a
 // building may enforce over user opt-outs (the Policy 2 vs
@@ -252,6 +257,22 @@ func (w DailyWindow) Contains(t time.Time) bool {
 		return days.Has((t.Weekday() + 6) % 7)
 	}
 	return false
+}
+
+// Check refuses a window no minute of a day can fall in as written:
+// each bound a minute of the day, in [0, 1440), and the days a mask of
+// the seven weekdays.
+func (w DailyWindow) Check() error {
+	const day = 24 * 60
+	switch {
+	case w.Start < 0 || w.Start >= day:
+		return fmt.Errorf("scope.window.start_minute %d is not in [0, %d)", w.Start, day)
+	case w.End < 0 || w.End >= day:
+		return fmt.Errorf("scope.window.end_minute %d is not in [0, %d)", w.End, day)
+	case w.Days&^AllDays != 0:
+		return errors.New("scope.window.days sets a bit past Saturday's (1<<6)")
+	}
+	return nil
 }
 
 // IsZero reports whether the window is unset (always applies).

@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/tippers/tippers/internal/sensor"
 )
@@ -30,6 +31,11 @@ type Rule struct {
 
 // Check validates the rule.
 func (r Rule) Check() error {
+	// A NaN or infinite budget releases NaN or exact values. JSON
+	// cannot carry one, so no rule log a node wrote over HTTP holds one.
+	if math.IsNaN(r.NoiseEpsilon) || math.IsInf(r.NoiseEpsilon, 0) {
+		return fmt.Errorf("policy: rule.noise_epsilon %v is not finite", r.NoiseEpsilon)
+	}
 	switch r.Action {
 	case ActionAllow, ActionDeny:
 		return nil
@@ -38,11 +44,13 @@ func (r Rule) Check() error {
 			return errors.New("policy: limit rule needs a granularity cap, noise epsilon, or aggregation floor")
 		}
 		if r.NoiseEpsilon < 0 {
-			return errors.New("policy: noise epsilon must be positive")
+			return errors.New("policy: rule.noise_epsilon must be positive")
 		}
 		return nil
+	case 0:
+		return errors.New("policy: rule.action is missing")
 	default:
-		return fmt.Errorf("policy: invalid action %d", int(r.Action))
+		return fmt.Errorf("policy: rule.action: invalid action %d", int(r.Action))
 	}
 }
 

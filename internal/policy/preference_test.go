@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +92,15 @@ func TestPreferenceCheck(t *testing.T) {
 	bad.Rule = Rule{Action: ActionLimit}
 	if err := bad.Check(); err == nil {
 		t.Error("invalid rule accepted")
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, a := range []Action{ActionAllow, ActionDeny, ActionLimit} {
+			bad = good
+			bad.Rule = Rule{Action: a, NoiseEpsilon: eps, MaxGranularity: GranFloor}
+			if err := bad.Check(); err == nil || !strings.Contains(err.Error(), "rule.noise_epsilon") {
+				t.Errorf("%v rule with epsilon %v: Check = %v, want an error naming rule.noise_epsilon", a, eps, err)
+			}
+		}
 	}
 }
 

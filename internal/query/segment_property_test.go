@@ -84,6 +84,8 @@ func (w *segWorld) envOver(scan func(obstore.Filter) []sensor.Observation) Env {
 // is shaped.
 // The row scan runs over a twin store no tier is attached to — it keeps
 // every row, where the tier's own store evicts what the segments hold.
+// The columnar side reads the tier's store through Scan, as the node
+// does, so sealed rows reach the executor with their dictionary codes.
 func TestSegmentQueryMatchesRowScan(t *testing.T) {
 	base := qtNow // 2017-06-07 14:00:00 UTC — minute- and hour-aligned
 	for seed := int64(0); seed < 30; seed++ {
@@ -164,7 +166,8 @@ func TestSegmentQueryMatchesRowScan(t *testing.T) {
 			}
 
 			rowEnv := w.envOver(twin.Query)
-			colEnv := w.envOver(cs.Query)
+			colEnv := w.envOver(nil)
+			colEnv.ScanEach = src.Scan // sealed rows come with their segment's codes
 			colEnv.Rollup = func(RollupRequest) ([]RollupEntry, bool) {
 				t.Error("the executor called Env.Rollup")
 				return nil, false

@@ -67,6 +67,12 @@ func ParseType(s string) (Type, error) {
 	return 0, fmt.Errorf("sensor: unknown sensor type %q", s)
 }
 
+// Valid reports whether t is a defined sensor type.
+func (t Type) Valid() bool {
+	_, ok := typeNames[t]
+	return ok
+}
+
 // AllTypes returns every defined sensor type in declaration order.
 func AllTypes() []Type {
 	return []Type{
@@ -356,6 +362,12 @@ const (
 	ObsCardSwipe    ObservationKind = "card_swipe"
 	ObsOccupancy    ObservationKind = "occupancy" // inferred higher-level observation
 )
+
+// Declared reports whether k is one of the kinds above, the inferred
+// occupancy included.
+func (k ObservationKind) Declared() bool {
+	return k == ObsOccupancy || TypeForKind(k) != 0
+}
 
 // KindForType returns the primary observation kind a sensor type
 // produces.

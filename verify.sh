@@ -13,11 +13,13 @@
 # SLO smoke gate (a real tippersd under a short open-loop workload). The
 # steps mirror the test + bench + slo-smoke jobs in .github/workflows/ci.yml
 # so a green local run predicts a green CI run; change them together.
-# Only CI's seven 30s fuzz smoke runs (SQL parser, segment codec, scope
-# compiler, observation codec, request scanner, response appenders,
-# resource-document parser) are left out; run one by hand with
+# Only CI's eight 30s fuzz smoke runs (SQL parser, segment codec, scope
+# compiler, observation codec, request scanner, preference decoder,
+# response appenders, resource-document parser) are left out; run one
+# by hand with
 #   go test -run '^$' -fuzz FuzzDecodeObservation -fuzztime 30s ./internal/obstore/
 #   go test -run '^$' -fuzz FuzzDecodeMatchesEncodingJSON -fuzztime 30s ./internal/httpapi/
+#   go test -run '^$' -fuzz FuzzDecodePreference -fuzztime 30s ./internal/httpapi/
 #   go test -run '^$' -fuzz FuzzParseResourceDocument -fuzztime 30s ./internal/policy/
 set -eu
 
@@ -52,8 +54,8 @@ go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestResumeSpliceU
 echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment layout against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack + concurrent checkpoints keep every synced row once + retention rewrites each segment once, records no tombstone and never seals an expired row (repeated, race) =="
 go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestConcurrentCheckpointsKeepEverySyncedRow|TestRetentionRewritesEachSegmentOnce|TestSweepRacingCompactionSealsNoExpiredRow' ./internal/colstore/...
 
-echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike, and equal payloads in one body share one map + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 (repeated, race) =="
-go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestBodyPayloadsShareOneMap|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite' ./internal/httpapi/...
+echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike, and equal payloads in one body share one map + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 + the preference decoder against encoding/json, its allocations and the key it names, unenforceable writes refused with 400, 422 or 409, the 200's echo equal to the installed rule (repeated, race) =="
+go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestBodyPayloadsShareOneMap|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite|TestPreferenceWritesRefusedAsWritten|TestPreferenceEchoIsInstalled|TestPreferenceRoundTrip|TestDecodePreferenceAllocs|TestDecodePreferenceMatchesEncodingJSON|TestDecodePreferenceNamesTheKey' ./internal/httpapi/...
 
 echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties + grouped and occupancy sinks against a map-of-maps reference + recycled statement tables fail closed across requesters and a plan decides afresh on every execution + segment dictionary codes mapped to statement ids, never used as them (repeated, race) =="
 go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias|TestGroupedSinksMatchReference|TestRecycledTablesFailClosed|TestExecuteTwiceDecidesAgain|TestSegmentIdsAreStatementIds' ./internal/query/...
@@ -65,8 +67,8 @@ go test -race -count=2 -run 'TestEngineRecompileUnderChurn|TestStreamFanoutShare
 echo "== durable node at rest — a 36-simulated-day soak whose sampled resources plateau and whose WAL holds at most one hour of appends after every commit + a forgotten subject's bytes gone from every file after the next commit (repeated, race) =="
 go test -race -count=2 -run 'TestSoakResourcesPlateau|TestForgetUserLeavesNothingAtRest' ./internal/core/...
 
-echo "== rule log — restart keeps preferences over HTTP and in process and across racing checkpoints, SIGKILL right after an acknowledged PUT, torn final frame dropped, damaged middle frame refused, erasure folds the log, a self-folding log stays bounded, a failed append changes nothing and answers 500, its allocations (repeated, race) =="
-go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcurrentWritersAndCheckpoints|TestRuleLogTornFinalFrameDropped|TestRuleLogCorruptMiddleFrameRefusesOpen|TestForgetUserFoldsRuleLog|TestRuleLogStaysBounded|TestRuleLogWriteFailure|TestSetPreferenceDurableAllocs|TestPreferenceCodecRoundTrip' ./internal/core/...
+echo "== rule log — restart keeps preferences over HTTP and in process and across racing checkpoints, SIGKILL right after an acknowledged PUT, torn final frame dropped, damaged middle frame refused, erasure folds the log, a self-folding log stays bounded, a failed append changes nothing and answers 500, its allocations + replay installs rules as logged while new writes that do not resolve or name another user's ID are refused (repeated, race) =="
+go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcurrentWritersAndCheckpoints|TestRuleLogTornFinalFrameDropped|TestRuleLogCorruptMiddleFrameRefusesOpen|TestForgetUserFoldsRuleLog|TestRuleLogStaysBounded|TestRuleLogWriteFailure|TestSetPreferenceDurableAllocs|TestPreferenceCodecRoundTrip|TestRuleLogReplayInstallsAsLogged|TestWritesResolveNames|TestPreferenceIDStaysWithItsOwner' ./internal/core/...
 go test -race -count=2 -run 'TestDeploymentDurableRestartKeepsPreferences|TestDeploymentPreferenceSurvivesSIGKILL' .
 go test -race -count=2 -run 'TestRuleLogFailureIs500' ./internal/httpapi/...
 
