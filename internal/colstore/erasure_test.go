@@ -65,7 +65,7 @@ func TestSweepRacingCompactionSealsNoExpiredRow(t *testing.T) {
 	sealed := 0
 	for _, sg := range cs.segs {
 		sealed += sg.rows()
-		for i := range sg.seqs {
+		for i := range sg.rows() {
 			if sg.users.at(i) == "victim" {
 				t.Fatal("the row expired at the compaction's start was sealed")
 			}

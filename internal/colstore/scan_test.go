@@ -35,7 +35,7 @@ func oracleQuery(s *Store, f obstore.Filter) []sensor.Observation {
 			}
 			var page []sensor.Observation
 			for i := 0; i < sg.rows(); i++ {
-				if _, dead := s.seqTomb[sg.seqs[i]]; dead {
+				if _, dead := s.seqTomb[sg.seq(i)]; dead {
 					continue
 				}
 				if o := sg.row(i); oracleRowMatches(o, f, spaceSet) && !cut.Expired(&o) {
