@@ -301,8 +301,15 @@ func TestMemoHitAfterForeignWriteAllocsNothing(t *testing.T) {
 // through another owner's write, a minute advance clearing the write
 // epochs, or the insert of a decision computed before the write. Under
 // -race it also covers the memo's own bookkeeping.
+//
+// Each decider also decides a bystander, whom no mutator writes, twice
+// per iteration, and runs more iterations than the clock has minute
+// advances and at least one after the churn ends. That last pair meets
+// no write and no new minute, so its second decide is a memo hit
+// whatever the scheduling: the memo is known to have served decides.
 func TestMemoChurnAcrossMinutes(t *testing.T) {
 	const owners, deciders, versions = 4, 4, 400
+	const advances = versions / 40 // the first mutator's minute advances
 	c := newMemoEngine(t)
 	owner := func(i int) string { return fmt.Sprintf("owner-%d", i) }
 	write := func(i int, v int64) {
@@ -339,10 +346,14 @@ func TestMemoChurnAcrossMinutes(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			stopping := false
 			for n := 0; ; n++ {
+				if stopping && n > advances {
+					return
+				}
 				select {
 				case <-done:
-					return
+					stopping = true
 				default:
 				}
 				i := (g + n) % owners
@@ -354,6 +365,10 @@ func TestMemoChurnAcrossMinutes(t *testing.T) {
 					t.Errorf("%s served version %v after version %d was committed (from the memo: %v)",
 						owner(i), d.Effective.NoiseEpsilon, floor, d.FromCache)
 					return
+				}
+				req.SubjectID = "bystander"
+				for range 2 {
+					c.Decide(req, nil)
 				}
 			}
 		}()
