@@ -88,7 +88,10 @@ type Notification struct {
 	First, Last  time.Time
 }
 
-// Decision is the outcome of deciding one (request, subject) pair.
+// Decision is the outcome of deciding one (request, subject) pair. It
+// is read-only once returned: the compiled engine's memo hands every
+// entry that decided alike — different subjects' included — the same
+// slices, so a caller that wants to change one copies it first.
 type Decision struct {
 	// Allowed reports whether any data may flow.
 	Allowed bool
