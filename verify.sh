@@ -51,8 +51,8 @@ go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/t
 echo "== stream disconnect-then-resume + resume splice under concurrent ingest (200x, race) =="
 go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestResumeSpliceUnderConcurrentIngest$' ./internal/stream/
 
-echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment and width-edge layouts against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack at their narrowest width + heap per sealed row and the resident-bytes self-report + concurrent checkpoints keep every synced row once + retention rewrites each segment once, records no tombstone and never seals an expired row (repeated, race) =="
-go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestSealedTierHeapPerRow|TestConcurrentCheckpointsKeepEverySyncedRow|TestRetentionRewritesEachSegmentOnce|TestSweepRacingCompactionSealsNoExpiredRow' ./internal/colstore/...
+echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment and width-edge layouts against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack at their narrowest width + a segment whose rows lie more than 2⁶³ ns apart read from a time bound + heap per sealed row, compacted as reopened, and the resident-bytes self-report + concurrent checkpoints keep every synced row once + retention rewrites each segment once, records no tombstone and never seals an expired row (repeated, race) =="
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestSealedTierHeapPerRow|TestTimeRangeSpansTheWholeClock|TestConcurrentCheckpointsKeepEverySyncedRow|TestRetentionRewritesEachSegmentOnce|TestSweepRacingCompactionSealsNoExpiredRow' ./internal/colstore/...
 
 echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike, and equal payloads in one body share one map + oversized bodies refused with 413 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 + the preference decoder against encoding/json, its allocations and the key it names, unenforceable writes refused with 400, 422 or 409, the 200's echo equal to the installed rule (repeated, race) =="
 go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestBodyPayloadsShareOneMap|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite|TestPreferenceWritesRefusedAsWritten|TestPreferenceEchoIsInstalled|TestPreferenceRoundTrip|TestDecodePreferenceAllocs|TestDecodePreferenceMatchesEncodingJSON|TestDecodePreferenceNamesTheKey' ./internal/httpapi/...
@@ -72,10 +72,10 @@ go test -race -count=2 -run 'TestRuleLogRestartKeepsPreferences|TestRuleLogConcu
 go test -race -count=2 -run 'TestDeploymentDurableRestartKeepsPreferences|TestDeploymentPreferenceSurvivesSIGKILL' .
 go test -race -count=2 -run 'TestRuleLogFailureIs500' ./internal/httpapi/...
 
-echo "== stage clock, one observation per stage per path (ingest's decode, append and encode included) and the stage attributes on a sampled server span, the Server-Timing header's stages equal to the span's + ForgetUser drops the subject's decision traces and leaves the subject in no sampled span + chunked decision memo, its allocations and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
+echo "== stage clock, one observation per stage per path (ingest's decode, append and encode included) and the stage attributes on a sampled server span, the Server-Timing header's stages equal to the span's + ForgetUser drops the subject's decision traces and leaves the subject in no sampled span + decision memo of handles into distinct decisions: its allocations, its heap per entry, de-duplication that keeps every field, and the memo-free engine under racing writes, minute advances and cap drops (repeated, race) =="
 go test -race -count=2 -run 'TestStageClockObservesEachStageOnce' ./internal/core/...
 go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestServerTimingMatchesSpan|TestForgetUserDropsDecisionTraces|TestForgetUserLeavesNoSubjectInTraces' ./internal/httpapi/...
-go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace' ./internal/enforce/...
+go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace|TestMemoHeapPerEntry|TestMemoDedupKeepsEveryField' ./internal/enforce/...
 
 echo "== micro-benchmark count gate (eleven benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
 ./scripts/bench.sh
