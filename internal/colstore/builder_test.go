@@ -29,7 +29,7 @@ func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segm
 	for i := range rows {
 		b.add(&rows[i])
 	}
-	return b.seal(id)
+	return b.seal(id, nil)
 }
 
 // parentBuilder is the slice-based builder compaction used before it
@@ -179,7 +179,7 @@ func TestStreamingBuilderMatchesParentLayout(t *testing.T) {
 				if !bytes.Equal(data, want.encode()) {
 					t.Fatalf("seed %d, %s: segment %d (%d rows) encodes differently from the parent's layout", seed, stage, sg.id, sg.rows())
 				}
-				dec, err := decodeSegment(sg.id, data)
+				dec, err := decodeSegment(sg.id, data, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

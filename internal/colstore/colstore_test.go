@@ -58,7 +58,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := decodeSegment(1, sg.encode())
+	dec, err := decodeSegment(1, sg.encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,18 +86,18 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := sg.encode()
-	if _, err := decodeSegment(1, data); err != nil {
+	if _, err := decodeSegment(1, data, nil); err != nil {
 		t.Fatalf("clean decode failed: %v", err)
 	}
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x5a
-		if _, err := decodeSegment(1, mut); err == nil {
+		if _, err := decodeSegment(1, mut, nil); err == nil {
 			t.Fatalf("flipping byte %d went undetected", i)
 		}
 	}
 	for cut := 0; cut < len(data); cut += 7 {
-		if _, err := decodeSegment(1, data[:cut]); err == nil {
+		if _, err := decodeSegment(1, data[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d went undetected", cut)
 		}
 	}

@@ -78,7 +78,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sg, err := decodeSegment(1, data)
+		sg, err := decodeSegment(1, data, nil)
 		if err != nil {
 			return
 		}
