@@ -372,3 +372,60 @@ func TestScanMatchesQueryConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledScanRowsStayWithTheirScan: the row store's Scan and the
+// tier's ScanCold each take their scratch row from a pool, hand it back
+// when the walk ends and do not clear it. Two scans of two subjects run
+// at once, over the same sealed segments and the same log, many times
+// over, so the pools hand rows back and forth between them. Each visitor
+// must see its own subject's rows, each in full and in seq order, and
+// under -race no row may be written by one scan while another reads it.
+func TestPooledScanRowsStayWithTheirScan(t *testing.T) {
+	src, cs := newPair(t, "")
+	users := []string{"alice", "bob"}
+	want := map[string][]sensor.Observation{}
+	appendRow := func(u string, at time.Time, v float64) {
+		o, err := src.Append(obsAt("ap-"+u, "space-"+u, u, sensor.ObsWiFiConnect, at, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Time = o.Time.UTC()
+		want[u] = append(want[u], o)
+	}
+	for i := 0; i < 200; i++ {
+		for _, u := range users {
+			appendRow(u, csNow.Add(-time.Duration(2+i%5)*time.Minute).Add(time.Duration(i)*time.Millisecond), float64(i))
+		}
+	}
+	if _, err := cs.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		for _, u := range users {
+			appendRow(u, csNow.Add(time.Duration(i)*time.Millisecond), float64(1000+i))
+		}
+	}
+	if st := cs.Stats(); st.ColdRows != 400 || st.HotRows != 100 {
+		t.Fatalf("%d sealed rows and %d in the log, want 400 and 100", st.ColdRows, st.HotRows)
+	}
+
+	var wg sync.WaitGroup
+	for _, u := range users {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				var got []sensor.Observation
+				src.Scan(obstore.Filter{UserID: u}, func(o *sensor.Observation, _ obstore.Codes) bool {
+					got = append(got, *o)
+					return true
+				})
+				if !reflect.DeepEqual(normTimes(got), want[u]) {
+					t.Errorf("%s, round %d: visited %d rows that differ from the subject's %d", u, round, len(got), len(want[u]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

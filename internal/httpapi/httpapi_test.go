@@ -579,3 +579,25 @@ func TestRuleLogFailureIs500(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryValueMatchesURLQuery: queryValue reads a raw query as
+// req.URL.Query().Get does — the first pair naming the key, unescaped,
+// with the pairs url.ParseQuery refuses skipped — and allocates nothing
+// for a query without escapes.
+func TestQueryValueMatchesURLQuery(t *testing.T) {
+	for _, raw := range []string{
+		"", "k=2", "k=2&k=3", "n=5&user=u0001", "user=u%30001", "user=a+b", "us%65r=x", "user",
+		"user=", "&&user=x&", "user=x;y&user=z", "user=%zz&user=ok", "%zz=1&user=ok", "k=2;n=3", "k==2", "user=%E2%9C%93",
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/notifications?"+raw, nil)
+		for _, key := range []string{"k", "n", "user", ""} {
+			if got, want := queryValue(req, key), req.URL.Query().Get(key); got != want {
+				t.Errorf("%q, key %q: %q, url.Values has %q", raw, key, got, want)
+			}
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/decisions?n=5&user=u0001", nil)
+	if n := testing.AllocsPerRun(100, func() { queryValue(req, "user") }); n != 0 {
+		t.Errorf("%.0f allocations per lookup, want none", n)
+	}
+}

@@ -3,7 +3,9 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 	"unsafe"
 
@@ -254,19 +257,37 @@ func TestPooledDecodeLeaksNothing(t *testing.T) {
 }
 
 // TestOversizedBodyIs413: a body one byte over the limit is refused
-// with 413 naming the limit — on ingest and on a preference write alike
-// — and nothing is stored.
+// with 413 naming the limit — on ingest, a preference write, both data
+// requests and a query alike — and nothing is stored. A body of exactly
+// the limit is read: padded to it with whitespace, each route's body is
+// answered as it is unpadded. A body whose read fails answers 400.
 func TestOversizedBodyIs413(t *testing.T) {
 	bms := newIngestBMS(t)
 	h := NewServer(bms).Handler()
-	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
-	for _, r := range []struct{ method, path string }{
-		{http.MethodPost, "/v1/observations"},
-		{http.MethodPut, "/v1/preferences"},
-	} {
-		rec := post(h, r.method, r.path, body)
+	routes := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/observations", `[]`},
+		{http.MethodPut, "/v1/preferences", `{}`},
+		{http.MethodPost, "/v1/requests/user", `{"purpose":"providing_service","kind":"wifi_access_point","subject_id":"u1"}`},
+		{http.MethodPost, "/v1/requests/occupancy?k=2", `{"purpose":"providing_service","kind":"wifi_access_point"}`},
+		{http.MethodPost, "/v1/query", `{"sql":"SELECT seq FROM observations"}`},
+	}
+	over := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	for _, r := range routes {
+		rec := post(h, r.method, r.path, over)
 		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), fmt.Sprint(maxBodyBytes)) {
-			t.Fatalf("%s %s with %d bytes: %d %s", r.method, r.path, len(body), rec.Code, rec.Body)
+			t.Fatalf("%s %s with %d bytes: %d %s", r.method, r.path, len(over), rec.Code, rec.Body)
+		}
+
+		want := post(h, r.method, r.path, []byte(r.body))
+		padded := append([]byte(r.body), bytes.Repeat([]byte(" "), maxBodyBytes-len(r.body))...)
+		if rec := post(h, r.method, r.path, padded); rec.Code != want.Code || rec.Code == http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s with exactly %d bytes: %d %s, unpadded %d %s", r.method, r.path, len(padded), rec.Code, rec.Body, want.Code, want.Body)
+		}
+
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(r.method, r.path, io.MultiReader(strings.NewReader(r.body[:1]), iotest.ErrReader(errors.New("connection reset")))))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "read body: connection reset") {
+			t.Fatalf("%s %s whose read fails: %d %s", r.method, r.path, rec.Code, rec.Body)
 		}
 	}
 	if n := bms.Store().Len(); n != 0 {

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -146,7 +149,7 @@ func (s *Server) Handler() http.Handler {
 // over for span traces.)
 func (s *Server) handleDecisions(w http.ResponseWriter, req *http.Request) {
 	n := 50
-	if nStr := req.URL.Query().Get("n"); nStr != "" {
+	if nStr := queryValue(req, "n"); nStr != "" {
 		v, err := strconv.Atoi(nStr)
 		if err != nil || v < 1 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", nStr))
@@ -155,7 +158,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, req *http.Request) {
 		n = v
 	}
 	var traces []core.DecisionTrace
-	if user := req.URL.Query().Get("user"); user != "" {
+	if user := queryValue(req, "user"); user != "" {
 		traces = s.bms.TracesForSubject(user, n)
 	} else {
 		traces = s.bms.RecentTraces(n)
@@ -171,7 +174,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, req *http.Request) {
 // newest first. Query: n=N caps the count (default 50).
 func (s *Server) handleTraces(w http.ResponseWriter, req *http.Request) {
 	n := 50
-	if nStr := req.URL.Query().Get("n"); nStr != "" {
+	if nStr := queryValue(req, "n"); nStr != "" {
 		v, err := strconv.Atoi(nStr)
 		if err != nil || v < 1 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", nStr))
@@ -233,11 +236,7 @@ type errorBody struct {
 // rather than the status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBytes {
-			bodyPool.Put(buf)
-		}
-	}()
+	defer putBody(buf)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
@@ -293,32 +292,57 @@ func putBatch(bp *[]ObservationDTO) {
 	}
 }
 
-// readJSON decodes the whole body into v before the handler acts on any
-// of it, so a malformed body changes nothing. A body over maxBodyBytes
-// is refused with 413. A preference goes through decodePreference alone,
-// which answers what it refuses with its own status. An ingest batch or
-// a data request goes through the scanner (decode.go) first, resolving
-// subjects through users, and whatever it declines, like every other
-// body, through json.Unmarshal.
-func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Directory) bool {
+// readBody reads req's whole body into a buffer from bodyPool, which
+// the caller hands back with putBody. It reads at most one byte past
+// maxBodyBytes, straight into the buffer, so a body over the limit is
+// refused with 413 without a limiting reader of its own; a body whose
+// read fails answers 400.
+func readBody(w http.ResponseWriter, req *http.Request) (*bytes.Buffer, bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBytes {
-			bodyPool.Put(buf)
-		}
-	}()
 	buf.Reset()
 	if n := req.ContentLength; n > 0 && n <= maxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to see EOF
+		buf.Grow(int(n) + 1) // and one free byte for the read that sees EOF
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, maxBodyBytes)); err != nil {
-		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the limit of %d bytes", tooLarge.Limit))
-			return false
+	for {
+		if buf.Available() == 0 {
+			buf.Grow(bytes.MinRead)
 		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		room := buf.AvailableBuffer()
+		n, err := req.Body.Read(room[:min(cap(room), maxBodyBytes+1-buf.Len())])
+		buf.Write(room[:n])
+		switch {
+		case buf.Len() > maxBodyBytes:
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the limit of %d bytes", maxBodyBytes))
+		case err == io.EOF:
+			return buf, true
+		case err == nil:
+			continue
+		default:
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		}
+		putBody(buf)
+		return nil, false
+	}
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBytes {
+		bodyPool.Put(buf)
+	}
+}
+
+// readJSON decodes the whole body into v before the handler acts on any
+// of it, so a malformed body changes nothing. A preference goes through
+// decodePreference alone, which answers what it refuses with its own
+// status. An ingest batch goes through the scanner (decode.go) first,
+// resolving subjects through users, and whatever it declines, like
+// every other body, through json.Unmarshal.
+func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Directory) bool {
+	buf, ok := readBody(w, req)
+	if !ok {
 		return false
 	}
+	defer putBody(buf)
 	if p, ok := v.(*policy.Preference); ok {
 		if err := decodePreference(buf.Bytes(), p, users); err != nil {
 			writeErr(w, err.status, err)
@@ -329,11 +353,58 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Di
 	if decodeFast(buf.Bytes(), v, users) {
 		return true
 	}
-	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+	return unmarshal(w, buf.Bytes(), v)
+}
+
+// readRequest is readJSON for a data request, typed so that dto stays
+// on its caller's stack: json.Unmarshal keeps what it decodes into on
+// the heap, so only a body the scanner declines pays for a RequestDTO.
+func readRequest(w http.ResponseWriter, req *http.Request, dto *RequestDTO, users *profile.Directory) bool {
+	buf, ok := readBody(w, req)
+	if !ok {
+		return false
+	}
+	defer putBody(buf)
+	if decodeFast(buf.Bytes(), dto, users) {
+		return true
+	}
+	declined := new(RequestDTO)
+	if !unmarshal(w, buf.Bytes(), declined) {
+		return false
+	}
+	*dto = *declined
+	return true
+}
+
+func unmarshal(w http.ResponseWriter, data []byte, v any) bool {
+	if err := json.Unmarshal(data, v); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode body: %w", err))
 		return false
 	}
 	return true
+}
+
+// queryValue is req.URL.Query().Get(key) without the url.Values it
+// builds: the first pair of the raw query naming key, unescaped, with
+// the pairs url.ParseQuery refuses (one holding a semicolon, or an
+// escape it cannot decode) skipped as it skips them. Unescaping
+// allocates only for a pair that holds an escape or a plus.
+func queryValue(req *http.Request, key string) string {
+	for q := req.URL.RawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, req *http.Request) {
@@ -346,7 +417,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleListPreferences(w http.ResponseWriter, req *http.Request) {
-	user := req.URL.Query().Get("user")
+	user := queryValue(req, "user")
 	if user == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing user parameter"))
 		return
@@ -402,7 +473,7 @@ func ruleErrStatus(err error, refused int) int {
 }
 
 func (s *Server) handleNotifications(w http.ResponseWriter, req *http.Request) {
-	user := req.URL.Query().Get("user")
+	user := queryValue(req, "user")
 	if user == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing user parameter"))
 		return
@@ -486,7 +557,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleRequestUser(w http.ResponseWriter, req *http.Request) {
 	t0 := time.Now()
 	var dto RequestDTO
-	if !readJSON(w, req, &dto, s.bms.Users()) {
+	if !readRequest(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	r, err := RequestFromDTO(dto)
@@ -638,7 +709,7 @@ func traceAttrs(span *telemetry.Span, tr *core.DecisionTrace) {
 func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request) {
 	t0 := time.Now()
 	var dto RequestDTO
-	if !readJSON(w, req, &dto, s.bms.Users()) {
+	if !readRequest(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	r, err := RequestFromDTO(dto)
@@ -647,7 +718,7 @@ func (s *Server) handleRequestOccupancy(w http.ResponseWriter, req *http.Request
 		return
 	}
 	k := 1
-	if kStr := req.URL.Query().Get("k"); kStr != "" {
+	if kStr := queryValue(req, "k"); kStr != "" {
 		k, err = strconv.Atoi(kStr)
 		if err != nil || k < 1 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid k %q", kStr))
@@ -680,7 +751,7 @@ func (s *Server) handleForget(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleAudit(w http.ResponseWriter, req *http.Request) {
-	user := req.URL.Query().Get("user")
+	user := queryValue(req, "user")
 	if user == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing user parameter"))
 		return

@@ -15,6 +15,8 @@ package obstore
 // durable; it only releases memory.
 
 import (
+	"sync"
+
 	"github.com/tippers/tippers/internal/sensor"
 )
 
@@ -180,19 +182,27 @@ func (s *Store) walk(f Filter, fn func(*sensor.Observation, Codes) bool) {
 // across both tiers, with the row's Codes (the zero Codes for a row of
 // the log), and stops when visit returns false or f.Limit rows were
 // visited. The pointer is valid only during the call: rows of the log
-// are visited through one scratch copy. No store lock is held while
-// visit runs.
+// are visited through one scratch copy, taken from rowPool for the scan.
+// No store lock is held while visit runs.
 func (s *Store) Scan(f Filter, visit func(*sensor.Observation, Codes) bool) {
 	v, tail, ok := s.read(f, visit)
 	if !ok {
 		return
 	}
-	var row sensor.Observation
+	row := rowPool.Get().(*sensor.Observation)
+	defer rowPool.Put(row)
 	v.each(tail, func(o *sensor.Observation, c Codes) bool {
-		row = *o
-		return visit(&row, c)
+		*row = *o
+		return visit(row, c)
 	})
 }
+
+// rowPool holds the scratch rows Scan visits the log through: handed to
+// a visitor the store cannot see into, a row of the scan's own would
+// escape to the heap on every call. A pooled row is not cleared when
+// handed back — the next scan overwrites it — so it holds the last row
+// it carried, never more, until then or until the pool is dropped.
+var rowPool = sync.Pool{New: func() any { return new(sensor.Observation) }}
 
 // DeleteUser removes every stored observation attributed to userID that
 // keep does not hold back — expired or not, from the log and from behind

@@ -529,16 +529,31 @@ func (p *Plan) execOccupancy(e *enforcement) (*Result, error) {
 }
 
 // projector is the row-mode sink: one output row per released row.
+// The rows' cells come in chunks sized as the grouper's groups are,
+// groupFirst rows and then as many as all before, up to groupMax, and
+// never more than a LIMIT without ORDER BY still admits; rows has room
+// made for each chunk's rows as it is cut.
 type projector struct {
-	p    *Plan
-	rows [][]Value
+	p     *Plan
+	rows  [][]Value
+	cells []Value // the current chunk's untaken tail
 }
 
 // add reports whether the scan should go on: with LIMIT n and no
 // ORDER BY the first n released rows are the answer.
 func (pr *projector) add(r row) bool {
 	p := pr.p
-	out := make([]Value, len(p.cols))
+	w := len(p.cols)
+	if len(pr.cells) < w {
+		n := min(max(len(pr.rows), groupFirst), groupMax)
+		if p.limit >= 0 && len(p.orderBy) == 0 {
+			n = min(n, max(p.limit-len(pr.rows), 1)) // LIMIT 0 still takes its first row
+		}
+		pr.cells = make([]Value, n*w)
+		pr.rows = slices.Grow(pr.rows, n)
+	}
+	out := pr.cells[:w:w]
+	pr.cells = pr.cells[w:]
 	for ci := range p.cols {
 		out[ci] = r.col(p.cols[ci].src)
 	}

@@ -46,11 +46,15 @@ func (r *Registry) Mount(mux *http.ServeMux, enablePprof bool) {
 	}
 }
 
-// statusRecorder captures the response status for the middleware.
+// statusRecorder captures the response status for the middleware. One
+// is taken from recorderPool per request and handed back once the
+// handler has returned, when nothing may use the writer any more.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 }
+
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 func (s *statusRecorder) WriteHeader(code int) {
 	s.status = code
@@ -89,8 +93,8 @@ type HTTPOptions struct {
 }
 
 // InstrumentHandler wraps h, served as route, in the metrics, tracing
-// and slow-request log o selects: one status recorder and one clock
-// read on either side of h. The request reaches h with a new context
+// and slow-request log o selects: a pooled status recorder and one
+// clock read on either side of h. The request reaches h with a new context
 // only when tracing changed it, which an unsampled root does not.
 func InstrumentHandler(o HTTPOptions, route string, h http.Handler) http.Handler {
 	if o.Metrics == nil && o.Tracer == nil && (o.Slow <= 0 || o.Logger == nil) {
@@ -121,21 +125,25 @@ func InstrumentHandler(o HTTPOptions, route string, h http.Handler) http.Handler
 		if ctx != req.Context() {
 			req = req.WithContext(ctx)
 		}
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := recorderPool.Get().(*statusRecorder)
+		rec.ResponseWriter, rec.status = w, 0
 		h.ServeHTTP(rec, req)
 		elapsed := time.Since(t0)
-		if rec.status == 0 {
-			rec.status = http.StatusOK
+		status := rec.status
+		if status == 0 {
+			status = http.StatusOK
 		}
+		rec.ResponseWriter = nil
+		recorderPool.Put(rec)
 		inFlight.Add(-1)
 		hist.Observe(elapsed.Seconds())
-		requests.of(rec.status).Inc()
-		span.SetAttrInt("http.status", int64(rec.status))
+		requests.of(status).Inc()
+		span.SetAttrInt("http.status", int64(status))
 		span.End()
 		if o.Slow > 0 && elapsed >= o.Slow && o.Logger != nil {
 			args := []any{
 				"route", route,
-				"status", rec.status,
+				"status", status,
 				"elapsed_ms", elapsed.Milliseconds(),
 				"sampled", cur.Sampled,
 			}
