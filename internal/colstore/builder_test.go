@@ -25,7 +25,7 @@ import (
 // buildSegment lays out rows (ascending seq, all in one bucket) through
 // the streaming builder.
 func buildSegment(id uint64, bucket time.Time, rows []sensor.Observation) (*segment, error) {
-	b := newSegBuilder(bucket, len(rows))
+	b := newPass().builder(bucket, len(rows), nil)
 	for i := range rows {
 		b.add(&rows[i])
 	}
@@ -335,4 +335,52 @@ func TestSealedColumnsHaveNoSlack(t *testing.T) {
 	src.DeleteUser("a2", nil)
 	compact("rewritten", nil)
 	check("rewritten", map[int64]int{bucket(-30): 14})
+}
+
+// TestInterleavedBucketsSealAtTheirNarrowest: rows dealt round-robin to
+// three closed buckets, so each builder of the pass takes back values
+// the others took in between and adds them to its dictionaries again —
+// a subject five times over, a reading as often. Every segment still
+// holds each value once, at the narrowest widths, and encodes to the
+// bytes the parent's builder lays out for its rows.
+func TestInterleavedBucketsSealAtTheirNarrowest(t *testing.T) {
+	src, cs := newPair(t, "")
+	bySeq := map[uint64]sensor.Observation{}
+	for i := range 3000 {
+		bucket, k := i%3, i/3
+		o := obsAt(fmt.Sprintf("ap-%d", k%40), fmt.Sprintf("s%d", k%9), fmt.Sprintf("u%03d", k%200), sensor.ObsWiFiConnect,
+			csNow.Add(time.Duration(bucket-10)*time.Minute+time.Duration(k)*10*time.Millisecond), float64(k%5))
+		if k%4 == 0 {
+			o.Payload = map[string]string{"event": "assoc"}
+		}
+		got, err := src.Append(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Time = got.Time.UTC()
+		bySeq[got.Seq] = got
+	}
+	if n, err := cs.CompactOnce(); err != nil || n != 3000 {
+		t.Fatalf("sealed %d rows (%v), want 3000", n, err)
+	}
+	if len(cs.segs) != 3 {
+		t.Fatalf("%d segments, want 3", len(cs.segs))
+	}
+	for _, sg := range cs.segs {
+		checkWidths(t, sg)
+		if len(sg.users.dict) != 200 || len(sg.values.dict) != 5 {
+			t.Errorf("segment %d: %d subjects and %d readings, want 200 and 5", sg.id, len(sg.users.dict), len(sg.values.dict))
+		}
+		rows := make([]sensor.Observation, sg.rows())
+		for i := range rows {
+			rows[i] = bySeq[sg.seq(i)]
+		}
+		want, err := new(parentBuilder).build(sg.id, sg.bucket, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sg.encode(), want.encode()) {
+			t.Errorf("segment %d encodes differently from the parent's layout", sg.id)
+		}
+	}
 }

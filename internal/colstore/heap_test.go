@@ -151,3 +151,51 @@ func TestSealedTierHeapPerRow(t *testing.T) {
 			float64(built)/rows, float64(decoded)/rows, apart)
 	}
 }
+
+// TestSubjectAcrossAGapIsOneString: a subject seen in the first and
+// third hour of a pass but not in the second is held in one string by
+// both segments, compacted as reopened — not a copy per segment whose
+// neighbour lacks it.
+func TestSubjectAcrossAGapIsOneString(t *testing.T) {
+	dir := t.TempDir()
+	base := csNow.Add(-6 * time.Hour).Truncate(time.Hour)
+	clock := func() time.Time { return csNow }
+	src := obstore.New()
+	src.SetClock(clock)
+	cs, err := Open(Config{Dir: dir, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.AttachStore(src); err != nil {
+		t.Fatal(err)
+	}
+	for hour, users := range [][]string{{"gone", "stays"}, {"stays"}, {"gone", "stays"}} {
+		for i, u := range users {
+			at := base.Add(time.Duration(hour)*time.Hour + time.Duration(i)*time.Minute)
+			// A fresh string per row, as a decoded request's is.
+			if _, err := src.Append(obsAt("ap-1", "s1", string([]byte(u)), sensor.ObsWiFiConnect, at, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := cs.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, segs []*segment) {
+		t.Helper()
+		if len(segs) != 3 {
+			t.Fatalf("%s: %d segments, want 3", stage, len(segs))
+		}
+		first, third := segs[0].users, segs[2].users
+		a, b := first.dict[first.find("gone")], third.dict[third.find("gone")]
+		if unsafe.StringData(a) != unsafe.StringData(b) {
+			t.Errorf("%s: the subject of the first and third hour is held in two strings", stage)
+		}
+	}
+	check("compacted", cs.segs)
+	reopened, err := Open(Config{Dir: dir, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", reopened.segs)
+}

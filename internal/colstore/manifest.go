@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"github.com/tippers/tippers/internal/wal"
@@ -49,7 +50,17 @@ type manifestState struct {
 	SeqTombstones []uint64 `json:"seq_tombstones,omitempty"`
 }
 
-func segFileName(id uint64) string { return fmt.Sprintf("seg-%08d.col", id) }
+// segFileName is "seg-%08d.col" of id, built in one allocation.
+func segFileName(id uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], id, 10)
+	var name [32]byte
+	b := append(name[:0], "seg-"...)
+	for range 8 - len(d) {
+		b = append(b, '0')
+	}
+	return string(append(append(b, d...), ".col"...))
+}
 
 // writeManifest atomically replaces the manifest in dir.
 func writeManifest(dir string, st manifestState) error {

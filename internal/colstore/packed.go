@@ -178,78 +178,68 @@ func (c *floats) at(i int) float64 {
 // n raw values.
 func coded(d, n int) bool { return 8*d+n*widthOf(uint64(d-1)) < 8*n }
 
-// floatBuilder lays out a value column for room rows. It codes values
-// until the dictionary can no longer be the smaller layout for room rows
-// and then keeps them raw, so the choice is exact when room is. The
-// dictionary is laid out from pos once, when the coding ends.
+// floatBuilder lays out a value column: it codes every value, and
+// column keeps the codes or the raw values, whichever is smaller.
 type floatBuilder struct {
 	floats
 	room int
-	pos  map[uint64]uint32 // a value's bits → its dictionary position; nil once raw
+	// vals maps a value's bits to the builder that took it last and its
+	// position in that builder's dictionary. The builders of a compaction
+	// pass share one, so a builder adds a value to its dictionary again
+	// when another builder took it in between.
+	vals map[uint64]tag
+	tag  uint32
 	// last and lastPos are the previous value's bits and position: runs
 	// of one value (a sensor's rows without a reading) skip the map.
 	last    uint64
 	lastPos uint32
 }
 
-// dictionary lays pos out as the dictionary it indexes.
-func (b *floatBuilder) dictionary() []float64 {
-	dict := make([]float64, len(b.pos))
-	for bits, p := range b.pos {
-		dict[p] = math.Float64frombits(bits)
-	}
-	return dict
-}
-
-// newFloatBuilder sizes pos for a sixteenth of the rows distinct: few
-// growths when a bucket holds many readings, little to drop when it
+// newFloatBuilder returns a builder for room rows that tags its values t
+// in vals. Its dictionary starts at a sixteenth of the rows distinct:
+// few growths when a bucket holds many readings, little to drop when it
 // holds none.
-func newFloatBuilder(room int) *floatBuilder {
-	return &floatBuilder{floats: floats{ids: newUints(0, room, 0, 1, 0)}, room: room, pos: make(map[uint64]uint32, room/16)}
+func newFloatBuilder(room int, vals map[uint64]tag, t uint32) floatBuilder {
+	return floatBuilder{floats: floats{ids: newUints(0, room, 0, 1, 0), dict: make([]float64, 0, room/16)}, room: room, vals: vals, tag: t}
 }
 
 func (b *floatBuilder) add(v float64) {
-	if b.pos == nil {
-		b.raw = append(b.raw, v)
-		return
-	}
 	bits := math.Float64bits(v)
 	p, ok := b.lastPos, bits == b.last && b.ids.n > 0
 	if !ok {
-		p, ok = b.pos[bits]
+		t, found := b.vals[bits]
+		p, ok = t.p, found && t.b == b.tag
 	}
 	if !ok {
-		if p = uint32(len(b.pos)); !coded(int(p)+1, b.room) {
-			b.dict = b.dictionary()
-			raw := make([]float64, b.ids.n, max(b.room, b.ids.n+1))
-			for i := range raw {
-				raw[i] = b.at(i)
-			}
-			b.raw, b.dict, b.ids, b.pos = append(raw, v), nil, uints{}, nil
-			return
-		}
-		b.pos[bits] = p
+		p = uint32(len(b.dict))
+		b.dict = append(b.dict, v)
+		b.vals[bits] = tag{b.tag, p}
 	}
 	b.last, b.lastPos = bits, p
 	b.ids.add(uint64(p), b.room)
 }
 
-// column returns the n values added as a column at its final layout,
-// re-choosing the layout when n is not the room the builder was made
-// for.
-func (b *floatBuilder) column(n int) floats {
-	if b.pos != nil {
-		b.dict = b.dictionary()
+// column returns the values added as a column at its final layout,
+// laying them out afresh through a map of their own when the dictionary
+// holds a value twice.
+func (b *floatBuilder) column(s *sorter) floats {
+	n := b.ids.n
+	if s.repeats(b.dict) {
+		fb := newFloatBuilder(n, make(map[uint64]tag, n/16), 1)
+		for i := range n {
+			fb.add(b.at(i))
+		}
+		b = &fb
 	}
-	if n == b.room {
+	if coded(len(b.dict), n) {
 		c := b.floats
-		c.raw = exact(c.raw)
+		c.dict = exact(c.dict)
 		c.ids.trim()
 		return c
 	}
-	fb := newFloatBuilder(n)
-	for i := range n {
-		fb.add(b.at(i))
+	raw := make([]float64, n)
+	for i := range raw {
+		raw[i] = b.at(i)
 	}
-	return fb.column(n)
+	return floats{raw: raw}
 }

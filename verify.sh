@@ -51,8 +51,8 @@ go test -race -count=2 ./internal/stream/... ./internal/obstore/... ./internal/t
 echo "== stream disconnect-then-resume + resume splice under concurrent ingest (200x, race) =="
 go test -race -count=200 -run 'TestDisconnectPolicyThenResume$|TestResumeSpliceUnderConcurrentIngest$' ./internal/stream/
 
-echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment and width-edge layouts against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack at their narrowest width + a segment whose rows lie more than 2⁶³ ns apart read from a time bound + heap per sealed row, compacted as reopened, and the resident-bytes self-report + two scans at once, each visiting only its own subject's rows through its own pooled rows + concurrent checkpoints keep every synced row once + retention rewrites each segment once, records no tombstone and never seals an expired row (repeated, race) =="
-go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestSealedTierHeapPerRow|TestTimeRangeSpansTheWholeClock|TestPooledScanRowsStayWithTheirScan|TestConcurrentCheckpointsKeepEverySyncedRow|TestRetentionRewritesEachSegmentOnce|TestSweepRacingCompactionSealsNoExpiredRow' ./internal/colstore/...
+echo "== colstore compaction crash injection against the child's stream + streamed-scan equivalence + eviction-is-invisible property and cold erasure + hour-segment and width-edge layouts against a brute-force walk, shared payloads, the parent-written tier, the streaming builder against the parent's layout and sealed columns without slack at their narrowest width + a segment whose rows lie more than 2⁶³ ns apart read from a time bound + heap per sealed row, compacted as reopened, and the resident-bytes self-report + two scans at once, each visiting only its own subject's rows through its own pooled rows + concurrent checkpoints keep every synced row once + retention rewrites each segment once, records no tombstone and never seals an expired row + a compaction pass allocates about what it seals, through one scratch for its dictionary tables and encode buffer, a subject across a gap held in one string, interleaved buckets sealed at their narrowest and the encode buffer sized exactly (repeated, race) =="
+go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvictionIsInvisible|TestEvictionRacingReaders|TestCrashBetweenCommitAndEviction|TestDeleteBetweenCommitAndEviction|TestErasureLeavesDisk|TestAttachStoreRefusesMemoryTierOverDurableStore|TestSegmentLayoutMatchesBruteForce|TestSegmentSharesEqualPayloads|TestParentSegmentsReencodeByteForByte|TestOpenParentWrittenTier|TestStreamingBuilderMatchesParentLayout|TestSealedColumnsHaveNoSlack|TestSealedTierHeapPerRow|TestTimeRangeSpansTheWholeClock|TestPooledScanRowsStayWithTheirScan|TestConcurrentCheckpointsKeepEverySyncedRow|TestRetentionRewritesEachSegmentOnce|TestSweepRacingCompactionSealsNoExpiredRow|TestCompactAllocatesWhatItKeeps|TestSubjectAcrossAGapIsOneString|TestInterleavedBucketsSealAtTheirNarrowest|TestEncodedLen' ./internal/colstore/...
 
 echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike, and equal payloads in one body share one map + oversized bodies refused with 413 on every route that reads one, a body of exactly the limit read and one whose read fails answered 400 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 + the preference decoder against encoding/json, its allocations and the key it names, unenforceable writes refused with 400, 422 or 409, the 200's echo equal to the installed rule (repeated, race) =="
 go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestBodyPayloadsShareOneMap|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite|TestPreferenceWritesRefusedAsWritten|TestPreferenceEchoIsInstalled|TestPreferenceRoundTrip|TestDecodePreferenceAllocs|TestDecodePreferenceMatchesEncodingJSON|TestDecodePreferenceNamesTheKey' ./internal/httpapi/...
