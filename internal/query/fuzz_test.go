@@ -9,7 +9,10 @@ import (
 // with arbitrary input. Invariants: the parser never panics and fails
 // only with *ParseError; statements that parse either plan cleanly or
 // fail with a typed plan/enforce error; plans that compile execute
-// without panicking against a small fixture.
+// without panicking against a small fixture; and a PlanCache, shared by
+// every input so that one input binds another's template, compiles each
+// input as a fresh Parse and Compile do, once when its shape may be new
+// and once when it is cached.
 func FuzzParseQuery(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM observations",
@@ -34,7 +37,11 @@ func FuzzParseQuery(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	cache := new(PlanCache)
 	f.Fuzz(func(t *testing.T, sql string) {
+		te := &testEnv{obs: defaultObs(), audit: []AuditRecord{{ID: 1, SubjectID: "mary"}}}
+		compileBoth(t, cache, te, reqr(), sql)
+		compileBoth(t, cache, te, reqr(), sql)
 		stmt, err := Parse(sql)
 		if err != nil {
 			var pe *ParseError
@@ -46,7 +53,6 @@ func FuzzParseQuery(f *testing.F) {
 			}
 			return
 		}
-		te := &testEnv{obs: defaultObs(), audit: []AuditRecord{{ID: 1, SubjectID: "mary"}}}
 		plan, err := Compile(stmt, te.env(), reqr())
 		if err != nil {
 			var pe *PlanError
