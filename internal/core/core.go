@@ -138,6 +138,9 @@ type BMS struct {
 	colstore *colstore.Store
 	occCache occupancyCache
 	qenv     query.Env
+	// plans compiles each statement shape /v1/query is sent once; it
+	// holds no literal, so erasure has nothing to drop from it.
+	plans query.PlanCache
 
 	compactStop chan struct{}
 	compactDone chan struct{}

@@ -23,7 +23,10 @@ type coreMetrics struct {
 	// its Result.Stats.
 	queryScanned, queryDenied, queryExcluded, queryReleased *telemetry.Counter
 	queryGroupsSuppressed                                   *telemetry.Counter
-	occSpacesSuppressed                                     *telemetry.Counter
+	// planHits and planMisses count statements bound to a cached
+	// template and statements parsed and compiled afresh.
+	planHits, planMisses *telemetry.Counter
+	occSpacesSuppressed  *telemetry.Counter
 
 	ingestSeconds *telemetry.Histogram
 	detectSeconds *telemetry.Histogram
@@ -41,6 +44,10 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 	const queryRowsHelp = "Ground-truth rows the SQL path visited, by enforcement outcome: scanned (all), denied by the subject's decision, excluded by an aggregation floor a row release cannot meet, released."
 	queryRows := func(outcome string) *telemetry.Counter {
 		return r.CounterWith("tippers_query_rows_total", queryRowsHelp, telemetry.Labels{"outcome": outcome})
+	}
+	const planCacheHelp = "SQL statements by plan cache outcome: hit, bound to the template its shape compiled to; miss, parsed and compiled afresh."
+	planCache := func(result string) *telemetry.Counter {
+		return r.CounterWith("tippers_query_plan_cache_total", planCacheHelp, telemetry.Labels{"result": result})
 	}
 	m := &coreMetrics{
 		ingested: r.Counter("tippers_core_ingested_total",
@@ -63,6 +70,8 @@ func newCoreMetrics(r *telemetry.Registry, engineName string) *coreMetrics {
 		queryDenied:   queryRows("denied"),
 		queryExcluded: queryRows("excluded"),
 		queryReleased: queryRows("released"),
+		planHits:      planCache("hit"),
+		planMisses:    planCache("miss"),
 		queryGroupsSuppressed: r.Counter("tippers_query_groups_suppressed_total",
 			"Groups the SQL path withheld for falling short of the effective k-anonymity floor."),
 		occSpacesSuppressed: r.Counter("tippers_occupancy_spaces_suppressed_total",

@@ -122,6 +122,10 @@ type DecisionTrace struct {
 	Spaces              int    `json:"spaces,omitempty"`
 	SpacesSuppressed    int    `json:"spaces_suppressed,omitempty"`
 	Table               string `json:"table,omitempty"`
+	// PlanCached reports that a SQL query's plan was bound to the
+	// template its statement's shape had compiled to, not parsed and
+	// compiled afresh.
+	PlanCached bool `json:"plan_cached,omitempty"`
 	// Stages are the per-phase timings.
 	Stages StageClock `json:"stages"`
 	// TotalMicros is the end-to-end request latency in microseconds.

@@ -16,14 +16,17 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// The two hottest request bodies — an ingest batch and a data request —
-// are decoded by a scanner that fills []ObservationDTO and RequestDTO
-// directly instead of having encoding/json walk them by reflection.
-// It accepts only a strict subset of JSON: exact-case known keys, each
-// at most once; strings with no escapes and no control bytes that are
-// valid UTF-8; numbers in the JSON grammar that parse without overflow;
-// times through time.Time.UnmarshalJSON; a payload of string values;
-// and no null. It declines anything else, and readJSON hands every
+// The hottest request bodies — an ingest batch, a data request and a
+// SQL query — are decoded by a scanner that fills []ObservationDTO,
+// RequestDTO and QueryRequestDTO directly instead of having
+// encoding/json walk them by reflection. It accepts only a strict
+// subset of JSON: exact-case known keys, each at most once; strings
+// with no escapes and no control bytes that are valid UTF-8, except a
+// query's statement, whose escapes it decodes as encoding/json does
+// (Go's encoder writes "<" as \u003c); numbers in the JSON grammar
+// that parse without overflow; times through time.Time.UnmarshalJSON;
+// a payload of string values; and no null. It declines anything else,
+// and readJSON hands every
 // declined body to json.Unmarshal, so an unusual input decodes, or
 // fails with the same error, as it always has. The decode tests hold
 // the pair to encoding/json alone on every input.
@@ -95,8 +98,8 @@ type bodyPayload struct {
 
 var decoderPool = sync.Pool{New: func() any { return &decoder{table: make(map[string]string)} }}
 
-// decodeFast decodes data into v when v is a batch or a data request
-// and data lies in the scanner's subset, and reports whether it did. On
+// decodeFast decodes data into v when v is a batch, a data request or
+// a query and data lies in the scanner's subset, and reports whether it did. On
 // a decline a batch is left empty and zero over its capacity: the
 // scanner may have filled elements before it declined, and
 // json.Unmarshal merges into the elements it finds.
@@ -113,6 +116,10 @@ func decodeFast(data []byte, v any, users *profile.Directory) bool {
 	case *RequestDTO:
 		d := getDecoder(data, users)
 		ok = d.request(v)
+		d.release()
+	case *QueryRequestDTO:
+		d := getDecoder(data, users)
+		ok = d.query(v)
 		d.release()
 	}
 	return ok
@@ -193,6 +200,33 @@ func (d *decoder) request(out *RequestDTO) bool {
 	}) && d.end()
 	if ok {
 		*out = r
+	}
+	return ok
+}
+
+// query scans a JSON object into *out as request does.
+func (d *decoder) query(out *QueryRequestDTO) bool {
+	q := *out
+	var seen fields
+	ok := d.members(func(key []byte) bool {
+		switch string(key) {
+		case "sql":
+			return seen.first(0) && d.copied(&q.SQL)
+		case "service_id":
+			return seen.first(1) && d.interned(&q.ServiceID)
+		case "purpose":
+			return seen.first(2) && d.interned(&q.Purpose)
+		case "user_id":
+			return seen.first(3) && d.subject(&q.UserID)
+		case "granularity":
+			return seen.first(4) && d.interned(&q.Granularity)
+		case "k":
+			return seen.first(5) && d.int(&q.K)
+		}
+		return false
+	}) && d.end()
+	if ok {
+		*out = q
 	}
 	return ok
 }

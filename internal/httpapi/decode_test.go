@@ -44,19 +44,24 @@ func referenceOutcome(body []byte, v any) (int, string) {
 	return http.StatusOK, ""
 }
 
-// dirtyRequest is a data request a reused target already holds.
-var dirtyRequest = RequestDTO{ServiceID: "old", Purpose: "old", SubjectID: "old", Time: testNow, AfterSeq: 3, Limit: 9}
+// dirtyRequest and dirtyQuery are a data request and a query a reused
+// target already holds.
+var (
+	dirtyRequest = RequestDTO{ServiceID: "old", Purpose: "old", SubjectID: "old", Time: testNow, AfterSeq: 3, Limit: 9}
+	dirtyQuery   = QueryRequestDTO{SQL: "old", ServiceID: "old", UserID: "old", K: 4}
+)
 
 // checkDecode holds readJSON on body to json.Unmarshal alone, as a
-// batch and as a data request: the same status and error body, and on
-// success the same value — decoded into a fresh target, and into a
-// reused one (a batch with spare zero capacity, as handleIngest hands
-// it over, and a request that already holds values). It also holds the
-// scanner to its decline contract: a declined batch is empty and zero
-// over its capacity, a declined request unchanged. users, which may be
-// nil, resolves subject identifiers. It reports whether the scanner
-// itself decoded body as each.
-func checkDecode(t testing.TB, body []byte, users *profile.Directory) (batch, request bool) {
+// batch, as a data request and as a query: the same status and error
+// body, and on success the same value — decoded into a fresh target,
+// and into a reused one (a batch with spare zero capacity, as
+// handleIngest hands it over, and a request or query that already
+// holds values). It also holds the scanner to its decline contract: a
+// declined batch is empty and zero over its capacity, a declined
+// request or query unchanged. users, which may be nil, resolves subject
+// identifiers. It reports whether the scanner itself decoded body as
+// each.
+func checkDecode(t testing.TB, body []byte, users *profile.Directory) (batch, request, query bool) {
 	t.Helper()
 	same := func(what string, got, want any, fresh func() any) {
 		t.Helper()
@@ -78,6 +83,9 @@ func checkDecode(t testing.TB, body []byte, users *profile.Directory) (batch, re
 	same("reused batch", make([]ObservationDTO, 0, 3), make([]ObservationDTO, 0, 3), newBatch)
 	same("fresh request", RequestDTO{}, RequestDTO{}, newRequest)
 	same("reused request", dirtyRequest, dirtyRequest, newRequest)
+	newQuery := func() any { return new(QueryRequestDTO) }
+	same("fresh query", QueryRequestDTO{}, QueryRequestDTO{}, newQuery)
+	same("reused query", dirtyQuery, dirtyQuery, newQuery)
 
 	probe := make([]ObservationDTO, 0, 3)
 	if batch = decodeFast(body, &probe, users); !batch {
@@ -94,7 +102,11 @@ func checkDecode(t testing.TB, body []byte, users *profile.Directory) (batch, re
 	if request = decodeFast(body, &r, users); !request && !reflect.DeepEqual(r, dirtyRequest) {
 		t.Fatalf("body %q: a declined request changed its target to %+v", body, r)
 	}
-	return batch, request
+	q := dirtyQuery
+	if query = decodeFast(body, &q, users); !query && !reflect.DeepEqual(q, dirtyQuery) {
+		t.Fatalf("body %q: a declined query changed its target to %+v", body, q)
+	}
+	return batch, request, query
 }
 
 // decodeStrings are string literals as they appear in a body. outside
@@ -111,6 +123,22 @@ var decodeStrings = []struct {
 	{`"\ud800"`, true}, {`"\udc00x"`, true}, {`"\n"`, true}, {`"\x"`, true},
 	{"\"\xff\"", true}, {"\"trunc\xc3\"", true}, {"\"a\xed\xa0\x80b\"", true}, {"\"\xf4\x90\x80\x80\"", true},
 	{"\"tab\tx\"", true}, {"\"nul\x00\"", true}, {"\"\x1f\"", true},
+}
+
+// sqlStrings are statements as a query body carries them. A statement
+// is decoded with its escapes, so outside marks only those the scanner
+// must decline: control bytes, invalid UTF-8 and invalid escapes.
+var sqlStrings = []struct {
+	lit     string
+	outside bool
+}{
+	{`"SELECT * FROM observations"`, false},
+	{`"SELECT seq FROM observations WHERE time \u003e= '2017-06-07T14:00:00Z' AND time \u003c '2017-06-07T15:00:00Z'"`, false},
+	{`"SELECT seq FROM observations WHERE user_id = 'o''brien' \u0026\u0026"`, false}, {`"select 'café'"`, false},
+	{`"a\"b"`, false}, {`"a\\b"`, false}, {`"\/"`, false}, {`"\u0041"`, false}, {`"\ud83d\ude42"`, false},
+	{`"\ud800"`, false}, {`"\udc00x"`, false}, {`"\n"`, false}, {`""`, false}, {"\"line\u2028sep\"", false},
+	{`"\x"`, true}, {"\"\xff\"", true}, {"\"trunc\xc3\"", true}, {"\"a\xed\xa0\x80b\"", true},
+	{"\"tab\tx\"", true}, {"\"nul\x00\"", true},
 }
 
 // decodeNumbers cover the JSON number grammar's edges, what strconv
@@ -140,6 +168,7 @@ var decodeTimes = []struct {
 var (
 	observationKeys = []string{"seq", "sensor_id", "kind", "time", "space_id", "device_mac", "user_id", "value", "payload"}
 	requestKeys     = []string{"service_id", "purpose", "kind", "subject_id", "space_id", "granularity", "time", "from", "to", "after_seq", "limit"}
+	queryKeys       = []string{"sql", "service_id", "purpose", "user_id", "granularity", "k"}
 	prefKeys        = []string{"id", "user_id", "name", "scope", "rule", "source"}
 	prefScopeKeys   = []string{"space_id", "sensor_type", "obs_kind", "purposes", "service_id", "window"}
 	prefWindowKeys  = []string{"start_minute", "end_minute", "days"}
@@ -276,8 +305,12 @@ func (g *bodyGen) value(key string) {
 		}
 	case "noise_epsilon":
 		g.number(false)
-	case "seq", "after_seq", "limit":
+	case "seq", "after_seq", "limit", "k":
 		g.number(true)
+	case "sql":
+		s := sqlStrings[g.rng.Intn(len(sqlStrings))]
+		g.outside = g.outside || s.outside
+		g.tok(s.lit)
 	case "value":
 		g.number(false)
 	case "time", "from", "to":
@@ -372,7 +405,8 @@ func genBatch(rng *rand.Rand) (body []byte, outside bool) {
 	return body, g.outside
 }
 
-func genRequest(rng *rand.Rand) (body []byte, outside bool) {
+// genObject writes a data request's or a query's body, keyed by keys.
+func genObject(rng *rand.Rand, keys []string) (body []byte, outside bool) {
 	g := &bodyGen{rng: rng}
 	switch rng.Intn(16) {
 	case 0:
@@ -382,48 +416,59 @@ func genRequest(rng *rand.Rand) (body []byte, outside bool) {
 		g.tok("[]")
 		g.outside = true
 	default:
-		g.object(requestKeys)
+		g.object(keys)
 	}
 	body = g.finish()
 	return body, g.outside
 }
 
-// TestDecodeMatchesEncodingJSON: over random batches and data requests
-// near the scanner's subset, readJSON answers and decodes exactly as
-// json.Unmarshal alone did, the scanner declines every body that
-// leaves its subset, and it serves a good share of the rest.
+// TestDecodeMatchesEncodingJSON: over random batches, data requests
+// and queries near the scanner's subset, readJSON answers and decodes
+// exactly as json.Unmarshal alone did, the scanner declines every body
+// that leaves its subset, and it serves a good share of the rest.
 func TestDecodeMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const rounds = 3000
-	var servedBatch, servedRequest int
+	var servedBatch, servedRequest, servedQuery int
 	for range rounds {
 		body, outside := genBatch(rng)
-		if served, _ := checkDecode(t, body, nil); served {
+		if served, _, _ := checkDecode(t, body, nil); served {
 			if outside {
 				t.Fatalf("the scanner decoded a batch outside its subset: %q", body)
 			}
 			servedBatch++
 		}
-		body, outside = genRequest(rng)
-		if _, served := checkDecode(t, body, nil); served {
+		body, outside = genObject(rng, requestKeys)
+		if _, served, _ := checkDecode(t, body, nil); served {
 			if outside {
 				t.Fatalf("the scanner decoded a request outside its subset: %q", body)
 			}
 			servedRequest++
 		}
+		body, outside = genObject(rng, queryKeys)
+		if _, _, served := checkDecode(t, body, nil); served {
+			if outside {
+				t.Fatalf("the scanner decoded a query outside its subset: %q", body)
+			}
+			servedQuery++
+		}
 	}
-	t.Logf("the scanner served %d batches and %d requests of %d each", servedBatch, servedRequest, rounds)
-	if servedBatch < rounds/4 || servedRequest < rounds/4 {
-		t.Fatalf("the scanner served %d batches and %d requests of %d each; the property hardly reaches it", servedBatch, servedRequest, rounds)
+	t.Logf("the scanner served %d batches, %d requests and %d queries of %d each", servedBatch, servedRequest, servedQuery, rounds)
+	if servedBatch < rounds/4 || servedRequest < rounds/4 || servedQuery < rounds/4 {
+		t.Fatalf("the scanner served %d batches, %d requests and %d queries of %d each; the property hardly reaches it",
+			servedBatch, servedRequest, servedQuery, rounds)
 	}
 }
 
 // FuzzDecodeMatchesEncodingJSON holds readJSON to json.Unmarshal alone
-// on arbitrary bodies, as a batch and as a data request.
+// on arbitrary bodies, as a batch, as a data request and as a query.
 func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 	const obs = `{"sensor_id":"ap-1","kind":"wifi_access_point","time":"2017-06-07T14:00:00Z","device_mac":"aa:bb","user_id":"mary","value":1.5,"payload":{"event":"assoc"}}`
 	const req = `{"service_id":"concierge","purpose":"providing_service","kind":"ble_beacon","subject_id":"mary","time":"2017-06-07T14:00:00Z","after_seq":3,"limit":20}`
+	const query = `{"sql":"SELECT seq FROM observations WHERE sensor_id = 'b-1' AND time \u003c '2017-06-07T14:00:00Z'","service_id":"concierge","purpose":"providing_service","user_id":"mary","granularity":"room","k":2}`
 	for _, s := range []string{
+		query, `{"sql":"a\"b\\c\/\n\ud83d\ude42\ud800"}`, `{"sql":"\x"}`, "{\"sql\":\"tab\tx\"}", `{"SQL":"x"}`, `{"sql":"x","sql":"y"}`,
+		`{"sql":null}`, `{"k":1.5}`, `{"k":-1}`, `{"user_id":"a\u0041"}`, `{"sql":1}`,
 		"[" + obs + "]", "[" + obs + "," + obs + "]", req, "[]", "{}", "[{}]", "null", "[null]", "", " ", "[" + obs + "]x", req + " ",
 		" \t\r\n[ " + obs + " ]\n", "[\v]", "\u00a0{}",
 		// case-respelled, repeated, unknown keys and null fields
@@ -690,7 +735,7 @@ func TestDecodeResolvesSubjectsToDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch, _ := checkDecode(t, raw, population); !batch {
+	if batch, _, _ := checkDecode(t, raw, population); !batch {
 		t.Fatal("the scanner declined the simulated batch")
 	}
 

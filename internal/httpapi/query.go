@@ -87,7 +87,7 @@ func requesterFromDTO(d QueryRequestDTO) (query.Requester, error) {
 func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	t0 := time.Now()
 	var dto QueryRequestDTO
-	if !readJSON(w, req, &dto, s.bms.Users()) {
+	if !readRequest(w, req, &dto, s.bms.Users()) {
 		return
 	}
 	r, err := requesterFromDTO(dto)

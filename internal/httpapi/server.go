@@ -356,10 +356,11 @@ func readJSON(w http.ResponseWriter, req *http.Request, v any, users *profile.Di
 	return unmarshal(w, buf.Bytes(), v)
 }
 
-// readRequest is readJSON for a data request, typed so that dto stays
-// on its caller's stack: json.Unmarshal keeps what it decodes into on
-// the heap, so only a body the scanner declines pays for a RequestDTO.
-func readRequest(w http.ResponseWriter, req *http.Request, dto *RequestDTO, users *profile.Directory) bool {
+// readRequest is readJSON for a data request or a query, typed so
+// that dto stays on its caller's stack: json.Unmarshal keeps what it
+// decodes into on the heap, so only a body the scanner declines pays
+// for a DTO.
+func readRequest[T RequestDTO | QueryRequestDTO](w http.ResponseWriter, req *http.Request, dto *T, users *profile.Directory) bool {
 	buf, ok := readBody(w, req)
 	if !ok {
 		return false
@@ -368,7 +369,7 @@ func readRequest(w http.ResponseWriter, req *http.Request, dto *RequestDTO, user
 	if decodeFast(buf.Bytes(), dto, users) {
 		return true
 	}
-	declined := new(RequestDTO)
+	declined := new(T)
 	if !unmarshal(w, buf.Bytes(), declined) {
 		return false
 	}

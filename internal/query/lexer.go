@@ -161,25 +161,31 @@ func isLetterByte(c byte) bool {
 	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
+// lexString scans a string literal. Its text is a substring of the
+// statement unless it holds a doubled quote, which only a copy can
+// undouble.
 func (l *lexer) lexString(line, col int) (token, error) {
 	l.advance(1) // opening quote
-	var sb strings.Builder
+	start, doubled := l.pos, false
 	for {
 		if l.pos >= len(l.src) {
 			return token{}, l.errf(line, col, "unterminated string literal")
 		}
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.advance(2)
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.advance(1)
-			return token{kind: tokString, text: sb.String(), line: line, col: col}, nil
+			continue
 		}
-		sb.WriteByte(c)
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			doubled = true
+			l.advance(2)
+			continue
+		}
+		text := l.src[start:l.pos]
+		if doubled {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
 		l.advance(1)
+		return token{kind: tokString, text: text, line: line, col: col}, nil
 	}
 }
 
@@ -204,7 +210,7 @@ func (l *lexer) lexNumber(line, col int, neg bool) (token, error) {
 		return token{}, l.errf(line, col, "malformed number %q", text)
 	}
 	if neg {
-		text = "-" + text
+		text = l.src[start-1 : l.pos] // the minus sign is the byte before
 	}
 	return token{kind: tokNumber, text: text, line: line, col: col}, nil
 }
@@ -224,5 +230,49 @@ func (l *lexer) lexIdent(line, col int) (token, error) {
 		}
 		break
 	}
-	return token{kind: tokIdent, text: strings.ToLower(l.src[start:l.pos]), line: line, col: col}, nil
+	return token{kind: tokIdent, text: lowerIdent(l.src[start:l.pos]), line: line, col: col}, nil
 }
+
+// lowerIdent lowercases an identifier, as keywords and names compare:
+// one with no upper-case letter is returned as it is and a keyword as
+// its own constant, so neither allocates.
+func lowerIdent(s string) string {
+	upper := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.ToLower(s)
+		}
+		upper = upper || 'A' <= c && c <= 'Z'
+	}
+	if !upper {
+		return s
+	}
+	var buf [16]byte
+	if len(s) <= len(buf) {
+		b := buf[:len(s)]
+		for i := range b {
+			c := s[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			b[i] = c
+		}
+		if kw, ok := lowerWords[string(b)]; ok {
+			return kw
+		}
+	}
+	return strings.ToLower(s)
+}
+
+// lowerWords maps each keyword and aggregate name to itself.
+var lowerWords = func() map[string]string {
+	m := make(map[string]string, len(keywords)+len(aggKeywords))
+	for kw := range keywords {
+		m[kw] = kw
+	}
+	for name := range aggKeywords {
+		m[name] = name
+	}
+	return m
+}()

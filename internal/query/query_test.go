@@ -338,7 +338,7 @@ func TestExecuteRefusesWithoutEnforcement(t *testing.T) {
 	if _, err := nilPlan.Execute(); err == nil {
 		t.Fatal("nil plan executed")
 	}
-	bare := &Plan{stmt: &SelectStmt{Table: TableObservations}, table: TableObservations}
+	bare := &Plan{template: &template{table: TableObservations}}
 	_, err := bare.Execute()
 	var ee *EnforceError
 	if !errors.As(err, &ee) {
