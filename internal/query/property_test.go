@@ -493,7 +493,7 @@ func TestRecycledTablesFailClosed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := tablesPool.New().(*tables)
+			fresh := newTables()
 			want, err := plan.execute(fresh)
 			if err != nil {
 				t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,7 +179,7 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables := tablesPool.New().(*tables)
+		tables := newTables()
 		return testing.AllocsPerRun(5, func() {
 			plan, err := Compile(stmt, env, reqr())
 			if err != nil {
@@ -205,6 +206,26 @@ func TestGroupedScanAllocsFlat(t *testing.T) {
 	t.Logf("20 users × 400 spaces: %.0f objects, %.2f per added group", wide, perGroup)
 	if perGroup > 0.5 {
 		t.Fatalf("%.0f objects at 40 groups, %.0f at 400: %.2f per added group, want at most 0.5", small, wide, perGroup)
+	}
+}
+
+// TestIdleTablesGoWithOneCollection: the tables an execution releases
+// come back, emptied, to the next one, and a single collection frees
+// them once idle, so what an idle node holds does not depend on how
+// many collections ran since its last statement.
+func TestIdleTablesGoWithOneCollection(t *testing.T) {
+	first := takeTables()
+	first.users["u1"] = 1
+	first.release()
+	again := takeTables()
+	if again != first || len(again.users) != 0 {
+		t.Fatalf("released tables not taken back empty: same %v, %d users", again == first, len(again.users))
+	}
+	again.release()
+	first, again = nil, nil
+	runtime.GC()
+	if spareTables.t.Value() != nil {
+		t.Fatal("idle tables survived a collection")
 	}
 }
 
