@@ -678,7 +678,7 @@ func (s *Store) Query(f obstore.Filter) []sensor.Observation { return s.source()
 // stopped or the limit is spent and the tail must not be read.
 //
 // Visitor contract: the *Observation is one scratch value reused for
-// every segment row, taken from rowPool for the walk — it is valid only
+// every segment row, taken from obstore.ScanRows for the walk — it is valid only
 // during the call, so a visitor that keeps a row must copy it. Its
 // Codes are the row's positions in its segment's user, kind and space
 // dictionaries, which one *Dicts names per segment. No colstore lock is held while visit runs: the
@@ -740,10 +740,10 @@ func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sen
 	var (
 		activeBuf [2]segCursor
 		active    = activeBuf[:0]
-		scratch   = rowPool.Get().(*sensor.Observation)
+		scratch   = obstore.ScanRows.Get().(*sensor.Observation)
 		visited   int
 	)
-	defer rowPool.Put(scratch)
+	defer obstore.ScanRows.Put(scratch)
 	for next := 0; ; {
 		best := -1
 		for i := range active {
@@ -783,13 +783,6 @@ func (s *Store) ScanCold(f obstore.Filter, cut *obstore.Cutoffs, visit func(*sen
 	}
 	return tail, true
 }
-
-// rowPool holds ScanCold's scratch rows: handed to a visitor the tier
-// cannot see into, a row of the walk's own would escape to the heap on
-// every call. A pooled row is not cleared when handed back — the next
-// walk overwrites it — so it holds the last row it carried, never more,
-// until then or until the pool is dropped.
-var rowPool = sync.Pool{New: func() any { return new(sensor.Observation) }}
 
 // copySet snapshots a tombstone set (nil when empty) so it can be read
 // outside s.mu.

@@ -265,11 +265,9 @@ func New(cfg Config) (*BMS, error) {
 	// keeps no decisions of its own, so rule mutations have nothing to
 	// flush here.
 	hub, err := stream.NewHub(stream.Config{
-		Store:  b.store,
-		Decide: b.decide,
-		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
-			return enforce.ApplyDecisionOne(d, o, b.transf)
-		},
+		Store:         b.store,
+		Decide:        b.decide,
+		Apply:         b.apply,
 		Filter:        b.filterFor,
 		Metrics:       reg,
 		Tracer:        cfg.Tracer,

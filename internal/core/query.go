@@ -6,7 +6,6 @@ import (
 
 	"github.com/tippers/tippers/internal/enforce"
 	"github.com/tippers/tippers/internal/query"
-	"github.com/tippers/tippers/internal/sensor"
 )
 
 // QueryResponse is an executed analytical query plus its decision
@@ -81,28 +80,21 @@ func (b *BMS) Query(ctx context.Context, requester query.Requester, sql string) 
 	return QueryResponse{Result: res, Trace: b.finishTrace(&tr, started)}, nil
 }
 
-// queryEnv wires the query planner/executor to this BMS: the store
-// scan, the spatial subtree expansion, the enforcement engine
-// (with notification delivery and metrics, exactly like the fixed
-// request paths) and its class domains, the per-row data path, and
-// the audit view over retained decision traces. New builds it once,
-// so a statement allocates none of its hooks.
+// queryEnv wires the query executor to this BMS: the store scan, the
+// spatial subtree expansion, the enforcement engine (through decide,
+// with notification delivery and metrics) and its class domains, the
+// per-row data path, and the audit view over retained decision traces.
+// Statements and the user and occupancy reads all execute against it.
+// New builds it once, so an execution allocates none of its hooks.
 func (b *BMS) queryEnv() query.Env {
 	return query.Env{
 		// The store's scan is the unified view: zone-map-pruned segments
 		// behind the watermark, the hot log ahead of it.
-		ScanEach: b.store.Scan,
-		Subtree: func(spaceID string) []string {
-			if ids, err := b.cfg.Spaces.Subtree(spaceID); err == nil {
-				return ids
-			}
-			return []string{spaceID}
-		},
-		Decide: b.decide,
-		Domain: b.engine.Domain,
-		Apply: func(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
-			return enforce.ApplyDecisionOne(d, o, b.transf)
-		},
+		ScanEach:     b.store.Scan,
+		Subtree:      b.subtree,
+		Decide:       b.decide,
+		Domain:       b.engine.Domain,
+		Apply:        b.apply,
 		AuditRecords: b.auditRecords,
 	}
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"github.com/tippers/tippers/internal/enforce"
@@ -14,6 +11,7 @@ import (
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/privacy"
 	"github.com/tippers/tippers/internal/profile"
+	"github.com/tippers/tippers/internal/query"
 	"github.com/tippers/tippers/internal/sensor"
 )
 
@@ -60,14 +58,13 @@ func (b *BMS) RequestUserCtx(ctx context.Context, req enforce.Request) (Response
 	return resp, nil
 }
 
-// RequestUserEach is the single-subject path streamed: one store scan
-// whose visitor judges each row at its capture time, degrades it per
-// that decision and hands it to emit as the scan reaches it, so no row
-// is collected on the way. Rows are decided once per window class of
-// their capture times (enforce.Domain), so a subject with no windowed
-// rule is decided once. Response.Decision is the decision at the
-// request's own instant, and Response.Observations stays nil. The row
-// emit receives is reused for the next one: emit copies what it keeps.
+// RequestUserEach is the single-subject path streamed: the query
+// executor's scan (query.ReadRows) judges each row at its capture time
+// and the request's kind and space, degrades it and hands it to emit,
+// which copies what it keeps, so no row is collected on the way. Rows
+// are decided once per window class of their capture times
+// (enforce.Domain); the decision at the request's own instant serves
+// its class and is Response.Decision. Response.Observations stays nil.
 // On an error, rows already emitted must be discarded.
 //
 // The decision trace is stamped with the trace ID ctx carries, so
@@ -102,118 +99,38 @@ func (b *BMS) RequestUserEach(ctx context.Context, req enforce.Request, emit fun
 		// floor; the data path returns nothing rather than leaking an
 		// individual record.
 		d.DenyReason = fmt.Sprintf("subject requires aggregation over >= %d users", d.Effective.MinAggregationK)
-		tr.Allowed = false
-		tr.DenyReason = d.DenyReason
+		tr.Allowed, tr.DenyReason = false, d.DenyReason
 	}
 	if domain.Empty() && (!d.Allowed || floor) {
 		// Every row would be judged by this decision.
 		return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 	}
-	s := userScanPool.Get().(*userScan)
-	defer s.release()
-	s.b, s.req, s.domain, s.transf, s.emit = b, req, domain, b.transf, emit
-	s.class, s.d = domain.Class(req.Time), d
-	s.classes[s.class] = len(s.decisions)
-	s.decisions = append(s.decisions, d)
 	t0 = time.Now()
-	b.store.Scan(b.filterFor(req), s.visitFn)
+	st, err := query.ReadRows(b.qenv, req, b.filterFor(req), domain, d, emit)
 	fetch := time.Since(t0)
-	if s.err != nil {
-		return Response{}, s.err
+	if err != nil {
+		return Response{}, err
 	}
-	tr.Stages.add(StageFetch, fetch-s.apply)
-	tr.Stages.add(StageApply, s.apply)
-	tr.ObservationsScanned = s.scanned
-	tr.ObservationsReleased = s.released
+	tr.Stages.add(StageFetch, fetch-st.Apply)
+	tr.Stages.add(StageApply, st.Apply)
+	tr.ObservationsScanned, tr.ObservationsReleased = st.ScannedRows, st.ReleasedRows
 	return Response{Decision: d, Trace: b.finishTrace(&tr, started)}, nil
 }
 
-// userScan is RequestUserEach's scan visitor. Its state is one pooled
-// struct, its visit method bound once, rather than locals a closure
-// captures, each of which would escape to the heap on its own.
-type userScan struct {
-	b      *BMS
-	req    enforce.Request
-	domain enforce.Domain
-	// class is the window class of the row last judged and d its
-	// decision; classes indexes every decision the scan has made.
-	class             enforce.Class
-	d                 enforce.Decision
-	classes           map[enforce.Class]int
-	decisions         []enforce.Decision
-	transf            *privacy.Transformer
-	emit              func(*sensor.Observation)
-	row               sensor.Observation // the degraded row emit sees, reused
-	apply             time.Duration
-	scanned, released int
-	err               error
-	visitFn           func(*sensor.Observation, obstore.Codes) bool // visit, bound to this scan
-}
-
-var userScanPool = sync.Pool{New: func() any {
-	s := &userScan{classes: make(map[enforce.Class]int)}
-	s.visitFn = s.visit
-	return s
-}}
-
-// release returns the scan to the pool holding nothing of the request.
-func (s *userScan) release() {
-	clear(s.classes)
-	clear(s.decisions)
-	*s = userScan{classes: s.classes, decisions: s.decisions[:0], visitFn: s.visitFn}
-	userScanPool.Put(s)
-}
-
-// decisionAt returns the decision for a row captured at t.
-func (s *userScan) decisionAt(t time.Time) enforce.Decision {
-	c := s.domain.Class(t)
-	if c == s.class {
-		return s.d
-	}
-	i, ok := s.classes[c]
-	if !ok {
-		req := s.req
-		req.Time = t
-		i = len(s.decisions)
-		s.classes[c] = i
-		s.decisions = append(s.decisions, s.b.decide(req))
-	}
-	s.class, s.d = c, s.decisions[i]
-	return s.d
-}
-
-func (s *userScan) visit(o *sensor.Observation, _ obstore.Codes) bool {
-	s.scanned++
-	d := s.decisionAt(o.Time)
-	if !d.Allowed || d.Effective.MinAggregationK > 1 {
-		return true
-	}
-	t0 := time.Now()
-	row, ok, err := enforce.ApplyDecisionOne(d, *o, s.transf)
-	s.apply += time.Since(t0)
-	if err != nil {
-		s.err = err
-		return false
-	}
-	if ok {
-		s.row = row
-		s.released++
-		s.emit(&s.row)
-	}
-	return true
-}
-
 // RequestOccupancy is the aggregate path: a service asks how many
-// people are in each space under the request's scope. Each candidate
-// subject is decided independently; only permitted subjects
-// contribute; the counts are k-anonymized with k at least minK and at
-// least every contributing subject's aggregation floor.
+// people are in each space under the request's scope. The query
+// executor's scan and occupancy sink (query.ReadOccupancy) decide each
+// subject once per window class, at the request's kind and space; the
+// counts are k-anonymized with k at least minK and every permitted
+// subject's floor.
 func (b *BMS) RequestOccupancy(req enforce.Request, minK int) (Response, error) {
 	return b.RequestOccupancyCtx(context.Background(), req, minK)
 }
 
 // RequestOccupancyCtx is RequestOccupancy joined to the trace carried by
-// ctx.
+// ctx. A miss's stages are fetch, decide-subjects and aggregate: the
+// scan's time in the engine and in the data path is decide-subjects,
+// the cut at k aggregate, and the rest of the scan fetch.
 func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK int) (Response, error) {
 	if minK < 1 {
 		minK = 1
@@ -233,7 +150,7 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 	// Answers are memoized post-enforcement, pinned to the occVersion
 	// they were computed under: a rule change, a new observation or a
 	// deletion invalidates the hit, so a repeated dashboard poll costs a
-	// map lookup instead of a scan and a decide batch. A subject, seq
+	// map lookup instead of a scan and its decisions. A subject, seq
 	// cursor or page limit narrows the fetch without being in the key:
 	// no lookup, no store.
 	var (
@@ -245,127 +162,43 @@ func (b *BMS) RequestOccupancyCtx(ctx context.Context, req enforce.Request, minK
 		version = b.occVersion()
 		if a, ok := b.occCache.get(cacheKey, version); ok {
 			tr.Stages.add(StageCache, time.Since(started))
-			resp := Response{
-				SubjectsConsidered: a.considered,
-				SubjectsReleased:   a.released,
-				Aggregates:         a.aggregates,
-				Decision:           occDecision(a.aggregates, a.k),
-			}
-			tr.Allowed = resp.Decision.Allowed
-			tr.DenyReason = resp.Decision.DenyReason
-			tr.SubjectsConsidered = a.considered
-			tr.SubjectsReleased = a.released
-			tr.ObservationsReleased = a.relObs
-			tr.K, tr.Spaces = a.k, len(a.aggregates)
+			resp := a.answer(&tr)
 			resp.Trace = b.finishTrace(&tr, started)
 			return resp, nil
 		}
 	}
 
-	sc := occScratchPool.Get().(*occScratch)
-	defer sc.release()
-	sc.engine = b.engine
 	t0 := time.Now()
-	b.store.Scan(b.filterFor(req), sc.visitFn)
-	tr.Stages.add(StageFetch, time.Since(t0))
-	tr.ObservationsScanned = sc.rows
-
-	t0 = time.Now()
-	// Each subject's rows are decided once per window class of their
-	// capture times, at the capture time of the class's first row.
-	// Sorted, a subject's cells are one run and a class's one run within
-	// it, in an order that makes the decisions (and with them the trace
-	// and the inboxes) deterministic rather than map-ordered.
-	for c := range sc.cells {
-		sc.list = append(sc.list, c)
+	aggs, st, err := query.ReadOccupancy(b.qenv, req, minK, b.filterFor(req))
+	elapsed := time.Since(t0)
+	if err != nil {
+		return Response{}, err
 	}
-	cells := sc.list
-	slices.SortFunc(cells, func(x, y occCell) int {
-		return cmp.Or(cmp.Compare(x.user, y.user), cmp.Compare(x.class, y.class))
-	})
-	for i, c := range cells {
-		if i == 0 || c.class != cells[i-1].class {
-			subReq := req
-			subReq.SubjectID, subReq.Time = c.user, sc.at[c.class]
-			sc.items = append(sc.items, enforce.BatchItem{Req: subReq, Groups: b.subjectGroups(c.user)})
-		}
-	}
-	// Post-filter decisions run as a concurrent batch: every candidate
-	// subject of the query result is decided on a bounded worker pool
-	// sharing the engine's decision cache, instead of one at a time.
-	decisions := enforce.AppendDecideBatch(sc.decisions, b.engine, sc.items, enforce.BatchOptions{
-		Observe: func(_ enforce.Decision, elapsed time.Duration) {
-			b.met.decideSeconds.Observe(elapsed.Seconds())
-		},
-	})
-	sc.decisions = decisions
-	var (
-		resp       Response
-		d          enforce.Decision
-		released   bool
-		overridden bool
-	)
-	k, relObs := minK, 0
-	for i, c := range cells {
-		if i == 0 || c.user != cells[i-1].user {
-			// A subject counts as released when any of their classes is.
-			resp.SubjectsConsidered++
-			released = false
-			sc.seen = sc.seen[:0]
-		}
-		if i == 0 || c.class != cells[i-1].class {
-			d, decisions = decisions[0], decisions[1:]
-			b.recordDecision(c.user, d)
-			overridden = overridden || len(d.Overridden) > 0
-			if d.Allowed {
-				k = max(k, d.Effective.MinAggregationK)
-				if !released {
-					resp.SubjectsReleased++
-					released = true
-				}
-			}
-		}
-		if !d.Allowed {
-			continue
-		}
-		// Each distinct space the subject's cells coarsen to gains one
-		// subject. No value leaves the node here, so no noise is drawn.
-		space, ok := privacy.CoarsenSpace(c.space, d.Granularity, b.transf.Spaces)
-		if !ok {
-			continue // granularity none: counted as released, releases nothing
-		}
-		relObs += sc.cells[c]
-		if !slices.Contains(sc.seen, space) {
-			sc.seen = append(sc.seen, space)
-			sc.counts[space]++
-		}
-	}
-	tr.Stages.add(StageDecideSubjects, time.Since(t0))
-	t0 = time.Now()
-	resp.Aggregates = privacy.SuppressBelowK(sc.counts, k)
-	tr.K, tr.Spaces, tr.SpacesSuppressed = k, len(resp.Aggregates), len(sc.counts)-len(resp.Aggregates)
-	b.met.occSpacesSuppressed.Add(uint64(tr.SpacesSuppressed))
-	tr.Stages.add(StageAggregate, time.Since(t0))
-	resp.Decision = occDecision(resp.Aggregates, k)
-	tr.Allowed = resp.Decision.Allowed
-	tr.DenyReason = resp.Decision.DenyReason
-	tr.SubjectsConsidered = resp.SubjectsConsidered
-	tr.SubjectsReleased = resp.SubjectsReleased
-	tr.ObservationsReleased = relObs
-	if cacheKey != "" && !overridden {
+	tr.Stages.add(StageFetch, elapsed-st.Decide-st.Apply-st.Suppress)
+	tr.Stages.add(StageDecideSubjects, st.Decide+st.Apply)
+	tr.Stages.add(StageAggregate, st.Suppress)
+	a := occAnswer{version: version, aggregates: aggs, k: st.EffectiveK,
+		considered: st.Subjects, released: st.AllowedSubjects, relObs: st.ReleasedRows}
+	resp := a.answer(&tr)
+	tr.ObservationsScanned, tr.SpacesSuppressed = st.ScannedRows, st.SuppressedGroups
+	b.met.occSpacesSuppressed.Add(uint64(st.SuppressedGroups))
+	if cacheKey != "" && !st.Overridden {
 		// An answer with an override decision is not cached: a hit runs
 		// no decision, so it would not count the subject's notification.
-		b.occCache.put(cacheKey, occAnswer{
-			version:    version,
-			aggregates: resp.Aggregates,
-			k:          k,
-			considered: resp.SubjectsConsidered,
-			released:   resp.SubjectsReleased,
-			relObs:     relObs,
-		})
+		b.occCache.put(cacheKey, a)
 	}
 	resp.Trace = b.finishTrace(&tr, started)
 	return resp, nil
+}
+
+// answer is a's response, with what tr reports of it.
+func (a *occAnswer) answer(tr *DecisionTrace) Response {
+	resp := Response{Aggregates: a.aggregates, SubjectsConsidered: a.considered, SubjectsReleased: a.released,
+		Decision: occDecision(a.aggregates, a.k)}
+	tr.Allowed, tr.DenyReason = resp.Decision.Allowed, resp.Decision.DenyReason
+	tr.SubjectsConsidered, tr.SubjectsReleased, tr.ObservationsReleased = a.considered, a.released, a.relObs
+	tr.K, tr.Spaces = a.k, len(a.aggregates)
+	return resp
 }
 
 // occDecision synthesizes the aggregate path's response decision: the
@@ -391,13 +224,23 @@ func (b *BMS) filterFor(req enforce.Request) obstore.Filter {
 		Limit:    req.Limit,
 	}
 	if req.SpaceID != "" {
-		if ids, err := b.cfg.Spaces.Subtree(req.SpaceID); err == nil {
-			f.SpaceIDs = ids
-		} else {
-			f.SpaceIDs = []string{req.SpaceID}
-		}
+		f.SpaceIDs = b.subtree(req.SpaceID)
 	}
 	return f
+}
+
+// subtree expands a space to its spatial subtree; an unknown space
+// covers itself alone.
+func (b *BMS) subtree(spaceID string) []string {
+	if ids, err := b.cfg.Spaces.Subtree(spaceID); err == nil {
+		return ids
+	}
+	return []string{spaceID}
+}
+
+// apply is every read's data path for one allowed row.
+func (b *BMS) apply(d enforce.Decision, o sensor.Observation) (sensor.Observation, bool, error) {
+	return enforce.ApplyDecisionOne(d, o, b.transf)
 }
 
 func (b *BMS) subjectGroups(userID string) []profile.Group {
@@ -408,11 +251,10 @@ func (b *BMS) subjectGroups(userID string) []profile.Group {
 	return u.Groups()
 }
 
-// decide is the one single-decision path — RequestUser, each scanned
-// query row and each live-stream event all come through here — so a
-// decision is timed, counted, and its override folded into the
-// subject's inbox in one place. (RequestOccupancy batches, and records
-// each likewise.)
+// decide is the one decision path — the user and occupancy reads, each
+// scanned query row and each live-stream event all come through here —
+// so a decision is timed, counted, and its override folded into the
+// subject's inbox in one place.
 func (b *BMS) decide(req enforce.Request) enforce.Decision {
 	t0 := time.Now()
 	d := b.engine.Decide(req, b.subjectGroups(req.SubjectID))

@@ -421,3 +421,72 @@ func TestDurableNodeKeepsItsKey(t *testing.T) {
 		t.Fatalf("the short key file was replaced: %d bytes, %v", len(short), err)
 	}
 }
+
+// TestReadsDecideOncePerWindowClass: a user read and an occupancy miss
+// decide at the request's kind and space, so a subject's rows cost one
+// decision per window class of their capture times, however many spaces
+// they name. Mary's rows lie in two spaces, of two kinds, on both sides
+// of a windowed preference's edge; Policy 2 overrides her opt-out, so
+// every decision also counts once in her inbox. Each read of her Wi-Fi
+// rows moves the decision counter and her inbox by two.
+func TestReadsDecideOncePerWindowClass(t *testing.T) {
+	f := newFixture(t)
+	if err := f.bms.RegisterPolicy(policy.Policy2EmergencyLocation("dbh")); err != nil {
+		t.Fatal(err)
+	}
+	prefs := append(policy.Preference2NoLocation("mary"), policy.Preference{ID: "no-concierge-afternoons", UserID: "mary",
+		Name: "no concierge in the afternoon", Source: "explicit", Rule: policy.Rule{Action: policy.ActionDeny},
+		Scope: policy.Scope{ServiceID: "concierge", Window: policy.DailyWindow{Start: 13*60 + 30, End: 20 * 60}}})
+	for _, p := range prefs {
+		if err := f.bms.SetPreference(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 13:00 lies before the window's edge and 13:50 inside it.
+	for _, at := range []time.Time{testNow.Add(-time.Hour), testNow.Add(-10 * time.Minute)} {
+		for _, kind := range []sensor.ObservationKind{sensor.ObsWiFiConnect, sensor.ObsBLESighting} {
+			for _, space := range []string{"dbh/1/r0", "dbh/2/r0"} {
+				if _, err := f.bms.Store().Append(sensor.Observation{SensorID: "ap-1", Kind: kind, SpaceID: space, UserID: "mary", Time: at}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	f.bms.FetchNotifications("mary") // what setting the preferences entered
+	counted := func() (decided uint64, notified int) {
+		for _, n := range f.bms.FetchNotifications("mary") {
+			notified += n.Count
+		}
+		return f.bms.met.requestsDecided.Value(), notified
+	}
+	req := enforce.Request{ServiceID: "bms-emergency", Purpose: policy.PurposeEmergencyResponse, Kind: sensor.ObsWiFiConnect, Time: testNow}
+	for _, read := range []struct {
+		name string
+		run  func() (released int, err error)
+	}{
+		{"user read", func() (int, error) {
+			r := req
+			r.SubjectID = "mary"
+			resp, err := f.bms.RequestUser(r)
+			return len(resp.Observations), err
+		}},
+		{"occupancy miss", func() (int, error) {
+			f.bms.ClearOccupancyCache()
+			resp, err := f.bms.RequestOccupancy(req, 1)
+			return resp.Trace.ObservationsReleased, err
+		}},
+	} {
+		before, _ := counted()
+		released, err := read.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, notified := counted()
+		if released != 4 {
+			t.Fatalf("%s released %d rows, want her 4 Wi-Fi rows", read.name, released)
+		}
+		if after-before != 2 || notified != 2 {
+			t.Errorf("%s: %d decisions and %d inbox counts, want 2 of each: one per window class", read.name, after-before, notified)
+		}
+	}
+}

@@ -1,18 +1,13 @@
 package enforce
 
-// This file is the enforcement side of the parallel query path:
-// post-filter decisions for a query result evaluated concurrently
-// instead of one at a time. The paper's §V.C cost concern is worst on
-// aggregate requests — one occupancy query over a busy floor decides
-// every candidate subject — so the aggregate path
-// (core.RequestOccupancy) batches those decisions across a bounded
-// worker pool. Engines already guarantee concurrent Decide safety
-// (see Engine), and the engine's memo is shared by the pool,
-// so fanning out reuses the decision cache rather than defeating it.
+// This file decides a batch of requests on a bounded worker pool. No
+// read of the node batches — each decides in the query executor's scan
+// as it meets a subject's window class — so DecideBatch serves the
+// benchmark's traced replay and tests. Engines guarantee concurrent
+// Decide safety (see Engine), and the pool shares the engine's memo.
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,41 +38,12 @@ type BatchOptions struct {
 // the equivalent Decide loop would produce — the pool only reorders
 // the evaluation, never the results.
 func DecideBatch(e Engine, items []BatchItem, opts BatchOptions) []Decision {
-	return AppendDecideBatch(nil, e, items, opts)
-}
-
-// AppendDecideBatch is DecideBatch appending the decisions to dst, so
-// a caller that batches repeatedly (the occupancy miss path) reuses
-// one buffer. Decisions reference rule-owned strings and slices: clear
-// the buffer before parking it.
-func AppendDecideBatch(dst []Decision, e Engine, items []BatchItem, opts BatchOptions) []Decision {
-	n := len(dst)
-	dst = slices.Grow(dst, len(items))[:n+len(items)]
-	out := dst[n:]
-	if len(items) == 0 {
-		return dst
-	}
-	decideOne := func(i int) {
-		t0 := time.Now()
-		d := e.Decide(items[i].Req, items[i].Groups)
-		if opts.Observe != nil {
-			opts.Observe(d, time.Since(t0))
-		}
-		out[i] = d
-	}
+	out := make([]Decision, len(items))
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for i := range items {
-			decideOne(i)
-		}
-		return dst
-	}
+	workers = min(workers, len(items))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -89,10 +55,15 @@ func AppendDecideBatch(dst []Decision, e Engine, items []BatchItem, opts BatchOp
 				if i >= len(items) {
 					return
 				}
-				decideOne(i)
+				t0 := time.Now()
+				d := e.Decide(items[i].Req, items[i].Groups)
+				if opts.Observe != nil {
+					opts.Observe(d, time.Since(t0))
+				}
+				out[i] = d
 			}
 		}()
 	}
 	wg.Wait()
-	return dst
+	return out
 }

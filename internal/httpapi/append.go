@@ -304,6 +304,15 @@ func (a *appender) trace(t *core.DecisionTrace) {
 	a.optInt("subjects_considered", t.SubjectsConsidered)
 	a.optInt("subjects_released", t.SubjectsReleased)
 	a.optInt("observations_released", t.ObservationsReleased)
+	a.optInt("observations_scanned", t.ObservationsScanned)
+	a.optInt("k", t.K)
+	a.optInt("spaces", t.Spaces)
+	a.optInt("spaces_suppressed", t.SpacesSuppressed)
+	a.optStr("table", t.Table)
+	if t.PlanCached {
+		a.key("plan_cached", true)
+		a.bool(true)
+	}
 	a.key("stages", true)
 	open := false
 	for s := range t.Stages {

@@ -133,6 +133,12 @@ type DecisionTraceDTO struct {
 	SubjectsConsidered   int             `json:"subjects_considered,omitempty"`
 	SubjectsReleased     int             `json:"subjects_released,omitempty"`
 	ObservationsReleased int             `json:"observations_released,omitempty"`
+	ObservationsScanned  int             `json:"observations_scanned,omitempty"`
+	K                    int             `json:"k,omitempty"`
+	Spaces               int             `json:"spaces,omitempty"`
+	SpacesSuppressed     int             `json:"spaces_suppressed,omitempty"`
+	Table                string          `json:"table,omitempty"`
+	PlanCached           bool            `json:"plan_cached,omitempty"`
 	Stages               []TraceStageDTO `json:"stages"`
 	TotalMicros          int64           `json:"total_us"`
 }
@@ -367,6 +373,12 @@ func traceToDTO(t core.DecisionTrace) DecisionTraceDTO {
 		SubjectsConsidered:   t.SubjectsConsidered,
 		SubjectsReleased:     t.SubjectsReleased,
 		ObservationsReleased: t.ObservationsReleased,
+		ObservationsScanned:  t.ObservationsScanned,
+		K:                    t.K,
+		Spaces:               t.Spaces,
+		SpacesSuppressed:     t.SpacesSuppressed,
+		Table:                t.Table,
+		PlanCached:           t.PlanCached,
 		TotalMicros:          t.TotalMicros,
 	}
 	for s, st := range t.Stages {

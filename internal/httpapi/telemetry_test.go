@@ -242,6 +242,41 @@ func TestDecisionTraceOverHTTP(t *testing.T) {
 	}
 }
 
+// TestWireTraceCarriesScanAndPlan: the trace a response carries has
+// what the node recorded of its scan and plan — a cold occupancy
+// answer's k floor, released and withheld spaces and scanned rows, a
+// statement's table and whether its plan came from the plan cache —
+// and the appender writes the six fields as encoding/json does.
+func TestWireTraceCarriesScanAndPlan(t *testing.T) {
+	_, client := newServer(t)
+	ctx := context.Background()
+	if _, err := client.Ingest(ctx, []ObservationDTO{wifiObs("aa:00:00:00:00:01", 0), wifiObs("aa:00:00:00:00:02", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	occ, err := client.RequestOccupancy(ctx, enforce.Request{ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+		Kind: sensor.ObsWiFiConnect, SpaceID: "dbh", Time: testNow}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := occ.Trace; tr == nil || tr.K != 2 || tr.Spaces != 1 || tr.ObservationsScanned != 2 || tr.SpacesSuppressed != 0 {
+		t.Errorf("cold occupancy trace: %+v, want k 2, 1 space, 2 rows scanned", tr)
+	}
+	q := QueryRequestDTO{SQL: "SELECT user_id FROM observations WHERE kind = 'wifi_access_point'",
+		ServiceID: "concierge", Purpose: string(policy.PurposeProvidingService)}
+	for i, cached := range []bool{false, true} {
+		res, err := client.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr := res.Trace; tr == nil || tr.Table != "observations" || tr.PlanCached != cached {
+			t.Errorf("query %d: trace %+v, want table observations, plan_cached %v", i, tr, cached)
+		}
+	}
+	tr := core.DecisionTrace{Path: "occupancy", ObservationsScanned: 9, K: 3, Spaces: 2, SpacesSuppressed: 1,
+		Table: "occupancy", PlanCached: true}
+	checkAppend(t, "trace", func(a *appender) { a.trace(&tr) }, traceToDTO(tr))
+}
+
 // TestRequestStagesOverHTTP: each data request adds one observation to
 // its path's decode and encode histograms, and a sampled request's
 // server span carries the µs of every stage it ran, the decision

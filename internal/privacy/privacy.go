@@ -45,38 +45,27 @@ func KindForGranularity(g policy.Granularity) (spatial.Kind, bool) {
 // Coarsening is monotone: coarsening to g1 then to g2 equals
 // coarsening to min(g1, g2).
 func CoarsenLocation(o sensor.Observation, g policy.Granularity, spaces *spatial.Model) (sensor.Observation, bool) {
-	id, ok := CoarsenSpace(o.SpaceID, g, spaces)
-	if !ok {
+	if g == policy.GranNone {
 		return sensor.Observation{}, false
 	}
 	if g == policy.GranExact || !g.Valid() {
 		return o, true
 	}
 	out := o.Clone()
-	out.SpaceID = id
-	return out, true
-}
-
-// CoarsenSpace is CoarsenLocation's rule on the space ID alone, for
-// callers that release only (space, subject) pairs: it allocates
-// nothing. ok=false means g releases no location at all.
-func CoarsenSpace(spaceID string, g policy.Granularity, spaces *spatial.Model) (string, bool) {
-	if g == policy.GranNone {
-		return "", false
-	}
 	kind, ok := KindForGranularity(g)
-	if !ok || spaceID == "" || spaces == nil {
-		// Exact or invalid granularity, or nothing to coarsen against.
-		return spaceID, true
+	if !ok || o.SpaceID == "" || spaces == nil {
+		return out, true // nothing to coarsen against
 	}
-	sp, found := spaces.Lookup(spaceID)
+	sp, found := spaces.Lookup(o.SpaceID)
 	if !found {
 		// Unknown location: releasing it as-is could leak more than g
 		// permits, so suppress the field.
-		return "", true
+		out.SpaceID = ""
+		return out, true
 	}
 	if anc := sp.AncestorOfKind(kind); anc != nil {
-		return anc.ID, true
+		out.SpaceID = anc.ID
+		return out, true
 	}
 	// No ancestor of the exact kind (e.g. a zone directly under a
 	// building): fall back to the nearest coarser ancestor, or the
@@ -84,7 +73,8 @@ func CoarsenSpace(spaceID string, g policy.Granularity, spaces *spatial.Model) (
 	for sp.Parent() != nil && sp.Kind > kind {
 		sp = sp.Parent()
 	}
-	return sp.ID, true
+	out.SpaceID = sp.ID
+	return out, true
 }
 
 // Pseudonymizer replaces device identifiers with stable keyed

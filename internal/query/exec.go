@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 	"weak"
 
 	"github.com/tippers/tippers/internal/enforce"
@@ -14,46 +15,74 @@ import (
 	"github.com/tippers/tippers/internal/sensor"
 )
 
-// binding ties a plan to its requester and the Env it reads through.
-// Only bind constructs one (Compile and PlanCache both bind), so every
-// row source in this package runs behind a per-row decision: scan is
-// the sole way plans read ground truth, and it consults the
-// enforcement engine (through a per-execution memo) before a row may
-// continue into residual filtering, projection, or aggregation.
+// binding ties an execution to its requester and the Env it reads
+// through. Only bind and the fixed reads (ReadRows, ReadOccupancy)
+// construct one, so every row source in this package runs behind a
+// per-row decision: scan is the sole way ground truth is read, and it
+// consults the enforcement engine (through a per-execution memo)
+// before a row may continue into residual filtering, projection, or
+// aggregation. scope is the request a fixed read decides each row at,
+// with the row's subject and capture time; a statement (nil) decides
+// each row at the row's own kind and space.
 type binding struct {
-	env Env
-	req Requester
+	env   Env
+	req   Requester
+	scope *enforce.Request
 }
 
-// enforcement is one execution of a plan, with its own tables and
-// counts: Execute builds a fresh one every time.
+// enforcement is one execution, kept in its tables and emptied with
+// them, so an execution allocates none of its own state.
 type enforcement struct {
-	*binding
+	binding
 	*tables
 
-	// maxFloor is the largest MinAggregationK among subjects whose
-	// rows survive residual filtering and so contribute to the result;
-	// it raises the k floor for grouped output. A row a predicate
-	// discards cannot raise the floor on unrelated output.
+	// maxFloor is the largest MinAggregationK raising the k floor: of
+	// the subjects whose rows survive residual filtering into a
+	// statement's result, or of every subject a fixed read allows.
 	maxFloor int
-	stats    Stats
+	stats    ReadStats
+	fixed    enforce.Request // what a fixed read's scope points at
+
+	// The scan in flight; fn holds the methods it passes on, bound once.
+	mode     scanMode
+	residual boolExpr
+	sink     func(rel *sensor.Observation, subject uint32) bool
+	emit     func(*sensor.Observation) // a fixed row read's caller
+	rel      sensor.Observation
+	err      error
+	fn       struct {
+		visit       func(*sensor.Observation, obstore.Codes) bool
+		emit, count func(*sensor.Observation, uint32) bool
+		col         func(string) Value
+	}
 }
 
+// scanMode is what a scan feeds: released rows one by one (a floor
+// above 1, which no single row satisfies, withholds its subject's
+// rows), the grouper, or the occupancy sink, which reads a released
+// row's space alone.
+type scanMode uint8
+
+const (
+	scanRows scanMode = iota
+	scanGroups
+	scanOccupancy
+)
+
 // tables are an execution's id and memo tables, taken from spareTables
-// and emptied both when taken and when released: they keep their
-// buckets and arrays, but nothing one execution decided is visible to
-// the next (the engine memo stays the one cross-request decision
-// cache), and a pooled struct pins none of its last statement's strings
-// or segments.
+// and emptied when released: they keep their buckets and arrays, but
+// nothing one execution decided is visible to the next (the engine memo
+// stays the one cross-request decision cache), and a spare struct pins
+// none of its last execution's strings or segments.
 type tables struct {
 	// Each subject, space and kind a row names gets a dense statement id,
 	// and the memo's keys and the grouper's subject sets hang off those
 	// instead of off strings. users holds "" as id 0, so a subject id
-	// of 0 means unattributed. domains holds each subject's class
-	// domain, by subject id. A row of the hot log is interned by its
+	// of 0 means unattributed. subjects holds what the execution keeps
+	// of each subject, by id. A row of the hot log is interned by its
 	// strings; a segment's row by its dictionary codes, through segs.
 	users, spaces, kinds interner
-	domains              []enforce.Domain
+	subjects             []subjectInfo
 	segs                 [2]segIDs // the segments read last: one per cursor ScanCold keeps open
 	lastSeg              int
 
@@ -66,7 +95,7 @@ type tables struct {
 	// its subject's inbox, so the entry counts once per execution, not
 	// per row. A handle indexes the execution's few distinct verdicts:
 	// the scan reads back only a verdict, and the enforce.Decision is
-	// dropped.
+	// dropped. Under a scope every row's pair is 0.
 	pairs, memo, classes map[uint64]uint32
 	verdicts             []verdict
 	verdictOf            map[verdict]uint32
@@ -75,50 +104,68 @@ type tables struct {
 	// left to right, as (prefix id, column id) → prefix id, from the
 	// empty prefix 0, and groupAt holds the group a whole key reaches.
 	// strs and values intern the released values those column ids and
-	// the COUNT(DISTINCT) operands name, or execOccupancy's released
-	// spaces and subjects.
+	// the COUNT(DISTINCT) operands name. The occupancy sink keeps in
+	// groups the (space id, subject id) pairs it counted, its spaces in
+	// strs and their distinct subjects in occupants.
 	groups       map[uint64]uint32
 	groupAt      []*group
 	strs, values interner
+	occupants    map[string]int
+
+	e enforcement // the execution these tables serve
+}
+
+// subjectInfo is what an execution keeps of one subject.
+type subjectInfo struct {
+	domain  enforce.Domain
+	allowed bool // some decision allowed the subject
 }
 
 func newTables() *tables {
-	return &tables{users: interner{}, spaces: interner{}, kinds: interner{}, pairs: map[uint64]uint32{}, memo: map[uint64]uint32{},
-		classes: map[uint64]uint32{}, verdictOf: map[verdict]uint32{}, groups: map[uint64]uint32{}, strs: interner{}, values: interner{}}
+	t := &tables{users: interner{}, spaces: interner{}, kinds: interner{}, pairs: map[uint64]uint32{}, memo: map[uint64]uint32{},
+		classes: map[uint64]uint32{}, verdictOf: map[verdict]uint32{}, groups: map[uint64]uint32{}, strs: interner{}, values: interner{},
+		occupants: map[string]int{}}
+	e := &t.e
+	e.tables = t
+	e.fn.visit, e.fn.emit, e.fn.count, e.fn.col = e.visit, e.emitRow, e.count, e.col
+	return t
 }
 
-// spareTables holds the tables the last execution released, weakly: the
-// next execution takes them back with their grown maps, and a
-// collection that finds them still idle frees them. A scan over
-// thousands of subjects grows them to a few hundred kB. In a sync.Pool
-// they would also sit once per P and outlive one collection in its
-// victim cache, so whether an idle node still held them depended on
-// how many collections had run since its last statement.
+// spareTables holds weakly the tables executions released, one per
+// execution that ran at once: an execution takes back the last with its
+// grown maps, and a collection that finds them idle frees them (a freed
+// entry is dropped when reached). A scan over thousands of subjects
+// grows them to a few hundred kB. In a sync.Pool they would also sit
+// once per P and outlive one collection in its victim cache, so whether
+// an idle node still held them depended on how many collections had run
+// since its last statement.
 var spareTables struct {
 	sync.Mutex
-	t weak.Pointer[tables]
+	t []weak.Pointer[tables]
 }
 
 func takeTables() *tables {
 	spareTables.Lock()
-	t := spareTables.t.Value()
-	spareTables.t = weak.Pointer[tables]{}
-	spareTables.Unlock()
-	if t == nil {
-		t = newTables()
+	defer spareTables.Unlock()
+	for n := len(spareTables.t); n > 0; n-- {
+		t := spareTables.t[n-1].Value()
+		spareTables.t = spareTables.t[:n-1]
+		if t != nil {
+			return t
+		}
 	}
-	return t
+	return newTables()
 }
 
 func (t *tables) release() {
 	t.reset()
-	w := weak.Make(t)
 	spareTables.Lock()
-	spareTables.t = w
+	spareTables.t = append(spareTables.t, weak.Make(t))
 	spareTables.Unlock()
 }
 
-// reset empties every table; clearing an empty map costs nothing.
+// reset empties every table and the execution; clearing an empty map
+// costs nothing.
 func (t *tables) reset() {
 	for _, in := range []interner{t.users, t.spaces, t.kinds, t.strs, t.values} {
 		clear(in)
@@ -127,13 +174,27 @@ func (t *tables) reset() {
 		clear(m)
 	}
 	clear(t.verdictOf)
+	clear(t.occupants)
 	clear(t.verdicts)
-	clear(t.domains)
+	clear(t.subjects)
 	clear(t.groupAt)
-	t.verdicts, t.domains, t.groupAt = t.verdicts[:0], t.domains[:0], t.groupAt[:0]
+	t.verdicts, t.subjects, t.groupAt = t.verdicts[:0], t.subjects[:0], t.groupAt[:0]
 	for i := range t.segs {
 		t.segs[i].dicts = nil
 	}
+	t.e = enforcement{tables: t, fn: t.e.fn}
+}
+
+// begin starts an execution bound to b on empty tables t. A fixed read
+// passes its request, which the scope then points at.
+func (t *tables) begin(b binding, fixed *enforce.Request) *enforcement {
+	e := &t.e
+	if e.binding = b; fixed != nil {
+		e.fixed, e.scope = *fixed, &e.fixed
+	}
+	t.users[""] = 0
+	t.subjects = append(t.subjects, subjectInfo{})
+	return e
 }
 
 // interner gives a statement's strings dense ids in first-seen order;
@@ -184,34 +245,49 @@ func (t *tables) idMap(d *obstore.Dicts) *segIDs {
 // userID interns a subject, reading its class domain the first time.
 func (e *enforcement) userID(s string) uint32 {
 	id := e.users.id(s)
-	if int(id) == len(e.domains) {
-		e.domains = append(e.domains, e.env.Domain(s))
+	if int(id) == len(e.subjects) {
+		e.subjects = append(e.subjects, subjectInfo{domain: e.env.Domain(s)})
 	}
 	return id
 }
 
-// ids returns a row's subject, kind and space statement ids: a
-// segment's row's through its segment's id map, a log row's by its
-// strings.
-func (e *enforcement) ids(o *sensor.Observation, c obstore.Codes) (user, kind, space uint32) {
+// ids returns a row's subject id and, for a statement, the id of its
+// (kind, space) pair: a segment's row's through its segment's id map, a
+// log row's by its strings.
+func (e *enforcement) ids(o *sensor.Observation, c obstore.Codes) (user, pair uint32) {
+	var kind, space uint32
 	if c.Dicts == nil {
-		return e.userID(o.UserID), e.kinds.id(string(o.Kind)), e.spaces.id(o.SpaceID)
+		user = e.userID(o.UserID)
+		if e.scope != nil {
+			return user, 0
+		}
+		kind, space = e.kinds.id(string(o.Kind)), e.spaces.id(o.SpaceID)
+	} else {
+		m := e.idMap(c.Dicts)
+		if user = m.users[c.User]; user == 0 {
+			user = e.userID(o.UserID) + 1
+			m.users[c.User] = user
+		}
+		if e.scope != nil {
+			return user - 1, 0
+		}
+		if kind = m.kinds[c.Kind]; kind == 0 {
+			kind = e.kinds.id(string(o.Kind)) + 1
+			m.kinds[c.Kind] = kind
+		}
+		if space = m.spaces[c.Space]; space == 0 {
+			space = e.spaces.id(o.SpaceID) + 1
+			m.spaces[c.Space] = space
+		}
+		user, kind, space = user-1, kind-1, space-1
 	}
-	m := e.idMap(c.Dicts)
-	u, k, s := m.users[c.User], m.kinds[c.Kind], m.spaces[c.Space]
-	if u == 0 {
-		u = e.userID(o.UserID) + 1
-		m.users[c.User] = u
+	pk := uint64(kind)<<32 | uint64(space)
+	pair, ok := e.pairs[pk]
+	if !ok {
+		pair = uint32(len(e.pairs))
+		e.pairs[pk] = pair
 	}
-	if k == 0 {
-		k = e.kinds.id(string(o.Kind)) + 1
-		m.kinds[c.Kind] = k
-	}
-	if s == 0 {
-		s = e.spaces.id(o.SpaceID) + 1
-		m.spaces[c.Space] = s
-	}
-	return u - 1, k - 1, s - 1
+	return user, pair
 }
 
 // verdict is what the scan reads back from a decision. Denials are
@@ -227,53 +303,67 @@ func (v verdict) decision() enforce.Decision {
 	return enforce.Decision{Allowed: v.allowed, Granularity: v.granularity, Effective: v.effective}
 }
 
+// memoKey returns where the decision for (user, pair) at t is kept:
+// memo for a subject with an empty domain, else classes by t's class.
+func (e *enforcement) memoKey(user, pair uint32, t time.Time) (map[uint64]uint32, uint64) {
+	key := uint64(user)<<32 | uint64(pair)
+	d := &e.subjects[user].domain
+	if d.Empty() {
+		return e.memo, key
+	}
+	h, ok := e.memo[key]
+	if !ok {
+		h = uint32(len(e.memo)) // the triple's id: memo only grows
+		e.memo[key] = h
+	}
+	return e.classes, uint64(h)<<32 | uint64(d.Class(t))
+}
+
 // decide returns the requester's verdict for one row, judged at its
 // capture time and memoized by (subject, kind, space, window class) for
 // the execution's lifetime, and the subject's id.
 func (e *enforcement) decide(o *sensor.Observation, c obstore.Codes) (verdict, uint32) {
-	user, kind, space := e.ids(o, c)
-	pk := uint64(kind)<<32 | uint64(space)
-	pair, ok := e.pairs[pk]
-	if !ok {
-		pair = uint32(len(e.pairs))
-		e.pairs[pk] = pair
-	}
-	key := uint64(user)<<32 | uint64(pair)
-	h, ok := e.memo[key]
-	memo := e.memo
-	if d := &e.domains[user]; !d.Empty() {
-		if !ok {
-			h = uint32(len(e.memo)) // the triple's id: memo only grows
-			e.memo[key] = h
-		}
-		key, memo = uint64(h)<<32|uint64(d.Class(o.Time)), e.classes
-		h, ok = memo[key]
-	}
-	if ok {
+	user, pair := e.ids(o, c)
+	memo, key := e.memoKey(user, pair, o.Time)
+	if h, ok := memo[key]; ok {
 		return e.verdicts[h], user
 	}
-	d := e.env.Decide(enforce.Request{
-		ServiceID:   e.req.ServiceID,
-		Purpose:     e.req.Purpose,
-		Kind:        o.Kind,
-		SubjectID:   o.UserID,
-		SpaceID:     o.SpaceID,
-		Granularity: e.req.Granularity,
-		Time:        o.Time,
-	})
 	e.stats.Decisions++
+	req := enforce.Request{ServiceID: e.req.ServiceID, Purpose: e.req.Purpose, Kind: o.Kind, SpaceID: o.SpaceID,
+		Granularity: e.req.Granularity}
+	if e.scope != nil {
+		req = *e.scope
+	}
+	req.SubjectID, req.Time = o.UserID, o.Time
+	t0 := time.Now() // an engine call, not a row: a statement's memo keeps these few
+	d := e.env.Decide(req)
+	e.stats.Decide += time.Since(t0)
+	return e.judged(memo, key, user, d), user
+}
+
+// judged memoizes user's decision d under key in memo and returns its
+// verdict, noting what a fixed read reports of it.
+func (e *enforcement) judged(memo map[uint64]uint32, key uint64, user uint32, d enforce.Decision) verdict {
+	e.stats.Overridden = e.stats.Overridden || len(d.Overridden) > 0
 	var v verdict
 	if d.Allowed {
 		v = verdict{allowed: true, granularity: d.Granularity, effective: d.Effective}
+		if s := &e.subjects[user]; user != 0 && !s.allowed {
+			s.allowed = true
+			e.stats.AllowedSubjects++
+		}
+		if e.scope != nil {
+			e.maxFloor = max(e.maxFloor, d.Effective.MinAggregationK)
+		}
 	}
-	h, ok = e.verdictOf[v]
+	h, ok := e.verdictOf[v]
 	if !ok {
 		h = uint32(len(e.verdicts))
 		e.verdicts = append(e.verdicts, v)
 		e.verdictOf[v] = h
 	}
 	memo[key] = h
-	return v, user
+	return v
 }
 
 // scan is the only ground-truth row source, and the whole executor in
@@ -283,66 +373,124 @@ func (e *enforcement) decide(o *sensor.Observation, c obstore.Codes) (verdict, u
 //
 //	ScanEach ─▶ ids (segment id map | interners) ─▶ decide (statement memo)
 //	         ─▶ min-k exclusion ─▶ Apply ─▶ residual on the released row
-//	         ─▶ sink (project | group | occupancy)
+//	         ─▶ sink (project | group | occupancy | a fixed read's caller)
 //
-// Denied rows are dropped; in row mode (aggregate=false) allowed
-// subjects whose effective rule carries an aggregation floor > 1 are
-// excluded too, because a row-level release can never satisfy a
-// k-of-many floor. Surviving rows pass through the decision's data
-// path (granularity clamp, noise), so the residual predicate and the
-// sink only ever see the released view; the sink is also told the
-// ground-truth subject, as its statement id (0: unattributed) —
-// suppression keys off that, not the released view, so a transform
-// that redacts user_id cannot exempt a group from its subjects' k
-// floors. The released row is one slot reused for every row: a sink
-// copies what it keeps. A sink returning false ends the scan.
-func (e *enforcement) scan(f obstore.Filter, aggregate bool, residual boolExpr, sink func(rel *sensor.Observation, subject uint32) bool) error {
-	var (
-		rel sensor.Observation
-		err error
-	)
-	get := func(col string) Value { return (*obsRow)(&rel).col(colIndex(obsColumns, col)) }
-	e.domains = append(e.domains, e.env.Domain("")) // for subject id 0
-	e.env.ScanEach(f, func(o *sensor.Observation, c obstore.Codes) bool {
-		e.stats.ScannedRows++
-		v, subject := e.decide(o, c)
-		if !v.allowed {
-			e.stats.DeniedRows++
-			return true
-		}
-		if !aggregate && v.effective.MinAggregationK > 1 && subject != 0 {
-			e.stats.ExcludedRows++
-			return true
-		}
-		var ok bool
-		if rel, ok, err = e.env.Apply(v.decision(), *o); err != nil {
-			return false
-		}
-		if !ok {
-			e.stats.ExcludedRows++
-			return true
-		}
-		e.stats.ReleasedRows++
-		if residual != nil && !residual.eval(get) {
-			return true
-		}
-		if subject != 0 && v.effective.MinAggregationK > e.maxFloor {
-			e.maxFloor = v.effective.MinAggregationK
-		}
-		return sink(&rel, subject)
-	})
-	return err
+// Denied rows are dropped; in row mode allowed subjects whose effective
+// rule carries an aggregation floor > 1 are excluded too, because a
+// row-level release can never satisfy a k-of-many floor. Surviving rows
+// pass through the decision's data path (granularity clamp, noise), so
+// the residual predicate and the sink only ever see the released view;
+// the sink is also told the ground-truth subject, as its statement id
+// (0: unattributed) — suppression keys off that, not the released view,
+// so a transform that redacts user_id cannot exempt a group from its
+// subjects' k floors. The released row is one slot reused for every
+// row: a sink copies what it keeps. A sink returning false ends the
+// scan. Under a scope the scan passes over unattributed rows before it
+// counts them, and times Env.Apply.
+func (e *enforcement) scan(f obstore.Filter, mode scanMode, residual boolExpr, sink func(rel *sensor.Observation, subject uint32) bool) error {
+	e.mode, e.residual, e.sink = mode, residual, sink
+	if e.scope == nil {
+		e.subjects[0].domain = e.env.Domain("") // for subject id 0
+	}
+	e.env.ScanEach(f, e.fn.visit)
+	e.stats.Subjects = len(e.users) - 1 // "" is interned from the start
+	return e.err
+}
+
+func (e *enforcement) visit(o *sensor.Observation, c obstore.Codes) bool {
+	if e.scope != nil && o.UserID == "" {
+		return true
+	}
+	e.stats.ScannedRows++
+	v, subject := e.decide(o, c)
+	if !v.allowed {
+		e.stats.DeniedRows++
+		return true
+	}
+	if e.mode == scanRows && v.effective.MinAggregationK > 1 && subject != 0 {
+		e.stats.ExcludedRows++
+		return true
+	}
+	var ok bool
+	var t0 time.Time
+	if e.scope != nil {
+		t0 = time.Now()
+	}
+	if e.mode != scanOccupancy {
+		e.rel, ok, e.err = e.env.Apply(v.decision(), *o)
+	} else {
+		ok = e.releaseSpace(v, *o)
+	}
+	if e.scope != nil {
+		e.stats.Apply += time.Since(t0)
+	}
+	if e.err != nil {
+		return false
+	}
+	if !ok {
+		e.stats.ExcludedRows++
+		return true
+	}
+	e.stats.ReleasedRows++
+	if e.residual != nil && !e.residual.eval(e.fn.col) {
+		return true
+	}
+	if subject != 0 && e.scope == nil && v.effective.MinAggregationK > e.maxFloor {
+		e.maxFloor = v.effective.MinAggregationK
+	}
+	return e.sink(&e.rel, subject)
+}
+
+// releaseSpace is Apply for the occupancy sink, which reads a released
+// row's space alone: o goes without its payload, and without noise
+// unless WHERE may read its value. Its copies stay out of visit's frame.
+func (e *enforcement) releaseSpace(v verdict, o sensor.Observation) (ok bool) {
+	d := v.decision()
+	o.Payload = nil
+	if e.residual == nil {
+		d.Effective.NoiseEpsilon = 0
+	}
+	e.rel, ok, e.err = e.env.Apply(d, o)
+	return ok
+}
+
+// col is the residual's view of the released row.
+func (e *enforcement) col(name string) Value {
+	return (*obsRow)(&e.rel).col(colIndex(obsColumns, name))
+}
+
+// emitRow is a fixed row read's sink.
+func (e *enforcement) emitRow(rel *sensor.Observation, _ uint32) bool {
+	e.emit(rel)
+	return true
+}
+
+// count is the occupancy sink: each released row counts its
+// ground-truth subject once in its released space, and a row released
+// without a user_id (unattributed, or its subject redacted) nowhere.
+func (e *enforcement) count(rel *sensor.Observation, subject uint32) bool {
+	if subject == 0 || rel.UserID == "" {
+		return true
+	}
+	if k := uint64(e.strs.id(rel.SpaceID))<<32 | uint64(subject); e.groups[k] == 0 {
+		e.groups[k] = 1
+		e.occupants[rel.SpaceID]++
+	}
+	return true
+}
+
+// occupied returns the occupancy sink's spaces that reach the effective
+// k floor, with their distinct subjects, in key order.
+func (e *enforcement) occupied() []privacy.AggregateCount {
+	e.stats.EffectiveK = e.effectiveK()
+	counts := privacy.SuppressBelowK(e.occupants, e.stats.EffectiveK)
+	e.stats.SuppressedGroups = len(e.occupants) - len(counts)
+	return counts
 }
 
 // effectiveK is the k-anonymity floor for grouped output: the
 // requester's own floor raised by every contributing subject's.
-func (e *enforcement) effectiveK() int {
-	k := e.req.MinK
-	if e.maxFloor > k {
-		k = e.maxFloor
-	}
-	return k
-}
+func (e *enforcement) effectiveK() int { return max(e.req.MinK, e.maxFloor) }
 
 // Execute runs the plan. It refuses to run a plan without an
 // enforcement binding — the zero Plan, or one assembled by hand, has
@@ -352,7 +500,6 @@ func (p *Plan) Execute() (*Result, error) {
 		return nil, &EnforceError{Msg: "plan has no enforcement binding; use Compile"}
 	}
 	t := takeTables()
-	t.reset()
 	defer t.release()
 	return p.execute(t)
 }
@@ -360,8 +507,7 @@ func (p *Plan) Execute() (*Result, error) {
 // execute runs the plan over empty tables t, which it leaves holding
 // what the run interned and decided.
 func (p *Plan) execute(t *tables) (*Result, error) {
-	e := &enforcement{binding: p.bind, tables: t}
-	t.users[""] = 0
+	e := t.begin(*p.bind, nil)
 	switch p.table {
 	case TableAudit:
 		return p.execAudit(e)
@@ -370,6 +516,54 @@ func (p *Plan) execute(t *tables) (*Result, error) {
 	default:
 		return p.execObservations(e)
 	}
+}
+
+// ReadStats is what a fixed read's scan did: its Stats (over attributed
+// rows only), the subjects some decision allowed, whether one overrode
+// a preference (such an answer must not be replayed: its notification
+// would go uncounted), and its time in Env.Decide, in Env.Apply and
+// cutting occupancy at k (a statement times only Env.Decide).
+type ReadStats struct {
+	Stats
+	AllowedSubjects         int
+	Overridden              bool
+	Decide, Apply, Suppress time.Duration
+}
+
+// ReadRows is the request manager's single-subject read: the scan over
+// f in row mode, each row decided at req with its capture time, each
+// released row handed to emit, which copies what it keeps. d is the
+// caller's decision at req.Time under domain, read before it: the scan
+// takes d for that instant's window class. On an error, rows already
+// emitted must be discarded.
+func ReadRows(env Env, req enforce.Request, f obstore.Filter, domain enforce.Domain, d enforce.Decision, emit func(*sensor.Observation)) (ReadStats, error) {
+	t := takeTables()
+	defer t.release()
+	e := t.begin(binding{env: env, req: Requester{MinK: 1}}, &req)
+	user := e.users.id(req.SubjectID)
+	e.subjects = append(e.subjects, subjectInfo{domain: domain})
+	memo, key := e.memoKey(user, 0, req.Time)
+	e.judged(memo, key, user, d)
+	e.emit = emit
+	err := e.scan(f, scanRows, nil, e.fn.emit)
+	return e.stats, err
+}
+
+// ReadOccupancy is the request manager's occupancy read: the scan over
+// f into the occupancy table's sink, each row decided at req with its
+// capture time. It returns the released spaces reaching k — minK raised
+// by every allowed subject's floor — with their distinct subjects.
+func ReadOccupancy(env Env, req enforce.Request, minK int, f obstore.Filter) ([]privacy.AggregateCount, ReadStats, error) {
+	t := takeTables()
+	defer t.release()
+	e := t.begin(binding{env: env, req: Requester{MinK: max(minK, 1)}}, &req)
+	if err := e.scan(f, scanOccupancy, nil, e.fn.count); err != nil {
+		return nil, ReadStats{}, err
+	}
+	t0 := time.Now()
+	counts := e.occupied()
+	e.stats.Suppress = time.Since(t0)
+	return counts, e.stats, nil
 }
 
 // row is the released row in flight: a positional accessor over the
@@ -447,7 +641,7 @@ func (r *auditRow) col(i int) Value {
 func (p *Plan) execObservations(e *enforcement) (*Result, error) {
 	if p.grouped {
 		g := newGrouper(p, e)
-		err := e.scan(p.filter, true, p.residual, func(rel *sensor.Observation, subject uint32) bool {
+		err := e.scan(p.filter, scanGroups, p.residual, func(rel *sensor.Observation, subject uint32) bool {
 			g.add((*obsRow)(rel), subject)
 			return true
 		})
@@ -457,7 +651,7 @@ func (p *Plan) execObservations(e *enforcement) (*Result, error) {
 		return g.result(), nil
 	}
 	pr := projector{p: p}
-	err := e.scan(p.filter, false, p.residual, func(rel *sensor.Observation, _ uint32) bool {
+	err := e.scan(p.filter, scanRows, p.residual, func(rel *sensor.Observation, _ uint32) bool {
 		return pr.add((*obsRow)(rel))
 	})
 	if err != nil {
@@ -498,38 +692,14 @@ func (p *Plan) execAudit(e *enforcement) (*Result, error) {
 	return p.finish(e, pr.rows), nil
 }
 
-// execOccupancy counts the distinct released subjects per released
-// space, exactly as privacy.KAnonymousCounts would over the released
-// rows: a row without a released user_id counts nowhere.
+// execOccupancy counts the distinct subjects per released space, as
+// privacy.KAnonymousCounts would over the released rows by their
+// user_id, and withholds the spaces short of the effective k floor.
 func (p *Plan) execOccupancy(e *enforcement) (*Result, error) {
-	var (
-		spaces, users = e.strs, e.values
-		sets          []idSet // by space id
-		slab          idSlab
-	)
-	err := e.scan(p.filter, true, p.residual, func(rel *sensor.Observation, _ uint32) bool {
-		if rel.UserID == "" {
-			return true
-		}
-		i := spaces.id(rel.SpaceID)
-		if int(i) == len(sets) {
-			sets = append(sets, idSet{})
-		}
-		sets[i].add(users.id(rel.UserID), &slab)
-		return true
-	})
-	if err != nil {
+	if err := e.scan(p.filter, scanOccupancy, p.residual, e.fn.count); err != nil {
 		return nil, err
 	}
-	n := make(map[string]int, len(spaces))
-	for space, i := range spaces {
-		n[space] = sets[i].n
-	}
-	// Spaces short of the effective k floor are withheld.
-	k := e.effectiveK()
-	e.stats.EffectiveK = k
-	counts := privacy.SuppressBelowK(n, k)
-	e.stats.SuppressedGroups = len(n) - len(counts)
+	counts := e.occupied()
 
 	w := len(p.cols)
 	cells := make([]Value, len(counts)*w)
@@ -921,6 +1091,5 @@ func (p *Plan) finish(e *enforcement, rows [][]Value) *Result {
 	for i, oc := range p.cols {
 		cols[i] = oc.name
 	}
-	e.stats.Subjects = len(e.users) - 1 // "" is interned from the start
-	return &Result{Columns: cols, Rows: rows, Stats: e.stats}
+	return &Result{Columns: cols, Rows: rows, Stats: e.stats.Stats}
 }

@@ -224,8 +224,10 @@ func TestIdleTablesGoWithOneCollection(t *testing.T) {
 	again.release()
 	first, again = nil, nil
 	runtime.GC()
-	if spareTables.t.Value() != nil {
-		t.Fatal("idle tables survived a collection")
+	for _, w := range spareTables.t {
+		if w.Value() != nil {
+			t.Fatal("idle tables survived a collection")
+		}
 	}
 }
 
