@@ -308,7 +308,7 @@ func TestResponsesMatchOracle(t *testing.T) {
 		`"deny_reason":"no space reached the k=1000`, `"aggregates":[{`, `"payload":{"a":"plain"`,
 		`"bad":"\ufffd\u0001","note":"line\u2028break","ssid":"\u003ccafé \u0026 \"bar\"\u003e"}`,
 		`"cache_hit":true`, `"rows":[]`,
-		`"value":`, `"time":"2017-06-07T12:00:00.123456789-07:00"`,
+		`"value":`, `"time":"2017-06-07T19:00:00.123456789Z"`,
 	} {
 		if !bytes.Contains(all.Bytes(), []byte(want)) {
 			t.Errorf("no response carried %s", want)

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -110,6 +112,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if want := src.nextSeq.Load() + 1; o.Seq != want {
 		t.Fatalf("post-restore seq = %d, want %d", o.Seq, want)
+	}
+}
+
+// TestCheckpointWriterSizedByRows: a checkpoint's buffer is sized by the
+// rows it writes, so the checkpoint of a one-row hot window — what a
+// node writes at a compaction commit that sealed everything but the
+// open hour's first row — allocates at most 16 KiB, not a 256 KiB
+// buffer.
+func TestCheckpointWriterSizedByRows(t *testing.T) {
+	s := New()
+	appendAll(t, s, []sensor.Observation{durableObs(0, "mary")})
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := s.writeCheckpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Fatalf("a one-row checkpoint allocates %d bytes, want at most %d", per, 16<<10)
 	}
 }
 

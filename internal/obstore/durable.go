@@ -118,10 +118,13 @@ func OpenDurable(cfg DurableConfig) (*Store, error) {
 
 	ckpt := filepath.Join(cfg.Dir, checkpointFile)
 	if f, err := os.Open(ckpt); err == nil {
-		rerr := s.readCheckpoint(f)
+		st, err := f.Stat()
+		if err == nil {
+			err = s.readCheckpoint(io.NewSectionReader(f, 0, st.Size()))
+		}
 		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("obstore: restoring %s: %w", ckpt, rerr)
+		if err != nil {
+			return nil, fmt.Errorf("obstore: restoring %s: %w", ckpt, err)
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("obstore: opening checkpoint: %w", err)
@@ -194,10 +197,10 @@ func (s *Store) insertRecovered(seq uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if l := s.hot; l.n > 0 && l.row(l.n-1).Seq >= seq {
-		return fmt.Errorf("obstore: recovered record %d does not ascend past %d", seq, l.row(l.n-1).Seq)
+	if l := s.hot; l.n > 0 && l.row(l.n-1).seq >= seq {
+		return fmt.Errorf("obstore: recovered record %d does not ascend past %d", seq, l.row(l.n-1).seq)
 	}
-	s.hot.append(o)
+	s.hot.append(&o)
 	return nil
 }
 
@@ -285,15 +288,26 @@ func (s *Store) writeCheckpointFile(path string) (uint64, error) {
 	return hwm, nil
 }
 
+// checkpointBuffer is the largest buffer a checkpoint is written or read
+// through; frameEstimate is what it reserves per row below that.
+const (
+	checkpointBuffer = 256 << 10
+	frameEstimate    = 128
+)
+
+// bufferFor sizes a checkpoint's buffer for a file of size bytes.
+func bufferFor(size int64) int { return int(min(size, checkpointBuffer)) }
+
 // writeCheckpoint frames the checkpoint onto w and returns its
 // high-water mark: every WAL record at or below it is covered. The cut
-// point is one snapshot of the log, walked in place: every observation
-// it holds is written, in ascending seq, and appends landing after it
-// stay in the WAL for replay.
+// point is one snapshot of the log: every observation it holds is built
+// and written, in ascending seq, and appends landing after it stay in
+// the WAL for replay. The buffer is sized by the rows written, so the
+// checkpoint of a near-empty hot window is cheap.
 func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
 	v := s.view(Filter{}, nil)
 
-	bw := bufio.NewWriterSize(w, 256<<10)
+	bw := bufio.NewWriterSize(w, bufferFor(int64(v.n+1)*frameEstimate))
 	buf := binary.AppendUvarint(nil, checkpointVersion)
 	buf = binary.AppendUvarint(buf, v.hwm)
 	buf = binary.AppendUvarint(buf, s.totalIngests.Load())
@@ -302,9 +316,10 @@ func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
 	if _, err := wal.WriteFrame(bw, 0, buf); err != nil {
 		return 0, fmt.Errorf("obstore: checkpoint header: %w", err)
 	}
+	var o sensor.Observation
 	for i := 0; i < v.n; i++ {
-		o := v.at(i)
-		buf = appendObservation(buf[:0], *o)
+		v.build(v.at(i), &o)
+		buf = appendObservation(buf[:0], o)
 		if _, err := wal.WriteFrame(bw, o.Seq, buf); err != nil {
 			return 0, fmt.Errorf("obstore: checkpoint observation %d: %w", o.Seq, err)
 		}
@@ -321,9 +336,15 @@ func (s *Store) writeCheckpoint(w io.Writer) (uint64, error) {
 // exceeds the high-water mark, fewer or more records than the header
 // declares, trailing bytes. Errors name the 0-based frame ordinal
 // (frame 0 is the header) and byte offset. The caller discards the
-// store on error, so nothing is rolled back.
+// store on error, so nothing is rolled back. A reader that knows its
+// size (io.SectionReader, bytes.Reader) is read through a buffer no
+// larger than it.
 func (s *Store) readCheckpoint(r io.Reader) error {
-	br := bufio.NewReaderSize(r, 256<<10)
+	size := int64(checkpointBuffer)
+	if sr, ok := r.(interface{ Size() int64 }); ok {
+		size = sr.Size()
+	}
+	br := bufio.NewReaderSize(r, bufferFor(size))
 	if b, _ := br.Peek(1); len(b) == 1 && b[0] == '{' {
 		// A frame file cannot start with '{': the header frame's length
 		// byte is far below 0x7b.

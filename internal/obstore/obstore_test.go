@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,31 @@ type counters struct {
 
 func (s *Store) counters() counters {
 	return counters{s.Len(), s.totalIngests.Load(), s.totalSwept.Load()}
+}
+
+// matches is the reference Filter predicate, by strings, over
+// everything but AfterSeq and Limit: the tests' slice tiers and
+// reference scans apply it, the log by its codes.
+func matches(o *sensor.Observation, f *Filter) bool {
+	if !f.From.IsZero() && o.Time.Before(f.From) {
+		return false
+	}
+	if !f.To.IsZero() && !o.Time.Before(f.To) {
+		return false
+	}
+	if f.SensorID != "" && o.SensorID != f.SensorID {
+		return false
+	}
+	if f.UserID != "" && o.UserID != f.UserID {
+		return false
+	}
+	if f.DeviceMAC != "" && o.DeviceMAC != f.DeviceMAC {
+		return false
+	}
+	if f.Kind != "" && o.Kind != f.Kind {
+		return false
+	}
+	return len(f.SpaceIDs) == 0 || slices.Contains(f.SpaceIDs, o.SpaceID)
 }
 
 func TestAppendAssignsSeq(t *testing.T) {
