@@ -18,6 +18,7 @@ import (
 	"github.com/tippers/tippers/internal/core"
 	"github.com/tippers/tippers/internal/policy"
 	"github.com/tippers/tippers/internal/profile"
+	"github.com/tippers/tippers/internal/sensor"
 	"github.com/tippers/tippers/internal/telemetry"
 )
 
@@ -58,11 +59,15 @@ type Server struct {
 	// The data endpoints' own stages, resolved by WithMetrics.
 	userStages, occStages, queryStages codecStages
 	ingestStages                       ingestStages
+
+	// ingest stores one decoded observation: bms.Ingest, which a test
+	// wraps to see each row as the decoder handed it out.
+	ingest func(sensor.Observation) error
 }
 
 // NewServer wraps a BMS.
 func NewServer(bms *core.BMS) *Server {
-	return &Server{bms: bms}
+	return &Server{bms: bms, ingest: bms.Ingest}
 }
 
 // WithMetrics makes Handler wrap every route with per-route
@@ -537,7 +542,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 	decoded := time.Now()
 	batch := *bp
 	for i := range batch {
-		if err := s.bms.Ingest(ObservationFromDTO(batch[i])); err != nil {
+		if err := s.ingest(ObservationFromDTO(batch[i])); err != nil {
 			msg := err.Error()
 			span := telemetry.ServerSpan(req.Context())
 			span.SetAttrInt("observations", int64(len(batch)))
