@@ -146,7 +146,7 @@ func (s *Store) Sweep(now time.Time) int {
 	if tab == nil {
 		return 0
 	}
-	n, _, _ := s.rewrite(0, tab.evaluate(now).Expired)
+	n, _, _ := s.rewrite(0, &doom{cut: tab.evaluate(now), kind: anyCode})
 	if n > 0 {
 		s.deletions.Add(1)
 	}
