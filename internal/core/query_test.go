@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/tippers/tippers/internal/enforce"
@@ -49,10 +50,10 @@ func TestQueryEndToEnd(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][0].Str != "ap-1" || res.Rows[0][1].Num != 2 {
+	if res.Rows[0][0].Str != "ap-1" || res.Rows[0][1].Num() != 2 {
 		t.Errorf("ap-1 row = %v", res.Rows[0])
 	}
-	if res.Rows[1][0].Str != "ap-2" || res.Rows[1][1].Num != 3 {
+	if res.Rows[1][0].Str != "ap-2" || res.Rows[1][1].Num() != 3 {
 		t.Errorf("ap-2 row = %v", res.Rows[1])
 	}
 	if res.Stats.ScannedRows != 5 || res.Stats.ReleasedRows != 5 {
@@ -172,7 +173,7 @@ func TestQueryOccupancyMatchesRequestOccupancy(t *testing.T) {
 	}
 	for i, a := range occ.Aggregates {
 		row := resp.Result.Rows[i]
-		if row[0].Str != a.Key || int(row[1].Num) != a.Count {
+		if row[0].Str != a.Key || int(row[1].Num()) != a.Count {
 			t.Errorf("row %d = %v, want %+v", i, row, a)
 		}
 	}
@@ -219,6 +220,37 @@ func TestQueryAuditScopedToRequester(t *testing.T) {
 	recent := f.bms.RecentTraces(1)
 	if len(recent) != 1 || recent[0].Allowed || recent[0].Path != "query" {
 		t.Errorf("rejection trace = %+v", recent)
+	}
+}
+
+// TestAuditTimeRendersUTC: the audit table's time column is the
+// decision's instant in UTC, whatever zone the node's clock reads in:
+// a cell keeps an instant, not a zone.
+func TestAuditTimeRendersUTC(t *testing.T) {
+	at := testNow.In(time.FixedZone("x", 7200))
+	f := newFixtureWith(t, func(c *Config) { c.Clock = func() time.Time { return at } })
+	for range 2 {
+		if _, err := f.bms.RequestUser(enforce.Request{
+			ServiceID: "concierge", Purpose: policy.PurposeProvidingService,
+			Kind: sensor.ObsWiFiConnect, SubjectID: "mary", Time: f.now,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := conciergeRequester()
+	r.UserID = "mary"
+	resp, err := f.bms.Query(context.Background(), r, "SELECT time FROM audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Result.Rows) != 2 {
+		t.Fatalf("rows = %v, want mary's 2 decisions", resp.Result.Rows)
+	}
+	want := at.UTC().Format(time.RFC3339Nano)
+	for _, row := range resp.Result.Rows {
+		if !row[0].Time().Equal(at) || row[0].JSON() != want || !strings.HasSuffix(row[0].Render(), "Z") {
+			t.Errorf("audit time %v renders %q, want the instant %s", row[0].JSON(), row[0].Render(), want)
+		}
 	}
 }
 

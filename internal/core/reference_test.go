@@ -477,8 +477,8 @@ func (w *refWorld) checkSQL(step string) {
 			want = append(want, rowKey(rel))
 		}
 		for _, row := range resp.Result.Rows {
-			o := sensor.Observation{Seq: uint64(row[0].Num), SensorID: row[1].Str, Kind: sensor.ObservationKind(row[2].Str),
-				SpaceID: row[3].Str, DeviceMAC: row[4].Str, UserID: row[5].Str, Time: row[6].Time, Value: row[7].Num}
+			o := sensor.Observation{Seq: uint64(row[0].Num()), SensorID: row[1].Str, Kind: sensor.ObservationKind(row[2].Str),
+				SpaceID: row[3].Str, DeviceMAC: row[4].Str, UserID: row[5].Str, Time: row[6].Time(), Value: row[7].Num()}
 			got = append(got, rowKey(o))
 		}
 		if !slices.Equal(got, want) {
@@ -492,7 +492,7 @@ func (w *refWorld) checkSQL(step string) {
 		}
 		got = got[:0]
 		for _, row := range resp.Result.Rows {
-			got = append(got, fmt.Sprintf("%s=%g", row[0].Str, row[1].Num))
+			got = append(got, fmt.Sprintf("%s=%g", row[0].Str, row[1].Num()))
 		}
 		sort.Strings(got)
 		type group struct {
@@ -540,7 +540,7 @@ func (w *refWorld) checkSQL(step string) {
 		}
 		got = got[:0]
 		for _, row := range resp.Result.Rows {
-			got = append(got, fmt.Sprintf("%s=%g", row[0].Str, row[1].Num))
+			got = append(got, fmt.Sprintf("%s=%g", row[0].Str, row[1].Num()))
 		}
 		sort.Strings(got)
 		k = rq.MinK

@@ -285,7 +285,7 @@ func TestNoisedReleaseIsKeyed(t *testing.T) {
 		}
 		sql := make(map[uint64]float64)
 		for _, row := range q.Result.Rows {
-			sql[uint64(row[0].Num)] = row[1].Num
+			sql[uint64(row[0].Num())] = row[1].Num()
 		}
 		if !maps.Equal(sql, want) {
 			t.Fatalf("%s: SQL released %v, RequestUser %v", stage, sql, want)

@@ -413,13 +413,13 @@ func (a *appender) value(v query.Value) {
 	case query.KindString:
 		a.str(v.Str)
 	case query.KindNumber:
-		a.float(v.Num)
+		a.float(v.Num())
 	case query.KindBool:
-		a.bool(v.Bool)
+		a.bool(v.Bool())
 	case query.KindTime:
 		// A formatted time is plain ASCII that needs no escaping.
 		a.b = append(a.b, '"')
-		a.b = v.Time.AppendFormat(a.b, time.RFC3339Nano)
+		a.b = v.Time().AppendFormat(a.b, time.RFC3339Nano)
 		a.b = append(a.b, '"')
 	default:
 		a.raw("null")

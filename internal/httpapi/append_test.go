@@ -187,13 +187,13 @@ func randValue(rng *rand.Rand) query.Value {
 	case 0:
 		return query.Value{}
 	case 1:
-		return query.Value{Kind: query.KindString, Str: randString(rng)}
+		return query.StringValue(randString(rng))
 	case 2:
-		return query.Value{Kind: query.KindNumber, Num: randFloat(rng)}
+		return query.NumberValue(randFloat(rng))
 	case 3:
-		return query.Value{Kind: query.KindBool, Bool: rng.Intn(2) == 0}
+		return query.BoolValue(rng.Intn(2) == 0)
 	default:
-		return query.Value{Kind: query.KindTime, Time: randTime(rng)}
+		return query.TimeValue(randTime(rng))
 	}
 }
 
@@ -293,7 +293,7 @@ func FuzzAppendersMatchEncodingJSON(f *testing.F) {
 		o := sensor.Observation{SensorID: s, Kind: "k", Time: tm, UserID: s, Value: v, Payload: map[string]string{s: s, "b": s + "<"}}
 		checkAppend(t, "observation", func(a *appender) { a.observation(&o) }, observationToDTO(o))
 		for _, c := range []query.Value{
-			{Kind: query.KindString, Str: s}, {Kind: query.KindNumber, Num: v}, {Kind: query.KindTime, Time: tm},
+			query.StringValue(s), query.NumberValue(v), query.TimeValue(tm),
 		} {
 			checkAppend(t, "value", func(a *appender) { a.value(c) }, c.JSON())
 		}

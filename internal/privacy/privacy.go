@@ -51,7 +51,9 @@ func CoarsenLocation(o sensor.Observation, g policy.Granularity, spaces *spatial
 	if g == policy.GranExact || !g.Valid() {
 		return o, true
 	}
-	out := o.Clone()
+	// Only SpaceID changes: the copy shares o's Payload map, which
+	// nothing writes once a row is released.
+	out := o
 	kind, ok := KindForGranularity(g)
 	if !ok || o.SpaceID == "" || spaces == nil {
 		return out, true // nothing to coarsen against

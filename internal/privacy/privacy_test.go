@@ -106,6 +106,26 @@ func TestCoarsenDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestCoarsenSharesPayload: coarsening rewrites SpaceID alone, so the
+// released row shares the stored row's Payload map and a coarsening
+// allocates nothing. A deep copy costs the map and its buckets per
+// released row.
+func TestCoarsenSharesPayload(t *testing.T) {
+	m := testModel(t)
+	o := roomObs()
+	o.Payload = map[string]string{"event": "assoc", "rssi": "-61"}
+	var got sensor.Observation
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _ = CoarsenLocation(o, policy.GranBuilding, m)
+	})
+	if got.SpaceID != "dbh" || len(got.Payload) != 2 || got.Payload["event"] != "assoc" {
+		t.Fatalf("coarsened to %q with payload %v, want dbh and the stored payload", got.SpaceID, got.Payload)
+	}
+	if allocs != 0 {
+		t.Errorf("a building-granularity coarsening allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // TestCoarsenMonotone: coarsen(g1) then coarsen(g2) == coarsen(min).
 func TestCoarsenMonotone(t *testing.T) {
 	m := testModel(t)

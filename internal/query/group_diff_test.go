@@ -157,23 +157,23 @@ func refNullable(s string) Value {
 	if s == "" {
 		return Value{}
 	}
-	return Value{Kind: KindString, Str: s}
+	return StringValue(s)
 }
 
 func refObsCol(o *sensor.Observation, col string) Value {
 	switch col {
 	case "sensor_id":
-		return Value{Kind: KindString, Str: o.SensorID}
+		return StringValue(o.SensorID)
 	case "kind":
-		return Value{Kind: KindString, Str: string(o.Kind)}
+		return StringValue(string(o.Kind))
 	case "time":
-		return Value{Kind: KindTime, Time: o.Time}
+		return TimeValue(o.Time)
 	case "space_id":
 		return refNullable(o.SpaceID)
 	case "user_id":
 		return refNullable(o.UserID)
 	case "value":
-		return Value{Kind: KindNumber, Num: o.Value}
+		return NumberValue(o.Value)
 	}
 	panic("reference: no column " + col)
 }
@@ -181,17 +181,17 @@ func refObsCol(o *sensor.Observation, col string) Value {
 func refAuditCol(r *AuditRecord, col string) Value {
 	switch col {
 	case "time":
-		return Value{Kind: KindTime, Time: r.Time}
+		return TimeValue(r.Time)
 	case "path":
-		return Value{Kind: KindString, Str: r.Path}
+		return StringValue(r.Path)
 	case "service_id":
 		return refNullable(r.ServiceID)
 	case "kind":
 		return refNullable(r.Kind)
 	case "allowed":
-		return Value{Kind: KindBool, Bool: r.Allowed}
+		return BoolValue(r.Allowed)
 	case "cache_hit":
-		return Value{Kind: KindBool, Bool: r.CacheHit}
+		return BoolValue(r.CacheHit)
 	}
 	panic("reference: no audit column " + col)
 }
@@ -207,15 +207,15 @@ type cellKey struct {
 }
 
 func keyOf(v Value) cellKey {
-	k := cellKey{kind: v.Kind, s: v.Str, b: v.Bool}
+	k := cellKey{kind: v.Kind, s: v.Str, b: v.Bool()}
 	switch v.Kind {
 	case KindNumber:
-		k.n = math.Float64bits(v.Num)
-		if math.IsNaN(v.Num) {
+		k.n = math.Float64bits(v.Num())
+		if math.IsNaN(v.Num()) {
 			k.n = 1
 		}
 	case KindTime:
-		k.t = v.Time.UnixNano()
+		k.t = v.Time().UnixNano()
 	}
 	return k
 }
@@ -293,7 +293,7 @@ func refGrouped(rows []refRow, k int, by []string, outs []refOut, having func([]
 			case "distinct":
 				g.distinct[i][keyOf(v)] = true
 			case "sum", "avg":
-				g.sum[i] += v.Num
+				g.sum[i] += v.Num()
 				g.n[i]++
 			case "min":
 				if g.ext[i].Kind == KindNull || v.compare(g.ext[i]) < 0 {
@@ -322,16 +322,16 @@ func refGrouped(rows []refRow, k int, by []string, outs []refOut, having func([]
 			case "":
 				row[i] = g.vals[slices.Index(by, o.col)]
 			case "count":
-				row[i] = Value{Kind: KindNumber, Num: float64(g.n[i])}
+				row[i] = NumberValue(float64(g.n[i]))
 			case "distinct":
-				row[i] = Value{Kind: KindNumber, Num: float64(len(g.distinct[i]))}
+				row[i] = NumberValue(float64(len(g.distinct[i])))
 			case "sum":
 				if g.n[i] > 0 {
-					row[i] = Value{Kind: KindNumber, Num: g.sum[i]}
+					row[i] = NumberValue(g.sum[i])
 				}
 			case "avg":
 				if g.n[i] > 0 {
-					row[i] = Value{Kind: KindNumber, Num: g.sum[i] / float64(g.n[i])}
+					row[i] = NumberValue(g.sum[i] / float64(g.n[i]))
 				}
 			case "min", "max":
 				row[i] = g.ext[i]
@@ -350,11 +350,11 @@ func sameCell(a, b Value) bool {
 	}
 	switch a.Kind {
 	case KindNumber:
-		return math.IsNaN(a.Num) && math.IsNaN(b.Num) || math.Float64bits(a.Num) == math.Float64bits(b.Num)
+		return math.IsNaN(a.Num()) && math.IsNaN(b.Num()) || math.Float64bits(a.Num()) == math.Float64bits(b.Num())
 	case KindTime:
-		return a.Time.Equal(b.Time)
+		return a.Time().Equal(b.Time())
 	default:
-		return a.Str == b.Str && a.Bool == b.Bool
+		return a.Str == b.Str && a.Bool() == b.Bool()
 	}
 }
 
@@ -385,7 +385,7 @@ func TestGroupedSinksMatchReference(t *testing.T) {
 		keep   func([]Value) bool // having, over the output row
 	}
 	atLeast := func(i int, n float64) func([]Value) bool {
-		return func(row []Value) bool { return row[i].Num >= n }
+		return func(row []Value) bool { return row[i].Num() >= n }
 	}
 	cases := []grouped{
 		{by: []string{"space_id"}, outs: []refOut{{"", "space_id"}, {"distinct", "user_id"}}},
@@ -394,9 +394,9 @@ func TestGroupedSinksMatchReference(t *testing.T) {
 		{by: []string{"kind", "value"}, outs: []refOut{{"", "kind"}, {"", "value"}, {"count", "*"}, {"min", "user_id"}, {"max", "time"}, {"min", "value"}, {"max", "value"}}},
 		{by: []string{"user_id"}, outs: []refOut{{"", "user_id"}, {"count", "*"}, {"distinct", "sensor_id"}}, having: "c1 > 3", keep: atLeast(1, 4)},
 		{by: []string{"space_id", "sensor_id"}, outs: []refOut{{"", "space_id"}, {"", "sensor_id"}, {"distinct", "user_id"}, {"max", "value"}},
-			where: "value >= 1", pred: func(v Value) bool { return v.compare(numberValue(1)) >= 0 }, having: "c2 >= 2", keep: atLeast(2, 2)},
+			where: "value >= 1", pred: func(v Value) bool { return v.compare(NumberValue(1)) >= 0 }, having: "c2 >= 2", keep: atLeast(2, 2)},
 		{outs: []refOut{{"count", "*"}, {"distinct", "user_id"}, {"distinct", "value"}, {"sum", "value"}, {"min", "time"}, {"max", "space_id"}}},
-		{outs: []refOut{{"distinct", "user_id"}}, where: "value < 0", pred: func(v Value) bool { return v.compare(numberValue(0)) < 0 }},
+		{outs: []refOut{{"distinct", "user_id"}}, where: "value < 0", pred: func(v Value) bool { return v.compare(NumberValue(0)) < 0 }},
 		{table: TableAudit, by: []string{"path"}, outs: []refOut{{"", "path"}, {"distinct", "allowed"}, {"distinct", "cache_hit"}, {"distinct", "time"}, {"count", "*"}}},
 		{table: TableAudit, by: []string{"service_id", "kind"}, outs: []refOut{{"", "service_id"}, {"", "kind"}, {"count", "*"}, {"distinct", "allowed"}, {"min", "time"}}},
 		{table: TableAudit, outs: []refOut{{"distinct", "service_id"}, {"distinct", "allowed"}, {"count", "*"}}},
@@ -489,7 +489,7 @@ func TestGroupedSinksMatchReference(t *testing.T) {
 						continue
 					}
 					if n >= occ.min {
-						want = append(want, []Value{{Kind: KindString, Str: space}, {Kind: KindNumber, Num: float64(n)}})
+						want = append(want, []Value{StringValue(space), NumberValue(float64(n))})
 					}
 				}
 				if !sameRows(res.Rows, want) || res.Stats.SuppressedGroups != suppressed || res.Stats.EffectiveK != k {

@@ -671,7 +671,7 @@ func coerceLiteral(lit Literal, t colType, col string) (Value, error) {
 		if lit.Kind != LitString {
 			return Value{}, planErrf("column %q is a string; compare it to a quoted literal", col)
 		}
-		return stringValue(lit.Text), nil
+		return StringValue(lit.Text), nil
 	case colNumber:
 		if lit.Kind != LitNumber {
 			return Value{}, planErrf("column %q is numeric; compare it to a number", col)
@@ -680,12 +680,12 @@ func coerceLiteral(lit Literal, t colType, col string) (Value, error) {
 		if err != nil {
 			return Value{}, planErrf("malformed number %q", lit.Text)
 		}
-		return numberValue(f), nil
+		return NumberValue(f), nil
 	case colBool:
 		if lit.Kind != LitBool {
 			return Value{}, planErrf("column %q is boolean; compare it to TRUE or FALSE", col)
 		}
-		return boolValue(lit.Bool), nil
+		return BoolValue(lit.Bool), nil
 	case colTime:
 		if lit.Kind != LitString {
 			return Value{}, planErrf("column %q is a timestamp; compare it to a quoted time literal", col)
@@ -694,7 +694,7 @@ func coerceLiteral(lit Literal, t colType, col string) (Value, error) {
 		if !ok {
 			return Value{}, planErrf("cannot parse %q as a time (use RFC 3339, '2006-01-02 15:04:05', or '2006-01-02')", lit.Text)
 		}
-		return timeValue(ts), nil
+		return TimeValue(ts), nil
 	default:
 		return Value{}, planErrf("internal: unknown column type for %q", col)
 	}
@@ -937,7 +937,7 @@ func (b *binder) push(p boolExpr, f *obstore.Filter) (residual boolExpr, pushed 
 				return spaceInPred(ids), true
 			}
 		case "time":
-			t := q.val.Time
+			t := q.val.Time()
 			switch q.op {
 			case ">=":
 				if f.From.IsZero() {
@@ -967,7 +967,7 @@ func (b *binder) push(p boolExpr, f *obstore.Filter) (residual boolExpr, pushed 
 				}
 			}
 		case "seq":
-			n := q.val.Num
+			n := q.val.Num()
 			if n != math.Trunc(n) || n < 0 || n > float64(1<<53) {
 				return nil, false
 			}
@@ -989,8 +989,8 @@ func (b *binder) push(p boolExpr, f *obstore.Filter) (residual boolExpr, pushed 
 		}
 	case *betweenPred:
 		if q.col == "time" && !q.neg && f.From.IsZero() && f.To.IsZero() {
-			f.From = q.lo.Time
-			f.To = q.hi.Time.Add(time.Nanosecond)
+			f.From = q.lo.Time()
+			f.To = q.hi.Time().Add(time.Nanosecond)
 			return nil, true
 		}
 	case *inPred:
@@ -1019,7 +1019,7 @@ func (b *binder) push(p boolExpr, f *obstore.Filter) (residual boolExpr, pushed 
 func spaceInPred(ids []string) boolExpr {
 	vals := make([]Value, len(ids))
 	for i, id := range ids {
-		vals[i] = stringValue(id)
+		vals[i] = StringValue(id)
 	}
 	return &inPred{col: "space_id", vals: vals}
 }

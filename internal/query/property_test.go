@@ -106,7 +106,7 @@ func TestQueryNeverLeaksDeniedRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, row := range res.Rows {
-				seq := uint64(row[0].Num)
+				seq := uint64(row[0].Num())
 				if !rowPermitted[seq] {
 					t.Errorf("released row seq=%d user=%q that per-row enforcement denies", seq, row[1].Str)
 				}
@@ -151,7 +151,7 @@ func TestQueryNeverLeaksDeniedRows(t *testing.T) {
 			}
 			got := map[string]int{}
 			for _, row := range res.Rows {
-				got[row[0].Str] = int(row[1].Num)
+				got[row[0].Str] = int(row[1].Num())
 			}
 			if len(got) != len(want) {
 				t.Errorf("emitted groups = %v, oracle wants %v (k=%d)", got, want, effectiveK)
@@ -240,7 +240,7 @@ func refExecute(env Env, r Requester, obs []sensor.Observation, grouped bool, mi
 			maxFloor = d.Effective.MinAggregationK
 		}
 		if !grouped {
-			rows = append(rows, []Value{numberValue(float64(rel.Seq)), nullable(rel.UserID), nullable(rel.SpaceID), numberValue(rel.Value)})
+			rows = append(rows, []Value{NumberValue(float64(rel.Seq)), nullable(rel.UserID), nullable(rel.SpaceID), NumberValue(rel.Value)})
 			continue
 		}
 		g := groups[rel.SpaceID]
@@ -272,8 +272,8 @@ func refExecute(env Env, r Requester, obs []sensor.Observation, grouped bool, mi
 			stats.SuppressedGroups++
 			continue
 		}
-		rows = append(rows, []Value{g.space, numberValue(float64(g.n)), numberValue(float64(len(g.users))),
-			numberValue(float64(len(g.sensors))), numberValue(g.sum)})
+		rows = append(rows, []Value{g.space, NumberValue(float64(g.n)), NumberValue(float64(len(g.users))),
+			NumberValue(float64(len(g.sensors))), NumberValue(g.sum)})
 	}
 	return rows, stats
 }

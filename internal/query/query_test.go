@@ -465,7 +465,7 @@ func TestAggregates(t *testing.T) {
 	row := res.Rows[0]
 	want := []float64{6, 5, 3, 21, 3.5, 1, 6}
 	for i, w := range want {
-		if row[i].Kind != KindNumber || row[i].Num != w {
+		if row[i].Kind != KindNumber || row[i].Num() != w {
 			t.Errorf("col %d (%s) = %v, want %v", i, res.Columns[i], row[i], w)
 		}
 	}
@@ -477,7 +477,7 @@ func TestGlobalAggregateOverEmptyScan(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v, want one zero row", res.Rows)
 	}
-	if res.Rows[0][0].Num != 0 {
+	if res.Rows[0][0].Num() != 0 {
 		t.Errorf("COUNT(*) = %v, want 0", res.Rows[0][0])
 	}
 	if res.Rows[0][1].Kind != KindNull {
@@ -493,7 +493,7 @@ func TestHavingAndOrderAndLimit(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	for _, row := range res.Rows {
-		if row[1].Num < 2 {
+		if row[1].Num() < 2 {
 			t.Errorf("HAVING violated: %v", row)
 		}
 	}
@@ -506,7 +506,7 @@ func TestOccupancy(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][0].Str != "annex" || res.Rows[0][1].Num != 1 {
+	if res.Rows[0][0].Str != "annex" || res.Rows[0][1].Num() != 1 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 
@@ -546,7 +546,7 @@ func TestAuditScopedToRequester(t *testing.T) {
 	}
 
 	res = mustRun(t, te, reqr(), "SELECT COUNT(*) AS n FROM audit WHERE allowed = false")
-	if res.Rows[0][0].Num != 1 {
+	if res.Rows[0][0].Num() != 1 {
 		t.Errorf("denied count = %v", res.Rows[0][0])
 	}
 
@@ -701,7 +701,7 @@ func TestEnvironmentOnlyGroupsNotSuppressed(t *testing.T) {
 	}
 	te := &testEnv{obs: obs, floors: map[string]int{"bob": 5}}
 	res := mustRun(t, te, reqr(), "SELECT sensor_id, COUNT(*) AS n FROM observations GROUP BY sensor_id ORDER BY sensor_id")
-	if len(res.Rows) != 2 || res.Rows[0][0].Str != "t-1" || res.Rows[0][1].Num != 2 || res.Rows[1][0].Str != "t-2" {
+	if len(res.Rows) != 2 || res.Rows[0][0].Str != "t-1" || res.Rows[0][1].Num() != 2 || res.Rows[1][0].Str != "t-2" {
 		t.Fatalf("rows = %v, want the two environmental groups", res.Rows)
 	}
 	if res.Stats.SuppressedGroups != 1 {
@@ -721,7 +721,7 @@ func TestEnvironmentOnlyGroupsNotSuppressed(t *testing.T) {
 	// environmental remainder.
 	te = &testEnv{obs: obs, floors: map[string]int{"bob": 5}}
 	res = mustRun(t, te, reqr(), "SELECT COUNT(*) AS n FROM observations WHERE value > 10")
-	if len(res.Rows) != 1 || res.Rows[0][0].Num != 3 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Num() != 3 {
 		t.Fatalf("rows = %v, want one row counting the 3 environmental observations", res.Rows)
 	}
 	if res.Stats.EffectiveK != 1 {
@@ -747,7 +747,7 @@ func TestSeqFloorBoundStaysResidual(t *testing.T) {
 			t.Errorf("%q: rows = %d, want 6 (seq-0 row excluded by residual)", sql, len(res.Rows))
 		}
 		for _, row := range res.Rows {
-			if row[0].Num == 0 {
+			if row[0].Num() == 0 {
 				t.Errorf("%q: seq-0 row released: %v", sql, row)
 			}
 		}
@@ -765,16 +765,16 @@ func TestSeqFloorBoundStaysResidual(t *testing.T) {
 }
 
 func TestValueRenderAndJSON(t *testing.T) {
-	if got := numberValue(3).Render(); got != "3" {
+	if got := NumberValue(3).Render(); got != "3" {
 		t.Errorf("Render(3) = %q", got)
 	}
-	if got := numberValue(3.5).Render(); got != "3.5" {
+	if got := NumberValue(3.5).Render(); got != "3.5" {
 		t.Errorf("Render(3.5) = %q", got)
 	}
 	if got := (Value{}).Render(); got != "" {
 		t.Errorf("Render(null) = %q", got)
 	}
-	if got := timeValue(qtNow).JSON(); got != "2017-06-07T14:00:00Z" {
+	if got := TimeValue(qtNow).JSON(); got != "2017-06-07T14:00:00Z" {
 		t.Errorf("JSON(time) = %v", got)
 	}
 	if got := (Value{}).JSON(); got != nil {

@@ -124,7 +124,7 @@ func TestLimitStopsTheScan(t *testing.T) {
 	}
 	// ORDER BY needs every row before it can cut.
 	ordered := mustRun(t, te, reqr(), "SELECT seq, user_id FROM observations ORDER BY seq DESC LIMIT 10")
-	if ordered.Stats.ScannedRows != 300 || len(ordered.Rows) != 10 || ordered.Rows[0][0].Num != 300 {
+	if ordered.Stats.ScannedRows != 300 || len(ordered.Rows) != 10 || ordered.Rows[0][0].Num() != 300 {
 		t.Fatalf("ORDER BY ... LIMIT must scan everything: %+v, first row %v", ordered.Stats, ordered.Rows[0])
 	}
 }
@@ -271,8 +271,8 @@ func TestMemoIdsNeverAlias(t *testing.T) {
 		t.Fatalf("stats %+v, %d keys decided, %d rows; want %d decisions and subjects, %d rows", res.Stats, len(decided), len(res.Rows), keys, 2*keys)
 	}
 	for _, row := range res.Rows {
-		if want := epsilon[[2]string{row[0].Str, row[1].Str}]; row[2].Num != want {
-			t.Fatalf("row of %s in %s released under epsilon %v, its own verdict has %v", row[0].Str, row[1].Str, row[2].Num, want)
+		if want := epsilon[[2]string{row[0].Str, row[1].Str}]; row[2].Num() != want {
+			t.Fatalf("row of %s in %s released under epsilon %v, its own verdict has %v", row[0].Str, row[1].Str, row[2].Num(), want)
 		}
 	}
 	// The grouped sink's id sets at the same widths: every subject is
@@ -285,8 +285,8 @@ func TestMemoIdsNeverAlias(t *testing.T) {
 		t.Fatalf("%d groups, want %d", len(res.Rows), spaces)
 	}
 	for _, row := range res.Rows {
-		if row[1].Num != keys/spaces {
-			t.Fatalf("space %s counts %v distinct subjects, want %d", row[0].Str, row[1].Num, keys/spaces)
+		if row[1].Num() != keys/spaces {
+			t.Fatalf("space %s counts %v distinct subjects, want %d", row[0].Str, row[1].Num(), keys/spaces)
 		}
 	}
 }
