@@ -364,8 +364,8 @@ func sameRows(got, want [][]Value) bool {
 
 // TestGroupedSinksMatchReference is the grouped and occupancy sinks'
 // differential property: over random worlds, small ones and ones wide
-// enough that groups fill group chunks of every size, 4 to 64, and one
-// COUNT(DISTINCT) set outgrows the slab into its own array, every
+// enough that the tables' group arrays and member set regrow in the
+// middle of a statement, past groups and members already filled, every
 // grouped statement — multi-column GROUP BY, COUNT(*), COUNT,
 // COUNT(DISTINCT) over strings, numbers, bools and times, SUM, AVG,
 // MIN, MAX, HAVING, the k floor, unattributed rows, the global

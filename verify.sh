@@ -57,8 +57,8 @@ go test -race -count=2 -run 'TestCrashMidCompaction|TestScanMatchesQuery|TestEvi
 echo "== pooled ingest decode leaks nothing across requests, scanner and encoding/json alike, and equal payloads in one body share one map + oversized bodies refused with 413 on every route that reads one, a body of exactly the limit read and one whose read fails answered 400 + the request scanner against encoding/json, its allocations, its intern table and its directory-owned subject strings + appended responses byte-equal to encoding/json and to the reference handlers, no partial body on error, non-finite numbers answer 500 + the preference decoder against encoding/json, its allocations and the key it names, unenforceable writes refused with 400, 422 or 409, the 200's echo equal to the installed rule + the wire trace carries the node's scanned rows, k floor, spaces, table and plan-cache hit (repeated, race) =="
 go test -race -count=2 -run 'TestPooledDecodeLeaksNothing|TestOversizedBodyIs413|TestDecodeMatchesEncodingJSON|TestDecodeBatchAllocs|TestBodyPayloadsShareOneMap|TestDecoderTableHoldsNoSubjectIdentifier|TestDecodeResolvesSubjectsToDirectory|TestAppendersMatchEncodingJSON|TestResponsesMatchOracle|TestWriteResponseDropsStreamedRowsOnError|TestNonFiniteAggregateAnswers500|TestWriteJSONRefusesNonFinite|TestPreferenceWritesRefusedAsWritten|TestPreferenceEchoIsInstalled|TestPreferenceRoundTrip|TestDecodePreferenceAllocs|TestDecodePreferenceMatchesEncodingJSON|TestDecodePreferenceNamesTheKey|TestWireTraceCarriesScanAndPlan' ./internal/httpapi/...
 
-echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties + grouped and occupancy sinks against a map-of-maps reference + recycled statement tables fail closed across requesters and a plan decides afresh on every execution + segment dictionary codes mapped to statement ids, never used as them + a plan bound to its shape's cached template equal to a fresh compile, with every literal varied, and one shape sent at once by requesters that differ + a result cell of 32 bytes whose time keeps its instant from year 0001 to 9999 and reads back in UTC (repeated, race) =="
-go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias|TestGroupedSinksMatchReference|TestRecycledTablesFailClosed|TestExecuteTwiceDecidesAgain|TestSegmentIdsAreStatementIds|TestBoundPlanMatchesFreshCompile|TestPlanCacheIsolatesRequesters|TestValueIs32Bytes|TestTimeValueKeepsTheInstant' ./internal/query/...
+echo "== query leak + segment equivalence + one-executor + compact-memo reference and id-width properties + grouped and occupancy sinks against a map-of-maps reference + recycled statement tables fail closed across requesters and a plan decides afresh on every execution + segment dictionary codes mapped to statement ids, never used as them + a plan bound to its shape's cached template equal to a fresh compile, with every literal varied, and one shape sent at once by requesters that differ + a result cell of 32 bytes whose time keeps its instant from year 0001 to 9999 and reads back in UTC + a grouped statement's groups, states and member sets kept in the recycled tables and emptied by their reset (repeated, race) =="
+go test -race -count=2 -run 'TestQueryNeverLeaksDeniedRows|TestSegmentQueryMatchesRowScan|TestEnvScanAdapterEquivalent|TestGroupedScanAllocsFlat|TestCompactMemoMatchesReference|TestOverrideNotifiesOncePerKeyPerStatement|TestMemoIdsNeverAlias|TestGroupedSinksMatchReference|TestRecycledTablesFailClosed|TestExecuteTwiceDecidesAgain|TestSegmentIdsAreStatementIds|TestBoundPlanMatchesFreshCompile|TestPlanCacheIsolatesRequesters|TestValueIs32Bytes|TestTimeValueKeepsTheInstant|TestGroupedStateLivesInTheTables' ./internal/query/...
 
 echo "== compiled-engine equivalence + scoped-memo reference equivalence, owner move and churn across minutes + window classes decide like the naive engine at capture instants, wide domains included, and the memo's one-minute lifetime + recompile-under-churn + incremental-conflict equivalence, conflicts and inboxes against decisions and same-ID rule writers + in-place erasure never streamed, erasure drops the inbox + every stored row streamed in seq order + occupancy miss reference equivalence through the executor's scan, flat allocations over the hot window and sealed segments and concurrent misses that keep their decisions + the occupancy answer cache against ingest, rule changes, retention rules and erasures and for unaligned windows + streamed user request + durable store with the default columnar directory + every read path against one reference, rows judged at their capture times across window edges and the clock moving past retention TTLs + a stream replay served from the memo + capture instants read as UTC in the hot log, sealed and after reopen + a noised row released with one value by every read path, concurrently and after reopen + a durable node's own key file keeps pseudonyms and noise across restarts, and a damaged one refuses the open + the plan cache holds no literal of a forgotten subject + a user read and an occupancy miss decide once per window class, at the request's kind and space + the audit table's time in UTC under a zoned node clock (repeated, race) =="
 go test -race -count=2 -run 'TestCompiledMatchesNaive|TestScopedMemoMatchesReferences|TestMemoOwnerMove|TestMemoChurnAcrossMinutes|TestClassesDecideLikeNaive|TestClassOfWideDomain|TestWindowedPreference|TestMemoHoldsLiveMinuteOnly' ./internal/enforce/...
@@ -77,9 +77,9 @@ go test -race -count=2 -run 'TestStageClockObservesEachStageOnce' ./internal/cor
 go test -race -count=2 -run 'TestRequestStagesOverHTTP|TestServerTimingMatchesSpan|TestForgetUserDropsDecisionTraces|TestForgetUserLeavesNoSubjectInTraces' ./internal/httpapi/...
 go test -race -count=2 -run 'TestMemoInsertAllocs|TestMemoMatchesMemoFreeUnderRace|TestMemoHeapPerEntry|TestMemoDedupKeepsEveryField' ./internal/enforce/...
 
-echo "== service reads through the whole API handler under their allocation ceilings, a SQL statement lexed, looked up and bound to its shape's template, a row-mode result's bytes per released row, and a coarsening that shares the row's payload (no race detector, under which sync.Pool drops a quarter of what it is handed) =="
+echo "== service reads through the whole API handler under their allocation ceilings, a SQL statement lexed, looked up and bound to its shape's template, a row-mode result's bytes per released row, a grouped statement's bytes per execution over recycled tables, and a coarsening that shares the row's payload (no race detector, under which sync.Pool drops a quarter of what it is handed) =="
 go test -count=1 -run 'TestServiceReadAllocs' .
-go test -count=1 -run 'TestQueryShapeBindAllocs|TestRowModeBytesPerRow' ./internal/query/
+go test -count=1 -run 'TestQueryShapeBindAllocs|TestRowModeBytesPerRow|TestGroupedStateLivesInTheTables' ./internal/query/
 go test -count=1 -run 'TestCoarsenSharesPayload' ./internal/privacy/
 
 echo "== micro-benchmark count gate (eleven benchmarks against BENCH.json; a Go minor version other than the ledger's is refused) =="
